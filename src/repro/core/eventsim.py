@@ -24,7 +24,6 @@ loop interplay), not day-scale statistics.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -41,14 +40,13 @@ from repro.core.variants import VariantSpec, xron
 from repro.dataplane.cluster import RegionCluster
 from repro.dataplane.gateway import Gateway
 from repro.elastic.containers import ContainerPool
-from repro.faults import spec as fault_spec
 from repro.faults.runtime import FaultInjector, truncate_install
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.obs import telemetry as _telemetry
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.install import ResilienceCounters, TwoPhaseInstaller
-from repro.sim.engine import Simulator
+from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
@@ -116,6 +114,29 @@ class EventSimResult:
     partition_counters: Optional[Dict[str, int]] = None
 
 
+def _plans_by_region(output: ControlOutput, codes
+                     ) -> Dict[str, Dict[int, Tuple[str, ...]]]:
+    """One control output's reaction plans, grouped per region of `codes`."""
+    plans: Dict[str, Dict[int, Tuple[str, ...]]] = {
+        code: {} for code in codes}
+    for (sid, region), plan in output.reaction_plans.items():
+        plans[region][sid] = plan.relay_regions
+    return plans
+
+
+def _streams(output: ControlOutput) -> List[Tuple[int, str, str]]:
+    """The distinct (stream id, src, dst) of one control output's
+    assignments, in first-assignment order."""
+    seen = set()
+    streams: List[Tuple[int, str, str]] = []
+    for a in output.path_result.assignments:
+        key = (a.stream.stream_id, a.stream.src, a.stream.dst)
+        if key not in seen:
+            seen.add(key)
+            streams.append(key)
+    return streams
+
+
 class EventDrivenXRON:
     """The full system on the event engine."""
 
@@ -126,7 +147,6 @@ class EventDrivenXRON:
                  tracked_pairs: Optional[List[RegionPair]] = None,
                  measure_interval_s: float = 1.0,
                  passive_flush_s: float = 5.0,
-                 controller_outage: Optional[Tuple[float, float]] = None,
                  faults: Optional[FaultSchedule] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  sib_params: Optional[Dict[str, int]] = None,
@@ -165,11 +185,7 @@ class EventDrivenXRON:
         (`repro.controlplane.regional`), which need the resilience
         layer — heal-time reconciliation rides the two-phase install
         versioning.  Both are off by default and normalize to ``None``
-        so disabled runs stay byte-identical to a build without them.
-
-        `controller_outage` = (start_s, end_s) is the deprecated
-        pre-schedule spelling of one controller outage; it is folded
-        into the schedule."""
+        so disabled runs stay byte-identical to a build without them."""
         self.underlay = underlay
         self.demand = demand
         self.variant = variant if variant is not None else xron()
@@ -183,17 +199,8 @@ class EventDrivenXRON:
                                else ControlConfig())
         self.measure_interval_s = measure_interval_s
         self.passive_flush_s = passive_flush_s
-        self.controller_outage = controller_outage
         self._slo = slo
         schedule = faults if faults is not None else FaultSchedule.empty()
-        if controller_outage is not None:
-            warnings.warn(
-                "controller_outage=(start, end) is deprecated; pass "
-                "faults=FaultSchedule.of(repro.faults.controller_outage("
-                "start, end)) instead",
-                DeprecationWarning, stacklevel=2)
-            schedule = schedule.extended(fault_spec.controller_outage(
-                controller_outage[0], controller_outage[1]))
         self.faults = schedule
         self.skipped_epochs = 0
         #: Resolved resilience config; None when absent or disabled so
@@ -302,22 +309,24 @@ class EventDrivenXRON:
         return Controller(
             self.underlay.codes, self.control_config,
             pricing=self.underlay.pricing,
-            symmetric_only=self.variant.symmetric_only,
-            premium_only=not self.variant.internet_allowed,
-            internet_only=not self.variant.premium_allowed,
             sib_params=self._sib_params,
             control_mode=self.sim_config.control_mode,
             shard_workers=self.sim_config.shard_workers,
-            seed=self.sim_config.seed)
+            seed=self.sim_config.seed,
+            **self.variant.controller_kwargs())
 
     # ------------------------------------------------------------------ api
-    def run(self, start_s: float, duration_s: float) -> EventSimResult:
-        sim = Simulator(start_time=start_s)
-        end = start_s + duration_s
-        burst = self.sim_config.monitoring.burst_interval_s
+    def schedule(self, sim: Simulator, start_s: float
+                 ) -> Dict[str, PeriodicTask]:
+        """Put the deployment's whole timeline on `sim`.
 
-        # Gateway-crash windows go on the queue up front (priority -1 so
-        # a crash at an epoch instant hits before the controller acts).
+        The one declaration of the schedule, shared by the batch `run`
+        and `XRONService`: unfired gateway-crash windows, the first
+        control epoch (run here, directly), and the four periodic tasks,
+        which are returned by component name.  Equal-time events fire by
+        priority: crashes (-1) hit before the controller acts (0), tables
+        exist before probing (1), passive flush (2) and measurement (3).
+        """
         # Windows already fired — state restored from a checkpoint taken
         # at t > 0 — are not replayed.
         if self._injector is not None:
@@ -327,29 +336,38 @@ class EventDrivenXRON:
                 sim.schedule_at(max(spec.start_s, start_s),
                                 lambda spec=spec: self._apply_crash(sim, spec),
                                 priority=-1)
+        self._control_epoch(sim)
+        return {
+            "controller": sim.every(
+                self.sim_config.epoch_s, lambda: self._control_epoch(sim),
+                start_delay=self.sim_config.epoch_s, priority=0),
+            "probing": sim.every(
+                self.sim_config.monitoring.burst_interval_s,
+                lambda: self._probe_round(sim), priority=1),
+            "passive-flush": sim.every(
+                self.passive_flush_s, lambda: self._flush_passive(sim),
+                start_delay=self.passive_flush_s, priority=2),
+            "workload": sim.every(
+                self.measure_interval_s, lambda: self._measure(sim),
+                start_delay=self.measure_interval_s, priority=3),
+        }
 
-        # Control epoch first (priority 0) so tables exist before the
-        # first measurements; probing before measurement at equal times.
+    def run(self, start_s: float, duration_s: float) -> EventSimResult:
+        sim = Simulator(start_time=start_s)
         # The final flush runs on EVERY exit path: without it, an
         # exception mid-run (or simply the tail of the run after the
         # last epoch boundary) would leave the attached telemetry
         # stream's last metric deltas unwritten.
         try:
-            self._control_epoch(sim)
-            sim.every(self.sim_config.epoch_s,
-                      lambda: self._control_epoch(sim),
-                      start_delay=self.sim_config.epoch_s, priority=0)
-            sim.every(burst, lambda: self._probe_round(sim), priority=1)
-            sim.every(self.passive_flush_s,
-                      lambda: self._flush_passive(sim),
-                      start_delay=self.passive_flush_s, priority=2)
-            sim.every(self.measure_interval_s, lambda: self._measure(sim),
-                      start_delay=self.measure_interval_s, priority=3)
-            sim.run_until(end)
+            self.schedule(sim, start_s)
+            sim.run_until(start_s + duration_s)
         finally:
             if _TEL.enabled:
                 _TEL.flush_stream(sim.now)
+        return self.result(sim.events_processed)
 
+    def result(self, events_processed: int) -> EventSimResult:
+        """The deployment's accumulated outcome, in the batch shape."""
         return EventSimResult(
             sessions=self.sessions,
             control_outputs=self.control_outputs,
@@ -358,7 +376,7 @@ class EventDrivenXRON:
                            for c in self.clusters.values()),
             gateway_counts={code: c.size
                             for code, c in self.clusters.items()},
-            events_processed=sim.events_processed,
+            events_processed=events_processed,
             fault_counters=(self._injector.counters.as_dict()
                             if self._injector is not None else None),
             resilience_counters=(self._res_counters.as_dict()
@@ -389,6 +407,11 @@ class EventDrivenXRON:
         self.close()
 
     # -------------------------------------------------------------- internal
+    def _partitioned(self, now: float) -> frozenset:
+        """Regions severed from the global controller at `now`."""
+        return (self._injector.partition_regions(now)
+                if self._injector is not None else frozenset())
+
     def _probe_round(self, sim: Simulator) -> None:
         # Under the modeled-restart semantics an outage is a dead
         # process, not a paused one: reports sent while it is down are
@@ -398,8 +421,7 @@ class EventDrivenXRON:
         lost = (self.resilience is not None and self.resilience.model_restart
                 and self._injector is not None
                 and self._injector.controller_down(now) is not None)
-        partitioned = (self._injector.partition_regions(now)
-                       if self._injector is not None else frozenset())
+        partitioned = self._partitioned(now)
         for cluster in self.clusters.values():
             reports = cluster.probe_round(now)
             if partitioned and cluster.region in partitioned:
@@ -441,8 +463,7 @@ class EventDrivenXRON:
 
     def _control_epoch(self, sim: Simulator) -> None:
         now = sim.now
-        partitioned = (self._injector.partition_regions(now)
-                       if self._injector is not None else frozenset())
+        partitioned = self._partitioned(now)
         if partitioned and _TEL.enabled:
             for spec in self._injector.active_partitions(now):
                 _TEL.event("fault_control_partition", t=now,
@@ -519,10 +540,7 @@ class EventDrivenXRON:
             cluster.scale_to(max(1, self.pools[code].ready_count(now)))
 
         # Install forwarding tables and per-region reaction plans.
-        plans_by_region: Dict[str, Dict[int, Tuple[str, ...]]] = {
-            code: {} for code in self.underlay.codes}
-        for (sid, region), plan in output.reaction_plans.items():
-            plans_by_region[region][sid] = plan.relay_regions
+        plans_by_region = _plans_by_region(output, self.underlay.codes)
         if self._installer is not None:
             # Safe-update path: validate the global update while every
             # gateway still rides its last-good table, then commit
@@ -554,6 +572,17 @@ class EventDrivenXRON:
             # attached telemetry stream (no-op without one).
             _TEL.flush_stream(now)
 
+    def _best_streams(self, output: ControlOutput) -> Dict[RegionPair, int]:
+        """Per tracked pair, the id of its highest-rate assigned stream
+        (the first one on a tie)."""
+        best: Dict[RegionPair, Tuple[int, float]] = {}
+        for a in output.path_result.assignments:
+            key = (a.stream.src, a.stream.dst)
+            if key in self.sessions and (
+                    key not in best or a.mbps > best[key][1]):
+                best[key] = (a.stream.stream_id, a.mbps)
+        return {pair: sid for pair, (sid, __) in best.items()}
+
     def _rebind_sessions(self, output: ControlOutput, now: float) -> None:
         """Re-bind tracked sessions to this epoch's stream ids.
 
@@ -566,22 +595,16 @@ class EventDrivenXRON:
         heal flap when that moves them off a regional stream id."""
         owned: frozenset = frozenset()
         if self._regional:
-            active = (self._injector.partition_regions(now)
-                      if self._injector is not None else frozenset())
+            active = self._partitioned(now)
             owned = frozenset(pair for pair in self.sessions
                               if pair[0] in active and pair[1] in active)
         base = (self.regional_config.stream_id_base
                 if self.regional_config is not None else None)
-        best: Dict[RegionPair, Tuple[int, float]] = {}
-        for a in output.path_result.assignments:
-            key = (a.stream.src, a.stream.dst)
-            if key in self.sessions and (
-                    key not in best or a.mbps > best[key][1]):
-                best[key] = (a.stream.stream_id, a.mbps)
+        best = self._best_streams(output)
         for pair in self.sessions:
             if pair in owned:
                 continue
-            new_sid = best[pair][0] if pair in best else None
+            new_sid = best.get(pair)
             old_sid = self._session_stream[pair]
             if (base is not None and old_sid is not None and old_sid >= base
                     and (new_sid is None or new_sid < base)):
@@ -648,23 +671,32 @@ class EventDrivenXRON:
             if keep < 1.0:
                 entries, plans = self._apply_partial(
                     code, cluster, entries, plans, keep, now)
-            delay_spec = self._injector.install_delay_spec(code, now)
-            delay = delay_spec.delay_s if delay_spec is not None else 0.0
-            if delay > 0.0:
-                self._injector.counters.installs_delayed += 1
-                if _TEL.enabled:
-                    _TEL.counter("fault.installs_delayed").inc()
-                    _TEL.event("fault_install_delayed", t=now, region=code,
-                               delay_s=delay,
-                               fault_id=self._injector.fault_id(delay_spec))
-                sim.schedule(
-                    delay,
-                    lambda seq=self._epoch_seq: self._late_install(
-                        code, cluster, entries, plans, seq),
-                    priority=0)
-                return
+        delay = self._install_delay(code, now)
+        if delay > 0.0:
+            sim.schedule(
+                delay,
+                lambda seq=self._epoch_seq: self._late_install(
+                    code, cluster, entries, plans, seq),
+                priority=0)
+            return
         self._install_seq[code] = self._epoch_seq
         cluster.install(entries, plans)
+
+    def _install_delay(self, code: str, now: float) -> float:
+        """Seconds an install-delay fault holds back one region's push
+        at `now` (0.0 without one); a delayed push is counted and traced."""
+        if self._injector is None:
+            return 0.0
+        spec = self._injector.install_delay_spec(code, now)
+        if spec is None or spec.delay_s <= 0.0:
+            return 0.0
+        self._injector.counters.installs_delayed += 1
+        if _TEL.enabled:
+            _TEL.counter("fault.installs_delayed").inc()
+            _TEL.event("fault_install_delayed", t=now, region=code,
+                       delay_s=spec.delay_s,
+                       fault_id=self._injector.fault_id(spec))
+        return spec.delay_s
 
     def _late_install(self, code: str, cluster: RegionCluster,
                       entries: Dict[int, Tuple[str, LinkType]],
@@ -716,15 +748,8 @@ class EventDrivenXRON:
                            plans_by_region: Dict[str, Dict[int, Tuple[str, ...]]]
                            ) -> None:
         """Start the safe-update protocol for one epoch's tables."""
-        seen = set()
-        streams: List[Tuple[int, str, str]] = []
-        for a in output.path_result.assignments:
-            key = (a.stream.stream_id, a.stream.src, a.stream.dst)
-            if key not in seen:
-                seen.add(key)
-                streams.append(key)
         version = self._installer.next_version(sim.now)
-        self._attempt_install(sim, output, plans_by_region, streams,
+        self._attempt_install(sim, output, plans_by_region, _streams(output),
                               version, attempt=1)
 
     def _attempt_install(self, sim: Simulator, output: ControlOutput,
@@ -735,8 +760,7 @@ class EventDrivenXRON:
         if not self._installer.is_current(version):
             return  # superseded by a newer epoch's update
         now = sim.now
-        partitioned = (self._injector.partition_regions(now)
-                       if self._injector is not None else frozenset())
+        partitioned = self._partitioned(now)
         tables = output.path_result.forwarding_tables
         delivered_t: Dict[str, Dict[int, Tuple[str, LinkType]]] = {}
         delivered_p: Dict[str, Dict[int, Tuple[str, ...]]] = {}
@@ -757,18 +781,7 @@ class EventDrivenXRON:
                 if keep < 1.0:
                     entries, plans = self._apply_partial(
                         code, cluster, entries, plans, keep, now)
-                delay_spec = self._injector.install_delay_spec(code, now)
-                delay = (delay_spec.delay_s if delay_spec is not None
-                         else 0.0)
-                if delay > 0.0:
-                    self._injector.counters.installs_delayed += 1
-                    if _TEL.enabled:
-                        _TEL.counter("fault.installs_delayed").inc()
-                        _TEL.event(
-                            "fault_install_delayed", t=now, region=code,
-                            delay_s=delay,
-                            fault_id=self._injector.fault_id(delay_spec))
-                    max_delay = max(max_delay, delay)
+            max_delay = max(max_delay, self._install_delay(code, now))
             delivered_t[code] = entries
             delivered_p[code] = plans
         if max_delay > 0.0:
@@ -902,9 +915,7 @@ class EventDrivenXRON:
             config=self.regional_config,
             seed=self.sim_config.seed,
             nib_reports=self.controller.nib.export_reports(),
-            symmetric_only=self.variant.symmetric_only,
-            premium_only=not self.variant.internet_allowed,
-            internet_only=not self.variant.premium_allowed)
+            **self.variant.controller_kwargs())
         self._regional[sub.regions] = sub
         self._partition_counters.partitions_started += 1
         if _TEL.enabled:
@@ -935,17 +946,8 @@ class EventDrivenXRON:
             _TEL.counter("partition.regional_epochs").inc()
             _TEL.event("partition_regional_epoch", t=now,
                        regions=list(sub.regions), epoch=sub.epochs_run)
-        plans_by_region: Dict[str, Dict[int, Tuple[str, ...]]] = {
-            code: {} for code in sub.regions}
-        for (sid, region), plan in output.reaction_plans.items():
-            plans_by_region[region][sid] = plan.relay_regions
-        seen = set()
-        streams: List[Tuple[int, str, str]] = []
-        for a in output.path_result.assignments:
-            key = (a.stream.stream_id, a.stream.src, a.stream.dst)
-            if key not in seen:
-                seen.add(key)
-                streams.append(key)
+        plans_by_region = _plans_by_region(output, sub.regions)
+        streams = _streams(output)
         tables = output.path_result.forwarding_tables
         violations = self._installer.validate(
             tables, plans_by_region,
@@ -974,28 +976,19 @@ class EventDrivenXRON:
                             for sid, plan in cluster.current_plans().items()
                             if sid < base}
             merged_plans.update(plans_by_region[code])
-            if self._injector is not None:
-                # Intra-partition pushes still honor the install-delay
-                # seam — the heal race in miniature: a delayed regional
-                # install landing after the heal's fenced global commit
-                # loses at the gateways' version guard.
-                delay_spec = self._injector.install_delay_spec(code, now)
-                delay = delay_spec.delay_s if delay_spec is not None else 0.0
-                if delay > 0.0:
-                    self._injector.counters.installs_delayed += 1
-                    if _TEL.enabled:
-                        _TEL.counter("fault.installs_delayed").inc()
-                        _TEL.event(
-                            "fault_install_delayed", t=now, region=code,
-                            delay_s=delay,
-                            fault_id=self._injector.fault_id(delay_spec))
-                    sim.schedule(
-                        delay,
-                        lambda c=cluster, e=merged, p=merged_plans,
-                        v=version, t=now + delay: c.install(
-                            e, p, version=v, now=t),
-                        priority=0)
-                    continue
+            # Intra-partition pushes still honor the install-delay seam
+            # — the heal race in miniature: a delayed regional install
+            # landing after the heal's fenced global commit loses at the
+            # gateways' version guard.
+            delay = self._install_delay(code, now)
+            if delay > 0.0:
+                sim.schedule(
+                    delay,
+                    lambda c=cluster, e=merged, p=merged_plans,
+                    v=version, t=now + delay: c.install(
+                        e, p, version=v, now=t),
+                    priority=0)
+                continue
             cluster.install(merged, merged_plans, version=version, now=now)
         counters.regional_installs_committed += 1
         if _TEL.enabled:
@@ -1004,14 +997,9 @@ class EventDrivenXRON:
                        regions=list(sub.regions), version=version,
                        rows=sum(len(tables[c]) for c in sub.regions))
         # Bind intra-partition tracked sessions to regional stream ids.
-        best: Dict[RegionPair, Tuple[int, float]] = {}
-        for a in output.path_result.assignments:
-            key = (a.stream.src, a.stream.dst)
-            if key in self.sessions and (
-                    key not in best or a.mbps > best[key][1]):
-                best[key] = (a.stream.stream_id, a.mbps)
+        best = self._best_streams(output)
         for pair in sorted(best):
-            new_sid = best[pair][0]
+            new_sid = best[pair]
             if self._session_stream[pair] != new_sid:
                 counters.regional_rebinds += 1
                 if _TEL.enabled:

@@ -258,15 +258,13 @@ class EpochSimulator:
                     cohorts_per_pair=self.sim_config.cohorts_per_pair)
             self.controller: Optional[Controller] = Controller(
                 self.codes, self.control_config, pricing=underlay.pricing,
-                symmetric_only=variant.symmetric_only,
-                premium_only=not variant.internet_allowed,
-                internet_only=not variant.premium_allowed,
                 nib_window=self.sim_config.nib_window,
                 robust_percentile=self.sim_config.robust_percentile,
                 workload=workload,
                 control_mode=self.sim_config.control_mode,
                 shard_workers=self.sim_config.shard_workers,
-                seed=self.sim_config.seed)
+                seed=self.sim_config.seed,
+                **variant.controller_kwargs())
         else:
             self.controller = None
 

@@ -10,7 +10,7 @@ restricted to premium links) and a *symmetric-forwarding* controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,13 @@ class VariantSpec:
         if self.fast_reaction and not self.premium_allowed:
             raise ValueError(
                 "fast reaction needs premium links for backup paths")
+
+    def controller_kwargs(self) -> Dict[str, bool]:
+        """The `Controller` (and `RegionalController`) restrictions this
+        version imposes on path control."""
+        return {"symmetric_only": self.symmetric_only,
+                "premium_only": not self.internet_allowed,
+                "internet_only": not self.premium_allowed}
 
 
 def xron() -> VariantSpec:

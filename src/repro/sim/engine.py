@@ -65,7 +65,7 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of live (not cancelled) events still queued."""
         return sum(1 for e in self._queue if not e.cancelled)
 
     def schedule(self, delay: float, callback: Callable[[], None],
@@ -90,6 +90,39 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return event
 
+    def next_time(self) -> Optional[float]:
+        """Time of the earliest live event, or None when nothing is queued.
+
+        Cancelled events at the head of the queue are discarded here, so
+        the time returned is the one `step()` will advance the clock to.
+        """
+        queue = self._queue
+        while queue and queue[0].cancelled:
+            heapq.heappop(queue)
+        return queue[0].time if queue else None
+
+    def step(self) -> bool:
+        """Fire the earliest live event; False when nothing is queued.
+
+        The one pop-and-fire step every driver shares: the clock moves
+        to the event's time, the event is counted, its callback runs.
+        Re-entrant calls (stepping the simulator from inside a callback)
+        are rejected because they would corrupt the clock.
+        """
+        if self._running:
+            raise SimulationError("simulator is already running")
+        if self.next_time() is None:
+            return False
+        event = heapq.heappop(self._queue)
+        self._now = event.time
+        self._events_processed += 1
+        self._running = True
+        try:
+            event.callback()
+        finally:
+            self._running = False
+        return True
+
     def run_until(self, end_time: float) -> None:
         """Process events with time <= end_time, then set the clock there.
 
@@ -98,35 +131,18 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        self._running = True
-        try:
-            while self._queue and self._queue[0].time <= end_time:
-                event = heapq.heappop(self._queue)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                self._events_processed += 1
-                event.callback()
-            if end_time > self._now:
-                self._now = end_time
-        finally:
-            self._running = False
+        while True:
+            t_next = self.next_time()
+            if t_next is None or t_next > end_time:
+                break
+            self.step()
+        if end_time > self._now:
+            self._now = end_time
 
     def run(self) -> None:
         """Process every queued event (and those they schedule)."""
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        try:
-            while self._queue:
-                event = heapq.heappop(self._queue)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                self._events_processed += 1
-                event.callback()
-        finally:
-            self._running = False
+        while self.step():
+            pass
 
     def every(self, interval: float, callback: Callable[[], None],
               start_delay: float = 0.0, priority: int = 0,

@@ -6,6 +6,8 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.core.variants import internet_only, xron, xron_basic
+from repro.faults import spec as fault_spec
+from repro.faults.spec import FaultSchedule
 from repro.traffic.demand import DemandModel
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
@@ -149,7 +151,8 @@ def test_controller_outage_data_plane_survives(regions):
         u, d,
         sim_config=_sim_config(epoch_s=60.0, demand_scale=0.05),
         tracked_pairs=[pair],
-        controller_outage=(3650.0, 3900.0))
+        faults=FaultSchedule.of(
+            fault_spec.controller_outage(3650.0, 3900.0)))
     result = sim.run(3600.0, 300.0)
     assert sim.skipped_epochs >= 3
     record = result.sessions[pair]

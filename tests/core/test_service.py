@@ -8,8 +8,8 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
-from repro.core.service import (ServiceConfig, ServiceError, VirtualClock,
-                                XRONService, build_soak_schedule)
+from repro.core.service import (ServiceConfig, ServiceError, XRONService,
+                                build_soak_schedule)
 from repro.core.variants import xron
 from repro.faults import spec as fault_spec
 from repro.faults.spec import FaultSchedule
@@ -29,7 +29,7 @@ def regions():
 
 
 def _build_system(regions, seed=5, faults=None, with_resilience=True,
-                  measure_interval_s=5.0):
+                  measure_interval_s=5.0, initial_gateways=4):
     config = UnderlayConfig(horizon_s=7200.0)
     config.internet.base_loss_min = 1e-6
     config.internet.base_loss_max = 1e-5
@@ -47,73 +47,32 @@ def _build_system(regions, seed=5, faults=None, with_resilience=True,
         underlay, demand, variant=replace(xron(), elastic=False),
         sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=60.0,
                                     seed=seed, demand_scale=0.05,
-                                    initial_gateways=4),
+                                    initial_gateways=initial_gateways),
         measure_interval_s=measure_interval_s,
         faults=faults,
         resilience=resilience() if with_resilience else None)
 
 
-# ---------------------------------------------------------------- the clock
-def test_clock_fires_timers_in_time_priority_seq_order():
-    clock = VirtualClock(0.0)
-    order = []
-    clock.schedule_at(10.0, lambda: order.append("b"), priority=1)
-    clock.schedule_at(10.0, lambda: order.append("a"), priority=0)
-    clock.schedule_at(5.0, lambda: order.append("first"), priority=3)
-    clock.schedule_at(10.0, lambda: order.append("c"), priority=1)
-
-    async def main():
-        return await clock.drive(100.0, asyncio.Event())
-
-    reason = asyncio.run(main())
-    assert reason == "drained"
-    assert order == ["first", "a", "b", "c"]
-    assert clock.events_processed == 4
-
-
-def test_clock_rejects_scheduling_in_the_past():
-    from repro.sim.engine import SimulationError
-    clock = VirtualClock(100.0)
-    with pytest.raises(SimulationError):
-        clock.schedule(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        clock.schedule_at(99.0, lambda: None)
-
-
-def test_clock_interleaves_sleepers_and_timers_deterministically():
-    clock = VirtualClock(0.0)
-    order = []
-    clock.schedule_at(20.0, lambda: order.append("timer@20"), priority=0)
-
-    async def sleeper(name, t, priority):
-        await clock.sleep_until(t, priority)
-        order.append(name)
-        clock.release()
-
-    async def main():
-        clock.register()
-        clock.register()
-        asyncio.ensure_future(sleeper("low@20", 20.0, 2))
-        asyncio.ensure_future(sleeper("high@20", 20.0, -1))
-        return await clock.drive(100.0, asyncio.Event())
-
-    reason = asyncio.run(main())
-    assert reason == "drained"
-    assert order == ["high@20", "timer@20", "low@20"]
-
-
-def test_clock_completes_at_window_end_without_draining():
-    clock = VirtualClock(0.0)
+# --------------------------------------------------------------- the driver
+def test_clock_completes_at_window_end_without_draining(regions):
+    """The driver stops at the window end: an event past it stays
+    queued, unfired, and the clock is left exactly at the end."""
+    system = _build_system(regions)
+    service = XRONService(system, ServiceConfig(duration_s=100.0))
     fired = []
-    clock.schedule_at(50.0, lambda: fired.append(50.0))
-    clock.schedule_at(150.0, lambda: fired.append(150.0))
+    declare = system.schedule
 
-    async def main():
-        return await clock.drive(100.0, asyncio.Event())
+    def schedule(sim, start_s):
+        sim.schedule_at(50.0, lambda: fired.append(50.0))
+        sim.schedule_at(150.0, lambda: fired.append(150.0))
+        return declare(sim, start_s)
 
-    assert asyncio.run(main()) == "completed"
+    system.schedule = schedule
+    result = asyncio.run(service.run_async())
+    assert result.stop_reason == "completed"
     assert fired == [50.0]
-    assert clock.now == 100.0
+    assert service.clock.now == 100.0
+    assert result.sim_t1 == 100.0
 
 
 # -------------------------------------------------------------- the service
@@ -155,33 +114,58 @@ def test_service_is_deterministic(regions):
                 == b.eventsim.sessions[pair].latency_ms)
 
 
-def test_service_matches_batch_engine(regions):
-    """The asyncio clock reproduces the batch engine's run exactly.
-
-    Same components, same priorities, same RNG draw order: the session
-    measurements and fault accounting must be identical to
-    `EventDrivenXRON.run` over the same window.
-    """
-    schedule = FaultSchedule.of(
+def _crash_and_blackout(regions):
+    return FaultSchedule.of(
         fault_spec.gateway_crash(100.0, 60.0, regions[0].code),
         fault_spec.probe_blackout(200.0, 60.0, region=regions[1].code))
-    batch = _build_system(regions, faults=schedule)
-    batch_result = batch.run(0.0, 400.0)
-    batch.close()
 
-    served = _build_system(regions, faults=schedule)
-    service = XRONService(served, ServiceConfig(duration_s=400.0))
-    live_result = asyncio.run(service.run_async()).eventsim
 
-    assert len(live_result.control_outputs) == len(
-        batch_result.control_outputs)
-    assert live_result.fault_counters == batch_result.fault_counters
-    assert live_result.probe_bytes == batch_result.probe_bytes
-    for pair, record in batch_result.sessions.items():
-        live = live_result.sessions[pair]
-        assert live.times == record.times
-        assert live.latency_ms == record.latency_ms
-        assert live.on_backup == record.on_backup
+def _back_to_back_crashes(regions):
+    """Two crash windows on one region inside one epoch, the second
+    starting the instant the first one's restart is due: the restart is
+    queued when the first crash fires, so it ties with — and by
+    scheduling order runs after — the second crash window."""
+    return FaultSchedule.of(
+        fault_spec.gateway_crash(125.0, 20.0, regions[0].code, count=1),
+        fault_spec.gateway_crash(145.0, 20.0, regions[0].code, count=1))
+
+
+def test_service_matches_batch_engine(regions):
+    """The service reproduces the batch engine's run exactly.
+
+    Both run the one schedule `EventDrivenXRON.schedule` declares on a
+    `Simulator`, so the session measurements, the fault accounting and
+    the event count (heartbeats aside) must be identical to
+    `EventDrivenXRON.run` over the same window — equal-time ties
+    included, where batch order is the reference.
+    """
+    for schedule_of, gateways in ((_crash_and_blackout, 4),
+                                  (_back_to_back_crashes, 2)):
+        schedule = schedule_of(regions)
+        batch = _build_system(regions, faults=schedule,
+                              initial_gateways=gateways)
+        batch_result = batch.run(0.0, 400.0)
+        batch.close()
+
+        served = _build_system(regions, faults=schedule,
+                               initial_gateways=gateways)
+        service = XRONService(served, ServiceConfig(duration_s=400.0))
+        service_result = asyncio.run(service.run_async())
+        live_result = service_result.eventsim
+
+        assert len(live_result.control_outputs) == len(
+            batch_result.control_outputs)
+        assert live_result.fault_counters == batch_result.fault_counters
+        assert live_result.probe_bytes == batch_result.probe_bytes
+        for pair, record in batch_result.sessions.items():
+            live = live_result.sessions[pair]
+            assert live.times == record.times
+            assert live.latency_ms == record.latency_ms
+            assert live.on_backup == record.on_backup
+        # The first control epoch is a direct call in both, so only the
+        # service's heartbeat events may differ.
+        assert (live_result.events_processed - service_result.heartbeats
+                == batch_result.events_processed)
 
 
 def test_service_stop_request_drains_immediately(tmp_path, regions):

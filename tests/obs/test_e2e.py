@@ -13,6 +13,8 @@ from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.core.simulator import EpochSimulator
 from repro.core.variants import xron
+from repro.faults import spec as fault_spec
+from repro.faults.spec import FaultSchedule
 from repro.traffic.demand import DemandModel
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
@@ -94,7 +96,8 @@ def test_eventsim_outage_emits_controller_outage(regions):
         u, d,
         sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=10.0,
                                     seed=5),
-        controller_outage=(3650.0, 3800.0))
+        faults=FaultSchedule.of(
+            fault_spec.controller_outage(3650.0, 3800.0)))
     tel = obs.enable()
     sim.run(3600.0, 240.0)
     outages = tel.tracer.by_kind("controller_outage")

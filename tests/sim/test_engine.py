@@ -135,6 +135,48 @@ def test_reentrant_run_rejected():
     sim.run_until(10.0)
 
 
+def test_reentrant_step_rejected():
+    sim = Simulator()
+
+    def reenter():
+        with pytest.raises(SimulationError):
+            sim.step()
+
+    sim.schedule(1.0, reenter)
+    sim.schedule(2.0, lambda: None)
+    assert sim.step()
+
+
+def test_next_time_skips_cancelled_head():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None).cancel()
+    sim.schedule(2.0, lambda: None)
+    assert sim.next_time() == 2.0
+
+
+def test_next_time_is_none_on_an_empty_queue():
+    sim = Simulator()
+    assert sim.next_time() is None
+    sim.schedule(1.0, lambda: None).cancel()
+    assert sim.next_time() is None
+
+
+def test_step_fires_one_event_counts_it_and_advances_the_clock():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append("cancelled")).cancel()
+    sim.schedule(2.0, lambda: fired.append(sim.now))
+    sim.schedule(3.0, lambda: fired.append(sim.now))
+    assert sim.step()
+    assert fired == [2.0]
+    assert sim.now == 2.0
+    assert sim.events_processed == 1
+    assert sim.step()
+    assert not sim.step()
+    assert fired == [2.0, 3.0]
+    assert sim.events_processed == 2
+
+
 def test_clock_is_event_time_during_callback():
     sim = Simulator()
     observed = []
