@@ -1,6 +1,6 @@
 """Distill pytest-benchmark output and gate perf regressions.
 
-Two subcommands:
+Three subcommands:
 
 ``distill``
     Reduce a raw ``--benchmark-json`` file to the small, reviewable
@@ -23,6 +23,14 @@ Two subcommands:
     ``BUDGETED_SWEEP_BASES`` (100 regions for fresh solves, 200 for the
     incremental steady-state entry).
 
+``table``
+    Render the before/after/speedup markdown table of the fixed control
+    benchmarks from the committed summary (``baseline_pre_refactor`` vs
+    ``current``).  ``docs/performance.md`` carries that table between
+    two marker comments; ``--check docs/performance.md`` fails (exit 1)
+    when the committed block is not byte-equal to the rendering, so the
+    doc cannot drift from the ledger.
+
 Usage::
 
     python -m pytest benchmarks/bench_scalability.py \
@@ -31,6 +39,7 @@ Usage::
         -o BENCH_control.json
     python benchmarks/check_regression.py check bench.json \
         --reference BENCH_control.json --max-regression 0.25
+    python benchmarks/check_regression.py table --check docs/performance.md
 """
 
 from __future__ import annotations
@@ -51,6 +60,26 @@ GATED = (
     "test_full_two_step_control_paper_scale",
     "test_path_control_double_scale",
 )
+
+#: Rows of the ``table`` subcommand, in `GATED` order: benchmark ->
+#: (label suffix, benchmark whose ``baseline_pre_refactor`` entry is its
+#: "before").  The pre-refactor stack had a single scalar entry point,
+#: so the snapshot entry is measured against the same baseline.
+TABLE_ROWS = {
+    "test_path_control_paper_scale":
+        (" (scalar fn entry)", "test_path_control_paper_scale"),
+    "test_path_control_paper_scale_snapshot":
+        (" (snapshot entry)", "test_path_control_paper_scale"),
+    "test_full_two_step_control_paper_scale":
+        ("", "test_full_two_step_control_paper_scale"),
+    "test_path_control_double_scale":
+        (" (22 regions)", "test_path_control_double_scale"),
+}
+
+#: Marker comments around the rendered table in docs/performance.md.
+TABLE_BEGIN = ("<!-- control-loop-table:begin (generated: python "
+               "benchmarks/check_regression.py table) -->")
+TABLE_END = "<!-- control-loop-table:end -->"
 
 #: Parameterized region-count sweep benchmarks, gated per sweep point.
 #: Unlike `GATED`, a sweep entry that is absent from the fresh run is
@@ -229,6 +258,40 @@ def check(args: argparse.Namespace) -> int:
     return 0
 
 
+def render_table(summary: Dict) -> str:
+    """The markdown before/after/speedup table of the `GATED` benchmarks."""
+    before, after = summary["baseline_pre_refactor"], summary["current"]
+    lines = ["| benchmark | before | after | speedup |", "|---|---|---|---|"]
+    for name in GATED:
+        suffix, baseline_name = TABLE_ROWS[name]
+        old, new = before[baseline_name]["mean_s"], after[name]["mean_s"]
+        speedup = old / new
+        digits = 0 if speedup >= 10 else 1
+        lines.append(f"| `{name}`{suffix} | {old * 1e3:.1f} ms "
+                     f"| {new * 1e3:.1f} ms | {speedup:.{digits}f}x |")
+    return "\n".join(lines) + "\n"
+
+
+def table(args: argparse.Namespace) -> int:
+    rendered = render_table(_load(args.reference))
+    if args.check is None:
+        sys.stdout.write(rendered)
+        return 0
+    text = pathlib.Path(args.check).read_text()
+    begin, end = text.find(TABLE_BEGIN), text.find(TABLE_END)
+    if begin < 0 or end < begin:
+        print(f"{args.check}: table markers not found", file=sys.stderr)
+        return 1
+    committed = text[begin + len(TABLE_BEGIN):end].strip("\n") + "\n"
+    if committed != rendered:
+        print(f"{args.check}: the control-loop table differs from "
+              f"{args.reference}; replace the block between the markers "
+              "with:\n\n" + rendered, file=sys.stderr)
+        return 1
+    print(f"{args.check}: control-loop table matches {args.reference}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,6 +322,13 @@ def main(argv=None) -> int:
                               "(CI's scale-smoke job runs the sweep alone, "
                               "so the fixed benchmarks are absent by design)")
     p_check.set_defaults(func=check)
+
+    p_table = sub.add_parser("table", help="summary json -> markdown table")
+    p_table.add_argument("--reference", default="BENCH_control.json")
+    p_table.add_argument("--check", metavar="DOC",
+                         help="compare with the block between the table "
+                              "markers in DOC instead of printing")
+    p_table.set_defaults(func=table)
 
     args = parser.parse_args(argv)
     return args.func(args)

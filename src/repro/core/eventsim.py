@@ -16,9 +16,16 @@ module runs the actual moving parts on the discrete-event engine:
   container pools scale (with provisioning delays) before the cluster
   fleet follows (§5).
 
-It is slower per simulated second than the epoch simulator and meant
-for minutes-scale studies of the *mechanisms* (detection timing, control
-loop interplay), not day-scale statistics.
+Everything that reads the true state of a link at one simulated instant
+(every cluster's probe round, the measurement tick) reads the same
+`Underlay.state_at(now)` evaluation.  Measured at paper scale with all
+110 pairs tracked (`event_n11` in `benchmarks/e2e`): ~79 simulated
+seconds per wall second, ~46 CPU-seconds per simulated hour — about 32x
+the epoch simulator's cost per simulated second (~2 600 sim-s/s on
+`epoch_n11`).  It is the engine for studies of the *mechanisms*
+(detection timing, control loop interplay) over minutes to hours; the
+epoch simulator remains the one for multi-day statistics.  See
+docs/performance.md, "Event engine".
 """
 
 from __future__ import annotations
@@ -1077,6 +1084,7 @@ class EventDrivenXRON:
     def _measure(self, sim: Simulator) -> None:
         now = sim.now
         rng = self._streams.get("eventsim.measure")
+        state = self.underlay.state_at(now)
         for pair, record in self.sessions.items():
             sid = self._session_stream[pair]
             if sid is None:
@@ -1094,9 +1102,7 @@ class EventDrivenXRON:
             survive = 1.0
             on_backup = False
             for (a, b, lt, via_backup, gateway) in hops:
-                link = self.underlay.link(a, b, lt)
-                hop_lat = float(link.latency_ms(now))
-                hop_loss = float(link.loss_rate(now))
+                hop_lat, hop_loss = state.lookup(a, b, lt)
                 latency += hop_lat
                 survive *= 1.0 - hop_loss
                 on_backup = on_backup or via_backup

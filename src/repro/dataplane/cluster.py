@@ -178,6 +178,8 @@ class RegionCluster:
                 return faults.probe_blackout(self.region, dst, lt, now)
         for rep in reps:
             rep.probe_all(now, blackout=blackout)
+        members = [gateway for gateway in self.gateways.values()
+                   if gateway not in reps]
         reports: List[LinkReport] = []
         degraded_links = 0
         blacked_out = 0
@@ -197,18 +199,15 @@ class RegionCluster:
                         if fid is not None:
                             blacked_ids.add(fid)
                     continue
-                estimates = [rep.estimator(dst, lt).estimate()
-                             for rep in reps]
-                report = self._grouping.aggregate(self.region, dst, lt,
-                                                  estimates, now)
-                degraded_votes = sum(
-                    rep.estimator(dst, lt).degraded for rep in reps)
+                estimators = [rep.estimator(dst, lt) for rep in reps]
+                report = self._grouping.aggregate(
+                    self.region, dst, lt,
+                    [est.estimate() for est in estimators], now)
+                degraded_votes = sum(est.degraded for est in estimators)
                 # Strict majority of representatives (median semantics).
                 degraded = degraded_votes * 2 > len(reps)
                 degraded_links += degraded
-                for gateway in self.gateways.values():
-                    if gateway in reps:
-                        continue
+                for gateway in members:
                     gateway.estimator(dst, lt).apply_group_state(
                         now, report.latency_ms, report.loss_rate, degraded)
                 reports.append(report)

@@ -22,6 +22,7 @@ from repro.dataplane.passive import PassiveTracker
 from repro.dataplane.probing import ActiveProber, ProbeBurst
 from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
+from repro.underlay.snapshot import TYPE_INDEX
 from repro.underlay.topology import Underlay
 
 _TEL = _telemetry()
@@ -93,26 +94,42 @@ class Gateway:
                     link, self.monitoring_config, self._rng)
                 self._estimators[(dst, lt)] = LinkStateEstimator(
                     self.monitoring_config, self.reaction_config)
+        column = {code: i for i, code in enumerate(underlay.codes)}
+        #: Row of this region in the underlay's state matrices.
+        self._row = column[region]
+        #: The probing round, in its fixed (dst, link type) order — all
+        #: probers draw from one RNG, so the order is part of the stream:
+        #: (key, tier index, dst column, prober, estimator) per link.
+        self._probe_order = [
+            (key, TYPE_INDEX[key[1]], column[key[0]],
+             prober, self._estimators[key])
+            for key, prober in sorted(
+                self._probers.items(),
+                key=lambda kv: (kv[0][0], kv[0][1].value))]
 
     # ------------------------------------------------------------ monitoring
     def probe_all(self, now: float,
                   blackout=None) -> List[ProbeBurst]:
         """One probing round over all adjacent links (both types).
 
-        `blackout`, if given, is a ``(dst, link_type) -> bool`` predicate
-        (a fault-injection seam): links it flags send no probes at all,
-        so their estimators keep aging on stale state — the gateway is
-        blind there, exactly as during a real probing outage.
+        The links' true state is this region's row of the underlay's
+        shared `state_at(now)` evaluation.  `blackout`, if given, is a
+        ``(dst, link_type) -> bool`` predicate (a fault-injection seam):
+        links it flags send no probes at all, so their estimators keep
+        aging on stale state — the gateway is blind there, exactly as
+        during a real probing outage.
         """
+        state = self.underlay.state_at(now)
+        lat = state.lat[:, self._row].tolist()
+        loss = state.loss[:, self._row].tolist()
         bursts = []
-        for key, prober in sorted(self._probers.items(),
-                                  key=lambda kv: (kv[0][0], kv[0][1].value)):
+        for key, tier, col, prober, estimator in self._probe_order:
             if blackout is not None and blackout(*key):
                 if _TEL.enabled:
                     _TEL.counter("fault.probes_blacked_out").inc()
                 continue
-            burst = prober.probe(now)
-            self._estimators[key].ingest_burst(burst)
+            burst = prober.measure(now, lat[tier][col], loss[tier][col])
+            estimator.ingest_burst(burst)
             bursts.append(burst)
         return bursts
 

@@ -59,15 +59,19 @@ class ActiveProber:
         self.bytes_sent = 0
 
     def probe(self, now: float) -> ProbeBurst:
-        """Send one burst at virtual time `now` and measure the link.
+        """Send one burst at `now` against this prober's own link."""
+        return self.measure(now, float(self.link.latency_ms(now)),
+                            float(self.link.loss_rate(now)))
+
+    def measure(self, now: float, true_latency: float,
+                true_loss: float) -> ProbeBurst:
+        """One burst at virtual time `now` over a link in the given state.
 
         The measured latency is the link's true latency plus a small
         measurement jitter; losses are binomial draws from the true loss
         rate (each packet is judged by the timeout / reordering rules,
         which in aggregate observe the loss process).
         """
-        true_latency = float(self.link.latency_ms(now))
-        true_loss = float(self.link.loss_rate(now))
         measured = true_latency * float(self._rng.uniform(0.98, 1.02))
         lost = int(self._rng.binomial(self.config.packets_per_burst,
                                       min(true_loss, 1.0)))

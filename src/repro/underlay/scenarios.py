@@ -24,6 +24,7 @@ def inject_events(underlay: Underlay, src: str, dst: str,
         merged.extend(link.timeline.events)
     link.timeline = EventTimeline.from_events(merged,
                                               link.timeline.horizon_s)
+    underlay._timelines_changed()
 
 
 def quiet_link(underlay: Underlay, src: str, dst: str,
@@ -31,6 +32,7 @@ def quiet_link(underlay: Underlay, src: str, dst: str,
     """Remove every degradation event from one directed link."""
     link = underlay.link(src, dst, link_type)
     link.timeline = EventTimeline.from_events([], link.timeline.horizon_s)
+    underlay._timelines_changed()
 
 
 def long_term_degradation(start_s: float, end_s: float,

@@ -103,31 +103,29 @@ class LinkStateSnapshot:
         per link: the same IEEE operations run element-wise over
         parameter matrices instead of once per scalar call.
         """
-        with _TEL.span("algo_step", t=t, step="snapshot_build",
-                       source="underlay", regions=len(underlay.codes)):
-            p = underlay.link_param_arrays()
-            t_f = float(t)
-            if t_f > p.horizon_s:
-                raise ValueError(
-                    f"query at t={t_f:.0f}s exceeds the generated "
-                    f"horizon {p.horizon_s:.0f}s; build the underlay "
-                    "with a larger horizon")
-            local_h = (t_f / 3600.0 + p.utc_offset[None, :, None]) % 24.0
-            busy = busy_factor(local_h)
-            diurnal_lat = 1.0 + p.diurnal_latency_amp * busy
-            jitter_lat = np.exp(
-                p.jitter_sigma * hash_noise(p.noise_seed, t_f, salt=1))
-            lat_add, loss_add = p.timeline_adds(t_f)
-            lat = p.base_latency_ms * diurnal_lat * jitter_lat + lat_add
+        p = underlay.link_param_arrays()
+        t_f = float(t)
+        if t_f > p.horizon_s:
+            raise ValueError(
+                f"query at t={t_f:.0f}s exceeds the generated "
+                f"horizon {p.horizon_s:.0f}s; build the underlay "
+                "with a larger horizon")
+        local_h = (t_f / 3600.0 + p.utc_offset[None, :, None]) % 24.0
+        busy = busy_factor(local_h)
+        diurnal_lat = 1.0 + p.diurnal_latency_amp * busy
+        jitter_lat = np.exp(
+            p.jitter_sigma * hash_noise(p.noise_seed, t_f, salt=1))
+        lat_add, loss_add = p.timeline_adds(t_f)
+        lat = p.base_latency_ms * diurnal_lat * jitter_lat + lat_add
 
-            diurnal_loss = p.diurnal_loss_amp * busy
-            jitter_loss = np.exp(0.6 * hash_noise(p.noise_seed, t_f, salt=2))
-            raw = p.base_loss * jitter_loss + diurnal_loss + loss_add
-            loss = np.clip(raw, 0.0, 1.0)
+        diurnal_loss = p.diurnal_loss_amp * busy
+        jitter_loss = np.exp(0.6 * hash_noise(p.noise_seed, t_f, salt=2))
+        raw = p.base_loss * jitter_loss + diurnal_loss + loss_add
+        loss = np.clip(raw, 0.0, 1.0)
 
-            diag = np.arange(len(underlay.codes))
-            lat[:, diag, diag] = np.inf
-            loss[:, diag, diag] = 1.0
+        diag = np.arange(len(underlay.codes))
+        lat[:, diag, diag] = np.inf
+        loss[:, diag, diag] = 1.0
         return cls(underlay.codes, lat, loss, t_f)
 
     @classmethod

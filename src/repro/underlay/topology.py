@@ -35,6 +35,7 @@ class Underlay:
         self.pricing = pricing
         self.config = config
         self._param_arrays = None  # lazy; see link_param_arrays()
+        self._state_memo = None  # last state_at() result
 
     # ------------------------------------------------------------------ api
     @property
@@ -74,10 +75,34 @@ class Underlay:
             self._param_arrays = _LinkParamArrays(self)
         return self._param_arrays
 
+    def _timelines_changed(self) -> None:
+        """Drop everything derived from the link processes.  Building an
+        underlay never needs this; `repro.underlay.scenarios` calls it
+        after swapping a link's degradation timeline in place."""
+        self._param_arrays = None
+        self._state_memo = None
+
     def snapshot(self, t: float):
         """Matrix link-state snapshot of every link at instant `t`."""
         from repro.underlay.snapshot import LinkStateSnapshot
         return LinkStateSnapshot.from_underlay(self, t)
+
+    def state_at(self, t: float):
+        """The shared, read-only `snapshot` of instant `t`.
+
+        Everything that reads true link state at one simulated instant
+        (each cluster's probe round, the session measurement tick) gets
+        the same object, so the underlay is evaluated once per instant
+        instead of once per link per reader.  Remembers only the last
+        instant asked for.
+        """
+        memo = self._state_memo
+        if memo is None or memo.t != t:
+            memo = self.snapshot(t)
+            memo.lat.setflags(write=False)
+            memo.loss.setflags(write=False)
+            self._state_memo = memo
+        return memo
 
     def average_latency(self, link_type: LinkType, t) -> np.ndarray:
         """Mean latency over all directed pairs at time(s) `t` (Fig. 1a)."""

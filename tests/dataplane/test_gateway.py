@@ -8,7 +8,7 @@ from repro.dataplane.gateway import Gateway
 from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
 from repro.underlay.scenarios import inject_events, quiet_link
-from repro.underlay.config import UnderlayConfig
+from repro.underlay.config import PremiumLinkConfig, UnderlayConfig
 from repro.underlay.topology import build_underlay
 
 I = LinkType.INTERNET
@@ -120,3 +120,62 @@ def test_probe_accounting(gateway):
     gateway.probe_all(0.0)
     gateway.probe_all(0.4)
     assert gateway.probe_bytes_sent == 2 * 6 * 15 * 1500
+
+
+# ------------------------------------------------- probe-round RNG order
+@pytest.fixture()
+def mixed_underlay(small_regions):
+    """At t=20: every premium link loses exactly nothing (so `binomial`
+    consumes no randomness there), HGH->SIN Internet sits in a 30 % loss
+    burst, the other Internet links keep their small natural loss."""
+    lossless = PremiumLinkConfig(base_loss_min=0.0, base_loss_max=0.0,
+                                 diurnal_loss_amp=0.0)
+    u = build_underlay(small_regions,
+                       UnderlayConfig(horizon_s=7200.0, premium=lossless),
+                       seed=11)
+    for (a, b) in u.pairs:
+        for lt in (I, P):
+            quiet_link(u, a, b, lt)
+    inject_events(u, "HGH", "SIN", I,
+                  [DegradationEvent(10.0, 60.0, 5000.0, 0.3)])
+    return u
+
+
+def reference_round(gateway, now, blackout=None):
+    """A probing round the scalar way: each link's own `LinkProcess`
+    evaluated by `ActiveProber.probe`, in the (dst, tier name) order."""
+    bursts = []
+    for (dst, lt) in sorted(gateway._probers,
+                            key=lambda k: (k[0], k[1].value)):
+        if blackout is not None and blackout(dst, lt):
+            continue
+        burst = gateway._probers[(dst, lt)].probe(now)
+        gateway.estimator(dst, lt).ingest_burst(burst)
+        bursts.append(burst)
+    return bursts
+
+
+@pytest.mark.parametrize("hidden", [(), (("FRA", I), ("SIN", P))],
+                         ids=["all-links", "two-blacked-out"])
+def test_probe_all_draws_what_per_link_probing_draws(mixed_underlay, hidden):
+    now = 20.0
+    assert float(mixed_underlay.link("HGH", "IAD", P).loss_rate(now)) == 0.0
+    assert float(mixed_underlay.link("HGH", "SIN", I).loss_rate(now)) > 0.25
+    blackout = (lambda dst, lt: (dst, lt) in hidden) if hidden else None
+    fast, slow = (Gateway("HGH", 0, mixed_underlay,
+                          rng=np.random.default_rng(5)) for _ in range(2))
+    for k in range(3):
+        t = now + 0.4 * k
+        got = fast.probe_all(t, blackout=blackout)
+        want = reference_round(slow, t, blackout)
+        assert len(got) == 6 - len(hidden)
+        assert ([(b.time, b.latency_ms, b.sent, b.lost) for b in got]
+                == [(b.time, b.latency_ms, b.sent, b.lost) for b in want])
+        assert (fast._rng.bit_generator.state
+                == slow._rng.bit_generator.state)
+    assert any(b.lost for b in got)
+    for key in fast._probers:
+        if key not in hidden:
+            assert fast.estimator(*key).estimate() \
+                == slow.estimator(*key).estimate()
+    assert fast.probe_bytes_sent == slow.probe_bytes_sent

@@ -1,5 +1,6 @@
 """Tests for passive tracking and group-based probing."""
 
+import numpy as np
 import pytest
 
 from repro.controlplane.nib import LinkReport
@@ -121,3 +122,41 @@ class TestProbingGroupManager:
         report = mgr.aggregate("A", "B", LinkType.PREMIUM, [(10.0, -0.1)],
                                now=0.0)
         assert report.loss_rate == 0.0
+
+
+class TestAggregateMedianIsNumpyMedian:
+    """`aggregate` takes the median without numpy; every NIB report (and
+    through them every golden) rides on it being `np.median` bit for bit."""
+
+    @staticmethod
+    def check(measurements):
+        mgr = ProbingGroupManager(["A", "B"], representatives=3)
+        report = mgr.aggregate("A", "B", LinkType.INTERNET, measurements,
+                               now=1.0)
+        lat = float(np.median([m[0] for m in measurements]))
+        loss = float(np.median([m[1] for m in measurements]))
+        assert report.latency_ms == lat
+        assert report.loss_rate == min(max(loss, 0.0), 1.0)
+        assert type(report.latency_ms) is float
+        assert type(report.loss_rate) is float
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_draws(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(1000):
+            lat = rng.uniform(1.0, 500.0, size=n) * rng.uniform(0.98, 1.02)
+            loss = rng.uniform(0.0, 1.0, size=n) ** 4
+            self.check(list(zip(lat.tolist(), loss.tolist())))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_ties_and_boundary_values(self, n):
+        lat_pool = [35.0, 35.0, 0.1 + 0.2, float("inf"), float("inf"), 1e-3]
+        loss_pool = [0.0, 1.0, 0.0, 1.0, 1.0 / 15.0, 1.0 / 15.0]
+        for shift in range(6):
+            lat = [lat_pool[(shift + k) % 6] for k in range(n)]
+            loss = [loss_pool[(shift + k) % 6] for k in range(n)]
+            self.check(list(zip(lat, loss)))
+
+    def test_numpy_scalars_in_give_python_floats_out(self):
+        self.check([(np.float64(10.0), np.float64(0.25)),
+                    (np.float64(30.0), np.float64(0.5))])

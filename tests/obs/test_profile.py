@@ -43,9 +43,9 @@ class TestFolding:
         assert profile.phase_total_ms == 10.0
 
     def test_self_time_clamps_at_zero(self):
-        # A child recorded outside its parent's span (the underlay
-        # builders emit snapshot_build from the data-plane path too)
-        # can out-total the parent; self time must not go negative.
+        # A child recorded outside its parent's span (traces from
+        # before the underlay builder lost its snapshot_build span have
+        # them) can out-total the parent; self time must not go negative.
         events = [_step("snapshot_build", 50.0),
                   _step("link_snapshot", 10.0), _epoch(12.0)]
         by_step = {p.step: p for p in profile_events(events).phases}

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from benchmarks.check_regression import (GATED, main, parse_sweep_name,
-                                         summarise_raw)
+from benchmarks.check_regression import (GATED, TABLE_BEGIN, TABLE_END, main,
+                                         parse_sweep_name, summarise_raw)
 
 
 def raw_doc(means):
@@ -227,3 +227,56 @@ def test_new_sweep_point_without_reference_skipped(files, capsys):
     extra["test_sweep_full_epoch[n075]"] = 3.0  # breaks the budget
     fresh.write_text(json.dumps(raw_doc(extra)))
     assert main(["check", str(fresh), "--reference", str(summary)]) == 1
+
+
+# -------------------------------------------------------- docs table
+
+
+@pytest.fixture()
+def summary_with_baseline(files):
+    raw, summary, __, tmp_path = files
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(raw_doc(
+        {name: 0.250 for name in GATED if "snapshot" not in name})))
+    assert main(["distill", str(raw), "-o", str(summary),
+                 "--baseline", str(baseline)]) == 0
+    return summary, tmp_path
+
+
+def test_table_renders_before_after_speedup(summary_with_baseline, capsys):
+    summary, __ = summary_with_baseline
+    capsys.readouterr()
+    assert main(["table", "--reference", str(summary)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "| benchmark | before | after | speedup |"
+    assert len(lines) == 2 + len(GATED)
+    for name, line in zip(GATED, lines[2:]):
+        assert line.startswith(f"| `{name}`")
+        # 250 ms -> 20 ms; the snapshot entry borrows the scalar baseline.
+        assert line.endswith("| 250.0 ms | 20.0 ms | 12x |")
+
+
+def test_table_check_detects_drift(summary_with_baseline, capsys):
+    summary, tmp_path = summary_with_baseline
+    capsys.readouterr()
+    assert main(["table", "--reference", str(summary)]) == 0
+    rendered = capsys.readouterr().out
+    doc = tmp_path / "performance.md"
+    doc.write_text(f"intro\n\n{TABLE_BEGIN}\n{rendered}{TABLE_END}\n\ntail\n")
+    assert main(["table", "--reference", str(summary),
+                 "--check", str(doc)]) == 0
+    doc.write_text(doc.read_text().replace("20.0 ms", "12.0 ms", 1))
+    assert main(["table", "--reference", str(summary),
+                 "--check", str(doc)]) == 1
+    assert "differs" in capsys.readouterr().err
+    doc.write_text("no markers here\n")
+    assert main(["table", "--reference", str(summary),
+                 "--check", str(doc)]) == 1
+
+
+def test_committed_performance_doc_matches_committed_ledger():
+    """What the perf-smoke CI step runs, so drift fails locally too."""
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assert main(["table", "--reference", str(root / "BENCH_control.json"),
+                 "--check", str(root / "docs" / "performance.md")]) == 0

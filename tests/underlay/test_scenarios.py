@@ -68,3 +68,26 @@ def test_quiet_link_removes_all_events(small_regions):
     assert len(link.timeline) == 0
     t = np.arange(0, 3600, 10.0)
     assert np.all(link.timeline.latency_add(t) == 0.0)
+
+
+def test_scripted_change_reaches_already_evaluated_matrix_state(small_regions):
+    """The event engine reads link state through `state_at`; a timeline
+    swapped after the underlay was first evaluated must show up there
+    and in `snapshot`, at an instant already memoised too."""
+    from repro.underlay.config import UnderlayConfig
+    from repro.underlay.topology import build_underlay
+    u = build_underlay(small_regions, UnderlayConfig(horizon_s=7200.0), seed=4)
+    a, b = u.pairs[0]
+    link = u.link(a, b, LinkType.INTERNET)
+    before = u.state_at(1500.0).lookup(a, b, LinkType.INTERNET)
+    inject_events(u, a, b, LinkType.INTERNET,
+                  long_term_degradation(1000.0, 2000.0,
+                                        latency_add_ms=5000.0))
+    degraded = (float(link.latency_ms(1500.0)), float(link.loss_rate(1500.0)))
+    assert degraded[0] > before[0] + 4000.0
+    assert u.state_at(1500.0).lookup(a, b, LinkType.INTERNET) == degraded
+    assert u.snapshot(1500.0).lookup(a, b, LinkType.INTERNET) == degraded
+    quiet_link(u, a, b, LinkType.INTERNET)
+    quiet = (float(link.latency_ms(1500.0)), float(link.loss_rate(1500.0)))
+    assert quiet[0] < 4000.0
+    assert u.state_at(1500.0).lookup(a, b, LinkType.INTERNET) == quiet

@@ -214,3 +214,102 @@ class TestSnapshotDelta:
             list(snap.codes[:-1]), lambda a, b, t: (1.0, 0.0))
         with pytest.raises(ValueError, match="different region sets"):
             snap.delta(other)
+
+
+# ------------------------------------------------------------- state_at
+def engine_instants(start_s, interval_s, count):
+    """Instants as `Simulator.every` reaches them: repeated addition."""
+    out, t = [], start_s
+    for _ in range(count):
+        out.append(t)
+        t = t + interval_s
+    return out
+
+
+def ramp_instant(underlay):
+    """An instant halfway up the first degradation ramp of some link."""
+    for link in underlay.links_of_type(I):
+        events = [e for e in link.timeline.events if e.start > 1.0]
+        if events:
+            return events[0].start + events[0].ramp_s / 2.0
+    raise AssertionError("underlay has no degradation events")
+
+
+def assert_equals_link_processes(underlay, t):
+    state = underlay.state_at(t)
+    for lt in TYPE_ORDER:
+        for (a, b) in underlay.pairs:
+            link = underlay.link(a, b, lt)
+            assert state.lookup(a, b, lt) == (float(link.latency_ms(t)),
+                                              float(link.loss_rate(t))), \
+                (a, b, lt, t)
+
+
+class TestStateAt:
+    """`Underlay.state_at`: the event engine's only source of true link
+    state, pinned `==` to the scalar `LinkProcess` oracle."""
+
+    def test_paper_underlay_at_engine_instants(self, full_underlay):
+        start = 8 * 3600.0
+        probes = engine_instants(start, 0.4, 13)
+        # hash_noise indexes floor(t): 0.4 accumulates to just above or
+        # below whole seconds (…802.000000000004), so take both sides.
+        assert any(t != round(t) and abs(t - round(t)) < 1e-9
+                   for t in probes)
+        instants = probes + [start + 1.0, start + 2.0, 0.0,
+                             ramp_instant(full_underlay)]
+        for t in instants:
+            assert_equals_link_processes(full_underlay, t)
+
+    def test_planet_underlay_at_engine_instants(self):
+        from repro.underlay.config import UnderlayConfig
+        from repro.underlay.planet import build_planet_underlay
+        planet = build_planet_underlay(
+            50, seed=3, underlay_config=UnderlayConfig(horizon_s=9 * 3600.0))
+        start = 8 * 3600.0
+        for t in (engine_instants(start, 0.4, 6)[-1], start + 1.0,
+                  ramp_instant(planet)):
+            assert_equals_link_processes(planet, t)
+
+    def test_same_instant_same_object(self, small_underlay):
+        first = small_underlay.state_at(120.0)
+        assert small_underlay.state_at(120.0) is first
+        assert small_underlay.state_at(120) is first
+
+    def test_new_instant_new_object_and_old_one_untouched(self,
+                                                          small_underlay):
+        first = small_underlay.state_at(120.0)
+        lat, loss = first.lat.copy(), first.loss.copy()
+        second = small_underlay.state_at(120.4)
+        assert second is not first
+        assert second.t == 120.4 and first.t == 120.0
+        assert np.array_equal(first.lat, lat)
+        assert np.array_equal(first.loss, loss)
+        assert not np.array_equal(second.lat, lat)
+
+    def test_shared_state_is_read_only(self, small_underlay):
+        state = small_underlay.state_at(60.0)
+        with pytest.raises(ValueError, match="read-only"):
+            state.lat[0, 0, 1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.loss[0, 0, 1] = 0.0
+
+    def test_snapshot_stays_fresh_and_writable(self, small_underlay):
+        state = small_underlay.state_at(60.0)
+        snap = small_underlay.snapshot(60.0)
+        assert snap is not state
+        assert snap is not small_underlay.snapshot(60.0)
+        snap.lat[0, 0, 1] += 1.0
+        snap.loss[0, 0, 1] = 0.5
+        assert small_underlay.state_at(60.0) is state
+        assert state.lat[0, 0, 1] == snap.lat[0, 0, 1] - 1.0
+
+    def test_beyond_horizon_raises_like_snapshot(self, small_underlay):
+        beyond = small_underlay.config.horizon_s + 10.0
+        with pytest.raises(ValueError, match="exceeds the generated horizon"):
+            small_underlay.state_at(beyond)
+        # The failed query left the previous memo in place.
+        state = small_underlay.state_at(60.0)
+        with pytest.raises(ValueError, match="horizon"):
+            small_underlay.state_at(beyond)
+        assert small_underlay.state_at(60.0) is state
