@@ -136,7 +136,7 @@ def test_path_control_double_scale(benchmark, paper_scale):
 # (two cohorts per ordered pair), then times the controller's per-epoch
 # stages.  The paper's two-second bound is asserted as a *hard budget*
 # for every point at or below `BUDGET_MAX_REGIONS`; larger points run
-# unasserted to chart the frontier that motivates sharded control
+# unasserted to chart the frontier that motivates incremental control
 # (ROADMAP item 2).  See docs/scaling.md for the methodology and how to
 # refresh BENCH_control.json.
 #
@@ -308,35 +308,12 @@ def test_sweep_full_epoch(benchmark, n_regions):
 
 
 # --------------------------------------------------------------------------
-# Control-mode sweep points: sharded + incremental (ROADMAP item 2)
+# Control-mode sweep points: incremental (ROADMAP item 2)
 # --------------------------------------------------------------------------
 #
-# Same scenarios as the monolithic sweep above, run through the two
-# alternative control modes.  Both are bit-identical to monolithic (the
-# golden suites prove it); these entries chart what each buys in time.
-
-
-@pytest.mark.parametrize("n_regions", SWEEP_REGIONS, ids=_sweep_id)
-@pytest.mark.benchmark(min_rounds=3)
-def test_sweep_path_control_sharded(benchmark, n_regions):
-    """Algorithm 1 with the DP fanned over a 2-worker `ControlPool`.
-
-    No budget assertion: on a single-core runner (CI) the fork/IPC
-    overhead makes this *slower* than monolithic — the entry charts the
-    multi-core seam and catches accidental pool regressions, nothing
-    more.  See docs/performance.md for the single-core caveat.
-    """
-    from repro.controlplane.sharded import ControlPool
-
-    u, streams, gateways = _sweep_scenario(n_regions)
-    config = ControlConfig()
-    snap = u.snapshot(_SWEEP_SNAP_T)
-    with ControlPool(2) as pool:
-        result = benchmark(
-            lambda: path_control(streams, u.codes, snap, config,
-                                 gateways=gateways, fees=u.pricing,
-                                 context=pool.solve_context()))
-    assert result.total_assigned_mbps() > 0
+# Same scenarios as the monolithic sweep above, run through the
+# incremental control mode.  It is bit-identical to monolithic (the
+# golden suites prove it); these entries chart what it buys in time.
 
 
 def _incremental_epoch(engine, u, streams, gateways, config, mutate=None):

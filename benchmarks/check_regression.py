@@ -24,12 +24,15 @@ Three subcommands:
     incremental steady-state entry).
 
 ``table``
-    Render the before/after/speedup markdown table of the fixed control
-    benchmarks from the committed summary (``baseline_pre_refactor`` vs
-    ``current``).  ``docs/performance.md`` carries that table between
-    two marker comments; ``--check docs/performance.md`` fails (exit 1)
-    when the committed block is not byte-equal to the rendering, so the
-    doc cannot drift from the ledger.
+    Render the markdown tables ``docs/performance.md`` carries between
+    marker comments, from the committed summary: the before/after/
+    speedup table of the fixed control benchmarks
+    (``baseline_pre_refactor`` vs ``current``) and, when the summary
+    holds the 200-region sweep points, the control-mode table (fresh /
+    warm-delta / steady-state incremental epoch).  ``--check
+    docs/performance.md`` fails (exit 1) when a committed block is not
+    byte-equal to its rendering, so the doc cannot drift from the
+    ledger.
 
 Usage::
 
@@ -76,10 +79,26 @@ TABLE_ROWS = {
         (" (22 regions)", "test_path_control_double_scale"),
 }
 
+def _markers(block: str) -> Tuple[str, str]:
+    """The (begin, end) marker comments around one generated table."""
+    return (f"<!-- {block}:begin (generated: python "
+            "benchmarks/check_regression.py table) -->",
+            f"<!-- {block}:end -->")
+
+
 #: Marker comments around the rendered table in docs/performance.md.
-TABLE_BEGIN = ("<!-- control-loop-table:begin (generated: python "
-               "benchmarks/check_regression.py table) -->")
-TABLE_END = "<!-- control-loop-table:end -->"
+TABLE_BEGIN, TABLE_END = _markers("control-loop-table")
+
+#: The control-mode table: what each way of running the epoch costs at
+#: the sweep's largest point.  (label, sweep benchmark base name).
+MODE_TABLE_REGIONS = 200
+MODE_TABLE_ROWS = (
+    ("fresh monolithic epoch", "test_sweep_full_epoch"),
+    ("warm incremental epoch, one-link delta",
+     "test_sweep_full_epoch_warm_delta"),
+    ("steady-state incremental epoch", "test_sweep_full_epoch_incremental"),
+)
+MODE_TABLE_BEGIN, MODE_TABLE_END = _markers("control-mode-table")
 
 #: Parameterized region-count sweep benchmarks, gated per sweep point.
 #: Unlike `GATED`, a sweep entry that is absent from the fresh run is
@@ -89,7 +108,6 @@ SWEEP_GATED = (
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
-    "test_sweep_path_control_sharded",
     "test_sweep_full_epoch_incremental",
     "test_sweep_full_epoch_warm_delta",
 )
@@ -272,23 +290,50 @@ def render_table(summary: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_mode_table(summary: Dict) -> Optional[str]:
+    """The markdown table of `MODE_TABLE_ROWS` at `MODE_TABLE_REGIONS`.
+
+    Means inside the epoch budget are bold.  None when the summary
+    lacks a row (it was distilled from a run without that sweep point).
+    """
+    current = summary["current"]
+    lines = [f"| {MODE_TABLE_REGIONS}-region sweep point | mean |", "|---|---|"]
+    for label, base in MODE_TABLE_ROWS:
+        name = f"{base}[n{MODE_TABLE_REGIONS:03d}]"
+        if name not in current:
+            return None
+        mean = current[name]["mean_s"]
+        cell = f"{mean:.2g} s"
+        if mean < EPOCH_BUDGET_S:
+            cell = f"**{cell}**"
+        lines.append(f"| {label} (`{name}`) | {cell} |")
+    return "\n".join(lines) + "\n"
+
+
 def table(args: argparse.Namespace) -> int:
-    rendered = render_table(_load(args.reference))
+    summary = _load(args.reference)
+    blocks = [(TABLE_BEGIN, TABLE_END, render_table(summary))]
+    mode_table = render_mode_table(summary)
+    if mode_table is not None:
+        blocks.append((MODE_TABLE_BEGIN, MODE_TABLE_END, mode_table))
     if args.check is None:
-        sys.stdout.write(rendered)
+        sys.stdout.write("\n".join(rendered for __, __, rendered in blocks))
         return 0
     text = pathlib.Path(args.check).read_text()
-    begin, end = text.find(TABLE_BEGIN), text.find(TABLE_END)
-    if begin < 0 or end < begin:
-        print(f"{args.check}: table markers not found", file=sys.stderr)
-        return 1
-    committed = text[begin + len(TABLE_BEGIN):end].strip("\n") + "\n"
-    if committed != rendered:
-        print(f"{args.check}: the control-loop table differs from "
-              f"{args.reference}; replace the block between the markers "
-              "with:\n\n" + rendered, file=sys.stderr)
-        return 1
-    print(f"{args.check}: control-loop table matches {args.reference}")
+    for begin_marker, end_marker, rendered in blocks:
+        begin, end = text.find(begin_marker), text.find(end_marker)
+        if begin < 0 or end < begin:
+            print(f"{args.check}: table markers not found: {begin_marker}",
+                  file=sys.stderr)
+            return 1
+        committed = text[begin + len(begin_marker):end].strip("\n") + "\n"
+        if committed != rendered:
+            print(f"{args.check}: a generated table differs from "
+                  f"{args.reference}; replace the block after "
+                  f"{begin_marker} with:\n\n" + rendered, file=sys.stderr)
+            return 1
+    print(f"{args.check}: {len(blocks)} generated table(s) match "
+          f"{args.reference}")
     return 0
 
 
@@ -323,10 +368,10 @@ def main(argv=None) -> int:
                               "so the fixed benchmarks are absent by design)")
     p_check.set_defaults(func=check)
 
-    p_table = sub.add_parser("table", help="summary json -> markdown table")
+    p_table = sub.add_parser("table", help="summary json -> markdown tables")
     p_table.add_argument("--reference", default="BENCH_control.json")
     p_table.add_argument("--check", metavar="DOC",
-                         help="compare with the block between the table "
+                         help="compare with the blocks between the table "
                               "markers in DOC instead of printing")
     p_table.set_defaults(func=table)
 

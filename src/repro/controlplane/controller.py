@@ -35,13 +35,12 @@ from repro.underlay.snapshot import TYPE_INDEX, LinkStateSnapshot
 
 _TEL = _telemetry()
 
-#: How the controller runs the per-epoch solve.  "monolithic" is the
-#: single-process reference; "sharded" fans the DP builds and reaction
-#: walks across a `repro.controlplane.sharded.ControlPool`;
+#: How the controller runs the per-epoch solve, always in process.
+#: "monolithic" solves every epoch from scratch (the reference);
 #: "incremental" diffs consecutive snapshots and reuses previous-epoch
-#: work (`repro.controlplane.incremental.IncrementalEngine`).  All
-#: three produce bit-identical outputs.
-CONTROL_MODES = ("monolithic", "sharded", "incremental")
+#: work (`repro.controlplane.incremental.IncrementalEngine`).  Both
+#: produce bit-identical outputs.
+CONTROL_MODES = ("monolithic", "incremental")
 
 
 @dataclass
@@ -70,7 +69,6 @@ class Controller:
                  sib_params: Optional[Dict[str, int]] = None,
                  workload: Optional[object] = None,
                  control_mode: str = "monolithic",
-                 shard_workers: int = 2,
                  seed: int = 0):
         """`nib_window` > 1 keeps that many reports per link;
         `robust_percentile` makes planning use the window's pessimistic
@@ -84,9 +82,7 @@ class Controller:
         `repro.traffic.cohorts.CohortWorkload` for planet-scale region
         sets (default: the per-chunk `StreamWorkload`);
         `control_mode` selects the solve strategy (see `CONTROL_MODES`;
-        every mode is bit-identical) and `shard_workers` sizes the
-        worker pool in "sharded" mode — call `close()` (or rely on
-        process exit) to release its processes."""
+        every mode is bit-identical)."""
         if premium_only and internet_only:
             raise ValueError("choose at most one of premium/internet only")
         if robust_percentile is not None and nib_window < 2:
@@ -109,15 +105,8 @@ class Controller:
         self._workload = (workload if workload is not None
                           else StreamWorkload(np.random.default_rng(seed)))
         self.control_mode = control_mode
-        self.shard_workers = int(shard_workers)
-        # Imported lazily: sharded pulls in the orchestrator's pool
-        # machinery, which nothing else in the control plane needs.
-        self._pool = None
         self._engine = None
-        if control_mode == "sharded":
-            from repro.controlplane.sharded import ControlPool
-            self._pool = ControlPool(self.shard_workers)
-        elif control_mode == "incremental":
+        if control_mode == "incremental":
             from repro.controlplane.incremental import IncrementalEngine
             self._engine = IncrementalEngine()
         #: One snapshot per NIB version (see `link_snapshot`).
@@ -125,15 +114,10 @@ class Controller:
         self.epochs_run = 0
 
     def close(self) -> None:
-        """Release the sharded worker pool, if any (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
+        """Teardown hook for drivers (idempotent).
 
-    def __enter__(self) -> "Controller":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        The solve runs in process, so there is nothing to release.
+        """
 
     # ------------------------------------------------------------------ api
     def link_state(self, src: str, dst: str,
@@ -245,11 +229,10 @@ class Controller:
                 plans = engine.reaction_plans(self.config.loss_ms_penalty)
             engine.commit()
         else:
-            # One shared context per epoch: step 1, capacity control's
-            # uncapacitated re-run, and (sharded) the DP builds all reuse
-            # the same edge-weight build and per-path caches.
-            ctx = (self._pool.solve_context() if self._pool is not None
-                   else EpochSolveContext())
+            # One shared context per epoch: step 1 and capacity control's
+            # uncapacitated re-run reuse the same edge-weight build and
+            # per-path caches.
+            ctx = EpochSolveContext()
             with _TEL.span("algo_step", t=now, step="algo1.path_control"):
                 r_cur = path_control(streams, self.codes, snap,
                                      self.config, gateways=gateways,
@@ -259,14 +242,8 @@ class Controller:
                                             self.config, gateways, r_cur,
                                             fees=self.pricing, context=ctx)
             with _TEL.span("algo_step", t=now, step="algo2.reaction_plans"):
-                walks = None
-                if self._pool is not None:
-                    with _TEL.span("algo_step", t=now, step="sharded.walks"):
-                        walks = self._pool.reaction_walks(
-                            r_cur, snap, self.config.loss_ms_penalty)
                 plans = generate_reaction_plans(r_cur, snap,
-                                                self.config.loss_ms_penalty,
-                                                walks=walks)
+                                                self.config.loss_ms_penalty)
         self.epochs_run += 1
         if traced:
             _TEL.counter("controller.epochs").inc()

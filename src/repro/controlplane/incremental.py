@@ -36,10 +36,6 @@ previous epoch's *objects*, so their `Assignment.stream` references are
 the previous epoch's `Stream` instances — equal by value, by the
 identical-signature precondition.)  The golden-equivalence suite pins
 this down, including the quality-mask threshold-crossing edge case.
-
-The engine composes with the sharded solver: pass
-`ControlPool.dp_fn` as ``dp_fn`` and every warm/cold DP build fans out
-across worker processes.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ import numpy as np
 
 from repro.controlplane.capacity import CapacityDecision, capacity_control
 from repro.controlplane.model import ControlConfig
-from repro.controlplane.pathcontrol import (DpFn, EpochSolveContext,
+from repro.controlplane.pathcontrol import (EpochSolveContext,
                                             PathControlResult, _Capacities,
                                             _ShortestPaths, path_control)
 from repro.controlplane.reactionplan import ReactionPlan, generate_reaction_plans
@@ -95,8 +91,7 @@ class IncrementalEngine:
     actually solved).
     """
 
-    def __init__(self, dp_fn: Optional[DpFn] = None):
-        self.dp_fn = dp_fn
+    def __init__(self):
         self._base: Optional[Dict] = None
         self._cur: Optional[Dict] = None
         self._reusing = False
@@ -245,7 +240,7 @@ class IncrementalEngine:
 
     # ----------------------------------------------------------- warm seeding
     def _seeded_context(self, cur: Dict, warm: bool) -> EpochSolveContext:
-        ctx = EpochSolveContext(dp_fn=self.dp_fn)
+        ctx = EpochSolveContext()
         if not warm:
             return ctx
         base = self._base

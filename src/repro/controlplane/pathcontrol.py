@@ -30,9 +30,7 @@ Implementation notes:
   capacity control's uncapacitated run, and plan generation to share the
   edge-weight build, the first DP build, and per-path index/metric
   caches across them.  All context caching is value-transparent: output
-  is bit-identical with and without one.  The context also carries the
-  `dp_fn` seam the sharded solver (`repro.controlplane.sharded`) plugs
-  its process-parallel DP into.
+  is bit-identical with and without one.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -282,47 +280,32 @@ class _EdgeWeights:
 #: Row-chunk size for the DP inner buffer (fits L2 at N<=500).
 _DP_ROW_CHUNK = 8
 
-#: Signature of a DP implementation: (w, n_layers) -> (dist, vias,
-#: improved) with per-layer via/improved matrices.  `_dp_layers` is the
-#: in-process default; `repro.controlplane.sharded.ControlPool.dp_fn`
-#: is the process-parallel drop-in (bit-identical output).
-DpFn = Callable[[np.ndarray, int],
-                Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]]
+def _dp_layers(w: np.ndarray, n_layers: int
+               ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+    """Hop-limited min-plus DP over all source rows.
 
-
-def dp_row_block(w: np.ndarray, wT: np.ndarray, lo: int, hi: int,
-                 n_layers: int
-                 ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
-    """Min-plus DP restricted to source rows `lo:hi`.
-
-    Row i of every DP layer depends only on row i of the previous layer
-    and the full weight matrix, so row blocks evolve independently
-    through **all** layers and concatenating block results in row order
-    is bit-identical to the monolithic computation.  This is both the
-    in-process kernel and the unit of work the sharded solver ships to
-    worker processes.
-
-    `wT` must be `w.T` (C-contiguous): the add is laid out as
-    ``stacked[i, j, m] = dist[i, m] + wT[j, m]`` so the argmin reduces
-    over the contiguous last axis — the same IEEE adds and the same
-    first-minimum tie-breaking as the (i, m, j) layout.  Rows are
-    processed through a small reused buffer instead of materialising the
-    (rows, N, N) cube: identical element-wise operations, but ~3x faster
-    at N=200 (the cube's fresh 64 MB allocation per layer is pure
-    page-fault overhead).
+    Returns (dist, vias, improved) with per-layer via/improved matrices.
+    The add is laid out as ``stacked[i, j, m] = dist[i, m] + wT[j, m]``
+    over the C-contiguous transpose so the argmin reduces over the
+    contiguous last axis — the same IEEE adds and the same first-minimum
+    tie-breaking as the (i, m, j) layout.  Rows are processed through a
+    small reused buffer instead of materialising the (N, N, N) cube:
+    identical element-wise operations, but ~3x faster at N=200 (the
+    cube's fresh 64 MB allocation per layer is pure page-fault
+    overhead).
     """
     n = w.shape[0]
-    rows = hi - lo
-    dist = w[lo:hi].copy()
+    wT = np.ascontiguousarray(w.T)
+    dist = w.copy()
     vias: List[np.ndarray] = []
     improved_layers: List[np.ndarray] = []
-    chunk = min(_DP_ROW_CHUNK, max(rows, 1))
+    chunk = min(_DP_ROW_CHUNK, max(n, 1))
     buf = np.empty((chunk, n, n))
     for __ in range(n_layers):
-        best_m = np.empty((rows, n), dtype=np.int64)
-        best_val = np.empty((rows, n))
-        for c0 in range(0, rows, chunk):
-            c1 = min(c0 + chunk, rows)
+        best_m = np.empty((n, n), dtype=np.int64)
+        best_val = np.empty((n, n))
+        for c0 in range(0, n, chunk):
+            c1 = min(c0 + chunk, n)
             b = buf[:c1 - c0]
             np.add(dist[c0:c1, None, :], wT[None, :, :], out=b)
             np.argmin(b, axis=2, out=best_m[c0:c1])
@@ -334,19 +317,12 @@ def dp_row_block(w: np.ndarray, wT: np.ndarray, lo: int, hi: int,
     return dist, vias, improved_layers
 
 
-def _dp_layers(w: np.ndarray, n_layers: int
-               ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
-    """Full hop-limited min-plus DP (all source rows, in process)."""
-    wT = np.ascontiguousarray(w.T)
-    return dp_row_block(w, wT, 0, w.shape[0], n_layers)
-
-
 class _ShortestPaths:
     """Hop-limited all-pairs shortest paths over the hybrid graph."""
 
     def __init__(self, weights: _EdgeWeights, config: ControlConfig,
                  caps: _Capacities, enforce_loss: bool = True,
-                 first_build: bool = True, dp_fn: Optional[DpFn] = None):
+                 first_build: bool = True):
         self.codes = weights.snap.codes
         self.index = caps.index
         self.weights = weights
@@ -373,7 +349,7 @@ class _ShortestPaths:
         # Per-layer predecessors make reconstruction respect the hop
         # limit exactly (a single merged predecessor matrix could splice
         # a longer prefix in and overshoot it).
-        dist, vias, improved = (dp_fn or _dp_layers)(w, config.max_hops - 1)
+        dist, vias, improved = _dp_layers(w, config.max_hops - 1)
         self._vias = vias
         self._improved = improved
         self.w = w
@@ -431,14 +407,11 @@ class EpochSolveContext:
     * per-path index tuples (`_PathData`) and per-path snapshot metrics,
       which repeat heavily across rebuilds and runs.
 
-    The context is also the seam for the sharded DP: set `dp_fn` (e.g.
-    `ControlPool.dp_fn`) and every graph build inside the epoch runs
-    process-parallel.  All caching is value-transparent — results are
-    bit-identical with and without a context.
+    All caching is value-transparent — results are bit-identical with
+    and without a context.
     """
 
-    def __init__(self, dp_fn: Optional[DpFn] = None):
-        self.dp_fn = dp_fn
+    def __init__(self):
         self._weights: Optional[_EdgeWeights] = None
         self._weights_key: Optional[Tuple] = None
         self._index: Optional[Dict[str, int]] = None
@@ -472,7 +445,7 @@ class EpochSolveContext:
                 _TEL.counter("pathcontrol.context_sp_reuses").inc()
             return sp
         sp = _ShortestPaths(weights, config, caps,
-                            enforce_loss=enforce_loss, dp_fn=self.dp_fn)
+                            enforce_loss=enforce_loss)
         self._sp_cache[key] = sp
         return sp
 
@@ -515,8 +488,8 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
     `fees` enables the cost term in edge weights.  `ordering` selects
     the per-pass stream order — the paper's latency-descending heuristic
     by default; the alternatives exist for the ordering ablation.
-    `context` shares per-epoch solver state (and the sharded DP seam)
-    across the epoch's solver calls; results are identical without one.
+    `context` shares per-epoch solver state across the epoch's solver
+    calls; results are identical without one.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; choose from "
@@ -624,8 +597,7 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
             break
         if not assigned_any:
             break  # no capacity anywhere; give up on the rest
-        sp = _ShortestPaths(weights, config, caps, first_build=False,
-                            dp_fn=ctx.dp_fn)
+        sp = _ShortestPaths(weights, config, caps, first_build=False)
         pair_cache = {}
         rebuilds += 1
 
@@ -651,7 +623,7 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
                     if remaining[s.stream_id] > 1e-9]
     if leftover_pos:
         sp = _ShortestPaths(weights, config, caps, enforce_loss=False,
-                            first_build=False, dp_fn=ctx.dp_fn)
+                            first_build=False)
         pair_cache = {}
         for p in leftover_pos:
             s = streams[p]

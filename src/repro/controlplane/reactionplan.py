@@ -70,8 +70,7 @@ def route_walk(regions: Tuple[str, ...], state: LinkState,
     Returns ``rec_plan[r]`` = ordered relay sequence (excluding ``r``)
     to the destination, for every non-terminal region of the route.
     The walk depends only on the region sequence and the link state, so
-    routes can be walked independently (and in parallel — the sharded
-    solver fans distinct routes out across worker processes).
+    it is memoised per distinct route (`generate_reaction_plans`).
     """
     dst = regions[-1]
     rec_plan: Dict[str, Tuple[str, ...]] = {}
@@ -111,10 +110,10 @@ def generate_reaction_plans(result: PathControlResult, state: LinkState,
     `path.regions` — at scale most streams share a handful of routes.
 
     `walks` optionally seeds (and accumulates) that per-route memo:
-    pass a dict of pre-computed `route_walk` outputs (e.g. from the
-    sharded solver or the incremental engine's previous epoch) and only
-    routes missing from it are walked here.  Seeded entries must have
-    been computed against the same `state`/`loss_ms_penalty`.
+    pass a dict of pre-computed `route_walk` outputs (the incremental
+    engine passes its previous epoch's) and only routes missing from it
+    are walked here.  Seeded entries must have been computed against
+    the same `state`/`loss_ms_penalty`.
     """
     plans: Dict[Tuple[int, str], ReactionPlan] = {}
     plans_by_route = walks if walks is not None else {}

@@ -134,9 +134,10 @@ class RegionalController:
         # never share RNG streams with each other or the global plane.
         digest = zlib.crc32(",".join(self.regions).encode())
         self.sub_seed = (seed * 1_000_003 + digest) % (2 ** 31)
-        # Always monolithic: partitions are a handful of regions, far
-        # below any sharding threshold, and a degraded-mode controller
-        # should not fork worker pools mid-incident.
+        # Always monolithic, whatever the deployment runs: an
+        # "incremental" engine reuses the previous epoch's solve, and a
+        # sub-controller born mid-incident has no previous epoch of its
+        # own — nor may it carry one across a partition boundary.
         self.controller = Controller(
             list(self.regions), control_config, pricing=pricing,
             symmetric_only=symmetric_only, premium_only=premium_only,
@@ -191,9 +192,6 @@ class RegionalController:
         member = set(self.regions)
         self.controller.nib.update_many(
             [r for r in reports if r.src in member and r.dst in member])
-
-    def close(self) -> None:
-        self.controller.close()
 
 
 __all__ = ["REGIONAL_STREAM_BASE", "RegionalControlConfig",

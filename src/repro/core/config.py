@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.controlplane.controller import CONTROL_MODES
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 
 
@@ -43,13 +44,11 @@ class SimulationConfig:
     stream_cohorts: bool = False
     #: Cohort entries per ordered region pair when `stream_cohorts` is on.
     cohorts_per_pair: int = 2
-    #: Controller solve strategy: "monolithic", "sharded", or
-    #: "incremental" (see `repro.controlplane.controller.CONTROL_MODES`).
-    #: Every mode produces bit-identical control outputs; sharded and
-    #: incremental exist to hold the epoch budget at planetary scale.
+    #: Controller solve strategy: "monolithic" or "incremental" (see
+    #: `repro.controlplane.controller.CONTROL_MODES`).  Both produce
+    #: bit-identical control outputs; incremental exists to hold the
+    #: epoch budget at planetary scale.
     control_mode: str = "monolithic"
-    #: Worker processes for the sharded solve pool.
-    shard_workers: int = 2
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
     reaction: ReactionConfig = field(default_factory=ReactionConfig)
 
@@ -62,7 +61,6 @@ class SimulationConfig:
             raise ValueError("need at least one initial gateway per region")
         if self.cohorts_per_pair < 1:
             raise ValueError("need at least one cohort per pair")
-        if self.control_mode not in ("monolithic", "sharded", "incremental"):
-            raise ValueError(f"unknown control_mode {self.control_mode!r}")
-        if self.shard_workers < 1:
-            raise ValueError("need at least one shard worker")
+        if self.control_mode not in CONTROL_MODES:
+            raise ValueError(f"unknown control_mode {self.control_mode!r}; "
+                             f"choose from {CONTROL_MODES}")

@@ -318,7 +318,6 @@ class EventDrivenXRON:
             pricing=self.underlay.pricing,
             sib_params=self._sib_params,
             control_mode=self.sim_config.control_mode,
-            shard_workers=self.sim_config.shard_workers,
             seed=self.sim_config.seed,
             **self.variant.controller_kwargs())
 
@@ -395,16 +394,10 @@ class EventDrivenXRON:
                                 else None))
 
     def close(self) -> None:
-        """Release held resources: the controller's solve pool (idempotent).
-
-        The warm-restart path replaces the controller and closes the old
-        one; this is the teardown for every *other* exit — without it a
-        sharded deployment strands its fork workers until process exit.
-        """
+        """Teardown for every exit path (idempotent): close the
+        controller and drop any regional sub-controllers."""
         if self.controller is not None:
             self.controller.close()
-        for sub in self._regional.values():
-            sub.close()
         self._regional.clear()
 
     def __enter__(self) -> "EventDrivenXRON":
@@ -631,7 +624,6 @@ class EventDrivenXRON:
         every restore exercises the full round trip)."""
         warm = (self.resilience.checkpoint_enabled
                 and self._checkpoint_json is not None)
-        self.controller.close()  # release the old solve pool, if any
         self.controller = self._make_controller()
         if self._injector is not None:
             self.controller.nib.fault_filter = self._injector.filter_report
@@ -1045,7 +1037,6 @@ class EventDrivenXRON:
                 _TEL.event("partition_heal", t=now, regions=list(key),
                            fenced_version=fence,
                            regional_epochs=sub.epochs_run)
-            sub.close()
 
     def _make_load_fn(self, code: str):
         """Per-region provisioning-storm hook for a `ContainerPool`."""

@@ -105,23 +105,20 @@ def run_multi_day(days: int, variant: Optional[VariantSpec] = None, *,
     simulator = EpochSimulator(first, demand, variant, sim_config,
                                control_config)
     daily: List[DailySummary] = []
-    try:
-        for day in range(start_day, start_day + days):
-            if day > start_day:
-                simulator.replace_underlay(day_underlay(day, first.pricing))
-            result = simulator.run(day * 86400.0, 86400.0)
-            lat = result.latency_percentiles(weighted=False)
-            loss = result.loss_percentiles(weighted=False)
-            daily.append(DailySummary(
-                day=day,
-                qoe=result.qoe_summary(),
-                latency_p99_ms=lat["99%"],
-                latency_p999_ms=lat["99.9%"],
-                loss_p999_pct=loss["99.9%"],
-                premium_share=result.premium_traffic_share(),
-                mean_containers=float(result.containers.mean()),
-                network_cost=result.ledger.breakdown().network_cost,
-                route_churn=result.mean_route_churn()))
-    finally:
-        simulator.close()
+    for day in range(start_day, start_day + days):
+        if day > start_day:
+            simulator.replace_underlay(day_underlay(day, first.pricing))
+        result = simulator.run(day * 86400.0, 86400.0)
+        lat = result.latency_percentiles(weighted=False)
+        loss = result.loss_percentiles(weighted=False)
+        daily.append(DailySummary(
+            day=day,
+            qoe=result.qoe_summary(),
+            latency_p99_ms=lat["99%"],
+            latency_p999_ms=lat["99.9%"],
+            loss_p999_pct=loss["99.9%"],
+            premium_share=result.premium_traffic_share(),
+            mean_containers=float(result.containers.mean()),
+            network_cost=result.ledger.breakdown().network_cost,
+            route_churn=result.mean_route_churn()))
     return MultiDayResult(variant, daily)

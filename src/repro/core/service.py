@@ -385,11 +385,12 @@ class XRONService:
 
     # ----------------------------------------------------------------- drain
     def _drain(self, clock: Simulator) -> None:
-        """Graceful teardown: checkpoint, flush telemetry, close pools.
+        """Graceful teardown: checkpoint, flush telemetry, close the
+        engine.
 
         Runs on EVERY exit path (normal completion, SIGTERM, callback
-        failure) so a soak never strands stream handles, unflushed
-        metric deltas, or fork workers.
+        failure) so a soak never strands stream handles or unflushed
+        metric deltas.
         """
         sys_ = self.system
         if (sys_._installer is not None

@@ -262,7 +262,6 @@ class EpochSimulator:
                 robust_percentile=self.sim_config.robust_percentile,
                 workload=workload,
                 control_mode=self.sim_config.control_mode,
-                shard_workers=self.sim_config.shard_workers,
                 seed=self.sim_config.seed,
                 **variant.controller_kwargs())
         else:
@@ -272,13 +271,7 @@ class EpochSimulator:
 
     # ------------------------------------------------------------------ api
     def close(self) -> None:
-        """Release the controller's solve pool, if any (idempotent).
-
-        Sharded control modes hold fork worker processes; a simulator
-        dropped without teardown would strand them until GC finds the
-        pool's finalizer.  Long-lived drivers (`run_multi_day`, the
-        serve loop) close explicitly instead.
-        """
+        """Close the controller, if any (idempotent)."""
         if self.controller is not None:
             self.controller.close()
 

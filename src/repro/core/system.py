@@ -55,10 +55,4 @@ class XRONSystem:
         if hours <= 0:
             raise ValueError(f"hours must be positive, got {hours}")
         sim = self.simulator(variant)
-        try:
-            return sim.run(start_hour * 3600.0, hours * 3600.0)
-        finally:
-            # One-shot facade: release the controller's solve pool (if
-            # the control mode holds one) instead of stranding it until
-            # process exit.
-            sim.close()
+        return sim.run(start_hour * 3600.0, hours * 3600.0)

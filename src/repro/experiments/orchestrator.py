@@ -59,37 +59,6 @@ class TransientExperimentError(Exception):
 TRANSIENT_TYPES = (TransientExperimentError, OSError, MemoryError)
 
 
-class Deadline:
-    """Cooperative wall-clock deadline for worker kernels.
-
-    Unlike the signal-based :func:`_deadline`, this never touches
-    process-global state (no ``SIGALRM`` handler, no itimer), so it is
-    safe inside asyncio programs, non-main threads, and pool workers
-    that were forked from either.  Kernels call :meth:`check` between
-    bounded units of work (a DP row chunk, one route walk); the check
-    raises :class:`ExperimentTimeout` once the budget is spent.
-
-    ``timeout_s`` of ``None`` or ``<= 0`` disables the deadline.
-    """
-
-    __slots__ = ("timeout_s", "deadline")
-
-    def __init__(self, timeout_s: Optional[float]):
-        self.timeout_s = timeout_s
-        self.deadline = (time.monotonic() + float(timeout_s)
-                         if timeout_s is not None and timeout_s > 0
-                         else None)
-
-    def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def check(self) -> None:
-        """Raise :class:`ExperimentTimeout` once the budget is spent."""
-        if self.expired():
-            raise ExperimentTimeout(
-                f"exceeded {self.timeout_s:g}s budget")
-
-
 @dataclass
 class RunRecord:
     """Structured outcome of one experiment attempt (manifest row)."""
@@ -142,8 +111,7 @@ def _deadline(timeout_s: Optional[float]):
     this thread: asyncio owns signal delivery there (wakeup fd, signal
     handlers installed via ``loop.add_signal_handler``), and swapping
     the ``SIGALRM`` disposition underneath it clobbers whatever the
-    loop installed.  Code that needs timeouts under a live loop uses
-    the cooperative :class:`Deadline` instead.
+    loop installed.
     """
     usable = (timeout_s is not None and timeout_s > 0
               and hasattr(signal, "SIGALRM")
@@ -241,20 +209,11 @@ def pool_context():
     dynamically registered specs resolve by name in children) and the
     choice stays stable across Python versions that move the platform
     default.  Falls back to the platform default where fork is absent.
-
-    Public seam: the sharded control-plane pool
-    (`repro.controlplane.sharded.ControlPool`) reuses this context and
-    the `_deadline` worker-side timeout machinery so every process pool
-    in the repo behaves the same way.
     """
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-#: Backwards-compatible alias (pre-public name).
-_pool_context = pool_context
 
 
 def _pool_failure_record(name: str, exc: BaseException) -> RunRecord:

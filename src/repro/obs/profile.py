@@ -35,9 +35,6 @@ PARENT_OF = {
     # Incremental mode: snapshot diffing + context seeding runs inside
     # the path-control phase (before the greedy solve).
     "incremental.diff": "algo1.path_control",
-    # Sharded mode: the fan-out of reaction-plan route walks is a child
-    # of plan generation, so shard time is attributed to its phase.
-    "sharded.walks": "algo2.reaction_plans",
 }
 
 

@@ -127,27 +127,18 @@ def path_result_digest(result: PathControlResult) -> Dict:
     }
 
 
-def control_digest(wl: Workload, state, context=None, walks_fn=None) -> Dict:
+def control_digest(wl: Workload, state) -> Dict:
     """Run the full two-step control + reaction plans; digest everything.
 
     `state` is whatever the control stack accepts as link state (the
     scalar callback pre-refactor; callback or snapshot post-refactor).
-    `context` optionally threads an `EpochSolveContext` through both
-    solves (the sharded tests pass a pool-backed one), and `walks_fn`
-    optionally pre-computes the reaction-plan route walks (e.g.
-    `ControlPool.reaction_walks`) — both must be value-transparent for
-    the digest to match the frozen references.
     """
     r_cur = path_control(wl.streams, wl.codes, state, wl.config,
-                         gateways=wl.gateways, fees=wl.fees,
-                         context=context)
+                         gateways=wl.gateways, fees=wl.fees)
     decision = capacity_control(wl.streams, wl.codes, state, wl.config,
-                                wl.gateways, r_cur, fees=wl.fees,
-                                context=context)
-    walks = (walks_fn(r_cur, state, wl.config.loss_ms_penalty)
-             if walks_fn is not None else None)
+                                wl.gateways, r_cur, fees=wl.fees)
     plans = generate_reaction_plans(r_cur, state,
-                                    wl.config.loss_ms_penalty, walks=walks)
+                                    wl.config.loss_ms_penalty)
     return outputs_digest(r_cur, decision, plans)
 
 

@@ -72,17 +72,6 @@ class TestMultiEpoch:
         assert tiers[0] == TIER_COLD
         assert TIER_WARM in tiers[1:]
 
-    def test_composes_with_sharded_pool(self, wl):
-        from repro.controlplane.sharded import ControlPool
-
-        with ControlPool(2, min_shard_rows=1) as pool:
-            engine = IncrementalEngine(dp_fn=pool.dp_fn)
-            for k in range(2):
-                snap = wl.underlay.snapshot(wl.now + 600.0 * k)
-                __, r, d, p = _epoch(engine, wl, snap)
-                assert outputs_digest(r, d, p) == _mono_digest(
-                    wl, wl.underlay.snapshot(wl.now + 600.0 * k))
-
 
 class TestReuseTiers:
     def test_identical_snapshot_full_reuse(self, wl):

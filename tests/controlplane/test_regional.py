@@ -52,33 +52,26 @@ class TestConfig:
 class TestController:
     def test_regions_sorted_and_unique(self):
         sub = _sub(("SIN", "HGH"))
-        sub.close()
         assert sub.regions == ("HGH", "SIN")
         with pytest.raises(ValueError, match="repeats"):
             _sub(("HGH", "HGH"))
 
     def test_versions_allocated_strictly_above_base(self):
         sub = _sub(base_version=7)
-        try:
-            assert sub.version_high == 7
-            assert sub.next_version() == 8
-            assert sub.next_version() == 9
-            assert sub.version_high == 9
-        finally:
-            sub.close()
+        assert sub.version_high == 7
+        assert sub.next_version() == 8
+        assert sub.next_version() == 9
+        assert sub.version_high == 9
 
     def test_covers_and_matrix_restriction(self):
         sub = _sub()
-        try:
-            assert sub.covers("HGH") and not sub.covers("FRA")
-            matrix = TrafficMatrix(
-                ["HGH", "SIN", "FRA"],
-                {("HGH", "SIN"): 10.0, ("HGH", "FRA"): 20.0,
-                 ("FRA", "SIN"): 30.0})
-            cut = sub.restrict_matrix(matrix)
-            assert dict(cut.items()) == {("HGH", "SIN"): 10.0}
-        finally:
-            sub.close()
+        assert sub.covers("HGH") and not sub.covers("FRA")
+        matrix = TrafficMatrix(
+            ["HGH", "SIN", "FRA"],
+            {("HGH", "SIN"): 10.0, ("HGH", "FRA"): 20.0,
+             ("FRA", "SIN"): 30.0})
+        cut = sub.restrict_matrix(matrix)
+        assert dict(cut.items()) == {("HGH", "SIN"): 10.0}
 
     def test_nib_seed_filters_to_intra_partition_links(self):
         from repro.controlplane.nib import NetworkInformationBase
@@ -86,49 +79,33 @@ class TestController:
         nib = NetworkInformationBase()
         nib.update_many(_reports(("HGH", "SIN", "FRA")))
         sub = _sub(nib_reports=nib.export_reports())
-        try:
-            docs = sub.controller.nib.export_reports()
-            assert docs
-            for doc in docs:
-                assert {doc["src"], doc["dst"]} <= set(CODES)
-        finally:
-            sub.close()
+        docs = sub.controller.nib.export_reports()
+        assert docs
+        for doc in docs:
+            assert {doc["src"], doc["dst"]} <= set(CODES)
 
     def test_epoch_allocates_regional_band_stream_ids(self):
         sub = _sub()
-        try:
-            sub.ingest_reports(_reports(CODES))
-            matrix = TrafficMatrix(list(CODES), {("HGH", "SIN"): 10.0,
-                                                 ("SIN", "HGH"): 10.0})
-            output = sub.run_epoch(0.0, matrix, {c: 4 for c in CODES})
-            assert output.path_result.assignments
-            for a in output.path_result.assignments:
-                assert a.stream.stream_id >= REGIONAL_STREAM_BASE
-            assert sub.epochs_run == 1
-        finally:
-            sub.close()
+        sub.ingest_reports(_reports(CODES))
+        matrix = TrafficMatrix(list(CODES), {("HGH", "SIN"): 10.0,
+                                             ("SIN", "HGH"): 10.0})
+        output = sub.run_epoch(0.0, matrix, {c: 4 for c in CODES})
+        assert output.path_result.assignments
+        for a in output.path_result.assignments:
+            assert a.stream.stream_id >= REGIONAL_STREAM_BASE
+        assert sub.epochs_run == 1
 
     def test_ingest_drops_reports_crossing_the_edge(self):
         sub = _sub()
-        try:
-            sub.ingest_reports(_reports(("HGH", "SIN", "FRA")))
-            for doc in sub.controller.nib.export_reports():
-                assert {doc["src"], doc["dst"]} <= set(CODES)
-        finally:
-            sub.close()
+        sub.ingest_reports(_reports(("HGH", "SIN", "FRA")))
+        for doc in sub.controller.nib.export_reports():
+            assert {doc["src"], doc["dst"]} <= set(CODES)
 
     def test_sub_seed_is_deterministic_across_processes(self):
         """The sub-controller seed derives from CRC, not `hash()` — the
         same (seed, region set) must yield the same controller seed in
         every process."""
         a, b = _sub(seed=23), _sub(seed=23)
-        try:
-            assert a.sub_seed == b.sub_seed
-        finally:
-            a.close()
-            b.close()
+        assert a.sub_seed == b.sub_seed
         other = _sub(("FRA", "HGH"), seed=23)
-        try:
-            assert other.sub_seed != a.sub_seed
-        finally:
-            other.close()
+        assert other.sub_seed != a.sub_seed

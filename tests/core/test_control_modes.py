@@ -1,7 +1,7 @@
 """Golden equivalence: control modes are byte-identical end to end.
 
-`Controller(control_mode=...)` promises that "monolithic", "sharded"
-and "incremental" are pure performance seams — same assignments, same
+`Controller(control_mode=...)` promises that "monolithic" and
+"incremental" differ only in performance — same assignments, same
 forwarding tables, same reaction plans, same simulated sessions, bit
 for bit.  These tests run the full simulators (including under an
 active chaos schedule that kills the controller, crashes gateways and
@@ -27,7 +27,7 @@ from repro.underlay.regions import default_regions
 from repro.underlay.scenarios import quiet_link
 from repro.underlay.topology import build_underlay
 
-MODES = ("monolithic", "sharded", "incremental")
+MODES = ("monolithic", "incremental")
 
 
 @pytest.fixture(autouse=True)
@@ -77,10 +77,6 @@ def _eventsim_bytes(regions, mode, faults):
                                     seed=5, demand_scale=0.05,
                                     control_mode=mode),
         faults=FaultSchedule.of(*faults) if faults else None)
-    if mode == "sharded":
-        # The 3-region toy is far below the sharding threshold; force
-        # the pool into the epoch path so the mode is actually exercised.
-        sim.controller._pool.min_shard_rows = 1
     result = sim.run(3600.0, 120.0)
     doc = {"events": result.events_processed,
            "probe_bytes": result.probe_bytes,
@@ -102,8 +98,6 @@ def _epochsim_bytes(regions, mode):
         u, d, xron(),
         sim_config=SimulationConfig(epoch_s=300.0, eval_step_s=10.0, seed=5,
                                     control_mode=mode))
-    if mode == "sharded":
-        sim.controller._pool.min_shard_rows = 1
     result = sim.run(3600.0, 900.0)
     doc = {"latency": result.latency_ms.round(9).tolist(),
            "loss": result.loss_rate.round(9).tolist(),
@@ -133,3 +127,22 @@ class TestEpochSim:
     def test_byte_identical(self, regions, mode):
         assert (_epochsim_bytes(regions, mode)
                 == _epochsim_bytes(regions, "monolithic"))
+
+
+class TestModeNames:
+    """One list of modes: the config and the controller reject the same
+    names, and both errors say which ones remain."""
+
+    def test_removed_mode_rejected_by_config_and_controller(self):
+        from repro.controlplane.controller import CONTROL_MODES, Controller
+
+        assert CONTROL_MODES == MODES
+        for build in (lambda: SimulationConfig(control_mode="sharded"),
+                      lambda: Controller(["HGH", "SIN"],
+                                         control_mode="sharded")):
+            with pytest.raises(ValueError, match="monolithic.*incremental"):
+                build()
+
+    def test_worker_count_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(shard_workers=2)

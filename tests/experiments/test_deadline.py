@@ -3,8 +3,7 @@
 The orchestrator's `_deadline` uses ``SIGALRM``/``setitimer``; an
 asyncio event loop (the serve mode) owns signal delivery in its thread.
 These tests pin the truce: the alarm path refuses to arm under a
-running loop, never leaves a stray handler or itimer behind, and the
-cooperative `Deadline` covers the cases signals cannot.
+running loop and never leaves a stray handler or itimer behind.
 """
 
 import asyncio
@@ -13,35 +12,9 @@ import time
 
 import pytest
 
-from repro.experiments.orchestrator import (Deadline, ExperimentTimeout,
-                                            _deadline)
+from repro.experiments.orchestrator import ExperimentTimeout, _deadline
 
 
-# ------------------------------------------------------ cooperative Deadline
-def test_deadline_none_and_nonpositive_never_expire():
-    for timeout in (None, 0, -1.0):
-        deadline = Deadline(timeout)
-        assert deadline.deadline is None
-        assert not deadline.expired()
-        deadline.check()  # no-op
-
-
-def test_deadline_expires_and_raises():
-    deadline = Deadline(0.001)
-    time.sleep(0.01)
-    assert deadline.expired()
-    with pytest.raises(ExperimentTimeout, match="budget"):
-        deadline.check()
-
-
-def test_deadline_does_not_touch_signal_state():
-    before = signal.getsignal(signal.SIGALRM)
-    deadline = Deadline(10.0)
-    deadline.check()
-    assert signal.getsignal(signal.SIGALRM) is before
-
-
-# ------------------------------------------------------------ SIGALRM alarms
 def test_alarm_deadline_fires_outside_a_loop():
     before = signal.getsignal(signal.SIGALRM)
     with pytest.raises(ExperimentTimeout):

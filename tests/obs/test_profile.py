@@ -123,12 +123,11 @@ class TestRender:
 
 
 class TestControlModePhases:
-    """The sharded/incremental sub-spans nest under the algorithm spans
-    so the phase sum keeps covering the epoch wall exactly once."""
+    """The incremental sub-span nests under the algorithm span so the
+    phase sum keeps covering the epoch wall exactly once."""
 
     def test_parent_map_entries(self):
         assert PARENT_OF["incremental.diff"] == "algo1.path_control"
-        assert PARENT_OF["sharded.walks"] == "algo2.reaction_plans"
 
     def test_incremental_diff_subtracts_from_path_control(self):
         events = [_step("incremental.diff", 3.0),
@@ -138,12 +137,3 @@ class TestControlModePhases:
         assert by_step["algo1.path_control"].self_ms == 7.0
         # Counted once at top level, via the parent.
         assert profile_events(events).phase_total_ms == 10.0
-
-    def test_sharded_walks_subtract_from_reaction_plans(self):
-        events = [_step("sharded.walks", 4.0),
-                  _step("algo2.reaction_plans", 9.0), _epoch(11.0)]
-        profile = profile_events(events)
-        by_step = {p.step: p for p in profile.phases}
-        assert by_step["sharded.walks"].parent == "algo2.reaction_plans"
-        assert by_step["algo2.reaction_plans"].self_ms == 5.0
-        assert profile.phase_total_ms == 9.0

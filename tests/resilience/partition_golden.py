@@ -30,8 +30,6 @@ FIXTURE = Path(__file__).resolve().parents[1] / "_golden" / \
 CONFIGS = (
     ("monolithic-calm", "monolithic", False, False),
     ("monolithic-chaos", "monolithic", True, False),
-    ("sharded-calm", "sharded", False, False),
-    ("sharded-chaos", "sharded", True, False),
     ("incremental-calm", "incremental", False, False),
     ("incremental-chaos", "incremental", True, False),
     ("monolithic-calm-resilient", "monolithic", False, True),
@@ -106,10 +104,6 @@ def canonical_bytes(name: str) -> bytes:
                                     control_mode=mode),
         faults=_chaos_schedule() if chaos else None,
         resilience=resilience() if resilient else None)
-    if mode == "sharded":
-        # The 3-region toy is far below the sharding threshold; force
-        # the pool into the epoch path so the mode is actually exercised.
-        sim.controller._pool.min_shard_rows = 1
     with sim:
         result = sim.run(3600.0, 150.0)
     doc = {"events": result.events_processed,

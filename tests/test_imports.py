@@ -1,7 +1,10 @@
 """Every module in the package imports cleanly (no dead imports, no
 syntax drift) and the public packages re-export what they promise."""
 
+import ast
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
 
 import pytest
@@ -40,3 +43,41 @@ def test_all_exports_resolve(package_name):
 
 def test_version():
     assert repro.__version__
+
+
+def _imported_modules(module_name):
+    """Every module named by an import statement anywhere in
+    `module_name`'s source (function-local lazy imports included)."""
+    spec = importlib.util.find_spec(module_name)
+    tree = ast.parse(pathlib.Path(spec.origin).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, \
+                f"{module_name}: the package uses absolute imports only"
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}"
+                         for alias in node.names)
+    return found
+
+
+def _is_under(name, package):
+    return name == package or name.startswith(package + ".")
+
+
+def test_layering():
+    """Library code never reaches up into the experiment harness, and
+    the control plane solves in process: no process or thread pools."""
+    for module_name in ALL_MODULES:
+        banned = []
+        if not (_is_under(module_name, "repro.experiments")
+                or _is_under(module_name, "repro.cli")):
+            banned.append("repro.experiments")
+        if _is_under(module_name, "repro.controlplane"):
+            banned += ["multiprocessing", "concurrent.futures"]
+        imported = _imported_modules(module_name)
+        for package in banned:
+            assert not any(_is_under(name, package) for name in imported), \
+                f"{module_name} imports {package}"
