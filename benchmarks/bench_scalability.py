@@ -127,6 +127,24 @@ def test_path_control_double_scale(benchmark, paper_scale):
     assert benchmark.stats["mean"] < 2.0
 
 
+#: Budget of one all-pairs demand evaluation at 100 regions.  Evaluated
+#: over the pair axis it takes ~10 ms; the per-pair loop it replaced
+#: took 4-7 s, so the budget fails on any return to per-pair work.
+DEMAND_MATRIX_BUDGET_S = 0.25
+
+
+def test_demand_matrix_n100(benchmark):
+    """One `TrafficMatrix.from_model` at planet scale (9 900 pairs):
+    what every engine pays per control epoch for its demand snapshot."""
+    from repro.underlay.planet import PlanetConfig, generate_regions
+    regions = generate_regions(PlanetConfig(n_regions=100), seed=7)
+    demand = DemandModel(regions, seed=7)
+    matrix = benchmark(lambda: TrafficMatrix.from_model(demand, 8 * 3600.0))
+    assert len(matrix) == 100 * 99
+    assert matrix.total() > 0
+    assert benchmark.stats["mean"] < DEMAND_MATRIX_BUDGET_S
+
+
 # --------------------------------------------------------------------------
 # Region-count scaling sweep (generated planet topologies + stream cohorts)
 # --------------------------------------------------------------------------

@@ -21,7 +21,8 @@ The recorded `SimulationResult` is what every §6 experiment consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from repro.core.variants import VariantSpec
 from repro.cost.accounting import PairCostLedger
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.estimator import reaction_active_series
-from repro.dataplane.forwarding import effective_path_series
+from repro.dataplane.forwarding import (backup_path,
+                                        effective_path_series)
 from repro.dataplane.grouping import ProbingGroupManager
 from repro.dataplane.probing import burst_series
 from repro.elastic.containers import ContainerPool
@@ -50,28 +52,40 @@ from repro.underlay.topology import Underlay
 _TEL = _telemetry()
 
 
+#: Upper bound on the elements of one (hops x instants) block the link
+#: cache evaluates: an n11 epoch's ~91 hops fit one block even on the
+#: 0.4 s burst grid, while n100's thousands of hops are cut into blocks
+#: whose temporaries stay near a megabyte each.
+_BLOCK_ELEMENTS = 1 << 17
+
+
 class _EpochLinkCache:
-    """Per-epoch, per-hop link series and reaction flags, computed once."""
+    """Per-epoch, per-hop link series and reaction flags, computed once.
+
+    The simulator fills it a list of hops at a time (`fill_series`,
+    `fill_reaction`); a hop asked for without having been announced is
+    a block of one through the same code.
+    """
 
     def __init__(self, underlay: Underlay, t0: float, t1: float,
                  eval_step_s: float, monitoring: MonitoringConfig,
-                 reaction: ReactionConfig, streams: RngStreams,
+                 reaction: ReactionConfig,
+                 probe_seed: Callable[[PathHop], int],
                  enable_reaction: bool):
         self.underlay = underlay
         self.t0, self.t1 = t0, t1
         self.times = np.arange(t0, t1, eval_step_s)
         self.monitoring = monitoring
         self.reaction_config = reaction
-        self.streams = streams
+        #: hop -> seed of its probing hash-noise stream.
+        self.probe_seed = probe_seed
         self.enable_reaction = enable_reaction
         self._series: Dict[PathHop, Tuple[np.ndarray, np.ndarray]] = {}
         self._reaction: Dict[PathHop, np.ndarray] = {}
 
     def series(self, hop: PathHop) -> Tuple[np.ndarray, np.ndarray]:
         if hop not in self._series:
-            link = self.underlay.link(hop[0], hop[1], hop[2])
-            self._series[hop] = (link.latency_ms(self.times),
-                                 link.loss_rate(self.times))
+            self.fill_series([hop])
         return self._series[hop]
 
     def reaction(self, hop: PathHop) -> np.ndarray:
@@ -79,16 +93,43 @@ class _EpochLinkCache:
         if not self.enable_reaction:
             return np.zeros(self.times.size, dtype=bool)
         if hop not in self._reaction:
-            link = self.underlay.link(hop[0], hop[1], hop[2])
-            seed = self.streams.seed_for(
-                f"probe.{hop[0]}->{hop[1]}.{hop[2].value}")
-            bt, blat, bloss = burst_series(link, self.t0, self.t1,
-                                           self.monitoring, seed)
+            self.fill_reaction([hop])
+        return self._reaction[hop]
+
+    def fill_series(self, hops: Iterable[PathHop]) -> None:
+        """Evaluate the (latency, loss) series of every hop not cached
+        yet, a block at a time."""
+        new = [hop for hop in dict.fromkeys(hops) if hop not in self._series]
+        for block in _blocks(new, self.times.size):
+            lat, loss = self.underlay.link_series(block, self.times)
+            self._series.update(zip(block, zip(lat, loss)))
+
+    def fill_reaction(self, hops: Iterable[PathHop]) -> None:
+        """Probe every hop not cached yet on the burst grid and run the
+        degradation detector, a block at a time."""
+        if not self.enable_reaction:
+            return
+        new = [hop for hop in dict.fromkeys(hops)
+               if hop not in self._reaction]
+        n_bursts = np.arange(self.t0, self.t1,
+                             self.monitoring.burst_interval_s).size
+        for block in _blocks(new, n_bursts):
+            seeds = np.array([self.probe_seed(hop) for hop in block],
+                             dtype=np.uint64)[:, None]
+            bt, blat, bloss = burst_series(
+                partial(self.underlay.link_series, block), self.t0, self.t1,
+                self.monitoring, seeds)
             flags = reaction_active_series(blat, bloss, self.reaction_config)
             idx = np.clip(np.searchsorted(bt, self.times, side="right") - 1,
                           0, bt.size - 1)
-            self._reaction[hop] = flags[idx]
-        return self._reaction[hop]
+            self._reaction.update(zip(block, flags[:, idx]))
+
+
+def _blocks(hops: List[PathHop], n_instants: int):
+    """`hops` cut into runs of at most `_BLOCK_ELEMENTS` / `n_instants`."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, n_instants))
+    for lo in range(0, len(hops), step):
+        yield hops[lo:lo + step]
 
 
 @dataclass
@@ -268,6 +309,7 @@ class EpochSimulator:
             self.controller = None
 
         self._pools: Dict[str, ContainerPool] = {}
+        self._probe_seeds: Dict[PathHop, int] = {}
 
     # ------------------------------------------------------------------ api
     def close(self) -> None:
@@ -357,10 +399,14 @@ class EpochSimulator:
 
             cache = _EpochLinkCache(
                 self.underlay, now, epoch_end, cfg.eval_step_s,
-                cfg.monitoring, cfg.reaction, self._streams,
+                cfg.monitoring, cfg.reaction, self._probe_seed,
                 enable_reaction=self.variant.fast_reaction)
             sl = slice(e * steps_per_epoch, (e + 1) * steps_per_epoch)
             rep_paths = self._representative_paths(output)
+            path_hops = [hop for (path, __) in rep_paths.values()
+                         for hop in path.hops]
+            cache.fill_series(path_hops)
+            cache.fill_reaction(path_hops)
             # Route churn: how many pairs changed representative paths.
             if prev_paths:
                 changed = 0
@@ -411,6 +457,15 @@ class EpochSimulator:
             path_change_fraction=churn)
 
     # -------------------------------------------------------------- internal
+    def _probe_seed(self, hop: PathHop) -> int:
+        """Seed of the hop's probing hash-noise stream (one BLAKE2b per
+        hop per simulator, not per epoch)."""
+        seed = self._probe_seeds.get(hop)
+        if seed is None:
+            seed = self._probe_seeds[hop] = self._streams.seed_for(
+                f"probe.{hop[0]}->{hop[1]}.{hop[2].value}")
+        return seed
+
     def _push_reports(self, now: float) -> None:
         """Group-based monitoring: R noisy representative measurements per
         directed link, median-aggregated into one NIB report."""
@@ -478,13 +533,30 @@ class EpochSimulator:
                                               Optional[int]]]) -> None:
         plans = output.reaction_plans if output is not None else {}
 
-        for pair, (path, stream_id) in rep_paths.items():
+        def plan_fn(stream_id: Optional[int]):
             def plan_for(region: str):
                 if stream_id is None:
                     return None
                 plan = plans.get((stream_id, region))
                 return plan.relay_regions if plan is not None else None
+            return plan_for
 
+        if self.variant.fast_reaction:
+            # Backup hops are evaluated in blocks too: every backup path
+            # some pair may switch to this epoch (a degraded on-path hop
+            # whose region can react) is known before the pair loop.
+            backup_hops: List[PathHop] = []
+            for path, stream_id in rep_paths.values():
+                for hop in path.hops:
+                    if cache.reaction(hop).any():
+                        detour = backup_path(path, hop[0],
+                                             plan_fn(stream_id))
+                        if detour is not None:
+                            backup_hops.extend(detour.hops)
+            cache.fill_series(backup_hops)
+
+        for pair, (path, stream_id) in rep_paths.items():
+            plan_for = plan_fn(stream_id)
             series = effective_path_series(
                 path, cache.times, cache.series, cache.reaction, plan_for,
                 enable_reaction=self.variant.fast_reaction)

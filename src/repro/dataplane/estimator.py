@@ -116,38 +116,45 @@ def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
     at the `trigger_bursts`-th consecutive bad burst, a recovery at the
     `recover_bursts`-th consecutive good burst, and the link is degraded
     between a trigger and the next recovery.
+
+    Bursts run along the last axis; any leading axes (one row per link)
+    are independent series detected in the same pass.
     """
     lat = np.asarray(latency_ms, dtype=float)
     loss = np.asarray(loss_fraction, dtype=float)
     if lat.shape != loss.shape:
         raise ValueError("latency and loss series must align")
-    n = lat.size
+    n = lat.shape[-1]
     if n == 0:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(lat.shape, dtype=bool)
     # EWMA of burst loss (same recursion as LinkStateEstimator, modulo
     # the first-sample initialisation), done with an IIR filter so the
     # whole series vectorises.
     a = reaction.ewma_alpha
-    ewma_loss = lfilter([a], [1.0, -(1.0 - a)], loss)
+    ewma_loss = lfilter([a], [1.0, -(1.0 - a)], loss, axis=-1)
     bad = ((lat > reaction.latency_threshold_ms)
            | (loss >= reaction.loss_threshold)
            | (ewma_loss >= reaction.ewma_loss_threshold))
 
     k, m = reaction.trigger_bursts, reaction.recover_bursts
-    # Rolling all-true windows via cumulative sums.
-    c = np.concatenate([[0], np.cumsum(bad)])
-    trigger = np.zeros(n, dtype=bool)
-    if n >= k:
-        trigger[k - 1:] = (c[k:] - c[:-k]) == k
-    good = ~bad
-    cg = np.concatenate([[0], np.cumsum(good)])
-    recover = np.zeros(n, dtype=bool)
-    if n >= m:
-        recover[m - 1:] = (cg[m:] - cg[:-m]) == m
+    trigger = _run_of(bad, k)
+    recover = _run_of(~bad, m)
 
     # Last-event-wins: degraded iff the most recent trigger is more recent
     # than the most recent recovery.
     idx = np.arange(n)
-    last_trigger = np.maximum.accumulate(np.where(trigger, idx, -1))
-    last_recover = np.maximum.accumulate(np.where(recover, idx, -1))
+    last_trigger = np.maximum.accumulate(np.where(trigger, idx, -1), axis=-1)
+    last_recover = np.maximum.accumulate(np.where(recover, idx, -1), axis=-1)
     return last_trigger > last_recover
+
+
+def _run_of(flags: np.ndarray, length: int) -> np.ndarray:
+    """True where `flags` has just been true `length` times in a row
+    (rolling all-true windows via cumulative sums, along the last axis)."""
+    n = flags.shape[-1]
+    out = np.zeros(flags.shape, dtype=bool)
+    if n >= length:
+        c = np.zeros(flags.shape[:-1] + (n + 1,), dtype=np.intp)
+        np.cumsum(flags, axis=-1, out=c[..., 1:])
+        out[..., length - 1:] = (c[..., length:] - c[..., :-length]) == length
+    return out

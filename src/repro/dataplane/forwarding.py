@@ -90,6 +90,19 @@ class EffectiveSeries:
         return float(np.mean(self.on_backup)) if self.on_backup.size else 0.0
 
 
+def backup_path(path: OverlayPath, region: str,
+                plan_for_region: PlanFn) -> Optional[OverlayPath]:
+    """The premium path traffic of `path` follows once the gateway at
+    on-path `region` reacts: its pre-computed plan, else straight to the
+    destination; None when there is nowhere to go."""
+    relays = plan_for_region(region)
+    if relays is None:
+        relays = (path.dst,) if region != path.dst else ()
+    if not relays:
+        return None
+    return OverlayPath.via((region,) + tuple(relays), LinkType.PREMIUM)
+
+
 def effective_path_series(path: OverlayPath, times: np.ndarray,
                           hop_series: HopSeriesFn,
                           reaction_active: ReactionFn,
@@ -138,12 +151,7 @@ def effective_path_series(path: OverlayPath, times: np.ndarray,
         fires = active[k] & ~taken
         if not np.any(fires):
             continue
-        region = hop[0]
-        relays = plan_for_region(region)
-        if relays is None:
-            relays = (path.dst,) if region != path.dst else ()
-        backup = OverlayPath.via((region,) + tuple(relays),
-                                 LinkType.PREMIUM) if relays else None
+        backup = backup_path(path, hop[0], plan_for_region)
         if backup is None:
             continue
         b_lat = np.zeros(times.size)

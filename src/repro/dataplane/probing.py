@@ -14,9 +14,10 @@ window of burst measurements vectorised for the day-scale experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple, Union
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.dataplane.config import MonitoringConfig
 from repro.obs import telemetry as _telemetry
@@ -87,9 +88,14 @@ class ActiveProber:
         return ProbeBurst(now, measured, self.config.packets_per_burst, lost)
 
 
-def burst_series(link: LinkProcess, t0: float, t1: float,
-                 config: MonitoringConfig,
-                 seed: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+#: True link state over a time grid: times -> (latency_ms, loss_rate).
+LinkSeriesFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def burst_series(link: Union[LinkProcess, LinkSeriesFn], t0: float,
+                 t1: float, config: MonitoringConfig,
+                 seed: Union[int, np.ndarray]
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised probing of a link over [t0, t1).
 
     Returns (burst_times, measured_latency_ms, burst_loss_fraction), one
@@ -97,28 +103,31 @@ def burst_series(link: LinkProcess, t0: float, t1: float,
     quasi-binomial draw from the true loss rate (normal approximation via
     hash noise), so the whole series is reproducible without an event
     loop.
+
+    To probe a block of links in one pass, give `link` as a function
+    from the burst times to the block's true ``(links, bursts)`` latency
+    and loss (`Underlay.link_series` with the hops bound) and `seed` as
+    a ``(links, 1)`` uint64 column: the measured series then carry the
+    same leading axis, and each row equals the one-link call.
     """
     if t1 <= t0:
         raise ValueError(f"empty probing window [{t0}, {t1})")
     times = np.arange(t0, t1, config.burst_interval_s)
-    lat = link.latency_ms(times)
-    loss = link.loss_rate(times)
+    if callable(link):
+        lat, loss = link(times)
+    else:
+        lat, loss = link.latency_ms(times), link.loss_rate(times)
     n = config.packets_per_burst
     # Quasi-binomial: mean n*p, variance n*p*(1-p); indexed by burst count
     # so the draw differs burst to burst even at equal loss rates.
-    u = hash_uniform(seed, np.arange(times.size), salt=3)
+    burst_index = np.arange(times.size)
+    u = hash_uniform(seed, burst_index, salt=3)
     z = np.sqrt(np.maximum(n * loss * (1.0 - loss), 0.0))
     lost = np.clip(np.round(n * loss + z * _inv_norm(u)), 0, n)
-    jitter = 0.98 + 0.04 * hash_uniform(seed, np.arange(times.size), salt=4)
+    jitter = 0.98 + 0.04 * hash_uniform(seed, burst_index, salt=4)
     return times, lat * jitter, lost / n
 
 
 def _inv_norm(u: np.ndarray) -> np.ndarray:
-    """Fast inverse-normal approximation (Acklam-lite, adequate here)."""
-    # Use scipy if available for accuracy; fall back to a logistic approx.
-    try:
-        from scipy.special import ndtri
-        return ndtri(np.clip(u, 1e-9, 1 - 1e-9))
-    except ImportError:  # pragma: no cover - scipy is a dependency
-        x = np.clip(u, 1e-9, 1 - 1e-9)
-        return (np.log(x / (1 - x))) / 1.702
+    """Inverse standard-normal CDF, clipped away from 0 and 1."""
+    return ndtri(np.clip(u, 1e-9, 1 - 1e-9))

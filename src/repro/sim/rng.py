@@ -24,7 +24,6 @@ import numpy as np
 ArrayLike = Union[int, float, np.ndarray]
 
 _U64 = np.uint64
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _key_to_seed(key: str) -> int:
@@ -65,14 +64,6 @@ class RngStreams:
         return RngStreams(self.seed_for("fork." + key))
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser: uint64 -> well-mixed uint64."""
-    x = (x + _U64(0x9E3779B97F4A7C15)) & _MASK
-    x = ((x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)) & _MASK
-    x = ((x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)) & _MASK
-    return x ^ (x >> _U64(31))
-
-
 def hash_uniform(seed: Union[int, np.ndarray], t: ArrayLike,
                  salt: int = 0) -> np.ndarray:
     """Stateless uniform(0,1) noise indexed by integer time.
@@ -82,20 +73,38 @@ def hash_uniform(seed: Union[int, np.ndarray], t: ArrayLike,
     `seed` may be a uint64 array (one stream per element, broadcast
     against `t`), which is how link-state snapshots evaluate every link
     of an underlay in one vectorised pass.
+
+    Every simulated outcome depends on these bits (known-answer table
+    in ``tests/sim/test_rng.py``).  The arithmetic is modulo 2**64 by
+    construction: uint64 *arrays* wrap silently (only NumPy scalars
+    warn), so the working array is kept at least 1-d and updated in
+    place.
     """
-    ti = np.asarray(np.floor(np.asarray(t, dtype=np.float64)), dtype=np.int64)
+    tf = np.asarray(t, dtype=np.float64)
+    scalar = tf.ndim == 0
+    x = np.floor(tf[None] if scalar else tf).astype(np.int64).view(np.uint64)
+    x *= _U64(0xD1342543DE82EF95)
     if isinstance(seed, np.ndarray):
-        seed_u = seed.astype(np.uint64, copy=False)
+        scalar = scalar and seed.ndim == 0
+        x = x ^ seed.astype(np.uint64, copy=False)
     else:
-        seed_u = _U64(seed & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        x = ti.view(np.uint64) if ti.dtype == np.uint64 else ti.astype(np.uint64)
-        x = (x * _U64(0xD1342543DE82EF95)) & _MASK
-        x = x ^ seed_u
-        x = (x + _U64((salt * 0xA24BAED4963EE407) & 0xFFFFFFFFFFFFFFFF)) & _MASK
-        mixed = _splitmix64(x)
+        x ^= _U64(seed & 0xFFFFFFFFFFFFFFFF)
+    x += _U64((salt * 0xA24BAED4963EE407) & 0xFFFFFFFFFFFFFFFF)
+    # splitmix64 finaliser: uint64 -> well-mixed uint64.
+    x += _U64(0x9E3779B97F4A7C15)
+    shifted = x >> _U64(30)
+    x ^= shifted
+    x *= _U64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, _U64(27), out=shifted)
+    x ^= shifted
+    x *= _U64(0x94D049BB133111EB)
+    np.right_shift(x, _U64(31), out=shifted)
+    x ^= shifted
     # 53-bit mantissa -> uniform double in [0, 1)
-    return (mixed >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    x >>= _U64(11)
+    out = x.astype(np.float64)
+    out *= 1.0 / 9007199254740992.0
+    return out[0] if scalar else out
 
 
 def hash_noise(seed: Union[int, np.ndarray], t: ArrayLike,

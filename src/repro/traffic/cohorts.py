@@ -109,6 +109,9 @@ class CohortWorkload:
         self.mix_jitter = float(mix_jitter)
         self._streams = RngStreams(self.seed)
         self._next_id = 0
+        #: (src, dst) -> normalised profile weights.  A pure function of
+        #: (seed, pair), so derived state: memoised, never checkpointed.
+        self._pair_weights: Dict[Tuple[str, str], np.ndarray] = {}
         #: Statistics of the most recent `decompose` call.
         self.last_stats = CohortWorkloadStats()
         # Contiguous profile buckets, low band first.
@@ -120,7 +123,6 @@ class CohortWorkload:
     # ------------------------------------------------------------------ api
     def decompose(self, matrix: TrafficMatrix) -> List[StreamCohort]:
         """One pass over the matrix; see the class docstring."""
-        base_weights = np.array([p.weight for p in _PROFILES_BY_RATE])
         stats = CohortWorkloadStats()
         cohorts: List[StreamCohort] = []
         for (src, dst), demand in matrix.items():
@@ -130,14 +132,10 @@ class CohortWorkload:
                 stats.dropped_pairs += 1
                 stats.dropped_mbps += demand
                 continue
-            # Stateless per-pair jitter on the profile popularity mix, so
-            # pairs differ but re-decomposition is order-independent.
-            pair_seed = self._streams.seed_for(f"cohort.{src}->{dst}")
-            jitter = hash_uniform(pair_seed,
-                                  np.arange(len(_PROFILES_BY_RATE)), salt=7)
-            weights = base_weights * (1.0 - self.mix_jitter / 2.0
-                                      + self.mix_jitter * jitter)
-            weights = weights / weights.sum()
+            weights = self._pair_weights.get((src, dst))
+            if weights is None:
+                weights = self._pair_weights[(src, dst)] = \
+                    self._profile_weights(src, dst)
             demand_per_profile = demand * weights
             idx = 0
             for bucket in self._buckets:
@@ -169,6 +167,18 @@ class CohortWorkload:
                 stats.demand_mbps += mbps
         self.last_stats = stats
         return cohorts
+
+    def _profile_weights(self, src: str, dst: str) -> np.ndarray:
+        """Normalised popularity of each profile (ascending bitrate) on
+        one pair: stateless per-pair jitter on the base mix, so pairs
+        differ but re-decomposition is order-independent."""
+        base_weights = np.array([p.weight for p in _PROFILES_BY_RATE])
+        pair_seed = self._streams.seed_for(f"cohort.{src}->{dst}")
+        jitter = hash_uniform(pair_seed,
+                              np.arange(len(_PROFILES_BY_RATE)), salt=7)
+        weights = base_weights * (1.0 - self.mix_jitter / 2.0
+                                  + self.mix_jitter * jitter)
+        return weights / weights.sum()
 
     def expand(self, cohorts: List[StreamCohort],
                max_sessions: int = 1_000_000) -> List[Stream]:

@@ -31,10 +31,12 @@ class TrafficConfig:
     shape_offset: float = 0.003
     #: Weekend demand multiplier (Fig. 11 shows weekend dips).
     weekend_factor: float = 0.22
-    #: Lognormal sigma of slow multiplicative noise (per 5-minute slot).
+    #: Lognormal sigma of slow multiplicative noise: independent anchors
+    #: every 30 minutes, linearly interpolated in between.
     noise_sigma: float = 0.16
-    #: Expected surge events per pair per day: a meeting block starting,
-    #: demand jumping several-fold within five minutes.
+    #: Surge events per pair per weekday (rounded, at least one unless
+    #: 0, which means none): a meeting block starting, demand jumping
+    #: several-fold within five minutes.
     surges_per_day: float = 3.0
     #: Surge magnitude range (multiplier on current demand).
     surge_factor_min: float = 1.5

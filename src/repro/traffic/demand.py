@@ -38,8 +38,19 @@ def three_peak_shape(hours_local, peak_hours, peak_amps,
     for centre, amp in zip(peak_hours, peak_amps):
         # Wrap-around distance on the 24 h circle.
         d = np.minimum(np.abs(h - centre), 24.0 - np.abs(h - centre))
-        total = total + amp * np.exp(-0.5 * (d / width_h) ** 2)
+        # `float_power` is libm's pow for scalars and arrays alike.  A
+        # plain `** 2` is not one operation: NumPy squares an array as
+        # x*x but sends a float64 scalar to pow, an ulp apart at about
+        # one input in a thousand.  Demand matrices were always sampled
+        # one instant at a time, through the scalar branch, so pow's
+        # bits are the ones every recorded control decision rests on.
+        total = total + amp * np.exp(-0.5 * np.float_power(d / width_h, 2.0))
     return total
+
+
+#: Upper bound on the elements of one (pairs x times) evaluation block,
+#: so a long `total_mbps` series at planet scale keeps small temporaries.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 class DemandModel:
@@ -52,13 +63,15 @@ class DemandModel:
         self.regions = list(regions)
         self.config = config if config is not None else TrafficConfig()
         self._streams = RngStreams(seed)
-        self._offset = {r.code: r.utc_offset for r in regions}
+        cfg = self.config
 
         # Per-pair scale (peak Mbps) and a distinct noise seed.  The scale
         # carries the China-centric activity weights: DingTalk's heavy
         # pairs are China-China and China-X.
+        #: Every ordered pair, in the row order of the stacked parameters.
+        self.pairs: List[RegionPair] = []
         self._scale = {}
-        self._noise_seed = {}
+        noise_seeds = []
         for a in regions:
             for b in regions:
                 if a.code == b.code:
@@ -66,10 +79,41 @@ class DemandModel:
                 key = f"traffic.{a.code}->{b.code}"
                 rng = self._streams.get(key)
                 weight = self._activity(a) * self._activity(b)
+                self.pairs.append((a.code, b.code))
                 self._scale[(a.code, b.code)] = weight * float(
-                    rng.lognormal(self.config.pair_scale_mu,
-                                  self.config.pair_scale_sigma))
-                self._noise_seed[(a.code, b.code)] = self._streams.seed_for(key)
+                    rng.lognormal(cfg.pair_scale_mu, cfg.pair_scale_sigma))
+                noise_seeds.append(self._streams.seed_for(key))
+
+        # The same parameters stacked as (pairs, 1) columns, so one
+        # broadcast evaluation covers any rows x times block.
+        offset = {r.code: r.utc_offset for r in regions}
+        self._row = {pair: i for i, pair in enumerate(self.pairs)}
+        self._offset_src = np.array(
+            [[offset[a]] for (a, __) in self.pairs], dtype=float)
+        self._offset_dst = np.array(
+            [[offset[b]] for (__, b) in self.pairs], dtype=float)
+        self._scale_col = np.array(
+            [[self._scale[pair]] for pair in self.pairs], dtype=float)
+        self._noise_seed = np.array(noise_seeds, dtype=np.uint64)[:, None]
+        self._surge_seed = self._noise_seed ^ np.uint64(0x5157)
+
+        # Surge slots are recurrent: each pair's preferred start, base
+        # magnitude and base duration per slot never change, so they
+        # are hashed once here, as (pairs, slots) matrices.
+        n_slots = (max(1, int(round(cfg.surges_per_day)))
+                   if cfg.surges_per_day > 0 else 0)
+        slots = np.arange(n_slots, dtype=float)
+        # Preferred local hour in the source's business/evening span.
+        pref_h = 8.5 + hash_uniform(self._surge_seed, slots, salt=21) * 13.0
+        self._surge_start_s = ((pref_h - self._offset_src) % 24.0) * 3600.0
+        self._surge_factor_base = (
+            cfg.surge_factor_min
+            + hash_uniform(self._surge_seed, slots, salt=22)
+            * (cfg.surge_factor_max - cfg.surge_factor_min))
+        self._surge_duration_s = (
+            cfg.surge_duration_min_s
+            + hash_uniform(self._surge_seed, slots, salt=23)
+            * (cfg.surge_duration_max_s - cfg.surge_duration_min_s))
 
     def _activity(self, region: Region) -> float:
         """User-base weight of a region (DingTalk is China-centric)."""
@@ -85,21 +129,42 @@ class DemandModel:
         return cfg.activity_america
 
     # ------------------------------------------------------------------ api
-    @property
-    def pairs(self) -> List[RegionPair]:
-        return [(a.code, b.code) for a in self.regions for b in self.regions
-                if a.code != b.code]
-
     def pair_scale(self, src: str, dst: str) -> float:
         """Peak-demand scale of a pair, Mbps."""
         return self._scale[(src, dst)]
 
     def rate_mbps(self, src: str, dst: str, t) -> np.ndarray:
         """Demand rate from `src` to `dst` at time(s) `t`, Mbps."""
-        cfg = self.config
         t = np.asarray(t, dtype=float)
-        h_src = (t / 3600.0 + self._offset[src]) % 24.0
-        h_dst = (t / 3600.0 + self._offset[dst]) % 24.0
+        row = self._row[(src, dst)]
+        return self._rates(slice(row, row + 1), t.ravel()).reshape(t.shape)
+
+    def rates_mbps(self, t: float) -> np.ndarray:
+        """Demand of every pair at instant `t`, in `pairs` order, Mbps."""
+        return self._rates(slice(None), np.array([t], dtype=float))[:, 0]
+
+    def total_mbps(self, t) -> np.ndarray:
+        """Aggregate cross-region demand at time(s) `t` (Fig. 5a)."""
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        total = np.zeros_like(flat)
+        step = max(1, _BLOCK_ELEMENTS // max(1, flat.size))
+        for lo in range(0, len(self.pairs), step):
+            # Accumulated pair by pair: float addition is not
+            # associative, and `sum(axis=0)` adds in another order.
+            for rates in self._rates(slice(lo, lo + step), flat):
+                total = total + rates
+        return total.reshape(t.shape)
+
+    # -------------------------------------------------------------- internal
+    def _rates(self, rows: slice, t: np.ndarray) -> np.ndarray:
+        """The demand formula for pairs `rows` at the (T,) instants `t`:
+        a (rows, T) matrix.  Every operation is element-wise on
+        (rows, 1) parameter columns broadcast against `t`, so a value
+        does not depend on which other rows or instants share its call."""
+        cfg = self.config
+        h_src = (t / 3600.0 + self._offset_src[rows]) % 24.0
+        h_dst = (t / 3600.0 + self._offset_dst[rows]) % 24.0
         shape_src = three_peak_shape(h_src, cfg.peak_hours, cfg.peak_amps,
                                      cfg.peak_width_h)
         shape_dst = three_peak_shape(h_dst, cfg.peak_hours, cfg.peak_amps,
@@ -111,42 +176,33 @@ class DemandModel:
         shape = np.sqrt((shape_src + off) * (shape_dst + off))
 
         weekly = self._weekly_factor(t)
-        noise = self._noise(src, dst, t)
-        surge = self._surge_factor(src, dst, t)
-        scale = self._scale[(src, dst)]
+        noise = self._noise(rows, t)
+        surge = self._surge_factor(rows, t)
+        scale = self._scale_col[rows]
         floor = cfg.floor_fraction * scale
         return scale * shape * weekly * noise * surge + floor
 
-    def total_mbps(self, t) -> np.ndarray:
-        """Aggregate cross-region demand at time(s) `t` (Fig. 5a)."""
-        t = np.asarray(t, dtype=float)
-        total = np.zeros_like(t, dtype=float)
-        for (a, b) in self.pairs:
-            total = total + self.rate_mbps(a, b, t)
-        return total
-
-    # -------------------------------------------------------------- internal
     def _weekly_factor(self, t: np.ndarray) -> np.ndarray:
         day_index = np.floor(t / SECONDS_PER_DAY).astype(int) % 7
         # Days 5 and 6 of each simulated week are the weekend.
         return np.where(day_index >= 5, self.config.weekend_factor, 1.0)
 
-    def _noise(self, src: str, dst: str, t: np.ndarray) -> np.ndarray:
+    def _noise(self, rows: slice, t: np.ndarray) -> np.ndarray:
         # Slow multiplicative noise: lognormal anchors every 30 minutes,
         # linearly interpolated.  Aggregate conferencing demand wanders but
         # does not jump tens of percent between adjacent 5-minute slots
         # (sharp jumps are modelled separately as surges).
         block_s = 1800.0
-        pos = np.asarray(t, dtype=float) / block_s
+        pos = t / block_s
         base = np.floor(pos)
         frac = pos - base
-        seed = self._noise_seed[(src, dst)]
+        seed = self._noise_seed[rows]
         z0 = hash_noise(seed, base, salt=11)
         z1 = hash_noise(seed, base + 1, salt=11)
         z = z0 * (1.0 - frac) + z1 * frac
         return np.exp(self.config.noise_sigma * z)
 
-    def _surge_factor(self, src: str, dst: str, t: np.ndarray) -> np.ndarray:
+    def _surge_factor(self, rows: slice, t: np.ndarray) -> np.ndarray:
         """Multiplier from surge events (meeting blocks).
 
         Surges are *recurrent*: each pair has a few preferred meeting
@@ -157,26 +213,14 @@ class DemandModel:
         day, a periodic (DTFT) predictor can anticipate it while reactive
         scaling is surprised every single day (§5.1's rationale).
         """
-        cfg = self.config
-        seed = self._noise_seed[(src, dst)] ^ 0x5157
-        n_slots = max(1, int(round(cfg.surges_per_day)))
-        result = np.ones_like(t, dtype=float)
+        seed = self._surge_seed[rows]
+        result = np.ones((seed.shape[0], t.size))
         day = np.floor(t / SECONDS_PER_DAY)
         weekday = (day.astype(int) % 7) < 5
-        for i in range(n_slots):
-            # Preferred local hour in the source's business/evening span.
-            pref_h = 8.5 + hash_uniform(seed, np.array([float(i)]),
-                                        salt=21)[0] * 13.0
-            base_start = ((pref_h - self._offset[src]) % 24.0) * 3600.0
-            base_factor = (cfg.surge_factor_min
-                           + hash_uniform(seed, np.array([float(i)]),
-                                          salt=22)[0]
-                           * (cfg.surge_factor_max - cfg.surge_factor_min))
-            base_duration = (cfg.surge_duration_min_s
-                             + hash_uniform(seed, np.array([float(i)]),
-                                            salt=23)[0]
-                             * (cfg.surge_duration_max_s
-                                - cfg.surge_duration_min_s))
+        for i in range(self._surge_start_s.shape[1]):
+            base_start = self._surge_start_s[rows, i:i + 1]
+            base_factor = self._surge_factor_base[rows, i:i + 1]
+            base_duration = self._surge_duration_s[rows, i:i + 1]
             # Daily jitter: a couple of minutes on the start, ~20% on the
             # magnitude and duration.
             jit_start = (hash_uniform(seed, day, salt=31 + i) - 0.5) * 360.0

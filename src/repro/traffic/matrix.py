@@ -27,8 +27,8 @@ class TrafficMatrix:
     def from_model(cls, model: DemandModel, t: float,
                    scale: float = 1.0) -> "TrafficMatrix":
         """Sample the demand model at instant `t` (optionally rescaled)."""
-        demand = {(a, b): float(model.rate_mbps(a, b, t)) * scale
-                  for (a, b) in model.pairs}
+        rates = model.rates_mbps(t) * scale
+        demand = dict(zip(model.pairs, rates.tolist()))
         return cls([r.code for r in model.regions], demand)
 
     def get(self, src: str, dst: str) -> float:

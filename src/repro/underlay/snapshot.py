@@ -105,23 +105,10 @@ class LinkStateSnapshot:
         """
         p = underlay.link_param_arrays()
         t_f = float(t)
-        if t_f > p.horizon_s:
-            raise ValueError(
-                f"query at t={t_f:.0f}s exceeds the generated "
-                f"horizon {p.horizon_s:.0f}s; build the underlay "
-                "with a larger horizon")
-        local_h = (t_f / 3600.0 + p.utc_offset[None, :, None]) % 24.0
-        busy = busy_factor(local_h)
-        diurnal_lat = 1.0 + p.diurnal_latency_amp * busy
-        jitter_lat = np.exp(
-            p.jitter_sigma * hash_noise(p.noise_seed, t_f, salt=1))
+        p.check_horizon(t_f)
         lat_add, loss_add = p.timeline_adds(t_f)
-        lat = p.base_latency_ms * diurnal_lat * jitter_lat + lat_add
-
-        diurnal_loss = p.diurnal_loss_amp * busy
-        jitter_loss = np.exp(0.6 * hash_noise(p.noise_seed, t_f, salt=2))
-        raw = p.base_loss * jitter_loss + diurnal_loss + loss_add
-        loss = np.clip(raw, 0.0, 1.0)
+        lat, loss = p.evaluate(..., p.utc_offset[None, :, None], t_f,
+                               lat_add, loss_add)
 
         diag = np.arange(len(underlay.codes))
         lat[:, diag, diag] = np.inf
@@ -299,12 +286,14 @@ class SnapshotDelta:
 
 class _LinkParamArrays:
     """Per-link process parameters stacked into matrices (see
-    `Underlay.link_param_arrays`); built once per underlay and reused by
-    every `LinkStateSnapshot.from_underlay` call."""
+    `Underlay.link_param_arrays`); built once per underlay and shared by
+    its two evaluations: every link at one instant
+    (`LinkStateSnapshot.from_underlay`) and some links over a time grid
+    (`series`, behind `Underlay.link_series`)."""
 
     __slots__ = ("base_latency_ms", "jitter_sigma", "diurnal_latency_amp",
                  "base_loss", "diurnal_loss_amp", "noise_seed", "utc_offset",
-                 "timelines", "horizon_s")
+                 "index", "timelines", "horizon_s")
 
     def __init__(self, underlay):
         codes = underlay.codes
@@ -318,8 +307,9 @@ class _LinkParamArrays:
         self.noise_seed = np.zeros(shape, dtype=np.uint64)
         self.utc_offset = np.array(
             [underlay.region(c).utc_offset for c in codes], dtype=float)
-        #: (tier, i, j, timeline) for the per-link scalar event lookups.
-        self.timelines = []
+        self.index = {c: i for i, c in enumerate(codes)}
+        #: (tier, i, j) -> timeline of every link that has events.
+        self.timelines = {}
         self.horizon_s = np.inf
         for ti, link_type in enumerate(TYPE_ORDER):
             for i, a in enumerate(codes):
@@ -340,16 +330,70 @@ class _LinkParamArrays:
                         # lookups per snapshot into one per link that
                         # actually has events (a small fraction at short
                         # horizons).
-                        self.timelines.append((ti, i, j, link.timeline))
+                        self.timelines[(ti, i, j)] = link.timeline
                     self.horizon_s = min(self.horizon_s,
                                          link.timeline.horizon_s)
+
+    def check_horizon(self, t_max: float) -> None:
+        if t_max > self.horizon_s:
+            raise ValueError(
+                f"query at t={t_max:.0f}s exceeds the generated "
+                f"horizon {self.horizon_s:.0f}s; build the underlay "
+                "with a larger horizon")
+
+    def evaluate(self, sel, utc_offset, t, lat_add,
+                 loss_add) -> Tuple[np.ndarray, np.ndarray]:
+        """(latency_ms, loss_rate) of the links picked by index `sel`
+        at time(s) `t` — `LinkProcess.latency_ms` / `loss_rate` written
+        once for arrays.  ``param[sel]``, `utc_offset`, `t` and the
+        timeline terms must broadcast to the result's shape; the same
+        IEEE operations run element-wise, so every value is
+        bit-identical to the scalar call on that link at that instant.
+        """
+        local_h = (t / 3600.0 + utc_offset) % 24.0
+        busy = busy_factor(local_h)
+        noise_seed = self.noise_seed[sel]
+        diurnal_lat = 1.0 + self.diurnal_latency_amp[sel] * busy
+        jitter_lat = np.exp(
+            self.jitter_sigma[sel] * hash_noise(noise_seed, t, salt=1))
+        lat = self.base_latency_ms[sel] * diurnal_lat * jitter_lat + lat_add
+
+        diurnal_loss = self.diurnal_loss_amp[sel] * busy
+        jitter_loss = np.exp(0.6 * hash_noise(noise_seed, t, salt=2))
+        raw = self.base_loss[sel] * jitter_loss + diurnal_loss + loss_add
+        return lat, np.clip(raw, 0.0, 1.0)
 
     def timeline_adds(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """(latency_add, loss_add) matrices at instant `t`."""
         n = self.base_latency_ms.shape[1]
         lat_add = np.zeros((2, n, n))
         loss_add = np.zeros((2, n, n))
-        for ti, i, j, timeline in self.timelines:
-            lat_add[ti, i, j] = timeline.latency_add_scalar(t)
-            loss_add[ti, i, j] = timeline.loss_add_scalar(t)
+        for key, timeline in self.timelines.items():
+            lat_add[key] = timeline.latency_add_scalar(t)
+            loss_add[key] = timeline.loss_add_scalar(t)
         return lat_add, loss_add
+
+    def series(self, hops: Sequence, times) -> Tuple[np.ndarray, np.ndarray]:
+        """(latency_ms, loss_rate), each ``(len(hops), len(times))``, of
+        the directed links `hops` = [(src, dst, LinkType)] over `times`."""
+        times = np.asarray(times, dtype=float)
+        if not len(hops):
+            return np.zeros((0, times.size)), np.zeros((0, times.size))
+        if times.size:
+            self.check_horizon(float(np.max(times)))
+        index = self.index
+        keys = [(TYPE_INDEX[lt], index[a], index[b]) for (a, b, lt) in hops]
+        if any(i == j for (__, i, j) in keys):
+            raise KeyError("a region has no link to itself")
+        lat_add = np.zeros((len(keys), times.size))
+        loss_add = np.zeros((len(keys), times.size))
+        for h, key in enumerate(keys):
+            timeline = self.timelines.get(key)
+            if timeline is not None:
+                lat_add[h] = timeline.latency_add(times)
+                loss_add[h] = timeline.loss_add(times)
+        ti, ii, jj = (np.array(k, dtype=np.intp) for k in zip(*keys))
+        # The trailing None makes every picked parameter a (hops, 1)
+        # column to broadcast against the (times,) axis.
+        return self.evaluate((ti, ii, jj, None), self.utc_offset[ii, None],
+                             times, lat_add, loss_add)

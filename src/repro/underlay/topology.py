@@ -7,7 +7,7 @@ loss, badness factor, degradation timeline) from named RNG streams, so an
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,8 +67,9 @@ class Underlay:
         """Per-link process parameters stacked into matrices.
 
         Built lazily once per underlay (link processes are immutable)
-        and consumed by `LinkStateSnapshot.from_underlay`, which
-        evaluates every link in one vectorised pass.
+        and consumed by `snapshot` (every link, one instant) and
+        `link_series` (some links, a time grid), which evaluate their
+        links in one vectorised pass.
         """
         if self._param_arrays is None:
             from repro.underlay.snapshot import _LinkParamArrays
@@ -86,6 +87,17 @@ class Underlay:
         """Matrix link-state snapshot of every link at instant `t`."""
         from repro.underlay.snapshot import LinkStateSnapshot
         return LinkStateSnapshot.from_underlay(self, t)
+
+    def link_series(self, hops: Sequence[LinkKey],
+                    times) -> Tuple[np.ndarray, np.ndarray]:
+        """(latency_ms, loss_rate) of the directed links `hops` over
+        `times`, each of shape ``(len(hops), len(times))``.
+
+        Row ``h`` is bit-identical to ``link(*hops[h]).latency_ms(times)``
+        / ``.loss_rate(times)``; the whole block costs one vectorised
+        pass instead of two `LinkProcess` calls per link.
+        """
+        return self.link_param_arrays().series(hops, times)
 
     def state_at(self, t: float):
         """The shared, read-only `snapshot` of instant `t`.

@@ -156,3 +156,33 @@ class TestReactionActiveSeries:
         flags = reaction_active_series(lat, np.zeros(50),
                                        ReactionConfig(trigger_bursts=1))
         assert flags[20]
+
+    def test_rows_of_a_block_equal_one_series_calls(self):
+        """Leading axes are independent series detected in one pass."""
+        rng = np.random.default_rng(11)
+        rows, n = 9, 750
+        lat = np.where(rng.random((rows, n)) < 0.06, 900.0, 100.0)
+        loss = (rng.random((rows, n)) < 0.05) * rng.integers(
+            1, 9, (rows, n)) / 15.0
+        lat[3] = 100.0          # a healthy row
+        loss[3] = 0.0
+        lat[4, 100:400] = 900.0  # a long degradation
+        reaction = ReactionConfig(trigger_bursts=2, recover_bursts=6)
+        block = reaction_active_series(lat, loss, reaction)
+        assert block.shape == (rows, n) and block.dtype == bool
+        assert block.any() and not block[3].any()
+        for r in range(rows):
+            np.testing.assert_array_equal(
+                block[r], reaction_active_series(lat[r], loss[r], reaction))
+
+    def test_block_shorter_than_the_hysteresis_windows(self):
+        lat = np.full((3, 2), 900.0)
+        flags = reaction_active_series(
+            lat, np.zeros((3, 2)),
+            ReactionConfig(trigger_bursts=3, recover_bursts=4))
+        assert flags.shape == (3, 2) and not flags.any()
+
+    def test_empty_block_keeps_its_shape(self):
+        flags = reaction_active_series(np.zeros((4, 0)), np.zeros((4, 0)),
+                                       ReactionConfig())
+        assert flags.shape == (4, 0)

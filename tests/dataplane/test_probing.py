@@ -1,5 +1,7 @@
 """Tests for active probing."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,43 @@ class TestMonitoringConfigValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             MonitoringConfig(ewma_alpha=0.0)
+
+
+class TestBurstSeriesBlocks:
+    """A block of links probed in one pass: every row is the one-link
+    call, bit for bit."""
+
+    @pytest.fixture()
+    def hops(self, small_underlay):
+        return [(a, b, lt) for (a, b) in small_underlay.pairs
+                for lt in (LinkType.INTERNET, LinkType.PREMIUM)]
+
+    def test_rows_equal_one_link_calls(self, small_underlay, hops):
+        config = MonitoringConfig()
+        seeds = np.array([2**63 + 17 * h for h in range(len(hops))],
+                         dtype=np.uint64)
+        times, lat, loss = burst_series(
+            partial(small_underlay.link_series, hops), 900.0, 1200.0,
+            config, seeds[:, None])
+        assert lat.shape == loss.shape == (len(hops), times.size)
+        for h, hop in enumerate(hops):
+            t1, lat1, loss1 = burst_series(small_underlay.link(*hop), 900.0,
+                                           1200.0, config, int(seeds[h]))
+            np.testing.assert_array_equal(t1, times)
+            np.testing.assert_array_equal(lat1, lat[h])
+            np.testing.assert_array_equal(loss1, loss[h])
+
+    def test_lossy_rows_differ_between_seeds(self, small_underlay, hops):
+        config = MonitoringConfig()
+        same = [hops[0], hops[0]]
+        __, lat, __ = burst_series(
+            partial(small_underlay.link_series, same), 0.0, 60.0, config,
+            np.array([[5], [6]], dtype=np.uint64))
+        assert not np.array_equal(lat[0], lat[1])
+
+    def test_empty_window_rejected_for_blocks_too(self, small_underlay,
+                                                  hops):
+        with pytest.raises(ValueError):
+            burst_series(partial(small_underlay.link_series, hops), 10.0,
+                         10.0, MonitoringConfig(),
+                         np.zeros((len(hops), 1), dtype=np.uint64))

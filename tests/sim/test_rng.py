@@ -1,6 +1,9 @@
 """Tests for deterministic randomness utilities."""
 
+import warnings
+
 import numpy as np
+import pytest
 
 from repro.sim.rng import RngStreams, hash_noise, hash_uniform
 
@@ -95,3 +98,155 @@ class TestHashNoise:
         z = hash_noise(9, np.arange(100000))
         corr = np.corrcoef(z[:-1], z[1:])[0, 1]
         assert abs(corr) < 0.02
+
+
+# --------------------------------------------------------------------------
+# Known answers.  Every simulated outcome is a function of these bits, so
+# the statistics above are not enough: a kernel rewrite that is off by one
+# ulp, or wraps differently for one input class, must fail here.  Values
+# are ``float.hex()`` strings recorded at PR 16's head, before the kernel
+# was rewritten to work in place.
+# --------------------------------------------------------------------------
+_U = np.uint64
+_KAT_CASES = {
+    "int_seed": lambda f: f(42, np.array([0, 1, 2, 1000])),
+    "scalar_t": lambda f: f(42, 7.0),
+    "wide_int_seed": lambda f: f(2**64 - 1, np.array([0.0, 5.0])),
+    "negative_int_seed": lambda f: f(-3, np.array([0.0, 5.0])),
+    "seed_over_64_bits": lambda f: f(2**70 + 5, np.array([3.0])),
+    "negative_t": lambda f: f(9, np.array([-1.0, -1.5, -1000.25])),
+    "fractional_t": lambda f: f(9, np.array([4.2, 4.9, 5.0])),
+    "large_t": lambda f: f(9, np.array([1e9, 2.0**40 + 0.5,
+                                        86400.0 * 365])),
+    "salt_1": lambda f: f(9, np.array([0, 1]), salt=1),
+    "salt_7": lambda f: f(9, np.array([0, 1]), salt=7),
+    "salt_31": lambda f: f(9, np.array([0, 1]), salt=31),
+    "salt_big": lambda f: f(9, np.array([0, 1]), salt=2**20 + 3),
+    "seed_array_scalar_t": lambda f: f(
+        np.array([1, 2**63, 2**64 - 1], dtype=_U), 12.0, salt=2),
+    "seed_array_t_array": lambda f: f(
+        np.array([1, 2**63, 2**64 - 1], dtype=_U),
+        np.array([0.0, -2.5, 3e6]), salt=2),
+    "broadcast_2d": lambda f: f(
+        np.array([[5], [6], [2**64 - 7]], dtype=_U),
+        np.array([[0.0, 1.0, 86399.0, -4.0]]), salt=3),
+}
+
+_HASH_UNIFORM_KAT = {
+    'int_seed': ((4,), [
+        '0x1.7bae644c5fd6dp-1', '0x1.d42d19f1d0d40p-6',
+        '0x1.2131ab205c05ap-2', '0x1.60b881573b910p-1']),
+    'scalar_t': ((), [
+        '0x1.8291a43542b78p-2']),
+    'wide_int_seed': ((2,), [
+        '0x1.c9b2e2ee36ca5p-1', '0x1.8b8755fb7bf7ep-1']),
+    'negative_int_seed': ((2,), [
+        '0x1.eebe09976b434p-1', '0x1.262abdf4d5800p-1']),
+    'seed_over_64_bits': ((1,), [
+        '0x1.0cb3360e339eep-2']),
+    'negative_t': ((3,), [
+        '0x1.ff2451ff2a928p-2', '0x1.5f7a02b6ebde2p-1',
+        '0x1.3f8f1d2a82534p-3']),
+    'fractional_t': ((3,), [
+        '0x1.d51ce11586625p-1', '0x1.d51ce11586625p-1',
+        '0x1.146ad9e29ff60p-6']),
+    'large_t': ((3,), [
+        '0x1.8e05d2cd44780p-1', '0x1.77a981ca5839ap-2',
+        '0x1.df44c6afeb488p-3']),
+    'salt_1': ((2,), [
+        '0x1.8082727f2a3c6p-2', '0x1.52382c23b0a9bp-1']),
+    'salt_7': ((2,), [
+        '0x1.5fa4705794e74p-3', '0x1.9456084d0f38ep-1']),
+    'salt_31': ((2,), [
+        '0x1.e82c208b016a4p-1', '0x1.76681c56dfebap-2']),
+    'salt_big': ((2,), [
+        '0x1.c720d4e44fa4ep-1', '0x1.ff589c96d093cp-1']),
+    'seed_array_scalar_t': ((3,), [
+        '0x1.2cc58492e1366p-2', '0x1.a9db6ffeb43e5p-1',
+        '0x1.52cf7fd8a23ddp-1']),
+    'seed_array_t_array': ((3,), [
+        '0x1.4a5acf19124fdp-1', '0x1.4f917140709c5p-1',
+        '0x1.f0876e044e423p-1']),
+    'broadcast_2d': ((3, 4), [
+        '0x1.1b227cf590033p-1', '0x1.d6bad32a4606ap-2',
+        '0x1.b28e50224cd80p-7', '0x1.340d948910620p-3',
+        '0x1.a734bc657aa30p-2', '0x1.c26fa22ebcee2p-2',
+        '0x1.dff92a25f57d7p-1', '0x1.e9b90518bdf86p-1',
+        '0x1.5a5666980a624p-2', '0x1.e22f1d9d8163ap-1',
+        '0x1.93f005ba854e4p-1', '0x1.134f5250d2d45p-1']),
+}
+
+_HASH_NOISE_KAT = {
+    'int_seed': ((4,), [
+        '-0x1.a45b71df603cfp-1', '0x1.c612f468bb2f9p+0',
+        '-0x1.eda8132ad2490p+0', '-0x1.8e1fea5b302abp-2']),
+    'scalar_t': ((), [
+        '-0x1.706fc6c38235cp-5']),
+    'wide_int_seed': ((2,), [
+        '0x1.c6af967037487p-2', '0x1.ee05d3b65f6e0p+0']),
+    'negative_int_seed': ((2,), [
+        '0x1.60dc2514f5e5bp-3', '-0x1.02d3da2ea5e06p+0']),
+    'seed_over_64_bits': ((1,), [
+        '-0x1.c6244f95505c6p+0']),
+    'negative_t': ((3,), [
+        '0x1.2812eb7c2d350p+0', '0x1.05a41e5234ea6p-3',
+        '-0x1.c256268278893p-1']),
+    'fractional_t': ((3,), [
+        '0x1.2c38c10ea8ccdp+0', '0x1.2c38c10ea8ccdp+0',
+        '-0x1.2eeb353b47742p+0']),
+    'large_t': ((3,), [
+        '-0x1.8377ac2c07c50p-2', '-0x1.7e476a4afb059p-4',
+        '-0x1.e941ff751bcd5p-1']),
+    'salt_1': ((2,), [
+        '0x1.dc743435162dap-3', '0x1.81dec52a909afp-3']),
+    'salt_7': ((2,), [
+        '-0x1.7d2eab92ca6afp-2', '0x1.78d691b10785dp-5']),
+    'salt_31': ((2,), [
+        '-0x1.30936eda1257ep+0', '-0x1.510265448f72bp+0']),
+    'salt_big': ((2,), [
+        '0x1.427abdb2bb0a2p-1', '-0x1.d70d8e3ef5716p-8']),
+    'seed_array_scalar_t': ((3,), [
+        '-0x1.2891177d0f68dp-2', '-0x1.28d555d738816p-1',
+        '-0x1.b3db2fefb42d5p-6']),
+    'seed_array_t_array': ((3,), [
+        '-0x1.8671b84ba9c56p+0', '-0x1.ad4b6c9929b58p-1',
+        '-0x1.d438ce434681cp-2']),
+    'broadcast_2d': ((3, 4), [
+        '-0x1.42cc24b72160dp-1', '-0x1.b64100e21ca24p-2',
+        '-0x1.00bc90fe0f6c3p+0', '-0x1.d90721f39fbb6p+0',
+        '-0x1.5ad39b5059cd3p-2', '0x1.f420013ecaefbp-2',
+        '-0x1.a97f1750a2e2dp+0', '0x1.55ccc7e4603d9p-1',
+        '-0x1.cb604de29ce26p-1', '-0x1.1d37279e1cc37p+0',
+        '-0x1.569a7e77cee3bp+0', '-0x1.37db5ac57e704p+0']),
+}
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("case", sorted(_KAT_CASES))
+    @pytest.mark.parametrize("fn, table", [
+        (hash_uniform, _HASH_UNIFORM_KAT), (hash_noise, _HASH_NOISE_KAT)],
+        ids=["hash_uniform", "hash_noise"])
+    def test_bits(self, fn, table, case):
+        shape, expected = table[case]
+        with warnings.catch_warnings():
+            # uint64 wrap-around is the algorithm; it must stay silent.
+            warnings.simplefilter("error")
+            out = np.asarray(_KAT_CASES[case](fn))
+        assert out.shape == shape
+        assert [float(v).hex() for v in out.ravel()] == expected
+
+    def test_table_covers_every_case(self):
+        assert set(_HASH_UNIFORM_KAT) == set(_KAT_CASES)
+        assert set(_HASH_NOISE_KAT) == set(_KAT_CASES)
+
+    def test_time_array_is_not_modified(self):
+        t = np.array([3.0, 4.5, -2.0])
+        seeds = np.array([7, 8, 9], dtype=_U)
+        hash_uniform(seeds, t, salt=5)
+        np.testing.assert_array_equal(t, [3.0, 4.5, -2.0])
+        np.testing.assert_array_equal(seeds, np.array([7, 8, 9], dtype=_U))
+
+    def test_integer_time_array_is_not_modified(self):
+        t = np.arange(4)
+        hash_uniform(3, t)
+        np.testing.assert_array_equal(t, np.arange(4))

@@ -129,3 +129,94 @@ class TestDemandModel:
     def test_scale_lookup(self, small_demand):
         pair = small_demand.pairs[0]
         assert small_demand.pair_scale(*pair) > 0
+
+
+#: A weekday morning, a weekend afternoon, an instant off every grid,
+#: and one-minute steps through a busy weekday hour (surge ramps).
+_ORACLE_INSTANTS = ([8 * 3600.0, 5 * 86400.0 + 15 * 3600.0, 123456.789]
+                    + list(86400.0 + 2 * 3600.0 + np.arange(0, 3600, 60.0)))
+
+
+class TestOneKernel:
+    """`rate_mbps`, `rates_mbps` and `total_mbps` are one formula: any
+    value is the same whichever call, and whatever else shares the call."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return DemandModel(default_regions(), seed=3)
+
+    def test_every_batch_row_equals_the_single_pair_call(self, model):
+        for t in _ORACLE_INSTANTS:
+            rows = model.rates_mbps(t)
+            assert rows.shape == (len(model.pairs),)
+            for row, (a, b) in zip(rows, model.pairs):
+                assert row == float(model.rate_mbps(a, b, t))
+
+    def test_series_elements_equal_single_instant_calls(self, model):
+        t = np.array(_ORACLE_INSTANTS)
+        for (a, b) in model.pairs[::7]:
+            series = model.rate_mbps(a, b, t)
+            assert series.shape == t.shape
+            for k, tk in enumerate(t):
+                assert series[k] == float(model.rate_mbps(a, b, tk))
+
+    def test_surge_instants_are_covered(self, model):
+        t = np.array(_ORACLE_INSTANTS)
+        surging = sum(bool(np.any(model._surge_factor(
+            slice(i, i + 1), t) > 1.0)) for i in range(len(model.pairs)))
+        assert surging > 5
+
+    def test_total_equals_the_pair_order_sum(self, model):
+        t = np.array(_ORACLE_INSTANTS)
+        total = np.zeros_like(t)
+        for (a, b) in model.pairs:
+            total = total + model.rate_mbps(a, b, t)
+        np.testing.assert_array_equal(model.total_mbps(t), total)
+
+    def test_total_does_not_depend_on_the_block_size(self, model,
+                                                     monkeypatch):
+        from repro.traffic import demand
+        t = np.array(_ORACLE_INSTANTS)
+        whole = model.total_mbps(t)
+        monkeypatch.setattr(demand, "_BLOCK_ELEMENTS", 7 * t.size)
+        np.testing.assert_array_equal(model.total_mbps(t), whole)
+
+    def test_time_shapes_are_preserved(self, model):
+        a, b = model.pairs[0]
+        grid = np.array(_ORACLE_INSTANTS[:6]).reshape(2, 3)
+        assert model.rate_mbps(a, b, grid).shape == (2, 3)
+        assert model.total_mbps(grid).shape == (2, 3)
+        assert np.ndim(model.rate_mbps(a, b, 3600.0)) == 0
+        assert np.ndim(model.total_mbps(3600.0)) == 0
+
+    def test_pairs_are_built_once(self, model):
+        assert model.pairs is model.pairs
+        assert model.pairs == [(a.code, b.code) for a in model.regions
+                               for b in model.regions if a.code != b.code]
+
+    def test_unknown_pair_is_a_key_error(self, model):
+        with pytest.raises(KeyError):
+            model.rate_mbps("HGH", "NOPE", 0.0)
+
+
+class TestSurgesPerDay:
+    def test_zero_means_no_surges(self, small_regions):
+        model = DemandModel(small_regions,
+                            TrafficConfig(surges_per_day=0), seed=5)
+        t = np.arange(0, 86400, 60.0)  # day 0 is a weekday
+        for i in range(len(model.pairs)):
+            surge = model._surge_factor(slice(i, i + 1), t)
+            assert surge.shape == (1, t.size)
+            assert np.all(surge == 1.0)
+        assert np.all(model.rates_mbps(36000.0) > 0)
+
+    def test_default_still_surges(self, small_demand):
+        t = np.arange(0, 86400, 60.0)
+        assert any(np.any(small_demand._surge_factor(slice(i, i + 1), t)
+                          > 1.0)
+                   for i in range(len(small_demand.pairs)))
+
+    def test_fractional_rates_keep_at_least_one_slot(self, small_regions):
+        model = DemandModel(small_regions,
+                            TrafficConfig(surges_per_day=0.3), seed=5)
+        assert model._surge_start_s.shape == (len(model.pairs), 1)
