@@ -202,13 +202,13 @@ def _build_demo_system(args: argparse.Namespace, slo_engine):
         from dataclasses import replace
 
         from repro.core.variants import xron
-        from repro.experiments.chaos_reaction import _build_quiet
+        from repro.experiments.base import quiet_testbed
         from repro.faults import FaultSchedule, probe_blackout
         from repro.underlay.events import DegradationEvent
         from repro.underlay.linkstate import LinkType
         from repro.underlay.scenarios import inject_events
 
-        underlay, demand = _build_quiet(args.seed)
+        underlay, demand = quiet_testbed(args.seed)
         pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
         start = 3600.0
         inject_events(underlay, pair[0], pair[1], LinkType.INTERNET,
@@ -422,7 +422,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"{len(stream.paths)} part file(s), last "
                   f"{stream.paths[-1]}", file=sys.stderr)
         if args.health_out:
-            injector = system._injector
+            health = system.health(result.sim_t1)
             doc = {
                 "stop_reason": result.stop_reason,
                 "drained": result.drained,
@@ -435,17 +435,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "health_last": result.health_last,
                 "heartbeats": service.heartbeats,
                 "fault_counters": result.eventsim.fault_counters,
-                "fault_kind_counters": (injector.counters.by_kind()
-                                        if injector is not None else None),
-                "fault_state": (injector.export_state()
-                                if injector is not None else None),
-                "membership_size": (system._membership.size
-                                    if system._membership is not None
-                                    else None),
+                "fault_kind_counters": health.get("fault_kind_counters"),
+                "fault_state": health.get("fault_state"),
+                "membership_size": health.get("membership_size"),
                 "membership_counters": result.eventsim.membership_counters,
-                "active_partitions": (
-                    len(injector.active_partitions(result.sim_t1))
-                    if injector is not None else 0),
+                "active_partitions": health.get("active_partitions", 0),
                 "partition_counters": result.eventsim.partition_counters,
                 "checkpoint": result.checkpoint_path,
             }

@@ -54,6 +54,28 @@ class ControlOutput:
     predicted_matrix: TrafficMatrix
     streams: List[Stream]
 
+    def plans_by_region(self, codes
+                        ) -> Dict[str, Dict[int, Tuple[str, ...]]]:
+        """The reaction plans as installed: relay chains per stream,
+        grouped per region of `codes`."""
+        plans: Dict[str, Dict[int, Tuple[str, ...]]] = {
+            code: {} for code in codes}
+        for (sid, region), plan in self.reaction_plans.items():
+            plans[region][sid] = plan.relay_regions
+        return plans
+
+    def stream_specs(self) -> List[Tuple[int, str, str]]:
+        """The distinct (stream id, src, dst) of the assignments, in
+        first-assignment order — what an install must deliver."""
+        seen = set()
+        specs: List[Tuple[int, str, str]] = []
+        for a in self.path_result.assignments:
+            key = (a.stream.stream_id, a.stream.src, a.stream.dst)
+            if key not in seen:
+                seen.add(key)
+                specs.append(key)
+        return specs
+
 
 class Controller:
     """Logically centralised control plane."""

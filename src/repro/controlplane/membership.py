@@ -11,13 +11,14 @@ and entries that miss their TTL expire deterministically.  A region
 whose live count drops to zero is demoted out of global path control —
 the controller routes around it instead of through it.
 
-Design rules (the byte-identical-when-disabled contract):
+Design rules (the byte-identical-when-absent contract):
 
 * The table draws **no randomness** and schedules **no events**: it is
-  refreshed from the probe-report seam and swept once per control
-  epoch, both in deterministic sorted order.
-* ``MembershipConfig(enabled=False)`` (the default) normalizes to no
-  table at all — every seam is a single ``is None`` check.
+  refreshed when a probe-report batch reaches the controller and swept
+  once per control epoch, both in deterministic sorted order.
+* `MembershipExtension` is the whole of its engine wiring — a handful
+  of the hooks in `repro.core.eventsim.HOOKS`; ``membership=None``
+  (the default) arms nothing, so the engine never meets the table.
 * Liveness is keyed on *arrival at the controller*: a probe blackout, a
   controller outage (modeled restart), or a control partition all
   starve refreshes naturally, with no fault-specific wiring.
@@ -41,17 +42,16 @@ _TEL = _telemetry()
 
 @dataclass(frozen=True)
 class MembershipConfig:
-    """How the soft-state membership table behaves.
+    """How the soft-state membership table behaves (a config object
+    arms the subsystem; ``None`` leaves it out).
 
-    `enabled` is the master switch: disabled configs normalize to no
-    subsystem at all.  `ttl_s` is the liveness window — an entry not
-    refreshed for this long expires at the next epoch sweep.  The
-    default (3 s) is several probe-burst intervals (400 ms), so a
-    healthy gateway refreshes many times per TTL while a severed one
-    expires well inside a single control epoch.
+    `ttl_s` is the liveness window — an entry not refreshed for this
+    long expires at the next epoch sweep.  The default (3 s) is several
+    probe-burst intervals (400 ms), so a healthy gateway refreshes many
+    times per TTL while a severed one expires well inside a single
+    control epoch.
     """
 
-    enabled: bool = False
     ttl_s: float = 3.0
 
     def __post_init__(self) -> None:
@@ -60,8 +60,8 @@ class MembershipConfig:
 
 
 def membership(ttl_s: float = 3.0) -> MembershipConfig:
-    """An armed membership config (convenience constructor)."""
-    return MembershipConfig(enabled=True, ttl_s=ttl_s)
+    """A membership config (convenience constructor)."""
+    return MembershipConfig(ttl_s=ttl_s)
 
 
 @dataclass
@@ -81,9 +81,6 @@ class MembershipTable:
     """TTL'd (region, gateway) liveness entries at the controller."""
 
     def __init__(self, config: MembershipConfig):
-        if not config.enabled:
-            raise ValueError("build the table from an enabled config "
-                             "(disabled configs normalize to None)")
         self.config = config
         self.counters = MembershipCounters()
         #: (region, gateway_id) -> last refresh instant.  Live and
@@ -177,5 +174,52 @@ class MembershipTable:
         return clamped
 
 
-__all__ = ["MembershipConfig", "MembershipCounters", "MembershipTable",
-           "membership"]
+class MembershipExtension:
+    """The table on the event engine: refreshed as report batches reach
+    the controller, swept and applied before each solve, dropped when
+    the controller process is."""
+
+    def __init__(self, engine, config: MembershipConfig):
+        self.engine = engine
+        self.table = MembershipTable(config)
+
+    def reports_delivered(self, cluster, reports, now: float) -> None:
+        """One region's probe batch reached the controller: refresh its
+        soft-state liveness — unless a churn fault eats the refresh."""
+        if not reports:
+            return
+        faults = self.engine.faults
+        spec = faults.membership_churn(cluster.region, now)
+        if spec is not None:
+            faults.counters.refreshes_churned += 1
+            if _TEL.enabled:
+                _TEL.counter("fault.refreshes_churned").inc()
+                _TEL.event("fault_membership_churn", t=now,
+                           region=cluster.region,
+                           fault_id=faults.fault_id(spec))
+            return
+        self.table.refresh(cluster.region, cluster.gateways.keys(), now)
+
+    def controller_restarted(self) -> None:
+        # Soft state dies with the process: the replacement rebuilds
+        # liveness from the refresh stream (boot grace until then).
+        self.table.reset()
+
+    def clamp_ready(self, ready: Dict[str, int],
+                    now: float) -> Dict[str, int]:
+        """Sweep TTL-expired entries, then cap each region's usable
+        capacity at its live count: a region whose refreshes are severed
+        (partition, blackout, churn) drops to zero and is routed AROUND
+        instead of through."""
+        self.table.expire(now)
+        return self.table.clamp(ready, now)
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        return {"membership_counters": self.table.counters.as_dict()}
+
+    def health(self, now: float) -> Dict[str, object]:
+        return {"membership_size": self.table.size}
+
+
+__all__ = ["MembershipConfig", "MembershipCounters", "MembershipExtension",
+           "MembershipTable", "membership"]

@@ -38,20 +38,23 @@ still carries global-band rows for cross-partition streams.
 Everything here is deterministic: the sub-controller derives its seed
 from the deployment seed and the sorted partition region set, draws
 from its own RNG streams, and is activated/healed at control-epoch
-boundaries only.  Disabled configs normalize to ``None`` at the
-simulator seam (byte-identical when off).  See ``docs/partitions.md``.
+boundaries only.  `RegionalExtension` is the engine wiring (activation,
+the regional epoch, the heal fence, session ownership) behind the hooks
+of `repro.core.eventsim.HOOKS`; ``regional=None`` arms nothing
+(byte-identical when absent).  See ``docs/partitions.md``.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.controlplane.controller import Controller, ControlOutput
-from repro.controlplane.model import ControlConfig
+from repro.obs import telemetry as _telemetry
 from repro.traffic.matrix import TrafficMatrix
-from repro.underlay.pricing import PricingModel
+
+_TEL = _telemetry()
 
 #: Default first stream id of the regional band — far above anything a
 #: global workload allocates in a simulated run, so band membership is
@@ -61,14 +64,13 @@ REGIONAL_STREAM_BASE = 1_000_000_000
 
 @dataclass(frozen=True)
 class RegionalControlConfig:
-    """How degraded-mode sub-controllers behave.
+    """How degraded-mode sub-controllers behave (a config object arms
+    the subsystem; ``None`` leaves it out).
 
-    `enabled` is the master switch (disabled normalizes to no subsystem
-    at all).  `stream_id_base` is the first stream id of the regional
-    band; every sub-controller allocates ids at or above it.
+    `stream_id_base` is the first stream id of the regional band; every
+    sub-controller allocates ids at or above it.
     """
 
-    enabled: bool = False
     stream_id_base: int = REGIONAL_STREAM_BASE
 
     def __post_init__(self) -> None:
@@ -79,8 +81,8 @@ class RegionalControlConfig:
 
 def regional_control(
         stream_id_base: int = REGIONAL_STREAM_BASE) -> RegionalControlConfig:
-    """An armed regional-control config (convenience constructor)."""
-    return RegionalControlConfig(enabled=True, stream_id_base=stream_id_base)
+    """A regional-control config (convenience constructor)."""
+    return RegionalControlConfig(stream_id_base=stream_id_base)
 
 
 @dataclass
@@ -105,22 +107,20 @@ class RegionalController:
     """One partition's local control plane (see module docstring)."""
 
     def __init__(self, regions: Tuple[str, ...], *,
-                 control_config: ControlConfig,
-                 pricing: Optional[PricingModel],
-                 sib_params: Optional[Dict[str, int]],
+                 make_controller: Callable[..., Controller],
                  base_version: int,
                  config: RegionalControlConfig,
                  seed: int,
-                 nib_reports: Optional[List[Dict[str, object]]] = None,
-                 symmetric_only: bool = False,
-                 premium_only: bool = False,
-                 internet_only: bool = False):
-        """`base_version` is the globally committed install version the
-        partition's gateways hold at activation: regional versions are
-        allocated strictly above it, so regional installs supersede the
-        stale global rows inside the partition.  `nib_reports` seeds the
-        sub-controller's NIB with the global controller's last-known
-        view of the intra-partition links (export format of
+                 nib_reports: Optional[List[Dict[str, object]]] = None):
+        """`make_controller(codes, seed=, control_mode=)` builds a
+        controller configured like the deployment's
+        (`EventDrivenXRON.make_controller`).  `base_version` is the
+        globally committed install version the partition's gateways
+        hold at activation: regional versions are allocated strictly
+        above it, so regional installs supersede the stale global rows
+        inside the partition.  `nib_reports` seeds the sub-controller's
+        NIB with the global controller's last-known view of the
+        intra-partition links (export format of
         `NetworkInformationBase.export_reports`)."""
         if len(regions) != len(set(regions)):
             raise ValueError(f"partition repeats a region: {regions}")
@@ -138,11 +138,9 @@ class RegionalController:
         # "incremental" engine reuses the previous epoch's solve, and a
         # sub-controller born mid-incident has no previous epoch of its
         # own — nor may it carry one across a partition boundary.
-        self.controller = Controller(
-            list(self.regions), control_config, pricing=pricing,
-            symmetric_only=symmetric_only, premium_only=premium_only,
-            internet_only=internet_only, sib_params=sib_params,
-            control_mode="monolithic", seed=self.sub_seed)
+        self.controller = make_controller(
+            list(self.regions), seed=self.sub_seed,
+            control_mode="monolithic")
         # Allocate regional stream ids from the disjoint high band.
         self.controller._workload._next_id = config.stream_id_base
         if nib_reports:
@@ -194,5 +192,226 @@ class RegionalController:
             [r for r in reports if r.src in member and r.dst in member])
 
 
+class RegionalExtension:
+    """Degraded-mode control on the event engine.
+
+    `installer` is the deployment's `TwoPhaseInstaller` (regional
+    control needs the resilience layer): it validates regional updates
+    against the same routing invariants as global ones, its committed
+    version is where regional versions start, and its proposed-version
+    counter is what a heal fences."""
+
+    def __init__(self, engine, config: RegionalControlConfig, installer):
+        self.engine = engine
+        self.config = config
+        self.installer = installer
+        self.stats = PartitionCounters()
+        #: Active sub-controllers, keyed by their (sorted) region set.
+        self.subs: Dict[Tuple[str, ...], RegionalController] = {}
+        #: Epoch seq at the last heal; the next global commit closes the
+        #: reconvergence window it opens.
+        self._reconverge_epoch0: Optional[int] = None
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        return {"partition_counters": self.stats.as_dict()}
+
+    # ---------------------------------------------------------------- hooks
+    def reports_severed(self, cluster, reports, now: float) -> None:
+        """A severed region's reports feed the local NIB of the active
+        sub-controller covering it."""
+        for sub in self.subs.values():
+            if sub.covers(cluster.region):
+                sub.ingest_reports(reports)
+                break
+
+    def epoch_start(self, sim, unreachable: frozenset) -> None:
+        # Heal first: fencing the installer BEFORE this epoch's
+        # next_version() guarantees the first post-heal global install
+        # supersedes every regional table.
+        if self.subs:
+            self._reconcile_healed(sim.now)
+
+    def epoch_skipped(self, sim, cause, unreachable: frozenset) -> None:
+        # Sub-controllers are separate processes inside their
+        # partitions: a global outage does not stop them.
+        self.epoch_end(sim, unreachable)
+
+    def epoch_end(self, sim, unreachable: frozenset) -> None:
+        """Run degraded-mode control for every active partition — AFTER
+        the global epoch, so the regional tables (merged over whatever
+        the global plane managed to land outside the partition) are
+        what the checkpoint and the next measurement tick observe."""
+        if not unreachable:
+            return
+        for spec in self.engine.faults.active_partitions(sim.now):
+            sub = self.subs.get(spec.regions)
+            if sub is None:
+                # Overlapping windows over intersecting region sets are
+                # not supported: the first partition to claim a region
+                # keeps it (two sub-controllers must never race installs
+                # into the same cluster).
+                if any(set(key) & set(spec.regions) for key in self.subs):
+                    continue
+                sub = self._activate(sim.now, spec)
+            self._regional_epoch(sim, sub)
+
+    def committed(self, sim, version: int) -> None:
+        """First global commit after a heal: the fenced version just
+        superseded the regional tables everywhere it reached."""
+        if self._reconverge_epoch0 is None:
+            return
+        epochs = self.engine.epoch_seq - self._reconverge_epoch0
+        self.stats.reconvergence_epochs += epochs
+        self._reconverge_epoch0 = None
+        if _TEL.enabled:
+            _TEL.counter("partition.reconciliations").inc()
+            _TEL.event("partition_reconciled", t=sim.now, version=version,
+                       epochs=epochs)
+
+    def rebind(self, best: Dict[Tuple[str, str], int],
+               now: float) -> Dict[Tuple[str, str], Optional[int]]:
+        """Session ownership.  While a partition is active, the pairs
+        living entirely inside it are OWNED by its sub-controller: the
+        global plane cannot program their gateways anyway, so binding
+        them to global stream ids the severed tables never learn would
+        only manufacture blackholes — they stay where they are.  They
+        rejoin global binding the epoch after heal, counted as a heal
+        flap when that moves them off a regional stream id."""
+        severed = (self.engine.faults.partition_regions(now)
+                   if self.subs else frozenset())
+        base = self.config.stream_id_base
+        bound = dict(best)
+        for pair, old in self.engine.session_stream.items():
+            new = best.get(pair)
+            if pair[0] in severed and pair[1] in severed:
+                bound[pair] = old
+            elif (old is not None and old >= base
+                  and (new is None or new < base)):
+                self.stats.heal_flaps += 1
+        return bound
+
+    # ------------------------------------------------------------- lifecycle
+    def _activate(self, now: float, spec) -> RegionalController:
+        """Spin up a sub-controller inside a freshly severed partition.
+
+        It is seeded from the global controller's last-known NIB view of
+        the intra-partition links and allocates install versions above
+        the last globally committed version, so its tables supersede the
+        stale global rows locally — and nothing else."""
+        engine = self.engine
+        sub = RegionalController(
+            spec.regions, make_controller=engine.make_controller,
+            base_version=self.installer.committed_version,
+            config=self.config, seed=engine.sim_config.seed,
+            nib_reports=engine.controller.nib.export_reports())
+        self.subs[sub.regions] = sub
+        self.stats.partitions_started += 1
+        if _TEL.enabled:
+            _TEL.counter("partition.activations").inc()
+            _TEL.event("partition_onset", t=now, regions=list(sub.regions),
+                       base_version=sub.base_version,
+                       fault_id=engine.faults.fault_id(spec))
+        return sub
+
+    def _regional_epoch(self, sim, sub: RegionalController) -> None:
+        """One degraded-mode control epoch inside a partition.
+
+        The sub-controller computes paths for intra-partition demand
+        only, the update is validated against the same routing
+        invariants as a global install (over the partition's clusters),
+        and regional rows are merged OVER the global-band rows so
+        cross-partition streams keep their last-good tables."""
+        engine, stats, now = self.engine, self.stats, sim.now
+        output = sub.run_epoch(
+            now, sub.restrict_matrix(engine.demand_matrix(now)),
+            engine.ready_counts(sub.regions, now))
+        stats.regional_epochs += 1
+        if _TEL.enabled:
+            _TEL.counter("partition.regional_epochs").inc()
+            _TEL.event("partition_regional_epoch", t=now,
+                       regions=list(sub.regions), epoch=sub.epochs_run)
+        plans_by_region = output.plans_by_region(sub.regions)
+        tables = output.path_result.forwarding_tables
+        violations = self.installer.validate(
+            tables, plans_by_region,
+            {code: engine.clusters[code].size for code in sub.regions},
+            output.stream_specs())
+        if violations:
+            # No retries: a degraded-mode controller proposes afresh
+            # next epoch; the partition keeps riding its current tables.
+            stats.regional_installs_rejected += 1
+            if _TEL.enabled:
+                _TEL.counter("partition.installs_rejected").inc()
+                _TEL.event("partition_regional_rejected", t=now,
+                           regions=list(sub.regions),
+                           violation_count=len(violations),
+                           violations=[str(v) for v in violations[:5]])
+            return
+        version = sub.next_version()
+        base = self.config.stream_id_base
+        for code in sub.regions:
+            cluster = engine.clusters[code]
+            merged = {sid: entry
+                      for sid, entry in cluster.current_entries().items()
+                      if sid < base}
+            merged.update(tables[code])
+            merged_plans = {sid: plan
+                            for sid, plan in cluster.current_plans().items()
+                            if sid < base}
+            merged_plans.update(plans_by_region[code])
+            # Intra-partition pushes still honor the install-delay hook
+            # — the heal race in miniature: a delayed regional install
+            # landing after the heal's fenced global commit loses at the
+            # gateways' version guard.
+            delay = engine.install_delay(code, now)
+            if delay > 0.0:
+                sim.schedule(
+                    delay,
+                    lambda c=cluster, e=merged, p=merged_plans,
+                    t=now + delay: c.install(e, p, version=version, now=t),
+                    priority=0)
+            else:
+                cluster.install(merged, merged_plans, version=version,
+                                now=now)
+        stats.regional_installs_committed += 1
+        if _TEL.enabled:
+            _TEL.counter("partition.installs_committed").inc()
+            _TEL.event("partition_regional_commit", t=now,
+                       regions=list(sub.regions), version=version,
+                       rows=sum(len(tables[c]) for c in sub.regions))
+        # Bind intra-partition tracked sessions to regional stream ids.
+        for pair, sid in sorted(engine.best_streams(output).items()):
+            stats.regional_rebinds += engine.bind_session(
+                pair, sid, now, regional=True)
+
+    def _reconcile_healed(self, now: float) -> None:
+        """Retire sub-controllers whose partition window has closed.
+
+        The fence: the global installer's proposed-version counter jumps
+        to the highest version any healed sub-controller allocated, so
+        the next global two-phase install carries a strictly newer
+        version and supersedes every regional table everywhere-or-
+        nowhere — while any still-in-flight regional install (delayed
+        push) is discarded by the gateways' version guard."""
+        active = {spec.regions
+                  for spec in self.engine.faults.active_partitions(now)}
+        for key in sorted(self.subs):
+            if key in active:
+                continue
+            sub = self.subs.pop(key)
+            self.stats.partitions_healed += 1
+            fence = max(self.installer.proposed_version, sub.version_high)
+            if fence > self.installer.proposed_version:
+                self.installer.proposed_version = fence
+                self.stats.reconcile_fences += 1
+            self._reconverge_epoch0 = self.engine.epoch_seq
+            if _TEL.enabled:
+                _TEL.counter("partition.heals").inc()
+                _TEL.event("partition_heal", t=now, regions=list(key),
+                           fenced_version=fence,
+                           regional_epochs=sub.epochs_run)
+
+
 __all__ = ["REGIONAL_STREAM_BASE", "RegionalControlConfig",
-           "PartitionCounters", "RegionalController", "regional_control"]
+           "PartitionCounters", "RegionalController", "RegionalExtension",
+           "regional_control"]

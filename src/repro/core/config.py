@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
-from repro.controlplane.controller import CONTROL_MODES
+from repro.controlplane.controller import CONTROL_MODES, Controller
+from repro.controlplane.model import ControlConfig
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
+from repro.traffic.cohorts import CohortWorkload
+from repro.underlay.pricing import PricingModel
 
 
 @dataclass
 class SimulationConfig:
-    """Knobs of an `EpochSimulator` run.
+    """Knobs of a simulated deployment; both engines read them the
+    same way (`build_controller`).
 
     Two fidelity presets are common:
 
@@ -64,3 +68,28 @@ class SimulationConfig:
         if self.control_mode not in CONTROL_MODES:
             raise ValueError(f"unknown control_mode {self.control_mode!r}; "
                              f"choose from {CONTROL_MODES}")
+
+
+def build_controller(codes: Sequence[str], control_config: ControlConfig,
+                     pricing: Optional[PricingModel],
+                     sim_config: SimulationConfig, variant,
+                     sib_params: Optional[Dict[str, int]] = None, *,
+                     seed: Optional[int] = None,
+                     control_mode: Optional[str] = None) -> Controller:
+    """The controller of the deployment `sim_config` and `variant` (a
+    `VariantSpec`) describe — the one construction both engines, a
+    modeled restart and a partition's sub-controller share.  `seed` and
+    `control_mode` default to the config's; a sub-controller passes its
+    own."""
+    seed = sim_config.seed if seed is None else seed
+    workload = None
+    if sim_config.stream_cohorts:
+        workload = CohortWorkload(
+            seed=seed, cohorts_per_pair=sim_config.cohorts_per_pair)
+    return Controller(
+        list(codes), control_config, pricing=pricing,
+        nib_window=sim_config.nib_window,
+        robust_percentile=sim_config.robust_percentile,
+        sib_params=sib_params, workload=workload,
+        control_mode=control_mode or sim_config.control_mode, seed=seed,
+        **variant.controller_kwargs())

@@ -14,10 +14,10 @@ long-lived production control loop needs on top:
 * **Crash recovery is the live story**: each resilience checkpoint the
   controller takes is persisted to disk as a *service envelope*
   (atomic rename), a SIGTERM drains through one final checkpoint, and
-  `restore_from` boots a fresh process from the envelope — restoring
-  controller/NIB/SIB state, reinstalling the last committed tables,
-  and importing the fault injector's progress so already-fired fault
-  windows are never replayed.
+  `restore_from` boots a fresh process from the envelope through
+  `EventDrivenXRON.restore` — controller/NIB/SIB state, the last
+  committed tables, and the fault injector's progress, so already-fired
+  fault windows are never replayed.
 * **Heartbeats** sample process health (RSS, open fds, child
   processes, clock lag) into the telemetry stream on a fixed cadence —
   the soak leak detector and the CI soak job assert on them.
@@ -352,10 +352,9 @@ class XRONService:
 
     def _persist_fresh_checkpoint(self, now: float) -> None:
         """Write an envelope when the last event took a new checkpoint."""
-        sys_ = self.system
-        if (self.config.checkpoint_path is not None
-                and sys_._checkpoint_json is not None
-                and sys_._checkpoint_json is not self._persisted_json):
+        latest = self.system.checkpoint_json
+        if (self.config.checkpoint_path is not None and latest is not None
+                and latest is not self._persisted_json):
             self._write_envelope(now)
 
     def _heartbeat(self, clock: Simulator, wall0: float) -> None:
@@ -393,12 +392,9 @@ class XRONService:
         metric deltas.
         """
         sys_ = self.system
-        if (sys_._installer is not None
-                and sys_.resilience is not None
-                and sys_.resilience.checkpoint_enabled):
-            sys_._take_checkpoint(clock.now)
+        sys_.take_checkpoint(clock.now)
         if (self.config.checkpoint_path is not None
-                and sys_._checkpoint_json is not None):
+                and sys_.checkpoint_json is not None):
             self._write_envelope(clock.now)
         if _TEL.enabled:
             health = health_sample()
@@ -420,20 +416,20 @@ class XRONService:
         envelope = {
             "record": "service_checkpoint",
             "schema": ENVELOPE_SCHEMA,
-            "sim_t": Checkpoint.loads(sys_._checkpoint_json).t,
-            "epoch_seq": sys_._epoch_seq,
+            "sim_t": Checkpoint.loads(sys_.checkpoint_json).t,
+            "epoch_seq": sys_.epoch_seq,
             "seed": sys_.sim_config.seed,
-            "schedule": sys_.faults.to_json(),
-            "checkpoint": sys_._checkpoint_json,
+            "schedule": sys_.faults.schedule.to_json(),
+            "checkpoint": sys_.checkpoint_json,
         }
         tmp = path.with_suffix(path.suffix + ".tmp")
         with tmp.open("w") as fh:
             json.dump(envelope, fh)
         os.replace(tmp, path)
-        self._persisted_json = sys_._checkpoint_json
+        self._persisted_json = sys_.checkpoint_json
         if _TEL.enabled:
             _TEL.event("service_checkpoint_persisted", t=now,
-                       path=str(path), epoch_seq=sys_._epoch_seq)
+                       path=str(path), epoch_seq=sys_.epoch_seq)
         return path
 
     @staticmethod
@@ -452,14 +448,14 @@ class XRONService:
     def restore_from(self, envelope: Dict[str, Any]) -> float:
         """Warm-boot this (freshly built) service from an envelope.
 
-        Restores controller state (NIB/SIB/workload) from the inner
-        checkpoint, reinstalls the last committed tables and plans into
-        every cluster, synchronizes the two-phase installer's version
-        counters so new epochs supersede the restored install, and
-        imports the fault injector's progress — counters and fired
-        one-shot windows — so a resumed soak never replays a fault that
-        already happened.  Returns the resume sim time; the service
-        will start its clock there.
+        `EventDrivenXRON.restore` loads the inner checkpoint: controller
+        state (NIB/SIB/workload), the last committed tables and plans
+        of every cluster, the two-phase installer's version counters so
+        new epochs supersede the restored install, and the fault
+        injector's progress — counters and fired one-shot windows — so
+        a resumed soak never replays a fault that already happened.
+        Returns the resume sim time; the service will start its clock
+        there.
 
         The system must have been constructed with the SAME fault
         schedule the envelope records (`load_envelope` +
@@ -468,31 +464,16 @@ class XRONService:
         """
         sys_ = self.system
         recorded = envelope.get("schedule")
-        if recorded is not None and recorded != sys_.faults.to_json():
+        if (recorded is not None
+                and recorded != sys_.faults.schedule.to_json()):
             raise ValueError(
                 "checkpoint schedule does not match the system's fault "
                 "schedule; rebuild the system with "
                 "FaultSchedule.from_json(envelope['schedule'])")
-        checkpoint_json = envelope["checkpoint"]
-        checkpoint = Checkpoint.loads(checkpoint_json)
+        checkpoint = Checkpoint.loads(envelope["checkpoint"])
         t = float(envelope.get("sim_t", checkpoint.t))
-        checkpoint.restore(sys_.controller)
-        for code, cluster in sys_.clusters.items():
-            entries = checkpoint.tables.get(code, {})
-            plans = checkpoint.plans.get(code, {})
-            if entries or plans:
-                cluster.install(entries, plans,
-                                version=checkpoint.version or None, now=t)
-        sys_._epoch_seq = checkpoint.epoch_seq
-        sys_._checkpoint_json = checkpoint_json
+        sys_.restore(checkpoint, t)
         self._persisted_json = None  # force a fresh persist on first epoch
-        if sys_._installer is not None:
-            sys_._installer.proposed_version = checkpoint.version
-            sys_._installer.committed_version = checkpoint.version
-        if sys_._injector is not None and checkpoint.fault_state:
-            sys_._injector.import_state(checkpoint.fault_state)
-        if sys_._res_counters is not None:
-            sys_._res_counters.restores_warm += 1
         if _TEL.enabled:
             _TEL.event("service_restore", t=t,
                        epoch_seq=checkpoint.epoch_seq,

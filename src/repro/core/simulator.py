@@ -29,7 +29,7 @@ import numpy as np
 from repro.analysis.stats import weighted_percentiles
 from repro.controlplane.controller import Controller, ControlOutput
 from repro.controlplane.model import ControlConfig, OverlayPath, PathHop
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, build_controller
 from repro.core.variants import VariantSpec
 from repro.cost.accounting import PairCostLedger
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
@@ -290,23 +290,10 @@ class EpochSimulator:
         self._grouping = ProbingGroupManager(
             self.codes, self.sim_config.monitoring.representatives)
 
-        if variant.overlay_relaying:
-            workload = None
-            if self.sim_config.stream_cohorts:
-                from repro.traffic.cohorts import CohortWorkload
-                workload = CohortWorkload(
-                    seed=self.sim_config.seed,
-                    cohorts_per_pair=self.sim_config.cohorts_per_pair)
-            self.controller: Optional[Controller] = Controller(
-                self.codes, self.control_config, pricing=underlay.pricing,
-                nib_window=self.sim_config.nib_window,
-                robust_percentile=self.sim_config.robust_percentile,
-                workload=workload,
-                control_mode=self.sim_config.control_mode,
-                seed=self.sim_config.seed,
-                **variant.controller_kwargs())
-        else:
-            self.controller = None
+        self.controller: Optional[Controller] = (
+            build_controller(self.codes, self.control_config,
+                             underlay.pricing, self.sim_config, variant)
+            if variant.overlay_relaying else None)
 
         self._pools: Dict[str, ContainerPool] = {}
         self._probe_seeds: Dict[PathHop, int] = {}

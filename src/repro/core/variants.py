@@ -40,8 +40,8 @@ class VariantSpec:
                 "fast reaction needs premium links for backup paths")
 
     def controller_kwargs(self) -> Dict[str, bool]:
-        """The `Controller` (and `RegionalController`) restrictions this
-        version imposes on path control."""
+        """The `Controller` restrictions this version imposes on path
+        control (applied by `repro.core.config.build_controller`)."""
         return {"symmetric_only": self.symmetric_only,
                 "premium_only": not self.internet_allowed,
                 "internet_only": not self.premium_allowed}

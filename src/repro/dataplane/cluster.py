@@ -32,11 +32,7 @@ class RegionCluster:
                  initial_gateways: int = 2,
                  monitoring: Optional[MonitoringConfig] = None,
                  reaction: Optional[ReactionConfig] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 resilience=None, resilience_counters=None):
-        """`resilience` / `resilience_counters` are handed through to
-        every gateway the cluster ever creates (see `Gateway`); None
-        leaves the resilience layer out entirely."""
+                 rng: Optional[np.random.Generator] = None):
         if initial_gateways < 1:
             raise ValueError("a cluster needs at least one gateway")
         self.region = region
@@ -44,8 +40,9 @@ class RegionCluster:
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringConfig())
         self.reaction = reaction if reaction is not None else ReactionConfig()
-        self.resilience = resilience
-        self.resilience_counters = resilience_counters
+        #: Handed to every gateway the cluster creates (`arm_resilience`).
+        self.resilience = None
+        self.resilience_counters = None
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._grouping = ProbingGroupManager(
             underlay.codes, self.monitoring.representatives)
@@ -69,6 +66,17 @@ class RegionCluster:
                           resilience_counters=self.resilience_counters)
         self.gateways[gid] = gateway
         return gateway
+
+    def arm_resilience(self, config, counters) -> None:
+        """Arm degraded-mode forwarding and failback hold-down (see
+        `Gateway`) on every current and future gateway of the cluster:
+        `config` is a resolved `ResilienceConfig`, `counters` the
+        deployment-shared `ResilienceCounters`."""
+        self.resilience = config
+        self.resilience_counters = counters
+        for gateway in self.gateways.values():
+            gateway.resilience = config
+            gateway.resilience_counters = counters
 
     def _clone_from_sibling(self, gateway: Gateway) -> None:
         """Seed a fresh gateway with a sibling's tables AND reaction

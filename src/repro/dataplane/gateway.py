@@ -61,8 +61,6 @@ class Gateway:
                                   else MonitoringConfig())
         self.reaction_config = (reaction if reaction is not None
                                 else ReactionConfig())
-        if resilience is not None and not resilience.enabled:
-            resilience = None  # a disabled config is the same as none
         self.resilience = resilience
         self.resilience_counters = resilience_counters
         self._rng = rng if rng is not None else np.random.default_rng(gateway_id)
@@ -222,7 +220,7 @@ class Gateway:
                     return self._held_down(stream_id, entry, now)
                 del self._failover_at[stream_id]
                 self._holddown_traced.discard(stream_id)
-        if (res is not None and res.degraded_mode_enabled
+        if (res is not None
                 and now is not None and self.installed_at is not None
                 and res.staleness_threshold_s is not None
                 and now - self.installed_at > res.staleness_threshold_s

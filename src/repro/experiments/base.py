@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import SimulationConfig
+from repro.core.eventsim import EventDrivenXRON, EventSimResult
 from repro.traffic.demand import DemandModel
+from repro.underlay.config import UnderlayConfig
+from repro.underlay.events import DegradationEvent
+from repro.underlay.linkstate import LinkType
 from repro.underlay.regions import default_regions
+from repro.underlay.scenarios import inject_events, quiet_link
 from repro.underlay.topology import Underlay, build_underlay
 
 
@@ -79,8 +85,72 @@ def planet_underlay(n_regions: int, seed: int = 1,
     N=11 reproduces `standard_underlay`'s topology model exactly (same
     regions, same link draw sequence).  See docs/scaling.md.
     """
-    from repro.underlay.config import UnderlayConfig
     from repro.underlay.planet import build_planet_underlay
     return build_planet_underlay(
         n_regions, seed=seed,
         underlay_config=UnderlayConfig(horizon_s=horizon_s))
+
+
+def quiet_testbed(seed: int) -> Tuple[Underlay, DemandModel]:
+    """The calm 3-region (HGH/SIN/FRA) underlay + demand the mechanism
+    studies share: a genuinely quiet Internet — no degradation events
+    AND no baseline/diurnal loss that could trip the EWMA detector — so
+    every injected event or fault is unambiguous.  Two hours of horizon.
+    """
+    by_code = {r.code: r for r in default_regions()}
+    regions = [by_code[c] for c in ("HGH", "SIN", "FRA")]
+    config = UnderlayConfig(horizon_s=7200.0)
+    config.internet.base_loss_min = 1e-6
+    config.internet.base_loss_max = 1e-5
+    config.internet.diurnal_loss_amp = 0.0
+    for tier in (config.internet, config.premium):
+        tier.short_events_per_day = 0.0
+        tier.long_events_per_day = 0.0
+    underlay = build_underlay(regions, config, seed=seed)
+    for (a, b) in underlay.pairs:
+        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
+            quiet_link(underlay, a, b, lt)
+    return underlay, DemandModel(regions, seed=seed)
+
+
+def reaction_train(seed: int, n_events: int, event_spacing_s: float,
+                   event_duration_s: float, measure_interval_s: float, *,
+                   epoch_s: float, demand_scale: float = 0.05,
+                   initial_gateways: int = 4, **engine_kwargs
+                   ) -> Tuple[EventSimResult, np.ndarray, np.ndarray]:
+    """The reaction-timing recipe: a train of `n_events` 4000 ms
+    degradations on the busiest pair of the quiet testbed, the event
+    engine run over it with that one session tracked, and — per handled
+    event — the onset-to-backup and the recovery-to-normal delay.
+    Returns ``(result, failover_s, failback_s)``."""
+    underlay, demand = quiet_testbed(seed)
+    pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
+    start = 3600.0
+    onsets = [start + 30.0 + k * event_spacing_s for k in range(n_events)]
+    inject_events(underlay, pair[0], pair[1], LinkType.INTERNET,
+                  [DegradationEvent(t, event_duration_s, 4000.0, 0.3)
+                   for t in onsets])
+    system = EventDrivenXRON(
+        underlay, demand,
+        sim_config=SimulationConfig(epoch_s=epoch_s, eval_step_s=60.0,
+                                    seed=seed, demand_scale=demand_scale,
+                                    initial_gateways=initial_gateways),
+        tracked_pairs=[pair], measure_interval_s=measure_interval_s,
+        **engine_kwargs)
+    result = system.run(start, 30.0 + n_events * event_spacing_s + 60.0)
+    record = result.sessions[pair]
+    times = np.asarray(record.times)
+    on_backup = np.asarray(record.on_backup, dtype=bool)
+    failovers, failbacks = [], []
+    for onset in onsets:
+        end = onset + event_duration_s
+        window = (times >= onset) & (times < onset + event_spacing_s * 0.9)
+        hits = times[window][on_backup[window]]
+        if hits.size == 0:
+            continue
+        failovers.append(float(hits[0] - onset))
+        after = (times >= end) & (times < end + event_spacing_s * 0.9)
+        clear = times[after][~on_backup[after]]
+        if clear.size:
+            failbacks.append(float(clear[0] - end))
+    return result, np.array(failovers), np.array(failbacks)

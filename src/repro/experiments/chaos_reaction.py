@@ -28,21 +28,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import SimulationConfig
-from repro.core.eventsim import EventDrivenXRON
-from repro.core.variants import VariantSpec, xron
-from repro.experiments.base import format_table
+from repro.core.variants import xron
+from repro.experiments.base import (format_table, quiet_testbed,
+                                    reaction_train)
 from repro.faults import (FaultSchedule, gateway_crash, install_delay,
                           install_partial, platform_load, probe_blackout,
                           report_drop)
 from repro.faults import controller_outage as outage_spec
-from repro.traffic.demand import DemandModel
-from repro.underlay.config import UnderlayConfig
-from repro.underlay.events import DegradationEvent
-from repro.underlay.linkstate import LinkType
-from repro.underlay.regions import default_regions
-from repro.underlay.scenarios import inject_events, quiet_link
-from repro.underlay.topology import build_underlay
 
 
 @dataclass
@@ -111,70 +103,6 @@ class ChaosReaction:
         return lines
 
 
-def _build_quiet(seed: int):
-    """The reaction-latency testbed: calm 3-region underlay + demand."""
-    by_code = {r.code: r for r in default_regions()}
-    regions = [by_code[c] for c in ("HGH", "SIN", "FRA")]
-    config = UnderlayConfig(horizon_s=7200.0)
-    config.internet.base_loss_min = 1e-6
-    config.internet.base_loss_max = 1e-5
-    config.internet.diurnal_loss_amp = 0.0
-    for tier in (config.internet, config.premium):
-        tier.short_events_per_day = 0.0
-        tier.long_events_per_day = 0.0
-    underlay = build_underlay(regions, config, seed=seed)
-    for (a, b) in underlay.pairs:
-        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-            quiet_link(underlay, a, b, lt)
-    demand = DemandModel(regions, seed=seed)
-    return underlay, demand
-
-
-def _run_scenario(name: str, schedule: FaultSchedule, n_events: int,
-                  seed: int, event_spacing_s: float, event_duration_s: float,
-                  measure_interval_s: float,
-                  variant: Optional[VariantSpec] = None,
-                  demand_scale: float = 0.05,
-                  initial_gateways: int = 4) -> ChaosScenario:
-    """One fault class: inject degradations, measure reaction timing."""
-    underlay, demand = _build_quiet(seed)
-    pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
-    start = 3600.0
-    onsets = [start + 30.0 + k * event_spacing_s for k in range(n_events)]
-    inject_events(underlay, pair[0], pair[1], LinkType.INTERNET,
-                  [DegradationEvent(t, event_duration_s, 4000.0, 0.3)
-                   for t in onsets])
-
-    system = EventDrivenXRON(
-        underlay, demand, variant=variant,
-        sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=60.0,
-                                    seed=seed, demand_scale=demand_scale,
-                                    initial_gateways=initial_gateways),
-        tracked_pairs=[pair], measure_interval_s=measure_interval_s,
-        faults=schedule)
-    duration = 30.0 + n_events * event_spacing_s + 60.0
-    result = system.run(start, duration)
-    record = result.sessions[pair]
-    times = np.asarray(record.times)
-    on_backup = np.asarray(record.on_backup, dtype=bool)
-
-    failovers, failbacks = [], []
-    for onset in onsets:
-        end = onset + event_duration_s
-        window = (times >= onset) & (times < onset + event_spacing_s * 0.9)
-        hits = times[window][on_backup[window]]
-        if hits.size == 0:
-            continue
-        failovers.append(float(hits[0] - onset))
-        after = (times >= end) & (times < end + event_spacing_s * 0.9)
-        clear = times[after][~on_backup[after]]
-        if clear.size:
-            failbacks.append(float(clear[0] - end))
-    return ChaosScenario(name, n_events, len(failovers),
-                         np.array(failovers), np.array(failbacks),
-                         result.fault_counters)
-
-
 def _schedules(n_events: int, event_spacing_s: float,
                event_duration_s: float,
                src: str) -> List[Tuple[str, FaultSchedule]]:
@@ -223,19 +151,21 @@ def run(n_events: int = 4, seed: int = 17, event_spacing_s: float = 60.0,
     fault being measured) and starts under-provisioned so the epoch loop
     must actually request containers through the inflated platform.
     """
-    __, demand = _build_quiet(seed)
+    __, demand = quiet_testbed(seed)
     pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
     frozen = replace(xron(), elastic=False)
     scenarios = []
     for name, schedule in _schedules(n_events, event_spacing_s,
                                      event_duration_s, pair[0]):
         if name == "provision-storm":
-            scenarios.append(_run_scenario(
-                name, schedule, n_events, seed, event_spacing_s,
-                event_duration_s, measure_interval_s, variant=xron(),
-                demand_scale=0.6, initial_gateways=1))
+            deployment = {"variant": xron(), "demand_scale": 0.6,
+                          "initial_gateways": 1}
         else:
-            scenarios.append(_run_scenario(
-                name, schedule, n_events, seed, event_spacing_s,
-                event_duration_s, measure_interval_s, variant=frozen))
+            deployment = {"variant": frozen}
+        result, failovers, failbacks = reaction_train(
+            seed, n_events, event_spacing_s, event_duration_s,
+            measure_interval_s, epoch_s=60.0, faults=schedule, **deployment)
+        scenarios.append(ChaosScenario(name, n_events, len(failovers),
+                                       failovers, failbacks,
+                                       result.fault_counters))
     return ChaosReaction(scenarios)

@@ -39,15 +39,9 @@ from repro.controlplane.regional import RegionalControlConfig, regional_control
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON, EventSimResult
 from repro.core.variants import xron
-from repro.experiments.base import format_table
+from repro.experiments.base import format_table, quiet_testbed
 from repro.faults import FaultSchedule, control_partition, membership_churn
 from repro.resilience import resilience
-from repro.traffic.demand import DemandModel
-from repro.underlay.config import UnderlayConfig
-from repro.underlay.linkstate import LinkType
-from repro.underlay.regions import default_regions
-from repro.underlay.scenarios import quiet_link
-from repro.underlay.topology import build_underlay
 
 #: Simulated start time (past the underlay warmup) and epoch cadence.
 _START = 3600.0
@@ -130,24 +124,6 @@ class PartitionReport:
         return lines
 
 
-def _build_quiet(seed: int):
-    """The partition testbed: calm 3-region underlay + demand."""
-    by_code = {r.code: r for r in default_regions()}
-    regions = [by_code[c] for c in ("HGH", "SIN", "FRA")]
-    config = UnderlayConfig(horizon_s=7200.0)
-    config.internet.base_loss_min = 1e-6
-    config.internet.base_loss_max = 1e-5
-    config.internet.diurnal_loss_amp = 0.0
-    for tier in (config.internet, config.premium):
-        tier.short_events_per_day = 0.0
-        tier.long_events_per_day = 0.0
-    underlay = build_underlay(regions, config, seed=seed)
-    for (a, b) in underlay.pairs:
-        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-            quiet_link(underlay, a, b, lt)
-    return underlay, DemandModel(regions, seed=seed)
-
-
 def _run(seed: int, duration_s: float, schedule: FaultSchedule,
          member: Optional[MembershipConfig],
          regional: Optional[RegionalControlConfig]):
@@ -156,7 +132,7 @@ def _run(seed: int, duration_s: float, schedule: FaultSchedule,
     Both arms carry the resilience layer: the comparison isolates the
     partition-tolerance pair, not two-phase installs (and regional
     control needs the installer's versioning anyway)."""
-    underlay, demand = _build_quiet(seed)
+    underlay, demand = quiet_testbed(seed)
     system = EventDrivenXRON(
         underlay, demand, variant=replace(xron(), elastic=False),
         sim_config=SimulationConfig(epoch_s=_EPOCH_S, eval_step_s=10.0,

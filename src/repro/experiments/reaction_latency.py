@@ -17,16 +17,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.config import SimulationConfig
-from repro.core.eventsim import EventDrivenXRON
-from repro.experiments.base import format_table
-from repro.traffic.demand import DemandModel
-from repro.underlay.config import UnderlayConfig
-from repro.underlay.events import DegradationEvent
-from repro.underlay.linkstate import LinkType
-from repro.underlay.regions import default_regions
-from repro.underlay.scenarios import inject_events, quiet_link
-from repro.underlay.topology import build_underlay
+from repro.experiments.base import format_table, reaction_train
 
 
 @dataclass
@@ -74,51 +65,7 @@ def run(n_events: int = 10, seed: int = 13, event_spacing_s: float = 60.0,
         event_duration_s: float = 25.0, measure_interval_s: float = 0.5
         ) -> ReactionLatency:
     """Inject `n_events` degradations and measure handling latency."""
-    by_code = {r.code: r for r in default_regions()}
-    regions = [by_code[c] for c in ("HGH", "SIN", "FRA")]
-    config = UnderlayConfig(horizon_s=7200.0)
-    # Calm background so each injected event is unambiguous.
-    config.internet.base_loss_min = 1e-6
-    config.internet.base_loss_max = 1e-5
-    config.internet.diurnal_loss_amp = 0.0
-    for tier in (config.internet, config.premium):
-        tier.short_events_per_day = 0.0
-        tier.long_events_per_day = 0.0
-    underlay = build_underlay(regions, config, seed=seed)
-    for (a, b) in underlay.pairs:
-        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-            quiet_link(underlay, a, b, lt)
-
-    demand = DemandModel(regions, seed=seed)
-    pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
-    start = 3600.0
-    onsets = [start + 30.0 + k * event_spacing_s for k in range(n_events)]
-    inject_events(underlay, pair[0], pair[1], LinkType.INTERNET,
-                  [DegradationEvent(t, event_duration_s, 4000.0, 0.3)
-                   for t in onsets])
-
-    system = EventDrivenXRON(
-        underlay, demand,
-        sim_config=SimulationConfig(epoch_s=3600.0, eval_step_s=60.0,
-                                    seed=seed, demand_scale=0.05),
-        tracked_pairs=[pair], measure_interval_s=measure_interval_s)
-    duration = 30.0 + n_events * event_spacing_s + 60.0
-    result = system.run(start, duration)
-    record = result.sessions[pair]
-    times = np.asarray(record.times)
-    on_backup = np.asarray(record.on_backup, dtype=bool)
-
-    delays, reverts = [], []
-    for onset in onsets:
-        end = onset + event_duration_s
-        window = (times >= onset) & (times < onset + event_spacing_s * 0.9)
-        hits = times[window][on_backup[window]]
-        if hits.size == 0:
-            continue
-        delays.append(float(hits[0] - onset))
-        after = (times >= end) & (times < end + event_spacing_s * 0.9)
-        clear = times[after][~on_backup[after]]
-        if clear.size:
-            reverts.append(float(clear[0] - end))
-    return ReactionLatency(np.array(delays), n_events, len(delays),
-                           np.array(reverts))
+    __, delays, reverts = reaction_train(
+        seed, n_events, event_spacing_s, event_duration_s,
+        measure_interval_s, epoch_s=3600.0)
+    return ReactionLatency(delays, n_events, len(delays), reverts)

@@ -31,17 +31,14 @@ from typing import Dict, List, Optional
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON, EventSimResult
 from repro.core.variants import xron
-from repro.experiments.base import format_table
+from repro.experiments.base import format_table, quiet_testbed
 from repro.faults import (FaultSchedule, controller_outage, install_delay,
                           install_partial)
 from repro.resilience import ResilienceConfig, resilience
 from repro.traffic.matrix import TrafficMatrix
-from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
-from repro.underlay.regions import default_regions
-from repro.underlay.scenarios import inject_events, quiet_link
-from repro.underlay.topology import build_underlay
+from repro.underlay.scenarios import inject_events
 from repro.traffic.demand import DemandModel
 
 #: Simulated start time (past the underlay warmup) and epoch cadence.
@@ -108,31 +105,13 @@ class RecoveryReport:
         return lines
 
 
-def _build_quiet(seed: int):
-    """The chaos testbed: calm 3-region underlay + demand."""
-    by_code = {r.code: r for r in default_regions()}
-    regions = [by_code[c] for c in ("HGH", "SIN", "FRA")]
-    config = UnderlayConfig(horizon_s=7200.0)
-    config.internet.base_loss_min = 1e-6
-    config.internet.base_loss_max = 1e-5
-    config.internet.diurnal_loss_amp = 0.0
-    for tier in (config.internet, config.premium):
-        tier.short_events_per_day = 0.0
-        tier.long_events_per_day = 0.0
-    underlay = build_underlay(regions, config, seed=seed)
-    for (a, b) in underlay.pairs:
-        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-            quiet_link(underlay, a, b, lt)
-    return underlay, DemandModel(regions, seed=seed)
-
-
 def _run(seed: int, duration_s: float, schedule: FaultSchedule,
          res: Optional[ResilienceConfig],
          underlay=None, demand=None,
          measure_interval_s: float = 1.0):
     """One deployment run on the shared testbed (elastic frozen)."""
     if underlay is None:
-        underlay, demand = _build_quiet(seed)
+        underlay, demand = quiet_testbed(seed)
     system = EventDrivenXRON(
         underlay, demand, variant=replace(xron(), elastic=False),
         sim_config=SimulationConfig(epoch_s=_EPOCH_S, eval_step_s=10.0,
@@ -222,7 +201,7 @@ def _outage(seed: int, post_epochs: int) -> List[RecoveryRow]:
     for mode, res in (
             ("cold", replace(resilience(), checkpoint_enabled=False)),
             ("warm", resilience())):
-        underlay, demand = _build_quiet(seed)
+        underlay, demand = quiet_testbed(seed)
         __, result = _run(seed, duration, schedule, res,
                           underlay=underlay, demand=demand)
         rows.append(RecoveryRow(
@@ -244,7 +223,7 @@ def _flap_storm(seed: int, flap_events: int) -> List[RecoveryRow]:
     stream rides the backup through the train.
     """
     spacing_s, burst_s = 25.0, 12.0
-    underlay, demand = _build_quiet(seed)
+    underlay, demand = quiet_testbed(seed)
     pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
     onsets = [_START + 30.0 + k * spacing_s for k in range(flap_events)]
     inject_events(underlay, pair[0], pair[1], LinkType.INTERNET,

@@ -12,7 +12,8 @@ those failure modes into data:
   staleness, delayed/partial table installs, provisioning storms, and
   controller outages.
 * `FaultInjector` (`repro.faults.runtime`) — the compiled schedule the
-  simulator's seams query at each injection point.
+  data-plane seams and the engine's extensions query — and
+  `FaultExtension`, which drives it on the event engine.
 
 `EventDrivenXRON` accepts a schedule via its ``faults=`` argument; each
 injection point emits off-by-default ``fault_*`` telemetry through

@@ -1,22 +1,31 @@
-"""The fault injector: a compiled `FaultSchedule` answering point queries.
+"""The fault injector and the extension that drives it on the engine.
 
-`FaultInjector` is what the data-plane seams actually talk to.  It keeps
-the schedule's specs bucketed by kind so per-call matching is a short
-linear scan (schedules hold dozens of specs at most), owns the *only*
-RNG the fault subsystem ever draws from (a dedicated named stream, so
-probabilistic drops never perturb any other subsystem's randomness), and
-counts what it injected so experiments can report fault pressure next to
-reaction timings.
+`FaultInjector` is a compiled `FaultSchedule` answering point queries —
+what the data-plane seams and the event engine's extensions talk to.
+It keeps the schedule's specs bucketed by kind so per-call matching is
+a short linear scan (schedules hold dozens of specs at most), owns the
+*only* RNG the fault subsystem ever draws from (a dedicated named
+stream, so probabilistic drops never perturb any other subsystem's
+randomness), and counts what it injected so experiments can report
+fault pressure next to reaction timings.  It is passive — it never
+schedules anything — and an empty one answers every query "nothing",
+so `EventDrivenXRON` always carries one as ``engine.faults``.
 
-The injector is deliberately passive: it never schedules anything
-itself.  The event simulator asks it for the crash windows to put on the
-event queue and consults it at each seam; a seam that gets `None`
-instead of an injector costs one attribute check — which is what keeps
-an empty schedule byte-identical to no fault subsystem at all.
+`FaultExtension` is the half that needs a clock and a deployment: it
+queues the gateway-crash windows, closes the epoch gate during a
+controller outage, severs partitioned regions from the controller
+(reports in, installs out) and transforms install pushes (partial,
+delayed) — each through one hook of `repro.core.eventsim.HOOKS`.  The
+engine arms it only for a non-empty schedule, which is also the only
+time the three data-plane seams (`RegionCluster.faults`,
+`NetworkInformationBase.fault_filter`, `ContainerPool.platform_load_fn`)
+are wired: without a schedule the probe and report path is the plain
+one, call for call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -24,7 +33,13 @@ import numpy as np
 
 from repro.controlplane.nib import LinkReport
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
+from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
+
+_TEL = _telemetry()
+
+Entries = Dict[int, Tuple[str, LinkType]]
+Plans = Dict[int, Tuple[str, ...]]
 
 
 @dataclass
@@ -274,9 +289,7 @@ class FaultInjector:
         return None
 
 
-def truncate_install(entries: Dict[int, Tuple[str, LinkType]],
-                     keep_fraction: float
-                     ) -> Dict[int, Tuple[str, LinkType]]:
+def truncate_install(entries: Entries, keep_fraction: float) -> Entries:
     """Deterministically keep the first `keep_fraction` of an install.
 
     Entries are ordered by stream id, so which streams lose their rows
@@ -286,4 +299,173 @@ def truncate_install(entries: Dict[int, Tuple[str, LinkType]],
     return {sid: entries[sid] for sid in sorted(entries)[:keep]}
 
 
-__all__ = ["FaultCounters", "FaultInjector", "truncate_install"]
+class FaultExtension:
+    """Drives `injector` (a non-empty schedule) against `engine`."""
+
+    def __init__(self, engine, injector: FaultInjector):
+        self.engine = engine
+        self.injector = injector
+        for cluster in engine.clusters.values():
+            cluster.faults = self.injector
+        for code, pool in engine.pools.items():
+            pool.platform_load_fn = self._load_fn(code)
+        self.controller_restarted()
+
+    def controller_restarted(self) -> None:
+        self.engine.controller.nib.fault_filter = self.injector.filter_report
+
+    def _load_fn(self, code: str):
+        """Per-region provisioning-storm hook for a `ContainerPool`."""
+        injector = self.injector
+
+        def load(now: float) -> float:
+            value = injector.platform_load(code, now)
+            if value > 1.0:
+                injector.counters.load_spikes_applied += 1
+            return value
+        return load
+
+    # ------------------------------------------------------- gateway crashes
+    def schedule(self, sim, start_s: float) -> None:
+        """Queue the crash windows (priority -1: before the controller).
+        Windows already fired — state restored from a checkpoint taken
+        at t > 0 — are not replayed."""
+        for spec in self.injector.crash_windows():
+            if spec.end_s <= start_s or self.injector.fired(spec):
+                continue
+            sim.schedule_at(max(spec.start_s, start_s),
+                            lambda spec=spec: self._crash(sim, spec),
+                            priority=-1)
+
+    def _crash(self, sim, spec: FaultSpec) -> None:
+        """Fire one gateway-crash window (and queue its restarts)."""
+        clusters = self.engine.clusters
+        self.injector.mark_fired(spec)
+        codes = [spec.region] if spec.region is not None else sorted(clusters)
+        fault_id = self.injector.fault_id(spec)
+        for code in codes:
+            victims = clusters[code].crash_gateways(
+                spec.count, sim.now, fault_id=fault_id)
+            self.injector.counters.gateways_crashed += len(victims)
+            if victims and spec.restart and math.isfinite(spec.end_s):
+                sim.schedule_at(
+                    max(spec.end_s, sim.now),
+                    lambda code=code, n=len(victims): self._restart(
+                        sim, code, n, fault_id),
+                    priority=-1)
+
+    def _restart(self, sim, code: str, count: int,
+                 fault_id: Optional[int]) -> None:
+        started = self.engine.clusters[code].restore_gateways(
+            count, sim.now, fault_id=fault_id)
+        self.injector.counters.gateways_restarted += len(started)
+
+    # ------------------------------------------------------------ partitions
+    def unreachable(self, now: float) -> frozenset:
+        return self.injector.partition_regions(now)
+
+    def reports_severed(self, cluster, reports, now: float) -> None:
+        """The reports never cross the partition edge to the global
+        controller (its NIB ages, its membership entries starve)."""
+        self.injector.counters.reports_severed += len(reports)
+
+    def install_severed(self, code: str) -> None:
+        """Count one install push stopped at a partition edge."""
+        self.injector.counters.installs_severed += 1
+        if _TEL.enabled:
+            _TEL.counter("fault.installs_severed").inc()
+
+    def epoch_start(self, sim, unreachable: frozenset) -> None:
+        if unreachable and _TEL.enabled:
+            for spec in self.injector.active_partitions(sim.now):
+                _TEL.event("fault_control_partition", t=sim.now,
+                           regions=list(spec.regions),
+                           fault_id=self.injector.fault_id(spec))
+
+    # ------------------------------------------------------- controller outage
+    def epoch_gate(self, now: float) -> Optional[FaultSpec]:
+        return self.injector.controller_down(now)
+
+    def epoch_skipped(self, sim, outage: FaultSpec,
+                      unreachable: frozenset) -> None:
+        self.injector.counters.epochs_skipped += 1
+        if _TEL.enabled:
+            now, skipped = sim.now, self.engine.skipped_epochs
+            _TEL.counter("eventsim.skipped_epochs").inc()
+            _TEL.event("controller_outage", t=now,
+                       outage_start=outage.start_s,
+                       outage_end=outage.end_s, skipped_epochs=skipped)
+            _TEL.counter("fault.epochs_skipped").inc()
+            _TEL.event("fault_controller_outage", t=now,
+                       outage_start=outage.start_s,
+                       outage_end=outage.end_s, skipped_epochs=skipped,
+                       fault_id=self.injector.fault_id(outage))
+            _TEL.flush_stream(now)
+
+    # -------------------------------------------------------------- installs
+    def truncate_install(self, code: str, cluster, entries: Entries,
+                         plans: Plans, now: float) -> Tuple[Entries, Plans]:
+        """Partial install: only the first `keep` fraction of the
+        update's rows (by stream id) lands; rows beyond the cut keep
+        their previously installed value — the stream rides a stale
+        table row, it does not vanish.  Streams absent from the new
+        table are still withdrawn."""
+        keep = self.injector.install_keep_fraction(code, now)
+        if keep >= 1.0:
+            return entries, plans
+        kept = truncate_install(entries, keep)
+        stale_entries = cluster.current_entries()
+        stale_plans = cluster.current_plans()
+        merged = dict(kept)
+        merged_plans = {sid: plan for sid, plan in plans.items()
+                        if sid in kept}
+        for sid in entries:
+            if sid in kept:
+                continue
+            if sid in stale_entries:
+                merged[sid] = stale_entries[sid]
+            if sid in stale_plans:
+                merged_plans[sid] = stale_plans[sid]
+        self.injector.counters.installs_truncated += 1
+        if _TEL.enabled:
+            _TEL.counter("fault.installs_truncated").inc()
+            _TEL.event("fault_install_partial", t=now, region=code,
+                       fresh=len(kept), stale=len(merged) - len(kept),
+                       keep_fraction=keep,
+                       fault_id=self.injector.fault_id(
+                           self.injector.install_partial_spec(code, now)))
+        return merged, merged_plans
+
+    def install_delay(self, code: str, now: float) -> float:
+        """Seconds an install-delay fault holds back one region's push
+        at `now` (0.0 without one); a delayed push is counted and traced."""
+        spec = self.injector.install_delay_spec(code, now)
+        if spec is None or spec.delay_s <= 0.0:
+            return 0.0
+        self.injector.counters.installs_delayed += 1
+        if _TEL.enabled:
+            _TEL.counter("fault.installs_delayed").inc()
+            _TEL.event("fault_install_delayed", t=now, region=code,
+                       delay_s=spec.delay_s,
+                       fault_id=self.injector.fault_id(spec))
+        return spec.delay_s
+
+    # ----------------------------------------------------------------- state
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        return {"fault_counters": self.injector.counters.as_dict()}
+
+    def health(self, now: float) -> Dict[str, object]:
+        return {"fault_kind_counters": self.injector.counters.by_kind(),
+                "fault_state": self.injector.export_state(),
+                "active_partitions": len(
+                    self.injector.active_partitions(now))}
+
+    def restore(self, checkpoint, t: float) -> None:
+        """Import the injector's progress — counters and fired one-shot
+        windows — so a resumed run never replays a fault."""
+        if checkpoint.fault_state:
+            self.injector.import_state(checkpoint.fault_state)
+
+
+__all__ = ["FaultCounters", "FaultExtension", "FaultInjector",
+           "truncate_install"]

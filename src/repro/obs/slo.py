@@ -199,6 +199,15 @@ class SLOEngine:
         elif ledger.in_breach and burn <= self.target.recover_burn:
             self._exit_breach(ledger, t, burn)
 
+    def sample(self, pair: Tuple[str, str], t: float,
+               latency_ms: Optional[float], loss_rate: Optional[float],
+               blackholed: bool) -> None:
+        """The event engine's measurement hook (`EventDrivenXRON(slo=)`
+        lists this object as an extension): one tracked session's
+        sample, named ``src->dst``."""
+        self.observe(f"{pair[0]}->{pair[1]}", t, latency_ms, loss_rate,
+                     blackholed=blackholed)
+
     def observe_series(self, stream: str, times: Iterable[float],
                        latency_ms: Iterable[float],
                        loss_rate: Iterable[float]) -> None:

@@ -3,20 +3,21 @@
 XRON's control plane must update forwarding state across regions without
 ever blackholing or looping live conference traffic, and must keep
 forwarding sanely when the controller goes dark.  This package holds the
-mechanisms the event simulator wires in when a `ResilienceConfig` with
-``enabled=True`` is passed:
+mechanisms `EventDrivenXRON(resilience=ResilienceConfig(...))` arms:
 
 * `repro.resilience.invariants` — the routing invariants (loop freedom,
   delivery, no blackhole, plan liveness) a proposed install must satisfy;
-* `repro.resilience.install` — versioned two-phase install bookkeeping
-  (validation, monotonic versions, bounded-backoff retry policy);
+* `repro.resilience.install` — the versioned two-phase install
+  (validation, monotonic versions, bounded-backoff retry policy) and
+  `ResilienceExtension`, which runs it — and checkpoints and restarts —
+  on the event engine;
 * `repro.resilience.checkpoint` — JSON-round-trippable controller
   checkpoints enabling warm restarts after an outage;
 * `repro.resilience.config` — the knobs, including degraded-mode
-  forwarding thresholds and failover/failback hysteresis.
+  forwarding thresholds and failback hold-down.
 
-With the layer disabled (the default), every run stays byte-identical to
-a build without this package.
+Without a config (the default) the layer is not there: every run stays
+byte-identical to a build without this package.
 """
 
 from repro.resilience.checkpoint import Checkpoint

@@ -1,10 +1,10 @@
 """Resilience tunables (safe updates, recovery, degraded forwarding).
 
-One frozen config gates the whole safe-update & recovery layer.  The
-master ``enabled`` switch defaults to False, and every seam in the
-simulator and data plane checks it before doing anything — a disabled
-config leaves runs byte-identical to a build without the subsystem
-(no extra RNG draws, no extra events, no behavioural change).
+One frozen config arms the whole safe-update & recovery layer: passing
+one to `EventDrivenXRON(resilience=...)` adds the layer's extension
+(`repro.resilience.extension`), passing ``None`` leaves it out — and a
+run without it is byte-identical to a build without the subsystem (no
+extra RNG draws, no extra events, no behavioural change).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class ResilienceConfig:
       before anything commits, and commit everywhere or nowhere; a
       failed install is retried with bounded exponential backoff while
       every gateway keeps its last-good table.
-    * **checkpoint / warm restart** — the controller periodically
+    * **checkpoint / warm restart** — the controller every epoch
       serializes its NIB/SIB/last-install state to a JSON checkpoint;
       after an outage the restarted controller restores from it instead
       of cold-starting.
@@ -32,18 +32,12 @@ class ResilienceConfig:
       installed table is and, past the threshold, demote Internet-path
       entries to the direct premium link (the stable-but-expensive
       floor).
-    * **failover hysteresis** — N consecutive bad probes before a
-      failover and a hold-down timer before failback, so noisy loss
-      cannot flap traffic between the normal and backup path.
+    * **failover hysteresis** — a hold-down timer before failback, so
+      noisy loss cannot flap traffic between the normal and backup
+      path.
     """
 
-    #: Master switch; False disables every mechanism below.
-    enabled: bool = False
-
     # ------------------------------------------- versioned two-phase installs
-    #: Validate proposed installs against the routing invariants and
-    #: commit them everywhere-or-nowhere.
-    validate_installs: bool = True
     #: How many times a rejected install is retried before giving up.
     max_install_retries: int = 3
     #: First retry delay, seconds.
@@ -52,19 +46,13 @@ class ResilienceConfig:
     retry_backoff_factor: float = 2.0
 
     # ------------------------------------------ checkpoint and warm restart
-    #: Serialize a controller checkpoint periodically.
+    #: Serialize a controller checkpoint every control epoch; a
+    #: ``controller_outage`` is a process restart either way (reports
+    #: sent during it are lost), warm from the last checkpoint when
+    #: there is one and cold otherwise.
     checkpoint_enabled: bool = True
-    #: Checkpoint cadence in control epochs.
-    checkpoint_every_epochs: int = 1
-    #: Model a ``controller_outage`` fault as a process restart: reports
-    #: sent during the outage are lost, and the controller comes back
-    #: cold (or warm from the last checkpoint).  False keeps the legacy
-    #: skip-epochs-only semantics.
-    model_restart: bool = True
 
     # ---------------------------------------------- degraded-mode forwarding
-    #: Demote stale Internet-path entries to the direct premium link.
-    degraded_mode_enabled: bool = True
     #: Missed control epochs before a gateway considers its table stale.
     staleness_epochs: int = 3
     #: Absolute staleness threshold, seconds.  None derives it as
@@ -73,11 +61,8 @@ class ResilienceConfig:
     staleness_threshold_s: Optional[float] = None
 
     # -------------------------------------------------- failover hysteresis
-    #: Hold-down timer + failover confirmation.
+    #: Hold-down timer after a failover.
     hysteresis_enabled: bool = True
-    #: Consecutive bad probe bursts before failover; None keeps the
-    #: reaction config's own ``trigger_bursts``.
-    failover_trigger_bursts: Optional[int] = None
     #: Minimum time a stream stays on its backup after a failover, even
     #: if monitoring says the normal link has recovered.
     failback_holddown_s: float = 30.0
@@ -89,16 +74,11 @@ class ResilienceConfig:
             raise ValueError("retry_backoff_s must be positive")
         if self.retry_backoff_factor < 1.0:
             raise ValueError("retry_backoff_factor must be >= 1")
-        if self.checkpoint_every_epochs < 1:
-            raise ValueError("checkpoint_every_epochs must be >= 1")
         if self.staleness_epochs < 1:
             raise ValueError("staleness_epochs must be >= 1")
         if (self.staleness_threshold_s is not None
                 and self.staleness_threshold_s <= 0):
             raise ValueError("staleness_threshold_s must be positive")
-        if (self.failover_trigger_bursts is not None
-                and self.failover_trigger_bursts < 1):
-            raise ValueError("failover_trigger_bursts must be >= 1")
         if self.failback_holddown_s < 0:
             raise ValueError("failback_holddown_s cannot be negative")
 
@@ -115,8 +95,8 @@ class ResilienceConfig:
 
 
 def resilience() -> ResilienceConfig:
-    """A fully-enabled config with default knobs (convenience)."""
-    return ResilienceConfig(enabled=True)
+    """The layer with default knobs (convenience constructor)."""
+    return ResilienceConfig()
 
 
 __all__ = ["ResilienceConfig", "resilience"]

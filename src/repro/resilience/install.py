@@ -1,21 +1,30 @@
-"""Two-phase install bookkeeping: versions, validation, retry policy.
+"""The two-phase install, and the layer's event-engine extension.
 
 `TwoPhaseInstaller` owns the pure (simulator-independent) half of the
 safe-update protocol:
 
-* **phase 1 (prepare)** — the harness delivers the controller's update
-  to every region through the fault seams and hands the assembled
-  global state to :meth:`validate`, which runs the routing invariants
-  while every gateway still holds its last-good table;
+* **phase 1 (prepare)** — the update is delivered to every region
+  through the engine's delivery hooks and the assembled global state
+  is handed to :meth:`TwoPhaseInstaller.validate`, which runs the
+  routing invariants while every gateway still holds its last-good
+  table;
 * **phase 2 (commit)** — an update that validated cleanly is committed
   everywhere with the same monotonically increasing version;
   a rejected update commits *nowhere* and is retried with bounded
-  exponential backoff (:meth:`backoff_delay`), superseded silently if a
-  newer epoch's update arrives first (:meth:`is_current`).
+  exponential backoff (:meth:`~TwoPhaseInstaller.backoff_delay`),
+  superseded silently if a newer epoch's update arrives first
+  (:meth:`~TwoPhaseInstaller.is_current`).
 
-The event-loop half (actually scheduling retries, pushing to clusters,
-rebinding sessions on commit) lives in `repro.core.eventsim`, which
-owns the clock and the clusters.
+`ResilienceExtension` is the half that needs the clock and the
+clusters.  Through the hooks of `repro.core.eventsim.HOOKS` it replaces
+the engine's built-in install with that protocol (scheduling retries,
+pushing to clusters, rebinding sessions on commit); models a controller
+outage as a dead process — reports sent meanwhile are lost, and the
+first epoch after it restarts the controller, warm from the last
+checkpoint or cold without one; takes that checkpoint at the end of
+every control epoch and loads one into a freshly built deployment
+(`EventDrivenXRON.restore`); and arms degraded-mode forwarding and
+failback hold-down on the gateways.
 """
 
 from __future__ import annotations
@@ -23,9 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+from repro.controlplane.controller import ControlOutput
+from repro.obs import telemetry as _telemetry
+from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.invariants import (Plans, StreamSpec, Tables,
                                          Violation, validate_install)
+
+_TEL = _telemetry()
 
 
 @dataclass
@@ -101,9 +115,7 @@ class TwoPhaseInstaller:
     def validate(self, tables: Tables, plans: Plans,
                  cluster_sizes: Dict[str, int],
                  streams: Iterable[StreamSpec]) -> List[Violation]:
-        """Phase 1: run the invariants over the delivered global update."""
-        if not self.config.validate_installs:
-            return []
+        """Phase 1: run the invariants over the delivered update."""
         violations = validate_install(tables, plans, cluster_sizes, streams)
         self.counters.violations_found += len(violations)
         return violations
@@ -121,4 +133,201 @@ class TwoPhaseInstaller:
         return attempt > self.config.max_install_retries
 
 
-__all__ = ["ResilienceCounters", "TwoPhaseInstaller"]
+class ResilienceExtension:
+    """`config`, armed on `engine` (see the module docstring)."""
+
+    def __init__(self, engine, config: ResilienceConfig):
+        self.engine = engine
+        self.config = config.resolved(engine.sim_config.epoch_s)
+        self.installer = TwoPhaseInstaller(self.config)
+        #: Set while a modeled controller restart is owed after an outage.
+        self._restart_owed = False
+        for cluster in engine.clusters.values():
+            cluster.arm_resilience(self.config, self.installer.counters)
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        return {"resilience_counters": self.installer.counters.as_dict()}
+
+    # -------------------------------------------------- outage and restart
+    def reports_lost(self, now: float) -> bool:
+        """An outage is a dead process, not a paused one: reports sent
+        while it is down are lost, which is what makes the post-outage
+        NIB/SIB state an honest recovery problem instead of a free warm
+        cache."""
+        return self.engine.faults.controller_down(now) is not None
+
+    def epoch_skipped(self, sim, cause, unreachable: frozenset) -> None:
+        # The outage killed the process: the first epoch after it ends
+        # must restart the controller (cold or warm).
+        self._restart_owed = True
+
+    def pre_solve(self, sim) -> None:
+        """Model the post-outage controller restart (cold or warm).
+
+        The replacement is constructed exactly like boot, then — when a
+        checkpoint exists — warm-loaded from the serialized artifact."""
+        if not self._restart_owed:
+            return
+        self._restart_owed = False
+        engine = self.engine
+        warm = (self.config.checkpoint_enabled
+                and engine.checkpoint_json is not None)
+        engine.controller = engine.make_controller()
+        engine.fire("controller_restarted")
+        if warm:
+            self._load(Checkpoint.loads(engine.checkpoint_json))
+        else:
+            self.installer.counters.restores_cold += 1
+        if _TEL.enabled:
+            _TEL.counter("resilience.restores").inc()
+            _TEL.event("resilience_restore", t=sim.now, warm=warm,
+                       epochs_run=engine.controller.epochs_run)
+
+    # ------------------------------------------------------------ checkpoints
+    def checkpoint(self, now: float) -> None:
+        """Serialize controller state + the last committed install."""
+        if not self.config.checkpoint_enabled:
+            return
+        engine = self.engine
+        version = self.installer.committed_version
+        engine.checkpoint_json = Checkpoint.take(
+            engine.controller,
+            {code: c.current_entries() for code, c in engine.clusters.items()},
+            {code: c.current_plans() for code, c in engine.clusters.items()},
+            t=now, epoch_seq=engine.epoch_seq, version=version,
+            # Absent without a schedule, so fault-free checkpoints keep
+            # the pre-fault-state format.
+            fault_state=(engine.faults.export_state()
+                         if engine.faults.schedule else None)).dumps()
+        self.installer.counters.checkpoints_taken += 1
+        if _TEL.enabled:
+            _TEL.counter("resilience.checkpoints").inc()
+            _TEL.event("resilience_checkpoint", t=now,
+                       epoch_seq=engine.epoch_seq, version=version,
+                       bytes=len(engine.checkpoint_json))
+
+    def restore(self, checkpoint: Checkpoint, t: float) -> None:
+        """Resume from `checkpoint`: the last committed install is live
+        again before the first epoch runs, and new epochs' versions
+        supersede it."""
+        for code, cluster in self.engine.clusters.items():
+            entries = checkpoint.tables.get(code, {})
+            plans = checkpoint.plans.get(code, {})
+            if entries or plans:
+                cluster.install(entries, plans,
+                                version=checkpoint.version or None, now=t)
+        self.installer.proposed_version = checkpoint.version
+        self.installer.committed_version = checkpoint.version
+        self._load(checkpoint)
+
+    def _load(self, checkpoint: Checkpoint) -> None:
+        """The one warm-restore routine (post-outage restart, resume)."""
+        checkpoint.restore(self.engine.controller)
+        self.installer.counters.restores_warm += 1
+
+    # --------------------------------------------------- two-phase installs
+    def install(self, sim, output: ControlOutput, plans_by_region: Plans,
+                unreachable: frozenset) -> None:
+        """Start the safe-update protocol for one epoch's tables."""
+        version = self.installer.next_version(sim.now)
+        self._attempt(sim, output, plans_by_region, output.stream_specs(),
+                      version, attempt=1)
+
+    def _attempt(self, sim, output: ControlOutput, plans_by_region: Plans,
+                 streams: List[StreamSpec], version: int,
+                 attempt: int) -> None:
+        """One prepare->validate->commit round of the two-phase install."""
+        if not self.installer.is_current(version):
+            return  # superseded by a newer epoch's update
+        engine = self.engine
+        now = sim.now
+        unreachable = engine.unreachable(now)
+        tables = output.path_result.forwarding_tables
+        delivered_t, delivered_p = {}, {}
+        max_delay = 0.0
+        for code in engine.clusters:
+            entries, plans = tables[code], plans_by_region[code]
+            # A severed region's push never crosses the partition edge,
+            # so the delivery hooks are moot.  The controller still
+            # validates its full proposed update (its *belief* about
+            # the topology); only the commit stops at the edge.
+            if code not in unreachable:
+                entries, plans, delay = engine.deliver(code, entries, plans,
+                                                       now)
+                max_delay = max(max_delay, delay)
+            delivered_t[code], delivered_p[code] = entries, plans
+        retry = (sim, output, plans_by_region, streams, version, attempt)
+        if max_delay > 0.0:
+            # The protocol cannot commit until every region acknowledges
+            # delivery, so the slowest region paces the whole round.
+            self.installer.counters.installs_deferred += 1
+            self._retry(*retry, max_delay, reason="deferred")
+            return
+        violations = self.installer.validate(
+            delivered_t, delivered_p,
+            {code: c.size for code, c in engine.clusters.items()}, streams)
+        if violations:
+            self.installer.counters.installs_rejected += 1
+            if _TEL.enabled:
+                _TEL.counter("resilience.installs_rejected").inc()
+                _TEL.event("resilience_install_rejected", t=now,
+                           version=version, attempt=attempt,
+                           violation_count=len(violations),
+                           violations=[str(v) for v in violations[:5]])
+            self._retry(*retry, self.installer.backoff_delay(attempt),
+                        reason="rejected")
+            return
+        # Phase 2: commit everywhere with the same version — "everywhere"
+        # being every region the controller can actually reach.  A
+        # severed region keeps riding its last-installed tables (or its
+        # sub-controller's) until heal, when the fenced version of the
+        # first post-heal commit supersedes them.
+        for code, cluster in engine.clusters.items():
+            if code in unreachable:
+                engine.fire("install_severed", code)
+            else:
+                cluster.install(delivered_t[code], delivered_p[code],
+                                version=version, now=now)
+        self.installer.mark_committed(version, now)
+        engine.fire("committed", sim, version)
+        if _TEL.enabled:
+            _TEL.counter("resilience.installs_committed").inc()
+            latency = self.installer.last_commit_latency_s
+            _TEL.event("resilience_install_commit", t=now, version=version,
+                       attempt=attempt,
+                       rows=sum(len(t) for t in delivered_t.values()),
+                       latency_s=(round(latency, 6)
+                                  if latency is not None else None))
+        # Bind-on-commit: tracked sessions only move to the new epoch's
+        # stream ids once the tables that know those ids are live.
+        engine.rebind_sessions(output, now)
+
+    def _retry(self, sim, output: ControlOutput, plans_by_region: Plans,
+               streams: List[StreamSpec], version: int, attempt: int,
+               delay: float, reason: str) -> None:
+        """Queue the next attempt, or abandon when the budget is spent.
+
+        An abandoned update commits nowhere: every gateway keeps its
+        last-good table until the next control epoch proposes afresh."""
+        counters = self.installer.counters
+        if self.installer.exhausted(attempt):
+            counters.installs_abandoned += 1
+            if _TEL.enabled:
+                _TEL.counter("resilience.installs_abandoned").inc()
+                _TEL.event("resilience_install_abandoned", t=sim.now,
+                           version=version, attempt=attempt, reason=reason)
+            return
+        counters.installs_retried += 1
+        if _TEL.enabled:
+            _TEL.counter("resilience.installs_retried").inc()
+            _TEL.event("resilience_install_retry", t=sim.now, version=version,
+                       attempt=attempt, delay_s=delay, reason=reason)
+        sim.schedule(
+            delay,
+            lambda: self._attempt(sim, output, plans_by_region, streams,
+                                  version, attempt + 1),
+            priority=0)
+
+
+__all__ = ["ResilienceCounters", "ResilienceExtension",
+           "TwoPhaseInstaller"]

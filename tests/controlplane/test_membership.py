@@ -7,26 +7,17 @@ from repro.controlplane.membership import (MembershipConfig, MembershipTable,
 
 
 def _table(ttl_s=3.0):
-    return MembershipTable(MembershipConfig(enabled=True, ttl_s=ttl_s))
+    return MembershipTable(MembershipConfig(ttl_s=ttl_s))
 
 
 class TestConfig:
-    def test_disabled_by_default(self):
-        assert not MembershipConfig().enabled
-
     def test_convenience_constructor_arms(self):
-        config = membership(ttl_s=5.0)
-        assert config.enabled
-        assert config.ttl_s == 5.0
+        assert membership(ttl_s=5.0) == MembershipConfig(ttl_s=5.0)
 
     @pytest.mark.parametrize("ttl", [0.0, -1.0])
     def test_ttl_must_be_positive(self, ttl):
         with pytest.raises(ValueError):
-            MembershipConfig(enabled=True, ttl_s=ttl)
-
-    def test_table_refuses_disabled_config(self):
-        with pytest.raises(ValueError, match="enabled"):
-            MembershipTable(MembershipConfig())
+            MembershipConfig(ttl_s=ttl)
 
 
 class TestRefreshExpiry:

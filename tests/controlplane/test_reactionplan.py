@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.controlplane.model import (ControlConfig, OverlayPath,
-                                      path_latency_ms, path_loss_rate)
+from repro.controlplane.model import ControlConfig, OverlayPath
 from repro.controlplane.pathcontrol import path_control
 from repro.controlplane.reactionplan import (ReactionPlan,
                                              generate_reaction_plans,

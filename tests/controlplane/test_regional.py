@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.controlplane.controller import Controller
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.nib import LinkReport
 from repro.controlplane.regional import (REGIONAL_STREAM_BASE,
@@ -27,26 +28,25 @@ def _reports(codes, t=0.0):
 
 
 def _sub(regions=CODES, base_version=3, seed=23, nib_reports=None):
+    def make_controller(codes, *, seed, control_mode):
+        return Controller(
+            codes, ControlConfig(container_capacity_mbps=100.0),
+            sib_params={"min_history": 4, "refit_every": 2},
+            control_mode=control_mode, seed=seed)
+
     return RegionalController(
-        regions,
-        control_config=ControlConfig(container_capacity_mbps=100.0),
-        pricing=None, sib_params={"min_history": 4, "refit_every": 2},
+        regions, make_controller=make_controller,
         base_version=base_version, config=regional_control(),
         seed=seed, nib_reports=nib_reports)
 
 
 class TestConfig:
-    def test_disabled_by_default(self):
-        assert not RegionalControlConfig().enabled
-
     def test_convenience_constructor_arms(self):
-        config = regional_control()
-        assert config.enabled
-        assert config.stream_id_base == REGIONAL_STREAM_BASE
+        assert regional_control().stream_id_base == REGIONAL_STREAM_BASE
 
     def test_stream_id_base_must_be_positive(self):
         with pytest.raises(ValueError):
-            RegionalControlConfig(enabled=True, stream_id_base=0)
+            RegionalControlConfig(stream_id_base=0)
 
 
 class TestController:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
-from repro.core.variants import internet_only, xron, xron_basic
+from repro.core.variants import internet_only, xron_basic
+from repro.experiments.base import quiet_testbed
 from repro.faults import spec as fault_spec
 from repro.faults.spec import FaultSchedule
 from repro.traffic.demand import DemandModel
@@ -13,7 +14,7 @@ from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
 from repro.underlay.regions import default_regions
-from repro.underlay.scenarios import inject_events, quiet_link
+from repro.underlay.scenarios import inject_events
 from repro.underlay.topology import build_underlay
 
 
@@ -24,22 +25,9 @@ def regions():
 
 
 def _build(regions, seed=5, quiet=False):
-    config = UnderlayConfig(horizon_s=7200.0)
     if quiet:
-        # A genuinely calm Internet: no degradation events AND no
-        # baseline/diurnal loss that could trip the EWMA detector.
-        config.internet.base_loss_min = 1e-6
-        config.internet.base_loss_max = 1e-5
-        config.internet.diurnal_loss_amp = 0.0
-        config.internet.short_events_per_day = 0.0
-        config.internet.long_events_per_day = 0.0
-        config.premium.short_events_per_day = 0.0
-        config.premium.long_events_per_day = 0.0
-    u = build_underlay(regions, config, seed=seed)
-    if quiet:
-        for (a, b) in u.pairs:
-            for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-                quiet_link(u, a, b, lt)
+        return quiet_testbed(seed)
+    u = build_underlay(regions, UnderlayConfig(horizon_s=7200.0), seed=seed)
     return u, DemandModel(regions, seed=seed)
 
 

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -11,53 +12,30 @@ from repro.core.eventsim import EventDrivenXRON
 from repro.core.service import (ServiceConfig, ServiceError, XRONService,
                                 build_soak_schedule)
 from repro.core.variants import xron
+from repro.experiments.base import quiet_testbed
 from repro.faults import spec as fault_spec
 from repro.faults.spec import FaultSchedule
 from repro.resilience.config import resilience
-from repro.traffic.demand import DemandModel
-from repro.underlay.config import UnderlayConfig
-from repro.underlay.linkstate import LinkType
-from repro.underlay.regions import default_regions
-from repro.underlay.scenarios import quiet_link
-from repro.underlay.topology import build_underlay
+
+#: The testbed's region codes, in underlay order.
+CODES = ("HGH", "SIN", "FRA")
 
 
-@pytest.fixture(scope="module")
-def regions():
-    by_code = {r.code: r for r in default_regions()}
-    return [by_code[c] for c in ("HGH", "SIN", "FRA")]
-
-
-def _build_system(regions, seed=5, faults=None, with_resilience=True,
-                  measure_interval_s=5.0, initial_gateways=4):
-    config = UnderlayConfig(horizon_s=7200.0)
-    config.internet.base_loss_min = 1e-6
-    config.internet.base_loss_max = 1e-5
-    config.internet.diurnal_loss_amp = 0.0
-    for tier in (config.internet, config.premium):
-        tier.short_events_per_day = 0.0
-        tier.long_events_per_day = 0.0
-    underlay = build_underlay(regions, config, seed=seed)
-    for (a, b) in underlay.pairs:
-        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-            quiet_link(underlay, a, b, lt)
-    demand = DemandModel(regions, seed=seed)
-    from dataclasses import replace
+def _build_system(seed=5, faults=None, initial_gateways=4):
+    underlay, demand = quiet_testbed(seed)
     return EventDrivenXRON(
         underlay, demand, variant=replace(xron(), elastic=False),
         sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=60.0,
                                     seed=seed, demand_scale=0.05,
                                     initial_gateways=initial_gateways),
-        measure_interval_s=measure_interval_s,
-        faults=faults,
-        resilience=resilience() if with_resilience else None)
+        measure_interval_s=5.0, faults=faults, resilience=resilience())
 
 
 # --------------------------------------------------------------- the driver
-def test_clock_completes_at_window_end_without_draining(regions):
+def test_clock_completes_at_window_end_without_draining():
     """The driver stops at the window end: an event past it stays
     queued, unfired, and the clock is left exactly at the end."""
-    system = _build_system(regions)
+    system = _build_system()
     service = XRONService(system, ServiceConfig(duration_s=100.0))
     fired = []
     declare = system.schedule
@@ -76,8 +54,8 @@ def test_clock_completes_at_window_end_without_draining(regions):
 
 
 # -------------------------------------------------------------- the service
-def test_service_runs_a_window_and_drains(tmp_path, regions):
-    system = _build_system(regions)
+def test_service_runs_a_window_and_drains(tmp_path):
+    system = _build_system()
     config = ServiceConfig(duration_s=300.0, heartbeat_s=60.0,
                            checkpoint_path=tmp_path / "cp.json")
     service = XRONService(system, config, start_s=0.0)
@@ -98,9 +76,9 @@ def test_service_runs_a_window_and_drains(tmp_path, regions):
     assert multiprocessing.active_children() == []
 
 
-def test_service_is_deterministic(regions):
+def test_service_is_deterministic():
     def run_once():
-        system = _build_system(regions)
+        system = _build_system()
         service = XRONService(
             system, ServiceConfig(duration_s=300.0, heartbeat_s=150.0))
         result = asyncio.run(service.run_async())
@@ -114,23 +92,23 @@ def test_service_is_deterministic(regions):
                 == b.eventsim.sessions[pair].latency_ms)
 
 
-def _crash_and_blackout(regions):
+def _crash_and_blackout():
     return FaultSchedule.of(
-        fault_spec.gateway_crash(100.0, 60.0, regions[0].code),
-        fault_spec.probe_blackout(200.0, 60.0, region=regions[1].code))
+        fault_spec.gateway_crash(100.0, 60.0, CODES[0]),
+        fault_spec.probe_blackout(200.0, 60.0, region=CODES[1]))
 
 
-def _back_to_back_crashes(regions):
+def _back_to_back_crashes():
     """Two crash windows on one region inside one epoch, the second
     starting the instant the first one's restart is due: the restart is
     queued when the first crash fires, so it ties with — and by
     scheduling order runs after — the second crash window."""
     return FaultSchedule.of(
-        fault_spec.gateway_crash(125.0, 20.0, regions[0].code, count=1),
-        fault_spec.gateway_crash(145.0, 20.0, regions[0].code, count=1))
+        fault_spec.gateway_crash(125.0, 20.0, CODES[0], count=1),
+        fault_spec.gateway_crash(145.0, 20.0, CODES[0], count=1))
 
 
-def test_service_matches_batch_engine(regions):
+def test_service_matches_batch_engine():
     """The service reproduces the batch engine's run exactly.
 
     Both run the one schedule `EventDrivenXRON.schedule` declares on a
@@ -141,13 +119,13 @@ def test_service_matches_batch_engine(regions):
     """
     for schedule_of, gateways in ((_crash_and_blackout, 4),
                                   (_back_to_back_crashes, 2)):
-        schedule = schedule_of(regions)
-        batch = _build_system(regions, faults=schedule,
+        schedule = schedule_of()
+        batch = _build_system(faults=schedule,
                               initial_gateways=gateways)
         batch_result = batch.run(0.0, 400.0)
         batch.close()
 
-        served = _build_system(regions, faults=schedule,
+        served = _build_system(faults=schedule,
                                initial_gateways=gateways)
         service = XRONService(served, ServiceConfig(duration_s=400.0))
         service_result = asyncio.run(service.run_async())
@@ -168,8 +146,8 @@ def test_service_matches_batch_engine(regions):
                 == batch_result.events_processed)
 
 
-def test_service_stop_request_drains_immediately(tmp_path, regions):
-    system = _build_system(regions)
+def test_service_stop_request_drains_immediately(tmp_path):
+    system = _build_system()
     config = ServiceConfig(duration_s=600.0, heartbeat_s=60.0,
                            checkpoint_path=tmp_path / "cp.json")
     service = XRONService(system, config)
@@ -190,8 +168,8 @@ def test_service_stop_request_drains_immediately(tmp_path, regions):
     assert envelope["sim_t"] <= result.sim_t1
 
 
-def test_component_error_drains_and_raises(regions):
-    system = _build_system(regions)
+def test_component_error_drains_and_raises():
+    system = _build_system()
     service = XRONService(system, ServiceConfig(duration_s=300.0))
 
     def boom():
@@ -205,7 +183,7 @@ def test_component_error_drains_and_raises(regions):
 
 
 # ------------------------------------------------------- checkpoint/restore
-def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path, regions):
+def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path):
     """A resumed soak skips crash windows that already fired (issue #9).
 
     Two crash windows; the first leg runs past the first, drains, and
@@ -215,11 +193,11 @@ def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path, regions):
     re-fire the first window and crash twice the gateways.
     """
     schedule = FaultSchedule.of(
-        fault_spec.gateway_crash(100.0, 60.0, regions[0].code),
-        fault_spec.gateway_crash(400.0, 60.0, regions[1].code))
+        fault_spec.gateway_crash(100.0, 60.0, CODES[0]),
+        fault_spec.gateway_crash(400.0, 60.0, CODES[1]))
     path = tmp_path / "cp.json"
 
-    leg1_system = _build_system(regions, faults=schedule)
+    leg1_system = _build_system(faults=schedule)
     leg1 = XRONService(leg1_system,
                        ServiceConfig(duration_s=250.0, checkpoint_path=path))
     leg1_result = asyncio.run(leg1.run_async())
@@ -228,7 +206,7 @@ def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path, regions):
     inner = json.loads(envelope["checkpoint"])
     assert inner["fault_state"]["fired"] == [0]
 
-    leg2_system = _build_system(regions, faults=schedule)
+    leg2_system = _build_system(faults=schedule)
     leg2 = XRONService(leg2_system,
                        ServiceConfig(duration_s=600.0, checkpoint_path=path))
     t = leg2.restore_from(envelope)
@@ -241,43 +219,46 @@ def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path, regions):
     counters = leg2_result.eventsim.fault_counters
     assert counters["gateways_crashed"] == 2
     assert counters["gateways_restarted"] == 2
-    assert sorted(leg2_system._injector.export_state()["fired"]) == [0, 1]
+    assert sorted(leg2_system.faults.export_state()["fired"]) == [0, 1]
 
 
-def test_restore_rejects_mismatched_schedule(tmp_path, regions):
+def test_restore_rejects_mismatched_schedule(tmp_path):
     schedule = FaultSchedule.of(
-        fault_spec.gateway_crash(100.0, 60.0, regions[0].code))
+        fault_spec.gateway_crash(100.0, 60.0, CODES[0]))
     path = tmp_path / "cp.json"
-    leg1 = XRONService(_build_system(regions, faults=schedule),
+    leg1 = XRONService(_build_system(faults=schedule),
                        ServiceConfig(duration_s=200.0, checkpoint_path=path))
     asyncio.run(leg1.run_async())
     envelope = XRONService.load_envelope(path)
 
     other = FaultSchedule.of(
-        fault_spec.gateway_crash(500.0, 60.0, regions[0].code))
-    leg2 = XRONService(_build_system(regions, faults=other),
+        fault_spec.gateway_crash(500.0, 60.0, CODES[0]))
+    leg2 = XRONService(_build_system(faults=other),
                        ServiceConfig(duration_s=600.0))
     with pytest.raises(ValueError, match="schedule"):
         leg2.restore_from(envelope)
 
 
-def test_restore_resumes_controller_state(tmp_path, regions):
+def test_restore_resumes_controller_state(tmp_path):
     """The restored controller predicts from the checkpointed SIB."""
     path = tmp_path / "cp.json"
-    leg1_system = _build_system(regions)
+    leg1_system = _build_system()
     leg1 = XRONService(leg1_system,
                        ServiceConfig(duration_s=300.0, checkpoint_path=path))
     asyncio.run(leg1.run_async())
     sib_state = leg1_system.controller.sib.export_state()
 
-    leg2_system = _build_system(regions)
+    leg2_system = _build_system()
     leg2 = XRONService(leg2_system,
                        ServiceConfig(duration_s=600.0, checkpoint_path=path))
-    t = leg2.restore_from(XRONService.load_envelope(path))
+    envelope = XRONService.load_envelope(path)
+    t = leg2.restore_from(envelope)
     assert t == pytest.approx(300.0)
+    # The engine holds the very artifact it was restored from.
+    assert leg2_system.checkpoint_json == envelope["checkpoint"]
     # SIB demand history survived the round trip (the expensive state).
     assert leg2_system.controller.sib.export_state() == sib_state
-    assert leg2_system._epoch_seq == leg1_system._epoch_seq
+    assert leg2_system.epoch_seq == leg1_system.epoch_seq
     # The last committed tables are live before the first epoch runs.
     for code, cluster in leg2_system.clusters.items():
         assert (cluster.current_entries()

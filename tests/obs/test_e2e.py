@@ -13,15 +13,12 @@ from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.core.simulator import EpochSimulator
 from repro.core.variants import xron
+from repro.experiments.base import quiet_testbed
 from repro.faults import spec as fault_spec
 from repro.faults.spec import FaultSchedule
-from repro.traffic.demand import DemandModel
-from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
-from repro.underlay.regions import default_regions
-from repro.underlay.scenarios import inject_events, quiet_link
-from repro.underlay.topology import build_underlay
+from repro.underlay.scenarios import inject_events
 
 
 @pytest.fixture(autouse=True)
@@ -33,30 +30,8 @@ def clean_hub():
     obs.reset()
 
 
-@pytest.fixture(scope="module")
-def regions():
-    by_code = {r.code: r for r in default_regions()}
-    return [by_code[c] for c in ("HGH", "SIN", "FRA")]
-
-
-def _quiet_build(regions, seed=5):
-    config = UnderlayConfig(horizon_s=7200.0)
-    config.internet.base_loss_min = 1e-6
-    config.internet.base_loss_max = 1e-5
-    config.internet.diurnal_loss_amp = 0.0
-    config.internet.short_events_per_day = 0.0
-    config.internet.long_events_per_day = 0.0
-    config.premium.short_events_per_day = 0.0
-    config.premium.long_events_per_day = 0.0
-    u = build_underlay(regions, config, seed=seed)
-    for (a, b) in u.pairs:
-        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-            quiet_link(u, a, b, lt)
-    return u, DemandModel(regions, seed=seed)
-
-
-def test_eventsim_emits_probe_and_failover_traces(regions):
-    u, d = _quiet_build(regions)
+def test_eventsim_emits_probe_and_failover_traces():
+    u, d = quiet_testbed(5)
     pair = max(d.pairs, key=lambda p: d.pair_scale(*p))
     inject_events(u, pair[0], pair[1], LinkType.INTERNET,
                   [DegradationEvent(3630.0, 60.0, 5000.0, 0.3)])
@@ -90,8 +65,8 @@ def test_eventsim_emits_probe_and_failover_traces(regions):
     assert snap["controller.epochs"]["value"] >= 1
 
 
-def test_eventsim_outage_emits_controller_outage(regions):
-    u, d = _quiet_build(regions)
+def test_eventsim_outage_emits_controller_outage():
+    u, d = quiet_testbed(5)
     sim = EventDrivenXRON(
         u, d,
         sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=10.0,
@@ -105,8 +80,8 @@ def test_eventsim_outage_emits_controller_outage(regions):
     assert outages[0].fields["outage_start"] == 3650.0
 
 
-def test_epoch_simulator_emits_epoch_and_autoscale_traces(regions):
-    u, d = _quiet_build(regions)
+def test_epoch_simulator_emits_epoch_and_autoscale_traces():
+    u, d = quiet_testbed(5)
     sim = EpochSimulator(
         u, d, xron(),
         sim_config=SimulationConfig(epoch_s=300.0, eval_step_s=10.0,
@@ -120,12 +95,12 @@ def test_epoch_simulator_emits_epoch_and_autoscale_traces(regions):
     assert tel.metrics.snapshot()["simulator.epochs"]["value"] == 3
 
 
-def test_instrumentation_is_deterministic(regions):
+def test_instrumentation_is_deterministic():
     """Enabling telemetry must not change simulation results."""
     def run_once(enabled):
         obs.reset()
         (obs.enable if enabled else obs.disable)()
-        u, d = _quiet_build(regions)
+        u, d = quiet_testbed(5)
         sim = EventDrivenXRON(
             u, d,
             sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=10.0,

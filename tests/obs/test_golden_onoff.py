@@ -2,30 +2,21 @@
 
 The acceptance bar for the observability layer is that arming ALL of it
 — telemetry hub, live JSONL stream, SLO engine — leaves the simulation
-output *byte-identical* to a run with everything off, including under
-an active fault schedule.  Each test serializes the run's complete
-observable output to canonical JSON and compares the bytes.
+output *byte-identical* to a run with everything off.  This module
+holds the epoch engine's half; the event engine's is the ``telemetry``
+column (and the SLO row) of ``tests/core/test_extension_matrix.py``,
+over every extension subset and under an active fault schedule.
 """
-
-import json
-from dataclasses import replace
 
 import pytest
 
 from repro import obs
 from repro.core.config import SimulationConfig
-from repro.core.eventsim import EventDrivenXRON
 from repro.core.simulator import EpochSimulator
 from repro.core.variants import xron
-from repro.faults import (FaultSchedule, controller_outage, gateway_crash,
-                          probe_blackout)
+from repro.experiments.base import quiet_testbed
 from repro.obs.slo import SLOEngine, SLOTarget
-from repro.traffic.demand import DemandModel
-from repro.underlay.config import UnderlayConfig
-from repro.underlay.linkstate import LinkType
-from repro.underlay.regions import default_regions
-from repro.underlay.scenarios import quiet_link
-from repro.underlay.topology import build_underlay
+from tests.harness import epoch_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -40,71 +31,7 @@ def clean_hub():
     obs.reset()
 
 
-@pytest.fixture(scope="module")
-def regions():
-    by_code = {r.code: r for r in default_regions()}
-    return [by_code[c] for c in ("HGH", "SIN", "FRA")]
-
-
-def _build(regions, seed=5):
-    config = UnderlayConfig(horizon_s=7200.0)
-    config.internet.base_loss_min = 1e-6
-    config.internet.base_loss_max = 1e-5
-    config.internet.diurnal_loss_amp = 0.0
-    for tier in (config.internet, config.premium):
-        tier.short_events_per_day = 0.0
-        tier.long_events_per_day = 0.0
-    u = build_underlay(regions, config, seed=seed)
-    for (a, b) in u.pairs:
-        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-            quiet_link(u, a, b, lt)
-    return u, DemandModel(regions, seed=seed)
-
-
-_FAULTS = (controller_outage(3640.0, 3700.0),
-           gateway_crash(3620.0, 40.0, region="SIN", count=2),
-           probe_blackout(3610.0, 30.0, region="HGH"))
-
-
-def _golden_eventsim(regions, armed, tmp_path, faults):
-    """One event-driven run; returns canonical bytes of its output."""
-    obs.reset()
-    if armed:
-        hub = obs.enable()
-        hub.attach_stream(tmp_path / "run.jsonl", max_bytes=64 * 1024)
-        engine = SLOEngine(SLOTarget(min_samples=2), hub=hub)
-    else:
-        obs.disable()
-        engine = None
-    u, d = _build(regions)
-    sim = EventDrivenXRON(
-        u, d,
-        # Elasticity off pins the fleets so the injected gateway crash
-        # has victims to take (mirrors tests/faults).
-        variant=replace(xron(), elastic=False),
-        sim_config=SimulationConfig(epoch_s=30.0, eval_step_s=10.0,
-                                    seed=5, demand_scale=0.05),
-        faults=FaultSchedule.of(*faults) if faults else None,
-        slo=engine)
-    result = sim.run(3600.0, 120.0)
-    if armed:
-        engine.close()
-        hub.detach_stream(close=True)
-    doc = {"events": result.events_processed,
-           "probe_bytes": result.probe_bytes,
-           "epochs": len(result.control_outputs),
-           "gateways": dict(result.gateway_counts),
-           "fault_counters": result.fault_counters,
-           "sessions": {
-               f"{pair[0]}->{pair[1]}": [list(rec.times),
-                                         list(rec.latency_ms),
-                                         list(rec.loss_rate),
-                                         list(rec.on_backup)]
-               for pair, rec in sorted(result.sessions.items())}}
-    return json.dumps(doc, sort_keys=True).encode()
-
-
-def _golden_epochsim(regions, armed, tmp_path):
+def _golden_epochsim(armed, tmp_path):
     obs.reset()
     if armed:
         hub = obs.enable()
@@ -113,7 +40,7 @@ def _golden_epochsim(regions, armed, tmp_path):
     else:
         obs.disable()
         engine = None
-    u, d = _build(regions)
+    u, d = quiet_testbed(5)
     sim = EpochSimulator(
         u, d, xron(),
         sim_config=SimulationConfig(epoch_s=300.0, eval_step_s=10.0,
@@ -123,40 +50,11 @@ def _golden_epochsim(regions, armed, tmp_path):
     if armed:
         engine.close()
         hub.detach_stream(close=True)
-    doc = {"latency": result.latency_ms.round(9).tolist(),
-           "loss": result.loss_rate.round(9).tolist(),
-           "on_backup": result.on_backup.astype(int).tolist(),
-           "containers": result.containers.tolist(),
-           "demand": result.demand_mbps.round(9).tolist()}
-    return json.dumps(doc, sort_keys=True).encode()
-
-
-class TestEventSim:
-    def test_byte_identical_without_faults(self, regions, tmp_path):
-        off = _golden_eventsim(regions, False, tmp_path / "off", None)
-        on = _golden_eventsim(regions, True, tmp_path / "on", None)
-        assert off == on
-
-    def test_byte_identical_under_fault_schedule(self, regions, tmp_path):
-        off = _golden_eventsim(regions, False, tmp_path / "off", _FAULTS)
-        on = _golden_eventsim(regions, True, tmp_path / "on", _FAULTS)
-        assert off == on
-
-    def test_armed_fault_run_actually_streamed(self, regions, tmp_path):
-        from repro.obs.export import read_many
-
-        _golden_eventsim(regions, True, tmp_path, _FAULTS)
-        parts = sorted(tmp_path.glob("run.*.jsonl"))
-        assert parts
-        doc = read_many(parts)
-        kinds = set(doc.kinds())
-        assert "fault_controller_outage" in kinds
-        assert "fault_gateway_crash" in kinds
-        assert doc.metrics, "stream carries no metric deltas"
+    return epoch_bytes(result)
 
 
 class TestEpochSim:
-    def test_byte_identical_with_slo_and_stream(self, regions, tmp_path):
-        off = _golden_epochsim(regions, False, tmp_path / "off")
-        on = _golden_epochsim(regions, True, tmp_path / "on")
+    def test_byte_identical_with_slo_and_stream(self, tmp_path):
+        off = _golden_epochsim(False, tmp_path / "off")
+        on = _golden_epochsim(True, tmp_path / "on")
         assert off == on

@@ -2,9 +2,7 @@
 
 The ISSUE's acceptance criteria, asserted end to end:
 
-* a **disabled** config leaves runs byte-identical to a build without
-  the layer — with and without a fault schedule;
-* **enabled under chaos**, no invariant-violating install ever commits
+* **armed under chaos**, no invariant-violating install ever commits
   (blackholed-stream-seconds drop to zero while the unprotected
   baseline blackholes);
 * a **warm restart** reconverges at least one epoch faster than a cold
@@ -14,75 +12,31 @@ The ISSUE's acceptance criteria, asserted end to end:
 
 The heavy scenario runs are shared through the `recovery` experiment's
 own testbed (one module-scoped report), so the acceptance suite asserts
-against exactly what the experiment publishes.
+against exactly what the experiment publishes.  That a run WITHOUT the
+layer is byte-identical to a build without it is a cell of
+``tests/core/test_extension_matrix.py`` and the recorded digests of
+``test_partition_disabled.py``.
 """
 
 import pytest
 
 from repro import obs
-from repro.core.config import SimulationConfig
-from repro.core.eventsim import EventDrivenXRON
 from repro.experiments import recovery
-from repro.faults import (FaultSchedule, controller_outage, install_partial,
-                          report_drop)
-from repro.resilience import ResilienceConfig, resilience, validate_install
+from repro.faults import FaultSchedule, controller_outage, install_partial
+from repro.resilience import resilience, validate_install
+from repro.resilience.install import ResilienceExtension
+from tests.harness import START_S, event_engine, extension
 
 
-@pytest.fixture(scope="module")
-def regions():
-    from repro.underlay.regions import default_regions
-    by_code = {r.code: r for r in default_regions()}
-    return [by_code[c] for c in ("HGH", "SIN", "FRA")]
-
-
-def _run(regions, seed=5, duration=90.0, **kwargs):
-    underlay, demand = recovery._build_quiet(seed)
-    sim = EventDrivenXRON(
-        underlay, demand,
-        sim_config=SimulationConfig(epoch_s=30.0, eval_step_s=10.0,
-                                    seed=seed, demand_scale=0.05),
-        **kwargs)
-    return sim, sim.run(3600.0, duration)
-
-
-def _fingerprint(result):
-    doc = {"events": result.events_processed,
-           "probe_bytes": result.probe_bytes,
-           "epochs": len(result.control_outputs),
-           "gateways": dict(result.gateway_counts)}
-    for pair, rec in sorted(result.sessions.items()):
-        doc[pair] = (tuple(rec.times), tuple(rec.latency_ms),
-                     tuple(rec.loss_rate), tuple(rec.on_backup),
-                     tuple(rec.blackholed))
-    return doc
+def _run(seed=5, duration=90.0, **kwargs):
+    sim = event_engine(seed, **kwargs)
+    return sim, sim.run(START_S, duration)
 
 
 @pytest.fixture(scope="module")
 def report() -> recovery.RecoveryReport:
     """One quick-profile recovery experiment, shared by the assertions."""
     return recovery.run(flap_events=3, post_epochs=5)
-
-
-class TestDisabledEquivalence:
-    def test_absent_and_disabled_config_are_byte_identical(self, regions):
-        __, plain = _run(regions)
-        sim, disabled = _run(regions, resilience=ResilienceConfig())
-        assert sim.resilience is None  # normalized away
-        assert sim._installer is None
-        assert _fingerprint(plain) == _fingerprint(disabled)
-        assert plain.resilience_counters is None
-        assert disabled.resilience_counters is None
-
-    def test_disabled_config_identical_under_faults(self, regions):
-        sched = FaultSchedule.of(
-            controller_outage(3620.0, 3680.0),
-            report_drop(3600.0, 90.0, probability=0.5),
-            install_partial(3601.0, 90.0, keep_fraction=0.5))
-        __, plain = _run(regions, faults=sched)
-        __, disabled = _run(regions, faults=sched,
-                            resilience=ResilienceConfig())
-        assert _fingerprint(plain) == _fingerprint(disabled)
-        assert plain.fault_counters == disabled.fault_counters
 
 
 class TestSafeInstallsUnderChaos:
@@ -105,11 +59,11 @@ class TestSafeInstallsUnderChaos:
              + row.counter("installs_deferred")))
         assert row.counter("installs_abandoned") >= 1
 
-    def test_final_tables_satisfy_invariants_live(self, regions):
+    def test_final_tables_satisfy_invariants_live(self):
         """After chaos, what is actually installed passes validation."""
         sched = FaultSchedule.of(
             install_partial(3601.0, 100.0, keep_fraction=0.4))
-        sim, __ = _run(regions, duration=210.0, faults=sched,
+        sim, __ = _run(duration=210.0, faults=sched,
                        resilience=resilience(),
                        sib_params={"min_history": 4, "refit_every": 2})
         tables = {code: c.current_entries()
@@ -123,7 +77,8 @@ class TestSafeInstallsUnderChaos:
                     for c in sim.clusters.values()
                     for g in c.gateways.values()}
         assert len(versions) == 1
-        assert versions == {sim._installer.committed_version}
+        installer = extension(sim, ResilienceExtension).installer
+        assert versions == {installer.committed_version}
 
 
 class TestWarmRestart:
@@ -168,12 +123,12 @@ class TestTelemetry:
         obs.disable()
         obs.reset()
 
-    def test_resilience_events_are_traced(self, regions):
+    def test_resilience_events_are_traced(self):
         sched = FaultSchedule.of(
             controller_outage(3610.0, 3655.0),
             install_partial(3661.0, 40.0, keep_fraction=0.4))
         tel = obs.enable()
-        sim, __ = _run(regions, duration=150.0, faults=sched,
+        sim, __ = _run(duration=150.0, faults=sched,
                        resilience=resilience(),
                        sib_params={"min_history": 4, "refit_every": 2})
         kinds = set(tel.tracer.kinds())

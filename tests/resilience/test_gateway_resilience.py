@@ -151,10 +151,3 @@ class TestHolddown:
         # Monitoring recovered -> immediate failback, no suppression.
         assert not gw.forward(1, now=44.0).via_backup
         assert counters.holddown_suppressed == 0
-
-    def test_disabled_config_is_normalized_away(self, underlay):
-        from repro.resilience import ResilienceConfig
-        gw = Gateway("HGH", 0, underlay,
-                     resilience=ResilienceConfig(),  # disabled
-                     rng=np.random.default_rng(0))
-        assert gw.resilience is None

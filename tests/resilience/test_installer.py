@@ -9,28 +9,25 @@ I = LinkType.INTERNET
 
 
 class TestConfig:
-    def test_disabled_by_default(self):
-        assert ResilienceConfig().enabled is False
-
     def test_convenience_constructor_is_enabled(self):
-        assert resilience().enabled is True
+        # A config object IS the armed layer: there is no switch on it.
+        assert resilience() == ResilienceConfig()
+        assert not hasattr(resilience(), "enabled")
 
     def test_resolved_derives_staleness_threshold(self):
         cfg = resilience().resolved(epoch_s=60.0)
         assert cfg.staleness_threshold_s == cfg.staleness_epochs * 60.0
 
     def test_resolved_keeps_explicit_threshold(self):
-        cfg = ResilienceConfig(enabled=True, staleness_threshold_s=42.0)
+        cfg = ResilienceConfig(staleness_threshold_s=42.0)
         assert cfg.resolved(60.0).staleness_threshold_s == 42.0
 
     @pytest.mark.parametrize("kwargs", [
         {"max_install_retries": -1},
         {"retry_backoff_s": 0.0},
         {"retry_backoff_factor": 0.5},
-        {"checkpoint_every_epochs": 0},
         {"staleness_epochs": 0},
         {"staleness_threshold_s": -1.0},
-        {"failover_trigger_bursts": 0},
         {"failback_holddown_s": -1.0},
     ])
     def test_validation_rejects(self, kwargs):
@@ -79,14 +76,6 @@ class TestInstaller:
         violations = installer.validate(tables, {}, {"HGH": 1, "SIN": 1}, [])
         assert violations
         assert installer.counters.violations_found == len(violations)
-
-    def test_validation_can_be_disabled(self):
-        from dataclasses import replace
-        installer = TwoPhaseInstaller(
-            replace(resilience(), validate_installs=False))
-        tables = {"HGH": {1: ("SIN", I)}, "SIN": {1: ("HGH", I)}}
-        assert installer.validate(tables, {}, {}, []) == []
-        assert installer.counters.violations_found == 0
 
     def test_counters_dict_round_trip(self):
         installer = TwoPhaseInstaller(resilience())

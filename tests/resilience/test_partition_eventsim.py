@@ -7,19 +7,17 @@ flight when the partition heals must lose to the fenced global commit
 at the gateways' version guard.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.controlplane import membership, regional_control
-from repro.controlplane.regional import REGIONAL_STREAM_BASE
-from repro.core.config import SimulationConfig
-from repro.core.eventsim import EventDrivenXRON
-from repro.core.variants import xron
+from repro.controlplane.membership import MembershipExtension
+from repro.controlplane.regional import (REGIONAL_STREAM_BASE,
+                                         RegionalExtension)
 from repro.faults import FaultSchedule, control_partition, install_delay
 from repro.resilience.config import resilience
+from repro.resilience.install import ResilienceExtension
 from repro.resilience.invariants import validate_install
-from tests.resilience.partition_golden import _build
+from tests.harness import event_engine, extension
 
 _START = 3600.0
 _EPOCH_S = 30.0
@@ -28,12 +26,8 @@ _TRACKED = [("HGH", "SIN"), ("SIN", "HGH"), ("HGH", "FRA")]
 
 
 def _system(schedule, **kwargs):
-    underlay, demand = _build(seed=5)
-    return EventDrivenXRON(
-        underlay, demand, variant=replace(xron(), elastic=False),
-        sim_config=SimulationConfig(epoch_s=_EPOCH_S, eval_step_s=10.0,
-                                    seed=5, demand_scale=0.05),
-        tracked_pairs=list(_TRACKED),
+    return event_engine(
+        elastic=False, tracked_pairs=list(_TRACKED),
         sib_params={"min_history": 4, "refit_every": 2},
         faults=schedule, resilience=resilience(), **kwargs)
 
@@ -44,28 +38,8 @@ def _partition_schedule(epochs=4):
 
 
 def test_regional_needs_the_resilience_layer():
-    underlay, demand = _build(seed=5)
     with pytest.raises(ValueError, match="resilience"):
-        EventDrivenXRON(underlay, demand,
-                        variant=replace(xron(), elastic=False),
-                        regional=regional_control())
-
-
-def test_disabled_configs_normalize_to_none():
-    from repro.controlplane.membership import MembershipConfig
-    from repro.controlplane.regional import RegionalControlConfig
-
-    system = _system(FaultSchedule.empty(),
-                     membership=MembershipConfig(enabled=False),
-                     regional=RegionalControlConfig(enabled=False))
-    with system:
-        assert system.membership_config is None
-        assert system._membership is None
-        assert system.regional_config is None
-        assert system._partition_counters is None
-        result = system.run(_START, 90.0)
-    assert result.membership_counters is None
-    assert result.partition_counters is None
+        event_engine(elastic=False, regional=regional_control())
 
 
 def test_partition_blackholes_without_degraded_mode():
@@ -106,7 +80,7 @@ def test_heal_sweeps_regional_streams_and_no_regional_controller_remains():
                      membership=membership(), regional=regional_control())
     with system:
         system.run(_START, 450.0)
-        assert system._regional == {}
+        assert extension(system, RegionalExtension).subs == {}
         for cluster in system.clusters.values():
             for sid in cluster.current_entries():
                 assert sid < REGIONAL_STREAM_BASE
@@ -134,7 +108,8 @@ def test_heal_race_inflight_regional_install_loses_to_fenced_commit():
         pc = result.partition_counters
         assert pc["partitions_healed"] == 1
         assert pc["reconcile_fences"] == 1
-        committed = system._installer.committed_version
+        committed = extension(
+            system, ResilienceExtension).installer.committed_version
         for code in _SEVERED:
             cluster = system.clusters[code]
             # The fenced global version won; no regional rows survive.
@@ -163,7 +138,7 @@ def test_membership_starves_and_rejoins_across_the_cut():
     system = _system(_partition_schedule(), membership=membership())
     with system:
         result = system.run(_START, 450.0)
-        table = system._membership
+        table = extension(system, MembershipExtension).table
         mc = result.membership_counters
         assert mc["expiries"] > 0
         assert mc["regions_demoted"] > 0

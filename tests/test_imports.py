@@ -81,3 +81,42 @@ def test_layering():
         for package in banned:
             assert not any(_is_under(name, package) for name in imported), \
                 f"{module_name} imports {package}"
+
+
+def _runtime_imports(module_name):
+    """Like `_imported_modules`, minus ``if TYPE_CHECKING:`` blocks."""
+    spec = importlib.util.find_spec(module_name)
+    tree = ast.parse(pathlib.Path(spec.origin).read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            node.body = []
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+    return found
+
+
+def test_event_engine_names_no_subsystem():
+    """The engine reaches its subsystems only through the extension
+    list: `repro.core.extensions` is the one module of `repro.core`
+    that maps constructor kwargs to them."""
+    subsystems = ("repro.faults.runtime", "repro.faults.extension",
+                  "repro.resilience", "repro.controlplane.membership",
+                  "repro.controlplane.regional", "repro.obs.slo")
+    imported = _runtime_imports("repro.core.eventsim")
+    for package in subsystems:
+        assert not any(_is_under(name, package) for name in imported), \
+            f"repro.core.eventsim imports {package}"
+    for module_name in ALL_MODULES:
+        if (not _is_under(module_name, "repro.core")
+                or module_name == "repro.core.extensions"):
+            continue
+        source = pathlib.Path(
+            importlib.util.find_spec(module_name).origin).read_text()
+        for name in ("TwoPhaseInstaller", "MembershipTable",
+                     "RegionalController"):
+            assert name not in source, f"{module_name} names {name}"
