@@ -8,6 +8,8 @@ reaction-plan generation.  Unlike the experiment benches these are true
 timing benchmarks (multiple rounds).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,11 +73,20 @@ def test_path_control_paper_scale_snapshot(benchmark, paper_scale):
     assert result.total_assigned_mbps() > 0
 
 
+def _epoch_instants(t: float, epoch_s: float = 300.0):
+    """`t`, an epoch later, `t` again, ...: a snapshot per control epoch
+    finds most links' degradation timelines in another linear piece, so
+    each round pays the timeline searches an epoch really costs (the
+    same instant over and over would pay none)."""
+    return itertools.cycle((t, t + epoch_s))
+
+
 def test_underlay_snapshot_build(benchmark, paper_scale):
     """Cost of one vectorised whole-underlay snapshot (per control epoch)."""
     u, __, __ = paper_scale
     u.link_param_arrays()  # warm the lazy parameter matrices
-    snap = benchmark(lambda: u.snapshot(8 * 3600.0))
+    instants = _epoch_instants(8 * 3600.0)
+    snap = benchmark(lambda: u.snapshot(next(instants)))
     assert np.isfinite(snap.lat).sum() > 0
 
 
@@ -146,6 +157,53 @@ def test_demand_matrix_n100(benchmark):
 
 
 # --------------------------------------------------------------------------
+# One probing instant of the event engine (§4.1)
+# --------------------------------------------------------------------------
+#
+# Every 0.4 s of simulated time the event engine evaluates the underlay
+# once and every region cluster runs a group-probing round whose
+# reports go to the NIB.  That instant is the engine's whole cost
+# (docs/performance.md, "Event engine"), so it is the number that says
+# how far event-engine studies scale.
+
+#: Hard budgets per probing instant.  At 50 regions: a quarter of the
+#: 0.4 s the instant simulates — the one-object-per-link path this
+#: replaced took a third of real time there (126-156 ms), the array
+#: path ~50 ms.  At paper scale (~3.5 ms, was ~7): 2.5 % of real time.
+PROBE_INSTANT_BUDGET_S = {11: 0.010, 50: 0.1}
+_PROBE_START_S = 600.0
+
+
+@pytest.mark.parametrize("n_regions", sorted(PROBE_INSTANT_BUDGET_S),
+                         ids=lambda n: f"n{n:03d}")
+def test_probe_instant(benchmark, n_regions):
+    """One `state_at` + every cluster's `probe_round` + the NIB's
+    `update_many`, at a fresh 0.4 s step each round."""
+    from repro.controlplane.nib import NetworkInformationBase
+    from repro.dataplane.cluster import RegionCluster
+
+    u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
+    clusters = [RegionCluster(code, u, rng=np.random.default_rng(k))
+                for k, code in enumerate(u.codes)]
+    nib = NetworkInformationBase(codes=u.codes)
+    steps = itertools.count()
+
+    def instant():
+        now = _PROBE_START_S + 0.4 * next(steps)
+        u.state_at(now)
+        for cluster in clusters:
+            nib.update_many(cluster.probe_round(now))
+        return now
+
+    instant()  # parameter matrices, first-sample paths, timeline search
+    now = benchmark(instant)
+    assert now < u.config.horizon_s
+    assert len(nib) == 2 * n_regions * (n_regions - 1)
+    assert nib.version == len(nib) * (next(steps))
+    assert benchmark.stats["mean"] < PROBE_INSTANT_BUDGET_S[n_regions]
+
+
+# --------------------------------------------------------------------------
 # Region-count scaling sweep (generated planet topologies + stream cohorts)
 # --------------------------------------------------------------------------
 #
@@ -204,7 +262,8 @@ def _sweep_id(n: int) -> str:
 def test_sweep_snapshot_build(benchmark, n_regions):
     """Per-epoch whole-underlay snapshot cost at N regions."""
     u, __, __ = _sweep_scenario(n_regions)
-    snap = benchmark(lambda: u.snapshot(_SWEEP_SNAP_T))
+    instants = _epoch_instants(_SWEEP_SNAP_T)
+    snap = benchmark(lambda: u.snapshot(next(instants)))
     assert np.isfinite(snap.lat).sum() > 0
 
 
@@ -385,8 +444,6 @@ def test_sweep_full_epoch_warm_delta(benchmark, n_regions):
     timed round classifies "warm" — a full greedy replay seeded with the
     previous epoch's DP rows, paths, metrics and walks.  This is the
     representative small-perturbation epoch between quiet periods."""
-    import itertools
-
     from repro.controlplane.incremental import IncrementalEngine, TIER_WARM
     from repro.underlay.linkstate import LinkType
     from repro.underlay.snapshot import TYPE_INDEX

@@ -15,8 +15,9 @@ Three subcommands:
     ``--max-regression`` (a fraction; CI uses 0.25).  Absolute numbers
     differ across machines, so the gate is deliberately loose — it
     exists to catch "someone re-introduced the 2·N² scalar loop", not
-    5% noise.  Parameterized region-count sweep entries
-    (``test_sweep_*[nNNN]``) are gated per sweep point: points missing
+    5% noise.  Parameterized region-count entries
+    (``test_sweep_*[nNNN]``, ``test_probe_instant[nNNN]``) are gated
+    per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
     budget up to the per-benchmark region cap in
@@ -26,7 +27,8 @@ Three subcommands:
 ``table``
     Render the markdown tables ``docs/performance.md`` carries between
     marker comments, from the committed summary: the before/after/
-    speedup table of the fixed control benchmarks
+    speedup table of the fixed control benchmarks and, where the
+    summary holds them, of one probing instant of the event engine
     (``baseline_pre_refactor`` vs ``current``) and, when the summary
     holds the 200-region sweep points, the control-mode table (fresh /
     warm-delta / steady-state incremental epoch).  ``--check
@@ -64,10 +66,12 @@ GATED = (
     "test_path_control_double_scale",
 )
 
-#: Rows of the ``table`` subcommand, in `GATED` order: benchmark ->
-#: (label suffix, benchmark whose ``baseline_pre_refactor`` entry is its
-#: "before").  The pre-refactor stack had a single scalar entry point,
-#: so the snapshot entry is measured against the same baseline.
+#: Rows of the ``table`` subcommand, `GATED` first and in its order:
+#: benchmark -> (label suffix, benchmark whose ``baseline_pre_refactor``
+#: entry is its "before").  The pre-refactor stack had a single scalar
+#: entry point, so the snapshot entry is measured against the same
+#: baseline.  The probing-instant rows (before: one Python object per
+#: link, burst and report) appear once the summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale":
         (" (scalar fn entry)", "test_path_control_paper_scale"),
@@ -77,6 +81,10 @@ TABLE_ROWS = {
         ("", "test_full_two_step_control_paper_scale"),
     "test_path_control_double_scale":
         (" (22 regions)", "test_path_control_double_scale"),
+    "test_probe_instant[n011]":
+        (" (11 regions, 220 links)", "test_probe_instant[n011]"),
+    "test_probe_instant[n050]":
+        (" (50 regions, 4 900 links)", "test_probe_instant[n050]"),
 }
 
 def _markers(block: str) -> Tuple[str, str]:
@@ -100,11 +108,13 @@ MODE_TABLE_ROWS = (
 )
 MODE_TABLE_BEGIN, MODE_TABLE_END = _markers("control-mode-table")
 
-#: Parameterized region-count sweep benchmarks, gated per sweep point.
+#: Parameterized region-count benchmarks, gated per point.
 #: Unlike `GATED`, a sweep entry that is absent from the fresh run is
 #: *skipped*, not failed — CI's scale-smoke job deliberately runs a
-#: subset of the sweep (``-k "sweep and (n011 or n100)"``).
+#: subset of the sweep (``-k "sweep and (n011 or n100)"``), and
+#: perf-smoke, which runs the probing instant, none of it.
 SWEEP_GATED = (
+    "test_probe_instant",
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
@@ -176,9 +186,10 @@ def distill(args: argparse.Namespace) -> int:
         "note": ("Distilled from pytest-benchmark runs of "
                  "benchmarks/bench_scalability.py; regenerate with "
                  "benchmarks/check_regression.py distill. "
-                 "'baseline_pre_refactor' is the frozen scalar-loop "
-                 "control stack this PR replaced — keep it for the "
-                 "speedup provenance."),
+                 "'baseline_pre_refactor' holds the frozen 'before' of "
+                 "each table row (the scalar-loop control stack; the "
+                 "one-object-per-link probing instant) — keep it for "
+                 "the speedup provenance."),
         "machine": machine_fingerprint(raw),
         "current": summarise_raw(raw),
     }
@@ -277,11 +288,12 @@ def check(args: argparse.Namespace) -> int:
 
 
 def render_table(summary: Dict) -> str:
-    """The markdown before/after/speedup table of the `GATED` benchmarks."""
+    """The markdown before/after/speedup table of `TABLE_ROWS`."""
     before, after = summary["baseline_pre_refactor"], summary["current"]
     lines = ["| benchmark | before | after | speedup |", "|---|---|---|---|"]
-    for name in GATED:
-        suffix, baseline_name = TABLE_ROWS[name]
+    for name, (suffix, baseline_name) in TABLE_ROWS.items():
+        if name not in GATED and name not in after:
+            continue
         old, new = before[baseline_name]["mean_s"], after[name]["mean_s"]
         speedup = old / new
         digits = 0 if speedup >= 10 else 1

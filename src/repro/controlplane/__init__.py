@@ -7,7 +7,8 @@ two-step control algorithm (§5.3, Algorithm 1), and generates the fast
 reaction plans the data plane applies locally (§5.4, Algorithm 2).
 """
 
-from repro.controlplane.nib import NetworkInformationBase, LinkReport
+from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
+                                    ReportBatch)
 from repro.controlplane.sib import StreamInformationBase
 from repro.controlplane.prediction import DTFTPredictor, RollingPredictor
 from repro.controlplane.model import (ControlConfig, OverlayPath, PathHop,
@@ -26,6 +27,7 @@ from repro.controlplane.regional import (PartitionCounters,
 __all__ = [
     "NetworkInformationBase",
     "LinkReport",
+    "ReportBatch",
     "StreamInformationBase",
     "DTFTPredictor",
     "RollingPredictor",

@@ -11,28 +11,29 @@ a link's recent p90 loss instead of its last sample avoids routing onto
 links that merely look good this instant — a standard flap-damping
 technique the stability ablation quantifies.
 
-Storage is matrix-first: report histories live in preallocated
-``(2, N, N, window)`` ring-buffer arrays (axis 0 is the tier per
-`repro.underlay.snapshot.TYPE_ORDER`), so the controller's once-per-epoch
-`latest_snapshot` / `robust_snapshot` are whole-matrix numpy operations
-instead of 2·N² scalar lookups, and the scalar `robust_state` is a
-percentile over an array slice instead of per-call list comprehensions.
-The `LinkReport` deques remain as the object-level view (`get`,
-`history`, `snapshot`).
+Storage is the matrices and nothing else: report histories live in
+preallocated ``(2, N, N, window)`` ring-buffer arrays (axis 0 is the
+tier per `repro.underlay.snapshot.TYPE_ORDER`) of latency, loss and
+report time, so the controller's once-per-epoch `latest_snapshot` /
+`robust_snapshot` are whole-matrix numpy operations instead of 2·N²
+scalar lookups, and a probing round's reports arrive as one
+`ReportBatch` written by fancy index.  The object-level views (`get`,
+`history`, `snapshot`, `export_reports`) build their `LinkReport`s from
+the rings on demand.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
-from repro.underlay.snapshot import TYPE_INDEX, LinkStateSnapshot
+from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
 
 _TEL = _telemetry()
 
@@ -55,6 +56,54 @@ class LinkReport:
             raise ValueError(f"loss rate {self.loss_rate} outside [0, 1]")
 
 
+@dataclass(eq=False)
+class ReportBatch:
+    """Monitoring reports of *distinct* directed links, as arrays.
+
+    Row k reports the link ``codes[src[k]] -> codes[dst[k]]`` of tier
+    ``TYPE_ORDER[tier[k]]``.  Sized, and falsy when empty; iterating or
+    indexing builds the `LinkReport`s for consumers that want objects.
+    """
+
+    codes: Tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    tier: np.ndarray
+    latency_ms: np.ndarray
+    loss_rate: np.ndarray
+    reported_at: np.ndarray
+
+    def __post_init__(self) -> None:
+        # `LinkReport`'s range checks, once over the arrays.
+        if len(self) and (self.latency_ms.min() < 0 or not (
+                0.0 <= self.loss_rate.min() and self.loss_rate.max() <= 1.0)):
+            raise ValueError("a report has a negative latency or a loss "
+                             "rate outside [0, 1]")
+
+    @classmethod
+    def from_reports(cls, reports: Sequence[LinkReport],
+                     index: Dict[str, int]) -> "ReportBatch":
+        """`reports` (of distinct links) over the regions of `index`."""
+        return cls(tuple(index),
+                   np.array([index[r.src] for r in reports], dtype=np.intp),
+                   np.array([index[r.dst] for r in reports], dtype=np.intp),
+                   np.array([TYPE_INDEX[r.link_type] for r in reports],
+                            dtype=np.intp),
+                   np.array([r.latency_ms for r in reports], dtype=float),
+                   np.array([r.loss_rate for r in reports], dtype=float),
+                   np.array([r.reported_at for r in reports], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.latency_ms)
+
+    def __getitem__(self, k: int) -> LinkReport:
+        return LinkReport(self.codes[self.src[k]], self.codes[self.dst[k]],
+                          TYPE_ORDER[self.tier[k]],
+                          float(self.latency_ms[k]),
+                          float(self.loss_rate[k]),
+                          float(self.reported_at[k]))
+
+
 class NetworkInformationBase:
     """Recent link states for every directed link, plus pricing handles."""
 
@@ -72,25 +121,32 @@ class NetworkInformationBase:
         #: lets the controller skip rebuilding (and the incremental
         #: engine skip diffing) when no new report arrived.
         self.version = 0
-        self._reports: Dict[Tuple[str, str, LinkType],
-                            Deque[LinkReport]] = {}
+        #: Region code <-> row/column of the ring matrices.
         self._index: Dict[str, int] = {}
+        self._codes: List[str] = []
         self._ring_lat = np.full((2, 0, 0, self.window), np.nan)
         self._ring_loss = np.full((2, 0, 0, self.window), np.nan)
-        self._ring_count = np.zeros((2, 0, 0), dtype=np.int64)
-        self._ring_pos = np.zeros((2, 0, 0), dtype=np.int64)
-        #: Fault-injection seam: a ``report -> report | None`` filter
-        #: (e.g. `FaultInjector.filter_report`).  None = no faults.
+        self._ring_at = np.full((2, 0, 0, self.window), np.nan)
+        #: Reports accepted per link, ever: the k-th sits in slot
+        #: ``k % window``, and the last ``min(total, window)`` are kept.
+        self._ring_total = np.zeros((2, 0, 0), dtype=np.int64)
+        #: A batch's `codes` -> their rows in the ring matrices.
+        self._rows: Dict[Tuple[str, ...], np.ndarray] = {}
+        #: Fault-injection seam: an object (a `FaultInjector`) whose
+        #: `filter_report` maps a report to itself, a staled copy or
+        #: None (dropped), and whose `reports_matched` names the reports
+        #: of a batch it would touch.  None = no faults.
         self.fault_filter = None
         if codes:
-            self._grow(list(codes))
+            self._grow(codes)
 
     # -------------------------------------------------------------- storage
-    def _grow(self, new_codes: List[str]) -> None:
+    def _grow(self, new_codes: Iterable[str]) -> None:
         """Enlarge the ring matrices to admit `new_codes`."""
         for code in new_codes:
             if code not in self._index:
                 self._index[code] = len(self._index)
+                self._codes.append(code)
         n = len(self._index)
         if n <= self._ring_lat.shape[1]:
             return
@@ -104,65 +160,129 @@ class NetworkInformationBase:
 
         self._ring_lat = enlarge(self._ring_lat, np.nan)
         self._ring_loss = enlarge(self._ring_loss, np.nan)
-        self._ring_count = enlarge(self._ring_count, 0)
-        self._ring_pos = enlarge(self._ring_pos, 0)
+        self._ring_at = enlarge(self._ring_at, np.nan)
+        self._ring_total = enlarge(self._ring_total, 0)
 
-    def _link_index(self, src: str, dst: str,
-                    link_type: LinkType) -> Tuple[int, int, int]:
-        if src not in self._index or dst not in self._index:
-            self._grow([src, dst])
-        return TYPE_INDEX[link_type], self._index[src], self._index[dst]
+    def _store(self, batch: ReportBatch) -> None:
+        """Write a batch into the rings; a report older than its link's
+        newest is stale, out of order, and dropped."""
+        rows = self._rows.get(batch.codes)
+        if rows is None:
+            self._grow(batch.codes)
+            rows = self._rows[batch.codes] = np.array(
+                [self._index[c] for c in batch.codes], dtype=np.intp)
+        ti, i, j = batch.tier, rows[batch.src], rows[batch.dst]
+        lat, loss, at = batch.latency_ms, batch.loss_rate, batch.reported_at
+        total = self._ring_total[ti, i, j]
+        slot = total % self.window
+        # Slot -1 is the last one: NaN, never older, until it is filled.
+        stale = at < self._ring_at[ti, i, j, slot - 1]
+        if stale.any():
+            ti, i, j, total, slot, lat, loss, at = (
+                column[~stale]
+                for column in (ti, i, j, total, slot, lat, loss, at))
+        self.version += len(slot)
+        self._ring_lat[ti, i, j, slot] = lat
+        self._ring_loss[ti, i, j, slot] = loss
+        self._ring_at[ti, i, j, slot] = at
+        self._ring_total[ti, i, j] = total + 1
+
+    def _link(self, src: str, dst: str, link_type: LinkType
+              ) -> Optional[Tuple[int, int, int]]:
+        """Ring index of a link that has a report, else None."""
+        i, j = self._index.get(src), self._index.get(dst)
+        if i is None or j is None:
+            return None
+        link = (TYPE_INDEX[link_type], i, j)
+        return link if self._ring_total[link] else None
+
+    def _links(self) -> List[Tuple[int, int, int]]:
+        """Ring index of every link that has a report."""
+        return [tuple(link) for link in
+                np.argwhere(self._ring_total).tolist()]
+
+    def _history(self, link: Tuple[int, int, int]) -> List[LinkReport]:
+        """The windowed reports of ring index `link`, oldest first."""
+        (ti, i, j), total = link, int(self._ring_total[link])
+        rings = (self._ring_lat, self._ring_loss, self._ring_at)
+        return [LinkReport(self._codes[i], self._codes[j], TYPE_ORDER[ti],
+                           *(float(ring[ti, i, j, k % self.window])
+                             for ring in rings))
+                for k in range(max(total - self.window, 0), total)]
 
     # ------------------------------------------------------------------ api
     def update(self, report: LinkReport) -> None:
         """Ingest a monitoring report; newest timestamp wins the head."""
-        if self.fault_filter is not None:
-            filtered = self.fault_filter(report)
-            if filtered is None:
-                if _TEL.enabled:
-                    _TEL.counter("fault.reports_dropped").inc()
-                    _TEL.event("fault_report_drop", t=report.reported_at,
-                               src=report.src, dst=report.dst,
-                               link=report.link_type)
-                return
-            if filtered is not report:
-                if _TEL.enabled:
-                    _TEL.counter("fault.reports_staled").inc()
-                    _TEL.event("fault_report_stale", t=report.reported_at,
-                               src=report.src, dst=report.dst,
-                               link=report.link_type,
-                               staled_to=filtered.reported_at)
-                report = filtered
-        key = (report.src, report.dst, report.link_type)
-        history = self._reports.get(key)
-        if history is None:
-            history = deque(maxlen=self.window)
-            self._reports[key] = history
-        if history and report.reported_at < history[-1].reported_at:
-            return  # stale out-of-order report
-        history.append(report)
-        self.version += 1
-        ti, i, j = self._link_index(report.src, report.dst, report.link_type)
-        pos = self._ring_pos[ti, i, j]
-        self._ring_lat[ti, i, j, pos] = report.latency_ms
-        self._ring_loss[ti, i, j, pos] = report.loss_rate
-        self._ring_pos[ti, i, j] = (pos + 1) % self.window
-        self._ring_count[ti, i, j] = min(
-            self._ring_count[ti, i, j] + 1, self.window)
+        self.update_many((report,))
 
-    def update_many(self, reports: List[LinkReport]) -> None:
+    def update_many(self, reports: Union[ReportBatch, Iterable[LinkReport]]
+                    ) -> None:
+        """Ingest a probing round's `ReportBatch`, or any sequence of
+        `LinkReport`s (each link's reports apply in sequence order).
+
+        The fault seam is consulted once per batch: one that no report
+        fault touches goes to the rings as arrays; otherwise exactly
+        the touched reports pass through `filter_report`, in order.
+        """
+        if isinstance(reports, ReportBatch):
+            touched = (self.fault_filter.reports_matched(reports)
+                       if self.fault_filter is not None else ())
+            if not touched:
+                self._store(reports)
+                return
+            reports = list(reports)
+            for k in touched:
+                reports[k] = self._filtered(reports[k])
+        elif self.fault_filter is not None:
+            reports = [self._filtered(report) for report in reports]
+        self._store_reports(reports)
+
+    def _store_reports(self, reports: Iterable[Optional[LinkReport]]
+                       ) -> None:
+        """`_store` the reports (None = dropped on the way) as batches:
+        the k-th report of every link forms the k-th one, so links are
+        distinct inside a batch and a link's reports keep their order."""
+        layers: List[List[LinkReport]] = []
+        seen: Dict[Tuple[str, str, int], int] = {}
         for report in reports:
-            self.update(report)
+            if report is None:
+                continue
+            key = (report.src, report.dst, TYPE_INDEX[report.link_type])
+            k = seen[key] = seen.get(key, -1) + 1
+            if k == len(layers):
+                layers.append([])
+            layers[k].append(report)
+        for layer in layers:
+            self._grow(code for r in layer for code in (r.src, r.dst))
+            self._store(ReportBatch.from_reports(layer, self._index))
+
+    def _filtered(self, report: LinkReport) -> Optional[LinkReport]:
+        """`report` as the fault seam lets it through (traced)."""
+        filtered = self.fault_filter.filter_report(report)
+        if filtered is None:
+            if _TEL.enabled:
+                _TEL.counter("fault.reports_dropped").inc()
+                _TEL.event("fault_report_drop", t=report.reported_at,
+                           src=report.src, dst=report.dst,
+                           link=report.link_type)
+        elif filtered is not report and _TEL.enabled:
+            _TEL.counter("fault.reports_staled").inc()
+            _TEL.event("fault_report_stale", t=report.reported_at,
+                       src=report.src, dst=report.dst,
+                       link=report.link_type,
+                       staled_to=filtered.reported_at)
+        return filtered
 
     def get(self, src: str, dst: str,
             link_type: LinkType) -> Optional[LinkReport]:
-        history = self._reports.get((src, dst, link_type))
-        return history[-1] if history else None
+        link = self._link(src, dst, link_type)
+        return self._history(link)[-1] if link else None
 
     def history(self, src: str, dst: str,
                 link_type: LinkType) -> List[LinkReport]:
         """The windowed report history, oldest first."""
-        return list(self._reports.get((src, dst, link_type), ()))
+        link = self._link(src, dst, link_type)
+        return self._history(link) if link else []
 
     def latency_ms(self, src: str, dst: str, link_type: LinkType) -> float:
         """Latest reported latency; raises KeyError if never reported."""
@@ -186,29 +306,25 @@ class NetworkInformationBase:
         """
         if not 0.0 <= percentile <= 100.0:
             raise ValueError(f"percentile {percentile} outside [0, 100]")
-        if not self._reports.get((src, dst, link_type)):
+        link = self._link(src, dst, link_type)
+        if link is None:
             raise KeyError(f"no report for {src}->{dst} ({link_type.value})")
-        ti, i, j = self._link_index(src, dst, link_type)
-        count = int(self._ring_count[ti, i, j])
-        # Percentiles are order-free, so the (possibly rotated) filled
-        # ring slice carries the same multiset as the report deque.
-        lat = float(np.percentile(self._ring_lat[ti, i, j, :count]
-                                  if count < self.window
-                                  else self._ring_lat[ti, i, j], percentile))
-        loss = float(np.percentile(self._ring_loss[ti, i, j, :count]
-                                   if count < self.window
-                                   else self._ring_loss[ti, i, j], percentile))
-        return lat, loss
+        # Percentiles are order-free: the filled slots in any order.
+        filled = slice(min(int(self._ring_total[link]), self.window))
+        return (float(np.percentile(self._ring_lat[link][filled],
+                                    percentile)),
+                float(np.percentile(self._ring_loss[link][filled],
+                                    percentile)))
 
     # --------------------------------------------------- matrix snapshots
     def latest_snapshot(self, codes: Sequence[str]) -> LinkStateSnapshot:
         """Latest-report matrices over `codes`; missing links (inf, 1)."""
-        last = (self._ring_pos - 1) % self.window
+        last = (self._ring_total - 1) % self.window
         lat = np.take_along_axis(self._ring_lat, last[..., None],
                                  axis=3)[..., 0]
         loss = np.take_along_axis(self._ring_loss, last[..., None],
                                   axis=3)[..., 0]
-        never = self._ring_count == 0
+        never = self._ring_total == 0
         return self._project(codes, lat, loss, never)
 
     def robust_snapshot(self, codes: Sequence[str],
@@ -226,7 +342,7 @@ class NetworkInformationBase:
             warnings.simplefilter("ignore", RuntimeWarning)
             lat = np.nanpercentile(self._ring_lat, percentile, axis=3)
             loss = np.nanpercentile(self._ring_loss, percentile, axis=3)
-        never = self._ring_count == 0
+        never = self._ring_total == 0
         return self._project(codes, lat, loss, never)
 
     def _project(self, codes: Sequence[str], lat_src: np.ndarray,
@@ -246,14 +362,13 @@ class NetworkInformationBase:
 
     def stale_links(self, now: float) -> List[Tuple[str, str, LinkType]]:
         """Links whose last report is older than the staleness budget."""
-        return [key for key, history in self._reports.items()
-                if history and now - history[-1].reported_at
-                > self.max_staleness_s]
+        return [key for key, report in self.snapshot().items()
+                if now - report.reported_at > self.max_staleness_s]
 
     def snapshot(self) -> Dict[Tuple[str, str, LinkType], LinkReport]:
         """A point-in-time copy of the latest reports."""
-        return {key: history[-1] for key, history in self._reports.items()
-                if history}
+        latest = (self._history(link)[-1] for link in self._links())
+        return {(r.src, r.dst, r.link_type): r for r in latest}
 
     # ------------------------------------------------------------ checkpoint
     def export_reports(self) -> List[Dict[str, object]]:
@@ -262,36 +377,30 @@ class NetworkInformationBase:
         Links are emitted in sorted key order, each link's window oldest
         first, so the export is deterministic for a given NIB state.
         """
-        docs: List[Dict[str, object]] = []
-        for key in sorted(self._reports,
-                          key=lambda k: (k[0], k[1], k[2].value)):
-            for report in self._reports[key]:
-                docs.append({"src": report.src, "dst": report.dst,
-                             "link_type": report.link_type.value,
-                             "latency_ms": float(report.latency_ms),
-                             "loss_rate": float(report.loss_rate),
-                             "reported_at": float(report.reported_at)})
-        return docs
+        codes = self._codes
+        return [{"src": report.src, "dst": report.dst,
+                 "link_type": report.link_type.value,
+                 "latency_ms": report.latency_ms,
+                 "loss_rate": report.loss_rate,
+                 "reported_at": report.reported_at}
+                for link in sorted(self._links(), key=lambda k: (
+                    codes[k[1]], codes[k[2]], TYPE_ORDER[k[0]].value))
+                for report in self._history(link)]
 
     def import_reports(self, docs: List[Dict[str, object]]) -> None:
         """Replay exported reports into this NIB (warm restart).
 
-        Replays through `update` with the fault filter bypassed — a
-        checkpoint restore is a local disk read, not a network report
-        delivery, so injected report faults must not reapply to it.
+        Past the fault filter — a checkpoint restore is a local disk
+        read, not a network report delivery, so injected report faults
+        must not reapply to it.
         """
-        saved = self.fault_filter
-        self.fault_filter = None
-        try:
-            for doc in docs:
-                self.update(LinkReport(
-                    src=doc["src"], dst=doc["dst"],
-                    link_type=LinkType(doc["link_type"]),
-                    latency_ms=float(doc["latency_ms"]),
-                    loss_rate=float(doc["loss_rate"]),
-                    reported_at=float(doc["reported_at"])))
-        finally:
-            self.fault_filter = saved
+        self._store_reports(
+            LinkReport(src=doc["src"], dst=doc["dst"],
+                       link_type=LinkType(doc["link_type"]),
+                       latency_ms=float(doc["latency_ms"]),
+                       loss_rate=float(doc["loss_rate"]),
+                       reported_at=float(doc["reported_at"]))
+            for doc in docs)
 
     def __len__(self) -> int:
-        return sum(1 for h in self._reports.values() if h)
+        return int(np.count_nonzero(self._ring_total))

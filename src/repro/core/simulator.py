@@ -46,7 +46,7 @@ from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
 from repro.underlay.linkstate import LinkType
 from repro.underlay.regions import RegionPair
-from repro.underlay.snapshot import TYPE_INDEX
+from repro.underlay.snapshot import TYPE_ORDER
 from repro.underlay.topology import Underlay
 
 _TEL = _telemetry()
@@ -119,7 +119,8 @@ class _EpochLinkCache:
             bt, blat, bloss = burst_series(
                 partial(self.underlay.link_series, block), self.t0, self.t1,
                 self.monitoring, seeds)
-            flags = reaction_active_series(blat, bloss, self.reaction_config)
+            flags = reaction_active_series(blat, bloss, self.reaction_config,
+                                           self.monitoring)
             idx = np.clip(np.searchsorted(bt, self.times, side="right") - 1,
                           0, bt.size - 1)
             self._reaction.update(zip(block, flags[:, idx]))
@@ -289,6 +290,14 @@ class EpochSimulator:
         self._streams = RngStreams(self.sim_config.seed)
         self._grouping = ProbingGroupManager(
             self.codes, self.sim_config.monitoring.representatives)
+        #: Every directed link the monitoring push reports, tier by
+        #: tier in `pairs` order: (tier, src, dst) index vectors.
+        column = {code: i for i, code in enumerate(self.codes)}
+        self._monitored = tuple(
+            np.array(axis, dtype=np.intp) for axis in zip(*(
+                (tier, column[a], column[b])
+                for tier in range(len(TYPE_ORDER))
+                for (a, b) in self.pairs)))
 
         self.controller: Optional[Controller] = (
             build_controller(self.codes, self.control_config,
@@ -458,27 +467,22 @@ class EpochSimulator:
         directed link, median-aggregated into one NIB report."""
         assert self.controller is not None
         rng = self._streams.get("monitor.noise")
-        reports = []
         reps = self.sim_config.monitoring.representatives
         # True link states come from one vectorised underlay snapshot
-        # (bit-identical to per-link LinkProcess evaluation); the scalar
-        # loop below only draws measurement noise, in the exact RNG
-        # stream order the per-link formulation used.
+        # (bit-identical to per-link LinkProcess evaluation), and the
+        # measurement noise from one block drawn in the stream order of
+        # the per-link formulation: link by link (tier, then pair), per
+        # representative a latency factor in [0.97, 1.03) and then a
+        # loss factor in [0.8, 1.2), each `low + (high - low) * u`.
         snap = self.underlay.snapshot(now)
-        index = snap.index
-        for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-            lat_m = snap.lat[TYPE_INDEX[lt]]
-            loss_m = snap.loss[TYPE_INDEX[lt]]
-            for (src, dst) in self.pairs:
-                true_lat = float(lat_m[index[src], index[dst]])
-                true_loss = float(loss_m[index[src], index[dst]])
-                measurements = [
-                    (true_lat * float(rng.uniform(0.97, 1.03)),
-                     min(max(true_loss * float(rng.uniform(0.8, 1.2)), 0.0),
-                         1.0))
-                    for __ in range(reps)]
-                reports.append(self._grouping.aggregate(
-                    src, dst, lt, measurements, now))
+        tier, src, dst = self._monitored
+        noise = rng.random((len(tier), reps, 2))
+        latency = (snap.lat[tier, src, dst, None]
+                   * (0.97 + (1.03 - 0.97) * noise[..., 0]))
+        loss = np.clip(snap.loss[tier, src, dst, None]
+                       * (0.8 + (1.2 - 0.8) * noise[..., 1]), 0.0, 1.0)
+        reports = self._grouping.aggregate(src, dst, tier,
+                                           (latency.T, loss.T), now)
         self.controller.nib.update_many(reports)
         if _TEL.enabled:
             _TEL.counter("simulator.probe_rounds").inc()

@@ -13,16 +13,17 @@ Implements §4 of the paper:
   involving the controller (§4.3).
 
 Two execution styles are provided: event-driven objects (`Gateway`,
-`LinkStateEstimator`) for the discrete-event simulator, and vectorised
-series functions (`burst_series`, `reaction_active_series`,
+`RegionCluster`, their `EstimatorBank`s) for the discrete-event
+simulator, and vectorised series functions (`burst_series`, `reaction_active_series`,
 `effective_path_series`) used by the day-scale benchmark experiments.
 """
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
-from repro.dataplane.probing import ActiveProber, ProbeBurst, burst_series
+from repro.dataplane.probing import (ActiveProber, BurstBatch, ProbeBurst,
+                                     burst_series)
 from repro.dataplane.packets import (JudgedBurst, PacketLevelProber,
                                      ProbePacket)
-from repro.dataplane.estimator import (LinkStateEstimator,
+from repro.dataplane.estimator import (EstimatorBank, LinkStateEstimator,
                                        reaction_active_series)
 from repro.dataplane.passive import PassiveTracker
 from repro.dataplane.grouping import ProbingGroupManager, probing_cost
@@ -36,10 +37,12 @@ __all__ = [
     "ReactionConfig",
     "ActiveProber",
     "ProbeBurst",
+    "BurstBatch",
     "burst_series",
     "PacketLevelProber",
     "ProbePacket",
     "JudgedBurst",
+    "EstimatorBank",
     "LinkStateEstimator",
     "reaction_active_series",
     "PassiveTracker",

@@ -6,6 +6,12 @@ median-aggregated into the *group state*, which is (a) pushed to the
 non-representative gateways so their local fast reaction sees the same
 degradation verdicts, and (b) reported to the controller's NIB.  This is
 the mechanism that turns O(N(N-1)M^2) probe streams into O(N(N-1)R).
+
+The gateways' monitoring state is one block of arrays (an
+`EstimatorBank` of shape ``(gateways, links)``, representatives first):
+a probing round is a few dozen array operations over it — one ingest
+for all representatives, one median, one hand-over to all members, one
+`ReportBatch` — plus the two random draws each burst costs.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.controlplane.nib import LinkReport
+from repro.controlplane.nib import ReportBatch
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
+from repro.dataplane.estimator import EstimatorBank
 from repro.dataplane.gateway import ForwardDecision, Gateway
 from repro.dataplane.grouping import ProbingGroupManager
 from repro.obs import telemetry as _telemetry
@@ -53,8 +60,21 @@ class RegionCluster:
         self.faults = None
         for __ in range(initial_gateways):
             self._add_gateway()
+        self._fleet_changed()
 
     # ---------------------------------------------------------------- fleet
+    def _fleet_changed(self) -> None:
+        """Gateways came or went: bring what is derived from the fleet
+        up to date — the ids in order (the round robin's), the elected
+        representatives, and the monitoring block, whose rows are the
+        banks of `_fleet`: the representatives', then the others'."""
+        self._ids = sorted(self.gateways)
+        self._elected = self._grouping.elect(self.region, self._ids)
+        self._fleet = [self.gateways[gid] for gid in self._elected + [
+            gid for gid in self._ids if gid not in self._elected]]
+        self._bank = EstimatorBank.stacked(
+            [gateway.bank for gateway in self._fleet])
+
     def _add_gateway(self) -> Gateway:
         gid = self._next_gateway_id
         self._next_gateway_id += 1
@@ -99,6 +119,8 @@ class RegionCluster:
         """
         if target < 1:
             raise ValueError("cannot scale a cluster below one gateway")
+        if target == len(self.gateways):
+            return
         while len(self.gateways) < target:
             gateway = self._add_gateway()
             self._clone_from_sibling(gateway)
@@ -106,6 +128,7 @@ class RegionCluster:
             # Remove the newest gateways first (stable representatives).
             victim = max(self.gateways)
             del self.gateways[victim]
+        self._fleet_changed()
 
     def crash_gateways(self, count: int, now: Optional[float] = None,
                        fault_id: Optional[int] = None) -> List[int]:
@@ -119,10 +142,11 @@ class RegionCluster:
         of the driving spec) rides on the telemetry event so breaches
         can be traced back to the injected fault.
         """
-        victims = sorted(self.gateways)[:max(0, min(count,
-                                                    len(self.gateways) - 1))]
+        victims = self._ids[:max(0, min(count, len(self.gateways) - 1))]
         for gid in victims:
             del self.gateways[gid]
+        if victims:
+            self._fleet_changed()
         # Re-point the round-robin cursor into the shrunken fleet so the
         # spared gateway never inherits a dangling decision index.
         # (`resolve` re-modulos by the live count, so this is a pure
@@ -150,6 +174,8 @@ class RegionCluster:
             gateway = self._add_gateway()
             self._clone_from_sibling(gateway)
             started.append(gateway.gateway_id)
+        if started:
+            self._fleet_changed()
         if started and _TEL.enabled:
             _TEL.counter("fault.gateways_restarted").inc(len(started))
             fields = {"region": self.region, "gateways": started,
@@ -164,75 +190,84 @@ class RegionCluster:
         return len(self.gateways)
 
     def representatives(self) -> List[Gateway]:
-        ids = self._grouping.elect(self.region, list(self.gateways))
-        return [self.gateways[i] for i in ids]
+        """The elected probing gateways (an election that changed the
+        set since the last call is traced here, not when it happened)."""
+        self._grouping.announce(self.region, self._elected,
+                                len(self.gateways))
+        return self._fleet[:len(self._elected)]
 
     # ----------------------------------------------------------- monitoring
-    def probe_round(self, now: float) -> List[LinkReport]:
+    def probe_round(self, now: float) -> ReportBatch:
         """One group-based probing round.
 
         Representatives probe every adjacent link of both tiers; their
         estimates are median-aggregated into group reports, the group
         state is distributed to all member gateways, and the reports are
-        returned for the controller's NIB.
+        returned for the controller's NIB.  A link under a probe
+        blackout (a fault-injection seam, asked once per link) is a
+        blind spot: no probes, no group state, no NIB report — its
+        estimators, and the controller's view of it, age into staleness.
         """
         reps = self.representatives()
-        blackout = None
+        first = reps[0]
+        links, order, index = slice(None), first.probe_order, first.link_index
+        blacked_ids = {}
         if self.faults is not None:
-            faults = self.faults
-
-            def blackout(dst, lt):
-                # Returns the matching FaultSpec (truthy) or None.
-                return faults.probe_blackout(self.region, dst, lt, now)
-        for rep in reps:
-            rep.probe_all(now, blackout=blackout)
-        members = [gateway for gateway in self.gateways.values()
-                   if gateway not in reps]
-        reports: List[LinkReport] = []
-        degraded_links = 0
-        blacked_out = 0
-        blacked_ids = set()
-        for dst in self.underlay.codes:
-            if dst == self.region:
-                continue
-            for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-                spec = blackout(dst, lt) if blackout is not None else None
-                if spec:
-                    # Blind spot: no group state, no NIB report — the
-                    # controller sees this link age into staleness.
-                    blacked_out += 1
-                    if self.faults is not None:
-                        self.faults.counters.probes_blacked_out += 1
-                        fid = self.faults.fault_id(spec)
-                        if fid is not None:
-                            blacked_ids.add(fid)
-                    continue
-                estimators = [rep.estimator(dst, lt) for rep in reps]
-                report = self._grouping.aggregate(
-                    self.region, dst, lt,
-                    [est.estimate() for est in estimators], now)
-                degraded_votes = sum(est.degraded for est in estimators)
-                # Strict majority of representatives (median semantics).
-                degraded = degraded_votes * 2 > len(reps)
-                degraded_links += degraded
-                for gateway in members:
-                    gateway.estimator(dst, lt).apply_group_state(
-                        now, report.latency_ms, report.loss_rate, degraded)
-                reports.append(report)
+            for (dst, lt), k in first.links.items():
+                # The matching FaultSpec, or None.
+                spec = self.faults.probe_blackout(self.region, dst, lt, now)
+                if spec is not None:
+                    blacked_ids[k] = self.faults.fault_id(spec)
+            if blacked_ids:
+                self.faults.counters.probes_blacked_out += len(blacked_ids)
+                links, order = first.open_links(blacked_ids)
+                index = tuple(axis[links] for axis in index)
+        state = self.underlay.state_at(now)
+        loss_rates = np.minimum(state.loss[index], 1.0).tolist()
+        jitter, lost = zip(*(rep.send_bursts(loss_rates, order)
+                             for rep in reps))
+        bank = self._bank
+        probed = (slice(len(reps)), links)
+        bank.ingest(probed, now, state.lat[index] * np.array(jitter),
+                    np.array(lost) / self.monitoring.packets_per_burst)
+        tier, src, dst = index
+        reports = self._grouping.aggregate(
+            src, dst, tier,
+            (bank.latency_ms[probed], bank.loss_rate[probed]), now)
+        # Strict majority of representatives (median semantics); no
+        # vote to count while no representative flags any link.
+        flagged = bank.degraded[probed]
+        degraded = (flagged.sum(axis=0) * 2 > len(reps) if flagged.any()
+                    else flagged[0])
+        if len(self.gateways) > len(reps):
+            bank.adopt((slice(len(reps), None), links), now,
+                       reports.latency_ms, reports.loss_rate, degraded)
         if _TEL.enabled:
             _TEL.counter("cluster.probe_rounds").inc()
             _TEL.event("probe_round", t=now, region=self.region,
                        representatives=len(reps), reports=len(reports),
-                       degraded_links=degraded_links)
-            if blacked_out:
+                       degraded_links=int(np.count_nonzero(degraded)))
+            if blacked_ids:
+                _TEL.counter("fault.probes_blacked_out").inc(
+                    len(blacked_ids) * len(reps))
                 _TEL.event("fault_probe_blackout", t=now,
-                           region=self.region, links=blacked_out,
-                           fault_ids=sorted(blacked_ids))
+                           region=self.region, links=len(blacked_ids),
+                           fault_ids=sorted(
+                               set(blacked_ids.values()) - {None}))
         return reports
 
     def flush_passive(self, now: float) -> None:
-        for gateway in self.gateways.values():
-            gateway.flush_passive(now)
+        """Fold every gateway's passive samples into the estimators."""
+        rows, links, latency_ms, loss_rate = [], [], [], []
+        for row, gateway in enumerate(self._fleet):
+            sampled = gateway.passive_samples(now)
+            rows += [row] * len(sampled[0])
+            links += sampled[0]
+            latency_ms += sampled[1]
+            loss_rate += sampled[2]
+        if rows:
+            self._bank.ingest((np.array(rows), np.array(links)), now,
+                              np.array(latency_ms), np.array(loss_rate))
 
     # ----------------------------------------------------------- forwarding
     def install(self, entries: Dict[int, Tuple[str, LinkType]],
@@ -275,7 +310,7 @@ class RegionCluster:
         (not an arbitrary sibling)."""
         if not self.gateways:
             return None
-        ids = sorted(self.gateways)
+        ids = self._ids
         gid = ids[self._rr_index % len(ids)]
         self._rr_index += 1
         gateway = self.gateways[gid]
@@ -288,11 +323,5 @@ class RegionCluster:
 
     def degradation_detections(self) -> int:
         """Total degradation triggers across representative estimators."""
-        total = 0
-        for rep in self.representatives():
-            for dst in self.underlay.codes:
-                if dst == self.region:
-                    continue
-                for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-                    total += rep.estimator(dst, lt).degradation_count
-        return total
+        reps = len(self.representatives())
+        return int(self._bank.degradation_count[:reps].sum())

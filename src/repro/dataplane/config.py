@@ -20,7 +20,8 @@ class MonitoringConfig:
     #: ...or if more than this many succeeding responses arrive first
     #: (paper condition i).
     reorder_loss_threshold: int = 20
-    #: EWMA smoothing factor for latency/loss estimates.
+    #: EWMA smoothing factor for latency/loss estimates, in both engines'
+    #: degradation detectors.
     ewma_alpha: float = 0.3
     #: Representatives per region pair for group-based probing (R).
     representatives: int = 2
@@ -50,7 +51,6 @@ class ReactionConfig:
     #: moderate loss that a 15-packet burst cannot resolve (the paper's
     #: 0.5% quality bound needs ~multi-burst averaging).
     ewma_loss_threshold: float = 0.015
-    ewma_alpha: float = 0.3
     #: Consecutive bad bursts required to trigger the reaction.
     trigger_bursts: int = 2
     #: Consecutive good bursts required to revert to the normal path.
@@ -59,5 +59,3 @@ class ReactionConfig:
     def __post_init__(self) -> None:
         if self.trigger_bursts < 1 or self.recover_bursts < 1:
             raise ValueError("hysteresis windows must be >= 1 burst")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")

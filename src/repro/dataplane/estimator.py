@@ -1,16 +1,21 @@
 """Link-state estimation and degradation detection.
 
-`LinkStateEstimator` is the per-link state a gateway's monitoring module
-keeps: EWMA latency/loss built from active probes and passive samples,
-plus the hysteresis state machine that declares a link degraded after
-`trigger_bursts` consecutive bad bursts and recovered after
-`recover_bursts` consecutive good ones.  The same dynamics are provided
-in vectorised form (`reaction_active_series`) for day-scale experiments.
+`EstimatorBank` is the monitoring state a gateway keeps for its adjacent
+links, as a struct of arrays: EWMA latency/loss built from active probes
+and passive samples, plus the hysteresis state machine that declares a
+link degraded after `trigger_bursts` consecutive bad bursts and
+recovered after `recover_bursts` consecutive good ones.  Its one update
+routine, `ingest`, serves a probing round (every probed link of every
+representative of a cluster in one call), a passive flush and a single
+sample alike; `adopt` is the group-state hand-over of §4.1.
+`LinkStateEstimator` is the per-link face of a bank (one link of a
+gateway's, or a bank of its own).  The same dynamics are provided over a
+time axis (`reaction_active_series`) for day-scale experiments.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -18,45 +23,81 @@ from scipy.signal import lfilter
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.probing import ProbeBurst
 
+#: The state arrays of an `EstimatorBank` and what a fresh link holds
+#: (NaN: no sample yet).
+_STATE = {"latency_ms": np.nan, "loss_rate": np.nan, "last_update": np.nan,
+          "bad_run": 0, "good_run": 0, "degraded": False,
+          "degradation_count": 0}
 
-class LinkStateEstimator:
-    """EWMA estimates + degradation detector for one directed link."""
 
-    def __init__(self, monitoring: MonitoringConfig,
+class EstimatorBank:
+    """EWMA estimates + degradation detectors of many links at once.
+
+    Every state array has the bank's shape — ``(links,)`` for a gateway,
+    ``(gateways, links)`` for a cluster's block — and the update
+    routines take any numpy index into that shape, so one call updates
+    one link, some links of a gateway or the same links of several
+    gateways.
+    """
+
+    __slots__ = ("monitoring", "reaction") + tuple(_STATE)
+
+    def __init__(self, shape, monitoring: MonitoringConfig,
                  reaction: ReactionConfig):
         self.monitoring = monitoring
         self.reaction = reaction
-        self.latency_ms: Optional[float] = None
-        self.loss_rate: Optional[float] = None
-        self._bad_run = 0
-        self._good_run = 0
-        self._degraded = False
-        self.degradation_count = 0
-        self.last_update: Optional[float] = None
+        for name, fresh in _STATE.items():
+            setattr(self, name, np.full(shape, fresh))
 
-    # ------------------------------------------------------------------ api
-    @property
-    def degraded(self) -> bool:
-        return self._degraded
+    @classmethod
+    def stacked(cls, banks: Sequence["EstimatorBank"]) -> "EstimatorBank":
+        """A block holding a copy of `banks`' state, one row each; every
+        bank then becomes its row (a view: the block and the bank are
+        one state from here on, whoever writes)."""
+        block = cls((0,), banks[0].monitoring, banks[0].reaction)
+        for name in _STATE:
+            rows = np.stack([getattr(bank, name) for bank in banks])
+            setattr(block, name, rows)
+            for bank, row in zip(banks, rows):
+                setattr(bank, name, row)
+        return block
 
-    def estimate(self) -> Tuple[float, float]:
-        """Current (latency_ms, loss_rate); raises before any sample."""
-        if self.latency_ms is None or self.loss_rate is None:
-            raise RuntimeError("no samples ingested yet")
-        return self.latency_ms, self.loss_rate
+    def ingest(self, links, time: float, latency_ms, loss_rate) -> None:
+        """Fold one sample per link of `links` into the estimates and
+        step the detectors (an active burst or a passive window: the
+        monitoring module treats both alike)."""
+        alpha = self.monitoring.ewma_alpha
+        reaction = self.reaction
+        ewma_lat = self.latency_ms[links]
+        ewma_loss = self.loss_rate[links]
+        fresh = np.isnan(ewma_lat)
+        ewma_loss = np.where(
+            fresh, loss_rate, ewma_loss + alpha * (loss_rate - ewma_loss))
+        self.latency_ms[links] = np.where(
+            fresh, latency_ms, ewma_lat + alpha * (latency_ms - ewma_lat))
+        self.loss_rate[links] = ewma_loss
+        self.last_update[links] = time
 
-    def ingest_burst(self, burst: ProbeBurst) -> bool:
-        """Update from an active probe burst; returns the degraded flag."""
-        return self._ingest(burst.time, burst.latency_ms,
-                            burst.loss_fraction)
+        # A burst is bad on an instantaneous spike (latency over the
+        # bound, or several packets of the burst lost) or when the EWMA
+        # loss shows sustained moderate loss that single bursts cannot
+        # resolve at 15-packet granularity.
+        bad = ((latency_ms > reaction.latency_threshold_ms)
+               | (loss_rate >= reaction.loss_threshold)
+               | (ewma_loss >= reaction.ewma_loss_threshold))
+        bad_run = np.where(bad, self.bad_run[links] + 1, 0)
+        good_run = np.where(bad, 0, self.good_run[links] + 1)
+        self.bad_run[links] = bad_run
+        self.good_run[links] = good_run
+        degraded = self.degraded[links]
+        flipped = np.where(degraded, good_run >= reaction.recover_bursts,
+                           bad_run >= reaction.trigger_bursts)
+        if flipped.any():
+            self.degradation_count[links] += flipped & ~degraded
+            self.degraded[links] = degraded ^ flipped
 
-    def ingest_passive(self, time: float, latency_ms: float,
-                       loss_rate: float) -> bool:
-        """Update from passive tracking of data packets."""
-        return self._ingest(time, latency_ms, loss_rate)
-
-    def apply_group_state(self, time: float, latency_ms: float,
-                          loss_rate: float, degraded: bool) -> None:
+    def adopt(self, links, time: float, latency_ms, loss_rate,
+              degraded) -> None:
         """Adopt the group-aggregated state (§4.1's group-based probing).
 
         Non-representative gateways do not probe; they receive the
@@ -64,58 +105,77 @@ class LinkStateEstimator:
         adopt both wholesale (their own hysteresis counters reset so a
         later local signal starts fresh).
         """
-        self.latency_ms = float(latency_ms)
-        self.loss_rate = float(loss_rate)
-        self.last_update = time
-        if degraded and not self._degraded:
-            self.degradation_count += 1
-        self._degraded = bool(degraded)
-        self._bad_run = 0
-        self._good_run = 0
+        self.latency_ms[links] = latency_ms
+        self.loss_rate[links] = loss_rate
+        self.last_update[links] = time
+        if degraded.any():
+            self.degradation_count[links] += degraded & ~self.degraded[links]
+        self.degraded[links] = degraded
+        self.bad_run[links] = 0
+        self.good_run[links] = 0
 
-    # -------------------------------------------------------------- internal
-    def _ingest(self, time: float, latency_ms: float,
-                loss_rate: float) -> bool:
-        alpha = self.monitoring.ewma_alpha
+
+class LinkStateEstimator:
+    """EWMA estimates + degradation detector for one directed link: one
+    link of an `EstimatorBank` (`of`), or a bank of its own."""
+
+    def __init__(self, monitoring: MonitoringConfig,
+                 reaction: ReactionConfig):
+        self._bank = EstimatorBank((1,), monitoring, reaction)
+        self._link = 0
+
+    @classmethod
+    def of(cls, bank: EstimatorBank, link: int) -> "LinkStateEstimator":
+        """The estimator of link `link` of a one-dimensional `bank`."""
+        estimator = cls.__new__(cls)
+        estimator._bank = bank
+        estimator._link = link
+        return estimator
+
+    # ------------------------------------------------------------------ api
+    def __getattr__(self, name: str):
+        """A state field of the link (`latency_ms`, `degraded`, ...) as
+        a plain Python value; None while there is no sample yet."""
+        if name not in _STATE:
+            raise AttributeError(name)
+        value = getattr(self._bank, name)[self._link].item()
+        return None if value != value else value
+
+    def estimate(self) -> Tuple[float, float]:
+        """Current (latency_ms, loss_rate); raises before any sample."""
         if self.latency_ms is None:
-            self.latency_ms = latency_ms
-            self.loss_rate = loss_rate
-        else:
-            self.latency_ms += alpha * (latency_ms - self.latency_ms)
-            self.loss_rate += alpha * (loss_rate - self.loss_rate)
-        self.last_update = time
+            raise RuntimeError("no samples ingested yet")
+        return self.latency_ms, self.loss_rate
 
-        # A burst is bad on an instantaneous spike (latency over the
-        # bound, or several packets of the burst lost) or when the EWMA
-        # loss shows sustained moderate loss that single bursts cannot
-        # resolve at 15-packet granularity.
-        bad = (latency_ms > self.reaction.latency_threshold_ms
-               or loss_rate >= self.reaction.loss_threshold
-               or (self.loss_rate is not None
-                   and self.loss_rate >= self.reaction.ewma_loss_threshold))
-        if bad:
-            self._bad_run += 1
-            self._good_run = 0
-            if (not self._degraded
-                    and self._bad_run >= self.reaction.trigger_bursts):
-                self._degraded = True
-                self.degradation_count += 1
-        else:
-            self._good_run += 1
-            self._bad_run = 0
-            if self._degraded and self._good_run >= self.reaction.recover_bursts:
-                self._degraded = False
-        return self._degraded
+    def ingest_burst(self, burst: ProbeBurst) -> bool:
+        """Update from an active probe burst; returns the degraded flag."""
+        return self.ingest_passive(burst.time, burst.latency_ms,
+                                   burst.loss_fraction)
+
+    def ingest_passive(self, time: float, latency_ms: float,
+                       loss_rate: float) -> bool:
+        """Update from passive tracking of data packets."""
+        self._bank.ingest(self._link, time, latency_ms, loss_rate)
+        return self.degraded
+
+    def apply_group_state(self, time: float, latency_ms: float,
+                          loss_rate: float, degraded: bool) -> None:
+        """Adopt the group-aggregated state (`EstimatorBank.adopt`)."""
+        self._bank.adopt(self._link, time, latency_ms, loss_rate,
+                         np.bool_(degraded))
 
 
 def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
-                           reaction: ReactionConfig) -> np.ndarray:
+                           reaction: ReactionConfig,
+                           monitoring: Optional[MonitoringConfig] = None
+                           ) -> np.ndarray:
     """Vectorised detector: per-burst boolean 'reaction active' flags.
 
-    Mirrors `LinkStateEstimator`'s hysteresis: a trigger fires
+    Mirrors `EstimatorBank`'s hysteresis: a trigger fires
     at the `trigger_bursts`-th consecutive bad burst, a recovery at the
     `recover_bursts`-th consecutive good burst, and the link is degraded
-    between a trigger and the next recovery.
+    between a trigger and the next recovery.  The loss EWMA smooths with
+    `monitoring.ewma_alpha`, the bank's factor (default config if None).
 
     Bursts run along the last axis; any leading axes (one row per link)
     are independent series detected in the same pass.
@@ -127,10 +187,11 @@ def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
     n = lat.shape[-1]
     if n == 0:
         return np.zeros(lat.shape, dtype=bool)
-    # EWMA of burst loss (same recursion as LinkStateEstimator, modulo
+    # EWMA of burst loss (same recursion as EstimatorBank, modulo
     # the first-sample initialisation), done with an IIR filter so the
     # whole series vectorises.
-    a = reaction.ewma_alpha
+    a = (monitoring if monitoring is not None
+         else MonitoringConfig()).ewma_alpha
     ewma_loss = lfilter([a], [1.0, -(1.0 - a)], loss, axis=-1)
     bad = ((lat > reaction.latency_threshold_ms)
            | (loss >= reaction.loss_threshold)

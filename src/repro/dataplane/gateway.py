@@ -1,28 +1,28 @@
 """The XRON gateway (event-mode object).
 
-A gateway is one container in a region: it monitors adjacent links
-(active probing via its `ActiveProber`s plus passive tracking), holds a
-forwarding table and the region's reaction plans, and answers "where does
-this stream go right now?" — switching to the premium backup when its
-monitoring has flagged the normal outgoing link degraded (§4.3), without
-asking the controller.
+A gateway is one container in a region: it monitors adjacent links (a
+probe burst per link per round plus passive tracking, both folded into
+its `EstimatorBank`), holds a forwarding table and the region's reaction
+plans, and answers "where does this stream go right now?" — switching to
+the premium backup when its monitoring has flagged the normal outgoing
+link degraded (§4.3), without asking the controller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
-from repro.dataplane.estimator import LinkStateEstimator
+from repro.dataplane.estimator import EstimatorBank, LinkStateEstimator
 from repro.dataplane.forwarding import ForwardingTable
 from repro.dataplane.passive import PassiveTracker
-from repro.dataplane.probing import ActiveProber, ProbeBurst
+from repro.dataplane.probing import BurstBatch, burst_bytes
 from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
-from repro.underlay.snapshot import TYPE_INDEX
+from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER
 from repro.underlay.topology import Underlay
 
 _TEL = _telemetry()
@@ -81,33 +81,34 @@ class Gateway:
         self._holddown_traced: set = set()
         #: Streams already counted as demoted under the current table.
         self._demoted: set = set()
-        self._probers: Dict[Tuple[str, LinkType], ActiveProber] = {}
-        self._estimators: Dict[Tuple[str, LinkType], LinkStateEstimator] = {}
-        for dst in underlay.codes:
-            if dst == region:
-                continue
-            for lt in (LinkType.INTERNET, LinkType.PREMIUM):
-                link = underlay.link(region, dst, lt)
-                self._probers[(dst, lt)] = ActiveProber(
-                    link, self.monitoring_config, self._rng)
-                self._estimators[(dst, lt)] = LinkStateEstimator(
-                    self.monitoring_config, self.reaction_config)
         column = {code: i for i, code in enumerate(underlay.codes)}
-        #: Row of this region in the underlay's state matrices.
-        self._row = column[region]
-        #: The probing round, in its fixed (dst, link type) order — all
-        #: probers draw from one RNG, so the order is part of the stream:
-        #: (key, tier index, dst column, prober, estimator) per link.
-        self._probe_order = [
-            (key, TYPE_INDEX[key[1]], column[key[0]],
-             prober, self._estimators[key])
-            for key, prober in sorted(
-                self._probers.items(),
-                key=lambda kv: (kv[0][0], kv[0][1].value))]
+        #: The adjacent links -> their position in the monitoring state
+        #: and in a round's reports: destination by destination in the
+        #: underlay's order, Internet before premium.
+        self.links: Dict[Tuple[str, LinkType], int] = {
+            key: k for k, key in enumerate(
+                (dst, lt) for dst in column if dst != region
+                for lt in TYPE_ORDER)}
+        #: Those positions in the order a round probes them — by (dst,
+        #: tier name), fixed: every burst draws from the one RNG, so the
+        #: order is part of the stream.
+        self.probe_order: List[int] = [
+            self.links[key] for key in sorted(
+                self.links, key=lambda key: (key[0], key[1].value))]
+        #: The same links as (tier, row, column) index vectors into the
+        #: underlay's state matrices.
+        self.link_index: Tuple[np.ndarray, ...] = (
+            np.array([TYPE_INDEX[lt] for (__, lt) in self.links]),
+            np.full(len(self.links), column[region]),
+            np.array([column[dst] for (dst, __) in self.links]))
+        #: Monitoring state of the links, in the same order.  A cluster
+        #: makes it a row of its block (`EstimatorBank.stacked`).
+        self.bank = EstimatorBank((len(self.links),), self.monitoring_config,
+                                  self.reaction_config)
+        self.probe_bytes_sent = 0
 
     # ------------------------------------------------------------ monitoring
-    def probe_all(self, now: float,
-                  blackout=None) -> List[ProbeBurst]:
+    def probe_all(self, now: float, blackout=None) -> BurstBatch:
         """One probing round over all adjacent links (both types).
 
         The links' true state is this region's row of the underlay's
@@ -117,34 +118,70 @@ class Gateway:
         aging on stale state — the gateway is blind there, exactly as
         during a real probing outage.
         """
+        links, order, index = slice(None), self.probe_order, self.link_index
+        if blackout is not None:
+            links, order = self.open_links(
+                {k for key, k in self.links.items() if blackout(*key)})
+            index = tuple(axis[links] for axis in index)
+            if _TEL.enabled and len(links) < len(self.links):
+                _TEL.counter("fault.probes_blacked_out").inc(
+                    len(self.links) - len(links))
         state = self.underlay.state_at(now)
-        lat = state.lat[:, self._row].tolist()
-        loss = state.loss[:, self._row].tolist()
-        bursts = []
-        for key, tier, col, prober, estimator in self._probe_order:
-            if blackout is not None and blackout(*key):
-                if _TEL.enabled:
-                    _TEL.counter("fault.probes_blacked_out").inc()
-                continue
-            burst = prober.measure(now, lat[tier][col], loss[tier][col])
-            estimator.ingest_burst(burst)
-            bursts.append(burst)
-        return bursts
+        jitter, lost = self.send_bursts(
+            np.minimum(state.loss[index], 1.0).tolist(), order)
+        measured = state.lat[index] * np.array(jitter)
+        lost = np.array(lost, dtype=np.int64)
+        packets = self.monitoring_config.packets_per_burst
+        self.bank.ingest(links, now, measured, lost / packets)
+        return BurstBatch(now, measured[order], lost[order],
+                          self.monitoring_config)
+
+    def open_links(self, hidden) -> Tuple[np.ndarray, List[int]]:
+        """The link positions not in `hidden`, ascending, and the order
+        to probe them in (as positions in that array)."""
+        links = [k for k in range(len(self.links)) if k not in hidden]
+        rank = {k: at for at, k in enumerate(links)}
+        return (np.array(links, dtype=np.intp),
+                [rank[k] for k in self.probe_order if k in rank])
+
+    def send_bursts(self, loss_rates: Sequence[float], order: Sequence[int]
+                    ) -> Tuple[List[float], List[int]]:
+        """One burst on each link of a sequence losing packets at
+        `loss_rates`, sent in `order`: per link the measurement jitter
+        (measured over true latency) and the packets lost — the two
+        draws `ActiveProber.measure` makes."""
+        uniform, binomial = self._rng.uniform, self._rng.binomial
+        packets = self.monitoring_config.packets_per_burst
+        jitter, lost = [1.0] * len(order), [0] * len(order)
+        for k in order:
+            jitter[k] = uniform(0.98, 1.02)
+            lost[k] = binomial(packets, loss_rates[k])
+        self.probe_bytes_sent += burst_bytes(
+            len(lost), self.monitoring_config, sum(lost))
+        return jitter, lost
+
+    def passive_samples(self, now: float
+                        ) -> Tuple[List[int], List[float], List[float]]:
+        """Close the passive windows: (link positions, latency, loss
+        rate) of the samples they give for this region's own links."""
+        own = [sample for sample in self.passive.flush(now)
+               if sample.link[0] == self.region]
+        return ([self.links[sample.link[1:]] for sample in own],
+                [sample.latency_ms for sample in own],
+                [sample.loss_rate for sample in own])
 
     def flush_passive(self, now: float) -> None:
         """Fold aggregated passive samples into the estimators."""
-        for sample in self.passive.flush(now):
-            src, dst, lt = sample.link
-            if src != self.region:
-                continue
-            self._estimators[(dst, lt)].ingest_passive(
-                sample.time, sample.latency_ms, sample.loss_rate)
+        links, latency_ms, loss_rate = self.passive_samples(now)
+        if links:
+            self.bank.ingest(np.array(links), now, np.array(latency_ms),
+                             np.array(loss_rate))
 
     def estimator(self, dst: str, link_type: LinkType) -> LinkStateEstimator:
-        return self._estimators[(dst, link_type)]
+        return LinkStateEstimator.of(self.bank, self.links[(dst, link_type)])
 
     def link_degraded(self, dst: str, link_type: LinkType) -> bool:
-        return self._estimators[(dst, link_type)].degraded
+        return bool(self.bank.degraded[self.links[(dst, link_type)]])
 
     # ------------------------------------------------------------ forwarding
     def install_tables(self, entries: Dict[int, Tuple[str, LinkType]],
@@ -272,8 +309,3 @@ class Gateway:
                            since_failover_s=now - self._failover_at[stream_id],
                            holddown_s=self.resilience.failback_holddown_s)
         return ForwardDecision(next_hop, LinkType.PREMIUM, True)
-
-    # ------------------------------------------------------------------ cost
-    @property
-    def probe_bytes_sent(self) -> int:
-        return sum(p.bytes_sent for p in self._probers.values())

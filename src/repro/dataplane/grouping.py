@@ -11,12 +11,15 @@ O(N(N-1)R) probe streams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.controlplane.nib import LinkReport
+import numpy as np
+
+from repro.controlplane.nib import LinkReport, ReportBatch
 from repro.obs import telemetry as _telemetry
 from repro.obs.metrics import HotCounters
 from repro.underlay.linkstate import LinkType
+from repro.underlay.snapshot import TYPE_INDEX
 
 _TEL = _telemetry()
 _AGG_COUNTERS = HotCounters("grouping.aggregations")
@@ -37,18 +40,17 @@ def probing_cost(n_regions: int, gateways_per_region: int,
     return pair_count * representatives
 
 
-def _median(values: List[float]) -> float:
-    """Median of a handful of floats, bit-equal to ``np.median``.
-
-    Sorts and takes the middle element, or the mean of the middle two
-    as ``(a + b) / 2.0`` — the IEEE operations numpy performs — without
-    numpy's per-call overhead, which dominates at R = 2-3 values.
-    """
-    ordered = sorted(values)
+def _median(values: np.ndarray) -> np.ndarray:
+    """Median over axis 0 (the representatives), bit-equal to
+    ``np.median``: sort, then the middle row, or the mean of the middle
+    two as ``(a + b) / 2.0`` — the IEEE operations numpy performs,
+    without its per-call overhead, which dominates at R = 2-3 rows
+    (one or two rows are their own middle in any order)."""
+    ordered = np.sort(values, axis=0) if len(values) > 2 else values
     half = len(ordered) // 2
     if len(ordered) % 2:
-        return float(ordered[half])
-    return float((ordered[half - 1] + ordered[half]) / 2.0)
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2.0
 
 
 class ProbingGroupManager:
@@ -57,9 +59,9 @@ class ProbingGroupManager:
     def __init__(self, codes: Sequence[str], representatives: int = 2):
         if representatives < 1:
             raise ValueError("need at least one representative")
-        self.codes = list(codes)
+        self.codes = tuple(codes)
         self.representatives = int(representatives)
-        #: Last election per region, for change-only trace events.
+        #: Last announced election per region (change-only trace events).
         self._elected: Dict[str, Tuple[int, ...]] = {}
 
     def elect(self, region: str, gateway_ids: Sequence[int]) -> List[int]:
@@ -71,29 +73,46 @@ class ProbingGroupManager:
         """
         if not gateway_ids:
             raise ValueError(f"region {region} has no gateways")
-        chosen = sorted(gateway_ids)[:self.representatives]
+        return sorted(gateway_ids)[:self.representatives]
+
+    def announce(self, region: str, chosen: Sequence[int],
+                 gateways: int) -> None:
+        """Trace the election when it differs from the last one traced."""
         if _TEL.enabled and self._elected.get(region) != tuple(chosen):
             self._elected[region] = tuple(chosen)
             _TEL.counter("grouping.elections").inc()
             _TEL.event("rep_election", region=region,
-                       representatives=chosen,
-                       gateways=len(gateway_ids))
-        return chosen
+                       representatives=list(chosen), gateways=gateways)
 
-    def aggregate(self, src: str, dst: str, link_type: LinkType,
-                  measurements: Sequence[Tuple[float, float]],
-                  now: float) -> LinkReport:
-        """Median-aggregate representative measurements into one report.
+    def aggregate(self, src, dst, link_type, measurements, now: float
+                  ) -> Union[ReportBatch, LinkReport]:
+        """Median-aggregate representative measurements into reports.
+
+        `measurements` is the representatives' ``(latency, loss)``
+        arrays, each ``(representatives, links)``, and `src` / `dst` /
+        `link_type` the links' index vectors (into `codes` and
+        `TYPE_ORDER`): one `ReportBatch`.  The one-link form — region
+        codes, a `LinkType`, a list of ``(latency, loss)`` pairs — gives
+        that link's `LinkReport`.
 
         The median is robust to one representative landing on an
         idiosyncratically-bad gateway link (Fig. 7 shows such divergence
         is rare but real).
         """
-        if not measurements:
+        one_link = isinstance(link_type, LinkType)
+        if one_link:
+            index = self.codes.index
+            src, dst, link_type = (np.array([k]) for k in (
+                index(src), index(dst), TYPE_INDEX[link_type]))
+            measurements = np.array(measurements, dtype=float).reshape(
+                -1, 2).T[:, :, None]
+        latency, loss = measurements
+        if not len(latency):
             raise ValueError("no measurements to aggregate")
         if _TEL.enabled:
-            _AGG_COUNTERS.fetch(_TEL.metrics)[0].inc()
-        lat = _median([m[0] for m in measurements])
-        loss = _median([m[1] for m in measurements])
-        return LinkReport(src, dst, link_type, lat, min(max(loss, 0.0), 1.0),
-                          now)
+            _AGG_COUNTERS.fetch(_TEL.metrics)[0].inc(len(src))
+        batch = ReportBatch(self.codes, src, dst, link_type,
+                            _median(latency),
+                            np.minimum(np.maximum(_median(loss), 0.0), 1.0),
+                            np.full(len(src), now))
+        return batch[0] if one_link else batch

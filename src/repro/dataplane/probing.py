@@ -7,8 +7,10 @@ when its response is still missing after three RTTs — both conditions
 amount to "the reply did not come back in time", which is how the
 simulation draws losses from the link's loss process.
 
-`ActiveProber` is the event-mode object; `burst_series` generates a whole
-window of burst measurements vectorised for the day-scale experiments.
+`ActiveProber` is the event-mode object for one link and `BurstBatch`
+what a gateway's round over all its links returns; `burst_series`
+generates a whole window of burst measurements vectorised for the
+day-scale experiments.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class ProbeBurst:
     latency_ms: float
     sent: int
     lost: int
+    #: Size of one pseudo packet (`MonitoringConfig.packet_bytes`).
+    packet_bytes: int = 1500
 
     @property
     def loss_fraction(self) -> float:
@@ -45,7 +49,41 @@ class ProbeBurst:
 
     @property
     def bytes_sent(self) -> int:
-        return self.sent * 1500
+        return self.sent * self.packet_bytes
+
+
+class BurstBatch:
+    """One burst on each of several links at one instant, as arrays
+    (measured latency and lost packets, in probing order).  Sized;
+    iterating or indexing builds the `ProbeBurst`s."""
+
+    __slots__ = ("time", "latency_ms", "lost", "sent", "packet_bytes")
+
+    def __init__(self, time: float, latency_ms: np.ndarray, lost: np.ndarray,
+                 config: MonitoringConfig):
+        self.time = time
+        self.latency_ms = latency_ms
+        self.lost = lost
+        self.sent = config.packets_per_burst
+        self.packet_bytes = config.packet_bytes
+
+    def __len__(self) -> int:
+        return len(self.lost)
+
+    def __getitem__(self, k: int) -> ProbeBurst:
+        return ProbeBurst(self.time, float(self.latency_ms[k]), self.sent,
+                          int(self.lost[k]), self.packet_bytes)
+
+
+def burst_bytes(bursts: int, config: MonitoringConfig, lost: int) -> int:
+    """Bytes `bursts` bursts put on the wire; counts them, and the
+    `lost` packets among them, in the probing telemetry."""
+    nbytes = bursts * config.packets_per_burst * config.packet_bytes
+    if _TEL.enabled:
+        counters = _BURST_COUNTERS.fetch(_TEL.metrics)
+        for counter, amount in zip(counters, (bursts, nbytes, lost)):
+            counter.inc(amount)
+    return nbytes
 
 
 class ActiveProber:
@@ -77,15 +115,9 @@ class ActiveProber:
         lost = int(self._rng.binomial(self.config.packets_per_burst,
                                       min(true_loss, 1.0)))
         self.bursts_sent += 1
-        self.bytes_sent += (self.config.packets_per_burst
-                            * self.config.packet_bytes)
-        if _TEL.enabled:
-            bursts, nbytes, lost_packets = _BURST_COUNTERS.fetch(_TEL.metrics)
-            bursts.inc()
-            nbytes.inc(self.config.packets_per_burst
-                       * self.config.packet_bytes)
-            lost_packets.inc(lost)
-        return ProbeBurst(now, measured, self.config.packets_per_burst, lost)
+        self.bytes_sent += burst_bytes(1, self.config, lost)
+        return ProbeBurst(now, measured, self.config.packets_per_burst, lost,
+                          self.config.packet_bytes)
 
 
 #: True link state over a time grid: times -> (latency_ms, loss_rate).

@@ -31,10 +31,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.controlplane.nib import LinkReport
+from repro.controlplane.nib import LinkReport, ReportBatch
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
 from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
+from repro.underlay.snapshot import TYPE_ORDER
 
 _TEL = _telemetry()
 
@@ -103,6 +104,8 @@ class FaultInjector:
         self._rng = rng
         self._by_kind: Dict[FaultKind, List[FaultSpec]] = {
             kind: schedule.by_kind(kind) for kind in FaultKind}
+        self._report_specs = (self._by_kind[FaultKind.REPORT_DROP]
+                              + self._by_kind[FaultKind.REPORT_STALENESS])
         #: Schedule-order index per spec — the stable *fault id* that
         #: telemetry events carry so SLO breaches can name their cause.
         self._ids: Dict[FaultSpec, int] = {
@@ -186,6 +189,22 @@ class FaultInjector:
         return False
 
     # ----------------------------------------------------------- NIB reports
+    def reports_matched(self, batch: ReportBatch) -> List[int]:
+        """Positions of the reports in `batch` that `filter_report` may
+        touch: those a report-drop or -staleness window, active at one
+        of the batch's instants, matches.  Empty at an instant no such
+        window covers, which is the NIB's licence to skip the filter."""
+        specs = [spec for t in set(batch.reported_at.tolist())
+                 for spec in self._report_specs if spec.active(t)]
+        if not specs:
+            return []
+        codes = batch.codes
+        links = zip(batch.src.tolist(), batch.dst.tolist(),
+                    batch.tier.tolist())
+        return [k for k, (i, j, tier) in enumerate(links)
+                if any(spec.matches_link(codes[i], codes[j], TYPE_ORDER[tier])
+                       for spec in specs)]
+
     def filter_report(self, report: LinkReport) -> Optional[LinkReport]:
         """Apply drop/staleness faults to one monitoring report.
 
@@ -312,7 +331,7 @@ class FaultExtension:
         self.controller_restarted()
 
     def controller_restarted(self) -> None:
-        self.engine.controller.nib.fault_filter = self.injector.filter_report
+        self.engine.controller.nib.fault_filter = self.injector
 
     def _load_fn(self, code: str):
         """Per-region provisioning-storm hook for a `ContainerPool`."""

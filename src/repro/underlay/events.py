@@ -178,6 +178,26 @@ class EventTimeline:
         out = values[idx] + slopes[idx] * (t - self._times[idx])
         return float(out) if out > 0.0 else 0.0
 
+    def segment(self, t: float) -> Tuple[float, ...]:
+        """The linear piece covering instant `t`, as ``(lo, hi, t0,
+        lat_val, lat_slope, loss_val, loss_slope)``.
+
+        For every instant in ``[lo, hi)`` the added latency is
+        ``max(lat_val + lat_slope * (t - t0), 0.0)`` — `_eval_scalar`'s
+        operations on `_eval_scalar`'s operands — and the added loss
+        likewise; before the first breakpoint the piece is the zero
+        function.  One binary search serves both series and every later
+        instant of the piece (the snapshot layer's segment memo).
+        """
+        times = self._times
+        idx = int(np.searchsorted(times, t, side="right")) - 1
+        if idx < 0:
+            return (-np.inf, times[0], 0.0, 0.0, 0.0, 0.0, 0.0)
+        hi = times[idx + 1] if idx + 1 < len(times) else np.inf
+        return (times[idx], hi, times[idx], self._lat_val[idx],
+                self._lat_slope[idx], self._loss_val[idx],
+                self._loss_slope[idx])
+
     def active_events(self, t: float) -> List[DegradationEvent]:
         """Events covering instant `t` (for diagnostics and case studies)."""
         mask = (self.starts <= t) & (t < self.starts + self.durations)

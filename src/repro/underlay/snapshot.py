@@ -293,7 +293,8 @@ class _LinkParamArrays:
 
     __slots__ = ("base_latency_ms", "jitter_sigma", "diurnal_latency_amp",
                  "base_loss", "diurnal_loss_amp", "noise_seed", "utc_offset",
-                 "index", "timelines", "horizon_s")
+                 "index", "timelines", "horizon_s", "_segments",
+                 "_segment_links")
 
     def __init__(self, underlay):
         codes = underlay.codes
@@ -333,6 +334,16 @@ class _LinkParamArrays:
                         self.timelines[(ti, i, j)] = link.timeline
                     self.horizon_s = min(self.horizon_s,
                                          link.timeline.horizon_s)
+        #: The segment memo of `timeline_adds`: column k is the linear
+        #: piece (`EventTimeline.segment`) of the k-th of `timelines`
+        #: that covered the last instant asked for.  Row 0 (`lo`) starts
+        #: at +inf, so the first instant finds every link outside.
+        self._segments = np.full((7, len(self.timelines)), np.inf)
+        #: Their (tier, i, j) index vectors and, in step, the timelines.
+        self._segment_links = (
+            tuple(np.array(axis, dtype=np.intp)
+                  for axis in zip(*self.timelines)),
+            tuple(self.timelines.values()))
 
     def check_horizon(self, t_max: float) -> None:
         if t_max > self.horizon_s:
@@ -364,13 +375,31 @@ class _LinkParamArrays:
         return lat, np.clip(raw, 0.0, 1.0)
 
     def timeline_adds(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(latency_add, loss_add) matrices at instant `t`."""
+        """(latency_add, loss_add) matrices at instant `t`.
+
+        Bit-identical to `EventTimeline.latency_add_scalar` /
+        `loss_add_scalar` per link, at any `t` in any order — but only
+        the links whose timeline left its remembered piece are searched
+        again (a handful per 0.4 s step; all of them after a jump), and
+        the pieces are evaluated once over the link axis.
+        """
         n = self.base_latency_ms.shape[1]
         lat_add = np.zeros((2, n, n))
         loss_add = np.zeros((2, n, n))
-        for key, timeline in self.timelines.items():
-            lat_add[key] = timeline.latency_add_scalar(t)
-            loss_add[key] = timeline.loss_add_scalar(t)
+        if not self.timelines:
+            return lat_add, loss_add
+        seg = self._segments
+        sel, timelines = self._segment_links
+        left = np.flatnonzero((t < seg[0]) | (t >= seg[1]))
+        if left.size:
+            seg[:, left] = np.array([timelines[k].segment(t)
+                                     for k in left.tolist()]).T
+        __, __, t0, lat_val, lat_slope, loss_val, loss_slope = seg
+        dt = t - t0
+        lat = lat_val + lat_slope * dt
+        loss = loss_val + loss_slope * dt
+        lat_add[sel] = np.where(lat > 0.0, lat, 0.0)
+        loss_add[sel] = np.where(loss > 0.0, loss, 0.0)
         return lat_add, loss_add
 
     def series(self, hops: Sequence, times) -> Tuple[np.ndarray, np.ndarray]:

@@ -154,3 +154,50 @@ class TestRouteChurn:
         res = small_system.run(variant=internet_only(), start_hour=8.0,
                                hours=0.5)
         assert res.mean_route_churn() == 0.0
+
+
+class TestMonitoringPush:
+    """`_push_reports` draws an epoch's measurement noise as one block;
+    the per-link formulation it replaced drew two scalars per
+    representative per link.  Same generator, same draws, same order."""
+
+    @pytest.mark.parametrize("representatives", [1, 2, 3])
+    def test_block_draw_equals_the_scalar_loop(self, small_system,
+                                               representatives):
+        from dataclasses import replace
+
+        from repro.dataplane.config import MonitoringConfig
+        from repro.sim.rng import RngStreams
+        from repro.underlay.snapshot import TYPE_ORDER
+        config = replace(
+            small_system.sim_config,
+            monitoring=MonitoringConfig(representatives=representatives))
+        underlay = small_system.underlay
+        now = 9 * 3600.0
+        rng = RngStreams(config.seed).get("monitor.noise")
+        snap = underlay.snapshot(now)
+        expected = {}
+        for lt in TYPE_ORDER:
+            for (src, dst) in underlay.pairs:
+                true_lat, true_loss = snap.lookup(src, dst, lt)
+                measured = [
+                    (true_lat * float(rng.uniform(0.97, 1.03)),
+                     min(max(true_loss * float(rng.uniform(0.8, 1.2)), 0.0),
+                         1.0))
+                    for __ in range(representatives)]
+                expected[(src, dst, lt)] = (
+                    float(np.median([m[0] for m in measured])),
+                    float(np.median([m[1] for m in measured])), now)
+
+        from repro.core.simulator import EpochSimulator
+        with EpochSimulator(underlay, small_system.demand, xron(),
+                            config) as simulator:
+            simulator._push_reports(now)
+            nib = simulator.controller.nib
+            got = {key: (r.latency_ms, r.loss_rate, r.reported_at)
+                   for key, r in nib.snapshot().items()}
+            assert got == expected
+            assert nib.version == len(expected)
+            # The block left the stream where the scalar loop leaves it.
+            assert (simulator._streams.get("monitor.noise")
+                    .bit_generator.state == rng.bit_generator.state)

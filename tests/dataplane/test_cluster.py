@@ -110,6 +110,77 @@ class TestFleet:
             assert gateway.reaction_plans() == {1: ("FRA",)}
 
 
+class TestFleetOrderIsKept:
+    """The sorted ids, the elected representatives and the monitoring
+    block follow every fleet change; nothing is recomputed per call."""
+
+    def test_round_robin_and_representatives_follow_the_fleet(self, cluster):
+        cluster.install({1: ("SIN", I)}, {})
+
+        def deciders():
+            return sorted({cluster.resolve(1)[0].gateway_id
+                           for __ in range(2 * cluster.size)})
+
+        def reps():
+            return [g.gateway_id for g in cluster.representatives()]
+
+        assert (deciders(), reps()) == ([0, 1, 2, 3], [0, 1])
+        cluster.crash_gateways(1)
+        assert (deciders(), reps()) == ([1, 2, 3], [1, 2])
+        started = cluster.restore_gateways(2)
+        assert (deciders(), reps()) == ([1, 2, 3] + started, [1, 2])
+        cluster.scale_to(2)
+        assert (deciders(), reps()) == ([1, 2], [1, 2])
+        cluster.scale_to(1)
+        assert (deciders(), reps()) == ([1], [1])
+
+    def test_estimates_survive_fleet_changes(self, cluster):
+        """Gateways keep their monitoring state when the block is
+        rebuilt around them, and an estimator handed out before a fleet
+        change keeps reading (and writing) its gateway's state."""
+        cluster.probe_round(0.0)
+        held = cluster.gateways[2].estimator("SIN", I)
+        before = {gid: g.estimator("SIN", I).estimate()
+                  for gid, g in cluster.gateways.items()}
+        cluster.crash_gateways(1)
+        cluster.scale_to(6)
+        for gid, gateway in cluster.gateways.items():
+            if gid in before:
+                assert gateway.estimator("SIN", I).estimate() == before[gid]
+            else:
+                with pytest.raises(RuntimeError):
+                    gateway.estimator("SIN", I).estimate()
+        cluster.probe_round(0.4)  # gateway 2 is a representative now
+        assert held.last_update == 0.4
+        assert held.estimate() == cluster.gateways[2].estimator(
+            "SIN", I).estimate() != before[2]
+        held.apply_group_state(1.0, 77.0, 0.5, True)
+        assert cluster.gateways[2].link_degraded("SIN", I)
+        assert cluster.gateways[2].estimator("SIN", I).estimate() \
+            == (77.0, 0.5)
+
+    def test_election_is_traced_at_the_first_round_after_a_change(
+            self, cluster):
+        from repro import obs
+        with obs.capture() as hub:
+            def elections():
+                return [(e["representatives"], e["gateways"])
+                        for e in hub.events_json()
+                        if e["kind"] == "rep_election"]
+            assert elections() == []
+            cluster.probe_round(0.0)
+            assert elections() == [([0, 1], 4)]
+            cluster.probe_round(0.4)
+            cluster.scale_to(6)  # same representatives: nothing to trace
+            cluster.probe_round(0.8)
+            assert elections() == [([0, 1], 4)]
+            cluster.crash_gateways(1)
+            assert elections() == [([0, 1], 4)]  # not at the change...
+            cluster.probe_round(1.2)
+            assert elections() == [([0, 1], 4), ([1, 2], 5)]  # ...after it
+            assert hub.metrics.snapshot()["grouping.elections"]["value"] == 2
+
+
 class TestGroupProbing:
     def test_probe_round_reports_all_links(self, cluster, underlay):
         reports = cluster.probe_round(0.0)
@@ -136,6 +207,19 @@ class TestGroupProbing:
         # Every gateway (including non-representatives) must now react.
         for gateway in cluster.gateways.values():
             assert gateway.link_degraded("SIN", I)
+
+    def test_probe_round_returns_a_report_batch(self, cluster, underlay):
+        reports = cluster.probe_round(0.0)
+        assert reports and len(reports) == 6
+        listed = list(reports)
+        assert listed[4] == reports[4]
+        assert {r.src for r in listed} == {"HGH"}
+        # Destinations in the underlay's order, Internet before premium.
+        assert [(r.dst, r.link_type) for r in listed] == [
+            (dst, lt) for dst in underlay.codes if dst != "HGH"
+            for lt in (I, P)]
+        assert all(r.reported_at == 0.0 and r.latency_ms > 0
+                   and 0.0 <= r.loss_rate <= 1.0 for r in listed)
 
     def test_reports_reflect_median_of_reps(self, cluster):
         reports = {(r.dst, r.link_type): r for r in cluster.probe_round(0.0)}

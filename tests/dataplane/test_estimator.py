@@ -90,8 +90,6 @@ class TestLinkStateEstimator:
     def test_validation_of_hysteresis(self):
         with pytest.raises(ValueError):
             ReactionConfig(trigger_bursts=0)
-        with pytest.raises(ValueError):
-            ReactionConfig(ewma_alpha=2.0)
 
 
 class TestReactionActiveSeries:
@@ -131,8 +129,7 @@ class TestReactionActiveSeries:
         lost = (rng.random(n) < 0.04) * 4
         reaction = ReactionConfig(trigger_bursts=2, recover_bursts=6)
 
-        est = LinkStateEstimator(MonitoringConfig(ewma_alpha=reaction.ewma_alpha),
-                                 reaction)
+        est = LinkStateEstimator(MonitoringConfig(), reaction)
         stateful = []
         for i in range(n):
             stateful.append(est.ingest_burst(

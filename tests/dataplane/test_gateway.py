@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dataplane.config import ReactionConfig
+from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.gateway import Gateway
+from repro.dataplane.probing import ActiveProber
 from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
 from repro.underlay.scenarios import inject_events, quiet_link
@@ -122,6 +123,29 @@ def test_probe_accounting(gateway):
     assert gateway.probe_bytes_sent == 2 * 6 * 15 * 1500
 
 
+def test_burst_bytes_follow_the_configured_packet_size(underlay):
+    gw = Gateway("HGH", 0, underlay,
+                 monitoring=MonitoringConfig(packet_bytes=1200),
+                 rng=np.random.default_rng(0))
+    rounds = [gw.probe_all(t) for t in (0.0, 0.4)]
+    assert all(b.bytes_sent == 15 * 1200 for b in rounds[0])
+    assert sum(b.bytes_sent for bursts in rounds for b in bursts) \
+        == gw.probe_bytes_sent == 2 * 6 * 15 * 1200
+
+
+def test_probe_all_returns_a_sized_batch_of_bursts(gateway, underlay):
+    bursts = gateway.probe_all(0.0)
+    assert len(bursts) == 6
+    listed = list(bursts)
+    assert listed[3] == bursts[3]
+    assert [b.time for b in listed] == [0.0] * 6
+    assert all(b.sent == 15 and 0 <= b.lost <= 15 for b in listed)
+    probed = sorted(gateway.links, key=lambda k: (k[0], k[1].value))
+    for burst, (dst, lt) in zip(listed, probed):
+        truth = float(underlay.link("HGH", dst, lt).latency_ms(0.0))
+        assert abs(burst.latency_ms / truth - 1.0) <= 0.02
+
+
 # ------------------------------------------------- probe-round RNG order
 @pytest.fixture()
 def mixed_underlay(small_regions):
@@ -141,15 +165,23 @@ def mixed_underlay(small_regions):
     return u
 
 
-def reference_round(gateway, now, blackout=None):
+def reference_probers(gateway):
+    """One `ActiveProber` per adjacent link, all drawing from the
+    gateway's own generator."""
+    return {(dst, lt): ActiveProber(
+                gateway.underlay.link(gateway.region, dst, lt),
+                gateway.monitoring_config, gateway._rng)
+            for (dst, lt) in gateway.links}
+
+
+def reference_round(gateway, probers, now, blackout=None):
     """A probing round the scalar way: each link's own `LinkProcess`
     evaluated by `ActiveProber.probe`, in the (dst, tier name) order."""
     bursts = []
-    for (dst, lt) in sorted(gateway._probers,
-                            key=lambda k: (k[0], k[1].value)):
+    for (dst, lt) in sorted(probers, key=lambda k: (k[0], k[1].value)):
         if blackout is not None and blackout(dst, lt):
             continue
-        burst = gateway._probers[(dst, lt)].probe(now)
+        burst = probers[(dst, lt)].probe(now)
         gateway.estimator(dst, lt).ingest_burst(burst)
         bursts.append(burst)
     return bursts
@@ -164,18 +196,20 @@ def test_probe_all_draws_what_per_link_probing_draws(mixed_underlay, hidden):
     blackout = (lambda dst, lt: (dst, lt) in hidden) if hidden else None
     fast, slow = (Gateway("HGH", 0, mixed_underlay,
                           rng=np.random.default_rng(5)) for _ in range(2))
+    probers = reference_probers(slow)
     for k in range(3):
         t = now + 0.4 * k
         got = fast.probe_all(t, blackout=blackout)
-        want = reference_round(slow, t, blackout)
+        want = reference_round(slow, probers, t, blackout)
         assert len(got) == 6 - len(hidden)
         assert ([(b.time, b.latency_ms, b.sent, b.lost) for b in got]
                 == [(b.time, b.latency_ms, b.sent, b.lost) for b in want])
         assert (fast._rng.bit_generator.state
                 == slow._rng.bit_generator.state)
     assert any(b.lost for b in got)
-    for key in fast._probers:
+    for key in probers:
         if key not in hidden:
             assert fast.estimator(*key).estimate() \
                 == slow.estimator(*key).estimate()
-    assert fast.probe_bytes_sent == slow.probe_bytes_sent
+    assert fast.probe_bytes_sent == sum(p.bytes_sent
+                                        for p in probers.values())

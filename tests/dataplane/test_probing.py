@@ -27,6 +27,12 @@ class TestProbeBurst:
     def test_bytes(self):
         assert ProbeBurst(0.0, 0.0, 15, 0).bytes_sent == 22500
 
+    def test_bytes_follow_the_probers_packet_size(self, link, rng):
+        config = MonitoringConfig(packet_bytes=1200)
+        prober = ActiveProber(link, config, rng)
+        assert prober.probe(10.0).bytes_sent == prober.bytes_sent \
+            == 15 * 1200
+
 
 class TestActiveProber:
     def test_measured_latency_close_to_truth(self, link, rng):

@@ -313,3 +313,129 @@ class TestStateAt:
         with pytest.raises(ValueError, match="horizon"):
             small_underlay.state_at(beyond)
         assert small_underlay.state_at(60.0) is state
+
+
+# --------------------------------------------------------- segment memo
+def scalar_adds(underlay, t):
+    """What `timeline_adds` must equal: every link's own scalar lookup."""
+    params = underlay.link_param_arrays()
+    shape = params.base_latency_ms.shape
+    lat, loss = np.zeros(shape), np.zeros(shape)
+    for key, timeline in params.timelines.items():
+        lat[key] = timeline.latency_add_scalar(t)
+        loss[key] = timeline.loss_add_scalar(t)
+    return lat, loss
+
+
+def assert_memo_equals_scalar_lookups(underlay, instants):
+    params = underlay.link_param_arrays()
+    for t in instants:
+        got, want = params.timeline_adds(t), scalar_adds(underlay, t)
+        assert np.array_equal(got[0], want[0]), t
+        assert np.array_equal(got[1], want[1]), t
+
+
+def busiest_timeline(underlay):
+    return max(underlay.link_param_arrays().timelines.values(), key=len)
+
+
+@pytest.fixture(scope="module")
+def planet():
+    from repro.underlay.config import UnderlayConfig
+    from repro.underlay.planet import build_planet_underlay
+    return build_planet_underlay(
+        50, seed=3, underlay_config=UnderlayConfig(horizon_s=9 * 3600.0))
+
+
+class TestSegmentMemo:
+    """`_LinkParamArrays.timeline_adds` remembers each link's current
+    linear piece; whatever it remembers, any instant in any order must
+    give `latency_add_scalar` / `loss_add_scalar`'s bits."""
+
+    @pytest.fixture(params=["paper", "planet"])
+    def underlay(self, request, full_underlay, planet):
+        return full_underlay if request.param == "paper" else planet
+
+    @staticmethod
+    def some(underlay, count):
+        """`count` at paper scale; the planet's oracle is 20x dearer."""
+        return count if len(underlay.codes) < 20 else max(2, count // 6)
+
+    def test_monotone_engine_steps(self, underlay):
+        assert_memo_equals_scalar_lookups(
+            underlay, engine_instants(8 * 3600.0, 0.4,
+                                      self.some(underlay, 60)))
+
+    def test_on_before_and_after_the_breakpoints(self, underlay):
+        times = busiest_timeline(underlay)._times
+        assert len(times) > 8
+        on = ([float(t) for t in times[:self.some(underlay, 6)]]
+              + [float(times[-1])])
+        around = [np.nextafter(t, -np.inf) for t in on] \
+            + [np.nextafter(t, np.inf) for t in on]
+        first = min(float(tl._times[0]) for tl in
+                    underlay.link_param_arrays().timelines.values())
+        assert first > 0.0
+        horizon = underlay.link_param_arrays().horizon_s
+        assert_memo_equals_scalar_lookups(
+            underlay, on + around + [0.0, first / 2.0, first, horizon])
+
+    def test_backwards_and_random_jumps(self, underlay):
+        rng = np.random.default_rng(4)
+        horizon = underlay.link_param_arrays().horizon_s
+        steps = engine_instants(3600.0, 0.4, 5)
+        assert_memo_equals_scalar_lookups(
+            underlay, steps + steps[::-1] + [7 * 3600.0, 60.0]
+            + list(rng.uniform(0.0, horizon, self.some(underlay, 40))))
+
+    def test_only_links_that_left_their_piece_are_searched(self, underlay,
+                                                           monkeypatch):
+        from repro.underlay.events import EventTimeline
+        searched = []
+        segment = EventTimeline.segment
+        monkeypatch.setattr(
+            EventTimeline, "segment",
+            lambda self, t: searched.append(t) or segment(self, t))
+        params = underlay.link_param_arrays()
+        start = 5 * 3600.0
+        params.timeline_adds(start - 1800.0)  # wherever the memo was
+        del searched[:]
+        instants = engine_instants(start, 0.4, 25)
+        for t in instants:
+            params.timeline_adds(t)
+
+        def piece(t):
+            return [int(np.searchsorted(tl._times, t, side="right"))
+                    for tl in params.timelines.values()]
+        pieces = [piece(t) for t in [start - 1800.0] + instants]
+        moved = [sum(a != b for a, b in zip(before, after))
+                 for before, after in zip(pieces, pieces[1:])]
+        assert [searched.count(t) for t in instants] == moved
+        # The jump costs a search of most links, a 0.4 s step of a few.
+        assert moved[0] > 0.5 * len(params.timelines)
+        assert max(moved[1:]) < 0.05 * len(params.timelines)
+
+
+def test_segment_memo_follows_a_swapped_timeline(small_regions):
+    """`inject_events` / `quiet_link` replace a timeline in place: the
+    memo must not outlive the timeline it was taken from."""
+    from repro.underlay.config import UnderlayConfig
+    from repro.underlay.events import DegradationEvent
+    from repro.underlay.scenarios import inject_events, quiet_link
+    from repro.underlay.topology import build_underlay
+    underlay = build_underlay(small_regions, UnderlayConfig(horizon_s=7200.0),
+                              seed=11)
+    a, b = underlay.pairs[0]
+    instants = engine_instants(100.0, 0.4, 8)
+    assert_memo_equals_scalar_lookups(underlay, instants)
+    inject_events(underlay, a, b, I,
+                  [DegradationEvent(101.0, 30.0, 500.0, 0.2)])
+    assert_memo_equals_scalar_lookups(underlay, instants)
+    index = underlay.link_param_arrays().index
+    key = (TYPE_INDEX[I], index[a], index[b])
+    ramp = underlay.link_param_arrays().timeline_adds(102.0)
+    assert ramp[0][key] > 0.0 and ramp[1][key] > 0.0
+    assert_equals_link_processes(underlay, 102.0)
+    quiet_link(underlay, a, b, I)
+    assert_memo_equals_scalar_lookups(underlay, instants + [102.0])
+    assert underlay.link_param_arrays().timeline_adds(102.0)[0][key] == 0.0
