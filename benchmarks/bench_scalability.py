@@ -212,9 +212,8 @@ def test_probe_instant(benchmark, n_regions):
 # (two cohorts per ordered pair), then times the controller's per-epoch
 # stages.  The paper's two-second bound is asserted as a *hard budget*
 # for every point at or below `BUDGET_MAX_REGIONS`; larger points run
-# unasserted to chart the frontier that motivates incremental control
-# (ROADMAP item 2).  See docs/scaling.md for the methodology and how to
-# refresh BENCH_control.json.
+# unasserted to chart the frontier.  See docs/scaling.md for the
+# methodology and how to refresh BENCH_control.json.
 #
 # CI runs a subset (`-k "sweep and (n011 or n100)"`); ids are
 # zero-padded so `-k n100` cannot also match n1000-style points later.
@@ -381,88 +380,4 @@ def test_sweep_full_epoch(benchmark, n_regions):
     if n_regions <= BUDGET_MAX_REGIONS:
         # Paper: "the algorithm can finish in two seconds for our
         # system" — enforced, not aspirational, up to 100 regions.
-        assert benchmark.stats["mean"] < EPOCH_BUDGET_S
-
-
-# --------------------------------------------------------------------------
-# Control-mode sweep points: incremental (ROADMAP item 2)
-# --------------------------------------------------------------------------
-#
-# Same scenarios as the monolithic sweep above, run through the
-# incremental control mode.  It is bit-identical to monolithic (the
-# golden suites prove it); these entries chart what it buys in time.
-
-
-def _incremental_epoch(engine, u, streams, gateways, config, mutate=None):
-    snap = u.snapshot(_SWEEP_SNAP_T)
-    if mutate is not None:
-        mutate(snap)
-    tier = engine.begin_epoch(streams, u.codes, snap, config, gateways,
-                              u.pricing)
-    r_cur = engine.path_control()
-    decision = engine.capacity_control()
-    plans = engine.reaction_plans(config.loss_ms_penalty)
-    engine.commit()
-    return tier, r_cur, decision, plans
-
-
-@pytest.mark.parametrize("n_regions", SWEEP_REGIONS, ids=_sweep_id)
-@pytest.mark.benchmark(min_rounds=3)
-def test_sweep_full_epoch_incremental(benchmark, n_regions):
-    """Steady-state incremental epoch: the link state did NOT change
-    since the last solved epoch, so every timed round hits the
-    "identical" reuse tier and the work is one snapshot build + diff.
-
-    That is the honest label for this entry — it measures the reuse
-    path (the common case between link-state changes), not a fresh
-    solve; `test_sweep_full_epoch` above is the fresh-solve number.
-    The 2 s epoch budget is asserted at EVERY sweep point including
-    n200: breaking the budget frontier is this mode's whole point.
-    """
-    from repro.controlplane.incremental import (IncrementalEngine,
-                                                TIER_COLD, TIER_IDENTICAL)
-
-    u, streams, gateways = _sweep_scenario(n_regions)
-    config = ControlConfig()
-    engine = IncrementalEngine()
-    # Prime the base epoch (a full cold solve) outside the timed rounds.
-    first = _incremental_epoch(engine, u, streams, gateways, config)
-    assert first[0] == TIER_COLD
-
-    tier, r_cur, __, plans = benchmark(
-        lambda: _incremental_epoch(engine, u, streams, gateways, config))
-    assert tier == TIER_IDENTICAL
-    assert r_cur.total_assigned_mbps() > 0
-    assert plans
-    assert benchmark.stats["mean"] < EPOCH_BUDGET_S
-
-
-@pytest.mark.parametrize("n_regions", SWEEP_REGIONS, ids=_sweep_id)
-@pytest.mark.benchmark(min_rounds=3)
-def test_sweep_full_epoch_warm_delta(benchmark, n_regions):
-    """Incremental epoch with a one-link latency delta per round: every
-    timed round classifies "warm" — a full greedy replay seeded with the
-    previous epoch's DP rows, paths, metrics and walks.  This is the
-    representative small-perturbation epoch between quiet periods."""
-    from repro.controlplane.incremental import IncrementalEngine, TIER_WARM
-    from repro.underlay.linkstate import LinkType
-    from repro.underlay.snapshot import TYPE_INDEX
-
-    u, streams, gateways = _sweep_scenario(n_regions)
-    config = ControlConfig()
-    engine = IncrementalEngine()
-    _incremental_epoch(engine, u, streams, gateways, config)
-    ticks = itertools.count(1)
-    ii = TYPE_INDEX[LinkType.INTERNET]
-
-    def mutate(snap):
-        snap.lat[ii, 0, 1] += 0.01 * next(ticks)
-
-    tier, r_cur, __, plans = benchmark(
-        lambda: _incremental_epoch(engine, u, streams, gateways, config,
-                                   mutate=mutate))
-    assert tier == TIER_WARM
-    assert r_cur.total_assigned_mbps() > 0
-    assert plans
-    if n_regions <= BUDGET_MAX_REGIONS:
         assert benchmark.stats["mean"] < EPOCH_BUDGET_S

@@ -21,19 +21,16 @@ Three subcommands:
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
     budget up to the per-benchmark region cap in
-    ``BUDGETED_SWEEP_BASES`` (100 regions for fresh solves, 200 for the
-    incremental steady-state entry).
+    ``BUDGETED_SWEEP_BASES`` (100 regions).
 
 ``table``
-    Render the markdown tables ``docs/performance.md`` carries between
+    Render the markdown table ``docs/performance.md`` carries between
     marker comments, from the committed summary: the before/after/
     speedup table of the fixed control benchmarks and, where the
     summary holds them, of one probing instant of the event engine
-    (``baseline_pre_refactor`` vs ``current``) and, when the summary
-    holds the 200-region sweep points, the control-mode table (fresh /
-    warm-delta / steady-state incremental epoch).  ``--check
-    docs/performance.md`` fails (exit 1) when a committed block is not
-    byte-equal to its rendering, so the doc cannot drift from the
+    (``baseline_pre_refactor`` vs ``current``).  ``--check
+    docs/performance.md`` fails (exit 1) when the committed block is
+    not byte-equal to its rendering, so the doc cannot drift from the
     ledger.
 
 Usage::
@@ -87,26 +84,10 @@ TABLE_ROWS = {
         (" (50 regions, 4 900 links)", "test_probe_instant[n050]"),
 }
 
-def _markers(block: str) -> Tuple[str, str]:
-    """The (begin, end) marker comments around one generated table."""
-    return (f"<!-- {block}:begin (generated: python "
-            "benchmarks/check_regression.py table) -->",
-            f"<!-- {block}:end -->")
-
-
 #: Marker comments around the rendered table in docs/performance.md.
-TABLE_BEGIN, TABLE_END = _markers("control-loop-table")
-
-#: The control-mode table: what each way of running the epoch costs at
-#: the sweep's largest point.  (label, sweep benchmark base name).
-MODE_TABLE_REGIONS = 200
-MODE_TABLE_ROWS = (
-    ("fresh monolithic epoch", "test_sweep_full_epoch"),
-    ("warm incremental epoch, one-link delta",
-     "test_sweep_full_epoch_warm_delta"),
-    ("steady-state incremental epoch", "test_sweep_full_epoch_incremental"),
-)
-MODE_TABLE_BEGIN, MODE_TABLE_END = _markers("control-mode-table")
+TABLE_BEGIN = ("<!-- control-loop-table:begin (generated: python "
+               "benchmarks/check_regression.py table) -->")
+TABLE_END = "<!-- control-loop-table:end -->"
 
 #: Parameterized region-count benchmarks, gated per point.
 #: Unlike `GATED`, a sweep entry that is absent from the fresh run is
@@ -118,8 +99,6 @@ SWEEP_GATED = (
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
-    "test_sweep_full_epoch_incremental",
-    "test_sweep_full_epoch_warm_delta",
 )
 
 #: The paper's bound: the two-step control computation finishes in 2 s.
@@ -128,15 +107,10 @@ PAPER_BOUND_S = 2.0
 #: The sweep's hard per-epoch budget, enforced per benchmark base name
 #: for sweep points at or below the mapped region count (mirrors
 #: benchmarks/bench_scalability.py: EPOCH_BUDGET_S / BUDGET_MAX_REGIONS).
-#: The incremental steady-state entry is budgeted at EVERY point —
-#: including the 200-region frontier the monolithic solve cannot hold —
-#: because breaking that frontier is the mode's reason to exist.
 EPOCH_BUDGET_S = 2.0
 BUDGET_MAX_REGIONS = 100
 BUDGETED_SWEEP_BASES = {
     "test_sweep_full_epoch": BUDGET_MAX_REGIONS,
-    "test_sweep_full_epoch_warm_delta": BUDGET_MAX_REGIONS,
-    "test_sweep_full_epoch_incremental": 200,
 }
 
 #: ``test_sweep_full_epoch[n100]`` -> (``test_sweep_full_epoch``, 100).
@@ -302,50 +276,23 @@ def render_table(summary: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_mode_table(summary: Dict) -> Optional[str]:
-    """The markdown table of `MODE_TABLE_ROWS` at `MODE_TABLE_REGIONS`.
-
-    Means inside the epoch budget are bold.  None when the summary
-    lacks a row (it was distilled from a run without that sweep point).
-    """
-    current = summary["current"]
-    lines = [f"| {MODE_TABLE_REGIONS}-region sweep point | mean |", "|---|---|"]
-    for label, base in MODE_TABLE_ROWS:
-        name = f"{base}[n{MODE_TABLE_REGIONS:03d}]"
-        if name not in current:
-            return None
-        mean = current[name]["mean_s"]
-        cell = f"{mean:.2g} s"
-        if mean < EPOCH_BUDGET_S:
-            cell = f"**{cell}**"
-        lines.append(f"| {label} (`{name}`) | {cell} |")
-    return "\n".join(lines) + "\n"
-
-
 def table(args: argparse.Namespace) -> int:
-    summary = _load(args.reference)
-    blocks = [(TABLE_BEGIN, TABLE_END, render_table(summary))]
-    mode_table = render_mode_table(summary)
-    if mode_table is not None:
-        blocks.append((MODE_TABLE_BEGIN, MODE_TABLE_END, mode_table))
+    rendered = render_table(_load(args.reference))
     if args.check is None:
-        sys.stdout.write("\n".join(rendered for __, __, rendered in blocks))
+        sys.stdout.write(rendered)
         return 0
     text = pathlib.Path(args.check).read_text()
-    for begin_marker, end_marker, rendered in blocks:
-        begin, end = text.find(begin_marker), text.find(end_marker)
-        if begin < 0 or end < begin:
-            print(f"{args.check}: table markers not found: {begin_marker}",
-                  file=sys.stderr)
-            return 1
-        committed = text[begin + len(begin_marker):end].strip("\n") + "\n"
-        if committed != rendered:
-            print(f"{args.check}: a generated table differs from "
-                  f"{args.reference}; replace the block after "
-                  f"{begin_marker} with:\n\n" + rendered, file=sys.stderr)
-            return 1
-    print(f"{args.check}: {len(blocks)} generated table(s) match "
-          f"{args.reference}")
+    begin, end = text.find(TABLE_BEGIN), text.find(TABLE_END)
+    if begin < 0 or end < begin:
+        print(f"{args.check}: table markers not found", file=sys.stderr)
+        return 1
+    committed = text[begin + len(TABLE_BEGIN):end].strip("\n") + "\n"
+    if committed != rendered:
+        print(f"{args.check}: the control-loop table differs from "
+              f"{args.reference}; replace the block between the markers "
+              "with:\n\n" + rendered, file=sys.stderr)
+        return 1
+    print(f"{args.check}: control-loop table matches {args.reference}")
     return 0
 
 
@@ -380,10 +327,10 @@ def main(argv=None) -> int:
                               "so the fixed benchmarks are absent by design)")
     p_check.set_defaults(func=check)
 
-    p_table = sub.add_parser("table", help="summary json -> markdown tables")
+    p_table = sub.add_parser("table", help="summary json -> markdown table")
     p_table.add_argument("--reference", default="BENCH_control.json")
     p_table.add_argument("--check", metavar="DOC",
-                         help="compare with the blocks between the table "
+                         help="compare with the block between the table "
                               "markers in DOC instead of printing")
     p_table.set_defaults(func=table)
 

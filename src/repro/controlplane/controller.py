@@ -35,13 +35,6 @@ from repro.underlay.snapshot import TYPE_INDEX, LinkStateSnapshot
 
 _TEL = _telemetry()
 
-#: How the controller runs the per-epoch solve, always in process.
-#: "monolithic" solves every epoch from scratch (the reference);
-#: "incremental" diffs consecutive snapshots and reuses previous-epoch
-#: work (`repro.controlplane.incremental.IncrementalEngine`).  Both
-#: produce bit-identical outputs.
-CONTROL_MODES = ("monolithic", "incremental")
-
 
 @dataclass
 class ControlOutput:
@@ -90,7 +83,6 @@ class Controller:
                  robust_percentile: Optional[float] = None,
                  sib_params: Optional[Dict[str, int]] = None,
                  workload: Optional[object] = None,
-                 control_mode: str = "monolithic",
                  seed: int = 0):
         """`nib_window` > 1 keeps that many reports per link;
         `robust_percentile` makes planning use the window's pessimistic
@@ -102,16 +94,11 @@ class Controller:
         any object with ``decompose(matrix)`` and
         ``export_state``/``import_state``, e.g. a
         `repro.traffic.cohorts.CohortWorkload` for planet-scale region
-        sets (default: the per-chunk `StreamWorkload`);
-        `control_mode` selects the solve strategy (see `CONTROL_MODES`;
-        every mode is bit-identical)."""
+        sets (default: the per-chunk `StreamWorkload`)."""
         if premium_only and internet_only:
             raise ValueError("choose at most one of premium/internet only")
         if robust_percentile is not None and nib_window < 2:
             raise ValueError("robust planning needs nib_window >= 2")
-        if control_mode not in CONTROL_MODES:
-            raise ValueError(f"unknown control_mode {control_mode!r}; "
-                             f"choose from {CONTROL_MODES}")
         self.codes = list(codes)
         self.config = config if config is not None else ControlConfig()
         self.pricing = pricing
@@ -126,13 +113,6 @@ class Controller:
                                          **(sib_params or {}))
         self._workload = (workload if workload is not None
                           else StreamWorkload(np.random.default_rng(seed)))
-        self.control_mode = control_mode
-        self._engine = None
-        if control_mode == "incremental":
-            from repro.controlplane.incremental import IncrementalEngine
-            self._engine = IncrementalEngine()
-        #: One snapshot per NIB version (see `link_snapshot`).
-        self._snap_cache: Optional[Tuple[int, LinkStateSnapshot]] = None
         self.epochs_run = 0
 
     def close(self) -> None:
@@ -185,17 +165,7 @@ class Controller:
         as whole-matrix masks: disallowed tiers become (inf, 1), and the
         symmetric ablation averages each direction pair where both exist
         (else (inf, 1)) — per-link results match `link_state` exactly.
-
-        Snapshots are cached per NIB version: reports bump the NIB's
-        monotonic counter, so an unchanged counter guarantees a rebuild
-        would produce identical matrices.  Callers must treat the
-        returned snapshot as immutable (the run-epoch algorithms only
-        read it); the incremental engine's identical-snapshot reuse
-        tier rides on this cache.
         """
-        version = self.nib.version
-        if self._snap_cache is not None and self._snap_cache[0] == version:
-            return self._snap_cache[1]
         if self.robust_percentile is not None:
             snap = self.nib.robust_snapshot(self.codes,
                                             self.robust_percentile)
@@ -213,7 +183,6 @@ class Controller:
             both = np.isfinite(snap.lat) & np.isfinite(lat_rev)
             snap.lat = np.where(both, (snap.lat + lat_rev) / 2.0, np.inf)
             snap.loss = np.where(both, (snap.loss + loss_rev) / 2.0, 1.0)
-        self._snap_cache = (version, snap)
         return snap
 
     def run_epoch(self, now: float, observed_matrix: TrafficMatrix,
@@ -236,36 +205,21 @@ class Controller:
                        regions=len(self.codes)):
             snap = self.link_snapshot()
 
-        reuse_tier = None
-        if self._engine is not None:
-            engine = self._engine
-            with _TEL.span("algo_step", t=now, step="algo1.path_control"):
-                with _TEL.span("algo_step", t=now, step="incremental.diff"):
-                    reuse_tier = engine.begin_epoch(
-                        streams, self.codes, snap, self.config, gateways,
-                        self.pricing)
-                r_cur = engine.path_control()
-            with _TEL.span("algo_step", t=now, step="capacity_control"):
-                decision = engine.capacity_control()
-            with _TEL.span("algo_step", t=now, step="algo2.reaction_plans"):
-                plans = engine.reaction_plans(self.config.loss_ms_penalty)
-            engine.commit()
-        else:
-            # One shared context per epoch: step 1 and capacity control's
-            # uncapacitated re-run reuse the same edge-weight build and
-            # per-path caches.
-            ctx = EpochSolveContext()
-            with _TEL.span("algo_step", t=now, step="algo1.path_control"):
-                r_cur = path_control(streams, self.codes, snap,
-                                     self.config, gateways=gateways,
-                                     fees=self.pricing, context=ctx)
-            with _TEL.span("algo_step", t=now, step="capacity_control"):
-                decision = capacity_control(streams, self.codes, snap,
-                                            self.config, gateways, r_cur,
-                                            fees=self.pricing, context=ctx)
-            with _TEL.span("algo_step", t=now, step="algo2.reaction_plans"):
-                plans = generate_reaction_plans(r_cur, snap,
-                                                self.config.loss_ms_penalty)
+        # One shared context per epoch: step 1 and capacity control's
+        # uncapacitated re-run reuse the same edge-weight build and
+        # per-path caches.
+        ctx = EpochSolveContext()
+        with _TEL.span("algo_step", t=now, step="algo1.path_control"):
+            r_cur = path_control(streams, self.codes, snap,
+                                 self.config, gateways=gateways,
+                                 fees=self.pricing, context=ctx)
+        with _TEL.span("algo_step", t=now, step="capacity_control"):
+            decision = capacity_control(streams, self.codes, snap,
+                                        self.config, gateways, r_cur,
+                                        fees=self.pricing, context=ctx)
+        with _TEL.span("algo_step", t=now, step="algo2.reaction_plans"):
+            plans = generate_reaction_plans(r_cur, snap,
+                                            self.config.loss_ms_penalty)
         self.epochs_run += 1
         if traced:
             _TEL.counter("controller.epochs").inc()
@@ -283,8 +237,6 @@ class Controller:
                 assignments=len(r_cur.assignments),
                 unassigned=len(r_cur.unassigned),
                 graph_rebuilds=r_cur.graph_rebuilds,
-                control_mode=self.control_mode,
-                reuse_tier=reuse_tier,
                 reaction_plans=len(plans),
                 predicted_mbps=round(predicted.total(), 3),
                 observed_mbps=round(observed_matrix.total(), 3),

@@ -116,10 +116,8 @@ class NetworkInformationBase:
             raise ValueError(f"window must be >= 1 report, got {window}")
         self.max_staleness_s = float(max_staleness_s)
         self.window = int(window)
-        #: Monotonic mutation counter: bumps on every accepted report.
-        #: Equal versions guarantee identical snapshot outputs, which
-        #: lets the controller skip rebuilding (and the incremental
-        #: engine skip diffing) when no new report arrived.
+        #: Monotonic mutation counter: bumps on every accepted report,
+        #: so equal versions guarantee identical snapshot outputs.
         self.version = 0
         #: Region code <-> row/column of the ring matrices.
         self._index: Dict[str, int] = {}

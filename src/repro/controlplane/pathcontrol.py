@@ -26,11 +26,11 @@ Implementation notes:
   are shared by **every** graph rebuild within the call — only the
   residual-capacity masks change between rebuilds — and all per-path
   metrics are matrix reads instead of callback chains.
-* An `EpochSolveContext` can be threaded through the capacitated run,
-  capacity control's uncapacitated run, and plan generation to share the
-  edge-weight build, the first DP build, and per-path index/metric
-  caches across them.  All context caching is value-transparent: output
-  is bit-identical with and without one.
+* An `EpochSolveContext` can be threaded through the capacitated run
+  and capacity control's uncapacitated run to share the edge-weight
+  build, the first DP build, and per-path index/metric caches between
+  them.  All context caching is value-transparent: output is
+  bit-identical with and without one.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class PathControlResult:
     forwarding_tables: Dict[str, Dict[int, Tuple[str, LinkType]]]
     #: Number of shortest-path graph rebuilds (scalability diagnostic).
     graph_rebuilds: int = 0
-    #: Streams the best-effort fallback pass had to place (0 when every
-    #: stream fit the quality-feasible graph).  The incremental engine
-    #: uses this to decide whether a previous epoch is safe to reuse.
-    fallback_streams: int = 0
 
     #: Lazy stream_id -> [Assignment] index behind `assignment_for`.
     _stream_index: Optional[Dict[int, List[Assignment]]] = field(
@@ -151,11 +147,11 @@ class PathControlResult:
 class _PathData:
     """Pre-resolved index tuples for one path (capacity hot loop).
 
-    `path_capacity`/`consume` resolve region codes through the index
-    dict on every call; at planetary scale the same few thousand paths
-    are checked hundreds of thousands of times per epoch, so the integer
-    indices are resolved once per distinct path and cached on the
-    `EpochSolveContext`.
+    At planetary scale the same few thousand paths are checked hundreds
+    of thousands of times per epoch, so region codes are resolved to
+    integer indices once per distinct path and cached on the
+    `EpochSolveContext`; `_Capacities.path_capacity_data` /
+    `consume_data` then touch arrays only.
     """
 
     __slots__ = ("region_idx", "internet_idx", "premium_idx")
@@ -198,20 +194,9 @@ class _Capacities:
         #: constants).  Keys the context's first-build DP cache.
         self.initial_region_signature = (self.region > 0.0).tobytes()
 
-    def path_capacity(self, path: OverlayPath) -> float:
-        cap = np.inf
-        for region in path.regions:
-            cap = min(cap, self.region[self.index[region]])
-        for (a, b, t) in path.hops:
-            i, j = self.index[a], self.index[b]
-            if t is LinkType.INTERNET:
-                cap = min(cap, self.internet[i])
-            else:
-                cap = min(cap, self.premium[i, j])
-        return float(cap)
-
     def path_capacity_data(self, pd: _PathData) -> float:
-        """`path_capacity` over pre-resolved indices (same values)."""
+        """The tightest residual (region, Internet egress, premium
+        link) along the path."""
         cap = float("inf")
         region = self.region
         for i in pd.region_idx:
@@ -230,18 +215,8 @@ class _Capacities:
                 cap = v
         return float(cap)
 
-    def consume(self, path: OverlayPath, mbps: float) -> None:
-        for region in path.regions:
-            self.region[self.index[region]] -= mbps
-        for (a, b, t) in path.hops:
-            i, j = self.index[a], self.index[b]
-            if t is LinkType.INTERNET:
-                self.internet[i] -= mbps
-            else:
-                self.premium[i, j] -= mbps
-
     def consume_data(self, pd: _PathData, mbps: float) -> None:
-        """`consume` over pre-resolved indices (same cell updates)."""
+        """Take `mbps` from every residual the path draws on."""
         region = self.region
         for i in pd.region_idx:
             region[i] -= mbps
@@ -325,7 +300,6 @@ class _ShortestPaths:
                  first_build: bool = True):
         self.codes = weights.snap.codes
         self.index = caps.index
-        self.weights = weights
         if not first_build and _TEL.enabled:
             _TEL.counter("pathcontrol.snapshot_reuses").inc()
 
@@ -395,9 +369,9 @@ class _ShortestPaths:
 class EpochSolveContext:
     """Shared solver state for one control epoch.
 
-    One context threads through Algorithm 1's capacitated run, capacity
-    control's uncapacitated run, and plan generation so they can share
-    work that depends only on the epoch snapshot:
+    One context threads through Algorithm 1's capacitated run and
+    capacity control's uncapacitated run so they can share work that
+    depends only on the epoch snapshot:
 
     * the `_EdgeWeights` build (identical for both runs),
     * the first `_ShortestPaths` build, keyed by which regions start
@@ -408,12 +382,13 @@ class EpochSolveContext:
       which repeat heavily across rebuilds and runs.
 
     All caching is value-transparent — results are bit-identical with
-    and without a context.
+    and without a context.  A context serves exactly one (snapshot,
+    config, fees) triple: the next epoch makes a new one.
     """
 
     def __init__(self):
         self._weights: Optional[_EdgeWeights] = None
-        self._weights_key: Optional[Tuple] = None
+        self._inputs: Optional[Tuple] = None
         self._index: Optional[Dict[str, int]] = None
         self._sp_cache: Dict[Tuple, _ShortestPaths] = {}
         self._path_data: Dict[Tuple[PathHop, ...], _PathData] = {}
@@ -422,17 +397,14 @@ class EpochSolveContext:
 
     def weights(self, snap: LinkStateSnapshot, config: ControlConfig,
                 fees: Optional[PricingModel]) -> _EdgeWeights:
-        key = self._weights_key
-        if (key is not None and key[0] is snap and key[1] is config
-                and key[2] is fees):
-            return self._weights
-        # New snapshot/config: every derived cache is stale.
-        self._weights_key = (snap, config, fees)
-        self._weights = _EdgeWeights(snap, config, fees)
-        self._index = snap.index
-        self._sp_cache.clear()
-        self._path_data.clear()
-        self._path_metrics.clear()
+        inputs = (snap, config, fees)
+        if self._weights is None:
+            self._inputs = inputs
+            self._weights = _EdgeWeights(snap, config, fees)
+            self._index = snap.index
+        elif any(a is not b for a, b in zip(inputs, self._inputs)):
+            raise ValueError("an EpochSolveContext serves one (snapshot, "
+                             "config, fees); make a new one per epoch")
         return self._weights
 
     def first_shortest_paths(self, weights: _EdgeWeights,
@@ -440,7 +412,7 @@ class EpochSolveContext:
                              enforce_loss: bool) -> _ShortestPaths:
         key = (enforce_loss, caps.initial_region_signature)
         sp = self._sp_cache.get(key)
-        if sp is not None and sp.weights is weights:
+        if sp is not None:
             if _TEL.enabled:
                 _TEL.counter("pathcontrol.context_sp_reuses").inc()
             return sp
@@ -489,7 +461,8 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
     the per-pass stream order — the paper's latency-descending heuristic
     by default; the alternatives exist for the ordering ablation.
     `context` shares per-epoch solver state across the epoch's solver
-    calls; results are identical without one.
+    calls, which must then pass the same snapshot, config and fees
+    objects; results are identical without one.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; choose from "
@@ -653,8 +626,7 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
     unassigned = [(by_id[sid], res) for sid, res in remaining.items()
                   if res > 1e-9]
 
-    result = _summarise(assignments, unassigned, codes, config, rebuilds,
-                        len(leftover_pos))
+    result = _summarise(assignments, unassigned, codes, config, rebuilds)
     if _TEL.enabled:
         _TEL.counter("pathcontrol.runs").inc()
         _TEL.counter("pathcontrol.graph_rebuilds").inc(rebuilds)
@@ -669,8 +641,7 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
 
 def _summarise(assignments: List[Assignment],
                unassigned: List[Tuple[Stream, float]], codes: List[str],
-               config: ControlConfig, rebuilds: int,
-               fallback_streams: int = 0) -> PathControlResult:
+               config: ControlConfig, rebuilds: int) -> PathControlResult:
     region_traffic: Dict[str, float] = {c: 0.0 for c in codes}
     internet_egress: Dict[str, float] = {c: 0.0 for c in codes}
     premium_usage: Dict[Tuple[str, str], float] = {}
@@ -691,4 +662,4 @@ def _summarise(assignments: List[Assignment],
             for c in codes}
     return PathControlResult(assignments, unassigned, region_traffic,
                              internet_egress, premium_usage, used, tables,
-                             rebuilds, fallback_streams)
+                             rebuilds)

@@ -22,7 +22,7 @@ follow (and are asserted in our tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.controlplane.model import (LinkState, OverlayPath,
                                       path_latency_ms, path_loss_rate)
@@ -96,10 +96,8 @@ def route_walk(regions: Tuple[str, ...], state: LinkState,
 
 
 def generate_reaction_plans(result: PathControlResult, state: LinkState,
-                            loss_ms_penalty: float = 2500.0,
-                            walks: Optional[Dict[Tuple[str, ...],
-                                                 Dict[str, Tuple[str, ...]]]]
-                            = None) -> Dict[Tuple[int, str], ReactionPlan]:
+                            loss_ms_penalty: float = 2500.0
+                            ) -> Dict[Tuple[int, str], ReactionPlan]:
     """Run Algorithm 2 over every assignment of a path-control result.
 
     Returns plans keyed by (stream_id, region); the destination region
@@ -108,15 +106,9 @@ def generate_reaction_plans(result: PathControlResult, state: LinkState,
     score a couple of matrix reads.  Plans depend only on the region
     sequence, so the reverse walk is memoised per distinct
     `path.regions` — at scale most streams share a handful of routes.
-
-    `walks` optionally seeds (and accumulates) that per-route memo:
-    pass a dict of pre-computed `route_walk` outputs (the incremental
-    engine passes its previous epoch's) and only routes missing from it
-    are walked here.  Seeded entries must have been computed against
-    the same `state`/`loss_ms_penalty`.
     """
     plans: Dict[Tuple[int, str], ReactionPlan] = {}
-    plans_by_route = walks if walks is not None else {}
+    plans_by_route: Dict[Tuple[str, ...], Dict[str, Tuple[str, ...]]] = {}
     for assignment in result.assignments:
         path = assignment.path
         regions = path.regions

@@ -112,7 +112,7 @@ class RegionalController:
                  config: RegionalControlConfig,
                  seed: int,
                  nib_reports: Optional[List[Dict[str, object]]] = None):
-        """`make_controller(codes, seed=, control_mode=)` builds a
+        """`make_controller(codes, seed=)` builds a
         controller configured like the deployment's
         (`EventDrivenXRON.make_controller`).  `base_version` is the
         globally committed install version the partition's gateways
@@ -134,13 +134,8 @@ class RegionalController:
         # never share RNG streams with each other or the global plane.
         digest = zlib.crc32(",".join(self.regions).encode())
         self.sub_seed = (seed * 1_000_003 + digest) % (2 ** 31)
-        # Always monolithic, whatever the deployment runs: an
-        # "incremental" engine reuses the previous epoch's solve, and a
-        # sub-controller born mid-incident has no previous epoch of its
-        # own — nor may it carry one across a partition boundary.
         self.controller = make_controller(
-            list(self.regions), seed=self.sub_seed,
-            control_mode="monolithic")
+            list(self.regions), seed=self.sub_seed)
         # Allocate regional stream ids from the disjoint high band.
         self.controller._workload._next_id = config.stream_id_base
         if nib_reports:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.controlplane.controller import CONTROL_MODES, Controller
+from repro.controlplane.controller import Controller
 from repro.controlplane.model import ControlConfig
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.traffic.cohorts import CohortWorkload
@@ -48,11 +48,6 @@ class SimulationConfig:
     stream_cohorts: bool = False
     #: Cohort entries per ordered region pair when `stream_cohorts` is on.
     cohorts_per_pair: int = 2
-    #: Controller solve strategy: "monolithic" or "incremental" (see
-    #: `repro.controlplane.controller.CONTROL_MODES`).  Both produce
-    #: bit-identical control outputs; incremental exists to hold the
-    #: epoch budget at planetary scale.
-    control_mode: str = "monolithic"
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
     reaction: ReactionConfig = field(default_factory=ReactionConfig)
 
@@ -65,22 +60,17 @@ class SimulationConfig:
             raise ValueError("need at least one initial gateway per region")
         if self.cohorts_per_pair < 1:
             raise ValueError("need at least one cohort per pair")
-        if self.control_mode not in CONTROL_MODES:
-            raise ValueError(f"unknown control_mode {self.control_mode!r}; "
-                             f"choose from {CONTROL_MODES}")
 
 
 def build_controller(codes: Sequence[str], control_config: ControlConfig,
                      pricing: Optional[PricingModel],
                      sim_config: SimulationConfig, variant,
                      sib_params: Optional[Dict[str, int]] = None, *,
-                     seed: Optional[int] = None,
-                     control_mode: Optional[str] = None) -> Controller:
+                     seed: Optional[int] = None) -> Controller:
     """The controller of the deployment `sim_config` and `variant` (a
     `VariantSpec`) describe — the one construction both engines, a
-    modeled restart and a partition's sub-controller share.  `seed` and
-    `control_mode` default to the config's; a sub-controller passes its
-    own."""
+    modeled restart and a partition's sub-controller share.  `seed`
+    defaults to the config's; a sub-controller passes its own."""
     seed = sim_config.seed if seed is None else seed
     workload = None
     if sim_config.stream_cohorts:
@@ -90,6 +80,5 @@ def build_controller(codes: Sequence[str], control_config: ControlConfig,
         list(codes), control_config, pricing=pricing,
         nib_window=sim_config.nib_window,
         robust_percentile=sim_config.robust_percentile,
-        sib_params=sib_params, workload=workload,
-        control_mode=control_mode or sim_config.control_mode, seed=seed,
+        sib_params=sib_params, workload=workload, seed=seed,
         **variant.controller_kwargs())

@@ -251,16 +251,14 @@ class EventDrivenXRON:
         self._bound: Optional[Dict[str, List[Callable]]] = None
 
     def make_controller(self, codes: Optional[List[str]] = None, *,
-                        seed: Optional[int] = None,
-                        control_mode: Optional[str] = None) -> Controller:
+                        seed: Optional[int] = None) -> Controller:
         """A controller configured like this deployment's: boot's, a
-        modeled restart's replacement and — over its own region set,
-        seed and solve mode — a partition's sub-controller."""
+        modeled restart's replacement and — over its own region set
+        and seed — a partition's sub-controller."""
         return build_controller(
             self.underlay.codes if codes is None else codes,
             self.control_config, self.underlay.pricing, self.sim_config,
-            self.variant, self._sib_params, seed=seed,
-            control_mode=control_mode)
+            self.variant, self._sib_params, seed=seed)
 
     # ----------------------------------------------------------- extensions
     def hooks(self, name: str) -> List[Callable]:

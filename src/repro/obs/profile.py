@@ -32,9 +32,6 @@ from typing import Any, Dict, Iterable, List, Tuple
 #: than inferred from timing.
 PARENT_OF = {
     "snapshot_build": "link_snapshot",
-    # Incremental mode: snapshot diffing + context seeding runs inside
-    # the path-control phase (before the greedy solve).
-    "incremental.diff": "algo1.path_control",
 }
 
 

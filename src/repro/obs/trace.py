@@ -77,6 +77,12 @@ KINDS = (
     "partition_regional_rejected",  # a regional update failed invariants
     "partition_heal",             # a severed set rejoined; versions fenced
     "partition_reconciled",       # the post-heal global commit superseded all
+    # Service mode (`repro.core.service`); emitted only by a running
+    # `XRONService`, so batch runs never carry these.
+    "service_heartbeat",             # periodic progress + process health
+    "service_checkpoint_persisted",  # the checkpoint envelope hit the disk
+    "service_restore",               # the service resumed from an envelope
+    "service_shutdown",              # the drain finished (with its reason)
 )
 
 

@@ -216,72 +216,9 @@ class LinkStateSnapshot:
                 valid[k, h] = True
         return ti, ii, jj, valid
 
-    # ---------------------------------------------------------------- deltas
-    def delta(self, prev: "LinkStateSnapshot") -> "SnapshotDelta":
-        """Element-wise diff against a previous snapshot of this overlay.
-
-        Compares the **raw** latency/loss matrices (equal edge weights do
-        not imply equal raw values, and path metrics read the raw
-        matrices — the incremental engine must see every change).  Both
-        snapshots must cover the same regions in the same order.
-        """
-        if prev.codes != self.codes:
-            raise ValueError(
-                "cannot diff snapshots over different region sets: "
-                f"{prev.codes} vs {self.codes}")
-        if prev is self:
-            n = len(self.codes)
-            empty = np.zeros((2, n, n), dtype=bool)
-            return SnapshotDelta(self.codes, empty, empty)
-        return SnapshotDelta(self.codes, self.lat != prev.lat,
-                             self.loss != prev.loss)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         at = "" if self.t is None else f" @ t={self.t:.0f}s"
         return f"LinkStateSnapshot({len(self.codes)} regions{at})"
-
-
-class SnapshotDelta:
-    """Which directed links changed between two `LinkStateSnapshot`s.
-
-    ``lat_changed[k, i, j]`` / ``loss_changed[k, i, j]`` flag links whose
-    raw latency / loss differ (exact float inequality; ``inf == inf`` is
-    *not* a change, so a link missing in both snapshots never flags on
-    latency).  Consumed by the incremental path-control engine, which
-    layers the quality masks on top to decide what is safe to reuse.
-    """
-
-    __slots__ = ("codes", "lat_changed", "loss_changed")
-
-    def __init__(self, codes: Sequence[str], lat_changed: np.ndarray,
-                 loss_changed: np.ndarray):
-        self.codes = list(codes)
-        self.lat_changed = lat_changed
-        self.loss_changed = loss_changed
-
-    @property
-    def changed(self) -> np.ndarray:
-        """(2, N, N) bool: latency or loss changed."""
-        return self.lat_changed | self.loss_changed
-
-    def is_empty(self) -> bool:
-        return not (self.lat_changed.any() or self.loss_changed.any())
-
-    def n_changed(self) -> int:
-        """Number of directed links whose state changed."""
-        return int(self.changed.sum())
-
-    def changed_links(self):
-        """[(src, dst, LinkType)] of every changed directed link."""
-        out = []
-        codes = self.codes
-        for ti, i, j in zip(*np.nonzero(self.changed)):
-            out.append((codes[int(i)], codes[int(j)], TYPE_ORDER[int(ti)]))
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SnapshotDelta({len(self.codes)} regions, "
-                f"{self.n_changed()} links changed)")
 
 
 class _LinkParamArrays:

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.controlplane.capacity import capacity_control
 from repro.controlplane.model import ControlConfig
-from repro.controlplane.pathcontrol import path_control
+from repro.controlplane.pathcontrol import EpochSolveContext, path_control
+from repro.controlplane.reactionplan import generate_reaction_plans
+from repro.experiments.base import planet_underlay
+from repro.traffic.cohorts import CohortWorkload
+from repro.traffic.demand import DemandModel
+from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
 
@@ -290,3 +296,67 @@ class TestAssignmentIndex:
         result = path_control([stream(1, "A", "B", 10.0)], CODES,
                               make_state(), cfg(), gateways=gw())
         assert result.assignment_for(999) == []
+
+
+class TestEpochSolveContext:
+    """Threading one context through an epoch's solver calls changes
+    the work done, never the output."""
+
+    @pytest.fixture(scope="class")
+    def planet(self):
+        underlay = planet_underlay(20, seed=7, horizon_s=900.0)
+        matrix = TrafficMatrix.from_model(
+            DemandModel(underlay.regions, seed=7), 8 * 3600.0)
+        streams = CohortWorkload(seed=7, cohorts_per_pair=2).decompose(matrix)
+        return underlay, streams, underlay.snapshot(450.0)
+
+    @staticmethod
+    def epoch(planet, gateways, context):
+        underlay, streams, snap = planet
+        codes, fees, config = underlay.codes, underlay.pricing, ControlConfig()
+        r_cur = path_control(streams, codes, snap, config, gateways=gateways,
+                             fees=fees, context=context)
+        decision = capacity_control(streams, codes, snap, config, gateways,
+                                    r_cur, fees=fees, context=context)
+        plans = generate_reaction_plans(r_cur, snap, config.loss_ms_penalty)
+        return r_cur, decision, plans
+
+    def test_outputs_equal_with_and_without_a_context(self, planet):
+        gateways = {c: 2 for c in planet[0].codes}
+        shared = self.epoch(planet, gateways, EpochSolveContext())
+        apart = self.epoch(planet, gateways, None)
+        assert apart[0].graph_rebuilds > 0  # the caches outlived a rebuild
+        # Dataclass equality: assignments, tables, usage, the capacity
+        # targets with their uncapacitated result, and every plan.
+        assert shared == apart
+
+    def test_first_dp_is_shared_once_per_epoch(self, planet):
+        from repro import obs
+
+        gateways = {c: 2 for c in planet[0].codes}
+        with obs.capture() as hub:
+            for epochs in (1, 2):
+                self.epoch(planet, gateways, EpochSolveContext())
+                reuses = hub.metrics.snapshot()["pathcontrol.context_sp_reuses"]
+                assert reuses["value"] == epochs
+
+    def test_first_dp_not_shared_when_a_region_has_no_gateway(self, planet):
+        from repro import obs
+
+        # The capacitated first graph masks the empty region's edges;
+        # the uncapacitated one does not, so it needs its own DP.
+        gateways = {c: 2 for c in planet[0].codes}
+        gateways[planet[0].codes[0]] = 0
+        with obs.capture() as hub:
+            self.epoch(planet, gateways, EpochSolveContext())
+        assert "pathcontrol.context_sp_reuses" not in hub.metrics.snapshot()
+
+    def test_a_context_serves_one_snapshot(self, planet):
+        underlay, streams, snap = planet
+        context = EpochSolveContext()
+        path_control(streams, underlay.codes, snap, ControlConfig(),
+                     fees=underlay.pricing, context=context)
+        with pytest.raises(ValueError, match="new one per epoch"):
+            path_control(streams, underlay.codes, underlay.snapshot(451.0),
+                         ControlConfig(), fees=underlay.pricing,
+                         context=context)

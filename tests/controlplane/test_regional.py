@@ -28,11 +28,10 @@ def _reports(codes, t=0.0):
 
 
 def _sub(regions=CODES, base_version=3, seed=23, nib_reports=None):
-    def make_controller(codes, *, seed, control_mode):
+    def make_controller(codes, *, seed):
         return Controller(
             codes, ControlConfig(container_capacity_mbps=100.0),
-            sib_params={"min_history": 4, "refit_every": 2},
-            control_mode=control_mode, seed=seed)
+            sib_params={"min_history": 4, "refit_every": 2}, seed=seed)
 
     return RegionalController(
         regions, make_controller=make_controller,

@@ -1,14 +1,13 @@
 """The event engine's equivalences, over every extension subset.
 
-Three transforms must leave a run's canonical output untouched:
-solving with ``control_mode="incremental"``, arming the telemetry hub
-plus a live stream, and serving the window through `XRONService`
-instead of `EventDrivenXRON.run`.  Each is checked against the
-untransformed run for every cumulative subset of the five extensions —
-none, faults, + resilience, + membership, + regional control, + SLO —
-under a schedule that exercises all of them.  The hook protocol itself
-is pinned below: list order is call order, and an extension that
-changes nothing is byte-invisible.
+Two transforms must leave a run's canonical output untouched: arming
+the telemetry hub plus a live stream, and serving the window through
+`XRONService` instead of `EventDrivenXRON.run`.  Each is checked
+against the untransformed run for every cumulative subset of the five
+extensions — none, faults, + resilience, + membership, + regional
+control, + SLO — under a schedule that exercises all of them.  The hook
+protocol itself is pinned below: list order is call order, and an
+extension that changes nothing is byte-invisible.
 """
 
 import asyncio
@@ -71,10 +70,10 @@ def _kwargs(subset: str, hub=None):
     return kwargs
 
 
-def _engine(subset: str, hub=None, **kwargs):
+def _engine(subset: str, hub=None):
     return event_engine(elastic=False,
                         sib_params={"min_history": 4, "refit_every": 2},
-                        **_kwargs(subset, hub), **kwargs)
+                        **_kwargs(subset, hub))
 
 
 def _finish(engine, result) -> bytes:
@@ -88,11 +87,6 @@ def _finish(engine, result) -> bytes:
 @lru_cache(maxsize=None)
 def _reference(subset: str) -> bytes:
     engine = _engine(subset)
-    return _finish(engine, engine.run(START_S, DURATION_S))
-
-
-def _incremental(subset: str, tmp_path) -> bytes:
-    engine = _engine(subset, control_mode="incremental")
     return _finish(engine, engine.run(START_S, DURATION_S))
 
 
@@ -138,7 +132,7 @@ def clean_hub():
     obs.reset()
 
 
-@pytest.mark.parametrize("transform", [_incremental, _telemetry, _served],
+@pytest.mark.parametrize("transform", [_telemetry, _served],
                          ids=lambda fn: fn.__name__.lstrip("_"))
 @pytest.mark.parametrize("subset", SUBSETS)
 def test_transform_is_byte_invisible(subset, transform, tmp_path):
@@ -271,3 +265,13 @@ def test_event_engine_reads_the_whole_simulation_config():
     assert ids == sorted(set(ids))
     assert all(hasattr(s, "components")
                for o in result.control_outputs for s in o.streams)
+
+
+def test_worker_count_is_not_a_setting():
+    with pytest.raises(TypeError):
+        SimulationConfig(shard_workers=2)
+
+
+def test_solve_mode_is_not_a_setting():
+    with pytest.raises(TypeError):
+        SimulationConfig(control_mode="incremental")

@@ -3,8 +3,8 @@
 The deployment the event-engine suites share (a short-epoch engine on
 `repro.experiments.base.quiet_testbed`) and THE canonical serialization
 of what a run produced.  Every byte-identity claim in the suite —
-extensions absent vs armed-but-idle, control modes, telemetry on vs
-off, `XRONService` vs `run`, the digests recorded in
+extensions absent vs armed-but-idle, telemetry on vs off,
+`XRONService` vs `run`, the digests recorded in
 ``tests/_golden/partition_disabled.json`` — compares `canonical_bytes`.
 """
 
@@ -22,7 +22,6 @@ START_S = 3600.0
 
 
 def event_engine(seed: int = 5, *, elastic: bool = True,
-                 control_mode: str = "monolithic",
                  **kwargs) -> EventDrivenXRON:
     """A 30 s-epoch deployment on the quiet testbed.  ``elastic=False``
     pins the fleets, so an injected gateway crash has victims to take
@@ -32,8 +31,7 @@ def event_engine(seed: int = 5, *, elastic: bool = True,
     return EventDrivenXRON(
         underlay, demand, variant=replace(xron(), elastic=elastic),
         sim_config=SimulationConfig(epoch_s=30.0, eval_step_s=10.0,
-                                    seed=seed, demand_scale=0.05,
-                                    control_mode=control_mode),
+                                    seed=seed, demand_scale=0.05),
         **kwargs)
 
 

@@ -121,19 +121,3 @@ class TestRender:
         text = "\n".join(render(profile_events(events), max_pairs=10))
         assert "2 more pairs" in text
 
-
-class TestControlModePhases:
-    """The incremental sub-span nests under the algorithm span so the
-    phase sum keeps covering the epoch wall exactly once."""
-
-    def test_parent_map_entries(self):
-        assert PARENT_OF["incremental.diff"] == "algo1.path_control"
-
-    def test_incremental_diff_subtracts_from_path_control(self):
-        events = [_step("incremental.diff", 3.0),
-                  _step("algo1.path_control", 10.0), _epoch(12.0)]
-        by_step = {p.step: p for p in profile_events(events).phases}
-        assert by_step["incremental.diff"].parent == "algo1.path_control"
-        assert by_step["algo1.path_control"].self_ms == 7.0
-        # Counted once at top level, via the parent.
-        assert profile_events(events).phase_total_ms == 10.0

@@ -24,14 +24,13 @@ from pathlib import Path
 FIXTURE = Path(__file__).resolve().parents[1] / "_golden" / \
     "partition_disabled.json"
 
-#: (name, control_mode, with_chaos_schedule, with_resilience)
+#: (name, with_chaos_schedule, with_resilience).  The names predate the
+#: removal of the second control mode; they key the recorded digests.
 CONFIGS = (
-    ("monolithic-calm", "monolithic", False, False),
-    ("monolithic-chaos", "monolithic", True, False),
-    ("incremental-calm", "incremental", False, False),
-    ("incremental-chaos", "incremental", True, False),
-    ("monolithic-calm-resilient", "monolithic", False, True),
-    ("monolithic-chaos-resilient", "monolithic", True, True),
+    ("monolithic-calm", False, False),
+    ("monolithic-chaos", True, False),
+    ("monolithic-calm-resilient", False, True),
+    ("monolithic-chaos-resilient", True, True),
 )
 
 
@@ -53,10 +52,9 @@ def canonical_bytes(name: str) -> bytes:
     from tests import harness
 
     by_name = {c[0]: c for c in CONFIGS}
-    __, mode, chaos, resilient = by_name[name]
+    __, chaos, resilient = by_name[name]
     sim = harness.event_engine(
-        elastic=False, control_mode=mode,
-        faults=_chaos_schedule() if chaos else None,
+        elastic=False, faults=_chaos_schedule() if chaos else None,
         resilience=resilience() if resilient else None)
     with sim:
         return harness.canonical_bytes(sim.run(harness.START_S, 150.0))

@@ -160,63 +160,6 @@ class TestPathMetrics:
         assert np.array_equal(rebuilt.loss, snap.loss)
 
 
-class TestSnapshotDelta:
-    def test_self_delta_is_empty(self, small_underlay):
-        snap = small_underlay.snapshot(100.0)
-        delta = snap.delta(snap)
-        assert delta.is_empty()
-        assert delta.n_changed() == 0
-        assert delta.changed_links() == []
-        assert delta.changed.shape == (2, len(snap.codes), len(snap.codes))
-
-    def test_equal_values_are_empty_even_across_objects(self, small_underlay):
-        a = small_underlay.snapshot(100.0)
-        b = small_underlay.snapshot(100.0)
-        assert a is not b
-        assert b.delta(a).is_empty()
-
-    def test_missing_link_in_both_never_flags(self, small_underlay):
-        """inf == inf on the diagonal (and absent links) is not a change."""
-        a = small_underlay.snapshot(100.0)
-        b = small_underlay.snapshot(100.0)
-        delta = b.delta(a)
-        n = len(a.codes)
-        for k in range(2):
-            for i in range(n):
-                assert not delta.lat_changed[k, i, i]
-
-    def test_reports_exact_changed_links(self, small_underlay):
-        a = small_underlay.snapshot(100.0)
-        b = small_underlay.snapshot(100.0)
-        codes = a.codes
-        b.lat[TYPE_INDEX[I], 0, 1] += 1.0
-        b.loss[TYPE_INDEX[P], 2, 0] = 0.25
-        delta = b.delta(a)
-        assert not delta.is_empty()
-        assert delta.n_changed() == 2
-        assert set(delta.changed_links()) == {
-            (codes[0], codes[1], I), (codes[2], codes[0], P)}
-        # Direction matters: the reverse links did not change.
-        assert not delta.changed[TYPE_INDEX[I], 1, 0]
-        assert not delta.changed[TYPE_INDEX[P], 0, 2]
-
-    def test_lat_and_loss_tracked_separately(self, small_underlay):
-        a = small_underlay.snapshot(100.0)
-        b = small_underlay.snapshot(100.0)
-        b.lat[TYPE_INDEX[I], 0, 1] += 1.0
-        delta = b.delta(a)
-        assert delta.lat_changed.any()
-        assert not delta.loss_changed.any()
-
-    def test_mismatched_codes_raise(self, small_underlay):
-        snap = small_underlay.snapshot(100.0)
-        other = LinkStateSnapshot.from_fn(
-            list(snap.codes[:-1]), lambda a, b, t: (1.0, 0.0))
-        with pytest.raises(ValueError, match="different region sets"):
-            snap.delta(other)
-
-
-# ------------------------------------------------------------- state_at
 def engine_instants(start_s, interval_s, count):
     """Instants as `Simulator.every` reaches them: repeated addition."""
     out, t = [], start_s
