@@ -14,29 +14,23 @@ import argparse
 
 import numpy as np
 
-from repro.core.config import SimulationConfig
-from repro.core.eventsim import EventDrivenXRON
-from repro.traffic.demand import DemandModel
+from repro.core import SimulationConfig, XRONSystem
 from repro.underlay.config import UnderlayConfig
-from repro.underlay.regions import default_regions
-from repro.underlay.topology import build_underlay
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--minutes", type=float, default=5.0)
     parser.add_argument("--seed", type=int, default=11)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    regions = default_regions()
-    underlay = build_underlay(regions,
-                              UnderlayConfig(horizon_s=6 * 3600.0),
-                              seed=args.seed)
-    demand = DemandModel(regions, seed=args.seed)
-    system = EventDrivenXRON(
-        underlay, demand,
-        sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=10.0,
-                                    seed=args.seed, initial_gateways=2))
+    deployment = XRONSystem(
+        seed=args.seed,
+        underlay_config=UnderlayConfig(horizon_s=6 * 3600.0),
+        sim_config=SimulationConfig(epoch_s=60.0, seed=args.seed,
+                                    initial_gateways=2))
+    regions = deployment.regions
+    system = deployment.event_engine()
 
     start = 2.0 * 3600.0  # 10:00 in the China regions: first daily peak
     print(f"running {args.minutes:g} simulated minutes across "

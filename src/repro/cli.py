@@ -191,18 +191,9 @@ def _build_demo_system(args: argparse.Namespace, slo_engine):
     probing blackout, so the local loop never sees the signal and the
     SLO engine has a guaranteed fault-attributable breach to report.
     """
-    from repro.core.config import SimulationConfig
-    from repro.core.eventsim import EventDrivenXRON
-    from repro.traffic.demand import DemandModel
-    from repro.underlay.config import UnderlayConfig
-    from repro.underlay.regions import default_regions
-    from repro.underlay.topology import build_underlay
-
     if args.chaos:
-        from dataclasses import replace
-
-        from repro.core.variants import xron
-        from repro.experiments.base import quiet_testbed
+        from repro.experiments.base import (TESTBED_START_S, quiet_testbed,
+                                            testbed_engine)
         from repro.faults import FaultSchedule, probe_blackout
         from repro.underlay.events import DegradationEvent
         from repro.underlay.linkstate import LinkType
@@ -210,73 +201,65 @@ def _build_demo_system(args: argparse.Namespace, slo_engine):
 
         underlay, demand = quiet_testbed(args.seed)
         pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
-        start = 3600.0
+        start = TESTBED_START_S
         inject_events(underlay, pair[0], pair[1], LinkType.INTERNET,
                       [DegradationEvent(start + 90.0, 60.0, 4000.0, 0.3)])
         schedule = FaultSchedule.of(
             probe_blackout(start + 70.0, 120.0, region=pair[0]))
-        system = EventDrivenXRON(
-            underlay, demand, variant=replace(xron(), elastic=False),
-            sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=60.0,
-                                        seed=args.seed, demand_scale=0.05,
-                                        initial_gateways=4),
+        system = testbed_engine(
+            args.seed, 60.0, testbed=(underlay, demand),
             tracked_pairs=[pair], measure_interval_s=0.5,
             faults=schedule, slo=slo_engine)
         return system, start, len(underlay.codes)
 
-    regions = default_regions()
-    underlay = build_underlay(regions, UnderlayConfig(horizon_s=6 * 3600.0),
-                              seed=args.seed)
-    demand = DemandModel(regions, seed=args.seed)
-    system = EventDrivenXRON(
-        underlay, demand,
-        sim_config=SimulationConfig(epoch_s=60.0, eval_step_s=10.0,
-                                    seed=args.seed),
-        slo=slo_engine)
-    return system, 2 * 3600.0, len(regions)
+    from repro.core.config import SimulationConfig
+    from repro.core.system import XRONSystem
+    from repro.underlay.config import UnderlayConfig
+
+    deployment = XRONSystem(
+        seed=args.seed,
+        underlay_config=UnderlayConfig(horizon_s=6 * 3600.0),
+        sim_config=SimulationConfig(epoch_s=60.0, seed=args.seed))
+    return (deployment.event_engine(slo=slo_engine), 2 * 3600.0,
+            len(deployment.regions))
 
 
 def _run_demo(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
+    from repro import obs
+
     duration_s = args.minutes * 60.0
-    use_capture = bool(args.telemetry or args.stream or args.slo)
-    if use_capture:
-        from repro import obs
-        with obs.capture() as hub:
-            stream = None
-            if args.stream:
-                stream = hub.attach_stream(
-                    args.stream, max_bytes=args.stream_max_kb * 1024,
-                    meta={"command": "demo",
-                          "mode": "chaos" if args.chaos else "default"})
-            engine = None
-            if args.slo:
-                from repro.obs.slo import SLOEngine
-                from repro.qoe.metrics import qoe_badness
-                engine = SLOEngine(badness=qoe_badness())
-            system, start, n_regions = _build_demo_system(args, engine)
-            print(f"event-driven run: {args.minutes:g} min across "
-                  f"{n_regions} regions"
-                  + (" (chaos testbed)" if args.chaos else "") + " ...")
-            result = system.run(start, duration_s)
-            _print_demo_result(result)
-            if engine is not None:
-                for line in engine.render_report():
-                    print(line)
-                engine.close()
-            if stream is not None:
-                hub.detach_stream(close=True)
-                print(f"stream: {stream.events_written:,} events across "
-                      f"{len(stream.paths)} part file(s), last "
-                      f"{stream.paths[-1]}", file=sys.stderr)
-        if args.telemetry:
-            _write_telemetry(args.telemetry, hub, command="demo")
-        return 0
-    system, start, n_regions = _build_demo_system(args, None)
-    print(f"event-driven run: {args.minutes:g} min across "
-          f"{n_regions} regions"
-          + (" (chaos testbed)" if args.chaos else "") + " ...")
-    result = system.run(start, duration_s)
-    _print_demo_result(result)
+    capture = bool(args.telemetry or args.stream or args.slo)
+    with (obs.capture() if capture else nullcontext()) as hub:
+        stream = None
+        if args.stream:
+            stream = hub.attach_stream(
+                args.stream, max_bytes=args.stream_max_kb * 1024,
+                meta={"command": "demo",
+                      "mode": "chaos" if args.chaos else "default"})
+        engine = None
+        if args.slo:
+            from repro.obs.slo import SLOEngine
+            from repro.qoe.metrics import qoe_badness
+            engine = SLOEngine(badness=qoe_badness())
+        system, start, n_regions = _build_demo_system(args, engine)
+        print(f"event-driven run: {args.minutes:g} min across "
+              f"{n_regions} regions"
+              + (" (chaos testbed)" if args.chaos else "") + " ...")
+        result = system.run(start, duration_s)
+        _print_demo_result(result)
+        if engine is not None:
+            for line in engine.render_report():
+                print(line)
+            engine.close()
+        if stream is not None:
+            hub.detach_stream(close=True)
+            print(f"stream: {stream.events_written:,} events across "
+                  f"{len(stream.paths)} part file(s), last "
+                  f"{stream.paths[-1]}", file=sys.stderr)
+    if args.telemetry:
+        _write_telemetry(args.telemetry, hub, command="demo")
     return 0
 
 
@@ -286,31 +269,26 @@ def _build_serve_system(args: argparse.Namespace, slo_engine, schedule):
 
     from repro.controlplane import membership, regional_control
     from repro.core.config import SimulationConfig
-    from repro.core.eventsim import EventDrivenXRON
+    from repro.core.system import XRONSystem
     from repro.core.variants import xron
     from repro.resilience.config import resilience
-    from repro.traffic.demand import DemandModel
     from repro.underlay.config import UnderlayConfig
     from repro.underlay.regions import default_regions
-    from repro.underlay.topology import build_underlay
 
     regions = default_regions()[:max(2, args.regions)]
     duration_s = args.hours * 3600.0 + args.minutes * 60.0
-    underlay = build_underlay(
-        regions,
-        UnderlayConfig(horizon_s=duration_s + 4 * args.epoch_s),
-        seed=args.seed)
-    demand = DemandModel(regions, seed=args.seed)
-    system = EventDrivenXRON(
-        underlay, demand,
+    deployment = XRONSystem(
+        regions=regions, seed=args.seed,
+        underlay_config=UnderlayConfig(
+            horizon_s=duration_s + 4 * args.epoch_s),
+        sim_config=SimulationConfig(epoch_s=args.epoch_s, seed=args.seed,
+                                    demand_scale=0.05, initial_gateways=4))
+    system = deployment.event_engine(
         # Static fleets (like the demo's chaos testbed): the autoscaler
         # would shrink a lightly-loaded region to one gateway, and
         # `crash_gateways` always spares the last survivor — scheduled
         # crashes would silently become no-ops.
-        variant=replace(xron(), elastic=False),
-        sim_config=SimulationConfig(epoch_s=args.epoch_s, eval_step_s=60.0,
-                                    seed=args.seed, demand_scale=0.05,
-                                    initial_gateways=4),
+        replace(xron(), elastic=False),
         faults=schedule,
         resilience=resilience(),
         # Partition tolerance: the soak rotation now includes control

@@ -8,6 +8,8 @@ from typing import Dict, Optional, Sequence
 from repro.controlplane.controller import Controller
 from repro.controlplane.model import ControlConfig
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
+from repro.elastic.containers import ContainerPool
+from repro.sim.rng import RngStreams
 from repro.traffic.cohorts import CohortWorkload
 from repro.underlay.pricing import PricingModel
 
@@ -15,7 +17,7 @@ from repro.underlay.pricing import PricingModel
 @dataclass
 class SimulationConfig:
     """Knobs of a simulated deployment; both engines read them the
-    same way (`build_controller`).
+    same way (`build_controller`, `build_pools`).
 
     Two fidelity presets are common:
 
@@ -28,7 +30,9 @@ class SimulationConfig:
 
     #: Controller epoch length, seconds (production: five minutes).
     epoch_s: float = 300.0
-    #: Path-evaluation sampling step within an epoch, seconds.
+    #: Path-evaluation sampling step within an epoch, seconds.  Only the
+    #: grid engine (`EpochSimulator`) reads it; the event engine samples
+    #: on its own `measure_interval_s`.
     eval_step_s: float = 5.0
     #: Initial gateway containers per region.
     initial_gateways: int = 4
@@ -82,3 +86,15 @@ def build_controller(codes: Sequence[str], control_config: ControlConfig,
         robust_percentile=sim_config.robust_percentile,
         sib_params=sib_params, workload=workload, seed=seed,
         **variant.controller_kwargs())
+
+
+def build_pools(codes: Sequence[str], rng: RngStreams,
+                sim_config: SimulationConfig,
+                control_config: ControlConfig) -> Dict[str, ContainerPool]:
+    """One container pool per region, each on its own ``pool.<code>``
+    stream of `rng` — the fleet both engines boot with."""
+    return {code: ContainerPool(
+                code, rng.get(f"pool.{code}"),
+                initial=sim_config.initial_gateways,
+                max_containers=control_config.max_containers)
+            for code in codes}

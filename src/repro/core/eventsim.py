@@ -41,7 +41,8 @@ import numpy as np
 
 from repro.controlplane.controller import Controller, ControlOutput
 from repro.controlplane.model import ControlConfig
-from repro.core.config import SimulationConfig, build_controller
+from repro.core.config import (SimulationConfig, build_controller,
+                               build_pools)
 from repro.core.extensions import arm
 from repro.core.variants import VariantSpec, xron
 from repro.dataplane.cluster import RegionCluster
@@ -226,16 +227,18 @@ class EventDrivenXRON:
                 reaction=reaction,
                 rng=self.rng.get(f"cluster.{code}"))
             for code in underlay.codes}
-        self.pools: Dict[str, ContainerPool] = {
-            code: ContainerPool(
-                code, self.rng.get(f"pool.{code}"),
-                initial=self.sim_config.initial_gateways,
-                max_containers=self.control_config.max_containers)
-            for code in underlay.codes}
+        self.pools: Dict[str, ContainerPool] = build_pools(
+            underlay.codes, self.rng, self.sim_config, self.control_config)
 
         if tracked_pairs is None:
             tracked_pairs = sorted(
                 demand.pairs, key=lambda p: -demand.pair_scale(*p))[:4]
+        known = set(underlay.pairs)
+        for pair in tracked_pairs:
+            if pair not in known:
+                raise ValueError(
+                    f"tracked pair {pair!r} is not a directed pair of "
+                    f"this underlay's regions {underlay.codes}")
         self.sessions: Dict[RegionPair, SessionRecord] = {
             pair: SessionRecord(pair) for pair in tracked_pairs}
         #: Controller stream id currently carrying each tracked pair.

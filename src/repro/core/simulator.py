@@ -29,7 +29,8 @@ import numpy as np
 from repro.analysis.stats import weighted_percentiles
 from repro.controlplane.controller import Controller, ControlOutput
 from repro.controlplane.model import ControlConfig, OverlayPath, PathHop
-from repro.core.config import SimulationConfig, build_controller
+from repro.core.config import (SimulationConfig, build_controller,
+                               build_pools)
 from repro.core.variants import VariantSpec
 from repro.cost.accounting import PairCostLedger
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
@@ -271,16 +272,10 @@ class EpochSimulator:
     def __init__(self, underlay: Underlay, demand: DemandModel,
                  variant: VariantSpec,
                  sim_config: Optional[SimulationConfig] = None,
-                 control_config: Optional[ControlConfig] = None,
-                 slo: Optional[object] = None):
-        """`slo` is an optional `repro.obs.slo.SLOEngine` fed every
-        pair's evaluated latency/loss series at each epoch (a passive
-        observer: no RNG draws, no simulator state — output stays
-        byte-identical with it armed)."""
+                 control_config: Optional[ControlConfig] = None):
         self.underlay = underlay
         self.demand = demand
         self.variant = variant
-        self._slo = slo
         self.sim_config = (sim_config if sim_config is not None
                            else SimulationConfig())
         self.control_config = (control_config if control_config is not None
@@ -358,12 +353,8 @@ class EpochSimulator:
         if not self._pools:
             # Pools persist across run() calls so multi-day drivers keep
             # fleet state (and billing continuity) between days.
-            self._pools = {
-                code: ContainerPool(
-                    code, self._streams.get(f"pool.{code}"),
-                    initial=cfg.initial_gateways,
-                    max_containers=self.control_config.max_containers)
-                for code in self.codes}
+            self._pools = build_pools(self.codes, self._streams, cfg,
+                                      self.control_config)
 
         for e in range(n_epochs):
             now = float(epoch_starts[e])
@@ -425,11 +416,6 @@ class EpochSimulator:
                                  backup, pair_idx, ledger, e, internet_gb,
                                  premium_gb, reaction_hops, cfg.epoch_s,
                                  rep_paths)
-            if self._slo is not None:
-                for pair, i in pair_idx.items():
-                    self._slo.observe_series(
-                        f"{pair[0]}->{pair[1]}", times[sl],
-                        latency[i, sl], loss[i, sl])
             if _TEL.enabled:
                 # Epoch boundary: push accumulated metric deltas to an
                 # attached telemetry stream (no-op without one).

@@ -1,13 +1,17 @@
-"""`XRONSystem`: the one-stop facade of the reproduction.
+"""`XRONSystem`: the one door to a deployment.
 
-Builds the synthetic underlay, the DingTalk-like demand model, and an
-epoch simulator for any system variant, from a single seed.  This is the
-entry point the examples and most experiments use:
+Builds the synthetic underlay and the DingTalk-like demand model from a
+single seed, and hands out either engine over that one world with the
+same `sim_config` / `control_config`: `simulator(variant)` is the grid
+engine behind the paper's figures, `event_engine(variant, ...)` the
+discrete-event deployment (its extensions — `faults=`, `resilience=`,
+`membership=`, `regional=`, `slo=` — go in as keyword arguments).
 
     >>> from repro.core import XRONSystem, xron
     >>> system = XRONSystem(seed=7)
     >>> result = system.run(variant=xron(), start_hour=8.0, hours=1.0)
     >>> result.qoe_summary().stall_ratio  # doctest: +SKIP
+    >>> events = system.event_engine().run(2 * 3600.0, 60.0)  # doctest: +SKIP
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import List, Optional
 
 from repro.controlplane.model import ControlConfig
 from repro.core.config import SimulationConfig
+from repro.core.eventsim import EventDrivenXRON
 from repro.core.simulator import EpochSimulator, SimulationResult
 from repro.core.variants import VariantSpec, xron
 from repro.traffic.config import TrafficConfig
@@ -47,6 +52,15 @@ class XRONSystem:
         return EpochSimulator(self.underlay, self.demand,
                               variant if variant is not None else xron(),
                               self.sim_config, self.control_config)
+
+    def event_engine(self, variant: Optional[VariantSpec] = None,
+                     **engine_kwargs) -> EventDrivenXRON:
+        """An `EventDrivenXRON` over the same world and configs;
+        `engine_kwargs` are its own keywords (tracked pairs, intervals,
+        the extensions' configs)."""
+        return EventDrivenXRON(self.underlay, self.demand, variant,
+                               self.sim_config, self.control_config,
+                               **engine_kwargs)
 
     def run(self, variant: Optional[VariantSpec] = None,
             start_hour: float = 0.0, hours: float = 24.0

@@ -21,8 +21,6 @@ simulator, and vectorised series functions (`burst_series`, `reaction_active_ser
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.probing import (ActiveProber, BurstBatch, ProbeBurst,
                                      burst_series)
-from repro.dataplane.packets import (JudgedBurst, PacketLevelProber,
-                                     ProbePacket)
 from repro.dataplane.estimator import (EstimatorBank, LinkStateEstimator,
                                        reaction_active_series)
 from repro.dataplane.passive import PassiveTracker
@@ -39,9 +37,6 @@ __all__ = [
     "ProbeBurst",
     "BurstBatch",
     "burst_series",
-    "PacketLevelProber",
-    "ProbePacket",
-    "JudgedBurst",
     "EstimatorBank",
     "LinkStateEstimator",
     "reaction_active_series",

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON, EventSimResult
+from repro.core.variants import VariantSpec, xron
 from repro.traffic.demand import DemandModel
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
@@ -16,6 +18,16 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.regions import default_regions
 from repro.underlay.scenarios import inject_events, quiet_link
 from repro.underlay.topology import Underlay, build_underlay
+
+
+#: Simulated start of every quiet-testbed run (past the underlay
+#: warm-up; the testbed's horizon is two hours).
+TESTBED_START_S = 3600.0
+#: The short control epoch the recovery and partition studies run on,
+#: and the SIB overrides that make the demand model fittable within
+#: such a short run.
+SHORT_EPOCH_S = 30.0
+SHORT_RUN_SIB_PARAMS = {"min_history": 4, "refit_every": 2}
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -113,30 +125,50 @@ def quiet_testbed(seed: int) -> Tuple[Underlay, DemandModel]:
     return underlay, DemandModel(regions, seed=seed)
 
 
+def testbed_engine(seed: int, epoch_s: float, *,
+                   testbed: Optional[Tuple[Underlay, DemandModel]] = None,
+                   variant: Optional[VariantSpec] = None,
+                   demand_scale: float = 0.05, initial_gateways: int = 4,
+                   **engine_kwargs) -> EventDrivenXRON:
+    """The mechanism studies' deployment: the event engine on the quiet
+    testbed (`testbed` when the caller has already scripted incidents
+    into one, else a fresh ``quiet_testbed(seed)``) with a static fleet
+    of four gateways a region at 5 % demand.  Static because the
+    autoscaler would shrink a lightly loaded region to one gateway,
+    and `crash_gateways` always spares the last survivor — a scheduled
+    crash would silently become a no-op; pass ``variant=xron()`` to put
+    elastic capacity control back."""
+    underlay, demand = testbed if testbed is not None else quiet_testbed(seed)
+    return EventDrivenXRON(
+        underlay, demand,
+        variant=(variant if variant is not None
+                 else replace(xron(), elastic=False)),
+        sim_config=SimulationConfig(epoch_s=epoch_s, seed=seed,
+                                    demand_scale=demand_scale,
+                                    initial_gateways=initial_gateways),
+        **engine_kwargs)
+
+
 def reaction_train(seed: int, n_events: int, event_spacing_s: float,
                    event_duration_s: float, measure_interval_s: float, *,
-                   epoch_s: float, demand_scale: float = 0.05,
-                   initial_gateways: int = 4, **engine_kwargs
+                   epoch_s: float, **engine_kwargs
                    ) -> Tuple[EventSimResult, np.ndarray, np.ndarray]:
     """The reaction-timing recipe: a train of `n_events` 4000 ms
-    degradations on the busiest pair of the quiet testbed, the event
-    engine run over it with that one session tracked, and — per handled
-    event — the onset-to-backup and the recovery-to-normal delay.
+    degradations on the busiest pair of the quiet testbed, the
+    `testbed_engine` (which takes `engine_kwargs`) run over it with
+    that one session tracked, and — per handled event — the
+    onset-to-backup and the recovery-to-normal delay.
     Returns ``(result, failover_s, failback_s)``."""
     underlay, demand = quiet_testbed(seed)
     pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
-    start = 3600.0
+    start = TESTBED_START_S
     onsets = [start + 30.0 + k * event_spacing_s for k in range(n_events)]
     inject_events(underlay, pair[0], pair[1], LinkType.INTERNET,
                   [DegradationEvent(t, event_duration_s, 4000.0, 0.3)
                    for t in onsets])
-    system = EventDrivenXRON(
-        underlay, demand,
-        sim_config=SimulationConfig(epoch_s=epoch_s, eval_step_s=60.0,
-                                    seed=seed, demand_scale=demand_scale,
-                                    initial_gateways=initial_gateways),
-        tracked_pairs=[pair], measure_interval_s=measure_interval_s,
-        **engine_kwargs)
+    system = testbed_engine(
+        seed, epoch_s, testbed=(underlay, demand), tracked_pairs=[pair],
+        measure_interval_s=measure_interval_s, **engine_kwargs)
     result = system.run(start, 30.0 + n_events * event_spacing_s + 60.0)
     record = result.sessions[pair]
     times = np.asarray(record.times)

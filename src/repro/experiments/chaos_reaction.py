@@ -23,14 +23,14 @@ crashing, blind, stale, or slow:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.variants import xron
-from repro.experiments.base import (format_table, quiet_testbed,
-                                    reaction_train)
+from repro.experiments.base import (TESTBED_START_S, format_table,
+                                    quiet_testbed, reaction_train)
 from repro.faults import (FaultSchedule, gateway_crash, install_delay,
                           install_partial, platform_load, probe_blackout,
                           report_drop)
@@ -107,7 +107,7 @@ def _schedules(n_events: int, event_spacing_s: float,
                event_duration_s: float,
                src: str) -> List[Tuple[str, FaultSchedule]]:
     """One schedule per fault class, aligned with the degradation train."""
-    start = 3600.0
+    start = TESTBED_START_S
     first = start + 30.0
     horizon = 30.0 + n_events * event_spacing_s + 60.0
     return [
@@ -153,15 +153,12 @@ def run(n_events: int = 4, seed: int = 17, event_spacing_s: float = 60.0,
     """
     __, demand = quiet_testbed(seed)
     pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
-    frozen = replace(xron(), elastic=False)
     scenarios = []
     for name, schedule in _schedules(n_events, event_spacing_s,
                                      event_duration_s, pair[0]):
-        if name == "provision-storm":
-            deployment = {"variant": xron(), "demand_scale": 0.6,
-                          "initial_gateways": 1}
-        else:
-            deployment = {"variant": frozen}
+        deployment = ({"variant": xron(), "demand_scale": 0.6,
+                       "initial_gateways": 1}
+                      if name == "provision-storm" else {})
         result, failovers, failbacks = reaction_train(
             seed, n_events, event_spacing_s, event_duration_s,
             measure_interval_s, epoch_s=60.0, faults=schedule, **deployment)

@@ -31,23 +31,18 @@ the subsystems under test.  See ``docs/partitions.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.controlplane.membership import MembershipConfig, membership
 from repro.controlplane.regional import RegionalControlConfig, regional_control
-from repro.core.config import SimulationConfig
-from repro.core.eventsim import EventDrivenXRON, EventSimResult
-from repro.core.variants import xron
-from repro.experiments.base import format_table, quiet_testbed
+from repro.core.eventsim import EventSimResult
+from repro.experiments.base import (SHORT_EPOCH_S, SHORT_RUN_SIB_PARAMS,
+                                    TESTBED_START_S, format_table,
+                                    testbed_engine)
 from repro.faults import FaultSchedule, control_partition, membership_churn
 from repro.resilience import resilience
 
-#: Simulated start time (past the underlay warmup) and epoch cadence.
-_START = 3600.0
-_EPOCH_S = 30.0
-#: SIB overrides making the demand model fittable within a short run.
-_SIB_PARAMS = {"min_history": 4, "refit_every": 2}
 #: The severed set: two of the testbed's three regions.
 _SEVERED: Tuple[str, ...] = ("HGH", "SIN")
 #: Tracked sessions: both intra-partition directions plus two pairs
@@ -132,17 +127,13 @@ def _run(seed: int, duration_s: float, schedule: FaultSchedule,
     Both arms carry the resilience layer: the comparison isolates the
     partition-tolerance pair, not two-phase installs (and regional
     control needs the installer's versioning anyway)."""
-    underlay, demand = quiet_testbed(seed)
-    system = EventDrivenXRON(
-        underlay, demand, variant=replace(xron(), elastic=False),
-        sim_config=SimulationConfig(epoch_s=_EPOCH_S, eval_step_s=10.0,
-                                    seed=seed, demand_scale=0.05),
-        tracked_pairs=list(_TRACKED),
+    system = testbed_engine(
+        seed, SHORT_EPOCH_S, tracked_pairs=list(_TRACKED),
         faults=schedule, resilience=resilience(),
-        sib_params=dict(_SIB_PARAMS),
+        sib_params=SHORT_RUN_SIB_PARAMS,
         membership=member, regional=regional)
     with system:
-        return system.run(_START, duration_s)
+        return system.run(TESTBED_START_S, duration_s)
 
 
 def _blackholed(result: EventSimResult, intra: bool) -> float:
@@ -177,9 +168,10 @@ def _partition_blackhole(seed: int, partition_epochs: int,
     The cut begins after five epochs — enough (with the short-run SIB
     overrides) for the global plane to be past bootstrap, so the
     sub-controller activates from a warm last-known NIB."""
-    cut_start = _START + 5 * _EPOCH_S + 1.0
-    cut_s = partition_epochs * _EPOCH_S
-    duration = (cut_start - _START) + cut_s + (post_epochs + 1) * _EPOCH_S
+    cut_start = TESTBED_START_S + 5 * SHORT_EPOCH_S + 1.0
+    cut_s = partition_epochs * SHORT_EPOCH_S
+    duration = ((cut_start - TESTBED_START_S) + cut_s
+                + (post_epochs + 1) * SHORT_EPOCH_S)
     schedule = FaultSchedule.of(
         control_partition(cut_start, cut_s, _SEVERED))
     rows = []
@@ -193,9 +185,10 @@ def _partition_blackhole(seed: int, partition_epochs: int,
 
 def _churn(seed: int, post_epochs: int) -> List[PartitionRow]:
     """A membership-churn window: soft-state liveness off vs on."""
-    churn_start = _START + 5 * _EPOCH_S + 1.0
-    churn_s = 3 * _EPOCH_S
-    duration = (churn_start - _START) + churn_s + (post_epochs + 1) * _EPOCH_S
+    churn_start = TESTBED_START_S + 5 * SHORT_EPOCH_S + 1.0
+    churn_s = 3 * SHORT_EPOCH_S
+    duration = ((churn_start - TESTBED_START_S) + churn_s
+                + (post_epochs + 1) * SHORT_EPOCH_S)
     schedule = FaultSchedule.of(
         membership_churn(churn_start, churn_s, region="HGH"))
     rows = []

@@ -17,6 +17,7 @@ from typing import List
 
 import numpy as np
 
+from repro.core.variants import xron
 from repro.experiments.base import format_table, reaction_train
 
 
@@ -67,5 +68,5 @@ def run(n_events: int = 10, seed: int = 13, event_spacing_s: float = 60.0,
     """Inject `n_events` degradations and measure handling latency."""
     __, delays, reverts = reaction_train(
         seed, n_events, event_spacing_s, event_duration_s,
-        measure_interval_s, epoch_s=3600.0)
+        measure_interval_s, epoch_s=3600.0, variant=xron())
     return ReactionLatency(delays, n_events, len(delays), reverts)

@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.core.config import SimulationConfig
-from repro.core.eventsim import EventDrivenXRON, EventSimResult
-from repro.core.variants import xron
-from repro.experiments.base import format_table, quiet_testbed
+from repro.core.eventsim import EventSimResult
+from repro.experiments.base import (SHORT_EPOCH_S, SHORT_RUN_SIB_PARAMS,
+                                    TESTBED_START_S, format_table,
+                                    quiet_testbed, testbed_engine)
 from repro.faults import (FaultSchedule, controller_outage, install_delay,
                           install_partial)
 from repro.resilience import ResilienceConfig, resilience
@@ -40,12 +40,6 @@ from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
 from repro.underlay.scenarios import inject_events
 from repro.traffic.demand import DemandModel
-
-#: Simulated start time (past the underlay warmup) and epoch cadence.
-_START = 3600.0
-_EPOCH_S = 30.0
-#: SIB overrides making the demand model fittable within a short run.
-_SIB_PARAMS = {"min_history": 4, "refit_every": 2}
 
 
 @dataclass
@@ -106,19 +100,14 @@ class RecoveryReport:
 
 
 def _run(seed: int, duration_s: float, schedule: FaultSchedule,
-         res: Optional[ResilienceConfig],
-         underlay=None, demand=None,
-         measure_interval_s: float = 1.0):
+         res: Optional[ResilienceConfig], testbed=None,
+         measure_interval_s: float = 1.0) -> EventSimResult:
     """One deployment run on the shared testbed (elastic frozen)."""
-    if underlay is None:
-        underlay, demand = quiet_testbed(seed)
-    system = EventDrivenXRON(
-        underlay, demand, variant=replace(xron(), elastic=False),
-        sim_config=SimulationConfig(epoch_s=_EPOCH_S, eval_step_s=10.0,
-                                    seed=seed, demand_scale=0.05),
-        measure_interval_s=measure_interval_s,
-        faults=schedule, resilience=res, sib_params=dict(_SIB_PARAMS))
-    return system, system.run(_START, duration_s)
+    system = testbed_engine(
+        seed, SHORT_EPOCH_S, testbed=testbed,
+        measure_interval_s=measure_interval_s, faults=schedule,
+        resilience=res, sib_params=SHORT_RUN_SIB_PARAMS)
+    return system.run(TESTBED_START_S, duration_s)
 
 
 def _blackholed(result: EventSimResult, measure_interval_s: float) -> float:
@@ -171,12 +160,12 @@ def _install_chaos(seed: int) -> List[RecoveryRow]:
         # Spare the bootstrap install (start + 1.0): a truncated FIRST
         # table has no stale rows to ride, which would model a dead
         # region rather than a degraded push path.
-        install_partial(_START + 60.0, 40.0, 0.4),
-        install_delay(_START + 450.0, 20.0, 5.0),
+        install_partial(TESTBED_START_S + 60.0, 40.0, 0.4),
+        install_delay(TESTBED_START_S + 450.0, 20.0, 5.0),
     )
     rows = []
     for mode, res in (("off", None), ("on", resilience())):
-        __, result = _run(seed, 600.0, schedule, res)
+        result = _run(seed, 600.0, schedule, res)
         rows.append(RecoveryRow(
             "install-chaos", mode,
             blackholed_s=_blackholed(result, 1.0),
@@ -193,17 +182,18 @@ def _outage(seed: int, post_epochs: int) -> List[RecoveryRow]:
     short-run SIB overrides) for the Fourier fit to exist, so the last
     pre-outage checkpoint carries a fitted model.
     """
-    outage_start = _START + 7 * _EPOCH_S + 1.0
-    outage_end = outage_start + 4 * _EPOCH_S
-    duration = (outage_end - _START) + (post_epochs + 1) * _EPOCH_S
+    outage_start = TESTBED_START_S + 7 * SHORT_EPOCH_S + 1.0
+    outage_end = outage_start + 4 * SHORT_EPOCH_S
+    duration = ((outage_end - TESTBED_START_S)
+                + (post_epochs + 1) * SHORT_EPOCH_S)
     schedule = FaultSchedule.of(controller_outage(outage_start, outage_end))
     rows = []
     for mode, res in (
             ("cold", replace(resilience(), checkpoint_enabled=False)),
             ("warm", resilience())):
         underlay, demand = quiet_testbed(seed)
-        __, result = _run(seed, duration, schedule, res,
-                          underlay=underlay, demand=demand)
+        result = _run(seed, duration, schedule, res,
+                      testbed=(underlay, demand))
         rows.append(RecoveryRow(
             "controller-outage", mode,
             blackholed_s=_blackholed(result, 1.0),
@@ -225,7 +215,8 @@ def _flap_storm(seed: int, flap_events: int) -> List[RecoveryRow]:
     spacing_s, burst_s = 25.0, 12.0
     underlay, demand = quiet_testbed(seed)
     pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
-    onsets = [_START + 30.0 + k * spacing_s for k in range(flap_events)]
+    onsets = [TESTBED_START_S + 30.0 + k * spacing_s
+              for k in range(flap_events)]
     inject_events(underlay, pair[0], pair[1], LinkType.INTERNET,
                   [DegradationEvent(t, burst_s, 4000.0, 0.3)
                    for t in onsets])
@@ -237,9 +228,8 @@ def _flap_storm(seed: int, flap_events: int) -> List[RecoveryRow]:
             ("hysteresis", resilience())):
         # Same underlay object is safe: link processes are deterministic
         # functions of time, and runs do not mutate the underlay.
-        __, result = _run(seed, duration, FaultSchedule.empty(), res,
-                          underlay=underlay, demand=demand,
-                          measure_interval_s=0.5)
+        result = _run(seed, duration, FaultSchedule.empty(), res,
+                      testbed=(underlay, demand), measure_interval_s=0.5)
         rows.append(RecoveryRow(
             "flap-storm", mode,
             blackholed_s=_blackholed(result, 0.5),

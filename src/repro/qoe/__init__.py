@@ -13,9 +13,6 @@ from repro.qoe.video import (VideoQoEConfig, stall_series, stall_ratio,
                              frame_rate_series)
 from repro.qoe.audio import (AudioQoEConfig, e_model_r_factor, r_to_mos,
                              audio_fluency_series, fluency_score_counts)
-from repro.qoe.transport import (TransportConfig, expected_frame_delay_ms,
-                                 frame_late_probability, residual_loss,
-                                 transport_stall_series)
 from repro.qoe.metrics import QoESummary, summarize_qoe
 
 __all__ = [
@@ -30,11 +27,6 @@ __all__ = [
     "r_to_mos",
     "audio_fluency_series",
     "fluency_score_counts",
-    "TransportConfig",
-    "residual_loss",
-    "frame_late_probability",
-    "expected_frame_delay_ms",
-    "transport_stall_series",
     "QoESummary",
     "summarize_qoe",
 ]

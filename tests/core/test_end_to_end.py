@@ -8,6 +8,9 @@ from repro.core.config import SimulationConfig
 from repro.core.system import XRONSystem
 from repro.core.variants import internet_only, premium_only, xron, xron_basic
 from repro.underlay.config import UnderlayConfig
+from repro.underlay.events import DegradationEvent
+from repro.underlay.linkstate import LinkType
+from repro.underlay.scenarios import inject_events
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +97,34 @@ def test_hop_counts_small(results):
     hops = np.array([h for h, __ in samples], dtype=float)
     weights = np.array([w for __, w in samples])
     assert 1.0 <= np.average(hops, weights=weights) < 1.8
+
+
+class TestOverlayResilience:
+    def test_xron_rides_out_transit_outage(self, small_regions):
+        """During an Internet-tier outage at the source region (every
+        Internet link touching HGH, both directions, for twenty
+        minutes), XRON's premium backups keep the pair usable while
+        Internet-only dies."""
+        outage = DegradationEvent(1800.0, 1200.0, 6000.0, 0.4)
+        results = {}
+        for make in (xron, internet_only):
+            system = XRONSystem(
+                regions=list(small_regions), seed=9,
+                underlay_config=UnderlayConfig(horizon_s=7200.0),
+                sim_config=SimulationConfig(epoch_s=300.0, eval_step_s=10.0,
+                                            seed=9))
+            for other in system.underlay.codes:
+                if other != "HGH":
+                    for a, b in (("HGH", other), (other, "HGH")):
+                        inject_events(system.underlay, a, b,
+                                      LinkType.INTERNET, [outage],
+                                      keep_existing=True)
+            results[make().name] = system.run(variant=make(),
+                                              start_hour=0.0, hours=1.0)
+        idx = results["XRON"].pair_index("HGH", "SIN")
+        window = (results["XRON"].times >= 1800.0) & \
+                 (results["XRON"].times < 3000.0)
+        xron_lat = results["XRON"].latency_ms[idx][window]
+        legacy_lat = results["Internet only"].latency_ms[idx][window]
+        assert legacy_lat.max() > 5000.0
+        assert np.median(xron_lat) < 1000.0

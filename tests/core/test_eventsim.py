@@ -42,6 +42,24 @@ def test_rejects_direct_path_variants(regions):
         EventDrivenXRON(u, d, variant=internet_only())
 
 
+@pytest.mark.parametrize("pair", [("HGH", "SNI"), ("XXX", "HGH"),
+                                  ("HGH", "HGH")],
+                         ids=["typo", "unknown-src", "self-pair"])
+def test_rejects_tracked_pair_outside_the_underlay(regions, pair):
+    """Such a pair used to be accepted and silently reported as an empty
+    `SessionRecord`: no stream ever binds to it."""
+    u, d = _build(regions)
+    with pytest.raises(ValueError, match=repr(pair[0])):
+        EventDrivenXRON(u, d, tracked_pairs=[("HGH", "SIN"), pair])
+
+
+def test_default_tracked_pairs_are_accepted(regions):
+    u, d = _build(regions)
+    sim = EventDrivenXRON(u, d)
+    assert len(sim.sessions) == 4
+    assert set(sim.sessions) <= set(u.pairs)
+
+
 def test_runs_and_measures_sessions(regions):
     u, d = _build(regions)
     sim = EventDrivenXRON(u, d, sim_config=_sim_config())

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.dataplane.config import MonitoringConfig
-from repro.dataplane.packets import PacketLevelProber
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
 from repro.underlay.scenarios import inject_events, quiet_link
 from repro.underlay.topology import build_underlay
+from tests.dataplane.packet_prober import PacketLevelProber
 
 
 @pytest.fixture()

@@ -120,3 +120,44 @@ def test_event_engine_names_no_subsystem():
         for name in ("TwoPhaseInstaller", "MembershipTable",
                      "RegionalController"):
             assert name not in source, f"{module_name} names {name}"
+
+
+def _uses(package_name, module_name):
+    """Whether a package's ``__init__`` does more with `module_name`
+    than re-export it: a name it imports from there appears in its own
+    code (`repro.obs` builds its hub on `repro.obs.stream`)."""
+    spec = importlib.util.find_spec(package_name)
+    tree = ast.parse(pathlib.Path(spec.origin).read_text())
+    bound = {alias.asname or alias.name
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == module_name
+             for alias in node.names}
+    return any(isinstance(node, ast.Name) and node.id in bound
+               for node in ast.walk(tree))
+
+
+def test_every_module_has_an_importer():
+    """Nothing in `src/repro` is dead weight: every module is imported
+    by another module — its own package's ``__init__`` merely
+    re-exporting it does not count — or is an entry point
+    (``__main__``, the CLI, a module the experiment registry names).  A
+    reference implementation only the tests call belongs under
+    ``tests/``."""
+    from repro.experiments.registry import all_specs
+
+    entry_points = {"repro.cli"} | {spec.module for spec in all_specs()}
+    everything = [name for __, name, __ in pkgutil.walk_packages(
+        repro.__path__, prefix="repro.")]
+    imports = {name: _imported_modules(name) for name in everything}
+    orphans = []
+    for name in everything:
+        package = name.rpartition(".")[0]
+        if (name in entry_points or name.endswith("__main__")
+                or importlib.util.find_spec(name).submodule_search_locations):
+            continue
+        if not (any(name in found for importer, found in imports.items()
+                    if importer not in (name, package))
+                or _uses(package, name)):
+            orphans.append(name)
+    assert not orphans, f"no importer in src/repro: {orphans}"
