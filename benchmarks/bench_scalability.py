@@ -204,6 +204,56 @@ def test_probe_instant(benchmark, n_regions):
 
 
 # --------------------------------------------------------------------------
+# One block of link series of the grid engine (§4.1's 400 ms probing)
+# --------------------------------------------------------------------------
+#
+# Per five-minute epoch the grid engine asks `Underlay.link_series` for
+# every on-path link on the 0.4 s burst grid (750 instants): the
+# largest single span of an `epoch_n11` run (docs/performance.md, "Grid
+# engine").  At paper scale an epoch's ~91 hops are one block; at 100
+# regions the thousands of hops are cut into blocks of `_BLOCK_ELEMENTS`
+# (hops x instants) elements, and one such block is the unit of cost.
+
+#: region count -> (hops in the block, hard budget per block).  The
+#: per-hop, per-instant evaluation this replaced took 11.5-18.5 ms at
+#: paper scale and 25-32 ms at 100 regions as the reference box's speed
+#: drifted; jitter per link-second, diurnal per source region and one
+#: timeline pass per block take 6-7 and 12.5-15.
+LINK_SERIES_BLOCK = {11: (91, 0.010), 100: (174, 0.020)}
+_BLOCK_BURSTS = 750
+
+
+@pytest.mark.parametrize("n_regions", sorted(LINK_SERIES_BLOCK),
+                         ids=lambda n: f"n{n:03d}")
+def test_link_series_block(benchmark, n_regions):
+    """`Underlay.link_series` of one block of hops over one epoch's
+    burst grid, a fresh epoch each round (so every timeline is searched
+    again, as in a run)."""
+    from repro.core.simulator import _BLOCK_ELEMENTS
+    from repro.underlay.linkstate import LinkType
+
+    n_hops, budget_s = LINK_SERIES_BLOCK[n_regions]
+    assert n_hops <= _BLOCK_ELEMENTS // _BLOCK_BURSTS
+    u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
+    every = [(a, b, lt) for (a, b) in u.pairs
+             for lt in (LinkType.INTERNET, LinkType.PREMIUM)]
+    picked = np.random.default_rng(7).choice(len(every), n_hops,
+                                             replace=False)
+    hops = [every[k] for k in picked]
+    bursts = np.arange(_BLOCK_BURSTS) * 0.4
+    epochs = itertools.cycle(range(2, 22))
+
+    def block():
+        return u.link_series(hops, 300.0 * next(epochs) + bursts)
+
+    block()  # the lazy parameter matrices
+    lat, loss = benchmark(block)
+    assert lat.shape == loss.shape == (n_hops, _BLOCK_BURSTS)
+    assert np.all(lat > 0.0) and np.all((loss >= 0.0) & (loss <= 1.0))
+    assert benchmark.stats["mean"] < budget_s
+
+
+# --------------------------------------------------------------------------
 # Region-count scaling sweep (generated planet topologies + stream cohorts)
 # --------------------------------------------------------------------------
 #

@@ -20,6 +20,7 @@ The recorded `SimulationResult` is what every §6 experiment consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -83,6 +84,10 @@ class _EpochLinkCache:
         self.enable_reaction = enable_reaction
         self._series: Dict[PathHop, Tuple[np.ndarray, np.ndarray]] = {}
         self._reaction: Dict[PathHop, np.ndarray] = {}
+        #: The burst whose flag each eval instant takes (the last one at
+        #: or before it); every block probes the same burst grid, so the
+        #: first block's serves them all.
+        self._burst_of: Optional[np.ndarray] = None
 
     def series(self, hop: PathHop) -> Tuple[np.ndarray, np.ndarray]:
         if hop not in self._series:
@@ -112,8 +117,9 @@ class _EpochLinkCache:
             return
         new = [hop for hop in dict.fromkeys(hops)
                if hop not in self._reaction]
-        n_bursts = np.arange(self.t0, self.t1,
-                             self.monitoring.burst_interval_s).size
+        # The length of `burst_series`' grid, as `np.arange` counts it.
+        n_bursts = math.ceil((self.t1 - self.t0)
+                             / self.monitoring.burst_interval_s)
         for block in _blocks(new, n_bursts):
             seeds = np.array([self.probe_seed(hop) for hop in block],
                              dtype=np.uint64)[:, None]
@@ -122,9 +128,11 @@ class _EpochLinkCache:
                 self.monitoring, seeds)
             flags = reaction_active_series(blat, bloss, self.reaction_config,
                                            self.monitoring)
-            idx = np.clip(np.searchsorted(bt, self.times, side="right") - 1,
-                          0, bt.size - 1)
-            self._reaction.update(zip(block, flags[:, idx]))
+            if self._burst_of is None:
+                self._burst_of = np.clip(
+                    np.searchsorted(bt, self.times, side="right") - 1,
+                    0, bt.size - 1)
+            self._reaction.update(zip(block, flags[:, self._burst_of]))
 
 
 def _blocks(hops: List[PathHop], n_instants: int):

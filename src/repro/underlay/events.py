@@ -198,6 +198,22 @@ class EventTimeline:
                 self._lat_slope[idx], self._loss_val[idx],
                 self._loss_slope[idx])
 
+    def pieces(self, t_first: float, t_last: float) -> Tuple[np.ndarray, ...]:
+        """The linear pieces that cover ``[t_first, t_last]``, as views
+        ``(t0, lat_val, lat_slope, loss_val, loss_slope)`` of the
+        compiled arrays: `segment`'s piece of `t_first`, of `t_last`
+        and every one between.  An instant at or after ``t0[k]`` and
+        before ``t0[k + 1]`` lies in piece ``k``; one before ``t0[0]``
+        is before the timeline's first breakpoint (zero added), and a
+        window that ends before it gets no pieces at all.  Two scalar
+        searches, no copy (the snapshot layer's block pass)."""
+        times = self._times
+        lo = max(int(times.searchsorted(t_first, side="right")) - 1, 0)
+        window = slice(lo, int(times.searchsorted(t_last, side="right")))
+        return (times[window], self._lat_val[window],
+                self._lat_slope[window], self._loss_val[window],
+                self._loss_slope[window])
+
     def active_events(self, t: float) -> List[DegradationEvent]:
         """Events covering instant `t` (for diagnostics and case studies)."""
         mask = (self.starts <= t) & (t < self.starts + self.durations)

@@ -27,6 +27,7 @@ golden-equivalence tests pin this down.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -106,9 +107,8 @@ class LinkStateSnapshot:
         p = underlay.link_param_arrays()
         t_f = float(t)
         p.check_horizon(t_f)
-        lat_add, loss_add = p.timeline_adds(t_f)
-        lat, loss = p.evaluate(..., p.utc_offset[None, :, None], t_f,
-                               lat_add, loss_add)
+        lat, loss = p.evaluate(..., _busy(p.utc_offset[None, :, None], t_f),
+                               p.jitter_at(t_f), *p.timeline_adds(t_f))
 
         diag = np.arange(len(underlay.codes))
         lat[:, diag, diag] = np.inf
@@ -226,12 +226,20 @@ class _LinkParamArrays:
     `Underlay.link_param_arrays`); built once per underlay and shared by
     its two evaluations: every link at one instant
     (`LinkStateSnapshot.from_underlay`) and some links over a time grid
-    (`series`, behind `Underlay.link_series`)."""
+    (`series`, behind `Underlay.link_series`).
+
+    Both compute each term of the link model once per value it can
+    take: the jitter factors hash ``floor(t)``, so once per link-second
+    (`jitter`); the diurnal curve depends on the source region's UTC
+    offset only, so once per distinct offset (`_busy`); a degradation
+    timeline is piecewise linear, so it is searched once per piece
+    (`timeline_adds`, `timeline_series`).  `evaluate` combines them.
+    """
 
     __slots__ = ("base_latency_ms", "jitter_sigma", "diurnal_latency_amp",
                  "base_loss", "diurnal_loss_amp", "noise_seed", "utc_offset",
                  "index", "timelines", "horizon_s", "_segments",
-                 "_segment_links")
+                 "_segment_links", "_jitter_second", "_jitter")
 
     def __init__(self, underlay):
         codes = underlay.codes
@@ -281,6 +289,10 @@ class _LinkParamArrays:
             tuple(np.array(axis, dtype=np.intp)
                   for axis in zip(*self.timelines)),
             tuple(self.timelines.values()))
+        #: The jitter memo of `jitter_at`: every link's two factors at
+        #: the last whole second asked for.
+        self._jitter_second = None
+        self._jitter = None
 
     def check_horizon(self, t_max: float) -> None:
         if t_max > self.horizon_s:
@@ -289,27 +301,43 @@ class _LinkParamArrays:
                 f"horizon {self.horizon_s:.0f}s; build the underlay "
                 "with a larger horizon")
 
-    def evaluate(self, sel, utc_offset, t, lat_add,
+    def evaluate(self, sel, busy, jitter, lat_add,
                  loss_add) -> Tuple[np.ndarray, np.ndarray]:
-        """(latency_ms, loss_rate) of the links picked by index `sel`
-        at time(s) `t` — `LinkProcess.latency_ms` / `loss_rate` written
-        once for arrays.  ``param[sel]``, `utc_offset`, `t` and the
-        timeline terms must broadcast to the result's shape; the same
-        IEEE operations run element-wise, so every value is
-        bit-identical to the scalar call on that link at that instant.
+        """(latency_ms, loss_rate) of the links picked by index `sel` —
+        `LinkProcess.latency_ms` / `loss_rate` written once for arrays,
+        from terms the caller evaluated where they change: `busy` the
+        diurnal curve at the links' source regions (`_busy`), `jitter`
+        their two factors (`jitter`), `lat_add` / `loss_add` their
+        timelines' terms.  ``param[sel]`` and the terms must broadcast
+        to the result's shape; the same IEEE operations run
+        element-wise, so every value is bit-identical to the scalar
+        call on that link at that instant.
         """
-        local_h = (t / 3600.0 + utc_offset) % 24.0
-        busy = busy_factor(local_h)
-        noise_seed = self.noise_seed[sel]
+        jitter_lat, jitter_loss = jitter
         diurnal_lat = 1.0 + self.diurnal_latency_amp[sel] * busy
-        jitter_lat = np.exp(
-            self.jitter_sigma[sel] * hash_noise(noise_seed, t, salt=1))
         lat = self.base_latency_ms[sel] * diurnal_lat * jitter_lat + lat_add
 
         diurnal_loss = self.diurnal_loss_amp[sel] * busy
-        jitter_loss = np.exp(0.6 * hash_noise(noise_seed, t, salt=2))
         raw = self.base_loss[sel] * jitter_loss + diurnal_loss + loss_add
         return lat, np.clip(raw, 0.0, 1.0)
+
+    def jitter(self, sel, seconds) -> Tuple[np.ndarray, np.ndarray]:
+        """The (latency, loss) jitter factors of the links picked by
+        `sel` in the whole second(s) `seconds`: hash noise is indexed by
+        ``floor(t)``, so every instant of one second shares them."""
+        seed = self.noise_seed[sel]
+        return (np.exp(self.jitter_sigma[sel]
+                       * hash_noise(seed, seconds, salt=1)),
+                np.exp(0.6 * hash_noise(seed, seconds, salt=2)))
+
+    def jitter_at(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
+        """`jitter` of every link at instant `t`, remembered for the
+        second's other instants (the event engine steps 0.4 s)."""
+        second = math.floor(t)
+        if second != self._jitter_second:
+            self._jitter = self.jitter(..., second)
+            self._jitter_second = second
+        return self._jitter
 
     def timeline_adds(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """(latency_add, loss_add) matrices at instant `t`.
@@ -339,27 +367,99 @@ class _LinkParamArrays:
         loss_add[sel] = np.where(loss > 0.0, loss, 0.0)
         return lat_add, loss_add
 
+    def timeline_series(self, keys: Sequence,
+                        times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(latency_add, loss_add), each ``(len(keys), len(times))``, of
+        the links `keys` = [(tier, i, j)] over the ascending `times`.
+
+        Bit-identical to `EventTimeline.latency_add` / `loss_add` per
+        link, as one pass over the block: the pieces each timeline has
+        inside the window (`EventTimeline.pieces`) are laid end to end,
+        one search of their breakpoints into the grid says at which
+        instant each piece starts, and a running count along the grid
+        turns that into the piece of every (link, instant) — from which
+        both series are `EventTimeline._eval`'s own operations.
+        """
+        n_times = times.size
+        lat_add = np.zeros((len(keys), n_times))
+        loss_add = np.zeros((len(keys), n_times))
+        rows, tables = [], []
+        for h, key in enumerate(keys):
+            timeline = self.timelines.get(key)
+            if timeline is not None:
+                pieces = timeline.pieces(times[0], times[-1])
+                if pieces[0].size:
+                    rows.append(h)
+                    tables.append(pieces)
+        if not rows:
+            return lat_add, loss_add
+        t0, lat_val, lat_slope, loss_val, loss_slope = (
+            np.concatenate(column) for column in zip(*tables))
+        count = np.array([pieces[0].size for pieces in tables])
+        # A piece holds from the first instant at or after its
+        # breakpoint (`_eval` searches side="right" the other way
+        # round); marks past the grid's end fall in a spare column.
+        starts_at = np.searchsorted(times, t0, side="left")
+        row_of_piece = np.repeat(np.arange(len(rows)), count)
+        started = np.bincount(
+            row_of_piece * (n_times + 1) + starts_at,
+            minlength=len(rows) * (n_times + 1),
+        ).reshape(len(rows), n_times + 1)[:, :n_times].cumsum(axis=1)
+        # `started` - 1 is the piece within the row's run of the table;
+        # -1 is an instant before the timeline's first breakpoint.
+        inside = started > 0
+        piece = (np.cumsum(count) - count)[:, None] + np.maximum(
+            started - 1, 0)
+        dt = times - t0[piece]
+        lat = np.where(inside, lat_val[piece] + lat_slope[piece] * dt, 0.0)
+        loss = np.where(inside, loss_val[piece] + loss_slope[piece] * dt,
+                        0.0)
+        lat_add[rows] = np.maximum(lat, 0.0)
+        loss_add[rows] = np.maximum(loss, 0.0)
+        return lat_add, loss_add
+
     def series(self, hops: Sequence, times) -> Tuple[np.ndarray, np.ndarray]:
         """(latency_ms, loss_rate), each ``(len(hops), len(times))``, of
-        the directed links `hops` = [(src, dst, LinkType)] over `times`."""
+        the directed links `hops` = [(src, dst, LinkType)] over `times`.
+
+        `times` is any 1-d sequence of instants up to the horizon —
+        unsorted, repeated, one or none: column ``k`` is the links'
+        state at ``times[k]`` whatever stands around it (an unsorted
+        grid is evaluated in ascending order and put back).
+        """
         times = np.asarray(times, dtype=float)
-        if not len(hops):
-            return np.zeros((0, times.size)), np.zeros((0, times.size))
-        if times.size:
-            self.check_horizon(float(np.max(times)))
+        if times.ndim != 1:
+            raise ValueError(f"times must be 1-d, got shape {times.shape}")
         index = self.index
         keys = [(TYPE_INDEX[lt], index[a], index[b]) for (a, b, lt) in hops]
         if any(i == j for (__, i, j) in keys):
             raise KeyError("a region has no link to itself")
-        lat_add = np.zeros((len(keys), times.size))
-        loss_add = np.zeros((len(keys), times.size))
-        for h, key in enumerate(keys):
-            timeline = self.timelines.get(key)
-            if timeline is not None:
-                lat_add[h] = timeline.latency_add(times)
-                loss_add[h] = timeline.loss_add(times)
+        if not len(keys) or not times.size:
+            return (np.zeros((len(keys), times.size)),
+                    np.zeros((len(keys), times.size)))
+        if np.any(times[1:] < times[:-1]):
+            order = np.argsort(times, kind="stable")
+            lat, loss = self.series(hops, times[order])
+            asked = np.empty_like(order)
+            asked[order] = np.arange(order.size)
+            return lat[:, asked], loss[:, asked]
+        self.check_horizon(float(times[-1]))
+        lat_add, loss_add = self.timeline_series(keys, times)
         ti, ii, jj = (np.array(k, dtype=np.intp) for k in zip(*keys))
         # The trailing None makes every picked parameter a (hops, 1)
         # column to broadcast against the (times,) axis.
-        return self.evaluate((ti, ii, jj, None), self.utc_offset[ii, None],
-                             times, lat_add, loss_add)
+        sel = (ti, ii, jj, None)
+        seconds, second_of = np.unique(np.floor(times), return_inverse=True)
+        jitter = [factor[:, second_of]
+                  for factor in self.jitter(sel, seconds)]
+        offsets, offset_of = np.unique(self.utc_offset[ii],
+                                       return_inverse=True)
+        busy = _busy(offsets[:, None], times)[offset_of]
+        return self.evaluate(sel, busy, jitter, lat_add, loss_add)
+
+
+def _busy(utc_offset, t) -> np.ndarray:
+    """`busy_factor` at the local hour of instant(s) `t` where the
+    clock reads UTC + `utc_offset` hours — one value per source region
+    and instant, whichever of its links asks."""
+    return busy_factor((t / 3600.0 + utc_offset) % 24.0)

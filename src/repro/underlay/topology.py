@@ -96,6 +96,15 @@ class Underlay:
         Row ``h`` is bit-identical to ``link(*hops[h]).latency_ms(times)``
         / ``.loss_rate(times)``; the whole block costs one vectorised
         pass instead of two `LinkProcess` calls per link.
+
+        `times` is any 1-d sequence of instants: unsorted, repeated, a
+        single one or none give the columns of the sorted call in the
+        order asked.  An instant exactly on a breakpoint of a link's
+        degradation timeline takes the piece that starts there, one
+        before the timeline's first breakpoint adds 0.0, and a timeline
+        whose first breakpoint lies after ``max(times)`` costs the pass
+        nothing.  An instant past the generated horizon is a
+        `ValueError`, a hop that is not a link a `KeyError`.
         """
         return self.link_param_arrays().series(hops, times)
 

@@ -9,6 +9,7 @@ Counting calls (not seconds) makes the guard exact and portable.
 
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
@@ -19,24 +20,29 @@ from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.planet import PlanetConfig, generate_regions
-from repro.underlay.topology import build_underlay
+from repro.underlay.topology import Underlay, build_underlay
 
 #: `hash_uniform` calls one simulated epoch may make, whatever the size
-#: of the overlay: demand (13), the monitoring snapshot (4), the path
-#: hops' series (4) and burst -> reaction pass (6), the backup hops'
-#: series (4), and room for a second block of hops.
+#: of the overlay.  An epoch makes 31: demand 13; the monitoring
+#: snapshot 4 (two uniforms for each of the two jitter factors, over
+#: every link, once — its instant opens a new second); three
+#: `link_series` blocks of 4 each (the path hops on the eval grid, the
+#: path hops on the burst grid, the backup hops on the eval grid), each
+#: call over hops x distinct seconds; and the burst pass's own 2 draws
+#: per burst.  The rest is room for a second block of hops on each grid
+#: (4 + 6 + 4) and three to spare.
 EPOCH_CALL_BOUND = 48
 
 
 @pytest.fixture()
 def hash_calls(monkeypatch):
-    """Counts every `hash_uniform` call, through whichever module's
-    namespace it is made."""
+    """The elements hashed by every `hash_uniform` call, one entry per
+    call, through whichever module's namespace it is made."""
     original = rng.hash_uniform
     calls = []
 
     def counting(seed, t, salt=0):
-        calls.append(salt)
+        calls.append(np.broadcast(seed, t).size)
         return original(seed, t, salt=salt)
 
     for module in list(sys.modules.values()):
@@ -68,17 +74,51 @@ def test_demand_model_construction_hashes_once_per_parameter(hash_calls):
     assert len(hash_calls) == 3  # preferred hour, magnitude, duration
 
 
-@pytest.mark.parametrize("n", [6, 12])
-def test_one_epoch_stays_under_a_fixed_bound(hash_calls, n):
+def one_epoch_simulator(n):
+    """A grid engine over `n` regions, ready to run one 300 s epoch."""
     where = regions(n)
     underlay = build_underlay(where, UnderlayConfig(horizon_s=3600.0),
                               seed=2)
     simulator = EpochSimulator(
         underlay, DemandModel(where, seed=2), xron(),
         SimulationConfig(epoch_s=300.0, eval_step_s=5.0, seed=2))
-    with simulator:
-        underlay.snapshot(0.0)  # parameter matrices are built lazily
+    underlay.snapshot(0.0)  # parameter matrices are built lazily
+    return simulator
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_one_epoch_stays_under_a_fixed_bound(hash_calls, n):
+    with one_epoch_simulator(n) as simulator:
         del hash_calls[:]
         result = simulator.run(600.0, 300.0)
     assert result.latency_ms.shape == (n * (n - 1), 60)
     assert 0 < len(hash_calls) <= EPOCH_CALL_BOUND
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_link_series_hashes_each_link_second_once(hash_calls, monkeypatch,
+                                                  n):
+    """The element budget beside the call budget: jitter is a function
+    of (link, whole second), so a block of `hops` links over a grid
+    hashes 4 x hops x *distinct seconds* elements (two uniforms for each
+    of two factors) however many instants fall in a second — 300 of the
+    burst grid's 750 per epoch."""
+    blocks = []
+    link_series = Underlay.link_series
+
+    def counted(self, hops, times):
+        before = len(hash_calls)
+        out = link_series(self, hops, times)
+        blocks.append((len(hops), np.unique(np.floor(times)).size,
+                       len(times), sum(hash_calls[before:])))
+        return out
+
+    monkeypatch.setattr(Underlay, "link_series", counted)
+    with one_epoch_simulator(n) as simulator:
+        simulator.run(600.0, 300.0)
+    # Path hops and backup hops on the eval grid, path hops on the
+    # burst grid.
+    assert sorted((seconds, instants) for __, seconds, instants, __
+                  in blocks) == [(60, 60), (60, 60), (300, 750)]
+    for hops, seconds, __, hashed in blocks:
+        assert 0 < hashed <= 4 * hops * seconds

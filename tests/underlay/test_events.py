@@ -109,6 +109,48 @@ class TestEventTimeline:
         assert _timeline([]).duration_histogram() == (0, 0, 0, 0)
 
 
+class TestPieces:
+    """`EventTimeline.pieces`: the window's run of `segment`s, as views."""
+
+    EVENTS = [DegradationEvent(100.0, 20.0, 500.0, 0.1),
+              DegradationEvent(110.0, 40.0, 200.0, 0.0),
+              DegradationEvent(400.0, 0.0, 50.0, 0.2)]
+
+    @pytest.mark.parametrize("window", [
+        (0.0, 1000.0), (50.0, 99.0), (100.0, 100.0), (99.0, 103.0),
+        (105.0, 130.0), (150.0, 399.0), (400.0, 400.0), (500.0, 900.0)])
+    def test_every_instant_of_the_window_finds_its_segment(self, window):
+        tl = _timeline(self.EVENTS)
+        first, last = window
+        t0, *values = tl.pieces(first, last)
+        inside = tl._times[(tl._times >= first) & (tl._times <= last)]
+        for t in np.concatenate([np.linspace(first, last, 41), inside]):
+            lo, __, *piece = tl.segment(float(t))
+            k = int(np.searchsorted(t0, t, side="right")) - 1
+            if lo == -np.inf:
+                assert k == -1
+            else:
+                assert [t0[k]] + [v[k] for v in values] == piece
+
+    def test_a_window_before_the_first_breakpoint_has_no_pieces(self):
+        tl = _timeline(self.EVENTS)
+        assert all(column.size == 0 for column in tl.pieces(0.0, 99.9))
+        assert all(column.size == 0 for column in _timeline([]).pieces(
+            -5.0, -1.0))
+
+    def test_a_window_after_the_last_event_has_its_closing_piece(self):
+        tl = _timeline(self.EVENTS)
+        t0, *__ = tl.pieces(600.0, 900.0)
+        assert t0.tolist() == [tl._times[-1]]
+
+    def test_pieces_are_views_not_copies(self):
+        tl = _timeline(self.EVENTS)
+        compiled = (tl._times, tl._lat_val, tl._lat_slope, tl._loss_val,
+                    tl._loss_slope)
+        for column, whole in zip(tl.pieces(105.0, 130.0), compiled):
+            assert column.size and np.shares_memory(column, whole)
+
+
 class TestGenerateTimeline:
     def _gen(self, rng, horizon=10 * 86400.0, **overrides):
         kwargs = dict(short_events_per_day=100.0, long_events_per_day=1.0,

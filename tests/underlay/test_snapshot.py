@@ -382,3 +382,69 @@ def test_segment_memo_follows_a_swapped_timeline(small_regions):
     quiet_link(underlay, a, b, I)
     assert_memo_equals_scalar_lookups(underlay, instants + [102.0])
     assert underlay.link_param_arrays().timeline_adds(102.0)[0][key] == 0.0
+
+
+# ---------------------------------------------------------- jitter memo
+def fresh_underlay(regions, edit=None):
+    """An underlay nobody has asked anything yet, after `edit(underlay)`."""
+    from repro.underlay.config import UnderlayConfig
+    from repro.underlay.topology import build_underlay
+    underlay = build_underlay(regions, UnderlayConfig(horizon_s=7200.0),
+                              seed=11)
+    if edit is not None:
+        edit(underlay)
+    return underlay
+
+
+def assert_same_bits(got, want, t):
+    assert np.array_equal(got.lat, want.lat), t
+    assert np.array_equal(got.loss, want.loss), t
+
+
+def test_memos_are_invisible_in_any_visiting_order(small_regions):
+    """`snapshot` remembers the last second's jitter factors and each
+    link's timeline piece; whatever it remembers, an instant gives the
+    bits a fresh underlay gives."""
+    from repro.underlay.events import DegradationEvent
+    from repro.underlay.scenarios import inject_events
+    underlay = fresh_underlay(small_regions)
+    forward = engine_instants(100.0, 0.4, 9)           # 100.0 ... 103.2
+    inside_one_second = [101.2, 101.9, 101.0, 101.2, 101.2]
+    across_a_boundary = [101.99, 102.0, np.nextafter(102.0, -np.inf),
+                         102.0, 3600.0, 102.4, 0.0]
+    order = (forward + forward[::-1] + inside_one_second
+             + across_a_boundary)
+    for k, t in enumerate(order):
+        # `state_at` and `snapshot` share the memos: alternate them.
+        got = underlay.state_at(t) if k % 2 else underlay.snapshot(t)
+        assert_same_bits(got, fresh_underlay(small_regions).snapshot(t), t)
+
+    a, b = underlay.pairs[0]
+
+    def swap(u):
+        inject_events(u, a, b, I, [DegradationEvent(101.0, 30.0, 500.0, 0.2)])
+    underlay.snapshot(102.4)            # the memos hold second 102
+    swap(underlay)                      # ... and `_timelines_changed`
+    for t in (102.4, 102.0, 101.2, 102.8):
+        assert_same_bits(underlay.state_at(t),
+                         fresh_underlay(small_regions, swap).snapshot(t), t)
+    assert underlay.state_at(102.8).lookup(a, b, I)[0] \
+        > fresh_underlay(small_regions).snapshot(102.8).lookup(a, b, I)[0] \
+        + 100.0
+
+
+def test_jitter_is_hashed_once_per_second(small_underlay, monkeypatch):
+    from repro.underlay import snapshot as module
+    hashed = []
+    hash_noise = module.hash_noise
+    monkeypatch.setattr(
+        module, "hash_noise",
+        lambda seed, t, salt=0: hashed.append(float(t))
+        or hash_noise(seed, t, salt=salt))
+    small_underlay.snapshot(50.0)       # whatever second the memo held
+    del hashed[:]
+    for t in engine_instants(60.0, 0.4, 10) + [61.2, 60.0, 60.4]:
+        small_underlay.snapshot(t)
+    # Two factors per second entered: 60, 61, 62, 63, then back to 61, 60.
+    assert hashed == [s for s in (60.0, 61.0, 62.0, 63.0, 61.0, 60.0)
+                      for __ in range(2)]
