@@ -204,6 +204,58 @@ def test_probe_instant(benchmark, n_regions):
 
 
 # --------------------------------------------------------------------------
+# One region's install, and the fleet changing under it (§4.2, §5)
+# --------------------------------------------------------------------------
+#
+# The controller pushes one forwarding table and one set of reaction
+# plans per region, and a region holds one copy of them
+# (`RegionCluster.table`) however many gateways forward from it: an
+# install is one guarded replace, and a gateway that joins copies
+# nothing.
+
+#: Hard budget for one install plus a 4 -> 8 -> 4 scale.  With a table
+#: per gateway (each install rebuilt per gateway, each new gateway
+#: cloned from a sibling) the same work took 14-23 ms on the reference
+#: box; with one per region, ~0.5 ms.
+CLUSTER_INSTALL_BUDGET_S = {11: 0.006}
+_INSTALL_ROWS = 2000
+
+
+@pytest.mark.parametrize("n_regions", sorted(CLUSTER_INSTALL_BUDGET_S),
+                         ids=lambda n: f"n{n:03d}")
+def test_cluster_install(benchmark, n_regions):
+    """A 2 000-row table with plans into a four-gateway cluster under a
+    fresh version, then the fleet scales 4 -> 8 -> 4."""
+    from repro.dataplane.cluster import RegionCluster
+    from repro.underlay.linkstate import LinkType
+
+    u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
+    region, others = u.codes[0], u.codes[1:]
+    cluster = RegionCluster(region, u, initial_gateways=4,
+                            rng=np.random.default_rng(7))
+    tiers = (LinkType.INTERNET, LinkType.PREMIUM)
+    entries = {sid: (others[sid % len(others)], tiers[sid % 2])
+               for sid in range(_INSTALL_ROWS)}
+    plans = {sid: (others[(sid + 1) % len(others)],)
+             for sid in range(_INSTALL_ROWS)}
+    versions = itertools.count(1)
+
+    def install_and_scale():
+        cluster.install(entries, plans, version=next(versions), now=0.0)
+        cluster.scale_to(8)
+        newest = cluster.gateways[max(cluster.gateways)]
+        cluster.scale_to(4)
+        return newest
+
+    newest = benchmark(install_and_scale)
+    last = _INSTALL_ROWS - 1
+    assert cluster.size == 4
+    assert cluster.current_entries() == entries
+    assert newest.forward(last).next_hop == entries[last][0]
+    assert benchmark.stats["mean"] < CLUSTER_INSTALL_BUDGET_S[n_regions]
+
+
+# --------------------------------------------------------------------------
 # One block of link series of the grid engine (§4.1's 400 ms probing)
 # --------------------------------------------------------------------------
 #

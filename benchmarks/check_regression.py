@@ -17,7 +17,8 @@ Three subcommands:
     exists to catch "someone re-introduced the 2·N² scalar loop", not
     5% noise.  Parameterized region-count entries
     (``test_sweep_*[nNNN]``, ``test_probe_instant[nNNN]``,
-    ``test_link_series_block[nNNN]``) are gated per point: points missing
+    ``test_link_series_block[nNNN]``, ``test_cluster_install[nNNN]``)
+    are gated per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
     budget up to the per-benchmark region cap in
@@ -27,12 +28,12 @@ Three subcommands:
     Render the markdown table ``docs/performance.md`` carries between
     marker comments, from the committed summary: the before/after/
     speedup table of the fixed control benchmarks and, where the
-    summary holds them, of one probing instant of the event engine and
-    one block of link series of the grid engine
-    (``baseline_pre_refactor`` vs ``current``).  ``--check
-    docs/performance.md`` fails (exit 1) when the committed block is
-    not byte-equal to its rendering, so the doc cannot drift from the
-    ledger.
+    summary holds them, of one probing instant of the event engine,
+    one block of link series of the grid engine and one region's
+    install plus a scale-up (``baseline_pre_refactor`` vs
+    ``current``).  ``--check docs/performance.md`` fails (exit 1) when
+    the committed block is not byte-equal to its rendering, so the doc
+    cannot drift from the ledger.
 
 Usage::
 
@@ -69,9 +70,10 @@ GATED = (
 #: entry is its "before").  The pre-refactor stack had a single scalar
 #: entry point, so the snapshot entry is measured against the same
 #: baseline.  The probing-instant rows (before: one Python object per
-#: link, burst and report) and the link-series-block rows (before: every
-#: term of the link model per hop and instant) appear once the summary
-#: holds them.
+#: link, burst and report), the link-series-block rows (before: every
+#: term of the link model per hop and instant) and the cluster-install
+#: row (before: one forwarding table per gateway) appear once the
+#: summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale":
         (" (scalar fn entry)", "test_path_control_paper_scale"),
@@ -91,6 +93,9 @@ TABLE_ROWS = {
     "test_link_series_block[n100]":
         (" (100 regions, 174 hops x 750 bursts)",
          "test_link_series_block[n100]"),
+    "test_cluster_install[n011]":
+        (" (2 000 rows into 4 gateways, then 4 -> 8 -> 4)",
+         "test_cluster_install[n011]"),
 }
 
 #: Marker comments around the rendered table in docs/performance.md.
@@ -102,11 +107,12 @@ TABLE_END = "<!-- control-loop-table:end -->"
 #: Unlike `GATED`, a sweep entry that is absent from the fresh run is
 #: *skipped*, not failed — CI's scale-smoke job deliberately runs a
 #: subset of the sweep (``-k "sweep and (n011 or n100)"``), and
-#: perf-smoke, which runs the probing instant and the link-series
-#: block, none of it.
+#: perf-smoke, which runs the probing instant, the link-series block
+#: and the cluster install, none of it.
 SWEEP_GATED = (
     "test_probe_instant",
     "test_link_series_block",
+    "test_cluster_install",
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
@@ -174,8 +180,8 @@ def distill(args: argparse.Namespace) -> int:
                  "'baseline_pre_refactor' holds the frozen 'before' of "
                  "each table row (the scalar-loop control stack; the "
                  "one-object-per-link probing instant; the per-hop, "
-                 "per-instant link series) — keep it for the speedup "
-                 "provenance."),
+                 "per-instant link series; one forwarding table per "
+                 "gateway) — keep it for the speedup provenance."),
         "machine": machine_fingerprint(raw),
         "current": summarise_raw(raw),
     }

@@ -27,7 +27,7 @@ versioning (`repro.resilience`):
   normal validated commit.
 * A regional install still in flight when the partition heals (e.g.
   held by an ``install_delay`` fault) carries a version at or below the
-  fence, so the gateways' version guard discards it — stale regional
+  fence, so the region table's version guard refuses it — stale regional
   state can never clobber newer global state.
 
 Stream-id hygiene: the sub-controller's workload allocates stream ids
@@ -357,17 +357,9 @@ class RegionalExtension:
             # Intra-partition pushes still honor the install-delay hook
             # — the heal race in miniature: a delayed regional install
             # landing after the heal's fenced global commit loses at the
-            # gateways' version guard.
-            delay = engine.install_delay(code, now)
-            if delay > 0.0:
-                sim.schedule(
-                    delay,
-                    lambda c=cluster, e=merged, p=merged_plans,
-                    t=now + delay: c.install(e, p, version=version, now=t),
-                    priority=0)
-            else:
-                cluster.install(merged, merged_plans, version=version,
-                                now=now)
+            # table's version guard.
+            engine.land(sim, code, merged, merged_plans, version,
+                        engine.install_delay(code, now))
         stats.regional_installs_committed += 1
         if _TEL.enabled:
             _TEL.counter("partition.installs_committed").inc()
@@ -387,7 +379,7 @@ class RegionalExtension:
         the next global two-phase install carries a strictly newer
         version and supersedes every regional table everywhere-or-
         nowhere — while any still-in-flight regional install (delayed
-        push) is discarded by the gateways' version guard."""
+        push) is refused by its region table's version guard."""
         active = {spec.regions
                   for spec in self.engine.faults.active_partitions(now)}
         for key in sorted(self.subs):

@@ -210,9 +210,6 @@ class EventDrivenXRON:
         #: did).  The JSON string IS the artifact a warm restart loads,
         #: so every restore exercises the round trip.
         self.checkpoint_json: Optional[str] = None
-        #: Monotonic install sequence per region: a delayed install is
-        #: discarded when a newer one already landed.
-        self._install_seq: Dict[str, int] = {}
 
         self.controller = self.make_controller()
         reaction = replace(
@@ -461,30 +458,42 @@ class EventDrivenXRON:
                  plans_by_region: Plans, unreachable: frozenset) -> None:
         """The built-in install (the paper's): every reachable region
         takes its table and plans as its push arrives — at once, or late
-        when a delivery hook holds it back — and tracked sessions follow
-        the new stream ids immediately."""
+        when a delivery hook holds it back — under the epoch's sequence
+        number, and tracked sessions follow the new stream ids
+        immediately."""
         tables = output.path_result.forwarding_tables
         for code in self.clusters:
-            if code in unreachable:
-                self.fire("install_severed", code)
-                continue
-            entries, plans, delay = self.deliver(
-                code, tables[code], plans_by_region[code], sim.now)
-            push = (code, entries, plans, self.epoch_seq)
-            if delay > 0.0:
-                sim.schedule(delay, lambda push=push: self._land(*push),
-                             priority=0)
-            else:
-                self._land(*push)
+            entries, plans, delay = tables[code], plans_by_region[code], 0.0
+            if code not in unreachable:
+                entries, plans, delay = self.deliver(code, entries, plans,
+                                                     sim.now)
+            self.land(sim, code, entries, plans, self.epoch_seq, delay,
+                      unreachable)
         self.rebind_sessions(output, sim.now)
 
-    def _land(self, code: str, entries: Dict[int, Tuple[str, LinkType]],
-              plans: Dict[int, Tuple[str, ...]], seq: int) -> None:
-        """Apply one region's push unless a newer one already landed."""
-        if self._install_seq.get(code, 0) > seq:
+    def land(self, sim: Simulator, code: str,
+             entries: Dict[int, Tuple[str, LinkType]],
+             plans: Dict[int, Tuple[str, ...]], version: int,
+             delay: float = 0.0,
+             unreachable: frozenset = frozenset()) -> None:
+        """Land one region's update under `version` — the step every
+        install strategy ends in: now, or `delay` seconds from now (the
+        delay its caller already has from `deliver` / `install_delay`;
+        those hooks count every call).  A push to a region in
+        `unreachable` stops at the partition edge; one that arrives
+        after a newer version landed is refused by the region's table
+        (`ForwardingTable.install`), the only supersession rule."""
+        if code in unreachable:
+            self.fire("install_severed", code)
             return
-        self._install_seq[code] = seq
-        self.clusters[code].install(entries, plans)
+        cluster = self.clusters[code]
+
+        def arrive() -> None:
+            cluster.install(entries, plans, version=version, now=sim.now)
+        if delay > 0.0:
+            sim.schedule(delay, arrive, priority=0)
+        else:
+            arrive()
 
     def deliver(self, code: str, entries: Dict[int, Tuple[str, LinkType]],
                 plans: Dict[int, Tuple[str, ...]], now: float):

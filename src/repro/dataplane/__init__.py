@@ -25,7 +25,7 @@ from repro.dataplane.estimator import (EstimatorBank, LinkStateEstimator,
                                        reaction_active_series)
 from repro.dataplane.passive import PassiveTracker
 from repro.dataplane.grouping import ProbingGroupManager, probing_cost
-from repro.dataplane.forwarding import (ForwardingEntry, ForwardingTable,
+from repro.dataplane.forwarding import (ForwardingTable,
                                         effective_path_series)
 from repro.dataplane.gateway import Gateway
 from repro.dataplane.cluster import RegionCluster
@@ -43,7 +43,6 @@ __all__ = [
     "PassiveTracker",
     "ProbingGroupManager",
     "probing_cost",
-    "ForwardingEntry",
     "ForwardingTable",
     "effective_path_series",
     "Gateway",

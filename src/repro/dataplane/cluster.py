@@ -1,11 +1,13 @@
 """A region's gateway cluster with group-based probing (§4.1).
 
-`RegionCluster` owns the gateways of one region.  Only the elected
-representatives run active probing; their per-link estimates are
-median-aggregated into the *group state*, which is (a) pushed to the
-non-representative gateways so their local fast reaction sees the same
-degradation verdicts, and (b) reported to the controller's NIB.  This is
-the mechanism that turns O(N(N-1)M^2) probe streams into O(N(N-1)R).
+`RegionCluster` owns the gateways of one region and the one
+`ForwardingTable` they all forward from (the controller pushes an update
+per region, not per gateway).  Only the elected representatives run
+active probing; their per-link estimates are median-aggregated into the
+*group state*, which is (a) pushed to the non-representative gateways so
+their local fast reaction sees the same degradation verdicts, and (b)
+reported to the controller's NIB.  This is the mechanism that turns
+O(N(N-1)M^2) probe streams into O(N(N-1)R).
 
 The gateways' monitoring state is one block of arrays (an
 `EstimatorBank` of shape ``(gateways, links)``, representatives first):
@@ -23,10 +25,10 @@ import numpy as np
 from repro.controlplane.nib import ReportBatch
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.estimator import EstimatorBank
+from repro.dataplane.forwarding import Entries, ForwardingTable, Plans
 from repro.dataplane.gateway import ForwardDecision, Gateway
 from repro.dataplane.grouping import ProbingGroupManager
 from repro.obs import telemetry as _telemetry
-from repro.underlay.linkstate import LinkType
 from repro.underlay.topology import Underlay
 
 _TEL = _telemetry()
@@ -54,6 +56,9 @@ class RegionCluster:
         self._grouping = ProbingGroupManager(
             underlay.codes, self.monitoring.representatives)
         self._next_gateway_id = 0
+        #: The region's installed update.  Every gateway is born holding
+        #: it: a scale-up or crash replacement forwards like its siblings.
+        self.table = ForwardingTable()
         self.gateways: Dict[int, Gateway] = {}
         self._rr_index = 0
         #: Fault-injection seam: a `repro.faults.FaultInjector` (or None).
@@ -83,7 +88,8 @@ class RegionCluster:
                           rng=np.random.default_rng(
                               int(self._rng.integers(2 ** 32))),
                           resilience=self.resilience,
-                          resilience_counters=self.resilience_counters)
+                          resilience_counters=self.resilience_counters,
+                          table=self.table)
         self.gateways[gid] = gateway
         return gateway
 
@@ -98,19 +104,6 @@ class RegionCluster:
             gateway.resilience = config
             gateway.resilience_counters = counters
 
-    def _clone_from_sibling(self, gateway: Gateway) -> None:
-        """Seed a fresh gateway with a sibling's tables AND reaction
-        plans, so it can fast-react before the next control epoch."""
-        sibling = next(iter(self.gateways.values()))
-        if sibling is gateway:
-            return
-        gateway.install_tables(
-            {e.stream_id: (e.next_hop, e.link_type)
-             for e in sibling.table.entries()},
-            sibling.reaction_plans(),
-            version=sibling.installed_version,
-            now=sibling.installed_at)
-
     def scale_to(self, target: int) -> None:
         """Event-mode scaling: adjust the gateway count immediately.
 
@@ -122,8 +115,7 @@ class RegionCluster:
         if target == len(self.gateways):
             return
         while len(self.gateways) < target:
-            gateway = self._add_gateway()
-            self._clone_from_sibling(gateway)
+            self._add_gateway()
         while len(self.gateways) > target:
             # Remove the newest gateways first (stable representatives).
             victim = max(self.gateways)
@@ -167,13 +159,8 @@ class RegionCluster:
         """Fault injection: start `count` replacement gateways.
 
         Replacements are fresh containers (new ids, cold estimators)
-        seeded with a surviving sibling's tables and reaction plans —
-        the same inheritance path scale-up uses."""
-        started = []
-        for __ in range(count):
-            gateway = self._add_gateway()
-            self._clone_from_sibling(gateway)
-            started.append(gateway.gateway_id)
+        forwarding from the region's table, like a scale-up's."""
+        started = [self._add_gateway().gateway_id for __ in range(count)]
         if started:
             self._fleet_changed()
         if started and _TEL.enabled:
@@ -270,30 +257,26 @@ class RegionCluster:
                               np.array(latency_ms), np.array(loss_rate))
 
     # ----------------------------------------------------------- forwarding
-    def install(self, entries: Dict[int, Tuple[str, LinkType]],
-                plans: Dict[int, Tuple[str, ...]],
+    def install(self, entries: Entries, plans: Plans,
                 version: Optional[int] = None,
-                now: Optional[float] = None) -> None:
-        """Push a controller update to every gateway of the cluster.
+                now: Optional[float] = None) -> bool:
+        """Push a controller update to the region: one guarded replace
+        of the table every gateway forwards from (`ForwardingTable.
+        install`, which says what `version` and `now` do and when the
+        answer is False)."""
+        accepted = self.table.install(entries, plans, version, now)
+        if accepted:
+            for gateway in self.gateways.values():
+                gateway.table_replaced()
+        return accepted
 
-        `version`/`now` stamp the update for the resilience layer's
-        version ordering and staleness tracking (see `Gateway`)."""
-        for gateway in self.gateways.values():
-            gateway.install_tables(entries, plans, version=version, now=now)
+    def current_entries(self) -> Entries:
+        """A copy of the installed forwarding entries."""
+        return dict(self.table.rows)
 
-    def current_entries(self) -> Dict[int, Tuple[str, LinkType]]:
-        """The installed forwarding entries (uniform across gateways)."""
-        if not self.gateways:
-            return {}
-        gateway = next(iter(self.gateways.values()))
-        return {e.stream_id: (e.next_hop, e.link_type)
-                for e in gateway.table.entries()}
-
-    def current_plans(self) -> Dict[int, Tuple[str, ...]]:
-        """The installed reaction plans (uniform across gateways)."""
-        if not self.gateways:
-            return {}
-        return next(iter(self.gateways.values())).reaction_plans()
+    def current_plans(self) -> Plans:
+        """A copy of the installed reaction plans."""
+        return dict(self.table.plans)
 
     def forward(self, stream_id: int,
                 now: Optional[float] = None) -> Optional[ForwardDecision]:

@@ -29,42 +29,51 @@ from repro.underlay.linkstate import LinkType
 _TEL = _telemetry()
 
 
-@dataclass(frozen=True)
-class ForwardingEntry:
-    """One row of a gateway's forwarding table."""
-
-    stream_id: int
-    next_hop: str
-    link_type: LinkType
+#: What one install carries for a region: stream -> (next hop, link
+#: type), and stream -> backup relay sequence to the destination.
+Entries = Dict[int, Tuple[str, LinkType]]
+Plans = Dict[int, Tuple[str, ...]]
 
 
 class ForwardingTable:
-    """Per-region forwarding state, updated by the controller each epoch."""
+    """What a region's last accepted install put in place.
 
-    def __init__(self, region: str):
-        self.region = region
-        self._entries: Dict[int, ForwardingEntry] = {}
-        self.version = 0
+    The controller pushes one update per region per epoch, so a region
+    holds one of these and all its gateways forward from it
+    (`RegionCluster.table`; a gateway built outside a cluster makes its
+    own).  It is also the one place installs are ordered: a versioned
+    install older than the one held is refused and changes nothing —
+    a late push never rolls a region back.
+    """
 
-    def install(self, entries: Dict[int, Tuple[str, LinkType]]) -> None:
-        """Replace the table with a controller update."""
-        self._entries = {
-            sid: ForwardingEntry(sid, nxt, lt)
-            for sid, (nxt, lt) in entries.items()}
-        self.version += 1
+    def __init__(self):
+        self.rows: Entries = {}
+        self.plans: Plans = {}
+        #: Version of the last accepted versioned install (None until
+        #: one: a bootstrap or hand-seeded table).
+        self.installed_version: Optional[int] = None
+        #: Simulated time of the last accepted install that gave one
+        #: (the base degraded-mode staleness is measured from).
+        self.installed_at: Optional[float] = None
+
+    def install(self, entries: Entries, plans: Plans,
+                version: Optional[int] = None,
+                now: Optional[float] = None) -> bool:
+        """Replace rows and plans with a controller update (the table
+        keeps its own copy); False when the guard refused it."""
+        if (version is not None and self.installed_version is not None
+                and version < self.installed_version):
+            return False
+        self.rows = dict(entries)
+        self.plans = dict(plans)
+        if version is not None:
+            self.installed_version = version
+        if now is not None:
+            self.installed_at = now
         if _TEL.enabled:
             _TEL.counter("forwarding.installs").inc()
-            _TEL.counter("forwarding.entries_installed").inc(
-                len(self._entries))
-
-    def lookup(self, stream_id: int) -> Optional[ForwardingEntry]:
-        return self._entries.get(stream_id)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> List[ForwardingEntry]:
-        return [self._entries[k] for k in sorted(self._entries)]
+            _TEL.counter("forwarding.entries_installed").inc(len(self.rows))
+        return True
 
 
 #: (lat array, loss array) for a hop over the evaluation grid.

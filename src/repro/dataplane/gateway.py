@@ -2,10 +2,11 @@
 
 A gateway is one container in a region: it monitors adjacent links (a
 probe burst per link per round plus passive tracking, both folded into
-its `EstimatorBank`), holds a forwarding table and the region's reaction
-plans, and answers "where does this stream go right now?" — switching to
-the premium backup when its monitoring has flagged the normal outgoing
-link degraded (§4.3), without asking the controller.
+its `EstimatorBank`), forwards from its region's `ForwardingTable` (rows
+and reaction plans, shared with its cluster siblings), and answers
+"where does this stream go right now?" — switching to the premium backup
+when its monitoring has flagged the normal outgoing link degraded
+(§4.3), without asking the controller.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.estimator import EstimatorBank, LinkStateEstimator
-from repro.dataplane.forwarding import ForwardingTable
+from repro.dataplane.forwarding import Entries, ForwardingTable, Plans
 from repro.dataplane.passive import PassiveTracker
 from repro.dataplane.probing import BurstBatch, burst_bytes
 from repro.obs import telemetry as _telemetry
@@ -47,13 +48,16 @@ class Gateway:
                  monitoring: Optional[MonitoringConfig] = None,
                  reaction: Optional[ReactionConfig] = None,
                  rng: Optional[np.random.Generator] = None,
-                 resilience=None, resilience_counters=None):
+                 resilience=None, resilience_counters=None,
+                 table: Optional[ForwardingTable] = None):
         """`resilience` is a resolved `repro.resilience.ResilienceConfig`
         (or None): it arms degraded-mode forwarding (stale tables demote
         Internet entries to the premium floor) and failback hold-down.
         `resilience_counters` is the deployment-shared
         `ResilienceCounters` the gateway increments — shared so counts
-        survive gateway churn (crashes, scale-downs)."""
+        survive gateway churn (crashes, scale-downs).  `table` is the
+        region's installed update: a cluster hands every gateway it
+        creates its one, a gateway built on its own makes one."""
         self.region = region
         self.gateway_id = int(gateway_id)
         self.underlay = underlay
@@ -64,15 +68,8 @@ class Gateway:
         self.resilience = resilience
         self.resilience_counters = resilience_counters
         self._rng = rng if rng is not None else np.random.default_rng(gateway_id)
-        self.table = ForwardingTable(region)
+        self.table = table if table is not None else ForwardingTable()
         self.passive = PassiveTracker()
-        #: Version of the last accepted install (None = bootstrap table).
-        self.installed_version: Optional[int] = None
-        #: Simulated time of the last accepted install (staleness base).
-        self.installed_at: Optional[float] = None
-        #: Reaction plans for streams traversing this region:
-        #: stream_id -> relay sequence to destination.
-        self._plans: Dict[int, Tuple[str, ...]] = {}
         #: Streams currently riding their backup path (trace edges only).
         self._on_backup: set = set()
         #: When each stream last failed over (failback hold-down base).
@@ -184,32 +181,20 @@ class Gateway:
         return bool(self.bank.degraded[self.links[(dst, link_type)]])
 
     # ------------------------------------------------------------ forwarding
-    def install_tables(self, entries: Dict[int, Tuple[str, LinkType]],
-                       plans: Dict[int, Tuple[str, ...]],
+    def install_tables(self, entries: Entries, plans: Plans,
                        version: Optional[int] = None,
                        now: Optional[float] = None) -> bool:
-        """Apply a controller update: forwarding entries + reaction plans.
+        """A lone gateway's door to `ForwardingTable.install` (a
+        cluster's is `RegionCluster.install`); False when refused."""
+        accepted = self.table.install(entries, plans, version, now)
+        if accepted:
+            self.table_replaced()
+        return accepted
 
-        `version` is the update's epoch version: a versioned install
-        older than the one already applied is discarded (returns False)
-        — out-of-order pushes must never roll a gateway's table back.
-        `now` stamps the install for degraded-mode staleness tracking.
-        """
-        if (version is not None and self.installed_version is not None
-                and version < self.installed_version):
-            return False
-        self.table.install(entries)
-        self._plans = dict(plans)
-        if version is not None:
-            self.installed_version = version
-        if now is not None:
-            self.installed_at = now
+    def table_replaced(self) -> None:
+        """An install was accepted: demotions are counted once per
+        gateway, stream and table, so the ledger starts over."""
         self._demoted.clear()
-        return True
-
-    def reaction_plans(self) -> Dict[int, Tuple[str, ...]]:
-        """A copy of the installed reaction plans (stream -> relays)."""
-        return dict(self._plans)
 
     def forward(self, stream_id: int,
                 now: Optional[float] = None) -> Optional[ForwardDecision]:
@@ -218,21 +203,22 @@ class Gateway:
         Returns None for unknown streams (the caller drops or buffers).
         ``now`` (simulated time) only stamps trace events.
         """
-        entry = self.table.lookup(stream_id)
-        if entry is None:
+        table = self.table
+        row = table.rows.get(stream_id)
+        if row is None:
             return None
+        next_hop, link_type = row
         res = self.resilience
         if (self.reaction_config.enabled
-                and self.link_degraded(entry.next_hop, entry.link_type)):
-            relays = self._plans.get(stream_id)
+                and self.link_degraded(next_hop, link_type)):
+            relays = table.plans.get(stream_id)
             if relays:
                 decision = ForwardDecision(relays[0], LinkType.PREMIUM, True)
             else:
                 # No plan (e.g. the degradation predates the first plan
                 # push): fall back to the direct premium link toward the
                 # same next hop.
-                decision = ForwardDecision(entry.next_hop, LinkType.PREMIUM,
-                                           True)
+                decision = ForwardDecision(next_hop, LinkType.PREMIUM, True)
             if res is not None and res.hysteresis_enabled and now is not None:
                 self._failover_at.setdefault(stream_id, now)
             if _TEL.enabled:
@@ -242,8 +228,8 @@ class Gateway:
                     _TEL.counter("reaction.failovers").inc()
                     _TEL.event("failover", t=now, region=self.region,
                                gateway=self.gateway_id, stream=stream_id,
-                               degraded_next_hop=entry.next_hop,
-                               degraded_link=entry.link_type,
+                               degraded_next_hop=next_hop,
+                               degraded_link=link_type,
                                backup_next_hop=decision.next_hop,
                                planned=bool(relays))
             return decision
@@ -254,14 +240,14 @@ class Gateway:
                     # Hold-down: monitoring says the normal link has
                     # recovered, but we just failed over — keep riding
                     # the backup so noisy loss cannot flap the path.
-                    return self._held_down(stream_id, entry, now)
+                    return self._held_down(stream_id, next_hop, now)
                 del self._failover_at[stream_id]
                 self._holddown_traced.discard(stream_id)
         if (res is not None
-                and now is not None and self.installed_at is not None
+                and now is not None and table.installed_at is not None
                 and res.staleness_threshold_s is not None
-                and now - self.installed_at > res.staleness_threshold_s
-                and entry.link_type is LinkType.INTERNET):
+                and now - table.installed_at > res.staleness_threshold_s
+                and link_type is LinkType.INTERNET):
             # Degraded mode: the table is stale past the threshold, so
             # the unstable Internet entry is demoted to the direct
             # premium link — the paper's stable-but-expensive floor.
@@ -273,12 +259,12 @@ class Gateway:
                     _TEL.counter("resilience.degraded_demotions").inc()
                     _TEL.event("resilience_degraded_mode", t=now,
                                region=self.region, gateway=self.gateway_id,
-                               stream=stream_id, next_hop=entry.next_hop,
-                               stale_s=now - self.installed_at,
-                               version=self.installed_version)
+                               stream=stream_id, next_hop=next_hop,
+                               stale_s=now - table.installed_at,
+                               version=table.installed_version)
             if _TEL.enabled:
                 _TEL.counter("forward.decisions").inc()
-            return ForwardDecision(entry.next_hop, LinkType.PREMIUM, False,
+            return ForwardDecision(next_hop, LinkType.PREMIUM, False,
                                    degraded_mode=True)
         if _TEL.enabled:
             _TEL.counter("forward.decisions").inc()
@@ -287,14 +273,16 @@ class Gateway:
                 _TEL.counter("reaction.failbacks").inc()
                 _TEL.event("failback", t=now, region=self.region,
                            gateway=self.gateway_id, stream=stream_id,
-                           next_hop=entry.next_hop,
-                           link=entry.link_type)
-        return ForwardDecision(entry.next_hop, entry.link_type, False)
+                           next_hop=next_hop, link=link_type)
+        return ForwardDecision(next_hop, link_type, False)
 
-    def _held_down(self, stream_id: int, entry, now: float) -> ForwardDecision:
-        """The backup decision served while failback is held down."""
-        relays = self._plans.get(stream_id)
-        next_hop = relays[0] if relays else entry.next_hop
+    def _held_down(self, stream_id: int, next_hop: str,
+                   now: float) -> ForwardDecision:
+        """The backup decision served while failback is held down (the
+        plan's first relay; without a plan, the normal `next_hop`)."""
+        relays = self.table.plans.get(stream_id)
+        if relays:
+            next_hop = relays[0]
         if self.resilience_counters is not None:
             self.resilience_counters.holddown_suppressed += 1
         if _TEL.enabled:

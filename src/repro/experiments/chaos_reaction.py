@@ -52,10 +52,6 @@ class ChaosScenario:
     fault_counters: Optional[Dict[str, int]]
 
     @property
-    def handled_rate(self) -> float:
-        return self.handled / self.injected if self.injected else 0.0
-
-    @property
     def mean_failover_s(self) -> float:
         return float(self.failover_s.mean()) if self.failover_s.size else 0.0
 

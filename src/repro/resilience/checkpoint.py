@@ -57,12 +57,12 @@ class Checkpoint:
     def take(cls, controller: Controller, tables: Tables, plans: Plans,
              *, t: float, epoch_seq: int, version: int,
              fault_state: Optional[Dict[str, object]] = None) -> "Checkpoint":
-        """Snapshot a live controller and the last committed install."""
+        """Snapshot a live controller and the last committed install
+        (`tables` / `plans` are kept as handed over: pass copies, as
+        `RegionCluster.current_entries` / `current_plans` are)."""
         return cls(t=float(t), epoch_seq=int(epoch_seq), version=int(version),
                    controller_state=controller.export_state(),
-                   tables={code: dict(rows) for code, rows in tables.items()},
-                   plans={code: dict(rows) for code, rows in plans.items()},
-                   fault_state=fault_state)
+                   tables=tables, plans=plans, fault_state=fault_state)
 
     def restore(self, controller: Controller) -> None:
         """Load this checkpoint into a freshly constructed controller."""

@@ -214,8 +214,8 @@ class ResilienceExtension:
             entries = checkpoint.tables.get(code, {})
             plans = checkpoint.plans.get(code, {})
             if entries or plans:
-                cluster.install(entries, plans,
-                                version=checkpoint.version or None, now=t)
+                cluster.install(entries, plans, version=checkpoint.version,
+                                now=t)
         self.installer.proposed_version = checkpoint.version
         self.installer.committed_version = checkpoint.version
         self._load(checkpoint)
@@ -282,12 +282,9 @@ class ResilienceExtension:
         # severed region keeps riding its last-installed tables (or its
         # sub-controller's) until heal, when the fenced version of the
         # first post-heal commit supersedes them.
-        for code, cluster in engine.clusters.items():
-            if code in unreachable:
-                engine.fire("install_severed", code)
-            else:
-                cluster.install(delivered_t[code], delivered_p[code],
-                                version=version, now=now)
+        for code in engine.clusters:
+            engine.land(sim, code, delivered_t[code], delivered_p[code],
+                        version, unreachable=unreachable)
         self.installer.mark_committed(version, now)
         engine.fire("committed", sim, version)
         if _TEL.enabled:

@@ -165,30 +165,6 @@ class LinkStateSnapshot:
                 1.0 - loss[TYPE_INDEX[link_type], index[a], index[b]])
         return float(1.0 - survive)
 
-    def paths_latency_ms(self, paths: Sequence) -> np.ndarray:
-        """Batched `path_latency_ms` over many paths at once.
-
-        Column-wise accumulation keeps each path's left-to-right float
-        addition order, so every element matches the scalar variant.
-        """
-        ti, ii, jj, valid = self._hop_index_arrays(paths)
-        total = np.zeros(len(paths))
-        lat = self.lat
-        for h in range(ti.shape[1]):
-            total = total + np.where(valid[:, h],
-                                     lat[ti[:, h], ii[:, h], jj[:, h]], 0.0)
-        return total
-
-    def paths_loss_rate(self, paths: Sequence) -> np.ndarray:
-        """Batched `path_loss_rate` over many paths at once."""
-        ti, ii, jj, valid = self._hop_index_arrays(paths)
-        survive = np.ones(len(paths))
-        loss = self.loss
-        for h in range(ti.shape[1]):
-            survive = survive * (1.0 - np.where(
-                valid[:, h], loss[ti[:, h], ii[:, h], jj[:, h]], 0.0))
-        return 1.0 - survive
-
     def direct_latency(self, srcs: Sequence[str], dsts: Sequence[str],
                        link_type: LinkType) -> np.ndarray:
         """Latencies of many direct links of one tier (fancy-indexed)."""
@@ -198,23 +174,6 @@ class LinkStateSnapshot:
         jj = np.fromiter((index[d] for d in dsts), dtype=np.intp,
                          count=len(dsts))
         return self.lat[TYPE_INDEX[link_type], ii, jj]
-
-    # ------------------------------------------------------------- internal
-    def _hop_index_arrays(self, paths: Sequence) -> Tuple[np.ndarray, ...]:
-        max_hops = max((len(p.hops) for p in paths), default=0)
-        shape = (len(paths), max_hops)
-        ti = np.zeros(shape, dtype=np.intp)
-        ii = np.zeros(shape, dtype=np.intp)
-        jj = np.zeros(shape, dtype=np.intp)
-        valid = np.zeros(shape, dtype=bool)
-        index = self.index
-        for k, path in enumerate(paths):
-            for h, (a, b, link_type) in enumerate(path.hops):
-                ti[k, h] = TYPE_INDEX[link_type]
-                ii[k, h] = index[a]
-                jj[k, h] = index[b]
-                valid[k, h] = True
-        return ti, ii, jj, valid
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         at = "" if self.t is None else f" @ t={self.t:.0f}s"

@@ -161,6 +161,40 @@ def test_the_schedule_exercises_every_extension():
     _finish(engine, result)
 
 
+@pytest.mark.parametrize("elastic", [False, True],
+                         ids=["pinned-fleet", "elastic"])
+def test_a_region_holds_one_table_under_full_chaos(elastic):
+    """On the most hostile schedule the suite has — crashes and
+    restarts, a truncated install, a partition with its own regional
+    installs, a delayed push, plus (elastic) the fleet following the
+    pools — every boundary finds each cluster's gateways forwarding
+    from the cluster's one `ForwardingTable` object."""
+    checked = []
+
+    class OneTablePerRegion:
+        def epoch_end(self, sim, unreachable):
+            for cluster in sim_engine.clusters.values():
+                assert all(gateway.table is cluster.table
+                           for gateway in cluster.gateways.values())
+            checked.append(sim.now)
+
+        def epoch_skipped(self, sim, cause, unreachable):
+            self.epoch_end(sim, unreachable)
+
+    sim_engine = event_engine(
+        elastic=elastic, sib_params={"min_history": 4, "refit_every": 2},
+        **_kwargs("slo"))
+    sim_engine.extensions.append(OneTablePerRegion())
+    result = sim_engine.run(START_S, DURATION_S)
+    assert len(checked) == 9            # boot + eight boundaries
+    # An elastic fleet has shrunk to one gateway per region before the
+    # crash fires (a crash spares the last one): its churn is scaling.
+    assert result.fault_counters["gateways_restarted"] == (0 if elastic
+                                                           else 2)
+    assert result.partition_counters["regional_installs_committed"] >= 1
+    _finish(sim_engine, result)
+
+
 # ------------------------------------------------------------ the protocol
 #: Every hook an extension can implement without changing the run,
 #: with what such an implementation returns.

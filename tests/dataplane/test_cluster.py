@@ -34,6 +34,11 @@ def cluster(underlay):
                          rng=np.random.default_rng(3))
 
 
+def _flag_degraded(gateway, dst, link_type):
+    """Set a gateway's own degradation verdict for one adjacent link."""
+    gateway.bank.degraded[gateway.links[(dst, link_type)]] = True
+
+
 class TestFleet:
     def test_initial_size(self, cluster):
         assert cluster.size == 4
@@ -54,7 +59,9 @@ class TestFleet:
         cluster.install({1: ("SIN", I)}, {1: ("SIN",)})
         cluster.scale_to(6)
         newest = cluster.gateways[max(cluster.gateways)]
-        assert newest.table.lookup(1) is not None
+        assert newest.table is cluster.table
+        assert newest.forward(1) == cluster.gateways[0].forward(1)
+        assert newest.forward(1).next_hop == "SIN"
 
     def test_representatives_are_stable_lowest_ids(self, cluster):
         reps = cluster.representatives()
@@ -67,13 +74,16 @@ class TestFleet:
             RegionCluster("HGH", underlay, initial_gateways=0)
 
     def test_new_gateways_inherit_reaction_plans(self, cluster):
-        """Regression: scale-up must copy the sibling's reaction plans,
-        not only its forwarding table — a fresh gateway without plans
+        """Regression: a scaled-up gateway must hold the region's
+        reaction plans, not only its forwarding rows — without plans it
         cannot fast-react until the next control epoch."""
         cluster.install({1: ("SIN", I)}, {1: ("FRA",)})
         cluster.scale_to(6)
         newest = cluster.gateways[max(cluster.gateways)]
-        assert newest.reaction_plans() == {1: ("FRA",)}
+        assert newest.table.plans == {1: ("FRA",)}
+        _flag_degraded(newest, "SIN", I)
+        decision = newest.forward(1)
+        assert decision.via_backup and decision.next_hop == "FRA"
 
     def test_crash_removes_lowest_ids_first(self, cluster):
         victims = cluster.crash_gateways(2, now=0.0)
@@ -106,8 +116,11 @@ class TestFleet:
         assert len(started) == 2
         for gid in started:
             gateway = cluster.gateways[gid]
-            assert gateway.table.lookup(1) is not None
-            assert gateway.reaction_plans() == {1: ("FRA",)}
+            assert gateway.table is cluster.table
+            assert gateway.forward(1).next_hop == "SIN"
+            _flag_degraded(gateway, "SIN", I)
+            decision = gateway.forward(1)
+            assert decision.via_backup and decision.next_hop == "FRA"
 
 
 class TestFleetOrderIsKept:

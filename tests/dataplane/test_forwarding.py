@@ -14,30 +14,48 @@ P = LinkType.PREMIUM
 
 class TestForwardingTable:
     def test_install_and_lookup(self):
-        table = ForwardingTable("A")
-        table.install({1: ("B", I), 2: ("C", P)})
-        assert table.lookup(1).next_hop == "B"
-        assert table.lookup(2).link_type is P
-        assert table.lookup(99) is None
+        table = ForwardingTable()
+        assert table.install({1: ("B", I), 2: ("C", P)}, {1: ("C",)})
+        assert table.rows.get(1) == ("B", I)
+        assert table.rows.get(2) == ("C", P)
+        assert table.rows.get(99) is None
+        assert table.plans == {1: ("C",)}
 
     def test_install_replaces(self):
-        table = ForwardingTable("A")
-        table.install({1: ("B", I)})
-        table.install({2: ("C", P)})
-        assert table.lookup(1) is None
-        assert len(table) == 1
+        table = ForwardingTable()
+        table.install({1: ("B", I)}, {1: ("C",)})
+        table.install({2: ("C", P)}, {})
+        assert table.rows.get(1) is None
+        assert table.rows == {2: ("C", P)}
+        assert table.plans == {}
 
     def test_version_increments(self):
-        table = ForwardingTable("A")
-        assert table.version == 0
-        table.install({})
-        table.install({})
-        assert table.version == 2
+        """Versions only move forward: equal and newer installs land,
+        an older one is refused and changes nothing."""
+        table = ForwardingTable()
+        assert table.installed_version is None and table.installed_at is None
+        assert table.install({1: ("B", I)}, {}, version=2, now=10.0)
+        assert table.install({1: ("C", I)}, {}, version=2, now=11.0)
+        assert table.install({1: ("D", I)}, {1: ("B",)}, version=5, now=12.0)
+        assert not table.install({1: ("B", I)}, {}, version=4, now=13.0)
+        assert (table.rows, table.plans) == ({1: ("D", I)}, {1: ("B",)})
+        assert (table.installed_version, table.installed_at) == (5, 12.0)
 
-    def test_entries_sorted_by_stream(self):
-        table = ForwardingTable("A")
-        table.install({5: ("B", I), 1: ("C", I)})
-        assert [e.stream_id for e in table.entries()] == [1, 5]
+    def test_unversioned_install_always_lands(self):
+        table = ForwardingTable()
+        table.install({1: ("B", I)}, {}, version=3, now=1.0)
+        assert table.install({1: ("C", I)}, {})
+        assert table.rows.get(1) == ("C", I)
+        assert (table.installed_version, table.installed_at) == (3, 1.0)
+
+    def test_table_keeps_its_own_copy(self):
+        entries, plans = {1: ("B", I)}, {1: ("C",)}
+        table = ForwardingTable()
+        table.install(entries, plans)
+        entries[2] = ("C", I)
+        plans.clear()
+        assert table.rows == {1: ("B", I)}
+        assert table.plans == {1: ("C",)}
 
 
 def _series_env(lat_map, loss_map=None, reaction_map=None, n=10):

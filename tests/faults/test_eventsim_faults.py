@@ -3,6 +3,8 @@
 from repro.faults import (FaultSchedule, controller_outage, gateway_crash,
                           install_delay, install_partial, probe_blackout,
                           report_drop, report_staleness)
+from repro.resilience import resilience
+from repro.sim.engine import Simulator
 from repro.underlay.linkstate import LinkType
 from tests.harness import START_S, canonical_bytes, event_engine
 
@@ -69,8 +71,9 @@ class TestGatewayCrash:
             gateway_crash(3610.0, 30.0, region="HGH", count=1))
         sim, __ = _run(faults=sched, elastic=False)
         cluster = sim.clusters["HGH"]
-        plans = [g.reaction_plans() for g in cluster.gateways.values()]
-        assert all(p == plans[0] for p in plans)
+        assert cluster.current_plans()
+        assert all(g.table is cluster.table
+                   for g in cluster.gateways.values())
 
     def test_at_least_one_gateway_survives(self):
         sched = FaultSchedule.of(
@@ -155,9 +158,78 @@ class TestInstallFaults:
         assert all(c.current_entries() for c in sim.clusters.values())
         assert any(rec.times and max(rec.times) > 3660.0
                    for rec in result.sessions.values())
-        # Monotonic install sequencing held despite the delays.
-        assert all(seq <= sim.epoch_seq
-                   for seq in sim._install_seq.values())
+
+    @staticmethod
+    def _installs_seen(engine):
+        """Record every `RegionCluster.install` call of `engine` as
+        (time, version, accepted), per region."""
+        seen = {code: [] for code in engine.clusters}
+        for code, cluster in engine.clusters.items():
+            def install(entries, plans, version=None, now=None, *,
+                        _real=cluster.install, _log=seen[code]):
+                accepted = _real(entries, plans, version=version, now=now)
+                _log.append((now, version, accepted))
+                return accepted
+            cluster.install = install
+        return seen
+
+    #: Holds epoch 2's push to HGH (t = START_S + 30) for 40 s: it lands
+    #: at +70, after epoch 3's (+60) and before epoch 4's (+90).
+    LATE_PUSH = FaultSchedule.of(
+        install_delay(START_S + 25.0, 10.0, delay_s=40.0, region="HGH"))
+
+    def test_late_push_never_rolls_a_region_back(self):
+        """The paper's install (no resilience layer): a push delayed
+        past the next epoch arrives, and the region's table refuses it."""
+        engine = event_engine(faults=self.LATE_PUSH)
+        seen = self._installs_seen(engine)
+        sim = Simulator(start_time=START_S)
+        engine.schedule(sim, START_S)
+        hgh = engine.clusters["HGH"].table
+
+        sim.run_until(START_S + 45.0)      # epoch 2's push is in flight
+        assert hgh.installed_version == 1
+        assert {c.table.installed_version
+                for code, c in engine.clusters.items()
+                if code != "HGH"} == {2}
+
+        sim.run_until(START_S + 65.0)      # epoch 3 landed, on time
+        epoch3 = engine.control_outputs[2]
+        rows3 = epoch3.path_result.forwarding_tables["HGH"]
+        plans3 = epoch3.plans_by_region(engine.underlay.codes)["HGH"]
+        assert (hgh.installed_version, hgh.installed_at) == (
+            3, START_S + 60.0)
+        assert (hgh.rows, hgh.plans) == (rows3, plans3)
+
+        sim.run_until(START_S + 75.0)      # the late push fired at +70
+        assert seen["HGH"][-1] == (START_S + 70.0, 2, False)
+        assert (hgh.installed_version, hgh.installed_at) == (
+            3, START_S + 60.0)
+        assert (hgh.rows, hgh.plans) == (rows3, plans3)
+        assert rows3 != engine.control_outputs[1].path_result\
+            .forwarding_tables["HGH"]      # or the test proves nothing
+
+        sim.run_until(START_S + 95.0)
+        assert [(v, ok) for __, v, ok in seen["HGH"]] == [
+            (1, True), (3, True), (2, False), (4, True)]
+        for code in engine.clusters:
+            if code != "HGH":              # every epoch, in order
+                assert [(v, ok) for __, v, ok in seen[code]] == [
+                    (1, True), (2, True), (3, True), (4, True)]
+        assert engine.faults.counters.installs_delayed == 1
+
+    def test_late_push_defers_the_round_under_resilience(self):
+        """The same schedule with the two-phase install armed: nothing
+        commits until every region acknowledges, so epoch 2's round is
+        deferred (and superseded by epoch 3's) instead of landing late."""
+        engine = event_engine(faults=self.LATE_PUSH, resilience=resilience())
+        seen = self._installs_seen(engine)
+        result = engine.run(START_S, 95.0)
+        assert result.fault_counters["installs_delayed"] == 1
+        assert result.resilience_counters["installs_deferred"] == 1
+        for code in engine.clusters:       # commits are everywhere or nowhere
+            assert [(v, ok) for __, v, ok in seen[code]] == [
+                (1, True), (3, True), (4, True)]
 
 
 class TestPassiveAttribution:

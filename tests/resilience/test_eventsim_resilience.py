@@ -73,7 +73,7 @@ class TestSafeInstallsUnderChaos:
         sizes = {code: c.size for code, c in sim.clusters.items()}
         assert validate_install(tables, plans, sizes) == []
         # Committed versions are uniform across every gateway.
-        versions = {g.installed_version
+        versions = {g.table.installed_version
                     for c in sim.clusters.values()
                     for g in c.gateways.values()}
         assert len(versions) == 1

@@ -57,20 +57,20 @@ def _degrade(gateway, underlay, onset=10.0, duration=60.0):
 class TestVersionedInstalls:
     def test_newer_version_accepted(self, gateway):
         assert gateway.install_tables({1: ("FRA", I)}, {}, version=2, now=5.0)
-        assert gateway.installed_version == 2
-        assert gateway.installed_at == 5.0
+        assert gateway.table.installed_version == 2
+        assert gateway.table.installed_at == 5.0
 
     def test_out_of_order_install_discarded(self, gateway):
         gateway.install_tables({1: ("FRA", I)}, {}, version=3, now=5.0)
         assert not gateway.install_tables({1: ("SIN", I)}, {1: ("SIN",)},
                                           version=2, now=6.0)
-        assert gateway.table.lookup(1).next_hop == "FRA"
-        assert gateway.installed_version == 3
+        assert gateway.table.rows.get(1) == ("FRA", I)
+        assert gateway.table.installed_version == 3
 
     def test_unversioned_install_keeps_legacy_behavior(self, gateway):
         assert gateway.install_tables({1: ("FRA", I)}, {})
-        assert gateway.installed_version == 1  # untouched
-        assert gateway.table.lookup(1).next_hop == "FRA"
+        assert gateway.table.installed_version == 1  # untouched
+        assert gateway.table.rows.get(1) == ("FRA", I)
 
 
 class TestDegradedMode:

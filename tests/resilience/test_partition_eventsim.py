@@ -90,7 +90,7 @@ def test_heal_race_inflight_regional_install_loses_to_fenced_commit():
     """Satellite: an install-delay fault holds the LAST regional push
     past the heal.  The fenced global commit lands first with a
     strictly newer version, so the late regional install is discarded
-    by every gateway's version guard — stale regional state never
+    by the region table's version guard — stale regional state never
     clobbers newer global state."""
     cut_start = _START + 5 * _EPOCH_S + 1.0          # covers 3 epochs
     cut_s = 3 * _EPOCH_S
@@ -114,7 +114,7 @@ def test_heal_race_inflight_regional_install_loses_to_fenced_commit():
             cluster = system.clusters[code]
             # The fenced global version won; no regional rows survive.
             for gateway in cluster.gateways.values():
-                assert gateway.installed_version == committed
+                assert gateway.table.installed_version == committed
             for sid in cluster.current_entries():
                 assert sid < REGIONAL_STREAM_BASE
         # The merged post-heal tables still satisfy every routing

@@ -129,20 +129,6 @@ class TestPathMetrics:
             assert path_latency_ms(path, snap) == path_latency_ms(path, state)
             assert path_loss_rate(path, snap) == path_loss_rate(path, state)
 
-    def test_batched_metrics_match_scalar(self, snap_and_state, paths):
-        """Mixed-length batch: padding must not perturb a single bit."""
-        snap, __ = snap_and_state
-        lat = snap.paths_latency_ms(paths)
-        loss = snap.paths_loss_rate(paths)
-        for k, path in enumerate(paths):
-            assert lat[k] == snap.path_latency_ms(path)
-            assert loss[k] == snap.path_loss_rate(path)
-
-    def test_batched_metrics_empty(self, snap_and_state):
-        snap, __ = snap_and_state
-        assert snap.paths_latency_ms([]).shape == (0,)
-        assert snap.paths_loss_rate([]).shape == (0,)
-
     def test_direct_latency_gather(self, snap_and_state, small_underlay):
         snap, state = snap_and_state
         srcs = [a for (a, b) in small_underlay.pairs]
