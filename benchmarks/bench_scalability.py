@@ -383,6 +383,32 @@ def test_sweep_path_control(benchmark, n_regions):
         assert benchmark.stats["mean"] < EPOCH_BUDGET_S
 
 
+#: Hard budget of one Algorithm 2 pass over the capacitated result of
+#: the sweep scenario, with the usual 2x headroom over the largest mean
+#: measured (119 ms, in a whole-file run whose heap also holds the
+#: 200-region scenario).  Run alone, walking each distinct route once
+#: over the flat premium matrices takes 56-64 ms at 100 regions (median
+#: 35-40: the rest is the collector, the pass builds ~14 000 plans);
+#: scoring an `OverlayPath` per candidate took 80-90 (median 58-67).
+REACTION_PLANS_BUDGET_S = {100: 0.25}
+
+
+@pytest.mark.parametrize("n_regions", sorted(REACTION_PLANS_BUDGET_S),
+                         ids=_sweep_id)
+def test_reaction_plans(benchmark, n_regions):
+    """One `generate_reaction_plans` over the capacitated result of the
+    sweep scenario (not named ``sweep``: perf-smoke runs it)."""
+    u, streams, gateways = _sweep_scenario(n_regions)
+    config = ControlConfig()
+    snap = u.snapshot(_SWEEP_SNAP_T)
+    r_cur = path_control(streams, u.codes, snap, config, gateways=gateways,
+                         fees=u.pricing)
+    plans = benchmark(lambda: generate_reaction_plans(
+        r_cur, snap, config.loss_ms_penalty))
+    assert len(plans) >= len({a.stream.stream_id for a in r_cur.assignments})
+    assert benchmark.stats["mean"] < REACTION_PLANS_BUDGET_S[n_regions]
+
+
 @pytest.mark.parametrize("n_regions", (100,), ids=_sweep_id)
 def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
     """The phase profiler must account for the full epoch: the sum of

@@ -17,8 +17,8 @@ Three subcommands:
     exists to catch "someone re-introduced the 2·N² scalar loop", not
     5% noise.  Parameterized region-count entries
     (``test_sweep_*[nNNN]``, ``test_probe_instant[nNNN]``,
-    ``test_link_series_block[nNNN]``, ``test_cluster_install[nNNN]``)
-    are gated per point: points missing
+    ``test_link_series_block[nNNN]``, ``test_cluster_install[nNNN]``,
+    ``test_reaction_plans[nNNN]``) are gated per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
     budget up to the per-benchmark region cap in
@@ -29,11 +29,12 @@ Three subcommands:
     marker comments, from the committed summary: the before/after/
     speedup table of the fixed control benchmarks and, where the
     summary holds them, of one probing instant of the event engine,
-    one block of link series of the grid engine and one region's
-    install plus a scale-up (``baseline_pre_refactor`` vs
-    ``current``).  ``--check docs/performance.md`` fails (exit 1) when
-    the committed block is not byte-equal to its rendering, so the doc
-    cannot drift from the ledger.
+    one block of link series of the grid engine, one region's
+    install plus a scale-up and the planet-scale control epoch with
+    its reaction-plan pass (``baseline_pre_refactor`` vs ``current``).
+    ``--check docs/performance.md`` fails (exit 1) when the committed
+    block is not byte-equal to its rendering, so the doc cannot drift
+    from the ledger.
 
 Usage::
 
@@ -71,9 +72,10 @@ GATED = (
 #: entry point, so the snapshot entry is measured against the same
 #: baseline.  The probing-instant rows (before: one Python object per
 #: link, burst and report), the link-series-block rows (before: every
-#: term of the link model per hop and instant) and the cluster-install
-#: row (before: one forwarding table per gateway) appear once the
-#: summary holds them.
+#: term of the link model per hop and instant), the cluster-install
+#: row (before: one forwarding table per gateway) and the planet-scale
+#: epoch and reaction-plan rows (before: a path object per visit and
+#: per plan candidate) appear once the summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale":
         (" (scalar fn entry)", "test_path_control_paper_scale"),
@@ -96,6 +98,13 @@ TABLE_ROWS = {
     "test_cluster_install[n011]":
         (" (2 000 rows into 4 gateways, then 4 -> 8 -> 4)",
          "test_cluster_install[n011]"),
+    "test_sweep_full_epoch[n100]":
+        (" (100 regions, 19 800 cohorts)", "test_sweep_full_epoch[n100]"),
+    "test_sweep_full_epoch[n200]":
+        (" (200 regions, 79 600 cohorts)", "test_sweep_full_epoch[n200]"),
+    "test_reaction_plans[n100]":
+        (" (100 regions, one Algorithm 2 pass)",
+         "test_reaction_plans[n100]"),
 }
 
 #: Marker comments around the rendered table in docs/performance.md.
@@ -107,12 +116,13 @@ TABLE_END = "<!-- control-loop-table:end -->"
 #: Unlike `GATED`, a sweep entry that is absent from the fresh run is
 #: *skipped*, not failed — CI's scale-smoke job deliberately runs a
 #: subset of the sweep (``-k "sweep and (n011 or n100)"``), and
-#: perf-smoke, which runs the probing instant, the link-series block
-#: and the cluster install, none of it.
+#: perf-smoke, which runs the probing instant, the link-series block,
+#: the cluster install and the reaction-plan pass, none of it.
 SWEEP_GATED = (
     "test_probe_instant",
     "test_link_series_block",
     "test_cluster_install",
+    "test_reaction_plans",
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
@@ -181,7 +191,9 @@ def distill(args: argparse.Namespace) -> int:
                  "each table row (the scalar-loop control stack; the "
                  "one-object-per-link probing instant; the per-hop, "
                  "per-instant link series; one forwarding table per "
-                 "gateway) — keep it for the speedup provenance."),
+                 "gateway; the object-per-visit control solve for the "
+                 "sweep and reaction-plan entries) — keep it for the "
+                 "speedup provenance."),
         "machine": machine_fingerprint(raw),
         "current": summarise_raw(raw),
     }

@@ -65,7 +65,7 @@ def _write_telemetry(path: str, hub, **meta) -> None:
     print(f"telemetry: {out}", file=sys.stderr)
 
 
-def _expand_paths(patterns: List[str]) -> Optional[List[str]]:
+def _glob_paths(patterns: List[str]) -> Optional[List[str]]:
     """Expand glob patterns (quoted through the shell) in file order.
 
     Literal paths pass through untouched; glob matches are sorted, so
@@ -93,7 +93,7 @@ def _read_telemetry(args: argparse.Namespace):
     from repro.obs.export import (TelemetryFormatError, read_jsonl,
                                   read_many)
 
-    paths = _expand_paths(args.paths)
+    paths = _glob_paths(args.paths)
     if paths is None:
         return None
     allow = getattr(args, "allow_partial", False)

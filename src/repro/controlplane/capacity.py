@@ -11,12 +11,13 @@ update rule per region:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.controlplane.model import ControlConfig, LinkState
 from repro.controlplane.pathcontrol import (EpochSolveContext,
-                                            PathControlResult, path_control)
+                                            PathControlResult, Placement,
+                                            place_streams)
 from repro.traffic.streams import Stream
 from repro.underlay.pricing import PricingModel
 
@@ -30,8 +31,14 @@ class CapacityDecision:
     remove: Dict[str, int]
     #: Resulting target per region.
     target: Dict[str, int]
-    #: The uncapacitated path-control result (R_next) for diagnostics.
-    uncapacitated: PathControlResult
+    #: The uncapacitated run (R_next) as the solver left it.
+    r_next: Placement = field(repr=False)
+
+    @property
+    def uncapacitated(self) -> PathControlResult:
+        """The uncapacitated path-control result, for diagnostics —
+        built from the placement when someone asks."""
+        return self.r_next.result()
 
     def total_target(self) -> int:
         return sum(self.target.values())
@@ -52,18 +59,18 @@ def capacity_control(streams: List[Stream], codes: List[str],
     used for step 1 so the uncapacitated re-run reuses its matrices
     instead of re-evaluating link state, and the same
     `EpochSolveContext` to additionally share the edge-weight build,
-    per-path caches, and (when every region has a gateway) the entire
-    first DP with step 1.
+    the epoch's route table, and (when every region has a gateway) the
+    entire first DP with step 1.
     """
-    r_next = path_control(streams, codes, state, config, gateways=None,
-                          fees=fees, context=context)
+    r_next = place_streams(streams, codes, state, config, gateways=None,
+                           fees=fees, context=context)
+    used = r_next.used_gateways()
     add: Dict[str, int] = {}
     remove: Dict[str, int] = {}
     target: Dict[str, int] = {}
     for code in codes:
         avail = int(available.get(code, 0))
-        used_next = min(r_next.used_gateways.get(code, 0),
-                        config.max_containers)
+        used_next = min(used.get(code, 0), config.max_containers)
         used_cur = r_cur.used_gateways.get(code, 0)
         if used_next > avail:
             add[code] = used_next - avail

@@ -207,7 +207,7 @@ class Controller:
 
         # One shared context per epoch: step 1 and capacity control's
         # uncapacitated re-run reuse the same edge-weight build and
-        # per-path caches.
+        # route table.
         ctx = EpochSolveContext()
         with _TEL.span("algo_step", t=now, step="algo1.path_control"):
             r_cur = path_control(streams, self.codes, snap,

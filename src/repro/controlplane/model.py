@@ -14,9 +14,8 @@ The exact problem is NP-hard (multi-commodity flow with integral paths);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import LinkStateSnapshot
@@ -37,6 +36,11 @@ class OverlayPath:
     """A forwarding path from a source region to a destination region."""
 
     hops: Tuple[PathHop, ...]
+    #: All regions the path touches, source first.  Derived from `hops`
+    #: and set where the path is constructed (every consumer reads it,
+    #: several times per assignment), so it takes no part in equality,
+    #: hashing or the repr.
+    regions: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.hops:
@@ -46,6 +50,7 @@ class OverlayPath:
                 [(h[0], h[1]) for h in self.hops[1:]]):
             if b != c:
                 raise ValueError(f"disconnected hops in path {self.hops}")
+        object.__setattr__(self, "regions", _regions_of(self.hops))
 
     @property
     def src(self) -> str:
@@ -54,17 +59,6 @@ class OverlayPath:
     @property
     def dst(self) -> str:
         return self.hops[-1][1]
-
-    @cached_property
-    def regions(self) -> Tuple[str, ...]:
-        """All regions the path touches, source first.
-
-        Cached: the control loop reads this several times per assignment
-        (capacity checks, consumption, summaries) and paths are frozen.
-        `cached_property` writes straight into ``__dict__``, which works
-        on a frozen dataclass (no ``__setattr__`` involved).
-        """
-        return (self.hops[0][0],) + tuple(h[1] for h in self.hops)
 
     @property
     def relay_count(self) -> int:
@@ -80,21 +74,24 @@ class OverlayPath:
         return any(t is LinkType.PREMIUM for t in self.link_types)
 
     @staticmethod
-    def unchecked(hops: Tuple[PathHop, ...]) -> "OverlayPath":
+    def unchecked(hops: Tuple[PathHop, ...],
+                  regions: Optional[Tuple[str, ...]] = None) -> "OverlayPath":
         """Construct without the connectivity check.
 
-        For hot callers whose hops are connected by construction (DP
-        reconstruction, `via`): `__post_init__` would re-validate what
-        the construction already guarantees, and it dominates profile
-        time at planetary scale.
+        For callers whose hops are connected by construction (a route
+        row of the solver, `via`): `__post_init__` would re-validate
+        what the construction already guarantees.  Such a caller usually
+        holds the region sequence too and passes it as `regions`.
         """
         path = object.__new__(OverlayPath)
         object.__setattr__(path, "hops", hops)
+        object.__setattr__(path, "regions", regions if regions is not None
+                           else _regions_of(hops))
         return path
 
     @staticmethod
     def direct(src: str, dst: str, link_type: LinkType) -> "OverlayPath":
-        return OverlayPath.unchecked(((src, dst, link_type),))
+        return OverlayPath.unchecked(((src, dst, link_type),), (src, dst))
 
     @staticmethod
     def via(regions: Sequence[str], link_type: LinkType) -> "OverlayPath":
@@ -103,7 +100,11 @@ class OverlayPath:
             raise ValueError("need at least src and dst")
         hops = tuple((regions[i], regions[i + 1], link_type)
                      for i in range(len(regions) - 1))
-        return OverlayPath.unchecked(hops)
+        return OverlayPath.unchecked(hops, tuple(regions))
+
+
+def _regions_of(hops: Tuple[PathHop, ...]) -> Tuple[str, ...]:
+    return (hops[0][0],) + tuple(h[1] for h in hops)
 
 
 def path_latency_ms(path: OverlayPath, state: LinkState) -> float:

@@ -24,12 +24,19 @@ Implementation notes:
   `LinkStateFn` is adapted into one, evaluated exactly once).  The
   latency/loss/fee matrices and the capacity-independent edge weights
   are shared by **every** graph rebuild within the call — only the
-  residual-capacity masks change between rebuilds — and all per-path
-  metrics are matrix reads instead of callback chains.
-* An `EpochSolveContext` can be threaded through the capacitated run
-  and capacity control's uncapacitated run to share the edge-weight
-  build, the first DP build, and per-path index/metric caches between
-  them.  All context caching is value-transparent: output is
+  residual-capacity masks change between rebuilds.
+* The solve runs on integers and arrays.  A graph build reconstructs
+  every pair's route at once (`_ShortestPaths`): latency, loss and a
+  *resource row* — the indices, in one flat residual vector ``[region |
+  Internet | premium]``, of everything the route draws capacity from.
+  The greedy loop reads one row per visit and appends ``(stream
+  position, route id, mbps, meets)`` to the columns of a `Placement`; a
+  blocked visit allocates nothing.  Distinct routes are interned once
+  per epoch (`_RouteTable`), and `OverlayPath` / `Assignment` objects
+  are built in one place (`Placement.result`), when a consumer asks.
+* An `EpochSolveContext` threaded through the capacitated run and
+  capacity control's uncapacitated run shares the edge-weight build,
+  the first DP build and the route table between them; output is
   bit-identical with and without one.
 """
 
@@ -42,8 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.controlplane.model import (ControlConfig, LinkState, OverlayPath,
-                                      PathHop)
+from repro.controlplane.model import ControlConfig, LinkState, OverlayPath
 from repro.obs import telemetry as _telemetry
 from repro.traffic.streams import Stream
 from repro.underlay.linkstate import LinkType
@@ -52,7 +58,7 @@ from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
 
 _TEL = _telemetry()
 
-_TYPES = TYPE_ORDER
+_INTERNET = TYPE_INDEX[LinkType.INTERNET]
 
 #: Per-pricing-model cache of (codes tuple) -> (2, N, N) fee matrices.
 #: Egress fees are immutable per `PricingModel`, so the matrix is built
@@ -74,7 +80,7 @@ def _fee_matrix(codes: List[str],
     if cached is not None:
         return cached
     fee = np.zeros((2, n, n))
-    for ti, t in enumerate(_TYPES):
+    for ti, t in enumerate(TYPE_ORDER):
         for i, a in enumerate(codes):
             for j, b in enumerate(codes):
                 if i == j:
@@ -144,88 +150,155 @@ class PathControlResult:
         return float(np.average(hops, weights=weights))
 
 
-class _PathData:
-    """Pre-resolved index tuples for one path (capacity hot loop).
+class _RouteTable:
+    """The distinct routes one epoch's solver calls placed traffic on.
 
-    At planetary scale the same few thousand paths are checked hundreds
-    of thousands of times per epoch, so region codes are resolved to
-    integer indices once per distinct path and cached on the
-    `EpochSolveContext`; `_Capacities.path_capacity_data` /
-    `consume_data` then touch arrays only.
+    A route *is* its resource row: the region ids in path order, then
+    one id per hop — ``N + a`` for an Internet hop out of region ``a``,
+    ``2N + a * N + b`` for the premium link ``a -> b`` — all indices
+    into the residual vector; the `OverlayPath` and every usage sum
+    derive from it.  Routes are interned by the row's bytes, so both
+    runs and every graph rebuild share one id — and one `OverlayPath`,
+    built the first time an assignment needs it — per distinct route.
     """
 
-    __slots__ = ("region_idx", "internet_idx", "premium_idx")
-
-    def __init__(self, path: OverlayPath, index: Dict[str, int]):
-        self.region_idx = tuple(index[r] for r in path.regions)
-        internet: List[int] = []
-        premium: List[Tuple[int, int]] = []
-        for (a, b, t) in path.hops:
-            if t is LinkType.INTERNET:
-                internet.append(index[a])
-            else:
-                premium.append((index[a], index[b]))
-        self.internet_idx = tuple(internet)
-        self.premium_idx = tuple(premium)
-
-
-class _Capacities:
-    """Residual capacities during one run of Algorithm 1."""
-
-    def __init__(self, codes: List[str], config: ControlConfig,
-                 gateways: Optional[Dict[str, int]]):
-        n = len(codes)
+    def __init__(self, codes: List[str]):
         self.codes = codes
-        self.index = {c: i for i, c in enumerate(codes)}
-        if gateways is None:
-            # Step 2 runs uncapacitated on the region dimension.
-            self.region = np.full(n, np.inf)
-        else:
-            self.region = np.array([
-                config.container_capacity_mbps * gateways.get(c, 0)
-                for c in codes], dtype=float)
-        self.internet = np.full(n, config.internet_bandwidth_mbps, dtype=float)
-        self.premium = np.full((n, n), config.premium_bandwidth_mbps,
-                               dtype=float)
-        np.fill_diagonal(self.premium, 0.0)
-        #: Which regions start with positive capacity — the part of the
-        #: first usable-mask that differs between capacitated and
-        #: uncapacitated runs (Internet/premium starts are config
-        #: constants).  Keys the context's first-build DP cache.
-        self.initial_region_signature = (self.region > 0.0).tobytes()
+        self.ids: Dict[bytes, int] = {}
+        self.rows: List[List[int]] = []
+        self.latency_ms: List[float] = []
+        self.loss_rate: List[float] = []
+        self._paths: List[Optional[OverlayPath]] = []
 
-    def path_capacity_data(self, pd: _PathData) -> float:
-        """The tightest residual (region, Internet egress, premium
-        link) along the path."""
-        cap = float("inf")
-        region = self.region
-        for i in pd.region_idx:
-            v = region[i]
-            if v < cap:
-                cap = v
-        internet = self.internet
-        for i in pd.internet_idx:
-            v = internet[i]
-            if v < cap:
-                cap = v
-        premium = self.premium
-        for ij in pd.premium_idx:
-            v = premium[ij]
-            if v < cap:
-                cap = v
-        return float(cap)
+    def add(self, key: bytes, row: List[int], latency_ms: float,
+            loss_rate: float) -> int:
+        rid = self.ids[key] = len(self.rows)
+        self.rows.append(row)
+        self.latency_ms.append(latency_ms)
+        self.loss_rate.append(loss_rate)
+        self._paths.append(None)
+        return rid
 
-    def consume_data(self, pd: _PathData, mbps: float) -> None:
-        """Take `mbps` from every residual the path draws on."""
-        region = self.region
-        for i in pd.region_idx:
-            region[i] -= mbps
-        internet = self.internet
-        for i in pd.internet_idx:
-            internet[i] -= mbps
-        premium = self.premium
-        for ij in pd.premium_idx:
-            premium[ij] -= mbps
+    def path(self, rid: int) -> OverlayPath:
+        path = self._paths[rid]
+        if path is None:
+            codes, row = self.codes, self.rows[rid]
+            n_hops, premium_base = len(row) // 2, 2 * len(codes)
+            regions = tuple([codes[r] for r in row[:n_hops + 1]])
+            hops = tuple([
+                (regions[h], regions[h + 1],
+                 LinkType.INTERNET if row[n_hops + 1 + h] < premium_base
+                 else LinkType.PREMIUM) for h in range(n_hops)])
+            path = self._paths[rid] = OverlayPath.unchecked(hops, regions)
+        return path
+
+
+class Placement:
+    """One run of Algorithm 1 as the solver leaves it: parallel columns
+    ``(stream position, route id, mbps, meets)``, one row per
+    assignment in assignment order, over the epoch's `_RouteTable`.
+
+    Capacity control reads gateway demand straight off the columns;
+    `result` builds the `PathControlResult` — the only place an
+    `Assignment` is constructed — once, when someone asks.  Two
+    placements are equal when their results are.
+    """
+
+    def __init__(self, streams: List[Stream], routes: _RouteTable,
+                 config: ControlConfig):
+        self.streams = streams  # the caller's list, not copied
+        self.routes = routes
+        self.config = config
+        self.position: List[int] = []
+        self.route: List[int] = []
+        self.mbps: List[float] = []
+        self.meets: List[bool] = []
+        self.unassigned: List[Tuple[Stream, float]] = []
+        self.graph_rebuilds = 0
+        self._result: Optional[PathControlResult] = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Placement):
+            return NotImplemented
+        return self.result() == other.result()
+
+    def usage(self) -> Tuple[List[float], List[float], Dict[int, float]]:
+        """Mbps per region, Internet egress per region and premium
+        usage per premium resource id, summed in assignment order."""
+        n, rows = len(self.routes.codes), self.routes.rows
+        traffic, egress = [0.0] * n, [0.0] * n
+        premium: Dict[int, float] = {}
+        for rid, mbps in zip(self.route, self.mbps):
+            for r in rows[rid]:
+                if r < n:
+                    traffic[r] += mbps
+                elif r < 2 * n:
+                    egress[r - n] += mbps
+                else:
+                    premium[r] = premium.get(r, 0.0) + mbps
+        return traffic, egress, premium
+
+    def used_gateways(self, traffic: Optional[List[float]] = None
+                      ) -> Dict[str, int]:
+        """Gateways needed per region: ceil(traffic x headroom / B_c)."""
+        if traffic is None:
+            traffic = self.usage()[0]
+        config = self.config
+        return {c: int(np.ceil(mbps * config.capacity_headroom
+                               / config.container_capacity_mbps))
+                for c, mbps in zip(self.routes.codes, traffic)}
+
+    def result(self) -> PathControlResult:
+        if self._result is not None:
+            return self._result
+        routes, streams = self.routes, self.streams
+        codes, n = routes.codes, len(routes.codes)
+        latency_ms, loss_rate = routes.latency_ms, routes.loss_rate
+        assignments: List[Assignment] = []
+        tables: Dict[str, Dict[int, Tuple[str, LinkType]]] = {
+            c: {} for c in codes}
+        #: One (next region, link type) tuple per distinct next hop.
+        next_hops: Dict[LinkType, Dict[str, Tuple[str, LinkType]]] = {
+            t: {} for t in TYPE_ORDER}
+        for p, rid, mbps, meets in zip(self.position, self.route, self.mbps,
+                                       self.meets):
+            stream, path = streams[p], routes.path(rid)
+            assignments.append(Assignment(stream, path, mbps,
+                                          latency_ms[rid], loss_rate[rid],
+                                          meets))
+            for (a, b, t) in path.hops:
+                entry = next_hops[t].get(b)
+                if entry is None:
+                    entry = next_hops[t][b] = (b, t)
+                tables[a][stream.stream_id] = entry
+        traffic, egress, premium = self.usage()
+        self._result = PathControlResult(
+            assignments, self.unassigned, dict(zip(codes, traffic)),
+            dict(zip(codes, egress)),
+            {(codes[(r - 2 * n) // n], codes[(r - 2 * n) % n]): mbps
+             for r, mbps in premium.items()},
+            self.used_gateways(traffic), tables, self.graph_rebuilds)
+        return self._result
+
+
+def _residuals(codes: List[str], config: ControlConfig,
+               gateways: Optional[Dict[str, int]]) -> List[float]:
+    """Residual capacities at the start of one run of Algorithm 1: one
+    flat vector ``[region (N) | Internet egress (N) | premium pair
+    (N * N, row-major)]`` — a Python list, because the greedy loop reads
+    and writes single elements (what numpy is slowest at).  A route's
+    *resource row* is a list of indices into it.
+    """
+    n = len(codes)
+    if gateways is None:
+        # Step 2 runs uncapacitated on the region dimension.
+        region = [float("inf")] * n
+    else:
+        region = [float(config.container_capacity_mbps * gateways.get(c, 0))
+                  for c in codes]
+    premium = [float(config.premium_bandwidth_mbps)] * (n * n)
+    premium[::n + 1] = [0.0] * n
+    return region + [float(config.internet_bandwidth_mbps)] * n + premium
 
 
 class _EdgeWeights:
@@ -239,12 +312,11 @@ class _EdgeWeights:
 
     def __init__(self, snap: LinkStateSnapshot, config: ControlConfig,
                  fees: Optional[PricingModel]):
-        self.snap = snap
         self.lat = snap.lat
         self.loss = snap.loss
-        self.fee = _fee_matrix(snap.codes, fees)
         self.weight = (self.lat + config.loss_ms_penalty * self.loss
-                       + config.cost_ms_per_fee * self.fee)
+                       + config.cost_ms_per_fee
+                       * _fee_matrix(snap.codes, fees))
         # An edge is quality-usable if its own loss does not already
         # violate the path loss budget; the best-effort fallback pass
         # only requires the link to exist (finite latency).
@@ -254,6 +326,7 @@ class _EdgeWeights:
 
 #: Row-chunk size for the DP inner buffer (fits L2 at N<=500).
 _DP_ROW_CHUNK = 8
+
 
 def _dp_layers(w: np.ndarray, n_layers: int
                ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
@@ -292,96 +365,119 @@ def _dp_layers(w: np.ndarray, n_layers: int
     return dist, vias, improved_layers
 
 
+def _all_routes(dist: np.ndarray, vias: List[np.ndarray],
+                improved: List[np.ndarray]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair's route from the DP's per-layer predecessors.
+
+    Returns ``(nodes, hops)``: ``nodes[i, j, :hops[i, j] + 1]`` is the
+    region sequence of the best route ``i -> j`` (``hops`` 0 where there
+    is none).  Per-layer predecessors make reconstruction respect the
+    hop limit exactly (a single merged predecessor matrix could splice
+    a longer prefix in and overshoot it): a pair that layer ``k``
+    improved via ``m`` takes the layer ``k - 1`` route ``i -> m`` and
+    appends ``j`` — one gather per layer over the improved pairs.
+    """
+    n = dist.shape[0]
+    nodes = np.zeros((n, n, len(vias) + 2), dtype=np.intp)
+    nodes[:, :, 0] = np.arange(n)[:, None]
+    nodes[:, :, 1] = np.arange(n)[None, :]
+    hops = np.ones((n, n), dtype=np.intp)
+    for via, better in zip(vias, improved):
+        i, j = np.nonzero(better)
+        m = via[i, j]
+        prefix, prefix_hops = nodes[i, m], hops[i, m]
+        prefix[np.arange(i.size), prefix_hops + 1] = j
+        nodes[i, j] = prefix
+        hops[i, j] = prefix_hops + 1
+    hops[~np.isfinite(dist)] = 0
+    return nodes, hops
+
+
 class _ShortestPaths:
-    """Hop-limited all-pairs shortest paths over the hybrid graph."""
+    """Hop-limited all-pairs shortest routes over the hybrid graph: one
+    route table per build, as flat lists indexed by ``src * N + dst``.
+
+    ``hops[k]`` is pair ``k``'s hop count (0: unreachable),
+    ``rows[k * width : k * width + 2 * hops[k] + 1]`` its resource row
+    (see `_RouteTable`), ``keys[k * stride : (k + 1) * stride]`` the
+    padded row's bytes (the interning key) and ``latency_ms[k]`` /
+    ``loss_rate[k]`` its metrics on the epoch snapshot, accumulated hop
+    by hop left to right — the operations of
+    `LinkStateSnapshot.path_latency_ms` / `path_loss_rate`.
+    """
 
     def __init__(self, weights: _EdgeWeights, config: ControlConfig,
-                 caps: _Capacities, enforce_loss: bool = True,
-                 first_build: bool = True):
-        self.codes = weights.snap.codes
-        self.index = caps.index
-        if not first_build and _TEL.enabled:
-            _TEL.counter("pathcontrol.snapshot_reuses").inc()
-
+                 residuals: List[float], enforce_loss: bool = True):
         # An edge is unusable if its own loss already violates the path
         # loss budget (unless running the best-effort fallback pass), or
         # if it has no residual capacity.
+        n = weights.lat.shape[1]
+        left = np.array(residuals) > 0.0
+        region_ok = left[:n]
         usable = (weights.quality_ok if enforce_loss
                   else weights.exists).copy()
-        usable[0] &= caps.internet[:, None] > 0.0
-        usable[1] &= caps.premium > 0.0
-        region_ok = caps.region > 0.0
+        usable[0] &= left[n:2 * n, None]
+        usable[1] &= left[2 * n:].reshape(n, n)
         usable &= region_ok[None, :, None] & region_ok[None, None, :]
         weight = np.where(usable, weights.weight, np.inf)
 
         # Per-edge best link type (hybrid choice).
-        self.best_type = np.argmin(weight, axis=0)
+        best_type = np.argmin(weight, axis=0)
         w = np.min(weight, axis=0)
         np.fill_diagonal(w, np.inf)
 
         # Min-plus DP: layer k holds the best distance using <= k+1 hops.
-        # Per-layer predecessors make reconstruction respect the hop
-        # limit exactly (a single merged predecessor matrix could splice
-        # a longer prefix in and overshoot it).
-        dist, vias, improved = _dp_layers(w, config.max_hops - 1)
-        self._vias = vias
-        self._improved = improved
-        self.w = w
-        self.dist = dist
-        #: Reconstructed paths memoised per (src, dst) — the DP state is
-        #: immutable within one pass, so reconstruction is too.
-        self._path_cache: Dict[Tuple[int, int], Optional[OverlayPath]] = {}
+        self.dist, vias, improved = _dp_layers(w, config.max_hops - 1)
+        nodes, hops = _all_routes(self.dist, vias, improved)
+        max_hops = nodes.shape[2] - 1
 
-    def path(self, src: str, dst: str) -> Optional[OverlayPath]:
-        """Reconstruct the best path, or None if unreachable."""
-        return self.path_idx(self.index[src], self.index[dst])
+        a, b = nodes[:, :, :-1], nodes[:, :, 1:]
+        link_type = best_type[a, b]
+        hop_latency = weights.lat[link_type, a, b]
+        hop_survive = 1.0 - weights.loss[link_type, a, b]
+        latency, survive = np.zeros((n, n)), np.ones((n, n))
+        for h in range(max_hops):
+            on_route = hops > h
+            latency = np.where(on_route, latency + hop_latency[:, :, h],
+                               latency)
+            survive = np.where(on_route, survive * hop_survive[:, :, h],
+                               survive)
 
-    def path_idx(self, i: int, j: int) -> Optional[OverlayPath]:
-        """`path` by region index (the hot loop already has indices)."""
-        key = (i, j)
-        cached = self._path_cache.get(key, False)
-        if cached is not False:
-            return cached
-        if not np.isfinite(self.dist[i, j]):
-            self._path_cache[key] = None
-            return None
-        nodes = self._expand(i, j, len(self._vias))
-        hops = []
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            t = _TYPES[int(self.best_type[a, b])]
-            hops.append((self.codes[a], self.codes[b], t))
-        path = OverlayPath.unchecked(tuple(hops))
-        self._path_cache[key] = path
-        return path
-
-    def latency(self, src: str, dst: str) -> float:
-        return float(self.dist[self.index[src], self.index[dst]])
-
-    def _expand(self, i: int, j: int, layer: int) -> List[int]:
-        if layer == 0:
-            return [i, j]
-        if self._improved[layer - 1][i, j]:
-            m = int(self._vias[layer - 1][i, j])
-            return self._expand(i, m, layer - 1) + [j]
-        return self._expand(i, j, layer - 1)
+        link = np.where(link_type == _INTERNET, n + a, 2 * n + a * n + b)
+        self.width = 2 * max_hops + 1
+        rows = np.full((n, n, self.width), -1, dtype=np.int32)
+        for h in range(1, max_hops + 1):
+            of_length = hops == h
+            rows[of_length, :h + 1] = nodes[of_length, :h + 1]
+            rows[of_length, h + 1:2 * h + 1] = link[of_length, :h]
+        # Flat lists: the greedy loop reads single elements, and a
+        # nested ``tolist`` would build N * N small lists per build.
+        self.hops: List[int] = hops.ravel().tolist()
+        self.rows: List[int] = rows.ravel().tolist()
+        self.keys = rows.tobytes()
+        self.stride = self.width * rows.itemsize
+        self.latency_ms: List[float] = latency.ravel().tolist()
+        self.loss_rate: List[float] = (1.0 - survive).ravel().tolist()
 
 
 class EpochSolveContext:
     """Shared solver state for one control epoch.
 
     One context threads through Algorithm 1's capacitated run and
-    capacity control's uncapacitated run so they can share work that
-    depends only on the epoch snapshot:
+    capacity control's uncapacitated run so they can share what depends
+    only on the epoch snapshot:
 
     * the `_EdgeWeights` build (identical for both runs),
     * the first `_ShortestPaths` build, keyed by which regions start
       with positive capacity — the uncapacitated run's first graph
       equals the capacitated one whenever every region has a gateway,
       which saves an entire DP per epoch,
-    * per-path index tuples (`_PathData`) and per-path snapshot metrics,
-      which repeat heavily across rebuilds and runs.
+    * the epoch's `_RouteTable`: one id, one set of metrics and at most
+      one `OverlayPath` per distinct route, whichever run or rebuild
+      placed traffic on it.
 
-    All caching is value-transparent — results are bit-identical with
+    All of it is value-transparent — results are bit-identical with
     and without a context.  A context serves exactly one (snapshot,
     config, fees) triple: the next epoch makes a new one.
     """
@@ -389,11 +485,8 @@ class EpochSolveContext:
     def __init__(self):
         self._weights: Optional[_EdgeWeights] = None
         self._inputs: Optional[Tuple] = None
-        self._index: Optional[Dict[str, int]] = None
-        self._sp_cache: Dict[Tuple, _ShortestPaths] = {}
-        self._path_data: Dict[Tuple[PathHop, ...], _PathData] = {}
-        self._path_metrics: Dict[Tuple[PathHop, ...],
-                                 Tuple[float, float]] = {}
+        self.routes: Optional[_RouteTable] = None
+        self._sp_cache: Dict[bytes, _ShortestPaths] = {}
 
     def weights(self, snap: LinkStateSnapshot, config: ControlConfig,
                 fees: Optional[PricingModel]) -> _EdgeWeights:
@@ -401,41 +494,26 @@ class EpochSolveContext:
         if self._weights is None:
             self._inputs = inputs
             self._weights = _EdgeWeights(snap, config, fees)
-            self._index = snap.index
+            self.routes = _RouteTable(snap.codes)
         elif any(a is not b for a, b in zip(inputs, self._inputs)):
             raise ValueError("an EpochSolveContext serves one (snapshot, "
                              "config, fees); make a new one per epoch")
         return self._weights
 
     def first_shortest_paths(self, weights: _EdgeWeights,
-                             config: ControlConfig, caps: _Capacities,
-                             enforce_loss: bool) -> _ShortestPaths:
-        key = (enforce_loss, caps.initial_region_signature)
+                             config: ControlConfig,
+                             residuals: List[float]) -> _ShortestPaths:
+        # Internet and premium capacities start at config constants, so
+        # the first usable-mask differs between runs only in which
+        # regions start with positive capacity.
+        key = bytes(v > 0.0 for v in residuals[:weights.lat.shape[1]])
         sp = self._sp_cache.get(key)
         if sp is not None:
             if _TEL.enabled:
                 _TEL.counter("pathcontrol.context_sp_reuses").inc()
             return sp
-        sp = _ShortestPaths(weights, config, caps,
-                            enforce_loss=enforce_loss)
-        self._sp_cache[key] = sp
+        sp = self._sp_cache[key] = _ShortestPaths(weights, config, residuals)
         return sp
-
-    def data_for(self, path: OverlayPath) -> _PathData:
-        pd = self._path_data.get(path.hops)
-        if pd is None:
-            pd = _PathData(path, self._index)
-            self._path_data[path.hops] = pd
-        return pd
-
-    def metrics_for(self, path: OverlayPath) -> Tuple[float, float]:
-        """(latency_ms, loss_rate) for `path` on the epoch snapshot."""
-        cached = self._path_metrics.get(path.hops)
-        if cached is None:
-            snap = self._weights.snap
-            cached = (snap.path_latency_ms(path), snap.path_loss_rate(path))
-            self._path_metrics[path.hops] = cached
-        return cached
 
 
 #: Stream orderings path_control supports; "latency_desc" is the paper's.
@@ -464,39 +542,44 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
     calls, which must then pass the same snapshot, config and fees
     objects; results are identical without one.
     """
+    return place_streams(streams, codes, state, config, gateways, fees,
+                         max_rebuilds, ordering, context).result()
+
+
+def place_streams(streams: List[Stream], codes: List[str], state: LinkState,
+                  config: ControlConfig,
+                  gateways: Optional[Dict[str, int]] = None,
+                  fees: Optional[PricingModel] = None,
+                  max_rebuilds: int = 40,
+                  ordering: str = "latency_desc",
+                  context: Optional[EpochSolveContext] = None) -> Placement:
+    """`path_control` up to, not including, the objects: the solve as a
+    `Placement` (capacity control's second step stops here)."""
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; choose from "
                          f"{ORDERINGS}")
     codes = list(codes)
     snap = LinkStateSnapshot.ensure(state, codes)
     ctx = context if context is not None else EpochSolveContext()
-    weights = ctx.weights(snap, config, fees)
-    caps = _Capacities(codes, config, gateways)
-    sp = ctx.first_shortest_paths(weights, config, caps, True)
-    rebuilds = 0
-
-    remaining: Dict[int, float] = {s.stream_id: s.demand_mbps for s in streams}
-    by_id: Dict[int, Stream] = {s.stream_id: s for s in streams}
-    assignments: List[Assignment] = []
+    weights, routes = ctx.weights(snap, config, fees), ctx.routes
+    values = _residuals(codes, config, gateways)
+    sp = ctx.first_shortest_paths(weights, config, values)
+    placement = Placement(streams, routes, config)
 
     n_streams = len(streams)
     index = snap.index
-    src_idx = np.fromiter((index[s.src] for s in streams), dtype=np.intp,
-                          count=n_streams)
-    dst_idx = np.fromiter((index[s.dst] for s in streams), dtype=np.intp,
-                          count=n_streams)
-    src_pos = src_idx.tolist()
-    dst_pos = dst_idx.tolist()
+    src_idx = np.array([index[s.src] for s in streams], dtype=np.intp)
+    dst_idx = np.array([index[s.dst] for s in streams], dtype=np.intp)
+    pair: List[int] = (src_idx * len(codes) + dst_idx).tolist()
+    remaining: List[float] = [s.demand_mbps for s in streams]
 
     # Latency limits are anchored to the direct premium latency of each
     # pair (the best the underlay can do).  Vectorised, but element-wise
     # identical to `config.latency_limit_ms` per stream.
     lat_premium = snap.lat[TYPE_INDEX[LinkType.PREMIUM]]
-    limits_arr = np.maximum(config.latency_limit_floor_ms,
-                            config.latency_limit_stretch
-                            * lat_premium[src_idx, dst_idx])
-    limits: Dict[int, float] = dict(
-        zip((s.stream_id for s in streams), limits_arr.tolist()))
+    limits: List[float] = np.maximum(
+        config.latency_limit_floor_ms,
+        config.latency_limit_stretch * lat_premium[src_idx, dst_idx]).tolist()
 
     def ordered(active_pos: List[int]) -> List[int]:
         """Order stream positions for one pass (paper's line 8).
@@ -519,59 +602,74 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
         order = np.argsort(keys, kind="stable")
         return [active_pos[k] for k in order.tolist()]
 
-    active = [p for p, s in enumerate(streams) if s.demand_mbps > 0]
-    # Per-build cache of (path, path data, latency, loss) by region-pair
-    # index: one integer-tuple lookup per stream instead of separate
-    # path/index/metric lookups (hops-tuple hashing is the expensive
-    # one).  Rebuilt whenever the graph is.
-    pair_cache: Dict[Tuple[int, int], Optional[Tuple]] = {}
-    while active and rebuilds <= max_rebuilds:
-        # Sort by current shortest-path latency, descending (line 8).
-        order = ordered(active)
+    loss_limit, route_ids = config.loss_limit, routes.ids
+    position, route = placement.position, placement.route
+    amount, meets = placement.mbps, placement.meets
+
+    def sweep(order: List[int], sp: _ShortestPaths,
+              quality: bool) -> List[int]:
+        """Visit the streams at positions `order` once, each taking as
+        much of its remaining demand as its current route's tightest
+        residual allows; returns those that could not be placed in
+        full.  `quality` is False on the best-effort pass, whose
+        assignments never meet the constraints."""
+        hops, rows, width = sp.hops, sp.rows, sp.width
+        keys, stride = sp.keys, sp.stride
+        latency_ms, loss_rate = sp.latency_ms, sp.loss_rate
         blocked: List[int] = []
-        assigned_any = False
         for p in order:
-            s = streams[p]
-            sid = s.stream_id
-            want = remaining[sid]
+            want = remaining[p]
             if want <= 0:
                 continue
-            key = (src_pos[p], dst_pos[p])
-            entry = pair_cache.get(key, False)
-            if entry is False:
-                path = sp.path_idx(key[0], key[1])
-                if path is None:
-                    entry = None
-                else:
-                    lat, loss = ctx.metrics_for(path)
-                    entry = (path, ctx.data_for(path), lat, loss)
-                pair_cache[key] = entry
-            if entry is None:
-                blocked.append(p)
+            k = pair[p]
+            n_hops = hops[k]
+            if not n_hops:
+                blocked.append(p)  # no route on this graph
                 continue
-            path, pd, lat, loss = entry
-            cap = caps.path_capacity_data(pd)
-            take = min(want, cap)
+            start = k * width
+            end = start + 2 * n_hops + 1
+            take = want
+            for slot in range(start, end):
+                residual = values[rows[slot]]
+                if residual < take:
+                    take = residual
             if take <= 1e-9:
-                blocked.append(p)
+                blocked.append(p)  # a resource on the route is spent
                 continue
-            meets = (lat <= limits[sid]
-                     and loss <= config.loss_limit)
-            caps.consume_data(pd, take)
-            remaining[sid] = want - take
-            assignments.append(Assignment(s, path, float(take), lat, loss,
-                                          meets))
-            assigned_any = True
-            if remaining[sid] > 1e-9:
+            row = rows[start:end]
+            for r in row:
+                values[r] -= take
+            remaining[p] = left = want - take
+            key = keys[k * stride:(k + 1) * stride]
+            rid = route_ids.get(key)
+            if rid is None:
+                rid = routes.add(key, row, latency_ms[k], loss_rate[k])
+            position.append(p)
+            route.append(rid)
+            amount.append(take)
+            meets.append(quality and latency_ms[k] <= limits[p]
+                         and loss_rate[k] <= loss_limit)
+            if left > 1e-9:
                 blocked.append(p)  # leftover demand needs another path
-        active = [p for p in blocked
-                  if remaining[streams[p].stream_id] > 1e-9]
+        return blocked
+
+    def rebuilt(enforce_loss: bool) -> _ShortestPaths:
+        if _TEL.enabled:
+            _TEL.counter("pathcontrol.snapshot_reuses").inc()
+        return _ShortestPaths(weights, config, values, enforce_loss)
+
+    active = [p for p, s in enumerate(streams) if s.demand_mbps > 0]
+    rebuilds = 0
+    while active and rebuilds <= max_rebuilds:
+        # Sort by current shortest-path latency, descending (line 8).
+        placed = len(position)
+        blocked = sweep(ordered(active), sp, True)
+        active = [p for p in blocked if remaining[p] > 1e-9]
         if not active:
             break
-        if not assigned_any:
+        if len(position) == placed:
             break  # no capacity anywhere; give up on the rest
-        sp = _ShortestPaths(weights, config, caps, first_build=False)
-        pair_cache = {}
+        sp = rebuilt(True)
         rebuilds += 1
 
     if active and rebuilds > max_rebuilds:
@@ -583,7 +681,7 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
             f"path_control exhausted its rebuild budget "
             f"(max_rebuilds={max_rebuilds}) with {len(active)} streams "
             "still unplaced; their residual demand falls through to the "
-            "best-effort pass", UserWarning, stacklevel=2)
+            "best-effort pass", UserWarning, stacklevel=3)
         if _TEL.enabled:
             _TEL.counter("pathcontrol.rebuild_budget_exhausted").inc(
                 len(active))
@@ -592,74 +690,20 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
     # all (e.g. a global loss episode) are still carried — production
     # cannot drop conferences — on the least-bad path, flagged as
     # violating constraints.
-    leftover_pos = [p for p, s in enumerate(streams)
-                    if remaining[s.stream_id] > 1e-9]
-    if leftover_pos:
-        sp = _ShortestPaths(weights, config, caps, enforce_loss=False,
-                            first_build=False)
-        pair_cache = {}
-        for p in leftover_pos:
-            s = streams[p]
-            sid = s.stream_id
-            want = remaining[sid]
-            key = (src_pos[p], dst_pos[p])
-            entry = pair_cache.get(key, False)
-            if entry is False:
-                path = sp.path_idx(key[0], key[1])
-                if path is None:
-                    entry = None
-                else:
-                    lat, loss = ctx.metrics_for(path)
-                    entry = (path, ctx.data_for(path), lat, loss)
-                pair_cache[key] = entry
-            if entry is None:
-                continue
-            path, pd, lat, loss = entry
-            take = min(want, caps.path_capacity_data(pd))
-            if take <= 1e-9:
-                continue
-            caps.consume_data(pd, take)
-            remaining[sid] = want - take
-            assignments.append(Assignment(s, path, float(take), lat, loss,
-                                          False))
+    leftover = [p for p in range(n_streams) if remaining[p] > 1e-9]
+    if leftover:
+        sweep(leftover, rebuilt(False), False)
 
-    unassigned = [(by_id[sid], res) for sid, res in remaining.items()
-                  if res > 1e-9]
-
-    result = _summarise(assignments, unassigned, codes, config, rebuilds)
+    placement.unassigned = [(streams[p], remaining[p])
+                            for p in range(n_streams) if remaining[p] > 1e-9]
+    placement.graph_rebuilds = rebuilds
     if _TEL.enabled:
         _TEL.counter("pathcontrol.runs").inc()
         _TEL.counter("pathcontrol.graph_rebuilds").inc(rebuilds)
-        _TEL.counter("pathcontrol.assignments").inc(len(result.assignments))
-        _TEL.counter("pathcontrol.unassigned").inc(len(result.unassigned))
-        hops = _TEL.histogram("pathcontrol.path_hops",
-                              buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
-        for a in result.assignments:
-            hops.observe(len(a.path.hops))
-    return result
-
-
-def _summarise(assignments: List[Assignment],
-               unassigned: List[Tuple[Stream, float]], codes: List[str],
-               config: ControlConfig, rebuilds: int) -> PathControlResult:
-    region_traffic: Dict[str, float] = {c: 0.0 for c in codes}
-    internet_egress: Dict[str, float] = {c: 0.0 for c in codes}
-    premium_usage: Dict[Tuple[str, str], float] = {}
-    tables: Dict[str, Dict[int, Tuple[str, LinkType]]] = {c: {} for c in codes}
-
-    for a in assignments:
-        for region in a.path.regions:
-            region_traffic[region] += a.mbps
-        for (i, j, t) in a.path.hops:
-            if t is LinkType.INTERNET:
-                internet_egress[i] += a.mbps
-            else:
-                premium_usage[(i, j)] = premium_usage.get((i, j), 0.0) + a.mbps
-            tables[i][a.stream.stream_id] = (j, t)
-
-    used = {c: int(np.ceil(region_traffic[c] * config.capacity_headroom
-                           / config.container_capacity_mbps))
-            for c in codes}
-    return PathControlResult(assignments, unassigned, region_traffic,
-                             internet_egress, premium_usage, used, tables,
-                             rebuilds)
+        _TEL.counter("pathcontrol.assignments").inc(len(route))
+        _TEL.counter("pathcontrol.unassigned").inc(len(placement.unassigned))
+        path_hops = _TEL.histogram("pathcontrol.path_hops",
+                                   buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        for rid in route:
+            path_hops.observe(len(routes.rows[rid]) // 2)
+    return placement

@@ -22,13 +22,13 @@ follow (and are asserted in our tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from repro.controlplane.model import (LinkState, OverlayPath,
-                                      path_latency_ms, path_loss_rate)
+from repro.controlplane.model import LinkState, OverlayPath
 from repro.controlplane.pathcontrol import PathControlResult
 from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
+from repro.underlay.snapshot import TYPE_INDEX, LinkStateSnapshot
 
 _TEL = _telemetry()
 
@@ -55,44 +55,44 @@ class ReactionPlan:
         return self.relay_regions[0]
 
 
-def _score(path: OverlayPath, state: LinkState,
-           loss_ms_penalty: float = 2500.0) -> float:
-    """Plan comparison metric: latency plus a loss penalty."""
-    return (path_latency_ms(path, state)
-            + loss_ms_penalty * path_loss_rate(path, state))
+def _route_walk(route: List[int], latency: List[float], loss: List[float],
+                n: int, loss_ms_penalty: float) -> List[Tuple[int, ...]]:
+    """Algorithm 2's reverse walk for one route, in index space.
 
-
-def route_walk(regions: Tuple[str, ...], state: LinkState,
-               loss_ms_penalty: float = 2500.0
-               ) -> Dict[str, Tuple[str, ...]]:
-    """Algorithm 2's reverse walk for one route (region sequence).
-
-    Returns ``rec_plan[r]`` = ordered relay sequence (excluding ``r``)
-    to the destination, for every non-terminal region of the route.
-    The walk depends only on the region sequence and the link state, so
-    it is memoised per distinct route (`generate_reaction_plans`).
+    `route` is the region-id sequence; `latency` / `loss` the premium
+    tier's matrices as flat lists (``a * n + b``).  Returns, for every
+    non-terminal position, the ordered relay ids (excluding the region
+    itself) to the destination.  A candidate's score is
+    ``latency + penalty * (1 - survive)`` with both terms accumulated
+    hop by hop left to right — the operations of `path_latency_ms` /
+    `path_loss_rate` on the candidate's all-premium path, without
+    building it.
     """
-    dst = regions[-1]
-    rec_plan: Dict[str, Tuple[str, ...]] = {}
-    # Walk in reverse from the region just before the destination.
-    for i in range(len(regions) - 2, -1, -1):
-        r_i = regions[i]
-        best = (dst,)
-        best_score = _score(
-            OverlayPath.via((r_i, dst), LinkType.PREMIUM),
-            state, loss_ms_penalty)
+    def score(at: int, chain: Tuple[int, ...]) -> float:
+        total, survive = 0.0, 1.0
+        for relay in chain:
+            link = at * n + relay
+            total = total + latency[link]
+            survive = survive * (1.0 - loss[link])
+            at = relay
+        return total + loss_ms_penalty * (1.0 - survive)
+
+    last = len(route) - 1
+    # The default plan is the direct premium link to the destination
+    # (the only one for the region just before it); walk in reverse.
+    direct = (route[last],)
+    plans = [direct] * last
+    for i in range(last - 2, -1, -1):
+        best, best_score = direct, score(route[i], direct)
         # Try relaying through a later on-path region r_j and
         # following r_j's (already computed) plan.
-        for j in range(i + 1, len(regions) - 1):
-            r_j = regions[j]
-            candidate = (r_j,) + rec_plan[r_j]
-            score = _score(OverlayPath.via((r_i,) + candidate,
-                                           LinkType.PREMIUM),
-                           state, loss_ms_penalty)
-            if score < best_score:
-                best, best_score = candidate, score
-        rec_plan[r_i] = best
-    return rec_plan
+        for j in range(i + 1, last):
+            candidate = (route[j],) + plans[j]
+            candidate_score = score(route[i], candidate)
+            if candidate_score < best_score:
+                best, best_score = candidate, candidate_score
+        plans[i] = best
+    return plans
 
 
 def generate_reaction_plans(result: PathControlResult, state: LinkState,
@@ -101,29 +101,44 @@ def generate_reaction_plans(result: PathControlResult, state: LinkState,
     """Run Algorithm 2 over every assignment of a path-control result.
 
     Returns plans keyed by (stream_id, region); the destination region
-    needs no plan.  Link state is read through `path_latency_ms` /
-    `path_loss_rate`, so a `LinkStateSnapshot` makes every candidate
-    score a couple of matrix reads.  Plans depend only on the region
-    sequence, so the reverse walk is memoised per distinct
-    `path.regions` — at scale most streams share a handful of routes.
+    needs no plan.  Plans depend only on the region sequence, so the
+    reverse walk runs once per distinct `path.regions` — at scale most
+    streams share a handful of routes — over the premium tier of the
+    link state (a scalar `LinkStateFn` is evaluated into a snapshot
+    once, over the regions the routes touch).
     """
+    #: regions -> [(non-terminal region, its relay chain), ...]
+    routes: Dict[Tuple[str, ...], List[Tuple[str, Tuple[str, ...]]]] = \
+        dict.fromkeys(a.path.regions for a in result.assignments)
+    if isinstance(state, LinkStateSnapshot):
+        snap = state
+    else:
+        snap = LinkStateSnapshot.from_fn(
+            list(dict.fromkeys(r for regions in routes for r in regions)),
+            state)
+    codes, index, n = snap.codes, snap.index, len(snap.codes)
+    premium = TYPE_INDEX[LinkType.PREMIUM]
+    latency = snap.lat[premium].ravel().tolist()
+    loss = snap.loss[premium].ravel().tolist()
+    #: One code tuple per distinct relay chain: most are a lone ``(dst,)``.
+    chains: Dict[Tuple[int, ...], Tuple[str, ...]] = {}
+    for regions in routes:
+        walk = _route_walk([index[r] for r in regions], latency, loss, n,
+                           loss_ms_penalty)
+        for relays in walk:
+            if relays not in chains:
+                chains[relays] = tuple([codes[r] for r in relays])
+        routes[regions] = [(region, chains[relays])
+                           for region, relays in zip(regions, walk)]
     plans: Dict[Tuple[int, str], ReactionPlan] = {}
-    plans_by_route: Dict[Tuple[str, ...], Dict[str, Tuple[str, ...]]] = {}
     for assignment in result.assignments:
-        path = assignment.path
-        regions = path.regions
-        # rec_plan[r] = ordered relay sequence (excluding r) to dst.
-        rec_plan = plans_by_route.get(regions)
-        if rec_plan is None:
-            rec_plan = route_walk(regions, state, loss_ms_penalty)
-            plans_by_route[regions] = rec_plan
-        for r_i in regions[:-1]:
-            key = (assignment.stream.stream_id, r_i)
+        stream_id = assignment.stream.stream_id
+        for region, chain in routes[assignment.path.regions]:
+            key = (stream_id, region)
             # A stream may appear with several assignments (demand split);
             # keep the plan of the first (best) path.
             if key not in plans:
-                plans[key] = ReactionPlan(assignment.stream.stream_id, r_i,
-                                          rec_plan[r_i])
+                plans[key] = ReactionPlan(stream_id, region, chain)
     if _TEL.enabled:
         _TEL.counter("reactionplan.plans").inc(len(plans))
         relay_hops = _TEL.histogram("reactionplan.relay_hops",
@@ -131,16 +146,3 @@ def generate_reaction_plans(result: PathControlResult, state: LinkState,
         for plan in plans.values():
             relay_hops.observe(len(plan.relay_regions))
     return plans
-
-
-def naive_premium_path(path: OverlayPath, from_region: str) -> OverlayPath:
-    """The paper's p_naive: remaining original hops, all premium.
-
-    Used by tests to verify Property 1 (plans beat the naive premium
-    substitution) and by the ablation that disables plan search.
-    """
-    regions = list(path.regions)
-    if from_region not in regions[:-1]:
-        raise ValueError(f"{from_region} is not an on-path non-terminal region")
-    idx = regions.index(from_region)
-    return OverlayPath.via(regions[idx:], LinkType.PREMIUM)

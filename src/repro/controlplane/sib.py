@@ -35,10 +35,10 @@ class StreamInformationBase:
     def record_epoch(self, matrix: TrafficMatrix,
                      streams: Optional[List[Stream]] = None) -> None:
         """Ingest the demand measured over the epoch that just ended."""
-        for (a, b), demand in matrix.items():
-            predictor = self._predictors.get((a, b))
+        for pair, demand in matrix.demands():
+            predictor = self._predictors.get(pair)
             if predictor is None:
-                raise KeyError(f"unknown pair {(a, b)} in demand matrix")
+                raise KeyError(f"unknown pair {pair} in demand matrix")
             predictor.observe(demand)
         self._last_matrix = matrix
         if streams is not None:
@@ -78,7 +78,7 @@ class StreamInformationBase:
                       for (a, b) in sorted(self._predictors)}
         last = (None if self._last_matrix is None
                 else {f"{a}->{b}": float(demand)
-                      for (a, b), demand in sorted(self._last_matrix.items())})
+                      for (a, b), demand in self._last_matrix.items()})
         return {"predictors": predictors, "last_matrix": last}
 
     def import_state(self, doc: Dict[str, object]) -> None:

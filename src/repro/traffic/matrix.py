@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, ItemsView, Iterator, List, Tuple
 
 import numpy as np
 
@@ -16,12 +16,13 @@ class TrafficMatrix:
     def __init__(self, codes: List[str], demand: Dict[RegionPair, float]):
         self.codes = list(codes)
         self._demand: Dict[RegionPair, float] = {}
-        for (a, b), v in demand.items():
+        for pair, v in demand.items():
+            a, b = pair
             if a == b:
                 raise ValueError(f"self-pair {a}->{b} in traffic matrix")
             if v < 0:
                 raise ValueError(f"negative demand {v} for {a}->{b}")
-            self._demand[(a, b)] = float(v)
+            self._demand[pair] = float(v)
 
     @classmethod
     def from_model(cls, model: DemandModel, t: float,
@@ -36,6 +37,10 @@ class TrafficMatrix:
 
     def items(self) -> Iterator[Tuple[RegionPair, float]]:
         return iter(sorted(self._demand.items()))
+
+    def demands(self) -> ItemsView[RegionPair, float]:
+        """`items` unsorted, for consumers indifferent to the order."""
+        return self._demand.items()
 
     def total(self) -> float:
         return float(sum(self._demand.values()))

@@ -1,0 +1,72 @@
+"""Scalar reference implementations of the solver's two walks.
+
+`repro.controlplane` reconstructs every pair's route per graph build as
+one gather per DP layer and runs Algorithm 2 over flat premium
+matrices; these are the per-path forms they replaced, kept as the
+oracle the batch forms are tested against (as `packet_prober.py` is for
+`ActiveProber`).  Nothing in `src/` imports this module.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+from repro.controlplane.model import (LinkState, OverlayPath,
+                                      path_latency_ms, path_loss_rate)
+from repro.underlay.linkstate import LinkType
+
+
+def expand(vias, improved, i: int, j: int, layer: int) -> List[int]:
+    """The node sequence of the best route ``i -> j`` using at most
+    ``layer + 1`` hops, from `_dp_layers`' per-layer predecessors."""
+    if layer == 0:
+        return [i, j]
+    if improved[layer - 1][i, j]:
+        m = int(vias[layer - 1][i, j])
+        return expand(vias, improved, i, m, layer - 1) + [j]
+    return expand(vias, improved, i, j, layer - 1)
+
+
+def score(path: OverlayPath, state: LinkState,
+          loss_ms_penalty: float = 2500.0) -> float:
+    """Plan comparison metric: latency plus a loss penalty."""
+    return (path_latency_ms(path, state)
+            + loss_ms_penalty * path_loss_rate(path, state))
+
+
+def route_walk(regions: Tuple[str, ...], state: LinkState,
+               loss_ms_penalty: float = 2500.0
+               ) -> Dict[str, Tuple[str, ...]]:
+    """Algorithm 2's reverse walk for one route (region sequence),
+    scoring every candidate through an all-premium `OverlayPath`.
+
+    Returns ``rec_plan[r]`` = ordered relay sequence (excluding ``r``)
+    to the destination, for every non-terminal region of the route.
+    """
+    dst = regions[-1]
+    rec_plan: Dict[str, Tuple[str, ...]] = {}
+    for i in range(len(regions) - 2, -1, -1):
+        r_i = regions[i]
+        best = (dst,)
+        best_score = score(OverlayPath.via((r_i, dst), LinkType.PREMIUM),
+                           state, loss_ms_penalty)
+        for j in range(i + 1, len(regions) - 1):
+            r_j = regions[j]
+            candidate = (r_j,) + rec_plan[r_j]
+            candidate_score = score(
+                OverlayPath.via((r_i,) + candidate, LinkType.PREMIUM),
+                state, loss_ms_penalty)
+            if candidate_score < best_score:
+                best, best_score = candidate, candidate_score
+        rec_plan[r_i] = best
+    return rec_plan
+
+
+def naive_premium_path(path: OverlayPath, from_region: str) -> OverlayPath:
+    """The paper's p_naive: remaining original hops, all premium — what
+    Property 1 says every reaction plan beats."""
+    regions = list(path.regions)
+    if from_region not in regions[:-1]:
+        raise ValueError(f"{from_region} is not an on-path non-terminal region")
+    idx = regions.index(from_region)
+    return OverlayPath.via(regions[idx:], LinkType.PREMIUM)

@@ -5,10 +5,11 @@ import pytest
 from repro.controlplane.model import ControlConfig, OverlayPath
 from repro.controlplane.pathcontrol import path_control
 from repro.controlplane.reactionplan import (ReactionPlan,
-                                             generate_reaction_plans,
-                                             naive_premium_path, _score)
+                                             generate_reaction_plans)
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
+from tests.controlplane.route_oracle import naive_premium_path
+from tests.controlplane.route_oracle import score as _score
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM

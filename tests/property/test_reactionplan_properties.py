@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.controlplane.model import OverlayPath
 from repro.controlplane.pathcontrol import Assignment, PathControlResult
-from repro.controlplane.reactionplan import (_score, generate_reaction_plans,
-                                             naive_premium_path)
+from repro.controlplane.reactionplan import generate_reaction_plans
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
+from tests.controlplane.route_oracle import naive_premium_path
+from tests.controlplane.route_oracle import score as _score
 
 REGIONS = ["A", "B", "C", "D", "E"]
 
