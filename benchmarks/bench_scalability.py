@@ -167,9 +167,10 @@ def test_demand_matrix_n100(benchmark):
 # how far event-engine studies scale.
 
 #: Hard budgets per probing instant.  At 50 regions: a quarter of the
-#: 0.4 s the instant simulates — the one-object-per-link path this
-#: replaced took a third of real time there (126-156 ms), the array
-#: path ~50 ms.  At paper scale (~3.5 ms, was ~7): 2.5 % of real time.
+#: 0.4 s the instant simulates — one Python object per link took a
+#: third of real time there (126-156 ms), array state with scalar
+#: per-burst draws ~26 ms, one hashed block per instant ~4 ms.  At
+#: paper scale (~0.8 ms, was ~2): 2.5 % of real time.
 PROBE_INSTANT_BUDGET_S = {11: 0.010, 50: 0.1}
 _PROBE_START_S = 600.0
 
@@ -180,11 +181,13 @@ def test_probe_instant(benchmark, n_regions):
     """One `state_at` + every cluster's `probe_round` + the NIB's
     `update_many`, at a fresh 0.4 s step each round."""
     from repro.controlplane.nib import NetworkInformationBase
-    from repro.dataplane.cluster import RegionCluster
+    from repro.dataplane.cluster import RegionCluster, probe_noise
+    from repro.dataplane.config import MonitoringConfig
+    from repro.sim.rng import RngStreams
 
     u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
-    clusters = [RegionCluster(code, u, rng=np.random.default_rng(k))
-                for k, code in enumerate(u.codes)]
+    noise = probe_noise(u, MonitoringConfig(), RngStreams(7))
+    clusters = [RegionCluster(code, u, noise=noise) for code in u.codes]
     nib = NetworkInformationBase(codes=u.codes)
     steps = itertools.count()
 
@@ -231,8 +234,7 @@ def test_cluster_install(benchmark, n_regions):
 
     u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
     region, others = u.codes[0], u.codes[1:]
-    cluster = RegionCluster(region, u, initial_gateways=4,
-                            rng=np.random.default_rng(7))
+    cluster = RegionCluster(region, u, initial_gateways=4)
     tiers = (LinkType.INTERNET, LinkType.PREMIUM)
     entries = {sid: (others[sid % len(others)], tiers[sid % 2])
                for sid in range(_INSTALL_ROWS)}

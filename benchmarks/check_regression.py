@@ -70,12 +70,12 @@ GATED = (
 #: benchmark -> (label suffix, benchmark whose ``baseline_pre_refactor``
 #: entry is its "before").  The pre-refactor stack had a single scalar
 #: entry point, so the snapshot entry is measured against the same
-#: baseline.  The probing-instant rows (before: one Python object per
-#: link, burst and report), the link-series-block rows (before: every
-#: term of the link model per hop and instant), the cluster-install
-#: row (before: one forwarding table per gateway) and the planet-scale
-#: epoch and reaction-plan rows (before: a path object per visit and
-#: per plan candidate) appear once the summary holds them.
+#: baseline.  The probing-instant rows (before: two scalar draws per
+#: burst from per-gateway generators), the link-series-block rows
+#: (before: every term of the link model per hop and instant), the
+#: cluster-install row (before: one forwarding table per gateway) and
+#: the planet-scale epoch and reaction-plan rows (before: a path object
+#: per visit and per plan candidate) appear once the summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale":
         (" (scalar fn entry)", "test_path_control_paper_scale"),

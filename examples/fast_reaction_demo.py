@@ -1,7 +1,8 @@
 """Scenario: watch a gateway detect a degradation and fail over, live.
 
-Event-mode demonstration of §4.3: an XRON gateway probes its links every
-400 ms; we inject a 30-second Internet degradation and watch the
+Event-mode demonstration of §4.3: an XRON gateway — the one member of
+its region's cluster — probes its links every 400 ms; we inject a
+30-second Internet degradation and watch the
 monitoring EWMA climb, the hysteresis trigger, traffic switch to the
 pre-computed premium backup within ~1 second, and the gateway revert
 after the link recovers.
@@ -9,10 +10,8 @@ after the link recovers.
 Run:  python examples/fast_reaction_demo.py
 """
 
-import numpy as np
-
+from repro.dataplane.cluster import RegionCluster
 from repro.dataplane.config import ReactionConfig
-from repro.dataplane.gateway import Gateway
 from repro.sim.engine import Simulator
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
@@ -37,20 +36,20 @@ def main() -> None:
     inject_events(underlay, "HGH", "SIN", LinkType.INTERNET,
                   [DegradationEvent(10.0, 30.0, 4000.0, 0.25)])
 
-    gateway = Gateway("HGH", 0, underlay,
-                      reaction=ReactionConfig(trigger_bursts=2,
-                                              recover_bursts=6),
-                      rng=np.random.default_rng(0))
+    cluster = RegionCluster("HGH", underlay, initial_gateways=1,
+                            reaction=ReactionConfig(trigger_bursts=2,
+                                                    recover_bursts=6))
+    gateway = cluster.gateways[0]
     # Controller push: forward stream 1 to SIN over Internet; the backup
     # plan is the direct premium link.
-    gateway.install_tables({STREAM_ID: ("SIN", LinkType.INTERNET)},
-                           {STREAM_ID: ("SIN",)})
+    cluster.install({STREAM_ID: ("SIN", LinkType.INTERNET)},
+                    {STREAM_ID: ("SIN",)})
 
     sim = Simulator()
     last_state = {"backup": False}
 
     def probe_round() -> None:
-        gateway.probe_all(sim.now)
+        cluster.probe_round(sim.now)
         decision = gateway.forward(STREAM_ID)
         est = gateway.estimator("SIN", LinkType.INTERNET)
         if decision.via_backup != last_state["backup"]:

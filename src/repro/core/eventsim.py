@@ -18,7 +18,9 @@ module runs the actual moving parts on the discrete-event engine:
 
 Everything that reads the true state of a link at one simulated instant
 (every cluster's probe round, the measurement tick) reads the same
-`Underlay.state_at(now)` evaluation.  It is the engine for studies of
+`Underlay.state_at(now)` evaluation, and every monitoring draw is a
+hash of link, probe slot and burst or tick (`dataplane.probing.
+BurstNoise`), evaluated once per instant.  It is the engine for studies of
 the *mechanisms* (detection timing, control loop interplay) over minutes
 to hours; the epoch simulator remains the one for multi-day statistics.
 What each costs is measured, not quoted here: docs/performance.md,
@@ -45,8 +47,9 @@ from repro.core.config import (SimulationConfig, build_controller,
                                build_pools)
 from repro.core.extensions import arm
 from repro.core.variants import VariantSpec, xron
-from repro.dataplane.cluster import RegionCluster
+from repro.dataplane.cluster import RegionCluster, probe_noise
 from repro.dataplane.gateway import Gateway
+from repro.dataplane.probing import BurstNoise
 from repro.elastic.containers import ContainerPool
 from repro.obs import telemetry as _telemetry
 from repro.sim.engine import PeriodicTask, Simulator
@@ -216,14 +219,19 @@ class EventDrivenXRON:
             self.sim_config.reaction,
             enabled=(self.sim_config.reaction.enabled
                      and self.variant.fast_reaction))
+        noise = probe_noise(underlay, self.sim_config.monitoring, self.rng)
         self.clusters: Dict[str, RegionCluster] = {
             code: RegionCluster(
                 code, underlay,
                 initial_gateways=self.sim_config.initial_gateways,
                 monitoring=self.sim_config.monitoring,
-                reaction=reaction,
-                rng=self.rng.get(f"cluster.{code}"))
+                reaction=reaction, noise=noise)
             for code in underlay.codes}
+        #: The tracked sessions' packet losses on each link per tick.
+        self._passive = BurstNoise(underlay, self.rng, "measure", 1,
+                                   _PACKETS_PER_TICK, measure_interval_s)
+        self._passive_at = {hop: k for k, hop
+                            in enumerate(self._passive.hops)}
         self.pools: Dict[str, ContainerPool] = build_pools(
             underlay.codes, self.rng, self.sim_config, self.control_config)
 
@@ -547,9 +555,14 @@ class EventDrivenXRON:
 
     # ----------------------------------------------------------- measurement
     def _measure(self, sim: Simulator) -> None:
+        """Walk every tracked session and book its packets on each hop's
+        deciding gateway; a hop loses the tick's draw on its link (one
+        per link and tick, shared by the sessions crossing it)."""
         now = sim.now
-        rng = self.rng.get("eventsim.measure")
-        state = self.underlay.state_at(now)
+        latency_ms, loss_rate, __, lost = self._passive.at(now)
+        latency_ms, loss_rate, lost_packets = (
+            latency_ms.tolist(), loss_rate.tolist(), lost[0].tolist())
+        at = self._passive_at
         sample = self.hooks("sample")
         for pair, record in self.sessions.items():
             sid = self.session_stream[pair]
@@ -567,17 +580,16 @@ class EventDrivenXRON:
             survive = 1.0
             on_backup = False
             for (a, b, lt, via_backup, gateway) in hops:
-                hop_lat, hop_loss = state.lookup(a, b, lt)
+                k = at[(a, b, lt)]
+                hop_lat = latency_ms[k]
                 latency += hop_lat
-                survive *= 1.0 - hop_loss
+                survive *= 1.0 - loss_rate[k]
                 on_backup = on_backup or via_backup
                 # Passive tracking: account the session's packets on the
                 # gateway that actually made the forwarding decision
                 # (round robin), not an arbitrary cluster sibling.
-                lost = int(rng.binomial(_PACKETS_PER_TICK,
-                                        min(hop_loss, 1.0)))
                 gateway.passive.record((a, b, lt), _PACKETS_PER_TICK,
-                                       lost, hop_lat)
+                                       lost_packets[k], hop_lat)
             record.times.append(now)
             record.latency_ms.append(latency)
             record.loss_rate.append(1.0 - survive)

@@ -30,10 +30,10 @@ def arm(engine, *, faults, resilience, membership, regional,
     gets its fault filter back before membership forgets its soft state.
     """
     schedule = faults if faults is not None else FaultSchedule.empty()
-    # Always compiled — a named RNG stream of its own, and an empty
-    # schedule scans empty buckets and draws nothing — so extensions
-    # query `engine.faults` without asking whether faults are armed.
-    injector = FaultInjector(schedule, rng=engine.rng.get("faults"))
+    # Always compiled — an empty schedule scans empty buckets and draws
+    # nothing — so extensions query `engine.faults` without asking
+    # whether faults are armed.
+    injector = FaultInjector(schedule, seed=engine.rng.seed_for("faults"))
     extensions: List[object] = []
     if schedule:
         extensions.append(FaultExtension(engine, injector))

@@ -39,7 +39,7 @@ from repro.dataplane.estimator import reaction_active_series
 from repro.dataplane.forwarding import (backup_path,
                                         effective_path_series)
 from repro.dataplane.grouping import ProbingGroupManager
-from repro.dataplane.probing import burst_series
+from repro.dataplane.probing import burst_series, link_seed
 from repro.elastic.containers import ContainerPool
 from repro.obs import telemetry as _telemetry
 from repro.qoe.metrics import QoESummary
@@ -448,12 +448,13 @@ class EpochSimulator:
 
     # -------------------------------------------------------------- internal
     def _probe_seed(self, hop: PathHop) -> int:
-        """Seed of the hop's probing hash-noise stream (one BLAKE2b per
+        """Seed of the hop's probing hash-noise stream — the event
+        engine's first representative's on that link (one BLAKE2b per
         hop per simulator, not per epoch)."""
         seed = self._probe_seeds.get(hop)
         if seed is None:
-            seed = self._probe_seeds[hop] = self._streams.seed_for(
-                f"probe.{hop[0]}->{hop[1]}.{hop[2].value}")
+            seed = self._probe_seeds[hop] = link_seed(self._streams, "probe",
+                                                      hop)
         return seed
 
     def _push_reports(self, now: float) -> None:

@@ -16,10 +16,11 @@ Two execution styles are provided: event-driven objects (`Gateway`,
 `RegionCluster`, their `EstimatorBank`s) for the discrete-event
 simulator, and vectorised series functions (`burst_series`, `reaction_active_series`,
 `effective_path_series`) used by the day-scale benchmark experiments.
+Both draw every monitoring measurement through `burst_draws`.
 """
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
-from repro.dataplane.probing import (ActiveProber, BurstBatch, ProbeBurst,
+from repro.dataplane.probing import (BurstNoise, ProbeBurst, burst_draws,
                                      burst_series)
 from repro.dataplane.estimator import (EstimatorBank, LinkStateEstimator,
                                        reaction_active_series)
@@ -33,9 +34,9 @@ from repro.dataplane.cluster import RegionCluster
 __all__ = [
     "MonitoringConfig",
     "ReactionConfig",
-    "ActiveProber",
+    "BurstNoise",
     "ProbeBurst",
-    "BurstBatch",
+    "burst_draws",
     "burst_series",
     "EstimatorBank",
     "LinkStateEstimator",

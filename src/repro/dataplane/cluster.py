@@ -13,7 +13,9 @@ The gateways' monitoring state is one block of arrays (an
 `EstimatorBank` of shape ``(gateways, links)``, representatives first):
 a probing round is a few dozen array operations over it — one ingest
 for all representatives, one median, one hand-over to all members, one
-`ReportBatch` — plus the two random draws each burst costs.
+`ReportBatch`.  The k-th representative measures the k-th probe slot's
+bursts (`BurstNoise`, drawn once per instant for every cluster), which
+no crash, scale-out or other cluster's round can change.
 """
 
 from __future__ import annotations
@@ -28,10 +30,21 @@ from repro.dataplane.estimator import EstimatorBank
 from repro.dataplane.forwarding import Entries, ForwardingTable, Plans
 from repro.dataplane.gateway import ForwardDecision, Gateway
 from repro.dataplane.grouping import ProbingGroupManager
+from repro.dataplane.probing import BurstNoise, burst_bytes
 from repro.obs import telemetry as _telemetry
+from repro.sim.rng import RngStreams
 from repro.underlay.topology import Underlay
 
 _TEL = _telemetry()
+
+
+def probe_noise(underlay: Underlay, monitoring: MonitoringConfig,
+                streams: RngStreams) -> BurstNoise:
+    """Every representative slot's probe bursts on every link of
+    `underlay`: one per deployment, shared by its clusters."""
+    return BurstNoise(underlay, streams, "probe", monitoring.representatives,
+                      monitoring.packets_per_burst,
+                      monitoring.burst_interval_s)
 
 
 class RegionCluster:
@@ -41,18 +54,27 @@ class RegionCluster:
                  initial_gateways: int = 2,
                  monitoring: Optional[MonitoringConfig] = None,
                  reaction: Optional[ReactionConfig] = None,
-                 rng: Optional[np.random.Generator] = None):
+                 noise: Optional[BurstNoise] = None):
+        """`noise` is the deployment's `probe_noise` (of the same
+        `monitoring`); a cluster built alone makes one from seed 0."""
         if initial_gateways < 1:
             raise ValueError("a cluster needs at least one gateway")
         self.region = region
-        self.underlay = underlay
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringConfig())
         self.reaction = reaction if reaction is not None else ReactionConfig()
+        self.noise = (noise if noise is not None else
+                      probe_noise(underlay, self.monitoring, RngStreams(0)))
+        #: The region's links: their run in `noise`, their position in
+        #: the monitoring state and reports, their (tier, src, dst).
+        self._span = self.noise.span(region)
+        self.links = {(dst, lt): k for k, (__, dst, lt)
+                      in enumerate(self.noise.hops[self._span])}
+        self.link_index = tuple(axis[self._span]
+                                for axis in self.noise.index)
         #: Handed to every gateway the cluster creates (`arm_resilience`).
         self.resilience = None
         self.resilience_counters = None
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         self._grouping = ProbingGroupManager(
             underlay.codes, self.monitoring.representatives)
         self._next_gateway_id = 0
@@ -83,13 +105,10 @@ class RegionCluster:
     def _add_gateway(self) -> Gateway:
         gid = self._next_gateway_id
         self._next_gateway_id += 1
-        gateway = Gateway(self.region, gid, self.underlay,
-                          monitoring=self.monitoring, reaction=self.reaction,
-                          rng=np.random.default_rng(
-                              int(self._rng.integers(2 ** 32))),
+        gateway = Gateway(self.region, gid, self.links, self.table,
+                          self.monitoring, self.reaction,
                           resilience=self.resilience,
-                          resilience_counters=self.resilience_counters,
-                          table=self.table)
+                          resilience_counters=self.resilience_counters)
         self.gateways[gid] = gateway
         return gateway
 
@@ -192,31 +211,35 @@ class RegionCluster:
         state is distributed to all member gateways, and the reports are
         returned for the controller's NIB.  A link under a probe
         blackout (a fault-injection seam, asked once per link) is a
-        blind spot: no probes, no group state, no NIB report — its
-        estimators, and the controller's view of it, age into staleness.
+        blind spot: its bursts are not taken in — no group state, no NIB
+        report — so its estimators, and the controller's view of it, age
+        into staleness.
         """
         reps = self.representatives()
-        first = reps[0]
-        links, order, index = slice(None), first.probe_order, first.link_index
+        links, index = slice(None), self.link_index
         blacked_ids = {}
         if self.faults is not None:
-            for (dst, lt), k in first.links.items():
+            for (dst, lt), k in self.links.items():
                 # The matching FaultSpec, or None.
                 spec = self.faults.probe_blackout(self.region, dst, lt, now)
                 if spec is not None:
                     blacked_ids[k] = self.faults.fault_id(spec)
             if blacked_ids:
                 self.faults.counters.probes_blacked_out += len(blacked_ids)
-                links, order = first.open_links(blacked_ids)
+                links = np.array([k for k in range(len(self.links))
+                                  if k not in blacked_ids], dtype=np.intp)
                 index = tuple(axis[links] for axis in index)
-        state = self.underlay.state_at(now)
-        loss_rates = np.minimum(state.loss[index], 1.0).tolist()
-        jitter, lost = zip(*(rep.send_bursts(loss_rates, order)
-                             for rep in reps))
+        latency, __, jitter, lost = self.noise.at(now)
+        run = (slice(len(reps)), self._span)
+        lost = lost[run][:, links]
+        measured = latency[self._span][links] * jitter[run][:, links]
+        nbytes = burst_bytes(lost, self.monitoring) // len(reps)
+        for rep in reps:
+            rep.probe_bytes_sent += nbytes
         bank = self._bank
         probed = (slice(len(reps)), links)
-        bank.ingest(probed, now, state.lat[index] * np.array(jitter),
-                    np.array(lost) / self.monitoring.packets_per_burst)
+        bank.ingest(probed, now, measured,
+                    lost / self.monitoring.packets_per_burst)
         tier, src, dst = index
         reports = self._grouping.aggregate(
             src, dst, tier,

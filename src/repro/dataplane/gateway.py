@@ -1,9 +1,10 @@
 """The XRON gateway (event-mode object).
 
-A gateway is one container in a region: it monitors adjacent links (a
-probe burst per link per round plus passive tracking, both folded into
-its `EstimatorBank`), forwards from its region's `ForwardingTable` (rows
-and reaction plans, shared with its cluster siblings), and answers
+A gateway is one container of a region's `RegionCluster`: its
+monitoring state (the probe bursts its cluster sends as it, plus passive
+tracking, both folded into its `EstimatorBank`) covers the region's
+adjacent links, it forwards from the region's `ForwardingTable` (rows
+and reaction plans, shared with its cluster siblings), and it answers
 "where does this stream go right now?" — switching to the premium backup
 when its monitoring has flagged the normal outgoing link degraded
 (§4.3), without asking the controller.
@@ -12,19 +13,14 @@ when its monitoring has flagged the normal outgoing link degraded
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.estimator import EstimatorBank, LinkStateEstimator
-from repro.dataplane.forwarding import Entries, ForwardingTable, Plans
+from repro.dataplane.forwarding import ForwardingTable
 from repro.dataplane.passive import PassiveTracker
-from repro.dataplane.probing import BurstBatch, burst_bytes
 from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
-from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER
-from repro.underlay.topology import Underlay
 
 _TEL = _telemetry()
 
@@ -44,31 +40,27 @@ class ForwardDecision:
 class Gateway:
     """One gateway container: monitoring + forwarding + local reaction."""
 
-    def __init__(self, region: str, gateway_id: int, underlay: Underlay,
-                 monitoring: Optional[MonitoringConfig] = None,
-                 reaction: Optional[ReactionConfig] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 resilience=None, resilience_counters=None,
-                 table: Optional[ForwardingTable] = None):
-        """`resilience` is a resolved `repro.resilience.ResilienceConfig`
-        (or None): it arms degraded-mode forwarding (stale tables demote
-        Internet entries to the premium floor) and failback hold-down.
+    def __init__(self, region: str, gateway_id: int,
+                 links: Dict[Tuple[str, LinkType], int],
+                 table: ForwardingTable,
+                 monitoring: MonitoringConfig, reaction: ReactionConfig,
+                 resilience=None, resilience_counters=None):
+        """`links` (adjacent link -> position in the monitoring state)
+        and `table` (the installed update) are the region's, handed over
+        by the cluster.  `resilience` is a resolved
+        `repro.resilience.ResilienceConfig` (or None): it arms
+        degraded-mode forwarding (stale tables demote Internet entries
+        to the premium floor) and failback hold-down.
         `resilience_counters` is the deployment-shared
         `ResilienceCounters` the gateway increments — shared so counts
-        survive gateway churn (crashes, scale-downs).  `table` is the
-        region's installed update: a cluster hands every gateway it
-        creates its one, a gateway built on its own makes one."""
+        survive gateway churn (crashes, scale-downs)."""
         self.region = region
         self.gateway_id = int(gateway_id)
-        self.underlay = underlay
-        self.monitoring_config = (monitoring if monitoring is not None
-                                  else MonitoringConfig())
-        self.reaction_config = (reaction if reaction is not None
-                                else ReactionConfig())
+        self.links = links
+        self.table = table
+        self.reaction_config = reaction
         self.resilience = resilience
         self.resilience_counters = resilience_counters
-        self._rng = rng if rng is not None else np.random.default_rng(gateway_id)
-        self.table = table if table is not None else ForwardingTable()
         self.passive = PassiveTracker()
         #: Streams currently riding their backup path (trace edges only).
         self._on_backup: set = set()
@@ -78,85 +70,12 @@ class Gateway:
         self._holddown_traced: set = set()
         #: Streams already counted as demoted under the current table.
         self._demoted: set = set()
-        column = {code: i for i, code in enumerate(underlay.codes)}
-        #: The adjacent links -> their position in the monitoring state
-        #: and in a round's reports: destination by destination in the
-        #: underlay's order, Internet before premium.
-        self.links: Dict[Tuple[str, LinkType], int] = {
-            key: k for k, key in enumerate(
-                (dst, lt) for dst in column if dst != region
-                for lt in TYPE_ORDER)}
-        #: Those positions in the order a round probes them — by (dst,
-        #: tier name), fixed: every burst draws from the one RNG, so the
-        #: order is part of the stream.
-        self.probe_order: List[int] = [
-            self.links[key] for key in sorted(
-                self.links, key=lambda key: (key[0], key[1].value))]
-        #: The same links as (tier, row, column) index vectors into the
-        #: underlay's state matrices.
-        self.link_index: Tuple[np.ndarray, ...] = (
-            np.array([TYPE_INDEX[lt] for (__, lt) in self.links]),
-            np.full(len(self.links), column[region]),
-            np.array([column[dst] for (dst, __) in self.links]))
-        #: Monitoring state of the links, in the same order.  A cluster
+        #: Monitoring state of the links, in their order.  The cluster
         #: makes it a row of its block (`EstimatorBank.stacked`).
-        self.bank = EstimatorBank((len(self.links),), self.monitoring_config,
-                                  self.reaction_config)
+        self.bank = EstimatorBank((len(links),), monitoring, reaction)
         self.probe_bytes_sent = 0
 
     # ------------------------------------------------------------ monitoring
-    def probe_all(self, now: float, blackout=None) -> BurstBatch:
-        """One probing round over all adjacent links (both types).
-
-        The links' true state is this region's row of the underlay's
-        shared `state_at(now)` evaluation.  `blackout`, if given, is a
-        ``(dst, link_type) -> bool`` predicate (a fault-injection seam):
-        links it flags send no probes at all, so their estimators keep
-        aging on stale state — the gateway is blind there, exactly as
-        during a real probing outage.
-        """
-        links, order, index = slice(None), self.probe_order, self.link_index
-        if blackout is not None:
-            links, order = self.open_links(
-                {k for key, k in self.links.items() if blackout(*key)})
-            index = tuple(axis[links] for axis in index)
-            if _TEL.enabled and len(links) < len(self.links):
-                _TEL.counter("fault.probes_blacked_out").inc(
-                    len(self.links) - len(links))
-        state = self.underlay.state_at(now)
-        jitter, lost = self.send_bursts(
-            np.minimum(state.loss[index], 1.0).tolist(), order)
-        measured = state.lat[index] * np.array(jitter)
-        lost = np.array(lost, dtype=np.int64)
-        packets = self.monitoring_config.packets_per_burst
-        self.bank.ingest(links, now, measured, lost / packets)
-        return BurstBatch(now, measured[order], lost[order],
-                          self.monitoring_config)
-
-    def open_links(self, hidden) -> Tuple[np.ndarray, List[int]]:
-        """The link positions not in `hidden`, ascending, and the order
-        to probe them in (as positions in that array)."""
-        links = [k for k in range(len(self.links)) if k not in hidden]
-        rank = {k: at for at, k in enumerate(links)}
-        return (np.array(links, dtype=np.intp),
-                [rank[k] for k in self.probe_order if k in rank])
-
-    def send_bursts(self, loss_rates: Sequence[float], order: Sequence[int]
-                    ) -> Tuple[List[float], List[int]]:
-        """One burst on each link of a sequence losing packets at
-        `loss_rates`, sent in `order`: per link the measurement jitter
-        (measured over true latency) and the packets lost — the two
-        draws `ActiveProber.measure` makes."""
-        uniform, binomial = self._rng.uniform, self._rng.binomial
-        packets = self.monitoring_config.packets_per_burst
-        jitter, lost = [1.0] * len(order), [0] * len(order)
-        for k in order:
-            jitter[k] = uniform(0.98, 1.02)
-            lost[k] = binomial(packets, loss_rates[k])
-        self.probe_bytes_sent += burst_bytes(
-            len(lost), self.monitoring_config, sum(lost))
-        return jitter, lost
-
     def passive_samples(self, now: float
                         ) -> Tuple[List[int], List[float], List[float]]:
         """Close the passive windows: (link positions, latency, loss
@@ -167,13 +86,6 @@ class Gateway:
                 [sample.latency_ms for sample in own],
                 [sample.loss_rate for sample in own])
 
-    def flush_passive(self, now: float) -> None:
-        """Fold aggregated passive samples into the estimators."""
-        links, latency_ms, loss_rate = self.passive_samples(now)
-        if links:
-            self.bank.ingest(np.array(links), now, np.array(latency_ms),
-                             np.array(loss_rate))
-
     def estimator(self, dst: str, link_type: LinkType) -> LinkStateEstimator:
         return LinkStateEstimator.of(self.bank, self.links[(dst, link_type)])
 
@@ -181,16 +93,6 @@ class Gateway:
         return bool(self.bank.degraded[self.links[(dst, link_type)]])
 
     # ------------------------------------------------------------ forwarding
-    def install_tables(self, entries: Entries, plans: Plans,
-                       version: Optional[int] = None,
-                       now: Optional[float] = None) -> bool:
-        """A lone gateway's door to `ForwardingTable.install` (a
-        cluster's is `RegionCluster.install`); False when refused."""
-        accepted = self.table.install(entries, plans, version, now)
-        if accepted:
-            self.table_replaced()
-        return accepted
-
     def table_replaced(self) -> None:
         """An install was accepted: demotions are counted once per
         gateway, stream and table, so the ledger starts over."""

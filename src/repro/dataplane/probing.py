@@ -1,4 +1,4 @@
-"""Active probing (§4.1).
+"""Active probing (§4.1), and the one definition of a monitoring draw.
 
 Each gateway probes its adjacent overlay links with pseudo-packet bursts:
 one burst every ~400 ms, fifteen 1.5 KB packets per burst.  A probe is
@@ -7,10 +7,11 @@ when its response is still missing after three RTTs — both conditions
 amount to "the reply did not come back in time", which is how the
 simulation draws losses from the link's loss process.
 
-`ActiveProber` is the event-mode object for one link and `BurstBatch`
-what a gateway's round over all its links returns; `burst_series`
-generates a whole window of burst measurements vectorised for the
-day-scale experiments.
+`burst_draws` is what one burst measures: a pure function of a seed
+per link and probe slot, the absolute burst number and the true loss,
+through which every monitoring draw of both engines goes — once per
+instant for every link of an underlay (`BurstNoise`, the event engine),
+or over a window of bursts (`burst_series`, the grid engine).
 """
 
 from __future__ import annotations
@@ -19,17 +20,21 @@ from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.dataplane.config import MonitoringConfig
 from repro.obs import telemetry as _telemetry
 from repro.obs.metrics import HotCounters
-from repro.sim.rng import hash_uniform
-from repro.underlay.linkstate import LinkProcess
+from repro.sim.rng import RngStreams, hash_uniform
+from repro.underlay.linkstate import LinkProcess, LinkType
+from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER
 
 _TEL = _telemetry()
 _BURST_COUNTERS = HotCounters("probing.bursts", "probing.bytes",
                               "probing.lost_packets")
+
+#: Hash salts of a burst's two uniforms: the lost-count quantile, then
+#: the latency jitter.
+_SALTS = np.array([3, 4], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -52,72 +57,115 @@ class ProbeBurst:
         return self.sent * self.packet_bytes
 
 
-class BurstBatch:
-    """One burst on each of several links at one instant, as arrays
-    (measured latency and lost packets, in probing order).  Sized;
-    iterating or indexing builds the `ProbeBurst`s."""
-
-    __slots__ = ("time", "latency_ms", "lost", "sent", "packet_bytes")
-
-    def __init__(self, time: float, latency_ms: np.ndarray, lost: np.ndarray,
-                 config: MonitoringConfig):
-        self.time = time
-        self.latency_ms = latency_ms
-        self.lost = lost
-        self.sent = config.packets_per_burst
-        self.packet_bytes = config.packet_bytes
-
-    def __len__(self) -> int:
-        return len(self.lost)
-
-    def __getitem__(self, k: int) -> ProbeBurst:
-        return ProbeBurst(self.time, float(self.latency_ms[k]), self.sent,
-                          int(self.lost[k]), self.packet_bytes)
+def burst_draws(seed: Union[int, np.ndarray], burst, loss, packets: int
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """One burst of `packets` packets per element of the broadcast of
+    `seed` (uint64) and `burst` (absolute burst numbers), on a link
+    losing `loss` (true loss rates, broadcast to that shape): its
+    latency jitter, ``0.98 + 0.04 * hash_uniform(seed, burst, salt=4)``
+    (measured over true latency), and its lost packets, Binomial(packets,
+    min(loss, 1))'s inverse CDF at ``hash_uniform(seed, burst, salt=3)``.
+    Nothing else goes in: a link, slot and burst read the same whenever,
+    wherever and in whatever order.
+    """
+    ndim = max(np.ndim(seed), np.ndim(burst))
+    u, jitter = hash_uniform(seed, burst,
+                             salt=_SALTS.reshape((2,) + (1,) * ndim))
+    p = np.minimum(loss, 1.0, out=np.empty(np.shape(u)))
+    return 0.98 + 0.04 * jitter, _binomial_quantile(u, p, packets)
 
 
-def burst_bytes(bursts: int, config: MonitoringConfig, lost: int) -> int:
-    """Bytes `bursts` bursts put on the wire; counts them, and the
-    `lost` packets among them, in the probing telemetry."""
-    nbytes = bursts * config.packets_per_burst * config.packet_bytes
+def _binomial_quantile(u: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """Binomial(n, p)'s inverse CDF at `u` (both of one shape): how many
+    of F(0), ..., F(n - 1) are at or below u.  F is summed from the
+    pmf's recurrence, past F(0) only over the elements that lost a
+    packet at all — at monitoring loss rates, a small share."""
+    lost = np.asarray(u >= (1.0 - p) ** n)
+    walking = np.flatnonzero(lost)
+    lost = lost.astype(np.int64)
+    if walking.size:
+        u, p = np.ravel(u)[walking], np.ravel(p)[walking]
+        q = 1.0 - p
+        # A certain loss (q = 0) keeps the pmf at 0: every packet lost.
+        ratio = p / np.maximum(q, 1e-300)
+        pmf = cdf = q ** n
+        count = lost.flat[walking]
+        for k in range(1, n):
+            pmf = pmf * ratio * ((n - k + 1) / k)
+            cdf = cdf + pmf
+            more = u >= cdf
+            if not np.count_nonzero(more):
+                break
+            count += more
+        lost.flat[walking] = count
+    return lost
+
+
+def burst_bytes(lost: np.ndarray, config: MonitoringConfig) -> int:
+    """Bytes the bursts that lost `lost` packets each put on the wire;
+    counts them, and their lost packets, in the probing telemetry."""
+    nbytes = lost.size * config.packets_per_burst * config.packet_bytes
     if _TEL.enabled:
         counters = _BURST_COUNTERS.fetch(_TEL.metrics)
-        for counter, amount in zip(counters, (bursts, nbytes, lost)):
+        for counter, amount in zip(counters,
+                                   (lost.size, nbytes, int(lost.sum()))):
             counter.inc(amount)
     return nbytes
 
 
-class ActiveProber:
-    """Probes one directed link with periodic bursts (event mode)."""
+def link_seed(streams: RngStreams, family: str,
+              hop: Tuple[str, str, LinkType], slot: int = 0) -> int:
+    """The seed of one kind of draw (`family`) on a directed link by a
+    probe slot; the grid engine's probe of a hop is the event engine's
+    slot 0 (no suffix)."""
+    src, dst, link_type = hop
+    key = f"{family}.{src}->{dst}.{link_type.value}"
+    return streams.seed_for(f"{key}.{slot}" if slot else key)
 
-    def __init__(self, link: LinkProcess, config: MonitoringConfig,
-                 rng: np.random.Generator):
-        self.link = link
-        self.config = config
-        self._rng = rng
-        self.bursts_sent = 0
-        self.bytes_sent = 0
 
-    def probe(self, now: float) -> ProbeBurst:
-        """Send one burst at `now` against this prober's own link."""
-        return self.measure(now, float(self.link.latency_ms(now)),
-                            float(self.link.loss_rate(now)))
+class BurstNoise:
+    """One family of monitoring draws on every directed link of an
+    underlay by `slots` probe slots: seeds derived once, an instant's
+    draws (and the truth they are drawn from) evaluated once however
+    many clusters read them.  Links run by source region in the
+    underlay's order, then destination, Internet before premium: a
+    region's links are one run (`span`) in its gateways' order."""
 
-    def measure(self, now: float, true_latency: float,
-                true_loss: float) -> ProbeBurst:
-        """One burst at virtual time `now` over a link in the given state.
+    def __init__(self, underlay, streams: RngStreams, family: str,
+                 slots: int, packets: int, interval_s: float):
+        codes = underlay.codes
+        self.underlay = underlay
+        self.packets = packets
+        self.interval_s = interval_s
+        self.hops = [(src, dst, link_type) for src in codes for dst in codes
+                     if dst != src for link_type in TYPE_ORDER]
+        column = {code: i for i, code in enumerate(codes)}
+        #: (tier, src, dst) index vectors into the underlay's matrices.
+        self.index = tuple(np.array(axis, dtype=np.intp) for axis in zip(
+            *((TYPE_INDEX[lt], column[a], column[b])
+              for (a, b, lt) in self.hops)))
+        self.seeds = np.array([[link_seed(streams, family, hop, slot)
+                                for hop in self.hops]
+                               for slot in range(slots)], dtype=np.uint64)
+        self._state = None
+        self._bursts = None
 
-        The measured latency is the link's true latency plus a small
-        measurement jitter; losses are binomial draws from the true loss
-        rate (each packet is judged by the timeout / reordering rules,
-        which in aggregate observe the loss process).
-        """
-        measured = true_latency * float(self._rng.uniform(0.98, 1.02))
-        lost = int(self._rng.binomial(self.config.packets_per_burst,
-                                      min(true_loss, 1.0)))
-        self.bursts_sent += 1
-        self.bytes_sent += burst_bytes(1, self.config, lost)
-        return ProbeBurst(now, measured, self.config.packets_per_burst, lost,
-                          self.config.packet_bytes)
+    def span(self, region: str) -> slice:
+        """The run of `region`'s adjacent links."""
+        per_region = 2 * (len(self.underlay.codes) - 1)
+        lo = self.underlay.codes.index(region) * per_region
+        return slice(lo, lo + per_region)
+
+    def at(self, now: float) -> Tuple[np.ndarray, ...]:
+        """(true latency, true loss) per link and (jitter, lost packets)
+        per slot and link at `now` — burst ``round(now / interval_s)``."""
+        state = self.underlay.state_at(now)
+        if state is not self._state:
+            loss = state.loss[self.index]
+            self._bursts = (state.lat[self.index], loss) + burst_draws(
+                self.seeds, round(now / self.interval_s), loss, self.packets)
+            self._state = state
+        return self._bursts
 
 
 #: True link state over a time grid: times -> (latency_ms, loss_rate).
@@ -131,10 +179,9 @@ def burst_series(link: Union[LinkProcess, LinkSeriesFn], t0: float,
     """Vectorised probing of a link over [t0, t1).
 
     Returns (burst_times, measured_latency_ms, burst_loss_fraction), one
-    entry per burst interval.  Loss per burst is a deterministic
-    quasi-binomial draw from the true loss rate (normal approximation via
-    hash noise), so the whole series is reproducible without an event
-    loop.
+    entry per burst interval, each burst drawn by `burst_draws` at its
+    absolute burst number — what the event engine's slot-0
+    representative measures at the same instants.
 
     To probe a block of links in one pass, give `link` as a function
     from the burst times to the block's true ``(links, bursts)`` latency
@@ -150,16 +197,6 @@ def burst_series(link: Union[LinkProcess, LinkSeriesFn], t0: float,
     else:
         lat, loss = link.latency_ms(times), link.loss_rate(times)
     n = config.packets_per_burst
-    # Quasi-binomial: mean n*p, variance n*p*(1-p); indexed by burst count
-    # so the draw differs burst to burst even at equal loss rates.
-    burst_index = np.arange(times.size)
-    u = hash_uniform(seed, burst_index, salt=3)
-    z = np.sqrt(np.maximum(n * loss * (1.0 - loss), 0.0))
-    lost = np.clip(np.round(n * loss + z * _inv_norm(u)), 0, n)
-    jitter = 0.98 + 0.04 * hash_uniform(seed, burst_index, salt=4)
+    jitter, lost = burst_draws(
+        seed, np.round(times / config.burst_interval_s), loss, n)
     return times, lat * jitter, lost / n
-
-
-def _inv_norm(u: np.ndarray) -> np.ndarray:
-    """Inverse standard-normal CDF, clipped away from 0 and 1."""
-    return ndtri(np.clip(u, 1e-9, 1 - 1e-9))

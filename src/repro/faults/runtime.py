@@ -3,13 +3,14 @@
 `FaultInjector` is a compiled `FaultSchedule` answering point queries —
 what the data-plane seams and the event engine's extensions talk to.
 It keeps the schedule's specs bucketed by kind so per-call matching is
-a short linear scan (schedules hold dozens of specs at most), owns the
-*only* RNG the fault subsystem ever draws from (a dedicated named
-stream, so probabilistic drops never perturb any other subsystem's
-randomness), and counts what it injected so experiments can report
-fault pressure next to reaction timings.  It is passive — it never
-schedules anything — and an empty one answers every query "nothing",
-so `EventDrivenXRON` always carries one as ``engine.faults``.
+a short linear scan (schedules hold dozens of specs at most), decides
+probabilistic report drops and churn suppressions by a hash of (fault
+id, link or region, instant) under its own seed — so a decision never
+depends on which other queries came first, and never perturbs another
+subsystem's randomness — and counts what it injected so experiments
+can report fault pressure next to reaction timings.  It is passive —
+it never schedules anything — and an empty one answers every query
+"nothing", so `EventDrivenXRON` always carries one as ``engine.faults``.
 
 `FaultExtension` is the half that needs a clock and a deployment: it
 queues the gateway-crash windows, closes the epoch gate during a
@@ -29,11 +30,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.controlplane.nib import LinkReport, ReportBatch
+from repro.dataplane.probing import burst_draws
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
 from repro.obs import telemetry as _telemetry
+from repro.sim.rng import RngStreams
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_ORDER
 
@@ -98,10 +99,9 @@ class FaultCounters:
 class FaultInjector:
     """Point-query API over a fault schedule (see module docstring)."""
 
-    def __init__(self, schedule: FaultSchedule,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, schedule: FaultSchedule, seed: int = 0):
         self.schedule = schedule
-        self._rng = rng
+        self._streams = RngStreams(seed)
         self._by_kind: Dict[FaultKind, List[FaultSpec]] = {
             kind: schedule.by_kind(kind) for kind in FaultKind}
         self._report_specs = (self._by_kind[FaultKind.REPORT_DROP]
@@ -126,6 +126,16 @@ class FaultInjector:
         if spec is None:
             return None
         return self._ids.get(spec)
+
+    def _fires(self, spec: FaultSpec, key: str, now: float) -> bool:
+        """Whether `spec` acts on `key` (a link or region) at `now`: a
+        one-packet burst at loss `probability`, by the millisecond."""
+        if spec.probability >= 1.0:
+            return True
+        seed = self._streams.seed_for(f"{self._ids[spec]}.{key}")
+        __, lost = burst_draws(seed, round(now * 1000.0), spec.probability,
+                               1)
+        return bool(lost)
 
     # ------------------------------------------------------- one-shot windows
     def mark_fired(self, spec: FaultSpec) -> None:
@@ -217,9 +227,8 @@ class FaultInjector:
         for spec in self._by_kind[FaultKind.REPORT_DROP]:
             if spec.active(now) and spec.matches_link(
                     report.src, report.dst, report.link_type):
-                if spec.probability >= 1.0 or (
-                        self._rng is not None
-                        and self._rng.random() < spec.probability):
+                link = f"{report.src}->{report.dst}.{report.link_type.value}"
+                if self._fires(spec, link, now):
                     self.counters.reports_dropped += 1
                     return None
         for spec in self._by_kind[FaultKind.REPORT_STALENESS]:
@@ -294,17 +303,14 @@ class FaultInjector:
     def membership_churn(self, region: str, now: float) -> Optional[FaultSpec]:
         """The churn spec suppressing this region's refresh, if any.
 
-        Probabilistic suppression (``probability < 1``) draws from the
-        dedicated faults RNG stream — a draw happens only when a
-        matching window is active, so schedules without churn never
-        perturb the stream.
+        Probabilistic suppression (``probability < 1``) is decided by
+        (fault id, region, instant): a draw happens only when a matching
+        window is active, and asks nothing of any other query.
         """
         for spec in self._by_kind[FaultKind.MEMBERSHIP_CHURN]:
-            if spec.active(now) and spec.matches_region(region):
-                if spec.probability >= 1.0 or (
-                        self._rng is not None
-                        and self._rng.random() < spec.probability):
-                    return spec
+            if (spec.active(now) and spec.matches_region(region)
+                    and self._fires(spec, region, now)):
+                return spec
         return None
 
 

@@ -60,8 +60,11 @@ def busy_factor(hours_local) -> np.ndarray:
     h = np.asarray(hours_local, dtype=float) % 24.0
     # A raised-cosine bump centred at 15:30 local, width ~14 h.
     x = (h - 15.5) / 14.0 * np.pi
-    bump = np.where(np.abs(x) < np.pi / 2.0, np.cos(x) ** 2, 0.0)
-    return bump
+    # `c * c`, not `c ** 2`: a NumPy scalar squares through libm `pow`,
+    # an array by multiplying, and the two differ in the last bit now
+    # and then — the scalar link model must equal the array one.
+    c = np.cos(x)
+    return np.where(np.abs(x) < np.pi / 2.0, c * c, 0.0)
 
 
 class LinkProcess:

@@ -4,7 +4,7 @@
 one gather per DP layer and runs Algorithm 2 over flat premium
 matrices; these are the per-path forms they replaced, kept as the
 oracle the batch forms are tested against (as `packet_prober.py` is for
-`ActiveProber`).  Nothing in `src/` imports this module.
+the burst kernel).  Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ and binary-searched every link's timeline twice.  Counting calls (not
 seconds) makes the guard exact and portable.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,62 @@ def test_a_probing_instant_is_array_work(full_underlay, calls):
     assert 0 < per_snapshot[0] <= links
     assert max(per_snapshot[1:]) < 10
     assert sum(per_snapshot[1:]) < 4 * len(per_snapshot)
+
+
+#: `hash_uniform` calls one instant may make, whatever the region count:
+#: the burst kernel's one, plus the underlay's four jitter blocks when
+#: the instant opens a new second (`hash_noise`, two uniforms each).
+HASH_CALLS_PER_INSTANT = 1 + 4
+
+
+@pytest.mark.parametrize("regions", [4, 11], ids=lambda n: f"n{n:02d}")
+def test_an_instant_draws_by_hash_alone(full_underlay, small_underlay,
+                                        monkeypatch, regions):
+    """No `numpy.random.Generator` method runs in a probing instant or a
+    measurement tick, and the hashed draws are a fixed number of blocks
+    per instant — not a number per region, link or gateway."""
+    from repro.dataplane import probing
+    from repro.sim import rng
+
+    underlay = full_underlay if regions == 11 else small_underlay
+    engine = EventDrivenXRON(
+        underlay, DemandModel(underlay.regions, seed=3),
+        sim_config=SimulationConfig(epoch_s=30.0, seed=3),
+        measure_interval_s=0.5)
+    hashed = [0]
+    for module in (probing, rng):
+        original = module.hash_uniform
+
+        def counting(*args, _original=original, **kwargs):
+            hashed[0] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "hash_uniform", counting)
+
+    instants = []
+    for name in ("_probe_round", "_measure"):
+        watched = getattr(engine, name)
+
+        def watching(sim, _watched=watched, _name=name):
+            drawn = []
+
+            def profile(frame, event, arg):
+                if (event == "c_call" and isinstance(
+                        getattr(arg, "__self__", None), np.random.Generator)):
+                    drawn.append(arg.__name__)
+            before, previous = hashed[0], sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                _watched(sim)
+            finally:
+                sys.setprofile(previous)
+            instants.append((_name, hashed[0] - before, drawn))
+        setattr(engine, name, watching)
+    with engine:
+        engine.run(3600.0, 0.4 * STEPS + 0.2)
+
+    kinds = {name for name, __, __ in instants}
+    assert kinds == {"_probe_round", "_measure"}
+    assert all(drawn == [] for __, __, drawn in instants)
+    # (The boot round and the first periodic round share an instant:
+    # the second finds its draws evaluated.)
+    assert all(count <= HASH_CALLS_PER_INSTANT for __, count, __ in instants)

@@ -6,11 +6,11 @@ response does not arrive after three RTTs."
 
 `PacketLevelProber` simulates every probe packet individually — send
 time, network fate, response arrival — and applies those two rules.  It
-is the ground-truth reference for `ActiveProber`'s faster aggregate
-approximation (`test_packets.py` asserts the two agree on measured loss
-rates), and it exposes judgment *latency*: how long after a loss the
-monitor knows.  A test oracle, so it lives with the tests: nothing in
-`src/repro` runs it.
+is the ground-truth reference for the burst kernel's one binomial draw
+per burst (`repro.dataplane.probing.burst_draws`; `test_packets.py`
+asserts the two agree on measured loss rates), and it exposes judgment
+*latency*: how long after a loss the monitor knows.  A test oracle, so
+it lives with the tests: nothing in `src/repro` runs it.
 """
 
 from __future__ import annotations

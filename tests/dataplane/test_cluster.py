@@ -1,6 +1,5 @@
 """Tests for region clusters and group-based probing distribution."""
 
-import numpy as np
 import pytest
 
 from repro.dataplane.cluster import RegionCluster
@@ -30,8 +29,7 @@ def cluster(underlay):
     return RegionCluster("HGH", underlay, initial_gateways=4,
                          monitoring=MonitoringConfig(representatives=2),
                          reaction=ReactionConfig(trigger_bursts=2,
-                                                 recover_bursts=4),
-                         rng=np.random.default_rng(3))
+                                                 recover_bursts=4))
 
 
 def _flag_degraded(gateway, dst, link_type):

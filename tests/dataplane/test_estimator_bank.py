@@ -5,9 +5,10 @@ The reference below is the per-link estimator the banks replaced, kept
 here only as the oracle: a Hypothesis state machine drives a real
 `RegionCluster` through random sequences of probing rounds (with a
 random blackout mask), passive flushes, direct group-state adoptions
-and fleet changes, replays every step on the reference from the very
-draws the representatives made, and demands `==` on every link's full
-state after every step.
+and fleet changes, replays every step on the reference — each
+representative's bursts drawn link by link from the burst kernel, as
+its probe slot and the burst number say — and demands `==` on every
+link's full state after every step.
 """
 
 import numpy as np
@@ -17,16 +18,23 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from repro.dataplane.cluster import RegionCluster
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
-from repro.dataplane.gateway import Gateway
+from repro.dataplane.probing import burst_draws, link_seed
 from repro.faults.runtime import FaultCounters
+from repro.sim.rng import RngStreams
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.regions import default_regions
+from repro.underlay.snapshot import TYPE_ORDER
 from repro.underlay.topology import build_underlay
 
 REGION = "HGH"
 UNDERLAY = build_underlay(default_regions()[:3],
                           UnderlayConfig(horizon_s=3600.0), seed=5)
-LINKS = 2 * (len(UNDERLAY.codes) - 1)
+#: The region's adjacent links in monitoring order.
+LINK_KEYS = [(dst, lt) for dst in UNDERLAY.codes if dst != REGION
+             for lt in TYPE_ORDER]
+LINKS = len(LINK_KEYS)
+#: The seeds a cluster built on its own draws its probe slots from.
+STREAMS = RngStreams(0)
 
 
 class ScalarEstimator:
@@ -113,41 +121,24 @@ latencies = st.one_of(st.floats(0.0, 2000.0), st.sampled_from([0.0, 60.0]))
 class ClusterAgainstScalarReference(RuleBasedStateMachine):
     representatives = 2
 
-    def __init__(self):
-        super().__init__()
-        self.drawn = {}
-        self.send_bursts = Gateway.send_bursts
-        machine = self
-
-        def recording(gateway, loss_rates, order):
-            draws = machine.send_bursts(gateway, loss_rates, order)
-            machine.drawn[gateway.gateway_id] = draws
-            return draws
-        Gateway.send_bursts = recording
-
-    def teardown(self):
-        Gateway.send_bursts = self.send_bursts
-
-    @initialize(gateways=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+    @initialize(gateways=st.integers(1, 4),
                 threshold_link=st.integers(0, LINKS - 1))
-    def build(self, gateways, seed, threshold_link):
+    def build(self, gateways, threshold_link):
         self.now = 100.0
         # The latency bound sits on one link's true latency, so the
         # measurement jitter alone flips that link between good and bad;
         # one lost packet of a burst is a bad burst.
-        index = tuple(axis[threshold_link] for axis in Gateway(
-            REGION, 0, UNDERLAY).link_index)
         self.reaction = ReactionConfig(
-            latency_threshold_ms=float(UNDERLAY.state_at(self.now)
-                                       .lat[index]),
+            latency_threshold_ms=UNDERLAY.state_at(self.now).lookup(
+                REGION, *LINK_KEYS[threshold_link])[0],
             loss_threshold=1.0 / 15.0, trigger_bursts=2, recover_bursts=3)
         self.monitoring = MonitoringConfig(
             representatives=self.representatives)
         self.cluster = RegionCluster(
             REGION, UNDERLAY, initial_gateways=gateways,
-            monitoring=self.monitoring, reaction=self.reaction,
-            rng=np.random.default_rng(seed))
+            monitoring=self.monitoring, reaction=self.reaction)
         self.links = next(iter(self.cluster.gateways.values())).links
+        assert list(self.links) == LINK_KEYS
         self.cluster.faults = self.blackouts = Blackouts(self.links)
         self.reference = {gid: self.fresh() for gid in self.cluster.gateways}
 
@@ -175,16 +166,19 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
         ids = sorted(self.reference)
         reps = ids[:self.representatives]
         state = UNDERLAY.state_at(now)
-        open_links = [(key, k) for key, k in self.links.items()
-                      if k not in hidden]
+        burst = round(now / self.monitoring.burst_interval_s)
+        packets = self.monitoring.packets_per_burst
         expected = []
-        for position, ((dst, lt), k) in enumerate(open_links):
-            true_latency = state.lookup(REGION, dst, lt)[0]
-            for gid in reps:
-                jitter, lost = self.drawn[gid]
+        for (dst, lt), k in self.links.items():
+            if k in hidden:
+                continue
+            true_latency, true_loss = state.lookup(REGION, dst, lt)
+            for slot, gid in enumerate(reps):
+                jitter, lost = burst_draws(
+                    link_seed(STREAMS, "probe", (REGION, dst, lt), slot),
+                    burst, true_loss, packets)
                 self.reference[gid][k].ingest(
-                    now, true_latency * jitter[position],
-                    lost[position] / self.monitoring.packets_per_burst)
+                    now, true_latency * float(jitter), int(lost) / packets)
             estimators = [self.reference[gid][k] for gid in reps]
             latency = scalar_median([e.latency_ms for e in estimators])
             loss = min(max(scalar_median(
@@ -198,11 +192,11 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
         assert [(r.src, r.dst, r.link_type, r.latency_ms, r.loss_rate,
                  r.reported_at) for r in reports] == expected
 
-    @rule(gateway=st.integers(0, 10), whole_cluster=st.booleans(),
+    @rule(gateway=st.integers(0, 10),
           samples=st.dictionaries(
               st.integers(0, LINKS - 1),
               st.tuples(latencies, st.integers(0, 100)), max_size=LINKS))
-    def passive_flush(self, gateway, whole_cluster, samples):
+    def passive_flush(self, gateway, samples):
         self.now += 0.1
         ids = sorted(self.reference)
         gid = ids[gateway % len(ids)]
@@ -214,10 +208,7 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
                 self.now, latency if lost < 100 else 0.0, lost / 100)
         # Another region's link in the window must be ignored.
         tracker.record(("SIN", "FRA", positions[0][1]), 100, 50, 10.0)
-        if whole_cluster:
-            self.cluster.flush_passive(self.now)
-        else:
-            self.cluster.gateways[gid].flush_passive(self.now)
+        self.cluster.flush_passive(self.now)
 
     @rule(gateway=st.integers(0, 10), k=st.integers(0, LINKS - 1),
           latency=latencies, loss=st.floats(0.0, 1.0),
@@ -284,17 +275,14 @@ def test_the_history_machine_sees_detections_and_recoveries():
     """The generated histories are only worth something if links do go
     degraded and come back in them: a fixed walk of the same steps."""
     steps = ClusterAgainstScalarReference()
-    try:
-        steps.build(gateways=3, seed=1, threshold_link=0)
-        counts = []
-        for __ in range(60):
-            steps.probing_round(hidden=set())
-            steps.every_link_of_every_gateway_equals_the_reference()
-            counts.append(sum(e.degraded for estimators
-                              in steps.reference.values()
-                              for e in estimators))
-        assert max(counts) > 0
-        assert any(b < a for a, b in zip(counts, counts[1:]))
-        assert steps.cluster.degradation_detections() > 0
-    finally:
-        steps.teardown()
+    steps.build(gateways=3, threshold_link=0)
+    counts = []
+    for __ in range(60):
+        steps.probing_round(hidden=set())
+        steps.every_link_of_every_gateway_equals_the_reference()
+        counts.append(sum(e.degraded for estimators
+                          in steps.reference.values()
+                          for e in estimators))
+    assert max(counts) > 0
+    assert any(b < a for a, b in zip(counts, counts[1:]))
+    assert steps.cluster.degradation_detections() > 0

@@ -147,20 +147,13 @@ class TestRuleTwo:
 
 
 def test_agrees_with_aggregate_prober(lossy_link):
-    """The fast binomial approximation and the packet-level reference
+    """The burst kernel's binomial draw and the packet-level reference
     measure the same loss rate (the former models one-way loss; the
     packet prober loses probe or reply, so compare accordingly)."""
-    from repro.dataplane.probing import ActiveProber
+    from repro.dataplane.probing import burst_series
     config = MonitoringConfig()
-    aggregate = ActiveProber(lossy_link, config, np.random.default_rng(5))
-    agg_lost = agg_sent = 0
-    t = 10.0
-    while t < 70.0:
-        burst = aggregate.probe(t)
-        agg_lost += burst.lost
-        agg_sent += burst.sent
-        t += config.burst_interval_s
-    one_way = agg_lost / agg_sent
+    __, __, loss = burst_series(lossy_link, 10.0, 70.0, config, seed=5)
+    one_way = float(loss.mean())
     __, judged, lost, __ = _drive(lossy_link, 60.0, rng_seed=6)
     two_way = lost / judged
     assert two_way == pytest.approx(1 - (1 - one_way) ** 2, abs=0.05)

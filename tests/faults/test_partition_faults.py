@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.faults import (FaultKind, FaultSchedule, FaultSpec,
@@ -63,10 +62,19 @@ class TestMembershipChurnSpec:
             membership_churn(0.0, 1.0, probability=p)
 
 
+def _count_draws(monkeypatch):
+    """Record every call of the injector's burst kernel."""
+    from repro.faults import runtime
+    calls = []
+    kernel = runtime.burst_draws
+    monkeypatch.setattr(runtime, "burst_draws",
+                        lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
 class TestInjectorQueries:
     def _injector(self, *specs):
-        return FaultInjector(FaultSchedule.of(*specs),
-                             rng=np.random.default_rng(7))
+        return FaultInjector(FaultSchedule.of(*specs), seed=7)
 
     def test_active_partitions_in_schedule_order(self):
         a = control_partition(0.0, 100.0, ("HGH",))
@@ -85,24 +93,30 @@ class TestInjectorQueries:
             {"HGH", "SIN", "FRA"})
         assert inj.partition_regions(500.0) == frozenset()
 
-    def test_membership_churn_certain_probability_draws_no_rng(self):
+    def test_membership_churn_certain_probability_draws_no_rng(
+            self, monkeypatch):
         inj = self._injector(membership_churn(0.0, 10.0, region="HGH"))
-        state = inj._rng.bit_generator.state
+        draws = _count_draws(monkeypatch)
         assert inj.membership_churn("HGH", 5.0) is not None
         assert inj.membership_churn("SIN", 5.0) is None
         assert inj.membership_churn("HGH", 20.0) is None
-        assert inj._rng.bit_generator.state == state
+        assert draws == []
 
-    def test_membership_churn_probabilistic_draws_only_inside_window(self):
+    def test_membership_churn_probabilistic_draws_only_inside_window(
+            self, monkeypatch):
         inj = self._injector(
             membership_churn(0.0, 10.0, region="HGH", probability=0.5))
-        state = inj._rng.bit_generator.state
+        draws = _count_draws(monkeypatch)
         assert inj.membership_churn("HGH", 50.0) is None  # window closed
-        assert inj._rng.bit_generator.state == state
-        hits = sum(inj.membership_churn("HGH", 5.0) is not None
-                   for __ in range(200))
-        assert 0 < hits < 200
-        assert inj._rng.bit_generator.state != state
+        assert draws == []
+        instants = [0.05 * k for k in range(200)]
+        hits = [inj.membership_churn("HGH", t) is not None for t in instants]
+        assert 0 < sum(hits) < 200 and len(draws) == 200
+        # A decision is (fault, region, instant) alone: asked again, in
+        # another order, after other regions' queries, it is the same.
+        assert inj.membership_churn("SIN", 5.0) is None
+        assert [inj.membership_churn("HGH", t) is not None
+                for t in reversed(instants)] == hits[::-1]
 
     def test_by_kind_covers_the_whole_taxonomy(self):
         counters = FaultCounters()

@@ -61,18 +61,30 @@ class TestReportFilter:
 
     def test_certain_drop_needs_no_rng(self):
         inj = FaultInjector(FaultSchedule.of(
-            report_drop(0.0, 10.0, region="HGH")), rng=None)
+            report_drop(0.0, 10.0, region="HGH")))
         assert inj.filter_report(_report(5.0)) is None
         assert inj.counters.reports_dropped == 1
 
     def test_probabilistic_drop_uses_injector_rng(self):
-        inj = FaultInjector(
-            FaultSchedule.of(report_drop(0.0, 1000.0, probability=0.5)),
-            rng=np.random.default_rng(7))
-        results = [inj.filter_report(_report(float(t))) for t in range(200)]
-        dropped = sum(r is None for r in results)
-        assert 0 < dropped < 200
-        assert inj.counters.reports_dropped == dropped
+        """A drop is decided by the injector's seed and (fault, link,
+        instant) alone: the same in any query order, and independent
+        between links at one instant."""
+        schedule = FaultSchedule.of(report_drop(0.0, 1000.0, probability=0.5))
+        reports = [_report(0.4 * k, dst=dst, lt=lt) for k in range(100)
+                   for dst in ("SIN", "FRA") for lt in (I, P)]
+
+        def dropped(seed, order):
+            inj = FaultInjector(schedule, seed=seed)
+            gone = {k for k in order if inj.filter_report(reports[k]) is None}
+            assert inj.counters.reports_dropped == len(gone)
+            return gone
+        forward = dropped(7, range(len(reports)))
+        assert 0 < len(forward) < len(reports)
+        assert dropped(7, np.random.default_rng(1).permutation(
+            len(reports))) == forward
+        assert dropped(8, range(len(reports))) != forward
+        per_link = [{k // 4 for k in forward if k % 4 == j} for j in range(4)]
+        assert len({frozenset(s) for s in per_link}) == 4
 
     def test_staleness_shifts_timestamp_into_the_past(self):
         inj = FaultInjector(FaultSchedule.of(

@@ -1,10 +1,10 @@
-"""Gateway-level resilience: versioned installs, degraded mode, hold-down."""
+"""Gateway-level resilience: versioned installs, degraded mode, hold-down
+(each gateway the one member of its region's cluster)."""
 
-import numpy as np
 import pytest
 
+from repro.dataplane.cluster import RegionCluster
 from repro.dataplane.config import ReactionConfig
-from repro.dataplane.gateway import Gateway
 from repro.resilience import ResilienceCounters, resilience
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
@@ -36,39 +36,50 @@ def counters():
     return ResilienceCounters()
 
 
+def lone_cluster(underlay, counters, config, reaction=None):
+    """A one-gateway HGH cluster armed with `config` (resolved)."""
+    cluster = RegionCluster("HGH", underlay, initial_gateways=1,
+                            reaction=reaction)
+    cluster.arm_resilience(config.resolved(EPOCH_S), counters)
+    return cluster
+
+
 @pytest.fixture()
-def gateway(underlay, counters):
-    gw = Gateway("HGH", 0, underlay,
-                 reaction=ReactionConfig(trigger_bursts=2, recover_bursts=4),
-                 rng=np.random.default_rng(0),
-                 resilience=resilience().resolved(EPOCH_S),
-                 resilience_counters=counters)
-    gw.install_tables({1: ("SIN", I)}, {1: ("SIN",)}, version=1, now=0.0)
-    return gw
+def cluster(underlay, counters):
+    lone = lone_cluster(underlay, counters, resilience(), ReactionConfig(
+        trigger_bursts=2, recover_bursts=4))
+    lone.install({1: ("SIN", I)}, {1: ("SIN",)}, version=1, now=0.0)
+    return lone
 
 
-def _degrade(gateway, underlay, onset=10.0, duration=60.0):
+@pytest.fixture()
+def gateway(cluster):
+    return cluster.gateways[0]
+
+
+def _degrade(cluster, underlay, onset=10.0, duration=60.0):
     inject_events(underlay, "HGH", "SIN", I,
                   [DegradationEvent(onset, duration, 5000.0, 0.3)])
     for k in range(10):
-        gateway.probe_all(onset + 4.0 + k * 0.4)
+        cluster.probe_round(onset + 4.0 + k * 0.4)
 
 
 class TestVersionedInstalls:
-    def test_newer_version_accepted(self, gateway):
-        assert gateway.install_tables({1: ("FRA", I)}, {}, version=2, now=5.0)
+    def test_newer_version_accepted(self, cluster, gateway):
+        assert cluster.install({1: ("FRA", I)}, {}, version=2, now=5.0)
         assert gateway.table.installed_version == 2
         assert gateway.table.installed_at == 5.0
 
-    def test_out_of_order_install_discarded(self, gateway):
-        gateway.install_tables({1: ("FRA", I)}, {}, version=3, now=5.0)
-        assert not gateway.install_tables({1: ("SIN", I)}, {1: ("SIN",)},
-                                          version=2, now=6.0)
+    def test_out_of_order_install_discarded(self, cluster, gateway):
+        cluster.install({1: ("FRA", I)}, {}, version=3, now=5.0)
+        assert not cluster.install({1: ("SIN", I)}, {1: ("SIN",)},
+                                   version=2, now=6.0)
         assert gateway.table.rows.get(1) == ("FRA", I)
         assert gateway.table.installed_version == 3
 
-    def test_unversioned_install_keeps_legacy_behavior(self, gateway):
-        assert gateway.install_tables({1: ("FRA", I)}, {})
+    def test_unversioned_install_keeps_legacy_behavior(self, cluster,
+                                                       gateway):
+        assert cluster.install({1: ("FRA", I)}, {})
         assert gateway.table.installed_version == 1  # untouched
         assert gateway.table.rows.get(1) == ("FRA", I)
 
@@ -87,41 +98,37 @@ class TestDegradedMode:
         assert not decision.via_backup
         assert counters.degraded_demotions == 1
 
-    def test_demotion_counted_once_per_stream_per_install(self, gateway,
-                                                          counters):
+    def test_demotion_counted_once_per_stream_per_install(self, cluster,
+                                                          gateway, counters):
         gateway.forward(1, now=4 * EPOCH_S)
         gateway.forward(1, now=4 * EPOCH_S + 1.0)
         assert counters.degraded_demotions == 1
-        gateway.install_tables({1: ("SIN", I)}, {}, version=2,
-                               now=5 * EPOCH_S)
+        cluster.install({1: ("SIN", I)}, {}, version=2, now=5 * EPOCH_S)
         gateway.forward(1, now=9 * EPOCH_S)
         assert counters.degraded_demotions == 2
 
     def test_premium_entries_not_demoted(self, underlay, counters):
-        gw = Gateway("HGH", 0, underlay,
-                     resilience=resilience().resolved(EPOCH_S),
-                     resilience_counters=counters,
-                     rng=np.random.default_rng(0))
-        gw.install_tables({1: ("SIN", P)}, {}, version=1, now=0.0)
-        decision = gw.forward(1, now=10 * EPOCH_S)
+        lone = lone_cluster(underlay, counters, resilience())
+        lone.install({1: ("SIN", P)}, {}, version=1, now=0.0)
+        decision = lone.gateways[0].forward(1, now=10 * EPOCH_S)
         assert not decision.degraded_mode
         assert counters.degraded_demotions == 0
 
-    def test_fresh_install_clears_demotions(self, gateway):
+    def test_fresh_install_clears_demotions(self, cluster, gateway):
         assert gateway.forward(1, now=4 * EPOCH_S).degraded_mode
-        gateway.install_tables({1: ("SIN", I)}, {}, version=2,
-                               now=4 * EPOCH_S + 1.0)
+        cluster.install({1: ("SIN", I)}, {}, version=2,
+                        now=4 * EPOCH_S + 1.0)
         assert not gateway.forward(1, now=4 * EPOCH_S + 2.0).degraded_mode
 
 
 class TestHolddown:
-    def test_failback_held_down_after_failover(self, gateway, underlay,
-                                               counters):
-        _degrade(gateway, underlay, onset=10.0, duration=20.0)
+    def test_failback_held_down_after_failover(self, cluster, gateway,
+                                               underlay, counters):
+        _degrade(cluster, underlay, onset=10.0, duration=20.0)
         assert gateway.forward(1, now=15.0).via_backup
         # Recover the link estimator: probe well past the event.
         for k in range(20):
-            gateway.probe_all(35.0 + k * 0.4)
+            cluster.probe_round(35.0 + k * 0.4)
         assert not gateway.link_degraded("SIN", I)
         # Inside the 30 s hold-down window: still on the backup.
         held = gateway.forward(1, now=44.0)
@@ -135,19 +142,16 @@ class TestHolddown:
 
     def test_no_holddown_without_hysteresis(self, underlay, counters):
         from dataclasses import replace
-        gw = Gateway("HGH", 0, underlay,
-                     reaction=ReactionConfig(trigger_bursts=2,
-                                             recover_bursts=4),
-                     rng=np.random.default_rng(0),
-                     resilience=replace(resilience(),
-                                        hysteresis_enabled=False)
-                     .resolved(EPOCH_S),
-                     resilience_counters=counters)
-        gw.install_tables({1: ("SIN", I)}, {1: ("SIN",)}, version=1, now=0.0)
-        _degrade(gw, underlay, onset=10.0, duration=20.0)
+        lone = lone_cluster(
+            underlay, counters,
+            replace(resilience(), hysteresis_enabled=False),
+            ReactionConfig(trigger_bursts=2, recover_bursts=4))
+        lone.install({1: ("SIN", I)}, {1: ("SIN",)}, version=1, now=0.0)
+        gw = lone.gateways[0]
+        _degrade(lone, underlay, onset=10.0, duration=20.0)
         assert gw.forward(1, now=15.0).via_backup
         for k in range(20):
-            gw.probe_all(35.0 + k * 0.4)
+            lone.probe_round(35.0 + k * 0.4)
         # Monitoring recovered -> immediate failback, no suppression.
         assert not gw.forward(1, now=44.0).via_backup
         assert counters.holddown_suppressed == 0

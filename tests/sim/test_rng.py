@@ -81,6 +81,17 @@ class TestHashNoise:
         t = np.arange(100)
         assert not np.allclose(hash_uniform(1, t), hash_uniform(2, t))
 
+    def test_a_salt_array_is_one_call_per_salt(self):
+        seeds = np.array([[3], [2 ** 63 + 7]], dtype=np.uint64)
+        salts = np.array([3, 4, 0], dtype=np.uint64).reshape(3, 1, 1)
+        for t in (np.arange(5.0), 12345):
+            stacked = hash_uniform(seeds, t, salt=salts)
+            for k, salt in enumerate((3, 4, 0)):
+                np.testing.assert_array_equal(
+                    stacked[k], hash_uniform(seeds, t, salt=salt))
+        assert hash_uniform(9, 2, salt=np.array([5], dtype=np.uint64)) \
+            == hash_uniform(9, 2, salt=5)
+
     def test_noise_is_standard_normal(self):
         z = hash_noise(11, np.arange(200000))
         assert abs(z.mean()) < 0.01

@@ -51,6 +51,14 @@ class TestBusyFactor:
     def test_periodic(self):
         assert busy_factor(1.0) == pytest.approx(busy_factor(25.0))
 
+    def test_a_scalar_hour_equals_its_array_element(self):
+        """Regression: squaring a NumPy scalar goes through libm `pow`,
+        an array multiplies — ~1 in 1 500 hours read an ulp apart, so a
+        scalar `LinkProcess` call left the array engines' bits."""
+        hours = np.random.default_rng(17).uniform(0.0, 24.0, 50_000)
+        assert [float(busy_factor(h)) for h in hours.tolist()] \
+            == busy_factor(hours).tolist()
+
 
 class TestLinkProcess:
     def test_latency_near_base_without_events(self):
