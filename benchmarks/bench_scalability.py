@@ -35,36 +35,17 @@ def paper_scale():
                               max_streams_per_pair=8)
     now = 8 * 3600.0
     matrix = TrafficMatrix.from_model(demand, now)
-    streams = workload.decompose(matrix)
-
-    def state(a, b, t):
-        link = u.link(a, b, t)
-        return (float(link.latency_ms(now)), float(link.loss_rate(now)))
-
-    return u, streams, state
-
-
-def test_path_control_paper_scale(benchmark, paper_scale):
-    u, streams, state = paper_scale
-    config = ControlConfig()
-    gateways = {c: 8 for c in u.codes}
-
-    result = benchmark(lambda: path_control(streams, u.codes, state, config,
-                                            gateways=gateways,
-                                            fees=u.pricing))
-    # The paper's bound covers the full two-step computation; step 1
-    # alone must be comfortably inside it.
-    assert benchmark.stats["mean"] < 2.0
-    assert result.total_assigned_mbps() > 0
+    return u, workload.decompose(matrix), now
 
 
 def test_path_control_paper_scale_snapshot(benchmark, paper_scale):
-    """Same workload fed a prebuilt `LinkStateSnapshot` (the controller's
-    epoch path): no scalar link-state calls at all inside path_control."""
-    u, streams, __ = paper_scale
+    """Step 1 alone on a prebuilt `LinkStateSnapshot` (the controller's
+    epoch path): the paper's bound covers the full two-step
+    computation, so this must be comfortably inside it."""
+    u, streams, now = paper_scale
     config = ControlConfig()
     gateways = {c: 8 for c in u.codes}
-    snap = u.snapshot(8 * 3600.0)
+    snap = u.snapshot(now)
 
     result = benchmark(lambda: path_control(streams, u.codes, snap, config,
                                             gateways=gateways,
@@ -91,16 +72,18 @@ def test_underlay_snapshot_build(benchmark, paper_scale):
 
 
 def test_full_two_step_control_paper_scale(benchmark, paper_scale):
-    u, streams, state = paper_scale
+    """Link state, both steps and the reaction plans of one epoch."""
+    u, streams, now = paper_scale
     config = ControlConfig()
     gateways = {c: 8 for c in u.codes}
 
     def two_step():
-        r_cur = path_control(streams, u.codes, state, config,
+        snap = u.snapshot(now)
+        r_cur = path_control(streams, u.codes, snap, config,
                              gateways=gateways, fees=u.pricing)
-        decision = capacity_control(streams, u.codes, state, config,
+        decision = capacity_control(streams, u.codes, snap, config,
                                     gateways, r_cur, fees=u.pricing)
-        plans = generate_reaction_plans(r_cur, state)
+        plans = generate_reaction_plans(r_cur, snap)
         return r_cur, decision, plans
 
     r_cur, decision, plans = benchmark(two_step)
@@ -126,14 +109,9 @@ def test_path_control_double_scale(benchmark, paper_scale):
     now = 3600.0
     matrix = TrafficMatrix.from_model(demand, now)
     streams = workload.decompose(matrix)
-
-    def state(a, b, t):
-        link = u.link(a, b, t)
-        return (float(link.latency_ms(now)), float(link.loss_rate(now)))
-
     config = ControlConfig()
     gateways = {c: 8 for c in u.codes}
-    benchmark(lambda: path_control(streams, u.codes, state, config,
+    benchmark(lambda: path_control(streams, u.codes, u.snapshot(now), config,
                                    gateways=gateways, fees=u.pricing))
     assert benchmark.stats["mean"] < 2.0
 

@@ -60,7 +60,6 @@ from typing import Dict, Optional, Tuple
 #: benchmarks start ungated until a reference lands in the summary.
 #: These are *fixed* names: each must be present in every gated run.
 GATED = (
-    "test_path_control_paper_scale",
     "test_path_control_paper_scale_snapshot",
     "test_full_two_step_control_paper_scale",
     "test_path_control_double_scale",
@@ -68,19 +67,18 @@ GATED = (
 
 #: Rows of the ``table`` subcommand, `GATED` first and in its order:
 #: benchmark -> (label suffix, benchmark whose ``baseline_pre_refactor``
-#: entry is its "before").  The pre-refactor stack had a single scalar
-#: entry point, so the snapshot entry is measured against the same
-#: baseline.  The probing-instant rows (before: two scalar draws per
+#: entry is its "before").  The pre-refactor stack's step 1 was
+#: measured as ``test_path_control_paper_scale`` (a scalar link-state
+#: callback per link), which stays the step-1 row's "before".  The
+#: probing-instant rows (before: two scalar draws per
 #: burst from per-gateway generators), the link-series-block rows
 #: (before: every term of the link model per hop and instant), the
 #: cluster-install row (before: one forwarding table per gateway) and
 #: the planet-scale epoch and reaction-plan rows (before: a path object
 #: per visit and per plan candidate) appear once the summary holds them.
 TABLE_ROWS = {
-    "test_path_control_paper_scale":
-        (" (scalar fn entry)", "test_path_control_paper_scale"),
     "test_path_control_paper_scale_snapshot":
-        (" (snapshot entry)", "test_path_control_paper_scale"),
+        (" (step 1)", "test_path_control_paper_scale"),
     "test_full_two_step_control_paper_scale":
         ("", "test_full_two_step_control_paper_scale"),
     "test_path_control_double_scale":

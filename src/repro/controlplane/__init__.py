@@ -11,8 +11,7 @@ from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
                                     ReportBatch)
 from repro.controlplane.sib import StreamInformationBase
 from repro.controlplane.prediction import DTFTPredictor, RollingPredictor
-from repro.controlplane.model import (ControlConfig, OverlayPath, PathHop,
-                                      path_latency_ms, path_loss_rate)
+from repro.controlplane.model import ControlConfig, OverlayPath, PathHop
 from repro.controlplane.pathcontrol import PathControlResult, path_control
 from repro.controlplane.capacity import CapacityDecision, capacity_control
 from repro.controlplane.objective import evaluate_objective
@@ -34,8 +33,6 @@ __all__ = [
     "ControlConfig",
     "OverlayPath",
     "PathHop",
-    "path_latency_ms",
-    "path_loss_rate",
     "PathControlResult",
     "path_control",
     "CapacityDecision",

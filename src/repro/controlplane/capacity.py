@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.controlplane.model import ControlConfig, LinkState
+from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import (EpochSolveContext,
                                             PathControlResult, Placement,
                                             place_streams)
 from repro.traffic.streams import Stream
 from repro.underlay.pricing import PricingModel
+from repro.underlay.snapshot import LinkStateSnapshot
 
 
 @dataclass
@@ -45,7 +46,7 @@ class CapacityDecision:
 
 
 def capacity_control(streams: List[Stream], codes: List[str],
-                     state: LinkState, config: ControlConfig,
+                     snap: LinkStateSnapshot, config: ControlConfig,
                      available: Dict[str, int],
                      r_cur: PathControlResult,
                      fees: Optional[PricingModel] = None,
@@ -55,14 +56,12 @@ def capacity_control(streams: List[Stream], codes: List[str],
 
     `available` is the current per-region container count and `r_cur` the
     step-1 result computed against it; `streams` should carry the
-    *predicted* next-epoch demand.  Pass the same `LinkStateSnapshot`
-    used for step 1 so the uncapacitated re-run reuses its matrices
-    instead of re-evaluating link state, and the same
-    `EpochSolveContext` to additionally share the edge-weight build,
-    the epoch's route table, and (when every region has a gateway) the
-    entire first DP with step 1.
+    *predicted* next-epoch demand and `snap` the link state step 1 used.
+    Pass step 1's `EpochSolveContext` too, to share the edge-weight
+    build, the epoch's route table and (when every region has a
+    gateway) the entire first DP with it.
     """
-    r_next = place_streams(streams, codes, state, config, gateways=None,
+    r_next = place_streams(streams, codes, snap, config, gateways=None,
                            fees=fees, context=context)
     used = r_next.used_gateways()
     add: Dict[str, int] = {}

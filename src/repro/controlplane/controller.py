@@ -122,49 +122,17 @@ class Controller:
         """
 
     # ------------------------------------------------------------------ api
-    def link_state(self, src: str, dst: str,
-                   link_type: LinkType) -> Tuple[float, float]:
-        """The state function handed to the algorithms.
-
-        Variants restrict the topology: the Internet-only / premium-only
-        baselines see the disallowed tier as unusable (infinite latency,
-        certain loss); the symmetric-only ablation sees round-trip
-        averaged states in both directions.
-        """
-        if self.premium_only and link_type is LinkType.INTERNET:
-            return (float("inf"), 1.0)
-        if self.internet_only and link_type is LinkType.PREMIUM:
-            return (float("inf"), 1.0)
-        if self.symmetric_only:
-            fwd = self._one_direction(src, dst, link_type)
-            rev = self._one_direction(dst, src, link_type)
-            if fwd is None or rev is None:
-                return (float("inf"), 1.0)
-            return ((fwd[0] + rev[0]) / 2.0, (fwd[1] + rev[1]) / 2.0)
-        state = self._one_direction(src, dst, link_type)
-        return state if state is not None else (float("inf"), 1.0)
-
-    def _one_direction(self, src: str, dst: str,
-                       link_type: LinkType) -> Optional[Tuple[float, float]]:
-        if self.robust_percentile is not None:
-            try:
-                return self.nib.robust_state(src, dst, link_type,
-                                             self.robust_percentile)
-            except KeyError:
-                return None
-        report = self.nib.get(src, dst, link_type)
-        if report is None:
-            return None
-        return (report.latency_ms, report.loss_rate)
-
     def link_snapshot(self) -> LinkStateSnapshot:
-        """Matrix form of `link_state` over the controller's region set.
+        """The NIB's link state as the solver sees it, over the
+        controller's region set.
 
         The run-epoch algorithms all consume this one snapshot, so link
-        state is evaluated once per epoch.  The topology variants apply
-        as whole-matrix masks: disallowed tiers become (inf, 1), and the
-        symmetric ablation averages each direction pair where both exist
-        (else (inf, 1)) — per-link results match `link_state` exactly.
+        state is read once per epoch: each link's last report, or its
+        window percentile in robust mode; never-reported links are
+        (inf, 1).  The topology variants apply as whole-matrix masks:
+        the Internet-only / premium-only baselines see the disallowed
+        tier as (inf, 1), and the symmetric-only ablation sees the
+        round-trip view (`LinkStateSnapshot.symmetric`).
         """
         if self.robust_percentile is not None:
             snap = self.nib.robust_snapshot(self.codes,
@@ -178,11 +146,7 @@ class Controller:
             snap.lat[TYPE_INDEX[LinkType.PREMIUM]] = np.inf
             snap.loss[TYPE_INDEX[LinkType.PREMIUM]] = 1.0
         if self.symmetric_only:
-            lat_rev = snap.lat.transpose(0, 2, 1)
-            loss_rev = snap.loss.transpose(0, 2, 1)
-            both = np.isfinite(snap.lat) & np.isfinite(lat_rev)
-            snap.lat = np.where(both, (snap.lat + lat_rev) / 2.0, np.inf)
-            snap.loss = np.where(both, (snap.loss + loss_rev) / 2.0, 1.0)
+            snap = snap.symmetric()
         return snap
 
     def run_epoch(self, now: float, observed_matrix: TrafficMatrix,

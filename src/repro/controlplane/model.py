@@ -15,20 +15,12 @@ The exact problem is NP-hard (multi-commodity flow with integral paths);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from repro.underlay.linkstate import LinkType
-from repro.underlay.snapshot import LinkStateSnapshot
 
 #: One hop of an overlay path: (src region, dst region, link type).
 PathHop = Tuple[str, str, LinkType]
-
-#: Signature of a link-state lookup: (src, dst, type) -> (latency, loss).
-LinkStateFn = Callable[[str, str, LinkType], Tuple[float, float]]
-
-#: What the control algorithms accept as link state: the legacy scalar
-#: callback, or a matrix snapshot evaluated once per control epoch.
-LinkState = Union[LinkStateFn, LinkStateSnapshot]
 
 
 @dataclass(frozen=True)
@@ -59,19 +51,6 @@ class OverlayPath:
     @property
     def dst(self) -> str:
         return self.hops[-1][1]
-
-    @property
-    def relay_count(self) -> int:
-        """Intermediate regions (the paper's 'hop count' metric counts
-        overlay hops; a direct path has relay_count 0)."""
-        return len(self.hops) - 1
-
-    @property
-    def link_types(self) -> Tuple[LinkType, ...]:
-        return tuple(h[2] for h in self.hops)
-
-    def uses_premium(self) -> bool:
-        return any(t is LinkType.PREMIUM for t in self.link_types)
 
     @staticmethod
     def unchecked(hops: Tuple[PathHop, ...],
@@ -105,27 +84,6 @@ class OverlayPath:
 
 def _regions_of(hops: Tuple[PathHop, ...]) -> Tuple[str, ...]:
     return (hops[0][0],) + tuple(h[1] for h in hops)
-
-
-def path_latency_ms(path: OverlayPath, state: LinkState) -> float:
-    """End-to-end latency: the sum of hop latencies (Table 1's Lat(P)).
-
-    With a `LinkStateSnapshot` the hop latencies are matrix reads; with
-    the scalar callback each hop is one call.  Results are identical.
-    """
-    if isinstance(state, LinkStateSnapshot):
-        return state.path_latency_ms(path)
-    return float(sum(state(a, b, t)[0] for (a, b, t) in path.hops))
-
-
-def path_loss_rate(path: OverlayPath, state: LinkState) -> float:
-    """End-to-end loss: 1 - prod(1 - loss_hop) (Table 1's constraint)."""
-    if isinstance(state, LinkStateSnapshot):
-        return state.path_loss_rate(path)
-    survive = 1.0
-    for (a, b, t) in path.hops:
-        survive *= 1.0 - state(a, b, t)[1]
-    return float(1.0 - survive)
 
 
 @dataclass

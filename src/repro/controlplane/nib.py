@@ -14,12 +14,12 @@ technique the stability ablation quantifies.
 Storage is the matrices and nothing else: report histories live in
 preallocated ``(2, N, N, window)`` ring-buffer arrays (axis 0 is the
 tier per `repro.underlay.snapshot.TYPE_ORDER`) of latency, loss and
-report time, so the controller's once-per-epoch `latest_snapshot` /
-`robust_snapshot` are whole-matrix numpy operations instead of 2·N²
-scalar lookups, and a probing round's reports arrive as one
-`ReportBatch` written by fancy index.  The object-level views (`get`,
-`history`, `snapshot`, `export_reports`) build their `LinkReport`s from
-the rings on demand.
+report time, and a probing round's reports arrive as one `ReportBatch`
+written by fancy index.  The controller reads link state one way only:
+a whole-matrix `LinkStateSnapshot` per epoch (`latest_snapshot` or
+`robust_snapshot`).  The object-level views (`get`, `history`,
+`snapshot`, `export_reports`) build their `LinkReport`s from the rings
+on demand, for checkpoints and inspection.
 """
 
 from __future__ import annotations
@@ -107,14 +107,12 @@ class ReportBatch:
 class NetworkInformationBase:
     """Recent link states for every directed link, plus pricing handles."""
 
-    def __init__(self, max_staleness_s: float = 60.0, window: int = 1,
-                 codes: Optional[Sequence[str]] = None):
+    def __init__(self, window: int = 1, codes: Optional[Sequence[str]] = None):
         """`codes` preallocates the ring-buffer matrices for a known
         region set (the controller passes its own); reports for regions
         outside it grow the matrices on demand."""
         if window < 1:
             raise ValueError(f"window must be >= 1 report, got {window}")
-        self.max_staleness_s = float(max_staleness_s)
         self.window = int(window)
         #: Monotonic mutation counter: bumps on every accepted report,
         #: so equal versions guarantee identical snapshot outputs.
@@ -282,38 +280,6 @@ class NetworkInformationBase:
         link = self._link(src, dst, link_type)
         return self._history(link) if link else []
 
-    def latency_ms(self, src: str, dst: str, link_type: LinkType) -> float:
-        """Latest reported latency; raises KeyError if never reported."""
-        report = self.get(src, dst, link_type)
-        if report is None:
-            raise KeyError(f"no report for {src}->{dst} ({link_type.value})")
-        return report.latency_ms
-
-    def loss_rate(self, src: str, dst: str, link_type: LinkType) -> float:
-        report = self.get(src, dst, link_type)
-        if report is None:
-            raise KeyError(f"no report for {src}->{dst} ({link_type.value})")
-        return report.loss_rate
-
-    def robust_state(self, src: str, dst: str, link_type: LinkType,
-                     percentile: float = 90.0) -> Tuple[float, float]:
-        """Percentile (pessimistic) state over the report window.
-
-        With window == 1 this equals the latest report.  Raises KeyError
-        for never-reported links, ValueError for a bad percentile.
-        """
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError(f"percentile {percentile} outside [0, 100]")
-        link = self._link(src, dst, link_type)
-        if link is None:
-            raise KeyError(f"no report for {src}->{dst} ({link_type.value})")
-        # Percentiles are order-free: the filled slots in any order.
-        filled = slice(min(int(self._ring_total[link]), self.window))
-        return (float(np.percentile(self._ring_lat[link][filled],
-                                    percentile)),
-                float(np.percentile(self._ring_loss[link][filled],
-                                    percentile)))
-
     # --------------------------------------------------- matrix snapshots
     def latest_snapshot(self, codes: Sequence[str]) -> LinkStateSnapshot:
         """Latest-report matrices over `codes`; missing links (inf, 1)."""
@@ -329,8 +295,9 @@ class NetworkInformationBase:
                         percentile: float = 90.0) -> LinkStateSnapshot:
         """Whole-matrix percentile state over every link's window.
 
-        One ``nanpercentile`` over the ring-buffer arrays replaces 2·N²
-        scalar `robust_state` calls; per-link results are identical.
+        Each link's `percentile` over its filled window slots (with
+        window == 1, its latest report), as one ``nanpercentile`` over
+        the ring-buffer arrays; never-reported links are (inf, 1).
         """
         if not 0.0 <= percentile <= 100.0:
             raise ValueError(f"percentile {percentile} outside [0, 100]")
@@ -357,11 +324,6 @@ class NetworkInformationBase:
             snap.lat[dst_ix] = np.where(missing, np.inf, lat_src[src_ix])
             snap.loss[dst_ix] = np.where(missing, 1.0, loss_src[src_ix])
         return snap
-
-    def stale_links(self, now: float) -> List[Tuple[str, str, LinkType]]:
-        """Links whose last report is older than the staleness budget."""
-        return [key for key, report in self.snapshot().items()
-                if now - report.reported_at > self.max_staleness_s]
 
     def snapshot(self) -> Dict[Tuple[str, str, LinkType], LinkReport]:
         """A point-in-time copy of the latest reports."""

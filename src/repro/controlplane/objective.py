@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.controlplane.model import (ControlConfig, LinkState,
-                                      ObjectiveBreakdown)
+from repro.controlplane.model import ControlConfig, ObjectiveBreakdown
 from repro.controlplane.pathcontrol import PathControlResult
 from repro.underlay.linkstate import LinkType
 from repro.underlay.pricing import PricingModel
@@ -27,24 +26,20 @@ from repro.underlay.snapshot import LinkStateSnapshot
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
 
 
-def evaluate_objective(result: PathControlResult, state: LinkState,
+def evaluate_objective(result: PathControlResult, snap: LinkStateSnapshot,
                        config: ControlConfig, pricing: PricingModel,
                        gateways: Dict[str, int],
                        epoch_s: float = 300.0) -> ObjectiveBreakdown:
     """Compute (UtilLat, UtilCost) for one epoch's forwarding decision.
 
     `gateways` is the container count per region (the N in C_c * N);
-    costs are priced for one epoch of sustained traffic.  With a
-    `LinkStateSnapshot` the per-assignment latency limits come from one
-    batched matrix gather instead of per-assignment callbacks.
+    costs are priced for one epoch of sustained traffic.  The
+    per-assignment latency limits come from one gather of `snap`'s
+    direct premium latencies.
     """
-    if isinstance(state, LinkStateSnapshot):
-        direct = state.direct_latency(
-            [a.stream.src for a in result.assignments],
-            [a.stream.dst for a in result.assignments], LinkType.PREMIUM)
-    else:
-        direct = [state(a.stream.src, a.stream.dst, LinkType.PREMIUM)[0]
-                  for a in result.assignments]
+    direct = snap.direct_latency(
+        [a.stream.src for a in result.assignments],
+        [a.stream.dst for a in result.assignments], LinkType.PREMIUM)
     util_lat = 0.0
     for a, direct_premium in zip(result.assignments, direct):
         limit = config.latency_limit_ms(float(direct_premium))

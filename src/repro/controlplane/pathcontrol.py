@@ -20,8 +20,7 @@ Implementation notes:
   current paths, and the graph is rebuilt whenever a capacity constraint
   blocks someone.  The result is identical and orders of magnitude
   faster, which the controller needs at planetary scale.
-* Link state arrives as one `LinkStateSnapshot` per call (a scalar
-  `LinkStateFn` is adapted into one, evaluated exactly once).  The
+* Link state arrives as one `LinkStateSnapshot` per call.  The
   latency/loss/fee matrices and the capacity-independent edge weights
   are shared by **every** graph rebuild within the call — only the
   residual-capacity masks change between rebuilds.
@@ -49,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.controlplane.model import ControlConfig, LinkState, OverlayPath
+from repro.controlplane.model import ControlConfig, OverlayPath
 from repro.obs import telemetry as _telemetry
 from repro.traffic.streams import Stream
 from repro.underlay.linkstate import LinkType
@@ -404,7 +403,8 @@ class _ShortestPaths:
     padded row's bytes (the interning key) and ``latency_ms[k]`` /
     ``loss_rate[k]`` its metrics on the epoch snapshot, accumulated hop
     by hop left to right — the operations of
-    `LinkStateSnapshot.path_latency_ms` / `path_loss_rate`.
+    `LinkStateSnapshot.path_latency_ms` and of Table 1's
+    ``1 - prod(1 - hop loss)``.
     """
 
     def __init__(self, weights: _EdgeWeights, config: ControlConfig,
@@ -520,8 +520,8 @@ class EpochSolveContext:
 ORDERINGS = ("latency_desc", "latency_asc", "demand_desc", "input")
 
 
-def path_control(streams: List[Stream], codes: List[str], state: LinkState,
-                 config: ControlConfig,
+def path_control(streams: List[Stream], codes: List[str],
+                 snap: LinkStateSnapshot, config: ControlConfig,
                  gateways: Optional[Dict[str, int]] = None,
                  fees: Optional[PricingModel] = None,
                  max_rebuilds: int = 40,
@@ -530,24 +530,23 @@ def path_control(streams: List[Stream], codes: List[str], state: LinkState,
                  ) -> PathControlResult:
     """Run Algorithm 1.
 
-    `state` is either a `LinkStateSnapshot` (the controller's per-epoch
-    matrix snapshot — preferred) or a scalar `LinkStateFn`, which is
-    evaluated into a snapshot exactly once.  `gateways` gives the
-    current per-region container counts; pass None to run uncapacitated
-    on the region dimension (used by capacity control's second step).
-    `fees` enables the cost term in edge weights.  `ordering` selects
-    the per-pass stream order — the paper's latency-descending heuristic
-    by default; the alternatives exist for the ordering ablation.
-    `context` shares per-epoch solver state across the epoch's solver
-    calls, which must then pass the same snapshot, config and fees
-    objects; results are identical without one.
+    `snap` is the epoch's link state over exactly `codes`, in order.
+    `gateways` gives the current per-region container counts; pass None
+    to run uncapacitated on the region dimension (used by capacity
+    control's second step).  `fees` enables the cost term in edge
+    weights.  `ordering` selects the per-pass stream order — the
+    paper's latency-descending heuristic by default; the alternatives
+    exist for the ordering ablation.  `context` shares per-epoch solver
+    state across the epoch's solver calls, which must then pass the
+    same snapshot, config and fees objects; results are identical
+    without one.
     """
-    return place_streams(streams, codes, state, config, gateways, fees,
+    return place_streams(streams, codes, snap, config, gateways, fees,
                          max_rebuilds, ordering, context).result()
 
 
-def place_streams(streams: List[Stream], codes: List[str], state: LinkState,
-                  config: ControlConfig,
+def place_streams(streams: List[Stream], codes: List[str],
+                  snap: LinkStateSnapshot, config: ControlConfig,
                   gateways: Optional[Dict[str, int]] = None,
                   fees: Optional[PricingModel] = None,
                   max_rebuilds: int = 40,
@@ -559,7 +558,7 @@ def place_streams(streams: List[Stream], codes: List[str], state: LinkState,
         raise ValueError(f"unknown ordering {ordering!r}; choose from "
                          f"{ORDERINGS}")
     codes = list(codes)
-    snap = LinkStateSnapshot.ensure(state, codes)
+    snap.ensure(codes)
     ctx = context if context is not None else EpochSolveContext()
     weights, routes = ctx.weights(snap, config, fees), ctx.routes
     values = _residuals(codes, config, gateways)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.controlplane.model import LinkState, OverlayPath
 from repro.controlplane.pathcontrol import PathControlResult
 from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
@@ -45,15 +44,6 @@ class ReactionPlan:
     region: str
     relay_regions: Tuple[str, ...]
 
-    def backup_path(self) -> OverlayPath:
-        """The premium overlay path this plan applies."""
-        return OverlayPath.via((self.region,) + self.relay_regions,
-                               LinkType.PREMIUM)
-
-    @property
-    def next_hop(self) -> str:
-        return self.relay_regions[0]
-
 
 def _route_walk(route: List[int], latency: List[float], loss: List[float],
                 n: int, loss_ms_penalty: float) -> List[Tuple[int, ...]]:
@@ -64,9 +54,10 @@ def _route_walk(route: List[int], latency: List[float], loss: List[float],
     non-terminal position, the ordered relay ids (excluding the region
     itself) to the destination.  A candidate's score is
     ``latency + penalty * (1 - survive)`` with both terms accumulated
-    hop by hop left to right — the operations of `path_latency_ms` /
-    `path_loss_rate` on the candidate's all-premium path, without
-    building it.
+    hop by hop left to right — the operations of
+    `LinkStateSnapshot.path_latency_ms` and of Table 1's
+    ``1 - prod(1 - hop loss)`` on the candidate's all-premium path,
+    without building it.
     """
     def score(at: int, chain: Tuple[int, ...]) -> float:
         total, survive = 0.0, 1.0
@@ -95,7 +86,8 @@ def _route_walk(route: List[int], latency: List[float], loss: List[float],
     return plans
 
 
-def generate_reaction_plans(result: PathControlResult, state: LinkState,
+def generate_reaction_plans(result: PathControlResult,
+                            snap: LinkStateSnapshot,
                             loss_ms_penalty: float = 2500.0
                             ) -> Dict[Tuple[int, str], ReactionPlan]:
     """Run Algorithm 2 over every assignment of a path-control result.
@@ -103,19 +95,12 @@ def generate_reaction_plans(result: PathControlResult, state: LinkState,
     Returns plans keyed by (stream_id, region); the destination region
     needs no plan.  Plans depend only on the region sequence, so the
     reverse walk runs once per distinct `path.regions` — at scale most
-    streams share a handful of routes — over the premium tier of the
-    link state (a scalar `LinkStateFn` is evaluated into a snapshot
-    once, over the regions the routes touch).
+    streams share a handful of routes — over the premium tier of
+    `snap`.
     """
     #: regions -> [(non-terminal region, its relay chain), ...]
     routes: Dict[Tuple[str, ...], List[Tuple[str, Tuple[str, ...]]]] = \
         dict.fromkeys(a.path.regions for a in result.assignments)
-    if isinstance(state, LinkStateSnapshot):
-        snap = state
-    else:
-        snap = LinkStateSnapshot.from_fn(
-            list(dict.fromkeys(r for regions in routes for r in regions)),
-            state)
     codes, index, n = snap.codes, snap.index, len(snap.codes)
     premium = TYPE_INDEX[LinkType.PREMIUM]
     latency = snap.lat[premium].ravel().tolist()

@@ -80,16 +80,13 @@ def run(underlay: Optional[Underlay] = None, n_epochs: int = 6,
         o: [] for o in ORDERING_LABELS}
     for e in range(n_epochs):
         now = 6 * 3600.0 + e * epoch_s
-
-        def state(a, b, t):
-            link = u.link(a, b, t)
-            return (float(link.latency_ms(now)), float(link.loss_rate(now)))
-
+        state = u.snapshot(now)
         matrix = TrafficMatrix.from_model(demand, now)
         streams = workload.decompose(matrix)
         long_ids = {
             s.stream_id for s in streams
-            if state(s.src, s.dst, LinkType.PREMIUM)[0] > long_haul_premium_ms}
+            if state.lookup(s.src, s.dst, LinkType.PREMIUM)[0]
+            > long_haul_premium_ms}
         long_total = sum(s.demand_mbps for s in streams
                          if s.stream_id in long_ids)
         total = sum(s.demand_mbps for s in streams)

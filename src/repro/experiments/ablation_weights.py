@@ -74,11 +74,7 @@ def run(underlay: Optional[Underlay] = None,
         rate: [] for rate in exchange_rates}
     for e in range(n_epochs):
         now = 6 * 3600.0 + e * epoch_s
-
-        def state(a, b, t):
-            link = u.link(a, b, t)
-            return (float(link.latency_ms(now)), float(link.loss_rate(now)))
-
+        state = u.snapshot(now)
         matrix = TrafficMatrix.from_model(demand, now)
         streams = workload.decompose(matrix)
         n_streams = max(len(streams), 1)

@@ -12,17 +12,16 @@ forwarding (speedup ratio > 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.controlplane.model import ControlConfig, path_latency_ms
+from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import path_control
 from repro.experiments.base import (format_table, standard_demand,
                                     standard_underlay)
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import StreamWorkload
-from repro.underlay.linkstate import LinkType
 from repro.underlay.topology import Underlay
 
 
@@ -65,21 +64,12 @@ def run(underlay: Optional[Underlay] = None, n_epochs: int = 24,
 
     for e in range(n_epochs):
         now = start_s + e * epoch_s
-
-        def true_state(a: str, b: str, t: LinkType) -> Tuple[float, float]:
-            link = u.link(a, b, t)
-            return (float(link.latency_ms(now)), float(link.loss_rate(now)))
-
-        def sym_state(a: str, b: str, t: LinkType) -> Tuple[float, float]:
-            f_lat, f_loss = true_state(a, b, t)
-            r_lat, r_loss = true_state(b, a, t)
-            return ((f_lat + r_lat) / 2.0, (f_loss + r_loss) / 2.0)
-
+        true_state = u.snapshot(now)
         matrix = TrafficMatrix.from_model(demand, now)
         streams = workload.decompose(matrix)
         asym = path_control(streams, u.codes, true_state, config,
                             fees=u.pricing)
-        sym = path_control(streams, u.codes, sym_state, config,
+        sym = path_control(streams, u.codes, true_state.symmetric(), config,
                            fees=u.pricing)
 
         asym_best = {}
@@ -93,8 +83,8 @@ def run(underlay: Optional[Underlay] = None, n_epochs: int = 24,
                 continue
             asym_path = asym_best[key][0]
             # Evaluate BOTH paths under the true directional states.
-            asym_lat = path_latency_ms(asym_path, true_state)
-            sym_lat = path_latency_ms(s.path, true_state)
+            asym_lat = true_state.path_latency_ms(asym_path)
+            sym_lat = true_state.path_latency_ms(s.path)
             if asym_lat > 0:
                 speedups.append(sym_lat / asym_lat)
     return AsymmetricAblation(np.array(speedups))

@@ -2,10 +2,11 @@
 
 The controller times every step of `run_epoch` with ``algo_step`` spans
 (predict, link_snapshot, algo1.path_control, capacity_control,
-algo2.reaction_plans) and the snapshot layer nests a ``snapshot_build``
-span inside link_snapshot.  Those spans land in the trace as flat
-events; this module folds them back into the hierarchy and aggregates
-across epochs:
+algo2.reaction_plans); telemetry files written before the control plane
+read only snapshots also carry a ``snapshot_build`` span nested inside
+link_snapshot.  Those spans land in the trace as flat events; this
+module folds them back into the hierarchy and aggregates across
+epochs:
 
 * per-phase **total** (sum of span durations) and **self** time (total
   minus the time attributed to nested child phases), counts and means;
@@ -29,7 +30,8 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 #: Static span hierarchy: child step -> enclosing step.  Spans are
 #: recorded flat (inner exits first), so nesting is declared rather
-#: than inferred from timing.
+#: than inferred from timing.  Nothing emits ``snapshot_build`` any
+#: more; the entry keeps older telemetry files folding as they did.
 PARENT_OF = {
     "snapshot_build": "link_snapshot",
 }

@@ -1,50 +1,40 @@
 """Matrix-valued link-state snapshots.
 
-The control loop used to funnel every link-state read through a scalar
-``LinkStateFn`` callback, one (src, dst, type) at a time — thousands of
-Python calls (each re-evaluating a `LinkProcess`) per `path_control`
-run.  A `LinkStateSnapshot` evaluates the whole underlay **once** per
-control epoch into dense ``(2, N, N)`` latency/loss matrices (axis 0 is
-the link tier in `TYPE_ORDER`); every consumer then reads plain array
-elements.
+A `LinkStateSnapshot` holds the state of every link at one instant as
+dense ``(2, N, N)`` latency/loss matrices (axis 0 is the link tier in
+`TYPE_ORDER`); it is the only link-state type the control plane reads,
+so every consumer reads plain array elements.
 
-Three builders cover the call sites:
+A snapshot comes from one of two places:
 
 * `from_underlay` — one vectorised pass over an `Underlay`'s link
   parameters (stateless hash noise over a seed *matrix*, diurnal terms
   broadcast from per-region offsets), plus one cheap scalar timeline
   lookup per link.  Bit-identical to sampling each `LinkProcess`.
-* `from_fn` — adapter for any legacy scalar callback (still 2·N² calls,
-  but exactly once instead of once per graph rebuild).
 * plain construction from matrices — what the NIB's whole-matrix
   `latest_snapshot` / `robust_snapshot` return to the controller.
 
-The scalar path metrics mirror `repro.controlplane.model`'s float
-semantics exactly (same IEEE operations in the same order), so
-refactored consumers produce bit-identical control decisions — the
-golden-equivalence tests pin this down.
+`symmetric` is the round-trip view of either (the symmetric-only
+ablation and Fig. 19).  `path_latency_ms` accumulates hop by hop, left
+to right, as the solver's batched route metrics do, so every consumer
+of one snapshot sees the same bits — the golden-equivalence tests pin
+this down.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import telemetry as _telemetry
 from repro.sim.rng import hash_noise
 from repro.underlay.linkstate import LinkType, busy_factor
-
-_TEL = _telemetry()
 
 #: Tier order of axis 0 of the snapshot matrices.
 TYPE_ORDER: Tuple[LinkType, ...] = (LinkType.INTERNET, LinkType.PREMIUM)
 #: LinkType -> row index in axis 0.
 TYPE_INDEX = {t: i for i, t in enumerate(TYPE_ORDER)}
-
-#: Scalar link-state callback signature (kept for backward compatibility).
-LinkStateFn = Callable[[str, str, LinkType], Tuple[float, float]]
 
 
 class LinkStateSnapshot:
@@ -79,24 +69,6 @@ class LinkStateSnapshot:
                    np.ones((2, n, n)), t)
 
     @classmethod
-    def from_fn(cls, codes: Sequence[str], fn: LinkStateFn,
-                t: Optional[float] = None) -> "LinkStateSnapshot":
-        """Evaluate a scalar link-state callback once for every link."""
-        with _TEL.span("algo_step", t=t, step="snapshot_build",
-                       source="fn", regions=len(codes)):
-            snap = cls.empty(codes, t)
-            lat, loss = snap.lat, snap.loss
-            for ti, link_type in enumerate(TYPE_ORDER):
-                for i, a in enumerate(snap.codes):
-                    for j, b in enumerate(snap.codes):
-                        if i == j:
-                            continue
-                        l, p = fn(a, b, link_type)
-                        lat[ti, i, j] = l
-                        loss[ti, i, j] = p
-        return snap
-
-    @classmethod
     def from_underlay(cls, underlay, t: float) -> "LinkStateSnapshot":
         """Vectorised evaluation of every `LinkProcess` at instant `t`.
 
@@ -115,55 +87,42 @@ class LinkStateSnapshot:
         loss[:, diag, diag] = 1.0
         return cls(underlay.codes, lat, loss, t_f)
 
-    @classmethod
-    def ensure(cls, state: Union["LinkStateSnapshot", LinkStateFn],
-               codes: Sequence[str]) -> "LinkStateSnapshot":
-        """Pass a snapshot through; wrap a scalar callback into one.
+    def ensure(self, codes: Sequence[str]) -> "LinkStateSnapshot":
+        """This snapshot, checked to cover exactly `codes` in the same
+        order — the solver indexes its capacity arrays by that order."""
+        if self.codes != list(codes):
+            raise ValueError(
+                "snapshot regions do not match the requested codes: "
+                f"{self.codes} vs {list(codes)}")
+        return self
 
-        A passed snapshot must cover exactly `codes` in the same order —
-        the consumers index their capacity arrays by that ordering.
-        """
-        if isinstance(state, LinkStateSnapshot):
-            if state.codes != list(codes):
-                raise ValueError(
-                    "snapshot regions do not match the requested codes: "
-                    f"{state.codes} vs {list(codes)}")
-            return state
-        return cls.from_fn(codes, state)
+    def symmetric(self) -> "LinkStateSnapshot":
+        """The round-trip view: each link's latency and loss averaged
+        with its reverse link's where both are finite, else (inf, 1)."""
+        lat_rev = self.lat.transpose(0, 2, 1)
+        loss_rev = self.loss.transpose(0, 2, 1)
+        both = np.isfinite(self.lat) & np.isfinite(lat_rev)
+        return LinkStateSnapshot(
+            self.codes, np.where(both, (self.lat + lat_rev) / 2.0, np.inf),
+            np.where(both, (self.loss + loss_rev) / 2.0, 1.0), self.t)
 
     # --------------------------------------------------------------- lookup
     def lookup(self, src: str, dst: str,
                link_type: LinkType) -> Tuple[float, float]:
-        """Scalar (latency, loss) — the `LinkStateFn` contract."""
+        """Scalar (latency, loss) of one directed link."""
         ti = TYPE_INDEX[link_type]
         i, j = self.index[src], self.index[dst]
         return (float(self.lat[ti, i, j]), float(self.loss[ti, i, j]))
 
-    def state_fn(self) -> LinkStateFn:
-        """A scalar `LinkStateFn` view for legacy call sites."""
-        return self.lookup
-
     # --------------------------------------------------------- path metrics
     def path_latency_ms(self, path) -> float:
-        """End-to-end latency of one `OverlayPath` (matrix-indexed).
-
-        Accumulates hop latencies left-to-right like
-        ``model.path_latency_ms`` — bit-identical results.
-        """
+        """End-to-end latency of one `OverlayPath`, the sum of its hop
+        latencies (Table 1's Lat(P)) accumulated left to right."""
         lat, index = self.lat, self.index
         total = 0.0
         for (a, b, link_type) in path.hops:
             total = total + lat[TYPE_INDEX[link_type], index[a], index[b]]
         return float(total)
-
-    def path_loss_rate(self, path) -> float:
-        """End-to-end loss of one `OverlayPath` (matrix-indexed)."""
-        loss, index = self.loss, self.index
-        survive = 1.0
-        for (a, b, link_type) in path.hops:
-            survive = survive * (
-                1.0 - loss[TYPE_INDEX[link_type], index[a], index[b]])
-        return float(1.0 - survive)
 
     def direct_latency(self, srcs: Sequence[str], dsts: Sequence[str],
                        link_type: LinkType) -> np.ndarray:

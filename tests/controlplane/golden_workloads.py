@@ -6,8 +6,9 @@ and distils full control outputs (path control, capacity control,
 reaction plans) into JSON-stable digests.  Floats are stored as
 ``float.hex()`` strings so equality is bit-exact, not approximate.
 
-Run ``python tests/controlplane/golden_workloads.py`` to (re)generate
-the frozen reference fixtures under ``tests/controlplane/golden/``.
+Run ``PYTHONPATH=src python -m tests.controlplane.golden_workloads`` to
+(re)generate the frozen reference fixtures under
+``tests/controlplane/golden/``.
 Regenerate ONLY when a deliberate behaviour change is made; the whole
 point of the fixtures is to prove refactors do not move a single bit.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from repro.experiments.base import standard_demand, standard_underlay
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import StreamWorkload
 from repro.underlay.regions import Region, default_regions
+from tests.snapshots import link_model_snapshot
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -51,16 +53,6 @@ class Workload:
         self.config = ControlConfig()
         self.gateways = {c: 8 for c in underlay.codes}
         self.fees = underlay.pricing
-
-    def state_fn(self):
-        """The scalar LinkStateFn the pre-snapshot control stack used."""
-        u, now = self.underlay, self.now
-
-        def state(a: str, b: str, t) -> Tuple[float, float]:
-            link = u.link(a, b, t)
-            return (float(link.latency_ms(now)), float(link.loss_rate(now)))
-
-        return state
 
 
 @_workload
@@ -127,17 +119,14 @@ def path_result_digest(result: PathControlResult) -> Dict:
     }
 
 
-def control_digest(wl: Workload, state) -> Dict:
-    """Run the full two-step control + reaction plans; digest everything.
-
-    `state` is whatever the control stack accepts as link state (the
-    scalar callback pre-refactor; callback or snapshot post-refactor).
-    """
-    r_cur = path_control(wl.streams, wl.codes, state, wl.config,
+def control_digest(wl: Workload, snap) -> Dict:
+    """Run the full two-step control + reaction plans on the link state
+    `snap`; digest everything."""
+    r_cur = path_control(wl.streams, wl.codes, snap, wl.config,
                          gateways=wl.gateways, fees=wl.fees)
-    decision = capacity_control(wl.streams, wl.codes, state, wl.config,
+    decision = capacity_control(wl.streams, wl.codes, snap, wl.config,
                                 wl.gateways, r_cur, fees=wl.fees)
-    plans = generate_reaction_plans(r_cur, state,
+    plans = generate_reaction_plans(r_cur, snap,
                                     wl.config.loss_ms_penalty)
     return outputs_digest(r_cur, decision, plans)
 
@@ -170,7 +159,7 @@ def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, build in WORKLOADS.items():
         wl = build()
-        digest = control_digest(wl, wl.state_fn())
+        digest = control_digest(wl, link_model_snapshot(wl.underlay, wl.now))
         out = fixture_path(name)
         out.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n")
         n_assign = len(digest["path_control"]["assignments"])

@@ -1,19 +1,21 @@
 """Scalar reference implementations of the solver's two walks.
 
 `repro.controlplane` reconstructs every pair's route per graph build as
-one gather per DP layer and runs Algorithm 2 over flat premium
-matrices; these are the per-path forms they replaced, kept as the
-oracle the batch forms are tested against (as `packet_prober.py` is for
-the burst kernel).  Nothing in `src/` imports this module.
+one gather per DP layer, sums its latency and loss over whole route
+tables, and runs Algorithm 2 over flat premium matrices; these are the
+per-path forms they replaced, kept as the oracle the batch forms are
+tested against (as `packet_prober.py` is for the burst kernel).
+Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.controlplane.model import (LinkState, OverlayPath,
-                                      path_latency_ms, path_loss_rate)
+from repro.controlplane.model import OverlayPath
+from repro.controlplane.reactionplan import ReactionPlan
 from repro.underlay.linkstate import LinkType
+from repro.underlay.snapshot import LinkStateSnapshot
 
 
 def expand(vias, improved, i: int, j: int, layer: int) -> List[int]:
@@ -27,14 +29,23 @@ def expand(vias, improved, i: int, j: int, layer: int) -> List[int]:
     return expand(vias, improved, i, j, layer - 1)
 
 
-def score(path: OverlayPath, state: LinkState,
+def path_loss_rate(state: LinkStateSnapshot, path: OverlayPath) -> float:
+    """End-to-end loss of one path: 1 - prod(1 - hop loss) (Table 1's
+    constraint), accumulated hop by hop left to right."""
+    survive = 1.0
+    for hop in path.hops:
+        survive = survive * (1.0 - state.lookup(*hop)[1])
+    return 1.0 - survive
+
+
+def score(path: OverlayPath, state: LinkStateSnapshot,
           loss_ms_penalty: float = 2500.0) -> float:
     """Plan comparison metric: latency plus a loss penalty."""
-    return (path_latency_ms(path, state)
-            + loss_ms_penalty * path_loss_rate(path, state))
+    return (state.path_latency_ms(path)
+            + loss_ms_penalty * path_loss_rate(state, path))
 
 
-def route_walk(regions: Tuple[str, ...], state: LinkState,
+def route_walk(regions: Tuple[str, ...], state: LinkStateSnapshot,
                loss_ms_penalty: float = 2500.0
                ) -> Dict[str, Tuple[str, ...]]:
     """Algorithm 2's reverse walk for one route (region sequence),
@@ -70,3 +81,9 @@ def naive_premium_path(path: OverlayPath, from_region: str) -> OverlayPath:
         raise ValueError(f"{from_region} is not an on-path non-terminal region")
     idx = regions.index(from_region)
     return OverlayPath.via(regions[idx:], LinkType.PREMIUM)
+
+
+def backup_path(plan: ReactionPlan) -> OverlayPath:
+    """The all-premium overlay path a reaction plan applies."""
+    return OverlayPath.via((plan.region,) + plan.relay_regions,
+                           LinkType.PREMIUM)

@@ -6,14 +6,18 @@ from repro.controlplane.pathcontrol import path_control
 from repro.controlplane.capacity import capacity_control
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
+from tests.snapshots import snapshot_of
 
 CODES = ["A", "B", "C"]
 
 
-def _state(a, b, t):
+def _links(a, b, t):
     if t is LinkType.INTERNET:
         return (100.0, 0.0001)
     return (80.0, 0.00001)
+
+
+_state = snapshot_of(CODES, _links)
 
 
 def _cfg():

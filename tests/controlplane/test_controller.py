@@ -59,8 +59,9 @@ def test_internet_only_never_uses_premium():
                       internet_only=True)
     _push_states(ctrl)
     out = ctrl.run_epoch(0.0, _matrix(), {c: 8 for c in CODES})
+    assert out.path_result.assignments
     for a in out.path_result.assignments:
-        assert not a.path.uses_premium()
+        assert all(t is LinkType.INTERNET for __, __, t in a.path.hops)
 
 
 def test_premium_only_never_uses_internet():
@@ -68,8 +69,9 @@ def test_premium_only_never_uses_internet():
                       premium_only=True)
     _push_states(ctrl)
     out = ctrl.run_epoch(0.0, _matrix(), {c: 8 for c in CODES})
+    assert out.path_result.assignments
     for a in out.path_result.assignments:
-        assert all(t is LinkType.PREMIUM for t in a.path.link_types)
+        assert all(t is LinkType.PREMIUM for __, __, t in a.path.hops)
 
 
 def test_conflicting_variant_flags_rejected():
@@ -81,7 +83,7 @@ def test_symmetric_controller_averages_directions():
     ctrl = Controller(CODES, symmetric_only=True)
     ctrl.nib.update(LinkReport("A", "B", LinkType.INTERNET, 100.0, 0.0, 0.0))
     ctrl.nib.update(LinkReport("B", "A", LinkType.INTERNET, 300.0, 0.1, 0.0))
-    lat, loss = ctrl.link_state("A", "B", LinkType.INTERNET)
+    lat, loss = ctrl.link_snapshot().lookup("A", "B", LinkType.INTERNET)
     assert lat == pytest.approx(200.0)
     assert loss == pytest.approx(0.05)
 
@@ -91,8 +93,9 @@ def test_asymmetric_controller_sees_directions(controller):
                                      0.0, 1.0))
     controller.nib.update(LinkReport("B", "A", LinkType.INTERNET, 300.0,
                                      0.0, 1.0))
-    assert controller.link_state("A", "B", LinkType.INTERNET)[0] == 100.0
-    assert controller.link_state("B", "A", LinkType.INTERNET)[0] == 300.0
+    snap = controller.link_snapshot()
+    assert snap.lookup("A", "B", LinkType.INTERNET)[0] == 100.0
+    assert snap.lookup("B", "A", LinkType.INTERNET)[0] == 300.0
 
 
 def test_demand_history_feeds_prediction(controller):

@@ -1,10 +1,10 @@
 """NIB matrix snapshots and the controller's `link_snapshot`.
 
 These pin the whole-matrix paths (`latest_snapshot`, `robust_snapshot`,
-`Controller.link_snapshot`) to their scalar counterparts (`get`,
-`robust_state`, `Controller.link_state`) — exact equality per link,
-including every topology-variant mask — plus the telemetry the
-snapshot layer emits.
+`Controller.link_snapshot`) to a per-link expectation computed here from
+`nib.history` — the last report, the window percentile, every
+topology-variant mask — with exact equality per link, plus the
+telemetry of the solver's snapshot reuse.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.controlplane.nib import LinkReport, NetworkInformationBase
 from repro.controlplane.pathcontrol import path_control
 from repro.traffic.streams import VIDEO_PROFILES, Stream
 from repro.underlay.linkstate import LinkType
+from tests.snapshots import snapshot_of
 
 I, P = LinkType.INTERNET, LinkType.PREMIUM
 
@@ -48,6 +49,33 @@ def links():
                     yield a, b, lt
 
 
+def reported_state(nib, a, b, lt, percentile=None):
+    """One link's (latency, loss) from its report history: the last
+    report, or `percentile` of the window; None if never reported."""
+    history = nib.history(a, b, lt)
+    if not history:
+        return None
+    if percentile is None:
+        return (history[-1].latency_ms, history[-1].loss_rate)
+    return (float(np.percentile([r.latency_ms for r in history],
+                                percentile)),
+            float(np.percentile([r.loss_rate for r in history], percentile)))
+
+
+def planned_state(ctrl, a, b, lt):
+    """What the solver must see for one link under `ctrl`'s variant."""
+    missing = (np.inf, 1.0)
+    if (ctrl.premium_only and lt is I) or (ctrl.internet_only and lt is P):
+        return missing
+    fwd = reported_state(ctrl.nib, a, b, lt, ctrl.robust_percentile)
+    if not ctrl.symmetric_only:
+        return fwd or missing
+    rev = reported_state(ctrl.nib, b, a, lt, ctrl.robust_percentile)
+    if fwd is None or rev is None:
+        return missing
+    return ((fwd[0] + rev[0]) / 2.0, (fwd[1] + rev[1]) / 2.0)
+
+
 class TestNibSnapshots:
     def test_latest_snapshot_matches_get(self):
         nib = NetworkInformationBase(window=3, codes=CODES)
@@ -64,15 +92,16 @@ class TestNibSnapshots:
         for pct in (50.0, 90.0, 99.0):
             snap = nib.robust_snapshot(CODES, pct)
             for a, b, lt in links():
-                assert snap.lookup(a, b, lt) == nib.robust_state(a, b, lt,
-                                                                 pct)
+                assert snap.lookup(a, b, lt) == reported_state(nib, a, b, lt,
+                                                               pct)
 
     def test_partial_window_matches(self):
         nib = NetworkInformationBase(window=8, codes=CODES)
         fill_nib(nib, rounds=2)  # only 2 of 8 slots filled
         snap = nib.robust_snapshot(CODES, 90.0)
         for a, b, lt in links():
-            assert snap.lookup(a, b, lt) == nib.robust_state(a, b, lt, 90.0)
+            assert snap.lookup(a, b, lt) == reported_state(nib, a, b, lt,
+                                                           90.0)
 
     def test_never_reported_links_are_missing(self):
         nib = NetworkInformationBase(window=2, codes=CODES)
@@ -134,7 +163,7 @@ class TestControllerLinkSnapshot:
         fill_nib(ctrl.nib, rounds=4, skip={("C", "A", P)})
         snap = ctrl.link_snapshot()
         for a, b, lt in links():
-            assert snap.lookup(a, b, lt) == ctrl.link_state(a, b, lt)
+            assert snap.lookup(a, b, lt) == planned_state(ctrl, a, b, lt)
 
 
 class TestSnapshotTelemetry:
@@ -146,20 +175,13 @@ class TestSnapshotTelemetry:
                                premium_bandwidth_mbps=10.0)
         streams = [Stream(i, "A", "B", 8.0, VIDEO_PROFILES[2])
                    for i in range(4)]
-
-        def state(a, b, t):
-            return (40.0, 0.0)
-
+        snap = snapshot_of(["A", "B"], lambda a, b, t: (40.0, 0.0))
         with obs.capture() as tel:
-            result = path_control(streams, ["A", "B"], state, config,
+            result = path_control(streams, ["A", "B"], snap, config,
                                   gateways={"A": 2, "B": 2})
-            builds = [e for e in tel.events_json()
-                      if e.get("step") == "snapshot_build"]
             reuses = tel.metrics.counter(
                 "pathcontrol.snapshot_reuses").value
-        # The scalar callback is evaluated into a snapshot exactly once…
-        assert len(builds) == 1
-        # …and every later graph build reuses it.
+        # Every graph build after the first reuses the snapshot.
         assert result.graph_rebuilds >= 1
         assert reuses >= result.graph_rebuilds
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.controlplane.model import (ControlConfig, ObjectiveBreakdown,
-                                      OverlayPath, path_latency_ms,
-                                      path_loss_rate)
+                                      OverlayPath)
 from repro.underlay.linkstate import LinkType
+from tests.controlplane.route_oracle import path_loss_rate
+from tests.snapshots import snapshot_of
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
@@ -17,20 +18,20 @@ def _state(lat_map, loss_map=None):
     def state(a, b, t):
         return (lat_map.get((a, b, t), 100.0),
                 loss_map.get((a, b, t), 0.0))
-    return state
+    return snapshot_of(["A", "B", "C"], state)
 
 
 class TestOverlayPath:
     def test_direct(self):
         p = OverlayPath.direct("A", "B", I)
         assert p.src == "A" and p.dst == "B"
-        assert p.relay_count == 0
+        assert p.hops == (("A", "B", I),)
         assert p.regions == ("A", "B")
 
     def test_via(self):
         p = OverlayPath.via(["A", "B", "C"], P)
         assert p.hops == (("A", "B", P), ("B", "C", P))
-        assert p.relay_count == 1
+        assert p.regions == ("A", "B", "C")
 
     def test_via_needs_two_regions(self):
         with pytest.raises(ValueError):
@@ -46,32 +47,33 @@ class TestOverlayPath:
 
     def test_mixed_link_types(self):
         p = OverlayPath((("A", "B", I), ("B", "C", P)))
-        assert p.link_types == (I, P)
-        assert p.uses_premium()
+        assert [t for __, __, t in p.hops] == [I, P]
+        assert p.regions == ("A", "B", "C")
 
     def test_pure_internet_does_not_use_premium(self):
-        assert not OverlayPath.direct("A", "B", I).uses_premium()
+        assert all(t is I for __, __, t in
+                   OverlayPath.via(["A", "B", "C"], I).hops)
 
 
 class TestPathMetrics:
     def test_latency_sums_hops(self):
         state = _state({("A", "B", I): 50.0, ("B", "C", I): 70.0})
         p = OverlayPath.via(["A", "B", "C"], I)
-        assert path_latency_ms(p, state) == pytest.approx(120.0)
+        assert state.path_latency_ms(p) == pytest.approx(120.0)
 
     def test_loss_compounds(self):
         state = _state({}, {("A", "B", I): 0.1, ("B", "C", I): 0.2})
         p = OverlayPath.via(["A", "B", "C"], I)
-        assert path_loss_rate(p, state) == pytest.approx(1 - 0.9 * 0.8)
+        assert path_loss_rate(state, p) == pytest.approx(1 - 0.9 * 0.8)
 
     def test_zero_loss(self):
         p = OverlayPath.direct("A", "B", I)
-        assert path_loss_rate(p, _state({})) == 0.0
+        assert path_loss_rate(_state({}), p) == 0.0
 
     def test_loss_of_lossless_plus_lossy(self):
         state = _state({}, {("A", "B", I): 0.0, ("B", "C", I): 0.5})
         p = OverlayPath.via(["A", "B", "C"], I)
-        assert path_loss_rate(p, state) == pytest.approx(0.5)
+        assert path_loss_rate(state, p) == pytest.approx(0.5)
 
 
 class TestControlConfig:

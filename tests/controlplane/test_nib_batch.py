@@ -51,8 +51,6 @@ def everything(nib):
         "get": [nib.get(*link) for link in links],
         "history": [nib.history(*link) for link in links],
         "snapshot": nib.snapshot(),
-        "stale": sorted(nib.stale_links(75.0),
-                        key=lambda k: (k[0], k[1], k[2].value)),
         "export": json.dumps(nib.export_reports(), sort_keys=True),
         "latest": nib.latest_snapshot(CODES).lat.tobytes(),
         "robust": nib.robust_snapshot(CODES, 90.0).loss.tobytes(),

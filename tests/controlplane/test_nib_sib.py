@@ -26,42 +26,30 @@ class TestLinkReport:
 class TestNIB:
     def test_update_and_get(self):
         nib = NetworkInformationBase()
+        assert nib.get("A", "B", LinkType.INTERNET) is None
         nib.update(_report())
-        assert nib.latency_ms("A", "B", LinkType.INTERNET) == 100.0
-        assert nib.loss_rate("A", "B", LinkType.INTERNET) == 0.01
+        assert nib.get("A", "B", LinkType.INTERNET) == _report()
 
     def test_directions_are_distinct(self):
         nib = NetworkInformationBase()
         nib.update(_report("A", "B", lat=100.0))
         nib.update(_report("B", "A", lat=250.0))
-        assert nib.latency_ms("A", "B", LinkType.INTERNET) == 100.0
-        assert nib.latency_ms("B", "A", LinkType.INTERNET) == 250.0
+        assert nib.get("A", "B", LinkType.INTERNET).latency_ms == 100.0
+        assert nib.get("B", "A", LinkType.INTERNET).latency_ms == 250.0
 
     def test_types_are_distinct(self):
         nib = NetworkInformationBase()
         nib.update(_report(lt=LinkType.INTERNET, lat=100.0))
         nib.update(_report(lt=LinkType.PREMIUM, lat=80.0))
-        assert nib.latency_ms("A", "B", LinkType.PREMIUM) == 80.0
+        assert nib.get("A", "B", LinkType.PREMIUM).latency_ms == 80.0
 
     def test_newest_report_wins(self):
         nib = NetworkInformationBase()
         nib.update(_report(lat=100.0, t=10.0))
         nib.update(_report(lat=200.0, t=5.0))  # older: ignored
-        assert nib.latency_ms("A", "B", LinkType.INTERNET) == 100.0
+        assert nib.get("A", "B", LinkType.INTERNET).latency_ms == 100.0
         nib.update(_report(lat=300.0, t=20.0))
-        assert nib.latency_ms("A", "B", LinkType.INTERNET) == 300.0
-
-    def test_missing_link_raises(self):
-        nib = NetworkInformationBase()
-        with pytest.raises(KeyError):
-            nib.latency_ms("A", "B", LinkType.INTERNET)
-        assert nib.get("A", "B", LinkType.INTERNET) is None
-
-    def test_stale_links(self):
-        nib = NetworkInformationBase(max_staleness_s=30.0)
-        nib.update(_report(t=0.0))
-        assert nib.stale_links(now=10.0) == []
-        assert nib.stale_links(now=100.0) == [("A", "B", LinkType.INTERNET)]
+        assert nib.get("A", "B", LinkType.INTERNET).latency_ms == 300.0
 
     def test_snapshot_is_a_copy(self):
         nib = NetworkInformationBase()

@@ -7,6 +7,7 @@ from repro.controlplane.nib import LinkReport, NetworkInformationBase
 from repro.underlay.linkstate import LinkType
 
 I = LinkType.INTERNET
+CODES = ["A", "B"]
 
 
 def _report(lat, loss=0.0, t=0.0):
@@ -37,7 +38,7 @@ class TestWindow:
         nib.update(_report(100.0, t=10.0))
         nib.update(_report(999.0, t=5.0))
         assert len(nib.history("A", "B", I)) == 1
-        assert nib.latency_ms("A", "B", I) == 100.0
+        assert nib.get("A", "B", I).latency_ms == 100.0
 
     def test_history_empty_for_unknown_link(self):
         nib = NetworkInformationBase(window=3)
@@ -49,53 +50,50 @@ class TestRobustState:
         nib = NetworkInformationBase(window=5)
         for k, loss in enumerate([0.0, 0.0, 0.0, 0.0, 0.2]):
             nib.update(_report(100.0, loss, t=float(k)))
-        __, loss_p90 = nib.robust_state("A", "B", I, 90.0)
-        __, loss_p50 = nib.robust_state("A", "B", I, 50.0)
+        __, loss_p90 = nib.robust_snapshot(CODES, 90.0).lookup("A", "B", I)
+        __, loss_p50 = nib.robust_snapshot(CODES, 50.0).lookup("A", "B", I)
         assert loss_p90 > 0.05
         assert loss_p50 == pytest.approx(0.0)
 
     def test_window_one_equals_latest(self):
         nib = NetworkInformationBase(window=1)
         nib.update(_report(123.0, 0.01, t=0.0))
-        assert nib.robust_state("A", "B", I, 90.0) == (123.0, 0.01)
-
-    def test_unknown_link_raises(self):
-        with pytest.raises(KeyError):
-            NetworkInformationBase(window=2).robust_state("A", "B", I)
+        assert nib.robust_snapshot(CODES, 90.0).lookup("A", "B", I) == \
+            (123.0, 0.01)
 
     def test_bad_percentile_rejected(self):
         nib = NetworkInformationBase(window=2)
         nib.update(_report(1.0))
         with pytest.raises(ValueError):
-            nib.robust_state("A", "B", I, 150.0)
+            nib.robust_snapshot(CODES, 150.0)
 
 
 class TestRobustController:
     def test_requires_window_for_robust_planning(self):
         with pytest.raises(ValueError):
-            Controller(["A", "B"], nib_window=1, robust_percentile=90.0)
+            Controller(CODES, nib_window=1, robust_percentile=90.0)
 
     def test_robust_state_used_for_planning(self):
-        ctrl = Controller(["A", "B"], nib_window=4, robust_percentile=90.0)
+        ctrl = Controller(CODES, nib_window=4, robust_percentile=90.0)
         # Three clean reports, one terrible one: the pessimistic view
         # must remember the bad sample.
         for k, loss in enumerate([0.3, 0.0, 0.0, 0.0]):
             ctrl.nib.update(_report(100.0, loss, t=float(k)))
-        __, loss = ctrl.link_state("A", "B", I)
+        __, loss = ctrl.link_snapshot().lookup("A", "B", I)
         assert loss > 0.05
 
     def test_last_sample_mode_forgets(self):
-        ctrl = Controller(["A", "B"])  # window 1
+        ctrl = Controller(CODES)  # window 1
         ctrl.nib.update(_report(100.0, 0.3, t=0.0))
         ctrl.nib.update(_report(100.0, 0.0, t=1.0))
-        __, loss = ctrl.link_state("A", "B", I)
+        __, loss = ctrl.link_snapshot().lookup("A", "B", I)
         assert loss == pytest.approx(0.0)
 
     def test_symmetric_mode_composes_with_robust(self):
-        ctrl = Controller(["A", "B"], nib_window=3, robust_percentile=100.0,
+        ctrl = Controller(CODES, nib_window=3, robust_percentile=100.0,
                           symmetric_only=True)
         ctrl.nib.update(LinkReport("A", "B", I, 100.0, 0.2, 0.0))
         ctrl.nib.update(LinkReport("B", "A", I, 300.0, 0.0, 0.0))
-        lat, loss = ctrl.link_state("A", "B", I)
+        lat, loss = ctrl.link_snapshot().lookup("A", "B", I)
         assert lat == pytest.approx(200.0)
         assert loss == pytest.approx(0.1)

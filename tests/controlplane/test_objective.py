@@ -11,6 +11,7 @@ from repro.underlay.config import PricingConfig
 from repro.underlay.linkstate import LinkType
 from repro.underlay.pricing import PricingModel
 from repro.underlay.regions import default_regions
+from tests.snapshots import snapshot_of
 
 CODES = [r.code for r in default_regions()[:3]]
 
@@ -21,10 +22,13 @@ def pricing():
                         np.random.default_rng(2))
 
 
-def _state(a, b, t):
+def _links(a, b, t):
     if t is LinkType.INTERNET:
         return (100.0, 0.0001)
     return (80.0, 0.00001)
+
+
+_state = snapshot_of(CODES, _links)
 
 
 def _result(mbps=100.0, pricing=None, **cfg):

@@ -13,6 +13,7 @@ from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
+from tests.snapshots import snapshot_of
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
@@ -21,7 +22,7 @@ CODES = ["A", "B", "C"]
 
 
 def make_state(lat=None, loss=None, premium_lat=None, premium_loss=None):
-    """Triangle topology state: defaults are healthy symmetric links."""
+    """Triangle topology snapshot: defaults are healthy symmetric links."""
     lat = lat or {}
     loss = loss or {}
     premium_lat = premium_lat or {}
@@ -32,7 +33,7 @@ def make_state(lat=None, loss=None, premium_lat=None, premium_loss=None):
             return (lat.get((a, b), 100.0), loss.get((a, b), 0.0001))
         return (premium_lat.get((a, b), 80.0),
                 premium_loss.get((a, b), 0.00001))
-    return state
+    return snapshot_of(CODES, state)
 
 
 def stream(sid, src, dst, mbps):
@@ -84,11 +85,10 @@ class TestBasicAssignment:
 
         result = path_control([Stream(1, codes[0], codes[1], 10.0,
                                       VIDEO_PROFILES[0])],
-                              codes, state, cfg(), gateways={c: 4 for c in
-                                                             codes},
-                              fees=fees)
+                              codes, snapshot_of(codes, state), cfg(),
+                              gateways={c: 4 for c in codes}, fees=fees)
         # Premium is 5 ms faster but ~7x the fee: Internet must win.
-        assert result.assignments[0].path.link_types == (I,)
+        assert result.assignments[0].path.hops == ((codes[0], codes[1], I),)
 
     def test_premium_chosen_when_internet_bad(self):
         state = make_state(loss={("A", "B"): 0.2, ("A", "C"): 0.2,
@@ -96,7 +96,7 @@ class TestBasicAssignment:
                                  ("B", "A"): 0.2, ("C", "A"): 0.2})
         result = path_control([stream(1, "A", "B", 10.0)], CODES, state,
                               cfg(), gateways=gw())
-        assert result.assignments[0].path.link_types == (P,)
+        assert result.assignments[0].path.hops == (("A", "B", P),)
 
     def test_relay_path_when_direct_degraded(self):
         # A->B Internet is terrible; A->C->B is fine; premium costly.
@@ -360,3 +360,20 @@ class TestEpochSolveContext:
             path_control(streams, underlay.codes, underlay.snapshot(451.0),
                          ControlConfig(), fees=underlay.pricing,
                          context=context)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda streams, codes, snap: path_control(
+        streams, codes, snap, cfg(), gateways=gw()),
+    lambda streams, codes, snap: capacity_control(
+        streams, codes, snap, cfg(), gw(),
+        path_control(streams, CODES, snap, cfg(), gateways=gw())),
+], ids=["path_control", "capacity_control"])
+def test_solver_rejects_a_snapshot_in_another_region_order(solve):
+    """The solver indexes its capacity arrays in `codes` order, so a
+    snapshot over the same regions in another order is an error, not a
+    silent relabelling."""
+    streams = [stream(1, "A", "B", 10.0)]
+    snap = make_state()
+    with pytest.raises(ValueError, match="do not match"):
+        solve(streams, ["C", "B", "A"], snap)

@@ -8,8 +8,9 @@ from repro.controlplane.reactionplan import (ReactionPlan,
                                              generate_reaction_plans)
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
-from tests.controlplane.route_oracle import naive_premium_path
+from tests.controlplane.route_oracle import backup_path, naive_premium_path
 from tests.controlplane.route_oracle import score as _score
+from tests.snapshots import snapshot_of
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
@@ -24,7 +25,7 @@ def make_state(premium_lat=None):
         if t is I:
             return (100.0, 0.001)
         return (premium_lat.get((a, b), 90.0), 0.00001)
-    return state
+    return snapshot_of(CODES, state)
 
 
 def _plans_for_path(regions, state):
@@ -74,7 +75,7 @@ def test_property1_plan_beats_naive_premium_substitution():
     for region in ("A", "B", "C"):
         plan = plans[(1, region)]
         naive = naive_premium_path(original, region)
-        assert _score(plan.backup_path(), state) <= _score(naive, state) + 1e-9
+        assert _score(backup_path(plan), state) <= _score(naive, state) + 1e-9
 
 
 def test_property2_plan_regions_subset_of_path():
@@ -83,20 +84,20 @@ def test_property2_plan_regions_subset_of_path():
     result, plans = _plans_for_path(["A", "B", "C", "D"], state)
     on_path = set(result.assignments[0].path.regions)
     for plan in plans.values():
-        assert set(plan.backup_path().regions) <= on_path
+        assert set(backup_path(plan).regions) <= on_path
 
 
 def test_backup_paths_are_all_premium():
     state = make_state()
     __, plans = _plans_for_path(["A", "B", "C", "D"], state)
     for plan in plans.values():
-        assert all(t is P for t in plan.backup_path().link_types)
+        assert all(t is P for __, __, t in backup_path(plan).hops)
 
 
 def test_plan_next_hop():
     plan = ReactionPlan(1, "A", ("C", "D"))
-    assert plan.next_hop == "C"
-    assert plan.backup_path().regions == ("A", "C", "D")
+    assert plan.relay_regions[0] == "C"
+    assert backup_path(plan).hops == (("A", "C", P), ("C", "D", P))
 
 
 def test_naive_premium_path_requires_on_path_region():

@@ -8,21 +8,21 @@ from repro.experiments import (ablation_ordering, ablation_probing,
                                ablation_stability, reaction_latency)
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
+from tests.snapshots import snapshot_of
 
 
 def test_path_control_rejects_unknown_ordering():
-    def state(a, b, t):
-        return (100.0, 0.0)
-
+    state = snapshot_of(["A", "B"], lambda a, b, t: (100.0, 0.0))
     with pytest.raises(ValueError):
         path_control([], ["A", "B"], state, ControlConfig(),
                      ordering="nonsense")
 
 
 def test_all_orderings_accepted():
-    def state(a, b, t):
+    def links(a, b, t):
         return (100.0, 0.0001) if t is LinkType.INTERNET else (80.0, 0.0)
 
+    state = snapshot_of(["A", "B", "C"], links)
     streams = [Stream(1, "A", "B", 5.0, VIDEO_PROFILES[0])]
     for ordering in ORDERINGS:
         result = path_control(streams, ["A", "B", "C"], state,

@@ -19,6 +19,7 @@ from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import path_control
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
+from tests.snapshots import snapshot_of
 
 CODES = ["A", "B", "C", "D"]
 
@@ -47,10 +48,8 @@ gateway_counts = st.fixed_dictionaries(
     {c: st.integers(1, 8) for c in CODES})
 
 
-def _state_fn(states):
-    def state(a, b, t):
-        return states[(a, b, t)]
-    return state
+def _snapshot(states):
+    return snapshot_of(CODES, lambda a, b, t: states[(a, b, t)])
 
 
 class TestInvariants:
@@ -58,7 +57,7 @@ class TestInvariants:
            gateways=gateway_counts)
     @settings(max_examples=60, deadline=None)
     def test_demand_conservation(self, states, streams, config, gateways):
-        result = path_control(streams, CODES, _state_fn(states), config,
+        result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=gateways)
         offered = sum(s.demand_mbps for s in streams)
         assigned = result.total_assigned_mbps()
@@ -70,7 +69,7 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     def test_region_capacity_respected(self, states, streams, config,
                                        gateways):
-        result = path_control(streams, CODES, _state_fn(states), config,
+        result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=gateways)
         for region, traffic in result.region_traffic.items():
             cap = config.container_capacity_mbps * gateways[region]
@@ -81,7 +80,7 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     def test_link_budgets_respected(self, states, streams, config,
                                     gateways):
-        result = path_control(streams, CODES, _state_fn(states), config,
+        result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=gateways)
         for __, egress in result.internet_egress.items():
             assert egress <= config.internet_bandwidth_mbps + 1e-6
@@ -93,7 +92,7 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     def test_paths_are_valid_chains(self, states, streams, config,
                                     gateways):
-        result = path_control(streams, CODES, _state_fn(states), config,
+        result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=gateways)
         for a in result.assignments:
             assert a.path.src == a.stream.src
@@ -110,7 +109,7 @@ class TestInvariants:
                                                   config, gateways):
         """Following the tables from any assignment's source reaches its
         destination without looping."""
-        result = path_control(streams, CODES, _state_fn(states), config,
+        result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=gateways)
         # A stream split over several paths keeps one table entry per
         # region (the last write wins), so walk only unsplit streams.
@@ -139,6 +138,6 @@ class TestInvariants:
         config = ControlConfig(
             internet_bandwidth_mbps=max(offered, 1.0) * 10,
             premium_bandwidth_mbps=max(offered, 1.0) * 10)
-        result = path_control(streams, CODES, _state_fn(states), config,
+        result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=None)
         assert not result.unassigned

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import normalize, weighted_percentiles
-from repro.controlplane.model import (OverlayPath, path_latency_ms,
-                                      path_loss_rate)
+from repro.controlplane.model import OverlayPath
 from repro.controlplane.prediction import DTFTPredictor, RollingPredictor
 from repro.qoe.audio import audio_fluency_series
 from repro.qoe.video import stall_durations, stall_series
 from repro.sim.rng import hash_noise, hash_uniform
 from repro.underlay.events import DegradationEvent, EventTimeline
 from repro.underlay.linkstate import LinkType
+from tests.controlplane.route_oracle import path_loss_rate
+from tests.snapshots import snapshot_of
 
 # ---------------------------------------------------------------- strategies
 
@@ -94,13 +95,10 @@ class TestPathProperties:
     @settings(max_examples=100, deadline=None)
     def test_latency_additivity_and_loss_bound(self, regions, lat, loss):
         path = OverlayPath.via(regions, LinkType.INTERNET)
-
-        def state(a, b, t):
-            return (lat, loss)
-
-        total_lat = path_latency_ms(path, state)
+        state = snapshot_of(regions, lambda a, b, t: (lat, loss))
+        total_lat = state.path_latency_ms(path)
         assert total_lat == pytest.approx(lat * len(path.hops))
-        total_loss = path_loss_rate(path, state)
+        total_loss = path_loss_rate(state, path)
         assert 0.0 <= total_loss <= 1.0
         # Path loss at least the worst single hop, at most the sum.
         assert total_loss >= loss - 1e-12
@@ -111,7 +109,7 @@ class TestPathProperties:
     def test_regions_consistent_with_hops(self, regions):
         path = OverlayPath.via(regions, LinkType.PREMIUM)
         assert path.regions == tuple(regions)
-        assert path.relay_count == len(regions) - 2
+        assert len(path.hops) == len(regions) - 1
 
 
 class TestPredictionProperties:

@@ -17,8 +17,9 @@ from repro.controlplane.pathcontrol import Assignment, PathControlResult
 from repro.controlplane.reactionplan import generate_reaction_plans
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
-from tests.controlplane.route_oracle import naive_premium_path
+from tests.controlplane.route_oracle import backup_path, naive_premium_path
 from tests.controlplane.route_oracle import score as _score
+from tests.snapshots import snapshot_of
 
 REGIONS = ["A", "B", "C", "D", "E"]
 
@@ -41,7 +42,7 @@ def _result_for(path_regions):
         forwarding_tables={r: {} for r in REGIONS})
 
 
-def _state_fn(table):
+def _snapshot(table):
     def state(a, b, t):
         lat, loss = table[(a, b)]
         if t is LinkType.PREMIUM:
@@ -49,20 +50,20 @@ def _state_fn(table):
         # Internet arbitrarily different; plans only read premium states
         # but the scorer may touch both.
         return (lat * 1.7, min(loss * 2.0, 1.0))
-    return state
+    return snapshot_of(REGIONS, state)
 
 
 @given(table=state_tables, regions=paths)
 @settings(max_examples=120, deadline=None)
 def test_property1_beats_naive_substitution(table, regions):
     result = _result_for(regions)
-    state = _state_fn(table)
+    state = _snapshot(table)
     plans = generate_reaction_plans(result, state)
     original = result.assignments[0].path
     for region in regions[:-1]:
         plan = plans[(1, region)]
         naive = naive_premium_path(original, region)
-        assert (_score(plan.backup_path(), state)
+        assert (_score(backup_path(plan), state)
                 <= _score(naive, state) + 1e-9)
 
 
@@ -70,13 +71,13 @@ def test_property1_beats_naive_substitution(table, regions):
 @settings(max_examples=120, deadline=None)
 def test_property2_on_path_regions_only(table, regions):
     result = _result_for(regions)
-    plans = generate_reaction_plans(result, _state_fn(table))
+    plans = generate_reaction_plans(result, _snapshot(table))
     on_path = set(regions)
     for plan in plans.values():
-        backup = plan.backup_path()
+        backup = backup_path(plan)
         assert set(backup.regions) <= on_path
         # All premium, loop free, ends at the destination.
-        assert all(t is LinkType.PREMIUM for t in backup.link_types)
+        assert all(t is LinkType.PREMIUM for __, __, t in backup.hops)
         assert len(set(backup.regions)) == len(backup.regions)
         assert backup.dst == regions[-1]
 
@@ -84,5 +85,5 @@ def test_property2_on_path_regions_only(table, regions):
 @given(table=state_tables, regions=paths)
 @settings(max_examples=60, deadline=None)
 def test_every_non_terminal_region_has_a_plan(table, regions):
-    plans = generate_reaction_plans(_result_for(regions), _state_fn(table))
+    plans = generate_reaction_plans(_result_for(regions), _snapshot(table))
     assert {(1, r) for r in regions[:-1]} == set(plans.keys())

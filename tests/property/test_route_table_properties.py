@@ -5,7 +5,7 @@ scalar oracles in `tests/controlplane/route_oracle.py`.
   sequence, link types, latency, loss and resource row, reconstructed
   with one gather per DP layer) equals the per-pair `expand` recursion
   plus the per-hop sums of `LinkStateSnapshot.path_latency_ms` /
-  `path_loss_rate`, bit for bit.
+  `route_oracle.path_loss_rate`, bit for bit.
 * Algorithm 2's walk over flat premium matrices (`_route_walk`) equals
   the walk that scores an `OverlayPath` per candidate, plan for plan.
 
@@ -31,7 +31,8 @@ from repro.controlplane.reactionplan import (_route_walk,
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
-from tests.controlplane.route_oracle import expand, route_walk
+from tests.controlplane.route_oracle import (expand, path_loss_rate,
+                                             route_walk)
 
 INF = math.inf
 LATENCIES = st.sampled_from([10.0, 20.0, 30.0, 0.1, 0.2, 0.3, 0.7, 35.5,
@@ -106,7 +107,7 @@ def test_route_table_equals_the_scalar_reconstruction(graph):
             n_hops = sp.hops[k]
             row = sp.rows[k * sp.width:k * sp.width + 2 * n_hops + 1]
             assert sp.latency_ms[k].hex() == snap.path_latency_ms(path).hex()
-            assert sp.loss_rate[k].hex() == snap.path_loss_rate(path).hex()
+            assert sp.loss_rate[k].hex() == path_loss_rate(snap, path).hex()
             # The resource row: the regions, then the Internet egress of
             # each Internet hop's source or the premium pair (a, b).
             assert row == nodes + [
@@ -157,12 +158,11 @@ def test_index_space_walk_equals_the_scalar_walk(table, regions, penalty):
     assert [tuple(REGIONS[r] for r in relays) for relays in plans] \
         == [expected[r] for r in regions[:-1]]
 
-    # And through the public door, for both forms of link state.
+    # And through the public door.
     stream = Stream(1, regions[0], regions[-1], 10.0, VIDEO_PROFILES[0])
     result = PathControlResult(
         [Assignment(stream, OverlayPath.via(regions, LinkType.INTERNET),
                     10.0, 0.0, 0.0, True)], [], {}, {}, {}, {}, {})
-    for state in (snap, snap.state_fn()):
-        generated = generate_reaction_plans(result, state, penalty)
-        assert {region: plan.relay_regions
-                for (__, region), plan in generated.items()} == expected
+    generated = generate_reaction_plans(result, snap, penalty)
+    assert {region: plan.relay_regions
+            for (__, region), plan in generated.items()} == expected

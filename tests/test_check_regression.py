@@ -8,7 +8,7 @@ import pytest
 
 from benchmarks.check_regression import (BUDGETED_SWEEP_BASES, GATED,
                                          SWEEP_GATED, TABLE_BEGIN, TABLE_END,
-                                         main, parse_sweep_name,
+                                         TABLE_ROWS, main, parse_sweep_name,
                                          summarise_raw)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -49,7 +49,7 @@ def test_regressed_mean_fails(files):
     raw, summary, means, tmp_path = files
     assert main(["distill", str(raw), "-o", str(summary)]) == 0
     slow = dict(means)
-    slow["test_path_control_paper_scale"] *= 1.5  # > the 25% gate
+    slow["test_full_two_step_control_paper_scale"] *= 1.5  # > the 25% gate
     fresh = tmp_path / "fresh.json"
     fresh.write_text(json.dumps(raw_doc(slow)))
     assert main(["check", str(fresh), "--reference", str(summary)]) == 1
@@ -117,7 +117,7 @@ def test_parse_sweep_name():
         ("test_sweep_full_epoch", 100)
     assert parse_sweep_name("test_sweep_snapshot_build[n011]") == \
         ("test_sweep_snapshot_build", 11)
-    assert parse_sweep_name("test_path_control_paper_scale") is None
+    assert parse_sweep_name("test_path_control_double_scale") is None
     assert parse_sweep_name("test_sweep_full_epoch[big]") is None
 
 
@@ -243,7 +243,7 @@ def summary_with_baseline(files):
     raw, summary, __, tmp_path = files
     baseline = tmp_path / "baseline.json"
     baseline.write_text(json.dumps(raw_doc(
-        {name: 0.250 for name in GATED if "snapshot" not in name})))
+        {TABLE_ROWS[name][1]: 0.250 for name in GATED})))
     assert main(["distill", str(raw), "-o", str(summary),
                  "--baseline", str(baseline)]) == 0
     return summary, tmp_path
@@ -258,7 +258,7 @@ def test_table_renders_before_after_speedup(summary_with_baseline, capsys):
     assert len(lines) == 2 + len(GATED)
     for name, line in zip(GATED, lines[2:]):
         assert line.startswith(f"| `{name}`")
-        # 250 ms -> 20 ms; the snapshot entry borrows the scalar baseline.
+        # 250 ms -> 20 ms; step 1 keeps its pre-refactor name as before.
         assert line.endswith("| 250.0 ms | 20.0 ms | 12x |")
 
 

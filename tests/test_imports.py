@@ -2,6 +2,7 @@
 syntax drift) and the public packages re-export what they promise."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import pathlib
@@ -10,6 +11,8 @@ import pkgutil
 import pytest
 
 import repro
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 ALL_MODULES = sorted(
     name for __, name, __ in pkgutil.walk_packages(
@@ -161,3 +164,89 @@ def test_every_module_has_an_importer():
                 or _uses(package, name)):
             orphans.append(name)
     assert not orphans, f"no importer in src/repro: {orphans}"
+
+
+#: Public functions and methods of `src/repro` that nothing in `src/`,
+#: `examples/` or `benchmarks/` names: only tests call them.  The list
+#: may only shrink — delete such code, move it under ``tests/`` or give
+#: it a caller, then take its line out.
+KNOWN_ORPHANS = frozenset({
+    "repro.controlplane.capacity.CapacityDecision.uncapacitated",
+    "repro.controlplane.pathcontrol.PathControlResult.assignment_for",
+    "repro.controlplane.pathcontrol.PathControlResult.average_relay_hops",
+    "repro.dataplane.estimator.LinkStateEstimator.apply_group_state",
+    "repro.dataplane.estimator.LinkStateEstimator.estimate",
+    "repro.dataplane.estimator.LinkStateEstimator.ingest_burst",
+    "repro.dataplane.passive.PassiveTracker.tracked_links",
+    "repro.dataplane.probing.ProbeBurst.bytes_sent",
+    "repro.elastic.containers.ContainerPool.total_count",
+    "repro.experiments.ablation_ordering.OrderingAblation.long_haul_floor",
+    "repro.experiments.base.cdf_summary",
+    "repro.experiments.registry.unregister",
+    "repro.faults.spec.FaultSchedule.extended",
+    "repro.faults.spec.FaultSpec.severs",
+    "repro.obs.export.TelemetryFile.events_of",
+    "repro.obs.slo.SLOEngine.observe_series",
+    "repro.traffic.cohorts.CohortWorkload.expand",
+    "repro.traffic.cohorts.CohortWorkload.session_statistics",
+    "repro.traffic.matrix.TrafficMatrix.as_array",
+    "repro.traffic.matrix.TrafficMatrix.ingress",
+    "repro.traffic.streams.StreamWorkload.session_statistics",
+    "repro.underlay.events.DegradationEvent.is_short",
+    "repro.underlay.events.DegradationEvent.ramp_s",
+    "repro.underlay.events.EventTimeline.active_events",
+    "repro.underlay.events.EventTimeline.duration_histogram",
+    "repro.underlay.events.EventTimeline.latency_add_scalar",
+    "repro.underlay.events.EventTimeline.loss_add_scalar",
+    "repro.underlay.linkstate.LinkStateSample.is_bad",
+})
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of a module's public functions and of the
+    public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_function_has_a_caller():
+    """A public function or method of `src/repro` is named — by a Name,
+    an Attribute or a whole string constant (`eventsim.HOOKS` lists its
+    hook methods as strings) — somewhere in `src/`, `examples/` or
+    `benchmarks/` outside its own definition.  Names match bare, so a
+    common name always has a "caller"; the check catches the rest."""
+    #: name -> [(file, line)] of every mention.
+    mentions = collections.defaultdict(list)
+    for top in ("src", "examples", "benchmarks"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    name = node.value
+                else:
+                    continue
+                mentions[name].append((path, node.lineno))
+    orphans = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        tree = ast.parse(path.read_text())
+        for qualified, node in _public_definitions(tree):
+            if node.name.startswith("_"):
+                continue
+            if all(where == path and node.lineno <= line <= node.end_lineno
+                   for where, line in mentions[node.name]):
+                orphans.add(f"{module}.{qualified}")
+    assert not orphans - KNOWN_ORPHANS, \
+        f"only tests call: {sorted(orphans - KNOWN_ORPHANS)}"
+    assert not KNOWN_ORPHANS - orphans, \
+        f"no longer orphans, drop from KNOWN_ORPHANS: " \
+        f"{sorted(KNOWN_ORPHANS - orphans)}"
