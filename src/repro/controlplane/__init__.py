@@ -17,10 +17,8 @@ from repro.controlplane.capacity import CapacityDecision, capacity_control
 from repro.controlplane.objective import evaluate_objective
 from repro.controlplane.reactionplan import ReactionPlan, generate_reaction_plans
 from repro.controlplane.controller import Controller, ControlOutput
-from repro.controlplane.membership import (MembershipConfig, MembershipTable,
-                                           membership)
+from repro.controlplane.membership import MembershipTable, membership
 from repro.controlplane.regional import (PartitionCounters,
-                                         RegionalControlConfig,
                                          RegionalController, regional_control)
 
 __all__ = [
@@ -42,11 +40,9 @@ __all__ = [
     "generate_reaction_plans",
     "Controller",
     "ControlOutput",
-    "MembershipConfig",
     "MembershipTable",
     "membership",
     "PartitionCounters",
-    "RegionalControlConfig",
     "RegionalController",
     "regional_control",
 ]

@@ -9,6 +9,12 @@ Each epoch (five minutes in production) the controller:
 4. runs capacity control to add/remove gateways (step 2, §5.3);
 5. generates fast-reaction plans for every path (Algorithm 2, §5.4);
 6. emits forwarding tables, reaction plans, and scaling targets.
+
+Its one link-state planning setting is `nib_window`, which is also the
+planning mode: the last report per link, or the pessimistic
+`repro.controlplane.nib.ROBUST_PERCENTILE` over a longer window.  The
+predictor's harmonics and history and Algorithm 1's rebuild budget are
+fixed design values, named where they are read.
 """
 
 from __future__ import annotations
@@ -78,17 +84,15 @@ class Controller:
                  symmetric_only: bool = False,
                  premium_only: bool = False,
                  internet_only: bool = False,
-                 predictor_harmonics: int = 100,
                  nib_window: int = 1,
-                 robust_percentile: Optional[float] = None,
                  sib_params: Optional[Dict[str, int]] = None,
                  workload: Optional[object] = None,
                  seed: int = 0):
-        """`nib_window` > 1 keeps that many reports per link;
-        `robust_percentile` makes planning use the window's pessimistic
-        percentile state instead of the last sample (flap damping);
-        `sib_params` overrides `StreamInformationBase` keyword arguments
-        (``history_slots``, ``refit_every``, ``min_history``) for
+        """`nib_window` is the number of reports kept per link, and with
+        it the planning mode: 1 plans on each link's last report, more
+        on the window's pessimistic percentile (flap damping, see
+        `link_snapshot`); `sib_params` overrides `StreamInformationBase`
+        keyword arguments (``refit_every``, ``min_history``) for
         deployments whose epoch cadence differs from the production
         five-minute slots; `workload` swaps the demand decomposition —
         any object with ``decompose(matrix)`` and
@@ -97,20 +101,15 @@ class Controller:
         sets (default: the per-chunk `StreamWorkload`)."""
         if premium_only and internet_only:
             raise ValueError("choose at most one of premium/internet only")
-        if robust_percentile is not None and nib_window < 2:
-            raise ValueError("robust planning needs nib_window >= 2")
         self.codes = list(codes)
         self.config = config if config is not None else ControlConfig()
         self.pricing = pricing
         self.symmetric_only = symmetric_only
         self.premium_only = premium_only
         self.internet_only = internet_only
-        self.robust_percentile = robust_percentile
         self.nib = NetworkInformationBase(window=nib_window,
                                           codes=self.codes)
-        self.sib = StreamInformationBase(self.codes,
-                                         n_harmonics=predictor_harmonics,
-                                         **(sib_params or {}))
+        self.sib = StreamInformationBase(self.codes, **(sib_params or {}))
         self._workload = (workload if workload is not None
                           else StreamWorkload(np.random.default_rng(seed)))
         self.epochs_run = 0
@@ -127,16 +126,16 @@ class Controller:
         controller's region set.
 
         The run-epoch algorithms all consume this one snapshot, so link
-        state is read once per epoch: each link's last report, or its
-        window percentile in robust mode; never-reported links are
-        (inf, 1).  The topology variants apply as whole-matrix masks:
-        the Internet-only / premium-only baselines see the disallowed
-        tier as (inf, 1), and the symmetric-only ablation sees the
-        round-trip view (`LinkStateSnapshot.symmetric`).
+        state is read once per epoch: each link's last report with a
+        one-report NIB window, else its `ROBUST_PERCENTILE` over the
+        window; never-reported links are (inf, 1).  The topology
+        variants apply as whole-matrix masks: the Internet-only /
+        premium-only baselines see the disallowed tier as (inf, 1), and
+        the symmetric-only ablation sees the round-trip view
+        (`LinkStateSnapshot.symmetric`).
         """
-        if self.robust_percentile is not None:
-            snap = self.nib.robust_snapshot(self.codes,
-                                            self.robust_percentile)
+        if self.nib.window > 1:
+            snap = self.nib.robust_snapshot(self.codes)
         else:
             snap = self.nib.latest_snapshot(self.codes)
         if self.premium_only:

@@ -18,7 +18,8 @@ Design rules (the byte-identical-when-absent contract):
   once per control epoch, both in deterministic sorted order.
 * `MembershipExtension` is the whole of its engine wiring — a handful
   of the hooks in `repro.core.eventsim.HOOKS`; ``membership=None``
-  (the default) arms nothing, so the engine never meets the table.
+  (the default, as is any false value) arms nothing, so the engine
+  never meets the table.
 * Liveness is keyed on *arrival at the controller*: a probe blackout, a
   controller outage (modeled restart), or a control partition all
   starve refreshes naturally, with no fault-specific wiring.
@@ -39,29 +40,17 @@ from repro.obs import telemetry as _telemetry
 
 _TEL = _telemetry()
 
-
-@dataclass(frozen=True)
-class MembershipConfig:
-    """How the soft-state membership table behaves (a config object
-    arms the subsystem; ``None`` leaves it out).
-
-    `ttl_s` is the liveness window — an entry not refreshed for this
-    long expires at the next epoch sweep.  The default (3 s) is several
-    probe-burst intervals (400 ms), so a healthy gateway refreshes many
-    times per TTL while a severed one expires well inside a single
-    control epoch.
-    """
-
-    ttl_s: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.ttl_s <= 0:
-            raise ValueError(f"ttl_s must be positive, got {self.ttl_s}")
+#: The liveness window, seconds: an entry not refreshed for this long
+#: expires at the next epoch sweep.  Several probe-burst intervals
+#: (400 ms), so a healthy gateway refreshes many times per TTL while a
+#: severed one expires well inside a single control epoch.
+MEMBERSHIP_TTL_S = 3.0
 
 
-def membership(ttl_s: float = 3.0) -> MembershipConfig:
-    """A membership config (convenience constructor)."""
-    return MembershipConfig(ttl_s=ttl_s)
+def membership() -> bool:
+    """The value that arms the table: ``EventDrivenXRON(membership=
+    membership())``, like ``resilience=resilience()``."""
+    return True
 
 
 @dataclass
@@ -80,8 +69,7 @@ class MembershipCounters:
 class MembershipTable:
     """TTL'd (region, gateway) liveness entries at the controller."""
 
-    def __init__(self, config: MembershipConfig):
-        self.config = config
+    def __init__(self):
         self.counters = MembershipCounters()
         #: (region, gateway_id) -> last refresh instant.  Live and
         #: expired entries are distinguished by comparing against `now`;
@@ -113,9 +101,8 @@ class MembershipTable:
     # --------------------------------------------------------------- expiry
     def expire(self, now: float) -> List[Tuple[str, int]]:
         """Sweep TTL-expired entries (sorted order); returns the victims."""
-        ttl = self.config.ttl_s
         victims = [key for key in sorted(self._entries)
-                   if now - self._entries[key] > ttl]
+                   if now - self._entries[key] > MEMBERSHIP_TTL_S]
         for key in victims:
             stale_s = now - self._entries[key]
             del self._entries[key]
@@ -179,9 +166,9 @@ class MembershipExtension:
     the controller, swept and applied before each solve, dropped when
     the controller process is."""
 
-    def __init__(self, engine, config: MembershipConfig):
+    def __init__(self, engine):
         self.engine = engine
-        self.table = MembershipTable(config)
+        self.table = MembershipTable()
 
     def reports_delivered(self, cluster, reports, now: float) -> None:
         """One region's probe batch reached the controller: refresh its
@@ -221,5 +208,5 @@ class MembershipExtension:
         return {"membership_size": self.table.size}
 
 
-__all__ = ["MembershipConfig", "MembershipCounters", "MembershipExtension",
+__all__ = ["MEMBERSHIP_TTL_S", "MembershipCounters", "MembershipExtension",
            "MembershipTable", "membership"]

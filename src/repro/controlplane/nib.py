@@ -6,10 +6,12 @@ from the cloud platform.  The controller reads a consistent snapshot when
 it computes forwarding tables.
 
 Beyond the latest report, the NIB can keep a short *window* of reports
-per link and serve robust (percentile) state estimates: planning against
-a link's recent p90 loss instead of its last sample avoids routing onto
-links that merely look good this instant — a standard flap-damping
-technique the stability ablation quantifies.
+per link and serve robust state estimates: planning against a link's
+recent `ROBUST_PERCENTILE` (p90) loss instead of its last sample avoids
+routing onto links that merely look good this instant — a standard
+flap-damping technique the stability ablation quantifies.  The window
+length is the only choice: the controller plans on the last report
+when it is 1 and on the percentile otherwise.
 
 Storage is the matrices and nothing else: report histories live in
 preallocated ``(2, N, N, window)`` ring-buffer arrays (axis 0 is the
@@ -36,6 +38,9 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
 
 _TEL = _telemetry()
+
+#: The window percentile robust planning reads (`robust_snapshot`).
+ROBUST_PERCENTILE = 90.0
 
 
 @dataclass(frozen=True)
@@ -291,22 +296,20 @@ class NetworkInformationBase:
         never = self._ring_total == 0
         return self._project(codes, lat, loss, never)
 
-    def robust_snapshot(self, codes: Sequence[str],
-                        percentile: float = 90.0) -> LinkStateSnapshot:
+    def robust_snapshot(self, codes: Sequence[str]) -> LinkStateSnapshot:
         """Whole-matrix percentile state over every link's window.
 
-        Each link's `percentile` over its filled window slots (with
-        window == 1, its latest report), as one ``nanpercentile`` over
-        the ring-buffer arrays; never-reported links are (inf, 1).
+        Each link's `ROBUST_PERCENTILE` over its filled window slots
+        (with window == 1, its latest report), as one ``nanpercentile``
+        over the ring-buffer arrays; never-reported links are (inf, 1).
         """
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError(f"percentile {percentile} outside [0, 100]")
         if self._ring_lat.size == 0:
             return LinkStateSnapshot.empty(codes)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            lat = np.nanpercentile(self._ring_lat, percentile, axis=3)
-            loss = np.nanpercentile(self._ring_loss, percentile, axis=3)
+            lat = np.nanpercentile(self._ring_lat, ROBUST_PERCENTILE, axis=3)
+            loss = np.nanpercentile(self._ring_loss, ROBUST_PERCENTILE,
+                                    axis=3)
         never = self._ring_total == 0
         return self._project(codes, lat, loss, never)
 

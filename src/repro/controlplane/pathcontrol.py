@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -122,31 +122,8 @@ class PathControlResult:
     #: Number of shortest-path graph rebuilds (scalability diagnostic).
     graph_rebuilds: int = 0
 
-    #: Lazy stream_id -> [Assignment] index behind `assignment_for`.
-    _stream_index: Optional[Dict[int, List[Assignment]]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def assignment_for(self, stream_id: int) -> List[Assignment]:
-        index = self._stream_index
-        if index is None:
-            index = {}
-            for a in self.assignments:
-                index.setdefault(a.stream.stream_id, []).append(a)
-            self._stream_index = index
-        return index.get(stream_id, [])
-
     def total_assigned_mbps(self) -> float:
         return float(sum(a.mbps for a in self.assignments))
-
-    def average_relay_hops(self) -> float:
-        """Demand-weighted mean overlay hop count (Fig. 17a)."""
-        if not self.assignments:
-            return 0.0
-        weights = np.array([a.mbps for a in self.assignments])
-        hops = np.array([len(a.path.hops) for a in self.assignments])
-        if weights.sum() == 0:
-            return float(hops.mean())
-        return float(np.average(hops, weights=weights))
 
 
 class _RouteTable:
@@ -518,13 +495,15 @@ class EpochSolveContext:
 
 #: Stream orderings path_control supports; "latency_desc" is the paper's.
 ORDERINGS = ("latency_desc", "latency_asc", "demand_desc", "input")
+#: Graph rebuilds one solve may make before its unplaced streams fall
+#: through to the best-effort pass (with a warning).
+REBUILD_BUDGET = 40
 
 
 def path_control(streams: List[Stream], codes: List[str],
                  snap: LinkStateSnapshot, config: ControlConfig,
                  gateways: Optional[Dict[str, int]] = None,
                  fees: Optional[PricingModel] = None,
-                 max_rebuilds: int = 40,
                  ordering: str = "latency_desc",
                  context: Optional[EpochSolveContext] = None
                  ) -> PathControlResult:
@@ -542,14 +521,13 @@ def path_control(streams: List[Stream], codes: List[str],
     without one.
     """
     return place_streams(streams, codes, snap, config, gateways, fees,
-                         max_rebuilds, ordering, context).result()
+                         ordering, context).result()
 
 
 def place_streams(streams: List[Stream], codes: List[str],
                   snap: LinkStateSnapshot, config: ControlConfig,
                   gateways: Optional[Dict[str, int]] = None,
                   fees: Optional[PricingModel] = None,
-                  max_rebuilds: int = 40,
                   ordering: str = "latency_desc",
                   context: Optional[EpochSolveContext] = None) -> Placement:
     """`path_control` up to, not including, the objects: the solve as a
@@ -659,7 +637,7 @@ def place_streams(streams: List[Stream], codes: List[str],
 
     active = [p for p, s in enumerate(streams) if s.demand_mbps > 0]
     rebuilds = 0
-    while active and rebuilds <= max_rebuilds:
+    while active and rebuilds <= REBUILD_BUDGET:
         # Sort by current shortest-path latency, descending (line 8).
         placed = len(position)
         blocked = sweep(ordered(active), sp, True)
@@ -671,14 +649,14 @@ def place_streams(streams: List[Stream], codes: List[str],
         sp = rebuilt(True)
         rebuilds += 1
 
-    if active and rebuilds > max_rebuilds:
+    if active and rebuilds > REBUILD_BUDGET:
         # The budget ran out with streams still unplaced (as opposed to
         # running out of capacity, which breaks the loop above).  They
         # silently fell through to `unassigned`/the fallback pass before
         # this was surfaced.
         warnings.warn(
             f"path_control exhausted its rebuild budget "
-            f"(max_rebuilds={max_rebuilds}) with {len(active)} streams "
+            f"({REBUILD_BUDGET} rebuilds) with {len(active)} streams "
             "still unplaced; their residual demand falls through to the "
             "best-effort pass", UserWarning, stacklevel=3)
         if _TEL.enabled:

@@ -31,7 +31,7 @@ versioning (`repro.resilience`):
   state can never clobber newer global state.
 
 Stream-id hygiene: the sub-controller's workload allocates stream ids
-from a disjoint high band (`RegionalControlConfig.stream_id_base`), so
+from a disjoint high band (`REGIONAL_STREAM_BASE` up), so
 regional rows can be merged over — and later swept from — a table that
 still carries global-band rows for cross-partition streams.
 
@@ -56,33 +56,16 @@ from repro.traffic.matrix import TrafficMatrix
 
 _TEL = _telemetry()
 
-#: Default first stream id of the regional band — far above anything a
-#: global workload allocates in a simulated run, so band membership is
-#: a single comparison.
+#: First stream id of the regional band, where every sub-controller
+#: allocates — far above anything a global workload allocates in a
+#: simulated run, so band membership is a single comparison.
 REGIONAL_STREAM_BASE = 1_000_000_000
 
 
-@dataclass(frozen=True)
-class RegionalControlConfig:
-    """How degraded-mode sub-controllers behave (a config object arms
-    the subsystem; ``None`` leaves it out).
-
-    `stream_id_base` is the first stream id of the regional band; every
-    sub-controller allocates ids at or above it.
-    """
-
-    stream_id_base: int = REGIONAL_STREAM_BASE
-
-    def __post_init__(self) -> None:
-        if self.stream_id_base <= 0:
-            raise ValueError(
-                f"stream_id_base must be positive, got {self.stream_id_base}")
-
-
-def regional_control(
-        stream_id_base: int = REGIONAL_STREAM_BASE) -> RegionalControlConfig:
-    """A regional-control config (convenience constructor)."""
-    return RegionalControlConfig(stream_id_base=stream_id_base)
+def regional_control() -> bool:
+    """The value that arms degraded-mode control: ``EventDrivenXRON(
+    regional=regional_control())``, like ``resilience=resilience()``."""
+    return True
 
 
 @dataclass
@@ -109,7 +92,6 @@ class RegionalController:
     def __init__(self, regions: Tuple[str, ...], *,
                  make_controller: Callable[..., Controller],
                  base_version: int,
-                 config: RegionalControlConfig,
                  seed: int,
                  nib_reports: Optional[List[Dict[str, object]]] = None):
         """`make_controller(codes, seed=)` builds a
@@ -125,7 +107,6 @@ class RegionalController:
         if len(regions) != len(set(regions)):
             raise ValueError(f"partition repeats a region: {regions}")
         self.regions: Tuple[str, ...] = tuple(sorted(regions))
-        self.config = config
         self.base_version = int(base_version)
         self._version = int(base_version)
         # A deterministic seed of its own: derived from the deployment
@@ -137,7 +118,7 @@ class RegionalController:
         self.controller = make_controller(
             list(self.regions), seed=self.sub_seed)
         # Allocate regional stream ids from the disjoint high band.
-        self.controller._workload._next_id = config.stream_id_base
+        self.controller._workload._next_id = REGIONAL_STREAM_BASE
         if nib_reports:
             member = set(self.regions)
             self.controller.nib.import_reports(
@@ -196,9 +177,8 @@ class RegionalExtension:
     version is where regional versions start, and its proposed-version
     counter is what a heal fences."""
 
-    def __init__(self, engine, config: RegionalControlConfig, installer):
+    def __init__(self, engine, installer):
         self.engine = engine
-        self.config = config
         self.installer = installer
         self.stats = PartitionCounters()
         #: Active sub-controllers, keyed by their (sorted) region set.
@@ -274,14 +254,13 @@ class RegionalExtension:
         flap when that moves them off a regional stream id."""
         severed = (self.engine.faults.partition_regions(now)
                    if self.subs else frozenset())
-        base = self.config.stream_id_base
         bound = dict(best)
         for pair, old in self.engine.session_stream.items():
             new = best.get(pair)
             if pair[0] in severed and pair[1] in severed:
                 bound[pair] = old
-            elif (old is not None and old >= base
-                  and (new is None or new < base)):
+            elif (old is not None and old >= REGIONAL_STREAM_BASE
+                  and (new is None or new < REGIONAL_STREAM_BASE)):
                 self.stats.heal_flaps += 1
         return bound
 
@@ -297,7 +276,7 @@ class RegionalExtension:
         sub = RegionalController(
             spec.regions, make_controller=engine.make_controller,
             base_version=self.installer.committed_version,
-            config=self.config, seed=engine.sim_config.seed,
+            seed=engine.sim_config.seed,
             nib_reports=engine.controller.nib.export_reports())
         self.subs[sub.regions] = sub
         self.stats.partitions_started += 1
@@ -343,16 +322,15 @@ class RegionalExtension:
                            violations=[str(v) for v in violations[:5]])
             return
         version = sub.next_version()
-        base = self.config.stream_id_base
         for code in sub.regions:
             cluster = engine.clusters[code]
             merged = {sid: entry
                       for sid, entry in cluster.current_entries().items()
-                      if sid < base}
+                      if sid < REGIONAL_STREAM_BASE}
             merged.update(tables[code])
             merged_plans = {sid: plan
                             for sid, plan in cluster.current_plans().items()
-                            if sid < base}
+                            if sid < REGIONAL_STREAM_BASE}
             merged_plans.update(plans_by_region[code])
             # Intra-partition pushes still honor the install-delay hook
             # — the heal race in miniature: a delayed regional install
@@ -399,6 +377,5 @@ class RegionalExtension:
                            regional_epochs=sub.epochs_run)
 
 
-__all__ = ["REGIONAL_STREAM_BASE", "RegionalControlConfig",
-           "PartitionCounters", "RegionalController", "RegionalExtension",
-           "regional_control"]
+__all__ = ["REGIONAL_STREAM_BASE", "PartitionCounters", "RegionalController",
+           "RegionalExtension", "regional_control"]

@@ -20,13 +20,16 @@ from repro.underlay.regions import RegionPair
 class StreamInformationBase:
     """Per-pair demand history + per-epoch stream registry."""
 
-    def __init__(self, codes: List[str], n_harmonics: int = 100,
-                 history_slots: int = 576, refit_every: int = 12,
+    def __init__(self, codes: List[str], refit_every: int = 12,
                  min_history: int = 288):
+        """One `RollingPredictor` per ordered pair, with the paper's
+        hundred harmonics over two days of five-minute slots;
+        `refit_every` and `min_history` (in epochs) suit it to shorter
+        epoch cadences."""
         self.codes = list(codes)
         self._predictors: Dict[RegionPair, RollingPredictor] = {
-            (a, b): RollingPredictor(n_harmonics, history_slots,
-                                     refit_every, min_history)
+            (a, b): RollingPredictor(refit_every=refit_every,
+                                     min_history=min_history)
             for a in codes for b in codes if a != b}
         self._streams: List[Stream] = []
         self._last_matrix: Optional[TrafficMatrix] = None

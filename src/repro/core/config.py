@@ -41,17 +41,14 @@ class SimulationConfig:
     demand_scale: float = 1.0
     #: Root seed for the run's own randomness (probe noise etc.).
     seed: int = 0
-    #: NIB report window per link (see NetworkInformationBase).
+    #: NIB report window per link, the one link-state planning knob: 1
+    #: plans on each link's last report, k > 1 on the pessimistic p90 of
+    #: its last k (flap damping; see `Controller.link_snapshot`).
     nib_window: int = 1
-    #: Plan against this pessimistic percentile of the NIB window instead
-    #: of the last sample (flap damping); requires nib_window >= 2.
-    robust_percentile: Optional[float] = None
     #: Decompose predicted demand into aggregated stream cohorts instead
     #: of per-session chunks — required at planet scale, where the SIB
     #: cannot hold an entry per session (see docs/scaling.md).
     stream_cohorts: bool = False
-    #: Cohort entries per ordered region pair when `stream_cohorts` is on.
-    cohorts_per_pair: int = 2
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
     reaction: ReactionConfig = field(default_factory=ReactionConfig)
 
@@ -62,8 +59,6 @@ class SimulationConfig:
             raise ValueError("eval step cannot exceed the epoch length")
         if self.initial_gateways < 1:
             raise ValueError("need at least one initial gateway per region")
-        if self.cohorts_per_pair < 1:
-            raise ValueError("need at least one cohort per pair")
 
 
 def build_controller(codes: Sequence[str], control_config: ControlConfig,
@@ -76,14 +71,10 @@ def build_controller(codes: Sequence[str], control_config: ControlConfig,
     modeled restart and a partition's sub-controller share.  `seed`
     defaults to the config's; a sub-controller passes its own."""
     seed = sim_config.seed if seed is None else seed
-    workload = None
-    if sim_config.stream_cohorts:
-        workload = CohortWorkload(
-            seed=seed, cohorts_per_pair=sim_config.cohorts_per_pair)
+    workload = CohortWorkload(seed=seed) if sim_config.stream_cohorts else None
     return Controller(
         list(codes), control_config, pricing=pricing,
         nib_window=sim_config.nib_window,
-        robust_percentile=sim_config.robust_percentile,
         sib_params=sib_params, workload=workload, seed=seed,
         **variant.controller_kwargs())
 

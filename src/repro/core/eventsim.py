@@ -61,8 +61,6 @@ from repro.underlay.regions import RegionPair
 from repro.underlay.topology import Underlay
 
 if TYPE_CHECKING:
-    from repro.controlplane.membership import MembershipConfig
-    from repro.controlplane.regional import RegionalControlConfig
     from repro.faults.spec import FaultSchedule
     from repro.resilience.checkpoint import Checkpoint
     from repro.resilience.config import ResilienceConfig
@@ -70,6 +68,8 @@ if TYPE_CHECKING:
 
 #: Packets per tracked session per measurement tick (passive tracking).
 _PACKETS_PER_TICK = 50
+#: Seconds between passive-tracking flushes into the gateways' banks.
+PASSIVE_FLUSH_S = 5.0
 
 _TEL = _telemetry()
 
@@ -167,29 +167,29 @@ class EventDrivenXRON:
                  control_config: Optional[ControlConfig] = None,
                  tracked_pairs: Optional[List[RegionPair]] = None,
                  measure_interval_s: float = 1.0,
-                 passive_flush_s: float = 5.0,
                  faults: Optional[FaultSchedule] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  sib_params: Optional[Dict[str, int]] = None,
                  slo: Optional[object] = None,
-                 membership: Optional[MembershipConfig] = None,
-                 regional: Optional[RegionalControlConfig] = None):
+                 membership: Optional[bool] = None,
+                 regional: Optional[bool] = None):
         """Each of the five optional subsystems becomes one extension
-        (`repro.core.extensions.arm`): passing its config arms it,
-        ``None`` leaves it out, and a run without it is byte-identical
-        to a build that never had it.  `faults` is a `FaultSchedule` of
-        timed failures (`repro.faults`; an empty one is an absent one);
-        `resilience` the safe-update & recovery layer
-        (`repro.resilience`); `membership` the controller's soft-state
-        gateway liveness and `regional` the per-partition degraded-mode
-        sub-controllers (`repro.controlplane`; regional control needs
-        `resilience`, whose install versions its heal-time
-        reconciliation rides); `slo` a `repro.obs.slo.SLOEngine` fed
-        every tracked-session measurement sample.
+        (`repro.core.extensions.arm`): passing its config (or True,
+        for the two without settings) arms it, ``None`` leaves it out,
+        and a run without it is byte-identical to a build that never
+        had it.  `faults` is a `FaultSchedule` of timed failures
+        (`repro.faults`; an empty one is an absent one); `resilience`
+        the safe-update & recovery layer (`repro.resilience`);
+        `membership` the controller's soft-state gateway liveness and
+        `regional` the per-partition degraded-mode sub-controllers
+        (`repro.controlplane`; regional control needs `resilience`,
+        whose install versions its heal-time reconciliation rides);
+        `slo` a `repro.obs.slo.SLOEngine` fed every tracked-session
+        measurement sample.
 
         `sib_params` overrides the controller's SIB keyword arguments
-        (``history_slots``, ``refit_every``, ``min_history``) so
-        short-epoch deployments can fit the demand model within the run.
+        (``refit_every``, ``min_history``) so short-epoch deployments
+        can fit the demand model within the run.
         """
         self.underlay = underlay
         self.demand = demand
@@ -203,7 +203,6 @@ class EventDrivenXRON:
         self.control_config = (control_config if control_config is not None
                                else ControlConfig())
         self.measure_interval_s = measure_interval_s
-        self.passive_flush_s = passive_flush_s
         self.skipped_epochs = 0
         self._sib_params = dict(sib_params) if sib_params else None
         self.rng = RngStreams(self.sim_config.seed)
@@ -315,8 +314,8 @@ class EventDrivenXRON:
                 self.sim_config.monitoring.burst_interval_s,
                 lambda: self._probe_round(sim), priority=1),
             "passive-flush": sim.every(
-                self.passive_flush_s, lambda: self._flush_passive(sim),
-                start_delay=self.passive_flush_s, priority=2),
+                PASSIVE_FLUSH_S, lambda: self._flush_passive(sim),
+                start_delay=PASSIVE_FLUSH_S, priority=2),
             "workload": sim.every(
                 self.measure_interval_s, lambda: self._measure(sim),
                 start_delay=self.measure_interval_s, priority=3),

@@ -41,16 +41,15 @@ def arm(engine, *, faults, resilience, membership, regional,
     if resilience is not None:
         layer = ResilienceExtension(engine, resilience)
         extensions.append(layer)
-    if membership is not None:
-        extensions.append(MembershipExtension(engine, membership))
-    if regional is not None:
+    if membership:
+        extensions.append(MembershipExtension(engine))
+    if regional:
         if layer is None:
             raise ValueError(
                 "regional sub-controllers need the resilience layer: "
                 "heal-time reconciliation rides the two-phase install "
                 "versioning (pass resilience=resilience())")
-        extensions.append(
-            RegionalExtension(engine, regional, layer.installer))
+        extensions.append(RegionalExtension(engine, layer.installer))
     if slo is not None:
         extensions.append(slo)
     return injector, extensions

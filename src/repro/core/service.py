@@ -91,6 +91,9 @@ def health_sample() -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 # Soak chaos schedule
 # --------------------------------------------------------------------------
+#: Quiet seconds before a soak schedule's first fault.
+_SOAK_LEAD_S = 120.0
+
 #: One soak-rotation builder per fault kind: (start_s, region,
 #: all_regions) -> FaultSpec.  Keyed on the `FaultKind` taxonomy itself
 #: so a kind added to the enum without a builder here fails LOUDLY (the
@@ -124,11 +127,11 @@ _SOAK_BUILDERS: Dict["fault_spec.FaultKind", Any] = {
 
 def build_soak_schedule(start_s: float, duration_s: float,
                         regions: List[str], *,
-                        period_s: float = 600.0,
-                        lead_s: float = 120.0) -> FaultSchedule:
+                        period_s: float = 600.0) -> FaultSchedule:
     """A deterministic rotating chaos schedule for soak runs.
 
-    Every `period_s` one fault fires, cycling through the *entire*
+    Every `period_s` from `_SOAK_LEAD_S` in one fault fires, cycling
+    through the *entire*
     `FaultKind` taxonomy in enum order (crashes, blackouts, report
     loss/staleness, install delay/partial, provisioning storms,
     controller outages, control partitions, membership churn) and
@@ -144,7 +147,7 @@ def build_soak_schedule(start_s: float, duration_s: float,
     kinds = list(fault_spec.FaultKind)
     specs: List[FaultSpec] = []
     k = 0
-    t = start_s + lead_s
+    t = start_s + _SOAK_LEAD_S
     while t + 180.0 <= start_s + duration_s:
         kind = kinds[k % len(kinds)]
         region = regions[k % len(regions)]

@@ -75,6 +75,7 @@ class RegionCluster:
         #: Handed to every gateway the cluster creates (`arm_resilience`).
         self.resilience = None
         self.resilience_counters = None
+        self.stale_after_s = None
         self._grouping = ProbingGroupManager(
             underlay.codes, self.monitoring.representatives)
         self._next_gateway_id = 0
@@ -108,20 +109,25 @@ class RegionCluster:
         gateway = Gateway(self.region, gid, self.links, self.table,
                           self.monitoring, self.reaction,
                           resilience=self.resilience,
-                          resilience_counters=self.resilience_counters)
+                          resilience_counters=self.resilience_counters,
+                          stale_after_s=self.stale_after_s)
         self.gateways[gid] = gateway
         return gateway
 
-    def arm_resilience(self, config, counters) -> None:
+    def arm_resilience(self, config, counters,
+                       stale_after_s: float) -> None:
         """Arm degraded-mode forwarding and failback hold-down (see
         `Gateway`) on every current and future gateway of the cluster:
-        `config` is a resolved `ResilienceConfig`, `counters` the
-        deployment-shared `ResilienceCounters`."""
+        `config` is a `ResilienceConfig`, `counters` the
+        deployment-shared `ResilienceCounters`, `stale_after_s` the age
+        past which a table is stale."""
         self.resilience = config
         self.resilience_counters = counters
+        self.stale_after_s = stale_after_s
         for gateway in self.gateways.values():
             gateway.resilience = config
             gateway.resilience_counters = counters
+            gateway.stale_after_s = stale_after_s
 
     def scale_to(self, target: int) -> None:
         """Event-mode scaling: adjust the gateway count immediately.

@@ -14,12 +14,6 @@ class MonitoringConfig:
     #: Pseudo packets per burst (paper: fifteen 1.5 KB packets).
     packets_per_burst: int = 15
     packet_bytes: int = 1500
-    #: A probe is lost if its response does not arrive within this many
-    #: RTTs (paper condition ii)...
-    loss_timeout_rtts: float = 3.0
-    #: ...or if more than this many succeeding responses arrive first
-    #: (paper condition i).
-    reorder_loss_threshold: int = 20
     #: EWMA smoothing factor for latency/loss estimates, in both engines'
     #: degradation detectors.
     ewma_alpha: float = 0.3

@@ -24,6 +24,10 @@ from repro.underlay.linkstate import LinkType
 
 _TEL = _telemetry()
 
+#: Minimum seconds a stream stays on its backup after a failover when
+#: hysteresis is armed, even if monitoring says the normal link is back.
+FAILBACK_HOLDDOWN_S = 30.0
+
 
 @dataclass(frozen=True)
 class ForwardDecision:
@@ -44,13 +48,15 @@ class Gateway:
                  links: Dict[Tuple[str, LinkType], int],
                  table: ForwardingTable,
                  monitoring: MonitoringConfig, reaction: ReactionConfig,
-                 resilience=None, resilience_counters=None):
+                 resilience=None, resilience_counters=None,
+                 stale_after_s=None):
         """`links` (adjacent link -> position in the monitoring state)
         and `table` (the installed update) are the region's, handed over
-        by the cluster.  `resilience` is a resolved
+        by the cluster.  `resilience` is a
         `repro.resilience.ResilienceConfig` (or None): it arms
-        degraded-mode forwarding (stale tables demote Internet entries
-        to the premium floor) and failback hold-down.
+        degraded-mode forwarding (tables older than `stale_after_s`
+        demote Internet entries to the premium floor) and failback
+        hold-down.
         `resilience_counters` is the deployment-shared
         `ResilienceCounters` the gateway increments — shared so counts
         survive gateway churn (crashes, scale-downs)."""
@@ -61,6 +67,7 @@ class Gateway:
         self.reaction_config = reaction
         self.resilience = resilience
         self.resilience_counters = resilience_counters
+        self.stale_after_s = stale_after_s
         self.passive = PassiveTracker()
         #: Streams currently riding their backup path (trace edges only).
         self._on_backup: set = set()
@@ -138,7 +145,7 @@ class Gateway:
         if res is not None and res.hysteresis_enabled and now is not None:
             failed_over = self._failover_at.get(stream_id)
             if failed_over is not None:
-                if now - failed_over < res.failback_holddown_s:
+                if now - failed_over < FAILBACK_HOLDDOWN_S:
                     # Hold-down: monitoring says the normal link has
                     # recovered, but we just failed over — keep riding
                     # the backup so noisy loss cannot flap the path.
@@ -147,8 +154,7 @@ class Gateway:
                 self._holddown_traced.discard(stream_id)
         if (res is not None
                 and now is not None and table.installed_at is not None
-                and res.staleness_threshold_s is not None
-                and now - table.installed_at > res.staleness_threshold_s
+                and now - table.installed_at > self.stale_after_s
                 and link_type is LinkType.INTERNET):
             # Degraded mode: the table is stale past the threshold, so
             # the unstable Internet entry is demoted to the direct
@@ -197,5 +203,5 @@ class Gateway:
                 _TEL.event("resilience_holddown", t=now, region=self.region,
                            gateway=self.gateway_id, stream=stream_id,
                            since_failover_s=now - self._failover_at[stream_id],
-                           holddown_s=self.resilience.failback_holddown_s)
+                           holddown_s=FAILBACK_HOLDDOWN_S)
         return ForwardDecision(next_hop, LinkType.PREMIUM, True)

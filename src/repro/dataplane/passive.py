@@ -19,6 +19,9 @@ _TEL = _telemetry()
 
 #: Aggregation key: (src region, dst region, link type).
 LinkId = Tuple[str, str, LinkType]
+#: Windows flush only when they saw at least this many packets — tiny
+#: samples are too noisy to feed the estimator.
+MIN_PACKETS = 20
 
 
 @dataclass
@@ -43,10 +46,7 @@ class PassiveSample:
 class PassiveTracker:
     """Aggregates per-packet observations into periodic link samples."""
 
-    def __init__(self, min_packets: int = 20):
-        #: Windows flush only when they saw at least this many packets —
-        #: tiny samples are too noisy to feed the estimator.
-        self.min_packets = int(min_packets)
+    def __init__(self):
         self._windows: Dict[LinkId, _Window] = {}
 
     def record(self, link: LinkId, packets_sent: int, packets_lost: int,
@@ -66,7 +66,7 @@ class PassiveTracker:
         """Emit one sample per sufficiently-busy link and reset windows."""
         samples = []
         for link, window in self._windows.items():
-            if window.packets_sent >= self.min_packets:
+            if window.packets_sent >= MIN_PACKETS:
                 loss = window.packets_lost / window.packets_sent
                 latency = (window.latency_sum_ms / window.latency_samples
                            if window.latency_samples else 0.0)
@@ -79,8 +79,3 @@ class PassiveTracker:
                 sum(s.packets for s in samples))
         self._windows.clear()
         return samples
-
-    @property
-    def tracked_links(self) -> List[LinkId]:
-        return sorted(self._windows.keys(),
-                      key=lambda k: (k[0], k[1], k[2].value))

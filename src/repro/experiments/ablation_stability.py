@@ -54,17 +54,16 @@ class StabilityAblation:
 
 def run(hours: float = 3.0, start_hour: float = 6.0, seed: int = 1,
         epoch_s: float = 300.0, eval_step_s: float = 15.0,
-        nib_window: int = 6, percentile: float = 90.0) -> StabilityAblation:
+        nib_window: int = 6) -> StabilityAblation:
     horizon = max((start_hour + hours) * 3600.0 + 2 * epoch_s, 2 * 86400.0)
     outcomes: Dict[str, Tuple[float, float, float]] = {}
-    for mode, window, robust in (("last sample", 1, None),
-                                 ("robust p90", nib_window, percentile)):
+    for mode, window in (("last sample", 1), ("robust p90", nib_window)):
         system = XRONSystem(
             seed=seed,
             underlay_config=UnderlayConfig(horizon_s=horizon),
             sim_config=SimulationConfig(
                 epoch_s=epoch_s, eval_step_s=eval_step_s, seed=seed,
-                nib_window=window, robust_percentile=robust))
+                nib_window=window))
         result: SimulationResult = system.run(
             variant=xron(), start_hour=start_hour, hours=hours)
         outcomes[mode] = (result.mean_route_churn(),

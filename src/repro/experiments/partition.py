@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.controlplane.membership import MembershipConfig, membership
-from repro.controlplane.regional import RegionalControlConfig, regional_control
 from repro.core.eventsim import EventSimResult
 from repro.experiments.base import (SHORT_EPOCH_S, SHORT_RUN_SIB_PARAMS,
                                     TESTBED_START_S, format_table,
@@ -120,8 +118,7 @@ class PartitionReport:
 
 
 def _run(seed: int, duration_s: float, schedule: FaultSchedule,
-         member: Optional[MembershipConfig],
-         regional: Optional[RegionalControlConfig]):
+         member: bool, regional: bool):
     """One deployment run on the shared testbed (elastic frozen).
 
     Both arms carry the resilience layer: the comparison isolates the
@@ -176,8 +173,7 @@ def _partition_blackhole(seed: int, partition_epochs: int,
         control_partition(cut_start, cut_s, _SEVERED))
     rows = []
     for mode, member, regional in (
-            ("off", None, None),
-            ("on", membership(), regional_control())):
+            ("off", False, False), ("on", True, True)):
         result = _run(seed, duration, schedule, member, regional)
         rows.append(_row("partition-blackhole", mode, result))
     return rows
@@ -192,8 +188,8 @@ def _churn(seed: int, post_epochs: int) -> List[PartitionRow]:
     schedule = FaultSchedule.of(
         membership_churn(churn_start, churn_s, region="HGH"))
     rows = []
-    for mode, member in (("off", None), ("on", membership())):
-        result = _run(seed, duration, schedule, member, None)
+    for mode, member in (("off", False), ("on", True)):
+        result = _run(seed, duration, schedule, member, False)
         rows.append(_row("membership-churn", mode, result))
     return rows
 

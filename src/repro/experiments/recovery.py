@@ -208,7 +208,7 @@ def _outage(seed: int, post_epochs: int) -> List[RecoveryRow]:
 def _flap_storm(seed: int, flap_events: int) -> List[RecoveryRow]:
     """Short degradation bursts inside the hold-down window.
 
-    Bursts are spaced closer than `failback_holddown_s`: without the
+    Bursts are spaced closer than `FAILBACK_HOLDDOWN_S`: without the
     hold-down every burst is a fresh failover flap; with it the tracked
     stream rides the backup through the train.
     """

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import Telemetry, telemetry as _telemetry
 from repro.obs.trace import TraceEvent
@@ -46,6 +45,10 @@ _CAUSE_KINDS = ("controller_outage",)
 #: Event kinds treated as recovery *remedies*.
 _REMEDY_KINDS = ("failover", "resilience_install_commit",
                  "resilience_restore", "fault_gateway_restart")
+#: How far back (simulated seconds) a fault may be and still be blamed
+#: for a breach, and how many causes / remedies are remembered.
+CAUSE_WINDOW_S = 180.0
+REMEMBERED_EVENTS = 512
 
 
 @dataclass(frozen=True)
@@ -129,21 +132,16 @@ class SLOEngine:
 
     def __init__(self, target: Optional[SLOTarget] = None,
                  hub: Optional[Telemetry] = None, *,
-                 badness: Optional[Callable[[float, float], bool]] = None,
-                 cause_window_s: float = 180.0,
-                 max_remembered: int = 512):
+                 badness: Optional[Callable[[float, float], bool]] = None):
         """`badness(latency_ms, loss_rate) -> bool` overrides the
         target's threshold comparison (e.g. a QoE stall classifier);
-        blackholed samples are always bad.  ``cause_window_s`` bounds
-        how far back a fault may be and still be blamed for a breach.
-        """
+        blackholed samples are always bad."""
         self.target = target if target is not None else SLOTarget()
         self._tel = hub if hub is not None else _telemetry()
         self._badness = badness
-        self.cause_window_s = float(cause_window_s)
         self.streams: Dict[str, StreamLedger] = {}
-        self._causes: Deque[TraceEvent] = deque(maxlen=max_remembered)
-        self._remedies: Deque[TraceEvent] = deque(maxlen=max_remembered)
+        self._causes: Deque[TraceEvent] = deque(maxlen=REMEMBERED_EVENTS)
+        self._remedies: Deque[TraceEvent] = deque(maxlen=REMEMBERED_EVENTS)
         self._tel.tracer.add_sink(self._on_trace_event)
 
     def close(self) -> None:
@@ -208,13 +206,6 @@ class SLOEngine:
         self.observe(f"{pair[0]}->{pair[1]}", t, latency_ms, loss_rate,
                      blackholed=blackholed)
 
-    def observe_series(self, stream: str, times: Iterable[float],
-                       latency_ms: Iterable[float],
-                       loss_rate: Iterable[float]) -> None:
-        """Bulk ingestion for the epoch simulator's evaluated series."""
-        for t, lat, loss in zip(times, latency_ms, loss_rate):
-            self.observe(stream, float(t), float(lat), float(loss))
-
     # ------------------------------------------------------------- breaches
     def _enter_breach(self, ledger: StreamLedger, t: float,
                       burn: float) -> None:
@@ -263,7 +254,7 @@ class SLOEngine:
         for event in reversed(remembered):
             if event.t is None or event.t > t:
                 continue
-            if t - event.t > self.cause_window_s:
+            if t - event.t > CAUSE_WINDOW_S:
                 break
             fields[f"{prefix}_kind"] = event.kind
             fields[f"{prefix}_t"] = round(event.t, 6)

@@ -41,6 +41,14 @@ from repro.resilience.invariants import (Plans, StreamSpec, Tables,
 
 _TEL = _telemetry()
 
+#: Retries of a rejected install before it is abandoned; retry n waits
+#: ``RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR ** (n - 1)`` seconds.
+MAX_INSTALL_RETRIES = 3
+RETRY_BACKOFF_S = 2.0
+RETRY_BACKOFF_FACTOR = 2.0
+#: Control epochs a gateway's table may age before degraded mode.
+STALENESS_EPOCHS = 3
+
 
 @dataclass
 class ResilienceCounters:
@@ -69,8 +77,7 @@ class ResilienceCounters:
 class TwoPhaseInstaller:
     """Version allocation + invariant validation + retry policy."""
 
-    def __init__(self, config: ResilienceConfig):
-        self.config = config
+    def __init__(self):
         self.counters = ResilienceCounters()
         #: Highest version ever proposed (monotonic, never reused).
         self.proposed_version = 0
@@ -125,12 +132,11 @@ class TwoPhaseInstaller:
         """Delay before retry number `attempt` (1-based), bounded growth."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
-        return (self.config.retry_backoff_s
-                * self.config.retry_backoff_factor ** (attempt - 1))
+        return RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR ** (attempt - 1)
 
     def exhausted(self, attempt: int) -> bool:
         """Whether attempt number `attempt` used up the retry budget."""
-        return attempt > self.config.max_install_retries
+        return attempt > MAX_INSTALL_RETRIES
 
 
 class ResilienceExtension:
@@ -138,12 +144,14 @@ class ResilienceExtension:
 
     def __init__(self, engine, config: ResilienceConfig):
         self.engine = engine
-        self.config = config.resolved(engine.sim_config.epoch_s)
-        self.installer = TwoPhaseInstaller(self.config)
+        self.config = config
+        self.installer = TwoPhaseInstaller()
         #: Set while a modeled controller restart is owed after an outage.
         self._restart_owed = False
+        stale_after_s = STALENESS_EPOCHS * engine.sim_config.epoch_s
         for cluster in engine.clusters.values():
-            cluster.arm_resilience(self.config, self.installer.counters)
+            cluster.arm_resilience(config, self.installer.counters,
+                                   stale_after_s)
 
     def counters(self) -> Dict[str, Dict[str, int]]:
         return {"resilience_counters": self.installer.counters.as_dict()}

@@ -21,11 +21,11 @@ Determinism: the profile mix per pair is stateless hash noise keyed by
 ``(seed, src, dst)``, so decomposition order never matters and the same
 ``(matrix, seed)`` always yields identical cohorts.  Conservation: the
 cohort demand of a pair sums to the pair's matrix demand exactly (up to
-float addition, < 1e-9 relative), and :meth:`CohortWorkload.expand`
-reconstructs an equivalent per-session workload whose total bitrate
-matches bit-for-bit by construction (each component expands to
-``floor(sessions)`` full-rate sessions plus one fractional-rate tail
-session).
+float addition, < 1e-9 relative), and each component's ``sessions`` is
+its demand over its profile's bitrate: ``floor(sessions)`` full-rate
+sessions plus one fractional-rate tail session.  Every positive pair is
+decomposed (no demand floor), and the profile mix is the base
+popularity jittered by up to +/- `MIX_JITTER` / 2 per pair.
 """
 
 from __future__ import annotations
@@ -61,59 +61,32 @@ class StreamCohort(Stream):
                 f"cohort {self.stream_id}: negative sessions {self.sessions}")
 
 
-@dataclass
-class CohortWorkloadStats:
-    """Aggregate statistics of one decomposition."""
-
-    cohorts: int = 0
-    sessions: float = 0.0
-    demand_mbps: float = 0.0
-    dropped_pairs: int = 0
-    dropped_mbps: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"cohorts": self.cohorts, "sessions": self.sessions,
-                "demand_mbps": self.demand_mbps,
-                "dropped_pairs": self.dropped_pairs,
-                "dropped_mbps": self.dropped_mbps}
-
-
 #: Profiles in ascending bitrate order — cohort buckets split this list
 #: contiguously so each cohort bundles adjacent quality bands.
 _PROFILES_BY_RATE: List[VideoProfile] = sorted(
     VIDEO_PROFILES, key=lambda p: p.bitrate_mbps)
+#: Per-pair spread of the profile mix around the base popularity.
+MIX_JITTER = 0.5
 
 
 class CohortWorkload:
     """Decomposes a traffic matrix into at most ``cohorts_per_pair``
     aggregated cohort entries per ordered region pair.
 
-    ``min_pair_mbps`` optionally drops pairs below a demand floor (the
-    long planetary tail rides direct paths anyway); dropped demand is
-    accounted in :attr:`last_stats`, never silently.  The id counter is
-    a plain int so a warm-restarted controller keeps allocating fresh
-    ids, exactly like `StreamWorkload`.
+    The id counter is a plain int so a warm-restarted controller keeps
+    allocating fresh ids, exactly like `StreamWorkload`.
     """
 
-    def __init__(self, seed: int = 0, cohorts_per_pair: int = 2,
-                 min_pair_mbps: float = 0.0, mix_jitter: float = 0.5):
+    def __init__(self, seed: int = 0, cohorts_per_pair: int = 2):
         if cohorts_per_pair < 1:
             raise ValueError("need at least one cohort per pair")
-        if not 0.0 <= mix_jitter <= 1.0:
-            raise ValueError("mix_jitter must be in [0, 1]")
-        if min_pair_mbps < 0:
-            raise ValueError("min_pair_mbps must be non-negative")
         self.seed = int(seed)
         self.cohorts_per_pair = int(cohorts_per_pair)
-        self.min_pair_mbps = float(min_pair_mbps)
-        self.mix_jitter = float(mix_jitter)
         self._streams = RngStreams(self.seed)
         self._next_id = 0
         #: (src, dst) -> normalised profile weights.  A pure function of
         #: (seed, pair), so derived state: memoised, never checkpointed.
         self._pair_weights: Dict[Tuple[str, str], np.ndarray] = {}
-        #: Statistics of the most recent `decompose` call.
-        self.last_stats = CohortWorkloadStats()
         # Contiguous profile buckets, low band first.
         self._buckets: List[List[VideoProfile]] = [
             list(chunk) for chunk in np.array_split(
@@ -123,14 +96,9 @@ class CohortWorkload:
     # ------------------------------------------------------------------ api
     def decompose(self, matrix: TrafficMatrix) -> List[StreamCohort]:
         """One pass over the matrix; see the class docstring."""
-        stats = CohortWorkloadStats()
         cohorts: List[StreamCohort] = []
         for (src, dst), demand in matrix.items():
             if demand <= 0:
-                continue
-            if demand < self.min_pair_mbps:
-                stats.dropped_pairs += 1
-                stats.dropped_mbps += demand
                 continue
             weights = self._pair_weights.get((src, dst))
             if weights is None:
@@ -162,10 +130,6 @@ class CohortWorkload:
                     session_count=max(1, int(round(sessions))),
                     sessions=sessions, components=tuple(components)))
                 self._next_id += 1
-                stats.cohorts += 1
-                stats.sessions += sessions
-                stats.demand_mbps += mbps
-        self.last_stats = stats
         return cohorts
 
     def _profile_weights(self, src: str, dst: str) -> np.ndarray:
@@ -176,55 +140,9 @@ class CohortWorkload:
         pair_seed = self._streams.seed_for(f"cohort.{src}->{dst}")
         jitter = hash_uniform(pair_seed,
                               np.arange(len(_PROFILES_BY_RATE)), salt=7)
-        weights = base_weights * (1.0 - self.mix_jitter / 2.0
-                                  + self.mix_jitter * jitter)
+        weights = base_weights * (1.0 - MIX_JITTER / 2.0
+                                  + MIX_JITTER * jitter)
         return weights / weights.sum()
-
-    def expand(self, cohorts: List[StreamCohort],
-               max_sessions: int = 1_000_000) -> List[Stream]:
-        """The equivalent per-session workload of a cohort list.
-
-        Each component becomes ``floor(sessions)`` full-bitrate session
-        streams plus one fractional tail session carrying the remaining
-        demand, so total bitrate is conserved exactly.  Guarded by
-        ``max_sessions`` — expansion exists for verification at test
-        scale, not for planetary runs (that is the whole point of
-        cohorts).
-        """
-        profiles = {p.name: p for p in VIDEO_PROFILES}
-        total = sum(int(np.ceil(s)) for c in cohorts
-                    for (__, s, __d) in c.components)
-        if total > max_sessions:
-            raise ValueError(f"expansion would create {total} sessions "
-                             f"(> {max_sessions}); raise max_sessions "
-                             "only at test scale")
-        out: List[Stream] = []
-        sid = 0
-        for cohort in cohorts:
-            for (name, sessions, mbps) in cohort.components:
-                profile = profiles[name]
-                n_full = int(sessions)
-                for __ in range(n_full):
-                    out.append(Stream(sid, cohort.src, cohort.dst,
-                                      profile.bitrate_mbps, profile))
-                    sid += 1
-                tail = mbps - n_full * profile.bitrate_mbps
-                if tail > 1e-12:
-                    out.append(Stream(sid, cohort.src, cohort.dst, tail,
-                                      profile))
-                    sid += 1
-        return out
-
-    def session_statistics(self, cohorts: List[StreamCohort]
-                           ) -> Dict[str, float]:
-        """Aggregate stats the SIB exposes to operators."""
-        if not cohorts:
-            return {"streams": 0, "sessions": 0.0, "demand_mbps": 0.0}
-        return {
-            "streams": len(cohorts),
-            "sessions": float(sum(c.sessions for c in cohorts)),
-            "demand_mbps": float(sum(c.demand_mbps for c in cohorts)),
-        }
 
     # ------------------------------------------------------------ checkpoint
     def export_state(self) -> Dict[str, object]:

@@ -118,13 +118,3 @@ class StreamWorkload:
     def import_state(self, doc: Dict[str, object]) -> None:
         self._next_id = int(doc["next_id"])
         self._rng.bit_generator.state = doc["rng"]
-
-    def session_statistics(self, streams: List[Stream]) -> Dict[str, float]:
-        """Aggregate stats the SIB exposes to operators."""
-        if not streams:
-            return {"streams": 0, "sessions": 0, "demand_mbps": 0.0}
-        return {
-            "streams": len(streams),
-            "sessions": sum(s.session_count for s in streams),
-            "demand_mbps": float(sum(s.demand_mbps for s in streams)),
-        }

@@ -13,7 +13,8 @@ import pytest
 from repro import obs
 from repro.controlplane.controller import Controller
 from repro.controlplane.model import ControlConfig
-from repro.controlplane.nib import LinkReport, NetworkInformationBase
+from repro.controlplane.nib import (ROBUST_PERCENTILE, LinkReport,
+                                    NetworkInformationBase)
 from repro.controlplane.pathcontrol import path_control
 from repro.traffic.streams import VIDEO_PROFILES, Stream
 from repro.underlay.linkstate import LinkType
@@ -49,17 +50,19 @@ def links():
                     yield a, b, lt
 
 
-def reported_state(nib, a, b, lt, percentile=None):
+def reported_state(nib, a, b, lt, robust=False):
     """One link's (latency, loss) from its report history: the last
-    report, or `percentile` of the window; None if never reported."""
+    report, or the window's `ROBUST_PERCENTILE`; None if never
+    reported."""
     history = nib.history(a, b, lt)
     if not history:
         return None
-    if percentile is None:
+    if not robust:
         return (history[-1].latency_ms, history[-1].loss_rate)
     return (float(np.percentile([r.latency_ms for r in history],
-                                percentile)),
-            float(np.percentile([r.loss_rate for r in history], percentile)))
+                                ROBUST_PERCENTILE)),
+            float(np.percentile([r.loss_rate for r in history],
+                                ROBUST_PERCENTILE)))
 
 
 def planned_state(ctrl, a, b, lt):
@@ -67,10 +70,11 @@ def planned_state(ctrl, a, b, lt):
     missing = (np.inf, 1.0)
     if (ctrl.premium_only and lt is I) or (ctrl.internet_only and lt is P):
         return missing
-    fwd = reported_state(ctrl.nib, a, b, lt, ctrl.robust_percentile)
+    robust = ctrl.nib.window > 1
+    fwd = reported_state(ctrl.nib, a, b, lt, robust)
     if not ctrl.symmetric_only:
         return fwd or missing
-    rev = reported_state(ctrl.nib, b, a, lt, ctrl.robust_percentile)
+    rev = reported_state(ctrl.nib, b, a, lt, robust)
     if fwd is None or rev is None:
         return missing
     return ((fwd[0] + rev[0]) / 2.0, (fwd[1] + rev[1]) / 2.0)
@@ -89,26 +93,25 @@ class TestNibSnapshots:
     def test_robust_snapshot_matches_robust_state(self):
         nib = NetworkInformationBase(window=4, codes=CODES)
         fill_nib(nib, rounds=6)  # ring wraps: 6 reports into 4 slots
-        for pct in (50.0, 90.0, 99.0):
-            snap = nib.robust_snapshot(CODES, pct)
-            for a, b, lt in links():
-                assert snap.lookup(a, b, lt) == reported_state(nib, a, b, lt,
-                                                               pct)
+        snap = nib.robust_snapshot(CODES)
+        for a, b, lt in links():
+            assert snap.lookup(a, b, lt) == reported_state(nib, a, b, lt,
+                                                           robust=True)
 
     def test_partial_window_matches(self):
         nib = NetworkInformationBase(window=8, codes=CODES)
         fill_nib(nib, rounds=2)  # only 2 of 8 slots filled
-        snap = nib.robust_snapshot(CODES, 90.0)
+        snap = nib.robust_snapshot(CODES)
         for a, b, lt in links():
             assert snap.lookup(a, b, lt) == reported_state(nib, a, b, lt,
-                                                           90.0)
+                                                           robust=True)
 
     def test_never_reported_links_are_missing(self):
         nib = NetworkInformationBase(window=2, codes=CODES)
         fill_nib(nib, skip={("A", "B", I)})
         snap = nib.latest_snapshot(CODES)
         assert snap.lookup("A", "B", I) == (np.inf, 1.0)
-        robust = nib.robust_snapshot(CODES, 90.0)
+        robust = nib.robust_snapshot(CODES)
         assert robust.lookup("A", "B", I) == (np.inf, 1.0)
 
     def test_unknown_region_in_codes(self):
@@ -140,12 +143,6 @@ class TestNibSnapshots:
         assert nib.get("A", "B", I).latency_ms == 50.0
         assert nib.latest_snapshot(CODES).lookup("A", "B", I) == (50.0, 0.01)
 
-    def test_bad_percentile_rejected(self):
-        nib = NetworkInformationBase(window=2, codes=CODES)
-        fill_nib(nib, rounds=2)
-        with pytest.raises(ValueError):
-            nib.robust_snapshot(CODES, 120.0)
-
 
 class TestControllerLinkSnapshot:
     @pytest.mark.parametrize("kwargs", [
@@ -153,8 +150,8 @@ class TestControllerLinkSnapshot:
         {"premium_only": True},
         {"internet_only": True},
         {"symmetric_only": True},
-        {"nib_window": 4, "robust_percentile": 90.0},
-        {"symmetric_only": True, "nib_window": 4, "robust_percentile": 75.0},
+        {"nib_window": 4},
+        {"symmetric_only": True, "nib_window": 4},
     ])
     def test_matches_scalar_link_state(self, kwargs):
         ctrl = Controller(CODES, ControlConfig(), **kwargs)

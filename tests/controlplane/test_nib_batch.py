@@ -53,7 +53,7 @@ def everything(nib):
         "snapshot": nib.snapshot(),
         "export": json.dumps(nib.export_reports(), sort_keys=True),
         "latest": nib.latest_snapshot(CODES).lat.tobytes(),
-        "robust": nib.robust_snapshot(CODES, 90.0).loss.tobytes(),
+        "robust": nib.robust_snapshot(CODES).loss.tobytes(),
     }
 
 

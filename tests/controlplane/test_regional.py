@@ -6,7 +6,6 @@ from repro.controlplane.controller import Controller
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.nib import LinkReport
 from repro.controlplane.regional import (REGIONAL_STREAM_BASE,
-                                         RegionalControlConfig,
                                          RegionalController, regional_control)
 from repro.traffic.matrix import TrafficMatrix
 from repro.underlay.linkstate import LinkType
@@ -35,17 +34,12 @@ def _sub(regions=CODES, base_version=3, seed=23, nib_reports=None):
 
     return RegionalController(
         regions, make_controller=make_controller,
-        base_version=base_version, config=regional_control(),
-        seed=seed, nib_reports=nib_reports)
+        base_version=base_version, seed=seed, nib_reports=nib_reports)
 
 
 class TestConfig:
     def test_convenience_constructor_arms(self):
-        assert regional_control().stream_id_base == REGIONAL_STREAM_BASE
-
-    def test_stream_id_base_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RegionalControlConfig(stream_id_base=0)
+        assert regional_control() is True
 
 
 class TestController:

@@ -271,28 +271,26 @@ def test_hooks_fire_in_phase_order_and_list_order():
 
 # ------------------------------------------------- one SimulationConfig
 def test_event_engine_reads_the_whole_simulation_config():
-    """`stream_cohorts`, `cohorts_per_pair`, `nib_window` and
-    `robust_percentile` mean in the event engine what they mean in
-    `EpochSimulator` — and survive a checkpoint / warm restart."""
+    """`stream_cohorts` and `nib_window` (with it, robust planning)
+    mean in the event engine what they mean in `EpochSimulator` — and
+    survive a checkpoint / warm restart."""
     underlay, demand = quiet_testbed(5)
     engine = EventDrivenXRON(
         underlay, demand,
         sim_config=SimulationConfig(
             epoch_s=30.0, eval_step_s=10.0, seed=5, demand_scale=0.05,
-            stream_cohorts=True, cohorts_per_pair=3, nib_window=4,
-            robust_percentile=90.0),
+            stream_cohorts=True, nib_window=4),
         faults=FaultSchedule.of(controller_outage(3640.0, 3700.0)),
         resilience=resilience())
     boot = engine.controller
     assert isinstance(boot._workload, CohortWorkload)
-    assert boot._workload.cohorts_per_pair == 3
-    assert (boot.nib.window, boot.robust_percentile) == (4, 90.0)
+    assert boot.nib.window == 4
     result = engine.run(START_S, 150.0)
     assert result.resilience_counters["restores_warm"] == 1
     restarted = engine.controller
     assert restarted is not boot
     assert isinstance(restarted._workload, CohortWorkload)
-    assert (restarted.nib.window, restarted.robust_percentile) == (4, 90.0)
+    assert restarted.nib.window == 4
     # Cohort ids kept counting across the restart (the checkpointed
     # workload state), and every epoch placed cohorts, not chunks.
     ids = [s.stream_id for o in result.control_outputs for s in o.streams]

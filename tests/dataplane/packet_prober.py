@@ -76,9 +76,16 @@ class PacketLevelProber:
     PACKET_SPACING_S = 0.002
 
     def __init__(self, link: LinkProcess, config: MonitoringConfig,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, *,
+                 loss_timeout_rtts: float = 3.0,
+                 reorder_loss_threshold: int = 20):
+        """`config` gives the burst shape; the two judgment rules'
+        thresholds default to the paper's (three RTTs, twenty
+        succeeding responses)."""
         self.link = link
         self.config = config
+        self.loss_timeout_rtts = loss_timeout_rtts
+        self.reorder_loss_threshold = reorder_loss_threshold
         self._rng = rng
         self._seq = itertools.count()
         self._pending: List[ProbePacket] = []
@@ -126,13 +133,13 @@ class PacketLevelProber:
                     self._succeeding[other.seq] += 1
                     # Rule (i): too many succeeding responses.
                     if (self._succeeding[other.seq]
-                            > self.config.reorder_loss_threshold):
+                            > self.reorder_loss_threshold):
                         other.judged_lost = True
                         other.judged_at = packet.response_time
                         self._succeeding.pop(other.seq, None)
 
         # Rule (ii): timeout after three (estimated) RTTs.
-        timeout = self.config.loss_timeout_rtts * self._rtt_estimate_s
+        timeout = self.loss_timeout_rtts * self._rtt_estimate_s
         for packet in self._pending:
             if packet.outstanding and now - packet.send_time > timeout:
                 packet.judged_lost = True

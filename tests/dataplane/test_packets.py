@@ -91,10 +91,10 @@ class TestRuleOne:
     """Rule (i): >20 succeeding responses judge an outstanding probe lost."""
 
     def test_reordering_rule_fires_before_timeout(self, clean_link):
-        config = MonitoringConfig(reorder_loss_threshold=20,
-                                  loss_timeout_rtts=1000.0)  # disable (ii)
-        prober = PacketLevelProber(clean_link, config,
-                                   np.random.default_rng(3))
+        prober = PacketLevelProber(clean_link, MonitoringConfig(),
+                                   np.random.default_rng(3),
+                                   reorder_loss_threshold=20,
+                                   loss_timeout_rtts=1000.0)  # disable (ii)
         # Send one burst and drop its first packet manually.
         prober.send_burst(10.0)
         prober._pending[0].response_time = None
@@ -106,10 +106,10 @@ class TestRuleOne:
         assert prober.outstanding == 0
 
     def test_rule_one_counts_only_succeeding(self, clean_link):
-        config = MonitoringConfig(reorder_loss_threshold=20,
-                                  loss_timeout_rtts=1000.0)
-        prober = PacketLevelProber(clean_link, config,
-                                   np.random.default_rng(3))
+        prober = PacketLevelProber(clean_link, MonitoringConfig(),
+                                   np.random.default_rng(3),
+                                   reorder_loss_threshold=20,
+                                   loss_timeout_rtts=1000.0)
         prober.send_burst(10.0)
         # Drop the LAST packet: no succeeding responses ever arrive from
         # this burst, so rule (i) alone cannot judge it.
@@ -122,9 +122,9 @@ class TestRuleTwo:
     """Rule (ii): no response after three RTTs."""
 
     def test_timeout_judges_lost(self, clean_link):
-        config = MonitoringConfig(reorder_loss_threshold=10_000)  # disable (i)
-        prober = PacketLevelProber(clean_link, config,
-                                   np.random.default_rng(4))
+        prober = PacketLevelProber(clean_link, MonitoringConfig(),
+                                   np.random.default_rng(4),
+                                   reorder_loss_threshold=10_000)  # no (i)
         prober.send_burst(10.0)
         prober._pending[-1].response_time = None
         rtt = 2.0 * clean_link.base_latency_ms / 1000.0
@@ -134,9 +134,9 @@ class TestRuleTwo:
         assert late.lost == 1
 
     def test_judged_at_records_timeout_instant(self, clean_link):
-        config = MonitoringConfig(reorder_loss_threshold=10_000)
-        prober = PacketLevelProber(clean_link, config,
-                                   np.random.default_rng(4))
+        prober = PacketLevelProber(clean_link, MonitoringConfig(),
+                                   np.random.default_rng(4),
+                                   reorder_loss_threshold=10_000)
         prober.send_burst(10.0)
         packet = prober._pending[0]
         packet.response_time = None

@@ -5,7 +5,7 @@ import pytest
 
 from repro.controlplane.nib import LinkReport
 from repro.dataplane.grouping import ProbingGroupManager, probing_cost
-from repro.dataplane.passive import PassiveTracker
+from repro.dataplane.passive import MIN_PACKETS, PassiveTracker
 from repro.underlay.linkstate import LinkType
 
 LINK = ("A", "B", LinkType.INTERNET)
@@ -13,12 +13,12 @@ LINK = ("A", "B", LinkType.INTERNET)
 
 class TestPassiveTracker:
     def test_flush_requires_min_packets(self):
-        tracker = PassiveTracker(min_packets=20)
-        tracker.record(LINK, 10, 1, 100.0)
+        tracker = PassiveTracker()
+        tracker.record(LINK, MIN_PACKETS - 1, 1, 100.0)
         assert tracker.flush(1.0) == []
 
     def test_flush_aggregates(self):
-        tracker = PassiveTracker(min_packets=20)
+        tracker = PassiveTracker()
         tracker.record(LINK, 50, 5, 100.0)
         tracker.record(LINK, 50, 0, 200.0)
         samples = tracker.flush(10.0)
@@ -30,13 +30,13 @@ class TestPassiveTracker:
         assert s.time == 10.0
 
     def test_flush_resets_windows(self):
-        tracker = PassiveTracker(min_packets=1)
+        tracker = PassiveTracker()
         tracker.record(LINK, 30, 0, 100.0)
         tracker.flush(1.0)
         assert tracker.flush(2.0) == []
 
     def test_links_tracked_separately(self):
-        tracker = PassiveTracker(min_packets=1)
+        tracker = PassiveTracker()
         other = ("B", "A", LinkType.PREMIUM)
         tracker.record(LINK, 30, 0, 100.0)
         tracker.record(other, 40, 4, 50.0)
@@ -52,17 +52,11 @@ class TestPassiveTracker:
             tracker.record(LINK, -1, 0, 10.0)
 
     def test_all_lost_window_has_zero_latency(self):
-        tracker = PassiveTracker(min_packets=1)
+        tracker = PassiveTracker()
         tracker.record(LINK, 30, 30, 0.0)
         samples = tracker.flush(1.0)
         assert samples[0].loss_rate == 1.0
         assert samples[0].latency_ms == 0.0
-
-    def test_tracked_links_sorted(self):
-        tracker = PassiveTracker()
-        tracker.record(("B", "A", LinkType.INTERNET), 1, 0, 1.0)
-        tracker.record(("A", "B", LinkType.INTERNET), 1, 0, 1.0)
-        assert tracker.tracked_links[0][0] == "A"
 
 
 class TestProbingCost:

@@ -35,8 +35,7 @@ STREAMS = range(6)
 #: Degraded-mode staleness threshold; hold-down is off so a decision
 #: depends on the table, the verdicts and the clock only.
 STALE_S = 90.0
-RESILIENCE = ResilienceConfig(hysteresis_enabled=False,
-                              staleness_threshold_s=STALE_S)
+RESILIENCE = ResilienceConfig(hysteresis_enabled=False)
 
 rows = st.dictionaries(st.sampled_from(STREAMS), st.tuples(
     st.sampled_from(OTHERS), st.sampled_from([I, I, P])), max_size=6)
@@ -84,7 +83,7 @@ class ClusterAgainstRegionModel(RuleBasedStateMachine):
         self.cluster = RegionCluster(REGION, UNDERLAY,
                                      initial_gateways=gateways)
         self.counters = ResilienceCounters()
-        self.cluster.arm_resilience(RESILIENCE, self.counters)
+        self.cluster.arm_resilience(RESILIENCE, self.counters, STALE_S)
         self.model = RegionModel()
         #: gateway id -> the links its own monitoring flags degraded.
         self.flagged = {gid: set() for gid in self.cluster.gateways}

@@ -1,5 +1,6 @@
 """Integration tests: the fault schedule driving the event simulator."""
 
+from repro.core import eventsim
 from repro.faults import (FaultSchedule, controller_outage, gateway_crash,
                           install_delay, install_partial, probe_blackout,
                           report_drop, report_staleness)
@@ -233,17 +234,18 @@ class TestInstallFaults:
 
 
 class TestPassiveAttribution:
-    def test_passive_samples_land_on_the_deciding_gateway(self):
+    def test_passive_samples_land_on_the_deciding_gateway(self,
+                                                          monkeypatch):
         """Satellite regression: round-robin forwarding must book the
         passive window on the gateway that made the decision, so the
         samples spread across the fleet instead of piling onto the
         lowest id."""
-        sim, __ = _run(passive_flush_s=1e9, duration=60.0,
-                       elastic=False)
+        monkeypatch.setattr(eventsim, "PASSIVE_FLUSH_S", 1e9)  # never flush
+        sim, __ = _run(duration=60.0, elastic=False)
         tracked_srcs = {pair[0] for pair, rec in sim.sessions.items()
                         if rec.times}
         assert tracked_srcs
         src = next(iter(tracked_srcs))
         with_windows = [g for g in sim.clusters[src].gateways.values()
-                        if g.passive.tracked_links]
+                        if g.passive._windows]
         assert len(with_windows) > 1

@@ -54,8 +54,10 @@ def _replay(result, engine):
     execution engines"): a closed loop has nothing to observe between
     epochs, so the engine is fed the recorded series afterwards."""
     for i, (src, dst) in enumerate(result.pairs):
-        engine.observe_series(f"{src}->{dst}", result.times,
-                              result.latency_ms[i], result.loss_rate[i])
+        for t, lat, loss in zip(result.times, result.latency_ms[i],
+                                result.loss_rate[i]):
+            engine.observe(f"{src}->{dst}", float(t), float(lat),
+                           float(loss))
     engine.close()
     return {name: (ledger.samples, ledger.bad_samples, ledger.breaches)
             for name, ledger in engine.streams.items()}

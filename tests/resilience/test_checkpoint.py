@@ -24,7 +24,7 @@ def _matrix(k: float) -> TrafficMatrix:
 
 
 def _fed_sib() -> StreamInformationBase:
-    sib = StreamInformationBase(CODES, n_harmonics=4, **SIB_PARAMS)
+    sib = StreamInformationBase(CODES, **SIB_PARAMS)
     for k in range(6):
         sib.record_epoch(_matrix(float(k)))
     return sib
@@ -33,7 +33,7 @@ def _fed_sib() -> StreamInformationBase:
 class TestComponentRoundTrips:
     def test_sib_state_restores_fitted_predictions(self):
         sib = _fed_sib()
-        fresh = StreamInformationBase(CODES, n_harmonics=4, **SIB_PARAMS)
+        fresh = StreamInformationBase(CODES, **SIB_PARAMS)
         fresh.import_state(sib.export_state())
         want = dict(sib.predicted_matrix().items())
         got = dict(fresh.predicted_matrix().items())
@@ -42,7 +42,7 @@ class TestComponentRoundTrips:
         assert fresh.predictor("HGH", "SIN").predictor.fitted
 
     def test_cold_sib_predicts_persistence_fallback(self):
-        cold = StreamInformationBase(CODES, n_harmonics=4, **SIB_PARAMS)
+        cold = StreamInformationBase(CODES, **SIB_PARAMS)
         cold.record_epoch(_matrix(0.0))
         observed = dict(_matrix(0.0).items())
         for pair, pred in cold.predicted_matrix().items():
@@ -72,8 +72,7 @@ class TestComponentRoundTrips:
 
 class TestCheckpoint:
     def _controller(self) -> Controller:
-        ctrl = Controller(CODES, predictor_harmonics=4,
-                          sib_params=SIB_PARAMS, seed=11)
+        ctrl = Controller(CODES, sib_params=SIB_PARAMS, seed=11)
         for k in range(6):
             ctrl.sib.record_epoch(_matrix(float(k)))
             ctrl.epochs_run += 1
@@ -101,8 +100,7 @@ class TestCheckpoint:
         cp = Checkpoint.loads(
             Checkpoint.take(ctrl, {}, {}, t=0.0, epoch_seq=6,
                             version=1).dumps())
-        fresh = Controller(CODES, predictor_harmonics=4,
-                           sib_params=SIB_PARAMS, seed=11)
+        fresh = Controller(CODES, sib_params=SIB_PARAMS, seed=11)
         cp.restore(fresh)
         assert fresh.epochs_run == ctrl.epochs_run
         assert dict(fresh.sib.predicted_matrix().items()) \

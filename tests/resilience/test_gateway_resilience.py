@@ -6,6 +6,7 @@ import pytest
 from repro.dataplane.cluster import RegionCluster
 from repro.dataplane.config import ReactionConfig
 from repro.resilience import ResilienceCounters, resilience
+from repro.resilience.install import STALENESS_EPOCHS
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
@@ -37,10 +38,11 @@ def counters():
 
 
 def lone_cluster(underlay, counters, config, reaction=None):
-    """A one-gateway HGH cluster armed with `config` (resolved)."""
+    """A one-gateway HGH cluster armed with `config`, its stale-table
+    threshold derived from `EPOCH_S` as the layer derives it."""
     cluster = RegionCluster("HGH", underlay, initial_gateways=1,
                             reaction=reaction)
-    cluster.arm_resilience(config.resolved(EPOCH_S), counters)
+    cluster.arm_resilience(config, counters, STALENESS_EPOCHS * EPOCH_S)
     return cluster
 
 

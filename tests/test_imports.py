@@ -172,12 +172,9 @@ def test_every_module_has_an_importer():
 #: it a caller, then take its line out.
 KNOWN_ORPHANS = frozenset({
     "repro.controlplane.capacity.CapacityDecision.uncapacitated",
-    "repro.controlplane.pathcontrol.PathControlResult.assignment_for",
-    "repro.controlplane.pathcontrol.PathControlResult.average_relay_hops",
     "repro.dataplane.estimator.LinkStateEstimator.apply_group_state",
     "repro.dataplane.estimator.LinkStateEstimator.estimate",
     "repro.dataplane.estimator.LinkStateEstimator.ingest_burst",
-    "repro.dataplane.passive.PassiveTracker.tracked_links",
     "repro.dataplane.probing.ProbeBurst.bytes_sent",
     "repro.elastic.containers.ContainerPool.total_count",
     "repro.experiments.ablation_ordering.OrderingAblation.long_haul_floor",
@@ -186,12 +183,8 @@ KNOWN_ORPHANS = frozenset({
     "repro.faults.spec.FaultSchedule.extended",
     "repro.faults.spec.FaultSpec.severs",
     "repro.obs.export.TelemetryFile.events_of",
-    "repro.obs.slo.SLOEngine.observe_series",
-    "repro.traffic.cohorts.CohortWorkload.expand",
-    "repro.traffic.cohorts.CohortWorkload.session_statistics",
     "repro.traffic.matrix.TrafficMatrix.as_array",
     "repro.traffic.matrix.TrafficMatrix.ingress",
-    "repro.traffic.streams.StreamWorkload.session_statistics",
     "repro.underlay.events.DegradationEvent.is_short",
     "repro.underlay.events.DegradationEvent.ramp_s",
     "repro.underlay.events.EventTimeline.active_events",
@@ -250,3 +243,191 @@ def test_every_public_function_has_a_caller():
     assert not KNOWN_ORPHANS - orphans, \
         f"no longer orphans, drop from KNOWN_ORPHANS: " \
         f"{sorted(KNOWN_ORPHANS - orphans)}"
+
+
+#: Settings a caller outside the tests has yet to set, each with the
+#: reason it stays a field.  The list may only shrink.
+UNSET_SETTINGS = {
+    "SimulationConfig.stream_cohorts":
+        "the planet-scale switch, to be selected by region count",
+    "SimulationConfig.monitoring":
+        "the monitoring calibration table (probing cadence, R, EWMA)",
+    "SimulationConfig.reaction":
+        "the fast-reaction calibration table (thresholds, hysteresis)",
+}
+
+
+def _settings():
+    """(label, setting, owner name, position, file, line range) of every
+    field of the deployment configs (owner: the class; only a call of
+    it or ``replace`` sets one) and every defaulted keyword of the
+    engine, controller, cohort workload and solver entry points (owner:
+    None, since callers forward keywords through wrappers such as
+    `XRONSystem.event_engine`; the name is the direct caller's)."""
+    import dataclasses
+    import inspect
+
+    from repro.controlplane.controller import Controller
+    from repro.controlplane.pathcontrol import place_streams
+    from repro.core.config import SimulationConfig
+    from repro.core.eventsim import EventDrivenXRON
+    from repro.core.service import ServiceConfig
+    from repro.resilience.config import ResilienceConfig
+    from repro.traffic.cohorts import CohortWorkload
+
+    owners = [(cls, cls.__name__, True,
+               [f.name for f in dataclasses.fields(cls)])
+              for cls in (SimulationConfig, ResilienceConfig, ServiceConfig)]
+    for func in (EventDrivenXRON.__init__, Controller.__init__,
+                 CohortWorkload.__init__, place_streams):
+        params = [p for p in inspect.signature(func).parameters.values()
+                  if p.name != "self"]
+        owners.append((func, func.__qualname__.split(".")[0], False,
+                       [p.name if p.default is not p.empty else None
+                        for p in params]))
+    for owner, callee, is_config, names in owners:
+        path = pathlib.Path(inspect.getsourcefile(owner)).resolve()
+        lines, first = inspect.getsourcelines(owner)
+        for position, name in enumerate(names):
+            if name is not None:
+                yield (f"{callee}.{name}", name, callee, is_config,
+                       position, path, (first, first + len(lines) - 1))
+
+
+def test_every_setting_has_a_caller():
+    """A setting is a field only while a caller outside the tests needs
+    a value of it: each one is passed — as a keyword (a constructor or
+    ``replace(...)`` argument) or in its position — or is a whole-string
+    dict key somewhere in `src/`, `examples/` or `benchmarks/`
+    outside its own definition.  A setting only its default and the
+    tests reach is a named constant where it is read
+    (docs/extending.md, "Rules that keep a new subsystem honest")."""
+    #: (path, line, callee name or None, keyword or None, positionals)
+    uses = collections.defaultdict(list)
+    for top in ("src", "examples", "benchmarks"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    callee = getattr(func, "id", getattr(func, "attr", None))
+                    starred = any(isinstance(a, ast.Starred)
+                                  for a in node.args)
+                    where = (path.resolve(), node.lineno, callee,
+                             float("inf") if starred else len(node.args))
+                    uses[None].append(where)
+                    for kw in node.keywords:
+                        if kw.arg:
+                            uses[kw.arg].append(where)
+                elif isinstance(node, ast.Dict):
+                    for key in node.keys:
+                        if (isinstance(key, ast.Constant)
+                                and isinstance(key.value, str)):
+                            uses[key.value].append(
+                                (path.resolve(), key.lineno, None, 0))
+
+    def outside(path, line, span, own):
+        return path != own or not span[0] <= line <= span[1]
+
+    uncalled = set()
+    for label, name, owner, is_config, position, own, span in _settings():
+        keyed = any(
+            outside(path, line, span, own)
+            and (callee is None or not is_config
+                 or callee in (owner, "replace"))
+            for path, line, callee, __ in uses[name])
+        placed = any(
+            outside(path, line, span, own) and callee == owner
+            and n_args > position
+            for path, line, callee, n_args in uses[None])
+        if not (keyed or placed):
+            uncalled.add(label)
+    assert not uncalled - set(UNSET_SETTINGS), \
+        f"settings only tests set: {sorted(uncalled - set(UNSET_SETTINGS))}"
+    assert not set(UNSET_SETTINGS) - uncalled, \
+        f"now set by a caller, drop from UNSET_SETTINGS: " \
+        f"{sorted(set(UNSET_SETTINGS) - uncalled)}"
+
+
+def _removed_setting_owners():
+    """Owner -> a call of it that takes keyword arguments only."""
+    from repro.controlplane.controller import Controller
+    from repro.controlplane.membership import membership
+    from repro.controlplane.nib import NetworkInformationBase
+    from repro.controlplane.pathcontrol import path_control, place_streams
+    from repro.controlplane.regional import regional_control
+    from repro.controlplane.sib import StreamInformationBase
+    from repro.core.config import SimulationConfig
+    from repro.core.eventsim import EventDrivenXRON
+    from repro.core.service import build_soak_schedule
+    from repro.dataplane.config import MonitoringConfig
+    from repro.dataplane.passive import PassiveTracker
+    from repro.experiments import ablation_stability
+    from repro.obs.slo import SLOEngine
+    from repro.resilience.config import ResilienceConfig
+    from repro.traffic.cohorts import CohortWorkload
+
+    codes = ["A", "B"]
+    return {
+        "SimulationConfig": SimulationConfig,
+        "MonitoringConfig": MonitoringConfig,
+        "ResilienceConfig": ResilienceConfig,
+        "membership": membership,
+        "regional_control": regional_control,
+        "EventDrivenXRON": lambda **kw: EventDrivenXRON(None, None, **kw),
+        "Controller": lambda **kw: Controller(codes, **kw),
+        "NetworkInformationBase.robust_snapshot":
+            lambda **kw: NetworkInformationBase().robust_snapshot(codes,
+                                                                  **kw),
+        "ablation_stability.run": ablation_stability.run,
+        "StreamInformationBase":
+            lambda **kw: StreamInformationBase(codes, **kw),
+        "path_control": lambda **kw: path_control([], codes, None, None,
+                                                  **kw),
+        "place_streams": lambda **kw: place_streams([], codes, None, None,
+                                                    **kw),
+        "CohortWorkload": CohortWorkload,
+        "PassiveTracker": PassiveTracker,
+        "SLOEngine": SLOEngine,
+        "build_soak_schedule":
+            lambda **kw: build_soak_schedule(0.0, 600.0, codes, **kw),
+    }
+
+
+#: Settings that only their defaults and the tests reached, now named
+#: constants where they are read: (owner, keyword it no longer takes).
+REMOVED_SETTINGS = [
+    ("SimulationConfig", "robust_percentile"),
+    ("SimulationConfig", "cohorts_per_pair"),
+    ("Controller", "robust_percentile"),
+    ("Controller", "predictor_harmonics"),
+    ("NetworkInformationBase.robust_snapshot", "percentile"),
+    ("ablation_stability.run", "percentile"),
+    ("CohortWorkload", "min_pair_mbps"),
+    ("CohortWorkload", "mix_jitter"),
+    ("MonitoringConfig", "loss_timeout_rtts"),
+    ("MonitoringConfig", "reorder_loss_threshold"),
+    ("ResilienceConfig", "max_install_retries"),
+    ("ResilienceConfig", "retry_backoff_s"),
+    ("ResilienceConfig", "retry_backoff_factor"),
+    ("ResilienceConfig", "staleness_epochs"),
+    ("ResilienceConfig", "staleness_threshold_s"),
+    ("ResilienceConfig", "failback_holddown_s"),
+    ("membership", "ttl_s"),
+    ("regional_control", "stream_id_base"),
+    ("EventDrivenXRON", "passive_flush_s"),
+    ("StreamInformationBase", "n_harmonics"),
+    ("StreamInformationBase", "history_slots"),
+    ("path_control", "max_rebuilds"),
+    ("place_streams", "max_rebuilds"),
+    ("PassiveTracker", "min_packets"),
+    ("SLOEngine", "cause_window_s"),
+    ("SLOEngine", "max_remembered"),
+    ("build_soak_schedule", "lead_s"),
+]
+
+
+@pytest.mark.parametrize("owner, keyword", REMOVED_SETTINGS,
+                         ids=[f"{o}.{k}" for o, k in REMOVED_SETTINGS])
+def test_removed_setting_is_a_type_error(owner, keyword):
+    with pytest.raises(TypeError):
+        _removed_setting_owners()[owner](**{keyword: 1})

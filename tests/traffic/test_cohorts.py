@@ -46,12 +46,12 @@ def test_decompose_is_deterministic_per_seed(matrix):
 
 
 def test_demand_is_conserved(matrix):
-    w = CohortWorkload(seed=1, cohorts_per_pair=3)
-    cohorts = w.decompose(matrix)
+    cohorts = CohortWorkload(seed=1, cohorts_per_pair=3).decompose(matrix)
     total = sum(c.demand_mbps for c in cohorts)
     assert total == pytest.approx(matrix.total(), rel=1e-9)
-    assert w.last_stats.dropped_pairs == 0
-    assert w.last_stats.demand_mbps == pytest.approx(total)
+    # Every positive pair is decomposed: none is dropped.
+    assert {(c.src, c.dst) for c in cohorts} == \
+        {pair for pair, d in matrix.items() if d > 0}
     # Per-cohort: component demands sum to the cohort demand.
     for c in cohorts:
         assert sum(d for (__, __, d) in c.components) == \
@@ -65,31 +65,15 @@ def test_memory_is_bounded_by_pairs(matrix):
         assert len(cohorts) <= n_pairs * k
 
 
-def test_min_pair_floor_accounts_dropped_demand(matrix):
-    w = CohortWorkload(seed=1, min_pair_mbps=1e9)  # drop everything
-    cohorts = w.decompose(matrix)
-    assert cohorts == []
-    assert w.last_stats.dropped_mbps == pytest.approx(matrix.total())
-    assert w.last_stats.dropped_pairs == \
-        sum(1 for __, d in matrix.items() if d > 0)
-
-
-def test_expand_reconstructs_equivalent_sessions(matrix):
-    w = CohortWorkload(seed=1)
-    cohorts = w.decompose(matrix)[:40]
-    sessions = w.expand(cohorts)
-    assert sum(s.demand_mbps for s in sessions) == \
-        pytest.approx(sum(c.demand_mbps for c in cohorts), rel=1e-9)
-    rates = {p.bitrate_mbps for p in VIDEO_PROFILES}
-    full = [s for s in sessions if s.demand_mbps in rates]
-    assert len(full) > len(sessions) * 0.5  # mostly full-rate sessions
-
-
-def test_expand_guards_against_planetary_blowup(matrix):
-    w = CohortWorkload(seed=1)
-    cohorts = w.decompose(matrix)
-    with pytest.raises(ValueError, match="max_sessions"):
-        w.expand(cohorts, max_sessions=10)
+def test_components_reconstruct_equivalent_sessions(matrix):
+    """A component's sessions at its profile's bitrate carry its demand
+    exactly, and its cohort's session count is their sum."""
+    rates = {p.name: p.bitrate_mbps for p in VIDEO_PROFILES}
+    for c in CohortWorkload(seed=1).decompose(matrix)[:40]:
+        for name, sessions, mbps in c.components:
+            assert sessions * rates[name] == pytest.approx(mbps, rel=1e-12)
+        assert sum(s for __, s, __ in c.components) == \
+            pytest.approx(c.sessions, rel=1e-12)
 
 
 def test_export_import_round_trip(matrix):
@@ -107,10 +91,6 @@ def test_validation():
     with pytest.raises(ValueError):
         CohortWorkload(cohorts_per_pair=0)
     with pytest.raises(ValueError):
-        CohortWorkload(mix_jitter=1.5)
-    with pytest.raises(ValueError):
-        CohortWorkload(min_pair_mbps=-1.0)
-    with pytest.raises(ValueError):
         StreamCohort(1, "A", "B", 1.0, VIDEO_PROFILES[0], sessions=-1.0)
 
 
@@ -127,7 +107,7 @@ def test_epoch_simulator_runs_with_cohorts():
     u = build_underlay(seed=2)
     demand = DemandModel(default_regions(), seed=3)
     cfg = SimulationConfig(epoch_s=300.0, eval_step_s=60.0, seed=2,
-                           stream_cohorts=True, cohorts_per_pair=2)
+                           stream_cohorts=True)
     result = EpochSimulator(u, demand, xron(), sim_config=cfg).run(
         start_s=0.0, duration_s=600.0)
     assert result.latency_ms.size > 0

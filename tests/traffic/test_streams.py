@@ -80,19 +80,6 @@ def test_rejects_zero_max_streams():
         StreamWorkload(max_streams_per_pair=0)
 
 
-def test_session_statistics(matrix):
-    workload = StreamWorkload(np.random.default_rng(1))
-    streams = workload.decompose(matrix)
-    stats = workload.session_statistics(streams)
-    assert stats["streams"] == len(streams)
-    assert stats["demand_mbps"] == pytest.approx(matrix.total())
-
-
-def test_session_statistics_empty():
-    workload = StreamWorkload()
-    assert workload.session_statistics([])["streams"] == 0
-
-
 def test_profile_catalogue_sane():
     assert all(isinstance(p, VideoProfile) for p in VIDEO_PROFILES)
     assert all(p.bitrate_mbps > 0 for p in VIDEO_PROFILES)
