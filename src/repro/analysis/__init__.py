@@ -1,13 +1,7 @@
-"""Statistics helpers shared by tests, benchmarks, and experiments."""
+"""Statistics and text-plot helpers shared by the engines and experiments."""
 
-from repro.analysis.stats import (cdf_points, percentile_row,
-                                  weighted_percentiles, resample_to_grid,
-                                  normalize)
+from repro.analysis.stats import weighted_percentiles
 
 __all__ = [
-    "cdf_points",
-    "percentile_row",
     "weighted_percentiles",
-    "resample_to_grid",
-    "normalize",
 ]

@@ -1,36 +1,10 @@
-"""CDFs, percentile rows, and series utilities."""
+"""Weighted percentiles."""
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-#: The percentile columns of the paper's Tables 2 and 3.
-TABLE_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
-
-
-def cdf_points(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """(sorted values, cumulative fractions) for plotting a CDF."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        return np.zeros(0), np.zeros(0)
-    f = np.arange(1, v.size + 1) / v.size
-    return v, f
-
-
-def percentile_row(values: Sequence[float],
-                   percentiles: Sequence[float] = TABLE_PERCENTILES
-                   ) -> Dict[str, float]:
-    """Mean plus the requested percentiles, as Tables 2/3 report them."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("no samples")
-    row = {"average": float(np.mean(v))}
-    for p in percentiles:
-        label = f"{p:g}%"
-        row[label] = float(np.percentile(v, p))
-    return row
 
 
 def weighted_percentiles(values: Sequence[float], weights: Sequence[float],
@@ -53,22 +27,3 @@ def weighted_percentiles(values: Sequence[float], weights: Sequence[float],
     positions = (cum - 0.5 * w) / cum[-1]
     return np.interp(np.asarray(percentiles, dtype=float) / 100.0,
                      positions, v)
-
-
-def resample_to_grid(src_times: np.ndarray, src_values: np.ndarray,
-                     dst_times: np.ndarray) -> np.ndarray:
-    """Piecewise-constant (last value wins) resampling onto a new grid."""
-    st = np.asarray(src_times, dtype=float)
-    sv = np.asarray(src_values)
-    dt = np.asarray(dst_times, dtype=float)
-    if st.size == 0:
-        raise ValueError("empty source series")
-    idx = np.clip(np.searchsorted(st, dt, side="right") - 1, 0, st.size - 1)
-    return sv[idx]
-
-
-def normalize(values: Sequence[float]) -> np.ndarray:
-    """Scale to the maximum (the paper's confidentiality normalisation)."""
-    v = np.asarray(values, dtype=float)
-    peak = np.max(np.abs(v)) if v.size else 0.0
-    return v / peak if peak > 0 else v

@@ -2,8 +2,9 @@
 
 Commands:
 
-* ``experiments`` — regenerate paper tables/figures (wraps the
-  experiments runner; supports ``--full`` and ``--only``).
+* ``experiments`` — regenerate paper tables/figures: every argument
+  after it goes to the experiments runner (``--full``, ``--only``,
+  ``--parallel``, ... — ``repro experiments --help`` lists them).
 * ``run`` — simulate a window for one system variant and print the
   operator summary (QoE, tails, bill).
 * ``demo`` — the event-driven deployment, minute-scale, live mechanisms.
@@ -33,27 +34,6 @@ VARIANTS = {
     "xron-premium": "xron_premium",
     "xron-symmetric": "xron_symmetric",
 }
-
-
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    argv = []
-    if args.full:
-        argv.append("--full")
-    if args.only:
-        argv += ["--only", *args.only]
-    if args.tags:
-        argv += ["--tags", *args.tags]
-    if args.list:
-        argv.append("--list")
-    if args.parallel:
-        argv += ["--parallel", str(args.parallel)]
-    if args.timeout is not None:
-        argv += ["--timeout", str(args.timeout)]
-    if args.manifest:
-        argv += ["--manifest", args.manifest]
-    if args.telemetry:
-        argv += ["--telemetry", args.telemetry]
-    return experiments_runner.main(argv)
 
 
 def _write_telemetry(path: str, hub, **meta) -> None:
@@ -466,17 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exp = sub.add_parser("experiments",
-                           help="regenerate paper tables/figures")
-    p_exp.add_argument("--full", action="store_true")
-    p_exp.add_argument("--only", nargs="*", default=None)
-    p_exp.add_argument("--tags", nargs="*", default=None)
-    p_exp.add_argument("--list", action="store_true")
-    p_exp.add_argument("--parallel", type=int, default=0, metavar="N")
-    p_exp.add_argument("--timeout", type=float, default=None, metavar="S")
-    p_exp.add_argument("--manifest", default=None, metavar="PATH")
-    p_exp.add_argument("--telemetry", default=None, metavar="PATH")
-    p_exp.set_defaults(fn=_cmd_experiments)
+    # The runner parses its own flags (`main` hands them over), so
+    # `--help` after the command is the runner's too.
+    sub.add_parser("experiments", add_help=False,
+                   help="regenerate paper tables/figures (the experiments "
+                        "runner: see `repro experiments --help`)")
 
     p_run = sub.add_parser("run", help="simulate one system variant")
     p_run.add_argument("--variant", choices=sorted(VARIANTS),
@@ -587,7 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "experiments":
+        return experiments_runner.main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.fn(args)
 
 

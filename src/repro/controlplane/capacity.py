@@ -11,13 +11,12 @@ update rule per region:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import (EpochSolveContext,
-                                            PathControlResult, Placement,
-                                            place_streams)
+                                            PathControlResult, place_streams)
 from repro.traffic.streams import Stream
 from repro.underlay.pricing import PricingModel
 from repro.underlay.snapshot import LinkStateSnapshot
@@ -32,14 +31,6 @@ class CapacityDecision:
     remove: Dict[str, int]
     #: Resulting target per region.
     target: Dict[str, int]
-    #: The uncapacitated run (R_next) as the solver left it.
-    r_next: Placement = field(repr=False)
-
-    @property
-    def uncapacitated(self) -> PathControlResult:
-        """The uncapacitated path-control result, for diagnostics —
-        built from the placement when someone asks."""
-        return self.r_next.result()
 
     def total_target(self) -> int:
         return sum(self.target.values())
@@ -84,4 +75,4 @@ def capacity_control(streams: List[Stream], codes: List[str],
             add[code] = 0
             remove[code] = 0
             target[code] = avail
-    return CapacityDecision(add, remove, target, r_next)
+    return CapacityDecision(add, remove, target)

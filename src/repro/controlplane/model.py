@@ -45,10 +45,6 @@ class OverlayPath:
         object.__setattr__(self, "regions", _regions_of(self.hops))
 
     @property
-    def src(self) -> str:
-        return self.hops[0][0]
-
-    @property
     def dst(self) -> str:
         return self.hops[-1][1]
 
@@ -107,9 +103,6 @@ class ControlConfig:
     #: Paths are capped at this many overlay hops (94% of paper paths <= 2).
     max_hops: int = 3
 
-    #: Objective weights (w_lat, w_cost).
-    weight_latency: float = 1.0
-    weight_cost: float = 1.0
     #: Cost-vs-latency exchange rate inside the shortest-path edge weight:
     #: ms of latency one normalised fee unit is worth.  This is what makes
     #: the hybrid prefer cheap Internet links when their quality suffices.
@@ -138,10 +131,3 @@ class ObjectiveBreakdown:
 
     util_lat: float
     util_cost: float
-    weight_latency: float
-    weight_cost: float
-
-    @property
-    def total(self) -> float:
-        return (self.weight_latency * self.util_lat
-                + self.weight_cost * self.util_cost)

@@ -17,11 +17,11 @@ Storage is the matrices and nothing else: report histories live in
 preallocated ``(2, N, N, window)`` ring-buffer arrays (axis 0 is the
 tier per `repro.underlay.snapshot.TYPE_ORDER`) of latency, loss and
 report time, and a probing round's reports arrive as one `ReportBatch`
-written by fancy index.  The controller reads link state one way only:
-a whole-matrix `LinkStateSnapshot` per epoch (`latest_snapshot` or
-`robust_snapshot`).  The object-level views (`get`, `history`,
-`snapshot`, `export_reports`) build their `LinkReport`s from the rings
-on demand, for checkpoints and inspection.
+written by fancy index.  The NIB is read two ways only: the controller
+takes a whole-matrix `LinkStateSnapshot` per epoch (`latest_snapshot`
+or `robust_snapshot`), and a checkpoint takes every windowed report as
+JSON (`export_reports`, the one place `LinkReport`s are rebuilt from the
+rings).
 """
 
 from __future__ import annotations
@@ -188,15 +188,6 @@ class NetworkInformationBase:
         self._ring_at[ti, i, j, slot] = at
         self._ring_total[ti, i, j] = total + 1
 
-    def _link(self, src: str, dst: str, link_type: LinkType
-              ) -> Optional[Tuple[int, int, int]]:
-        """Ring index of a link that has a report, else None."""
-        i, j = self._index.get(src), self._index.get(dst)
-        if i is None or j is None:
-            return None
-        link = (TYPE_INDEX[link_type], i, j)
-        return link if self._ring_total[link] else None
-
     def _links(self) -> List[Tuple[int, int, int]]:
         """Ring index of every link that has a report."""
         return [tuple(link) for link in
@@ -212,10 +203,6 @@ class NetworkInformationBase:
                 for k in range(max(total - self.window, 0), total)]
 
     # ------------------------------------------------------------------ api
-    def update(self, report: LinkReport) -> None:
-        """Ingest a monitoring report; newest timestamp wins the head."""
-        self.update_many((report,))
-
     def update_many(self, reports: Union[ReportBatch, Iterable[LinkReport]]
                     ) -> None:
         """Ingest a probing round's `ReportBatch`, or any sequence of
@@ -274,17 +261,6 @@ class NetworkInformationBase:
                        staled_to=filtered.reported_at)
         return filtered
 
-    def get(self, src: str, dst: str,
-            link_type: LinkType) -> Optional[LinkReport]:
-        link = self._link(src, dst, link_type)
-        return self._history(link)[-1] if link else None
-
-    def history(self, src: str, dst: str,
-                link_type: LinkType) -> List[LinkReport]:
-        """The windowed report history, oldest first."""
-        link = self._link(src, dst, link_type)
-        return self._history(link) if link else []
-
     # --------------------------------------------------- matrix snapshots
     def latest_snapshot(self, codes: Sequence[str]) -> LinkStateSnapshot:
         """Latest-report matrices over `codes`; missing links (inf, 1)."""
@@ -327,11 +303,6 @@ class NetworkInformationBase:
             snap.lat[dst_ix] = np.where(missing, np.inf, lat_src[src_ix])
             snap.loss[dst_ix] = np.where(missing, 1.0, loss_src[src_ix])
         return snap
-
-    def snapshot(self) -> Dict[Tuple[str, str, LinkType], LinkReport]:
-        """A point-in-time copy of the latest reports."""
-        latest = (self._history(link)[-1] for link in self._links())
-        return {(r.src, r.dst, r.link_type): r for r in latest}
 
     # ------------------------------------------------------------ checkpoint
     def export_reports(self) -> List[Dict[str, object]]:

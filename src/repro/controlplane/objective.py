@@ -7,8 +7,9 @@ The controller minimises  w_lat * UtilLat + w_cost * UtilCost  where
                + sum_ij C_p(i,j) * Thpt_p(i,j)
 
 This module computes both terms for a `PathControlResult`, which lets
-experiments sweep the weights and quantify the latency/cost trade-off
-the two-step heuristic navigates.
+experiments quantify the latency/cost trade-off the two-step heuristic
+navigates (`ablation_weights` sweeps the edge weights' fee exchange
+rate).
 """
 
 from __future__ import annotations
@@ -56,6 +57,4 @@ def evaluate_objective(result: PathControlResult, snap: LinkStateSnapshot,
         for (i, j), mbps in result.premium_usage.items())
     util_cost = container_cost + internet_cost + premium_cost
 
-    return ObjectiveBreakdown(util_lat=util_lat, util_cost=util_cost,
-                              weight_latency=config.weight_latency,
-                              weight_cost=config.weight_cost)
+    return ObjectiveBreakdown(util_lat=util_lat, util_cost=util_cost)

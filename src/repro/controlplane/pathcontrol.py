@@ -176,8 +176,7 @@ class Placement:
 
     Capacity control reads gateway demand straight off the columns;
     `result` builds the `PathControlResult` — the only place an
-    `Assignment` is constructed — once, when someone asks.  Two
-    placements are equal when their results are.
+    `Assignment` is constructed — when someone asks.
     """
 
     def __init__(self, streams: List[Stream], routes: _RouteTable,
@@ -191,12 +190,6 @@ class Placement:
         self.meets: List[bool] = []
         self.unassigned: List[Tuple[Stream, float]] = []
         self.graph_rebuilds = 0
-        self._result: Optional[PathControlResult] = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Placement):
-            return NotImplemented
-        return self.result() == other.result()
 
     def usage(self) -> Tuple[List[float], List[float], Dict[int, float]]:
         """Mbps per region, Internet egress per region and premium
@@ -225,8 +218,6 @@ class Placement:
                 for c, mbps in zip(self.routes.codes, traffic)}
 
     def result(self) -> PathControlResult:
-        if self._result is not None:
-            return self._result
         routes, streams = self.routes, self.streams
         codes, n = routes.codes, len(routes.codes)
         latency_ms, loss_rate = routes.latency_ms, routes.loss_rate
@@ -248,13 +239,12 @@ class Placement:
                     entry = next_hops[t][b] = (b, t)
                 tables[a][stream.stream_id] = entry
         traffic, egress, premium = self.usage()
-        self._result = PathControlResult(
+        return PathControlResult(
             assignments, self.unassigned, dict(zip(codes, traffic)),
             dict(zip(codes, egress)),
             {(codes[(r - 2 * n) // n], codes[(r - 2 * n) % n]): mbps
              for r, mbps in premium.items()},
             self.used_gateways(traffic), tables, self.graph_rebuilds)
-        return self._result
 
 
 def _residuals(codes: List[str], config: ControlConfig,

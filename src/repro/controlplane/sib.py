@@ -1,10 +1,9 @@
 """Stream Information Base (SIB).
 
-The SIB stores application-level information (§3): source, destination,
-bitrate and profile of every stream, plus the per-pair demand history the
-DTFT predictor consumes.  Because XRON is operated by the conferencing
-provider itself, this application knowledge is available without privacy
-leakage — it is the key enabler of proactive scaling.
+The SIB stores application-level information (§3): the per-pair demand
+history the DTFT predictor consumes.  Because XRON is operated by the
+conferencing provider itself, this application knowledge is available
+without privacy leakage — it is the key enabler of proactive scaling.
 """
 
 from __future__ import annotations
@@ -13,12 +12,11 @@ from typing import Dict, List, Optional
 
 from repro.controlplane.prediction import RollingPredictor
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.streams import Stream
 from repro.underlay.regions import RegionPair
 
 
 class StreamInformationBase:
-    """Per-pair demand history + per-epoch stream registry."""
+    """Per-pair demand history and its predictors."""
 
     def __init__(self, codes: List[str], refit_every: int = 12,
                  min_history: int = 288):
@@ -31,12 +29,10 @@ class StreamInformationBase:
             (a, b): RollingPredictor(refit_every=refit_every,
                                      min_history=min_history)
             for a in codes for b in codes if a != b}
-        self._streams: List[Stream] = []
         self._last_matrix: Optional[TrafficMatrix] = None
 
     # ------------------------------------------------------------------ api
-    def record_epoch(self, matrix: TrafficMatrix,
-                     streams: Optional[List[Stream]] = None) -> None:
+    def record_epoch(self, matrix: TrafficMatrix) -> None:
         """Ingest the demand measured over the epoch that just ended."""
         for pair, demand in matrix.demands():
             predictor = self._predictors.get(pair)
@@ -44,8 +40,6 @@ class StreamInformationBase:
                 raise KeyError(f"unknown pair {pair} in demand matrix")
             predictor.observe(demand)
         self._last_matrix = matrix
-        if streams is not None:
-            self._streams = list(streams)
 
     def predicted_matrix(self) -> TrafficMatrix:
         """Five-minutes-ahead demand for every pair (with the >= last-actual
@@ -56,17 +50,6 @@ class StreamInformationBase:
                   for pair, predictor in self._predictors.items()}
         return TrafficMatrix(self.codes, demand)
 
-    @property
-    def last_matrix(self) -> Optional[TrafficMatrix]:
-        return self._last_matrix
-
-    @property
-    def streams(self) -> List[Stream]:
-        return list(self._streams)
-
-    def predictor(self, src: str, dst: str) -> RollingPredictor:
-        return self._predictors[(src, dst)]
-
     # ------------------------------------------------------------ checkpoint
     def export_state(self) -> Dict[str, object]:
         """JSON-serializable SIB state for controller checkpoints.
@@ -74,8 +57,7 @@ class StreamInformationBase:
         Captures the learned state — per-pair demand histories, fitted
         predictor models, the last observed matrix — not configuration:
         a warm restart builds a fresh SIB with the deployment's config
-        and imports only the state.  (The per-epoch stream registry is
-        deliberately excluded; it is rebuilt on the next epoch.)
+        and imports only the state.
         """
         predictors = {f"{a}->{b}": self._predictors[(a, b)].export_state()
                       for (a, b) in sorted(self._predictors)}

@@ -20,8 +20,7 @@ Both draw every monitoring measurement through `burst_draws`.
 """
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
-from repro.dataplane.probing import (BurstNoise, ProbeBurst, burst_draws,
-                                     burst_series)
+from repro.dataplane.probing import BurstNoise, burst_draws, burst_series
 from repro.dataplane.estimator import (EstimatorBank, LinkStateEstimator,
                                        reaction_active_series)
 from repro.dataplane.passive import PassiveTracker
@@ -35,7 +34,6 @@ __all__ = [
     "MonitoringConfig",
     "ReactionConfig",
     "BurstNoise",
-    "ProbeBurst",
     "burst_draws",
     "burst_series",
     "EstimatorBank",

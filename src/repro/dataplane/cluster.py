@@ -307,15 +307,10 @@ class RegionCluster:
         """A copy of the installed reaction plans."""
         return dict(self.table.plans)
 
-    def forward(self, stream_id: int,
-                now: Optional[float] = None) -> Optional[ForwardDecision]:
-        """Resolve a stream via one of the gateways (round robin)."""
-        resolved = self.resolve(stream_id, now)
-        return resolved[1] if resolved is not None else None
-
     def resolve(self, stream_id: int, now: Optional[float] = None
                 ) -> Optional[Tuple[Gateway, ForwardDecision]]:
-        """Like `forward`, but also says WHICH gateway decided.
+        """Resolve a stream via one of the gateways (round robin), and
+        say WHICH gateway decided.
 
         The event simulator needs the deciding gateway so passive
         samples land on the container that actually carried the packets

@@ -8,20 +8,19 @@ recovered after `recover_bursts` consecutive good ones.  Its one update
 routine, `ingest`, serves a probing round (every probed link of every
 representative of a cluster in one call), a passive flush and a single
 sample alike; `adopt` is the group-state hand-over of §4.1.
-`LinkStateEstimator` is the per-link face of a bank (one link of a
-gateway's, or a bank of its own).  The same dynamics are provided over a
-time axis (`reaction_active_series`) for day-scale experiments.
+`LinkStateEstimator` is the read-only view of one link of a gateway's
+bank.  The same dynamics are provided over a time axis
+(`reaction_active_series`) for day-scale experiments.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import lfilter
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
-from repro.dataplane.probing import ProbeBurst
 
 #: The state arrays of an `EstimatorBank` and what a fresh link holds
 #: (NaN: no sample yet).
@@ -116,66 +115,31 @@ class EstimatorBank:
 
 
 class LinkStateEstimator:
-    """EWMA estimates + degradation detector for one directed link: one
-    link of an `EstimatorBank` (`of`), or a bank of its own."""
+    """The state of link `link` of a one-dimensional `bank`: each field
+    (`latency_ms`, `degraded`, ...) as a plain Python value, None while
+    there is no sample yet."""
 
-    def __init__(self, monitoring: MonitoringConfig,
-                 reaction: ReactionConfig):
-        self._bank = EstimatorBank((1,), monitoring, reaction)
-        self._link = 0
+    def __init__(self, bank: EstimatorBank, link: int):
+        self._bank = bank
+        self._link = link
 
-    @classmethod
-    def of(cls, bank: EstimatorBank, link: int) -> "LinkStateEstimator":
-        """The estimator of link `link` of a one-dimensional `bank`."""
-        estimator = cls.__new__(cls)
-        estimator._bank = bank
-        estimator._link = link
-        return estimator
-
-    # ------------------------------------------------------------------ api
     def __getattr__(self, name: str):
-        """A state field of the link (`latency_ms`, `degraded`, ...) as
-        a plain Python value; None while there is no sample yet."""
         if name not in _STATE:
             raise AttributeError(name)
         value = getattr(self._bank, name)[self._link].item()
         return None if value != value else value
 
-    def estimate(self) -> Tuple[float, float]:
-        """Current (latency_ms, loss_rate); raises before any sample."""
-        if self.latency_ms is None:
-            raise RuntimeError("no samples ingested yet")
-        return self.latency_ms, self.loss_rate
-
-    def ingest_burst(self, burst: ProbeBurst) -> bool:
-        """Update from an active probe burst; returns the degraded flag."""
-        return self.ingest_passive(burst.time, burst.latency_ms,
-                                   burst.loss_fraction)
-
-    def ingest_passive(self, time: float, latency_ms: float,
-                       loss_rate: float) -> bool:
-        """Update from passive tracking of data packets."""
-        self._bank.ingest(self._link, time, latency_ms, loss_rate)
-        return self.degraded
-
-    def apply_group_state(self, time: float, latency_ms: float,
-                          loss_rate: float, degraded: bool) -> None:
-        """Adopt the group-aggregated state (`EstimatorBank.adopt`)."""
-        self._bank.adopt(self._link, time, latency_ms, loss_rate,
-                         np.bool_(degraded))
-
 
 def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
                            reaction: ReactionConfig,
-                           monitoring: Optional[MonitoringConfig] = None
-                           ) -> np.ndarray:
+                           monitoring: MonitoringConfig) -> np.ndarray:
     """Vectorised detector: per-burst boolean 'reaction active' flags.
 
     Mirrors `EstimatorBank`'s hysteresis: a trigger fires
     at the `trigger_bursts`-th consecutive bad burst, a recovery at the
     `recover_bursts`-th consecutive good burst, and the link is degraded
     between a trigger and the next recovery.  The loss EWMA smooths with
-    `monitoring.ewma_alpha`, the bank's factor (default config if None).
+    `monitoring.ewma_alpha`, the bank's factor.
 
     Bursts run along the last axis; any leading axes (one row per link)
     are independent series detected in the same pass.
@@ -190,8 +154,7 @@ def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
     # EWMA of burst loss (same recursion as EstimatorBank, modulo
     # the first-sample initialisation), done with an IIR filter so the
     # whole series vectorises.
-    a = (monitoring if monitoring is not None
-         else MonitoringConfig()).ewma_alpha
+    a = monitoring.ewma_alpha
     ewma_loss = lfilter([a], [1.0, -(1.0 - a)], loss, axis=-1)
     bad = ((lat > reaction.latency_threshold_ms)
            | (loss >= reaction.loss_threshold)

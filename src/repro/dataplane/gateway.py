@@ -94,7 +94,7 @@ class Gateway:
                 [sample.loss_rate for sample in own])
 
     def estimator(self, dst: str, link_type: LinkType) -> LinkStateEstimator:
-        return LinkStateEstimator.of(self.bank, self.links[(dst, link_type)])
+        return LinkStateEstimator(self.bank, self.links[(dst, link_type)])
 
     def link_degraded(self, dst: str, link_type: LinkType) -> bool:
         return bool(self.bank.degraded[self.links[(dst, link_type)]])

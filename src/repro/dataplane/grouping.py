@@ -11,15 +11,13 @@ O(N(N-1)R) probe streams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.controlplane.nib import LinkReport, ReportBatch
+from repro.controlplane.nib import ReportBatch
 from repro.obs import telemetry as _telemetry
 from repro.obs.metrics import HotCounters
-from repro.underlay.linkstate import LinkType
-from repro.underlay.snapshot import TYPE_INDEX
 
 _TEL = _telemetry()
 _AGG_COUNTERS = HotCounters("grouping.aggregations")
@@ -85,34 +83,24 @@ class ProbingGroupManager:
                        representatives=list(chosen), gateways=gateways)
 
     def aggregate(self, src, dst, link_type, measurements, now: float
-                  ) -> Union[ReportBatch, LinkReport]:
+                  ) -> ReportBatch:
         """Median-aggregate representative measurements into reports.
 
         `measurements` is the representatives' ``(latency, loss)``
         arrays, each ``(representatives, links)``, and `src` / `dst` /
         `link_type` the links' index vectors (into `codes` and
-        `TYPE_ORDER`): one `ReportBatch`.  The one-link form — region
-        codes, a `LinkType`, a list of ``(latency, loss)`` pairs — gives
-        that link's `LinkReport`.
+        `TYPE_ORDER`): one `ReportBatch`.
 
         The median is robust to one representative landing on an
         idiosyncratically-bad gateway link (Fig. 7 shows such divergence
         is rare but real).
         """
-        one_link = isinstance(link_type, LinkType)
-        if one_link:
-            index = self.codes.index
-            src, dst, link_type = (np.array([k]) for k in (
-                index(src), index(dst), TYPE_INDEX[link_type]))
-            measurements = np.array(measurements, dtype=float).reshape(
-                -1, 2).T[:, :, None]
         latency, loss = measurements
         if not len(latency):
             raise ValueError("no measurements to aggregate")
         if _TEL.enabled:
             _AGG_COUNTERS.fetch(_TEL.metrics)[0].inc(len(src))
-        batch = ReportBatch(self.codes, src, dst, link_type,
-                            _median(latency),
-                            np.minimum(np.maximum(_median(loss), 0.0), 1.0),
-                            np.full(len(src), now))
-        return batch[0] if one_link else batch
+        return ReportBatch(self.codes, src, dst, link_type,
+                           _median(latency),
+                           np.minimum(np.maximum(_median(loss), 0.0), 1.0),
+                           np.full(len(src), now))

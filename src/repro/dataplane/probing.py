@@ -16,7 +16,6 @@ or over a window of bursts (`burst_series`, the grid engine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.dataplane.config import MonitoringConfig
 from repro.obs import telemetry as _telemetry
 from repro.obs.metrics import HotCounters
 from repro.sim.rng import RngStreams, hash_uniform
-from repro.underlay.linkstate import LinkProcess, LinkType
+from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER
 
 _TEL = _telemetry()
@@ -35,26 +34,6 @@ _BURST_COUNTERS = HotCounters("probing.bursts", "probing.bytes",
 #: Hash salts of a burst's two uniforms: the lost-count quantile, then
 #: the latency jitter.
 _SALTS = np.array([3, 4], dtype=np.uint64)
-
-
-@dataclass(frozen=True)
-class ProbeBurst:
-    """Result of one probe burst on a directed link."""
-
-    time: float
-    latency_ms: float
-    sent: int
-    lost: int
-    #: Size of one pseudo packet (`MonitoringConfig.packet_bytes`).
-    packet_bytes: int = 1500
-
-    @property
-    def loss_fraction(self) -> float:
-        return self.lost / self.sent if self.sent else 0.0
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.sent * self.packet_bytes
 
 
 def burst_draws(seed: Union[int, np.ndarray], burst, loss, packets: int
@@ -172,30 +151,26 @@ class BurstNoise:
 LinkSeriesFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
-def burst_series(link: Union[LinkProcess, LinkSeriesFn], t0: float,
-                 t1: float, config: MonitoringConfig,
-                 seed: Union[int, np.ndarray]
+def burst_series(link: LinkSeriesFn, t0: float, t1: float,
+                 config: MonitoringConfig, seed: Union[int, np.ndarray]
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised probing of a link over [t0, t1).
+    """Vectorised probing of links over [t0, t1).
 
     Returns (burst_times, measured_latency_ms, burst_loss_fraction), one
     entry per burst interval, each burst drawn by `burst_draws` at its
     absolute burst number — what the event engine's slot-0
     representative measures at the same instants.
 
-    To probe a block of links in one pass, give `link` as a function
-    from the burst times to the block's true ``(links, bursts)`` latency
-    and loss (`Underlay.link_series` with the hops bound) and `seed` as
-    a ``(links, 1)`` uint64 column: the measured series then carry the
-    same leading axis, and each row equals the one-link call.
+    `link` maps the burst times to the true latency and loss: a block's
+    ``(links, bursts)`` matrices (`Underlay.link_series` with the hops
+    bound) with `seed` a ``(links, 1)`` uint64 column, so the measured
+    series carry the same leading axis and each row equals the call on
+    that link alone.
     """
     if t1 <= t0:
         raise ValueError(f"empty probing window [{t0}, {t1})")
     times = np.arange(t0, t1, config.burst_interval_s)
-    if callable(link):
-        lat, loss = link(times)
-    else:
-        lat, loss = link.latency_ms(times), link.loss_rate(times)
+    lat, loss = link(times)
     n = config.packets_per_burst
     jitter, lost = burst_draws(
         seed, np.round(times / config.burst_interval_s), loss, n)

@@ -11,7 +11,7 @@ from repro.elastic.containers import (ContainerPool, ProvisioningDelayModel,
                                       ScalingAction)
 from repro.elastic.autoscaler import (Autoscaler, FixedAllocation,
                                       OptimalAllocation, ProactiveAutoscaler,
-                                      ReactiveAutoscaler, TrackingAutoscaler,
+                                      ReactiveAutoscaler,
                                       UnderProvisioningStats,
                                       evaluate_autoscaler)
 
@@ -21,7 +21,6 @@ __all__ = [
     "ScalingAction",
     "Autoscaler",
     "ReactiveAutoscaler",
-    "TrackingAutoscaler",
     "ProactiveAutoscaler",
     "FixedAllocation",
     "OptimalAllocation",

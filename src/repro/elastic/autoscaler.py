@@ -149,25 +149,6 @@ class ReactiveAutoscaler:
         return self._target
 
 
-@dataclass
-class TrackingAutoscaler:
-    """A stronger reactive baseline: track the last observed demand.
-
-    Not what cloud platforms ship (they scale on utilisation thresholds),
-    but useful as an ablation between `ReactiveAutoscaler` and
-    `ProactiveAutoscaler`: it sizes perfectly for the *past* slot and
-    still misses spikes by one decision interval plus the provisioning
-    delay.
-    """
-
-    container_capacity_mbps: float
-    headroom: float = 1.15
-
-    def decide(self, slot: int, observed_demand_mbps: float) -> int:
-        return _containers_for(observed_demand_mbps,
-                               self.container_capacity_mbps, self.headroom)
-
-
 class ProactiveAutoscaler:
     """XRON's policy: scale to the DTFT prediction of the coming window.
 

@@ -98,11 +98,6 @@ class ContainerPool:
         self._promote(now)
         return self._ready
 
-    def total_count(self, now: float) -> int:
-        """Ready plus still-provisioning containers."""
-        self._promote(now)
-        return self._ready + len(self._inflight)
-
     def scale_to(self, target: int, now: float,
                  platform_load: float = 1.0) -> ScalingAction:
         """Move toward `target` containers.

@@ -41,11 +41,6 @@ class OrderingAblation:
     def long_haul_quality(self, ordering: str) -> float:
         return self.outcomes[ordering][0]
 
-    def long_haul_floor(self) -> float:
-        """Worst-case long-haul coverage across orderings (context for
-        how binding the regime is)."""
-        return min(lh for lh, __ in self.outcomes.values())
-
     def lines(self) -> List[str]:
         rows = [[ORDERING_LABELS[o], lh, tot]
                 for o, (lh, tot) in self.outcomes.items()]

@@ -61,13 +61,6 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def cdf_summary(values: Sequence[float],
-                quantiles=(0.1, 0.25, 0.5, 0.75, 0.9)) -> List[float]:
-    """Quantile row summarising a CDF for text output."""
-    v = np.asarray(values, dtype=float)
-    return [float(np.quantile(v, q)) for q in quantiles]
-
-
 def derive_seed(name: str, base: int = 0) -> int:
     """Stable per-experiment seed: a CRC of the experiment name.
 

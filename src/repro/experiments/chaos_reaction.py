@@ -71,12 +71,6 @@ class ChaosReaction:
 
     scenarios: List[ChaosScenario]
 
-    def scenario(self, name: str) -> ChaosScenario:
-        for s in self.scenarios:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     def lines(self) -> List[str]:
         rows = []
         for s in self.scenarios:

@@ -294,20 +294,6 @@ def run_parallel(names: Sequence[str], *, full: bool = False,
     return [final[name] for name in names]
 
 
-def run(names: Sequence[str], *, full: bool = False, parallel: int = 0,
-        timeout_s: Optional[float] = None, retries: int = 1,
-        telemetry: bool = False,
-        on_record: Optional[Callable[[RunRecord], None]] = None,
-        ) -> List[RunRecord]:
-    """Dispatch to the sequential or parallel path on ``parallel``."""
-    if parallel and parallel > 1:
-        return run_parallel(names, full=full, workers=parallel,
-                            timeout_s=timeout_s, retries=retries,
-                            telemetry=telemetry, on_record=on_record)
-    return run_sequential(names, full=full, timeout_s=timeout_s,
-                          telemetry=telemetry, on_record=on_record)
-
-
 def rollup_records(records: Sequence[RunRecord],
                    registry_: Optional[MetricsRegistry] = None
                    ) -> Dict[str, object]:

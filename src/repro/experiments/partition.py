@@ -83,12 +83,6 @@ class PartitionReport:
 
     rows: List[PartitionRow]
 
-    def row(self, scenario: str, mode: str) -> PartitionRow:
-        for row in self.rows:
-            if row.scenario == scenario and row.mode == mode:
-                return row
-        raise KeyError((scenario, mode))
-
     def lines(self) -> List[str]:
         table = []
         for r in self.rows:

@@ -70,12 +70,6 @@ class RecoveryReport:
 
     rows: List[RecoveryRow]
 
-    def row(self, scenario: str, mode: str) -> RecoveryRow:
-        for row in self.rows:
-            if row.scenario == scenario and row.mode == mode:
-                return row
-        raise KeyError((scenario, mode))
-
     def lines(self) -> List[str]:
         table = []
         for r in self.rows:

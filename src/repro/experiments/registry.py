@@ -158,26 +158,6 @@ def get(name: str) -> ExperimentSpec:
     return _BY_NAME[name]
 
 
-def register(spec: ExperimentSpec) -> ExperimentSpec:
-    """Add an experiment (used by tests and extensions); returns it.
-
-    Re-registering an existing name replaces the previous spec.
-    """
-    if spec.name in _BY_NAME:
-        _REGISTRY[[s.name for s in _REGISTRY].index(spec.name)] = spec
-    else:
-        _REGISTRY.append(spec)
-    _BY_NAME[spec.name] = spec
-    return spec
-
-
-def unregister(name: str) -> None:
-    """Remove an experiment by exact name (missing names are ignored)."""
-    spec = _BY_NAME.pop(name, None)
-    if spec is not None:
-        _REGISTRY.remove(spec)
-
-
 def select(only: Optional[Sequence[str]] = None,
            tags: Optional[Sequence[str]] = None) -> List[ExperimentSpec]:
     """Filter the registry.

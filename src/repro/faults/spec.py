@@ -59,7 +59,6 @@ kind                    effect while active
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -195,10 +194,6 @@ class FaultSpec:
                 and (self.dst is None or self.dst == dst)
                 and (self.link_type is None or self.link_type is link_type))
 
-    def severs(self, region: str) -> bool:
-        """control_partition: whether `region` is inside the severed set."""
-        return region in self.regions
-
     # ------------------------------------------------------------------ json
     def to_json(self) -> Dict[str, object]:
         doc = asdict(self)
@@ -264,30 +259,9 @@ class FaultSchedule:
     def by_kind(self, kind: FaultKind) -> List[FaultSpec]:
         return [s for s in self.specs if s.kind is kind]
 
-    def active(self, kind: FaultKind, now: float) -> List[FaultSpec]:
-        return [s for s in self.specs if s.kind is kind and s.active(now)]
-
-    def extended(self, *specs: FaultSpec) -> "FaultSchedule":
-        return FaultSchedule(self.specs + tuple(specs))
-
-    def shifted(self, dt: float) -> "FaultSchedule":
-        """The same schedule translated `dt` seconds later.
-
-        Schedules are written in absolute sim time; a driver that
-        anchors a canned schedule at its own start (a serve loop, a
-        resumed soak) shifts it instead of rewriting every spec.
-        """
-        from dataclasses import replace as _replace
-        return FaultSchedule(tuple(
-            _replace(spec, start_s=spec.start_s + dt)
-            for spec in self.specs))
-
     # ------------------------------------------------------------------ json
     def to_json(self) -> List[Dict[str, object]]:
         return [spec.to_json() for spec in self.specs]
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
     @classmethod
     def from_json(cls, docs: Iterable[Dict[str, object]]) -> "FaultSchedule":
@@ -317,11 +291,6 @@ class FaultSchedule:
                 f"spec(s), keeping one occurrence of each: {detail}",
                 stacklevel=2)
         return cls(tuple(specs))
-
-    @classmethod
-    def loads(cls, text: str) -> "FaultSchedule":
-        return cls.from_json(json.loads(text))
-
 
 # --------------------------------------------------------- convenience API
 def gateway_crash(start_s: float, duration_s: float, region: str,

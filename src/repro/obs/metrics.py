@@ -62,9 +62,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
     def snapshot(self) -> Dict[str, object]:
         return {"kind": self.kind, "value": self.value}
 
@@ -107,22 +104,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the q-th observation; the overflow bucket reports the
-        observed maximum)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.total == 0:
-            return 0.0
-        rank = q * self.total
-        seen = 0
-        for bound, count in zip(self.bounds, self.counts):
-            seen += count
-            if seen >= rank:
-                return bound
-        return self.max
-
     def snapshot(self) -> Dict[str, object]:
         cumulative = []
         seen = 0
@@ -149,9 +130,6 @@ class NullGauge(Gauge):
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
         pass
 
 
@@ -215,12 +193,6 @@ class MetricsRegistry:
             raise ValueError(f"histogram {name!r} already registered with "
                              f"buckets {metric.bounds}")
         return metric
-
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """JSON-ready view of every metric, keyed by name."""

@@ -121,12 +121,11 @@ def _merge_metric_records(records: Sequence[Dict[str, Any]]
 
 
 def _estimate_quantile(snap: Dict[str, Any], q: float) -> Optional[float]:
-    """Bucket-resolution quantile from a merged histogram row.
-
-    Mirrors `repro.obs.metrics.Histogram.quantile`: the upper bound of
-    the cumulative bucket holding the q-th observation, falling back to
-    the observed max when the rank lands in the overflow bucket.
-    Returns None when the row carries no bucket detail.
+    """Bucket-resolution quantile from a (merged) histogram snapshot:
+    the upper bound of the cumulative bucket holding the q-th
+    observation, falling back to the observed max when the rank lands
+    in the overflow bucket.  Returns None when the row carries no
+    bucket detail.
     """
     count = snap.get("count", 0)
     buckets = snap.get("buckets")

@@ -196,12 +196,6 @@ class Tracer:
         except ValueError:
             pass
 
-    def by_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def kinds(self) -> List[str]:
-        return sorted({e.kind for e in self.events})
-
     def to_json(self) -> List[Dict[str, Any]]:
         return [e.to_json() for e in self.events]
 

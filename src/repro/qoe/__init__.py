@@ -8,17 +8,15 @@ latency and loss, so *relative* comparisons across system versions — the
 paper's normalised plots — are preserved.
 """
 
-from repro.qoe.video import (VideoQoEConfig, stall_series, stall_ratio,
-                             stall_durations, stall_duration_buckets,
-                             frame_rate_series)
+from repro.qoe.video import (VideoQoEConfig, stall_series, stall_durations,
+                             stall_duration_buckets, frame_rate_series)
 from repro.qoe.audio import (AudioQoEConfig, e_model_r_factor, r_to_mos,
-                             audio_fluency_series, fluency_score_counts)
-from repro.qoe.metrics import QoESummary, summarize_qoe
+                             audio_fluency_series)
+from repro.qoe.metrics import QoESummary
 
 __all__ = [
     "VideoQoEConfig",
     "stall_series",
-    "stall_ratio",
     "stall_durations",
     "stall_duration_buckets",
     "frame_rate_series",
@@ -26,7 +24,5 @@ __all__ = [
     "e_model_r_factor",
     "r_to_mos",
     "audio_fluency_series",
-    "fluency_score_counts",
     "QoESummary",
-    "summarize_qoe",
 ]

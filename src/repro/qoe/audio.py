@@ -12,8 +12,6 @@ is what the version comparison isolates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
 import numpy as np
 
 
@@ -68,14 +66,3 @@ def audio_fluency_series(latency_ms: np.ndarray, loss_rate: np.ndarray,
     mos = r_to_mos(r)
     return np.clip(1.0 + (mos - 1.0) * (4.0 / 3.5), 1.0, 5.0)
 
-
-def fluency_score_counts(scores: np.ndarray) -> Dict[int, int]:
-    """Counts of samples at each integer score bucket 1..5.
-
-    A sample scores k when floor(score) == k (score 5.0 counts as 5).
-    The paper's Fig. 15 reports the proportions of scores 1 and 2;
-    score == 1 is defined as a bad audio experience.
-    """
-    s = np.asarray(scores, dtype=float)
-    buckets = np.clip(np.floor(s).astype(int), 1, 5)
-    return {k: int(np.sum(buckets == k)) for k in range(1, 6)}

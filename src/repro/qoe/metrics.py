@@ -1,4 +1,4 @@
-"""Aggregated QoE summaries used by the evaluation harness."""
+"""The QoE summary every figure reads, and the SLO engine's badness."""
 
 from __future__ import annotations
 
@@ -7,14 +7,13 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.qoe.audio import AudioQoEConfig, audio_fluency_series, fluency_score_counts
-from repro.qoe.video import (VideoQoEConfig, frame_rate_series, stall_series,
-                             stall_duration_buckets)
+from repro.qoe.video import VideoQoEConfig, stall_series
 
 
 @dataclass
 class QoESummary:
-    """Everything Figs. 13-15 need, from one latency/loss series."""
+    """Everything Figs. 13-15 need, as `SimulationResult.qoe_summary`
+    pools it over a run's pairs."""
 
     stall_ratio: float
     mean_fps: float
@@ -26,29 +25,6 @@ class QoESummary:
     #: Long-stall counts in buckets (2-5 s, 5-10 s, > 10 s).
     stall_buckets: Tuple[int, int, int]
     samples: int
-
-
-def summarize_qoe(latency_ms: np.ndarray, loss_rate: np.ndarray,
-                  step_s: float,
-                  video_config: VideoQoEConfig = VideoQoEConfig(),
-                  audio_config: AudioQoEConfig = AudioQoEConfig()
-                  ) -> QoESummary:
-    """Compute the full QoE summary for one effective path series."""
-    lat = np.asarray(latency_ms, dtype=float)
-    loss = np.asarray(loss_rate, dtype=float)
-    stalled = stall_series(lat, loss, video_config)
-    fps = frame_rate_series(lat, loss, video_config)
-    fluency = audio_fluency_series(lat, loss, audio_config)
-    counts = fluency_score_counts(fluency)
-    n = max(lat.size, 1)
-    return QoESummary(
-        stall_ratio=float(np.mean(stalled)) if lat.size else 0.0,
-        mean_fps=float(np.mean(fps)) if lat.size else 0.0,
-        mean_fluency=float(np.mean(fluency)) if lat.size else 0.0,
-        bad_audio_fraction=counts.get(1, 0) / n,
-        low_audio_fraction=(counts.get(1, 0) + counts.get(2, 0)) / n,
-        stall_buckets=stall_duration_buckets(stalled, step_s),
-        samples=int(lat.size))
 
 
 def qoe_badness(video_config: VideoQoEConfig = VideoQoEConfig()

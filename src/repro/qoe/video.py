@@ -43,13 +43,6 @@ def stall_series(latency_ms: np.ndarray, loss_rate: np.ndarray,
     return (lat > config.stall_latency_ms) | (loss > config.fec_recoverable_loss)
 
 
-def stall_ratio(latency_ms: np.ndarray, loss_rate: np.ndarray,
-                config: VideoQoEConfig = VideoQoEConfig()) -> float:
-    """Fraction of time stalled (Fig. 13a's metric)."""
-    stalled = stall_series(latency_ms, loss_rate, config)
-    return float(np.mean(stalled)) if stalled.size else 0.0
-
-
 def stall_durations(stalled: np.ndarray, step_s: float) -> np.ndarray:
     """Durations (seconds) of contiguous stall runs."""
     s = np.asarray(stalled, dtype=bool)

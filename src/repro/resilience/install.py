@@ -70,9 +70,6 @@ class ResilienceCounters:
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
 
-    def total(self) -> int:
-        return sum(self.__dict__.values())
-
 
 class TwoPhaseInstaller:
     """Version allocation + invariant validation + retry policy."""

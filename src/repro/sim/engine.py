@@ -8,7 +8,8 @@ The engine guarantees deterministic ordering: events are ordered by
 (time, priority, sequence number), where the sequence number is the order
 of scheduling.  Two events scheduled for the same instant therefore fire in
 the order they were created, regardless of hash randomisation or heap
-internals.
+internals.  A scheduled event always fires: nothing is cancelled, and a
+run ends when its driver stops stepping.
 """
 
 from __future__ import annotations
@@ -28,19 +29,13 @@ class Event:
     """A scheduled callback.
 
     Events compare by (time, priority, seq) so the heap pops them in a
-    deterministic order.  `cancelled` events stay in the heap but are
-    skipped when popped, which is cheaper than heap removal.
+    deterministic order.
     """
 
     time: float
     priority: int
     seq: int
     callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        self.cancelled = True
 
 
 class Simulator:
@@ -63,17 +58,11 @@ class Simulator:
         """Number of callbacks executed so far."""
         return self._events_processed
 
-    @property
-    def pending(self) -> int:
-        """Number of live (not cancelled) events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
-
     def schedule(self, delay: float, callback: Callable[[], None],
                  priority: int = 0) -> Event:
         """Schedule `callback` to run `delay` seconds from now.
 
         A negative delay is an error: the past cannot be scheduled.
-        Returns the `Event`, which the caller may `cancel()`.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -91,18 +80,12 @@ class Simulator:
         return event
 
     def next_time(self) -> Optional[float]:
-        """Time of the earliest live event, or None when nothing is queued.
-
-        Cancelled events at the head of the queue are discarded here, so
-        the time returned is the one `step()` will advance the clock to.
-        """
+        """Time of the earliest event, or None when nothing is queued."""
         queue = self._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
         return queue[0].time if queue else None
 
     def step(self) -> bool:
-        """Fire the earliest live event; False when nothing is queued.
+        """Fire the earliest event; False when nothing is queued.
 
         The one pop-and-fire step every driver shares: the clock moves
         to the event's time, the event is counted, its callback runs.
@@ -139,66 +122,36 @@ class Simulator:
         if end_time > self._now:
             self._now = end_time
 
-    def run(self) -> None:
-        """Process every queued event (and those they schedule)."""
-        while self.step():
-            pass
-
     def every(self, interval: float, callback: Callable[[], None],
-              start_delay: float = 0.0, priority: int = 0,
-              jitter: Optional[Callable[[], float]] = None) -> "PeriodicTask":
-        """Run `callback` every `interval` seconds until stopped.
-
-        `jitter`, if given, is called before each rescheduling and its
-        return value is added to the interval (it may be negative but the
-        effective delay is clamped at zero).
-        """
+              start_delay: float = 0.0, priority: int = 0) -> "PeriodicTask":
+        """Run `callback` every `interval` seconds for as long as the
+        simulator is stepped."""
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
-        task = PeriodicTask(self, interval, callback, priority, jitter)
+        task = PeriodicTask(self, interval, callback, priority)
         task.start(start_delay)
         return task
 
 
 class PeriodicTask:
-    """A self-rescheduling periodic callback. Stop with `stop()`."""
+    """A self-rescheduling periodic callback."""
 
     def __init__(self, sim: Simulator, interval: float,
-                 callback: Callable[[], None], priority: int = 0,
-                 jitter: Optional[Callable[[], float]] = None):
+                 callback: Callable[[], None], priority: int = 0):
         self._sim = sim
         self._interval = interval
         self._callback = callback
         self._priority = priority
-        self._jitter = jitter
-        self._event: Optional[Event] = None
-        self._stopped = True
+        self._started = False
         self.fire_count = 0
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def start(self, delay: float = 0.0) -> None:
-        if not self._stopped:
+        if self._started:
             raise SimulationError("periodic task already started")
-        self._stopped = False
-        self._event = self._sim.schedule(delay, self._fire, self._priority)
-
-    def stop(self) -> None:
-        self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._started = True
+        self._sim.schedule(delay, self._fire, self._priority)
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
         self.fire_count += 1
         self._callback()
-        if self._stopped:  # callback may have stopped us
-            return
-        delay = self._interval
-        if self._jitter is not None:
-            delay = max(0.0, delay + self._jitter())
-        self._event = self._sim.schedule(delay, self._fire, self._priority)
+        self._sim.schedule(self._interval, self._fire, self._priority)

@@ -64,10 +64,6 @@ class RngStreams:
         mixed = _key_to_seed(key) ^ (self.root_seed * 0x9E3779B97F4A7C15)
         return mixed & 0xFFFFFFFFFFFFFFFF
 
-    def fork(self, key: str) -> "RngStreams":
-        """A child registry whose streams are all independent of ours."""
-        return RngStreams(self.seed_for("fork." + key))
-
 
 def hash_uniform(seed: Union[int, np.ndarray], t: ArrayLike,
                  salt: Union[int, np.ndarray] = 0) -> np.ndarray:

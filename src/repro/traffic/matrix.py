@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, ItemsView, Iterator, List, Tuple
 
-import numpy as np
-
 from repro.traffic.demand import DemandModel
 from repro.underlay.regions import RegionPair
 
@@ -44,22 +42,6 @@ class TrafficMatrix:
 
     def total(self) -> float:
         return float(sum(self._demand.values()))
-
-    def egress(self, region: str) -> float:
-        """Total demand originating at `region`."""
-        return float(sum(v for (a, __), v in self._demand.items() if a == region))
-
-    def ingress(self, region: str) -> float:
-        """Total demand terminating at `region`."""
-        return float(sum(v for (__, b), v in self._demand.items() if b == region))
-
-    def as_array(self) -> np.ndarray:
-        """Dense N x N array ordered like `self.codes` (diagonal zero)."""
-        index = {c: i for i, c in enumerate(self.codes)}
-        out = np.zeros((len(self.codes), len(self.codes)))
-        for (a, b), v in self._demand.items():
-            out[index[a], index[b]] = v
-        return out
 
     def scaled(self, factor: float) -> "TrafficMatrix":
         """A copy with every entry multiplied by `factor`."""

@@ -11,7 +11,7 @@ similarity study (Fig. 7), and the egress pricing model (Fig. 4).
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.regions import Region, RegionPair, default_regions, great_circle_km
 from repro.underlay.events import DegradationEvent, EventTimeline, generate_timeline
-from repro.underlay.linkstate import LinkType, LinkProcess, LinkStateSample
+from repro.underlay.linkstate import LinkType, LinkProcess
 from repro.underlay.planet import (ANCHORS, MetroAnchor, PlanetConfig,
                                    PRICING_TIERS, build_planet_underlay,
                                    generate_regions, tier_fee_ranges)
@@ -38,7 +38,6 @@ __all__ = [
     "generate_timeline",
     "LinkType",
     "LinkProcess",
-    "LinkStateSample",
     "PricingModel",
     "GatewayLinkInstance",
     "quality_similarity",

@@ -47,19 +47,6 @@ class DegradationEvent:
     #: Peak loss rate added, fraction in [0, 1].
     loss_add: float
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    @property
-    def ramp_s(self) -> float:
-        return min(MAX_RAMP_S, RAMP_FRACTION * self.duration)
-
-    @property
-    def is_short(self) -> bool:
-        """Short-term per the paper's Fig. 9 bucketing (< 30 s)."""
-        return self.duration < 30.0
-
 
 class EventTimeline:
     """Compiled step functions over a set of possibly-overlapping events.
@@ -149,19 +136,6 @@ class EventTimeline:
         """Added loss rate at time(s) `t` (piecewise linear)."""
         return self._eval(t, self._loss_val, self._loss_slope)
 
-    def latency_add_scalar(self, t: float) -> float:
-        """`latency_add` for one instant without array plumbing.
-
-        Bit-identical to ``latency_add(t)`` (same IEEE operations); the
-        snapshot layer calls this once per link per epoch, so the array
-        wrapping overhead matters.
-        """
-        return self._eval_scalar(t, self._lat_val, self._lat_slope)
-
-    def loss_add_scalar(self, t: float) -> float:
-        """`loss_add` for one instant without array plumbing."""
-        return self._eval_scalar(t, self._loss_val, self._loss_slope)
-
     def _eval(self, t, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         tt = np.asarray(t, dtype=float)
         idx = np.searchsorted(self._times, tt, side="right") - 1
@@ -170,23 +144,14 @@ class EventTimeline:
         out = np.where(idx >= 0, out, 0.0)
         return np.maximum(out, 0.0)
 
-    def _eval_scalar(self, t: float, values: np.ndarray,
-                     slopes: np.ndarray) -> float:
-        idx = int(np.searchsorted(self._times, t, side="right")) - 1
-        if idx < 0:
-            return 0.0
-        out = values[idx] + slopes[idx] * (t - self._times[idx])
-        return float(out) if out > 0.0 else 0.0
-
     def segment(self, t: float) -> Tuple[float, ...]:
         """The linear piece covering instant `t`, as ``(lo, hi, t0,
         lat_val, lat_slope, loss_val, loss_slope)``.
 
         For every instant in ``[lo, hi)`` the added latency is
-        ``max(lat_val + lat_slope * (t - t0), 0.0)`` — `_eval_scalar`'s
-        operations on `_eval_scalar`'s operands — and the added loss
-        likewise; before the first breakpoint the piece is the zero
-        function.  One binary search serves both series and every later
+        ``max(lat_val + lat_slope * (t - t0), 0.0)`` — `_eval`'s
+        operations on `_eval`'s operands — and the added loss likewise;
+        before the first breakpoint the piece is the zero function.  One binary search serves both series and every later
         instant of the piece (the snapshot layer's segment memo).
         """
         times = self._times
@@ -213,24 +178,6 @@ class EventTimeline:
         return (times[window], self._lat_val[window],
                 self._lat_slope[window], self._loss_val[window],
                 self._loss_slope[window])
-
-    def active_events(self, t: float) -> List[DegradationEvent]:
-        """Events covering instant `t` (for diagnostics and case studies)."""
-        mask = (self.starts <= t) & (t < self.starts + self.durations)
-        return [DegradationEvent(float(s), float(d), float(la), float(lo))
-                for s, d, la, lo in zip(self.starts[mask], self.durations[mask],
-                                        self.latency_adds[mask],
-                                        self.loss_adds[mask])]
-
-    def duration_histogram(self) -> Tuple[int, int, int, int]:
-        """Counts in the paper's Fig. 9 buckets: 0-10 s, 10-20 s, 20-30 s, >30 s."""
-        d = self.durations
-        if d.size == 0:
-            return (0, 0, 0, 0)
-        return (int(np.sum(d < 10.0)),
-                int(np.sum((d >= 10.0) & (d < 20.0))),
-                int(np.sum((d >= 20.0) & (d < 30.0))),
-                int(np.sum(d >= 30.0)))
 
 
 def generate_timeline(rng: np.random.Generator, horizon_s: float, *,

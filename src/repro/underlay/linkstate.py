@@ -18,7 +18,6 @@ directional-asymmetry the paper measures (Fig. 8).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -36,20 +35,6 @@ class LinkType(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True)
-class LinkStateSample:
-    """Instantaneous link state: what monitoring measures (§4.1)."""
-
-    latency_ms: float
-    loss_rate: float
-
-    def is_bad(self, high_latency_ms: float = 400.0,
-               high_loss_rate: float = 0.005) -> bool:
-        """The paper's quality classification: bad if either threshold trips."""
-        return (self.latency_ms > high_latency_ms
-                or self.loss_rate > high_loss_rate)
 
 
 def busy_factor(hours_local) -> np.ndarray:
@@ -109,10 +94,6 @@ class LinkProcess:
         jitter = np.exp(0.6 * hash_noise(self.noise_seed, t, salt=2))
         raw = self.base_loss * jitter + diurnal + self.timeline.loss_add(t)
         return np.clip(raw, 0.0, 1.0)
-
-    def sample(self, t: float) -> LinkStateSample:
-        """Scalar snapshot of (latency, loss) at instant `t`."""
-        return LinkStateSample(float(self.latency_ms(t)), float(self.loss_rate(t)))
 
     def series(self, t0: float, t1: float,
                step: float = 1.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -260,8 +260,8 @@ class _LinkParamArrays:
     def timeline_adds(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """(latency_add, loss_add) matrices at instant `t`.
 
-        Bit-identical to `EventTimeline.latency_add_scalar` /
-        `loss_add_scalar` per link, at any `t` in any order — but only
+        Bit-identical to `EventTimeline.latency_add` / `loss_add` per
+        link, at any `t` in any order — but only
         the links whose timeline left its remembered piece are searched
         again (a handful per 0.4 s step; all of them after a jump), and
         the pieces are evaluated once over the link axis.

@@ -1,36 +1,9 @@
-"""Tests for statistics helpers."""
+"""Tests for the weighted percentiles the grid engine reports."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.stats import (cdf_points, normalize, percentile_row,
-                                  resample_to_grid, weighted_percentiles)
-
-
-class TestCdf:
-    def test_sorted_and_fractions(self):
-        v, f = cdf_points([3.0, 1.0, 2.0])
-        np.testing.assert_allclose(v, [1, 2, 3])
-        np.testing.assert_allclose(f, [1 / 3, 2 / 3, 1.0])
-
-    def test_empty(self):
-        v, f = cdf_points([])
-        assert v.size == 0 and f.size == 0
-
-
-class TestPercentileRow:
-    def test_contains_expected_columns(self):
-        row = percentile_row(np.arange(1000.0))
-        assert set(row) == {"average", "50%", "95%", "99%", "99.9%"}
-        assert row["average"] == pytest.approx(499.5)
-
-    def test_custom_percentiles(self):
-        row = percentile_row([1.0, 2.0, 3.0], percentiles=(50.0,))
-        assert row["50%"] == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile_row([])
+from repro.analysis.stats import weighted_percentiles
 
 
 class TestWeightedPercentiles:
@@ -68,32 +41,3 @@ class TestWeightedPercentiles:
         with pytest.raises(ValueError):
             weighted_percentiles([], [], [50.0])
 
-
-class TestResample:
-    def test_last_value_wins(self):
-        src_t = np.array([0.0, 10.0, 20.0])
-        src_v = np.array([1.0, 2.0, 3.0])
-        out = resample_to_grid(src_t, src_v, np.array([5.0, 10.0, 25.0]))
-        np.testing.assert_allclose(out, [1.0, 2.0, 3.0])
-
-    def test_before_first_sample_clamps(self):
-        out = resample_to_grid(np.array([10.0]), np.array([7.0]),
-                               np.array([0.0]))
-        assert out[0] == 7.0
-
-    def test_empty_source_rejected(self):
-        with pytest.raises(ValueError):
-            resample_to_grid(np.zeros(0), np.zeros(0), np.array([1.0]))
-
-
-class TestNormalize:
-    def test_scales_to_unit_peak(self):
-        out = normalize([2.0, 4.0, 1.0])
-        assert out.max() == 1.0
-        np.testing.assert_allclose(out, [0.5, 1.0, 0.25])
-
-    def test_zero_series_unchanged(self):
-        np.testing.assert_allclose(normalize([0.0, 0.0]), [0.0, 0.0])
-
-    def test_empty(self):
-        assert normalize([]).size == 0

@@ -42,3 +42,24 @@ def small_demand(small_regions) -> DemandModel:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(123)
+
+
+@pytest.fixture()
+def register_specs(monkeypatch):
+    """Add `ExperimentSpec`s to the experiment registry for one test
+    (a spec replaces a registered one of its name); the registry is
+    restored afterwards.  Forked pool workers inherit the additions."""
+    from repro.experiments import registry
+
+    monkeypatch.setattr(registry, "_REGISTRY", list(registry._REGISTRY))
+    monkeypatch.setattr(registry, "_BY_NAME", dict(registry._BY_NAME))
+
+    def register(*specs):
+        for spec in specs:
+            old = registry._BY_NAME.get(spec.name)
+            if old is None:
+                registry._REGISTRY.append(spec)
+            else:
+                registry._REGISTRY[registry._REGISTRY.index(old)] = spec
+            registry._BY_NAME[spec.name] = spec
+    return register

@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.controlplane.capacity import capacity_control
 from repro.controlplane.model import ControlConfig
-from repro.controlplane.pathcontrol import PathControlResult, path_control
+from repro.controlplane.pathcontrol import (PathControlResult, path_control,
+                                            place_streams)
 from repro.controlplane.reactionplan import generate_reaction_plans
 from repro.experiments.base import standard_demand, standard_underlay
 from repro.traffic.matrix import TrafficMatrix
@@ -126,20 +127,18 @@ def control_digest(wl: Workload, snap) -> Dict:
                          gateways=wl.gateways, fees=wl.fees)
     decision = capacity_control(wl.streams, wl.codes, snap, wl.config,
                                 wl.gateways, r_cur, fees=wl.fees)
+    # R_next, the uncapacitated run step 2 sizes the fleet from.
+    r_next = place_streams(wl.streams, wl.codes, snap, wl.config,
+                           gateways=None, fees=wl.fees).result()
     plans = generate_reaction_plans(r_cur, snap,
                                     wl.config.loss_ms_penalty)
-    return outputs_digest(r_cur, decision, plans)
-
-
-def outputs_digest(r_cur, decision, plans) -> Dict:
-    """Digest an already-computed (step 1, step 2, plans) triple."""
     return {
         "path_control": path_result_digest(r_cur),
         "capacity": {
             "add": dict(sorted(decision.add.items())),
             "remove": dict(sorted(decision.remove.items())),
             "target": dict(sorted(decision.target.items())),
-            "uncapacitated": path_result_digest(decision.uncapacitated),
+            "uncapacitated": path_result_digest(r_next),
         },
         "reaction_plans": {
             f"{sid}:{region}": list(plan.relay_regions)

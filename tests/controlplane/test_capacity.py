@@ -2,7 +2,7 @@
 
 
 from repro.controlplane.model import ControlConfig
-from repro.controlplane.pathcontrol import path_control
+from repro.controlplane.pathcontrol import path_control, place_streams
 from repro.controlplane.capacity import capacity_control
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
@@ -91,6 +91,13 @@ def test_total_target_sums_regions():
 
 
 def test_uncapacitated_result_attached():
-    decision = _decide([_stream(1, "A", "B", 500.0)],
-                       {"A": 1, "B": 1, "C": 1})
-    assert not decision.uncapacitated.unassigned
+    """R_next — the uncapacitated run step 2 sizes the fleet from —
+    places everything, and a scale-up targets exactly its usage."""
+    streams = [_stream(1, "A", "B", 50.0)]
+    decision = _decide(streams, {"A": 1, "B": 1, "C": 1})
+    r_next = place_streams(streams, CODES, _state, _cfg(),
+                           gateways=None).result()
+    assert not r_next.unassigned
+    assert decision.target == {"A": 5, "B": 5, "C": 1}
+    assert {c: r_next.used_gateways[c] for c in ("A", "B")} == \
+        {"A": decision.target["A"], "B": decision.target["B"]}

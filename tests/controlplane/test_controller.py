@@ -81,18 +81,18 @@ def test_conflicting_variant_flags_rejected():
 
 def test_symmetric_controller_averages_directions():
     ctrl = Controller(CODES, symmetric_only=True)
-    ctrl.nib.update(LinkReport("A", "B", LinkType.INTERNET, 100.0, 0.0, 0.0))
-    ctrl.nib.update(LinkReport("B", "A", LinkType.INTERNET, 300.0, 0.1, 0.0))
+    ctrl.nib.update_many([
+        LinkReport("A", "B", LinkType.INTERNET, 100.0, 0.0, 0.0),
+        LinkReport("B", "A", LinkType.INTERNET, 300.0, 0.1, 0.0)])
     lat, loss = ctrl.link_snapshot().lookup("A", "B", LinkType.INTERNET)
     assert lat == pytest.approx(200.0)
     assert loss == pytest.approx(0.05)
 
 
 def test_asymmetric_controller_sees_directions(controller):
-    controller.nib.update(LinkReport("A", "B", LinkType.INTERNET, 100.0,
-                                     0.0, 1.0))
-    controller.nib.update(LinkReport("B", "A", LinkType.INTERNET, 300.0,
-                                     0.0, 1.0))
+    controller.nib.update_many([
+        LinkReport("A", "B", LinkType.INTERNET, 100.0, 0.0, 1.0),
+        LinkReport("B", "A", LinkType.INTERNET, 300.0, 0.0, 1.0)])
     snap = controller.link_snapshot()
     assert snap.lookup("A", "B", LinkType.INTERNET)[0] == 100.0
     assert snap.lookup("B", "A", LinkType.INTERNET)[0] == 300.0

@@ -2,7 +2,7 @@
 
 These pin the whole-matrix paths (`latest_snapshot`, `robust_snapshot`,
 `Controller.link_snapshot`) to a per-link expectation computed here from
-`nib.history` — the last report, the window percentile, every
+each link's exported report history — the last report, the window percentile, every
 topology-variant mask — with exact equality per link, plus the
 telemetry of the solver's snapshot reuse.
 """
@@ -18,7 +18,7 @@ from repro.controlplane.nib import (ROBUST_PERCENTILE, LinkReport,
 from repro.controlplane.pathcontrol import path_control
 from repro.traffic.streams import VIDEO_PROFILES, Stream
 from repro.underlay.linkstate import LinkType
-from tests.snapshots import snapshot_of
+from tests.snapshots import nib_history, snapshot_of
 
 I, P = LinkType.INTERNET, LinkType.PREMIUM
 
@@ -27,6 +27,7 @@ CODES = ["A", "B", "C"]
 
 def fill_nib(nib, t0=0.0, rounds=1, skip=()):
     """Deterministic reports for every directed link and tier."""
+    reports = []
     for r in range(rounds):
         k = 0
         for lt in (I, P):
@@ -35,11 +36,12 @@ def fill_nib(nib, t0=0.0, rounds=1, skip=()):
                     if a == b or (a, b, lt) in skip:
                         continue
                     k += 1
-                    nib.update(LinkReport(
+                    reports.append(LinkReport(
                         a, b, lt,
                         latency_ms=10.0 * k + 3.0 * r,
                         loss_rate=min(0.001 * k + 0.002 * r, 1.0),
                         reported_at=t0 + 10.0 * r))
+    nib.update_many(reports)
 
 
 def links():
@@ -54,7 +56,7 @@ def reported_state(nib, a, b, lt, robust=False):
     """One link's (latency, loss) from its report history: the last
     report, or the window's `ROBUST_PERCENTILE`; None if never
     reported."""
-    history = nib.history(a, b, lt)
+    history = nib_history(nib, a, b, lt)
     if not history:
         return None
     if not robust:
@@ -86,9 +88,7 @@ class TestNibSnapshots:
         fill_nib(nib, rounds=3)
         snap = nib.latest_snapshot(CODES)
         for a, b, lt in links():
-            report = nib.get(a, b, lt)
-            assert snap.lookup(a, b, lt) == (report.latency_ms,
-                                             report.loss_rate)
+            assert snap.lookup(a, b, lt) == reported_state(nib, a, b, lt)
 
     def test_robust_snapshot_matches_robust_state(self):
         nib = NetworkInformationBase(window=4, codes=CODES)
@@ -119,8 +119,7 @@ class TestNibSnapshots:
         fill_nib(nib)
         snap = nib.latest_snapshot(CODES + ["Z"])
         assert snap.lookup("A", "Z", P) == (np.inf, 1.0)
-        assert snap.lookup("A", "B", P) == (nib.get("A", "B", P).latency_ms,
-                                            nib.get("A", "B", P).loss_rate)
+        assert snap.lookup("A", "B", P) == reported_state(nib, "A", "B", P)
 
     def test_empty_nib_snapshot(self):
         nib = NetworkInformationBase()
@@ -132,15 +131,13 @@ class TestNibSnapshots:
         fill_nib(nib, rounds=2)  # grows to admit B and C
         snap = nib.latest_snapshot(CODES)
         for a, b, lt in links():
-            report = nib.get(a, b, lt)
-            assert snap.lookup(a, b, lt) == (report.latency_ms,
-                                             report.loss_rate)
+            assert snap.lookup(a, b, lt) == reported_state(nib, a, b, lt)
 
     def test_stale_out_of_order_report_ignored_everywhere(self):
         nib = NetworkInformationBase(window=2, codes=CODES)
-        nib.update(LinkReport("A", "B", I, 50.0, 0.01, reported_at=100.0))
-        nib.update(LinkReport("A", "B", I, 99.0, 0.5, reported_at=90.0))
-        assert nib.get("A", "B", I).latency_ms == 50.0
+        nib.update_many([LinkReport("A", "B", I, 50.0, 0.01, reported_at=100.0)])
+        nib.update_many([LinkReport("A", "B", I, 99.0, 0.5, reported_at=90.0)])
+        assert [r.latency_ms for r in nib_history(nib, "A", "B", I)] == [50.0]
         assert nib.latest_snapshot(CODES).lookup("A", "B", I) == (50.0, 0.01)
 
 

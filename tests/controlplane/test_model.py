@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.controlplane.model import (ControlConfig, ObjectiveBreakdown,
-                                      OverlayPath)
+from repro.controlplane.model import ControlConfig, OverlayPath
 from repro.underlay.linkstate import LinkType
 from tests.controlplane.route_oracle import path_loss_rate
 from tests.snapshots import snapshot_of
@@ -24,7 +23,7 @@ def _state(lat_map, loss_map=None):
 class TestOverlayPath:
     def test_direct(self):
         p = OverlayPath.direct("A", "B", I)
-        assert p.src == "A" and p.dst == "B"
+        assert p.regions[0] == "A" and p.dst == "B"
         assert p.hops == (("A", "B", I),)
         assert p.regions == ("A", "B")
 
@@ -86,10 +85,3 @@ class TestControlConfig:
         cfg = ControlConfig(latency_limit_floor_ms=400.0,
                             latency_limit_stretch=1.6)
         assert cfg.latency_limit_ms(300.0) == pytest.approx(480.0)
-
-
-class TestObjective:
-    def test_weighted_total(self):
-        obj = ObjectiveBreakdown(util_lat=2.0, util_cost=3.0,
-                                 weight_latency=1.0, weight_cost=2.0)
-        assert obj.total == pytest.approx(8.0)

@@ -1,8 +1,8 @@
 """The NIB's array ingest against its report-by-report one.
 
 `update_many(ReportBatch)` writes a probing round into the rings by
-fancy index; the same reports through `update` one at a time must leave
-an identical NIB — rings, version, every object-level view, the
+fancy index; the same reports through `update_many([report])` one at a
+time must leave an identical NIB — rings, version, both snapshots, the
 checkpoint bytes — and, under report faults, an identical fault RNG,
 identical counters and identical telemetry.
 """
@@ -18,6 +18,7 @@ from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
 from repro.faults import (FaultInjector, FaultSchedule, report_drop,
                           report_staleness)
 from repro.underlay.snapshot import TYPE_ORDER
+from tests.snapshots import nib_history
 
 CODES = ("A", "B", "C", "D")
 I, P = TYPE_ORDER
@@ -43,14 +44,10 @@ def rounds(seed, count=9):
 
 def everything(nib):
     """Every observable of a NIB, rings included."""
-    links = [(a, b, lt) for a in CODES for b in CODES for lt in TYPE_ORDER]
     return {
         "rings": [ring.tobytes() for ring in (
             nib._ring_lat, nib._ring_loss, nib._ring_at, nib._ring_total)],
         "version": nib.version, "len": len(nib),
-        "get": [nib.get(*link) for link in links],
-        "history": [nib.history(*link) for link in links],
-        "snapshot": nib.snapshot(),
         "export": json.dumps(nib.export_reports(), sort_keys=True),
         "latest": nib.latest_snapshot(CODES).lat.tobytes(),
         "robust": nib.robust_snapshot(CODES).loss.tobytes(),
@@ -65,10 +62,10 @@ class TestBatchEqualsOneByOne:
         for batch in rounds(seed=window):
             batched.update_many(batch)
             for report in batch:
-                single.update(report)
+                single.update_many([report])
             assert everything(batched) == everything(single)
         assert batched.version == 9 * len(CODES) * 6
-        history = batched.history("A", "B", I)
+        history = nib_history(batched, "A", "B", I)
         assert len(history) == window
         assert [r.reported_at for r in history] == sorted(
             r.reported_at for r in history)
@@ -81,14 +78,14 @@ class TestBatchEqualsOneByOne:
         # Two of the late round's reports are in fact the newest.
         late.reported_at[[1, 4]] = 25.0
         for nib, ingest in ((batched, batched.update_many),
-                            (single, lambda b: [single.update(r)
+                            (single, lambda b: [single.update_many([r])
                                                 for r in b])):
             ingest(fresh)
             ingest(late)
             assert nib.version == len(fresh) + 2
         assert everything(batched) == everything(single)
-        assert batched.get("A", "B", P).reported_at == 25.0
-        assert batched.get("A", "B", I).reported_at == 20.0
+        assert nib_history(batched, "A", "B", P)[-1].reported_at == 25.0
+        assert nib_history(batched, "A", "B", I)[-1].reported_at == 20.0
 
     def test_a_list_of_reports_with_repeated_links(self, window):
         """`update_many(list)` applies a link's reports in list order."""
@@ -97,7 +94,7 @@ class TestBatchEqualsOneByOne:
         single = NetworkInformationBase(window=window)
         listed.update_many(reports)
         for report in reports:
-            single.update(report)
+            single.update_many([report])
         assert everything(listed) == everything(single)
         restored = NetworkInformationBase(window=window)
         restored.import_reports(listed.export_reports())
@@ -110,7 +107,8 @@ class TestBatchEqualsOneByOne:
         nib.update_many(batch)
         assert len(nib) == 6
         for report in batch:
-            assert nib.get(report.src, report.dst, report.link_type) == report
+            assert nib_history(nib, report.src, report.dst,
+                               report.link_type) == [report]
 
 
 def faulted(ingest_of):
@@ -140,7 +138,7 @@ def faulted(ingest_of):
 
 def test_faulted_batches_equal_faulted_reports():
     batched = faulted(lambda nib: nib.update_many)
-    single = faulted(lambda nib: lambda batch: [nib.update(r)
+    single = faulted(lambda nib: lambda batch: [nib.update_many([r])
                                                 for r in batch])
     assert batched[:4] == single[:4]
     __, counters, events, telemetry, calls = batched

@@ -6,6 +6,7 @@ from repro.controlplane.nib import LinkReport, NetworkInformationBase
 from repro.controlplane.sib import StreamInformationBase
 from repro.traffic.matrix import TrafficMatrix
 from repro.underlay.linkstate import LinkType
+from tests.snapshots import nib_history
 
 
 def _report(src="A", dst="B", lt=LinkType.INTERNET, lat=100.0, loss=0.01,
@@ -23,41 +24,46 @@ class TestLinkReport:
             _report(loss=1.5)
 
 
+def _latest(nib, src="A", dst="B", lt=LinkType.INTERNET):
+    return nib.latest_snapshot(["A", "B"]).lookup(src, dst, lt)
+
+
 class TestNIB:
     def test_update_and_get(self):
         nib = NetworkInformationBase()
-        assert nib.get("A", "B", LinkType.INTERNET) is None
-        nib.update(_report())
-        assert nib.get("A", "B", LinkType.INTERNET) == _report()
+        assert _latest(nib) == (float("inf"), 1.0)
+        nib.update_many([_report()])
+        assert _latest(nib) == (100.0, 0.01)
+        assert nib_history(nib, "A", "B", LinkType.INTERNET) == [_report()]
 
     def test_directions_are_distinct(self):
         nib = NetworkInformationBase()
-        nib.update(_report("A", "B", lat=100.0))
-        nib.update(_report("B", "A", lat=250.0))
-        assert nib.get("A", "B", LinkType.INTERNET).latency_ms == 100.0
-        assert nib.get("B", "A", LinkType.INTERNET).latency_ms == 250.0
+        nib.update_many([_report("A", "B", lat=100.0)])
+        nib.update_many([_report("B", "A", lat=250.0)])
+        assert _latest(nib, "A", "B")[0] == 100.0
+        assert _latest(nib, "B", "A")[0] == 250.0
 
     def test_types_are_distinct(self):
         nib = NetworkInformationBase()
-        nib.update(_report(lt=LinkType.INTERNET, lat=100.0))
-        nib.update(_report(lt=LinkType.PREMIUM, lat=80.0))
-        assert nib.get("A", "B", LinkType.PREMIUM).latency_ms == 80.0
+        nib.update_many([_report(lt=LinkType.INTERNET, lat=100.0)])
+        nib.update_many([_report(lt=LinkType.PREMIUM, lat=80.0)])
+        assert _latest(nib, lt=LinkType.PREMIUM)[0] == 80.0
+        assert _latest(nib, lt=LinkType.INTERNET)[0] == 100.0
 
     def test_newest_report_wins(self):
         nib = NetworkInformationBase()
-        nib.update(_report(lat=100.0, t=10.0))
-        nib.update(_report(lat=200.0, t=5.0))  # older: ignored
-        assert nib.get("A", "B", LinkType.INTERNET).latency_ms == 100.0
-        nib.update(_report(lat=300.0, t=20.0))
-        assert nib.get("A", "B", LinkType.INTERNET).latency_ms == 300.0
+        nib.update_many([_report(lat=100.0, t=10.0)])
+        nib.update_many([_report(lat=200.0, t=5.0)])  # older: ignored
+        assert _latest(nib)[0] == 100.0
+        nib.update_many([_report(lat=300.0, t=20.0)])
+        assert _latest(nib)[0] == 300.0
 
     def test_snapshot_is_a_copy(self):
         nib = NetworkInformationBase()
-        nib.update(_report())
-        snap = nib.snapshot()
-        nib.update(_report(lat=999.0, t=99.0))
-        key = ("A", "B", LinkType.INTERNET)
-        assert snap[key].latency_ms == 100.0
+        nib.update_many([_report()])
+        snap = nib.latest_snapshot(["A", "B"])
+        nib.update_many([_report(lat=999.0, t=99.0)])
+        assert snap.lookup("A", "B", LinkType.INTERNET)[0] == 100.0
 
     def test_update_many_and_len(self):
         nib = NetworkInformationBase()
@@ -88,14 +94,12 @@ class TestSIB:
         with pytest.raises(KeyError):
             sib.record_epoch(bad)
 
-    def test_streams_stored(self):
-        from repro.traffic.streams import Stream, VIDEO_PROFILES
-        sib = StreamInformationBase(["A", "B"])
-        streams = [Stream(1, "A", "B", 5.0, VIDEO_PROFILES[0])]
-        sib.record_epoch(self._matrix(), streams)
-        assert len(sib.streams) == 1
-        assert sib.last_matrix is not None
-
-    def test_predictor_accessor(self):
-        sib = StreamInformationBase(["A", "B"])
-        assert sib.predictor("A", "B") is not sib.predictor("B", "A")
+    def test_pairs_predict_independently(self):
+        """Each ordered pair has its own predictor: a direction's
+        history never leaks into the reverse direction's forecast."""
+        sib = StreamInformationBase(["A", "B"], min_history=1)
+        sib.record_epoch(self._matrix(10.0))
+        sib.record_epoch(self._matrix(40.0))
+        predicted = sib.predicted_matrix()
+        assert predicted.get("A", "B") >= 40.0
+        assert 20.0 <= predicted.get("B", "A") < 40.0

@@ -7,7 +7,7 @@ per region (so graph rebuilds and the best-effort pass both run) may
 construct an `Assignment` per assignment of the *capacitated* result and
 an `OverlayPath` per distinct placed route — nothing per visit, nothing
 per reaction-plan candidate, and nothing at all for capacity control's
-uncapacitated run until someone reads `decision.uncapacitated`.
+uncapacitated run, which sizes the fleet straight off its placement.
 Counting constructions (not seconds) makes the guard exact and portable.
 """
 
@@ -84,12 +84,15 @@ def test_an_epoch_builds_objects_once_at_the_boundary(built):
     assert any(len(plan.relay_regions) > 1 for plan in plans.values())
     assert built == before
 
-    # The uncapacitated result exists when asked for, and is the one a
-    # direct uncapacitated run returns.
-    r_next = decision.uncapacitated
+    # Capacity control sized the fleet from the uncapacitated run's
+    # placement without building its objects; built, they are one
+    # assignment each, and every region it overflows scales up to it.
+    r_next = path_control(output.streams, codes, snap, controller.config,
+                          gateways=None, fees=underlay.pricing)
     assert built["Assignment"] == before["Assignment"] + len(
         r_next.assignments)
-    assert r_next is decision.uncapacitated
-    assert r_next == path_control(output.streams, codes, snap,
-                                  controller.config, gateways=None,
-                                  fees=underlay.pricing)
+    grown = [c for c in codes if r_next.used_gateways[c] > 2]
+    assert grown
+    for c in grown:
+        assert decision.target[c] == min(r_next.used_gateways[c],
+                                         controller.config.max_containers)

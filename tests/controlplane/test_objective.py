@@ -67,14 +67,6 @@ def test_traffic_cost_scales_with_demand(pricing):
         10 * (o_small.util_cost - fixed), rel=1e-6)
 
 
-def test_total_mixes_weights(pricing):
-    result, config, gateways = _result(pricing=pricing,
-                                       weight_latency=2.0, weight_cost=0.5)
-    obj = evaluate_objective(result, _state, config, pricing, gateways)
-    assert obj.total == pytest.approx(2.0 * obj.util_lat
-                                      + 0.5 * obj.util_cost)
-
-
 def test_empty_result_costs_only_containers(pricing):
     config = ControlConfig()
     result = path_control([], CODES, _state, config,

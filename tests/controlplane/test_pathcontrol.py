@@ -6,7 +6,8 @@ import pytest
 from repro.controlplane.capacity import capacity_control
 from repro.controlplane.model import ControlConfig
 from repro.controlplane import pathcontrol
-from repro.controlplane.pathcontrol import EpochSolveContext, path_control
+from repro.controlplane.pathcontrol import (EpochSolveContext, path_control,
+                                            place_streams)
 from repro.controlplane.reactionplan import generate_reaction_plans
 from repro.experiments.base import planet_underlay
 from repro.traffic.cohorts import CohortWorkload
@@ -295,7 +296,9 @@ class TestEpochSolveContext:
         return underlay, streams, underlay.snapshot(450.0)
 
     @staticmethod
-    def epoch(planet, gateways, context):
+    def epoch(planet, gateways, context, with_r_next=False):
+        """Steps 1-3 of one epoch; `with_r_next` also returns R_next,
+        the uncapacitated run capacity control sizes the fleet from."""
         underlay, streams, snap = planet
         codes, fees, config = underlay.codes, underlay.pricing, ControlConfig()
         r_cur = path_control(streams, codes, snap, config, gateways=gateways,
@@ -303,15 +306,20 @@ class TestEpochSolveContext:
         decision = capacity_control(streams, codes, snap, config, gateways,
                                     r_cur, fees=fees, context=context)
         plans = generate_reaction_plans(r_cur, snap, config.loss_ms_penalty)
-        return r_cur, decision, plans
+        if not with_r_next:
+            return r_cur, decision, plans
+        r_next = place_streams(streams, codes, snap, config, gateways=None,
+                               fees=fees, context=context).result()
+        return r_cur, decision, plans, r_next
 
     def test_outputs_equal_with_and_without_a_context(self, planet):
         gateways = {c: 2 for c in planet[0].codes}
-        shared = self.epoch(planet, gateways, EpochSolveContext())
-        apart = self.epoch(planet, gateways, None)
+        shared = self.epoch(planet, gateways, EpochSolveContext(),
+                            with_r_next=True)
+        apart = self.epoch(planet, gateways, None, with_r_next=True)
         assert apart[0].graph_rebuilds > 0  # the caches outlived a rebuild
         # Dataclass equality: assignments, tables, usage, the capacity
-        # targets with their uncapacitated result, and every plan.
+        # targets, every plan and the uncapacitated result.
         assert shared == apart
 
     def test_first_dp_is_shared_once_per_epoch(self, planet):

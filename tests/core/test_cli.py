@@ -40,6 +40,24 @@ def test_experiments_only_selector(capsys):
     assert "Fig. 5" not in out
 
 
+def test_experiments_is_the_runner_parser(capsys):
+    """`repro experiments` hands its arguments to the runner's parser:
+    the same listing, and every runner flag (`--retries` included)."""
+    from repro.experiments import runner
+
+    assert main(["experiments", "--list", "--tags", "fast"]) == 0
+    via_cli = capsys.readouterr().out
+    assert runner.main(["--list", "--tags", "fast"]) == 0
+    assert via_cli == capsys.readouterr().out
+    assert "fig04" in via_cli and "fig13" not in via_cli
+    assert main(["experiments", "--retries", "0", "--list"]) == 0
+
+
+def test_other_commands_reject_unknown_arguments():
+    with pytest.raises(SystemExit):
+        main(["info", "--retries", "0"])
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--variant", "warpspeed"])

@@ -46,7 +46,7 @@ class TestZeroDemand:
         ctrl = Controller(codes, ControlConfig())
         for a, b in (("A", "B"), ("B", "A")):
             for lt in LinkType:
-                ctrl.nib.update(LinkReport(a, b, lt, 100.0, 0.0, 0.0))
+                ctrl.nib.update_many([LinkReport(a, b, lt, 100.0, 0.0, 0.0)])
         matrix = TrafficMatrix(codes, {("A", "B"): 0.0, ("B", "A"): 0.0})
         out = ctrl.run_epoch(0.0, matrix, {"A": 2, "B": 2})
         assert out.path_result.assignments == []
@@ -100,7 +100,7 @@ class TestControllerRobustness:
         codes = ["A", "B", "C"]
         ctrl = Controller(codes, ControlConfig(container_capacity_mbps=100.0))
         for lt in LinkType:
-            ctrl.nib.update(LinkReport("A", "B", lt, 100.0, 0.0, 0.0))
+            ctrl.nib.update_many([LinkReport("A", "B", lt, 100.0, 0.0, 0.0)])
         matrix = TrafficMatrix(codes, {("A", "B"): 10.0, ("B", "A"): 10.0})
         out = ctrl.run_epoch(0.0, matrix, {c: 4 for c in codes})
         routed = {(a.stream.src, a.stream.dst)
@@ -113,7 +113,7 @@ class TestControllerRobustness:
         ctrl = Controller(codes, ControlConfig())
         for a, b in (("A", "B"), ("B", "A")):
             for lt in LinkType:
-                ctrl.nib.update(LinkReport(a, b, lt, 50_000.0, 1.0, 0.0))
+                ctrl.nib.update_many([LinkReport(a, b, lt, 50_000.0, 1.0, 0.0)])
         matrix = TrafficMatrix(codes, {("A", "B"): 10.0})
         out = ctrl.run_epoch(0.0, matrix, {"A": 2, "B": 2})
         # Best-effort fallback still carries the stream, flagged.

@@ -17,7 +17,6 @@ from repro.controlplane.nib import LinkReport, NetworkInformationBase
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.dataplane.cluster import RegionCluster
-from repro.dataplane.probing import ProbeBurst
 from repro.traffic.demand import DemandModel
 from repro.underlay.regions import default_regions
 from repro.underlay.topology import Underlay
@@ -43,9 +42,8 @@ def calls(monkeypatch):
         monkeypatch.setattr(owner, attr, counting)
 
     count(np, "searchsorted", "searchsorted")
-    for owner, attr in ((LinkReport, "__init__"), (ProbeBurst, "__init__"),
+    for owner, attr in ((LinkReport, "__init__"),
                         (RegionCluster, "probe_round"),
-                        (NetworkInformationBase, "update"),
                         (NetworkInformationBase, "update_many")):
         count(owner, attr)
 
@@ -79,12 +77,10 @@ def test_a_probing_instant_is_array_work(full_underlay, calls):
 
     # Nobody iterated a batch, so no per-link object was ever built.
     assert calls["LinkReport.__init__"] == 0
-    assert calls["ProbeBurst.__init__"] == 0
 
     # The NIB took every cluster round as one batch.
     assert calls["RegionCluster.probe_round"] == rounds
     assert calls["NetworkInformationBase.update_many"] == rounds
-    assert calls["NetworkInformationBase.update"] == 0
 
     # One snapshot per probing instant and per measurement tick that
     # falls between two; the first searches every link's timeline once,

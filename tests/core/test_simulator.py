@@ -168,6 +168,7 @@ class TestMonitoringPush:
 
         from repro.dataplane.config import MonitoringConfig
         from repro.sim.rng import RngStreams
+        from repro.underlay.linkstate import LinkType
         from repro.underlay.snapshot import TYPE_ORDER
         config = replace(
             small_system.sim_config,
@@ -194,8 +195,9 @@ class TestMonitoringPush:
                             config) as simulator:
             simulator._push_reports(now)
             nib = simulator.controller.nib
-            got = {key: (r.latency_ms, r.loss_rate, r.reported_at)
-                   for key, r in nib.snapshot().items()}
+            got = {(d["src"], d["dst"], LinkType(d["link_type"])):
+                   (d["latency_ms"], d["loss_rate"], d["reported_at"])
+                   for d in nib.export_reports()}
             assert got == expected
             assert nib.version == len(expected)
             # The block left the stream where the scalar loop leaves it.

@@ -1,5 +1,6 @@
 """Tests for region clusters and group-based probing distribution."""
 
+import numpy as np
 import pytest
 
 from repro.dataplane.cluster import RegionCluster
@@ -30,6 +31,12 @@ def cluster(underlay):
                          monitoring=MonitoringConfig(representatives=2),
                          reaction=ReactionConfig(trigger_bursts=2,
                                                  recover_bursts=4))
+
+
+def _estimate(gateway, dst="SIN", link_type=I):
+    """A gateway's (latency, loss) estimate of one adjacent link."""
+    view = gateway.estimator(dst, link_type)
+    return view.latency_ms, view.loss_rate
 
 
 def _flag_degraded(gateway, dst, link_type):
@@ -100,7 +107,7 @@ class TestFleet:
         `0 <= _rr_index < size` invariant for anything reading it raw."""
         cluster.install({1: ("SIN", I)}, {})
         for __ in range(7):  # advance the cursor beyond the post-crash size
-            cluster.forward(1)
+            cluster.resolve(1)
         cluster.crash_gateways(3, now=0.0)
         assert 0 <= cluster._rr_index < cluster.size
         survivor = next(iter(cluster.gateways.values()))
@@ -148,27 +155,26 @@ class TestFleetOrderIsKept:
     def test_estimates_survive_fleet_changes(self, cluster):
         """Gateways keep their monitoring state when the block is
         rebuilt around them, and an estimator handed out before a fleet
-        change keeps reading (and writing) its gateway's state."""
+        change keeps reading its gateway's state, whoever writes it."""
         cluster.probe_round(0.0)
         held = cluster.gateways[2].estimator("SIN", I)
-        before = {gid: g.estimator("SIN", I).estimate()
-                  for gid, g in cluster.gateways.items()}
+        before = {gid: _estimate(g) for gid, g in cluster.gateways.items()}
         cluster.crash_gateways(1)
         cluster.scale_to(6)
         for gid, gateway in cluster.gateways.items():
             if gid in before:
-                assert gateway.estimator("SIN", I).estimate() == before[gid]
+                assert _estimate(gateway) == before[gid]
             else:
-                with pytest.raises(RuntimeError):
-                    gateway.estimator("SIN", I).estimate()
+                assert _estimate(gateway) == (None, None)
         cluster.probe_round(0.4)  # gateway 2 is a representative now
         assert held.last_update == 0.4
-        assert held.estimate() == cluster.gateways[2].estimator(
-            "SIN", I).estimate() != before[2]
-        held.apply_group_state(1.0, 77.0, 0.5, True)
-        assert cluster.gateways[2].link_degraded("SIN", I)
-        assert cluster.gateways[2].estimator("SIN", I).estimate() \
-            == (77.0, 0.5)
+        assert (held.latency_ms, held.loss_rate) == _estimate(
+            cluster.gateways[2]) != before[2]
+        gateway = cluster.gateways[2]
+        gateway.bank.adopt(gateway.links[("SIN", I)], 1.0, 77.0, 0.5,
+                           np.bool_(True))
+        assert gateway.link_degraded("SIN", I) and held.degraded
+        assert (held.latency_ms, held.loss_rate) == (77.0, 0.5)
 
     def test_election_is_traced_at_the_first_round_after_a_change(
             self, cluster):
@@ -207,7 +213,7 @@ class TestGroupProbing:
     def test_group_state_distributed_to_members(self, cluster):
         cluster.probe_round(0.0)
         member = cluster.gateways[3]
-        lat, loss = member.estimator("SIN", I).estimate()
+        lat, loss = _estimate(member)
         assert lat > 0  # adopted state despite never probing
 
     def test_degradation_verdict_distributed(self, cluster, underlay):
@@ -236,18 +242,19 @@ class TestGroupProbing:
         reports = {(r.dst, r.link_type): r for r in cluster.probe_round(0.0)}
         report = reports[("SIN", I)]
         reps = cluster.representatives()
-        lats = sorted(rep.estimator("SIN", I).estimate()[0] for rep in reps)
+        lats = sorted(_estimate(rep)[0] for rep in reps)
         assert lats[0] <= report.latency_ms <= lats[-1]
 
 
 class TestForwarding:
     def test_round_robin_across_gateways(self, cluster):
         cluster.install({1: ("SIN", I)}, {})
-        decisions = [cluster.forward(1) for __ in range(8)]
-        assert all(d is not None and d.next_hop == "SIN" for d in decisions)
+        resolved = [cluster.resolve(1) for __ in range(8)]
+        assert all(r is not None and r[1].next_hop == "SIN"
+                   for r in resolved)
 
     def test_unknown_stream(self, cluster):
-        assert cluster.forward(99) is None
+        assert cluster.resolve(99) is None
 
     def test_resolve_reports_the_deciding_gateway(self, cluster):
         """Regression: passive samples must be booked on the gateway
@@ -271,7 +278,7 @@ class TestForwarding:
         for k in range(12):
             cluster.probe_round(9.0 + k * 0.4)
         for __ in range(cluster.size):
-            decision = cluster.forward(1)
+            __, decision = cluster.resolve(1)
             assert decision.via_backup
             assert decision.link_type is P
 

@@ -216,9 +216,8 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
     def group_state_adoption(self, gateway, k, latency, loss, degraded):
         ids = sorted(self.reference)
         gid = ids[gateway % len(ids)]
-        key = next(key for key, at in self.links.items() if at == k)
-        self.cluster.gateways[gid].estimator(*key).apply_group_state(
-            self.now, latency, loss, degraded)
+        self.cluster.gateways[gid].bank.adopt(k, self.now, latency, loss,
+                                              np.bool_(degraded))
         self.reference[gid][k].apply_group_state(self.now, latency, loss,
                                                  degraded)
 

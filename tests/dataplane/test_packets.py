@@ -151,8 +151,10 @@ def test_agrees_with_aggregate_prober(lossy_link):
     measure the same loss rate (the former models one-way loss; the
     packet prober loses probe or reply, so compare accordingly)."""
     from repro.dataplane.probing import burst_series
+    from tests.snapshots import series_of
     config = MonitoringConfig()
-    __, __, loss = burst_series(lossy_link, 10.0, 70.0, config, seed=5)
+    __, __, loss = burst_series(series_of(lossy_link), 10.0, 70.0, config,
+                                seed=5)
     one_way = float(loss.mean())
     __, judged, lost, __ = _drive(lossy_link, 60.0, rng_seed=6)
     two_way = lost / judged

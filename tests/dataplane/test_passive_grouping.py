@@ -7,8 +7,20 @@ from repro.controlplane.nib import LinkReport
 from repro.dataplane.grouping import ProbingGroupManager, probing_cost
 from repro.dataplane.passive import MIN_PACKETS, PassiveTracker
 from repro.underlay.linkstate import LinkType
+from repro.underlay.snapshot import TYPE_INDEX
 
 LINK = ("A", "B", LinkType.INTERNET)
+
+
+def aggregate_one(mgr, src, dst, link_type, measurements, now):
+    """`aggregate` of one link's ``(latency, loss)`` pairs, as its
+    one-report batch's `LinkReport`."""
+    index = mgr.codes.index
+    latency, loss = np.array(measurements, dtype=float).reshape(-1, 2).T
+    return mgr.aggregate(
+        np.array([index(src)]), np.array([index(dst)]),
+        np.array([TYPE_INDEX[link_type]]),
+        (latency[:, None], loss[:, None]), now)[0]
 
 
 class TestPassiveTracker:
@@ -98,7 +110,7 @@ class TestProbingGroupManager:
 
     def test_aggregate_median(self):
         mgr = ProbingGroupManager(["A", "B"], representatives=3)
-        report = mgr.aggregate("A", "B", LinkType.INTERNET,
+        report = aggregate_one(mgr, "A", "B", LinkType.INTERNET,
                                [(100.0, 0.01), (120.0, 0.02), (900.0, 0.5)],
                                now=5.0)
         assert isinstance(report, LinkReport)
@@ -109,12 +121,12 @@ class TestProbingGroupManager:
     def test_aggregate_empty_rejected(self):
         mgr = ProbingGroupManager(["A", "B"])
         with pytest.raises(ValueError):
-            mgr.aggregate("A", "B", LinkType.INTERNET, [], now=0.0)
+            aggregate_one(mgr, "A", "B", LinkType.INTERNET, [], now=0.0)
 
     def test_aggregate_clips_loss(self):
         mgr = ProbingGroupManager(["A", "B"], representatives=1)
-        report = mgr.aggregate("A", "B", LinkType.PREMIUM, [(10.0, -0.1)],
-                               now=0.0)
+        report = aggregate_one(mgr, "A", "B", LinkType.PREMIUM,
+                               [(10.0, -0.1)], now=0.0)
         assert report.loss_rate == 0.0
 
 
@@ -125,8 +137,8 @@ class TestAggregateMedianIsNumpyMedian:
     @staticmethod
     def check(measurements):
         mgr = ProbingGroupManager(["A", "B"], representatives=3)
-        report = mgr.aggregate("A", "B", LinkType.INTERNET, measurements,
-                               now=1.0)
+        report = aggregate_one(mgr, "A", "B", LinkType.INTERNET,
+                               measurements, now=1.0)
         lat = float(np.median([m[0] for m in measurements]))
         loss = float(np.median([m[1] for m in measurements]))
         assert report.latency_ms == lat

@@ -8,9 +8,9 @@ from scipy.stats import binom, chisquare
 
 from repro import obs
 from repro.dataplane.config import MonitoringConfig
-from repro.dataplane.probing import (ProbeBurst, burst_bytes, burst_draws,
-                                     burst_series)
+from repro.dataplane.probing import burst_bytes, burst_draws, burst_series
 from repro.underlay.linkstate import LinkType
+from tests.snapshots import series_of
 
 
 @pytest.fixture()
@@ -19,21 +19,9 @@ def link(small_underlay):
     return small_underlay.link(a, b, LinkType.INTERNET)
 
 
-class TestProbeBurst:
-    def test_loss_fraction(self):
-        burst = ProbeBurst(0.0, 100.0, 15, 3)
-        assert burst.loss_fraction == pytest.approx(0.2)
-
-    def test_zero_sent(self):
-        assert ProbeBurst(0.0, 0.0, 0, 0).loss_fraction == 0.0
-
-    def test_bytes(self):
-        assert ProbeBurst(0.0, 0.0, 15, 0).bytes_sent == 22500
-
-    def test_bytes_follow_the_probers_packet_size(self):
-        config = MonitoringConfig(packet_bytes=1200)
-        assert ProbeBurst(0.0, 0.0, 15, 0, 1200).bytes_sent \
-            == burst_bytes(np.zeros(1, dtype=np.int64), config) == 15 * 1200
+@pytest.fixture()
+def series(link):
+    return series_of(link)
 
 
 class TestBurstDraws:
@@ -114,38 +102,38 @@ def test_burst_draws_known_answers(seed, burst, p, packets, jitter, lost):
 
 
 class TestBurstSeries:
-    def test_burst_cadence(self, link):
+    def test_burst_cadence(self, series):
         config = MonitoringConfig(burst_interval_s=0.4)
-        times, lat, loss = burst_series(link, 0.0, 60.0, config, seed=1)
+        times, lat, loss = burst_series(series, 0.0, 60.0, config, seed=1)
         assert times.size == 150
         assert np.allclose(np.diff(times), 0.4)
 
-    def test_empty_window_rejected(self, link):
+    def test_empty_window_rejected(self, series):
         with pytest.raises(ValueError):
-            burst_series(link, 10.0, 10.0, MonitoringConfig(), seed=1)
+            burst_series(series, 10.0, 10.0, MonitoringConfig(), seed=1)
 
-    def test_loss_fractions_in_unit_interval(self, link):
-        __, __, loss = burst_series(link, 0.0, 600.0, MonitoringConfig(),
+    def test_loss_fractions_in_unit_interval(self, series):
+        __, __, loss = burst_series(series, 0.0, 600.0, MonitoringConfig(),
                                     seed=1)
         assert np.all(loss >= 0.0) and np.all(loss <= 1.0)
 
-    def test_loss_quantised_to_packets(self, link):
+    def test_loss_quantised_to_packets(self, series):
         config = MonitoringConfig(packets_per_burst=15)
-        __, __, loss = burst_series(link, 0.0, 600.0, config, seed=1)
+        __, __, loss = burst_series(series, 0.0, 600.0, config, seed=1)
         counts = loss * 15
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
 
-    def test_deterministic_per_seed(self, link):
+    def test_deterministic_per_seed(self, series):
         config = MonitoringConfig()
-        a = burst_series(link, 0.0, 60.0, config, seed=5)
-        b = burst_series(link, 0.0, 60.0, config, seed=5)
+        a = burst_series(series, 0.0, 60.0, config, seed=5)
+        b = burst_series(series, 0.0, 60.0, config, seed=5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-        c = burst_series(link, 0.0, 60.0, config, seed=6)
+        c = burst_series(series, 0.0, 60.0, config, seed=6)
         assert not np.allclose(a[1], c[1])
 
-    def test_latency_tracks_link(self, link):
-        __, lat, __ = burst_series(link, 0.0, 60.0, MonitoringConfig(),
+    def test_latency_tracks_link(self, link, series):
+        __, lat, __ = burst_series(series, 0.0, 60.0, MonitoringConfig(),
                                    seed=1)
         truth = link.latency_ms(np.arange(0.0, 60.0, 0.4))
         assert np.all(np.abs(lat / truth - 1.0) <= 0.021)
@@ -202,8 +190,9 @@ class TestBurstSeriesBlocks:
             config, seeds[:, None])
         assert lat.shape == loss.shape == (len(hops), times.size)
         for h, hop in enumerate(hops):
-            t1, lat1, loss1 = burst_series(small_underlay.link(*hop), 900.0,
-                                           1200.0, config, int(seeds[h]))
+            t1, lat1, loss1 = burst_series(
+                series_of(small_underlay.link(*hop)), 900.0, 1200.0, config,
+                int(seeds[h]))
             np.testing.assert_array_equal(t1, times)
             np.testing.assert_array_equal(lat1, lat[h])
             np.testing.assert_array_equal(loss1, loss[h])

@@ -13,6 +13,7 @@ that degraded-mode demotions are counted once per gateway, stream and
 accepted install.
 """
 
+import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
@@ -129,8 +130,9 @@ class ClusterAgainstRegionModel(RuleBasedStateMachine):
           tier=st.sampled_from([I, P]), degraded=st.booleans())
     def verdict(self, gateway, dst, tier, degraded):
         gid = self.pick(gateway)
-        self.cluster.gateways[gid].estimator(dst, tier).apply_group_state(
-            self.now, 10.0, 0.0, degraded)
+        gateway = self.cluster.gateways[gid]
+        gateway.bank.adopt(gateway.links[(dst, tier)], self.now, 10.0, 0.0,
+                           np.bool_(degraded))
         (self.flagged[gid].add if degraded
          else self.flagged[gid].discard)((dst, tier))
 

@@ -5,8 +5,13 @@ import pytest
 
 from repro.elastic.autoscaler import (FixedAllocation, OptimalAllocation,
                                       ProactiveAutoscaler, ReactiveAutoscaler,
-                                      TrackingAutoscaler, evaluate_autoscaler)
+                                      evaluate_autoscaler)
 from repro.elastic.containers import ContainerPool
+
+
+def _events(hub, kind):
+    """The trace events of one kind a telemetry hub recorded."""
+    return [e for e in hub.tracer.events if e.kind == kind]
 
 
 def _daily_demand(days=3, slot_s=300.0, peak=5000.0):
@@ -60,15 +65,6 @@ class TestReactiveAutoscaler:
         with pytest.raises(ValueError):
             ReactiveAutoscaler(1000.0, high_utilisation=0.4,
                                low_utilisation=0.5)
-
-
-class TestTrackingAutoscaler:
-    def test_tracks_demand_with_headroom(self):
-        scaler = TrackingAutoscaler(1000.0, headroom=1.2)
-        assert scaler.decide(0, 2500.0) == 3
-
-    def test_minimum_one(self):
-        assert TrackingAutoscaler(1000.0).decide(0, 0.0) == 1
 
 
 class TestProactiveAutoscaler:
@@ -142,7 +138,7 @@ class TestEvaluateAutoscaler:
     def test_stats_shapes_align(self, rng):
         demand = _daily_demand(days=1)
         pool = ContainerPool("X", rng, initial=1, max_containers=1000)
-        stats = evaluate_autoscaler(TrackingAutoscaler(1000.0), demand,
+        stats = evaluate_autoscaler(ReactiveAutoscaler(1000.0), demand,
                                     1000.0, pool)
         n = len(demand) - 1
         assert stats.error_rates.shape == (n,)
@@ -152,14 +148,14 @@ class TestEvaluateAutoscaler:
     def test_warmup_trims_slots(self, rng):
         demand = _daily_demand(days=1)
         pool = ContainerPool("X", rng, initial=1, max_containers=1000)
-        stats = evaluate_autoscaler(TrackingAutoscaler(1000.0), demand,
+        stats = evaluate_autoscaler(ReactiveAutoscaler(1000.0), demand,
                                     1000.0, pool, warmup_slots=50)
         assert stats.error_rates.shape == (len(demand) - 1 - 50,)
 
     def test_rejects_short_series(self, rng):
         pool = ContainerPool("X", rng, initial=1, max_containers=10)
         with pytest.raises(ValueError):
-            evaluate_autoscaler(TrackingAutoscaler(1000.0), [1.0], 1000.0,
+            evaluate_autoscaler(ReactiveAutoscaler(1000.0), [1.0], 1000.0,
                                 pool)
 
 
@@ -191,7 +187,7 @@ class TestDecisionTelemetry:
         snap = tel.metrics.snapshot()
         changes = snap["autoscale.target_changes"]["value"]
         suppressed = snap["autoscale.events_suppressed"]["value"]
-        events = len(tel.tracer.by_kind("autoscale"))
+        events = len(_events(tel, "autoscale"))
         assert snap["autoscale.decisions"]["value"] == n
         assert changes > _EVENT_FLOOD_LIMIT  # the gate actually engaged
         assert suppressed > 0

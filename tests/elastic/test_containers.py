@@ -55,7 +55,9 @@ class TestContainerPool:
 
     def test_total_count_includes_inflight(self, pool):
         pool.scale_to(5, now=0.0)
-        assert pool.total_count(1.0) == 5
+        # The three starts still in flight count toward the target.
+        assert pool.scale_to(5, now=1.0).added == 0
+        assert pool.ready_count(1.0) == 2
 
     def test_scale_down_is_immediate(self, pool):
         action = pool.scale_to(1, now=0.0)
@@ -69,8 +71,8 @@ class TestContainerPool:
         assert pool.ready_count(600.0) >= 2  # ready ones never cancelled
 
     def test_target_capped_at_max(self, pool):
-        pool.scale_to(100, now=0.0)
-        assert pool.total_count(0.0) == 10
+        assert pool.scale_to(100, now=0.0).added == 10 - 2
+        assert pool.scale_to(100, now=1.0).added == 0
 
     def test_negative_target_rejected(self, pool):
         with pytest.raises(ValueError):

@@ -40,7 +40,6 @@ def test_ordering_ablation_smoke(full_underlay):
         assert 0.0 <= lh <= 1.0
         assert 0.0 <= tot <= 1.0
     assert result.lines()
-    assert 0.0 <= result.long_haul_floor() <= 1.0
 
 
 def test_probing_ablation_smoke(full_underlay):

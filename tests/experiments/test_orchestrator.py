@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.experiments import orchestrator, registry
+from repro.experiments import runner
 from repro.experiments.export import write_manifest
 from repro.experiments.orchestrator import (STATUS_FAILED, STATUS_OK,
                                             STATUS_TIMEOUT,
@@ -51,8 +51,8 @@ def fake_flaky(flag):
 
 
 @pytest.fixture()
-def fake_specs(tmp_path):
-    """Register the fake experiments; always unregister afterwards."""
+def fake_specs(tmp_path, register_specs):
+    """Register the fake experiments for the test."""
     flag = tmp_path / "flaky.flag"
     specs = [
         ExperimentSpec("__ok", _MODULE, func="fake_ok"),
@@ -61,13 +61,8 @@ def fake_specs(tmp_path):
         ExperimentSpec("__flaky", _MODULE, func="fake_flaky",
                        quick_kwargs={"flag": str(flag)}),
     ]
-    for spec in specs:
-        registry.register(spec)
-    try:
-        yield {s.name: s for s in specs}
-    finally:
-        for spec in specs:
-            registry.unregister(spec.name)
+    register_specs(*specs)
+    return {s.name: s for s in specs}
 
 
 class TestExecuteOne:
@@ -110,16 +105,11 @@ class TestParallel:
         assert record.retries == 1
         assert record.lines == ["recovered"]
 
-    def test_retries_exhausted(self, fake_specs, tmp_path):
-        spec = ExperimentSpec(
+    def test_retries_exhausted(self, fake_specs, tmp_path, register_specs):
+        register_specs(ExperimentSpec(
             "__always_flaky", _MODULE, func="fake_flaky",
-            quick_kwargs={"flag": str(tmp_path / "absent" / "nope")})
-        registry.register(spec)
-        try:
-            (record,) = run_parallel(["__always_flaky"], workers=1,
-                                     retries=2)
-        finally:
-            registry.unregister(spec.name)
+            quick_kwargs={"flag": str(tmp_path / "absent" / "nope")}))
+        (record,) = run_parallel(["__always_flaky"], workers=1, retries=2)
         assert record.status == STATUS_FAILED
         assert record.retries == 2
 
@@ -185,7 +175,12 @@ class TestManifest:
 
 
 class TestDispatcher:
-    def test_run_dispatches_on_parallel(self, fake_specs):
-        seq = orchestrator.run(["__ok"], parallel=0)
-        par = orchestrator.run(["__ok"], parallel=2)
-        assert seq[0].lines == par[0].lines == ["alpha", "beta"]
+    def test_run_dispatches_on_parallel(self, fake_specs, capsys):
+        """The runner picks the path on ``--parallel``; both print the
+        same report lines."""
+        def report(*argv):
+            assert runner.main(["--only", "__ok", *argv]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("---")]
+        assert report() == report("--parallel", "2")
+        assert "alpha" in report()

@@ -6,6 +6,12 @@ from repro.experiments import partition
 from repro.experiments.registry import get
 
 
+def _row(report, scenario, mode):
+    """The report's row of one (scenario, mode)."""
+    return next(r for r in report.rows
+                if (r.scenario, r.mode) == (scenario, mode))
+
+
 @pytest.fixture(scope="module")
 def report():
     return partition.run(partition_epochs=4, post_epochs=3)
@@ -20,15 +26,15 @@ def test_scenario_and_mode_grid(report):
 
 
 def test_degraded_mode_collapses_intra_partition_blackholing(report):
-    off = report.row("partition-blackhole", "off")
-    on = report.row("partition-blackhole", "on")
+    off = _row(report, "partition-blackhole", "off")
+    on = _row(report, "partition-blackhole", "on")
     assert off.intra_blackholed_s > 0
     assert on.intra_blackholed_s == 0.0
     assert on.intra_blackholed_s < off.intra_blackholed_s
 
 
 def test_degraded_mode_reconciles_cleanly_on_heal(report):
-    on = report.row("partition-blackhole", "on")
+    on = _row(report, "partition-blackhole", "on")
     assert on.pcounter("partitions_started") == 1
     assert on.pcounter("partitions_healed") == 1
     assert on.pcounter("regional_installs_rejected") == 0
@@ -38,15 +44,15 @@ def test_degraded_mode_reconciles_cleanly_on_heal(report):
 
 
 def test_churn_only_bites_with_membership_armed(report):
-    off = report.row("membership-churn", "off")
-    on = report.row("membership-churn", "on")
+    off = _row(report, "membership-churn", "off")
+    on = _row(report, "membership-churn", "on")
     assert off.mcounter("expiries") == 0
     assert on.mcounter("expiries") > 0
     assert on.mcounter("regions_demoted") > 0
 
 
 def test_off_rows_carry_no_partition_counters(report):
-    off = report.row("partition-blackhole", "off")
+    off = _row(report, "partition-blackhole", "off")
     assert off.partition_counters is None
     assert off.pcounter("partitions_started") == 0
 

@@ -68,27 +68,6 @@ class TestSeeds:
                 assert spec.resolved_seed() == derive_seed(spec.name)
 
 
-class TestRegisterUnregister:
-    def test_round_trip(self):
-        spec = ExperimentSpec("__tmp", "math", func="sqrt")
-        registry.register(spec)
-        try:
-            assert registry.get("__tmp") is spec
-            replacement = ExperimentSpec("__tmp", "math", func="floor")
-            registry.register(replacement)
-            assert registry.get("__tmp") is replacement
-            # Replacement keeps a single registry entry.
-            assert [s.name for s in registry.all_specs()].count(
-                "__tmp") == 1
-        finally:
-            registry.unregister("__tmp")
-        with pytest.raises(KeyError):
-            registry.get("__tmp")
-
-    def test_unregister_missing_is_noop(self):
-        registry.unregister("__never_registered")
-
-
 class TestExecute:
     def test_execute_returns_lines(self):
         lines = registry.get("fig04").execute()
@@ -97,9 +76,5 @@ class TestExecute:
     def test_non_lines_result_rejected(self):
         spec = ExperimentSpec("__bad", "math", func="sqrt",
                               quick_kwargs={"x": 2.0})
-        registry.register(spec)
-        try:
-            with pytest.raises(TypeError):
-                spec.execute()
-        finally:
-            registry.unregister("__bad")
+        with pytest.raises(TypeError):
+            spec.execute()

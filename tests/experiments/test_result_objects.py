@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.base import cdf_summary, format_table
+from repro.experiments.base import format_table
 from repro.experiments.fig05_demand import DemandFigure
 from repro.experiments.fig13_qoe import QoEComparison
 from repro.experiments.fig16_casestudies import CaseStudy
@@ -28,10 +28,6 @@ class TestFormatTable:
         joined = "\n".join(lines)
         assert "0.1234" in joined or "0.1235" in joined
         assert "1234" in joined
-
-    def test_cdf_summary_quantiles(self):
-        out = cdf_summary(np.arange(101.0))
-        assert out == pytest.approx([10, 25, 50, 75, 90])
 
 
 class TestCaseStudy:

@@ -4,26 +4,24 @@ import json
 
 import pytest
 
-from repro.experiments import registry, runner
+from repro.experiments import runner
 from repro.experiments.registry import ExperimentSpec
 
 _MODULE = "tests.experiments.test_orchestrator"
 
 
 @pytest.fixture()
-def fake_ok_spec():
+def fake_ok_spec(register_specs):
     spec = ExperimentSpec("__cli_ok", _MODULE, func="fake_ok")
-    registry.register(spec)
-    yield spec
-    registry.unregister(spec.name)
+    register_specs(spec)
+    return spec
 
 
 @pytest.fixture()
-def fake_boom_spec():
+def fake_boom_spec(register_specs):
     spec = ExperimentSpec("__cli_boom", _MODULE, func="fake_boom")
-    registry.register(spec)
-    yield spec
-    registry.unregister(spec.name)
+    register_specs(spec)
+    return spec
 
 
 class TestExitCodes:

@@ -8,6 +8,7 @@ from repro.resilience import resilience
 from repro.sim.engine import Simulator
 from repro.underlay.linkstate import LinkType
 from tests.harness import START_S, canonical_bytes, event_engine
+from tests.snapshots import nib_history
 
 
 def _run(seed=5, duration=90.0, **kwargs):
@@ -93,8 +94,8 @@ class TestProbeBlackout:
         nib = sim.controller.nib
         # HGH-sourced links stopped reporting at the blackout start;
         # other regions kept reporting until the end of the run.
-        hgh = nib.get("HGH", "SIN", LinkType.INTERNET)
-        sin = nib.get("SIN", "HGH", LinkType.INTERNET)
+        hgh = nib_history(nib, "HGH", "SIN", LinkType.INTERNET)[-1]
+        sin = nib_history(nib, "SIN", "HGH", LinkType.INTERNET)[-1]
         assert hgh.reported_at < 3606.0
         assert sin.reported_at > 3680.0
 
@@ -104,8 +105,8 @@ class TestReportFaults:
         sched = FaultSchedule.of(report_drop(3605.0, 1000.0, region="HGH"))
         sim, result = _run(faults=sched)
         assert result.fault_counters["reports_dropped"] > 0
-        assert sim.controller.nib.get(
-            "HGH", "SIN", LinkType.INTERNET).reported_at < 3606.0
+        assert nib_history(sim.controller.nib, "HGH", "SIN",
+                           LinkType.INTERNET)[-1].reported_at < 3606.0
         # Probing itself never stopped (the drop is on the NIB path).
         assert result.fault_counters["probes_blacked_out"] == 0
 
@@ -117,7 +118,8 @@ class TestReportFaults:
         # Back-dated reports lose to the freshest pre-fault entry, so
         # the NIB's view freezes at the fault start instead of tracking
         # the run: only aging data arrives (§6.3's stale-NIB regime).
-        report = sim.controller.nib.get("HGH", "SIN", LinkType.INTERNET)
+        report = nib_history(sim.controller.nib, "HGH", "SIN",
+                             LinkType.INTERNET)[-1]
         assert report.reported_at < 3605.0
 
 

@@ -17,12 +17,6 @@ class TestControlPartitionSpec:
         assert spec.regions == ("HGH", "SIN")
         assert spec.end_s == 160.0
 
-    def test_severs_queries_the_region_set(self):
-        spec = control_partition(0.0, 1.0, ("HGH", "SIN"))
-        assert spec.severs("HGH")
-        assert spec.severs("SIN")
-        assert not spec.severs("FRA")
-
     def test_partition_needs_a_finite_window(self):
         with pytest.raises(ValueError, match="finite"):
             control_partition(0.0, math.inf, ("HGH",))

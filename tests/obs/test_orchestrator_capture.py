@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.experiments import registry
 from repro.experiments.export import write_manifest
 from repro.experiments.orchestrator import (execute_one, rollup_records,
                                             run_parallel, run_sequential)
@@ -22,16 +21,15 @@ def fake_instrumented():
 
 
 @pytest.fixture()
-def instrumented_spec():
+def instrumented_spec(register_specs):
     spec = ExperimentSpec("__instrumented", _MODULE,
                           func="fake_instrumented")
-    registry.register(spec)
+    register_specs(spec)
     obs.disable()
     obs.reset()
     try:
         yield spec
     finally:
-        registry.unregister(spec.name)
         obs.disable()
         obs.reset()
 

@@ -7,6 +7,11 @@ from repro.obs.slo import CAUSE_WINDOW_S, SLOEngine, SLOTarget
 from repro.qoe.metrics import qoe_badness
 
 
+def _events(hub, kind):
+    """The trace events of one kind a telemetry hub recorded."""
+    return [e for e in hub.tracer.events if e.kind == kind]
+
+
 @pytest.fixture(autouse=True)
 def clean_hub():
     obs.disable()
@@ -55,7 +60,7 @@ class TestBurnAndHysteresis:
         assert not engine.streams["a->b"].in_breach
         engine.observe("a->b", 1.0, 9000.0, 0.0)
         assert engine.streams["a->b"].in_breach
-        (breach,) = hub.tracer.by_kind("slo_breach")
+        (breach,) = _events(hub, "slo_breach")
         assert breach.fields["stream"] == "a->b"
         assert breach.fields["burn_rate"] == 2.0  # 100% bad / 0.5 budget
         engine.close()
@@ -73,7 +78,7 @@ class TestBurnAndHysteresis:
             engine.observe("a->b", t, 10.0, 0.0)
             t += 1.0
             assert t < 60.0, "never recovered"
-        (rec,) = hub.tracer.by_kind("slo_recovered")
+        (rec,) = _events(hub, "slo_recovered")
         assert rec.fields["duration_s"] > 0
         ledger = engine.streams["a->b"]
         assert ledger.breaches == 1
@@ -116,7 +121,7 @@ class TestCausalAnnotation:
         hub.event("fault_probe_blackout", t=5.0, region="SIN", fault_id=3)
         engine.observe("a->b", 6.0, 9000.0, 0.0)
         engine.observe("a->b", 7.0, 9000.0, 0.0)
-        (breach,) = hub.tracer.by_kind("slo_breach")
+        (breach,) = _events(hub, "slo_breach")
         assert breach.fields["cause_kind"] == "fault_probe_blackout"
         assert breach.fields["cause_t"] == 5.0
         assert breach.fields["cause_fault_id"] == 3
@@ -129,7 +134,7 @@ class TestCausalAnnotation:
         hub.event("fault_probe_blackout", t=5.0, fault_ids=[2, 4])
         engine.observe("a->b", 6.0, 9000.0, 0.0)
         engine.observe("a->b", 7.0, 9000.0, 0.0)
-        (breach,) = hub.tracer.by_kind("slo_breach")
+        (breach,) = _events(hub, "slo_breach")
         assert breach.fields["cause_fault_id"] == 2
         engine.close()
 
@@ -140,7 +145,7 @@ class TestCausalAnnotation:
         late = 5.0 + CAUSE_WINDOW_S + 1.0
         engine.observe("a->b", late, 9000.0, 0.0)
         engine.observe("a->b", late + 1.0, 9000.0, 0.0)
-        (breach,) = hub.tracer.by_kind("slo_breach")
+        (breach,) = _events(hub, "slo_breach")
         assert "cause_kind" not in breach.fields
         engine.close()
 
@@ -150,7 +155,7 @@ class TestCausalAnnotation:
         hub.event("fault_gateway_crash", t=50.0, fault_id=1)
         engine.observe("a->b", 6.0, 9000.0, 0.0)
         engine.observe("a->b", 7.0, 9000.0, 0.0)
-        (breach,) = hub.tracer.by_kind("slo_breach")
+        (breach,) = _events(hub, "slo_breach")
         assert "cause_kind" not in breach.fields
         engine.close()
 
@@ -164,7 +169,7 @@ class TestCausalAnnotation:
         while engine.streams["a->b"].in_breach:
             engine.observe("a->b", t, 10.0, 0.0)
             t += 1.0
-        (rec,) = hub.tracer.by_kind("slo_recovered")
+        (rec,) = _events(hub, "slo_recovered")
         assert rec.fields["remedy_kind"] == "failover"
         assert rec.fields["remedy_t"] == 4.5
         engine.close()
@@ -174,7 +179,7 @@ class TestCausalAnnotation:
         engine = _engine(hub=hub)
         for i in range(4):
             engine.observe("a->b", float(i), 9000.0, 0.0)
-        assert hub.tracer.by_kind("slo_breach")
+        assert _events(hub, "slo_breach")
         assert not engine._causes  # the sink ignores slo_* events
         engine.close()
 

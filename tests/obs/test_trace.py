@@ -18,14 +18,6 @@ class TestRecord:
         assert [e.seq for e in tr.events] == [1, 2]
         assert tr.events[0].fields["region"] == "FRA"
 
-    def test_by_kind_and_kinds(self):
-        tr = Tracer()
-        tr.record("failover")
-        tr.record("probe_round")
-        tr.record("failover")
-        assert len(tr.by_kind("failover")) == 2
-        assert tr.kinds() == ["failover", "probe_round"]
-
     def test_bounded_buffer_counts_drops(self):
         tr = Tracer(max_events=3)
         for i in range(5):

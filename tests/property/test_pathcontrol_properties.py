@@ -95,7 +95,7 @@ class TestInvariants:
         result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=gateways)
         for a in result.assignments:
-            assert a.path.src == a.stream.src
+            assert a.path.regions[0] == a.stream.src
             assert a.path.dst == a.stream.dst
             regions = a.path.regions
             assert len(set(regions)) == len(regions)  # loop-free

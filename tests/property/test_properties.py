@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.stats import normalize, weighted_percentiles
+from repro.analysis.stats import weighted_percentiles
 from repro.controlplane.model import OverlayPath
 from repro.controlplane.prediction import DTFTPredictor, RollingPredictor
 from repro.qoe.audio import audio_fluency_series
@@ -48,14 +48,9 @@ class TestEventTimelineProperties:
     @settings(max_examples=60, deadline=None)
     def test_zero_outside_any_event(self, events):
         tl = EventTimeline.from_events(events, 20_000.0)
-        after = max((e.end for e in events), default=0.0) + 1.0
+        after = max((e.start + e.duration for e in events),
+                    default=0.0) + 1.0
         assert float(tl.latency_add(after)) <= 1e-6
-
-    @given(events=events_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_histogram_counts_all_events(self, events):
-        tl = EventTimeline.from_events(events, 20_000.0)
-        assert sum(tl.duration_histogram()) == len(events)
 
     @given(events=events_strategy, times=times_strategy)
     @settings(max_examples=60, deadline=None)
@@ -170,10 +165,3 @@ class TestStatsProperties:
         w = np.ones_like(v)
         out = weighted_percentiles(v, w, [p])[0]
         assert v.min() - 1e-9 <= out <= v.max() + 1e-9
-
-    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
-    @settings(max_examples=60, deadline=None)
-    def test_normalize_unit_peak(self, values):
-        out = normalize(values)
-        if np.max(np.abs(values)) > 0:
-            assert np.max(np.abs(out)) == pytest.approx(1.0)

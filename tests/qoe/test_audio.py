@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.qoe.audio import (audio_fluency_series, e_model_r_factor,
-                             fluency_score_counts, r_to_mos)
+from repro.qoe.audio import audio_fluency_series, e_model_r_factor, r_to_mos
 
 
 class TestRFactor:
@@ -70,12 +69,3 @@ class TestFluency:
         losses = np.linspace(0, 0.5, 30)
         scores = audio_fluency_series(np.full(30, 100.0), losses)
         assert np.all(np.diff(scores) <= 1e-9)
-
-    def test_score_counts(self):
-        scores = np.array([1.0, 1.4, 2.2, 4.9, 5.0])
-        counts = fluency_score_counts(scores)
-        assert counts[1] == 2
-        assert counts[2] == 1
-        assert counts[4] == 1
-        assert counts[5] == 1
-        assert sum(counts.values()) == 5

@@ -1,15 +1,33 @@
-"""Tests for aggregated QoE summaries."""
+"""Tests for the QoE summary every figure reads:
+`SimulationResult.qoe_summary`, demand-weight-pooled across pairs."""
 
 import numpy as np
 import pytest
 
-from repro.qoe.metrics import summarize_qoe
+from repro.core.simulator import SimulationResult
+
+
+def _summary(lat, loss, step_s=1.0, demand=None):
+    """`qoe_summary` of a one-epoch result whose rows are `lat` / `loss`
+    (one row per pair) and whose pairs carry `demand` Mbps."""
+    lat = np.atleast_2d(np.asarray(lat, dtype=float))
+    loss = np.atleast_2d(np.asarray(loss, dtype=float))
+    n_pairs, n_steps = lat.shape
+    demand = np.ones(n_pairs) if demand is None else np.asarray(demand)
+    result = SimulationResult(
+        variant=None, pairs=[(f"A{i}", f"B{i}") for i in range(n_pairs)],
+        region_codes=[], eval_step_s=step_s, epoch_s=n_steps * step_s,
+        times=np.arange(n_steps) * step_s, latency_ms=lat, loss_rate=loss,
+        on_backup=np.zeros_like(lat, dtype=bool), epoch_starts=np.zeros(1),
+        demand_mbps=demand.reshape(n_pairs, 1).astype(float),
+        containers=np.zeros((0, 1)), ledger=None)
+    return result.qoe_summary()
 
 
 def test_healthy_summary():
     lat = np.full(1000, 100.0)
     loss = np.full(1000, 0.001)
-    s = summarize_qoe(lat, loss, step_s=1.0)
+    s = _summary(lat, loss)
     assert s.stall_ratio == 0.0
     assert s.mean_fps == pytest.approx(25.0)
     assert s.mean_fluency > 4.5
@@ -23,7 +41,7 @@ def test_degraded_summary():
     lat[100:104] = 900.0  # one 4 s stall
     loss = np.zeros(1000)
     loss[500:512] = 0.2   # one 12 s stall
-    s = summarize_qoe(lat, loss, step_s=1.0)
+    s = _summary(lat, loss)
     assert s.stall_ratio == pytest.approx(16 / 1000)
     assert s.stall_buckets == (1, 0, 1)
 
@@ -32,15 +50,19 @@ def test_bad_audio_fraction_counts_score_one():
     lat = np.full(100, 100.0)
     loss = np.zeros(100)
     loss[:10] = 0.6  # catastrophic loss -> fluency 1
-    s = summarize_qoe(lat, loss, step_s=1.0)
+    s = _summary(lat, loss)
     assert s.bad_audio_fraction == pytest.approx(0.1)
     assert s.low_audio_fraction >= s.bad_audio_fraction
 
 
-def test_empty_series():
-    s = summarize_qoe(np.zeros(0), np.zeros(0), step_s=1.0)
-    assert s.samples == 0
-    assert s.stall_ratio == 0.0
+def test_pairs_are_weighted_by_demand():
+    """A stalled pair carrying a quarter of the demand stalls a quarter
+    of the pooled time, and its stalls still count in the buckets."""
+    lat = np.array([np.full(10, 900.0), np.full(10, 100.0)])
+    s = _summary(lat, np.zeros_like(lat), demand=[1.0, 3.0])
+    assert s.stall_ratio == pytest.approx(0.25)
+    assert s.stall_buckets == (0, 0, 1)
+    assert s.samples == 20
 
 
 def test_ordering_between_networks():
@@ -48,8 +70,8 @@ def test_ordering_between_networks():
     rng = np.random.default_rng(0)
     lat = rng.uniform(50, 200, 500)
     loss = rng.uniform(0, 0.02, 500)
-    good = summarize_qoe(lat, loss, step_s=1.0)
-    bad = summarize_qoe(lat * 4, loss * 10, step_s=1.0)
+    good = _summary(lat, loss)
+    bad = _summary(lat * 4, loss * 10)
     assert bad.stall_ratio >= good.stall_ratio
     assert bad.mean_fps <= good.mean_fps
     assert bad.mean_fluency <= good.mean_fluency

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.qoe.video import (VideoQoEConfig, frame_rate_series, stall_series,
-                             stall_duration_buckets, stall_durations,
-                             stall_ratio)
+                             stall_duration_buckets, stall_durations)
 
 
 class TestStallSeries:
@@ -33,13 +32,6 @@ class TestStallSeries:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             stall_series(np.zeros(3), np.zeros(4))
-
-    def test_stall_ratio(self):
-        lat = np.array([500.0, 100.0, 500.0, 100.0])
-        assert stall_ratio(lat, np.zeros(4)) == pytest.approx(0.5)
-
-    def test_stall_ratio_empty(self):
-        assert stall_ratio(np.zeros(0), np.zeros(0)) == 0.0
 
 
 class TestStallDurations:

@@ -39,7 +39,8 @@ class TestComponentRoundTrips:
         got = dict(fresh.predicted_matrix().items())
         assert want == got
         # The restored predictors are genuinely fitted, not falling back.
-        assert fresh.predictor("HGH", "SIN").predictor.fitted
+        models = fresh.export_state()["predictors"]
+        assert models["HGH->SIN"]["model"] is not None
 
     def test_cold_sib_predicts_persistence_fallback(self):
         cold = StreamInformationBase(CODES, **SIB_PARAMS)
@@ -50,13 +51,15 @@ class TestComponentRoundTrips:
 
     def test_nib_reports_round_trip(self):
         nib = NetworkInformationBase(window=3, codes=CODES)
-        for k in range(5):
-            nib.update(LinkReport("HGH", "SIN", I, 100.0 + k, 0.01, 10.0 + k))
-        nib.update(LinkReport("SIN", "FRA", P, 80.0, 0.0, 12.0))
+        nib.update_many(
+            [LinkReport("HGH", "SIN", I, 100.0 + k, 0.01, 10.0 + k)
+             for k in range(5)]
+            + [LinkReport("SIN", "FRA", P, 80.0, 0.0, 12.0)])
         fresh = NetworkInformationBase(window=3, codes=CODES)
         fresh.import_reports(nib.export_reports())
         assert fresh.export_reports() == nib.export_reports()
-        assert fresh.get("HGH", "SIN", I).latency_ms == 104.0
+        assert fresh.latest_snapshot(CODES).lookup("HGH", "SIN", I) == \
+            (104.0, 0.01)
 
     def test_workload_rng_and_counter_round_trip(self):
         workload = StreamWorkload(np.random.default_rng(9))
@@ -76,7 +79,7 @@ class TestCheckpoint:
         for k in range(6):
             ctrl.sib.record_epoch(_matrix(float(k)))
             ctrl.epochs_run += 1
-        ctrl.nib.update(LinkReport("HGH", "SIN", I, 100.0, 0.01, 10.0))
+        ctrl.nib.update_many([LinkReport("HGH", "SIN", I, 100.0, 0.01, 10.0)])
         ctrl._workload.decompose(_matrix(0.0))
         return ctrl
 

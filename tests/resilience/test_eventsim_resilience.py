@@ -28,6 +28,17 @@ from repro.resilience.install import ResilienceExtension
 from tests.harness import START_S, event_engine, extension
 
 
+def _row(report, scenario, mode):
+    """The report's row of one (scenario, mode)."""
+    return next(r for r in report.rows
+                if (r.scenario, r.mode) == (scenario, mode))
+
+
+def _events(hub, kind):
+    """The trace events of one kind a telemetry hub recorded."""
+    return [e for e in hub.tracer.events if e.kind == kind]
+
+
 def _run(seed=5, duration=90.0, **kwargs):
     sim = event_engine(seed, **kwargs)
     return sim, sim.run(START_S, duration)
@@ -41,10 +52,10 @@ def report() -> recovery.RecoveryReport:
 
 class TestSafeInstallsUnderChaos:
     def test_unprotected_baseline_blackholes(self, report):
-        assert report.row("install-chaos", "off").blackholed_s > 0.0
+        assert _row(report, "install-chaos", "off").blackholed_s > 0.0
 
     def test_no_violating_install_ever_commits(self, report):
-        row = report.row("install-chaos", "on")
+        row = _row(report, "install-chaos", "on")
         # The same chaos that blackholed the baseline: zero blackholed
         # stream-seconds because rejected updates never landed.
         assert row.blackholed_s == 0.0
@@ -53,7 +64,7 @@ class TestSafeInstallsUnderChaos:
         assert row.counter("installs_committed") > 0
 
     def test_retry_budget_bounded(self, report):
-        row = report.row("install-chaos", "on")
+        row = _row(report, "install-chaos", "on")
         assert row.counter("installs_retried") <= (
             (row.counter("installs_rejected")
              + row.counter("installs_deferred")))
@@ -83,8 +94,8 @@ class TestSafeInstallsUnderChaos:
 
 class TestWarmRestart:
     def test_outage_triggers_exactly_one_restart(self, report):
-        cold = report.row("controller-outage", "cold")
-        warm = report.row("controller-outage", "warm")
+        cold = _row(report, "controller-outage", "cold")
+        warm = _row(report, "controller-outage", "warm")
         assert cold.counter("restores_cold") == 1
         assert cold.counter("restores_warm") == 0
         assert warm.counter("restores_warm") == 1
@@ -92,25 +103,25 @@ class TestWarmRestart:
 
     def test_warm_restore_cuts_reconvergence_by_at_least_one_epoch(
             self, report):
-        cold = report.row("controller-outage", "cold").reconverge_epochs
-        warm = report.row("controller-outage", "warm").reconverge_epochs
+        cold = _row(report, "controller-outage", "cold").reconverge_epochs
+        warm = _row(report, "controller-outage", "warm").reconverge_epochs
         assert cold >= 1
         assert warm <= cold - 1
 
     def test_checkpoints_taken_every_epoch(self, report):
-        warm = report.row("controller-outage", "warm")
+        warm = _row(report, "controller-outage", "warm")
         assert warm.counter("checkpoints_taken") > 0
 
 
 class TestHysteresis:
     def test_strictly_fewer_flaps_with_hysteresis(self, report):
-        off = report.row("flap-storm", "no-hysteresis").flaps
-        on = report.row("flap-storm", "hysteresis").flaps
+        off = _row(report, "flap-storm", "no-hysteresis").flaps
+        on = _row(report, "flap-storm", "hysteresis").flaps
         assert off >= 2
         assert on < off
 
     def test_holddown_suppressions_counted(self, report):
-        assert report.row("flap-storm", "hysteresis")\
+        assert _row(report, "flap-storm", "hysteresis")\
             .counter("holddown_suppressed") > 0
 
 
@@ -131,11 +142,11 @@ class TestTelemetry:
         sim, __ = _run(duration=150.0, faults=sched,
                        resilience=resilience(),
                        sib_params={"min_history": 4, "refit_every": 2})
-        kinds = set(tel.tracer.kinds())
+        kinds = {e.kind for e in tel.tracer.events}
         assert "resilience_install_commit" in kinds
         assert "resilience_install_rejected" in kinds
         assert "resilience_install_retry" in kinds
         assert "resilience_checkpoint" in kinds
         assert "resilience_restore" in kinds
-        restore = tel.tracer.by_kind("resilience_restore")[0]
+        restore = _events(tel, "resilience_restore")[0]
         assert restore.fields["warm"] in (True, False)

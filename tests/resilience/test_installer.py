@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.resilience import ResilienceConfig, TwoPhaseInstaller, resilience
 from repro.resilience.install import (MAX_INSTALL_RETRIES, STALENESS_EPOCHS,
-                                      ResilienceExtension)
+                                      ResilienceCounters, ResilienceExtension)
 from repro.underlay.linkstate import LinkType
 
 I = LinkType.INTERNET
@@ -79,4 +79,5 @@ class TestInstaller:
         installer.counters.installs_rejected += 2
         doc = installer.counters.as_dict()
         assert doc["installs_rejected"] == 2
-        assert installer.counters.total() == 2
+        assert sum(doc.values()) == 2
+        assert ResilienceCounters(**doc) == installer.counters

@@ -45,13 +45,6 @@ class TestRngStreams:
         assert RngStreams(1).seed_for("k") != RngStreams(1).seed_for("k2")
         assert RngStreams(1).seed_for("k") != RngStreams(2).seed_for("k")
 
-    def test_fork_is_independent(self):
-        parent = RngStreams(5)
-        child = parent.fork("child")
-        a = parent.get("s").random(4)
-        b = child.get("s").random(4)
-        assert not np.allclose(a, b)
-
 
 class TestHashNoise:
     def test_uniform_range(self):

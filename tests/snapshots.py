@@ -5,11 +5,14 @@ its topology as a rule, ``state(src, dst, link_type) -> (latency_ms,
 loss_rate)``, and `snapshot_of` evaluates the rule once per directed
 link; `link_model_snapshot` is the scalar `LinkProcess` model of an
 underlay in the same form — the reference `Underlay.snapshot` must
-equal bit for bit.
+equal bit for bit; `series_of` is one `LinkProcess` as the time-series
+function `burst_series` probes.  `nib_history` reads one link's reports
+back out of a NIB through its checkpoint export.
 """
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.controlplane.nib import LinkReport
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_ORDER, LinkStateSnapshot
 
@@ -37,3 +40,21 @@ def link_model_snapshot(underlay, now: float) -> LinkStateSnapshot:
         link = underlay.link(a, b, link_type)
         return (float(link.latency_ms(now)), float(link.loss_rate(now)))
     return snapshot_of(underlay.codes, state, now)
+
+
+def series_of(link):
+    """`link`'s scalar model as a function of a time grid: times ->
+    (latency_ms, loss_rate)."""
+    return lambda times: (link.latency_ms(times), link.loss_rate(times))
+
+
+def nib_history(nib, src: str, dst: str,
+                link_type: LinkType) -> List[LinkReport]:
+    """The windowed reports `nib` holds for one link, oldest first, as
+    `export_reports` writes them; ``[-1]`` is the latest."""
+    return [LinkReport(doc["src"], doc["dst"], LinkType(doc["link_type"]),
+                       doc["latency_ms"], doc["loss_rate"],
+                       doc["reported_at"])
+            for doc in nib.export_reports()
+            if (doc["src"], doc["dst"], doc["link_type"])
+            == (src, dst, link_type.value)]

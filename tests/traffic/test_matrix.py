@@ -1,6 +1,5 @@
 """Tests for traffic matrices."""
 
-import numpy as np
 import pytest
 
 from repro.traffic.matrix import TrafficMatrix
@@ -22,11 +21,6 @@ def test_total(matrix):
     assert matrix.total() == pytest.approx(18.0)
 
 
-def test_egress_ingress(matrix):
-    assert matrix.egress("A") == pytest.approx(12.0)
-    assert matrix.ingress("B") == pytest.approx(11.0)
-
-
 def test_len_counts_entries(matrix):
     assert len(matrix) == 4
 
@@ -34,14 +28,6 @@ def test_len_counts_entries(matrix):
 def test_items_sorted(matrix):
     keys = [k for k, __ in matrix.items()]
     assert keys == sorted(keys)
-
-
-def test_as_array_layout(matrix):
-    arr = matrix.as_array()
-    assert arr.shape == (3, 3)
-    assert arr[0, 1] == 10.0  # A -> B
-    assert arr[1, 0] == 5.0
-    assert np.all(np.diag(arr) == 0.0)
 
 
 def test_scaled(matrix):

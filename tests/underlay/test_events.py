@@ -12,19 +12,15 @@ def _timeline(events, horizon=1000.0):
 
 
 class TestDegradationEvent:
-    def test_end(self):
-        e = DegradationEvent(10.0, 5.0, 100.0, 0.01)
-        assert e.end == 15.0
-
-    def test_is_short_boundary(self):
-        assert DegradationEvent(0, 29.9, 1, 0).is_short
-        assert not DegradationEvent(0, 30.0, 1, 0).is_short
-
     def test_ramp_capped(self):
-        long_event = DegradationEvent(0, 100.0, 1, 0)
-        assert long_event.ramp_s == 3.0
-        short_event = DegradationEvent(0, 4.0, 1, 0)
-        assert short_event.ramp_s == pytest.approx(1.4)
+        """The ramp is 35 % of the duration, at most 3 s: half way up it
+        the event adds half its peak."""
+        long_event = _timeline([DegradationEvent(0, 100.0, 100.0, 0)])
+        assert long_event.latency_add(1.5) == pytest.approx(50.0)
+        assert long_event.latency_add(3.0) == pytest.approx(100.0)
+        short_event = _timeline([DegradationEvent(0, 4.0, 100.0, 0)])
+        assert short_event.latency_add(0.7) == pytest.approx(50.0)
+        assert short_event.latency_add(1.4) == pytest.approx(100.0)
 
 
 class TestEventTimeline:
@@ -89,25 +85,6 @@ class TestEventTimeline:
         # Sorted by start time.
         assert out[0].start == 1.0 and out[1].start == 5.0
 
-    def test_active_events(self):
-        tl = _timeline([DegradationEvent(10.0, 10.0, 1.0, 0.0),
-                        DegradationEvent(15.0, 10.0, 2.0, 0.0)])
-        active = tl.active_events(16.0)
-        assert len(active) == 2
-        assert len(tl.active_events(5.0)) == 0
-        assert len(tl.active_events(21.0)) == 1
-
-    def test_duration_histogram_buckets(self):
-        tl = _timeline([DegradationEvent(0, 5.0, 1, 0),
-                        DegradationEvent(10, 15.0, 1, 0),
-                        DegradationEvent(30, 25.0, 1, 0),
-                        DegradationEvent(60, 100.0, 1, 0),
-                        DegradationEvent(200, 9.0, 1, 0)])
-        assert tl.duration_histogram() == (2, 1, 1, 1)
-
-    def test_duration_histogram_empty(self):
-        assert _timeline([]).duration_histogram() == (0, 0, 0, 0)
-
 
 class TestPieces:
     """`EventTimeline.pieces`: the window's run of `segment`s, as views."""
@@ -163,11 +140,10 @@ class TestGenerateTimeline:
 
     def test_counts_scale_with_rate(self, rng):
         tl = self._gen(rng)
-        hist = tl.duration_histogram()
-        short = sum(hist[:3])
+        short = int(np.sum(tl.durations < 30.0))
         # ~1000 short events expected over 10 days.
         assert 800 < short < 1200
-        assert 3 < hist[3] < 30
+        assert 3 < len(tl) - short < 30
 
     def test_rate_scale_multiplies_counts(self, rng):
         base = len(self._gen(np.random.default_rng(1)))
@@ -176,7 +152,7 @@ class TestGenerateTimeline:
 
     def test_short_events_stay_short(self, rng):
         tl = self._gen(rng, long_events_per_day=0.0)
-        assert tl.duration_histogram()[3] == 0
+        assert np.all(tl.durations < 30.0)
 
     def test_long_events_exceed_30s(self, rng):
         tl = self._gen(rng, short_events_per_day=0.0,

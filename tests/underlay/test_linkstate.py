@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.underlay.events import DegradationEvent, EventTimeline
-from repro.underlay.linkstate import (LinkProcess, LinkStateSample, LinkType,
-                                      busy_factor)
+from repro.underlay.linkstate import LinkProcess, LinkType, busy_factor
 from repro.underlay.regions import default_regions
 
 
@@ -18,22 +17,6 @@ def _make_link(events=(), horizon=86400.0, **overrides):
     timeline = EventTimeline.from_events(list(events), horizon)
     return LinkProcess(regions[0], regions[4], LinkType.INTERNET,
                        timeline=timeline, **kwargs)
-
-
-class TestLinkStateSample:
-    def test_good_state(self):
-        s = LinkStateSample(100.0, 0.001)
-        assert not s.is_bad()
-
-    def test_bad_latency(self):
-        assert LinkStateSample(500.0, 0.0).is_bad()
-
-    def test_bad_loss(self):
-        assert LinkStateSample(100.0, 0.01).is_bad()
-
-    def test_custom_thresholds(self):
-        s = LinkStateSample(150.0, 0.001)
-        assert s.is_bad(high_latency_ms=100.0)
 
 
 class TestBusyFactor:
@@ -96,10 +79,12 @@ class TestLinkProcess:
         assert peak > trough * 1.3
 
     def test_sample_matches_series(self):
+        """A scalar instant reads the bits of its element of `series`."""
         link = _make_link()
-        s = link.sample(500.0)
-        assert s.latency_ms == pytest.approx(float(link.latency_ms(500.0)))
-        assert s.loss_rate == pytest.approx(float(link.loss_rate(500.0)))
+        times, lat, loss = link.series(0.0, 1000.0, 10.0)
+        assert times[50] == 500.0
+        assert float(link.latency_ms(500.0)) == lat[50]
+        assert float(link.loss_rate(500.0)) == loss[50]
 
     def test_series_shape_and_grid(self):
         link = _make_link()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.controlplane.model import OverlayPath
+from repro.underlay.events import MAX_RAMP_S, RAMP_FRACTION
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
 
@@ -144,7 +145,8 @@ def ramp_instant(underlay):
     for link in underlay.links_of_type(I):
         events = [e for e in link.timeline.events if e.start > 1.0]
         if events:
-            return events[0].start + events[0].ramp_s / 2.0
+            ramp_s = min(MAX_RAMP_S, RAMP_FRACTION * events[0].duration)
+            return events[0].start + ramp_s / 2.0
     raise AssertionError("underlay has no degradation events")
 
 
@@ -230,13 +232,13 @@ class TestStateAt:
 
 # --------------------------------------------------------- segment memo
 def scalar_adds(underlay, t):
-    """What `timeline_adds` must equal: every link's own scalar lookup."""
+    """What `timeline_adds` must equal: every link's own lookup."""
     params = underlay.link_param_arrays()
     shape = params.base_latency_ms.shape
     lat, loss = np.zeros(shape), np.zeros(shape)
     for key, timeline in params.timelines.items():
-        lat[key] = timeline.latency_add_scalar(t)
-        loss[key] = timeline.loss_add_scalar(t)
+        lat[key] = timeline.latency_add(t)
+        loss[key] = timeline.loss_add(t)
     return lat, loss
 
 
@@ -263,7 +265,7 @@ def planet():
 class TestSegmentMemo:
     """`_LinkParamArrays.timeline_adds` remembers each link's current
     linear piece; whatever it remembers, any instant in any order must
-    give `latency_add_scalar` / `loss_add_scalar`'s bits."""
+    give `latency_add` / `loss_add`'s bits."""
 
     @pytest.fixture(params=["paper", "planet"])
     def underlay(self, request, full_underlay, planet):
