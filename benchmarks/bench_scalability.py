@@ -321,6 +321,8 @@ _sweep_cache = {}
 
 
 def _sweep_scenario(n_regions: int):
+    """(underlay, its streams, gateways, the demand matrix, the cohort
+    workload that decomposed it) at N regions."""
     if n_regions not in _sweep_cache:
         u = planet_underlay(n_regions, seed=_SWEEP_SEED,
                             horizon_s=_SWEEP_HORIZON_S)
@@ -330,7 +332,7 @@ def _sweep_scenario(n_regions: int):
         streams = workload.decompose(matrix)
         u.link_param_arrays()  # warm the lazy parameter matrices
         gateways = {c: 8 for c in u.codes}
-        _sweep_cache[n_regions] = (u, streams, gateways)
+        _sweep_cache[n_regions] = (u, streams, gateways, matrix, workload)
     return _sweep_cache[n_regions]
 
 
@@ -342,7 +344,7 @@ def _sweep_id(n: int) -> str:
 @pytest.mark.benchmark(min_rounds=3)
 def test_sweep_snapshot_build(benchmark, n_regions):
     """Per-epoch whole-underlay snapshot cost at N regions."""
-    u, __, __ = _sweep_scenario(n_regions)
+    u = _sweep_scenario(n_regions)[0]
     instants = _epoch_instants(_SWEEP_SNAP_T)
     snap = benchmark(lambda: u.snapshot(next(instants)))
     assert np.isfinite(snap.lat).sum() > 0
@@ -352,7 +354,7 @@ def test_sweep_snapshot_build(benchmark, n_regions):
 @pytest.mark.benchmark(min_rounds=3)
 def test_sweep_path_control(benchmark, n_regions):
     """Algorithm 1 over the cohort SIB at N regions."""
-    u, streams, gateways = _sweep_scenario(n_regions)
+    u, streams, gateways = _sweep_scenario(n_regions)[:3]
     config = ControlConfig()
     snap = u.snapshot(_SWEEP_SNAP_T)
     result = benchmark(lambda: path_control(streams, u.codes, snap, config,
@@ -364,13 +366,12 @@ def test_sweep_path_control(benchmark, n_regions):
 
 
 #: Hard budget of one Algorithm 2 pass over the capacitated result of
-#: the sweep scenario, with the usual 2x headroom over the largest mean
-#: measured (119 ms, in a whole-file run whose heap also holds the
-#: 200-region scenario).  Run alone, walking each distinct route once
-#: over the flat premium matrices takes 56-64 ms at 100 regions (median
-#: 35-40: the rest is the collector, the pass builds ~14 000 plans);
-#: scoring an `OverlayPath` per candidate took 80-90 (median 58-67).
-REACTION_PLANS_BUDGET_S = {100: 0.25}
+#: the sweep scenario.  Scoring the distinct routes of each hop count
+#: in one array pass and writing the per-region plan dicts takes
+#: 7.5-7.6 ms at 100 regions in whole-file runs; the per-route scalar
+#: walk it replaced took 82-105 ms, and scoring an `OverlayPath` per
+#: candidate more still.  The budget leaves 5x headroom.
+REACTION_PLANS_BUDGET_S = {100: 0.04}
 
 
 @pytest.mark.parametrize("n_regions", sorted(REACTION_PLANS_BUDGET_S),
@@ -378,14 +379,15 @@ REACTION_PLANS_BUDGET_S = {100: 0.25}
 def test_reaction_plans(benchmark, n_regions):
     """One `generate_reaction_plans` over the capacitated result of the
     sweep scenario (not named ``sweep``: perf-smoke runs it)."""
-    u, streams, gateways = _sweep_scenario(n_regions)
+    u, streams, gateways = _sweep_scenario(n_regions)[:3]
     config = ControlConfig()
     snap = u.snapshot(_SWEEP_SNAP_T)
     r_cur = path_control(streams, u.codes, snap, config, gateways=gateways,
                          fees=u.pricing)
     plans = benchmark(lambda: generate_reaction_plans(
         r_cur, snap, config.loss_ms_penalty))
-    assert len(plans) >= len({a.stream.stream_id for a in r_cur.assignments})
+    assert sum(len(by_stream) for by_stream in plans.values()) \
+        >= len(set(r_cur.position))
     assert benchmark.stats["mean"] < REACTION_PLANS_BUDGET_S[n_regions]
 
 
@@ -408,7 +410,7 @@ def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
     from repro.underlay.linkstate import LinkType
     from repro.underlay.snapshot import TYPE_INDEX
 
-    u, __, gateways = _sweep_scenario(n_regions)
+    u, __, gateways = _sweep_scenario(n_regions)[:3]
     matrix = TrafficMatrix.from_model(DemandModel(u.regions,
                                                   seed=_SWEEP_SEED),
                                       _SWEEP_DEMAND_T)
@@ -467,12 +469,15 @@ def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
 @pytest.mark.benchmark(min_rounds=3)
 def test_sweep_full_epoch(benchmark, n_regions):
     """The controller's full per-epoch compute at N regions: snapshot
-    build, Algorithm 1, capacity control, and reaction-plan generation
-    (demand prediction is per-pair constant time and negligible)."""
-    u, streams, gateways = _sweep_scenario(n_regions)
+    build, the decomposition of the demand matrix into cohorts,
+    Algorithm 1, capacity control, and reaction-plan generation.  The
+    SIB's demand prediction is left out (`test_sweep_epoch_phase_profile`
+    times a whole `Controller.run_epoch`)."""
+    u, __, gateways, matrix, workload = _sweep_scenario(n_regions)
     config = ControlConfig()
 
     def full_epoch():
+        streams = workload.decompose(matrix)
         snap = u.snapshot(_SWEEP_SNAP_T)
         r_cur = path_control(streams, u.codes, snap, config,
                              gateways=gateways, fees=u.pricing)

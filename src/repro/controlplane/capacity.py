@@ -16,8 +16,8 @@ from typing import Dict, List, Optional
 
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import (EpochSolveContext,
-                                            PathControlResult, place_streams)
-from repro.traffic.streams import Stream
+                                            PathControlResult, path_control)
+from repro.traffic.streams import StreamTable
 from repro.underlay.pricing import PricingModel
 from repro.underlay.snapshot import LinkStateSnapshot
 
@@ -36,7 +36,7 @@ class CapacityDecision:
         return sum(self.target.values())
 
 
-def capacity_control(streams: List[Stream], codes: List[str],
+def capacity_control(streams: StreamTable, codes: List[str],
                      snap: LinkStateSnapshot, config: ControlConfig,
                      available: Dict[str, int],
                      r_cur: PathControlResult,
@@ -50,11 +50,12 @@ def capacity_control(streams: List[Stream], codes: List[str],
     *predicted* next-epoch demand and `snap` the link state step 1 used.
     Pass step 1's `EpochSolveContext` too, to share the edge-weight
     build, the epoch's route table and (when every region has a
-    gateway) the entire first DP with it.
+    gateway) the entire first DP with it.  The uncapacitated run is
+    read only for its gateway demand, off its columns.
     """
-    r_next = place_streams(streams, codes, snap, config, gateways=None,
-                           fees=fees, context=context)
-    used = r_next.used_gateways()
+    r_next = path_control(streams, codes, snap, config, gateways=None,
+                          fees=fees, context=context)
+    used = r_next.used_gateways
     add: Dict[str, int] = {}
     remove: Dict[str, int] = {}
     target: Dict[str, int] = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,11 +31,12 @@ from repro.controlplane.model import ControlConfig
 from repro.controlplane.nib import NetworkInformationBase
 from repro.controlplane.pathcontrol import (EpochSolveContext,
                                             PathControlResult, path_control)
-from repro.controlplane.reactionplan import ReactionPlan, generate_reaction_plans
+from repro.controlplane.reactionplan import (ReactionPlan, RegionPlans,
+                                             generate_reaction_plans)
 from repro.controlplane.sib import StreamInformationBase
 from repro.obs import telemetry as _telemetry
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.streams import Stream, StreamWorkload
+from repro.traffic.streams import Stream, StreamTable, StreamWorkload
 from repro.underlay.linkstate import LinkType
 from repro.underlay.pricing import PricingModel
 from repro.underlay.snapshot import TYPE_INDEX, LinkStateSnapshot
@@ -44,36 +46,52 @@ _TEL = _telemetry()
 
 @dataclass
 class ControlOutput:
-    """Everything the controller pushes to the data plane for one epoch."""
+    """Everything the controller pushes to the data plane for one epoch.
+
+    The installs and the engines read columns: `table` (the epoch's
+    streams), `path_result`'s columns and tables, and `plans_by_region`.
+    `streams` and `reaction_plans` are the object forms experiments
+    read, built once, on first read."""
 
     epoch_start: float
     path_result: PathControlResult
     capacity: CapacityDecision
-    reaction_plans: Dict[Tuple[int, str], ReactionPlan]
+    #: Algorithm 2's plans as installed: region -> stream id -> relays.
+    plans_by_region: RegionPlans
     predicted_matrix: TrafficMatrix
-    streams: List[Stream]
+    table: StreamTable
 
-    def plans_by_region(self, codes
-                        ) -> Dict[str, Dict[int, Tuple[str, ...]]]:
-        """The reaction plans as installed: relay chains per stream,
-        grouped per region of `codes`."""
-        plans: Dict[str, Dict[int, Tuple[str, ...]]] = {
-            code: {} for code in codes}
-        for (sid, region), plan in self.reaction_plans.items():
-            plans[region][sid] = plan.relay_regions
+    @property
+    def streams(self) -> List[Stream]:
+        return self.table.streams()
+
+    @cached_property
+    def reaction_plans(self) -> Dict[Tuple[int, str], ReactionPlan]:
+        """The plans keyed by (stream id, region), in the order
+        Algorithm 2 meets them: each assignment's non-terminal regions,
+        path order, first assignment first."""
+        result = self.path_result
+        codes, rows = result.routes.codes, result.routes.rows
+        stream_ids = self.table.stream_id.tolist()
+        plans: Dict[Tuple[int, str], ReactionPlan] = {}
+        for p, rid in zip(result.position, result.route):
+            sid, row = stream_ids[p], rows[rid]
+            for r in row[:len(row) // 2]:
+                key = (sid, codes[r])
+                if key not in plans:
+                    plans[key] = ReactionPlan(
+                        sid, key[1], self.plans_by_region[key[1]][sid])
         return plans
 
     def stream_specs(self) -> List[Tuple[int, str, str]]:
         """The distinct (stream id, src, dst) of the assignments, in
         first-assignment order — what an install must deliver."""
-        seen = set()
-        specs: List[Tuple[int, str, str]] = []
-        for a in self.path_result.assignments:
-            key = (a.stream.stream_id, a.stream.src, a.stream.dst)
-            if key not in seen:
-                seen.add(key)
-                specs.append(key)
-        return specs
+        table = self.table
+        codes, stream_ids = table.codes, table.stream_id.tolist()
+        src, dst = table.src.tolist(), table.dst.tolist()
+        return list(dict.fromkeys(
+            (stream_ids[p], codes[src[p]], codes[dst[p]])
+            for p in self.path_result.position))
 
 
 class Controller:
@@ -189,18 +207,21 @@ class Controller:
             # Per-pair demand attribution for the phase profiler
             # (`repro.obs.profile`): the heaviest assigned pairs and
             # their Mbps, so path-control time can be apportioned.
+            codes = streams.codes
+            src_of, dst_of = streams.src.tolist(), streams.dst.tolist()
             pair_mbps: Dict[Tuple[str, str], float] = {}
-            for a in r_cur.assignments:
-                key = (a.stream.src, a.stream.dst)
-                pair_mbps[key] = pair_mbps.get(key, 0.0) + a.mbps
+            for p, mbps in zip(r_cur.position, r_cur.mbps):
+                key = (codes[src_of[p]], codes[dst_of[p]])
+                pair_mbps[key] = pair_mbps.get(key, 0.0) + mbps
             top = sorted(pair_mbps.items(), key=lambda kv: (-kv[1], kv[0]))
             _TEL.event(
                 "control_epoch", t=now,
                 streams=len(streams),
-                assignments=len(r_cur.assignments),
-                unassigned=len(r_cur.unassigned),
+                assignments=len(r_cur.route),
+                unassigned=len(r_cur.unassigned_at),
                 graph_rebuilds=r_cur.graph_rebuilds,
-                reaction_plans=len(plans),
+                reaction_plans=sum(len(by_stream)
+                                   for by_stream in plans.values()),
                 predicted_mbps=round(predicted.total(), 3),
                 observed_mbps=round(observed_matrix.total(), 3),
                 assigned_mbps=round(r_cur.total_assigned_mbps(), 3),

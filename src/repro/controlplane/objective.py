@@ -38,14 +38,17 @@ def evaluate_objective(result: PathControlResult, snap: LinkStateSnapshot,
     per-assignment latency limits come from one gather of `snap`'s
     direct premium latencies.
     """
+    table = result.streams
+    codes, src, dst = table.codes, table.src.tolist(), table.dst.tolist()
     direct = snap.direct_latency(
-        [a.stream.src for a in result.assignments],
-        [a.stream.dst for a in result.assignments], LinkType.PREMIUM)
+        [codes[src[p]] for p in result.position],
+        [codes[dst[p]] for p in result.position], LinkType.PREMIUM)
+    latency_ms = result.routes.latency_ms
     util_lat = 0.0
-    for a, direct_premium in zip(result.assignments, direct):
+    for rid, direct_premium in zip(result.route, direct):
         limit = config.latency_limit_ms(float(direct_premium))
         if limit > 0:
-            util_lat += a.latency_ms / limit
+            util_lat += latency_ms[rid] / limit
 
     container_cost = pricing.container_cost(
         sum(gateways.values()) * epoch_s / 3600.0)

@@ -24,15 +24,18 @@ Implementation notes:
   latency/loss/fee matrices and the capacity-independent edge weights
   are shared by **every** graph rebuild within the call — only the
   residual-capacity masks change between rebuilds.
-* The solve runs on integers and arrays.  A graph build reconstructs
-  every pair's route at once (`_ShortestPaths`): latency, loss and a
-  *resource row* — the indices, in one flat residual vector ``[region |
-  Internet | premium]``, of everything the route draws capacity from.
-  The greedy loop reads one row per visit and appends ``(stream
-  position, route id, mbps, meets)`` to the columns of a `Placement`; a
-  blocked visit allocates nothing.  Distinct routes are interned once
-  per epoch (`_RouteTable`), and `OverlayPath` / `Assignment` objects
-  are built in one place (`Placement.result`), when a consumer asks.
+* The solve runs on integers and arrays.  Its input is the columns of
+  a `StreamTable`.  A graph build reconstructs every pair's route at
+  once (`_ShortestPaths`): latency, loss and a *resource row* — the
+  indices, in one flat residual vector ``[region | Internet |
+  premium]``, of everything the route draws capacity from.  The greedy
+  loop reads one row per visit and appends ``(stream position, route
+  id, mbps, meets)`` to the columns of a `PathControlResult`; a blocked
+  visit allocates nothing.  Distinct routes are interned once per epoch
+  (`_RouteTable`); forwarding tables are built from the route rows, and
+  `Stream` / `OverlayPath` / `Assignment` objects only when a consumer
+  outside the epoch reads `PathControlResult.assignments` or
+  ``.unassigned``.
 * An `EpochSolveContext` threaded through the capacitated run and
   capacity control's uncapacitated run shares the edge-weight build,
   the first DP build and the route table between them; output is
@@ -44,13 +47,14 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.controlplane.model import ControlConfig, OverlayPath
 from repro.obs import telemetry as _telemetry
-from repro.traffic.streams import Stream
+from repro.traffic.streams import Stream, StreamTable
 from repro.underlay.linkstate import LinkType
 from repro.underlay.pricing import PricingModel
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
@@ -103,27 +107,8 @@ class Assignment:
     meets_constraints: bool
 
 
-@dataclass
-class PathControlResult:
-    """Everything Algorithm 1 outputs for one epoch."""
-
-    assignments: List[Assignment]
-    #: Streams (with residual Mbps) that no capacity could carry.
-    unassigned: List[Tuple[Stream, float]]
-    #: Traffic processed per region (every region a path touches).
-    region_traffic: Dict[str, float]
-    #: Internet egress per region and premium usage per pair (Mbps).
-    internet_egress: Dict[str, float]
-    premium_usage: Dict[Tuple[str, str], float]
-    #: Gateways needed per region: ceil(traffic x headroom / B_c).
-    used_gateways: Dict[str, int]
-    #: Forwarding tables: region -> stream_id -> (next region, link type).
-    forwarding_tables: Dict[str, Dict[int, Tuple[str, LinkType]]]
-    #: Number of shortest-path graph rebuilds (scalability diagnostic).
-    graph_rebuilds: int = 0
-
-    def total_assigned_mbps(self) -> float:
-        return float(sum(a.mbps for a in self.assignments))
+#: One forwarding-table row: (next region, link type).
+Entry = Tuple[str, LinkType]
 
 
 class _RouteTable:
@@ -132,10 +117,11 @@ class _RouteTable:
     A route *is* its resource row: the region ids in path order, then
     one id per hop — ``N + a`` for an Internet hop out of region ``a``,
     ``2N + a * N + b`` for the premium link ``a -> b`` — all indices
-    into the residual vector; the `OverlayPath` and every usage sum
-    derive from it.  Routes are interned by the row's bytes, so both
-    runs and every graph rebuild share one id — and one `OverlayPath`,
-    built the first time an assignment needs it — per distinct route.
+    into the residual vector; its forwarding-table rows, its
+    `OverlayPath` and every usage sum derive from it.  Routes are
+    interned by the row's bytes, so both runs and every graph rebuild
+    share one id — and one `OverlayPath`, built the first time an
+    assignment object needs it — per distinct route.
     """
 
     def __init__(self, codes: List[str]):
@@ -144,7 +130,7 @@ class _RouteTable:
         self.rows: List[List[int]] = []
         self.latency_ms: List[float] = []
         self.loss_rate: List[float] = []
-        self._paths: List[Optional[OverlayPath]] = []
+        self._paths: Dict[int, OverlayPath] = {}
 
     def add(self, key: bytes, row: List[int], latency_ms: float,
             loss_rate: float) -> int:
@@ -152,11 +138,10 @@ class _RouteTable:
         self.rows.append(row)
         self.latency_ms.append(latency_ms)
         self.loss_rate.append(loss_rate)
-        self._paths.append(None)
         return rid
 
     def path(self, rid: int) -> OverlayPath:
-        path = self._paths[rid]
+        path = self._paths.get(rid)
         if path is None:
             codes, row = self.codes, self.rows[rid]
             n_hops, premium_base = len(row) // 2, 2 * len(codes)
@@ -169,27 +154,35 @@ class _RouteTable:
         return path
 
 
-class Placement:
-    """One run of Algorithm 1 as the solver leaves it: parallel columns
-    ``(stream position, route id, mbps, meets)``, one row per
-    assignment in assignment order, over the epoch's `_RouteTable`.
+class PathControlResult:
+    """One run of Algorithm 1: parallel columns ``(stream position,
+    route id, mbps, meets)``, one row per assignment in assignment
+    order, over the input `StreamTable` and the epoch's `_RouteTable`;
+    and the positions of the streams no capacity could carry in full,
+    with the Mbps each has left.
 
-    Capacity control reads gateway demand straight off the columns;
-    `result` builds the `PathControlResult` — the only place an
-    `Assignment` is constructed — when someone asks.
+    Capacity control, the installs and both engines read the columns
+    and what derives from them (`usage`, `used_gateways`,
+    `forwarding_tables`).  `assignments` and `unassigned` are the object
+    forms experiments read, built once, on first read.
     """
 
-    def __init__(self, streams: List[Stream], routes: _RouteTable,
+    def __init__(self, streams: StreamTable, routes: _RouteTable,
                  config: ControlConfig):
-        self.streams = streams  # the caller's list, not copied
+        self.streams = streams
         self.routes = routes
         self.config = config
         self.position: List[int] = []
         self.route: List[int] = []
         self.mbps: List[float] = []
         self.meets: List[bool] = []
-        self.unassigned: List[Tuple[Stream, float]] = []
+        self.unassigned_at: List[int] = []
+        self.residual: List[float] = []
+        #: Number of shortest-path graph rebuilds (scalability diagnostic).
         self.graph_rebuilds = 0
+
+    def total_assigned_mbps(self) -> float:
+        return float(sum(self.mbps))
 
     def usage(self) -> Tuple[List[float], List[float], Dict[int, float]]:
         """Mbps per region, Internet egress per region and premium
@@ -207,44 +200,71 @@ class Placement:
                     premium[r] = premium.get(r, 0.0) + mbps
         return traffic, egress, premium
 
-    def used_gateways(self, traffic: Optional[List[float]] = None
-                      ) -> Dict[str, int]:
+    @cached_property
+    def _usage(self) -> Tuple[List[float], List[float], Dict[int, float]]:
+        return self.usage()
+
+    @cached_property
+    def used_gateways(self) -> Dict[str, int]:
         """Gateways needed per region: ceil(traffic x headroom / B_c)."""
-        if traffic is None:
-            traffic = self.usage()[0]
         config = self.config
         return {c: int(np.ceil(mbps * config.capacity_headroom
                                / config.container_capacity_mbps))
-                for c, mbps in zip(self.routes.codes, traffic)}
+                for c, mbps in zip(self.routes.codes, self._usage[0])}
 
-    def result(self) -> PathControlResult:
-        routes, streams = self.routes, self.streams
-        codes, n = routes.codes, len(routes.codes)
-        latency_ms, loss_rate = routes.latency_ms, routes.loss_rate
-        assignments: List[Assignment] = []
-        tables: Dict[str, Dict[int, Tuple[str, LinkType]]] = {
-            c: {} for c in codes}
-        #: One (next region, link type) tuple per distinct next hop.
-        next_hops: Dict[LinkType, Dict[str, Tuple[str, LinkType]]] = {
-            t: {} for t in TYPE_ORDER}
-        for p, rid, mbps, meets in zip(self.position, self.route, self.mbps,
-                                       self.meets):
-            stream, path = streams[p], routes.path(rid)
-            assignments.append(Assignment(stream, path, mbps,
-                                          latency_ms[rid], loss_rate[rid],
-                                          meets))
-            for (a, b, t) in path.hops:
-                entry = next_hops[t].get(b)
+    @cached_property
+    def internet_egress(self) -> Dict[str, float]:
+        return dict(zip(self.routes.codes, self._usage[1]))
+
+    @cached_property
+    def premium_usage(self) -> Dict[Tuple[str, str], float]:
+        codes, n = self.routes.codes, len(self.routes.codes)
+        return {(codes[(r - 2 * n) // n], codes[(r - 2 * n) % n]): mbps
+                for r, mbps in self._usage[2].items()}
+
+    @cached_property
+    def forwarding_tables(self) -> Dict[str, Dict[int, Entry]]:
+        """region -> stream id -> (next region, link type), written
+        assignment by assignment, hop by hop: a split stream's later
+        pieces overwrite the rows of its earlier ones.  Entries are one
+        shared tuple per distinct next hop."""
+        codes, rows = self.routes.codes, self.routes.rows
+        n = len(codes)
+        tables: Dict[str, Dict[int, Entry]] = {c: {} for c in codes}
+        by_region = [tables[c] for c in codes]
+        #: Next region id (+ N for a premium hop) -> its entry.
+        entries: Dict[int, Entry] = {}
+        stream_ids = self.streams.stream_id.tolist()
+        for p, rid in zip(self.position, self.route):
+            sid, row = stream_ids[p], rows[rid]
+            n_hops = len(row) // 2
+            for h in range(n_hops):
+                b = row[h + 1]
+                key = b if row[n_hops + 1 + h] < 2 * n else b + n
+                entry = entries.get(key)
                 if entry is None:
-                    entry = next_hops[t][b] = (b, t)
-                tables[a][stream.stream_id] = entry
-        traffic, egress, premium = self.usage()
-        return PathControlResult(
-            assignments, self.unassigned, dict(zip(codes, traffic)),
-            dict(zip(codes, egress)),
-            {(codes[(r - 2 * n) // n], codes[(r - 2 * n) % n]): mbps
-             for r, mbps in premium.items()},
-            self.used_gateways(traffic), tables, self.graph_rebuilds)
+                    entry = entries[key] = (
+                        codes[b], LinkType.INTERNET if key < n
+                        else LinkType.PREMIUM)
+                by_region[row[h]][sid] = entry
+        return tables
+
+    @cached_property
+    def assignments(self) -> List[Assignment]:
+        """One `Assignment` per row, in assignment order."""
+        streams, routes = self.streams.streams(), self.routes
+        latency_ms, loss_rate = routes.latency_ms, routes.loss_rate
+        return [Assignment(streams[p], routes.path(rid), mbps,
+                           latency_ms[rid], loss_rate[rid], meets)
+                for p, rid, mbps, meets in zip(self.position, self.route,
+                                               self.mbps, self.meets)]
+
+    @cached_property
+    def unassigned(self) -> List[Tuple[Stream, float]]:
+        """The streams (with residual Mbps) no capacity could carry."""
+        streams = self.streams.streams()
+        return [(streams[p], residual)
+                for p, residual in zip(self.unassigned_at, self.residual)]
 
 
 def _residuals(codes: List[str], config: ControlConfig,
@@ -490,16 +510,16 @@ ORDERINGS = ("latency_desc", "latency_asc", "demand_desc", "input")
 REBUILD_BUDGET = 40
 
 
-def path_control(streams: List[Stream], codes: List[str],
+def path_control(streams: StreamTable, codes: List[str],
                  snap: LinkStateSnapshot, config: ControlConfig,
                  gateways: Optional[Dict[str, int]] = None,
                  fees: Optional[PricingModel] = None,
                  ordering: str = "latency_desc",
                  context: Optional[EpochSolveContext] = None
                  ) -> PathControlResult:
-    """Run Algorithm 1.
+    """Run Algorithm 1 over the rows of `streams`.
 
-    `snap` is the epoch's link state over exactly `codes`, in order.
+    `streams` and `snap` are over exactly `codes`, in order.
     `gateways` gives the current per-region container counts; pass None
     to run uncapacitated on the region dimension (used by capacity
     control's second step).  `fees` enables the cost term in edge
@@ -510,18 +530,6 @@ def path_control(streams: List[Stream], codes: List[str],
     same snapshot, config and fees objects; results are identical
     without one.
     """
-    return place_streams(streams, codes, snap, config, gateways, fees,
-                         ordering, context).result()
-
-
-def place_streams(streams: List[Stream], codes: List[str],
-                  snap: LinkStateSnapshot, config: ControlConfig,
-                  gateways: Optional[Dict[str, int]] = None,
-                  fees: Optional[PricingModel] = None,
-                  ordering: str = "latency_desc",
-                  context: Optional[EpochSolveContext] = None) -> Placement:
-    """`path_control` up to, not including, the objects: the solve as a
-    `Placement` (capacity control's second step stops here)."""
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; choose from "
                          f"{ORDERINGS}")
@@ -531,14 +539,15 @@ def place_streams(streams: List[Stream], codes: List[str],
     weights, routes = ctx.weights(snap, config, fees), ctx.routes
     values = _residuals(codes, config, gateways)
     sp = ctx.first_shortest_paths(weights, config, values)
-    placement = Placement(streams, routes, config)
+    result = PathControlResult(streams, routes, config)
 
-    n_streams = len(streams)
-    index = snap.index
-    src_idx = np.array([index[s.src] for s in streams], dtype=np.intp)
-    dst_idx = np.array([index[s.dst] for s in streams], dtype=np.intp)
+    if streams.codes != codes:
+        raise ValueError(f"stream table regions {streams.codes} do not "
+                         f"match the solver's {codes}")
+    src_idx, dst_idx = streams.src, streams.dst
     pair: List[int] = (src_idx * len(codes) + dst_idx).tolist()
-    remaining: List[float] = [s.demand_mbps for s in streams]
+    demand: List[float] = streams.mbps.tolist()
+    remaining = list(demand)
 
     # Latency limits are anchored to the direct premium latency of each
     # pair (the best the underlay can do).  Vectorised, but element-wise
@@ -559,8 +568,7 @@ def place_streams(streams: List[Stream], codes: List[str],
         if ordering == "input":
             return active_pos
         if ordering == "demand_desc":
-            return sorted(active_pos,
-                          key=lambda p: -streams[p].demand_mbps)
+            return sorted(active_pos, key=lambda p: -demand[p])
         pos = np.asarray(active_pos, dtype=np.intp)
         lat = sp.dist[src_idx[pos], dst_idx[pos]]
         keys = np.where(np.isfinite(lat), lat, 0.0)
@@ -570,8 +578,8 @@ def place_streams(streams: List[Stream], codes: List[str],
         return [active_pos[k] for k in order.tolist()]
 
     loss_limit, route_ids = config.loss_limit, routes.ids
-    position, route = placement.position, placement.route
-    amount, meets = placement.mbps, placement.meets
+    position, route = result.position, result.route
+    amount, meets = result.mbps, result.meets
 
     def sweep(order: List[int], sp: _ShortestPaths,
               quality: bool) -> List[int]:
@@ -625,7 +633,7 @@ def place_streams(streams: List[Stream], codes: List[str],
             _TEL.counter("pathcontrol.snapshot_reuses").inc()
         return _ShortestPaths(weights, config, values, enforce_loss)
 
-    active = [p for p, s in enumerate(streams) if s.demand_mbps > 0]
+    active: List[int] = np.flatnonzero(streams.mbps > 0).tolist()
     rebuilds = 0
     while active and rebuilds <= REBUILD_BUDGET:
         # Sort by current shortest-path latency, descending (line 8).
@@ -648,7 +656,7 @@ def place_streams(streams: List[Stream], codes: List[str],
             f"path_control exhausted its rebuild budget "
             f"({REBUILD_BUDGET} rebuilds) with {len(active)} streams "
             "still unplaced; their residual demand falls through to the "
-            "best-effort pass", UserWarning, stacklevel=3)
+            "best-effort pass", UserWarning, stacklevel=2)
         if _TEL.enabled:
             _TEL.counter("pathcontrol.rebuild_budget_exhausted").inc(
                 len(active))
@@ -657,20 +665,23 @@ def place_streams(streams: List[Stream], codes: List[str],
     # all (e.g. a global loss episode) are still carried — production
     # cannot drop conferences — on the least-bad path, flagged as
     # violating constraints.
-    leftover = [p for p in range(n_streams) if remaining[p] > 1e-9]
+    leftover: List[int] = np.flatnonzero(
+        np.array(remaining) > 1e-9).tolist()
     if leftover:
         sweep(leftover, rebuilt(False), False)
 
-    placement.unassigned = [(streams[p], remaining[p])
-                            for p in range(n_streams) if remaining[p] > 1e-9]
-    placement.graph_rebuilds = rebuilds
+    left = np.array(remaining)
+    unassigned = np.flatnonzero(left > 1e-9)
+    result.unassigned_at = unassigned.tolist()
+    result.residual = left[unassigned].tolist()
+    result.graph_rebuilds = rebuilds
     if _TEL.enabled:
         _TEL.counter("pathcontrol.runs").inc()
         _TEL.counter("pathcontrol.graph_rebuilds").inc(rebuilds)
         _TEL.counter("pathcontrol.assignments").inc(len(route))
-        _TEL.counter("pathcontrol.unassigned").inc(len(placement.unassigned))
+        _TEL.counter("pathcontrol.unassigned").inc(unassigned.size)
         path_hops = _TEL.histogram("pathcontrol.path_hops",
                                    buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         for rid in route:
             path_hops.observe(len(routes.rows[rid]) // 2)
-    return placement
+    return result

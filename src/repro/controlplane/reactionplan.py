@@ -17,12 +17,20 @@ follow (and are asserted in our tests):
 * Property 2 — the backup path only uses regions already on the original
   path, so region capacity and premium bandwidth budgets reserved for the
   path still cover it: all constraints remain satisfied.
+
+Plans depend only on a route's region sequence, so the walk runs over
+the distinct placed routes, all routes of one hop count in one array
+pass (`_relay_choices`), and the plans come out as the per-region dicts
+the installs push.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.controlplane.pathcontrol import PathControlResult
 from repro.obs import telemetry as _telemetry
@@ -30,6 +38,9 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX, LinkStateSnapshot
 
 _TEL = _telemetry()
+
+#: Reaction plans as installed: region -> stream id -> relay chain.
+RegionPlans = Dict[str, Dict[int, Tuple[str, ...]]]
 
 
 @dataclass(frozen=True)
@@ -45,89 +56,148 @@ class ReactionPlan:
     relay_regions: Tuple[str, ...]
 
 
-def _route_walk(route: List[int], latency: List[float], loss: List[float],
-                n: int, loss_ms_penalty: float) -> List[Tuple[int, ...]]:
-    """Algorithm 2's reverse walk for one route, in index space.
+def _relay_choices(nodes: np.ndarray, latency: np.ndarray, loss: np.ndarray,
+                   n: int, loss_ms_penalty: float) -> np.ndarray:
+    """Algorithm 2's reverse walk over every route of one hop count.
 
-    `route` is the region-id sequence; `latency` / `loss` the premium
-    tier's matrices as flat lists (``a * n + b``).  Returns, for every
-    non-terminal position, the ordered relay ids (excluding the region
-    itself) to the destination.  A candidate's score is
-    ``latency + penalty * (1 - survive)`` with both terms accumulated
-    hop by hop left to right — the operations of
-    `LinkStateSnapshot.path_latency_ms` and of Table 1's
-    ``1 - prod(1 - hop loss)`` on the candidate's all-premium path,
-    without building it.
+    `nodes` is ``(routes, hops + 1)``: each route's region ids;
+    `latency` / `loss` the premium tier's matrices, flat (``a * n +
+    b``).  Returns ``via`` ``(routes, hops)``: the plan of position ``i``
+    of route ``k`` relays through position ``j = via[k, i]`` and then
+    follows ``j``'s plan, or goes direct to the destination when ``j``
+    is -1.
+
+    A candidate's score is ``latency + penalty * (1 - survive)``, both
+    terms accumulated hop by hop left to right from ``0.0`` / ``1.0`` —
+    the operations of `LinkStateSnapshot.path_latency_ms` and of Table
+    1's ``1 - prod(1 - hop loss)`` on its all-premium path — and a later
+    candidate replaces the best only when strictly better, so the first
+    minimum wins.
     """
-    def score(at: int, chain: Tuple[int, ...]) -> float:
-        total, survive = 0.0, 1.0
-        for relay in chain:
-            link = at * n + relay
-            total = total + latency[link]
-            survive = survive * (1.0 - loss[link])
-            at = relay
+    count, hops = nodes.shape[0], nodes.shape[1] - 1
+    every = np.arange(count)
+
+    def score(at: np.ndarray, chain: np.ndarray,
+              length: np.ndarray) -> np.ndarray:
+        total, survive = np.zeros(count), np.ones(count)
+        for s in range(chain.shape[1]):
+            on = s < length
+            link = at * n + chain[:, s]
+            total = np.where(on, total + latency[link], total)
+            survive = np.where(on, survive * (1.0 - loss[link]), survive)
+            at = np.where(on, chain[:, s], at)
         return total + loss_ms_penalty * (1.0 - survive)
 
-    last = len(route) - 1
-    # The default plan is the direct premium link to the destination
-    # (the only one for the region just before it); walk in reverse.
-    direct = (route[last],)
-    plans = [direct] * last
-    for i in range(last - 2, -1, -1):
-        best, best_score = direct, score(route[i], direct)
-        # Try relaying through a later on-path region r_j and
-        # following r_j's (already computed) plan.
-        for j in range(i + 1, last):
-            candidate = (route[j],) + plans[j]
-            candidate_score = score(route[i], candidate)
-            if candidate_score < best_score:
-                best, best_score = candidate, candidate_score
-        plans[i] = best
-    return plans
+    # Each position's relay ids as a padded row (`lengths` long).  The
+    # default plan is the direct premium link to the destination (the
+    # only one for the region just before it); walk in reverse.
+    chains = np.zeros((count, hops, hops), dtype=np.intp)
+    chains[:, :, 0] = nodes[:, hops, None]
+    lengths = np.ones((count, hops), dtype=np.intp)
+    via = np.full((count, hops), -1)
+    for i in range(hops - 2, -1, -1):
+        at = nodes[:, i]
+        best = score(at, chains[:, i], lengths[:, i])
+        # Try relaying through a later on-path region r_j and following
+        # r_j's (already computed) plan.
+        for j in range(i + 1, hops):
+            candidate = np.concatenate([nodes[:, j, None], chains[:, j]],
+                                       axis=1)
+            candidate_score = score(at, candidate, 1 + lengths[:, j])
+            better = candidate_score < best
+            best = np.where(better, candidate_score, best)
+            via[:, i] = np.where(better, j, via[:, i])
+        relayed = via[:, i] >= 0
+        j = np.maximum(via[:, i], 0)
+        chains[relayed, i, 0] = nodes[every, j][relayed]
+        chains[relayed, i, 1:] = chains[every, j, :hops - 1][relayed]
+        lengths[:, i] = np.where(relayed, 1 + lengths[every, j], 1)
+    return via
 
 
 def generate_reaction_plans(result: PathControlResult,
                             snap: LinkStateSnapshot,
-                            loss_ms_penalty: float = 2500.0
-                            ) -> Dict[Tuple[int, str], ReactionPlan]:
+                            loss_ms_penalty: float = 2500.0) -> RegionPlans:
     """Run Algorithm 2 over every assignment of a path-control result.
 
-    Returns plans keyed by (stream_id, region); the destination region
-    needs no plan.  Plans depend only on the region sequence, so the
-    reverse walk runs once per distinct `path.regions` — at scale most
-    streams share a handful of routes — over the premium tier of
-    `snap`.
+    Returns the plans per region of the result, each a dict stream id
+    -> relay chain; the destination region needs no plan.  A stream
+    split over several assignments keeps, per region, the plan of the
+    first assignment through it.  The reverse walk runs once per
+    distinct placed route, over the premium tier of `snap`.
     """
-    #: regions -> [(non-terminal region, its relay chain), ...]
-    routes: Dict[Tuple[str, ...], List[Tuple[str, Tuple[str, ...]]]] = \
-        dict.fromkeys(a.path.regions for a in result.assignments)
-    codes, index, n = snap.codes, snap.index, len(snap.codes)
+    routes = result.routes
+    codes, rows, n = routes.codes, routes.rows, len(routes.codes)
     premium = TYPE_INDEX[LinkType.PREMIUM]
-    latency = snap.lat[premium].ravel().tolist()
-    loss = snap.loss[premium].ravel().tolist()
-    #: One code tuple per distinct relay chain: most are a lone ``(dst,)``.
-    chains: Dict[Tuple[int, ...], Tuple[str, ...]] = {}
-    for regions in routes:
-        walk = _route_walk([index[r] for r in regions], latency, loss, n,
-                           loss_ms_penalty)
-        for relays in walk:
-            if relays not in chains:
-                chains[relays] = tuple([codes[r] for r in relays])
-        routes[regions] = [(region, chains[relays])
-                           for region, relays in zip(regions, walk)]
-    plans: Dict[Tuple[int, str], ReactionPlan] = {}
-    for assignment in result.assignments:
-        stream_id = assignment.stream.stream_id
-        for region, chain in routes[assignment.path.regions]:
-            key = (stream_id, region)
-            # A stream may appear with several assignments (demand split);
-            # keep the plan of the first (best) path.
-            if key not in plans:
-                plans[key] = ReactionPlan(stream_id, region, chain)
+    latency, loss = snap.lat[premium].ravel(), snap.loss[premium].ravel()
+    route = np.array(result.route, dtype=np.intp)
+    placed = np.unique(route)
+    spans = np.zeros(len(rows), dtype=np.intp)
+    spans[placed] = [len(rows[rid]) // 2 for rid in placed.tolist()]
+    # Every placed route's non-terminal positions, one run per route
+    # starting at `start[rid]`: the region and the id of its relay chain
+    # in `names`.  A chain is interned as (first relay, id of the rest),
+    # the rest of a lone ``(dst,)`` being the empty chain, id -1.
+    start = np.zeros(len(rows), dtype=np.intp)
+    region_of: List[np.ndarray] = []
+    chain_of: List[np.ndarray] = []
+    names: List[Tuple[str, ...]] = []
+    interned: Dict[int, int] = {}
+    at = 0
+    for hops in np.unique(spans[placed]).tolist():
+        rids = placed[spans[placed] == hops]
+        nodes = np.fromiter(
+            chain.from_iterable(rows[rid][:hops + 1] for rid in rids.tolist()),
+            dtype=np.intp, count=rids.size * (hops + 1)
+        ).reshape(-1, hops + 1)
+        via = _relay_choices(nodes, latency, loss, n, loss_ms_penalty)
+        every = np.arange(rids.size)
+        ids = np.empty(via.shape, dtype=np.intp)
+        for i in range(hops - 1, -1, -1):
+            j = via[:, i]
+            first = np.where(j < 0, nodes[:, hops], nodes[every, j])
+            rest = np.where(j < 0, -1, ids[every, j])
+            keys, inverse = np.unique((rest + 1) * n + first,
+                                      return_inverse=True)
+            known = []
+            for key in keys.tolist():
+                chain_id = interned.get(key)
+                if chain_id is None:
+                    rest_id, relay = divmod(key, n)
+                    chain_id = interned[key] = len(names)
+                    names.append((codes[relay],)
+                                 + (names[rest_id - 1] if rest_id else ()))
+                known.append(chain_id)
+            ids[:, i] = np.array(known, dtype=np.intp)[inverse]
+        start[rids] = at + hops * every
+        at += rids.size * hops
+        region_of.append(nodes[:, :hops].ravel())
+        chain_of.append(ids.ravel())
+    # Every (assignment, non-terminal region) in assignment order; the
+    # first of each (stream, region) is the plan.
+    counts = spans[route]
+    flat = (np.repeat(start[route] - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+    stream_ids = np.repeat(
+        result.streams.stream_id[np.array(result.position, dtype=np.intp)],
+        counts)
+    regions = np.concatenate(region_of + [np.zeros(0, np.intp)])[flat]
+    __, firsts = np.unique(stream_ids * n + regions, return_index=True)
+    firsts.sort()
+    plans: RegionPlans = {code: {} for code in codes}
+    by_region = list(plans.values())
+    for region, sid, chain_id in zip(
+            regions[firsts].tolist(), stream_ids[firsts].tolist(),
+            np.concatenate(chain_of + [np.zeros(0, np.intp)])[
+                flat[firsts]].tolist()):
+        by_region[region][sid] = names[chain_id]
     if _TEL.enabled:
-        _TEL.counter("reactionplan.plans").inc(len(plans))
         relay_hops = _TEL.histogram("reactionplan.relay_hops",
                                     buckets=(1.0, 2.0, 3.0, 4.0, 5.0))
-        for plan in plans.values():
-            relay_hops.observe(len(plan.relay_regions))
+        total = 0
+        for by_stream in plans.values():
+            total += len(by_stream)
+            for relay_chain in by_stream.values():
+                relay_hops.observe(len(relay_chain))
+        _TEL.counter("reactionplan.plans").inc(total)
     return plans

@@ -304,7 +304,7 @@ class RegionalExtension:
             _TEL.counter("partition.regional_epochs").inc()
             _TEL.event("partition_regional_epoch", t=now,
                        regions=list(sub.regions), epoch=sub.epochs_run)
-        plans_by_region = output.plans_by_region(sub.regions)
+        plans_by_region = output.plans_by_region
         tables = output.path_result.forwarding_tables
         violations = self.installer.validate(
             tables, plans_by_region,

@@ -64,7 +64,6 @@ if TYPE_CHECKING:
     from repro.faults.spec import FaultSchedule
     from repro.resilience.checkpoint import Checkpoint
     from repro.resilience.config import ResilienceConfig
-    from repro.resilience.invariants import Plans
 
 #: Packets per tracked session per measurement tick (passive tracking).
 _PACKETS_PER_TICK = 50
@@ -89,7 +88,7 @@ HOOKS = (
     "pre_solve",             # (sim): before the controller is consulted
     "controller_restarted",  # (): `controller` was replaced (a restart)
     "clamp_ready",           # (ready, now) -> the capacity the solve may use
-    "install",               # (sim, output, plans, unreachable): replaces the
+    "install",               # (sim, output, unreachable): replaces the
                              #   built-in install (the last one armed wins)
     "truncate_install",      # (code, cluster, entries, plans, now)
                              #   -> (entries, plans) as the push delivers them
@@ -451,8 +450,7 @@ class EventDrivenXRON:
 
         # Install forwarding tables and per-region reaction plans.
         install = (self.hooks("install") or [self._install])[-1]
-        install(sim, output, output.plans_by_region(self.underlay.codes),
-                unreachable)
+        install(sim, output, unreachable)
         self.fire("epoch_end", sim, unreachable)
         self.take_checkpoint(now)
         if _TEL.enabled:
@@ -462,13 +460,14 @@ class EventDrivenXRON:
 
     # --------------------------------------------------------------- install
     def _install(self, sim: Simulator, output: ControlOutput,
-                 plans_by_region: Plans, unreachable: frozenset) -> None:
+                 unreachable: frozenset) -> None:
         """The built-in install (the paper's): every reachable region
         takes its table and plans as its push arrives — at once, or late
         when a delivery hook holds it back — under the epoch's sequence
         number, and tracked sessions follow the new stream ids
         immediately."""
         tables = output.path_result.forwarding_tables
+        plans_by_region = output.plans_by_region
         for code in self.clusters:
             entries, plans, delay = tables[code], plans_by_region[code], 0.0
             if code not in unreachable:
@@ -521,12 +520,15 @@ class EventDrivenXRON:
     def best_streams(self, output: ControlOutput) -> Dict[RegionPair, int]:
         """Per tracked pair, the id of its highest-rate assigned stream
         (the first one on a tie)."""
+        table, result = output.table, output.path_result
+        codes, stream_ids = table.codes, table.stream_id.tolist()
+        src, dst = table.src.tolist(), table.dst.tolist()
         best: Dict[RegionPair, Tuple[int, float]] = {}
-        for a in output.path_result.assignments:
-            key = (a.stream.src, a.stream.dst)
+        for p, mbps in zip(result.position, result.mbps):
+            key = (codes[src[p]], codes[dst[p]])
             if key in self.sessions and (
-                    key not in best or a.mbps > best[key][1]):
-                best[key] = (a.stream.stream_id, a.mbps)
+                    key not in best or mbps > best[key][1]):
+                best[key] = (stream_ids[p], mbps)
         return {pair: sid for pair, (sid, __) in best.items()}
 
     def rebind_sessions(self, output: ControlOutput, now: float) -> None:

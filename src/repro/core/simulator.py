@@ -389,8 +389,11 @@ class EpochSimulator:
                             "autoscale", t=now, policy="capacity_control",
                             target=output.capacity.total_target(),
                             ready=sum(ready.values()))
-                for a in output.path_result.assignments:
-                    normal_hops.append((len(a.path.hops), a.mbps))
+                placed = output.path_result
+                rows = placed.routes.rows
+                normal_hops.extend((len(rows[rid]) // 2, mbps)
+                                   for rid, mbps in zip(placed.route,
+                                                        placed.mbps))
 
             cache = _EpochLinkCache(
                 self.underlay, now, epoch_end, cfg.eval_step_s,
@@ -487,20 +490,26 @@ class EpochSimulator:
     def _representative_paths(self, output: Optional[ControlOutput]
                               ) -> Dict[RegionPair, Tuple[OverlayPath,
                                                           Optional[int]]]:
-        """Best (highest-Mbps) assignment per pair, else a direct path."""
-        chosen: Dict[RegionPair, Tuple[OverlayPath, Optional[int], float]] = {}
+        """Best (highest-Mbps) assignment per pair, else a direct path;
+        a pair's path is built only for its chosen route."""
+        #: pair -> (route id, stream id, Mbps) of its best assignment.
+        chosen: Dict[RegionPair, Tuple[int, int, float]] = {}
         if output is not None:
-            for a in output.path_result.assignments:
-                key = (a.stream.src, a.stream.dst)
-                if key not in chosen or a.mbps > chosen[key][2]:
-                    chosen[key] = (a.path, a.stream.stream_id, a.mbps)
+            placed, table = output.path_result, output.table
+            codes, stream_ids = table.codes, table.stream_id.tolist()
+            src, dst = table.src.tolist(), table.dst.tolist()
+            for p, rid, mbps in zip(placed.position, placed.route,
+                                    placed.mbps):
+                key = (codes[src[p]], codes[dst[p]])
+                if key not in chosen or mbps > chosen[key][2]:
+                    chosen[key] = (rid, stream_ids[p], mbps)
         fallback_type = (LinkType.INTERNET if self.variant.internet_allowed
                          else LinkType.PREMIUM)
         result: Dict[RegionPair, Tuple[OverlayPath, Optional[int]]] = {}
         for pair in self.pairs:
             if pair in chosen:
-                path, sid, __ = chosen[pair]
-                result[pair] = (path, sid)
+                rid, sid, __ = chosen[pair]
+                result[pair] = (output.path_result.routes.path(rid), sid)
             else:
                 result[pair] = (OverlayPath.direct(pair[0], pair[1],
                                                    fallback_type), None)
@@ -517,14 +526,13 @@ class EpochSimulator:
                         rep_paths: Dict[RegionPair,
                                         Tuple[OverlayPath,
                                               Optional[int]]]) -> None:
-        plans = output.reaction_plans if output is not None else {}
+        plans = output.plans_by_region if output is not None else {}
 
         def plan_fn(stream_id: Optional[int]):
             def plan_for(region: str):
                 if stream_id is None:
                     return None
-                plan = plans.get((stream_id, region))
-                return plan.relay_regions if plan is not None else None
+                return plans[region].get(stream_id)
             return plan_for
 
         if self.variant.fast_reaction:

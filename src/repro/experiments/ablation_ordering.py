@@ -77,7 +77,8 @@ def run(underlay: Optional[Underlay] = None, n_epochs: int = 6,
         now = 6 * 3600.0 + e * epoch_s
         state = u.snapshot(now)
         matrix = TrafficMatrix.from_model(demand, now)
-        streams = workload.decompose(matrix)
+        table = workload.decompose(matrix)
+        streams = table.streams()
         long_ids = {
             s.stream_id for s in streams
             if state.lookup(s.src, s.dst, LinkType.PREMIUM)[0]
@@ -87,7 +88,7 @@ def run(underlay: Optional[Underlay] = None, n_epochs: int = 6,
         total = sum(s.demand_mbps for s in streams)
 
         for mode in ORDERING_LABELS:
-            result = path_control(streams, u.codes, state, config,
+            result = path_control(table, u.codes, state, config,
                                   gateways=gateways, fees=u.pricing,
                                   ordering=mode)
             good = [(a.stream.stream_id, a.mbps) for a in result.assignments

@@ -231,14 +231,14 @@ class ResilienceExtension:
         self.installer.counters.restores_warm += 1
 
     # --------------------------------------------------- two-phase installs
-    def install(self, sim, output: ControlOutput, plans_by_region: Plans,
+    def install(self, sim, output: ControlOutput,
                 unreachable: frozenset) -> None:
         """Start the safe-update protocol for one epoch's tables."""
         version = self.installer.next_version(sim.now)
-        self._attempt(sim, output, plans_by_region, output.stream_specs(),
-                      version, attempt=1)
+        self._attempt(sim, output, output.stream_specs(), version,
+                      attempt=1)
 
-    def _attempt(self, sim, output: ControlOutput, plans_by_region: Plans,
+    def _attempt(self, sim, output: ControlOutput,
                  streams: List[StreamSpec], version: int,
                  attempt: int) -> None:
         """One prepare->validate->commit round of the two-phase install."""
@@ -248,6 +248,7 @@ class ResilienceExtension:
         now = sim.now
         unreachable = engine.unreachable(now)
         tables = output.path_result.forwarding_tables
+        plans_by_region = output.plans_by_region
         delivered_t, delivered_p = {}, {}
         max_delay = 0.0
         for code in engine.clusters:
@@ -261,7 +262,7 @@ class ResilienceExtension:
                                                        now)
                 max_delay = max(max_delay, delay)
             delivered_t[code], delivered_p[code] = entries, plans
-        retry = (sim, output, plans_by_region, streams, version, attempt)
+        retry = (sim, output, streams, version, attempt)
         if max_delay > 0.0:
             # The protocol cannot commit until every region acknowledges
             # delivery, so the slowest region paces the whole round.
@@ -304,7 +305,7 @@ class ResilienceExtension:
         # stream ids once the tables that know those ids are live.
         engine.rebind_sessions(output, now)
 
-    def _retry(self, sim, output: ControlOutput, plans_by_region: Plans,
+    def _retry(self, sim, output: ControlOutput,
                streams: List[StreamSpec], version: int, attempt: int,
                delay: float, reason: str) -> None:
         """Queue the next attempt, or abandon when the budget is spent.
@@ -326,8 +327,8 @@ class ResilienceExtension:
                        attempt=attempt, delay_s=delay, reason=reason)
         sim.schedule(
             delay,
-            lambda: self._attempt(sim, output, plans_by_region, streams,
-                                  version, attempt + 1),
+            lambda: self._attempt(sim, output, streams, version,
+                                  attempt + 1),
             priority=0)
 
 

@@ -7,19 +7,20 @@ peak-to-trough ratios (~145x aggregate, ~247x per pair), plus a
 stream/session-level decomposition feeding the controller's SIB.
 """
 
-from repro.traffic.cohorts import CohortWorkload, StreamCohort
+from repro.traffic.cohorts import CohortWorkload
 from repro.traffic.config import TrafficConfig
 from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.streams import Stream, StreamWorkload, VIDEO_PROFILES
+from repro.traffic.streams import (Stream, StreamTable, StreamWorkload,
+                                   VIDEO_PROFILES)
 
 __all__ = [
     "CohortWorkload",
-    "StreamCohort",
     "TrafficConfig",
     "DemandModel",
     "TrafficMatrix",
     "Stream",
+    "StreamTable",
     "StreamWorkload",
     "VIDEO_PROFILES",
 ]

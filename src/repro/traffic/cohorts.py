@@ -3,75 +3,54 @@
 `StreamWorkload` emits one SIB entry per demand *chunk*; at planetary
 scale (hundreds of regions, millions of concurrent sessions) the
 controller cannot hold — nor does Algorithm 1 need — an entry per
-session.  A :class:`StreamCohort` is a bitrate-weighted *bundle* of all
-same-``(src, dst)`` sessions sharing a band of video profiles: the
-bundle's ``demand_mbps`` is what path control places on paths, while
-``sessions`` records how many user sessions it aggregates (a float —
-the marginal session is fractional).  Memory is
-``O(pairs x cohorts_per_pair)`` regardless of user count: a million
-concurrent 1080p viewers on one pair is still one cohort entry.
+session.  A *cohort* is a bitrate-weighted bundle of all same-``(src,
+dst)`` sessions sharing a band of video profiles: its ``mbps`` is what
+path control places on paths, while ``sessions`` records how many user
+sessions it aggregates (a float — the marginal session is fractional).
+Memory is ``O(pairs x cohorts_per_pair)`` regardless of user count: a
+million concurrent 1080p viewers on one pair is still one row.
 
-Cohorts are plain `Stream` subclasses, so every consumer of the SIB —
-``path_control``, ``capacity_control``, reaction-plan generation, the
-`Controller`, and `EpochSimulator` — accepts them unchanged; pass
-``workload=CohortWorkload(...)`` to `Controller`, or set
-``SimulationConfig.stream_cohorts`` for simulator runs.
+A decomposition is a `StreamTable` like `StreamWorkload`'s, so the
+solver, capacity control, reaction-plan generation and both engines
+read cohorts and chunks alike; pass ``workload=CohortWorkload(...)`` to
+`Controller`, or set ``SimulationConfig.stream_cohorts`` for simulator
+runs.  A row's profile is the cohort's dominant (highest-demand)
+profile, the first on a tie.
 
 Determinism: the profile mix per pair is stateless hash noise keyed by
 ``(seed, src, dst)``, so decomposition order never matters and the same
 ``(matrix, seed)`` always yields identical cohorts.  Conservation: the
 cohort demand of a pair sums to the pair's matrix demand exactly (up to
-float addition, < 1e-9 relative), and each component's ``sessions`` is
-its demand over its profile's bitrate: ``floor(sessions)`` full-rate
-sessions plus one fractional-rate tail session.  Every positive pair is
-decomposed (no demand floor), and the profile mix is the base
-popularity jittered by up to +/- `MIX_JITTER` / 2 per pair.
+float addition, < 1e-9 relative), and a cohort's ``sessions`` is the sum
+over its profiles of their demand over their bitrate: ``floor(sessions)``
+full-rate sessions plus one fractional-rate tail session.  Every
+positive pair is decomposed (no demand floor), and the profile mix is
+the base popularity jittered by up to +/- `MIX_JITTER` / 2 per pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.sim.rng import RngStreams, hash_uniform
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.streams import Stream, VIDEO_PROFILES, VideoProfile
+from repro.traffic.streams import StreamTable, VIDEO_PROFILES
 
-
-@dataclass
-class StreamCohort(Stream):
-    """An aggregated bundle of same-pair sessions (see module docstring).
-
-    ``profile`` is the bundle's dominant (highest-demand) profile —
-    what the SIB reports as the representative encoding; ``components``
-    break the bundle down as ``(profile name, sessions, mbps)`` tuples.
-    """
-
-    #: Exact aggregated session count (fractional tail included).
-    sessions: float = 0.0
-    #: Per-profile breakdown: (profile name, sessions, demand_mbps).
-    components: Tuple[Tuple[str, float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.sessions < 0:
-            raise ValueError(
-                f"cohort {self.stream_id}: negative sessions {self.sessions}")
-
-
-#: Profiles in ascending bitrate order — cohort buckets split this list
-#: contiguously so each cohort bundles adjacent quality bands.
-_PROFILES_BY_RATE: List[VideoProfile] = sorted(
-    VIDEO_PROFILES, key=lambda p: p.bitrate_mbps)
+#: `VIDEO_PROFILES` indices in ascending bitrate order — cohort buckets
+#: split this order contiguously so each cohort bundles adjacent
+#: quality bands.
+_BY_RATE: List[int] = sorted(range(len(VIDEO_PROFILES)),
+                             key=lambda i: VIDEO_PROFILES[i].bitrate_mbps)
+_RATES = np.array([VIDEO_PROFILES[i].bitrate_mbps for i in _BY_RATE])
 #: Per-pair spread of the profile mix around the base popularity.
 MIX_JITTER = 0.5
 
 
 class CohortWorkload:
     """Decomposes a traffic matrix into at most ``cohorts_per_pair``
-    aggregated cohort entries per ordered region pair.
+    aggregated cohort rows per ordered region pair.
 
     The id counter is a plain int so a warm-restarted controller keeps
     allocating fresh ids, exactly like `StreamWorkload`.
@@ -84,65 +63,79 @@ class CohortWorkload:
         self.cohorts_per_pair = int(cohorts_per_pair)
         self._streams = RngStreams(self.seed)
         self._next_id = 0
-        #: (src, dst) -> normalised profile weights.  A pure function of
-        #: (seed, pair), so derived state: memoised, never checkpointed.
-        self._pair_weights: Dict[Tuple[str, str], np.ndarray] = {}
-        # Contiguous profile buckets, low band first.
-        self._buckets: List[List[VideoProfile]] = [
-            list(chunk) for chunk in np.array_split(
-                np.array(_PROFILES_BY_RATE, dtype=object),
-                min(self.cohorts_per_pair, len(_PROFILES_BY_RATE)))]
+        #: Region codes -> (N * N, profiles) mix, row ``a * N + b`` the
+        #: normalised profile weights of pair ``a -> b`` (ascending
+        #: bitrate).  A pure function of (seed, pair), so derived state:
+        #: memoised, never checkpointed.
+        self._mix: Dict[Tuple[str, ...], np.ndarray] = {}
+        # Contiguous profile buckets (column ranges), low band first.
+        self._buckets: List[np.ndarray] = np.array_split(
+            np.arange(len(_BY_RATE)),
+            min(self.cohorts_per_pair, len(_BY_RATE)))
 
     # ------------------------------------------------------------------ api
-    def decompose(self, matrix: TrafficMatrix) -> List[StreamCohort]:
-        """One pass over the matrix; see the class docstring."""
-        cohorts: List[StreamCohort] = []
-        for (src, dst), demand in matrix.items():
-            if demand <= 0:
-                continue
-            weights = self._pair_weights.get((src, dst))
-            if weights is None:
-                weights = self._pair_weights[(src, dst)] = \
-                    self._profile_weights(src, dst)
-            demand_per_profile = demand * weights
-            idx = 0
-            for bucket in self._buckets:
-                mbps = 0.0
-                sessions = 0.0
-                components = []
-                dominant: VideoProfile = bucket[0]
-                dominant_mbps = -1.0
-                for profile in bucket:
-                    d = float(demand_per_profile[idx])
-                    idx += 1
-                    if d <= 0:
-                        continue
-                    n = d / profile.bitrate_mbps
-                    components.append((profile.name, n, d))
-                    mbps += d
-                    sessions += n
-                    if d > dominant_mbps:
-                        dominant, dominant_mbps = profile, d
-                if mbps <= 0:
-                    continue
-                cohorts.append(StreamCohort(
-                    self._next_id, src, dst, mbps, dominant,
-                    session_count=max(1, int(round(sessions))),
-                    sessions=sessions, components=tuple(components)))
-                self._next_id += 1
-        return cohorts
+    def decompose(self, matrix: TrafficMatrix) -> StreamTable:
+        """One array pass over the matrix's positive pairs, in
+        `TrafficMatrix.items` order; see the module docstring.
 
-    def _profile_weights(self, src: str, dst: str) -> np.ndarray:
+        Each cohort's Mbps and sessions are summed over its bucket's
+        profiles left to right, skipping profiles without demand, and a
+        bucket without demand makes no row (and takes no id)."""
+        codes = matrix.codes
+        n = len(codes)
+        index = {code: i for i, code in enumerate(codes)}
+        rows: List[int] = []
+        demand: List[float] = []
+        for (src, dst), d in matrix.items():
+            if d <= 0:
+                continue
+            rows.append(index[src] * n + index[dst])
+            demand.append(d)
+        pair_rows = np.array(rows, dtype=np.intp)
+        per_profile = (np.array(demand)[:, None]
+                       * self._pair_mix(codes)[pair_rows])
+        n_buckets = len(self._buckets)
+        mbps = np.zeros((len(rows), n_buckets))
+        sessions = np.zeros((len(rows), n_buckets))
+        dominant = np.zeros((len(rows), n_buckets), dtype=np.intp)
+        for b, columns in enumerate(self._buckets):
+            top = np.full(len(rows), -1.0)
+            dominant[:, b] = _BY_RATE[columns[0]]
+            for k in columns.tolist():
+                d = per_profile[:, k]
+                has = ~(d <= 0)
+                mbps[:, b] = np.where(has, mbps[:, b] + d, mbps[:, b])
+                sessions[:, b] = np.where(has, sessions[:, b] + d / _RATES[k],
+                                          sessions[:, b])
+                better = has & (d > top)
+                top = np.where(better, d, top)
+                dominant[:, b] = np.where(better, _BY_RATE[k], dominant[:, b])
+        keep = ~(mbps <= 0)
+        count = int(keep.sum())
+        first = self._next_id
+        self._next_id += count
+        return StreamTable(
+            codes, np.arange(first, self._next_id),
+            np.repeat(pair_rows // n, n_buckets)[keep.ravel()],
+            np.repeat(pair_rows % n, n_buckets)[keep.ravel()],
+            mbps[keep], dominant[keep], sessions[keep])
+
+    def _pair_mix(self, codes: List[str]) -> np.ndarray:
         """Normalised popularity of each profile (ascending bitrate) on
-        one pair: stateless per-pair jitter on the base mix, so pairs
-        differ but re-decomposition is order-independent."""
-        base_weights = np.array([p.weight for p in _PROFILES_BY_RATE])
-        pair_seed = self._streams.seed_for(f"cohort.{src}->{dst}")
-        jitter = hash_uniform(pair_seed,
-                              np.arange(len(_PROFILES_BY_RATE)), salt=7)
-        weights = base_weights * (1.0 - MIX_JITTER / 2.0
-                                  + MIX_JITTER * jitter)
-        return weights / weights.sum()
+        every ordered pair of `codes`: stateless per-pair jitter on the
+        base mix, so pairs differ but re-decomposition is
+        order-independent.  The diagonal rows are unused."""
+        key = tuple(codes)
+        mix = self._mix.get(key)
+        if mix is None:
+            base = np.array([VIDEO_PROFILES[i].weight for i in _BY_RATE])
+            seeds = np.array([self._streams.seed_for(f"cohort.{a}->{b}")
+                              for a in codes for b in codes], dtype=np.uint64)
+            jitter = hash_uniform(seeds[:, None], np.arange(len(_BY_RATE)),
+                                  salt=7)
+            weights = base * (1.0 - MIX_JITTER / 2.0 + MIX_JITTER * jitter)
+            mix = self._mix[key] = weights / weights.sum(axis=1)[:, None]
+        return mix
 
     # ------------------------------------------------------------ checkpoint
     def export_state(self) -> Dict[str, object]:

@@ -5,12 +5,16 @@ destination, bitrate, video type, frame rate, resolution (§3, §5.1).  This
 module decomposes a pair's aggregate demand into stream entries with
 realistic video profiles; the controller's Algorithm 1 then schedules
 streams (sorted by latency, split across paths when needed).
+
+A decomposition is one `StreamTable`: parallel columns the solver reads
+directly.  `Stream` objects are made from it only at the boundary, when
+an experiment or a test asks for them (`StreamTable.streams`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +69,57 @@ class Stream:
                 f"stream {self.stream_id}: negative demand {self.demand_mbps}")
 
 
+class StreamTable:
+    """One decomposition's streams as parallel columns.
+
+    Row ``k`` is one SIB entry: ``stream_id[k]``; the indices ``src[k]``
+    / ``dst[k]`` of its regions in `codes`; its demand ``mbps[k]``; the
+    index ``profile[k]`` of its representative profile in
+    `VIDEO_PROFILES`; and ``sessions[k]``, the user sessions it carries
+    (a float: a cohort's marginal session is fractional).  The table
+    checks once, over whole columns, what `Stream` checks per object,
+    and negative sessions too.  `streams` builds the `Stream` objects —
+    the boundary form, with ``session_count = max(1, round(sessions))``
+    — once, on first call.
+    """
+
+    def __init__(self, codes: Sequence[str], stream_id, src, dst, mbps,
+                 profile, sessions):
+        self.codes = list(codes)
+        self.stream_id = np.asarray(stream_id, dtype=np.int64)
+        self.src = np.asarray(src, dtype=np.intp)
+        self.dst = np.asarray(dst, dtype=np.intp)
+        self.mbps = np.asarray(mbps, dtype=float)
+        self.profile = np.asarray(profile, dtype=np.intp)
+        self.sessions = np.asarray(sessions, dtype=float)
+        for bad, what in ((self.src == self.dst, "src == dst"),
+                          (self.mbps < 0, "negative demand"),
+                          (self.sessions < 0, "negative sessions")):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    f"stream {self.stream_id[k]}: {what} "
+                    f"({self.codes[self.src[k]]}->{self.codes[self.dst[k]]}, "
+                    f"{self.mbps[k]} Mbps, {self.sessions[k]} sessions)")
+        self._streams: Optional[List[Stream]] = None
+
+    def __len__(self) -> int:
+        return len(self.stream_id)
+
+    def streams(self) -> List[Stream]:
+        """The rows as `Stream` objects, in row order."""
+        if self._streams is None:
+            codes = self.codes
+            self._streams = [
+                Stream(sid, codes[a], codes[b], mbps, VIDEO_PROFILES[p],
+                       max(1, int(round(sessions))))
+                for sid, a, b, mbps, p, sessions in zip(
+                    self.stream_id.tolist(), self.src.tolist(),
+                    self.dst.tolist(), self.mbps.tolist(),
+                    self.profile.tolist(), self.sessions.tolist())]
+        return self._streams
+
+
 class StreamWorkload:
     """Decomposes a traffic matrix into SIB stream entries."""
 
@@ -78,16 +133,22 @@ class StreamWorkload:
         #: counter is checkpointable alongside the RNG state.
         self._next_id = 0
 
-    def decompose(self, matrix: TrafficMatrix) -> List[Stream]:
+    def decompose(self, matrix: TrafficMatrix) -> StreamTable:
         """Split each pair's demand into up to `max_streams_per_pair` chunks.
 
         Chunk sizes follow a Dirichlet draw so pairs do not split into
         identical slices; each chunk is tagged with a representative video
-        profile drawn by popularity.
+        profile drawn by popularity.  Per pair, one Dirichlet draw and
+        then one profile draw, in `TrafficMatrix.items` order.
         """
         weights = np.array([p.weight for p in VIDEO_PROFILES])
         weights = weights / weights.sum()
-        streams: List[Stream] = []
+        index = {code: i for i, code in enumerate(matrix.codes)}
+        src_col: List[int] = []
+        dst_col: List[int] = []
+        mbps_col: List[float] = []
+        profile_col: List[int] = []
+        sessions_col: List[int] = []
         for (src, dst), demand in matrix.items():
             if demand <= 0:
                 continue
@@ -96,17 +157,22 @@ class StreamWorkload:
             shares = self._rng.dirichlet(np.ones(n_chunks) * 4.0)
             profiles = self._rng.choice(len(VIDEO_PROFILES), size=n_chunks,
                                         p=weights)
-            for share, pidx in zip(shares, profiles):
-                profile = VIDEO_PROFILES[int(pidx)]
+            a, b = index[src], index[dst]
+            for share, pidx in zip(shares, profiles.tolist()):
                 chunk = float(demand * share)
                 if chunk <= 0:
                     continue
-                sessions = max(1, int(round(chunk / profile.bitrate_mbps)))
-                sid = self._next_id
-                self._next_id += 1
-                streams.append(Stream(sid, src, dst, chunk,
-                                      profile, sessions))
-        return streams
+                src_col.append(a)
+                dst_col.append(b)
+                mbps_col.append(chunk)
+                profile_col.append(pidx)
+                sessions_col.append(max(1, int(round(
+                    chunk / VIDEO_PROFILES[pidx].bitrate_mbps))))
+        first = self._next_id
+        self._next_id += len(mbps_col)
+        return StreamTable(matrix.codes, np.arange(first, self._next_id),
+                           src_col, dst_col, mbps_col, profile_col,
+                           sessions_col)
 
     # ------------------------------------------------------------ checkpoint
     def export_state(self) -> Dict[str, object]:

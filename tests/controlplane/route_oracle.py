@@ -2,18 +2,20 @@
 
 `repro.controlplane` reconstructs every pair's route per graph build as
 one gather per DP layer, sums its latency and loss over whole route
-tables, and runs Algorithm 2 over flat premium matrices; these are the
-per-path forms they replaced, kept as the oracle the batch forms are
-tested against (as `packet_prober.py` is for the burst kernel).
+tables, and runs Algorithm 2 over every placed route of one hop count
+in one array pass; these are the per-route forms they replaced, kept as
+the oracle the batch forms are tested against (as `packet_prober.py` is
+for the burst kernel): `expand` and `path_loss_rate` for the route
+table, `index_walk` (one route over flat premium matrices) and
+`route_walk` (one `OverlayPath` per candidate) for Algorithm 2.
 Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.controlplane.model import OverlayPath
-from repro.controlplane.reactionplan import ReactionPlan
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import LinkStateSnapshot
 
@@ -73,6 +75,47 @@ def route_walk(regions: Tuple[str, ...], state: LinkStateSnapshot,
     return rec_plan
 
 
+def index_walk(route: List[int], latency: List[float], loss: List[float],
+               n: int, loss_ms_penalty: float) -> List[Tuple[int, ...]]:
+    """Algorithm 2's reverse walk for one route, in index space.
+
+    `route` is the region-id sequence; `latency` / `loss` the premium
+    tier's matrices as flat lists (``a * n + b``).  Returns, for every
+    non-terminal position, the ordered relay ids (excluding the region
+    itself) to the destination.  A candidate's score is
+    ``latency + penalty * (1 - survive)`` with both terms accumulated
+    hop by hop left to right — the operations of
+    `LinkStateSnapshot.path_latency_ms` and of Table 1's
+    ``1 - prod(1 - hop loss)`` on the candidate's all-premium path,
+    without building it.
+    """
+    def score(at: int, chain: Tuple[int, ...]) -> float:
+        total, survive = 0.0, 1.0
+        for relay in chain:
+            link = at * n + relay
+            total = total + latency[link]
+            survive = survive * (1.0 - loss[link])
+            at = relay
+        return total + loss_ms_penalty * (1.0 - survive)
+
+    last = len(route) - 1
+    # The default plan is the direct premium link to the destination
+    # (the only one for the region just before it); walk in reverse.
+    direct = (route[last],)
+    plans = [direct] * last
+    for i in range(last - 2, -1, -1):
+        best, best_score = direct, score(route[i], direct)
+        # Try relaying through a later on-path region r_j and
+        # following r_j's (already computed) plan.
+        for j in range(i + 1, last):
+            candidate = (route[j],) + plans[j]
+            candidate_score = score(route[i], candidate)
+            if candidate_score < best_score:
+                best, best_score = candidate, candidate_score
+        plans[i] = best
+    return plans
+
+
 def naive_premium_path(path: OverlayPath, from_region: str) -> OverlayPath:
     """The paper's p_naive: remaining original hops, all premium — what
     Property 1 says every reaction plan beats."""
@@ -83,7 +126,7 @@ def naive_premium_path(path: OverlayPath, from_region: str) -> OverlayPath:
     return OverlayPath.via(regions[idx:], LinkType.PREMIUM)
 
 
-def backup_path(plan: ReactionPlan) -> OverlayPath:
-    """The all-premium overlay path a reaction plan applies."""
-    return OverlayPath.via((plan.region,) + plan.relay_regions,
-                           LinkType.PREMIUM)
+def backup_path(region: str, relays: Sequence[str]) -> OverlayPath:
+    """The all-premium overlay path the plan `relays` of `region`
+    applies."""
+    return OverlayPath.via((region,) + tuple(relays), LinkType.PREMIUM)

@@ -2,11 +2,12 @@
 
 
 from repro.controlplane.model import ControlConfig
-from repro.controlplane.pathcontrol import path_control, place_streams
+from repro.controlplane.pathcontrol import path_control
 from repro.controlplane.capacity import capacity_control
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
 from tests.snapshots import snapshot_of
+from tests.tables import table_of
 
 CODES = ["A", "B", "C"]
 
@@ -30,6 +31,7 @@ def _stream(sid, src, dst, mbps):
 
 
 def _decide(streams, available):
+    streams = table_of(streams, CODES)
     r_cur = path_control(streams, CODES, _state, _cfg(), gateways=available)
     return capacity_control(streams, CODES, _state, _cfg(), available, r_cur)
 
@@ -74,11 +76,11 @@ def test_keeps_max_of_current_and_next_usage():
     """Paper rule: remove only surplus over max(R_cur, R_next)."""
     # Current capacity serves 30 Mbps (3 gw); prediction says 10 Mbps.
     # R_cur used 3, R_next needs 1, available 8 -> keep 3.
-    streams_now = [_stream(1, "A", "B", 30.0)]
+    streams_now = table_of([_stream(1, "A", "B", 30.0)], CODES)
     available = {"A": 8, "B": 8, "C": 8}
     r_cur = path_control(streams_now, CODES, _state, _cfg(),
                          gateways=available)
-    predicted = [_stream(2, "A", "B", 10.0)]
+    predicted = table_of([_stream(2, "A", "B", 10.0)], CODES)
     decision = capacity_control(predicted, CODES, _state, _cfg(), available,
                                 r_cur)
     assert decision.target["A"] == 3
@@ -95,8 +97,8 @@ def test_uncapacitated_result_attached():
     places everything, and a scale-up targets exactly its usage."""
     streams = [_stream(1, "A", "B", 50.0)]
     decision = _decide(streams, {"A": 1, "B": 1, "C": 1})
-    r_next = place_streams(streams, CODES, _state, _cfg(),
-                           gateways=None).result()
+    r_next = path_control(table_of(streams, CODES), CODES, _state, _cfg(),
+                          gateways=None)
     assert not r_next.unassigned
     assert decision.target == {"A": 5, "B": 5, "C": 1}
     assert {c: r_next.used_gateways[c] for c in ("A", "B")} == \

@@ -19,6 +19,7 @@ from repro.controlplane.pathcontrol import path_control
 from repro.traffic.streams import VIDEO_PROFILES, Stream
 from repro.underlay.linkstate import LinkType
 from tests.snapshots import nib_history, snapshot_of
+from tests.tables import table_of
 
 I, P = LinkType.INTERNET, LinkType.PREMIUM
 
@@ -167,8 +168,8 @@ class TestSnapshotTelemetry:
         config = ControlConfig(container_capacity_mbps=10.0,
                                internet_bandwidth_mbps=10.0,
                                premium_bandwidth_mbps=10.0)
-        streams = [Stream(i, "A", "B", 8.0, VIDEO_PROFILES[2])
-                   for i in range(4)]
+        streams = table_of([Stream(i, "A", "B", 8.0, VIDEO_PROFILES[2])
+                            for i in range(4)], ["A", "B"])
         snap = snapshot_of(["A", "B"], lambda a, b, t: (40.0, 0.0))
         with obs.capture() as tel:
             result = path_control(streams, ["A", "B"], snap, config,
@@ -182,7 +183,8 @@ class TestSnapshotTelemetry:
     def test_prebuilt_snapshot_means_no_build_span(self, small_underlay):
         config = ControlConfig()
         codes = small_underlay.codes
-        streams = [Stream(0, codes[0], codes[1], 5.0, VIDEO_PROFILES[2])]
+        streams = table_of(
+            [Stream(0, codes[0], codes[1], 5.0, VIDEO_PROFILES[2])], codes)
         snap = small_underlay.snapshot(600.0)
         with obs.capture() as tel:
             path_control(streams, codes, snap, config,

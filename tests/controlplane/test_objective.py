@@ -12,6 +12,7 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.pricing import PricingModel
 from repro.underlay.regions import default_regions
 from tests.snapshots import snapshot_of
+from tests.tables import table_of
 
 CODES = [r.code for r in default_regions()[:3]]
 
@@ -33,7 +34,8 @@ _state = snapshot_of(CODES, _links)
 
 def _result(mbps=100.0, pricing=None, **cfg):
     config = ControlConfig(**cfg)
-    streams = [Stream(1, CODES[0], CODES[1], mbps, VIDEO_PROFILES[2])]
+    streams = table_of(
+        [Stream(1, CODES[0], CODES[1], mbps, VIDEO_PROFILES[2])], CODES)
     gateways = {c: 4 for c in CODES}
     result = path_control(streams, CODES, _state, config,
                           gateways=gateways, fees=pricing)
@@ -69,7 +71,7 @@ def test_traffic_cost_scales_with_demand(pricing):
 
 def test_empty_result_costs_only_containers(pricing):
     config = ControlConfig()
-    result = path_control([], CODES, _state, config,
+    result = path_control(table_of([], CODES), CODES, _state, config,
                           gateways={c: 2 for c in CODES}, fees=pricing)
     obj = evaluate_objective(result, _state, config, pricing,
                              {c: 2 for c in CODES}, epoch_s=3600.0)

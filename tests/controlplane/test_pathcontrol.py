@@ -6,8 +6,7 @@ import pytest
 from repro.controlplane.capacity import capacity_control
 from repro.controlplane.model import ControlConfig
 from repro.controlplane import pathcontrol
-from repro.controlplane.pathcontrol import (EpochSolveContext, path_control,
-                                            place_streams)
+from repro.controlplane.pathcontrol import EpochSolveContext, path_control
 from repro.controlplane.reactionplan import generate_reaction_plans
 from repro.experiments.base import planet_underlay
 from repro.traffic.cohorts import CohortWorkload
@@ -15,7 +14,9 @@ from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
+from tests.controlplane.golden_workloads import path_result_digest
 from tests.snapshots import snapshot_of
+from tests.tables import region_traffic, table_of
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
@@ -42,6 +43,10 @@ def stream(sid, src, dst, mbps):
     return Stream(sid, src, dst, mbps, VIDEO_PROFILES[2])
 
 
+def table(*streams):
+    return table_of(streams, CODES)
+
+
 def cfg(**overrides):
     defaults = dict(container_capacity_mbps=1000.0, max_containers=16,
                     internet_bandwidth_mbps=10000.0,
@@ -61,7 +66,7 @@ def pieces(result, sid):
 
 class TestBasicAssignment:
     def test_single_stream_direct_path(self):
-        result = path_control([stream(1, "A", "B", 10.0)], CODES,
+        result = path_control(table(stream(1, "A", "B", 10.0)), CODES,
                               make_state(), cfg(), gateways=gw())
         assert len(result.assignments) == 1
         a = result.assignments[0]
@@ -73,7 +78,8 @@ class TestBasicAssignment:
         assert not result.unassigned
 
     def test_all_demand_assigned(self):
-        streams = [stream(i, "A", "B", 5.0) for i in range(10)]
+        streams = table_of([stream(i, "A", "B", 5.0) for i in range(10)],
+                           CODES)
         result = path_control(streams, CODES, make_state(), cfg(),
                               gateways=gw())
         assert result.total_assigned_mbps() == pytest.approx(50.0)
@@ -90,8 +96,8 @@ class TestBasicAssignment:
         def state(a, b, t):
             return (100.0, 0.0001) if t is I else (95.0, 0.00001)
 
-        result = path_control([Stream(1, codes[0], codes[1], 10.0,
-                                      VIDEO_PROFILES[0])],
+        result = path_control(table_of([Stream(1, codes[0], codes[1], 10.0,
+                                               VIDEO_PROFILES[0])], codes),
                               codes, snapshot_of(codes, state), cfg(),
                               gateways={c: 4 for c in codes}, fees=fees)
         # Premium is 5 ms faster but ~7x the fee: Internet must win.
@@ -101,7 +107,7 @@ class TestBasicAssignment:
         state = make_state(loss={("A", "B"): 0.2, ("A", "C"): 0.2,
                                  ("C", "B"): 0.2, ("B", "C"): 0.2,
                                  ("B", "A"): 0.2, ("C", "A"): 0.2})
-        result = path_control([stream(1, "A", "B", 10.0)], CODES, state,
+        result = path_control(table(stream(1, "A", "B", 10.0)), CODES, state,
                               cfg(), gateways=gw())
         assert result.assignments[0].path.hops == (("A", "B", P),)
 
@@ -109,7 +115,7 @@ class TestBasicAssignment:
         # A->B Internet is terrible; A->C->B is fine; premium costly.
         state = make_state(lat={("A", "B"): 3000.0},
                            premium_lat={("A", "B"): 500.0})
-        result = path_control([stream(1, "A", "B", 10.0)], CODES, state,
+        result = path_control(table(stream(1, "A", "B", 10.0)), CODES, state,
                               cfg(), gateways=gw())
         path = result.assignments[0].path
         assert path.regions == ("A", "C", "B")
@@ -117,7 +123,7 @@ class TestBasicAssignment:
     def test_forwarding_tables_match_paths(self):
         state = make_state(lat={("A", "B"): 3000.0},
                            premium_lat={("A", "B"): 500.0})
-        result = path_control([stream(7, "A", "B", 10.0)], CODES, state,
+        result = path_control(table(stream(7, "A", "B", 10.0)), CODES, state,
                               cfg(), gateways=gw())
         assert result.forwarding_tables["A"][7][0] == "C"
         assert result.forwarding_tables["C"][7][0] == "B"
@@ -126,7 +132,7 @@ class TestBasicAssignment:
 class TestCapacityConstraints:
     def test_region_capacity_limits_assignment(self):
         config = cfg(container_capacity_mbps=10.0)
-        result = path_control([stream(1, "A", "B", 100.0)], CODES,
+        result = path_control(table(stream(1, "A", "B", 100.0)), CODES,
                               make_state(), config,
                               gateways={"A": 2, "B": 2, "C": 2})
         # 2 containers x 10 Mbps per region: at most 20 Mbps assigned.
@@ -135,13 +141,13 @@ class TestCapacityConstraints:
 
     def test_uncapacitated_mode_assigns_everything(self):
         config = cfg(container_capacity_mbps=10.0)
-        result = path_control([stream(1, "A", "B", 100.0)], CODES,
+        result = path_control(table(stream(1, "A", "B", 100.0)), CODES,
                               make_state(), config, gateways=None)
         assert not result.unassigned
 
     def test_internet_bandwidth_cap_forces_spill(self):
         config = cfg(internet_bandwidth_mbps=30.0)
-        result = path_control([stream(1, "A", "B", 100.0)], CODES,
+        result = path_control(table(stream(1, "A", "B", 100.0)), CODES,
                               make_state(), config, gateways=gw(64))
         inet = result.internet_egress["A"]
         assert inet <= 30.0 + 1e-6
@@ -152,7 +158,7 @@ class TestCapacityConstraints:
         state = make_state(loss={(a, b): 0.5 for a in CODES for b in CODES
                                  if a != b})  # force premium
         config = cfg(premium_bandwidth_mbps=25.0)
-        result = path_control([stream(1, "A", "B", 100.0)], CODES, state,
+        result = path_control(table(stream(1, "A", "B", 100.0)), CODES, state,
                               config, gateways=gw(64))
         for usage in result.premium_usage.values():
             assert usage <= 25.0 + 1e-6
@@ -160,18 +166,19 @@ class TestCapacityConstraints:
     def test_demand_split_across_paths_when_needed(self):
         config = cfg(internet_bandwidth_mbps=30.0,
                      premium_bandwidth_mbps=40.0)
-        result = path_control([stream(1, "A", "B", 100.0)], CODES,
+        result = path_control(table(stream(1, "A", "B", 100.0)), CODES,
                               make_state(), config, gateways=gw(64))
         assert len(pieces(result, 1)) >= 2
 
     def test_region_traffic_counts_every_touched_region(self):
         state = make_state(lat={("A", "B"): 3000.0},
                            premium_lat={("A", "B"): 500.0})
-        result = path_control([stream(1, "A", "B", 10.0)], CODES, state,
+        result = path_control(table(stream(1, "A", "B", 10.0)), CODES, state,
                               cfg(), gateways=gw())
-        assert result.region_traffic["A"] == pytest.approx(10.0)
-        assert result.region_traffic["C"] == pytest.approx(10.0)
-        assert result.region_traffic["B"] == pytest.approx(10.0)
+        traffic = region_traffic(result)
+        assert traffic["A"] == pytest.approx(10.0)
+        assert traffic["C"] == pytest.approx(10.0)
+        assert traffic["B"] == pytest.approx(10.0)
 
 
 class TestOrderingHeuristic:
@@ -190,7 +197,7 @@ class TestOrderingHeuristic:
         gateways = {"A": 64, "B": 1, "C": 64}
         long_stream = stream(1, "A", "B", 10.0)
         short_stream = stream(2, "C", "B", 10.0)
-        result = path_control([short_stream, long_stream], CODES, state,
+        result = path_control(table(short_stream, long_stream), CODES, state,
                               config, gateways=gateways)
         assigned = {a.stream.stream_id: a.mbps for a in result.assignments}
         # The A->B stream (higher latency) is served first.
@@ -198,7 +205,7 @@ class TestOrderingHeuristic:
 
     def test_used_gateways_reflect_headroom(self):
         config = cfg(container_capacity_mbps=10.0, capacity_headroom=1.0)
-        result = path_control([stream(1, "A", "B", 25.0)], CODES,
+        result = path_control(table(stream(1, "A", "B", 25.0)), CODES,
                               make_state(), config, gateways=gw(64))
         assert result.used_gateways["A"] == 3  # ceil(25/10)
 
@@ -212,20 +219,21 @@ class TestConstraintFlag:
         all_pairs = {(a, b): 0.08 for a in CODES for b in CODES if a != b}
         state = make_state(loss=dict(all_pairs),
                            premium_loss=dict(all_pairs))
-        result = path_control([stream(1, "A", "B", 10.0)], CODES, state,
+        result = path_control(table(stream(1, "A", "B", 10.0)), CODES, state,
                               cfg(), gateways=gw())
         assert result.assignments
         assert not result.assignments[0].meets_constraints
 
     def test_max_hops_respected(self):
-        result = path_control([stream(1, "A", "B", 10.0)], CODES,
+        result = path_control(table(stream(1, "A", "B", 10.0)), CODES,
                               make_state(), cfg(max_hops=2), gateways=gw())
         assert len(result.assignments[0].path.hops) <= 2
 
 
 class TestStatistics:
     def test_empty_streams(self):
-        result = path_control([], CODES, make_state(), cfg(), gateways=gw())
+        result = path_control(table(), CODES, make_state(), cfg(),
+                              gateways=gw())
         assert result.assignments == []
         assert result.total_assigned_mbps() == 0.0
 
@@ -238,7 +246,8 @@ class TestRebuildBudget:
     def test_exhaustion_warns_instead_of_silently_truncating(self,
                                                             no_rebuilds):
         """Streams left unplaced when the budget runs out must be loud."""
-        streams = [stream(1, "A", "B", 600.0), stream(2, "A", "B", 600.0)]
+        streams = table(stream(1, "A", "B", 600.0),
+                        stream(2, "A", "B", 600.0))
         with pytest.warns(UserWarning, match="rebuild budget"):
             result = path_control(streams, CODES, make_state(), cfg(),
                                   gateways={c: 1 for c in CODES})
@@ -252,7 +261,8 @@ class TestRebuildBudget:
     def test_sufficient_budget_does_not_warn(self):
         import warnings as _warnings
 
-        streams = [stream(1, "A", "B", 600.0), stream(2, "A", "B", 600.0)]
+        streams = table(stream(1, "A", "B", 600.0),
+                        stream(2, "A", "B", 600.0))
         with _warnings.catch_warnings():
             _warnings.simplefilter("error", UserWarning)
             path_control(streams, CODES, make_state(), cfg(),
@@ -261,7 +271,8 @@ class TestRebuildBudget:
     def test_exhaustion_counter_increments(self, no_rebuilds):
         from repro import obs
 
-        streams = [stream(1, "A", "B", 600.0), stream(2, "A", "B", 600.0)]
+        streams = table(stream(1, "A", "B", 600.0),
+                        stream(2, "A", "B", 600.0))
         with obs.capture() as hub:
             with pytest.warns(UserWarning, match="rebuild budget"):
                 path_control(streams, CODES, make_state(), cfg(),
@@ -273,7 +284,7 @@ class TestRebuildBudget:
 class TestAssignmentIndex:
     def test_split_stream_returns_every_piece(self):
         # 1500 Mbps cannot fit either A->B link alone: the stream splits.
-        streams = [stream(7, "A", "B", 1500.0)]
+        streams = table(stream(7, "A", "B", 1500.0))
         result = path_control(streams, CODES, make_state(),
                               cfg(internet_bandwidth_mbps=1000.0,
                                   premium_bandwidth_mbps=800.0),
@@ -308,18 +319,21 @@ class TestEpochSolveContext:
         plans = generate_reaction_plans(r_cur, snap, config.loss_ms_penalty)
         if not with_r_next:
             return r_cur, decision, plans
-        r_next = place_streams(streams, codes, snap, config, gateways=None,
-                               fees=fees, context=context).result()
+        r_next = path_control(streams, codes, snap, config, gateways=None,
+                              fees=fees, context=context)
         return r_cur, decision, plans, r_next
 
     def test_outputs_equal_with_and_without_a_context(self, planet):
         gateways = {c: 2 for c in planet[0].codes}
-        shared = self.epoch(planet, gateways, EpochSolveContext(),
-                            with_r_next=True)
-        apart = self.epoch(planet, gateways, None, with_r_next=True)
+        shared = list(self.epoch(planet, gateways, EpochSolveContext(),
+                                 with_r_next=True))
+        apart = list(self.epoch(planet, gateways, None, with_r_next=True))
         assert apart[0].graph_rebuilds > 0  # the caches outlived a rebuild
-        # Dataclass equality: assignments, tables, usage, the capacity
-        # targets, every plan and the uncapacitated result.
+        # Bit for bit: assignments, tables, usage, the capacity targets,
+        # every plan and the uncapacitated result.
+        for results in (shared, apart):
+            results[0] = path_result_digest(results[0])
+            results[3] = path_result_digest(results[3])
         assert shared == apart
 
     def test_first_dp_is_shared_once_per_epoch(self, planet):
@@ -365,7 +379,15 @@ def test_solver_rejects_a_snapshot_in_another_region_order(solve):
     """The solver indexes its capacity arrays in `codes` order, so a
     snapshot over the same regions in another order is an error, not a
     silent relabelling."""
-    streams = [stream(1, "A", "B", 10.0)]
+    streams = table(stream(1, "A", "B", 10.0))
     snap = make_state()
     with pytest.raises(ValueError, match="do not match"):
         solve(streams, ["C", "B", "A"], snap)
+
+
+def test_solver_rejects_a_table_in_another_region_order():
+    """Stream rows index regions in the table's order, so a table over
+    the solver's regions in another order is an error too."""
+    streams = table_of([stream(1, "A", "B", 10.0)], ["C", "B", "A"])
+    with pytest.raises(ValueError, match="do not match"):
+        path_control(streams, CODES, make_state(), cfg(), gateways=gw())

@@ -9,6 +9,7 @@ from repro.experiments import (ablation_ordering, ablation_probing,
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
 from tests.snapshots import snapshot_of
+from tests.tables import table_of
 
 
 def test_path_control_rejects_unknown_ordering():
@@ -23,7 +24,8 @@ def test_all_orderings_accepted():
         return (100.0, 0.0001) if t is LinkType.INTERNET else (80.0, 0.0)
 
     state = snapshot_of(["A", "B", "C"], links)
-    streams = [Stream(1, "A", "B", 5.0, VIDEO_PROFILES[0])]
+    streams = table_of([Stream(1, "A", "B", 5.0, VIDEO_PROFILES[0])],
+                       ["A", "B", "C"])
     for ordering in ORDERINGS:
         result = path_control(streams, ["A", "B", "C"], state,
                               ControlConfig(), gateways={"A": 4, "B": 4,

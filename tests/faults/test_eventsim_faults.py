@@ -199,7 +199,7 @@ class TestInstallFaults:
         sim.run_until(START_S + 65.0)      # epoch 3 landed, on time
         epoch3 = engine.control_outputs[2]
         rows3 = epoch3.path_result.forwarding_tables["HGH"]
-        plans3 = epoch3.plans_by_region(engine.underlay.codes)["HGH"]
+        plans3 = epoch3.plans_by_region["HGH"]
         assert (hgh.installed_version, hgh.installed_at) == (
             3, START_S + 60.0)
         assert (hgh.rows, hgh.plans) == (rows3, plans3)

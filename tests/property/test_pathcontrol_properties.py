@@ -20,6 +20,7 @@ from repro.controlplane.pathcontrol import path_control
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
 from tests.snapshots import snapshot_of
+from tests.tables import region_traffic, table_of
 
 CODES = ["A", "B", "C", "D"]
 
@@ -34,8 +35,9 @@ stream_sets = st.lists(
     st.tuples(st.sampled_from(CODES), st.sampled_from(CODES),
               st.floats(0.1, 500.0)),
     min_size=0, max_size=12).map(
-        lambda raw: [Stream(i, a, b, d, VIDEO_PROFILES[0])
-                     for i, (a, b, d) in enumerate(raw) if a != b])
+        lambda raw: table_of([Stream(i, a, b, d, VIDEO_PROFILES[0])
+                              for i, (a, b, d) in enumerate(raw) if a != b],
+                             CODES))
 
 configs = st.builds(
     ControlConfig,
@@ -59,7 +61,7 @@ class TestInvariants:
     def test_demand_conservation(self, states, streams, config, gateways):
         result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=gateways)
-        offered = sum(s.demand_mbps for s in streams)
+        offered = sum(s.demand_mbps for s in streams.streams())
         assigned = result.total_assigned_mbps()
         unassigned = sum(res for __, res in result.unassigned)
         assert assigned + unassigned == pytest.approx(offered, rel=1e-6)
@@ -71,7 +73,7 @@ class TestInvariants:
                                        gateways):
         result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=gateways)
-        for region, traffic in result.region_traffic.items():
+        for region, traffic in region_traffic(result).items():
             cap = config.container_capacity_mbps * gateways[region]
             assert traffic <= cap + 1e-6
 
@@ -134,7 +136,7 @@ class TestInvariants:
     def test_uncapacitated_assigns_everything(self, states, streams):
         """Without region caps and with generous link budgets, every
         stream is carried (possibly flagged, never dropped)."""
-        offered = sum(s.demand_mbps for s in streams)
+        offered = sum(s.demand_mbps for s in streams.streams())
         config = ControlConfig(
             internet_bandwidth_mbps=max(offered, 1.0) * 10,
             premium_bandwidth_mbps=max(offered, 1.0) * 10)

@@ -13,13 +13,12 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.controlplane.model import OverlayPath
-from repro.controlplane.pathcontrol import Assignment, PathControlResult
 from repro.controlplane.reactionplan import generate_reaction_plans
-from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
 from tests.controlplane.route_oracle import backup_path, naive_premium_path
 from tests.controlplane.route_oracle import score as _score
 from tests.snapshots import snapshot_of
+from tests.tables import placed_on
 
 REGIONS = ["A", "B", "C", "D", "E"]
 
@@ -31,15 +30,12 @@ paths = st.lists(st.sampled_from(REGIONS), min_size=2, max_size=5,
                  unique=True)
 
 
-def _result_for(path_regions):
-    path = OverlayPath.via(path_regions, LinkType.INTERNET)
-    stream = Stream(1, path_regions[0], path_regions[-1], 10.0,
-                    VIDEO_PROFILES[0])
-    assignment = Assignment(stream, path, 10.0, 0.0, 0.0, True)
-    return PathControlResult(
-        assignments=[assignment], unassigned=[], region_traffic={},
-        internet_egress={}, premium_usage={}, used_gateways={},
-        forwarding_tables={r: {} for r in REGIONS})
+def _plans_for(path_regions, state):
+    """Stream 1's plans on the path through `path_regions`: region ->
+    relay chain."""
+    plans = generate_reaction_plans(placed_on(path_regions, REGIONS), state)
+    return {region: by_stream[1] for region, by_stream in plans.items()
+            if by_stream}
 
 
 def _snapshot(table):
@@ -56,25 +52,22 @@ def _snapshot(table):
 @given(table=state_tables, regions=paths)
 @settings(max_examples=120, deadline=None)
 def test_property1_beats_naive_substitution(table, regions):
-    result = _result_for(regions)
     state = _snapshot(table)
-    plans = generate_reaction_plans(result, state)
-    original = result.assignments[0].path
+    plans = _plans_for(regions, state)
+    original = OverlayPath.via(regions, LinkType.INTERNET)
     for region in regions[:-1]:
-        plan = plans[(1, region)]
         naive = naive_premium_path(original, region)
-        assert (_score(backup_path(plan), state)
+        assert (_score(backup_path(region, plans[region]), state)
                 <= _score(naive, state) + 1e-9)
 
 
 @given(table=state_tables, regions=paths)
 @settings(max_examples=120, deadline=None)
 def test_property2_on_path_regions_only(table, regions):
-    result = _result_for(regions)
-    plans = generate_reaction_plans(result, _snapshot(table))
+    plans = _plans_for(regions, _snapshot(table))
     on_path = set(regions)
-    for plan in plans.values():
-        backup = backup_path(plan)
+    for region, relays in plans.items():
+        backup = backup_path(region, relays)
         assert set(backup.regions) <= on_path
         # All premium, loop free, ends at the destination.
         assert all(t is LinkType.PREMIUM for __, __, t in backup.hops)
@@ -85,5 +78,5 @@ def test_property2_on_path_regions_only(table, regions):
 @given(table=state_tables, regions=paths)
 @settings(max_examples=60, deadline=None)
 def test_every_non_terminal_region_has_a_plan(table, regions):
-    plans = generate_reaction_plans(_result_for(regions), _snapshot(table))
-    assert {(1, r) for r in regions[:-1]} == set(plans.keys())
+    plans = _plans_for(regions, _snapshot(table))
+    assert set(regions[:-1]) == set(plans)

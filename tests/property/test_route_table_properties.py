@@ -6,8 +6,11 @@ scalar oracles in `tests/controlplane/route_oracle.py`.
   with one gather per DP layer) equals the per-pair `expand` recursion
   plus the per-hop sums of `LinkStateSnapshot.path_latency_ms` /
   `route_oracle.path_loss_rate`, bit for bit.
-* Algorithm 2's walk over flat premium matrices (`_route_walk`) equals
-  the walk that scores an `OverlayPath` per candidate, plan for plan.
+* Algorithm 2's array pass (`_relay_choices`: every route of one hop
+  count at once) equals the scalar walk over flat premium matrices
+  (`route_oracle.index_walk`) and the walk that scores an `OverlayPath`
+  per candidate, plan for plan — on links that are missing (infinite
+  latency) or lose everything (loss 1.0) too.
 
 The value pools hold exact ties (10 + 20 == 30), missing links and
 triples whose sum depends on the order of addition, so a tie broken the
@@ -22,17 +25,16 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.controlplane.model import ControlConfig, OverlayPath
-from repro.controlplane.pathcontrol import (Assignment, PathControlResult,
-                                            _dp_layers, _EdgeWeights,
+from repro.controlplane.pathcontrol import (_dp_layers, _EdgeWeights,
                                             _residuals, _RouteTable,
                                             _ShortestPaths)
-from repro.controlplane.reactionplan import (_route_walk,
+from repro.controlplane.reactionplan import (_relay_choices,
                                              generate_reaction_plans)
-from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
-from tests.controlplane.route_oracle import (expand, path_loss_rate,
-                                             route_walk)
+from tests.controlplane.route_oracle import (expand, index_walk,
+                                             path_loss_rate, route_walk)
+from tests.tables import placed_on
 
 INF = math.inf
 LATENCIES = st.sampled_from([10.0, 20.0, 30.0, 0.1, 0.2, 0.3, 0.7, 35.5,
@@ -146,23 +148,92 @@ TIED[0][0 * 5 + 1] = 10.0   # ... ties with A -> B -> D (10 + 20)
 TIED[0][1 * 5 + 3] = 20.0
 
 
+def array_walks(routes, snap, penalty):
+    """`_relay_choices` over `routes` (region-id lists of one hop
+    count): per route, its relay ids per non-terminal position."""
+    via = _relay_choices(np.array(routes, dtype=np.intp),
+                         snap.lat[PREMIUM].ravel(),
+                         snap.loss[PREMIUM].ravel(), len(snap.codes),
+                         penalty)
+    walks = []
+    for route, choices in zip(routes, via.tolist()):
+        chains = [()] * len(choices)
+        for i in reversed(range(len(choices))):
+            j = choices[i]
+            chains[i] = (route[-1],) if j < 0 else (route[j],) + chains[j]
+        walks.append(chains)
+    return walks
+
+
 @given(premium_tables, routes_drawn, st.sampled_from([0.0, 2500.0]))
 @example(TIED, ["A", "B", "C", "D"], 2500.0)
 @settings(max_examples=200, deadline=None)
 def test_index_space_walk_equals_the_scalar_walk(table, regions, penalty):
     snap = premium_snapshot(table)
     expected = route_walk(tuple(regions), snap, penalty)
-    plans = _route_walk([snap.index[r] for r in regions],
-                        snap.lat[PREMIUM].ravel().tolist(),
-                        snap.loss[PREMIUM].ravel().tolist(), 5, penalty)
+    route = [snap.index[r] for r in regions]
+    plans = index_walk(route, snap.lat[PREMIUM].ravel().tolist(),
+                       snap.loss[PREMIUM].ravel().tolist(), 5, penalty)
     assert [tuple(REGIONS[r] for r in relays) for relays in plans] \
         == [expected[r] for r in regions[:-1]]
+    assert array_walks([route], snap, penalty) == [plans]
 
     # And through the public door.
-    stream = Stream(1, regions[0], regions[-1], 10.0, VIDEO_PROFILES[0])
-    result = PathControlResult(
-        [Assignment(stream, OverlayPath.via(regions, LinkType.INTERNET),
-                    10.0, 0.0, 0.0, True)], [], {}, {}, {}, {}, {})
-    generated = generate_reaction_plans(result, snap, penalty)
-    assert {region: plan.relay_regions
-            for (__, region), plan in generated.items()} == expected
+    generated = generate_reaction_plans(placed_on(regions, REGIONS), snap,
+                                        penalty)
+    assert {region: by_stream[1] for region, by_stream in generated.items()
+            if by_stream} == expected
+
+
+#: Premium links for the array-pass property: exact ties, order-sensitive
+#: sums, missing links and links that lose every packet.
+WALK_LATENCIES = st.sampled_from([10.0, 20.0, 30.0, 0.1, 0.2, 0.3, 0.7,
+                                  35.5, INF])
+WALK_LOSSES = st.sampled_from([0.0, 0.0, 0.001, 0.01, 0.2, 1.0])
+
+
+@st.composite
+def walk_cases(draw):
+    """A premium snapshot over 2-7 regions, a hop limit, and 1-12 loop-
+    free routes of 1..limit hops each."""
+    n = draw(st.integers(2, 7))
+    cells = 2 * n * n
+    snap = snapshot(names(n),
+                    draw(st.lists(WALK_LATENCIES, min_size=cells,
+                                  max_size=cells)),
+                    draw(st.lists(WALK_LOSSES, min_size=cells,
+                                  max_size=cells)))
+    max_hops = draw(st.integers(1, min(4, n - 1)))
+    routes = draw(st.lists(
+        st.integers(1, max_hops).flatmap(
+            lambda hops: st.permutations(range(n)).map(
+                lambda order: order[:hops + 1])),
+        min_size=1, max_size=12))
+    return snap, routes, draw(st.sampled_from([0.0, 2500.0]))
+
+
+def tied_case():
+    """Relaying through R1 ties the direct link on both routes: exactly
+    (10 + 20 == 30) on R0 -> R1 -> R3, at infinity on R0 -> R2 -> R3."""
+    lat = np.full((2, 4, 4), INF)
+    for (a, b), value in {(0, 1): 10.0, (1, 3): 20.0, (0, 3): 30.0,
+                          (2, 3): 5.0}.items():
+        lat[:, a, b] = value
+    return (snapshot(names(4), lat, np.zeros((2, 4, 4))),
+            [[0, 1, 3], [0, 2, 3]], 2500.0)
+
+
+@given(walk_cases())
+@example(tied_case())
+@settings(max_examples=200, deadline=None)
+def test_array_pass_equals_the_scalar_walk(case):
+    """Every route of one hop count scored in one array pass gets the
+    scalar walk's relay chain at every position, ties included."""
+    snap, routes, penalty = case
+    latency = snap.lat[PREMIUM].ravel().tolist()
+    loss = snap.loss[PREMIUM].ravel().tolist()
+    for hops in {len(route) - 1 for route in routes}:
+        group = [route for route in routes if len(route) - 1 == hops]
+        assert array_walks(group, snap, penalty) == [
+            index_walk(route, latency, loss, len(snap.codes), penalty)
+            for route in group]

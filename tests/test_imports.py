@@ -247,7 +247,7 @@ def _settings():
     import inspect
 
     from repro.controlplane.controller import Controller
-    from repro.controlplane.pathcontrol import place_streams
+    from repro.controlplane.pathcontrol import path_control
     from repro.core.config import SimulationConfig
     from repro.core.eventsim import EventDrivenXRON
     from repro.core.service import ServiceConfig
@@ -258,7 +258,7 @@ def _settings():
                [f.name for f in dataclasses.fields(cls)])
               for cls in (SimulationConfig, ResilienceConfig, ServiceConfig)]
     for func in (EventDrivenXRON.__init__, Controller.__init__,
-                 CohortWorkload.__init__, place_streams):
+                 CohortWorkload.__init__, path_control):
         params = [p for p in inspect.signature(func).parameters.values()
                   if p.name != "self"]
         owners.append((func, func.__qualname__.split(".")[0], False,
@@ -332,7 +332,7 @@ def _removed_setting_owners():
     from repro.controlplane.controller import Controller
     from repro.controlplane.membership import membership
     from repro.controlplane.nib import NetworkInformationBase
-    from repro.controlplane.pathcontrol import path_control, place_streams
+    from repro.controlplane.pathcontrol import path_control
     from repro.controlplane.regional import regional_control
     from repro.controlplane.sib import StreamInformationBase
     from repro.core.config import SimulationConfig
@@ -362,8 +362,6 @@ def _removed_setting_owners():
             lambda **kw: StreamInformationBase(codes, **kw),
         "path_control": lambda **kw: path_control([], codes, None, None,
                                                   **kw),
-        "place_streams": lambda **kw: place_streams([], codes, None, None,
-                                                    **kw),
         "CohortWorkload": CohortWorkload,
         "PassiveTracker": PassiveTracker,
         "SLOEngine": SLOEngine,
@@ -397,7 +395,6 @@ REMOVED_SETTINGS = [
     ("StreamInformationBase", "n_harmonics"),
     ("StreamInformationBase", "history_slots"),
     ("path_control", "max_rebuilds"),
-    ("place_streams", "max_rebuilds"),
     ("PassiveTracker", "min_packets"),
     ("SLOEngine", "cause_window_s"),
     ("SLOEngine", "max_remembered"),

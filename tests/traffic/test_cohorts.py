@@ -8,10 +8,11 @@ from repro.controlplane.pathcontrol import path_control
 from repro.core.config import SimulationConfig
 from repro.core.simulator import EpochSimulator
 from repro.core.variants import xron
-from repro.traffic.cohorts import CohortWorkload, StreamCohort
+from repro.sim.rng import RngStreams, hash_uniform
+from repro.traffic.cohorts import MIX_JITTER, CohortWorkload
 from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.streams import Stream, VIDEO_PROFILES
+from repro.traffic.streams import Stream, StreamTable, VIDEO_PROFILES
 from repro.underlay.regions import default_regions
 from repro.underlay.topology import build_underlay
 
@@ -22,40 +23,81 @@ def matrix():
     return TrafficMatrix.from_model(demand, 8 * 3600.0)
 
 
+def cohort_loop(matrix, seed, cohorts_per_pair):
+    """The per-cohort scalar decomposition the array pass replaced:
+    (src, dst, mbps, dominant profile, sessions, components) per cohort,
+    components (profile name, sessions, mbps) in ascending bitrate."""
+    by_rate = sorted(VIDEO_PROFILES, key=lambda p: p.bitrate_mbps)
+    buckets = [list(chunk) for chunk in np.array_split(
+        np.array(by_rate, dtype=object), min(cohorts_per_pair, len(by_rate)))]
+    streams = RngStreams(seed)
+    cohorts = []
+    for (src, dst), demand in matrix.items():
+        if demand <= 0:
+            continue
+        base = np.array([p.weight for p in by_rate])
+        jitter = hash_uniform(streams.seed_for(f"cohort.{src}->{dst}"),
+                              np.arange(len(by_rate)), salt=7)
+        weights = base * (1.0 - MIX_JITTER / 2.0 + MIX_JITTER * jitter)
+        per_profile = demand * (weights / weights.sum())
+        idx = 0
+        for bucket in buckets:
+            mbps = sessions = 0.0
+            components = []
+            dominant, dominant_mbps = bucket[0], -1.0
+            for profile in bucket:
+                d = float(per_profile[idx])
+                idx += 1
+                if d <= 0:
+                    continue
+                n = d / profile.bitrate_mbps
+                components.append((profile.name, n, d))
+                mbps += d
+                sessions += n
+                if d > dominant_mbps:
+                    dominant, dominant_mbps = profile, d
+            if mbps > 0:
+                cohorts.append((src, dst, mbps, dominant, sessions,
+                                components))
+    return cohorts
+
+
 def test_cohorts_are_streams(matrix):
-    cohorts = CohortWorkload(seed=1).decompose(matrix)
-    assert cohorts
-    for c in cohorts:
+    table = CohortWorkload(seed=1).decompose(matrix)
+    assert len(table)
+    assert (table.sessions > 0).all()
+    for c in table.streams():
         assert isinstance(c, Stream)
-        assert isinstance(c, StreamCohort)
         assert c.demand_mbps > 0
-        assert c.sessions > 0
         assert c.session_count >= 1
 
 
 def test_decompose_is_deterministic_per_seed(matrix):
+    def columns(table):
+        return [table.stream_id.tolist(), table.src.tolist(),
+                table.dst.tolist(), table.mbps.tolist(),
+                table.profile.tolist(), table.sessions.tolist()]
+
     a = CohortWorkload(seed=1).decompose(matrix)
     b = CohortWorkload(seed=1).decompose(matrix)
-    assert [(c.src, c.dst, c.demand_mbps, c.sessions, c.components)
-            for c in a] == \
-           [(c.src, c.dst, c.demand_mbps, c.sessions, c.components)
-            for c in b]
+    assert columns(a) == columns(b)
     c = CohortWorkload(seed=2).decompose(matrix)
-    assert [(x.demand_mbps, x.components) for x in a] != \
-           [(x.demand_mbps, x.components) for x in c]
+    assert a.mbps.tolist() != c.mbps.tolist()
 
 
 def test_demand_is_conserved(matrix):
     cohorts = CohortWorkload(seed=1, cohorts_per_pair=3).decompose(matrix)
-    total = sum(c.demand_mbps for c in cohorts)
-    assert total == pytest.approx(matrix.total(), rel=1e-9)
-    # Every positive pair is decomposed: none is dropped.
-    assert {(c.src, c.dst) for c in cohorts} == \
-        {pair for pair, d in matrix.items() if d > 0}
-    # Per-cohort: component demands sum to the cohort demand.
-    for c in cohorts:
-        assert sum(d for (__, __, d) in c.components) == \
-            pytest.approx(c.demand_mbps, rel=1e-9)
+    assert sum(cohorts.mbps.tolist()) == pytest.approx(matrix.total(),
+                                                       rel=1e-9)
+    # Every positive pair is decomposed: none is dropped, and each
+    # pair's cohorts carry its demand.
+    per_pair = {}
+    for c in cohorts.streams():
+        per_pair[(c.src, c.dst)] = per_pair.get((c.src, c.dst), 0.0) \
+            + c.demand_mbps
+    assert set(per_pair) == {pair for pair, d in matrix.items() if d > 0}
+    for (src, dst), mbps in per_pair.items():
+        assert mbps == pytest.approx(matrix.get(src, dst), rel=1e-9)
 
 
 def test_memory_is_bounded_by_pairs(matrix):
@@ -65,15 +107,27 @@ def test_memory_is_bounded_by_pairs(matrix):
         assert len(cohorts) <= n_pairs * k
 
 
-def test_components_reconstruct_equivalent_sessions(matrix):
-    """A component's sessions at its profile's bitrate carry its demand
-    exactly, and its cohort's session count is their sum."""
+def test_columns_equal_the_per_cohort_loop(matrix):
+    """The array pass is the per-cohort loop bit for bit — Mbps and
+    sessions summed profile by profile left to right, the dominant
+    profile the first maximum — and a cohort's sessions at its
+    profiles' bitrates carry its demand."""
     rates = {p.name: p.bitrate_mbps for p in VIDEO_PROFILES}
-    for c in CohortWorkload(seed=1).decompose(matrix)[:40]:
-        for name, sessions, mbps in c.components:
-            assert sessions * rates[name] == pytest.approx(mbps, rel=1e-12)
-        assert sum(s for __, s, __ in c.components) == \
-            pytest.approx(c.sessions, rel=1e-12)
+    for cohorts_per_pair in (1, 2, 3, 6, 9):
+        table = CohortWorkload(seed=1, cohorts_per_pair=cohorts_per_pair
+                               ).decompose(matrix.scaled(0.01))
+        expected = cohort_loop(matrix.scaled(0.01), 1, cohorts_per_pair)
+        codes = table.codes
+        assert len(table) == len(expected)
+        for k, (src, dst, mbps, dominant, sessions, components) in \
+                enumerate(expected):
+            assert (codes[table.src[k]], codes[table.dst[k]]) == (src, dst)
+            assert table.mbps[k].hex() == mbps.hex()
+            assert table.sessions[k].hex() == sessions.hex()
+            assert VIDEO_PROFILES[table.profile[k]] is dominant
+            assert sum(n * rates[name] for name, n, __ in components) == \
+                pytest.approx(mbps, rel=1e-12)
+        assert table.stream_id.tolist() == list(range(len(expected)))
 
 
 def test_export_import_round_trip(matrix):
@@ -84,14 +138,18 @@ def test_export_import_round_trip(matrix):
     fresh.import_state(state)
     # Fresh ids continue after the imported counter, never reused.
     next_cohorts = fresh.decompose(matrix)
-    assert min(c.stream_id for c in next_cohorts) == state["next_id"]
+    assert int(next_cohorts.stream_id.min()) == state["next_id"]
 
 
 def test_validation():
     with pytest.raises(ValueError):
         CohortWorkload(cohorts_per_pair=0)
-    with pytest.raises(ValueError):
-        StreamCohort(1, "A", "B", 1.0, VIDEO_PROFILES[0], sessions=-1.0)
+    with pytest.raises(ValueError, match="negative sessions"):
+        StreamTable(["A", "B"], [1], [0], [1], [1.0], [0], [-1.0])
+    with pytest.raises(ValueError, match="negative demand"):
+        StreamTable(["A", "B"], [1], [0], [1], [-1.0], [0], [1.0])
+    with pytest.raises(ValueError, match="src == dst"):
+        StreamTable(["A", "B"], [1], [1], [1], [1.0], [0], [1.0])
 
 
 def test_path_control_accepts_cohorts(matrix):

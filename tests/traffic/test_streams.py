@@ -27,21 +27,21 @@ def test_stream_validation_negative_demand():
 
 def test_decompose_preserves_total_demand(matrix):
     workload = StreamWorkload(np.random.default_rng(1))
-    streams = workload.decompose(matrix)
+    streams = workload.decompose(matrix).streams()
     assert sum(s.demand_mbps for s in streams) == pytest.approx(
         matrix.total())
 
 
 def test_decompose_skips_zero_pairs(matrix):
     workload = StreamWorkload(np.random.default_rng(1))
-    streams = workload.decompose(matrix)
+    streams = workload.decompose(matrix).streams()
     assert not any(s.src == "A" and s.dst == "C" for s in streams)
 
 
 def test_decompose_respects_max_streams_per_pair(matrix):
     workload = StreamWorkload(np.random.default_rng(1),
                               max_streams_per_pair=2)
-    streams = workload.decompose(matrix)
+    streams = workload.decompose(matrix).streams()
     per_pair = {}
     for s in streams:
         per_pair[(s.src, s.dst)] = per_pair.get((s.src, s.dst), 0) + 1
@@ -50,28 +50,28 @@ def test_decompose_respects_max_streams_per_pair(matrix):
 
 def test_decompose_ids_unique(matrix):
     workload = StreamWorkload(np.random.default_rng(1))
-    streams = workload.decompose(matrix)
+    streams = workload.decompose(matrix).streams()
     ids = [s.stream_id for s in streams]
     assert len(set(ids)) == len(ids)
 
 
 def test_ids_unique_across_epochs(matrix):
     workload = StreamWorkload(np.random.default_rng(1))
-    first = workload.decompose(matrix)
-    second = workload.decompose(matrix)
+    first = workload.decompose(matrix).streams()
+    second = workload.decompose(matrix).streams()
     ids = [s.stream_id for s in first + second]
     assert len(set(ids)) == len(ids)
 
 
 def test_session_counts_positive(matrix):
     workload = StreamWorkload(np.random.default_rng(1))
-    for s in workload.decompose(matrix):
+    for s in workload.decompose(matrix).streams():
         assert s.session_count >= 1
 
 
 def test_profiles_drawn_from_catalogue(matrix):
     workload = StreamWorkload(np.random.default_rng(1))
-    for s in workload.decompose(matrix):
+    for s in workload.decompose(matrix).streams():
         assert s.profile in VIDEO_PROFILES
 
 
