@@ -139,41 +139,46 @@ def test_demand_matrix_n100(benchmark):
 # --------------------------------------------------------------------------
 #
 # Every 0.4 s of simulated time the event engine evaluates the underlay
-# once and every region cluster runs a group-probing round whose
-# reports go to the NIB.  That instant is the engine's whole cost
-# (docs/performance.md, "Event engine"), so it is the number that says
-# how far event-engine studies scale.
+# once, the monitoring block runs one group-probing pass over every
+# region's gateways, and its reports go to the NIB as one batch.  That
+# instant is the engine's whole cost (docs/performance.md, "Event
+# engine"), so it is the number that says how far event-engine studies
+# scale.
 
-#: Hard budgets per probing instant.  At 50 regions: a quarter of the
-#: 0.4 s the instant simulates — one Python object per link took a
-#: third of real time there (126-156 ms), array state with scalar
-#: per-burst draws ~26 ms, one hashed block per instant ~4 ms.  At
-#: paper scale (~0.8 ms, was ~2): 2.5 % of real time.
-PROBE_INSTANT_BUDGET_S = {11: 0.010, 50: 0.1}
+#: Hard budgets per probing instant.  One Python object per link took
+#: a third of real time at 50 regions (126-156 ms), array state with
+#: scalar per-burst draws ~26 ms; with one hashed block per instant, one
+#: array pass per cluster took ~0.9 / ~5 / ~15 ms at 11 / 50 / 100
+#: regions and one pass over every region's rows takes ~0.4 / ~2 / ~8.
+#: The budgets leave room for a host twice as slow: they catch a return
+#: to per-link work, `tests/core/test_probe_call_budget.py` one to a
+#: pass per cluster.
+PROBE_INSTANT_BUDGET_S = {11: 0.005, 50: 0.025, 100: 0.05}
 _PROBE_START_S = 600.0
 
 
 @pytest.mark.parametrize("n_regions", sorted(PROBE_INSTANT_BUDGET_S),
                          ids=lambda n: f"n{n:03d}")
 def test_probe_instant(benchmark, n_regions):
-    """One `state_at` + every cluster's `probe_round` + the NIB's
-    `update_many`, at a fresh 0.4 s step each round."""
+    """One `state_at` + the monitoring block's probing pass over every
+    region + the NIB's `update_many`, at a fresh 0.4 s step each round."""
     from repro.controlplane.nib import NetworkInformationBase
-    from repro.dataplane.cluster import RegionCluster, probe_noise
+    from repro.dataplane.cluster import (MonitoringBlock, RegionCluster,
+                                         probe_noise)
     from repro.dataplane.config import MonitoringConfig
     from repro.sim.rng import RngStreams
 
     u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
     noise = probe_noise(u, MonitoringConfig(), RngStreams(7))
-    clusters = [RegionCluster(code, u, noise=noise) for code in u.codes]
+    block = MonitoringBlock([RegionCluster(code, u, noise=noise)
+                             for code in u.codes])
     nib = NetworkInformationBase(codes=u.codes)
     steps = itertools.count()
 
     def instant():
         now = _PROBE_START_S + 0.4 * next(steps)
         u.state_at(now)
-        for cluster in clusters:
-            nib.update_many(cluster.probe_round(now))
+        nib.update_many(block.probe(now)[0])
         return now
 
     instant()  # parameter matrices, first-sample paths, timeline search

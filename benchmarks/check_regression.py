@@ -70,8 +70,9 @@ GATED = (
 #: entry is its "before").  The pre-refactor stack's step 1 was
 #: measured as ``test_path_control_paper_scale`` (a scalar link-state
 #: callback per link), which stays the step-1 row's "before".  The
-#: probing-instant rows (before: two scalar draws per
-#: burst from per-gateway generators), the link-series-block rows
+#: probing-instant rows (before: two scalar draws per burst from
+#: per-gateway generators; at 100 regions, one array pass per cluster),
+#: the link-series-block rows
 #: (before: every term of the link model per hop and instant), the
 #: cluster-install row (before: one forwarding table per gateway) and
 #: the planet-scale epoch and reaction-plan rows (before: a path object
@@ -87,6 +88,8 @@ TABLE_ROWS = {
         (" (11 regions, 220 links)", "test_probe_instant[n011]"),
     "test_probe_instant[n050]":
         (" (50 regions, 4 900 links)", "test_probe_instant[n050]"),
+    "test_probe_instant[n100]":
+        (" (100 regions, 19 800 links)", "test_probe_instant[n100]"),
     "test_link_series_block[n011]":
         (" (11 regions, 91 hops x 750 bursts)",
          "test_link_series_block[n011]"),
@@ -187,7 +190,9 @@ def distill(args: argparse.Namespace) -> int:
                  "benchmarks/check_regression.py distill. "
                  "'baseline_pre_refactor' holds the frozen 'before' of "
                  "each table row (the scalar-loop control stack; the "
-                 "one-object-per-link probing instant; the per-hop, "
+                 "one-object-per-link probing instant, at 100 regions "
+                 "the one round per cluster the monitoring block "
+                 "replaced; the per-hop, "
                  "per-instant link series; one forwarding table per "
                  "gateway; the object-per-visit control solve for the "
                  "sweep and reaction-plan entries) — keep it for the "

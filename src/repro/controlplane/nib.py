@@ -101,6 +101,12 @@ class ReportBatch:
     def __len__(self) -> int:
         return len(self.latency_ms)
 
+    def take(self, rows) -> "ReportBatch":
+        """The reports at `rows` (a slice, positions or a mask)."""
+        return ReportBatch(self.codes, self.src[rows], self.dst[rows],
+                           self.tier[rows], self.latency_ms[rows],
+                           self.loss_rate[rows], self.reported_at[rows])
+
     def __getitem__(self, k: int) -> LinkReport:
         return LinkReport(self.codes[self.src[k]], self.codes[self.dst[k]],
                           TYPE_ORDER[self.tier[k]],

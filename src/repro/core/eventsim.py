@@ -5,7 +5,8 @@ module runs the actual moving parts on the discrete-event engine:
 
 * every 400 ms each region cluster's *representative* gateways send
   probe bursts; group state is aggregated, distributed to members and
-  reported to the NIB (§4.1);
+  reported to the NIB (§4.1) — one array pass over every region's
+  gateways (`dataplane.cluster.MonitoringBlock`) and one NIB batch;
 * every second, tracked video sessions are forwarded hop by hop through
   the gateways' live forwarding tables — including any local fast
   reaction decisions (§4.3) — and the resulting end-to-end latency/loss
@@ -17,7 +18,7 @@ module runs the actual moving parts on the discrete-event engine:
   fleet follows (§5).
 
 Everything that reads the true state of a link at one simulated instant
-(every cluster's probe round, the measurement tick) reads the same
+(the probing instant, the measurement tick) reads the same
 `Underlay.state_at(now)` evaluation, and every monitoring draw is a
 hash of link, probe slot and burst or tick (`dataplane.probing.
 BurstNoise`), evaluated once per instant.  It is the engine for studies of
@@ -47,7 +48,8 @@ from repro.core.config import (SimulationConfig, build_controller,
                                build_pools)
 from repro.core.extensions import arm
 from repro.core.variants import VariantSpec, xron
-from repro.dataplane.cluster import RegionCluster, probe_noise
+from repro.dataplane.cluster import (MonitoringBlock, RegionCluster,
+                                     probe_noise)
 from repro.dataplane.gateway import Gateway
 from repro.dataplane.probing import BurstNoise
 from repro.elastic.containers import ContainerPool
@@ -225,6 +227,8 @@ class EventDrivenXRON:
                 monitoring=self.sim_config.monitoring,
                 reaction=reaction, noise=noise)
             for code in underlay.codes}
+        #: Every gateway's monitoring state, probed as one block.
+        self.monitoring_block = MonitoringBlock(list(self.clusters.values()))
         #: The tracked sessions' packet losses on each link per tick.
         self._passive = BurstNoise(underlay, self.rng, "measure", 1,
                                    _PACKETS_PER_TICK, measure_interval_s)
@@ -383,18 +387,38 @@ class EventDrivenXRON:
             *(hook(now) for hook in self.hooks("unreachable")))
 
     def _probe_round(self, sim: Simulator) -> None:
+        """One probing instant: the monitoring block's pass over every
+        region, then one NIB batch of the reachable regions' reports.
+        The per-region hooks get their region's slice of the reports,
+        cut only for a hook that is there to take it."""
         now = sim.now
         unreachable = self.unreachable(now)
         lost = any(hook(now) for hook in self.hooks("reports_lost"))
+        block = self.monitoring_block
+        reports, bounds = block.probe(now)
+        severed = [k for k, cluster in enumerate(block.clusters)
+                   if cluster.region in unreachable] if unreachable else []
+        if severed and self.hooks("reports_severed"):
+            for k in severed:
+                self.fire("reports_severed", block.clusters[k],
+                          reports.take(slice(bounds[k], bounds[k + 1])), now)
+        if lost or len(severed) == len(block.clusters):
+            return
+        if severed:
+            reached = np.ones(len(reports), dtype=bool)
+            for k in severed:
+                reached[bounds[k]:bounds[k + 1]] = False
+            self.controller.nib.update_many(reports.take(reached))
+        else:
+            self.controller.nib.update_many(reports)
         delivered = self.hooks("reports_delivered")
-        for cluster in self.clusters.values():
-            reports = cluster.probe_round(now)
-            if cluster.region in unreachable:
-                self.fire("reports_severed", cluster, reports, now)
-            elif not lost:
-                self.controller.nib.update_many(reports)
+        if delivered:
+            for k, cluster in enumerate(block.clusters):
+                if k in severed:
+                    continue
+                part = reports.take(slice(bounds[k], bounds[k + 1]))
                 for hook in delivered:
-                    hook(cluster, reports, now)
+                    hook(cluster, part, now)
 
     def _flush_passive(self, sim: Simulator) -> None:
         for cluster in self.clusters.values():

@@ -479,8 +479,8 @@ class EpochSimulator:
                    * (0.97 + (1.03 - 0.97) * noise[..., 0]))
         loss = np.clip(snap.loss[tier, src, dst, None]
                        * (0.8 + (1.2 - 0.8) * noise[..., 1]), 0.0, 1.0)
-        reports = self._grouping.aggregate(src, dst, tier,
-                                           (latency.T, loss.T), now)
+        reports = self._grouping.aggregate(
+            src, dst, tier, [(slice(None), latency.T, loss.T)], now)
         self.controller.nib.update_many(reports)
         if _TEL.enabled:
             _TEL.counter("simulator.probe_rounds").inc()

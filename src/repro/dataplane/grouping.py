@@ -11,7 +11,7 @@ O(N(N-1)R) probe streams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,25 +82,38 @@ class ProbingGroupManager:
             _TEL.event("rep_election", region=region,
                        representatives=list(chosen), gateways=gateways)
 
-    def aggregate(self, src, dst, link_type, measurements, now: float
-                  ) -> ReportBatch:
+    def aggregate(self, src, dst, link_type, groups, now: float,
+                  keep: Optional[np.ndarray] = None) -> ReportBatch:
         """Median-aggregate representative measurements into reports.
 
-        `measurements` is the representatives' ``(latency, loss)``
-        arrays, each ``(representatives, links)``, and `src` / `dst` /
-        `link_type` the links' index vectors (into `codes` and
-        `TYPE_ORDER`): one `ReportBatch`.
+        `src` / `dst` / `link_type` are the links' index arrays (into
+        `codes` and `TYPE_ORDER`, of one shape), and `groups` the
+        representatives' measurements as ``(where, latency, loss)``:
+        `latency` and `loss` of shape ``(representatives,) +
+        src[where].shape``, one group per representative count (a
+        region that elected fewer gateways has fewer rows to take the
+        median of).  One `ReportBatch` of the raveled links, or of the
+        ones the boolean `keep` selects from them.
 
         The median is robust to one representative landing on an
         idiosyncratically-bad gateway link (Fig. 7 shows such divergence
         is rare but real).
         """
-        latency, loss = measurements
-        if not len(latency):
+        if not groups:
             raise ValueError("no measurements to aggregate")
+        latency, loss = np.empty(np.shape(src)), np.empty(np.shape(src))
+        for where, group_latency, group_loss in groups:
+            if not len(group_latency):
+                raise ValueError("no measurements to aggregate")
+            latency[where] = _median(group_latency)
+            loss[where] = _median(group_loss)
+        columns = [np.ravel(column) for column in
+                   (src, dst, link_type, latency, loss)]
+        if keep is not None:
+            columns = [column[keep] for column in columns]
+        src, dst, link_type, latency, loss = columns
         if _TEL.enabled:
             _AGG_COUNTERS.fetch(_TEL.metrics)[0].inc(len(src))
-        return ReportBatch(self.codes, src, dst, link_type,
-                           _median(latency),
-                           np.minimum(np.maximum(_median(loss), 0.0), 1.0),
+        return ReportBatch(self.codes, src, dst, link_type, latency,
+                           np.minimum(np.maximum(loss, 0.0), 1.0),
                            np.full(len(src), now))

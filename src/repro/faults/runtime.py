@@ -18,7 +18,7 @@ controller outage, severs partitioned regions from the controller
 (reports in, installs out) and transforms install pushes (partial,
 delayed) — each through one hook of `repro.core.eventsim.HOOKS`.  The
 engine arms it only for a non-empty schedule, which is also the only
-time the three data-plane seams (`RegionCluster.faults`,
+time the three data-plane seams (`MonitoringBlock.faults`,
 `NetworkInformationBase.fault_filter`, `ContainerPool.platform_load_fn`)
 are wired: without a schedule the probe and report path is the plain
 one, call for call.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.controlplane.nib import LinkReport, ReportBatch
 from repro.dataplane.probing import burst_draws
@@ -177,18 +177,23 @@ class FaultInjector:
         return None
 
     # --------------------------------------------------------------- probing
-    def probe_blackout(self, src: str, dst: str, link_type: LinkType,
-                       now: float) -> Optional[FaultSpec]:
-        """The blackout spec covering this directed link, if any.
-
-        Truthiness-compatible with the old boolean API (a spec is
-        truthy); returning the spec lets the probing seam annotate its
-        telemetry with the matching fault id.
-        """
-        for spec in self._by_kind[FaultKind.PROBE_BLACKOUT]:
-            if spec.active(now) and spec.matches_link(src, dst, link_type):
-                return spec
-        return None
+    def probe_blackout(self, hops: Sequence[Tuple[str, str, LinkType]],
+                       now: float) -> Dict[int, FaultSpec]:
+        """The blackout spec covering each of the directed links `hops`
+        at `now` (the first in schedule order), by position; links no
+        window covers are absent, so an instant without blackout gives
+        an empty dict.  One query per probing instant: the spec lets
+        the probing seam annotate its telemetry with the fault id."""
+        active = [spec for spec in self._by_kind[FaultKind.PROBE_BLACKOUT]
+                  if spec.active(now)]
+        covered: Dict[int, FaultSpec] = {}
+        if active:
+            for k, (src, dst, link_type) in enumerate(hops):
+                for spec in active:
+                    if spec.matches_link(src, dst, link_type):
+                        covered[k] = spec
+                        break
+        return covered
 
     def region_blackout(self, region: str, now: float) -> bool:
         """Whether a region-wide (dst-less) blackout covers `region`."""
@@ -330,8 +335,7 @@ class FaultExtension:
     def __init__(self, engine, injector: FaultInjector):
         self.engine = engine
         self.injector = injector
-        for cluster in engine.clusters.values():
-            cluster.faults = self.injector
+        engine.monitoring_block.faults = self.injector
         for code, pool in engine.pools.items():
             pool.platform_load_fn = self._load_fn(code)
         self.controller_restarted()

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 #: Canonical event kinds emitted by the built-in instrumentation; the
 #: tracer accepts any string, this is the documented catalog.
 KINDS = (
-    "probe_round",        # one group-probing round of a region cluster
+    "probe_round",        # one probing instant of every region cluster
     "rep_election",       # probing-group representative set changed
     "path_decision",      # representative path (re)selected for a pair
     "failover",           # traffic switched to a premium backup path
@@ -42,7 +42,7 @@ KINDS = (
     # schedule is active, so fault-free runs never carry these.
     "fault_gateway_crash",      # injected crash removed gateways
     "fault_gateway_restart",    # replacements came back after a crash
-    "fault_probe_blackout",     # links skipped by a probing blackout
+    "fault_probe_blackout",     # links a probing blackout hid this instant
     "fault_report_drop",        # a NIB link report was discarded
     "fault_report_stale",       # a NIB report was aged before delivery
     "fault_install_delayed",    # a controller install left the push queue late

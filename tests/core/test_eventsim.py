@@ -170,3 +170,22 @@ def test_controller_outage_data_plane_survives(regions):
     assert window.any()
     assert np.median(lat[window]) < 1000.0
     assert any(np.asarray(record.on_backup)[window])
+
+
+def test_reading_the_result_traces_no_election():
+    """Regression: `EventDrivenXRON.result` sums every cluster's
+    detections, and reading a cluster's elected count used to trace its
+    election — so a fleet that changed after the last probing instant
+    put a `rep_election` event after the end of the run."""
+    from repro import obs
+    from tests.harness import START_S, event_engine
+
+    engine = event_engine(elastic=False)
+    with obs.capture() as hub:
+        result = engine.run(START_S, 2.0)
+        assert any(e["kind"] == "rep_election" for e in hub.events_json())
+        next(iter(engine.clusters.values())).crash_gateways(1, START_S + 2.0)
+        traced = hub.events_json()
+        engine.result(result.events_processed)
+        assert hub.events_json() == traced
+    engine.close()

@@ -1,11 +1,12 @@
 """A machine-independent guard on the event engine's monitoring cost
-model: a probing instant is array work per cluster, not object work per
-link.
+model: a probing instant is one array pass over every region, not work
+per cluster, let alone objects per link.
 
 Before the banks and batches a paper-scale instant built ~440 probe
 bursts and 220 link reports, pushed the reports into the NIB one by one
-and binary-searched every link's timeline twice.  Counting calls (not
-seconds) makes the guard exact and portable.
+and binary-searched every link's timeline twice; before the monitoring
+block it still ran one round, one median and one NIB batch per region.
+Counting calls (not seconds) makes the guard exact and portable.
 """
 
 import sys
@@ -16,19 +17,28 @@ import pytest
 from repro.controlplane.nib import LinkReport, NetworkInformationBase
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
-from repro.dataplane.cluster import RegionCluster
+from repro.dataplane.estimator import EstimatorBank
+from repro.dataplane.grouping import ProbingGroupManager
+from repro.faults import FaultSchedule, probe_blackout
+from repro.faults.runtime import FaultInjector
 from repro.traffic.demand import DemandModel
-from repro.underlay.regions import default_regions
 from repro.underlay.topology import Underlay
 
-START_S = 8 * 3600.0
+START_S = 3600.0
 #: 0.4 s probing steps in the run (after the boot round at `START_S`).
 STEPS = 12
+
+#: What one probing instant calls, whatever the region count.
+PER_INSTANT = {"NetworkInformationBase.update_many": 1,
+               "ProbingGroupManager.aggregate": 1,
+               "EstimatorBank.ingest": 1,
+               "LinkReport.__init__": 0,
+               "FaultInjector.probe_blackout": 1}
 
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Call counts of the per-link and per-round entry points."""
+    """Call counts of the per-link and per-instant entry points."""
     counts = {}
 
     def count(owner, attr, name=None):
@@ -43,8 +53,10 @@ def calls(monkeypatch):
 
     count(np, "searchsorted", "searchsorted")
     for owner, attr in ((LinkReport, "__init__"),
-                        (RegionCluster, "probe_round"),
-                        (NetworkInformationBase, "update_many")):
+                        (NetworkInformationBase, "update_many"),
+                        (ProbingGroupManager, "aggregate"),
+                        (EstimatorBank, "ingest"),
+                        (FaultInjector, "probe_blackout")):
         count(owner, attr)
 
     #: `searchsorted` calls inside each `Underlay.snapshot`, in order.
@@ -60,37 +72,57 @@ def calls(monkeypatch):
     return counts
 
 
-def test_a_probing_instant_is_array_work(full_underlay, calls):
+def _run(underlay, calls):
+    """Per-instant call counts, the snapshots' timeline searches and
+    the result of a short run on `underlay`, under a blackout of one
+    region's links over its middle (the blackout query is made once
+    per instant, blacked out or not)."""
     engine = EventDrivenXRON(
-        full_underlay, DemandModel(default_regions(), seed=3),
-        sim_config=SimulationConfig(epoch_s=30.0, seed=3))
+        underlay, DemandModel(underlay.regions, seed=3),
+        sim_config=SimulationConfig(epoch_s=30.0, seed=3),
+        faults=FaultSchedule.of(probe_blackout(START_S + 1.0, 2.0,
+                                               region=underlay.codes[1])))
+    instants = []
+    probe_round = engine._probe_round
+
+    def counted(sim):
+        before = {name: calls[name] for name in PER_INSTANT}
+        probe_round(sim)
+        instants.append({name: calls[name] - before[name]
+                         for name in PER_INSTANT})
+    engine._probe_round = counted
     # Wherever another test left the shared underlay's segment memo,
     # start this run from a jump.
-    full_underlay.state_at(0.0)
+    underlay.state_at(0.0)
     del calls["per_snapshot"][:]
     with engine:
-        engine.run(START_S, 0.4 * STEPS + 0.2)
-    clusters = len(full_underlay.codes)
-    # The boot round of the first control epoch, then the periodic ones.
-    rounds = (1 + STEPS + 1) * clusters
-    links = 2 * clusters * (clusters - 1)
+        result = engine.run(START_S, 0.4 * STEPS + 0.2)
+    return instants, list(calls["per_snapshot"]), result
 
-    # Nobody iterated a batch, so no per-link object was ever built.
-    assert calls["LinkReport.__init__"] == 0
 
-    # The NIB took every cluster round as one batch.
-    assert calls["RegionCluster.probe_round"] == rounds
-    assert calls["NetworkInformationBase.update_many"] == rounds
+def test_a_probing_instant_is_array_work(full_underlay, small_underlay,
+                                         calls):
+    for underlay in (small_underlay, full_underlay):
+        instants, per_snapshot, result = _run(underlay, calls)
+        regions = len(underlay.codes)
+        links = 2 * regions * (regions - 1)
 
-    # One snapshot per probing instant and per measurement tick that
-    # falls between two; the first searches every link's timeline once,
-    # a step of 0.4 s or less only the few links whose timeline changed
-    # piece.
-    per_snapshot = calls["per_snapshot"]
-    assert STEPS + 1 <= len(per_snapshot) <= STEPS + 1 + 5
-    assert 0 < per_snapshot[0] <= links
-    assert max(per_snapshot[1:]) < 10
-    assert sum(per_snapshot[1:]) < 4 * len(per_snapshot)
+        # The boot round of the first control epoch, then the periodic
+        # ones; at 4 regions as at 11, each is one NIB batch, one median
+        # call, one ingest, one blackout query, and no per-link object.
+        assert len(instants) == 1 + STEPS + 1
+        assert instants == [PER_INSTANT] * len(instants)
+        assert calls["LinkReport.__init__"] == 0
+        assert result.fault_counters["probes_blacked_out"] > 0
+
+        # One snapshot per probing instant and per measurement tick that
+        # falls between two; the first searches every link's timeline
+        # once, a step of 0.4 s or less only the few links whose
+        # timeline changed piece.
+        assert STEPS + 1 <= len(per_snapshot) <= STEPS + 1 + 5
+        assert 0 < per_snapshot[0] <= links
+        assert max(per_snapshot[1:]) < 10
+        assert sum(per_snapshot[1:]) < 4 * len(per_snapshot)
 
 
 #: `hash_uniform` calls one instant may make, whatever the region count:

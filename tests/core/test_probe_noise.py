@@ -31,14 +31,15 @@ T_END = 600.0
 
 
 class Blackouts:
-    """A cluster's fault seam hiding the link positions in `hidden`."""
+    """A block's fault seam hiding the link positions in `hidden`."""
 
     def __init__(self, links):
         self.links, self.hidden = links, set()
         self.counters = FaultCounters()
 
-    def probe_blackout(self, src, dst, link_type, now):
-        return "spec" if self.links[(dst, link_type)] in self.hidden else None
+    def probe_blackout(self, hops, now):
+        return {k: "spec" for k, (__, dst, link_type) in enumerate(hops)
+                if self.links[(dst, link_type)] in self.hidden}
 
     def fault_id(self, spec):
         return 0
@@ -53,8 +54,8 @@ def clusters(seed, gateways=2):
 
 def round_draws(cluster, now):
     """What `cluster`'s representatives take in at `now`: measured
-    latency and loss, one row per representative, one column per link
-    probed."""
+    latency and loss of the links probed, representative by
+    representative (one row each while no link is blacked out)."""
     seen = []
     ingest = EstimatorBank.ingest
 
@@ -91,7 +92,7 @@ def test_a_clusters_draws_at_an_instant_do_not_depend_on_history(
     lived = clusters(seed)
     code = UNDERLAY.codes[target]
     blackouts = Blackouts(lived[code].links)
-    lived[code].faults = blackouts
+    lived[code].block.faults = blackouts
     now = 100.0
     for action, arg in history:
         now += 0.4
@@ -115,8 +116,10 @@ def test_a_clusters_draws_at_an_instant_do_not_depend_on_history(
     want_latency, want_loss = round_draws(fresh, T_END)
     probed = [k for k in range(LINKS) if k not in blackouts.hidden]
     reps = len(lived[code].representatives())
-    np.testing.assert_array_equal(latency, want_latency[:reps, probed])
-    np.testing.assert_array_equal(loss, want_loss[:reps, probed])
+    np.testing.assert_array_equal(latency.reshape(reps, -1),
+                                  want_latency[:reps, probed])
+    np.testing.assert_array_equal(loss.reshape(reps, -1),
+                                  want_loss[:reps, probed])
 
 
 def test_both_engines_read_a_hop_the_same(monkeypatch):

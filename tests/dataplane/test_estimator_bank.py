@@ -100,15 +100,15 @@ def bank_state(gateway, k):
 
 
 class Blackouts:
-    """The cluster's fault seam, hiding the link positions in `hidden`."""
+    """The block's fault seam, hiding the link positions in `hidden`."""
 
     def __init__(self, positions):
         self.positions, self.hidden = positions, set()
         self.counters = FaultCounters()
 
-    def probe_blackout(self, src, dst, link_type, now):
-        return "spec" if self.positions[(dst, link_type)] in self.hidden \
-            else None
+    def probe_blackout(self, hops, now):
+        return {k: "spec" for k, (__, dst, link_type) in enumerate(hops)
+                if self.positions[(dst, link_type)] in self.hidden}
 
     def fault_id(self, spec):
         return 0
@@ -139,7 +139,7 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
             monitoring=self.monitoring, reaction=self.reaction)
         self.links = next(iter(self.cluster.gateways.values())).links
         assert list(self.links) == LINK_KEYS
-        self.cluster.faults = self.blackouts = Blackouts(self.links)
+        self.cluster.block.faults = self.blackouts = Blackouts(self.links)
         self.reference = {gid: self.fresh() for gid in self.cluster.gateways}
 
     def fresh(self):

@@ -20,7 +20,7 @@ def aggregate_one(mgr, src, dst, link_type, measurements, now):
     return mgr.aggregate(
         np.array([index(src)]), np.array([index(dst)]),
         np.array([TYPE_INDEX[link_type]]),
-        (latency[:, None], loss[:, None]), now)[0]
+        [(slice(None), latency[:, None], loss[:, None])], now)[0]
 
 
 class TestPassiveTracker:

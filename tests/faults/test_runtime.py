@@ -34,12 +34,23 @@ class TestControllerQueries:
 
 class TestProbeQueries:
     def test_link_scoped_blackout(self):
-        inj = FaultInjector(FaultSchedule.of(
-            probe_blackout(0.0, 10.0, region="HGH", dst="SIN", link_type=I)))
-        assert inj.probe_blackout("HGH", "SIN", I, 5.0)
-        assert not inj.probe_blackout("HGH", "SIN", P, 5.0)
-        assert not inj.probe_blackout("HGH", "FRA", I, 5.0)
-        assert not inj.probe_blackout("HGH", "SIN", I, 15.0)
+        spec = probe_blackout(0.0, 10.0, region="HGH", dst="SIN", link_type=I)
+        inj = FaultInjector(FaultSchedule.of(spec))
+        hops = [("HGH", "SIN", P), ("HGH", "SIN", I), ("HGH", "FRA", I),
+                ("SIN", "HGH", I)]
+        assert inj.probe_blackout(hops, 5.0) == {1: spec}
+        assert inj.probe_blackout(hops, 15.0) == {}
+
+    def test_first_covering_blackout_answers_for_a_link(self):
+        wide = probe_blackout(0.0, 10.0, region="HGH")
+        narrow = probe_blackout(0.0, 10.0, region="HGH", dst="SIN")
+        inj = FaultInjector(FaultSchedule.of(narrow, wide))
+        first = inj.schedule.by_kind(wide.kind)[0]
+        other = narrow if first is wide else wide
+        covered = inj.probe_blackout([("HGH", "SIN", I), ("HGH", "FRA", P),
+                                      ("FRA", "HGH", I)], 5.0)
+        assert covered == {0: first, 1: wide}
+        assert inj.fault_id(covered[0]) != inj.fault_id(other)
 
     def test_region_blackout_requires_region_wide_spec(self):
         narrow = FaultInjector(FaultSchedule.of(
