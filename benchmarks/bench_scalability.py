@@ -65,7 +65,6 @@ def _epoch_instants(t: float, epoch_s: float = 300.0):
 def test_underlay_snapshot_build(benchmark, paper_scale):
     """Cost of one vectorised whole-underlay snapshot (per control epoch)."""
     u, __, __ = paper_scale
-    u.link_param_arrays()  # warm the lazy parameter matrices
     instants = _epoch_instants(8 * 3600.0)
     snap = benchmark(lambda: u.snapshot(next(instants)))
     assert np.isfinite(snap.lat).sum() > 0
@@ -181,7 +180,7 @@ def test_probe_instant(benchmark, n_regions):
         nib.update_many(block.probe(now)[0])
         return now
 
-    instant()  # parameter matrices, first-sample paths, timeline search
+    instant()  # first-sample paths, timeline search
     now = benchmark(instant)
     assert now < u.config.horizon_s
     assert len(nib) == 2 * n_regions * (n_regions - 1)
@@ -283,7 +282,7 @@ def test_link_series_block(benchmark, n_regions):
     def block():
         return u.link_series(hops, 300.0 * next(epochs) + bursts)
 
-    block()  # the lazy parameter matrices
+    block()  # first-call paths
     lat, loss = benchmark(block)
     assert lat.shape == loss.shape == (n_hops, _BLOCK_BURSTS)
     assert np.all(lat > 0.0) and np.all((loss >= 0.0) & (loss <= 1.0))
@@ -335,7 +334,6 @@ def _sweep_scenario(n_regions: int):
         matrix = TrafficMatrix.from_model(demand, _SWEEP_DEMAND_T)
         workload = CohortWorkload(seed=_SWEEP_SEED, cohorts_per_pair=2)
         streams = workload.decompose(matrix)
-        u.link_param_arrays()  # warm the lazy parameter matrices
         gateways = {c: 8 for c in u.codes}
         _sweep_cache[n_regions] = (u, streams, gateways, matrix, workload)
     return _sweep_cache[n_regions]
@@ -343,6 +341,23 @@ def _sweep_scenario(n_regions: int):
 
 def _sweep_id(n: int) -> str:
     return f"n{n:03d}"
+
+
+#: The horizon of `test_sweep_underlay_build`: an hour of degradation
+#: timelines, the horizon an hour-long event-engine study builds.
+_BUILD_HORIZON_S = 3600.0
+
+
+@pytest.mark.parametrize("n_regions", (100,), ids=_sweep_id)
+@pytest.mark.benchmark(min_rounds=3)
+def test_sweep_underlay_build(benchmark, n_regions):
+    """`planet_underlay(N)` with a one-hour horizon: every directed
+    link's draws — most of it one `generate_timeline` per link, 19 800
+    at 100 regions — written into the underlay's link table."""
+    u = benchmark(lambda: planet_underlay(n_regions, seed=_SWEEP_SEED,
+                                          horizon_s=_BUILD_HORIZON_S))
+    assert len(u.codes) == n_regions
+    assert u.table.horizon_s == _BUILD_HORIZON_S
 
 
 @pytest.mark.parametrize("n_regions", SWEEP_REGIONS, ids=_sweep_id)
@@ -399,7 +414,7 @@ def test_reaction_plans(benchmark, n_regions):
 @pytest.mark.parametrize("n_regions", (100,), ids=_sweep_id)
 def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
     """The phase profiler must account for the full epoch: the sum of
-    the top-level ``algo_step`` phases has to land within 5% of the
+    the ``algo_step`` phases has to land within 5% of the
     measured epoch wall time on the n100 sweep scenario, both against
     the controller's own ``control_epoch`` clock and against an
     external `perf_counter` measurement around `run_epoch`.  Also
@@ -452,7 +467,7 @@ def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
     steps = {p.step for p in profile.phases}
     assert {"predict", "link_snapshot", "algo1.path_control",
             "capacity_control", "algo2.reaction_plans"} <= steps
-    # Coverage: top-level phase sum within 5% of both wall clocks.
+    # Coverage: phase sum within 5% of both wall clocks.
     assert profile.phase_total_ms <= wall_ms
     assert profile.phase_total_ms >= 0.95 * wall_ms
     assert 0.95 <= profile.coverage <= 1.0 + 1e-9
@@ -467,7 +482,7 @@ def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
     write_jsonl(trace, events, metrics=hub.metrics.snapshot())
     assert cli_main(["obs", "profile", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "algo1.path_control" in out and "(phases, top level)" in out
+    assert "algo1.path_control" in out and "(all phases)" in out
 
 
 @pytest.mark.parametrize("n_regions", SWEEP_REGIONS, ids=_sweep_id)

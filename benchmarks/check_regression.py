@@ -7,7 +7,8 @@ Three subcommands:
     summary committed at the repo root (``BENCH_control.json``): mean /
     stddev / rounds per benchmark plus a machine fingerprint.  Pass
     ``--baseline`` to embed a second raw file as the frozen
-    pre-refactor reference.
+    pre-refactor reference, ``--keep-baseline-from`` to carry a
+    summary's over (both: the kept one plus the raw file's entries).
 
 ``check``
     Compare a fresh raw benchmark run against the committed summary and
@@ -18,7 +19,8 @@ Three subcommands:
     5% noise.  Parameterized region-count entries
     (``test_sweep_*[nNNN]``, ``test_probe_instant[nNNN]``,
     ``test_link_series_block[nNNN]``, ``test_cluster_install[nNNN]``,
-    ``test_reaction_plans[nNNN]``) are gated per point: points missing
+    ``test_reaction_plans[nNNN]``, ``test_sweep_underlay_build[nNNN]``)
+    are gated per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
     budget up to the per-benchmark region cap in
@@ -30,8 +32,9 @@ Three subcommands:
     speedup table of the fixed control benchmarks and, where the
     summary holds them, of one probing instant of the event engine,
     one block of link series of the grid engine, one region's
-    install plus a scale-up and the planet-scale control epoch with
-    its reaction-plan pass (``baseline_pre_refactor`` vs ``current``).
+    install plus a scale-up, the planet-scale control epoch with its
+    reaction-plan pass and the planet-scale underlay build
+    (``baseline_pre_refactor`` vs ``current``).
     ``--check docs/performance.md`` fails (exit 1) when the committed
     block is not byte-equal to its rendering, so the doc cannot drift
     from the ledger.
@@ -74,9 +77,10 @@ GATED = (
 #: per-gateway generators; at 100 regions, one array pass per cluster),
 #: the link-series-block rows
 #: (before: every term of the link model per hop and instant), the
-#: cluster-install row (before: one forwarding table per gateway) and
-#: the planet-scale epoch and reaction-plan rows (before: a path object
-#: per visit and per plan candidate) appear once the summary holds them.
+#: cluster-install row (before: one forwarding table per gateway), the
+#: planet-scale epoch and reaction-plan rows (before: a path object per
+#: visit and per plan candidate) and the underlay-build row (before: one
+#: `LinkProcess` object per link) appear once the summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale_snapshot":
         (" (step 1)", "test_path_control_paper_scale"),
@@ -106,6 +110,9 @@ TABLE_ROWS = {
     "test_reaction_plans[n100]":
         (" (100 regions, one Algorithm 2 pass)",
          "test_reaction_plans[n100]"),
+    "test_sweep_underlay_build[n100]":
+        (" (100 regions, 19 800 links, 1 h of timelines)",
+         "test_sweep_underlay_build[n100]"),
 }
 
 #: Marker comments around the rendered table in docs/performance.md.
@@ -124,6 +131,7 @@ SWEEP_GATED = (
     "test_link_series_block",
     "test_cluster_install",
     "test_reaction_plans",
+    "test_sweep_underlay_build",
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
@@ -195,17 +203,20 @@ def distill(args: argparse.Namespace) -> int:
                  "replaced; the per-hop, "
                  "per-instant link series; one forwarding table per "
                  "gateway; the object-per-visit control solve for the "
-                 "sweep and reaction-plan entries) — keep it for the "
-                 "speedup provenance."),
+                 "sweep and reaction-plan entries; one LinkProcess "
+                 "object per link for the underlay build) — keep it "
+                 "for the speedup provenance."),
         "machine": machine_fingerprint(raw),
         "current": summarise_raw(raw),
     }
+    baseline = {}
+    if args.keep_baseline_from:
+        baseline.update(_load(args.keep_baseline_from).get(
+            "baseline_pre_refactor", {}))
     if args.baseline:
-        summary["baseline_pre_refactor"] = summarise_raw(_load(args.baseline))
-    elif args.keep_baseline_from:
-        prev = _load(args.keep_baseline_from)
-        if "baseline_pre_refactor" in prev:
-            summary["baseline_pre_refactor"] = prev["baseline_pre_refactor"]
+        baseline.update(summarise_raw(_load(args.baseline)))
+    if baseline:
+        summary["baseline_pre_refactor"] = baseline
     out = pathlib.Path(args.output)
     out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out} ({len(summary['current'])} benchmarks)")
@@ -337,7 +348,9 @@ def main(argv=None) -> int:
     p_distill.add_argument("raw", help="pytest-benchmark --benchmark-json file")
     p_distill.add_argument("-o", "--output", default="BENCH_control.json")
     p_distill.add_argument("--baseline",
-                           help="raw json of the pre-refactor code to embed")
+                           help="raw json of the pre-refactor code to embed "
+                                "(with --keep-baseline-from: its entries "
+                                "join the kept baseline)")
     p_distill.add_argument("--keep-baseline-from",
                            help="carry baseline_pre_refactor over from an "
                                 "existing summary file")

@@ -423,7 +423,6 @@ def _print_demo_result(result) -> None:
 def _cmd_info(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.underlay.linkstate import LinkType
     from repro.underlay.topology import build_underlay
 
     u = build_underlay(seed=args.seed)
@@ -431,8 +430,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     for r in u.regions:
         print(f"  {r.code}  {r.name:<12} UTC{r.utc_offset:+g}  "
               f"{r.continent}")
-    lat_i = [lk.base_latency_ms for lk in u.links_of_type(LinkType.INTERNET)]
-    lat_p = [lk.base_latency_ms for lk in u.links_of_type(LinkType.PREMIUM)]
+    links = ~np.eye(len(u.regions), dtype=bool)
+    lat_i, lat_p = (tier[links] for tier in u.table.base_latency_ms)
     print(f"directed links per tier: {len(lat_i)}")
     print(f"base latency, Internet: median {np.median(lat_i):.0f} ms, "
           f"premium: {np.median(lat_p):.0f} ms")

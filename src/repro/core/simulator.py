@@ -466,9 +466,8 @@ class EpochSimulator:
         assert self.controller is not None
         rng = self._streams.get("monitor.noise")
         reps = self.sim_config.monitoring.representatives
-        # True link states come from one vectorised underlay snapshot
-        # (bit-identical to per-link LinkProcess evaluation), and the
-        # measurement noise from one block drawn in the stream order of
+        # True link states come from one vectorised underlay snapshot,
+        # and the measurement noise from one block drawn in the stream order of
         # the per-link formulation: link by link (tier, then pair), per
         # representative a latency factor in [0.97, 1.03) and then a
         # loss factor in [0.8, 1.2), each `low + (high - low) * u`.

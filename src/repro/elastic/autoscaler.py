@@ -27,6 +27,7 @@ import numpy as np
 from repro.controlplane.prediction import RollingPredictor
 from repro.elastic.containers import ContainerPool
 from repro.obs import telemetry as _telemetry
+from repro.obs.metrics import HotCounters
 
 _TEL = _telemetry()
 
@@ -55,40 +56,35 @@ _EVENT_FLOOD_LIMIT = 256
 _EVENT_SAMPLE_EVERY = 32
 
 
-class _DecisionCounters:
-    """Cached handles for the per-decide counters, plus the flood gate.
+#: decide() runs tens of thousands of times per experiment: the
+#: counters' handles are cached, not re-resolved by name each call.
+_DECISION_COUNTERS = HotCounters("autoscale.decisions",
+                                 "autoscale.target_changes",
+                                 "autoscale.events_suppressed")
 
-    `decide` runs tens of thousands of times per experiment; re-resolving
-    counters by name each call costs more than the increment itself, so
-    the handles are cached per autoscaler and re-fetched only when the
-    registry's `generation` says it was reset underneath us.
-    """
 
-    __slots__ = ("_generation", "_changes_seen", "decisions", "changes",
-                 "suppressed")
+class _FloodGate:
+    """One autoscaler's decision counting and its event flood gate."""
+
+    __slots__ = ("_changes_seen",)
 
     def __init__(self):
-        self._generation = -1
         self._changes_seen = 0
 
-    def fetch(self):
-        registry = _TEL.metrics
-        if registry.generation != self._generation:
-            self._generation = registry.generation
-            self.decisions = registry.counter("autoscale.decisions")
-            self.changes = registry.counter("autoscale.target_changes")
-            self.suppressed = registry.counter(
-                "autoscale.events_suppressed")
-        return self
-
-    def emit_change(self):
-        """Count one target change; True if its event should be traced."""
-        self.changes.inc()
+    def count(self, changed: bool) -> bool:
+        """Count one decision, and a target change if `changed`; True if
+        that change's event should be traced."""
+        decisions, changes, suppressed = _DECISION_COUNTERS.fetch(
+            _TEL.metrics)
+        decisions.inc()
+        if not changed:
+            return False
+        changes.inc()
         self._changes_seen += 1
         if (self._changes_seen <= _EVENT_FLOOD_LIMIT
                 or self._changes_seen % _EVENT_SAMPLE_EVERY == 0):
             return True
-        self.suppressed.inc()
+        suppressed.inc()
         return False
 
 
@@ -123,7 +119,7 @@ class ReactiveAutoscaler:
         self.metric_delay_slots = metric_delay_slots
         self._history: List[float] = []
         self._target = 1
-        self._counters = _DecisionCounters()
+        self._gate = _FloodGate()
 
     def decide(self, slot: int, observed_demand_mbps: float) -> int:
         self._history.append(observed_demand_mbps)
@@ -138,14 +134,11 @@ class ReactiveAutoscaler:
                                math.ceil(self._target * self.up))
         elif utilisation < self.low:
             self._target = max(1, math.floor(self._target * self.down))
-        if _TEL.enabled:
-            counters = self._counters.fetch()
-            counters.decisions.inc()
-            if self._target != previous and counters.emit_change():
-                _TEL.event("autoscale", policy="reactive", slot=slot,
-                           observed_mbps=round(observed_demand_mbps, 3),
-                           utilisation=round(utilisation, 4),
-                           previous_target=previous, target=self._target)
+        if _TEL.enabled and self._gate.count(self._target != previous):
+            _TEL.event("autoscale", policy="reactive", slot=slot,
+                       observed_mbps=round(observed_demand_mbps, 3),
+                       utilisation=round(utilisation, 4),
+                       previous_target=previous, target=self._target)
         return self._target
 
 
@@ -167,21 +160,18 @@ class ProactiveAutoscaler:
         self.predictor = RollingPredictor(n_harmonics, history_slots,
                                           refit_every, min_history)
         self._last_target = 0
-        self._counters = _DecisionCounters()
+        self._gate = _FloodGate()
 
     def decide(self, slot: int, observed_demand_mbps: float) -> int:
         self.predictor.observe(observed_demand_mbps)
         predicted = self.predictor.predict_next(self.horizon_slots)
         target = _containers_for(predicted, self.container_capacity_mbps,
                                  self.headroom)
-        if _TEL.enabled:
-            counters = self._counters.fetch()
-            counters.decisions.inc()
-            if target != self._last_target and counters.emit_change():
-                _TEL.event("autoscale", policy="proactive", slot=slot,
-                           observed_mbps=round(observed_demand_mbps, 3),
-                           predicted_mbps=round(predicted, 3),
-                           previous_target=self._last_target, target=target)
+        if _TEL.enabled and self._gate.count(target != self._last_target):
+            _TEL.event("autoscale", policy="proactive", slot=slot,
+                       observed_mbps=round(observed_demand_mbps, 3),
+                       predicted_mbps=round(predicted, 3),
+                       previous_target=self._last_target, target=target)
         self._last_target = target
         return target
 

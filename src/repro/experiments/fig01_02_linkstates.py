@@ -81,10 +81,8 @@ def run(underlay: Optional[Underlay] = None, step_s: float = 30.0,
     """Measure every directed link of both tiers for one day."""
     u = underlay if underlay is not None else standard_underlay()
     times = np.arange(0.0, day_s, step_s)
-    avg_lat_i = u.average_latency(LinkType.INTERNET, times)
-    avg_lat_p = u.average_latency(LinkType.PREMIUM, times)
-    avg_loss_i = u.average_loss(LinkType.INTERNET, times)
-    avg_loss_p = u.average_loss(LinkType.PREMIUM, times)
+    avg_lat_i, avg_loss_i = u.average_state(LinkType.INTERNET, times)
+    avg_lat_p, avg_loss_p = u.average_state(LinkType.PREMIUM, times)
 
     # The example pair: the Internet link with the worst latency spike,
     # sampled finely so the spike magnitude is not smoothed away.

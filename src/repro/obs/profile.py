@@ -2,17 +2,13 @@
 
 The controller times every step of `run_epoch` with ``algo_step`` spans
 (predict, link_snapshot, algo1.path_control, capacity_control,
-algo2.reaction_plans); telemetry files written before the control plane
-read only snapshots also carry a ``snapshot_build`` span nested inside
-link_snapshot.  Those spans land in the trace as flat events; this
-module folds them back into the hierarchy and aggregates across
-epochs:
+algo2.reaction_plans), one after another: no phase nests in another.
+This module aggregates them across epochs:
 
-* per-phase **total** (sum of span durations) and **self** time (total
-  minus the time attributed to nested child phases), counts and means;
-* **coverage** — the top-level phase total against the measured
-  full-epoch wall time (the ``control_epoch`` event's ``duration_ms``),
-  so unattributed overhead is visible rather than silently absorbed;
+* per-phase **total** (sum of span durations), counts and means;
+* **coverage** — the phase total against the measured full-epoch wall
+  time (the ``control_epoch`` event's ``duration_ms``), so unattributed
+  overhead is visible rather than silently absorbed;
 * an estimated **per-region-pair attribution** of path-control time,
   apportioning the algo1 phase by each pair's share of assigned demand
   (from the ``control_epoch`` event's ``top_pairs`` field) — an
@@ -28,24 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
-#: Static span hierarchy: child step -> enclosing step.  Spans are
-#: recorded flat (inner exits first), so nesting is declared rather
-#: than inferred from timing.  Nothing emits ``snapshot_build`` any
-#: more; the entry keeps older telemetry files folding as they did.
-PARENT_OF = {
-    "snapshot_build": "link_snapshot",
-}
-
 
 @dataclass
 class PhaseStat:
     """Aggregated timing for one control-loop phase across epochs."""
 
     step: str
-    parent: str = ""                 #: enclosing phase, "" at top level
     count: int = 0
     total_ms: float = 0.0
-    self_ms: float = 0.0             #: total minus child-phase time
 
     @property
     def mean_ms(self) -> float:
@@ -65,8 +51,8 @@ class EpochProfile:
 
     @property
     def phase_total_ms(self) -> float:
-        """Top-level phase time (children counted once, via parents)."""
-        return sum(p.total_ms for p in self.phases if not p.parent)
+        """Time of all phases together."""
+        return sum(p.total_ms for p in self.phases)
 
     @property
     def coverage(self) -> float:
@@ -87,8 +73,7 @@ def profile_events(events: Iterable[Dict[str, Any]]) -> EpochProfile:
             step = str(event.get("step", "?"))
             stat = by_step.get(step)
             if stat is None:
-                stat = by_step[step] = PhaseStat(
-                    step, parent=PARENT_OF.get(step, ""))
+                stat = by_step[step] = PhaseStat(step)
                 profile.phases.append(stat)
             duration = float(event.get("duration_ms", 0.0))
             stat.count += 1
@@ -101,16 +86,6 @@ def profile_events(events: Iterable[Dict[str, Any]]) -> EpochProfile:
                 pair = (str(src), str(dst))
                 pair_mbps[pair] = pair_mbps.get(pair, 0.0) + mbps
                 total_mbps += mbps
-
-    # Self time: subtract each child's total from its parent (clamped —
-    # a child span without its parent, e.g. a standalone snapshot
-    # benchmark, must not push self time negative).
-    for stat in profile.phases:
-        stat.self_ms = stat.total_ms
-    for stat in profile.phases:
-        if stat.parent and stat.parent in by_step:
-            parent = by_step[stat.parent]
-            parent.self_ms = max(parent.self_ms - stat.total_ms, 0.0)
 
     algo1 = by_step.get("algo1.path_control")
     if algo1 is not None and total_mbps > 0.0:
@@ -125,16 +100,15 @@ def render(profile: EpochProfile, max_pairs: int = 10) -> List[str]:
     lines = [f"Control-epoch phase profile: {profile.epochs} epochs, "
              f"{profile.epoch_wall_ms:.1f} ms measured wall"]
     lines.append(f"{'phase':<28} {'count':>6} {'total ms':>10} "
-                 f"{'self ms':>10} {'mean ms':>9} {'share':>7}")
+                 f"{'mean ms':>9} {'share':>7}")
     wall = profile.epoch_wall_ms
     for stat in profile.phases:
-        label = ("  " + stat.step) if stat.parent else stat.step
         share = stat.total_ms / wall if wall else 0.0
-        lines.append(f"{label:<28} {stat.count:>6} {stat.total_ms:>10.2f} "
-                     f"{stat.self_ms:>10.2f} {stat.mean_ms:>9.3f} "
+        lines.append(f"{stat.step:<28} {stat.count:>6} "
+                     f"{stat.total_ms:>10.2f} {stat.mean_ms:>9.3f} "
                      f"{share:>6.1%}")
-    lines.append(f"{'(phases, top level)':<28} {'':>6} "
-                 f"{profile.phase_total_ms:>10.2f} {'':>10} {'':>9} "
+    lines.append(f"{'(all phases)':<28} {'':>6} "
+                 f"{profile.phase_total_ms:>10.2f} {'':>9} "
                  f"{profile.coverage:>6.1%}")
     if profile.pair_share_ms:
         lines.append("")
@@ -149,5 +123,4 @@ def render(profile: EpochProfile, max_pairs: int = 10) -> List[str]:
     return lines
 
 
-__all__ = ["EpochProfile", "PhaseStat", "PARENT_OF",
-           "profile_events", "render"]
+__all__ = ["EpochProfile", "PhaseStat", "profile_events", "render"]

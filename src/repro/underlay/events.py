@@ -151,8 +151,9 @@ class EventTimeline:
         For every instant in ``[lo, hi)`` the added latency is
         ``max(lat_val + lat_slope * (t - t0), 0.0)`` — `_eval`'s
         operations on `_eval`'s operands — and the added loss likewise;
-        before the first breakpoint the piece is the zero function.  One binary search serves both series and every later
-        instant of the piece (the snapshot layer's segment memo).
+        before the first breakpoint the piece is the zero function.  One
+        binary search serves both series and every later instant of the
+        piece (the snapshot layer's segment memo).
         """
         times = self._times
         idx = int(np.searchsorted(times, t, side="right")) - 1

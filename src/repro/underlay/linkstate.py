@@ -1,7 +1,7 @@
 """Per-link latency and loss processes.
 
-Each directed (source region, destination region, link type) gets a
-`LinkProcess`: a deterministic function of virtual time built from
+Each directed (source region, destination region, link type) is a
+deterministic function of virtual time built from
 
 * a base one-way latency (great-circle fibre delay x per-direction stretch),
 * a diurnal congestion term following the source region's local busy hours,
@@ -13,6 +13,10 @@ Each directed (source region, destination region, link type) gets a
 The two directions of a pair are *independent* processes — different
 stretch, different noise, different events — which produces the >60%
 directional-asymmetry the paper measures (Fig. 8).
+
+The parameters of every link live in one `LinkTable`
+(`repro.underlay.snapshot`), which also evaluates the model; a
+`LinkProcess` is the view of one link that `Underlay.link` returns.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.sim.rng import hash_noise
-from repro.underlay.events import EventTimeline
 from repro.underlay.regions import Region
 
 
@@ -47,53 +49,44 @@ def busy_factor(hours_local) -> np.ndarray:
     x = (h - 15.5) / 14.0 * np.pi
     # `c * c`, not `c ** 2`: a NumPy scalar squares through libm `pow`,
     # an array by multiplying, and the two differ in the last bit now
-    # and then — the scalar link model must equal the array one.
+    # and then — a scalar hour must read its array element's bits.
     c = np.cos(x)
     return np.where(np.abs(x) < np.pi / 2.0, c * c, 0.0)
 
 
 class LinkProcess:
-    """Deterministic latency/loss process for one directed link."""
+    """One directed link as a function of virtual time: a view of its
+    row of the underlay's `LinkTable`, evaluated through the table's
+    `series` for any shape of `t` (`Underlay.link` hands these out)."""
 
-    def __init__(self, src: Region, dst: Region, link_type: LinkType, *,
-                 base_latency_ms: float, jitter_sigma: float,
-                 diurnal_latency_amp: float, base_loss: float,
-                 diurnal_loss_amp: float, timeline: EventTimeline,
-                 noise_seed: int):
-        if base_latency_ms <= 0:
-            raise ValueError(f"base latency must be positive: {base_latency_ms}")
-        if not 0.0 <= base_loss < 1.0:
-            raise ValueError(f"base loss must be in [0,1): {base_loss}")
+    __slots__ = ("src", "dst", "link_type", "_table", "_row")
+
+    def __init__(self, table, row: Tuple[int, int, int], src: Region,
+                 dst: Region, link_type: LinkType):
         self.src = src
         self.dst = dst
         self.link_type = link_type
-        self.base_latency_ms = float(base_latency_ms)
-        self.jitter_sigma = float(jitter_sigma)
-        self.diurnal_latency_amp = float(diurnal_latency_amp)
-        self.base_loss = float(base_loss)
-        self.diurnal_loss_amp = float(diurnal_loss_amp)
-        self.timeline = timeline
-        self.noise_seed = int(noise_seed)
+        self._table = table
+        self._row = row
+
+    @property
+    def timeline(self):
+        """The link's degradation timeline (`Underlay.set_timeline`
+        swaps it)."""
+        return self._table.timelines[self._row]
+
+    @property
+    def base_latency_ms(self) -> float:
+        return float(self._table.base_latency_ms[self._row])
 
     # ------------------------------------------------------------------ api
     def latency_ms(self, t) -> np.ndarray:
         """One-way latency in ms at time(s) `t` (seconds of virtual time)."""
-        t = np.asarray(t, dtype=float)
-        self._check_horizon(t)
-        local_h = (t / 3600.0 + self.src.utc_offset) % 24.0
-        diurnal = 1.0 + self.diurnal_latency_amp * busy_factor(local_h)
-        jitter = np.exp(self.jitter_sigma * hash_noise(self.noise_seed, t, salt=1))
-        return self.base_latency_ms * diurnal * jitter + self.timeline.latency_add(t)
+        return self._state(t)[0]
 
     def loss_rate(self, t) -> np.ndarray:
         """Loss rate in [0, 1] at time(s) `t`."""
-        t = np.asarray(t, dtype=float)
-        self._check_horizon(t)
-        local_h = (t / 3600.0 + self.src.utc_offset) % 24.0
-        diurnal = self.diurnal_loss_amp * busy_factor(local_h)
-        jitter = np.exp(0.6 * hash_noise(self.noise_seed, t, salt=2))
-        raw = self.base_loss * jitter + diurnal + self.timeline.loss_add(t)
-        return np.clip(raw, 0.0, 1.0)
+        return self._state(t)[1]
 
     def series(self, t0: float, t1: float,
                step: float = 1.0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,7 +94,7 @@ class LinkProcess:
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
         times = np.arange(t0, t1, step)
-        return times, self.latency_ms(times), self.loss_rate(times)
+        return (times, *self._state(times))
 
     def bad_fraction(self, t0: float, t1: float, step: float = 1.0, *,
                      high_latency_ms: float = 400.0,
@@ -119,12 +112,13 @@ class LinkProcess:
         return (lat > high_latency_ms) | (loss > high_loss_rate)
 
     # -------------------------------------------------------------- internal
-    def _check_horizon(self, t: np.ndarray) -> None:
-        if t.size and float(np.max(t)) > self.timeline.horizon_s:
-            raise ValueError(
-                f"query at t={float(np.max(t)):.0f}s exceeds the generated "
-                f"horizon {self.timeline.horizon_s:.0f}s; build the underlay "
-                "with a larger horizon")
+    def _state(self, t) -> Tuple[np.ndarray, np.ndarray]:
+        """(latency_ms, loss_rate) at time(s) `t`, each of `t`'s shape
+        (a scalar for a scalar)."""
+        t = np.asarray(t, dtype=float)
+        lat, loss = self._table.series(
+            [(self.src.code, self.dst.code, self.link_type)], t.ravel())
+        return lat[0].reshape(t.shape)[()], loss[0].reshape(t.shape)[()]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LinkProcess({self.src.code}->{self.dst.code}, "

@@ -143,7 +143,7 @@ class PlanetConfig:
     #: Minimum angular radius so satellites never sit on their anchor.
     satellite_min_deg: float = 1.2
     #: Minimum great-circle separation between any two regions, km.
-    #: (`LinkProcess` requires strictly positive base latency.)
+    #: (`build_underlay` requires strictly positive base latency.)
     min_separation_km: float = 100.0
     #: Latitude clamp: metros stay out of the polar bands.
     max_abs_latitude: float = 68.0

@@ -18,21 +18,18 @@ def inject_events(underlay: Underlay, src: str, dst: str,
                   link_type: LinkType, events: Sequence[DegradationEvent],
                   keep_existing: bool = False) -> None:
     """Replace (or extend) one directed link's degradation timeline."""
-    link = underlay.link(src, dst, link_type)
+    timeline = underlay.link(src, dst, link_type).timeline
     merged: List[DegradationEvent] = list(events)
     if keep_existing:
-        merged.extend(link.timeline.events)
-    link.timeline = EventTimeline.from_events(merged,
-                                              link.timeline.horizon_s)
-    underlay._timelines_changed()
+        merged.extend(timeline.events)
+    underlay.set_timeline(src, dst, link_type, EventTimeline.from_events(
+        merged, timeline.horizon_s))
 
 
 def quiet_link(underlay: Underlay, src: str, dst: str,
                link_type: LinkType) -> None:
     """Remove every degradation event from one directed link."""
-    link = underlay.link(src, dst, link_type)
-    link.timeline = EventTimeline.from_events([], link.timeline.horizon_s)
-    underlay._timelines_changed()
+    inject_events(underlay, src, dst, link_type, [])
 
 
 def long_term_degradation(start_s: float, end_s: float,

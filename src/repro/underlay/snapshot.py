@@ -1,16 +1,18 @@
-"""Matrix-valued link-state snapshots.
+"""The link table and matrix-valued link-state snapshots.
 
-A `LinkStateSnapshot` holds the state of every link at one instant as
-dense ``(2, N, N)`` latency/loss matrices (axis 0 is the link tier in
-`TYPE_ORDER`); it is the only link-state type the control plane reads,
-so every consumer reads plain array elements.
+A `LinkTable` holds every directed link's model parameters as
+``(2, N, N)`` matrices (axis 0 is the link tier in `TYPE_ORDER`) and is
+the one implementation of the link model.  A `LinkStateSnapshot` holds
+the state of every link at one instant as dense latency/loss matrices
+of the same shape; it is the only link-state type the control plane
+reads, so every consumer reads plain array elements.
 
 A snapshot comes from one of two places:
 
-* `from_underlay` — one vectorised pass over an `Underlay`'s link
-  parameters (stateless hash noise over a seed *matrix*, diurnal terms
-  broadcast from per-region offsets), plus one cheap scalar timeline
-  lookup per link.  Bit-identical to sampling each `LinkProcess`.
+* `from_underlay` — one vectorised pass over an `Underlay`'s table
+  (stateless hash noise over a seed *matrix*, diurnal terms broadcast
+  from per-region offsets), plus one cheap scalar timeline lookup per
+  link whose timeline left its remembered piece.
 * plain construction from matrices — what the NIB's whole-matrix
   `latest_snapshot` / `robust_snapshot` return to the controller.
 
@@ -70,13 +72,9 @@ class LinkStateSnapshot:
 
     @classmethod
     def from_underlay(cls, underlay, t: float) -> "LinkStateSnapshot":
-        """Vectorised evaluation of every `LinkProcess` at instant `t`.
-
-        Bit-identical to ``link.latency_ms(t)`` / ``link.loss_rate(t)``
-        per link: the same IEEE operations run element-wise over
-        parameter matrices instead of once per scalar call.
-        """
-        p = underlay.link_param_arrays()
+        """Every link of `underlay` at instant `t`, in one vectorised
+        pass over its `LinkTable`."""
+        p = underlay.table
         t_f = float(t)
         p.check_horizon(t_f)
         lat, loss = p.evaluate(..., _busy(p.utc_offset[None, :, None], t_f),
@@ -139,12 +137,19 @@ class LinkStateSnapshot:
         return f"LinkStateSnapshot({len(self.codes)} regions{at})"
 
 
-class _LinkParamArrays:
-    """Per-link process parameters stacked into matrices (see
-    `Underlay.link_param_arrays`); built once per underlay and shared by
-    its two evaluations: every link at one instant
-    (`LinkStateSnapshot.from_underlay`) and some links over a time grid
-    (`series`, behind `Underlay.link_series`).
+class LinkTable:
+    """Every directed link's model parameters, stacked into ``(2, N, N)``
+    matrices (axis 0 the tier in `TYPE_ORDER`), plus each link's
+    degradation timeline: the underlay's only link store and the only
+    place the link model is written down.
+
+    `build_underlay` fills it one link at a time (`set_link`) and
+    checks it once (`validate`); `Underlay.set_timeline` swaps a
+    timeline.  A link's key is (src code, dst code, `LinkType`), its
+    row in the matrices (tier, i, j) (`rows`).  Two evaluations share
+    it: every link at one instant (`LinkStateSnapshot.from_underlay`)
+    and some links over a time grid (`series`, behind
+    `Underlay.link_series` and each `LinkProcess` view).
 
     Both compute each term of the link model once per value it can
     take: the jitter factors hash ``floor(t)``, so once per link-second
@@ -156,12 +161,11 @@ class _LinkParamArrays:
 
     __slots__ = ("base_latency_ms", "jitter_sigma", "diurnal_latency_amp",
                  "base_loss", "diurnal_loss_amp", "noise_seed", "utc_offset",
-                 "index", "timelines", "horizon_s", "_segments",
-                 "_segment_links", "_jitter_second", "_jitter")
+                 "index", "rows", "timelines", "horizon_s", "_segments",
+                 "_jitter_second", "_jitter")
 
-    def __init__(self, underlay):
-        codes = underlay.codes
-        n = len(codes)
+    def __init__(self, regions: Sequence):
+        n = len(regions)
         shape = (2, n, n)
         self.base_latency_ms = np.zeros(shape)
         self.jitter_sigma = np.zeros(shape)
@@ -169,48 +173,79 @@ class _LinkParamArrays:
         self.base_loss = np.zeros(shape)
         self.diurnal_loss_amp = np.zeros(shape)
         self.noise_seed = np.zeros(shape, dtype=np.uint64)
-        self.utc_offset = np.array(
-            [underlay.region(c).utc_offset for c in codes], dtype=float)
-        self.index = {c: i for i, c in enumerate(codes)}
-        #: (tier, i, j) -> timeline of every link that has events.
+        self.utc_offset = np.array([r.utc_offset for r in regions],
+                                   dtype=float)
+        self.index = {r.code: i for i, r in enumerate(regions)}
+        #: Every link's key -> its row.
+        self.rows = {}
+        #: Every link's row -> its timeline.
         self.timelines = {}
         self.horizon_s = np.inf
-        for ti, link_type in enumerate(TYPE_ORDER):
-            for i, a in enumerate(codes):
-                for j, b in enumerate(codes):
-                    if i == j:
-                        continue
-                    link = underlay.link(a, b, link_type)
-                    self.base_latency_ms[ti, i, j] = link.base_latency_ms
-                    self.jitter_sigma[ti, i, j] = link.jitter_sigma
-                    self.diurnal_latency_amp[ti, i, j] = \
-                        link.diurnal_latency_amp
-                    self.base_loss[ti, i, j] = link.base_loss
-                    self.diurnal_loss_amp[ti, i, j] = link.diurnal_loss_amp
-                    self.noise_seed[ti, i, j] = np.uint64(link.noise_seed)
-                    if len(link.timeline):
-                        # Zero-event timelines evaluate to 0.0 at every
-                        # instant; skipping them turns 2·N² scalar
-                        # lookups per snapshot into one per link that
-                        # actually has events (a small fraction at short
-                        # horizons).
-                        self.timelines[(ti, i, j)] = link.timeline
-                    self.horizon_s = min(self.horizon_s,
-                                         link.timeline.horizon_s)
-        #: The segment memo of `timeline_adds`: column k is the linear
-        #: piece (`EventTimeline.segment`) of the k-th of `timelines`
-        #: that covered the last instant asked for.  Row 0 (`lo`) starts
-        #: at +inf, so the first instant finds every link outside.
-        self._segments = np.full((7, len(self.timelines)), np.inf)
-        #: Their (tier, i, j) index vectors and, in step, the timelines.
-        self._segment_links = (
-            tuple(np.array(axis, dtype=np.intp)
-                  for axis in zip(*self.timelines)),
-            tuple(self.timelines.values()))
+        #: The segment memo of `timeline_adds` (see `_segment_memo`).
+        self._segments = None
         #: The jitter memo of `jitter_at`: every link's two factors at
         #: the last whole second asked for.
         self._jitter_second = None
         self._jitter = None
+
+    def set_link(self, src: str, dst: str, link_type: LinkType, *,
+                 base_latency_ms: float, jitter_sigma: float,
+                 diurnal_latency_amp: float, base_loss: float,
+                 diurnal_loss_amp: float, timeline,
+                 noise_seed: int) -> None:
+        """Write the parameters of the directed link `src` -> `dst` of
+        `link_type`."""
+        row = self.rows[(src, dst, link_type)] = (
+            TYPE_INDEX[link_type], self.index[src], self.index[dst])
+        self.base_latency_ms[row] = base_latency_ms
+        self.jitter_sigma[row] = jitter_sigma
+        self.diurnal_latency_amp[row] = diurnal_latency_amp
+        self.base_loss[row] = base_loss
+        self.diurnal_loss_amp[row] = diurnal_loss_amp
+        self.noise_seed[row] = noise_seed
+        self.timelines[row] = timeline
+        self.horizon_s = min(self.horizon_s, timeline.horizon_s)
+
+    def validate(self) -> None:
+        """Every link's base latency is positive and its base loss in
+        [0, 1) (the diagonal holds no link)."""
+        links = ~np.eye(len(self.index), dtype=bool)
+        latency = self.base_latency_ms[:, links]
+        if not np.all(latency > 0):
+            raise ValueError(
+                f"base latency must be positive: {latency.min()}")
+        loss = self.base_loss[:, links]
+        if not np.all((loss >= 0.0) & (loss < 1.0)):
+            raise ValueError(f"base loss must be in [0,1): "
+                             f"{loss.min()} .. {loss.max()}")
+
+    def set_timeline(self, row, timeline) -> None:
+        """Replace the degradation timeline of the link in `row`."""
+        self.timelines[row] = timeline
+        self.horizon_s = min(tl.horizon_s for tl in self.timelines.values())
+        self._segments = None
+
+    def _segment_memo(self):
+        """(memo, (tier, i, j) index vectors, timelines) of the links
+        with events.
+
+        Zero-event timelines evaluate to 0.0 at every instant; skipping
+        them turns 2·N² scalar lookups per snapshot into one per link
+        that actually has events (a small fraction at short horizons).
+        Column k of the memo is the linear piece
+        (`EventTimeline.segment`) of the k-th of those links that
+        covered the last instant asked for.  Row 0 (`lo`) starts at
+        +inf, so the first instant finds every link outside.
+        """
+        if self._segments is None:
+            eventful = {key: timeline
+                        for key, timeline in self.timelines.items()
+                        if len(timeline)}
+            self._segments = (np.full((7, len(eventful)), np.inf),
+                              tuple(np.array(axis, dtype=np.intp)
+                                    for axis in zip(*eventful)),
+                              tuple(eventful.values()))
+        return self._segments
 
     def check_horizon(self, t_max: float) -> None:
         if t_max > self.horizon_s:
@@ -221,15 +256,18 @@ class _LinkParamArrays:
 
     def evaluate(self, sel, busy, jitter, lat_add,
                  loss_add) -> Tuple[np.ndarray, np.ndarray]:
-        """(latency_ms, loss_rate) of the links picked by index `sel` —
-        `LinkProcess.latency_ms` / `loss_rate` written once for arrays,
-        from terms the caller evaluated where they change: `busy` the
-        diurnal curve at the links' source regions (`_busy`), `jitter`
-        their two factors (`jitter`), `lat_add` / `loss_add` their
-        timelines' terms.  ``param[sel]`` and the terms must broadcast
-        to the result's shape; the same IEEE operations run
-        element-wise, so every value is bit-identical to the scalar
-        call on that link at that instant.
+        """(latency_ms, loss_rate) of the links picked by index `sel`:
+        the link model, from terms the caller evaluated where they
+        change — `busy` the diurnal curve at the links' source regions
+        (`_busy`), `jitter` their two factors (`jitter`), `lat_add` /
+        `loss_add` their timelines' terms.  ``param[sel]`` and the
+        terms must broadcast to the result's shape.
+
+        Latency is base x (1 + amp x busy) x jitter plus the timeline's
+        excursion; loss is base x jitter plus amp x busy plus the
+        timeline's, clipped to [0, 1].  Every element runs the same
+        IEEE operations in the same order whichever caller asks, so a
+        link reads the same bits in a snapshot, a series and a view.
         """
         jitter_lat, jitter_loss = jitter
         diurnal_lat = 1.0 + self.diurnal_latency_amp[sel] * busy
@@ -269,10 +307,9 @@ class _LinkParamArrays:
         n = self.base_latency_ms.shape[1]
         lat_add = np.zeros((2, n, n))
         loss_add = np.zeros((2, n, n))
-        if not self.timelines:
+        seg, sel, timelines = self._segment_memo()
+        if not timelines:
             return lat_add, loss_add
-        seg = self._segments
-        sel, timelines = self._segment_links
         left = np.flatnonzero((t < seg[0]) | (t >= seg[1]))
         if left.size:
             seg[:, left] = np.array([timelines[k].segment(t)
@@ -303,8 +340,8 @@ class _LinkParamArrays:
         loss_add = np.zeros((len(keys), n_times))
         rows, tables = [], []
         for h, key in enumerate(keys):
-            timeline = self.timelines.get(key)
-            if timeline is not None:
+            timeline = self.timelines[key]
+            if len(timeline):
                 pieces = timeline.pieces(times[0], times[-1])
                 if pieces[0].size:
                     rows.append(h)
@@ -348,10 +385,8 @@ class _LinkParamArrays:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise ValueError(f"times must be 1-d, got shape {times.shape}")
-        index = self.index
-        keys = [(TYPE_INDEX[lt], index[a], index[b]) for (a, b, lt) in hops]
-        if any(i == j for (__, i, j) in keys):
-            raise KeyError("a region has no link to itself")
+        rows = self.rows
+        keys = [rows[hop] for hop in hops]
         if not len(keys) or not times.size:
             return (np.zeros((len(keys), times.size)),
                     np.zeros((len(keys), times.size)))

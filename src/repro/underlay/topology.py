@@ -1,40 +1,43 @@
 """The assembled underlay: all regions, all directed links, pricing.
 
 `build_underlay` draws every per-link random parameter (stretch, baseline
-loss, badness factor, degradation timeline) from named RNG streams, so an
-`Underlay` is fully determined by (regions, config, seed).
+loss, badness factor, degradation timeline) from named RNG streams and
+writes it into the underlay's `LinkTable`, so an `Underlay` is fully
+determined by (regions, config, seed).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.rng import RngStreams
 from repro.underlay.config import UnderlayConfig
-from repro.underlay.events import generate_timeline
+from repro.underlay.events import EventTimeline, generate_timeline
 from repro.underlay.linkstate import LinkProcess, LinkType
 from repro.underlay.pricing import PricingModel
 from repro.underlay.regions import (Region, RegionPair, all_ordered_pairs,
                                     default_regions, propagation_delay_ms)
+from repro.underlay.snapshot import LinkStateSnapshot, LinkTable
 
 #: Key of a directed link: (src code, dst code, link type).
 LinkKey = Tuple[str, str, LinkType]
 
 
 class Underlay:
-    """All directed link processes between regions, plus pricing."""
+    """All directed links between regions, as one `LinkTable`, plus
+    pricing."""
 
-    def __init__(self, regions: List[Region],
-                 links: Dict[LinkKey, LinkProcess],
+    def __init__(self, regions: List[Region], table: LinkTable,
                  pricing: PricingModel, config: UnderlayConfig):
         self.regions = list(regions)
         self.region_by_code = {r.code: r for r in regions}
-        self._links = dict(links)
+        self.table = table
+        #: Every directed link's key -> its (tier, i, j) row of `table`.
+        self._links = table.rows
         self.pricing = pricing
         self.config = config
-        self._param_arrays = None  # lazy; see link_param_arrays()
         self._state_memo = None  # last state_at() result
 
     # ------------------------------------------------------------------ api
@@ -47,45 +50,37 @@ class Underlay:
         return all_ordered_pairs(self.regions)
 
     def link(self, src: str, dst: str, link_type: LinkType) -> LinkProcess:
-        """The process for the directed link `src` -> `dst` of `link_type`."""
-        key = (src, dst, link_type)
-        if key not in self._links:
-            raise KeyError(f"no such link: {src}->{dst} ({link_type.value})")
-        return self._links[key]
+        """The directed link `src` -> `dst` of `link_type`."""
+        return LinkProcess(self.table, self._row(src, dst, link_type),
+                           self.region_by_code[src], self.region_by_code[dst],
+                           link_type)
 
     def links_of_type(self, link_type: LinkType) -> Iterable[LinkProcess]:
         """All directed links of one tier, in stable order."""
         for (src, dst) in self.pairs:
-            yield self._links[(src, dst, link_type)]
+            yield self.link(src, dst, link_type)
 
     def region(self, code: str) -> Region:
         if code not in self.region_by_code:
             raise KeyError(f"unknown region {code!r}")
         return self.region_by_code[code]
 
-    def link_param_arrays(self):
-        """Per-link process parameters stacked into matrices.
-
-        Built lazily once per underlay (link processes are immutable)
-        and consumed by `snapshot` (every link, one instant) and
-        `link_series` (some links, a time grid), which evaluate their
-        links in one vectorised pass.
-        """
-        if self._param_arrays is None:
-            from repro.underlay.snapshot import _LinkParamArrays
-            self._param_arrays = _LinkParamArrays(self)
-        return self._param_arrays
-
-    def _timelines_changed(self) -> None:
-        """Drop everything derived from the link processes.  Building an
-        underlay never needs this; `repro.underlay.scenarios` calls it
-        after swapping a link's degradation timeline in place."""
-        self._param_arrays = None
+    def set_timeline(self, src: str, dst: str, link_type: LinkType,
+                     timeline: EventTimeline) -> None:
+        """Replace one directed link's degradation timeline (scripted
+        scenarios: `repro.underlay.scenarios`); every later evaluation
+        sees it, an instant already evaluated included."""
+        self.table.set_timeline(self._row(src, dst, link_type), timeline)
         self._state_memo = None
 
-    def snapshot(self, t: float):
+    def _row(self, src: str, dst: str, link_type: LinkType):
+        key = (src, dst, link_type)
+        if key not in self._links:
+            raise KeyError(f"no such link: {src}->{dst} ({link_type.value})")
+        return self._links[key]
+
+    def snapshot(self, t: float) -> LinkStateSnapshot:
         """Matrix link-state snapshot of every link at instant `t`."""
-        from repro.underlay.snapshot import LinkStateSnapshot
         return LinkStateSnapshot.from_underlay(self, t)
 
     def link_series(self, hops: Sequence[LinkKey],
@@ -93,10 +88,7 @@ class Underlay:
         """(latency_ms, loss_rate) of the directed links `hops` over
         `times`, each of shape ``(len(hops), len(times))``.
 
-        Row ``h`` is bit-identical to ``link(*hops[h]).latency_ms(times)``
-        / ``.loss_rate(times)``; the whole block costs one vectorised
-        pass instead of two `LinkProcess` calls per link.
-
+        The whole block costs one vectorised pass over the table.
         `times` is any 1-d sequence of instants: unsorted, repeated, a
         single one or none give the columns of the sorted call in the
         order asked.  An instant exactly on a breakpoint of a link's
@@ -106,7 +98,7 @@ class Underlay:
         nothing.  An instant past the generated horizon is a
         `ValueError`, a hop that is not a link a `KeyError`.
         """
-        return self.link_param_arrays().series(hops, times)
+        return self.table.series(hops, times)
 
     def state_at(self, t: float):
         """The shared, read-only `snapshot` of instant `t`.
@@ -125,15 +117,13 @@ class Underlay:
             self._state_memo = memo
         return memo
 
-    def average_latency(self, link_type: LinkType, t) -> np.ndarray:
-        """Mean latency over all directed pairs at time(s) `t` (Fig. 1a)."""
-        samples = [lk.latency_ms(t) for lk in self.links_of_type(link_type)]
-        return np.mean(np.stack(samples), axis=0)
-
-    def average_loss(self, link_type: LinkType, t) -> np.ndarray:
-        """Mean loss rate over all directed pairs at time(s) `t` (Fig. 2a)."""
-        samples = [lk.loss_rate(t) for lk in self.links_of_type(link_type)]
-        return np.mean(np.stack(samples), axis=0)
+    def average_state(self, link_type: LinkType,
+                      times) -> Tuple[np.ndarray, np.ndarray]:
+        """Mean (latency_ms, loss_rate) over all directed pairs of one
+        tier at each of `times` (Figs. 1a and 2a)."""
+        lat, loss = self.link_series(
+            [(a, b, link_type) for (a, b) in self.pairs], times)
+        return np.mean(lat, axis=0), np.mean(loss, axis=0)
 
 
 def build_underlay(regions: Optional[List[Region]] = None,
@@ -155,7 +145,7 @@ def build_underlay(regions: Optional[List[Region]] = None,
     config = config if config is not None else UnderlayConfig()
     streams = RngStreams(seed)
 
-    links: Dict[LinkKey, LinkProcess] = {}
+    table = LinkTable(regions)
     for src in regions:
         for dst in regions:
             if src.code == dst.code:
@@ -183,8 +173,8 @@ def build_underlay(regions: Optional[List[Region]] = None,
                     rate_scale=badness ** lc.rate_exponent,
                     severity_scale=1.0 + 0.12 * (badness - 1.0),
                     start_offset=start_offset)
-                links[(src.code, dst.code, link_type)] = LinkProcess(
-                    src, dst, link_type,
+                table.set_link(
+                    src.code, dst.code, link_type,
                     base_latency_ms=base_latency,
                     jitter_sigma=lc.jitter_sigma,
                     diurnal_latency_amp=lc.diurnal_latency_amp,
@@ -193,8 +183,9 @@ def build_underlay(regions: Optional[List[Region]] = None,
                                       * badness ** lc.diurnal_loss_exponent),
                     timeline=timeline,
                     noise_seed=streams.seed_for(key_str))
+    table.validate()
 
     if pricing is None:
         pricing = PricingModel(regions, config.pricing,
                                streams.get("pricing"))
-    return Underlay(regions, links, pricing, config)
+    return Underlay(regions, table, pricing, config)

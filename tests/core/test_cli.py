@@ -88,7 +88,7 @@ def test_demo_chaos_streams_slo_and_profile_end_to_end(tmp_path, capsys):
     assert main(["obs", "profile", pattern]) == 0
     profile = capsys.readouterr().out
     assert "algo1.path_control" in profile
-    assert "(phases, top level)" in profile
+    assert "(all phases)" in profile
 
     from repro.obs.export import read_many
     (breach,) = read_many(parts).events_of("slo_breach")

@@ -12,28 +12,29 @@ from repro.underlay.topology import build_underlay
 from tests.dataplane.packet_prober import PacketLevelProber
 
 
+def _quiet_lossless_underlay(small_regions):
+    """An underlay whose Internet links lose nothing outside events, its
+    HGH -> SIN Internet link without events."""
+    config = UnderlayConfig(horizon_s=7200.0)
+    config.internet.base_loss_min = config.internet.base_loss_max = 0.0
+    config.internet.diurnal_loss_amp = 0.0
+    u = build_underlay(small_regions, config, seed=21)
+    quiet_link(u, "HGH", "SIN", LinkType.INTERNET)
+    return u
+
+
 @pytest.fixture()
 def clean_link(small_regions):
-    u = build_underlay(small_regions, UnderlayConfig(horizon_s=7200.0),
-                       seed=21)
-    quiet_link(u, "HGH", "SIN", LinkType.INTERNET)
-    link = u.link("HGH", "SIN", LinkType.INTERNET)
-    link.base_loss = 0.0
-    link.diurnal_loss_amp = 0.0
-    return link
+    u = _quiet_lossless_underlay(small_regions)
+    return u.link("HGH", "SIN", LinkType.INTERNET)
 
 
 @pytest.fixture()
 def lossy_link(small_regions):
-    u = build_underlay(small_regions, UnderlayConfig(horizon_s=7200.0),
-                       seed=21)
-    quiet_link(u, "HGH", "SIN", LinkType.INTERNET)
+    u = _quiet_lossless_underlay(small_regions)
     inject_events(u, "HGH", "SIN", LinkType.INTERNET,
                   [DegradationEvent(0.0, 7000.0, 0.0, 0.2)])
-    link = u.link("HGH", "SIN", LinkType.INTERNET)
-    link.base_loss = 0.0
-    link.diurnal_loss_amp = 0.0
-    return link
+    return u.link("HGH", "SIN", LinkType.INTERNET)
 
 
 def _drive(link, seconds, rng_seed=0, config=None):

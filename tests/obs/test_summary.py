@@ -240,7 +240,7 @@ class TestProfileCli:
         assert cli_main(["obs", "profile", str(self._trace(tmp_path))]) == 0
         out = capsys.readouterr().out
         assert "algo1.path_control" in out
-        assert "(phases, top level)" in out
+        assert "(all phases)" in out
         assert "FRA->SIN" in out
 
     def test_profile_max_pairs_caps_attribution(self, tmp_path, capsys):

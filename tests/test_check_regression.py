@@ -103,6 +103,18 @@ def test_baseline_carried_over(files):
     doc2 = json.loads(summary2.read_text())
     assert doc2["baseline_pre_refactor"] == doc["baseline_pre_refactor"]
 
+    # Both: the kept baseline gains the raw file's entries.
+    added = tmp_path / "added.json"
+    added.write_text(json.dumps(raw_doc({"test_new[n100]": 3.0})))
+    summary3 = tmp_path / "BENCH3.json"
+    assert main(["distill", str(raw), "-o", str(summary3),
+                 "--keep-baseline-from", str(summary),
+                 "--baseline", str(added)]) == 0
+    kept = json.loads(summary3.read_text())["baseline_pre_refactor"]
+    assert kept["test_new[n100]"]["mean_s"] == 3.0
+    assert {name: kept[name] for name in doc["baseline_pre_refactor"]} \
+        == doc["baseline_pre_refactor"]
+
 
 def test_summarise_raw_rounding():
     doc = raw_doc({"x": 0.123456789})

@@ -167,6 +167,26 @@ def test_every_module_has_an_importer():
     assert not orphans, f"no importer in src/repro: {orphans}"
 
 
+def _declared_dependencies():
+    """The distribution names of ``[project].dependencies`` in
+    pyproject.toml (read with a pattern: Python 3.9 has no TOML
+    parser)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)^\]", text, re.M | re.S)
+    return re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1))
+
+
+def test_every_dependency_is_imported():
+    """A runtime dependency is one some module of `src/repro` imports
+    (each declared distribution's import name is its own name)."""
+    imported = {name.split(".")[0] for module in ALL_MODULES
+                for name in _imported_modules(module)}
+    declared = _declared_dependencies()
+    assert declared
+    unused = [name for name in declared if name not in imported]
+    assert not unused, f"declared but never imported: {unused}"
+
+
 def _public_definitions(tree):
     """(qualified name, node) of a module's public functions and of the
     public methods of its classes."""

@@ -1,5 +1,5 @@
 """`Underlay.link_series`: many links over a time grid in one pass,
-`==` to the per-link `LinkProcess` calls it replaces in the grid engine."""
+`==` to the scalar oracle (`tests/snapshots.py::ScalarLink`) per link."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from repro.underlay.planet import build_planet_underlay
 from repro.underlay.scenarios import (inject_events, long_term_degradation,
                                       quiet_link)
 from repro.underlay.topology import build_underlay
+from tests.snapshots import ScalarLink
 
 TIERS = (LinkType.INTERNET, LinkType.PREMIUM)
 
@@ -20,11 +21,11 @@ def all_hops(underlay):
     return [(a, b, lt) for (a, b) in underlay.pairs for lt in TIERS]
 
 
-def assert_rows_equal_link_processes(underlay, hops, times):
+def assert_rows_equal_the_oracle(underlay, hops, times):
     lat, loss = underlay.link_series(hops, times)
     assert lat.shape == loss.shape == (len(hops), len(times))
     for h, hop in enumerate(hops):
-        link = underlay.link(*hop)
+        link = ScalarLink(underlay.link(*hop))
         np.testing.assert_array_equal(lat[h], link.latency_ms(times))
         np.testing.assert_array_equal(loss[h], link.loss_rate(times))
 
@@ -36,7 +37,7 @@ def assert_rows_equal_link_processes(underlay, hops, times):
 ], ids=["eval-grid", "burst-grid", "burst-grid-day-2"])
 def test_paper_underlay_every_link(full_underlay, t0, step, n):
     times = t0 + np.arange(n) * step
-    assert_rows_equal_link_processes(full_underlay, all_hops(full_underlay),
+    assert_rows_equal_the_oracle(full_underlay, all_hops(full_underlay),
                                      times)
 
 
@@ -46,7 +47,7 @@ def test_planet_underlay_sampled_links():
     hops = all_hops(planet)
     picked = [hops[i] for i in
               np.random.default_rng(0).choice(len(hops), 400, replace=False)]
-    assert_rows_equal_link_processes(planet, picked,
+    assert_rows_equal_the_oracle(planet, picked,
                                      300.0 + np.arange(60) * 5.0)
 
 
@@ -66,7 +67,7 @@ def test_inside_a_degradation_ramp(full_underlay):
                           start + float(timeline.durations[k]) + 2.0,
                           0.1)[:600]
         assert np.any(timeline.latency_add(times) > 0.0)
-        assert_rows_equal_link_processes(full_underlay, [hop], times)
+        assert_rows_equal_the_oracle(full_underlay, [hop], times)
         checked += 1
         if checked == 12:
             break
@@ -85,7 +86,7 @@ def test_scripted_timelines_are_honoured(small_regions):
     quiet = ("FRA", "IAD", LinkType.PREMIUM)
     quiet_link(u, *quiet)
 
-    assert_rows_equal_link_processes(u, hops, times)
+    assert_rows_equal_the_oracle(u, hops, times)
     lat, loss = u.link_series(hops, times)
     row = hops.index(target)
     assert np.max(lat[row] - before_lat[row]) > 500.0
@@ -162,8 +163,8 @@ def test_an_instant_on_a_breakpoint_takes_the_piece_that_starts_there(
     around = np.concatenate([breakpoints,
                              np.nextafter(breakpoints, -np.inf),
                              np.nextafter(breakpoints, np.inf)])
-    assert_rows_equal_link_processes(u, [hop], np.sort(around))
-    assert_rows_equal_link_processes(u, [hop], around)
+    assert_rows_equal_the_oracle(u, [hop], np.sort(around))
+    assert_rows_equal_the_oracle(u, [hop], around)
     lat, __ = u.link_series([hop], np.array([100.0, 103.0, 99.0]))
     assert lat[0, 1] - lat[0, 0] > 400.0      # the hold starts *at* 103
     # ... and at some breakpoint here the piece that ends gives another
@@ -181,7 +182,7 @@ def test_before_the_first_breakpoint_adds_nothing(small_regions):
     times = np.array([0.0, 250.0, np.nextafter(first, -np.inf), first,
                       510.0])
     lat, loss = u.link_series([hop], times)
-    assert_rows_equal_link_processes(u, [hop], times)
+    assert_rows_equal_the_oracle(u, [hop], times)
     quiet_link(u, *hop)
     quiet_lat, quiet_loss = u.link_series([hop], times)
     np.testing.assert_array_equal(lat[0, :4], quiet_lat[0, :4])
@@ -289,7 +290,7 @@ def test_generated_events_and_grids_equal_the_link_processes(
     lat, loss = u.link_series(hops, times)
     assert lat.shape == loss.shape == (len(hops), times.size)
     for h, hop in enumerate(hops):
-        link = u.link(*hop)
+        link = ScalarLink(u.link(*hop))
         assert np.array_equal(lat[h], link.latency_ms(times)), hop
         assert np.array_equal(loss[h], link.loss_rate(times)), hop
 

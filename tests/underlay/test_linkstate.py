@@ -1,22 +1,34 @@
-"""Tests for per-link latency/loss processes."""
+"""Tests for per-link latency/loss processes: the link model as the
+`LinkProcess` view of a two-region `Underlay` shows it, and the view
+against the scalar oracle in `tests/snapshots.py`."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent, EventTimeline
-from repro.underlay.linkstate import LinkProcess, LinkType, busy_factor
+from repro.underlay.linkstate import LinkType, busy_factor
 from repro.underlay.regions import default_regions
+from repro.underlay.topology import build_underlay
+from tests.snapshots import ScalarLink
 
 
 def _make_link(events=(), horizon=86400.0, **overrides):
-    regions = default_regions()
-    kwargs = dict(base_latency_ms=100.0, jitter_sigma=0.05,
+    """The HGH -> region 4 Internet link of a two-region underlay, its
+    parameters overwritten with these (and `overrides`)."""
+    src, dst = default_regions()[0], default_regions()[4]
+    u = build_underlay([src, dst], UnderlayConfig(horizon_s=horizon), seed=3)
+    params = dict(base_latency_ms=100.0, jitter_sigma=0.05,
                   diurnal_latency_amp=0.2, base_loss=0.001,
                   diurnal_loss_amp=0.002, noise_seed=99)
-    kwargs.update(overrides)
-    timeline = EventTimeline.from_events(list(events), horizon)
-    return LinkProcess(regions[0], regions[4], LinkType.INTERNET,
-                       timeline=timeline, **kwargs)
+    params.update(overrides)
+    u.table.set_link(src.code, dst.code, LinkType.INTERNET,
+                     timeline=EventTimeline.from_events(list(events),
+                                                        horizon),
+                     **params)
+    u.table.validate()
+    return u.link(src.code, dst.code, LinkType.INTERNET)
 
 
 class TestBusyFactor:
@@ -36,8 +48,8 @@ class TestBusyFactor:
 
     def test_a_scalar_hour_equals_its_array_element(self):
         """Regression: squaring a NumPy scalar goes through libm `pow`,
-        an array multiplies — ~1 in 1 500 hours read an ulp apart, so a
-        scalar `LinkProcess` call left the array engines' bits."""
+        an array multiplies — ~1 in 1 500 hours read an ulp apart, so
+        the scalar oracle left the table's bits."""
         hours = np.random.default_rng(17).uniform(0.0, 24.0, 50_000)
         assert [float(busy_factor(h)) for h in hours.tolist()] \
             == busy_factor(hours).tolist()
@@ -117,9 +129,87 @@ class TestLinkProcess:
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_base_latency_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="base latency"):
             _make_link(base_latency_ms=0.0)
 
     def test_invalid_base_loss_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="base loss"):
             _make_link(base_loss=1.5)
+
+
+# ------------------------------------------------- the view vs the oracle
+HORIZON_S = 3600.0
+
+
+def _instants():
+    """0-d, sorted, unsorted, repeated or empty instants in the
+    horizon (whole seconds, so second boundaries, drawn too)."""
+    instant = st.one_of(st.floats(0.0, HORIZON_S),
+                        st.integers(0, int(HORIZON_S)).map(float))
+    many = st.lists(instant, max_size=30)
+    return st.one_of(
+        instant.map(np.float64),
+        many.map(lambda ts: np.sort(np.array(ts, dtype=float))),
+        many.map(lambda ts: np.array(ts, dtype=float)),
+        st.lists(st.sampled_from([0.0, 17.4, 17.9, 1800.0, HORIZON_S]),
+                 max_size=12).map(lambda ts: np.array(ts, dtype=float)),
+        st.just(np.array([], dtype=float)))
+
+
+_events = st.lists(
+    st.builds(DegradationEvent, start=st.floats(0.0, HORIZON_S),
+              duration=st.floats(0.0, 600.0),
+              latency_add_ms=st.floats(0.0, 2000.0),
+              loss_add=st.floats(0.0, 0.95)),
+    max_size=5)
+
+
+def _assert_view_equals_oracle(link, t):
+    oracle = ScalarLink(link)
+    for got, want in ((link.latency_ms(t), oracle.latency_ms(t)),
+                      (link.loss_rate(t), oracle.loss_rate(t))):
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(t)
+        assert np.array_equal(got, want), t
+
+
+@pytest.fixture(scope="module")
+def hops(small_regions):
+    """The links of a fresh underlay like the one each example builds:
+    (those with events, those without)."""
+    u = build_underlay(small_regions, UnderlayConfig(horizon_s=HORIZON_S),
+                       seed=5)
+    every = [(a, b, lt) for (a, b) in u.pairs for lt in LinkType]
+    with_events = [hop for hop in every if len(u.link(*hop).timeline)]
+    without = [hop for hop in every if hop not in with_events]
+    assert with_events and without
+    return with_events, without
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_view_equals_the_scalar_oracle(small_regions, hops, data):
+    """A link with events and one without, any instants, before and
+    after their timelines are swapped; past the horizon both raise."""
+    u = build_underlay(small_regions, UnderlayConfig(horizon_s=HORIZON_S),
+                       seed=5)
+    for kind, candidates in zip(("with events", "without"), hops):
+        hop = data.draw(st.sampled_from(candidates), label=kind)
+        link = u.link(*hop)
+        _assert_view_equals_oracle(link, data.draw(_instants(),
+                                                   label="before"))
+
+        events = data.draw(_events, label="events")
+        u.set_timeline(*hop, EventTimeline.from_events(events, HORIZON_S))
+        assert len(link.timeline) == len(events)
+        _assert_view_equals_oracle(link, data.draw(_instants(),
+                                                   label="after"))
+
+        past = np.append(data.draw(_instants(), label="past"),
+                         data.draw(st.floats(HORIZON_S + 0.5,
+                                             2 * HORIZON_S)))
+        for evaluate in (link.latency_ms, link.loss_rate,
+                         ScalarLink(link).latency_ms):
+            with pytest.raises(ValueError,
+                               match="exceeds the generated horizon"):
+                evaluate(past)

@@ -85,7 +85,7 @@ def test_satellite_separation_floor():
     """Generated satellites keep `min_separation_km` from every other
     region.  Anchors are real geography and exempt (Hong Kong and
     Shenzhen really are ~27 km apart) — but every pair must still be
-    strictly separated, or `LinkProcess` would reject the base latency."""
+    strictly separated, or `build_underlay` would reject the base latency."""
     cfg = PlanetConfig(n_regions=60)
     regions = generate_regions(cfg, seed=3)
     satellites = regions[min(60, len(ANCHORS)):]

@@ -1,8 +1,9 @@
 """`LinkStateSnapshot`: vectorised builds and batched path metrics.
 
 The contract under test is *bit-exactness*: the matrix snapshot must
-reproduce the scalar `LinkProcess` results down to the last ULP,
-because the golden-equivalence suite pins whole control outputs on it.
+reproduce the scalar oracle (`tests/snapshots.py::ScalarLink`) down to
+the last ULP, because the golden-equivalence suite pins whole control
+outputs on it.
 Every comparison here is `==`, never `pytest.approx`.
 """
 
@@ -13,6 +14,7 @@ from repro.controlplane.model import OverlayPath
 from repro.underlay.events import MAX_RAMP_S, RAMP_FRACTION
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
+from tests.snapshots import ScalarLink
 
 I, P = LinkType.INTERNET, LinkType.PREMIUM
 
@@ -27,7 +29,7 @@ class TestFromUnderlay:
                 for b in codes:
                     if a == b:
                         continue
-                    link = small_underlay.link(a, b, t)
+                    link = ScalarLink(small_underlay.link(a, b, t))
                     ti, i, j = TYPE_INDEX[t], snap.index[a], snap.index[b]
                     assert snap.lat[ti, i, j] == float(link.latency_ms(now))
                     assert snap.loss[ti, i, j] == float(link.loss_rate(now))
@@ -49,8 +51,15 @@ class TestFromUnderlay:
             some_link.latency_ms(beyond)
 
     def test_param_arrays_are_cached(self, small_underlay):
-        assert (small_underlay.link_param_arrays()
-                is small_underlay.link_param_arrays())
+        """The table is built with the underlay; every evaluation reads
+        it and every view is a window on it."""
+        table = small_underlay.table
+        small_underlay.snapshot(60.0)
+        small_underlay.link_series(
+            [(*small_underlay.pairs[0], I)], np.arange(3.0))
+        assert small_underlay.table is table
+        assert small_underlay.link(*small_underlay.pairs[0], P)._table \
+            is table
 
 
 class TestFromFnAndEnsure:
@@ -91,11 +100,11 @@ class TestPathMetrics:
     @pytest.fixture(scope="class")
     def snap_and_state(self, small_underlay):
         """The snapshot at one instant and, per link, the scalar
-        `LinkProcess` (latency, loss) at the same instant."""
+        oracle's (latency, loss) at the same instant."""
         now = 2400.0
 
         def state(a, b, t):
-            link = small_underlay.link(a, b, t)
+            link = ScalarLink(small_underlay.link(a, b, t))
             return (float(link.latency_ms(now)), float(link.loss_rate(now)))
         return small_underlay.snapshot(now), state
 
@@ -150,11 +159,11 @@ def ramp_instant(underlay):
     raise AssertionError("underlay has no degradation events")
 
 
-def assert_equals_link_processes(underlay, t):
+def assert_equals_the_oracle(underlay, t):
     state = underlay.state_at(t)
     for lt in TYPE_ORDER:
         for (a, b) in underlay.pairs:
-            link = underlay.link(a, b, lt)
+            link = ScalarLink(underlay.link(a, b, lt))
             assert state.lookup(a, b, lt) == (float(link.latency_ms(t)),
                                               float(link.loss_rate(t))), \
                 (a, b, lt, t)
@@ -162,7 +171,7 @@ def assert_equals_link_processes(underlay, t):
 
 class TestStateAt:
     """`Underlay.state_at`: the event engine's only source of true link
-    state, pinned `==` to the scalar `LinkProcess` oracle."""
+    state, pinned `==` to the scalar oracle."""
 
     def test_paper_underlay_at_engine_instants(self, full_underlay):
         start = 8 * 3600.0
@@ -174,7 +183,7 @@ class TestStateAt:
         instants = probes + [start + 1.0, start + 2.0, 0.0,
                              ramp_instant(full_underlay)]
         for t in instants:
-            assert_equals_link_processes(full_underlay, t)
+            assert_equals_the_oracle(full_underlay, t)
 
     def test_planet_underlay_at_engine_instants(self):
         from repro.underlay.config import UnderlayConfig
@@ -184,7 +193,7 @@ class TestStateAt:
         start = 8 * 3600.0
         for t in (engine_instants(start, 0.4, 6)[-1], start + 1.0,
                   ramp_instant(planet)):
-            assert_equals_link_processes(planet, t)
+            assert_equals_the_oracle(planet, t)
 
     def test_same_instant_same_object(self, small_underlay):
         first = small_underlay.state_at(120.0)
@@ -233,7 +242,7 @@ class TestStateAt:
 # --------------------------------------------------------- segment memo
 def scalar_adds(underlay, t):
     """What `timeline_adds` must equal: every link's own lookup."""
-    params = underlay.link_param_arrays()
+    params = underlay.table
     shape = params.base_latency_ms.shape
     lat, loss = np.zeros(shape), np.zeros(shape)
     for key, timeline in params.timelines.items():
@@ -243,7 +252,7 @@ def scalar_adds(underlay, t):
 
 
 def assert_memo_equals_scalar_lookups(underlay, instants):
-    params = underlay.link_param_arrays()
+    params = underlay.table
     for t in instants:
         got, want = params.timeline_adds(t), scalar_adds(underlay, t)
         assert np.array_equal(got[0], want[0]), t
@@ -251,7 +260,12 @@ def assert_memo_equals_scalar_lookups(underlay, instants):
 
 
 def busiest_timeline(underlay):
-    return max(underlay.link_param_arrays().timelines.values(), key=len)
+    return max(underlay.table.timelines.values(), key=len)
+
+
+def eventful(underlay):
+    """The timelines of the links that have events."""
+    return [tl for tl in underlay.table.timelines.values() if len(tl)]
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +277,7 @@ def planet():
 
 
 class TestSegmentMemo:
-    """`_LinkParamArrays.timeline_adds` remembers each link's current
+    """`LinkTable.timeline_adds` remembers each link's current
     linear piece; whatever it remembers, any instant in any order must
     give `latency_add` / `loss_add`'s bits."""
 
@@ -288,16 +302,15 @@ class TestSegmentMemo:
               + [float(times[-1])])
         around = [np.nextafter(t, -np.inf) for t in on] \
             + [np.nextafter(t, np.inf) for t in on]
-        first = min(float(tl._times[0]) for tl in
-                    underlay.link_param_arrays().timelines.values())
+        first = min(float(tl._times[0]) for tl in eventful(underlay))
         assert first > 0.0
-        horizon = underlay.link_param_arrays().horizon_s
+        horizon = underlay.table.horizon_s
         assert_memo_equals_scalar_lookups(
             underlay, on + around + [0.0, first / 2.0, first, horizon])
 
     def test_backwards_and_random_jumps(self, underlay):
         rng = np.random.default_rng(4)
-        horizon = underlay.link_param_arrays().horizon_s
+        horizon = underlay.table.horizon_s
         steps = engine_instants(3600.0, 0.4, 5)
         assert_memo_equals_scalar_lookups(
             underlay, steps + steps[::-1] + [7 * 3600.0, 60.0]
@@ -311,7 +324,7 @@ class TestSegmentMemo:
         monkeypatch.setattr(
             EventTimeline, "segment",
             lambda self, t: searched.append(t) or segment(self, t))
-        params = underlay.link_param_arrays()
+        params = underlay.table
         start = 5 * 3600.0
         params.timeline_adds(start - 1800.0)  # wherever the memo was
         del searched[:]
@@ -321,19 +334,20 @@ class TestSegmentMemo:
 
         def piece(t):
             return [int(np.searchsorted(tl._times, t, side="right"))
-                    for tl in params.timelines.values()]
+                    for tl in eventful(underlay)]
         pieces = [piece(t) for t in [start - 1800.0] + instants]
         moved = [sum(a != b for a, b in zip(before, after))
                  for before, after in zip(pieces, pieces[1:])]
         assert [searched.count(t) for t in instants] == moved
         # The jump costs a search of most links, a 0.4 s step of a few.
-        assert moved[0] > 0.5 * len(params.timelines)
-        assert max(moved[1:]) < 0.05 * len(params.timelines)
+        assert moved[0] > 0.5 * len(eventful(underlay))
+        assert max(moved[1:]) < 0.05 * len(eventful(underlay))
 
 
 def test_segment_memo_follows_a_swapped_timeline(small_regions):
-    """`inject_events` / `quiet_link` replace a timeline in place: the
-    memo must not outlive the timeline it was taken from."""
+    """`inject_events` / `quiet_link` swap a timeline through
+    `Underlay.set_timeline`: the memo must not outlive the timeline it
+    was taken from."""
     from repro.underlay.config import UnderlayConfig
     from repro.underlay.events import DegradationEvent
     from repro.underlay.scenarios import inject_events, quiet_link
@@ -346,14 +360,14 @@ def test_segment_memo_follows_a_swapped_timeline(small_regions):
     inject_events(underlay, a, b, I,
                   [DegradationEvent(101.0, 30.0, 500.0, 0.2)])
     assert_memo_equals_scalar_lookups(underlay, instants)
-    index = underlay.link_param_arrays().index
+    index = underlay.table.index
     key = (TYPE_INDEX[I], index[a], index[b])
-    ramp = underlay.link_param_arrays().timeline_adds(102.0)
+    ramp = underlay.table.timeline_adds(102.0)
     assert ramp[0][key] > 0.0 and ramp[1][key] > 0.0
-    assert_equals_link_processes(underlay, 102.0)
+    assert_equals_the_oracle(underlay, 102.0)
     quiet_link(underlay, a, b, I)
     assert_memo_equals_scalar_lookups(underlay, instants + [102.0])
-    assert underlay.link_param_arrays().timeline_adds(102.0)[0][key] == 0.0
+    assert underlay.table.timeline_adds(102.0)[0][key] == 0.0
 
 
 # ---------------------------------------------------------- jitter memo
@@ -396,7 +410,7 @@ def test_memos_are_invisible_in_any_visiting_order(small_regions):
     def swap(u):
         inject_events(u, a, b, I, [DegradationEvent(101.0, 30.0, 500.0, 0.2)])
     underlay.snapshot(102.4)            # the memos hold second 102
-    swap(underlay)                      # ... and `_timelines_changed`
+    swap(underlay)                      # ... and `set_timeline`
     for t in (102.4, 102.0, 101.2, 102.8):
         assert_same_bits(underlay.state_at(t),
                          fresh_underlay(small_regions, swap).snapshot(t), t)

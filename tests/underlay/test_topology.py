@@ -66,24 +66,24 @@ class TestCalibration:
         return np.arange(0.0, 86400.0, 60.0)
 
     def test_premium_latency_below_internet(self, full_underlay, day):
-        ilat = full_underlay.average_latency(LinkType.INTERNET, day)
-        plat = full_underlay.average_latency(LinkType.PREMIUM, day)
+        ilat = full_underlay.average_state(LinkType.INTERNET, day)[0]
+        plat = full_underlay.average_state(LinkType.PREMIUM, day)[0]
         assert plat.mean() < ilat.mean() * 0.6
 
     def test_premium_latency_is_stable(self, full_underlay, day):
-        plat = full_underlay.average_latency(LinkType.PREMIUM, day)
+        plat = full_underlay.average_state(LinkType.PREMIUM, day)[0]
         assert plat.std() / plat.mean() < 0.05
 
     def test_internet_latency_fluctuates(self, full_underlay, day):
-        ilat = full_underlay.average_latency(LinkType.INTERNET, day)
+        ilat = full_underlay.average_state(LinkType.INTERNET, day)[0]
         assert ilat.max() > ilat.min() * 1.5
 
     def test_premium_loss_tiny(self, full_underlay, day):
-        ploss = full_underlay.average_loss(LinkType.PREMIUM, day)
+        ploss = full_underlay.average_state(LinkType.PREMIUM, day)[1]
         assert ploss.mean() < 0.001
 
     def test_internet_loss_significant(self, full_underlay, day):
-        iloss = full_underlay.average_loss(LinkType.INTERNET, day)
+        iloss = full_underlay.average_state(LinkType.INTERNET, day)[1]
         assert 0.002 < iloss.mean() < 0.05
 
     def test_fig3_internet_tail(self, full_underlay):
