@@ -352,12 +352,40 @@ _BUILD_HORIZON_S = 3600.0
 @pytest.mark.benchmark(min_rounds=3)
 def test_sweep_underlay_build(benchmark, n_regions):
     """`planet_underlay(N)` with a one-hour horizon: every directed
-    link's draws — most of it one `generate_timeline` per link, 19 800
-    at 100 regions — written into the underlay's link table."""
+    link's draws — 19 800 links at 100 regions, each from its own
+    stream — then every stream seeded, every timeline compiled and the
+    link table written in one pass each."""
     u = benchmark(lambda: planet_underlay(n_regions, seed=_SWEEP_SEED,
                                           horizon_s=_BUILD_HORIZON_S))
     assert len(u.codes) == n_regions
     assert u.table.horizon_s == _BUILD_HORIZON_S
+
+
+@pytest.mark.parametrize("n_regions", (11,), ids=_sweep_id)
+@pytest.mark.benchmark(min_rounds=5)
+def test_underlay_build_paper(benchmark, n_regions):
+    """`standard_underlay()` = `build_underlay(seed=1)`: the paper's
+    eleven regions over the default two-day horizon, the underlay every
+    paper figure builds.  Its 220 timelines hold about a thousand events
+    each and few share a count, so the batched compile works in blocks
+    of one or two timelines here (not named ``sweep``: perf-smoke runs
+    it)."""
+    u = benchmark(standard_underlay)
+    assert len(u.codes) == n_regions
+    assert u.table.horizon_s == 2 * 86400.0
+
+
+@pytest.mark.parametrize("n_regions", (100,), ids=_sweep_id)
+@pytest.mark.benchmark(min_rounds=3)
+def test_sweep_demand_build(benchmark, n_regions):
+    """`DemandModel` over N generated regions: one named stream, one
+    lognormal draw and one noise seed per ordered pair (9 900 at 100
+    regions), then the surge slots hashed as matrices."""
+    from repro.underlay.planet import PlanetConfig, generate_regions
+    regions = generate_regions(PlanetConfig(n_regions=n_regions),
+                               seed=_SWEEP_SEED)
+    demand = benchmark(lambda: DemandModel(regions, seed=_SWEEP_SEED))
+    assert len(demand.pairs) == n_regions * (n_regions - 1)
 
 
 @pytest.mark.parametrize("n_regions", SWEEP_REGIONS, ids=_sweep_id)

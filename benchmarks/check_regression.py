@@ -9,6 +9,9 @@ Three subcommands:
     ``--baseline`` to embed a second raw file as the frozen
     pre-refactor reference, ``--keep-baseline-from`` to carry a
     summary's over (both: the kept one plus the raw file's entries).
+    ``--keep-current-from`` likewise carries a summary's current entries
+    over, the raw file's replacing those of the same name, so a run of
+    a few rows re-records those rows only.
 
 ``check``
     Compare a fresh raw benchmark run against the committed summary and
@@ -19,7 +22,8 @@ Three subcommands:
     5% noise.  Parameterized region-count entries
     (``test_sweep_*[nNNN]``, ``test_probe_instant[nNNN]``,
     ``test_link_series_block[nNNN]``, ``test_cluster_install[nNNN]``,
-    ``test_reaction_plans[nNNN]``, ``test_sweep_underlay_build[nNNN]``)
+    ``test_reaction_plans[nNNN]``, ``test_sweep_underlay_build[nNNN]``,
+    ``test_underlay_build_paper[nNNN]``, ``test_sweep_demand_build[nNNN]``)
     are gated per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
@@ -33,7 +37,8 @@ Three subcommands:
     summary holds them, of one probing instant of the event engine,
     one block of link series of the grid engine, one region's
     install plus a scale-up, the planet-scale control epoch with its
-    reaction-plan pass and the planet-scale underlay build
+    reaction-plan pass, and the underlay builds (planet scale and the
+    paper's) and the planet-scale demand build
     (``baseline_pre_refactor`` vs ``current``).
     ``--check docs/performance.md`` fails (exit 1) when the committed
     block is not byte-equal to its rendering, so the doc cannot drift
@@ -79,8 +84,9 @@ GATED = (
 #: (before: every term of the link model per hop and instant), the
 #: cluster-install row (before: one forwarding table per gateway), the
 #: planet-scale epoch and reaction-plan rows (before: a path object per
-#: visit and per plan candidate) and the underlay-build row (before: one
-#: `LinkProcess` object per link) appear once the summary holds them.
+#: visit and per plan candidate) and the underlay- and demand-build rows
+#: (before: one timeline compile and one numpy stream constructor per
+#: link or pair) appear once the summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale_snapshot":
         (" (step 1)", "test_path_control_paper_scale"),
@@ -113,6 +119,11 @@ TABLE_ROWS = {
     "test_sweep_underlay_build[n100]":
         (" (100 regions, 19 800 links, 1 h of timelines)",
          "test_sweep_underlay_build[n100]"),
+    "test_underlay_build_paper[n011]":
+        (" (11 regions, 220 links, 2 days of timelines)",
+         "test_underlay_build_paper[n011]"),
+    "test_sweep_demand_build[n100]":
+        (" (100 regions, 9 900 pairs)", "test_sweep_demand_build[n100]"),
 }
 
 #: Marker comments around the rendered table in docs/performance.md.
@@ -125,13 +136,16 @@ TABLE_END = "<!-- control-loop-table:end -->"
 #: *skipped*, not failed — CI's scale-smoke job deliberately runs a
 #: subset of the sweep (``-k "sweep and (n011 or n100)"``), and
 #: perf-smoke, which runs the probing instant, the link-series block,
-#: the cluster install and the reaction-plan pass, none of it.
+#: the cluster install, the reaction-plan pass and the paper-scale
+#: underlay build, none of it.
 SWEEP_GATED = (
     "test_probe_instant",
     "test_link_series_block",
     "test_cluster_install",
     "test_reaction_plans",
     "test_sweep_underlay_build",
+    "test_underlay_build_paper",
+    "test_sweep_demand_build",
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
@@ -203,12 +217,17 @@ def distill(args: argparse.Namespace) -> int:
                  "replaced; the per-hop, "
                  "per-instant link series; one forwarding table per "
                  "gateway; the object-per-visit control solve for the "
-                 "sweep and reaction-plan entries; one LinkProcess "
-                 "object per link for the underlay build) — keep it "
+                 "sweep and reaction-plan entries; one timeline "
+                 "compile and one numpy stream constructor per link or "
+                 "pair for the underlay and demand builds) — keep it "
                  "for the speedup provenance."),
         "machine": machine_fingerprint(raw),
-        "current": summarise_raw(raw),
+        "current": {},
     }
+    if args.keep_current_from:
+        summary["current"].update(
+            _load(args.keep_current_from)["current"])
+    summary["current"].update(summarise_raw(raw))
     baseline = {}
     if args.keep_baseline_from:
         baseline.update(_load(args.keep_baseline_from).get(
@@ -354,6 +373,10 @@ def main(argv=None) -> int:
     p_distill.add_argument("--keep-baseline-from",
                            help="carry baseline_pre_refactor over from an "
                                 "existing summary file")
+    p_distill.add_argument("--keep-current-from",
+                           help="carry the current entries over from an "
+                                "existing summary; the raw file's entries "
+                                "replace those of the same name")
     p_distill.set_defaults(func=distill)
 
     p_check = sub.add_parser("check", help="gate a fresh run vs the summary")

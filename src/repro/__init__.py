@@ -15,6 +15,11 @@ Entry points:
 or from the shell: ``python -m repro --help``.
 """
 
+# numpy imports `numpy.ma` lazily, on the first `np.unique` (which asks
+# `np.ma.is_masked`): about 20 ms that would otherwise land in the first
+# probing instant or control epoch of a run rather than in its set-up.
+import numpy.ma  # noqa: F401
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]

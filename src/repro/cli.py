@@ -441,6 +441,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer (the root of every
+    named random stream)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,14 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--start-hour", type=float, default=9.0)
     p_run.add_argument("--epoch", type=float, default=300.0)
     p_run.add_argument("--step", type=float, default=10.0)
-    p_run.add_argument("--seed", type=int, default=42)
+    p_run.add_argument("--seed", type=_seed, default=42)
     p_run.add_argument("--telemetry", default=None, metavar="PATH",
                        help="capture metrics/trace events to a JSONL file")
     p_run.set_defaults(fn=_cmd_run)
 
     p_demo = sub.add_parser("demo", help="event-driven deployment demo")
     p_demo.add_argument("--minutes", type=float, default=3.0)
-    p_demo.add_argument("--seed", type=int, default=11)
+    p_demo.add_argument("--seed", type=_seed, default=11)
     p_demo.add_argument("--telemetry", default=None, metavar="PATH",
                         help="capture metrics/trace events to a JSONL file")
     p_demo.add_argument("--stream", default=None, metavar="PATH",
@@ -494,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="X",
                          help="pace X simulated seconds per wall second "
                               "(default 0 = flat out)")
-    p_serve.add_argument("--seed", type=int, default=11)
+    p_serve.add_argument("--seed", type=_seed, default=11)
     p_serve.add_argument("--regions", type=int, default=3,
                          help="how many of the default regions to deploy "
                               "(default 3)")
@@ -529,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_info = sub.add_parser("info", help="deployment at a glance")
-    p_info.add_argument("--seed", type=int, default=1)
+    p_info.add_argument("--seed", type=_seed, default=1)
     p_info.set_defaults(fn=_cmd_info)
 
     p_obs = sub.add_parser("obs", help="inspect telemetry JSONL files")

@@ -10,7 +10,10 @@ representative of a cluster in one call), a passive flush and a single
 sample alike; `adopt` is the group-state hand-over of §4.1.
 `LinkStateEstimator` is the read-only view of one link of a gateway's
 bank.  The same dynamics are provided over a time axis
-(`reaction_active_series`) for day-scale experiments.
+(`reaction_active_series`) for day-scale experiments; its loss EWMA is
+`scipy.signal.lfilter`, which only the grid engine needs, so the filter
+is imported by `load_filter` (an `EpochSimulator` with fast reaction
+calls it when it is built) rather than with this module.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
+
+#: `scipy.signal.lfilter` once `load_filter` has imported it.
+_lfilter = None
 
 #: The state arrays of an `EstimatorBank` and what a fresh link holds
 #: (NaN: no sample yet).
@@ -130,6 +135,17 @@ class LinkStateEstimator:
         return None if value != value else value
 
 
+def load_filter():
+    """Import the IIR filter `reaction_active_series` runs (importing
+    `scipy.signal` takes about a second and tens of MB, which nothing
+    but the detector should pay); later calls return it at once."""
+    global _lfilter
+    if _lfilter is None:
+        from scipy.signal import lfilter
+        _lfilter = lfilter
+    return _lfilter
+
+
 def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
                            reaction: ReactionConfig,
                            monitoring: MonitoringConfig) -> np.ndarray:
@@ -155,7 +171,7 @@ def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
     # the first-sample initialisation), done with an IIR filter so the
     # whole series vectorises.
     a = monitoring.ewma_alpha
-    ewma_loss = lfilter([a], [1.0, -(1.0 - a)], loss, axis=-1)
+    ewma_loss = load_filter()([a], [1.0, -(1.0 - a)], loss, axis=-1)
     bad = ((lat > reaction.latency_threshold_ms)
            | (loss >= reaction.loss_threshold)
            | (ewma_loss >= reaction.ewma_loss_threshold))

@@ -62,27 +62,22 @@ class DemandModel:
             raise ValueError("demand model needs at least two regions")
         self.regions = list(regions)
         self.config = config if config is not None else TrafficConfig()
-        self._streams = RngStreams(seed)
         cfg = self.config
 
         # Per-pair scale (peak Mbps) and a distinct noise seed.  The scale
         # carries the China-centric activity weights: DingTalk's heavy
         # pairs are China-China and China-X.
         #: Every ordered pair, in the row order of the stacked parameters.
-        self.pairs: List[RegionPair] = []
-        self._scale = {}
-        noise_seeds = []
-        for a in regions:
-            for b in regions:
-                if a.code == b.code:
-                    continue
-                key = f"traffic.{a.code}->{b.code}"
-                rng = self._streams.get(key)
-                weight = self._activity(a) * self._activity(b)
-                self.pairs.append((a.code, b.code))
-                self._scale[(a.code, b.code)] = weight * float(
-                    rng.lognormal(cfg.pair_scale_mu, cfg.pair_scale_sigma))
-                noise_seeds.append(self._streams.seed_for(key))
+        self.pairs: List[RegionPair] = [
+            (a.code, b.code) for a in regions for b in regions
+            if a.code != b.code]
+        generators, noise_seeds = RngStreams(seed).get_many(
+            [f"traffic.{a}->{b}" for (a, b) in self.pairs])
+        activity = {r.code: self._activity(r) for r in regions}
+        self._scale = {
+            (a, b): activity[a] * activity[b] * float(
+                rng.lognormal(cfg.pair_scale_mu, cfg.pair_scale_sigma))
+            for (a, b), rng in zip(self.pairs, generators)}
 
         # The same parameters stacked as (pairs, 1) columns, so one
         # broadcast evaluation covers any rows x times block.
@@ -94,7 +89,7 @@ class DemandModel:
             [[offset[b]] for (__, b) in self.pairs], dtype=float)
         self._scale_col = np.array(
             [[self._scale[pair]] for pair in self.pairs], dtype=float)
-        self._noise_seed = np.array(noise_seeds, dtype=np.uint64)[:, None]
+        self._noise_seed = noise_seeds[:, None]
         self._surge_seed = self._noise_seed ^ np.uint64(0x5157)
 
         # Surge slots are recurrent: each pair's preferred start, base

@@ -143,8 +143,8 @@ class LinkTable:
     degradation timeline: the underlay's only link store and the only
     place the link model is written down.
 
-    `build_underlay` fills it one link at a time (`set_link`) and
-    checks it once (`validate`); `Underlay.set_timeline` swaps a
+    `build_underlay` fills it in one write per parameter (`set_links`)
+    and checks it once (`validate`); `Underlay.set_timeline` swaps a
     timeline.  A link's key is (src code, dst code, `LinkType`), its
     row in the matrices (tier, i, j) (`rows`).  Two evaluations share
     it: every link at one instant (`LinkStateSnapshot.from_underlay`)
@@ -188,23 +188,30 @@ class LinkTable:
         self._jitter_second = None
         self._jitter = None
 
-    def set_link(self, src: str, dst: str, link_type: LinkType, *,
-                 base_latency_ms: float, jitter_sigma: float,
-                 diurnal_latency_amp: float, base_loss: float,
-                 diurnal_loss_amp: float, timeline,
-                 noise_seed: int) -> None:
-        """Write the parameters of the directed link `src` -> `dst` of
-        `link_type`."""
-        row = self.rows[(src, dst, link_type)] = (
-            TYPE_INDEX[link_type], self.index[src], self.index[dst])
-        self.base_latency_ms[row] = base_latency_ms
-        self.jitter_sigma[row] = jitter_sigma
-        self.diurnal_latency_amp[row] = diurnal_latency_amp
-        self.base_loss[row] = base_loss
-        self.diurnal_loss_amp[row] = diurnal_loss_amp
-        self.noise_seed[row] = noise_seed
-        self.timelines[row] = timeline
-        self.horizon_s = min(self.horizon_s, timeline.horizon_s)
+    def set_links(self, keys: Sequence, *, base_latency_ms,
+                  jitter_sigma, diurnal_latency_amp, base_loss,
+                  diurnal_loss_amp, timelines: Sequence,
+                  noise_seed) -> None:
+        """Write the parameters of the directed links `keys` =
+        [(src, dst, `LinkType`)], in `keys`' order: `timelines` holds
+        one timeline per key, every other keyword one value per key or
+        one value for all."""
+        index = self.index
+        rows = [(TYPE_INDEX[link_type], index[src], index[dst])
+                for (src, dst, link_type) in keys]
+        self.rows.update(zip(keys, rows))
+        sel = tuple(np.array(axis, dtype=np.intp) for axis in zip(*rows))
+        self.base_latency_ms[sel] = base_latency_ms
+        self.jitter_sigma[sel] = jitter_sigma
+        self.diurnal_latency_amp[sel] = diurnal_latency_amp
+        self.base_loss[sel] = base_loss
+        self.diurnal_loss_amp[sel] = diurnal_loss_amp
+        self.noise_seed[sel] = noise_seed
+        self.timelines.update(zip(rows, timelines))
+        self.horizon_s = min([self.horizon_s]
+                             + [tl.horizon_s for tl in timelines])
+        self._segments = None
+        self._jitter_second = None
 
     def validate(self) -> None:
         """Every link's base latency is positive and its base loss in

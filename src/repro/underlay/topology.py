@@ -3,7 +3,9 @@
 `build_underlay` draws every per-link random parameter (stretch, baseline
 loss, badness factor, degradation timeline) from named RNG streams and
 writes it into the underlay's `LinkTable`, so an `Underlay` is fully
-determined by (regions, config, seed).
+determined by (regions, config, seed).  The draws stay link by link, one
+stream per link; seeding the streams, finishing and compiling the
+timelines and writing the table are each one pass over every link.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from repro.sim.rng import RngStreams
 from repro.underlay.config import UnderlayConfig
-from repro.underlay.events import EventTimeline, generate_timeline
+from repro.underlay.events import EventTimeline, TimelineDraws
 from repro.underlay.linkstate import LinkProcess, LinkType
 from repro.underlay.pricing import PricingModel
 from repro.underlay.regions import (Region, RegionPair, all_ordered_pairs,
@@ -23,6 +25,13 @@ from repro.underlay.snapshot import LinkStateSnapshot, LinkTable
 
 #: Key of a directed link: (src code, dst code, link type).
 LinkKey = Tuple[str, str, LinkType]
+
+#: The fields of a tier's config that parameterise its degradation
+#: events (`TimelineDraws.draw`'s keywords besides the two scales).
+_EVENT_PARAMETERS = (
+    "short_events_per_day", "long_events_per_day", "short_duration_mean_s",
+    "long_duration_mu", "long_duration_sigma", "event_latency_mu",
+    "event_latency_sigma", "event_loss_mu", "event_loss_sigma")
 
 
 class Underlay:
@@ -145,44 +154,43 @@ def build_underlay(regions: Optional[List[Region]] = None,
     config = config if config is not None else UnderlayConfig()
     streams = RngStreams(seed)
 
+    tiers = {link_type: (lc, {name: getattr(lc, name)
+                              for name in _EVENT_PARAMETERS})
+             for link_type, lc in ((LinkType.INTERNET, config.internet),
+                                   (LinkType.PREMIUM, config.premium))}
+    keys = [(src.code, dst.code, link_type)
+            for src in regions for dst in regions if src.code != dst.code
+            for link_type in tiers]
+    generators, noise_seeds = streams.get_many(
+        [f"underlay.{src}->{dst}.{link_type.value}"
+         for (src, dst, link_type) in keys])
+    region = {r.code: r for r in regions}
+    draws = TimelineDraws(config.horizon_s, start_offset)
+    base_latency, base_loss, diurnal_loss = [], [], []
+    # Each link's draws in its own stream's order: stretch, base loss,
+    # badness, then its degradation events.
+    for (src, dst, link_type), rng in zip(keys, generators):
+        lc, events = tiers[link_type]
+        stretch = rng.uniform(lc.stretch_min, lc.stretch_max)
+        base_latency.append(
+            propagation_delay_ms(region[src], region[dst], stretch))
+        base_loss.append(rng.uniform(lc.base_loss_min, lc.base_loss_max))
+        badness = min(float(rng.pareto(lc.badness_pareto_alpha)) + 1.0,
+                      lc.badness_max)
+        draws.draw(rng, rate_scale=badness ** lc.rate_exponent,
+                   severity_scale=1.0 + 0.12 * (badness - 1.0),
+                   **events)
+        diurnal_loss.append(lc.diurnal_loss_amp
+                            * badness ** lc.diurnal_loss_exponent)
+
     table = LinkTable(regions)
-    for src in regions:
-        for dst in regions:
-            if src.code == dst.code:
-                continue
-            for link_type, lc in ((LinkType.INTERNET, config.internet),
-                                  (LinkType.PREMIUM, config.premium)):
-                key_str = f"underlay.{src.code}->{dst.code}.{link_type.value}"
-                rng = streams.get(key_str)
-                stretch = rng.uniform(lc.stretch_min, lc.stretch_max)
-                base_latency = propagation_delay_ms(src, dst, stretch)
-                base_loss = rng.uniform(lc.base_loss_min, lc.base_loss_max)
-                badness = min(float(rng.pareto(lc.badness_pareto_alpha)) + 1.0,
-                              lc.badness_max)
-                timeline = generate_timeline(
-                    rng, config.horizon_s,
-                    short_events_per_day=lc.short_events_per_day,
-                    long_events_per_day=lc.long_events_per_day,
-                    short_duration_mean_s=lc.short_duration_mean_s,
-                    long_duration_mu=lc.long_duration_mu,
-                    long_duration_sigma=lc.long_duration_sigma,
-                    event_latency_mu=lc.event_latency_mu,
-                    event_latency_sigma=lc.event_latency_sigma,
-                    event_loss_mu=lc.event_loss_mu,
-                    event_loss_sigma=lc.event_loss_sigma,
-                    rate_scale=badness ** lc.rate_exponent,
-                    severity_scale=1.0 + 0.12 * (badness - 1.0),
-                    start_offset=start_offset)
-                table.set_link(
-                    src.code, dst.code, link_type,
-                    base_latency_ms=base_latency,
-                    jitter_sigma=lc.jitter_sigma,
-                    diurnal_latency_amp=lc.diurnal_latency_amp,
-                    base_loss=base_loss,
-                    diurnal_loss_amp=(lc.diurnal_loss_amp
-                                      * badness ** lc.diurnal_loss_exponent),
-                    timeline=timeline,
-                    noise_seed=streams.seed_for(key_str))
+    table.set_links(
+        keys, base_latency_ms=base_latency,
+        jitter_sigma=[tiers[lt][0].jitter_sigma for (__, __, lt) in keys],
+        diurnal_latency_amp=[tiers[lt][0].diurnal_latency_amp
+                             for (__, __, lt) in keys],
+        base_loss=base_loss, diurnal_loss_amp=diurnal_loss,
+        timelines=draws.compile(), noise_seed=noise_seeds)
     table.validate()
 
     if pricing is None:

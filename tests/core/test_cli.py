@@ -139,6 +139,18 @@ def test_serve_resume_requires_checkpoint(capsys):
     assert "--checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "demo", "serve", "info"])
+def test_a_negative_seed_is_a_usage_error(command, capsys):
+    """Regression: `--seed -3` used to reach numpy's SeedSequence and die
+    with its "expected non-negative integer" traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "-3"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: repro {command}" in err
+    assert "--seed: must be a non-negative integer, got -3" in err
+
+
 def test_serve_rejects_empty_window(capsys):
     assert main(["serve"]) == 2
     assert "positive" in capsys.readouterr().err

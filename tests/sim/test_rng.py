@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.sim import rng as rng_module
 from repro.sim.rng import RngStreams, hash_noise, hash_uniform
 
 
@@ -44,6 +45,85 @@ class TestRngStreams:
     def test_seed_for_differs_by_key_and_root(self):
         assert RngStreams(1).seed_for("k") != RngStreams(1).seed_for("k2")
         assert RngStreams(1).seed_for("k") != RngStreams(2).seed_for("k")
+
+
+    def test_a_negative_root_is_rejected_up_front(self):
+        """Regression: it used to fail on the first `get`, inside numpy."""
+        with pytest.raises(ValueError, match="non-negative integer, got -3"):
+            RngStreams(-3)
+
+
+def _numpy_stream(root: int, key_hash: int) -> np.random.Generator:
+    """numpy's own constructor of a stream: the oracle of `get_many`."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=root, spawn_key=(key_hash,))))
+
+
+def _same_draws(a: np.random.Generator, b: np.random.Generator) -> None:
+    """Draw for draw over the calls `build_underlay` and `DemandModel`
+    make, with a scalar call after every array to catch a lost word."""
+    for draw in (lambda g: g.uniform(1.5, 2.6),
+                 lambda g: g.pareto(1.6),
+                 lambda g: g.poisson(12.5),
+                 lambda g: g.random(7),
+                 lambda g: g.exponential(8.0, size=5),
+                 lambda g: g.lognormal(5.9, 1.4, size=3),
+                 lambda g: g.integers(0, 2**63, size=4),
+                 lambda g: g.random()):
+        assert np.array_equal(draw(a), draw(b))
+
+
+#: Roots of one, two, three and five uint32 words, zero included.
+ROOTS = [0, 7, 2**32 - 1, 2**32, 2**64 + 12345, 2**128, 2**130 + 99]
+
+
+class TestGetMany:
+    KEYS = [f"underlay.R{i}->R{i + 1}.internet" for i in range(40)] + [
+        "traffic.HGH->SIN", "pricing", ""]
+
+    @pytest.mark.parametrize("root", ROOTS)
+    def test_streams_draw_what_numpy_constructs(self, root):
+        generators, seeds = RngStreams(root).get_many(self.KEYS)
+        for key, generator, seed in zip(self.KEYS, generators, seeds):
+            _same_draws(generator,
+                        _numpy_stream(root, rng_module._key_to_seed(key)))
+            assert int(seed) == RngStreams(root).seed_for(key)
+        assert seeds.dtype == np.uint64
+
+    @pytest.mark.parametrize("root", ROOTS)
+    @pytest.mark.parametrize("key_hash", [
+        0, 1, 0xFFFFFFFF, 1 << 32, 0xFFFFFFFF00000000, 2**64 - 1])
+    def test_hashes_with_a_zero_word(self, root, key_hash, monkeypatch):
+        """A hash below 2**32 is one uint32 word of spawn key, not two;
+        zero is the single word 0."""
+        real = rng_module._key_to_seed
+        monkeypatch.setattr(
+            rng_module, "_key_to_seed",
+            lambda key: key_hash if key == "odd" else real(key))
+        keys = ["a", "odd", "b"]
+        generators, seeds = RngStreams(root).get_many(keys)
+        for key, generator in zip(keys, generators):
+            _same_draws(generator,
+                        _numpy_stream(root, rng_module._key_to_seed(key)))
+        assert int(seeds[1]) == RngStreams(root).seed_for("odd")
+
+    def test_streams_are_the_cached_ones(self):
+        streams = RngStreams(5)
+        first = streams.get("b")
+        first.random(3)
+        generators, __ = streams.get_many(["a", "b", "a"])
+        assert generators[1] is first
+        assert generators[0] is generators[2] is streams.get("a")
+
+    def test_no_keys(self):
+        generators, seeds = RngStreams(5).get_many([])
+        assert generators == [] and seeds.shape == (0,)
+
+    def test_a_sequence_that_hashes_otherwise_is_caught(self, monkeypatch):
+        """The first new key is checked against numpy's own sequence."""
+        monkeypatch.setattr(rng_module, "_INIT_B", rng_module._INIT_B ^ 1)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            RngStreams(5).get_many(["a"])
 
 
 class TestHashNoise:

@@ -116,6 +116,24 @@ def test_baseline_carried_over(files):
         == doc["baseline_pre_refactor"]
 
 
+def test_current_rows_carried_over(files):
+    """A run of a few rows re-records those and keeps the others."""
+    raw, summary, means, tmp_path = files
+    assert main(["distill", str(raw), "-o", str(summary)]) == 0
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps(raw_doc(
+        {GATED[0]: 0.010, "test_new[n100]": 3.0})))
+    merged = tmp_path / "merged.json"
+    assert main(["distill", str(rows), "-o", str(merged),
+                 "--keep-current-from", str(summary)]) == 0
+    current = json.loads(merged.read_text())["current"]
+    assert set(current) == set(GATED) | {"test_new[n100]"}
+    assert current[GATED[0]]["mean_s"] == 0.010
+    assert current["test_new[n100]"]["mean_s"] == 3.0
+    for name in GATED[1:]:
+        assert current[name]["mean_s"] == means[name]
+
+
 def test_summarise_raw_rounding():
     doc = raw_doc({"x": 0.123456789})
     assert summarise_raw(doc)["x"]["mean_s"] == 0.123457

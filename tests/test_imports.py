@@ -6,8 +6,11 @@ import collections
 import importlib
 import importlib.util
 import pathlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +22,35 @@ ALL_MODULES = sorted(
     name for __, name, __ in pkgutil.walk_packages(
         repro.__path__, prefix="repro.")
     if not name.endswith("__main__"))
+
+
+#: Run in a fresh interpreter: prints, after each step, whether
+#: `scipy.signal` is loaded.
+_COLD_START = """
+import sys
+import repro.cli
+from repro.core import XRONSystem, xron
+print("cli", "scipy.signal" in sys.modules)
+system = XRONSystem()
+system.event_engine(xron())
+print("event engine", "scipy.signal" in sys.modules)
+system.simulator(xron())
+print("grid engine", "scipy.signal" in sys.modules)
+"""
+
+
+def test_scipy_signal_loads_only_with_the_grid_engine():
+    """`scipy.signal` (about a second of import) is the grid engine's
+    detector filter: the CLI, a deployment and the event engine start
+    without it, and an `EpochSimulator` with fast reaction loads it
+    when built, so its `run` imports nothing."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                               if p]))
+    out = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["cli False", "event engine False",
+                                "grid engine True"]
 
 
 @pytest.mark.parametrize("module_name", ALL_MODULES)

@@ -23,10 +23,10 @@ def _make_link(events=(), horizon=86400.0, **overrides):
                   diurnal_latency_amp=0.2, base_loss=0.001,
                   diurnal_loss_amp=0.002, noise_seed=99)
     params.update(overrides)
-    u.table.set_link(src.code, dst.code, LinkType.INTERNET,
-                     timeline=EventTimeline.from_events(list(events),
-                                                        horizon),
-                     **params)
+    u.table.set_links([(src.code, dst.code, LinkType.INTERNET)],
+                      timelines=[EventTimeline.from_events(list(events),
+                                                           horizon)],
+                      **params)
     u.table.validate()
     return u.link(src.code, dst.code, LinkType.INTERNET)
 
