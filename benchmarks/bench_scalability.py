@@ -137,9 +137,10 @@ def test_demand_matrix_n100(benchmark):
 # One probing instant of the event engine (§4.1)
 # --------------------------------------------------------------------------
 #
-# Every 0.4 s of simulated time the event engine evaluates the underlay
-# once, the monitoring block runs one group-probing pass over every
-# region's gateways, and its reports go to the NIB as one batch.  That
+# Every 0.4 s of simulated time the event engine reads the underlay's
+# state and the bursts' draws out of a block of instants, the monitoring
+# block runs one group-probing pass over every region's gateways, and
+# its reports go to the NIB as one batch.  That
 # instant is the engine's whole cost (docs/performance.md, "Event
 # engine"), so it is the number that says how far event-engine studies
 # scale.
@@ -159,8 +160,11 @@ _PROBE_START_S = 600.0
 @pytest.mark.parametrize("n_regions", sorted(PROBE_INSTANT_BUDGET_S),
                          ids=lambda n: f"n{n:03d}")
 def test_probe_instant(benchmark, n_regions):
-    """One `state_at` + the monitoring block's probing pass over every
-    region + the NIB's `update_many`, at a fresh 0.4 s step each round."""
+    """The monitoring block's probing pass over every region + the NIB's
+    `update_many`, at the next 0.4 s step each round.  `now` advances
+    by repeated addition, as `PeriodicTask` steps, so the rounds read
+    rows of the probe reader's blocks: the mean carries a block's
+    evaluation spread over its instants."""
     from repro.controlplane.nib import NetworkInformationBase
     from repro.dataplane.cluster import (MonitoringBlock, RegionCluster,
                                          probe_noise)
@@ -173,10 +177,12 @@ def test_probe_instant(benchmark, n_regions):
                              for code in u.codes])
     nib = NetworkInformationBase(codes=u.codes)
     steps = itertools.count()
+    clock = [_PROBE_START_S]
 
     def instant():
-        now = _PROBE_START_S + 0.4 * next(steps)
-        u.state_at(now)
+        now = clock[0]
+        clock[0] = now + 0.4
+        next(steps)
         nib.update_many(block.probe(now)[0])
         return now
 

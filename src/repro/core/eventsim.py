@@ -17,11 +17,11 @@ module runs the actual moving parts on the discrete-event engine:
   container pools scale (with provisioning delays) before the cluster
   fleet follows (§5).
 
-Everything that reads the true state of a link at one simulated instant
-(the probing instant, the measurement tick) reads the same
-`Underlay.state_at(now)` evaluation, and every monitoring draw is a
-hash of link, probe slot and burst or tick (`dataplane.probing.
-BurstNoise`), evaluated once per instant.  It is the engine for studies of
+The true state of every link, and every monitoring draw — a hash of
+link, probe slot and burst or tick — are read out of blocks of instants
+(`dataplane.probing.BurstNoise`, one for the probing instants and one
+for the measurement ticks), each evaluated in one array pass over the
+underlay's link table.  It is the engine for studies of
 the *mechanisms* (detection timing, control loop interplay) over minutes
 to hours; the epoch simulator remains the one for multi-day statistics.
 What each costs is measured, not quoted here: docs/performance.md,

@@ -9,9 +9,9 @@ simulation draws losses from the link's loss process.
 
 `burst_draws` is what one burst measures: a pure function of a seed
 per link and probe slot, the absolute burst number and the true loss,
-through which every monitoring draw of both engines goes — once per
-instant for every link of an underlay (`BurstNoise`, the event engine),
-or over a window of bursts (`burst_series`, the grid engine).
+through which every monitoring draw of both engines goes — over a run
+of instants for every link of an underlay (`BurstNoise`, the event
+engine), or over a window of bursts (`burst_series`, the grid engine).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.obs import telemetry as _telemetry
 from repro.obs.metrics import HotCounters
 from repro.sim.rng import RngStreams, hash_uniform
 from repro.underlay.linkstate import LinkType
-from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER
+from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, SegmentMemo
 
 _TEL = _telemetry()
 _BURST_COUNTERS = HotCounters("probing.bursts", "probing.bytes",
@@ -34,6 +34,14 @@ _BURST_COUNTERS = HotCounters("probing.bursts", "probing.bytes",
 #: Hash salts of a burst's two uniforms: the lost-count quantile, then
 #: the latency jitter.
 _SALTS = np.array([3, 4], dtype=np.uint64)
+
+#: Most instants one `BurstNoise` block holds: one 30 s control epoch
+#: of 0.4 s probing steps.
+BLOCK_INSTANTS = 75
+#: Most (instant, slot, link) draws one block holds, so that its arrays
+#: stay cache-sized: a block of the 100-region underlay's probes is a
+#: few instants.
+BLOCK_ELEMENTS = 1 << 17
 
 
 def burst_draws(seed: Union[int, np.ndarray], burst, loss, packets: int
@@ -104,9 +112,18 @@ def link_seed(streams: RngStreams, family: str,
 
 class BurstNoise:
     """One family of monitoring draws on every directed link of an
-    underlay by `slots` probe slots: seeds derived once, an instant's
-    draws (and the truth they are drawn from) evaluated once however
-    many clusters read them.  Links run by source region in the
+    underlay by `slots` probe slots, and the truth they are drawn from,
+    read one instant at a time (`at`) out of blocks of instants.
+
+    A reader steps like `PeriodicTask`: ``t, t + dt, (t + dt) + dt, ...``
+    with ``dt = interval_s``.  An instant that continues the last
+    block's grid opens a block of that grid — up to `BLOCK_INSTANTS`,
+    fewer where `BLOCK_ELEMENTS` or the underlay's horizon say — so
+    the engine's instants hit it exactly; any other miss (the first
+    instant, a jump, an off-grid caller) gets a block of its own
+    instant.  A block's truth is one `LinkTable.block` pass (behind
+    this reader's own segment memo) and its draws one `burst_draws`
+    over (instants, slots, links).  Links run by source region in the
     underlay's order, then destination, Internet before premium: a
     region's links are one run (`span`) in its gateways' order."""
 
@@ -123,11 +140,22 @@ class BurstNoise:
         self.index = tuple(np.array(axis, dtype=np.intp) for axis in zip(
             *((TYPE_INDEX[lt], column[a], column[b])
               for (a, b, lt) in self.hops)))
+        #: The same, as positions in a flattened ``(2, N, N)`` matrix.
+        self._flat = np.ravel_multi_index(self.index, (2,) + (len(codes),) * 2)
         self.seeds = np.array([[link_seed(streams, family, hop, slot)
                                 for hop in self.hops]
                                for slot in range(slots)], dtype=np.uint64)
-        self._state = None
-        self._bursts = None
+        #: Instants one block holds at most.
+        self.length = max(1, min(BLOCK_INSTANTS,
+                                 BLOCK_ELEMENTS // self.seeds.size))
+        self._memo = SegmentMemo()
+        #: The block: (latency, loss) per instant and link, (jitter,
+        #: lost) per instant, slot and link; its instants -> row; the
+        #: instant that continues its grid; the table generation.
+        self._block = None
+        self._rows = {}
+        self._next = None
+        self._generation = None
 
     def span(self, region: str) -> slice:
         """The run of `region`'s adjacent links."""
@@ -137,14 +165,41 @@ class BurstNoise:
 
     def at(self, now: float) -> Tuple[np.ndarray, ...]:
         """(true latency, true loss) per link and (jitter, lost packets)
-        per slot and link at `now` — burst ``round(now / interval_s)``."""
-        state = self.underlay.state_at(now)
-        if state is not self._state:
-            loss = state.loss[self.index]
-            self._bursts = (state.lat[self.index], loss) + burst_draws(
-                self.seeds, round(now / self.interval_s), loss, self.packets)
-            self._state = state
-        return self._bursts
+        per slot and link at `now` — burst ``round(now / interval_s)`` —
+        as read-only rows of the block holding `now`."""
+        if self._generation != self.underlay.table.generation:
+            self._rows, self._next = {}, None
+        row = self._rows.get(now)
+        if row is None:
+            self._fill(now)
+            row = 0
+        return tuple(part[row] for part in self._block)
+
+    def _fill(self, now: float) -> None:
+        """Evaluate the block that starts at `now`."""
+        table = self.underlay.table
+        times = [now]
+        if now == self._next:
+            t = now
+            for __ in range(self.length - 1):
+                t = t + self.interval_s
+                if t > table.horizon_s:
+                    break
+                times.append(t)
+        times = np.array(times, dtype=float)
+        lat, loss = (np.take(state.reshape(times.size, -1), self._flat,
+                             axis=1)
+                     for state in table.block(times, self._memo))
+        block = (lat, loss) + burst_draws(
+            self.seeds, np.round(times / self.interval_s)[:, None, None],
+            loss[:, None, :], self.packets)
+        for part in block:
+            part.setflags(write=False)
+        self._block = block
+        times = times.tolist()
+        self._rows = {t: k for k, t in enumerate(times)}
+        self._next = times[-1] + self.interval_s
+        self._generation = table.generation
 
 
 #: True link state over a time grid: times -> (latency_ms, loss_rate).

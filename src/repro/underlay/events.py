@@ -125,41 +125,34 @@ class EventTimeline:
         out = np.where(idx >= 0, out, 0.0)
         return np.maximum(out, 0.0)
 
-    def segment(self, t: float) -> Tuple[float, ...]:
-        """The linear piece covering instant `t`, as ``(lo, hi, t0,
-        lat_val, lat_slope, loss_val, loss_slope)``.
-
-        For every instant in ``[lo, hi)`` the added latency is
-        ``max(lat_val + lat_slope * (t - t0), 0.0)`` — `_eval`'s
-        operations on `_eval`'s operands — and the added loss likewise;
-        before the first breakpoint the piece is the zero function.  One
-        binary search serves both series and every later instant of the
-        piece (the snapshot layer's segment memo).
-        """
-        times = self._times
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        if idx < 0:
-            return (-np.inf, times[0], 0.0, 0.0, 0.0, 0.0, 0.0)
-        hi = times[idx + 1] if idx + 1 < len(times) else np.inf
-        return (times[idx], hi, times[idx], self._lat_val[idx],
-                self._lat_slope[idx], self._loss_val[idx],
-                self._loss_slope[idx])
-
     def pieces(self, t_first: float, t_last: float) -> Tuple[np.ndarray, ...]:
         """The linear pieces that cover ``[t_first, t_last]``, as views
         ``(t0, lat_val, lat_slope, loss_val, loss_slope)`` of the
-        compiled arrays: `segment`'s piece of `t_first`, of `t_last`
-        and every one between.  An instant at or after ``t0[k]`` and
-        before ``t0[k + 1]`` lies in piece ``k``; one before ``t0[0]``
-        is before the timeline's first breakpoint (zero added), and a
-        window that ends before it gets no pieces at all.  Two scalar
-        searches, no copy (the snapshot layer's block pass)."""
+        compiled arrays: the piece of `t_first`, of `t_last` and every
+        one between.  An instant at or after ``t0[k]`` and before
+        ``t0[k + 1]`` lies in piece ``k``, where the added latency is
+        ``max(lat_val[k] + lat_slope[k] * (t - t0[k]), 0.0)`` — `_eval`'s
+        operations on `_eval`'s operands — and the added loss likewise;
+        one before ``t0[0]`` is before the timeline's first breakpoint
+        (zero added), and a window that ends before it gets no pieces
+        at all.  Two scalar searches, no copy (the snapshot layer's
+        block passes)."""
+        return self.cover(t_first, t_last)[0]
+
+    def cover(self, t_first: float, t_last: float
+              ) -> Tuple[Tuple[np.ndarray, ...], float]:
+        """`pieces` of ``[t_first, t_last]``, and the breakpoint where
+        the last of them ends (inf when none follows): the pieces hold
+        up to that instant, whatever comes after `t_last`."""
         times = self._times
-        lo = max(int(times.searchsorted(t_first, side="right")) - 1, 0)
-        window = slice(lo, int(times.searchsorted(t_last, side="right")))
-        return (times[window], self._lat_val[window],
-                self._lat_slope[window], self._loss_val[window],
-                self._loss_slope[window])
+        stop = int(times.searchsorted(t_last, side="right"))
+        lo = stop if t_first == t_last else int(
+            times.searchsorted(t_first, side="right"))
+        window = slice(max(lo - 1, 0), stop)
+        return ((times[window], self._lat_val[window],
+                 self._lat_slope[window], self._loss_val[window],
+                 self._loss_slope[window]),
+                float(times[stop]) if stop < times.size else np.inf)
 
 
 def _compile_many(timelines: Sequence[EventTimeline], counts: np.ndarray,

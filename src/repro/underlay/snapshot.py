@@ -10,9 +10,10 @@ reads, so every consumer reads plain array elements.
 A snapshot comes from one of two places:
 
 * `from_underlay` — one vectorised pass over an `Underlay`'s table
-  (stateless hash noise over a seed *matrix*, diurnal terms broadcast
-  from per-region offsets), plus one cheap scalar timeline lookup per
-  link whose timeline left its remembered piece.
+  (`LinkTable.block` at one instant: stateless hash noise over a seed
+  *matrix*, diurnal terms broadcast from per-region offsets, each
+  link's timeline piece advanced past the breakpoints since the last
+  instant asked).
 * plain construction from matrices — what the NIB's whole-matrix
   `latest_snapshot` / `robust_snapshot` return to the controller.
 
@@ -25,7 +26,6 @@ this down.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,11 +74,9 @@ class LinkStateSnapshot:
     def from_underlay(cls, underlay, t: float) -> "LinkStateSnapshot":
         """Every link of `underlay` at instant `t`, in one vectorised
         pass over its `LinkTable`."""
-        p = underlay.table
         t_f = float(t)
-        p.check_horizon(t_f)
-        lat, loss = p.evaluate(..., _busy(p.utc_offset[None, :, None], t_f),
-                               p.jitter_at(t_f), *p.timeline_adds(t_f))
+        lat, loss = (state[0] for state in
+                     underlay.table.block(np.array([t_f])))
 
         diag = np.arange(len(underlay.codes))
         lat[:, diag, diag] = np.inf
@@ -137,6 +135,100 @@ class LinkStateSnapshot:
         return f"LinkStateSnapshot({len(self.codes)} regions{at})"
 
 
+#: Least span of simulated time a reader's piece window covers: a
+#: window holds every breakpoint of its span, and moving it searches
+#: each link with a breakpoint in the new span once.
+WINDOW_S = 300.0
+
+
+class _Window:
+    """The timeline pieces of every link with events over ``[lo, hi]``.
+
+    `timelines` and `sel` are those links' timelines and (tier, i, j)
+    index vectors; ``links`` says which of them each of the window's
+    runs of pieces belongs to.  The runs lie end to end as the rows of
+    ``columns`` (t0, lat_val, lat_slope, loss_val, loss_slope); a link
+    with breakpoints in the window has its run led by the zero piece
+    that holds before its first breakpoint.  ``base`` is each run's
+    piece at `lo`, ``last`` its piece at `hi` and ``end`` where that
+    piece ends; the breakpoints after `lo` are listed in time order
+    (``at`` their positions, ``at_t`` their times, ``link_of`` the run
+    of every position), so the runs that any run of instants inside the
+    window moves, and how far, are one search and one count.
+
+    Built from `previous`, a link whose piece there covers the whole new
+    span is copied as a run of that one piece; only the others are
+    searched (`EventTimeline.cover`).
+    """
+
+    __slots__ = ("lo", "hi", "links", "sel", "columns", "base", "last",
+                 "end", "link_of", "at", "at_t")
+
+    def __init__(self, timelines: Sequence, sel: Tuple[np.ndarray, ...],
+                 lo: float, hi: float, previous: Optional["_Window"] = None):
+        self.lo, self.hi = lo, hi
+        if previous is None:
+            held = np.zeros(0, dtype=np.intp)
+            searched = np.arange(len(timelines))
+            columns, end = np.zeros((5, 0)), np.zeros(0)
+        else:
+            holds = ((previous.columns[0, previous.last] <= lo)
+                     & (previous.end > hi))
+            held, searched = previous.links[holds], previous.links[~holds]
+            columns = previous.columns[:, previous.last[holds]]
+            end = previous.end[holds]
+        covers = [timelines[k].cover(lo, hi) for k in searched.tolist()]
+        pieces, ends = zip(*covers) if covers else ((), ())
+        parts = list(zip(*pieces)) or [[np.zeros(0)]] * 5
+        counts = np.fromiter(map(len, parts[0]), dtype=np.intp,
+                             count=len(pieces))
+        # A searched link's run is its zero piece, then `cover`'s pieces,
+        # which start with the one covering `lo` unless `lo` lies
+        # before the link's first breakpoint.
+        first = np.cumsum(counts + 1) - counts - 1
+        found = np.zeros((5, first.size + counts.sum()))
+        covered = np.ones(found.shape[1], dtype=bool)
+        covered[first] = False
+        found[:, covered] = [np.concatenate(part) for part in parts]
+        first += held.size
+        self.links = np.concatenate([held, searched])
+        self.sel = tuple(axis[self.links] for axis in sel)
+        self.columns = np.concatenate([columns, found], axis=1)
+        self.end = np.concatenate([end, np.array(ends)])
+        t0 = self.columns[0]
+        base = first + ((counts > 0) & (t0[np.minimum(
+            first + 1, t0.size - 1)] <= lo))
+        self.base = np.concatenate([np.arange(held.size), base])
+        runs = np.concatenate([np.ones(held.size, dtype=np.intp),
+                               counts + 1])
+        self.last = np.cumsum(runs) - 1
+        self.link_of = np.repeat(np.arange(runs.size), runs)
+        after = np.ones(t0.size, dtype=bool)
+        after[:held.size] = False
+        after[first] = False
+        after[base] = False
+        at = np.flatnonzero(after)
+        self.at = at[np.argsort(t0[at], kind="stable")]
+        self.at_t = t0[self.at]
+
+
+class SegmentMemo:
+    """Every eventful link's timeline piece at one instant, as positions
+    in its `LinkTable`'s piece window (`LinkTable.timeline_block`): the
+    memo of one reader that walks forward through time.  A fresh one,
+    or one taken in another window, starts from the window's base.
+    """
+
+    __slots__ = ("window", "t", "piece", "values")
+
+    def __init__(self):
+        self.window = None
+        self.t = -np.inf
+        #: Each link's piece (a position in the window) and its columns.
+        self.piece = None
+        self.values = None
+
+
 class LinkTable:
     """Every directed link's model parameters, stacked into ``(2, N, N)``
     matrices (axis 0 the tier in `TYPE_ORDER`), plus each link's
@@ -153,16 +245,18 @@ class LinkTable:
 
     Both compute each term of the link model once per value it can
     take: the jitter factors hash ``floor(t)``, so once per link-second
-    (`jitter`); the diurnal curve depends on the source region's UTC
-    offset only, so once per distinct offset (`_busy`); a degradation
-    timeline is piecewise linear, so it is searched once per piece
-    (`timeline_adds`, `timeline_series`).  `evaluate` combines them.
+    (`jitter`, remembered across blocks by `_jitter_block`); the diurnal
+    curve depends on the source region's UTC offset only, so once per
+    distinct offset (`_busy`); a degradation timeline is piecewise
+    linear, so it is searched once per piece (`timeline_block`,
+    `timeline_series`).  `evaluate` combines them.  `block` is the
+    first kind over a run of instants (`dataplane.probing.BurstNoise`).
     """
 
     __slots__ = ("base_latency_ms", "jitter_sigma", "diurnal_latency_amp",
                  "base_loss", "diurnal_loss_amp", "noise_seed", "utc_offset",
-                 "index", "rows", "timelines", "horizon_s", "_segments",
-                 "_jitter_second", "_jitter")
+                 "index", "rows", "timelines", "horizon_s", "generation",
+                 "_eventful", "_window", "_jitter", "_jitter_from")
 
     def __init__(self, regions: Sequence):
         n = len(regions)
@@ -181,12 +275,17 @@ class LinkTable:
         #: Every link's row -> its timeline.
         self.timelines = {}
         self.horizon_s = np.inf
-        #: The segment memo of `timeline_adds` (see `_segment_memo`).
-        self._segments = None
-        #: The jitter memo of `jitter_at`: every link's two factors at
-        #: the last whole second asked for.
-        self._jitter_second = None
-        self._jitter = None
+        #: Counts the writes to links and timelines: a block of
+        #: instants evaluated at another generation is stale.
+        self.generation = 0
+        #: The timelines and rows of the links with events, and the
+        #: last piece window, of this generation (see `_piece_window`).
+        self._eventful = None
+        self._window = None
+        #: The jitter memo of `_jitter_block`: whole second -> every
+        #: link's two factors, from the first second of the last block.
+        self._jitter = {}
+        self._jitter_from = -np.inf
 
     def set_links(self, keys: Sequence, *, base_latency_ms,
                   jitter_sigma, diurnal_latency_amp, base_loss,
@@ -210,8 +309,9 @@ class LinkTable:
         self.timelines.update(zip(rows, timelines))
         self.horizon_s = min([self.horizon_s]
                              + [tl.horizon_s for tl in timelines])
-        self._segments = None
-        self._jitter_second = None
+        self.generation += 1
+        self._eventful = self._window = None
+        self._jitter = {}
 
     def validate(self) -> None:
         """Every link's base latency is positive and its base loss in
@@ -230,29 +330,27 @@ class LinkTable:
         """Replace the degradation timeline of the link in `row`."""
         self.timelines[row] = timeline
         self.horizon_s = min(tl.horizon_s for tl in self.timelines.values())
-        self._segments = None
+        self.generation += 1
+        self._eventful = self._window = None
 
-    def _segment_memo(self):
-        """(memo, (tier, i, j) index vectors, timelines) of the links
-        with events.
-
-        Zero-event timelines evaluate to 0.0 at every instant; skipping
-        them turns 2·N² scalar lookups per snapshot into one per link
-        that actually has events (a small fraction at short horizons).
-        Column k of the memo is the linear piece
-        (`EventTimeline.segment`) of the k-th of those links that
-        covered the last instant asked for.  Row 0 (`lo`) starts at
-        +inf, so the first instant finds every link outside.
-        """
-        if self._segments is None:
-            eventful = {key: timeline
-                        for key, timeline in self.timelines.items()
-                        if len(timeline)}
-            self._segments = (np.full((7, len(eventful)), np.inf),
-                              tuple(np.array(axis, dtype=np.intp)
-                                    for axis in zip(*eventful)),
-                              tuple(eventful.values()))
-        return self._segments
+    def _piece_window(self, t_first: float, t_last: float,
+                      span: float) -> "_Window":
+        """The piece window holding ``[t_first, t_last]``: the last one,
+        or one moved from it to ``[t_first, t_first + span]`` (at least
+        to `t_last`).  Zero-event timelines evaluate to 0.0 at every
+        instant and are left out."""
+        window = self._window
+        if window is None or not window.lo <= t_first <= t_last <= window.hi:
+            if self._eventful is None:
+                rows = [row for row, timeline in self.timelines.items()
+                        if len(timeline)]
+                self._eventful = ([self.timelines[row] for row in rows],
+                                  tuple(np.array(axis, dtype=np.intp)
+                                        for axis in zip(*rows)))
+            window = self._window = _Window(
+                *self._eventful, t_first, max(t_last, t_first + span),
+                window)
+        return window
 
     def check_horizon(self, t_max: float) -> None:
         if t_max > self.horizon_s:
@@ -293,38 +391,108 @@ class LinkTable:
                        * hash_noise(seed, seconds, salt=1)),
                 np.exp(0.6 * hash_noise(seed, seconds, salt=2)))
 
-    def jitter_at(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        """`jitter` of every link at instant `t`, remembered for the
-        second's other instants (the event engine steps 0.4 s)."""
-        second = math.floor(t)
-        if second != self._jitter_second:
-            self._jitter = self.jitter(..., second)
-            self._jitter_second = second
-        return self._jitter
+    def block(self, times: np.ndarray, memo: Optional["SegmentMemo"] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """(latency_ms, loss_rate) of every link at each of the ascending
+        instants `times`, each ``(len(times), 2, N, N)`` (the diagonal as
+        evaluated): one pass of the link model over the run.
 
-    def timeline_adds(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(latency_add, loss_add) matrices at instant `t`.
+        `memo` is the `SegmentMemo` of a reader that walks forward in
+        steps of its own, so another reader's instants never move its
+        pieces; without one (a snapshot) the run is evaluated on its
+        own.  An instant past the horizon is a `ValueError`.
+        """
+        self.check_horizon(float(times[-1]))
+        busy = _busy(self.utc_offset[None, None, :, None],
+                     times[:, None, None, None])
+        return self.evaluate(..., busy, self._jitter_block(times),
+                             *self.timeline_block(times, memo))
+
+    def _jitter_block(self, times: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """`jitter` of every link at each of the ascending `times`,
+        ``(len(times), 2, N, N)`` each, hashing only the whole seconds
+        the memo lacks: however many readers and blocks ask for a
+        second, it is hashed once.  Every instant asked later lies at
+        or after this block's first (the engine steps forward), so the
+        seconds before it are forgotten; a block that starts before
+        the last one's first second (a jump back) forgets them all."""
+        seconds = np.floor(times).tolist()
+        memo, first = self._jitter, seconds[0]
+        if first < self._jitter_from:
+            memo.clear()
+        for second in [s for s in memo if s < first]:
+            del memo[second]
+        self._jitter_from = first
+        missing = [s for s in dict.fromkeys(seconds) if s not in memo]
+        if missing:
+            lat, loss = self.jitter(..., np.array(missing)[:, None, None,
+                                                           None])
+            memo.update(zip(missing, zip(lat, loss)))
+        return tuple(np.stack(factor)
+                     for factor in zip(*(memo[s] for s in seconds)))
+
+    def timeline_block(self, times: np.ndarray,
+                       memo: Optional["SegmentMemo"] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """(latency_add, loss_add), each ``(len(times), 2, N, N)``, at
+        the ascending `times`.
 
         Bit-identical to `EventTimeline.latency_add` / `loss_add` per
-        link, at any `t` in any order — but only
-        the links whose timeline left its remembered piece are searched
-        again (a handful per 0.4 s step; all of them after a jump), and
-        the pieces are evaluated once over the link axis.
+        link, at any run of instants after any other: `memo` holds
+        every link's piece at the last instant it saw, and only the
+        breakpoints since then are visited — one search of the piece
+        window's sorted breakpoints (`_piece_window`) finds them, a
+        running count along the run moves the links they belong to, and
+        the pieces are evaluated once over (instant, link).  A link no
+        breakpoint moves is one piece for the whole run.  A run that
+        starts before the memo's instant, or a memo of another window,
+        starts from the window's base.  A run without a memo (a
+        snapshot) reads from the window's base, and a window it moves
+        spans just the run: the snapshot of every epoch searches only
+        the links a breakpoint passed and holds only the pieces it
+        reads.
         """
+        size = times.size
         n = self.base_latency_ms.shape[1]
-        lat_add = np.zeros((2, n, n))
-        loss_add = np.zeros((2, n, n))
-        seg, sel, timelines = self._segment_memo()
-        if not timelines:
+        lat_add = np.zeros((size, 2, n, n))
+        loss_add = np.zeros((size, 2, n, n))
+        window = self._piece_window(float(times[0]), float(times[-1]),
+                                    0.0 if memo is None else WINDOW_S)
+        memo = SegmentMemo() if memo is None else memo
+        if not window.base.size:
             return lat_add, loss_add
-        left = np.flatnonzero((t < seg[0]) | (t >= seg[1]))
-        if left.size:
-            seg[:, left] = np.array([timelines[k].segment(t)
-                                     for k in left.tolist()]).T
-        __, __, t0, lat_val, lat_slope, loss_val, loss_slope = seg
-        dt = t - t0
+        if memo.window is not window or times[0] < memo.t:
+            memo.window, memo.t = window, -np.inf
+            memo.piece = window.base.copy()
+            memo.values = window.columns[:, window.base]
+        crossed = window.at[window.at_t.searchsorted(memo.t, side="right"):
+                            window.at_t.searchsorted(times[-1], side="right")]
+        memo.t = float(times[-1])
+        # Every link on its memo piece, then the links a breakpoint
+        # moves on the pieces of each instant.
+        t0, lat_val, lat_slope, loss_val, loss_slope = memo.values
+        dt = times[:, None] - t0
         lat = lat_val + lat_slope * dt
         loss = loss_val + loss_slope * dt
+        if crossed.size:
+            links, column = np.unique(window.link_of[crossed],
+                                      return_inverse=True)
+            # A piece holds from the first instant at or after its
+            # breakpoint; one before the run's first moves the base.
+            starts_at = times.searchsorted(window.columns[0, crossed],
+                                           side="left")
+            moved = np.bincount(starts_at * links.size + column,
+                                minlength=size * links.size)
+            piece = memo.piece[links] + moved.reshape(
+                size, links.size).cumsum(axis=0)
+            t0, lat_val, lat_slope, loss_val, loss_slope = \
+                window.columns[:, piece]
+            dt = times[:, None] - t0
+            lat[:, links] = lat_val + lat_slope * dt
+            loss[:, links] = loss_val + loss_slope * dt
+            memo.piece[links] = piece[-1]
+            memo.values[:, links] = window.columns[:, piece[-1]]
+        sel = (slice(None),) + window.sel
         lat_add[sel] = np.where(lat > 0.0, lat, 0.0)
         loss_add[sel] = np.where(loss > 0.0, loss, 0.0)
         return lat_add, loss_add

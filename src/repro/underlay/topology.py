@@ -47,7 +47,6 @@ class Underlay:
         self._links = table.rows
         self.pricing = pricing
         self.config = config
-        self._state_memo = None  # last state_at() result
 
     # ------------------------------------------------------------------ api
     @property
@@ -78,9 +77,9 @@ class Underlay:
                      timeline: EventTimeline) -> None:
         """Replace one directed link's degradation timeline (scripted
         scenarios: `repro.underlay.scenarios`); every later evaluation
-        sees it, an instant already evaluated included."""
+        sees it, an instant already evaluated included (a block of
+        instants evaluated before is stale: `LinkTable.generation`)."""
         self.table.set_timeline(self._row(src, dst, link_type), timeline)
-        self._state_memo = None
 
     def _row(self, src: str, dst: str, link_type: LinkType):
         key = (src, dst, link_type)
@@ -108,23 +107,6 @@ class Underlay:
         `ValueError`, a hop that is not a link a `KeyError`.
         """
         return self.table.series(hops, times)
-
-    def state_at(self, t: float):
-        """The shared, read-only `snapshot` of instant `t`.
-
-        Everything that reads true link state at one simulated instant
-        (each cluster's probe round, the session measurement tick) gets
-        the same object, so the underlay is evaluated once per instant
-        instead of once per link per reader.  Remembers only the last
-        instant asked for.
-        """
-        memo = self._state_memo
-        if memo is None or memo.t != t:
-            memo = self.snapshot(t)
-            memo.lat.setflags(write=False)
-            memo.loss.setflags(write=False)
-            self._state_memo = memo
-        return memo
 
     def average_state(self, link_type: LinkType,
                       times) -> Tuple[np.ndarray, np.ndarray]:

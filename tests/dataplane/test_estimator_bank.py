@@ -129,7 +129,7 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
         # measurement jitter alone flips that link between good and bad;
         # one lost packet of a burst is a bad burst.
         self.reaction = ReactionConfig(
-            latency_threshold_ms=UNDERLAY.state_at(self.now).lookup(
+            latency_threshold_ms=UNDERLAY.snapshot(self.now).lookup(
                 REGION, *LINK_KEYS[threshold_link])[0],
             loss_threshold=1.0 / 15.0, trigger_bursts=2, recover_bursts=3)
         self.monitoring = MonitoringConfig(
@@ -165,7 +165,7 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
 
         ids = sorted(self.reference)
         reps = ids[:self.representatives]
-        state = UNDERLAY.state_at(now)
+        state = UNDERLAY.snapshot(now)
         burst = round(now / self.monitoring.burst_interval_s)
         packets = self.monitoring.packets_per_burst
         expected = []

@@ -94,7 +94,7 @@ def test_the_block_is_every_cluster_round_at_once(
     dst, link_type = [(dst, link_type) for dst in CODES[1:]
                       for link_type in TYPE_ORDER][threshold]
     reaction = ReactionConfig(
-        latency_threshold_ms=UNDERLAY.state_at(T0).lookup(
+        latency_threshold_ms=UNDERLAY.snapshot(T0).lookup(
             CODES[0], dst, link_type)[0],
         loss_threshold=1.0 / 15.0, trigger_bursts=2, recover_bursts=3)
     schedule = FaultSchedule.of(*schedule)
@@ -159,7 +159,7 @@ def test_a_ragged_deployment_detects_and_blacks_out():
     different representative counts in one instant, detections, and a
     blackout that hides a region's links from the reports."""
     reaction = ReactionConfig(
-        latency_threshold_ms=UNDERLAY.state_at(T0).lookup(
+        latency_threshold_ms=UNDERLAY.snapshot(T0).lookup(
             CODES[0], CODES[1], LinkType.INTERNET)[0],
         loss_threshold=1.0 / 15.0, trigger_bursts=2, recover_bursts=3)
     schedule = FaultSchedule.of(probe_blackout(T0 + 2.0, 2.0,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.underlay.events import (DegradationEvent, EventTimeline,
                                    MAX_EVENT_LATENCY_MS, generate_timeline)
+from tests.underlay.timeline_oracle import segment
 
 
 def _timeline(events, horizon=1000.0):
@@ -87,7 +88,8 @@ class TestEventTimeline:
 
 
 class TestPieces:
-    """`EventTimeline.pieces`: the window's run of `segment`s, as views."""
+    """`EventTimeline.pieces`: the window's run of scalar `segment`s
+    (`tests/underlay/timeline_oracle.py`), as views."""
 
     EVENTS = [DegradationEvent(100.0, 20.0, 500.0, 0.1),
               DegradationEvent(110.0, 40.0, 200.0, 0.0),
@@ -102,7 +104,7 @@ class TestPieces:
         t0, *values = tl.pieces(first, last)
         inside = tl._times[(tl._times >= first) & (tl._times <= last)]
         for t in np.concatenate([np.linspace(first, last, 41), inside]):
-            lo, __, *piece = tl.segment(float(t))
+            lo, __, *piece = segment(tl, float(t))
             k = int(np.searchsorted(t0, t, side="right")) - 1
             if lo == -np.inf:
                 assert k == -1

@@ -71,23 +71,37 @@ def test_quiet_link_removes_all_events(small_regions):
 
 
 def test_scripted_change_reaches_already_evaluated_matrix_state(small_regions):
-    """The event engine reads link state through `state_at`; a timeline
-    swapped after the underlay was first evaluated must show up there
-    and in `snapshot`, at an instant already memoised too."""
+    """The event engine reads link state out of `BurstNoise` blocks; a
+    timeline swapped after a block was evaluated must show up in that
+    block's next read and in `snapshot`, at an instant already
+    evaluated too."""
+    from repro.dataplane.probing import BurstNoise
+    from repro.sim.rng import RngStreams
     from repro.underlay.config import UnderlayConfig
     from repro.underlay.topology import build_underlay
     u = build_underlay(small_regions, UnderlayConfig(horizon_s=7200.0), seed=4)
     a, b = u.pairs[0]
     link = u.link(a, b, LinkType.INTERNET)
-    before = u.state_at(1500.0).lookup(a, b, LinkType.INTERNET)
+    noise = BurstNoise(u, RngStreams(4), "probe", 1, 15, 0.4)
+    k = noise.hops.index((a, b, LinkType.INTERNET))
+
+    def read(t):
+        latency, loss, __, __ = noise.at(t)
+        return float(latency[k]), float(loss[k])
+    # The first instant is a block of its own; the next opens a block
+    # of the grid, which holds `t` before anything is swapped.
+    read(1499.2)
+    read(1499.2 + 0.4)
+    t = 1499.2 + 0.4 + 0.4
+    before = read(t)
     inject_events(u, a, b, LinkType.INTERNET,
                   long_term_degradation(1000.0, 2000.0,
                                         latency_add_ms=5000.0))
-    degraded = (float(link.latency_ms(1500.0)), float(link.loss_rate(1500.0)))
+    degraded = (float(link.latency_ms(t)), float(link.loss_rate(t)))
     assert degraded[0] > before[0] + 4000.0
-    assert u.state_at(1500.0).lookup(a, b, LinkType.INTERNET) == degraded
-    assert u.snapshot(1500.0).lookup(a, b, LinkType.INTERNET) == degraded
+    assert read(t) == degraded
+    assert u.snapshot(t).lookup(a, b, LinkType.INTERNET) == degraded
     quiet_link(u, a, b, LinkType.INTERNET)
-    quiet = (float(link.latency_ms(1500.0)), float(link.loss_rate(1500.0)))
+    quiet = (float(link.latency_ms(t)), float(link.loss_rate(t)))
     assert quiet[0] < 4000.0
-    assert u.state_at(1500.0).lookup(a, b, LinkType.INTERNET) == quiet
+    assert read(t) == quiet

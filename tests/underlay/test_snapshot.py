@@ -13,7 +13,8 @@ import pytest
 from repro.controlplane.model import OverlayPath
 from repro.underlay.events import MAX_RAMP_S, RAMP_FRACTION
 from repro.underlay.linkstate import LinkType
-from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
+from repro.underlay.snapshot import (TYPE_INDEX, TYPE_ORDER,
+                                     LinkStateSnapshot, SegmentMemo)
 from tests.snapshots import ScalarLink
 
 I, P = LinkType.INTERNET, LinkType.PREMIUM
@@ -159,31 +160,38 @@ def ramp_instant(underlay):
     raise AssertionError("underlay has no degradation events")
 
 
-def assert_equals_the_oracle(underlay, t):
-    state = underlay.state_at(t)
-    for lt in TYPE_ORDER:
-        for (a, b) in underlay.pairs:
-            link = ScalarLink(underlay.link(a, b, lt))
-            assert state.lookup(a, b, lt) == (float(link.latency_ms(t)),
-                                              float(link.loss_rate(t))), \
-                (a, b, lt, t)
+def reader(underlay, interval_s=0.4):
+    """A reader of every link's true state by `BurstNoise` blocks."""
+    from repro.dataplane.probing import BurstNoise
+    from repro.sim.rng import RngStreams
+    return BurstNoise(underlay, RngStreams(1), "probe", 1, 15, interval_s)
+
+
+def assert_equals_the_oracle(noise, t):
+    latency, loss, __, __ = noise.at(t)
+    for k, (a, b, lt) in enumerate(noise.hops):
+        link = ScalarLink(noise.underlay.link(a, b, lt))
+        assert (latency[k], loss[k]) == (float(link.latency_ms(t)),
+                                         float(link.loss_rate(t))), \
+            (a, b, lt, t)
 
 
 class TestStateAt:
-    """`Underlay.state_at`: the event engine's only source of true link
-    state, pinned `==` to the scalar oracle."""
+    """The event engine's true link state at its instants: rows of
+    `BurstNoise` blocks, pinned `==` to the scalar oracle."""
 
     def test_paper_underlay_at_engine_instants(self, full_underlay):
         start = 8 * 3600.0
-        probes = engine_instants(start, 0.4, 13)
+        probes = engine_instants(start, 0.4, 80)
         # hash_noise indexes floor(t): 0.4 accumulates to just above or
-        # below whole seconds (…802.000000000004), so take both sides.
+        # below whole seconds (…802.000000000004), so take both sides;
+        # 80 steps are a one-instant block, a whole one and the next.
         assert any(t != round(t) and abs(t - round(t)) < 1e-9
                    for t in probes)
-        instants = probes + [start + 1.0, start + 2.0, 0.0,
-                             ramp_instant(full_underlay)]
-        for t in instants:
-            assert_equals_the_oracle(full_underlay, t)
+        noise = reader(full_underlay)
+        for t in probes + [start + 1.0, start + 2.0, 0.0,
+                           ramp_instant(full_underlay)]:
+            assert_equals_the_oracle(noise, t)
 
     def test_planet_underlay_at_engine_instants(self):
         from repro.underlay.config import UnderlayConfig
@@ -191,57 +199,74 @@ class TestStateAt:
         planet = build_planet_underlay(
             50, seed=3, underlay_config=UnderlayConfig(horizon_s=9 * 3600.0))
         start = 8 * 3600.0
-        for t in (engine_instants(start, 0.4, 6)[-1], start + 1.0,
-                  ramp_instant(planet)):
-            assert_equals_the_oracle(planet, t)
+        noise = reader(planet)
+        for t in (engine_instants(start, 0.4, 6)[-2:]
+                  + [start + 1.0, ramp_instant(planet)]):
+            assert_equals_the_oracle(noise, t)
 
     def test_same_instant_same_object(self, small_underlay):
-        first = small_underlay.state_at(120.0)
-        assert small_underlay.state_at(120.0) is first
-        assert small_underlay.state_at(120) is first
+        """The boot round and the first periodic round share an instant:
+        the second read is a row of the same block, evaluated once."""
+        noise = reader(small_underlay)
+        first = noise.at(120.0)
+        block = noise._block
+        for again in (noise.at(120.0), noise.at(120)):
+            assert noise._block is block
+            for part, was in zip(again, first):
+                assert part.base is was.base
+                assert np.array_equal(part, was)
 
     def test_new_instant_new_object_and_old_one_untouched(self,
                                                           small_underlay):
-        first = small_underlay.state_at(120.0)
-        lat, loss = first.lat.copy(), first.loss.copy()
-        second = small_underlay.state_at(120.4)
-        assert second is not first
-        assert second.t == 120.4 and first.t == 120.0
-        assert np.array_equal(first.lat, lat)
-        assert np.array_equal(first.loss, loss)
-        assert not np.array_equal(second.lat, lat)
+        noise = reader(small_underlay)
+        first = noise.at(120.0)
+        kept = [part.copy() for part in first]
+        second = noise.at(120.0 + 0.4)
+        assert second[0] is not first[0]
+        for part, copy in zip(first, kept):
+            assert np.array_equal(part, copy)
+        assert not np.array_equal(second[0], kept[0])
 
     def test_shared_state_is_read_only(self, small_underlay):
-        state = small_underlay.state_at(60.0)
-        with pytest.raises(ValueError, match="read-only"):
-            state.lat[0, 0, 1] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            state.loss[0, 0, 1] = 0.0
+        noise = reader(small_underlay)
+        noise.at(60.0)
+        for part in noise.at(60.0 + 0.4):
+            with pytest.raises(ValueError, match="read-only"):
+                part[..., 0] = 1
 
     def test_snapshot_stays_fresh_and_writable(self, small_underlay):
-        state = small_underlay.state_at(60.0)
+        noise = reader(small_underlay)
+        latency = noise.at(60.0)[0]
         snap = small_underlay.snapshot(60.0)
-        assert snap is not state
         assert snap is not small_underlay.snapshot(60.0)
-        snap.lat[0, 0, 1] += 1.0
-        snap.loss[0, 0, 1] = 0.5
-        assert small_underlay.state_at(60.0) is state
-        assert state.lat[0, 0, 1] == snap.lat[0, 0, 1] - 1.0
+        ti, i, j = (axis[0] for axis in noise.index)
+        snap.lat[ti, i, j] += 1.0
+        snap.loss[ti, i, j] = 0.5
+        assert noise.at(60.0)[0][0] == latency[0] == snap.lat[ti, i, j] - 1.0
 
-    def test_beyond_horizon_raises_like_snapshot(self, small_underlay):
+    def test_beyond_horizon_raises_like_snapshot(self, small_underlay,
+                                                 monkeypatch):
+        from repro.underlay.snapshot import LinkTable
         beyond = small_underlay.config.horizon_s + 10.0
+        noise = reader(small_underlay)
         with pytest.raises(ValueError, match="exceeds the generated horizon"):
-            small_underlay.state_at(beyond)
-        # The failed query left the previous memo in place.
-        state = small_underlay.state_at(60.0)
+            noise.at(beyond)
+        latency = noise.at(60.0)[0].copy()
+        blocks = []
+        block = LinkTable.block
+        monkeypatch.setattr(LinkTable, "block",
+                            lambda self, times, memo=None: blocks.append(
+                                times) or block(self, times, memo))
         with pytest.raises(ValueError, match="horizon"):
-            small_underlay.state_at(beyond)
-        assert small_underlay.state_at(60.0) is state
+            noise.at(beyond)
+        # The failed query left the block in place.
+        assert np.array_equal(noise.at(60.0)[0], latency)
+        assert len(blocks) == 1
 
 
 # --------------------------------------------------------- segment memo
 def scalar_adds(underlay, t):
-    """What `timeline_adds` must equal: every link's own lookup."""
+    """What `timeline_block` must equal: every link's own lookup."""
     params = underlay.table
     shape = params.base_latency_ms.shape
     lat, loss = np.zeros(shape), np.zeros(shape)
@@ -251,12 +276,18 @@ def scalar_adds(underlay, t):
     return lat, loss
 
 
-def assert_memo_equals_scalar_lookups(underlay, instants):
+def assert_memo_equals_scalar_lookups(underlay, instants, memo=None, run=1):
+    """`timeline_block` through one memo over `instants`, `run` at a
+    time (each run ascending), equals the scalar lookups."""
     params = underlay.table
-    for t in instants:
-        got, want = params.timeline_adds(t), scalar_adds(underlay, t)
-        assert np.array_equal(got[0], want[0]), t
-        assert np.array_equal(got[1], want[1]), t
+    memo = SegmentMemo() if memo is None else memo
+    for k in range(0, len(instants), run):
+        times = np.array(instants[k:k + run], dtype=float)
+        got = params.timeline_block(times, memo)
+        for row, t in enumerate(times.tolist()):
+            want = scalar_adds(underlay, t)
+            assert np.array_equal(got[0][row], want[0]), t
+            assert np.array_equal(got[1][row], want[1]), t
 
 
 def busiest_timeline(underlay):
@@ -277,9 +308,10 @@ def planet():
 
 
 class TestSegmentMemo:
-    """`LinkTable.timeline_adds` remembers each link's current
-    linear piece; whatever it remembers, any instant in any order must
-    give `latency_add` / `loss_add`'s bits."""
+    """`LinkTable.timeline_block`'s memo remembers each link's current
+    linear piece; whatever it remembers, any instant in any order, and
+    any ascending run of them, must give `latency_add` / `loss_add`'s
+    bits."""
 
     @pytest.fixture(params=["paper", "planet"])
     def underlay(self, request, full_underlay, planet):
@@ -291,9 +323,9 @@ class TestSegmentMemo:
         return count if len(underlay.codes) < 20 else max(2, count // 6)
 
     def test_monotone_engine_steps(self, underlay):
-        assert_memo_equals_scalar_lookups(
-            underlay, engine_instants(8 * 3600.0, 0.4,
-                                      self.some(underlay, 60)))
+        instants = engine_instants(8 * 3600.0, 0.4, self.some(underlay, 60))
+        assert_memo_equals_scalar_lookups(underlay, instants)
+        assert_memo_equals_scalar_lookups(underlay, instants, run=7)
 
     def test_on_before_and_after_the_breakpoints(self, underlay):
         times = busiest_timeline(underlay)._times
@@ -319,27 +351,45 @@ class TestSegmentMemo:
     def test_only_links_that_left_their_piece_are_searched(self, underlay,
                                                            monkeypatch):
         from repro.underlay.events import EventTimeline
-        searched = []
-        segment = EventTimeline.segment
-        monkeypatch.setattr(
-            EventTimeline, "segment",
-            lambda self, t: searched.append(t) or segment(self, t))
         params = underlay.table
+        memo = SegmentMemo()
         start = 5 * 3600.0
-        params.timeline_adds(start - 1800.0)  # wherever the memo was
-        del searched[:]
+        params.timeline_block(np.array([start - 1800.0]), memo)
+        searched = []
+        cover = EventTimeline.cover
+        monkeypatch.setattr(
+            EventTimeline, "cover",
+            lambda self, *window: searched.append(window)
+            or cover(self, *window))
         instants = engine_instants(start, 0.4, 25)
+
+        def starts():
+            """Where each link's current piece starts, link by link."""
+            window = memo.window
+            out = np.empty(window.links.size)
+            out[window.links] = window.columns[0][memo.piece]
+            return out
+        changed, searches = [], []
         for t in instants:
-            params.timeline_adds(t)
+            before = starts()
+            del searched[:]
+            params.timeline_block(np.array([t]), memo)
+            searches.append(len(searched))
+            changed.append(int(np.count_nonzero(starts() != before)))
 
         def piece(t):
             return [int(np.searchsorted(tl._times, t, side="right"))
                     for tl in eventful(underlay)]
-        pieces = [piece(t) for t in [start - 1800.0] + instants]
+        pieces_at = [piece(t) for t in [start - 1800.0] + instants]
         moved = [sum(a != b for a, b in zip(before, after))
-                 for before, after in zip(pieces, pieces[1:])]
-        assert [searched.count(t) for t in instants] == moved
-        # The jump costs a search of most links, a 0.4 s step of a few.
+                 for before, after in zip(pieces_at, pieces_at[1:])]
+        # The jump out of the piece window searches, once, each timeline
+        # with a breakpoint since; inside the window no timeline is
+        # searched, and the memo moves exactly the links a breakpoint
+        # passed — after the jump most of them, on a 0.4 s step a few.
+        assert moved[0] <= searches[0] <= len(eventful(underlay))
+        assert searches[1:] == [0] * 24
+        assert changed == moved
         assert moved[0] > 0.5 * len(eventful(underlay))
         assert max(moved[1:]) < 0.05 * len(eventful(underlay))
 
@@ -356,18 +406,20 @@ def test_segment_memo_follows_a_swapped_timeline(small_regions):
                               seed=11)
     a, b = underlay.pairs[0]
     instants = engine_instants(100.0, 0.4, 8)
-    assert_memo_equals_scalar_lookups(underlay, instants)
+    memo = SegmentMemo()
+    assert_memo_equals_scalar_lookups(underlay, instants, memo)
     inject_events(underlay, a, b, I,
                   [DegradationEvent(101.0, 30.0, 500.0, 0.2)])
-    assert_memo_equals_scalar_lookups(underlay, instants)
+    assert_memo_equals_scalar_lookups(underlay, instants, memo, run=8)
     index = underlay.table.index
     key = (TYPE_INDEX[I], index[a], index[b])
-    ramp = underlay.table.timeline_adds(102.0)
-    assert ramp[0][key] > 0.0 and ramp[1][key] > 0.0
-    assert_equals_the_oracle(underlay, 102.0)
+    ramp = underlay.table.timeline_block(np.array([102.0]), memo)
+    assert ramp[0][0][key] > 0.0 and ramp[1][0][key] > 0.0
+    assert_equals_the_oracle(reader(underlay), 102.0)
     quiet_link(underlay, a, b, I)
-    assert_memo_equals_scalar_lookups(underlay, instants + [102.0])
-    assert underlay.table.timeline_adds(102.0)[0][key] == 0.0
+    assert_memo_equals_scalar_lookups(underlay, instants + [102.0], memo)
+    assert underlay.table.timeline_block(
+        np.array([102.0]), memo)[0][0][key] == 0.0
 
 
 # ---------------------------------------------------------- jitter memo
@@ -387,10 +439,17 @@ def assert_same_bits(got, want, t):
     assert np.array_equal(got.loss, want.loss), t
 
 
+def assert_same_rows(noise, t, want):
+    """`noise`'s truth at `t` is the snapshot `want`'s, link by link."""
+    latency, loss, __, __ = noise.at(t)
+    assert np.array_equal(latency, want.lat[noise.index]), t
+    assert np.array_equal(loss, want.loss[noise.index]), t
+
+
 def test_memos_are_invisible_in_any_visiting_order(small_regions):
-    """`snapshot` remembers the last second's jitter factors and each
-    link's timeline piece; whatever it remembers, an instant gives the
-    bits a fresh underlay gives."""
+    """`snapshot` and a reader's blocks remember whole seconds' jitter
+    factors and each link's timeline piece; whatever they remember, an
+    instant gives the bits a fresh underlay gives."""
     from repro.underlay.events import DegradationEvent
     from repro.underlay.scenarios import inject_events
     underlay = fresh_underlay(small_regions)
@@ -400,10 +459,15 @@ def test_memos_are_invisible_in_any_visiting_order(small_regions):
                          102.0, 3600.0, 102.4, 0.0]
     order = (forward + forward[::-1] + inside_one_second
              + across_a_boundary)
+    noise = reader(underlay)
     for k, t in enumerate(order):
-        # `state_at` and `snapshot` share the memos: alternate them.
-        got = underlay.state_at(t) if k % 2 else underlay.snapshot(t)
-        assert_same_bits(got, fresh_underlay(small_regions).snapshot(t), t)
+        # A reader's blocks and `snapshot` share the jitter memo:
+        # alternate them.
+        want = fresh_underlay(small_regions).snapshot(t)
+        if k % 2:
+            assert_same_rows(noise, t, want)
+        else:
+            assert_same_bits(underlay.snapshot(t), want, t)
 
     a, b = underlay.pairs[0]
 
@@ -412,9 +476,9 @@ def test_memos_are_invisible_in_any_visiting_order(small_regions):
     underlay.snapshot(102.4)            # the memos hold second 102
     swap(underlay)                      # ... and `set_timeline`
     for t in (102.4, 102.0, 101.2, 102.8):
-        assert_same_bits(underlay.state_at(t),
-                         fresh_underlay(small_regions, swap).snapshot(t), t)
-    assert underlay.state_at(102.8).lookup(a, b, I)[0] \
+        assert_same_rows(noise, t,
+                         fresh_underlay(small_regions, swap).snapshot(t))
+    assert underlay.snapshot(102.8).lookup(a, b, I)[0] \
         > fresh_underlay(small_regions).snapshot(102.8).lookup(a, b, I)[0] \
         + 100.0
 
@@ -425,7 +489,7 @@ def test_jitter_is_hashed_once_per_second(small_underlay, monkeypatch):
     hash_noise = module.hash_noise
     monkeypatch.setattr(
         module, "hash_noise",
-        lambda seed, t, salt=0: hashed.append(float(t))
+        lambda seed, t, salt=0: hashed.extend(np.ravel(t).tolist())
         or hash_noise(seed, t, salt=salt))
     small_underlay.snapshot(50.0)       # whatever second the memo held
     del hashed[:]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.underlay.events import (EventTimeline, TimelineDraws,
                                    generate_timeline)
-from tests.underlay.timeline_oracle import (ScalarTimeline,
+from tests.underlay.timeline_oracle import (ScalarTimeline, segment,
                                             scalar_generate_timeline)
 
 #: Every array a compiled timeline holds, events first.
@@ -43,7 +43,7 @@ def assert_same_timeline(got, want):
     probes = np.concatenate([times, times - 0.5, times + 1e-7,
                              want._times[-1:], [-1.0]])
     for t in probes.tolist():
-        assert _bits(got.segment(t)) == _bits(want.segment(t))
+        assert _bits(segment(got, t)) == _bits(segment(want, t))
     first, last = float(probes.min()), float(probes.max())
     for window in ((first, last), (first, first), (times[0], times[-1]),
                    (last - 0.5, last + 5.0)):

@@ -17,12 +17,34 @@ from repro.underlay.events import (MAX_EVENT_LATENCY_MS, MAX_RAMP_S,
                                    RAMP_FRACTION, EventTimeline)
 
 
-class ScalarTimeline:
-    """One timeline, compiled per timeline; reads (`segment`,
-    `pieces`, `latency_add`, `loss_add`) are `EventTimeline`'s own."""
+def segment(timeline, t: float):
+    """The linear piece of `timeline` covering instant `t`, as ``(lo,
+    hi, t0, lat_val, lat_slope, loss_val, loss_slope)``: one scalar
+    search, what the snapshot layer's segment memo ran per link that
+    left its piece before the memo moved links by breakpoint
+    (`LinkTable.timeline_block`).
 
-    segment = EventTimeline.segment
+    For every instant in ``[lo, hi)`` the added latency is
+    ``max(lat_val + lat_slope * (t - t0), 0.0)``, and the added loss
+    likewise; before the first breakpoint the piece is the zero
+    function.
+    """
+    times = timeline._times
+    idx = int(np.searchsorted(times, t, side="right")) - 1
+    if idx < 0:
+        return (-np.inf, times[0], 0.0, 0.0, 0.0, 0.0, 0.0)
+    hi = times[idx + 1] if idx + 1 < len(times) else np.inf
+    return (times[idx], hi, times[idx], timeline._lat_val[idx],
+            timeline._lat_slope[idx], timeline._loss_val[idx],
+            timeline._loss_slope[idx])
+
+
+class ScalarTimeline:
+    """One timeline, compiled per timeline; reads (`pieces`, `cover`,
+    `latency_add`, `loss_add`) are `EventTimeline`'s own."""
+
     pieces = EventTimeline.pieces
+    cover = EventTimeline.cover
     latency_add = EventTimeline.latency_add
     loss_add = EventTimeline.loss_add
     _eval = EventTimeline._eval
