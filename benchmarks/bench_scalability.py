@@ -307,7 +307,7 @@ def test_link_series_block(benchmark, n_regions):
 # unasserted to chart the frontier.  See docs/scaling.md for the
 # methodology and how to refresh BENCH_control.json.
 #
-# CI runs a subset (`-k "sweep and (n011 or n100)"`); ids are
+# CI runs a subset (`-k "sweep and (n011 or n100 or n200)"`); ids are
 # zero-padded so `-k n100` cannot also match n1000-style points later.
 
 SWEEP_REGIONS = (11, 50, 100, 200)

@@ -134,7 +134,7 @@ TABLE_END = "<!-- control-loop-table:end -->"
 #: Parameterized region-count benchmarks, gated per point.
 #: Unlike `GATED`, a sweep entry that is absent from the fresh run is
 #: *skipped*, not failed — CI's scale-smoke job deliberately runs a
-#: subset of the sweep (``-k "sweep and (n011 or n100)"``), and
+#: subset of the sweep (``-k "sweep and (n011 or n100 or n200)"``), and
 #: perf-smoke, which runs the probing instant, the link-series block,
 #: the cluster install, the reaction-plan pass and the paper-scale
 #: underlay build, none of it.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -84,19 +85,6 @@ class ReportBatch:
                 0.0 <= self.loss_rate.min() and self.loss_rate.max() <= 1.0)):
             raise ValueError("a report has a negative latency or a loss "
                              "rate outside [0, 1]")
-
-    @classmethod
-    def from_reports(cls, reports: Sequence[LinkReport],
-                     index: Dict[str, int]) -> "ReportBatch":
-        """`reports` (of distinct links) over the regions of `index`."""
-        return cls(tuple(index),
-                   np.array([index[r.src] for r in reports], dtype=np.intp),
-                   np.array([index[r.dst] for r in reports], dtype=np.intp),
-                   np.array([TYPE_INDEX[r.link_type] for r in reports],
-                            dtype=np.intp),
-                   np.array([r.latency_ms for r in reports], dtype=float),
-                   np.array([r.loss_rate for r in reports], dtype=float),
-                   np.array([r.reported_at for r in reports], dtype=float))
 
     def __len__(self) -> int:
         return len(self.latency_ms)
@@ -214,20 +202,19 @@ class NetworkInformationBase:
         """Ingest a probing round's `ReportBatch`, or any sequence of
         `LinkReport`s (each link's reports apply in sequence order).
 
-        The fault seam is consulted once per batch: one that no report
-        fault touches goes to the rings as arrays; otherwise exactly
-        the touched reports pass through `filter_report`, in order.
+        The fault seam is consulted once per batch, and a batch goes to
+        the rings as arrays: exactly the reports a report fault touches
+        pass through `filter_report`, in order; a dropped one leaves the
+        batch, a staled one keeps its shifted values.
         """
         if isinstance(reports, ReportBatch):
             touched = (self.fault_filter.reports_matched(reports)
                        if self.fault_filter is not None else ())
-            if not touched:
-                self._store(reports)
-                return
-            reports = list(reports)
-            for k in touched:
-                reports[k] = self._filtered(reports[k])
-        elif self.fault_filter is not None:
+            if touched:
+                reports = self._filtered_batch(reports, touched)
+            self._store(reports)
+            return
+        if self.fault_filter is not None:
             reports = [self._filtered(report) for report in reports]
         self._store_reports(reports)
 
@@ -235,20 +222,67 @@ class NetworkInformationBase:
                        ) -> None:
         """`_store` the reports (None = dropped on the way) as batches:
         the k-th report of every link forms the k-th one, so links are
-        distinct inside a batch and a link's reports keep their order."""
-        layers: List[List[LinkReport]] = []
-        seen: Dict[Tuple[str, str, int], int] = {}
-        for report in reports:
+        distinct inside a batch and a link's reports keep their order.
+
+        Each column is built once, unknown regions are indexed in
+        first-seen order (source before destination), and a report's
+        batch is its rank among its link's reports: one stable sort over
+        integer link keys.
+        """
+        kept = [report for report in reports if report is not None]
+        if not kept:
+            return
+        src = [report.src for report in kept]
+        dst = [report.dst for report in kept]
+        self._grow(dict.fromkeys(chain.from_iterable(zip(src, dst))))
+        index, size = self._index, len(kept)
+        # An identity test per report: hashing an enum member is slow.
+        internet, premium = (TYPE_INDEX[LinkType.INTERNET],
+                             TYPE_INDEX[LinkType.PREMIUM])
+        batch = ReportBatch(
+            tuple(index),
+            np.fromiter(map(index.__getitem__, src), np.intp, size),
+            np.fromiter(map(index.__getitem__, dst), np.intp, size),
+            np.array([premium if report.link_type is LinkType.PREMIUM
+                      else internet for report in kept], dtype=np.intp),
+            np.array([report.latency_ms for report in kept], dtype=float),
+            np.array([report.loss_rate for report in kept], dtype=float),
+            np.array([report.reported_at for report in kept], dtype=float))
+        n = len(index)
+        key = (batch.tier * n + batch.src) * n + batch.dst
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        repeat = ranked[1:] == ranked[:-1]
+        if not repeat.any():
+            self._store(batch)  # every link once: one batch
+            return
+        # Rank within the link: position in the sorted run minus the
+        # position where the link's run starts.
+        position = np.arange(size)
+        starts = np.maximum.accumulate(
+            np.where(np.concatenate(([False], repeat)), 0, position))
+        layer = np.empty(size, dtype=np.intp)
+        layer[order] = position - starts
+        for k in range(int(layer.max()) + 1):
+            self._store(batch.take(layer == k))
+
+    def _filtered_batch(self, batch: ReportBatch,
+                        touched: Sequence[int]) -> ReportBatch:
+        """`batch` with its rows at `touched` as the fault seam lets
+        them through."""
+        kept = np.ones(len(batch), dtype=bool)
+        lat, loss, at = (batch.latency_ms.copy(), batch.loss_rate.copy(),
+                         batch.reported_at.copy())
+        for k in touched:
+            report = self._filtered(batch[k])
             if report is None:
-                continue
-            key = (report.src, report.dst, TYPE_INDEX[report.link_type])
-            k = seen[key] = seen.get(key, -1) + 1
-            if k == len(layers):
-                layers.append([])
-            layers[k].append(report)
-        for layer in layers:
-            self._grow(code for r in layer for code in (r.src, r.dst))
-            self._store(ReportBatch.from_reports(layer, self._index))
+                kept[k] = False
+            else:
+                lat[k], loss[k], at[k] = (report.latency_ms,
+                                          report.loss_rate,
+                                          report.reported_at)
+        return ReportBatch(batch.codes, batch.src, batch.dst, batch.tier,
+                           lat, loss, at).take(kept)
 
     def _filtered(self, report: LinkReport) -> Optional[LinkReport]:
         """`report` as the fault seam lets it through (traced)."""

@@ -20,6 +20,20 @@ Implementation notes:
   current paths, and the graph is rebuilt whenever a capacity constraint
   blocks someone.  The result is identical and orders of magnitude
   faster, which the controller needs at planetary scale.
+* A rebuild solves only the live graph: the DP rows of the source
+  regions of the streams the next sweep visits (the unplaced ones; for
+  the best-effort pass, the leftover ones), over the regions that still
+  have capacity; the epoch's first build solves every source.  This is
+  exact.  Row ``i`` of every DP layer reads only row ``i`` of the
+  previous layer and the edge matrix ``w``, and route reconstruction
+  takes each prefix from the same row, so a row's routes do not depend
+  on which other rows are solved.  A region with no capacity left has,
+  in a full build, an all-inf row and column in ``w`` (every edge
+  touching it is unusable): as a relay it never attains a finite
+  minimum, so argmin's first-minimum choice among the remaining relays,
+  kept in region order, is unchanged; as a source or destination its
+  pairs have no route (0 hops, distance inf), which is what a pair
+  outside the restricted table reads.
 * Link state arrives as one `LinkStateSnapshot` per call.  The
   latency/loss/fee matrices and the capacity-independent edge weights
   are shared by **every** graph rebuild within the call — only the
@@ -314,36 +328,43 @@ class _EdgeWeights:
 _DP_ROW_CHUNK = 8
 
 
-def _dp_layers(w: np.ndarray, n_layers: int
+def _dp_layers(w: np.ndarray, rows: np.ndarray, n_layers: int
                ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
-    """Hop-limited min-plus DP over all source rows.
+    """Hop-limited min-plus DP over the source rows `rows` of `w`.
 
-    Returns (dist, vias, improved) with per-layer via/improved matrices.
-    The add is laid out as ``stacked[i, j, m] = dist[i, m] + wT[j, m]``
-    over the C-contiguous transpose so the argmin reduces over the
-    contiguous last axis — the same IEEE adds and the same first-minimum
-    tie-breaking as the (i, m, j) layout.  Rows are processed through a
-    small reused buffer instead of materialising the (N, N, N) cube:
+    Returns (dist, vias, improved) with per-layer via/improved matrices,
+    one row per entry of `rows`.  Row ``i`` of every layer reads only
+    row ``i`` of the previous layer and `w`, so a row's values do not
+    depend on which other rows are solved.  The add is laid out as
+    ``stacked[i, j, m] = dist[i, m] + wT[j, m]`` over the C-contiguous
+    transpose so the argmin reduces over the contiguous last axis — the
+    same IEEE adds and the same first-minimum tie-breaking as the
+    (i, m, j) layout — and the best value is gathered at the argmin
+    rather than reduced a second time.  Rows are processed through a
+    small reused buffer instead of materialising the (R, N, N) cube:
     identical element-wise operations, but ~3x faster at N=200 (the
     cube's fresh 64 MB allocation per layer is pure page-fault
     overhead).
     """
     n = w.shape[0]
     wT = np.ascontiguousarray(w.T)
-    dist = w.copy()
+    dist = w[rows]
+    n_rows = len(rows)
     vias: List[np.ndarray] = []
     improved_layers: List[np.ndarray] = []
-    chunk = min(_DP_ROW_CHUNK, max(n, 1))
+    chunk = min(_DP_ROW_CHUNK, max(n_rows, 1))
     buf = np.empty((chunk, n, n))
     for __ in range(n_layers):
-        best_m = np.empty((n, n), dtype=np.int64)
-        best_val = np.empty((n, n))
-        for c0 in range(0, n, chunk):
-            c1 = min(c0 + chunk, n)
+        best_m = np.empty((n_rows, n), dtype=np.int64)
+        best_val = np.empty((n_rows, n))
+        for c0 in range(0, n_rows, chunk):
+            c1 = min(c0 + chunk, n_rows)
             b = buf[:c1 - c0]
             np.add(dist[c0:c1, None, :], wT[None, :, :], out=b)
-            np.argmin(b, axis=2, out=best_m[c0:c1])
-            np.min(b, axis=2, out=best_val[c0:c1])
+            m = best_m[c0:c1]
+            np.argmin(b, axis=2, out=m)
+            best_val[c0:c1] = np.take_along_axis(b, m[:, :, None],
+                                                 axis=2)[:, :, 0]
         improved = best_val < dist - 1e-12
         vias.append(best_m)
         improved_layers.append(improved)
@@ -352,28 +373,31 @@ def _dp_layers(w: np.ndarray, n_layers: int
 
 
 def _all_routes(dist: np.ndarray, vias: List[np.ndarray],
-                improved: List[np.ndarray]
-                ) -> Tuple[np.ndarray, np.ndarray]:
+                improved: List[np.ndarray], sources: np.ndarray,
+                regions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Every pair's route from the DP's per-layer predecessors.
 
-    Returns ``(nodes, hops)``: ``nodes[i, j, :hops[i, j] + 1]`` is the
-    region sequence of the best route ``i -> j`` (``hops`` 0 where there
-    is none).  Per-layer predecessors make reconstruction respect the
-    hop limit exactly (a single merged predecessor matrix could splice
-    a longer prefix in and overshoot it): a pair that layer ``k``
-    improved via ``m`` takes the layer ``k - 1`` route ``i -> m`` and
-    appends ``j`` — one gather per layer over the improved pairs.
+    Row ``i`` of the DP starts at region ``sources[i]`` and column ``j``
+    is region ``regions[j]`` (relays are column indices too).  Returns
+    ``(nodes, hops)``: ``nodes[i, j, :hops[i, j] + 1]`` is the region
+    sequence of the best route ``sources[i] -> regions[j]`` (``hops`` 0
+    where there is none).  Per-layer predecessors make reconstruction
+    respect the hop limit exactly (a single merged predecessor matrix
+    could splice a longer prefix in and overshoot it): a pair that
+    layer ``k`` improved via ``m`` takes the layer ``k - 1`` route
+    ``i -> m`` — from the same row — and appends ``j``: one gather per
+    layer over the improved pairs.
     """
-    n = dist.shape[0]
-    nodes = np.zeros((n, n, len(vias) + 2), dtype=np.intp)
-    nodes[:, :, 0] = np.arange(n)[:, None]
-    nodes[:, :, 1] = np.arange(n)[None, :]
-    hops = np.ones((n, n), dtype=np.intp)
+    n_rows, n_cols = dist.shape
+    nodes = np.zeros((n_rows, n_cols, len(vias) + 2), dtype=np.intp)
+    nodes[:, :, 0] = sources[:, None]
+    nodes[:, :, 1] = regions[None, :]
+    hops = np.ones((n_rows, n_cols), dtype=np.intp)
     for via, better in zip(vias, improved):
         i, j = np.nonzero(better)
         m = via[i, j]
         prefix, prefix_hops = nodes[i, m], hops[i, m]
-        prefix[np.arange(i.size), prefix_hops + 1] = j
+        prefix[np.arange(i.size), prefix_hops + 1] = regions[j]
         nodes[i, j] = prefix
         hops[i, j] = prefix_hops + 1
     hops[~np.isfinite(dist)] = 0
@@ -381,32 +405,38 @@ def _all_routes(dist: np.ndarray, vias: List[np.ndarray],
 
 
 class _ShortestPaths:
-    """Hop-limited all-pairs shortest routes over the hybrid graph: one
-    route table per build, as flat lists indexed by ``src * N + dst``.
+    """Hop-limited shortest routes over the hybrid graph from a set of
+    source regions: one route table per build, as flat lists indexed by
+    `index` — the source's row times the number of columns, plus the
+    destination's column.
 
+    Rows are the given `sources` that still have capacity; columns (and
+    relays) are every region that still has capacity, in region order.
     ``hops[k]`` is pair ``k``'s hop count (0: unreachable),
     ``rows[k * width : k * width + 2 * hops[k] + 1]`` its resource row
     (see `_RouteTable`), ``keys[k * stride : (k + 1) * stride]`` the
-    padded row's bytes (the interning key) and ``latency_ms[k]`` /
+    padded row's bytes (the interning key), ``latency_ms[k]`` /
     ``loss_rate[k]`` its metrics on the epoch snapshot, accumulated hop
     by hop left to right — the operations of
     `LinkStateSnapshot.path_latency_ms` and of Table 1's
-    ``1 - prod(1 - hop loss)``.
+    ``1 - prod(1 - hop loss)`` — and ``dist[k]`` its weighted length.
+    A pair outside the table (its source not solved, or an end without
+    capacity) indexes one trailing entry: 0 hops, length inf.
     """
 
     def __init__(self, weights: _EdgeWeights, config: ControlConfig,
-                 residuals: List[float], enforce_loss: bool = True):
+                 residuals: List[float], sources: np.ndarray,
+                 enforce_loss: bool = True):
         # An edge is unusable if its own loss already violates the path
         # loss budget (unless running the best-effort fallback pass), or
-        # if it has no residual capacity.
+        # if its link has no residual capacity; regions without capacity
+        # are left out of the DP below.
         n = weights.lat.shape[1]
         left = np.array(residuals) > 0.0
-        region_ok = left[:n]
         usable = (weights.quality_ok if enforce_loss
                   else weights.exists).copy()
         usable[0] &= left[n:2 * n, None]
         usable[1] &= left[2 * n:].reshape(n, n)
-        usable &= region_ok[None, :, None] & region_ok[None, None, :]
         weight = np.where(usable, weights.weight, np.inf)
 
         # Per-edge best link type (hybrid choice).
@@ -414,16 +444,23 @@ class _ShortestPaths:
         w = np.min(weight, axis=0)
         np.fill_diagonal(w, np.inf)
 
-        # Min-plus DP: layer k holds the best distance using <= k+1 hops.
-        self.dist, vias, improved = _dp_layers(w, config.max_hops - 1)
-        nodes, hops = _all_routes(self.dist, vias, improved)
+        # Min-plus DP: layer k holds the best distance using <= k+1 hops,
+        # over the regions with capacity left and from the live sources.
+        region_ok = left[:n]
+        live = np.flatnonzero(region_ok)
+        col = np.full(n, -1, dtype=np.intp)
+        col[live] = np.arange(live.size)
+        sources = sources[region_ok[sources]]
+        dist, vias, improved = _dp_layers(w[np.ix_(live, live)],
+                                          col[sources], config.max_hops - 1)
+        nodes, hops = _all_routes(dist, vias, improved, sources, live)
         max_hops = nodes.shape[2] - 1
 
         a, b = nodes[:, :, :-1], nodes[:, :, 1:]
         link_type = best_type[a, b]
         hop_latency = weights.lat[link_type, a, b]
         hop_survive = 1.0 - weights.loss[link_type, a, b]
-        latency, survive = np.zeros((n, n)), np.ones((n, n))
+        latency, survive = np.zeros(hops.shape), np.ones(hops.shape)
         for h in range(max_hops):
             on_route = hops > h
             latency = np.where(on_route, latency + hop_latency[:, :, h],
@@ -433,19 +470,32 @@ class _ShortestPaths:
 
         link = np.where(link_type == _INTERNET, n + a, 2 * n + a * n + b)
         self.width = 2 * max_hops + 1
-        rows = np.full((n, n, self.width), -1, dtype=np.int32)
+        rows = np.full(hops.shape + (self.width,), -1, dtype=np.int32)
         for h in range(1, max_hops + 1):
             of_length = hops == h
             rows[of_length, :h + 1] = nodes[of_length, :h + 1]
             rows[of_length, h + 1:2 * h + 1] = link[of_length, :h]
+        # The source -> row map, and the trailing entry every pair
+        # outside the table indexes.
+        self._row = np.full(n, -1, dtype=np.intp)
+        self._row[sources] = np.arange(sources.size)
+        self._col, self._cols, self._outside = col, live.size, hops.size
+        self.dist = np.append(dist.ravel(), np.inf)
         # Flat lists: the greedy loop reads single elements, and a
-        # nested ``tolist`` would build N * N small lists per build.
+        # nested ``tolist`` would build one small list per pair.
         self.hops: List[int] = hops.ravel().tolist()
+        self.hops.append(0)
         self.rows: List[int] = rows.ravel().tolist()
         self.keys = rows.tobytes()
         self.stride = self.width * rows.itemsize
         self.latency_ms: List[float] = latency.ravel().tolist()
         self.loss_rate: List[float] = (1.0 - survive).ravel().tolist()
+
+    def index(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The flat index of each region pair ``(src[k], dst[k])``."""
+        row, col = self._row[src], self._col[dst]
+        return np.where((row >= 0) & (col >= 0), row * self._cols + col,
+                        self._outside)
 
 
 class EpochSolveContext:
@@ -499,7 +549,8 @@ class EpochSolveContext:
             if _TEL.enabled:
                 _TEL.counter("pathcontrol.context_sp_reuses").inc()
             return sp
-        sp = self._sp_cache[key] = _ShortestPaths(weights, config, residuals)
+        sp = self._sp_cache[key] = _ShortestPaths(
+            weights, config, residuals, np.arange(weights.lat.shape[1]))
         return sp
 
 
@@ -545,9 +596,7 @@ def path_control(streams: StreamTable, codes: List[str],
         raise ValueError(f"stream table regions {streams.codes} do not "
                          f"match the solver's {codes}")
     src_idx, dst_idx = streams.src, streams.dst
-    pair: List[int] = (src_idx * len(codes) + dst_idx).tolist()
-    demand: List[float] = streams.mbps.tolist()
-    remaining = list(demand)
+    remaining: List[float] = streams.mbps.tolist()
 
     # Latency limits are anchored to the direct premium latency of each
     # pair (the best the underlay can do).  Vectorised, but element-wise
@@ -557,46 +606,50 @@ def path_control(streams: StreamTable, codes: List[str],
         config.latency_limit_floor_ms,
         config.latency_limit_stretch * lat_premium[src_idx, dst_idx]).tolist()
 
-    def ordered(active_pos: List[int]) -> List[int]:
-        """Order stream positions for one pass (paper's line 8).
+    def ordered(active: List[int], sp: _ShortestPaths
+                ) -> Tuple[List[int], List[int]]:
+        """Order stream positions for one pass (paper's line 8); returns
+        them with each one's pair index into `sp`.
 
         The latency orderings sort by current shortest-path latency with
         non-finite latencies keyed as 0.0; `np.argsort(kind="stable")`
         produces exactly the permutation a stable `sorted` over the same
         keys would.
         """
+        pos = np.asarray(active, dtype=np.intp)
+        flat = sp.index(src_idx[pos], dst_idx[pos])
         if ordering == "input":
-            return active_pos
+            return active, flat.tolist()
         if ordering == "demand_desc":
-            return sorted(active_pos, key=lambda p: -demand[p])
-        pos = np.asarray(active_pos, dtype=np.intp)
-        lat = sp.dist[src_idx[pos], dst_idx[pos]]
-        keys = np.where(np.isfinite(lat), lat, 0.0)
-        if ordering == "latency_desc":
-            keys = -keys
+            keys = -streams.mbps[pos]
+        else:
+            lat = sp.dist[flat]
+            keys = np.where(np.isfinite(lat), lat, 0.0)
+            if ordering == "latency_desc":
+                keys = -keys
         order = np.argsort(keys, kind="stable")
-        return [active_pos[k] for k in order.tolist()]
+        return pos[order].tolist(), flat[order].tolist()
 
     loss_limit, route_ids = config.loss_limit, routes.ids
     position, route = result.position, result.route
     amount, meets = result.mbps, result.meets
 
-    def sweep(order: List[int], sp: _ShortestPaths,
+    def sweep(order: List[int], flat: List[int], sp: _ShortestPaths,
               quality: bool) -> List[int]:
         """Visit the streams at positions `order` once, each taking as
         much of its remaining demand as its current route's tightest
         residual allows; returns those that could not be placed in
-        full.  `quality` is False on the best-effort pass, whose
-        assignments never meet the constraints."""
+        full.  `flat` holds each one's pair index into `sp`.  `quality`
+        is False on the best-effort pass, whose assignments never meet
+        the constraints."""
         hops, rows, width = sp.hops, sp.rows, sp.width
         keys, stride = sp.keys, sp.stride
         latency_ms, loss_rate = sp.latency_ms, sp.loss_rate
         blocked: List[int] = []
-        for p in order:
+        for p, k in zip(order, flat):
             want = remaining[p]
             if want <= 0:
                 continue
-            k = pair[p]
             n_hops = hops[k]
             if not n_hops:
                 blocked.append(p)  # no route on this graph
@@ -628,38 +681,38 @@ def path_control(streams: StreamTable, codes: List[str],
                 blocked.append(p)  # leftover demand needs another path
         return blocked
 
-    def rebuilt(enforce_loss: bool) -> _ShortestPaths:
+    def rebuilt(unplaced: List[int], enforce_loss: bool) -> _ShortestPaths:
+        """The graph on the current residuals, from the sources of the
+        streams at positions `unplaced` (the next sweep's)."""
         if _TEL.enabled:
             _TEL.counter("pathcontrol.snapshot_reuses").inc()
-        return _ShortestPaths(weights, config, values, enforce_loss)
+        return _ShortestPaths(weights, config, values,
+                              np.unique(src_idx[unplaced]), enforce_loss)
 
     active: List[int] = np.flatnonzero(streams.mbps > 0).tolist()
     rebuilds = 0
-    while active and rebuilds <= REBUILD_BUDGET:
+    while active:
         # Sort by current shortest-path latency, descending (line 8).
         placed = len(position)
-        blocked = sweep(ordered(active), sp, True)
+        blocked = sweep(*ordered(active, sp), sp, True)
         active = [p for p in blocked if remaining[p] > 1e-9]
-        if not active:
+        if not active or len(position) == placed:
+            break  # all placed, or no capacity left for the rest
+        if rebuilds == REBUILD_BUDGET:
+            # The budget ran out with streams still unplaced (as opposed
+            # to running out of capacity, above): their residual demand
+            # goes to `unassigned` / the fallback pass, loudly.
+            warnings.warn(
+                f"path_control exhausted its rebuild budget "
+                f"({REBUILD_BUDGET} rebuilds) with {len(active)} streams "
+                "still unplaced; their residual demand falls through to "
+                "the best-effort pass", UserWarning, stacklevel=2)
+            if _TEL.enabled:
+                _TEL.counter("pathcontrol.rebuild_budget_exhausted").inc(
+                    len(active))
             break
-        if len(position) == placed:
-            break  # no capacity anywhere; give up on the rest
-        sp = rebuilt(True)
+        sp = rebuilt(active, True)
         rebuilds += 1
-
-    if active and rebuilds > REBUILD_BUDGET:
-        # The budget ran out with streams still unplaced (as opposed to
-        # running out of capacity, which breaks the loop above).  They
-        # silently fell through to `unassigned`/the fallback pass before
-        # this was surfaced.
-        warnings.warn(
-            f"path_control exhausted its rebuild budget "
-            f"({REBUILD_BUDGET} rebuilds) with {len(active)} streams "
-            "still unplaced; their residual demand falls through to the "
-            "best-effort pass", UserWarning, stacklevel=2)
-        if _TEL.enabled:
-            _TEL.counter("pathcontrol.rebuild_budget_exhausted").inc(
-                len(active))
 
     # Best-effort fallback: streams that found no quality-feasible edge at
     # all (e.g. a global loss episode) are still carried — production
@@ -668,7 +721,10 @@ def path_control(streams: StreamTable, codes: List[str],
     leftover: List[int] = np.flatnonzero(
         np.array(remaining) > 1e-9).tolist()
     if leftover:
-        sweep(leftover, rebuilt(False), False)
+        sp = rebuilt(leftover, False)
+        sweep(leftover,
+              sp.index(src_idx[leftover], dst_idx[leftover]).tolist(),
+              sp, False)
 
     left = np.array(remaining)
     unassigned = np.flatnonzero(left > 1e-9)

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
@@ -18,6 +19,7 @@ from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
 from repro.faults import (FaultInjector, FaultSchedule, report_drop,
                           report_staleness)
 from repro.underlay.snapshot import TYPE_ORDER
+from tests.controlplane.nib_oracle import store_reports
 from tests.snapshots import nib_history
 
 CODES = ("A", "B", "C", "D")
@@ -109,6 +111,47 @@ class TestBatchEqualsOneByOne:
         for report in batch:
             assert nib_history(nib, report.src, report.dst,
                                report.link_type) == [report]
+
+
+#: Regions a drawn report list names: two the NIB may know in advance,
+#: three it may meet first in the list.
+POOL = ("B", "A", "E", "C", "D")
+drawn_reports = st.lists(st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(POOL), st.sampled_from(POOL)).filter(
+        lambda pair: pair[0] != pair[1]).flatmap(
+        lambda pair: st.builds(
+            LinkReport, st.just(pair[0]), st.just(pair[1]),
+            st.sampled_from(TYPE_ORDER),
+            st.sampled_from([5.0, 7.5, 120.0, 0.1]),
+            st.sampled_from([0.0, 0.001, 0.5, 1.0]),
+            # Few instants: repeats, ties, stale and out-of-order ones.
+            st.sampled_from([1.0, 2.0, 3.0, 2.5])))), max_size=40)
+
+
+def state(nib):
+    """The NIB's whole store, bit for bit."""
+    return ([ring.tobytes() for ring in (
+        nib._ring_lat, nib._ring_loss, nib._ring_at, nib._ring_total)],
+        [ring.shape for ring in (nib._ring_lat, nib._ring_total)],
+        nib.version, list(nib._codes), dict(nib._index))
+
+
+@given(st.integers(1, 3), st.sampled_from([(), ("B", "A")]),
+       st.lists(drawn_reports, min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_report_lists_equal_the_layer_by_layer_oracle(window, known,
+                                                      calls):
+    """`_store_reports` equals the per-report dict of tuple keys it
+    replaced — duplicates, dropped (None) reports, unknown regions,
+    stale and out-of-order reports, over several calls."""
+    arrays = NetworkInformationBase(window=window, codes=known)
+    oracle = NetworkInformationBase(window=window, codes=known)
+    for reports in calls:
+        arrays._store_reports(iter(reports))
+        store_reports(oracle, reports)
+        assert state(arrays) == state(oracle)
+    assert arrays.export_reports() == oracle.export_reports()
 
 
 def faulted(ingest_of):

@@ -258,6 +258,26 @@ class TestRebuildBudget:
         assert assigned + residual == pytest.approx(1200.0)
         assert residual > 0
 
+    def test_no_graph_is_built_past_the_budget(self, no_rebuilds,
+                                              monkeypatch):
+        """The budget is checked before a rebuild: with none allowed, the
+        solve builds the first graph and the fallback's, and counts no
+        rebuild."""
+        built = []
+
+        class Counting(pathcontrol._ShortestPaths):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(pathcontrol, "_ShortestPaths", Counting)
+        streams = table(stream(1, "A", "B", 600.0),
+                        stream(2, "A", "B", 600.0))
+        with pytest.warns(UserWarning, match=r"\(0 rebuilds\)"):
+            result = path_control(streams, CODES, make_state(), cfg(),
+                                  gateways={c: 1 for c in CODES})
+        assert len(built) == 2 and result.graph_rebuilds == 0
+
     def test_sufficient_budget_does_not_warn(self):
         import warnings as _warnings
 

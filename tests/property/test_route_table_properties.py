@@ -85,7 +85,8 @@ def test_route_table_equals_the_scalar_reconstruction(graph):
     codes, n = snap.codes, len(snap.codes)
     config = ControlConfig(max_hops=max_hops)
     weights = _EdgeWeights(snap, config, None)
-    sp = _ShortestPaths(weights, config, _residuals(codes, config, None))
+    sp = _ShortestPaths(weights, config, _residuals(codes, config, None),
+                        np.arange(n))
     routes = _RouteTable(codes)
 
     # The oracle's own graph: every residual is positive, so an edge is
@@ -94,7 +95,7 @@ def test_route_table_equals_the_scalar_reconstruction(graph):
     best_type = np.argmin(weight, axis=0)
     w = np.min(weight, axis=0)
     np.fill_diagonal(w, INF)
-    dist, vias, improved = _dp_layers(w, max_hops - 1)
+    dist, vias, improved = _dp_layers(w, np.arange(n), max_hops - 1)
 
     for i in range(n):
         for j in range(n):
