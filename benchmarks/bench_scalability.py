@@ -250,11 +250,12 @@ def test_cluster_install(benchmark, n_regions):
 # --------------------------------------------------------------------------
 #
 # Per five-minute epoch the grid engine asks `Underlay.link_series` for
-# every on-path link on the 0.4 s burst grid (750 instants): the
-# largest single span of an `epoch_n11` run (docs/performance.md, "Grid
-# engine").  At paper scale an epoch's ~91 hops are one block; at 100
-# regions the thousands of hops are cut into blocks of `_BLOCK_ELEMENTS`
-# (hops x instants) elements, and one such block is the unit of cost.
+# every on-path link on the 0.4 s burst grid (750 instants; with the
+# 5 s eval grid merged in, 809): the largest single span of an
+# `epoch_n11` run (docs/performance.md, "Grid engine").  At paper scale
+# an epoch's ~91 hops are one block; at 100 regions the thousands of
+# hops are cut into blocks of `_BLOCK_ELEMENTS` (hops x instants)
+# elements, and one such block is the unit of cost.
 
 #: region count -> (hops in the block, hard budget per block).  The
 #: per-hop, per-instant evaluation this replaced took 11.5-18.5 ms at
@@ -293,6 +294,57 @@ def test_link_series_block(benchmark, n_regions):
     assert lat.shape == loss.shape == (n_hops, _BLOCK_BURSTS)
     assert np.all(lat > 0.0) and np.all((loss >= 0.0) & (loss <= 1.0))
     assert benchmark.stats["mean"] < budget_s
+
+
+# --------------------------------------------------------------------------
+# One epoch of the grid engine (§6's figures)
+# --------------------------------------------------------------------------
+#
+# Every paper figure is computed by `EpochSimulator`: per five-minute
+# epoch the demand snapshot, the monitoring push, the controller, one
+# link-series pass per block of on-path hops over the eval and burst
+# grids at once, the detour hops, and one effective-path pass over every
+# pair (docs/performance.md, "Grid engine").  One epoch of full XRON on
+# the paper world is the unit of cost of the `epoch_n11` workload.
+
+#: region count -> hard budget per epoch.  The paper world's epochs
+#: from 01:00 UTC took a median 47 ms on the reference box with a
+#: reaction evaluation per pair and each path hop's link truth read
+#: twice, and take 41 ms with one fill and one pass (ten means each,
+#: spread about +-8 ms; the controller is about half of an epoch).  The
+#: budget leaves room for a host twice as slow.
+GRID_EPOCH_BUDGET_S = {11: 0.1}
+
+
+@pytest.mark.parametrize("n_regions", sorted(GRID_EPOCH_BUDGET_S),
+                         ids=lambda n: f"n{n:03d}")
+@pytest.mark.benchmark(min_rounds=30)
+def test_grid_epoch(benchmark, n_regions):
+    """`EpochSimulator.run` over one epoch of `xron()` on the paper
+    world (`standard_underlay`, `standard_demand`), the next epoch each
+    round (so every timeline is searched again, as in a run)."""
+    from repro.core.config import SimulationConfig
+    from repro.core.simulator import EpochSimulator
+    from repro.core.variants import xron
+
+    u = standard_underlay()
+    simulator = EpochSimulator(u, standard_demand(), xron(),
+                               SimulationConfig(seed=7))
+    epoch_s, step_s = (simulator.sim_config.epoch_s,
+                       simulator.sim_config.eval_step_s)
+    starts = (k * epoch_s for k in itertools.count(12))
+
+    def epoch():
+        return simulator.run(next(starts), epoch_s)
+
+    epoch()  # first-call paths, the container pools
+    with simulator:
+        result = benchmark(epoch)
+    assert len(u.codes) == n_regions
+    assert result.latency_ms.shape == (n_regions * (n_regions - 1),
+                                       round(epoch_s / step_s))
+    assert result.epoch_starts[0] + epoch_s <= u.table.horizon_s
+    assert benchmark.stats["mean"] < GRID_EPOCH_BUDGET_S[n_regions]
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,8 @@ Three subcommands:
     (``test_sweep_*[nNNN]``, ``test_probe_instant[nNNN]``,
     ``test_link_series_block[nNNN]``, ``test_cluster_install[nNNN]``,
     ``test_reaction_plans[nNNN]``, ``test_sweep_underlay_build[nNNN]``,
-    ``test_underlay_build_paper[nNNN]``, ``test_sweep_demand_build[nNNN]``)
-    are gated per point: points missing
+    ``test_underlay_build_paper[nNNN]``, ``test_sweep_demand_build[nNNN]``,
+    ``test_grid_epoch[nNNN]``) are gated per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
     budget up to the per-benchmark region cap in
@@ -37,9 +37,9 @@ Three subcommands:
     summary holds them, of one probing instant of the event engine,
     one block of link series of the grid engine, one region's
     install plus a scale-up, the planet-scale control epoch with its
-    reaction-plan pass, and the underlay builds (planet scale and the
-    paper's) and the planet-scale demand build
-    (``baseline_pre_refactor`` vs ``current``).
+    reaction-plan pass, the underlay builds (planet scale and the
+    paper's), the planet-scale demand build and one epoch of the grid
+    engine (``baseline_pre_refactor`` vs ``current``).
     ``--check docs/performance.md`` fails (exit 1) when the committed
     block is not byte-equal to its rendering, so the doc cannot drift
     from the ledger.
@@ -86,7 +86,9 @@ GATED = (
 #: planet-scale epoch and reaction-plan rows (before: a path object per
 #: visit and per plan candidate) and the underlay- and demand-build rows
 #: (before: one timeline compile and one numpy stream constructor per
-#: link or pair) appear once the summary holds them.
+#: link or pair) and the grid-epoch row (before: each path hop's link
+#: truth evaluated twice, the reaction evaluated pair by pair) appear
+#: once the summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale_snapshot":
         (" (step 1)", "test_path_control_paper_scale"),
@@ -124,6 +126,9 @@ TABLE_ROWS = {
          "test_underlay_build_paper[n011]"),
     "test_sweep_demand_build[n100]":
         (" (100 regions, 9 900 pairs)", "test_sweep_demand_build[n100]"),
+    "test_grid_epoch[n011]":
+        (" (11 regions, 110 pairs, one `EpochSimulator` epoch)",
+         "test_grid_epoch[n011]"),
 }
 
 #: Marker comments around the rendered table in docs/performance.md.
@@ -136,8 +141,8 @@ TABLE_END = "<!-- control-loop-table:end -->"
 #: *skipped*, not failed — CI's scale-smoke job deliberately runs a
 #: subset of the sweep (``-k "sweep and (n011 or n100 or n200)"``), and
 #: perf-smoke, which runs the probing instant, the link-series block,
-#: the cluster install, the reaction-plan pass and the paper-scale
-#: underlay build, none of it.
+#: the cluster install, the reaction-plan pass, the paper-scale
+#: underlay build and the grid epoch, none of it.
 SWEEP_GATED = (
     "test_probe_instant",
     "test_link_series_block",
@@ -146,6 +151,7 @@ SWEEP_GATED = (
     "test_sweep_underlay_build",
     "test_underlay_build_paper",
     "test_sweep_demand_build",
+    "test_grid_epoch",
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",

@@ -136,18 +136,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
         underlay_config=UnderlayConfig(horizon_s=max(horizon, 2 * 86400.0)),
         sim_config=SimulationConfig(epoch_s=args.epoch, eval_step_s=args.step,
                                     seed=args.seed))
+    if args.hours <= 0:
+        print("error: pass a positive --hours", file=sys.stderr)
+        return 2
+    try:
+        simulator = system.simulator(make())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"simulating {args.hours:g} h of '{args.variant}' from "
           f"{args.start_hour:g}:00 UTC (seed {args.seed}) ...")
+    window = (args.start_hour * 3600.0, args.hours * 3600.0)
     if args.telemetry:
         from repro import obs
         with obs.capture() as hub:
-            result = system.run(variant=make(), start_hour=args.start_hour,
-                                hours=args.hours)
+            result = simulator.run(*window)
         _write_telemetry(args.telemetry, hub, command="run",
                          variant=args.variant)
     else:
-        result = system.run(variant=make(), start_hour=args.start_hour,
-                            hours=args.hours)
+        result = simulator.run(*window)
     qoe = result.qoe_summary()
     lat = result.latency_percentiles(weighted=False)
     loss = result.loss_percentiles(weighted=False)

@@ -36,8 +36,8 @@ from repro.core.variants import VariantSpec
 from repro.cost.accounting import PairCostLedger
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.estimator import load_filter, reaction_active_series
-from repro.dataplane.forwarding import (backup_path,
-                                        effective_path_series)
+from repro.dataplane.forwarding import (effective_path_series,
+                                        path_detours)
 from repro.dataplane.grouping import ProbingGroupManager
 from repro.dataplane.probing import burst_series, link_seed
 from repro.elastic.containers import ContainerPool
@@ -56,24 +56,24 @@ _TEL = _telemetry()
 
 #: Upper bound on the elements of one (hops x instants) block the link
 #: cache evaluates: an n11 epoch's ~91 hops fit one block even on the
-#: 0.4 s burst grid, while n100's thousands of hops are cut into blocks
-#: whose temporaries stay near a megabyte each.
+#: union of the 5 s eval and 0.4 s burst grids, while n100's thousands
+#: of hops are cut into blocks whose temporaries stay near a megabyte
+#: each.
 _BLOCK_ELEMENTS = 1 << 17
 
 
 class _EpochLinkCache:
     """Per-epoch, per-hop link series and reaction flags, computed once.
 
-    The simulator fills it a list of hops at a time (`fill_series`,
-    `fill_reaction`); a hop asked for without having been announced is
-    a block of one through the same code.
+    The simulator fills it a list of hops at a time (`fill`); a hop
+    asked for without having been announced is a block of one through
+    the same code.
     """
 
     def __init__(self, underlay: Underlay, t0: float, t1: float,
                  eval_step_s: float, monitoring: MonitoringConfig,
                  reaction: ReactionConfig,
-                 probe_seed: Callable[[PathHop], int],
-                 enable_reaction: bool):
+                 probe_seed: Callable[[PathHop], int]):
         self.underlay = underlay
         self.t0, self.t1 = t0, t1
         self.times = np.arange(t0, t1, eval_step_s)
@@ -81,65 +81,59 @@ class _EpochLinkCache:
         self.reaction_config = reaction
         #: hop -> seed of its probing hash-noise stream.
         self.probe_seed = probe_seed
-        self.enable_reaction = enable_reaction
         self._series: Dict[PathHop, Tuple[np.ndarray, np.ndarray]] = {}
         self._reaction: Dict[PathHop, np.ndarray] = {}
+        # `burst_series`' grid, as it builds it.
+        bursts = np.arange(t0, t1, monitoring.burst_interval_s)
+        #: Every instant a probed hop is evaluated at: both grids.
+        self._grid = np.union1d(bursts, self.times)
         #: The burst whose flag each eval instant takes (the last one at
-        #: or before it); every block probes the same burst grid, so the
-        #: first block's serves them all.
-        self._burst_of: Optional[np.ndarray] = None
+        #: or before it).
+        self._burst_of = np.clip(
+            np.searchsorted(bursts, self.times, side="right") - 1,
+            0, bursts.size - 1)
 
     def series(self, hop: PathHop) -> Tuple[np.ndarray, np.ndarray]:
         if hop not in self._series:
-            self.fill_series([hop])
+            self.fill([hop], probe=False)
         return self._series[hop]
 
     def reaction(self, hop: PathHop) -> np.ndarray:
         """Burst-level degradation detection, resampled to the eval grid."""
-        if not self.enable_reaction:
-            return np.zeros(self.times.size, dtype=bool)
         if hop not in self._reaction:
-            self.fill_reaction([hop])
+            self.fill([hop])
         return self._reaction[hop]
 
-    def fill_series(self, hops: Iterable[PathHop]) -> None:
-        """Evaluate the (latency, loss) series of every hop not cached
-        yet, a block at a time."""
-        new = [hop for hop in dict.fromkeys(hops) if hop not in self._series]
-        for block in _blocks(new, self.times.size):
-            lat, loss = self.underlay.link_series(block, self.times)
-            self._series.update(zip(block, zip(lat, loss)))
-
-    def fill_reaction(self, hops: Iterable[PathHop]) -> None:
-        """Probe every hop not cached yet on the burst grid and run the
-        degradation detector, a block at a time."""
-        if not self.enable_reaction:
-            return
-        new = [hop for hop in dict.fromkeys(hops)
-               if hop not in self._reaction]
-        # The length of `burst_series`' grid, as `np.arange` counts it.
-        n_bursts = math.ceil((self.t1 - self.t0)
-                             / self.monitoring.burst_interval_s)
-        for block in _blocks(new, n_bursts):
+    def fill(self, hops: Iterable[PathHop], probe: bool = True) -> None:
+        """Evaluate every hop not cached yet, a block at a time: its
+        (latency, loss) series on the eval grid and, with `probe`, its
+        bursts and the degradation flags they raise — both read from one
+        `link_series` call over the union of the two grids."""
+        done = self._reaction if probe else self._series
+        new = [hop for hop in dict.fromkeys(hops) if hop not in done]
+        grid = self._grid if probe else self.times
+        step = max(1, _BLOCK_ELEMENTS // grid.size)
+        for block in (new[lo:lo + step] for lo in range(0, len(new), step)):
+            on_grid = partial(_columns, grid,
+                              self.underlay.link_series(block, grid))
+            self._series.update(zip(block, zip(*on_grid(self.times))))
+            if not probe:
+                continue
             seeds = np.array([self.probe_seed(hop) for hop in block],
                              dtype=np.uint64)[:, None]
-            bt, blat, bloss = burst_series(
-                partial(self.underlay.link_series, block), self.t0, self.t1,
-                self.monitoring, seeds)
+            __, blat, bloss = burst_series(on_grid, self.t0, self.t1,
+                                           self.monitoring, seeds)
             flags = reaction_active_series(blat, bloss, self.reaction_config,
                                            self.monitoring)
-            if self._burst_of is None:
-                self._burst_of = np.clip(
-                    np.searchsorted(bt, self.times, side="right") - 1,
-                    0, bt.size - 1)
             self._reaction.update(zip(block, flags[:, self._burst_of]))
 
 
-def _blocks(hops: List[PathHop], n_instants: int):
-    """`hops` cut into runs of at most `_BLOCK_ELEMENTS` / `n_instants`."""
-    step = max(1, _BLOCK_ELEMENTS // max(1, n_instants))
-    for lo in range(0, len(hops), step):
-        yield hops[lo:lo + step]
+def _columns(grid: np.ndarray, series: Tuple[np.ndarray, np.ndarray],
+             times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns of a block's (latency, loss) over `grid` at `times`,
+    instants of that grid."""
+    cols = np.searchsorted(grid, times)
+    return series[0][:, cols], series[1][:, cols]
 
 
 @dataclass
@@ -215,15 +209,16 @@ class SimulationResult:
 
     def qoe_summary(self) -> QoESummary:
         """QoE over the whole window, demand-weight-pooled across pairs."""
-        return self._qoe_for_slice(slice(0, self.times.size))
+        return self._qoe_for_slice(slice(0, self.times.size),
+                                   self.sample_weights())
 
     def qoe_per_day(self) -> List[QoESummary]:
         steps_per_day = int(round(86400.0 / self.eval_step_s))
-        summaries = []
-        for d0 in range(0, self.times.size, steps_per_day):
-            summaries.append(self._qoe_for_slice(
-                slice(d0, min(d0 + steps_per_day, self.times.size))))
-        return summaries
+        weights = self.sample_weights()
+        return [self._qoe_for_slice(
+                    slice(d0, min(d0 + steps_per_day, self.times.size)),
+                    weights)
+                for d0 in range(0, self.times.size, steps_per_day)]
 
     def backup_fraction(self) -> float:
         """Demand-weighted fraction of traffic-time on reaction paths."""
@@ -243,14 +238,14 @@ class SimulationResult:
         return float(self.path_change_fraction[1:].mean())
 
     # -------------------------------------------------------------- internal
-    def _qoe_for_slice(self, sl: slice) -> QoESummary:
+    def _qoe_for_slice(self, sl: slice, weights: np.ndarray) -> QoESummary:
         from repro.qoe.video import VideoQoEConfig, stall_series, \
             stall_duration_buckets, frame_rate_series
         from repro.qoe.audio import audio_fluency_series
 
         lat = self.latency_ms[:, sl]
         loss = self.loss_rate[:, sl]
-        w = self.sample_weights()[:, sl]
+        w = weights[:, sl]
         wsum = w.sum()
         if wsum <= 0:
             w = np.ones_like(w)
@@ -288,6 +283,11 @@ class EpochSimulator:
                            else SimulationConfig())
         self.control_config = (control_config if control_config is not None
                                else ControlConfig())
+        steps = self.sim_config.epoch_s / self.sim_config.eval_step_s
+        if not math.isclose(steps, round(steps)):  # grids restart per epoch
+            raise ValueError(
+                f"epoch_s {self.sim_config.epoch_s:g} s is not a whole "
+                f"number of eval_step_s {self.sim_config.eval_step_s:g} s")
         self.codes = underlay.codes
         self.pairs = underlay.pairs
         self._streams = RngStreams(self.sim_config.seed)
@@ -401,14 +401,12 @@ class EpochSimulator:
 
             cache = _EpochLinkCache(
                 self.underlay, now, epoch_end, cfg.eval_step_s,
-                cfg.monitoring, cfg.reaction, self._probe_seed,
-                enable_reaction=self.variant.fast_reaction)
+                cfg.monitoring, cfg.reaction, self._probe_seed)
             sl = slice(e * steps_per_epoch, (e + 1) * steps_per_epoch)
             rep_paths = self._representative_paths(output)
-            path_hops = [hop for (path, __) in rep_paths.values()
-                         for hop in path.hops]
-            cache.fill_series(path_hops)
-            cache.fill_reaction(path_hops)
+            cache.fill((hop for (path, __) in rep_paths.values()
+                        for hop in path.hops),
+                       probe=self.variant.fast_reaction)
             # Route churn: how many pairs changed representative paths.
             if prev_paths:
                 changed = 0
@@ -428,7 +426,7 @@ class EpochSimulator:
             prev_paths = {pair: path.hops
                           for pair, (path, __) in rep_paths.items()}
             self._evaluate_epoch(output, matrix, cache, sl, latency, loss,
-                                 backup, pair_idx, ledger, e, internet_gb,
+                                 backup, ledger, e, internet_gb,
                                  premium_gb, reaction_hops, cfg.epoch_s,
                                  rep_paths)
             if _TEL.enabled:
@@ -521,14 +519,15 @@ class EpochSimulator:
     def _evaluate_epoch(self, output: Optional[ControlOutput],
                         matrix: TrafficMatrix, cache: _EpochLinkCache,
                         sl: slice, latency: np.ndarray, loss: np.ndarray,
-                        backup: np.ndarray, pair_idx: Dict[RegionPair, int],
-                        ledger: PairCostLedger, epoch: int,
-                        internet_gb: np.ndarray, premium_gb: np.ndarray,
+                        backup: np.ndarray, ledger: PairCostLedger,
+                        epoch: int, internet_gb: np.ndarray,
+                        premium_gb: np.ndarray,
                         reaction_hops: List[Tuple[int, float]],
                         epoch_s: float,
                         rep_paths: Dict[RegionPair,
                                         Tuple[OverlayPath,
                                               Optional[int]]]) -> None:
+        """Every pair's series and bill (`rep_paths` in `pairs` order)."""
         plans = output.plans_by_region if output is not None else {}
 
         def plan_fn(stream_id: Optional[int]):
@@ -538,35 +537,28 @@ class EpochSimulator:
                 return plans[region].get(stream_id)
             return plan_for
 
-        if self.variant.fast_reaction:
-            # Backup hops are evaluated in blocks too: every backup path
-            # some pair may switch to this epoch (a degraded on-path hop
-            # whose region can react) is known before the pair loop.
-            backup_hops: List[PathHop] = []
-            for path, stream_id in rep_paths.values():
-                for hop in path.hops:
-                    if cache.reaction(hop).any():
-                        detour = backup_path(path, hop[0],
-                                             plan_fn(stream_id))
-                        if detour is not None:
-                            backup_hops.extend(detour.hops)
-            cache.fill_series(backup_hops)
+        # Every detour some pair may switch to this epoch (a degraded
+        # on-path hop whose region can react) is built once, here, and
+        # its hops are evaluated in blocks before the pass.
+        paths = [path for path, __ in rep_paths.values()]
+        detours = [path_detours(path, cache.reaction, plan_fn(stream_id))
+                   if self.variant.fast_reaction else [None] * len(path.hops)
+                   for path, stream_id in rep_paths.values()]
+        cache.fill((hop for row in detours for detour in row
+                    if detour is not None for hop in detour.hops),
+                   probe=False)
+        series = effective_path_series(paths, cache.times, cache.series,
+                                       cache.reaction, detours)
+        latency[:, sl] = series.latency_ms
+        loss[:, sl] = series.loss_rate
+        backup[:, sl] = series.on_backup
 
-        for pair, (path, stream_id) in rep_paths.items():
-            plan_for = plan_fn(stream_id)
-            series = effective_path_series(
-                path, cache.times, cache.series, cache.reaction, plan_for,
-                enable_reaction=self.variant.fast_reaction)
-            i = pair_idx[pair]
-            latency[i, sl] = series.latency_ms
-            loss[i, sl] = series.loss_rate
-            backup[i, sl] = series.on_backup
-
-            # ---- cost attribution --------------------------------------
+        # ---- cost attribution ------------------------------------------
+        for (pair, (path, stream_id)), frac_backup in zip(
+                rep_paths.items(), series.backup_fraction.tolist()):
             d = matrix.get(*pair)
             if d <= 0:
                 continue
-            frac_backup = series.backup_fraction
             normal_d = d * (1.0 - frac_backup)
             for (a, b, t) in path.hops:
                 if t is LinkType.INTERNET:
@@ -581,7 +573,7 @@ class EpochSimulator:
                 # Reaction traffic: billed on the backup premium path
                 # (approximated by its first-hop plan; the measured mean
                 # reaction hop count is ~1.04, §6.3).
-                relays = plan_for(path.regions[0]) or (pair[1],)
+                relays = plan_fn(stream_id)(path.regions[0]) or (pair[1],)
                 backup_regions = (path.regions[0],) + tuple(relays)
                 reacted = d * frac_backup
                 for a, b in zip(backup_regions[:-1], backup_regions[1:]):

@@ -14,8 +14,9 @@ Implements §4 of the paper:
 
 Two execution styles are provided: event-driven objects (`Gateway`,
 `RegionCluster`, their `EstimatorBank`s) for the discrete-event
-simulator, and vectorised series functions (`burst_series`, `reaction_active_series`,
-`effective_path_series`) used by the day-scale benchmark experiments.
+simulator, and vectorised series functions for the grid engine behind
+the day-scale experiments: `burst_series` and `reaction_active_series`
+over a block of hops, `effective_path_series` over every pair at once.
 Both draw every monitoring measurement through `burst_draws`.
 """
 

@@ -5,20 +5,21 @@ they are per-direction, which is what makes XRON's forwarding asymmetric
 (§4.2): the controller computes the two directions of a session as two
 independent streams over direction-specific link states.
 
-`effective_path_series` evaluates what a stream actually experienced over
-a time window: at instants where the gateway at some on-path region has
-flagged its outgoing link degraded, traffic follows that region's
-pre-computed premium backup plan instead of the rest of the normal path
-(§4.3).  The first degraded hop *with a backup plan* wins — upstream
-gateways switch before downstream ones ever see the traffic, but a
-degraded hop that has no plan keeps forwarding normally, so downstream
-regions still receive the traffic and may react themselves.
+`effective_path_series` evaluates what streams actually experienced over
+a time window, all of them in one array pass: at instants where the
+gateway at some on-path region has flagged its outgoing link degraded,
+traffic follows that region's pre-computed premium backup plan instead
+of the rest of the normal path (§4.3).  The first degraded hop *with a
+backup plan* wins — upstream gateways switch before downstream ones
+ever see the traffic, but a degraded hop that has no plan keeps
+forwarding normally, so downstream regions still receive the traffic
+and may react themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +87,7 @@ PlanFn = Callable[[str], Optional[Tuple[str, ...]]]
 
 @dataclass
 class EffectiveSeries:
-    """What a stream experienced over a window."""
+    """What streams experienced over a window, one row per stream."""
 
     times: np.ndarray
     latency_ms: np.ndarray
@@ -95,8 +96,9 @@ class EffectiveSeries:
     on_backup: np.ndarray
 
     @property
-    def backup_fraction(self) -> float:
-        return float(np.mean(self.on_backup)) if self.on_backup.size else 0.0
+    def backup_fraction(self) -> np.ndarray:
+        """Per stream, the share of instants it rode a backup path."""
+        return self.on_backup.mean(axis=-1)
 
 
 def backup_path(path: OverlayPath, region: str,
@@ -112,70 +114,68 @@ def backup_path(path: OverlayPath, region: str,
     return OverlayPath.via((region,) + tuple(relays), LinkType.PREMIUM)
 
 
-def effective_path_series(path: OverlayPath, times: np.ndarray,
+def path_detours(path: OverlayPath, reaction_active: ReactionFn,
+                 plan_for_region: PlanFn) -> List[Optional[OverlayPath]]:
+    """Per hop of `path`, the detour `effective_path_series` may switch
+    it to: where the hop is flagged degraded at some instant, the
+    `backup_path` of its source region, else None."""
+    return [backup_path(path, hop[0], plan_for_region)
+            if reaction_active(hop).any() else None for hop in path.hops]
+
+
+def effective_path_series(paths: Sequence[OverlayPath], times: np.ndarray,
                           hop_series: HopSeriesFn,
                           reaction_active: ReactionFn,
-                          plan_for_region: PlanFn,
-                          enable_reaction: bool = True) -> EffectiveSeries:
-    """Evaluate a stream's end-to-end latency/loss over `times`.
+                          detours: Sequence[Sequence[Optional[OverlayPath]]]
+                          ) -> EffectiveSeries:
+    """Evaluate every stream's end-to-end latency/loss over `times`.
 
-    With reaction enabled, scenario k means "hop k is the first degraded
-    hop whose region can react": traffic follows hops[:k] then the
-    backup plan of hop k's source region (all premium).  Degraded hops
-    without a plan keep forwarding on the normal path, so downstream
-    scenarios still fire.  Scenario 'none' is the normal path.  With at
-    most a few hops per path the scenario set is tiny and everything
-    vectorises over the time grid.
+    `detours[p][k]` is the premium path stream p follows once the source
+    region of its hop k reacts (`path_detours`), None where that hop
+    never switches (no reaction, never degraded, nowhere to go).
+    Scenario k means "hop k is the first degraded hop with a detour":
+    traffic follows hops[:k] then that detour.  Degraded hops without
+    one keep forwarding on the normal path, so downstream scenarios
+    still fire.  Scenario 'none' is the normal path.
+
+    One pass covers every stream: hops are stacked into (max hops,
+    streams, instants) arrays padded with latency 0, loss 0 and no flag,
+    and sums and products run in hop order, so with x + 0.0 == x and
+    x * 1.0 == x each row is bit for bit its path evaluated alone.
     """
     times = np.asarray(times, dtype=float)
-    hop_lat: List[np.ndarray] = []
-    hop_loss: List[np.ndarray] = []
-    for hop in path.hops:
-        lat, loss = hop_series(hop)
-        hop_lat.append(lat)
-        hop_loss.append(loss)
+    shape = (len(paths), times.size)
+    depth = max((len(path.hops) for path in paths), default=0)
+    stack = (depth,) + shape
+    lat, loss, detour_lat = (np.zeros(stack) for __ in range(3))
+    active, detour_survive = np.zeros(stack, dtype=bool), np.ones(stack)
+    for p, (path, row) in enumerate(zip(paths, detours)):
+        for k, hop in enumerate(path.hops):
+            lat[k, p], loss[k, p] = hop_series(hop)
+            if row[k] is None:
+                continue
+            active[k, p] = reaction_active(hop)
+            for bhop in row[k].hops:
+                b_lat, b_loss = hop_series(bhop)
+                detour_lat[k, p] += b_lat
+                detour_survive[k, p] *= 1.0 - b_loss
 
-    normal_lat = np.sum(hop_lat, axis=0)
-    normal_survive = np.ones_like(normal_lat)
-    for loss in hop_loss:
-        normal_survive = normal_survive * (1.0 - loss)
-
-    if not enable_reaction:
-        zeros = np.zeros(times.size, dtype=bool)
-        return EffectiveSeries(times, normal_lat, 1.0 - normal_survive, zeros)
-
-    active = [reaction_active(hop) for hop in path.hops]
-
-    latency = normal_lat.copy()
-    survive = normal_survive.copy()
-    on_backup = np.zeros(times.size, dtype=bool)
-    taken = np.zeros(times.size, dtype=bool)
-
-    for k, hop in enumerate(path.hops):
+    # prefix_*[k] covers hops[:k]; the last entry is the normal path.
+    prefix_lat, prefix_survive = [np.zeros(shape)], [np.ones(shape)]
+    for k in range(depth):
+        prefix_lat.append(prefix_lat[-1] + lat[k])
+        prefix_survive.append(prefix_survive[-1] * (1.0 - loss[k]))
+    latency, survive = prefix_lat[-1], prefix_survive[-1]
+    taken = np.zeros(shape, dtype=bool)
+    for k in range(depth):
         # Scenario k fires where hop k is degraded and no earlier hop
         # has already switched the traffic away (`taken`).  A degraded
-        # earlier hop WITHOUT a backup plan must not mask us: its
-        # traffic still flows through and reaches this region, whose
-        # gateway reacts on its own plan.
+        # earlier hop WITHOUT a detour must not mask us: its traffic
+        # still flows through and reaches this region, whose gateway
+        # reacts on its own plan.
         fires = active[k] & ~taken
-        if not np.any(fires):
-            continue
-        backup = backup_path(path, hop[0], plan_for_region)
-        if backup is None:
-            continue
-        b_lat = np.zeros(times.size)
-        b_survive = np.ones(times.size)
-        for bhop in backup.hops:
-            lat, loss = hop_series(bhop)
-            b_lat = b_lat + lat
-            b_survive = b_survive * (1.0 - loss)
-        prefix_lat = np.sum(hop_lat[:k], axis=0) if k else np.zeros(times.size)
-        prefix_survive = np.ones(times.size)
-        for loss in hop_loss[:k]:
-            prefix_survive = prefix_survive * (1.0 - loss)
-        latency = np.where(fires, prefix_lat + b_lat, latency)
-        survive = np.where(fires, prefix_survive * b_survive, survive)
-        on_backup |= fires
+        latency = np.where(fires, prefix_lat[k] + detour_lat[k], latency)
+        survive = np.where(fires, prefix_survive[k] * detour_survive[k],
+                           survive)
         taken |= fires
-
-    return EffectiveSeries(times, latency, 1.0 - survive, on_backup)
+    return EffectiveSeries(times, latency, 1.0 - survive, taken)

@@ -32,6 +32,16 @@ def test_run_command_small(capsys):
     assert "premium share 100.0%" in out
 
 
+@pytest.mark.parametrize("step", ["9", "7"])
+def test_run_refuses_a_step_that_does_not_divide_the_epoch(capsys, step):
+    rc = main(["run", "--hours", "0.1", "--epoch", "300", "--step", step])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: epoch_s 300 s is not a whole number "
+                            f"of eval_step_s {step} s\n")
+    assert "simulating" not in captured.out
+
+
 def test_experiments_only_selector(capsys):
     rc = main(["experiments", "--only", "fig04"])
     assert rc == 0

@@ -23,14 +23,14 @@ from repro.underlay.planet import PlanetConfig, generate_regions
 from repro.underlay.topology import Underlay, build_underlay
 
 #: `hash_uniform` calls one simulated epoch may make, whatever the size
-#: of the overlay.  An epoch makes 31: demand 13; the monitoring
+#: of the overlay.  An epoch makes 26: demand 13; the monitoring
 #: snapshot 4 (two uniforms for each of the two jitter factors, over
-#: every link, once — its instant opens a new second); three
-#: `link_series` blocks of 4 each (the path hops on the eval grid, the
-#: path hops on the burst grid, the backup hops on the eval grid), each
-#: call over hops x distinct seconds; and the burst pass's own 2 draws
-#: per burst.  The rest is room for a second block of hops on each grid
-#: (4 + 6 + 4) and three to spare.
+#: every link, once — its instant opens a new second); two
+#: `link_series` blocks of 4 each (the path hops on the union of the
+#: eval and burst grids, the backup hops on the eval grid), each call
+#: over hops x distinct seconds; and one for the burst pass's own
+#: draws.  The rest is room for a second block of path hops (4 + 1), of
+#: backup hops (4), and thirteen to spare.
 EPOCH_CALL_BOUND = 48
 
 
@@ -102,7 +102,8 @@ def test_link_series_hashes_each_link_second_once(hash_calls, monkeypatch,
     of (link, whole second), so a block of `hops` links over a grid
     hashes 4 x hops x *distinct seconds* elements (two uniforms for each
     of two factors) however many instants fall in a second — 300 of the
-    burst grid's 750 per epoch."""
+    path hops' grid's per epoch: the 750 bursts and the 60 eval
+    instants, less those the two grids share bit for bit."""
     blocks = []
     link_series = Underlay.link_series
 
@@ -116,9 +117,14 @@ def test_link_series_hashes_each_link_second_once(hash_calls, monkeypatch,
     monkeypatch.setattr(Underlay, "link_series", counted)
     with one_epoch_simulator(n) as simulator:
         simulator.run(600.0, 300.0)
-    # Path hops and backup hops on the eval grid, path hops on the
-    # burst grid.
+    # Backup hops on the eval grid; path hops, once, on the union of
+    # the eval and burst grids (0.4 s multiples rarely land exactly on
+    # 5 s ones).
+    config = simulator.sim_config
+    union = np.union1d(
+        np.arange(600.0, 900.0, config.monitoring.burst_interval_s),
+        np.arange(600.0, 900.0, config.eval_step_s))
     assert sorted((seconds, instants) for __, seconds, instants, __
-                  in blocks) == [(60, 60), (60, 60), (300, 750)]
+                  in blocks) == [(60, 60), (300, union.size)]
     for hops, seconds, __, hashed in blocks:
         assert 0 < hashed <= 4 * hops * seconds

@@ -144,9 +144,8 @@ def test_both_engines_read_a_hop_the_same(monkeypatch):
     t0 = 2 * 3600.0 + 7 * config.epoch_s
     cache = grid._EpochLinkCache(
         system.underlay, t0, t0 + config.epoch_s, config.eval_step_s,
-        config.monitoring, config.reaction, simulator._probe_seed,
-        enable_reaction=True)
-    cache.fill_reaction(hops)
+        config.monitoring, config.reaction, simulator._probe_seed)
+    cache.fill(hops)
     (times, latency, loss), = captured
     assert latency.shape == (len(hops), 750)
 

@@ -123,6 +123,34 @@ class TestVariantBehaviour:
         np.testing.assert_array_equal(a.on_backup, b.on_backup)
 
 
+class TestEvalGrid:
+    """Each epoch's grid restarts at the epoch's start, so the eval step
+    must divide the epoch: else the grid overruns the epoch's rows (9 s)
+    or its labels drift a second an epoch (7 s)."""
+
+    @pytest.mark.parametrize("step", [9.0, 7.0])
+    def test_a_step_that_does_not_divide_the_epoch_is_refused(
+            self, small_system, step):
+        from repro.core.simulator import EpochSimulator
+        config = SimulationConfig(epoch_s=300.0, eval_step_s=step, seed=3)
+        with pytest.raises(ValueError, match=f"epoch_s 300 s .* "
+                                             f"eval_step_s {step:g} s"):
+            EpochSimulator(small_system.underlay, small_system.demand,
+                           xron(), config)
+
+    def test_a_dividing_step_labels_every_epoch_from_its_start(
+            self, small_system):
+        from repro.core.simulator import EpochSimulator
+        config = SimulationConfig(epoch_s=300.0, eval_step_s=12.0, seed=3)
+        with EpochSimulator(small_system.underlay, small_system.demand,
+                            xron(), config) as simulator:
+            result = simulator.run(8 * 3600.0, 900.0)
+        assert result.latency_ms.shape == (len(result.pairs), 75)
+        np.testing.assert_array_equal(result.times[::25],
+                                      result.epoch_starts)
+        np.testing.assert_array_equal(np.diff(result.times), 12.0)
+
+
 class TestResultAnalytics:
     def test_percentile_tables(self, xron_result):
         lat = xron_result.latency_percentiles()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.controlplane.model import OverlayPath
-from repro.dataplane.forwarding import (ForwardingTable,
-                                        effective_path_series)
+from repro.controlplane.model import ControlConfig, OverlayPath
+from repro.dataplane.forwarding import (EffectiveSeries, ForwardingTable,
+                                        backup_path, effective_path_series,
+                                        path_detours)
 from repro.underlay.linkstate import LinkType
+from tests.dataplane import effective_path_oracle as oracle
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
@@ -75,12 +78,23 @@ def _series_env(lat_map, loss_map=None, reaction_map=None, n=10):
     return times, hop_series, reaction
 
 
+def one_pair(path, times, hop_series, reaction, plan_for_region,
+             enable_reaction=True):
+    """The columnar pass over `path` alone, as the grid engine drives
+    it (`path_detours`, no detours without reaction), as one row."""
+    row = (path_detours(path, reaction, plan_for_region) if enable_reaction
+           else [None] * len(path.hops))
+    out = effective_path_series([path], times, hop_series, reaction, [row])
+    return EffectiveSeries(out.times, out.latency_ms[0], out.loss_rate[0],
+                           out.on_backup[0])
+
+
 class TestEffectivePathSeries:
     def test_normal_path_sums_hops(self):
         path = OverlayPath.via(["A", "B", "C"], I)
         times, hs, ra = _series_env({("A", "B", I): 50.0,
                                      ("B", "C", I): 70.0})
-        out = effective_path_series(path, times, hs, ra, lambda r: None)
+        out = one_pair(path, times, hs, ra, lambda r: None)
         np.testing.assert_allclose(out.latency_ms, 120.0)
         assert not out.on_backup.any()
 
@@ -88,7 +102,7 @@ class TestEffectivePathSeries:
         path = OverlayPath.via(["A", "B", "C"], I)
         times, hs, ra = _series_env({}, {("A", "B", I): 0.1,
                                          ("B", "C", I): 0.2})
-        out = effective_path_series(path, times, hs, ra, lambda r: None)
+        out = one_pair(path, times, hs, ra, lambda r: None)
         np.testing.assert_allclose(out.loss_rate, 1 - 0.9 * 0.8)
 
     def test_reaction_switches_to_plan(self):
@@ -98,8 +112,8 @@ class TestEffectivePathSeries:
         times, hs, ra = _series_env(
             {("A", "C", I): 5000.0, ("A", "B", P): 60.0, ("B", "C", P): 60.0},
             reaction_map={("A", "C", I): flags})
-        out = effective_path_series(path, times, hs, ra,
-                                    lambda r: ("B", "C") if r == "A" else None)
+        out = one_pair(path, times, hs, ra,
+                       lambda r: ("B", "C") if r == "A" else None)
         np.testing.assert_allclose(out.latency_ms[4:8], 120.0)
         np.testing.assert_allclose(out.latency_ms[:4], 5000.0)
         assert out.on_backup[4:8].all()
@@ -110,8 +124,8 @@ class TestEffectivePathSeries:
         flags = np.ones(10, dtype=bool)
         times, hs, ra = _series_env({("A", "C", I): 5000.0},
                                     reaction_map={("A", "C", I): flags})
-        out = effective_path_series(path, times, hs, ra,
-                                    lambda r: ("C",), enable_reaction=False)
+        out = one_pair(path, times, hs, ra, lambda r: ("C",),
+                       enable_reaction=False)
         np.testing.assert_allclose(out.latency_ms, 5000.0)
         assert not out.on_backup.any()
 
@@ -121,7 +135,7 @@ class TestEffectivePathSeries:
         times, hs, ra = _series_env({("A", "C", I): 5000.0,
                                      ("A", "C", P): 80.0},
                                     reaction_map={("A", "C", I): flags}, n=5)
-        out = effective_path_series(path, times, hs, ra, lambda r: None)
+        out = one_pair(path, times, hs, ra, lambda r: None)
         np.testing.assert_allclose(out.latency_ms, 80.0)
 
     def test_first_degraded_hop_wins(self):
@@ -136,7 +150,7 @@ class TestEffectivePathSeries:
         def plan(region):
             return ("C",)
 
-        out = effective_path_series(path, times, hs, ra, plan)
+        out = one_pair(path, times, hs, ra, plan)
         # Switch happens at A (the first degraded hop): A->C premium.
         np.testing.assert_allclose(out.latency_ms, 90.0)
 
@@ -147,7 +161,7 @@ class TestEffectivePathSeries:
             {("A", "B", I): 40.0, ("B", "C", I): 1000.0,
              ("B", "C", P): 70.0},
             reaction_map={("B", "C", I): f2}, n=5)
-        out = effective_path_series(path, times, hs, ra, lambda r: ("C",))
+        out = one_pair(path, times, hs, ra, lambda r: ("C",))
         # Prefix A->B Internet (40) plus backup B->C premium (70).
         np.testing.assert_allclose(out.latency_ms, 110.0)
 
@@ -168,7 +182,7 @@ class TestEffectivePathSeries:
             # (distinct from None, which falls back to direct premium).
             return () if region == "A" else ("C",)
 
-        out = effective_path_series(path, times, hs, ra, plan)
+        out = one_pair(path, times, hs, ra, plan)
         # Traffic still flows A->B on the degraded Internet hop (40ms),
         # then B fires its own backup B->C premium (70ms).
         np.testing.assert_allclose(out.latency_ms, 110.0)
@@ -180,5 +194,76 @@ class TestEffectivePathSeries:
         times, hs, ra = _series_env(
             {}, {("A", "C", I): 0.5, ("A", "C", P): 0.001},
             reaction_map={("A", "C", I): flags}, n=4)
-        out = effective_path_series(path, times, hs, ra, lambda r: None)
+        out = one_pair(path, times, hs, ra, lambda r: None)
         np.testing.assert_allclose(out.loss_rate, 0.001)
+
+
+# --------------------------------------------------------------------------
+# The columnar pass against the single-path oracle, row by row
+# --------------------------------------------------------------------------
+#: Few regions, so that pairs share hops and backups reuse path hops.
+REGIONS = "ABCDE"
+MAX_HOPS = ControlConfig().max_hops
+
+
+#: Region -> its backup plans: None (straight to the destination), ()
+#: (nowhere to go) or one or two relays.
+PLANS = {region: st.one_of(st.none(), st.just(()), st.lists(
+    st.sampled_from([r for r in REGIONS if r != region]), min_size=1,
+    max_size=2, unique=True).map(tuple)) for region in REGIONS}
+ROUTES = st.lists(st.sampled_from(REGIONS), min_size=2,
+                  max_size=MAX_HOPS + 1, unique=True)
+TIERS = st.sampled_from((I, P))
+
+
+@st.composite
+def fleets(draw):
+    """(times, paths, per-pair plans, per-hop series, per-hop flags) for
+    1-40 pairs of 1..MAX_HOPS mixed-tier hops."""
+    n = draw(st.integers(1, 12))
+    times = np.arange(n, dtype=float)
+    paths, plans = [], []
+    for __ in range(draw(st.integers(1, 40))):
+        regions = draw(ROUTES)
+        path = OverlayPath(tuple((a, b, draw(TIERS))
+                                 for a, b in zip(regions, regions[1:])))
+        paths.append(path)
+        plans.append({region: draw(PLANS[region])
+                      for region in path.regions[:-1]})
+    # Series values come from a drawn seed: hypothesis draws the shape
+    # (paths, plans, flag runs), numpy the floats.
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    runs = st.one_of(st.just([True] * n),
+                     st.lists(st.booleans(), min_size=n, max_size=n))
+    flags = {}
+    series = {}
+    for path, plan in zip(paths, plans):
+        for hop in path.hops:
+            if hop not in flags:
+                flags[hop] = np.array(draw(runs))
+            detour = backup_path(path, hop[0], plan.get)
+            for each in path.hops + (detour.hops if detour else ()):
+                if each not in series:
+                    series[each] = (rng.uniform(1.0, 400.0, n),
+                                    rng.uniform(0.0, 0.6, n))
+    return times, paths, plans, series, flags
+
+
+@given(fleet=fleets())
+@settings(max_examples=100, deadline=None)
+def test_every_row_is_its_path_evaluated_alone(fleet):
+    """Latency, loss, backup flags and backup fraction of each pair are
+    bit for bit the single-path evaluator's."""
+    times, paths, plans, series, flags = fleet
+    detours = [path_detours(path, flags.__getitem__, plan.get)
+               for path, plan in zip(paths, plans)]
+    out = effective_path_series(paths, times, series.__getitem__,
+                                flags.__getitem__, detours)
+    fractions = out.backup_fraction
+    for p, (path, plan) in enumerate(zip(paths, plans)):
+        want = oracle.effective_path_series(path, times, series.__getitem__,
+                                            flags.__getitem__, plan.get)
+        np.testing.assert_array_equal(out.latency_ms[p], want.latency_ms)
+        np.testing.assert_array_equal(out.loss_rate[p], want.loss_rate)
+        np.testing.assert_array_equal(out.on_backup[p], want.on_backup)
+        assert fractions[p] == want.backup_fraction

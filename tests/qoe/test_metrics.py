@@ -75,3 +75,42 @@ def test_ordering_between_networks():
     assert bad.stall_ratio >= good.stall_ratio
     assert bad.mean_fps <= good.mean_fps
     assert bad.mean_fluency <= good.mean_fluency
+
+
+def test_qoe_per_day_equals_each_day_on_its_own(monkeypatch):
+    """Each day's summary is the one of a result holding only that day
+    (its instants and its epochs' demand), and the whole window's
+    sample weights are built once, not once per day."""
+    rng = np.random.default_rng(5)
+    n_pairs, step_s, epoch_s = 3, 600.0, 3600.0
+    n_steps = int(2.5 * 86400.0 / step_s)
+    per_day, per_epoch = int(86400.0 / step_s), int(epoch_s / step_s)
+
+    def result(lat, loss, demand):
+        return SimulationResult(
+            variant=None, pairs=[(f"A{i}", f"B{i}") for i in range(n_pairs)],
+            region_codes=[], eval_step_s=step_s, epoch_s=epoch_s,
+            times=np.arange(lat.shape[1]) * step_s, latency_ms=lat,
+            loss_rate=loss, on_backup=np.zeros_like(lat, dtype=bool),
+            epoch_starts=np.arange(demand.shape[1]) * epoch_s,
+            demand_mbps=demand, containers=np.zeros((0, demand.shape[1])),
+            ledger=None)
+
+    lat = rng.uniform(20.0, 900.0, (n_pairs, n_steps))
+    loss = rng.uniform(0.0, 0.2, (n_pairs, n_steps))
+    demand = rng.uniform(0.0, 50.0, (n_pairs, n_steps // per_epoch))
+    whole = result(lat, loss, demand)
+    built = []
+    sample_weights = SimulationResult.sample_weights
+    monkeypatch.setattr(SimulationResult, "sample_weights",
+                        lambda self: built.append(1) or sample_weights(self))
+    days = whole.qoe_per_day()
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert len(days) == 3
+    for d, summary in enumerate(days):
+        sl = slice(d * per_day, (d + 1) * per_day)
+        epochs = slice(d * per_day // per_epoch,
+                       (d + 1) * per_day // per_epoch)
+        assert summary == result(lat[:, sl], loss[:, sl],
+                                 demand[:, epochs]).qoe_summary()
