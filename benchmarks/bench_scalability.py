@@ -255,15 +255,22 @@ def test_cluster_install(benchmark, n_regions):
 # `epoch_n11` run (docs/performance.md, "Grid engine").  At paper scale
 # an epoch's ~91 hops are one block; at 100 regions the thousands of
 # hops are cut into blocks of `_BLOCK_ELEMENTS` (hops x instants)
-# elements, and one such block is the unit of cost.
+# elements — 162 hops on the merged grid — and one such block is the
+# unit of cost.
 
 #: region count -> (hops in the block, hard budget per block).  The
 #: per-hop, per-instant evaluation this replaced took 11.5-18.5 ms at
-#: paper scale and 25-32 ms at 100 regions as the reference box's speed
-#: drifted; jitter per link-second, diurnal per source region and one
-#: timeline pass per block take 6-7 and 12.5-15.
-LINK_SERIES_BLOCK = {11: (91, 0.010), 100: (174, 0.020)}
-_BLOCK_BURSTS = 750
+#: paper scale and 25-32 ms at 100 regions (174 hops on the burst grid)
+#: as the reference box's speed drifted; jitter per link-second,
+#: diurnal per source region and one timeline pass per block take 6-7
+#: and 12.5-15.
+LINK_SERIES_BLOCK = {11: (91, 0.010), 100: (162, 0.020)}
+#: region count -> one epoch's instants, from its start: the burst grid
+#: at paper scale, the merged grid of the epoch at 600 s at 100 regions.
+_BLOCK_GRID = {
+    11: np.arange(750) * 0.4,
+    100: np.union1d(np.arange(600.0, 900.0, 0.4),
+                    np.arange(600.0, 900.0, 5.0)) - 600.0}
 
 
 @pytest.mark.parametrize("n_regions", sorted(LINK_SERIES_BLOCK),
@@ -276,22 +283,22 @@ def test_link_series_block(benchmark, n_regions):
     from repro.underlay.linkstate import LinkType
 
     n_hops, budget_s = LINK_SERIES_BLOCK[n_regions]
-    assert n_hops <= _BLOCK_ELEMENTS // _BLOCK_BURSTS
+    grid = _BLOCK_GRID[n_regions]
+    assert n_hops <= _BLOCK_ELEMENTS // grid.size
     u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
     every = [(a, b, lt) for (a, b) in u.pairs
              for lt in (LinkType.INTERNET, LinkType.PREMIUM)]
     picked = np.random.default_rng(7).choice(len(every), n_hops,
                                              replace=False)
     hops = [every[k] for k in picked]
-    bursts = np.arange(_BLOCK_BURSTS) * 0.4
     epochs = itertools.cycle(range(2, 22))
 
     def block():
-        return u.link_series(hops, 300.0 * next(epochs) + bursts)
+        return u.link_series(hops, 300.0 * next(epochs) + grid)
 
     block()  # first-call paths
     lat, loss = benchmark(block)
-    assert lat.shape == loss.shape == (n_hops, _BLOCK_BURSTS)
+    assert lat.shape == loss.shape == (n_hops, grid.size)
     assert np.all(lat > 0.0) and np.all((loss >= 0.0) & (loss <= 1.0))
     assert benchmark.stats["mean"] < budget_s
 
@@ -474,9 +481,10 @@ def test_sweep_path_control(benchmark, n_regions):
 #: Hard budget of one Algorithm 2 pass over the capacitated result of
 #: the sweep scenario.  Scoring the distinct routes of each hop count
 #: in one array pass and writing the per-region plan dicts takes
-#: 7.5-7.6 ms at 100 regions in whole-file runs; the per-route scalar
-#: walk it replaced took 82-105 ms, and scoring an `OverlayPath` per
-#: candidate more still.  The budget leaves 5x headroom.
+#: 5.5-6.2 ms at 100 regions (7.7-8.3 ms before the placements' routes
+#: were column arrays); the per-route scalar walk it replaced took
+#: 82-105 ms, and scoring an `OverlayPath` per candidate more still.
+#: The budget leaves 5x headroom.
 REACTION_PLANS_BUDGET_S = {100: 0.04}
 
 

@@ -106,7 +106,7 @@ TABLE_ROWS = {
         (" (11 regions, 91 hops x 750 bursts)",
          "test_link_series_block[n011]"),
     "test_link_series_block[n100]":
-        (" (100 regions, 174 hops x 750 bursts)",
+        (" (100 regions, 162 hops x 809 instants)",
          "test_link_series_block[n100]"),
     "test_cluster_install[n011]":
         (" (2 000 rows into 4 gateways, then 4 -> 8 -> 4)",

@@ -19,6 +19,7 @@ fixed design values, named where they are read.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,18 +71,15 @@ class ControlOutput:
         """The plans keyed by (stream id, region), in the order
         Algorithm 2 meets them: each assignment's non-terminal regions,
         path order, first assignment first."""
-        result = self.path_result
-        codes, rows = result.routes.codes, result.routes.rows
-        stream_ids = self.table.stream_id.tolist()
-        plans: Dict[Tuple[int, str], ReactionPlan] = {}
-        for p, rid in zip(result.position, result.route):
-            sid, row = stream_ids[p], rows[rid]
-            for r in row[:len(row) // 2]:
-                key = (sid, codes[r])
-                if key not in plans:
-                    plans[key] = ReactionPlan(
-                        sid, key[1], self.plans_by_region[key[1]][sid])
-        return plans
+        result, codes = self.path_result, self.path_result.routes.codes
+        a, h, rows = result.hop_steps()
+        region, sids = rows[a, h], self.table.stream_id[result.position[a]]
+        __, first = np.unique(sids * len(codes) + region, return_index=True)
+        first.sort()
+        return {(sid, codes[r]): ReactionPlan(
+                    sid, codes[r], self.plans_by_region[codes[r]][sid])
+                for sid, r in zip(sids[first].tolist(),
+                                  region[first].tolist())}
 
     def stream_specs(self) -> List[Tuple[int, str, str]]:
         """The distinct (stream id, src, dst) of the assignments, in
@@ -91,7 +89,7 @@ class ControlOutput:
         src, dst = table.src.tolist(), table.dst.tolist()
         return list(dict.fromkeys(
             (stream_ids[p], codes[src[p]], codes[dst[p]])
-            for p in self.path_result.position))
+            for p in self.path_result.position.tolist()))
 
 
 class Controller:
@@ -207,17 +205,21 @@ class Controller:
             # Per-pair demand attribution for the phase profiler
             # (`repro.obs.profile`): the heaviest assigned pairs and
             # their Mbps, so path-control time can be apportioned.
-            codes = streams.codes
-            src_of, dst_of = streams.src.tolist(), streams.dst.tolist()
-            pair_mbps: Dict[Tuple[str, str], float] = {}
-            for p, mbps in zip(r_cur.position, r_cur.mbps):
-                key = (codes[src_of[p]], codes[dst_of[p]])
-                pair_mbps[key] = pair_mbps.get(key, 0.0) + mbps
-            top = sorted(pair_mbps.items(), key=lambda kv: (-kv[1], kv[0]))
+            # Summed in assignment order (`np.bincount` adds in order).
+            codes, n = streams.codes, len(streams.codes)
+            pair = (streams.src[r_cur.position] * n
+                    + streams.dst[r_cur.position])
+            used = np.unique(pair)
+            pair_mbps: Dict[Tuple[str, str], float] = dict(zip(
+                [(codes[k // n], codes[k % n]) for k in used.tolist()],
+                np.bincount(pair, weights=r_cur.mbps,
+                            minlength=n * n)[used].tolist()))
+            top = heapq.nsmallest(16, pair_mbps.items(),
+                                  key=lambda kv: (-kv[1], kv[0]))
             _TEL.event(
                 "control_epoch", t=now,
                 streams=len(streams),
-                assignments=len(r_cur.route),
+                assignments=r_cur.route.size,
                 unassigned=len(r_cur.unassigned_at),
                 graph_rebuilds=r_cur.graph_rebuilds,
                 reaction_plans=sum(len(by_stream)
@@ -227,7 +229,7 @@ class Controller:
                 assigned_mbps=round(r_cur.total_assigned_mbps(), 3),
                 pairs=len(pair_mbps),
                 top_pairs=[[src, dst, round(mbps, 3)]
-                           for (src, dst), mbps in top[:16]],
+                           for (src, dst), mbps in top],
                 capacity_target=decision.total_target(),
                 duration_ms=round((time.perf_counter() - t0) * 1e3, 3))
         return ControlOutput(now, r_cur, decision, plans, predicted, streams)

@@ -41,11 +41,11 @@ def evaluate_objective(result: PathControlResult, snap: LinkStateSnapshot,
     table = result.streams
     codes, src, dst = table.codes, table.src.tolist(), table.dst.tolist()
     direct = snap.direct_latency(
-        [codes[src[p]] for p in result.position],
-        [codes[dst[p]] for p in result.position], LinkType.PREMIUM)
-    latency_ms = result.routes.latency_ms
+        [codes[src[p]] for p in result.position.tolist()],
+        [codes[dst[p]] for p in result.position.tolist()], LinkType.PREMIUM)
+    latency_ms = result.routes.latency_ms.tolist()
     util_lat = 0.0
-    for rid, direct_premium in zip(result.route, direct):
+    for rid, direct_premium in zip(result.route.tolist(), direct):
         limit = config.latency_limit_ms(float(direct_premium))
         if limit > 0:
             util_lat += latency_ms[rid] / limit

@@ -38,18 +38,13 @@ Implementation notes:
   latency/loss/fee matrices and the capacity-independent edge weights
   are shared by **every** graph rebuild within the call — only the
   residual-capacity masks change between rebuilds.
-* The solve runs on integers and arrays.  Its input is the columns of
-  a `StreamTable`.  A graph build reconstructs every pair's route at
-  once (`_ShortestPaths`): latency, loss and a *resource row* — the
-  indices, in one flat residual vector ``[region | Internet |
-  premium]``, of everything the route draws capacity from.  The greedy
-  loop reads one row per visit and appends ``(stream position, route
-  id, mbps, meets)`` to the columns of a `PathControlResult`; a blocked
-  visit allocates nothing.  Distinct routes are interned once per epoch
-  (`_RouteTable`); forwarding tables are built from the route rows, and
-  `Stream` / `OverlayPath` / `Assignment` objects only when a consumer
-  outside the epoch reads `PathControlResult.assignments` or
-  ``.unassigned``.
+* The solve runs on arrays, from the columns of a `StreamTable`.  A
+  graph build gives every pair's route at once (`_ShortestPaths`): its
+  latency, loss and *resource row* (the slots of one residual vector
+  it draws capacity from).  A sweep places its streams in array rounds
+  (`_place`), a run interns its routes with one ``np.unique``
+  (`_RouteTable`), and `Stream` / `OverlayPath` / `Assignment` objects
+  exist only for consumers outside the epoch.
 * An `EpochSolveContext` threaded through the capacitated run and
   capacity control's uncapacitated run shares the edge-weight build,
   the first DP build and the route table between them; output is
@@ -125,40 +120,74 @@ class Assignment:
 Entry = Tuple[str, LinkType]
 
 
+def _route_keys(rows: np.ndarray, hops: np.ndarray, n: int) -> np.ndarray:
+    """The int64 key of each resource row: its region ids plus one (0
+    past the destination) as digits in base ``n + 1``, then one bit per
+    hop, set for a premium hop."""
+    max_hops = rows.shape[1] // 2
+    digit = np.arange(max_hops + 1, dtype=np.int64)
+    on_route = digit <= hops[:, None]
+    regions = np.where(on_route, rows[:, :max_hops + 1] + 1, 0)
+    links = rows[np.arange(len(rows))[:, None],
+                 np.minimum(hops[:, None] + 1 + digit[:-1], 2 * max_hops)]
+    premium = (links >= 2 * n) & on_route[:, 1:]
+    return (regions.astype(np.int64) @ (n + 1) ** digit << max_hops
+            | premium.astype(np.int64) @ (1 << digit[:-1]))
+
+
 class _RouteTable:
     """The distinct routes one epoch's solver calls placed traffic on.
 
     A route *is* its resource row: the region ids in path order, then
     one id per hop — ``N + a`` for an Internet hop out of region ``a``,
     ``2N + a * N + b`` for the premium link ``a -> b`` — all indices
-    into the residual vector; its forwarding-table rows, its
-    `OverlayPath` and every usage sum derive from it.  Routes are
-    interned by the row's bytes, so both runs and every graph rebuild
-    share one id — and one `OverlayPath`, built the first time an
-    assignment object needs it — per distinct route.
+    into the residual vector.  The table holds them as columns: `rows`
+    ``(routes, width)`` int32, padded with -1, and `hops`, `latency_ms`,
+    `loss_rate` and `keys` (`_route_keys`) per route.  Both runs and
+    every graph rebuild share one id — and one `OverlayPath`, built the
+    first time an assignment object needs it — per distinct route.
     """
 
-    def __init__(self, codes: List[str]):
+    def __init__(self, codes: List[str], width: int):
+        n, max_hops = len(codes), width // 2
+        if (n + 1) ** (max_hops + 1) << max_hops > np.iinfo(np.int64).max:
+            raise ValueError(f"route keys of {max_hops} hops over {n} "
+                             "regions do not fit in 64 bits")
         self.codes = codes
-        self.ids: Dict[bytes, int] = {}
-        self.rows: List[List[int]] = []
-        self.latency_ms: List[float] = []
-        self.loss_rate: List[float] = []
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.rows = np.zeros((0, width), dtype=np.int32)
+        self.hops = np.zeros(0, dtype=np.intp)
+        self.latency_ms, self.loss_rate = np.zeros(0), np.zeros(0)
         self._paths: Dict[int, OverlayPath] = {}
 
-    def add(self, key: bytes, row: List[int], latency_ms: float,
-            loss_rate: float) -> int:
-        rid = self.ids[key] = len(self.rows)
-        self.rows.append(row)
-        self.latency_ms.append(latency_ms)
-        self.loss_rate.append(loss_rate)
-        return rid
+    def intern(self, rows: np.ndarray, hops: np.ndarray,
+               latency_ms: np.ndarray, loss_rate: np.ndarray) -> np.ndarray:
+        """The route id of each placement (one resource row each, in
+        assignment order), with one ``np.unique``: a known route keeps
+        its id, new ones are numbered in first-seen order."""
+        keys = _route_keys(rows, hops, len(self.codes))
+        known = self.keys.size
+        __, first, inverse = np.unique(np.concatenate([self.keys, keys]),
+                                       return_index=True,
+                                       return_inverse=True)
+        ids, new = first, np.flatnonzero(first >= known)
+        new = new[np.argsort(first[new], kind="stable")]
+        at = first[new] - known
+        ids[new] = known + np.arange(new.size)
+        for name, column in (("keys", keys), ("rows", rows.astype(np.int32)),
+                             ("hops", hops), ("latency_ms", latency_ms),
+                             ("loss_rate", loss_rate)):
+            setattr(self, name, np.concatenate([getattr(self, name),
+                                                column[at]]))
+        if _TEL.enabled:
+            _TEL.counter("pathcontrol.route_interns").inc()
+        return ids[inverse.reshape(-1)[known:]]
 
     def path(self, rid: int) -> OverlayPath:
         path = self._paths.get(rid)
         if path is None:
-            codes, row = self.codes, self.rows[rid]
-            n_hops, premium_base = len(row) // 2, 2 * len(codes)
+            codes, n_hops = self.codes, int(self.hops[rid])
+            row, premium_base = self.rows[rid].tolist(), 2 * len(codes)
             regions = tuple([codes[r] for r in row[:n_hops + 1]])
             hops = tuple([
                 (regions[h], regions[h + 1],
@@ -169,11 +198,11 @@ class _RouteTable:
 
 
 class PathControlResult:
-    """One run of Algorithm 1: parallel columns ``(stream position,
-    route id, mbps, meets)``, one row per assignment in assignment
-    order, over the input `StreamTable` and the epoch's `_RouteTable`;
-    and the positions of the streams no capacity could carry in full,
-    with the Mbps each has left.
+    """One run of Algorithm 1: parallel column arrays ``(stream
+    position, route id, mbps, meets)``, one row per assignment in
+    assignment order, over the input `StreamTable` and the epoch's
+    `_RouteTable`; and the positions of the streams no capacity could
+    carry in full, with the Mbps each has left.
 
     Capacity control, the installs and both engines read the columns
     and what derives from them (`usage`, `used_gateways`,
@@ -186,92 +215,91 @@ class PathControlResult:
         self.streams = streams
         self.routes = routes
         self.config = config
-        self.position: List[int] = []
-        self.route: List[int] = []
-        self.mbps: List[float] = []
-        self.meets: List[bool] = []
+        self.position = self.route = np.zeros(0, dtype=np.intp)
+        self.mbps, self.meets = np.zeros(0), np.zeros(0, dtype=bool)
         self.unassigned_at: List[int] = []
         self.residual: List[float] = []
         #: Number of shortest-path graph rebuilds (scalability diagnostic).
         self.graph_rebuilds = 0
 
     def total_assigned_mbps(self) -> float:
-        return float(sum(self.mbps))
+        return float(sum(self.mbps.tolist()))
 
-    def usage(self) -> Tuple[List[float], List[float], Dict[int, float]]:
-        """Mbps per region, Internet egress per region and premium
-        usage per premium resource id, summed in assignment order."""
-        n, rows = len(self.routes.codes), self.routes.rows
-        traffic, egress = [0.0] * n, [0.0] * n
-        premium: Dict[int, float] = {}
-        for rid, mbps in zip(self.route, self.mbps):
-            for r in rows[rid]:
-                if r < n:
-                    traffic[r] += mbps
-                elif r < 2 * n:
-                    egress[r - n] += mbps
-                else:
-                    premium[r] = premium.get(r, 0.0) + mbps
-        return traffic, egress, premium
+    def hop_steps(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (assignment, hop) in assignment order, hop order: the
+        assignment, the hop's index and the assignment's route row."""
+        rows = self.routes.rows[self.route]
+        a, h = np.nonzero(np.arange(rows.shape[1] // 2)
+                          < self.routes.hops[self.route][:, None])
+        return a, h, rows
 
     @cached_property
-    def _usage(self) -> Tuple[List[float], List[float], Dict[int, float]]:
-        return self.usage()
+    def usage(self) -> Tuple[List[float], List[float], Dict[int, float]]:
+        """Mbps per region, Internet egress per region and premium
+        usage per premium resource id (in first-use order), summed in
+        assignment order (`np.bincount` adds one by one, in order)."""
+        n, rows = len(self.routes.codes), self.routes.rows[self.route]
+        on = rows >= 0
+        slots = rows[on]
+        flow = np.bincount(
+            slots, weights=np.broadcast_to(self.mbps[:, None], rows.shape)[on],
+            minlength=2 * n + n * n)
+        premium, first = np.unique(slots[slots >= 2 * n], return_index=True)
+        premium = premium[np.argsort(first)]
+        return (flow[:n].tolist(), flow[n:2 * n].tolist(),
+                dict(zip(premium.tolist(), flow[premium].tolist())))
 
     @cached_property
     def used_gateways(self) -> Dict[str, int]:
         """Gateways needed per region: ceil(traffic x headroom / B_c)."""
         config = self.config
-        return {c: int(np.ceil(mbps * config.capacity_headroom
-                               / config.container_capacity_mbps))
-                for c, mbps in zip(self.routes.codes, self._usage[0])}
+        return dict(zip(self.routes.codes, np.ceil(
+            np.array(self.usage[0]) * config.capacity_headroom
+            / config.container_capacity_mbps).astype(int).tolist()))
 
     @cached_property
     def internet_egress(self) -> Dict[str, float]:
-        return dict(zip(self.routes.codes, self._usage[1]))
+        return dict(zip(self.routes.codes, self.usage[1]))
 
     @cached_property
     def premium_usage(self) -> Dict[Tuple[str, str], float]:
         codes, n = self.routes.codes, len(self.routes.codes)
         return {(codes[(r - 2 * n) // n], codes[(r - 2 * n) % n]): mbps
-                for r, mbps in self._usage[2].items()}
+                for r, mbps in self.usage[2].items()}
 
     @cached_property
     def forwarding_tables(self) -> Dict[str, Dict[int, Entry]]:
         """region -> stream id -> (next region, link type), written
-        assignment by assignment, hop by hop: a split stream's later
-        pieces overwrite the rows of its earlier ones.  Entries are one
-        shared tuple per distinct next hop."""
-        codes, rows = self.routes.codes, self.routes.rows
-        n = len(codes)
-        tables: Dict[str, Dict[int, Entry]] = {c: {} for c in codes}
-        by_region = [tables[c] for c in codes]
-        #: Next region id (+ N for a premium hop) -> its entry.
-        entries: Dict[int, Entry] = {}
-        stream_ids = self.streams.stream_id.tolist()
-        for p, rid in zip(self.position, self.route):
-            sid, row = stream_ids[p], rows[rid]
-            n_hops = len(row) // 2
-            for h in range(n_hops):
-                b = row[h + 1]
-                key = b if row[n_hops + 1 + h] < 2 * n else b + n
-                entry = entries.get(key)
-                if entry is None:
-                    entry = entries[key] = (
-                        codes[b], LinkType.INTERNET if key < n
-                        else LinkType.PREMIUM)
-                by_region[row[h]][sid] = entry
-        return tables
+        assignment by assignment, hop by hop (one ``dict`` per region
+        over its writes in order): a split stream's later pieces
+        overwrite the rows of its earlier ones.  Entries are one shared
+        tuple per next hop."""
+        codes, n = self.routes.codes, len(self.routes.codes)
+        a, h, rows = self.hop_steps()
+        here = rows[a, h]
+        link = rows[a, self.routes.hops[self.route][a] + 1 + h]
+        # Next region id, + N for a premium hop.
+        entry = rows[a, h + 1] + np.where(link < 2 * n, 0, n)
+        order = np.argsort(here, kind="stable")
+        bounds = np.searchsorted(here[order], np.arange(n + 1)).tolist()
+        sids = self.streams.stream_id[self.position[a[order]]].tolist()
+        entries = ([(c, LinkType.INTERNET) for c in codes]
+                   + [(c, LinkType.PREMIUM) for c in codes])
+        values = [entries[e] for e in entry[order].tolist()]
+        return {c: dict(zip(sids[bounds[r]:bounds[r + 1]],
+                            values[bounds[r]:bounds[r + 1]]))
+                for r, c in enumerate(codes)}
 
     @cached_property
     def assignments(self) -> List[Assignment]:
         """One `Assignment` per row, in assignment order."""
-        streams, routes = self.streams.streams(), self.routes
-        latency_ms, loss_rate = routes.latency_ms, routes.loss_rate
-        return [Assignment(streams[p], routes.path(rid), mbps,
-                           latency_ms[rid], loss_rate[rid], meets)
-                for p, rid, mbps, meets in zip(self.position, self.route,
-                                               self.mbps, self.meets)]
+        streams, routes, route = self.streams.streams(), self.routes, self.route
+        return [Assignment(streams[p], routes.path(rid), mbps, lat, loss,
+                           meets)
+                for p, rid, mbps, lat, loss, meets in zip(
+                    self.position.tolist(), route.tolist(), self.mbps.tolist(),
+                    routes.latency_ms[route].tolist(),
+                    routes.loss_rate[route].tolist(), self.meets.tolist())]
 
     @cached_property
     def unassigned(self) -> List[Tuple[Stream, float]]:
@@ -282,23 +310,21 @@ class PathControlResult:
 
 
 def _residuals(codes: List[str], config: ControlConfig,
-               gateways: Optional[Dict[str, int]]) -> List[float]:
+               gateways: Optional[Dict[str, int]]) -> np.ndarray:
     """Residual capacities at the start of one run of Algorithm 1: one
     flat vector ``[region (N) | Internet egress (N) | premium pair
-    (N * N, row-major)]`` — a Python list, because the greedy loop reads
-    and writes single elements (what numpy is slowest at).  A route's
-    *resource row* is a list of indices into it.
-    """
+    (N * N, row-major) | inf]``, uncapacitated on the region dimension
+    (step 2) without `gateways`.  The trailing ``inf`` is the slot the
+    -1 padding of a resource row reads."""
     n = len(codes)
-    if gateways is None:
-        # Step 2 runs uncapacitated on the region dimension.
-        region = [float("inf")] * n
-    else:
-        region = [float(config.container_capacity_mbps * gateways.get(c, 0))
-                  for c in codes]
-    premium = [float(config.premium_bandwidth_mbps)] * (n * n)
-    premium[::n + 1] = [0.0] * n
-    return region + [float(config.internet_bandwidth_mbps)] * n + premium
+    premium = np.full((n, n), float(config.premium_bandwidth_mbps))
+    np.fill_diagonal(premium, 0.0)
+    return np.concatenate([
+        [np.inf] * n if gateways is None else
+        [float(config.container_capacity_mbps * gateways.get(c, 0))
+         for c in codes],
+        np.full(n, float(config.internet_bandwidth_mbps)), premium.ravel(),
+        [np.inf]])
 
 
 class _EdgeWeights:
@@ -405,43 +431,36 @@ def _all_routes(dist: np.ndarray, vias: List[np.ndarray],
 
 
 class _ShortestPaths:
-    """Hop-limited shortest routes over the hybrid graph from a set of
-    source regions: one route table per build, as flat lists indexed by
-    `index` — the source's row times the number of columns, plus the
-    destination's column.
-
-    Rows are the given `sources` that still have capacity; columns (and
-    relays) are every region that still has capacity, in region order.
-    ``hops[k]`` is pair ``k``'s hop count (0: unreachable),
-    ``rows[k * width : k * width + 2 * hops[k] + 1]`` its resource row
-    (see `_RouteTable`), ``keys[k * stride : (k + 1) * stride]`` the
-    padded row's bytes (the interning key), ``latency_ms[k]`` /
-    ``loss_rate[k]`` its metrics on the epoch snapshot, accumulated hop
-    by hop left to right — the operations of
-    `LinkStateSnapshot.path_latency_ms` and of Table 1's
-    ``1 - prod(1 - hop loss)`` — and ``dist[k]`` its weighted length.
-    A pair outside the table (its source not solved, or an end without
-    capacity) indexes one trailing entry: 0 hops, length inf.
+    """Hop-limited shortest routes over the hybrid graph from the given
+    `sources` that still have capacity (rows) to every region that
+    still has capacity (columns and relays, in region order), as arrays
+    indexed by `index`.  ``hops[k]`` is pair ``k``'s hop count (0:
+    unreachable), ``rows[k]`` its resource row (see `_RouteTable`),
+    ``latency_ms[k]`` / ``loss_rate[k]`` its metrics, summed hop by hop
+    left to right as `LinkStateSnapshot.path_latency_ms` and Table 1's
+    ``1 - prod(1 - hop loss)`` do, ``dist[k]`` its weighted length.  A
+    pair outside the table indexes a trailing entry: 0 hops, length inf.
     """
 
     def __init__(self, weights: _EdgeWeights, config: ControlConfig,
-                 residuals: List[float], sources: np.ndarray,
+                 residuals: np.ndarray, sources: np.ndarray,
                  enforce_loss: bool = True):
         # An edge is unusable if its own loss already violates the path
         # loss budget (unless running the best-effort fallback pass), or
         # if its link has no residual capacity; regions without capacity
         # are left out of the DP below.
         n = weights.lat.shape[1]
-        left = np.array(residuals) > 0.0
-        usable = (weights.quality_ok if enforce_loss
-                  else weights.exists).copy()
-        usable[0] &= left[n:2 * n, None]
-        usable[1] &= left[2 * n:].reshape(n, n)
-        weight = np.where(usable, weights.weight, np.inf)
+        left = np.asarray(residuals[:2 * n + n * n]) > 0.0
+        usable = weights.quality_ok if enforce_loss else weights.exists
+        internet = np.where(usable[0] & left[n:2 * n, None],
+                            weights.weight[0], np.inf)
+        premium = np.where(usable[1] & left[2 * n:].reshape(n, n),
+                           weights.weight[1], np.inf)
 
-        # Per-edge best link type (hybrid choice).
-        best_type = np.argmin(weight, axis=0)
-        w = np.min(weight, axis=0)
+        # Per-edge best link type (hybrid choice): the first minimum of
+        # the two tiers, as two-operand passes (not a length-2 reduce).
+        best_type = (premium < internet).astype(np.intp)
+        w = np.minimum(internet, premium)
         np.fill_diagonal(w, np.inf)
 
         # Min-plus DP: layer k holds the best distance using <= k+1 hops,
@@ -470,26 +489,24 @@ class _ShortestPaths:
 
         link = np.where(link_type == _INTERNET, n + a, 2 * n + a * n + b)
         self.width = 2 * max_hops + 1
-        rows = np.full(hops.shape + (self.width,), -1, dtype=np.int32)
-        for h in range(1, max_hops + 1):
-            of_length = hops == h
-            rows[of_length, :h + 1] = nodes[of_length, :h + 1]
-            rows[of_length, h + 1:2 * h + 1] = link[of_length, :h]
+        # A pair's row: its regions, its hops' links, then -1.
+        rows = np.full((hops.size + 1, self.width), -1, dtype=np.intp)
+        pairs = rows[:-1].reshape(hops.shape + (self.width,))
+        reach, step = hops[:, :, None], np.arange(max_hops + 1)
+        pairs[:, :, :max_hops + 1] = np.where((step <= reach) & (reach > 0),
+                                              nodes, -1)
+        np.put_along_axis(pairs, reach + 1 + step[:-1],
+                          np.where(step[:-1] < reach, link, -1), axis=2)
         # The source -> row map, and the trailing entry every pair
         # outside the table indexes.
         self._row = np.full(n, -1, dtype=np.intp)
         self._row[sources] = np.arange(sources.size)
         self._col, self._cols, self._outside = col, live.size, hops.size
         self.dist = np.append(dist.ravel(), np.inf)
-        # Flat lists: the greedy loop reads single elements, and a
-        # nested ``tolist`` would build one small list per pair.
-        self.hops: List[int] = hops.ravel().tolist()
-        self.hops.append(0)
-        self.rows: List[int] = rows.ravel().tolist()
-        self.keys = rows.tobytes()
-        self.stride = self.width * rows.itemsize
-        self.latency_ms: List[float] = latency.ravel().tolist()
-        self.loss_rate: List[float] = (1.0 - survive).ravel().tolist()
+        self.hops = np.append(hops.ravel(), 0)
+        self.rows = rows
+        self.latency_ms = np.append(latency.ravel(), 0.0)
+        self.loss_rate = np.append(1.0 - survive.ravel(), 0.0)
 
     def index(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """The flat index of each region pair ``(src[k], dst[k])``."""
@@ -531,7 +548,7 @@ class EpochSolveContext:
         if self._weights is None:
             self._inputs = inputs
             self._weights = _EdgeWeights(snap, config, fees)
-            self.routes = _RouteTable(snap.codes)
+            self.routes = _RouteTable(snap.codes, 2 * config.max_hops + 1)
         elif any(a is not b for a, b in zip(inputs, self._inputs)):
             raise ValueError("an EpochSolveContext serves one (snapshot, "
                              "config, fees); make a new one per epoch")
@@ -539,11 +556,11 @@ class EpochSolveContext:
 
     def first_shortest_paths(self, weights: _EdgeWeights,
                              config: ControlConfig,
-                             residuals: List[float]) -> _ShortestPaths:
+                             residuals: np.ndarray) -> _ShortestPaths:
         # Internet and premium capacities start at config constants, so
         # the first usable-mask differs between runs only in which
         # regions start with positive capacity.
-        key = bytes(v > 0.0 for v in residuals[:weights.lat.shape[1]])
+        key = (residuals[:weights.lat.shape[1]] > 0.0).tobytes()
         sp = self._sp_cache.get(key)
         if sp is not None:
             if _TEL.enabled:
@@ -552,6 +569,87 @@ class EpochSolveContext:
         sp = self._sp_cache[key] = _ShortestPaths(
             weights, config, residuals, np.arange(weights.lat.shape[1]))
         return sp
+
+
+#: Streams a placement round first scans for one a residual may cap
+#: (doubling while it finds none).
+PLACE_WINDOW = 256
+
+
+def _place(values: np.ndarray, remaining: np.ndarray, order: np.ndarray,
+           rows: np.ndarray) -> np.ndarray:
+    """One sweep of Algorithm 1's greedy loop, as array passes: the
+    streams at positions `order` in turn each take ``min(want, residual
+    of each slot on its resource row rows[s])`` out of `values` when
+    that is over 1e-9.  Updates `values` and `remaining` exactly as the
+    scalar loop (`tests/controlplane/sweep_oracle.py`) would and returns
+    the takes.
+
+    A stream with no route, no want or a spent slot wants nothing.  A
+    round scans on from the last one in windows of `PLACE_WINDOW`
+    streams (doubling while all are clear): the residual the wants
+    before a stream leave on each tight slot, in visit order, bounds the
+    one it meets from below (rounding is in `margin`), so a stream clear
+    of it by 1e-9 takes its whole want and spends nothing.  The round
+    commits the takes before the first stream not clear with
+    `np.subtract.at`, which subtracts one by one like ``values[r] -=
+    take``, and gives it the scalar rule; a slot spent by then blocks
+    every later stream on it, so a round ends at a cap or a spend.
+    """
+    want = remaining[order]
+    live = want > 1e-9
+    live &= rows[:, 0] >= 0
+    unspent = values > 1e-9
+    for column in rows.T:  # (a column at a time: reducing along a row
+        live &= unspent[column]  # of a few slots is numpy's slow case)
+    take = np.where(live, want, 0.0)
+    if not live.any():
+        return take  # nothing to place: no round
+    width = rows.shape[1]
+    element = np.flatnonzero((rows >= 0) & live[:, None])
+    at, slot = element // width, rows.ravel()[element]
+    demand = np.bincount(slot, weights=take[at], minlength=values.size)
+    margin = 1e-9 + (slot.size + 2) * 2.0 ** -50 * (
+        demand.sum() + np.max(values, where=np.isfinite(values),
+                              initial=0.0))
+    is_tight = values < demand + margin
+    # Each stream's elements are ``slot[ends[s]:ends[s + 1]]``; a tight
+    # slot's rank sorts in the narrowest dtype (a radix sort while there
+    # are fewer than 2 ** 16 tight slots).
+    ends = np.searchsorted(at, np.arange(len(order) + 1))
+    tight, rank = is_tight[slot], np.cumsum(is_tight) - 1
+    rank = rank.astype(np.min_scalar_type(rank[-1]))
+    rounds, done, start, span = 1, 0, 0, PLACE_WINDOW
+    while start < len(order):
+        # The tight elements of the next `span` streams by slot, then
+        # visit; a slot spent before them blocks them.
+        stop = min(start + span, len(order))
+        window = ends[start] + np.flatnonzero(tight[ends[start]:ends[stop]])
+        window = window[np.argsort(rank[slot[window]], kind="stable")]
+        by_slot, on_slot = slot[window], at[window]
+        have = values[by_slot]
+        take[on_slot[have <= 1e-9]] = 0.0
+        # Each one's running sum of the wants before it on its slot.
+        wants = take[on_slot]
+        before = np.cumsum(wants) - wants
+        before -= before[np.searchsorted(by_slot, by_slot)]
+        short = on_slot[(have - before < wants + margin) & (wants > 0.0)]
+        f = int(short.min()) if short.size else stop
+        np.subtract.at(values, slot[done:ends[f]], take[at[done:ends[f]]])
+        if not short.size:
+            done, start, span = ends[stop], stop, 2 * span
+            continue
+        row = slot[ends[f]:ends[f + 1]]
+        have = values[row]
+        take[f] = got = min(want[f], have.min())
+        values[row] = have - got
+        rounds, done, start = rounds + 1, ends[f + 1], f + 1
+        span = max(span // 2, PLACE_WINDOW)
+    placed = take > 0.0
+    remaining[order[placed]] = want[placed] - take[placed]
+    if _TEL.enabled:
+        _TEL.counter("pathcontrol.place_rounds").inc(rounds)
+    return take
 
 
 #: Stream orderings path_control supports; "latency_desc" is the paper's.
@@ -596,92 +694,57 @@ def path_control(streams: StreamTable, codes: List[str],
         raise ValueError(f"stream table regions {streams.codes} do not "
                          f"match the solver's {codes}")
     src_idx, dst_idx = streams.src, streams.dst
-    remaining: List[float] = streams.mbps.tolist()
+    remaining = streams.mbps.copy()
 
     # Latency limits are anchored to the direct premium latency of each
     # pair (the best the underlay can do).  Vectorised, but element-wise
     # identical to `config.latency_limit_ms` per stream.
     lat_premium = snap.lat[TYPE_INDEX[LinkType.PREMIUM]]
-    limits: List[float] = np.maximum(
+    limits = np.maximum(
         config.latency_limit_floor_ms,
-        config.latency_limit_stretch * lat_premium[src_idx, dst_idx]).tolist()
+        config.latency_limit_stretch * lat_premium[src_idx, dst_idx])
 
-    def ordered(active: List[int], sp: _ShortestPaths
-                ) -> Tuple[List[int], List[int]]:
-        """Order stream positions for one pass (paper's line 8); returns
-        them with each one's pair index into `sp`.
-
-        The latency orderings sort by current shortest-path latency with
-        non-finite latencies keyed as 0.0; `np.argsort(kind="stable")`
-        produces exactly the permutation a stable `sorted` over the same
-        keys would.
-        """
-        pos = np.asarray(active, dtype=np.intp)
-        flat = sp.index(src_idx[pos], dst_idx[pos])
+    def ordered(active: np.ndarray, sp: _ShortestPaths
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stream positions in one pass's order (paper's line 8), with
+        each one's pair index into `sp`; the latency orderings key a
+        non-finite latency as 0.0, and every sort is stable."""
+        flat = sp.index(src_idx[active], dst_idx[active])
         if ordering == "input":
-            return active, flat.tolist()
+            return active, flat
         if ordering == "demand_desc":
-            keys = -streams.mbps[pos]
+            keys = -streams.mbps[active]
         else:
             lat = sp.dist[flat]
             keys = np.where(np.isfinite(lat), lat, 0.0)
             if ordering == "latency_desc":
                 keys = -keys
         order = np.argsort(keys, kind="stable")
-        return pos[order].tolist(), flat[order].tolist()
+        return active[order], flat[order]
 
-    loss_limit, route_ids = config.loss_limit, routes.ids
-    position, route = result.position, result.route
-    amount, meets = result.mbps, result.meets
+    # Per sweep: the placements' (position, mbps, meets, resource row,
+    # hops, latency, loss), in assignment order.
+    placements = [(np.zeros(0, dtype=np.intp), np.zeros(0),
+                   np.zeros(0, dtype=bool), sp.rows[:0], sp.hops[:0],
+                   np.zeros(0), np.zeros(0))]
 
-    def sweep(order: List[int], flat: List[int], sp: _ShortestPaths,
-              quality: bool) -> List[int]:
-        """Visit the streams at positions `order` once, each taking as
-        much of its remaining demand as its current route's tightest
-        residual allows; returns those that could not be placed in
-        full.  `flat` holds each one's pair index into `sp`.  `quality`
-        is False on the best-effort pass, whose assignments never meet
-        the constraints."""
-        hops, rows, width = sp.hops, sp.rows, sp.width
-        keys, stride = sp.keys, sp.stride
-        latency_ms, loss_rate = sp.latency_ms, sp.loss_rate
-        blocked: List[int] = []
-        for p, k in zip(order, flat):
-            want = remaining[p]
-            if want <= 0:
-                continue
-            n_hops = hops[k]
-            if not n_hops:
-                blocked.append(p)  # no route on this graph
-                continue
-            start = k * width
-            end = start + 2 * n_hops + 1
-            take = want
-            for slot in range(start, end):
-                residual = values[rows[slot]]
-                if residual < take:
-                    take = residual
-            if take <= 1e-9:
-                blocked.append(p)  # a resource on the route is spent
-                continue
-            row = rows[start:end]
-            for r in row:
-                values[r] -= take
-            remaining[p] = left = want - take
-            key = keys[k * stride:(k + 1) * stride]
-            rid = route_ids.get(key)
-            if rid is None:
-                rid = routes.add(key, row, latency_ms[k], loss_rate[k])
-            position.append(p)
-            route.append(rid)
-            amount.append(take)
-            meets.append(quality and latency_ms[k] <= limits[p]
-                         and loss_rate[k] <= loss_limit)
-            if left > 1e-9:
-                blocked.append(p)  # leftover demand needs another path
-        return blocked
+    def sweep(order: np.ndarray, flat: np.ndarray, sp: _ShortestPaths,
+              quality: bool) -> Tuple[np.ndarray, int]:
+        """Place the streams at positions `order` (pair indices `flat`
+        into `sp`) once each (`_place`); returns, in visit order, those
+        with demand left, and how many were placed.  The best-effort
+        pass (`quality` False) never meets the constraints."""
+        take = _place(values, remaining, order, sp.rows[flat])
+        placed = take > 0.0
+        at, k = order[placed], flat[placed]
+        latency_ms, loss_rate = sp.latency_ms[k], sp.loss_rate[k]
+        placements.append((
+            at, take[placed],
+            (latency_ms <= limits[at]) & (loss_rate <= config.loss_limit)
+            & quality, sp.rows[k], sp.hops[k], latency_ms, loss_rate))
+        return order[remaining[order] > 1e-9], at.size
 
-    def rebuilt(unplaced: List[int], enforce_loss: bool) -> _ShortestPaths:
+    def rebuilt(unplaced: np.ndarray, enforce_loss: bool) -> _ShortestPaths:
         """The graph on the current residuals, from the sources of the
         streams at positions `unplaced` (the next sweep's)."""
         if _TEL.enabled:
@@ -689,14 +752,12 @@ def path_control(streams: StreamTable, codes: List[str],
         return _ShortestPaths(weights, config, values,
                               np.unique(src_idx[unplaced]), enforce_loss)
 
-    active: List[int] = np.flatnonzero(streams.mbps > 0).tolist()
+    active = np.flatnonzero(streams.mbps > 0)
     rebuilds = 0
-    while active:
+    while active.size:
         # Sort by current shortest-path latency, descending (line 8).
-        placed = len(position)
-        blocked = sweep(*ordered(active, sp), sp, True)
-        active = [p for p in blocked if remaining[p] > 1e-9]
-        if not active or len(position) == placed:
+        active, placed = sweep(*ordered(active, sp), sp, True)
+        if not active.size or not placed:
             break  # all placed, or no capacity left for the rest
         if rebuilds == REBUILD_BUDGET:
             # The budget ran out with streams still unplaced (as opposed
@@ -704,12 +765,12 @@ def path_control(streams: StreamTable, codes: List[str],
             # goes to `unassigned` / the fallback pass, loudly.
             warnings.warn(
                 f"path_control exhausted its rebuild budget "
-                f"({REBUILD_BUDGET} rebuilds) with {len(active)} streams "
+                f"({REBUILD_BUDGET} rebuilds) with {active.size} streams "
                 "still unplaced; their residual demand falls through to "
                 "the best-effort pass", UserWarning, stacklevel=2)
             if _TEL.enabled:
                 _TEL.counter("pathcontrol.rebuild_budget_exhausted").inc(
-                    len(active))
+                    active.size)
             break
         sp = rebuilt(active, True)
         rebuilds += 1
@@ -718,26 +779,26 @@ def path_control(streams: StreamTable, codes: List[str],
     # all (e.g. a global loss episode) are still carried — production
     # cannot drop conferences — on the least-bad path, flagged as
     # violating constraints.
-    leftover: List[int] = np.flatnonzero(
-        np.array(remaining) > 1e-9).tolist()
-    if leftover:
+    leftover = np.flatnonzero(remaining > 1e-9)
+    if leftover.size:
         sp = rebuilt(leftover, False)
-        sweep(leftover,
-              sp.index(src_idx[leftover], dst_idx[leftover]).tolist(),
-              sp, False)
+        sweep(leftover, sp.index(src_idx[leftover], dst_idx[leftover]), sp,
+              False)
 
-    left = np.array(remaining)
-    unassigned = np.flatnonzero(left > 1e-9)
+    (result.position, result.mbps, result.meets, rows, hops, latency_ms,
+     loss_rate) = (np.concatenate(column) for column in zip(*placements))
+    result.route = routes.intern(rows, hops, latency_ms, loss_rate)
+    unassigned = np.flatnonzero(remaining > 1e-9)
     result.unassigned_at = unassigned.tolist()
-    result.residual = left[unassigned].tolist()
+    result.residual = remaining[unassigned].tolist()
     result.graph_rebuilds = rebuilds
     if _TEL.enabled:
         _TEL.counter("pathcontrol.runs").inc()
         _TEL.counter("pathcontrol.graph_rebuilds").inc(rebuilds)
-        _TEL.counter("pathcontrol.assignments").inc(len(route))
+        _TEL.counter("pathcontrol.assignments").inc(result.route.size)
         _TEL.counter("pathcontrol.unassigned").inc(unassigned.size)
         path_hops = _TEL.histogram("pathcontrol.path_hops",
                                    buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
-        for rid in route:
-            path_hops.observe(len(routes.rows[rid]) // 2)
+        for n_hops in hops.tolist():
+            path_hops.observe(n_hops)
     return result

@@ -27,7 +27,6 @@ the installs push.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -126,30 +125,20 @@ def generate_reaction_plans(result: PathControlResult,
     first assignment through it.  The reverse walk runs once per
     distinct placed route, over the premium tier of `snap`.
     """
-    routes = result.routes
-    codes, rows, n = routes.codes, routes.rows, len(routes.codes)
+    routes, route = result.routes, result.route
+    codes, spans, n = routes.codes, routes.hops, len(routes.codes)
     premium = TYPE_INDEX[LinkType.PREMIUM]
     latency, loss = snap.lat[premium].ravel(), snap.loss[premium].ravel()
-    route = np.array(result.route, dtype=np.intp)
     placed = np.unique(route)
-    spans = np.zeros(len(rows), dtype=np.intp)
-    spans[placed] = [len(rows[rid]) // 2 for rid in placed.tolist()]
-    # Every placed route's non-terminal positions, one run per route
-    # starting at `start[rid]`: the region and the id of its relay chain
-    # in `names`.  A chain is interned as (first relay, id of the rest),
-    # the rest of a lone ``(dst,)`` being the empty chain, id -1.
-    start = np.zeros(len(rows), dtype=np.intp)
-    region_of: List[np.ndarray] = []
-    chain_of: List[np.ndarray] = []
+    # The id in `names` of the relay chain of each placed route's
+    # non-terminal positions.  A chain is interned as (first relay, id
+    # of the rest), the rest of a lone ``(dst,)`` being the empty chain.
+    chain_ids = np.zeros((spans.size, routes.rows.shape[1] // 2), np.intp)
     names: List[Tuple[str, ...]] = []
     interned: Dict[int, int] = {}
-    at = 0
     for hops in np.unique(spans[placed]).tolist():
         rids = placed[spans[placed] == hops]
-        nodes = np.fromiter(
-            chain.from_iterable(rows[rid][:hops + 1] for rid in rids.tolist()),
-            dtype=np.intp, count=rids.size * (hops + 1)
-        ).reshape(-1, hops + 1)
+        nodes = routes.rows[rids, :hops + 1].astype(np.intp)
         via = _relay_choices(nodes, latency, loss, n, loss_ms_penalty)
         every = np.arange(rids.size)
         ids = np.empty(via.shape, dtype=np.intp)
@@ -169,27 +158,19 @@ def generate_reaction_plans(result: PathControlResult,
                                  + (names[rest_id - 1] if rest_id else ()))
                 known.append(chain_id)
             ids[:, i] = np.array(known, dtype=np.intp)[inverse]
-        start[rids] = at + hops * every
-        at += rids.size * hops
-        region_of.append(nodes[:, :hops].ravel())
-        chain_of.append(ids.ravel())
+        chain_ids[rids, :hops] = ids
     # Every (assignment, non-terminal region) in assignment order; the
     # first of each (stream, region) is the plan.
-    counts = spans[route]
-    flat = (np.repeat(start[route] - np.cumsum(counts) + counts, counts)
-            + np.arange(counts.sum()))
-    stream_ids = np.repeat(
-        result.streams.stream_id[np.array(result.position, dtype=np.intp)],
-        counts)
-    regions = np.concatenate(region_of + [np.zeros(0, np.intp)])[flat]
+    a, h, rows = result.hop_steps()
+    regions = rows[a, h]
+    stream_ids = result.streams.stream_id[result.position[a]]
     __, firsts = np.unique(stream_ids * n + regions, return_index=True)
     firsts.sort()
     plans: RegionPlans = {code: {} for code in codes}
     by_region = list(plans.values())
     for region, sid, chain_id in zip(
             regions[firsts].tolist(), stream_ids[firsts].tolist(),
-            np.concatenate(chain_of + [np.zeros(0, np.intp)])[
-                flat[firsts]].tolist()):
+            chain_ids[route[a[firsts]], h[firsts]].tolist()):
         by_region[region][sid] = names[chain_id]
     if _TEL.enabled:
         relay_hops = _TEL.histogram("reactionplan.relay_hops",

@@ -548,7 +548,7 @@ class EventDrivenXRON:
         codes, stream_ids = table.codes, table.stream_id.tolist()
         src, dst = table.src.tolist(), table.dst.tolist()
         best: Dict[RegionPair, Tuple[int, float]] = {}
-        for p, mbps in zip(result.position, result.mbps):
+        for p, mbps in zip(result.position.tolist(), result.mbps.tolist()):
             key = (codes[src[p]], codes[dst[p]])
             if key in self.sessions and (
                     key not in best or mbps > best[key][1]):

@@ -394,10 +394,9 @@ class EpochSimulator:
                             target=output.capacity.total_target(),
                             ready=sum(ready.values()))
                 placed = output.path_result
-                rows = placed.routes.rows
-                normal_hops.extend((len(rows[rid]) // 2, mbps)
-                                   for rid, mbps in zip(placed.route,
-                                                        placed.mbps))
+                normal_hops.extend(zip(
+                    placed.routes.hops[placed.route].tolist(),
+                    placed.mbps.tolist()))
 
             cache = _EpochLinkCache(
                 self.underlay, now, epoch_end, cfg.eval_step_s,
@@ -499,8 +498,9 @@ class EpochSimulator:
             placed, table = output.path_result, output.table
             codes, stream_ids = table.codes, table.stream_id.tolist()
             src, dst = table.src.tolist(), table.dst.tolist()
-            for p, rid, mbps in zip(placed.position, placed.route,
-                                    placed.mbps):
+            for p, rid, mbps in zip(placed.position.tolist(),
+                                    placed.route.tolist(),
+                                    placed.mbps.tolist()):
                 key = (codes[src[p]], codes[dst[p]])
                 if key not in chosen or mbps > chosen[key][2]:
                     chosen[key] = (rid, stream_ids[p], mbps)

@@ -1,6 +1,6 @@
 """Algorithm 1's graph build as it was before rebuilds were restricted:
 every source row of the min-plus DP over every region, scattered into
-flat ``src * N + dst`` tables.  Kept as the oracle the restricted
+``src * N + dst`` tables.  Kept as the oracle the restricted
 `repro.controlplane.pathcontrol._ShortestPaths` is tested against — row
 by row (`test_restricted_build.py`) and, patched in for it, as the
 solver that rebuilds full graphs.  Nothing in `src/` imports this
@@ -65,7 +65,7 @@ def full_all_routes(dist: np.ndarray, vias: List[np.ndarray],
 
 
 class FullShortestPaths:
-    """Every pair's route over every region, flat ``src * N + dst``.
+    """Every pair's route over every region, indexed ``src * N + dst``.
 
     Takes `_ShortestPaths`' arguments and ignores `sources`, so
     patching it in for `_ShortestPaths` gives the solver that rebuilds
@@ -76,7 +76,7 @@ class FullShortestPaths:
                  residuals: List[float], sources=None,
                  enforce_loss: bool = True):
         n = self.n = weights.lat.shape[1]
-        left = np.array(residuals) > 0.0
+        left = np.array(residuals[:2 * n + n * n]) > 0.0
         region_ok = left[:n]
         usable = (weights.quality_ok if enforce_loss
                   else weights.exists).copy()
@@ -112,12 +112,10 @@ class FullShortestPaths:
             rows[of_length, :h + 1] = nodes[of_length, :h + 1]
             rows[of_length, h + 1:2 * h + 1] = link[of_length, :h]
         self.dist = dist.ravel()
-        self.hops: List[int] = hops.ravel().tolist()
-        self.rows: List[int] = rows.ravel().tolist()
-        self.keys = rows.tobytes()
-        self.stride = self.width * rows.itemsize
-        self.latency_ms: List[float] = latency.ravel().tolist()
-        self.loss_rate: List[float] = (1.0 - survive).ravel().tolist()
+        self.hops = hops.ravel()
+        self.rows = rows.reshape(n * n, self.width)
+        self.latency_ms = latency.ravel()
+        self.loss_rate = (1.0 - survive).ravel()
 
     def index(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return src * self.n + dst

@@ -6,14 +6,16 @@ regions that still have capacity.  Against the full build it replaced
 (`tests/controlplane/full_build_oracle.py`):
 
 * every restricted row equals the full build's row bit for bit — dist,
-  hops, resource row, key, latency and loss — on drawn graphs with
+  hops, resource row, route key, latency and loss — on drawn graphs with
   missing links, tied weights, regions without capacity and drawn
   source subsets;
 * `path_control` equals the solver that rebuilds full graphs (the
   oracle patched in for `_ShortestPaths`): columns, route ids and
   routes, unassigned streams and residuals, rebuild count;
 * at 100 regions, no rebuild solves more DP rows than there are
-  distinct sources with unplaced demand.
+  distinct sources with unplaced demand, no sweep places its streams in
+  more rounds than it has partial takes and newly spent slots, plus
+  one, and each run interns its routes once.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from repro import obs
 from repro.controlplane import pathcontrol
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import (ORDERINGS, EpochSolveContext,
-                                            _EdgeWeights, _ShortestPaths,
-                                            path_control)
+                                            _EdgeWeights, _route_keys,
+                                            _ShortestPaths, path_control)
 from repro.experiments.base import planet_underlay
 from repro.traffic.cohorts import CohortWorkload
 from repro.traffic.demand import DemandModel
@@ -97,13 +99,12 @@ def test_each_restricted_row_equals_the_full_builds(case):
     weights = _EdgeWeights(snap, config, None)
     full = FullShortestPaths(weights, config, residuals, None, enforce_loss)
     sp = _ShortestPaths(weights, config, residuals, sources, enforce_loss)
-    assert (sp.width, sp.stride) == (full.width, full.stride)
+    assert sp.width == full.width
     # Rows for the given sources only, columns for live regions only.
     live = sum(1 for v in residuals[:n] if v > 0)
     assert len(sp.hops) - 1 == live * sum(
         1 for s in sources if residuals[s] > 0)
 
-    width, stride = sp.width, sp.stride
     for s in sources.tolist():
         flat = sp.index(np.full(n, s), np.arange(n)).tolist()
         for d, k in enumerate(flat):
@@ -112,10 +113,9 @@ def test_each_restricted_row_equals_the_full_builds(case):
             assert float(sp.dist[k]).hex() == float(full.dist[f]).hex()
             if not full.hops[f]:
                 continue
-            assert sp.rows[k * width:(k + 1) * width] \
-                == full.rows[f * width:(f + 1) * width]
-            assert sp.keys[k * stride:(k + 1) * stride] \
-                == full.keys[f * stride:(f + 1) * stride]
+            assert sp.rows[k].tolist() == full.rows[f].tolist()
+            assert _route_keys(sp.rows[[k]], sp.hops[[k]], n) \
+                == _route_keys(full.rows[[f]], full.hops[[f]], n)
             assert sp.latency_ms[k].hex() == full.latency_ms[f].hex()
             assert sp.loss_rate[k].hex() == full.loss_rate[f].hex()
 
@@ -135,14 +135,17 @@ def solve(snap, streams, config, gateways, ordering, full: bool):
                 - counters["pathcontrol.graph_rebuilds"]["value"]
                 if "pathcontrol.snapshot_reuses" in counters else 0)
     routes = result.routes
-    return ({"position": result.position, "route": result.route,
-             "mbps": [m.hex() for m in result.mbps], "meets": result.meets,
+    return ({"position": result.position.tolist(),
+             "route": result.route.tolist(),
+             "mbps": [m.hex() for m in result.mbps.tolist()],
+             "meets": result.meets.tolist(),
              "unassigned_at": result.unassigned_at,
              "residual": [r.hex() for r in result.residual],
              "graph_rebuilds": result.graph_rebuilds,
-             "routes": routes.rows,
-             "latency": [x.hex() for x in routes.latency_ms],
-             "loss": [x.hex() for x in routes.loss_rate]}, fallback)
+             "routes": routes.rows.tolist(),
+             "latency": [x.hex() for x in routes.latency_ms.tolist()],
+             "loss": [x.hex() for x in routes.loss_rate.tolist()]},
+            fallback)
 
 
 #: Links of a tight small world: 0.01 loss is over the limit (only the
@@ -224,50 +227,93 @@ def test_the_differential_reaches_rebuilds_and_the_fallback():
 
 
 # ----------------------------------------------------------- work budget
-def test_no_rebuild_solves_more_rows_than_sources_with_demand(monkeypatch):
-    """At 100 regions (cohort SIB, 8 gateways per region, then the
-    uncapacitated run), each DP solves at most one row per distinct
-    source region that still has unplaced demand."""
+@pytest.fixture(scope="module")
+def planet():
+    """100 regions, the cohort SIB's streams and a mid-epoch snapshot;
+    a solve runs with 8 gateways per region, then uncapacitated."""
     underlay = planet_underlay(100, seed=7, horizon_s=900.0)
     streams = CohortWorkload(seed=7, cohorts_per_pair=2).decompose(
         TrafficMatrix.from_model(DemandModel(underlay.regions, seed=7),
                                  8 * 3600.0))
-    snap, config = underlay.snapshot(450.0), ControlConfig()
+    return underlay, streams, underlay.snapshot(450.0), ControlConfig()
+
+
+def both_runs(planet):
+    underlay, streams, snap, config = planet
+    context = EpochSolveContext()
+    for gateways in ({c: 8 for c in underlay.codes}, None):
+        yield path_control(streams, underlay.codes, snap, config,
+                           gateways=gateways, fees=underlay.pricing,
+                           context=context)
+
+
+def test_no_rebuild_solves_more_rows_than_sources_with_demand(planet,
+                                                              monkeypatch):
+    """At 100 regions (cohort SIB, 8 gateways per region, then the
+    uncapacitated run), each DP solves at most one row per distinct
+    source region that still has unplaced demand."""
+    streams = planet[1]
     src = streams.src.tolist()
 
-    results = []
+    #: The demand the solve under way has left, once it has placed.
+    live = {}
+    place = pathcontrol._place
 
-    class Recording(pathcontrol.PathControlResult):
-        def __init__(self, *args):
-            super().__init__(*args)
-            results.append(self)
+    def placing(values, remaining, order, rows):
+        live["remaining"] = remaining
+        return place(values, remaining, order, rows)
 
     solved = []  # (DP rows, sources with unplaced demand) per DP
     dp_layers = pathcontrol._dp_layers
 
     def counting(w, rows, n_layers):
-        remaining = streams.mbps.tolist()
-        if results:  # the solve under way has placed these so far
-            for p, mbps in zip(results[-1].position, results[-1].mbps):
-                remaining[p] -= mbps
+        remaining = live.get("remaining", streams.mbps).tolist()
         solved.append((len(rows), len({src[p] for p, left in
                                        enumerate(remaining)
                                        if left > 1e-9})))
         return dp_layers(w, rows, n_layers)
 
-    monkeypatch.setattr(pathcontrol, "PathControlResult", Recording)
+    monkeypatch.setattr(pathcontrol, "_place", placing)
     monkeypatch.setattr(pathcontrol, "_dp_layers", counting)
-    context = EpochSolveContext()
-    for gateways in ({c: 8 for c in underlay.codes}, None):
-        results.clear()
-        result = path_control(streams, underlay.codes, snap, config,
-                              gateways=gateways, fees=underlay.pricing,
-                              context=context)
+    for result in both_runs(planet):
+        live.clear()
         assert result.graph_rebuilds >= 2
     assert len(solved) > 6
     assert all(rows <= unplaced for rows, unplaced in solved)
     # The restriction bites: most rebuilds solve well under 100 rows.
     assert sum(rows < 60 for rows, __ in solved) > len(solved) // 2
+
+
+def test_placement_rounds_stay_within_caps_and_spent_slots(planet,
+                                                          monkeypatch):
+    """At 100 regions, a sweep places its streams in at most one round
+    (`pathcontrol.place_rounds`) per partial take and per slot its takes
+    spend, plus one; a run interns its routes once
+    (`pathcontrol.route_interns`), not once per placement."""
+    sweeps = []  # (rounds, partial takes, newly spent slots) per sweep
+    place = pathcontrol._place
+
+    def counting(values, remaining, order, rows):
+        before, want = values.copy(), remaining[order]
+        rounds = hub.metrics.counter("pathcontrol.place_rounds").value
+        take = place(values, remaining, order, rows)
+        sweeps.append((
+            hub.metrics.counter("pathcontrol.place_rounds").value - rounds,
+            int(((take > 0.0) & (take < want)).sum()),
+            int(((before > 1e-9) & (values <= 1e-9)).sum())))
+        return take
+
+    monkeypatch.setattr(pathcontrol, "_place", counting)
+    with obs.capture() as hub:
+        placed = sum(result.route.size for result in both_runs(planet))
+        counters = hub.metrics.snapshot()
+    assert all(rounds <= partial + spent + 1
+               for rounds, partial, spent in sweeps), sweeps
+    # Caps and spent slots happen, and take rounds of their own.
+    assert sum(rounds for rounds, __, __ in sweeps) > 2 * len(sweeps)
+    assert counters["pathcontrol.route_interns"]["value"] \
+        == counters["pathcontrol.runs"]["value"] == 2
+    assert placed > 1000
 
 
 @pytest.fixture()
@@ -296,4 +342,4 @@ def test_the_fallback_pass_solves_only_the_leftover_sources(
     result = path_control(streams, names(3), forced_fallback,
                           ControlConfig(), gateways=None)
     assert rows == [[0, 1, 2], [0], [0]] and result.graph_rebuilds == 1
-    assert result.meets == [True, False] and result.unassigned_at == []
+    assert result.meets.tolist() == [True, False] and result.unassigned_at == []

@@ -87,7 +87,7 @@ def test_route_table_equals_the_scalar_reconstruction(graph):
     weights = _EdgeWeights(snap, config, None)
     sp = _ShortestPaths(weights, config, _residuals(codes, config, None),
                         np.arange(n))
-    routes = _RouteTable(codes)
+    routes = _RouteTable(codes, sp.width)
 
     # The oracle's own graph: every residual is positive, so an edge is
     # usable when its loss is within the limit.
@@ -108,7 +108,7 @@ def test_route_table_equals_the_scalar_reconstruction(graph):
                 (codes[a], codes[b], TYPE_ORDER[best_type[a, b]])
                 for a, b in zip(nodes, nodes[1:])))
             n_hops = sp.hops[k]
-            row = sp.rows[k * sp.width:k * sp.width + 2 * n_hops + 1]
+            row = sp.rows[k, :2 * n_hops + 1].tolist()
             assert sp.latency_ms[k].hex() == snap.path_latency_ms(path).hex()
             assert sp.loss_rate[k].hex() == path_loss_rate(snap, path).hex()
             # The resource row: the regions, then the Internet egress of
@@ -117,10 +117,8 @@ def test_route_table_equals_the_scalar_reconstruction(graph):
                 n + a if best_type[a, b] == TYPE_INDEX[LinkType.INTERNET]
                 else 2 * n + a * n + b for a, b in zip(nodes, nodes[1:])]
             # The interned route hands back the same path.
-            key = sp.keys[k * sp.stride:(k + 1) * sp.stride]
-            rid = routes.ids.get(key)
-            if rid is None:
-                rid = routes.add(key, row, sp.latency_ms[k], sp.loss_rate[k])
+            [rid] = routes.intern(sp.rows[[k]], sp.hops[[k]],
+                                  sp.latency_ms[[k]], sp.loss_rate[[k]])
             assert routes.path(rid) == path
             assert routes.path(rid).regions == path.regions
 

@@ -32,7 +32,7 @@ def table_of(streams: Iterable[Stream],
 def region_traffic(result: PathControlResult) -> Dict[str, float]:
     """Mbps `result` routes through each region (source, relays and
     destination alike), summed in assignment order."""
-    return dict(zip(result.routes.codes, result.usage()[0]))
+    return dict(zip(result.routes.codes, result.usage[0]))
 
 
 def placed_on(regions: Sequence[str], codes: Sequence[str],
@@ -41,15 +41,15 @@ def placed_on(regions: Sequence[str], codes: Sequence[str],
     Internet hops through `regions`."""
     codes = list(codes)
     n, ids = len(codes), [codes.index(r) for r in regions]
-    routes = _RouteTable(codes)
-    row = ids + [n + a for a in ids[:-1]]
-    rid = routes.add(np.array(row).tobytes(), row, 0.0, 0.0)
+    routes = _RouteTable(codes, 2 * len(ids) - 1)
+    row = np.array([ids + [n + a for a in ids[:-1]]], dtype=np.int32)
     result = PathControlResult(
         table_of([Stream(stream_id, regions[0], regions[-1], mbps,
                          VIDEO_PROFILES[0])], codes),
         routes, ControlConfig())
-    result.position.append(0)
-    result.route.append(rid)
-    result.mbps.append(mbps)
-    result.meets.append(True)
+    result.position = np.array([0])
+    result.route = routes.intern(row, np.array([len(ids) - 1]),
+                                 np.zeros(1), np.zeros(1))
+    result.mbps = np.array([mbps])
+    result.meets = np.array([True])
     return result
