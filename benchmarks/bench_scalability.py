@@ -116,7 +116,7 @@ def test_path_control_double_scale(benchmark, paper_scale):
 
 
 #: Budget of one all-pairs demand evaluation at 100 regions.  Evaluated
-#: over the pair axis it takes ~10 ms; the per-pair loop it replaced
+#: over the pair axis it takes ~5 ms; the per-pair loop it replaced
 #: took 4-7 s, so the budget fails on any return to per-pair work.
 DEMAND_MATRIX_BUDGET_S = 0.25
 
@@ -131,6 +131,44 @@ def test_demand_matrix_n100(benchmark):
     assert len(matrix) == 100 * 99
     assert matrix.total() > 0
     assert benchmark.stats["mean"] < DEMAND_MATRIX_BUDGET_S
+
+
+#: region count -> hard budget of one epoch of the demand path.  As
+#: columns (a matrix is a pairs tuple and a values vector, the SIB's
+#: histories are arrays, the cohort decomposition one array pass) it
+#: takes ~8 ms at 100 regions; with a dict matrix sorted per epoch and
+#: one predictor object per pair it took ~31 ms.  The budget leaves
+#: room for a host twice as slow and fails on a return to per-pair
+#: Python work.
+DEMAND_EPOCH_BUDGET_S = {100: 0.02}
+
+
+@pytest.mark.parametrize("n_regions", sorted(DEMAND_EPOCH_BUDGET_S),
+                         ids=lambda n: f"n{n:03d}")
+def test_demand_epoch(benchmark, n_regions):
+    """One control epoch's demand path before Algorithm 1: sample the
+    demand model, record it in the SIB, predict the next epoch and
+    decompose the prediction into cohorts — what `Controller.run_epoch`
+    pays ahead of path control.  One SIB lives through the rounds, as
+    in a deployment (warmed with eight epochs; never fitted: the
+    Fourier fits are per pair by design)."""
+    from repro.controlplane.sib import StreamInformationBase
+    from repro.underlay.planet import PlanetConfig, generate_regions
+    regions = generate_regions(PlanetConfig(n_regions=n_regions), seed=7)
+    demand = DemandModel(regions, seed=7)
+    sib = StreamInformationBase([r.code for r in regions])
+    workload = CohortWorkload(seed=7)
+    instants = itertools.count(8 * 3600.0, 300.0)
+
+    def epoch():
+        sib.record_epoch(TrafficMatrix.from_model(demand, next(instants)))
+        return workload.decompose(sib.predicted_matrix())
+
+    for __ in range(8):
+        epoch()
+    cohorts = benchmark.pedantic(epoch, rounds=40, warmup_rounds=2)
+    assert len(cohorts) == 2 * n_regions * (n_regions - 1)
+    assert benchmark.stats["mean"] < DEMAND_EPOCH_BUDGET_S[n_regions]
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,8 @@ Three subcommands:
     ``test_link_series_block[nNNN]``, ``test_cluster_install[nNNN]``,
     ``test_reaction_plans[nNNN]``, ``test_sweep_underlay_build[nNNN]``,
     ``test_underlay_build_paper[nNNN]``, ``test_sweep_demand_build[nNNN]``,
-    ``test_grid_epoch[nNNN]``) are gated per point: points missing
+    ``test_grid_epoch[nNNN]``, ``test_demand_epoch[nNNN]``) are gated
+    per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
     budget up to the per-benchmark region cap in
@@ -38,8 +39,9 @@ Three subcommands:
     one block of link series of the grid engine, one region's
     install plus a scale-up, the planet-scale control epoch with its
     reaction-plan pass, the underlay builds (planet scale and the
-    paper's), the planet-scale demand build and one epoch of the grid
-    engine (``baseline_pre_refactor`` vs ``current``).
+    paper's), the planet-scale demand build, one epoch of the grid
+    engine and one epoch of the planet-scale demand path
+    (``baseline_pre_refactor`` vs ``current``).
     ``--check docs/performance.md`` fails (exit 1) when the committed
     block is not byte-equal to its rendering, so the doc cannot drift
     from the ledger.
@@ -86,9 +88,10 @@ GATED = (
 #: planet-scale epoch and reaction-plan rows (before: a path object per
 #: visit and per plan candidate) and the underlay- and demand-build rows
 #: (before: one timeline compile and one numpy stream constructor per
-#: link or pair) and the grid-epoch row (before: each path hop's link
-#: truth evaluated twice, the reaction evaluated pair by pair) appear
-#: once the summary holds them.
+#: link or pair), the grid-epoch row (before: each path hop's link
+#: truth evaluated twice, the reaction evaluated pair by pair) and the
+#: demand-epoch row (before: a dict matrix sorted per epoch, one
+#: predictor object per pair) appear once the summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale_snapshot":
         (" (step 1)", "test_path_control_paper_scale"),
@@ -129,6 +132,9 @@ TABLE_ROWS = {
     "test_grid_epoch[n011]":
         (" (11 regions, 110 pairs, one `EpochSimulator` epoch)",
          "test_grid_epoch[n011]"),
+    "test_demand_epoch[n100]":
+        (" (100 regions, 9 900 pairs: sample, SIB, predict, cohorts)",
+         "test_demand_epoch[n100]"),
 }
 
 #: Marker comments around the rendered table in docs/performance.md.
@@ -142,7 +148,7 @@ TABLE_END = "<!-- control-loop-table:end -->"
 #: subset of the sweep (``-k "sweep and (n011 or n100 or n200)"``), and
 #: perf-smoke, which runs the probing instant, the link-series block,
 #: the cluster install, the reaction-plan pass, the paper-scale
-#: underlay build and the grid epoch, none of it.
+#: underlay build, the grid epoch and the demand epoch, none of it.
 SWEEP_GATED = (
     "test_probe_instant",
     "test_link_series_block",
@@ -152,6 +158,7 @@ SWEEP_GATED = (
     "test_underlay_build_paper",
     "test_sweep_demand_build",
     "test_grid_epoch",
+    "test_demand_epoch",
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
     "test_sweep_full_epoch",
@@ -225,8 +232,10 @@ def distill(args: argparse.Namespace) -> int:
                  "gateway; the object-per-visit control solve for the "
                  "sweep and reaction-plan entries; one timeline "
                  "compile and one numpy stream constructor per link or "
-                 "pair for the underlay and demand builds) — keep it "
-                 "for the speedup provenance."),
+                 "pair for the underlay and demand builds; a dict "
+                 "matrix sorted per epoch and one predictor object per "
+                 "pair for the demand epoch) — keep it for the speedup "
+                 "provenance."),
         "machine": machine_fingerprint(raw),
         "current": {},
     }

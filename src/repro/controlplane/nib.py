@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import is_
 from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -56,8 +57,8 @@ class LinkReport:
     reported_at: float
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError(f"negative latency {self.latency_ms}")
+        if not self.latency_ms >= 0:
+            raise ValueError(f"negative latency or NaN: {self.latency_ms}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss rate {self.loss_rate} outside [0, 1]")
 
@@ -80,11 +81,12 @@ class ReportBatch:
     reported_at: np.ndarray
 
     def __post_init__(self) -> None:
-        # `LinkReport`'s range checks, once over the arrays.
-        if len(self) and (self.latency_ms.min() < 0 or not (
+        # `LinkReport`'s range checks, once over the arrays (a NaN
+        # minimum fails them).
+        if len(self) and (not self.latency_ms.min() >= 0 or not (
                 0.0 <= self.loss_rate.min() and self.loss_rate.max() <= 1.0)):
-            raise ValueError("a report has a negative latency or a loss "
-                             "rate outside [0, 1]")
+            raise ValueError("a report has a negative or NaN latency, or "
+                             "a loss rate outside [0, 1]")
 
     def __len__(self) -> int:
         return len(self.latency_ms)
@@ -225,26 +227,30 @@ class NetworkInformationBase:
         distinct inside a batch and a link's reports keep their order.
 
         Each column is built once, unknown regions are indexed in
-        first-seen order (source before destination), and a report's
+        first-seen order (source before destination) — scanned for only
+        when a report names a region the index lacks — and a report's
         batch is its rank among its link's reports: one stable sort over
         integer link keys.
         """
         kept = [report for report in reports if report is not None]
         if not kept:
             return
+        size = len(kept)
         src = [report.src for report in kept]
         dst = [report.dst for report in kept]
-        self._grow(dict.fromkeys(chain.from_iterable(zip(src, dst))))
-        index, size = self._index, len(kept)
+        try:
+            src_i, dst_i = self._indices(src, size), self._indices(dst, size)
+        except KeyError:
+            self._grow(dict.fromkeys(chain.from_iterable(zip(src, dst))))
+            src_i, dst_i = self._indices(src, size), self._indices(dst, size)
+        index = self._index
         # An identity test per report: hashing an enum member is slow.
-        internet, premium = (TYPE_INDEX[LinkType.INTERNET],
-                             TYPE_INDEX[LinkType.PREMIUM])
+        premium = np.fromiter(map(is_, [report.link_type for report in kept],
+                                  repeat(LinkType.PREMIUM)), bool, size)
         batch = ReportBatch(
-            tuple(index),
-            np.fromiter(map(index.__getitem__, src), np.intp, size),
-            np.fromiter(map(index.__getitem__, dst), np.intp, size),
-            np.array([premium if report.link_type is LinkType.PREMIUM
-                      else internet for report in kept], dtype=np.intp),
+            tuple(index), src_i, dst_i,
+            np.where(premium, TYPE_INDEX[LinkType.PREMIUM],
+                     TYPE_INDEX[LinkType.INTERNET]),
             np.array([report.latency_ms for report in kept], dtype=float),
             np.array([report.loss_rate for report in kept], dtype=float),
             np.array([report.reported_at for report in kept], dtype=float))
@@ -252,19 +258,25 @@ class NetworkInformationBase:
         key = (batch.tier * n + batch.src) * n + batch.dst
         order = np.argsort(key, kind="stable")
         ranked = key[order]
-        repeat = ranked[1:] == ranked[:-1]
-        if not repeat.any():
+        repeated = ranked[1:] == ranked[:-1]
+        if not repeated.any():
             self._store(batch)  # every link once: one batch
             return
         # Rank within the link: position in the sorted run minus the
         # position where the link's run starts.
         position = np.arange(size)
         starts = np.maximum.accumulate(
-            np.where(np.concatenate(([False], repeat)), 0, position))
+            np.where(np.concatenate(([False], repeated)), 0, position))
         layer = np.empty(size, dtype=np.intp)
         layer[order] = position - starts
         for k in range(int(layer.max()) + 1):
             self._store(batch.take(layer == k))
+
+    def _indices(self, codes: List[str], size: int) -> np.ndarray:
+        """The index of each of `codes` (a `KeyError` names one the
+        index lacks)."""
+        return np.fromiter(map(self._index.__getitem__, codes), np.intp,
+                           size)
 
     def _filtered_batch(self, batch: ReportBatch,
                         touched: Sequence[int]) -> ReportBatch:

@@ -13,7 +13,7 @@ a surge.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -107,81 +107,166 @@ class DTFTPredictor:
         self._n = int(doc["n"])
 
 
-class RollingPredictor:
-    """Online wrapper: observe demand each slot, predict the next slot.
+class PredictorBank:
+    """Online DTFT forecasts for a bank of demand series (rows).
 
-    Applies the paper's empirical rule — prediction >= last actual — and
-    refits the Fourier model periodically rather than every slot (fitting
-    is cheap but not free at planetary scale).
+    Each row observes its demand once per slot, refits its Fourier
+    model periodically rather than every slot (fitting is cheap but not
+    free at planetary scale) and predicts with the paper's empirical
+    rule: never below the last actual.  Histories are one array whose
+    width grows to `history_slots`, each row a ring with its own start,
+    length and slots since its fit, so rows may be ragged (a partial
+    matrix or a checkpoint leaves some behind).  A row without a fit
+    predicts its last actual demand x 1.1 (a persistence forecast with
+    a safety margin) — all such rows in one array operation; fitting
+    and fitted prediction go row by row through `DTFTPredictor`.
     """
 
-    def __init__(self, n_harmonics: int = 100, history_slots: int = 576,
-                 refit_every: int = 12, min_history: int = 288):
+    def __init__(self, rows: int, n_harmonics: int = 100,
+                 history_slots: int = 576, refit_every: int = 12,
+                 min_history: int = 288):
         # Defaults: 5-minute slots, two days of history, refit hourly,
         # need one day of data before trusting the model.  The window is
         # deliberately short: with the hundred most prominent harmonics,
         # a two-day window resolves ~30-minute features (recurring
         # meeting-block surges), which a two-week window cannot.
-        self.predictor = DTFTPredictor(n_harmonics)
+        if history_slots < 1:
+            raise ValueError(f"need at least one history slot, "
+                             f"got {history_slots}")
+        self.n_harmonics = int(n_harmonics)
         self.history_slots = int(history_slots)
         self.refit_every = int(refit_every)
         self.min_history = int(min_history)
-        self._history: list = []
-        self._since_fit = 0
+        self._history = np.zeros((rows, 0))
+        self._start = np.zeros(rows, dtype=np.intp)
+        self._length = np.zeros(rows, dtype=np.intp)
+        self._since_fit = np.zeros(rows, dtype=np.intp)
+        #: Each row's newest demand, 0.0 before its first.
+        self._last = np.zeros(rows)
+        #: The fitted rows' models, and which rows have one (as a mask).
+        self._models: Dict[int, DTFTPredictor] = {}
+        self._fitted = np.zeros(rows, dtype=bool)
 
-    @property
-    def last_actual(self) -> Optional[float]:
-        return self._history[-1] if self._history else None
-
-    def observe(self, demand: float) -> None:
-        """Record the demand measured for the slot that just ended."""
-        if demand < 0:
-            raise ValueError(f"negative demand {demand}")
-        self._history.append(float(demand))
-        if len(self._history) > self.history_slots:
-            del self._history[:len(self._history) - self.history_slots]
-        self._since_fit += 1
-        if (len(self._history) >= max(self.min_history, 4)
-                and (not self.predictor.fitted
-                     or self._since_fit >= self.refit_every)):
-            self.predictor.fit(self._history)
-            self._since_fit = 0
+    def observe(self, rows: np.ndarray, demand) -> None:
+        """Record ``demand[k]``, measured over the slot that just ended,
+        for row ``rows[k]`` (rows distinct)."""
+        demand = np.asarray(demand, dtype=float)
+        if len(demand) and not demand.min() >= 0:  # NaN fails too
+            raise ValueError(
+                f"negative demand {demand[np.argmax(~(demand >= 0))]}")
+        if not len(rows):
+            return
+        length = self._length[rows]
+        if self._history.shape[1] < self.history_slots:
+            self._reserve(int(length.max()) + 1)
+        width = self._history.shape[1]
+        slot = self._start[rows] + length
+        slot %= width
+        self._history[rows, slot] = demand
+        self._last[rows] = demand
+        if width == self.history_slots:  # a full ring drops its oldest
+            full = length == width
+            self._start[rows[full]] = (slot[full] + 1) % width
+        self._length[rows] = length = np.minimum(length + 1, width)
+        since_fit = self._since_fit[rows] + 1
+        self._since_fit[rows] = since_fit
+        due = rows[(length >= max(self.min_history, 4))
+                   & (~self._fitted[rows] | (since_fit >= self.refit_every))]
+        for row in due.tolist():
+            model = self._models.get(row)
+            if model is None:
+                model = self._models[row] = DTFTPredictor(self.n_harmonics)
+            model.fit(self.history(row))
+            self._since_fit[row] = 0
+            self._fitted[row] = True
             if _TEL.enabled:
                 _TEL.counter("prediction.refits").inc()
 
-    def predict_next(self, horizon_slots: int = 1) -> float:
-        """Predicted demand over the next `horizon_slots` (max across them).
-
-        Scaling consumers pass the provisioning window in slots (the paper
-        reserves five minutes); the prediction must cover the *peak* of
-        that window, not just its first slot.  Before enough history
-        accumulates, falls back to the last actual demand (a persistence
-        forecast) scaled by a safety factor.
-        """
+    def predict(self, horizon_slots: int = 1) -> np.ndarray:
+        """Each row's predicted demand over the next `horizon_slots`
+        (the max across them: scaling consumers pass the provisioning
+        window, and the prediction must cover its peak)."""
         if horizon_slots < 1:
             raise ValueError(f"horizon must be >= 1 slot, got {horizon_slots}")
-        last = self.last_actual if self.last_actual is not None else 0.0
-        if not self.predictor.fitted:
-            return last * 1.1
-        raw = float(np.max(self.predictor.predict(
-            self._since_fit + horizon_slots)[-horizon_slots:]))
-        # Empirical production rule: never predict below the last actual.
-        return max(raw, last)
+        last = self._last
+        predicted = last * 1.1
+        for row, model in self._models.items():
+            raw = float(np.max(model.predict(
+                int(self._since_fit[row]) + horizon_slots)[-horizon_slots:]))
+            # Empirical production rule: never predict below the last actual.
+            predicted[row] = max(raw, float(last[row]))
+        return predicted
+
+    def history(self, row: int) -> np.ndarray:
+        """Row `row`'s history, oldest first."""
+        start, length = int(self._start[row]), int(self._length[row])
+        ring = self._history[row]
+        return np.concatenate((ring[start:], ring[:start]))[:length]
+
+    def _reserve(self, width: int) -> None:
+        """Widen the history array to hold `width` slots (at most
+        `history_slots`); rings start at 0 until the array is full
+        width, so widening is a prefix copy."""
+        width = min(width, self.history_slots)
+        have = self._history.shape[1]
+        if width > have:
+            grown = np.zeros((len(self._length),
+                              min(max(width, 2 * have), self.history_slots)))
+            grown[:, :have] = self._history
+            self._history = grown
 
     # ------------------------------------------------------------ checkpoint
-    def export_state(self) -> dict:
-        """JSON-serializable rolling state (history + fit) for checkpoints.
+    def export_row(self, row: int) -> dict:
+        """JSON-serializable rolling state of one row (history + fit).
 
         Configuration (harmonics, window sizes) is NOT included: a warm
-        restart reconstructs the predictor with the deployment's own
-        config and loads only the learned state into it.
+        restart reconstructs the bank with the deployment's own config
+        and loads only the learned state into it.
         """
-        return {"history": list(self._history),
-                "since_fit": self._since_fit,
-                "model": self.predictor.export_state()}
+        model = self._models.get(row)
+        return {"history": self.history(row).tolist(),
+                "since_fit": int(self._since_fit[row]),
+                "model": None if model is None else model.export_state()}
 
-    def import_state(self, doc: dict) -> None:
-        """Restore state exported by `export_state`."""
-        self._history = [float(v) for v in doc["history"]]
-        self._since_fit = int(doc["since_fit"])
-        self.predictor.import_state(doc["model"])
+    def import_row(self, row: int, doc: dict) -> None:
+        """Restore one row's state exported by `export_row`; a history
+        longer than `history_slots` keeps its newest values, as the
+        next observation would."""
+        history = [float(v) for v in doc["history"]][-self.history_slots:]
+        self._reserve(len(history))
+        self._history[row, :len(history)] = history
+        self._start[row] = 0
+        self._length[row] = len(history)
+        self._last[row] = history[-1] if history else 0.0
+        self._since_fit[row] = int(doc["since_fit"])
+        if doc["model"] is None:
+            self._models.pop(row, None)
+            self._fitted[row] = False
+        else:
+            model = DTFTPredictor(self.n_harmonics)
+            model.import_state(doc["model"])
+            self._models[row] = model
+            self._fitted[row] = True
+
+
+#: The one row of a `RollingPredictor`.
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
+class RollingPredictor:
+    """One demand series: the one-row `PredictorBank`, scalar in and
+    out — observe demand each slot, predict the next slot(s)."""
+
+    def __init__(self, n_harmonics: int = 100, history_slots: int = 576,
+                 refit_every: int = 12, min_history: int = 288):
+        self._bank = PredictorBank(1, n_harmonics, history_slots,
+                                   refit_every, min_history)
+
+    def observe(self, demand: float) -> None:
+        """Record the demand measured for the slot that just ended."""
+        self._bank.observe(_ONE_ROW, (demand,))
+
+    def predict_next(self, horizon_slots: int = 1) -> float:
+        """Predicted demand over the next `horizon_slots` (max across
+        them); see `PredictorBank.predict`."""
+        return float(self._bank.predict(horizon_slots)[0])

@@ -17,6 +17,12 @@ read cohorts and chunks alike; pass ``workload=CohortWorkload(...)`` to
 runs.  A row's profile is the cohort's dominant (highest-demand)
 profile, the first on a tie.
 
+A decomposition is one array pass with no Python work per pair: the
+matrix's values in its memoised sorted order (`TrafficMatrix.order`,
+worked out once per pairs tuple), its memoised grid rows
+(`TrafficMatrix.rows`) and the memoised per-pair profile mix, one
+weight matrix per region set.
+
 Determinism: the profile mix per pair is stateless hash noise keyed by
 ``(seed, src, dst)``, so decomposition order never matters and the same
 ``(matrix, seed)`` always yields identical cohorts.  Conservation: the
@@ -83,23 +89,18 @@ class CohortWorkload:
         bucket without demand makes no row (and takes no id)."""
         codes = matrix.codes
         n = len(codes)
-        index = {code: i for i, code in enumerate(codes)}
-        rows: List[int] = []
-        demand: List[float] = []
-        for (src, dst), d in matrix.items():
-            if d <= 0:
-                continue
-            rows.append(index[src] * n + index[dst])
-            demand.append(d)
-        pair_rows = np.array(rows, dtype=np.intp)
-        per_profile = (np.array(demand)[:, None]
-                       * self._pair_mix(codes)[pair_rows])
+        order = matrix.order
+        demand = matrix.values[order]
+        positive = demand > 0
+        demand = demand[positive]
+        pair_rows = matrix.rows(codes)[order][positive]
+        per_profile = demand[:, None] * self._pair_mix(codes)[pair_rows]
         n_buckets = len(self._buckets)
-        mbps = np.zeros((len(rows), n_buckets))
-        sessions = np.zeros((len(rows), n_buckets))
-        dominant = np.zeros((len(rows), n_buckets), dtype=np.intp)
+        mbps = np.zeros((len(pair_rows), n_buckets))
+        sessions = np.zeros((len(pair_rows), n_buckets))
+        dominant = np.zeros((len(pair_rows), n_buckets), dtype=np.intp)
         for b, columns in enumerate(self._buckets):
-            top = np.full(len(rows), -1.0)
+            top = np.full(len(pair_rows), -1.0)
             dominant[:, b] = _BY_RATE[columns[0]]
             for k in columns.tolist():
                 d = per_profile[:, k]

@@ -64,9 +64,9 @@ class Stream:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"stream {self.stream_id}: src == dst ({self.src})")
-        if self.demand_mbps < 0:
-            raise ValueError(
-                f"stream {self.stream_id}: negative demand {self.demand_mbps}")
+        if not self.demand_mbps >= 0:
+            raise ValueError(f"stream {self.stream_id}: negative demand "
+                             f"or NaN: {self.demand_mbps}")
 
 
 class StreamTable:
@@ -77,8 +77,9 @@ class StreamTable:
     index ``profile[k]`` of its representative profile in
     `VIDEO_PROFILES`; and ``sessions[k]``, the user sessions it carries
     (a float: a cohort's marginal session is fractional).  The table
-    checks once, over whole columns, what `Stream` checks per object,
-    and negative sessions too.  `streams` builds the `Stream` objects —
+    checks once, over whole columns, what `Stream` checks per object
+    (a demand is valid only if ``mbps >= 0``, so NaN is rejected), and
+    negative sessions too.  `streams` builds the `Stream` objects —
     the boundary form, with ``session_count = max(1, round(sessions))``
     — once, on first call.
     """
@@ -93,7 +94,7 @@ class StreamTable:
         self.profile = np.asarray(profile, dtype=np.intp)
         self.sessions = np.asarray(sessions, dtype=float)
         for bad, what in ((self.src == self.dst, "src == dst"),
-                          (self.mbps < 0, "negative demand"),
+                          (~(self.mbps >= 0), "negative demand or NaN"),
                           (self.sessions < 0, "negative sessions")):
             if bad.any():
                 k = int(np.argmax(bad))

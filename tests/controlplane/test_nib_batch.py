@@ -228,7 +228,8 @@ class TestReportBatch:
         assert len(empty) == 0 and not empty and list(empty) == []
 
     @pytest.mark.parametrize("field, value", [
-        ("latency_ms", -1.0), ("loss_rate", 1.5), ("loss_rate", -0.1),
+        ("latency_ms", -1.0), ("latency_ms", float("nan")),
+        ("loss_rate", 1.5), ("loss_rate", -0.1),
         ("loss_rate", float("nan"))])
     def test_range_checks_cover_the_arrays(self, field, value):
         batch = round_of("A", 3.0, np.random.default_rng(1))

@@ -19,6 +19,10 @@ class TestLinkReport:
         with pytest.raises(ValueError):
             _report(lat=-1.0)
 
+    def test_rejects_nan_latency(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _report(lat=float("nan"))
+
     def test_rejects_loss_out_of_range(self):
         with pytest.raises(ValueError):
             _report(loss=1.5)

@@ -80,6 +80,10 @@ class TestRollingPredictor:
         with pytest.raises(ValueError):
             RollingPredictor().observe(-1.0)
 
+    def test_rejects_nan_demand(self):
+        with pytest.raises(ValueError):
+            RollingPredictor().observe(float("nan"))
+
     def test_persistence_before_history(self):
         r = RollingPredictor(min_history=1000)
         r.observe(50.0)
@@ -98,7 +102,7 @@ class TestRollingPredictor:
         r = RollingPredictor(history_slots=10, min_history=4)
         for v in range(100):
             r.observe(float(v))
-        assert len(r._history) == 10
+        assert r._bank.history(0).tolist() == [float(v) for v in range(90, 100)]
 
     def test_horizon_takes_window_max(self):
         series = _periodic(3)

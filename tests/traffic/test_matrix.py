@@ -51,6 +51,37 @@ def test_rejects_negative_demand():
         TrafficMatrix(["A", "B"], {("A", "B"): -1.0})
 
 
+def test_rejects_nan_demand():
+    """`nan < 0` is False: the check is ``v >= 0``, which NaN fails."""
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN"):
+        TrafficMatrix(["A", "B"], {("A", "B"): nan, ("B", "A"): 1.0})
+    with pytest.raises(ValueError, match="NaN"):
+        TrafficMatrix.from_arrays(["A", "B"], [("A", "B"), ("B", "A")],
+                                  [1.0, nan])
+    with pytest.raises(ValueError):
+        TrafficMatrix(["A", "B"], {("A", "B"): 1.0}).scaled(nan)
+
+
+def test_columns_are_read_only(matrix):
+    with pytest.raises(ValueError):
+        matrix.values[0] = 99.0
+    assert matrix.pairs == (("A", "B"), ("B", "A"), ("A", "C"), ("C", "B"))
+    assert [matrix.pairs[k] for k in matrix.order] == sorted(matrix.pairs)
+
+
+def test_rejects_duplicate_pairs():
+    with pytest.raises(ValueError, match="twice"):
+        TrafficMatrix.from_arrays(["A", "B"], [("A", "B"), ("A", "B")],
+                                  [1.0, 2.0])
+
+
+def test_rows_index_the_grid(matrix):
+    assert matrix.rows(["A", "B", "C"]).tolist() == [1, 3, 2, 7]
+    with pytest.raises(KeyError):
+        matrix.rows(["A", "B"])
+
+
 def test_from_model_matches_rates(small_demand):
     t = 36000.0
     m = TrafficMatrix.from_model(small_demand, t)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.streams import (Stream, StreamWorkload, VIDEO_PROFILES,
-                                   VideoProfile)
+from repro.traffic.streams import (Stream, StreamTable, StreamWorkload,
+                                   VIDEO_PROFILES, VideoProfile)
 
 
 @pytest.fixture()
@@ -23,6 +23,15 @@ def test_stream_validation_self_pair():
 def test_stream_validation_negative_demand():
     with pytest.raises(ValueError):
         Stream(1, "A", "B", -1.0, VIDEO_PROFILES[0])
+
+
+def test_nan_demand_rejected_per_stream_and_per_table():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN"):
+        Stream(1, "A", "B", nan, VIDEO_PROFILES[0])
+    with pytest.raises(ValueError, match="NaN"):
+        StreamTable(["A", "B"], [1, 2], [0, 1], [1, 0], [1.0, nan], [0, 0],
+                    [1.0, 1.0])
 
 
 def test_decompose_preserves_total_demand(matrix):
