@@ -225,6 +225,21 @@ class PathControlResult:
     def total_assigned_mbps(self) -> float:
         return float(sum(self.mbps.tolist()))
 
+    def best_per_pair(self) -> Dict[Tuple[str, str], int]:
+        """Each (src, dst) pair's representative: the row of its
+        highest-Mbps assignment, the first on a tie.  Tracked sessions,
+        regional control and the grid engine's evaluation and billing
+        all follow this one rule."""
+        codes, n = self.streams.codes, len(self.streams.codes)
+        key = (self.streams.src[self.position] * n
+               + self.streams.dst[self.position])
+        order = np.lexsort((-self.mbps, key))   # stable: first on a tie
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = key[order[1:]] != key[order[:-1]]
+        rows = order[head]
+        return {(codes[k // n], codes[k % n]): row
+                for k, row in zip(key[rows].tolist(), rows.tolist())}
+
     def hop_steps(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (assignment, hop) in assignment order, hop order: the
         assignment, the hop's index and the assignment's route row."""

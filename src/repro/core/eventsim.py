@@ -542,18 +542,14 @@ class EventDrivenXRON:
 
     # -------------------------------------------------------------- sessions
     def best_streams(self, output: ControlOutput) -> Dict[RegionPair, int]:
-        """Per tracked pair, the id of its highest-rate assigned stream
-        (the first one on a tie)."""
-        table, result = output.table, output.path_result
-        codes, stream_ids = table.codes, table.stream_id.tolist()
-        src, dst = table.src.tolist(), table.dst.tolist()
-        best: Dict[RegionPair, Tuple[int, float]] = {}
-        for p, mbps in zip(result.position.tolist(), result.mbps.tolist()):
-            key = (codes[src[p]], codes[dst[p]])
-            if key in self.sessions and (
-                    key not in best or mbps > best[key][1]):
-                best[key] = (stream_ids[p], mbps)
-        return {pair: sid for pair, (sid, __) in best.items()}
+        """Per tracked pair, the id of its representative stream
+        (`PathControlResult.best_per_pair`)."""
+        best = {pair: row for pair, row
+                in output.path_result.best_per_pair().items()
+                if pair in self.sessions}
+        rows = list(best.values())
+        return dict(zip(best, output.table.stream_id[
+            output.path_result.position[rows]].tolist()))
 
     def rebind_sessions(self, output: ControlOutput, now: float) -> None:
         """Move every tracked session to this update's stream ids (a

@@ -490,26 +490,23 @@ class EpochSimulator:
     def _representative_paths(self, output: Optional[ControlOutput]
                               ) -> Dict[RegionPair, Tuple[OverlayPath,
                                                           Optional[int]]]:
-        """Best (highest-Mbps) assignment per pair, else a direct path;
-        a pair's path is built only for its chosen route."""
-        #: pair -> (route id, stream id, Mbps) of its best assignment.
-        chosen: Dict[RegionPair, Tuple[int, int, float]] = {}
+        """Each pair's representative assignment
+        (`PathControlResult.best_per_pair`), else a direct path; a
+        pair's path is built only for its chosen route."""
+        #: pair -> (route id, stream id) of its representative.
+        chosen: Dict[RegionPair, Tuple[int, int]] = {}
         if output is not None:
-            placed, table = output.path_result, output.table
-            codes, stream_ids = table.codes, table.stream_id.tolist()
-            src, dst = table.src.tolist(), table.dst.tolist()
-            for p, rid, mbps in zip(placed.position.tolist(),
-                                    placed.route.tolist(),
-                                    placed.mbps.tolist()):
-                key = (codes[src[p]], codes[dst[p]])
-                if key not in chosen or mbps > chosen[key][2]:
-                    chosen[key] = (rid, stream_ids[p], mbps)
+            placed, best = output.path_result, output.path_result.best_per_pair()
+            rows = list(best.values())
+            chosen = dict(zip(best, zip(
+                placed.route[rows].tolist(),
+                output.table.stream_id[placed.position[rows]].tolist())))
         fallback_type = (LinkType.INTERNET if self.variant.internet_allowed
                          else LinkType.PREMIUM)
         result: Dict[RegionPair, Tuple[OverlayPath, Optional[int]]] = {}
         for pair in self.pairs:
             if pair in chosen:
-                rid, sid, __ = chosen[pair]
+                rid, sid = chosen[pair]
                 result[pair] = (output.path_result.routes.path(rid), sid)
             else:
                 result[pair] = (OverlayPath.direct(pair[0], pair[1],

@@ -72,16 +72,13 @@ def run(underlay: Optional[Underlay] = None, n_epochs: int = 24,
         sym = path_control(streams, u.codes, true_state.symmetric(), config,
                            fees=u.pricing)
 
-        asym_best = {}
-        for a in asym.assignments:
-            key = (a.stream.src, a.stream.dst)
-            if key not in asym_best or a.mbps > asym_best[key][1]:
-                asym_best[key] = (a.path, a.mbps)
+        asym_best = {pair: asym.assignments[row].path
+                     for pair, row in asym.best_per_pair().items()}
         for s in sym.assignments:
             key = (s.stream.src, s.stream.dst)
             if key not in asym_best:
                 continue
-            asym_path = asym_best[key][0]
+            asym_path = asym_best[key]
             # Evaluate BOTH paths under the true directional states.
             asym_lat = true_state.path_latency_ms(asym_path)
             sym_lat = true_state.path_latency_ms(s.path)

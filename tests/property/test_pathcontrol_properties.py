@@ -7,16 +7,18 @@ invariants must hold regardless:
 * capacity — region processing, Internet egress, and premium pair
   budgets are never exceeded;
 * consistency — forwarding tables encode exactly the assigned paths and
-  every path is loop-free from source to destination.
+  every path is loop-free from source to destination;
+* representatives — `best_per_pair` picks what the scalar loop picks.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.controlplane.model import ControlConfig
-from repro.controlplane.pathcontrol import path_control
+from repro.controlplane.pathcontrol import PathControlResult, path_control
 from repro.traffic.streams import Stream, VIDEO_PROFILES
 from repro.underlay.linkstate import LinkType
 from tests.snapshots import snapshot_of
@@ -48,6 +50,28 @@ configs = st.builds(
 
 gateway_counts = st.fixed_dictionaries(
     {c: st.integers(1, 8) for c in CODES})
+
+
+#: Assignment rows ``(stream position, Mbps)`` over a drawn table: a
+#: stream may repeat (split across several routes), several streams
+#: may share a pair, and the Mbps come from a small set so ties are
+#: common.
+placed_rows = stream_sets.filter(len).flatmap(lambda table: st.tuples(
+    st.just(table),
+    st.lists(st.tuples(st.integers(0, len(table) - 1),
+                       st.sampled_from([0.5, 1.0, 1.0, 2.0, 7.25])),
+             max_size=30)))
+
+
+def _best_per_pair_loop(result):
+    """The scalar rule: per pair, the first row with the most Mbps."""
+    streams, best = result.streams, {}
+    for row, (p, mbps) in enumerate(zip(result.position.tolist(),
+                                        result.mbps.tolist())):
+        key = (streams.codes[streams.src[p]], streams.codes[streams.dst[p]])
+        if key not in best or mbps > best[key][1]:
+            best[key] = (row, mbps)
+    return {key: row for key, (row, __) in best.items()}
 
 
 def _snapshot(states):
@@ -143,3 +167,23 @@ class TestInvariants:
         result = path_control(streams, CODES, _snapshot(states), config,
                               gateways=None)
         assert not result.unassigned
+
+
+class TestRepresentatives:
+    @given(drawn=placed_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_best_per_pair_equals_the_scalar_loop(self, drawn):
+        table, rows = drawn
+        result = PathControlResult(table, None, ControlConfig())
+        result.position = np.array([p for p, __ in rows], dtype=np.intp)
+        result.mbps = np.array([m for __, m in rows], dtype=float)
+        assert result.best_per_pair() == _best_per_pair_loop(result)
+
+    @given(states=link_states, streams=stream_sets, config=configs,
+           gateways=gateway_counts)
+    @settings(max_examples=30, deadline=None)
+    def test_best_per_pair_of_a_solve(self, states, streams, config,
+                                      gateways):
+        result = path_control(streams, CODES, _snapshot(states), config,
+                              gateways=gateways)
+        assert result.best_per_pair() == _best_per_pair_loop(result)
