@@ -81,11 +81,14 @@ def build_controller(codes: Sequence[str], control_config: ControlConfig,
 
 def build_pools(codes: Sequence[str], rng: RngStreams,
                 sim_config: SimulationConfig,
-                control_config: ControlConfig) -> Dict[str, ContainerPool]:
+                control_config: ControlConfig,
+                start_s: float = 0.0) -> Dict[str, ContainerPool]:
     """One container pool per region, each on its own ``pool.<code>``
-    stream of `rng` — the fleet both engines boot with."""
+    stream of `rng` — the fleet both engines boot with, billed from
+    `start_s`."""
     return {code: ContainerPool(
                 code, rng.get(f"pool.{code}"),
                 initial=sim_config.initial_gateways,
-                max_containers=control_config.max_containers)
+                max_containers=control_config.max_containers,
+                start_s=start_s)
             for code in codes}

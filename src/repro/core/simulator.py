@@ -364,9 +364,10 @@ class EpochSimulator:
 
         if not self._pools:
             # Pools persist across run() calls so multi-day drivers keep
-            # fleet state (and billing continuity) between days.
+            # fleet state (and billing continuity) between days; they
+            # bill from the first run's start.
             self._pools = build_pools(self.codes, self._streams, cfg,
-                                      self.control_config)
+                                      self.control_config, start_s)
 
         for e in range(n_epochs):
             now = float(epoch_starts[e])

@@ -72,7 +72,10 @@ class ContainerPool:
 
     def __init__(self, region: str, rng: np.random.Generator, *,
                  initial: int = 1, max_containers: int = 64,
-                 delay_model: Optional[ProvisioningDelayModel] = None):
+                 delay_model: Optional[ProvisioningDelayModel] = None,
+                 start_s: float = 0.0):
+        """`start_s` is the instant the pool starts serving: billing
+        runs from there, not from t = 0."""
         if initial < 0 or initial > max_containers:
             raise ValueError(
                 f"initial={initial} outside [0, {max_containers}]")
@@ -85,7 +88,7 @@ class ContainerPool:
         #: Start completion times of in-flight containers, unsorted.
         self._inflight: List[float] = []
         self._container_seconds = 0.0
-        self._last_accounted = 0.0
+        self._last_accounted = float(start_s)
         self.actions: List[ScalingAction] = []
         #: Fault-injection seam: ``now -> load factor`` (a provisioning
         #: storm, §2.3).  The effective load of a scale-up is the max of

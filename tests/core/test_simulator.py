@@ -76,6 +76,16 @@ class TestPhysicalSanity:
         assert b.network_cost > 0
         assert b.container_cost > 0  # overlay variants bill containers
 
+    def test_containers_billed_from_the_run_start(self, xron_result,
+                                                  small_system):
+        # A one-hour run from 08:00 bills about its mean ready fleet
+        # for one hour, not eight phantom hours before the start.
+        pricing = small_system.underlay.pricing
+        billed = pricing.container_cost(
+            xron_result.containers.sum(axis=0).mean())
+        assert xron_result.ledger.breakdown().container_cost == (
+            pytest.approx(billed, rel=0.05))
+
     def test_hop_samples_recorded(self, xron_result):
         assert xron_result.normal_hop_samples
         hops = [h for h, __ in xron_result.normal_hop_samples]
