@@ -497,7 +497,8 @@ class EpochSimulator:
         #: pair -> (route id, stream id) of its representative.
         chosen: Dict[RegionPair, Tuple[int, int]] = {}
         if output is not None:
-            placed, best = output.path_result, output.path_result.best_per_pair()
+            placed = output.path_result
+            best = placed.best_per_pair()
             rows = list(best.values())
             chosen = dict(zip(best, zip(
                 placed.route[rows].tolist(),
