@@ -1,4 +1,5 @@
-"""Extra ablations beyond the paper's own (DESIGN.md §5): the Algorithm 1
+"""Extra ablations beyond the paper's own (EXPERIMENTS.md, "Extra
+ablations (beyond the paper)"): the Algorithm 1
 stream ordering, the group-based probing accuracy/cost trade-off, and the
 latency/cost weight sweep of the §5.2 objective."""
 

@@ -179,9 +179,9 @@ def test_demand_epoch(benchmark, n_regions):
 # state and the bursts' draws out of a block of instants, the monitoring
 # block runs one group-probing pass over every region's gateways, and
 # its reports go to the NIB as one batch.  That
-# instant is the engine's whole cost (docs/performance.md, "Event
-# engine"), so it is the number that says how far event-engine studies
-# scale.
+# instant is the engine's whole cost (docs/performance.md, "The
+# monitoring block"), so it is the number that says how far event-engine
+# studies scale.
 
 #: Hard budgets per probing instant.  One Python object per link took
 #: a third of real time at 50 regions (126-156 ms), array state with
@@ -290,7 +290,7 @@ def test_cluster_install(benchmark, n_regions):
 # Per five-minute epoch the grid engine asks `Underlay.link_series` for
 # every on-path link on the 0.4 s burst grid (750 instants; with the
 # 5 s eval grid merged in, 809): the largest single span of an
-# `epoch_n11` run (docs/performance.md, "Grid engine").  At paper scale
+# `epoch_n11` run (docs/performance.md, "One link table").  At paper scale
 # an epoch's ~91 hops are one block; at 100 regions the thousands of
 # hops are cut into blocks of `_BLOCK_ELEMENTS` (hops x instants)
 # elements — 162 hops on the merged grid — and one such block is the
@@ -401,8 +401,9 @@ def test_grid_epoch(benchmark, n_regions):
 # (two cohorts per ordered pair), then times the controller's per-epoch
 # stages.  The paper's two-second bound is asserted as a *hard budget*
 # for every point at or below `BUDGET_MAX_REGIONS`; larger points run
-# unasserted to chart the frontier.  See docs/scaling.md for the
-# methodology and how to refresh BENCH_control.json.
+# unasserted to chart the frontier.  See docs/performance.md, "Scaling
+# past eleven regions" and "The CI gate", for the methodology and how
+# to refresh BENCH_control.json.
 #
 # CI runs a subset (`-k "sweep and (n011 or n100 or n200)"`); ids are
 # zero-padded so `-k n100` cannot also match n1000-style points later.

@@ -47,7 +47,8 @@ class SimulationConfig:
     nib_window: int = 1
     #: Decompose predicted demand into aggregated stream cohorts instead
     #: of per-session chunks — required at planet scale, where the SIB
-    #: cannot hold an entry per session (see docs/scaling.md).
+    #: cannot hold an entry per session (see docs/performance.md,
+    #: "Scaling past eleven regions").
     stream_cohorts: bool = False
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
     reaction: ReactionConfig = field(default_factory=ReactionConfig)

@@ -10,7 +10,7 @@ registry entries sequentially or across a process pool with timeouts and
 bounded retries; ``runner`` is the CLI over both and writes the JSON run
 manifest via ``export``.
 
-Index (see DESIGN.md §4 for the full mapping):
+Index (the full mapping is EXPERIMENTS.md, "Per-experiment index"):
 
 ========  ===================================================
 fig01/02  Internet vs premium latency / loss over a day

@@ -88,7 +88,8 @@ def planet_underlay(n_regions: int, seed: int = 1,
     The short default horizon keeps O(N^2) timeline generation cheap —
     scaling studies measure one control epoch, not multi-day windows.
     N=11 reproduces `standard_underlay`'s topology model exactly (same
-    regions, same link draw sequence).  See docs/scaling.md.
+    regions, same link draw sequence).  See docs/performance.md,
+    "Scaling past eleven regions".
     """
     from repro.underlay.planet import build_planet_underlay
     return build_planet_underlay(

@@ -17,8 +17,8 @@ Everything is fully determined by ``(PlanetConfig, seed)``:
   to ``build_underlay(seed=s)`` — the golden-equivalence tests in
   ``tests/underlay/test_planet.py`` assert both properties.
 
-See ``docs/scaling.md`` for the parameter reference and the CI-gated
-region-count sweep built on top of this module.
+See ``docs/performance.md``, "Scaling past eleven regions", for the
+generator's rationale and the CI-gated region-count sweep built on it.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ ANCHORS: Tuple[MetroAnchor, ...] = (
 
 @dataclass(frozen=True)
 class PlanetConfig:
-    """Parameters of the topology generator (see ``docs/scaling.md``)."""
+    """Parameters of the topology generator (see ``docs/performance.md``,
+    "Scaling past eleven regions")."""
 
     #: Total regions to generate, in [MIN_REGIONS, MAX_REGIONS].
     n_regions: int = 100

@@ -243,8 +243,8 @@ def test_every_public_function_has_a_caller():
     class.  The deeper check is a call census — profile every call
     event under `src/repro` while the CLI commands, the examples, the
     experiment suite and the end-to-end workloads run, and list what
-    was never entered (docs/extending.md, "Rules that keep a new
-    subsystem honest")."""
+    was never entered (docs/extending.md, "Adding an engine
+    subsystem")."""
     #: name -> [(file, line)] of every mention.
     mentions = collections.defaultdict(list)
     for top in ("src", "examples", "benchmarks"):
@@ -332,7 +332,7 @@ def test_every_setting_has_a_caller():
     dict key somewhere in `src/`, `examples/` or `benchmarks/`
     outside its own definition.  A setting only its default and the
     tests reach is a named constant where it is read
-    (docs/extending.md, "Rules that keep a new subsystem honest")."""
+    (docs/extending.md, "Adding an engine subsystem")."""
     #: (path, line, callee name or None, keyword or None, positionals)
     uses = collections.defaultdict(list)
     for top in ("src", "examples", "benchmarks"):

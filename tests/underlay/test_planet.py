@@ -1,4 +1,5 @@
-"""The planet-scale topology generator (docs/scaling.md).
+"""The planet-scale topology generator (docs/performance.md, "Scaling
+past eleven regions").
 
 Golden property: N=11 is *exactly* the paper's deployment — same Region
 objects from `generate_regions`, bit-identical link parameters and fees
