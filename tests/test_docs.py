@@ -72,11 +72,11 @@ def _walk(top: Path) -> Iterator[Path]:
 
 
 @lru_cache(maxsize=None)
-def _docs() -> List[Path]:
-    return [ROOT / name for name in TOP_LEVEL_DOCS] + [
+def _docs() -> Tuple[Path, ...]:
+    return tuple([ROOT / name for name in TOP_LEVEL_DOCS] + [
         p for p in _walk(ROOT)
         if p.suffix == ".md" and p.parent != ROOT
-        and FROZEN not in p.parents]
+        and FROZEN not in p.parents])
 
 
 def _code_files() -> Iterator[Path]:
