@@ -392,6 +392,47 @@ def test_grid_epoch(benchmark, n_regions):
     assert benchmark.stats["mean"] < GRID_EPOCH_BUDGET_S[n_regions]
 
 
+#: region count -> hard budget of one epoch's detector pass.  Over the
+#: paper world's path hops x 750 bursts it takes a mean 2.5 ms on the
+#: reference box with the loss EWMA as a numpy scan (1.8 ms with the
+#: `scipy.signal.lfilter` call the scan replaced); the budget leaves
+#: room for a host twice as slow.
+DETECTOR_PASS_BUDGET_S = {11: 0.005}
+
+
+@pytest.mark.parametrize("n_regions", sorted(DETECTOR_PASS_BUDGET_S),
+                         ids=lambda n: f"n{n:03d}")
+def test_detector_pass(benchmark, monkeypatch, n_regions):
+    """`reaction_active_series` over the burst series of one grid epoch
+    of `xron()` on the paper world: the block `_EpochLinkCache.fill`
+    detects, captured from a run."""
+    from repro.core import simulator as grid
+    from repro.core.config import SimulationConfig
+    from repro.core.variants import xron
+    from repro.dataplane.estimator import reaction_active_series
+
+    blocks = []
+
+    def capture(lat, loss, reaction, monitoring):
+        blocks.append((lat, loss, reaction, monitoring))
+        return reaction_active_series(lat, loss, reaction, monitoring)
+
+    monkeypatch.setattr(grid, "reaction_active_series", capture)
+    u = standard_underlay()
+    with grid.EpochSimulator(u, standard_demand(), xron(),
+                             SimulationConfig(seed=7)) as simulator:
+        simulator.run(12 * simulator.sim_config.epoch_s,
+                      simulator.sim_config.epoch_s)
+    (lat, loss, reaction, monitoring), = blocks
+
+    flags = benchmark(reaction_active_series, lat, loss, reaction,
+                      monitoring)
+    assert len(u.codes) == n_regions
+    assert flags.shape == lat.shape and lat.shape[1] == 750
+    assert lat.shape[0] > 80
+    assert benchmark.stats["mean"] < DETECTOR_PASS_BUDGET_S[n_regions]
+
+
 # --------------------------------------------------------------------------
 # Region-count scaling sweep (generated planet topologies + stream cohorts)
 # --------------------------------------------------------------------------

@@ -24,7 +24,8 @@ Three subcommands:
     ``test_link_series_block[nNNN]``, ``test_cluster_install[nNNN]``,
     ``test_reaction_plans[nNNN]``, ``test_sweep_underlay_build[nNNN]``,
     ``test_underlay_build_paper[nNNN]``, ``test_sweep_demand_build[nNNN]``,
-    ``test_grid_epoch[nNNN]``, ``test_demand_epoch[nNNN]``) are gated
+    ``test_grid_epoch[nNNN]``, ``test_detector_pass[nNNN]``,
+    ``test_demand_epoch[nNNN]``) are gated
     per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
@@ -40,7 +41,8 @@ Three subcommands:
     install plus a scale-up, the planet-scale control epoch with its
     reaction-plan pass, the underlay builds (planet scale and the
     paper's), the planet-scale demand build, one epoch of the grid
-    engine and one epoch of the planet-scale demand path
+    engine and its detector pass, and one epoch of the planet-scale
+    demand path
     (``baseline_pre_refactor`` vs ``current``).
     ``--check docs/performance.md`` fails (exit 1) when the committed
     block is not byte-equal to its rendering, so the doc cannot drift
@@ -89,8 +91,9 @@ GATED = (
 #: visit and per plan candidate) and the underlay- and demand-build rows
 #: (before: one timeline compile and one numpy stream constructor per
 #: link or pair), the grid-epoch row (before: each path hop's link
-#: truth evaluated twice, the reaction evaluated pair by pair) and the
-#: demand-epoch row (before: a dict matrix sorted per epoch, one
+#: truth evaluated twice, the reaction evaluated pair by pair), the
+#: detector-pass row (before: the loss EWMA as `scipy.signal.lfilter`)
+#: and the demand-epoch row (before: a dict matrix sorted per epoch, one
 #: predictor object per pair) appear once the summary holds them.
 TABLE_ROWS = {
     "test_path_control_paper_scale_snapshot":
@@ -132,6 +135,9 @@ TABLE_ROWS = {
     "test_grid_epoch[n011]":
         (" (11 regions, 110 pairs, one `EpochSimulator` epoch)",
          "test_grid_epoch[n011]"),
+    "test_detector_pass[n011]":
+        (" (11 regions, one epoch's path hops x 750 bursts)",
+         "test_detector_pass[n011]"),
     "test_demand_epoch[n100]":
         (" (100 regions, 9 900 pairs: sample, SIB, predict, cohorts)",
          "test_demand_epoch[n100]"),
@@ -148,7 +154,8 @@ TABLE_END = "<!-- control-loop-table:end -->"
 #: subset of the sweep (``-k "sweep and (n011 or n100 or n200)"``), and
 #: perf-smoke, which runs the probing instant, the link-series block,
 #: the cluster install, the reaction-plan pass, the paper-scale
-#: underlay build, the grid epoch and the demand epoch, none of it.
+#: underlay build, the grid epoch, its detector pass and the demand
+#: epoch, none of it.
 SWEEP_GATED = (
     "test_probe_instant",
     "test_link_series_block",
@@ -158,6 +165,7 @@ SWEEP_GATED = (
     "test_underlay_build_paper",
     "test_sweep_demand_build",
     "test_grid_epoch",
+    "test_detector_pass",
     "test_demand_epoch",
     "test_sweep_snapshot_build",
     "test_sweep_path_control",
@@ -234,7 +242,8 @@ def distill(args: argparse.Namespace) -> int:
                  "compile and one numpy stream constructor per link or "
                  "pair for the underlay and demand builds; a dict "
                  "matrix sorted per epoch and one predictor object per "
-                 "pair for the demand epoch) — keep it for the speedup "
+                 "pair for the demand epoch; scipy.signal.lfilter for "
+                 "the detector pass) — keep it for the speedup "
                  "provenance."),
         "machine": machine_fingerprint(raw),
         "current": {},

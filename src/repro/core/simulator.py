@@ -35,7 +35,7 @@ from repro.core.config import (SimulationConfig, build_controller,
 from repro.core.variants import VariantSpec
 from repro.cost.accounting import PairCostLedger
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
-from repro.dataplane.estimator import load_filter, reaction_active_series
+from repro.dataplane.estimator import reaction_active_series
 from repro.dataplane.forwarding import (effective_path_series,
                                         path_detours)
 from repro.dataplane.grouping import ProbingGroupManager
@@ -309,10 +309,6 @@ class EpochSimulator:
 
         self._pools: Dict[str, ContainerPool] = {}
         self._probe_seeds: Dict[PathHop, int] = {}
-        if variant.fast_reaction:
-            # The degradation detector's filter, imported with the
-            # simulator so that `run` pays no import.
-            load_filter()
 
     # ------------------------------------------------------------------ api
     def close(self) -> None:

@@ -10,10 +10,10 @@ representative of a cluster in one call), a passive flush and a single
 sample alike; `adopt` is the group-state hand-over of §4.1.
 `LinkStateEstimator` is the read-only view of one link of a gateway's
 bank.  The same dynamics are provided over a time axis
-(`reaction_active_series`) for day-scale experiments; its loss EWMA is
-`scipy.signal.lfilter`, which only the grid engine needs, so the filter
-is imported by `load_filter` (an `EpochSimulator` with fast reaction
-calls it when it is built) rather than with this module.
+(`reaction_active_series`) for day-scale experiments; its loss EWMA
+(`ewma_series`) is a scan over the bursts, one step for every series at
+once, that runs the first-order recurrence `scipy.signal.lfilter` ran,
+operation for operation, so the grid engine needs numpy alone.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
-
-#: `scipy.signal.lfilter` once `load_filter` has imported it.
-_lfilter = None
 
 #: The state arrays of an `EstimatorBank` and what a fresh link holds
 #: (NaN: no sample yet).
@@ -135,15 +132,28 @@ class LinkStateEstimator:
         return None if value != value else value
 
 
-def load_filter():
-    """Import the IIR filter `reaction_active_series` runs (importing
-    `scipy.signal` takes about a second and tens of MB, which nothing
-    but the detector should pay); later calls return it at once."""
-    global _lfilter
-    if _lfilter is None:
-        from scipy.signal import lfilter
-        _lfilter = lfilter
-    return _lfilter
+def ewma_series(x: np.ndarray, alpha: float) -> np.ndarray:
+    """EWMA of `x` along its last axis, starting from zero:
+    ``y[n] = (1 - alpha) * y[n - 1] + alpha * x[n]``, rounded after
+    each product and the sum, with ``y[-1] = 0``.
+
+    That is the recurrence ``lfilter([alpha], [1, -(1 - alpha)], x)``
+    runs, in its order, so the bits are equal.  It steps time-major: two
+    in-place ufunc calls per instant over every series of the block.
+    """
+    n = x.shape[-1]
+    c = 1.0 - alpha
+    # (instants, series): a 1-D `x` is one series, so every step is a
+    # row `out=` accepts rather than a 0-d scalar.
+    series = int(np.prod(x.shape[:-1]))
+    u = np.ascontiguousarray((alpha * x.reshape(series, n)).T)
+    y = np.empty_like(u)
+    prev = np.zeros(u.shape[1])
+    for row, step in zip(y, u):
+        np.multiply(prev, c, out=row)
+        np.add(row, step, out=row)
+        prev = row
+    return y.T.reshape(x.shape)
 
 
 def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
@@ -168,10 +178,8 @@ def reaction_active_series(latency_ms: np.ndarray, loss_fraction: np.ndarray,
     if n == 0:
         return np.zeros(lat.shape, dtype=bool)
     # EWMA of burst loss (same recursion as EstimatorBank, modulo
-    # the first-sample initialisation), done with an IIR filter so the
-    # whole series vectorises.
-    a = monitoring.ewma_alpha
-    ewma_loss = load_filter()([a], [1.0, -(1.0 - a)], loss, axis=-1)
+    # the first-sample initialisation), one step for every series.
+    ewma_loss = ewma_series(loss, monitoring.ewma_alpha)
     bad = ((lat > reaction.latency_threshold_ms)
            | (loss >= reaction.loss_threshold)
            | (ewma_loss >= reaction.ewma_loss_threshold))

@@ -1,5 +1,7 @@
 """Tests for the weighted percentiles the grid engine reports."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,25 @@ class TestWeightedPercentiles:
         with pytest.raises(ValueError):
             weighted_percentiles([], [], [50.0])
 
+
+    @pytest.mark.parametrize("weights", [[1.0, np.nan, 1.0],
+                                         [1.0, np.inf, 1.0],
+                                         [np.inf, -np.inf, 1.0]],
+                             ids=["nan", "inf", "inf-minus-inf"])
+    def test_nan_and_infinite_weights_rejected(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                weighted_percentiles([1.0, 2.0, 3.0], weights, [50.0])
+
+    def test_nan_values_rejected(self):
+        for values in ([1.0, np.nan, 3.0], [np.nan, np.nan, np.nan],
+                       [np.inf, np.nan, -np.inf]):
+            with pytest.raises(ValueError):
+                weighted_percentiles(values, np.ones(3), [50.0, 99.0])
+
+    def test_infinite_values_stay_legal(self):
+        """An unreachable path is an infinite latency, and counts."""
+        out = weighted_percentiles([1.0, 2.0, np.inf], np.ones(3),
+                                   [0.0, 50.0])
+        np.testing.assert_array_equal(out, [1.0, 2.0])

@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 
@@ -24,33 +25,73 @@ ALL_MODULES = sorted(
     if not name.endswith("__main__"))
 
 
-#: Run in a fresh interpreter: prints, after each step, whether
-#: `scipy.signal` is loaded.
+#: Run in a fresh interpreter: the CLI, an event engine, a grid
+#: simulator and one grid epoch, then every loaded module and its
+#: file (or "built-in" / "frozen").
 _COLD_START = """
 import sys
 import repro.cli
 from repro.core import XRONSystem, xron
-print("cli", "scipy.signal" in sys.modules)
 system = XRONSystem()
 system.event_engine(xron())
-print("event engine", "scipy.signal" in sys.modules)
-system.simulator(xron())
-print("grid engine", "scipy.signal" in sys.modules)
+with system.simulator(xron()) as simulator:
+    simulator.run(8 * 3600.0, simulator.sim_config.epoch_s)
+for name, module in list(sys.modules.items()):
+    spec = getattr(module, "__spec__", None)
+    print(name, getattr(module, "__file__", None)
+          or getattr(spec, "origin", None) or "")
 """
 
+#: A bare interpreter's modules (site hooks such as `_distutils_hack`
+#: included).
+_BARE = "import sys; print(*sys.modules, sep=chr(10))"
 
-def test_scipy_signal_loads_only_with_the_grid_engine():
-    """`scipy.signal` (about a second of import) is the grid engine's
-    detector filter: the CLI, a deployment and the event engine start
-    without it, and an `EpochSimulator` with fast reaction loads it
-    when built, so its `run` imports nothing."""
+#: Modules no file backs: the shared state numpy's Cython extensions
+#: register, and multiprocessing's alias of `__main__`.
+_RUNTIME_MADE = re.compile(r"^(cython_runtime|_cython_[0-9_]+|__mp_main__)$")
+
+
+def _in_fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
                                if p]))
-    out = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["cli False", "event engine False",
-                                "grid engine True"]
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.splitlines()
+
+
+def _is_stdlib(path):
+    """Built in, frozen, or a file of the standard library, told by its
+    path against `sysconfig.get_paths()` (Python 3.9 has no
+    `sys.stdlib_module_names`); site-packages lies inside the stdlib
+    directory, so it is excluded."""
+    if path in ("built-in", "frozen"):
+        return True
+    dirs = {key: os.path.realpath(value) + os.sep
+            for key, value in sysconfig.get_paths().items()}
+    path = os.path.realpath(path) if path else ""
+    return (path.startswith((dirs["stdlib"], dirs["platstdlib"]))
+            and not path.startswith((dirs["purelib"], dirs["platlib"])))
+
+
+def test_cold_start_loads_numpy_only():
+    """The CLI, both engines and a grid epoch load the standard library,
+    numpy and `src/repro`, nothing else: every module beyond a bare
+    interpreter's start-up set is one of those three."""
+    bare = set(_in_fresh_interpreter(_BARE))
+    package = os.path.realpath(ROOT / "src" / "repro") + os.sep
+    foreign = []
+    for line in _in_fresh_interpreter(_COLD_START):
+        name, __, path = line.partition(" ")
+        if name in bare or _is_stdlib(path) or (
+                not path and _RUNTIME_MADE.match(name)):
+            continue
+        if name == "numpy" or name.startswith("numpy."):
+            continue
+        if path and os.path.realpath(path).startswith(package):
+            continue
+        foreign.append(f"{name} ({path or 'no file'})")
+    assert not foreign, f"loaded beyond numpy: {sorted(foreign)}"
 
 
 @pytest.mark.parametrize("module_name", ALL_MODULES)
