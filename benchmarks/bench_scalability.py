@@ -124,8 +124,8 @@ DEMAND_MATRIX_BUDGET_S = 0.25
 def test_demand_matrix_n100(benchmark):
     """One `TrafficMatrix.from_model` at planet scale (9 900 pairs):
     what every engine pays per control epoch for its demand snapshot."""
-    from repro.underlay.planet import PlanetConfig, generate_regions
-    regions = generate_regions(PlanetConfig(n_regions=100), seed=7)
+    from repro.underlay.planet import generate_regions
+    regions = generate_regions(100, seed=7)
     demand = DemandModel(regions, seed=7)
     matrix = benchmark(lambda: TrafficMatrix.from_model(demand, 8 * 3600.0))
     assert len(matrix) == 100 * 99
@@ -153,8 +153,8 @@ def test_demand_epoch(benchmark, n_regions):
     in a deployment (warmed with eight epochs; never fitted: the
     Fourier fits are per pair by design)."""
     from repro.controlplane.sib import StreamInformationBase
-    from repro.underlay.planet import PlanetConfig, generate_regions
-    regions = generate_regions(PlanetConfig(n_regions=n_regions), seed=7)
+    from repro.underlay.planet import generate_regions
+    regions = generate_regions(n_regions, seed=7)
     demand = DemandModel(regions, seed=7)
     sib = StreamInformationBase([r.code for r in regions])
     workload = CohortWorkload(seed=7)
@@ -526,8 +526,8 @@ def test_sweep_demand_build(benchmark, n_regions):
     """`DemandModel` over N generated regions: one named stream, one
     lognormal draw and one noise seed per ordered pair (9 900 at 100
     regions), then the surge slots hashed as matrices."""
-    from repro.underlay.planet import PlanetConfig, generate_regions
-    regions = generate_regions(PlanetConfig(n_regions=n_regions),
+    from repro.underlay.planet import generate_regions
+    regions = generate_regions(n_regions,
                                seed=_SWEEP_SEED)
     demand = benchmark(lambda: DemandModel(regions, seed=_SWEEP_SEED))
     assert len(demand.pairs) == n_regions * (n_regions - 1)
@@ -578,8 +578,7 @@ def test_reaction_plans(benchmark, n_regions):
     snap = u.snapshot(_SWEEP_SNAP_T)
     r_cur = path_control(streams, u.codes, snap, config, gateways=gateways,
                          fees=u.pricing)
-    plans = benchmark(lambda: generate_reaction_plans(
-        r_cur, snap, config.loss_ms_penalty))
+    plans = benchmark(lambda: generate_reaction_plans(r_cur, snap))
     assert sum(len(by_stream) for by_stream in plans.values()) \
         >= len(set(r_cur.position))
     assert benchmark.stats["mean"] < REACTION_PLANS_BUDGET_S[n_regions]
@@ -677,8 +676,7 @@ def test_sweep_full_epoch(benchmark, n_regions):
                              gateways=gateways, fees=u.pricing)
         decision = capacity_control(streams, u.codes, snap, config,
                                     gateways, r_cur, fees=u.pricing)
-        plans = generate_reaction_plans(r_cur, snap,
-                                        config.loss_ms_penalty)
+        plans = generate_reaction_plans(r_cur, snap)
         return r_cur, decision, plans
 
     r_cur, decision, plans = benchmark(full_epoch)

@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from repro.controlplane.model import ControlConfig
+from repro.controlplane.model import CONTAINER_CAPACITY_MBPS
 from repro.elastic.autoscaler import (FixedAllocation, OptimalAllocation,
                                       ProactiveAutoscaler, ReactiveAutoscaler,
                                       evaluate_autoscaler)
@@ -41,7 +41,7 @@ def main() -> None:
     # Full production scale (the model is calibrated to the 10% rollout).
     series = series_by_region[args.region] * 10.0
 
-    b_c = ControlConfig().container_capacity_mbps
+    b_c = CONTAINER_CAPACITY_MBPS
     week = min(int(7 * 86400 / slot_s), len(series) // 2)
     warmup = int(2 * 86400 / slot_s)
 

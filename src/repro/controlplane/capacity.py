@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.controlplane import model
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import (EpochSolveContext,
                                             PathControlResult, path_control)
@@ -61,7 +62,7 @@ def capacity_control(streams: StreamTable, codes: List[str],
     target: Dict[str, int] = {}
     for code in codes:
         avail = int(available.get(code, 0))
-        used_next = min(used.get(code, 0), config.max_containers)
+        used_next = min(used.get(code, 0), model.MAX_CONTAINERS)
         used_cur = r_cur.used_gateways.get(code, 0)
         if used_next > avail:
             add[code] = used_next - avail

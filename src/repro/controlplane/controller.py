@@ -197,8 +197,7 @@ class Controller:
                                         self.config, gateways, r_cur,
                                         fees=self.pricing, context=ctx)
         with _TEL.span("algo_step", t=now, step="algo2.reaction_plans"):
-            plans = generate_reaction_plans(r_cur, snap,
-                                            self.config.loss_ms_penalty)
+            plans = generate_reaction_plans(r_cur, snap)
         self.epochs_run += 1
         if traced:
             _TEL.counter("controller.epochs").inc()

@@ -22,6 +22,32 @@ from repro.underlay.linkstate import LinkType
 #: One hop of an overlay path: (src region, dst region, link type).
 PathHop = Tuple[str, str, LinkType]
 
+# The §5.2 model's calibrated constants that several modules read.  The
+# solver's modules look them up on this module at call time, so a test
+# patches each in one place.
+
+#: Processing capacity of one gateway container, Mbps (B_c).
+CONTAINER_CAPACITY_MBPS = 1000.0
+#: Container quota per region (N_max).
+MAX_CONTAINERS = 64
+#: Latency-equivalent penalty per unit loss inside edge weights and
+#: reaction-plan scores (1% loss ~ 25 ms of badness).
+LOSS_MS_PENALTY = 2500.0
+#: Path latency limit: max(floor, multiple of the best direct latency).
+LATENCY_LIMIT_FLOOR_MS = 400.0
+LATENCY_LIMIT_STRETCH = 1.6
+
+
+def latency_limit_ms(direct_premium_latency_ms: float) -> float:
+    """Per-pair latency limit (Lat_Limit_{m,n}).
+
+    Far-apart region pairs cannot meet a flat 400 ms two-way budget, so
+    the limit is the larger of the floor and a stretch of the best
+    achievable (direct premium) latency.
+    """
+    return max(LATENCY_LIMIT_FLOOR_MS,
+               LATENCY_LIMIT_STRETCH * direct_premium_latency_ms)
+
 
 @dataclass(frozen=True)
 class OverlayPath:
@@ -84,45 +110,20 @@ def _regions_of(hops: Tuple[PathHop, ...]) -> Tuple[str, ...]:
 
 @dataclass
 class ControlConfig:
-    """Tunables of the control algorithms and the §5.2 model."""
+    """The settings of the control algorithms and the §5.2 model that
+    callers vary: the bandwidth limits, the fee exchange rate, the hop
+    cap."""
 
-    #: Processing capacity of one gateway container, Mbps (B_c).
-    container_capacity_mbps: float = 1000.0
-    #: Container quota per region (N_max).
-    max_containers: int = 64
     #: Per-region Internet egress bandwidth limit, Mbps (B_I^i).
     internet_bandwidth_mbps: float = 40000.0
     #: Per-pair premium bandwidth limit, Mbps (B_d^{i,j}).
     premium_bandwidth_mbps: float = 8000.0
-
-    #: Path latency limit: max(floor, multiple of the best direct latency).
-    latency_limit_floor_ms: float = 400.0
-    latency_limit_stretch: float = 1.6
-    #: Path loss-rate limit (the paper's quality threshold).
-    loss_limit: float = 0.005
     #: Paths are capped at this many overlay hops (94% of paper paths <= 2).
     max_hops: int = 3
-
     #: Cost-vs-latency exchange rate inside the shortest-path edge weight:
     #: ms of latency one normalised fee unit is worth.  This is what makes
     #: the hybrid prefer cheap Internet links when their quality suffices.
     cost_ms_per_fee: float = 120.0
-    #: Latency-equivalent penalty per unit loss inside edge weights
-    #: (1% loss ~ 25 ms of badness).
-    loss_ms_penalty: float = 2500.0
-
-    #: Headroom multiplier when converting traffic to container counts.
-    capacity_headroom: float = 1.15
-
-    def latency_limit_ms(self, direct_premium_latency_ms: float) -> float:
-        """Per-pair latency limit (Lat_Limit_{m,n}).
-
-        Far-apart region pairs cannot meet a flat 400 ms two-way budget,
-        so the limit is the larger of the floor and a stretch of the best
-        achievable (direct premium) latency.
-        """
-        return max(self.latency_limit_floor_ms,
-                   self.latency_limit_stretch * direct_premium_latency_ms)
 
 
 @dataclass

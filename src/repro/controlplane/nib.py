@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import is_
-from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,10 +107,10 @@ class ReportBatch:
 class NetworkInformationBase:
     """Recent link states for every directed link, plus pricing handles."""
 
-    def __init__(self, window: int = 1, codes: Optional[Sequence[str]] = None):
-        """`codes` preallocates the ring-buffer matrices for a known
-        region set (the controller passes its own); reports for regions
-        outside it grow the matrices on demand."""
+    def __init__(self, codes: Sequence[str], window: int = 1):
+        """The ring-buffer matrices are allocated once, over the region
+        set `codes` (the controller's own); a report naming a region
+        outside it is a `ValueError`."""
         if window < 1:
             raise ValueError(f"window must be >= 1 report, got {window}")
         self.window = int(window)
@@ -119,56 +118,43 @@ class NetworkInformationBase:
         #: so equal versions guarantee identical snapshot outputs.
         self.version = 0
         #: Region code <-> row/column of the ring matrices.
-        self._index: Dict[str, int] = {}
-        self._codes: List[str] = []
-        self._ring_lat = np.full((2, 0, 0, self.window), np.nan)
-        self._ring_loss = np.full((2, 0, 0, self.window), np.nan)
-        self._ring_at = np.full((2, 0, 0, self.window), np.nan)
+        self._codes: List[str] = list(codes)
+        self._index: Dict[str, int] = {c: i for i, c in enumerate(codes)}
+        if len(self._index) != len(self._codes):
+            raise ValueError(f"duplicate region codes: {self._codes}")
+        n = len(self._codes)
+        self._ring_lat = np.full((2, n, n, self.window), np.nan)
+        self._ring_loss = np.full((2, n, n, self.window), np.nan)
+        self._ring_at = np.full((2, n, n, self.window), np.nan)
         #: Reports accepted per link, ever: the k-th sits in slot
         #: ``k % window``, and the last ``min(total, window)`` are kept.
-        self._ring_total = np.zeros((2, 0, 0), dtype=np.int64)
-        #: A batch's `codes` -> their rows in the ring matrices.
+        self._ring_total = np.zeros((2, n, n), dtype=np.int64)
+        #: A batch's `codes` -> their rows in the ring matrices (-1 for
+        #: a region outside them).
         self._rows: Dict[Tuple[str, ...], np.ndarray] = {}
         #: Fault-injection seam: an object (a `FaultInjector`) whose
         #: `filter_report` maps a report to itself, a staled copy or
         #: None (dropped), and whose `reports_matched` names the reports
         #: of a batch it would touch.  None = no faults.
         self.fault_filter = None
-        if codes:
-            self._grow(codes)
 
     # -------------------------------------------------------------- storage
-    def _grow(self, new_codes: Iterable[str]) -> None:
-        """Enlarge the ring matrices to admit `new_codes`."""
-        for code in new_codes:
-            if code not in self._index:
-                self._index[code] = len(self._index)
-                self._codes.append(code)
-        n = len(self._index)
-        if n <= self._ring_lat.shape[1]:
-            return
-        old = self._ring_lat.shape[1]
-
-        def enlarge(arr: np.ndarray, fill) -> np.ndarray:
-            shape = ((2, n, n, self.window) if arr.ndim == 4 else (2, n, n))
-            out = np.full(shape, fill, dtype=arr.dtype)
-            out[:, :old, :old] = arr
-            return out
-
-        self._ring_lat = enlarge(self._ring_lat, np.nan)
-        self._ring_loss = enlarge(self._ring_loss, np.nan)
-        self._ring_at = enlarge(self._ring_at, np.nan)
-        self._ring_total = enlarge(self._ring_total, 0)
+    def _unknown(self, codes: Iterable[str]) -> ValueError:
+        outside = sorted(set(codes) - set(self._index))
+        return ValueError(f"regions {outside} are outside the NIB's "
+                          f"{self._codes}")
 
     def _store(self, batch: ReportBatch) -> None:
         """Write a batch into the rings; a report older than its link's
         newest is stale, out of order, and dropped."""
         rows = self._rows.get(batch.codes)
         if rows is None:
-            self._grow(batch.codes)
             rows = self._rows[batch.codes] = np.array(
-                [self._index[c] for c in batch.codes], dtype=np.intp)
+                [self._index.get(c, -1) for c in batch.codes], dtype=np.intp)
         ti, i, j = batch.tier, rows[batch.src], rows[batch.dst]
+        if min(i.min(initial=0), j.min(initial=0)) < 0:
+            raise self._unknown(batch.codes[k] for k in np.concatenate(
+                [batch.src[i < 0], batch.dst[j < 0]]).tolist())
         lat, loss, at = batch.latency_ms, batch.loss_rate, batch.reported_at
         total = self._ring_total[ti, i, j]
         slot = total % self.window
@@ -226,11 +212,9 @@ class NetworkInformationBase:
         the k-th report of every link forms the k-th one, so links are
         distinct inside a batch and a link's reports keep their order.
 
-        Each column is built once, unknown regions are indexed in
-        first-seen order (source before destination) — scanned for only
-        when a report names a region the index lacks — and a report's
-        batch is its rank among its link's reports: one stable sort over
-        integer link keys.
+        Each column is built once, and a report's batch is its rank
+        among its link's reports: one stable sort over integer link
+        keys.
         """
         kept = [report for report in reports if report is not None]
         if not kept:
@@ -241,20 +225,18 @@ class NetworkInformationBase:
         try:
             src_i, dst_i = self._indices(src, size), self._indices(dst, size)
         except KeyError:
-            self._grow(dict.fromkeys(chain.from_iterable(zip(src, dst))))
-            src_i, dst_i = self._indices(src, size), self._indices(dst, size)
-        index = self._index
+            raise self._unknown(src + dst) from None
         # An identity test per report: hashing an enum member is slow.
         premium = np.fromiter(map(is_, [report.link_type for report in kept],
                                   repeat(LinkType.PREMIUM)), bool, size)
         batch = ReportBatch(
-            tuple(index), src_i, dst_i,
+            tuple(self._codes), src_i, dst_i,
             np.where(premium, TYPE_INDEX[LinkType.PREMIUM],
                      TYPE_INDEX[LinkType.INTERNET]),
             np.array([report.latency_ms for report in kept], dtype=float),
             np.array([report.loss_rate for report in kept], dtype=float),
             np.array([report.reported_at for report in kept], dtype=float))
-        n = len(index)
+        n = len(self._codes)
         key = (batch.tier * n + batch.src) * n + batch.dst
         order = np.argsort(key, kind="stable")
         ranked = key[order]
@@ -331,8 +313,6 @@ class NetworkInformationBase:
         (with window == 1, its latest report), as one ``nanpercentile``
         over the ring-buffer arrays; never-reported links are (inf, 1).
         """
-        if self._ring_lat.size == 0:
-            return LinkStateSnapshot.empty(codes)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             lat = np.nanpercentile(self._ring_lat, ROBUST_PERCENTILE, axis=3)
@@ -344,17 +324,14 @@ class NetworkInformationBase:
     def _project(self, codes: Sequence[str], lat_src: np.ndarray,
                  loss_src: np.ndarray, never: np.ndarray) -> LinkStateSnapshot:
         """Gather internal-index matrices into the requested code order."""
-        snap = LinkStateSnapshot.empty(codes)
-        ids = np.array([self._index.get(c, -1) for c in codes])
-        have = np.where(ids >= 0)[0]
-        if have.size:
-            sel = ids[have]
-            src_ix = np.ix_((0, 1), sel, sel)
-            dst_ix = np.ix_((0, 1), have, have)
-            missing = never[src_ix]
-            snap.lat[dst_ix] = np.where(missing, np.inf, lat_src[src_ix])
-            snap.loss[dst_ix] = np.where(missing, 1.0, loss_src[src_ix])
-        return snap
+        try:
+            ids = [self._index[c] for c in codes]
+        except KeyError:
+            raise self._unknown(codes) from None
+        ix = np.ix_((0, 1), ids, ids)
+        missing = never[ix]
+        return LinkStateSnapshot(codes, np.where(missing, np.inf, lat_src[ix]),
+                                 np.where(missing, 1.0, loss_src[ix]))
 
     # ------------------------------------------------------------ checkpoint
     def export_reports(self) -> List[Dict[str, object]]:

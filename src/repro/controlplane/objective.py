@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.controlplane.model import ControlConfig, ObjectiveBreakdown
+from repro.controlplane.model import (ControlConfig, ObjectiveBreakdown,
+                                     latency_limit_ms)
 from repro.controlplane.pathcontrol import PathControlResult
 from repro.underlay.linkstate import LinkType
 from repro.underlay.pricing import PricingModel
@@ -46,7 +47,7 @@ def evaluate_objective(result: PathControlResult, snap: LinkStateSnapshot,
     latency_ms = result.routes.latency_ms.tolist()
     util_lat = 0.0
     for rid, direct_premium in zip(result.route.tolist(), direct):
-        limit = config.latency_limit_ms(float(direct_premium))
+        limit = latency_limit_ms(float(direct_premium))
         if limit > 0:
             util_lat += latency_ms[rid] / limit
 

@@ -61,16 +61,22 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.controlplane import model
 from repro.controlplane.model import ControlConfig, OverlayPath
 from repro.obs import telemetry as _telemetry
 from repro.traffic.streams import Stream, StreamTable
-from repro.underlay.linkstate import LinkType
+from repro.underlay.linkstate import HIGH_LOSS_RATE, LinkType
 from repro.underlay.pricing import PricingModel
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
 
 _TEL = _telemetry()
 
 _INTERNET = TYPE_INDEX[LinkType.INTERNET]
+
+#: Path loss-rate limit: the §2.2 bad-link bound.
+LOSS_LIMIT = HIGH_LOSS_RATE
+#: Headroom multiplier when converting traffic to container counts.
+CAPACITY_HEADROOM = 1.15
 
 #: Per-pricing-model cache of (codes tuple) -> (2, N, N) fee matrices.
 #: Egress fees are immutable per `PricingModel`, so the matrix is built
@@ -210,11 +216,9 @@ class PathControlResult:
     forms experiments read, built once, on first read.
     """
 
-    def __init__(self, streams: StreamTable, routes: _RouteTable,
-                 config: ControlConfig):
+    def __init__(self, streams: StreamTable, routes: _RouteTable):
         self.streams = streams
         self.routes = routes
-        self.config = config
         self.position = self.route = np.zeros(0, dtype=np.intp)
         self.mbps, self.meets = np.zeros(0), np.zeros(0, dtype=bool)
         self.unassigned_at: List[int] = []
@@ -267,10 +271,9 @@ class PathControlResult:
     @cached_property
     def used_gateways(self) -> Dict[str, int]:
         """Gateways needed per region: ceil(traffic x headroom / B_c)."""
-        config = self.config
         return dict(zip(self.routes.codes, np.ceil(
-            np.array(self.usage[0]) * config.capacity_headroom
-            / config.container_capacity_mbps).astype(int).tolist()))
+            np.array(self.usage[0]) * CAPACITY_HEADROOM
+            / model.CONTAINER_CAPACITY_MBPS).astype(int).tolist()))
 
     @cached_property
     def internet_egress(self) -> Dict[str, float]:
@@ -336,7 +339,7 @@ def _residuals(codes: List[str], config: ControlConfig,
     np.fill_diagonal(premium, 0.0)
     return np.concatenate([
         [np.inf] * n if gateways is None else
-        [float(config.container_capacity_mbps * gateways.get(c, 0))
+        [float(model.CONTAINER_CAPACITY_MBPS * gateways.get(c, 0))
          for c in codes],
         np.full(n, float(config.internet_bandwidth_mbps)), premium.ravel(),
         [np.inf]])
@@ -355,13 +358,13 @@ class _EdgeWeights:
                  fees: Optional[PricingModel]):
         self.lat = snap.lat
         self.loss = snap.loss
-        self.weight = (self.lat + config.loss_ms_penalty * self.loss
+        self.weight = (self.lat + model.LOSS_MS_PENALTY * self.loss
                        + config.cost_ms_per_fee
                        * _fee_matrix(snap.codes, fees))
         # An edge is quality-usable if its own loss does not already
         # violate the path loss budget; the best-effort fallback pass
         # only requires the link to exist (finite latency).
-        self.quality_ok = self.loss <= config.loss_limit
+        self.quality_ok = self.loss <= LOSS_LIMIT
         self.exists = np.isfinite(self.lat)
 
 
@@ -703,7 +706,7 @@ def path_control(streams: StreamTable, codes: List[str],
     weights, routes = ctx.weights(snap, config, fees), ctx.routes
     values = _residuals(codes, config, gateways)
     sp = ctx.first_shortest_paths(weights, config, values)
-    result = PathControlResult(streams, routes, config)
+    result = PathControlResult(streams, routes)
 
     if streams.codes != codes:
         raise ValueError(f"stream table regions {streams.codes} do not "
@@ -713,11 +716,11 @@ def path_control(streams: StreamTable, codes: List[str],
 
     # Latency limits are anchored to the direct premium latency of each
     # pair (the best the underlay can do).  Vectorised, but element-wise
-    # identical to `config.latency_limit_ms` per stream.
+    # identical to `model.latency_limit_ms` per stream.
     lat_premium = snap.lat[TYPE_INDEX[LinkType.PREMIUM]]
     limits = np.maximum(
-        config.latency_limit_floor_ms,
-        config.latency_limit_stretch * lat_premium[src_idx, dst_idx])
+        model.LATENCY_LIMIT_FLOOR_MS,
+        model.LATENCY_LIMIT_STRETCH * lat_premium[src_idx, dst_idx])
 
     def ordered(active: np.ndarray, sp: _ShortestPaths
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -755,7 +758,7 @@ def path_control(streams: StreamTable, codes: List[str],
         latency_ms, loss_rate = sp.latency_ms[k], sp.loss_rate[k]
         placements.append((
             at, take[placed],
-            (latency_ms <= limits[at]) & (loss_rate <= config.loss_limit)
+            (latency_ms <= limits[at]) & (loss_rate <= LOSS_LIMIT)
             & quality, sp.rows[k], sp.hops[k], latency_ms, loss_rate))
         return order[remaining[order] > 1e-9], at.size
 

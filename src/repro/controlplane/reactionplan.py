@@ -31,6 +31,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.controlplane import model
 from repro.controlplane.pathcontrol import PathControlResult
 from repro.obs import telemetry as _telemetry
 from repro.underlay.linkstate import LinkType
@@ -115,8 +116,7 @@ def _relay_choices(nodes: np.ndarray, latency: np.ndarray, loss: np.ndarray,
 
 
 def generate_reaction_plans(result: PathControlResult,
-                            snap: LinkStateSnapshot,
-                            loss_ms_penalty: float = 2500.0) -> RegionPlans:
+                            snap: LinkStateSnapshot) -> RegionPlans:
     """Run Algorithm 2 over every assignment of a path-control result.
 
     Returns the plans per region of the result, each a dict stream id
@@ -139,7 +139,8 @@ def generate_reaction_plans(result: PathControlResult,
     for hops in np.unique(spans[placed]).tolist():
         rids = placed[spans[placed] == hops]
         nodes = routes.rows[rids, :hops + 1].astype(np.intp)
-        via = _relay_choices(nodes, latency, loss, n, loss_ms_penalty)
+        via = _relay_choices(nodes, latency, loss, n,
+                             model.LOSS_MS_PENALTY)
         every = np.arange(rids.size)
         ids = np.empty(via.shape, dtype=np.intp)
         for i in range(hops - 1, -1, -1):

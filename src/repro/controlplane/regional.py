@@ -50,7 +50,10 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.controlplane.controller import Controller, ControlOutput
+from repro.controlplane.nib import ReportBatch
 from repro.obs import telemetry as _telemetry
 from repro.traffic.matrix import TrafficMatrix
 
@@ -161,11 +164,12 @@ class RegionalController:
         self.epochs_run += 1
         return output
 
-    def ingest_reports(self, reports) -> None:
-        """Feed intra-partition probe reports into the local NIB."""
-        member = set(self.regions)
+    def ingest_reports(self, reports: ReportBatch) -> None:
+        """Feed a probing batch's intra-partition reports into the local
+        NIB."""
+        inside = np.array([code in self.regions for code in reports.codes])
         self.controller.nib.update_many(
-            [r for r in reports if r.src in member and r.dst in member])
+            reports.take(inside[reports.src] & inside[reports.dst]))
 
 
 class RegionalExtension:

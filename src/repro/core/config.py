@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.controlplane.controller import Controller
+from repro.controlplane import model
 from repro.controlplane.model import ControlConfig
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.elastic.containers import ContainerPool
@@ -82,7 +83,6 @@ def build_controller(codes: Sequence[str], control_config: ControlConfig,
 
 def build_pools(codes: Sequence[str], rng: RngStreams,
                 sim_config: SimulationConfig,
-                control_config: ControlConfig,
                 start_s: float = 0.0) -> Dict[str, ContainerPool]:
     """One container pool per region, each on its own ``pool.<code>``
     stream of `rng` — the fleet both engines boot with, billed from
@@ -90,6 +90,6 @@ def build_pools(codes: Sequence[str], rng: RngStreams,
     return {code: ContainerPool(
                 code, rng.get(f"pool.{code}"),
                 initial=sim_config.initial_gateways,
-                max_containers=control_config.max_containers,
+                max_containers=model.MAX_CONTAINERS,
                 start_s=start_s)
             for code in codes}

@@ -37,7 +37,7 @@ subsystem").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple)
 
 import numpy as np
@@ -213,19 +213,18 @@ class EventDrivenXRON:
         #: did).  The JSON string IS the artifact a warm restart loads,
         #: so every restore exercises the round trip.
         self.checkpoint_json: Optional[str] = None
+        #: The sim instant of `checkpoint_json`, recorded with it.
+        self.checkpoint_t: Optional[float] = None
 
         self.controller = self.make_controller()
-        reaction = replace(
-            self.sim_config.reaction,
-            enabled=(self.sim_config.reaction.enabled
-                     and self.variant.fast_reaction))
         noise = probe_noise(underlay, self.sim_config.monitoring, self.rng)
         self.clusters: Dict[str, RegionCluster] = {
             code: RegionCluster(
                 code, underlay,
                 initial_gateways=self.sim_config.initial_gateways,
                 monitoring=self.sim_config.monitoring,
-                reaction=reaction, noise=noise)
+                reaction=self.sim_config.reaction, noise=noise,
+                fast_reaction=self.variant.fast_reaction)
             for code in underlay.codes}
         #: Every gateway's monitoring state, probed as one block.
         self.monitoring_block = MonitoringBlock(list(self.clusters.values()))
@@ -235,7 +234,7 @@ class EventDrivenXRON:
         self._passive_at = {hop: k for k, hop
                             in enumerate(self._passive.hops)}
         self.pools: Dict[str, ContainerPool] = build_pools(
-            underlay.codes, self.rng, self.sim_config, self.control_config)
+            underlay.codes, self.rng, self.sim_config)
 
         if tracked_pairs is None:
             tracked_pairs = sorted(
@@ -367,6 +366,7 @@ class EventDrivenXRON:
         fired fault windows)."""
         self.epoch_seq = checkpoint.epoch_seq
         self.checkpoint_json = checkpoint.dumps()
+        self.checkpoint_t = checkpoint.t
         self.fire("restore", checkpoint, t)
 
     def close(self) -> None:

@@ -23,7 +23,6 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import EpochSimulator
 from repro.core.variants import VariantSpec, xron
 from repro.qoe.metrics import QoESummary
-from repro.traffic.config import TrafficConfig
 from repro.traffic.demand import DemandModel
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.regions import Region, default_regions
@@ -66,7 +65,6 @@ def run_multi_day(days: int, variant: Optional[VariantSpec] = None, *,
                   regions: Optional[List[Region]] = None,
                   sim_config: Optional[SimulationConfig] = None,
                   control_config: Optional[ControlConfig] = None,
-                  traffic_config: Optional[TrafficConfig] = None,
                   start_day: int = 0
                   ) -> MultiDayResult:
     """Simulate `days` consecutive days for one variant.
@@ -91,7 +89,7 @@ def run_multi_day(days: int, variant: Optional[VariantSpec] = None, *,
     sim_config = (sim_config if sim_config is not None
                   else SimulationConfig(epoch_s=900.0, eval_step_s=60.0,
                                         seed=seed))
-    demand = DemandModel(regions, traffic_config, seed)
+    demand = DemandModel(regions, seed)
 
     def day_underlay(day: int, pricing=None):
         # Generate only the day's window (plus margin): events are placed

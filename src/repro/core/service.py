@@ -419,7 +419,7 @@ class XRONService:
         envelope = {
             "record": "service_checkpoint",
             "schema": ENVELOPE_SCHEMA,
-            "sim_t": Checkpoint.loads(sys_.checkpoint_json).t,
+            "sim_t": sys_.checkpoint_t,
             "epoch_seq": sys_.epoch_seq,
             "seed": sys_.sim_config.seed,
             "schedule": sys_.faults.schedule.to_json(),

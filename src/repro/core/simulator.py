@@ -239,7 +239,7 @@ class SimulationResult:
 
     # -------------------------------------------------------------- internal
     def _qoe_for_slice(self, sl: slice, weights: np.ndarray) -> QoESummary:
-        from repro.qoe.video import VideoQoEConfig, stall_series, \
+        from repro.qoe.video import stall_series, \
             stall_duration_buckets, frame_rate_series
         from repro.qoe.audio import audio_fluency_series
 
@@ -250,9 +250,8 @@ class SimulationResult:
         if wsum <= 0:
             w = np.ones_like(w)
             wsum = w.sum()
-        vcfg = VideoQoEConfig()
-        stalled = stall_series(lat, loss, vcfg)
-        fps = frame_rate_series(lat, loss, vcfg)
+        stalled = stall_series(lat, loss)
+        fps = frame_rate_series(lat, loss)
         fluency = audio_fluency_series(lat, loss)
         score_floor = np.clip(np.floor(fluency).astype(int), 1, 5)
         buckets = (0, 0, 0)
@@ -363,7 +362,7 @@ class EpochSimulator:
             # fleet state (and billing continuity) between days; they
             # bill from the first run's start.
             self._pools = build_pools(self.codes, self._streams, cfg,
-                                      self.control_config, start_s)
+                                      start_s)
 
         for e in range(n_epochs):
             now = float(epoch_starts[e])

@@ -23,7 +23,6 @@ from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.core.simulator import EpochSimulator, SimulationResult
 from repro.core.variants import VariantSpec, xron
-from repro.traffic.config import TrafficConfig
 from repro.traffic.demand import DemandModel
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.regions import Region, default_regions
@@ -35,14 +34,13 @@ class XRONSystem:
 
     def __init__(self, regions: Optional[List[Region]] = None, seed: int = 0,
                  underlay_config: Optional[UnderlayConfig] = None,
-                 traffic_config: Optional[TrafficConfig] = None,
                  sim_config: Optional[SimulationConfig] = None,
                  control_config: Optional[ControlConfig] = None):
         self.regions = regions if regions is not None else default_regions()
         self.seed = int(seed)
         self.underlay: Underlay = build_underlay(self.regions,
                                                  underlay_config, seed)
-        self.demand = DemandModel(self.regions, traffic_config, seed)
+        self.demand = DemandModel(self.regions, seed)
         self.sim_config = sim_config
         self.control_config = control_config
 

@@ -56,9 +56,12 @@ class RegionCluster:
                  initial_gateways: int = 2,
                  monitoring: Optional[MonitoringConfig] = None,
                  reaction: Optional[ReactionConfig] = None,
-                 noise: Optional[BurstNoise] = None):
+                 noise: Optional[BurstNoise] = None,
+                 fast_reaction: bool = True):
         """`noise` is the deployment's `probe_noise` (of the same
-        `monitoring`); a cluster built alone makes one from seed 0.  The
+        `monitoring`); a cluster built alone makes one from seed 0.
+        `fast_reaction` is the variant's switch, handed to every gateway
+        (`Gateway.forward`).  The
         cluster starts as the one region of its own `MonitoringBlock`; a
         deployment's block takes it over (`block`)."""
         if initial_gateways < 1:
@@ -67,6 +70,7 @@ class RegionCluster:
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringConfig())
         self.reaction = reaction if reaction is not None else ReactionConfig()
+        self.fast_reaction = fast_reaction
         self.noise = (noise if noise is not None else
                       probe_noise(underlay, self.monitoring, RngStreams(0)))
         #: The region's links: their position in the monitoring state
@@ -111,7 +115,8 @@ class RegionCluster:
                           self.monitoring, self.reaction,
                           resilience=self.resilience,
                           resilience_counters=self.resilience_counters,
-                          stale_after_s=self.stale_after_s)
+                          stale_after_s=self.stale_after_s,
+                          fast_reaction=self.fast_reaction)
         self.gateways[gid] = gateway
         return gateway
 
@@ -214,9 +219,11 @@ class RegionCluster:
 
     # ----------------------------------------------------------- monitoring
     def probe_round(self, now: float) -> ReportBatch:
-        """This region's share of a probing instant, alone: its block's
-        pass (`MonitoringBlock.probe`) over its rows only."""
-        return self.block.probe(now, self)[0]
+        """This region's share of its block's probing instant
+        (`MonitoringBlock.probe`)."""
+        reports, bounds = self.block.probe(now)
+        k = self.block._position[self.region]
+        return reports.take(slice(bounds[k], bounds[k + 1]))
 
     def flush_passive(self, now: float) -> None:
         """Fold every gateway's passive samples into the estimators."""
@@ -282,24 +289,24 @@ class RegionCluster:
 
 
 class _Run:
-    """Index vectors of a run of consecutive regions of a block, for a
-    probing instant over it (made again after every rebuild).  Regions
-    are numbered from 0 within the run; every ``(regions, links)`` array
-    is one region per row."""
+    """Index vectors of a block's regions, for a probing instant over
+    them (made again after every rebuild).  Regions are numbered in the
+    block's order; every ``(regions, links)`` array is one region per
+    row."""
 
-    def __init__(self, block: "MonitoringBlock", lo: int, hi: int):
+    def __init__(self, block: "MonitoringBlock"):
         noise = block.noise
-        spans = [noise.span(cluster.region) for cluster in block.clusters[lo:hi]]
+        spans = [noise.span(cluster.region) for cluster in block.clusters]
         #: Each region's links in `noise` (the run's report order).
         self.hop = np.array([np.arange(s.start, s.stop) for s in spans],
                             dtype=np.intp)
         self.hops = [noise.hops[h] for h in self.hop.ravel().tolist()]
         #: (src, dst, tier) per link, for the reports.
         self.tier, self.src, self.dst = (axis[self.hop] for axis in noise.index)
-        rows = np.arange(block.first[lo], block.first[hi])
-        region = block.row_region[rows] - lo
-        slot = block.row_slot[rows]
-        self.reps = block.reps[lo:hi]
+        rows = np.arange(block.first[-1])
+        region = block.row_region
+        slot = block.row_slot
+        self.reps = block.reps
         probing = slot < self.reps[region]
         self.rep_rows, self.rep_region = rows[probing], region[probing]
         self.rep_slot = slot[probing, None]
@@ -313,7 +320,7 @@ class _Run:
         self.groups = []
         for r in np.unique(self.reps).tolist():
             regions = np.flatnonzero(self.reps == r)
-            self.groups.append((r, regions, block.first[lo + regions]
+            self.groups.append((r, regions, block.first[regions]
                                 + np.arange(r)[:, None]))
 
     @staticmethod
@@ -359,6 +366,7 @@ class MonitoringBlock:
             cluster.block = self
             self._position[cluster.region] = k
         self._stale = True
+        self._run: Optional[_Run] = None
 
     def fleet_changed(self) -> None:
         """A cluster's fleet changed: rebuild before the next use."""
@@ -376,7 +384,7 @@ class MonitoringBlock:
         self.gateways = [gateway for fleet in fleets for gateway in fleet]
         self.bank = EstimatorBank.stacked(
             [gateway.bank for gateway in self.gateways])
-        self._runs: Dict[Tuple[int, int], _Run] = {}
+        self._run = None
         self._stale = False
 
     def rows(self, cluster: RegionCluster) -> Tuple[EstimatorBank, int]:
@@ -385,12 +393,11 @@ class MonitoringBlock:
             self._rebuild()
         return self.bank, int(self.first[self._position[cluster.region]])
 
-    def probe(self, now: float, cluster: Optional[RegionCluster] = None
-              ) -> Tuple[ReportBatch, List[int]]:
-        """One probing instant of every region (of `cluster`'s alone,
-        if given): representatives probe every adjacent link of both
-        tiers; their estimates are median-aggregated into group
-        reports, and the group state is handed to every member gateway.
+    def probe(self, now: float) -> Tuple[ReportBatch, List[int]]:
+        """One probing instant of every region: representatives probe
+        every adjacent link of both tiers; their estimates are
+        median-aggregated into group reports, and the group state is
+        handed to every member gateway.
 
         Returns the reports, region by region in the block's order, and
         where each region's reports begin in them (plus the count,
@@ -401,16 +408,11 @@ class MonitoringBlock:
         """
         if self._stale:
             self._rebuild()
-        if cluster is None:
-            lo, hi = 0, len(self.clusters)
-        else:
-            lo = self._position[cluster.region]
-            hi = lo + 1
-        run = self._runs.get((lo, hi))
+        run = self._run
         if run is None:
-            run = self._runs[lo, hi] = _Run(self, lo, hi)
+            run = self._run = _Run(self)
         if _TEL.enabled:
-            for probed in self.clusters[lo:hi]:
+            for probed in self.clusters:
                 probed.trace_election()
         regions, links = run.hop.shape
         blacked, fault_ids = self._blackouts(run, now)
@@ -458,7 +460,7 @@ class MonitoringBlock:
                        group_loss[member][picked], degraded[member][picked])
 
         if _TEL.enabled:
-            self._trace(run, lo, now, reports, degraded, blacked, fault_ids)
+            self._trace(run, now, reports, degraded, blacked, fault_ids)
         return reports, [0] + np.cumsum(probed_links).tolist()
 
     def _blackouts(self, run: _Run, now: float):
@@ -475,12 +477,12 @@ class MonitoringBlock:
         fault_ids = {self.faults.fault_id(spec) for spec in covered.values()}
         return blacked.reshape(run.hop.shape), sorted(fault_ids - {None})
 
-    def _trace(self, run: _Run, lo: int, now: float, reports: ReportBatch,
+    def _trace(self, run: _Run, now: float, reports: ReportBatch,
                degraded: np.ndarray, blacked: Optional[np.ndarray],
                fault_ids) -> None:
         """One `probe_round` event for the instant (and one
         `fault_probe_blackout` under a blackout), regions summed."""
-        codes = [cluster.region for cluster in self.clusters[lo:]]
+        codes = [cluster.region for cluster in self.clusters]
         if blacked is not None:
             degraded = degraded & ~blacked
         flagged = np.count_nonzero(degraded, axis=1)

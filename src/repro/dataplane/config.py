@@ -31,11 +31,9 @@ class MonitoringConfig:
 
 @dataclass
 class ReactionConfig:
-    """Fast-reaction detection thresholds and hysteresis (§4.3)."""
+    """Fast-reaction detection thresholds and hysteresis (§4.3).  The
+    switch itself is the variant's (`VariantSpec.fast_reaction`)."""
 
-    #: Master switch: when False, monitoring still detects degradations
-    #: but forwarding never switches to backups (the XRON-Basic ablation).
-    enabled: bool = True
     #: Degradation thresholds (same semantics as the paper's §2.2 bounds,
     #: applied to burst-level measurements).
     latency_threshold_ms: float = 400.0

@@ -49,10 +49,12 @@ class Gateway:
                  table: ForwardingTable,
                  monitoring: MonitoringConfig, reaction: ReactionConfig,
                  resilience=None, resilience_counters=None,
-                 stale_after_s=None):
+                 stale_after_s=None, fast_reaction: bool = True):
         """`links` (adjacent link -> position in the monitoring state)
         and `table` (the installed update) are the region's, handed over
-        by the cluster.  `resilience` is a
+        by the cluster.  Without `fast_reaction` (the XRON-Basic
+        ablation) monitoring still detects degradations but forwarding
+        never switches to a backup.  `resilience` is a
         `repro.resilience.ResilienceConfig` (or None): it arms
         degraded-mode forwarding (tables older than `stale_after_s`
         demote Internet entries to the premium floor) and failback
@@ -64,7 +66,7 @@ class Gateway:
         self.gateway_id = int(gateway_id)
         self.links = links
         self.table = table
-        self.reaction_config = reaction
+        self.fast_reaction = fast_reaction
         self.resilience = resilience
         self.resilience_counters = resilience_counters
         self.stale_after_s = stale_after_s
@@ -118,8 +120,7 @@ class Gateway:
             return None
         next_hop, link_type = row
         res = self.resilience
-        if (self.reaction_config.enabled
-                and self.link_degraded(next_hop, link_type)):
+        if self.fast_reaction and self.link_degraded(next_hop, link_type):
             relays = table.plans.get(stream_id)
             if relays:
                 decision = ForwardDecision(relays[0], LinkType.PREMIUM, True)

@@ -58,7 +58,6 @@ def run(underlay: Optional[Underlay] = None,
         max_pairs: int = 20) -> ProbingAblation:
     u = underlay if underlay is not None else standard_underlay()
     streams = RngStreams(seed)
-    sim_cfg = u.config.similarity
     n_regions = len(u.regions)
 
     disagreement: Dict[int, List[float]] = {r: []
@@ -68,18 +67,12 @@ def run(underlay: Optional[Underlay] = None,
         links = make_gateway_links(
             pair_link, gateways_per_region,
             streams.get(f"probe-ablation.{a}->{b}"),
-            idio_events_per_day=sim_cfg.idio_events_per_day,
-            idio_duration_mean_s=sim_cfg.idio_duration_mean_s,
             event_latency_mu=u.config.internet.event_latency_mu,
             event_latency_sigma=u.config.internet.event_latency_sigma,
             event_loss_mu=u.config.internet.event_loss_mu,
-            event_loss_sigma=u.config.internet.event_loss_sigma,
-            severity_scale=sim_cfg.idio_severity_scale)
-        states = np.stack([
-            link.quality_series(0.0, window_s, step_s,
-                                high_latency_ms=u.config.high_latency_ms,
-                                high_loss_rate=u.config.high_loss_rate)
-            for link in links])
+            event_loss_sigma=u.config.internet.event_loss_sigma)
+        states = np.stack([link.quality_series(0.0, window_s, step_s)
+                           for link in links])
         for r in representative_counts:
             # Representatives are the lowest-id gateways (the manager's
             # deterministic election); the group state is their strict

@@ -59,14 +59,11 @@ class BadTimeCdf:
 def run(underlay: Optional[Underlay] = None, step_s: float = 10.0,
         day_s: float = 86400.0) -> BadTimeCdf:
     u = underlay if underlay is not None else standard_underlay()
-    cfg = u.config
 
     def fractions(link_type: LinkType):
         lat, loss = [], []
         for link in u.links_of_type(link_type):
-            fl, fo = link.bad_fraction(
-                0.0, day_s, step_s, high_latency_ms=cfg.high_latency_ms,
-                high_loss_rate=cfg.high_loss_rate)
+            fl, fo = link.bad_fraction(0.0, day_s, step_s)
             lat.append(fl)
             loss.append(fo)
         return np.array(lat), np.array(loss)

@@ -17,7 +17,8 @@ from repro.dataplane.grouping import probing_cost
 from repro.experiments.base import format_table, standard_underlay
 from repro.sim.rng import RngStreams
 from repro.underlay.linkstate import LinkType
-from repro.underlay.similarity import make_gateway_links, quality_similarity
+from repro.underlay.similarity import (IDIO_EVENTS_PER_DAY,
+                                       make_gateway_links, quality_similarity)
 from repro.underlay.topology import Underlay
 
 
@@ -76,7 +77,6 @@ def run(underlay: Optional[Underlay] = None, gateways_per_region: int = 4,
     """Instantiate gateway-level links for each pair and measure similarity."""
     u = underlay if underlay is not None else standard_underlay()
     streams = RngStreams(seed)
-    sim_cfg = u.config.similarity
     pairs = u.pairs if max_pairs is None else u.pairs[:max_pairs]
     sims = []
     example_series = None
@@ -89,17 +89,12 @@ def run(underlay: Optional[Underlay] = None, gateways_per_region: int = 4,
         links = make_gateway_links(
             pair_link, gateways_per_region,
             streams.get(f"gwlinks.{a}->{b}"),
-            idio_events_per_day=sim_cfg.idio_events_per_day * idio_factor,
-            idio_duration_mean_s=sim_cfg.idio_duration_mean_s,
             event_latency_mu=u.config.internet.event_latency_mu,
             event_latency_sigma=u.config.internet.event_latency_sigma,
             event_loss_mu=u.config.internet.event_loss_mu,
             event_loss_sigma=u.config.internet.event_loss_sigma,
-            severity_scale=sim_cfg.idio_severity_scale)
-        sims.append(quality_similarity(
-            links, 0.0, window_s, step_s,
-            high_latency_ms=u.config.high_latency_ms,
-            high_loss_rate=u.config.high_loss_rate))
+            idio_events_per_day=IDIO_EVENTS_PER_DAY * idio_factor)
+        sims.append(quality_similarity(links, 0.0, window_s, step_s))
         if example_series is None:
             example_series = [link.loss_rate(sample_times)
                               for link in links[:4]]

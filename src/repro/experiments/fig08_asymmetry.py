@@ -59,12 +59,8 @@ def run(underlay: Optional[Underlay] = None, window_s: float = 86400.0,
         seen.add((a, b))
         fwd = u.link(a, b, LinkType.INTERNET)
         rev = u.link(b, a, LinkType.INTERNET)
-        q_fwd = fwd.quality_series(0.0, window_s, step_s,
-                                   high_latency_ms=u.config.high_latency_ms,
-                                   high_loss_rate=u.config.high_loss_rate)
-        q_rev = rev.quality_series(0.0, window_s, step_s,
-                                   high_latency_ms=u.config.high_latency_ms,
-                                   high_loss_rate=u.config.high_loss_rate)
+        q_fwd = fwd.quality_series(0.0, window_s, step_s)
+        q_rev = rev.quality_series(0.0, window_s, step_s)
         l_fwd = fwd.latency_ms(times)
         l_rev = rev.latency_ms(times)
         gap = (np.abs(l_fwd - l_rev) / np.maximum(np.maximum(l_fwd, l_rev),

@@ -20,7 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.controlplane.model import ControlConfig
+from repro.controlplane.model import CONTAINER_CAPACITY_MBPS
 from repro.core.config import SimulationConfig
 from repro.core.simulator import SimulationResult
 from repro.core.system import XRONSystem
@@ -137,8 +137,7 @@ def run(seed: int = 1, hours: float = 24.0, epoch_s: float = 600.0,
     le2 = float(np.average(n_hops <= 2, weights=n_w)) if n_hops.size else 1.0
 
     # (c) container policies over two weeks of per-region demand.
-    control = ControlConfig()
-    b_c = control.container_capacity_mbps
+    b_c = CONTAINER_CAPACITY_MBPS
     region_series = _region_demand_series(system.demand, system.underlay.codes,
                                           scaling_slot_s, scaling_days)
     region_series = {c: v * scaling_demand_scale

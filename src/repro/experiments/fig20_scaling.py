@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.controlplane.model import ControlConfig
+from repro.controlplane.model import CONTAINER_CAPACITY_MBPS
 from repro.elastic.autoscaler import (ProactiveAutoscaler, ReactiveAutoscaler,
                                       UnderProvisioningStats,
                                       evaluate_autoscaler)
@@ -73,8 +73,7 @@ def run(demand: Optional[DemandModel] = None, days: int = 14,
     """`demand_scale` lifts the model (calibrated to the 10%-of-sessions
     deployment) to the full-scale traffic the paper's emulation uses."""
     m = demand if demand is not None else standard_demand(seed)
-    control = ControlConfig()
-    b_c = control.container_capacity_mbps
+    b_c = CONTAINER_CAPACITY_MBPS
     region_series = _region_demand_series(m, [r.code for r in
                                               default_regions()],
                                           slot_s, days)

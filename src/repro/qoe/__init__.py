@@ -8,19 +8,17 @@ latency and loss, so *relative* comparisons across system versions — the
 paper's normalised plots — are preserved.
 """
 
-from repro.qoe.video import (VideoQoEConfig, stall_series, stall_durations,
+from repro.qoe.video import (stall_series, stall_durations,
                              stall_duration_buckets, frame_rate_series)
-from repro.qoe.audio import (AudioQoEConfig, e_model_r_factor, r_to_mos,
+from repro.qoe.audio import (e_model_r_factor, r_to_mos,
                              audio_fluency_series)
 from repro.qoe.metrics import QoESummary
 
 __all__ = [
-    "VideoQoEConfig",
     "stall_series",
     "stall_durations",
     "stall_duration_buckets",
     "frame_rate_series",
-    "AudioQoEConfig",
     "e_model_r_factor",
     "r_to_mos",
     "audio_fluency_series",

@@ -11,42 +11,36 @@ is what the version comparison isolates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
+# E-model parameters (G.107 defaults, wideband-flavoured).
 
-@dataclass
-class AudioQoEConfig:
-    """E-model parameters (G.107 defaults, wideband-flavoured)."""
-
-    #: Base rating with all impairments at zero (G.107.1 wideband allows
-    #: up to ~129; we keep the classic 93.2 so scores map cleanly to MOS).
-    r_base: float = 93.2
-    #: Codec baseline equipment impairment (modern Opus-like codec).
-    ie_codec: float = 0.0
-    #: Packet-loss robustness factor Bpl (higher = more loss-tolerant,
-    #: in-band FEC raises it).
-    bpl: float = 18.0
-    #: Random-loss behaviour exponent BurstR (1 = random loss).
-    burst_r: float = 1.0
-    #: Delay threshold of the Id kink, ms (G.107: 177.3 ms one-way).
-    delay_knee_ms: float = 177.3
+#: Base rating with all impairments at zero (G.107.1 wideband allows up
+#: to ~129; we keep the classic 93.2 so scores map cleanly to MOS).
+R_BASE = 93.2
+#: Codec baseline equipment impairment (modern Opus-like codec).
+IE_CODEC = 0.0
+#: Packet-loss robustness factor Bpl (higher = more loss-tolerant,
+#: in-band FEC raises it).
+BPL = 18.0
+#: Random-loss behaviour exponent BurstR (1 = random loss).
+BURST_R = 1.0
+#: Delay threshold of the Id kink, ms (G.107: 177.3 ms one-way).
+DELAY_KNEE_MS = 177.3
 
 
-def e_model_r_factor(latency_ms: np.ndarray, loss_rate: np.ndarray,
-                     config: AudioQoEConfig = AudioQoEConfig()) -> np.ndarray:
+def e_model_r_factor(latency_ms: np.ndarray,
+                     loss_rate: np.ndarray) -> np.ndarray:
     """Transmission rating R for one-way latency + loss series."""
     d = np.asarray(latency_ms, dtype=float)
     ppl = np.asarray(loss_rate, dtype=float) * 100.0  # percent
     if d.shape != ppl.shape:
         raise ValueError("latency and loss series must align")
     # Delay impairment Id (simplified G.107 form).
-    idd = 0.024 * d + 0.11 * np.maximum(d - config.delay_knee_ms, 0.0)
+    idd = 0.024 * d + 0.11 * np.maximum(d - DELAY_KNEE_MS, 0.0)
     # Effective equipment impairment Ie_eff.
-    ie_eff = (config.ie_codec
-              + (95.0 - config.ie_codec)
-              * ppl / (ppl / config.burst_r + config.bpl))
-    return config.r_base - idd - ie_eff
+    ie_eff = IE_CODEC + (95.0 - IE_CODEC) * ppl / (ppl / BURST_R + BPL)
+    return R_BASE - idd - ie_eff
 
 
 def r_to_mos(r: np.ndarray) -> np.ndarray:
@@ -56,11 +50,10 @@ def r_to_mos(r: np.ndarray) -> np.ndarray:
     return np.clip(mos, 1.0, 5.0)
 
 
-def audio_fluency_series(latency_ms: np.ndarray, loss_rate: np.ndarray,
-                         config: AudioQoEConfig = AudioQoEConfig()
-                         ) -> np.ndarray:
+def audio_fluency_series(latency_ms: np.ndarray,
+                         loss_rate: np.ndarray) -> np.ndarray:
     """Fluency scores in [1, 5] per sample (higher is better)."""
-    r = e_model_r_factor(latency_ms, loss_rate, config)
+    r = e_model_r_factor(latency_ms, loss_rate)
     # The paper scores 1..5; G.107 MOS tops out near 4.5, so stretch the
     # scale so a perfect network scores 5.0.
     mos = r_to_mos(r)

@@ -7,7 +7,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.qoe.video import VideoQoEConfig, stall_series
+from repro.qoe.video import stall_series
 
 
 @dataclass
@@ -27,8 +27,7 @@ class QoESummary:
     samples: int
 
 
-def qoe_badness(video_config: VideoQoEConfig = VideoQoEConfig()
-                ) -> Callable[[float, float], bool]:
+def qoe_badness() -> Callable[[float, float], bool]:
     """Per-sample "is this bad?" predicate for the SLO engine.
 
     A sample is bad exactly when the video stall model would stall on
@@ -39,7 +38,6 @@ def qoe_badness(video_config: VideoQoEConfig = VideoQoEConfig()
     """
     def badness(latency_ms: float, loss_rate: float) -> bool:
         stalled = stall_series(np.asarray([latency_ms], dtype=float),
-                               np.asarray([loss_rate], dtype=float),
-                               video_config)
+                               np.asarray([loss_rate], dtype=float))
         return bool(stalled[0])
     return badness

@@ -9,38 +9,33 @@ exactly this mechanism).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
+# Thresholds of the stall / frame-rate models.
 
-@dataclass
-class VideoQoEConfig:
-    """Thresholds of the stall / frame-rate models."""
-
-    #: One-way latency beyond which interactive video visibly stalls.
-    stall_latency_ms: float = 400.0
-    #: Loss rate FEC can fully repair (typical 20-30% redundancy streams
-    #: repair ~5% random loss).
-    fec_recoverable_loss: float = 0.05
-    #: Nominal encoder frame rate.
-    nominal_fps: float = 25.0
-    #: How aggressively unrepaired loss eats frames (frames carried by
-    #: multiple packets: one lost packet can invalidate a whole frame).
-    loss_fps_sensitivity: float = 4.0
-    #: Frame-rate floor as a fraction of nominal while stalled.
-    stalled_fps_fraction: float = 0.2
+#: One-way latency beyond which interactive video visibly stalls.
+STALL_LATENCY_MS = 400.0
+#: Loss rate FEC can fully repair (typical 20-30% redundancy streams
+#: repair ~5% random loss).
+FEC_RECOVERABLE_LOSS = 0.05
+#: Nominal encoder frame rate.
+NOMINAL_FPS = 25.0
+#: How aggressively unrepaired loss eats frames (frames carried by
+#: multiple packets: one lost packet can invalidate a whole frame).
+LOSS_FPS_SENSITIVITY = 4.0
+#: Frame-rate floor as a fraction of nominal while stalled.
+STALLED_FPS_FRACTION = 0.2
 
 
-def stall_series(latency_ms: np.ndarray, loss_rate: np.ndarray,
-                 config: VideoQoEConfig = VideoQoEConfig()) -> np.ndarray:
+def stall_series(latency_ms: np.ndarray, loss_rate: np.ndarray) -> np.ndarray:
     """Boolean per-sample stall classification."""
     lat = np.asarray(latency_ms, dtype=float)
     loss = np.asarray(loss_rate, dtype=float)
     if lat.shape != loss.shape:
         raise ValueError("latency and loss series must align")
-    return (lat > config.stall_latency_ms) | (loss > config.fec_recoverable_loss)
+    return (lat > STALL_LATENCY_MS) | (loss > FEC_RECOVERABLE_LOSS)
 
 
 def stall_durations(stalled: np.ndarray, step_s: float) -> np.ndarray:
@@ -67,8 +62,8 @@ def stall_duration_buckets(stalled: np.ndarray,
             int(np.sum(durations >= 10.0)))
 
 
-def frame_rate_series(latency_ms: np.ndarray, loss_rate: np.ndarray,
-                      config: VideoQoEConfig = VideoQoEConfig()) -> np.ndarray:
+def frame_rate_series(latency_ms: np.ndarray,
+                      loss_rate: np.ndarray) -> np.ndarray:
     """Delivered frame rate per sample.
 
     Unrepaired loss invalidates frames (several packets per frame), and
@@ -76,10 +71,10 @@ def frame_rate_series(latency_ms: np.ndarray, loss_rate: np.ndarray,
     """
     lat = np.asarray(latency_ms, dtype=float)
     loss = np.asarray(loss_rate, dtype=float)
-    unrepaired = np.maximum(0.0, loss - config.fec_recoverable_loss)
-    frame_survival = np.clip(
-        1.0 - config.loss_fps_sensitivity * unrepaired, 0.0, 1.0)
-    fps = config.nominal_fps * frame_survival
-    stalled = stall_series(lat, loss, config)
-    floor = config.nominal_fps * config.stalled_fps_fraction
+    unrepaired = np.maximum(0.0, loss - FEC_RECOVERABLE_LOSS)
+    frame_survival = np.clip(1.0 - LOSS_FPS_SENSITIVITY * unrepaired,
+                             0.0, 1.0)
+    fps = NOMINAL_FPS * frame_survival
+    stalled = stall_series(lat, loss)
+    floor = NOMINAL_FPS * STALLED_FPS_FRACTION
     return np.where(stalled, np.minimum(fps, floor), fps)

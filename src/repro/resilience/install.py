@@ -195,7 +195,7 @@ class ResilienceExtension:
             return
         engine = self.engine
         version = self.installer.committed_version
-        engine.checkpoint_json = Checkpoint.take(
+        checkpoint = Checkpoint.take(
             engine.controller,
             {code: c.current_entries() for code, c in engine.clusters.items()},
             {code: c.current_plans() for code, c in engine.clusters.items()},
@@ -203,7 +203,9 @@ class ResilienceExtension:
             # Absent without a schedule, so fault-free checkpoints keep
             # the pre-fault-state format.
             fault_state=(engine.faults.export_state()
-                         if engine.faults.schedule else None)).dumps()
+                         if engine.faults.schedule else None))
+        engine.checkpoint_json = checkpoint.dumps()
+        engine.checkpoint_t = checkpoint.t
         self.installer.counters.checkpoints_taken += 1
         if _TEL.enabled:
             _TEL.counter("resilience.checkpoints").inc()

@@ -8,7 +8,6 @@ stream/session-level decomposition feeding the controller's SIB.
 """
 
 from repro.traffic.cohorts import CohortWorkload
-from repro.traffic.config import TrafficConfig
 from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import (Stream, StreamTable, StreamWorkload,
@@ -16,7 +15,6 @@ from repro.traffic.streams import (Stream, StreamTable, StreamWorkload,
 
 __all__ = [
     "CohortWorkload",
-    "TrafficConfig",
     "DemandModel",
     "TrafficMatrix",
     "Stream",

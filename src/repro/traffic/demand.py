@@ -5,7 +5,7 @@ Demand from region i to region j at time t is
     rate(i, j, t) = scale_ij x shape(local hour of i, local hour of j)
                     x weekly(t) x noise_ij(t) x surge_ij(t) + floor
 
-where `shape` is a sum of three Gaussians at the configured peak hours
+where `shape` is a sum of three Gaussians at the `PEAK_HOURS`
 (meetings happen in the *participants'* working hours, so we use the mean
 of the source and destination bumps: cross-continent pairs get demand when
 either side is awake, damped when the other sleeps), `weekly` drops
@@ -18,16 +18,58 @@ of any day can be sampled directly — exactly like the underlay processes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.sim.rng import RngStreams, hash_noise, hash_uniform
-from repro.traffic.config import TrafficConfig
 from repro.underlay.regions import Region, RegionPair
 
 SECONDS_PER_DAY = 86400.0
 SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
+
+# The calibration of the three-peak model (§2.3).  These values
+# reproduce the paper's measurements: a three-peak weekday pattern,
+# aggregate peak-to-trough >= 100x, per-pair >= 200x, and sharp
+# five-minute surges when peaks ramp up.
+
+#: Local hours of the three daily peaks (work morning, work afternoon,
+#: evening classes/meetings) — §5.1's observation.
+PEAK_HOURS = (10.0, 16.0, 20.0)
+#: Relative amplitude of each peak.
+PEAK_AMPS = (1.0, 0.9, 0.75)
+#: Gaussian width of each peak, hours.
+PEAK_WIDTH_H = 1.35
+#: Overnight floor as a fraction of the pair's peak demand.  Small, so
+#: peak/trough ratios are in the hundreds.
+FLOOR_FRACTION = 0.0022
+#: 'Someone is awake but idle' offset added to each side's diurnal
+#: shape before coupling; controls how dead the global night is.
+SHAPE_OFFSET = 0.003
+#: Weekend demand multiplier (Fig. 11 shows weekend dips).
+WEEKEND_FACTOR = 0.22
+#: Lognormal sigma of slow multiplicative noise: independent anchors
+#: every 30 minutes, linearly interpolated in between.
+NOISE_SIGMA = 0.16
+#: Surge events per pair per weekday (rounded, at least one unless 0,
+#: which means none): a meeting block starting, demand jumping
+#: several-fold within five minutes.
+SURGES_PER_DAY = 3.0
+#: Surge magnitude range (multiplier on current demand).
+SURGE_FACTOR_MIN = 1.5
+SURGE_FACTOR_MAX = 4.0
+#: Surge duration range, seconds.
+SURGE_DURATION_MIN_S = 600.0
+SURGE_DURATION_MAX_S = 3600.0
+#: Per-pair peak demand scale, Mbps: lognormal(mu, sigma) keeps a few
+#: heavy pairs and many light ones.
+PAIR_SCALE_MU = 5.0
+PAIR_SCALE_SIGMA = 0.9
+#: DingTalk's user base is China-centric: per-region activity weights
+#: multiply into pair scales (pair weight = product of endpoints).
+#: Keyed by the bucket `DemandModel._activity` sorts a region into.
+ACTIVITY = {"china": 4.0, "asia": 1.0, "europe": 0.55, "america": 0.45,
+            "australia": 0.4}
 
 
 def three_peak_shape(hours_local, peak_hours, peak_amps,
@@ -56,13 +98,10 @@ _BLOCK_ELEMENTS = 1 << 18
 class DemandModel:
     """Deterministic per-pair demand process (Mbps)."""
 
-    def __init__(self, regions: List[Region],
-                 config: Optional[TrafficConfig] = None, seed: int = 0):
+    def __init__(self, regions: List[Region], seed: int = 0):
         if len(regions) < 2:
             raise ValueError("demand model needs at least two regions")
         self.regions = list(regions)
-        self.config = config if config is not None else TrafficConfig()
-        cfg = self.config
 
         # Per-pair scale (peak Mbps) and a distinct noise seed.  The scale
         # carries the China-centric activity weights: DingTalk's heavy
@@ -76,7 +115,7 @@ class DemandModel:
         activity = {r.code: self._activity(r) for r in regions}
         self._scale = {
             (a, b): activity[a] * activity[b] * float(
-                rng.lognormal(cfg.pair_scale_mu, cfg.pair_scale_sigma))
+                rng.lognormal(PAIR_SCALE_MU, PAIR_SCALE_SIGMA))
             for (a, b), rng in zip(self.pairs, generators)}
 
         # The same parameters stacked as (pairs, 1) columns, so one
@@ -95,33 +134,33 @@ class DemandModel:
         # Surge slots are recurrent: each pair's preferred start, base
         # magnitude and base duration per slot never change, so they
         # are hashed once here, as (pairs, slots) matrices.
-        n_slots = (max(1, int(round(cfg.surges_per_day)))
-                   if cfg.surges_per_day > 0 else 0)
+        n_slots = (max(1, int(round(SURGES_PER_DAY)))
+                   if SURGES_PER_DAY > 0 else 0)
         slots = np.arange(n_slots, dtype=float)
         # Preferred local hour in the source's business/evening span.
         pref_h = 8.5 + hash_uniform(self._surge_seed, slots, salt=21) * 13.0
         self._surge_start_s = ((pref_h - self._offset_src) % 24.0) * 3600.0
         self._surge_factor_base = (
-            cfg.surge_factor_min
+            SURGE_FACTOR_MIN
             + hash_uniform(self._surge_seed, slots, salt=22)
-            * (cfg.surge_factor_max - cfg.surge_factor_min))
+            * (SURGE_FACTOR_MAX - SURGE_FACTOR_MIN))
         self._surge_duration_s = (
-            cfg.surge_duration_min_s
+            SURGE_DURATION_MIN_S
             + hash_uniform(self._surge_seed, slots, salt=23)
-            * (cfg.surge_duration_max_s - cfg.surge_duration_min_s))
+            * (SURGE_DURATION_MAX_S - SURGE_DURATION_MIN_S))
 
-    def _activity(self, region: Region) -> float:
+    @staticmethod
+    def _activity(region: Region) -> float:
         """User-base weight of a region (DingTalk is China-centric)."""
-        cfg = self.config
         if region.continent == "Asia" and region.utc_offset == 8.0:
-            return cfg.activity_china
+            return ACTIVITY["china"]
         if region.continent == "Asia":
-            return cfg.activity_asia
+            return ACTIVITY["asia"]
         if region.continent == "Europe":
-            return cfg.activity_europe
+            return ACTIVITY["europe"]
         if region.continent == "Australia":
-            return cfg.activity_australia
-        return cfg.activity_america
+            return ACTIVITY["australia"]
+        return ACTIVITY["america"]
 
     # ------------------------------------------------------------------ api
     def pair_scale(self, src: str, dst: str) -> float:
@@ -157,30 +196,29 @@ class DemandModel:
         a (rows, T) matrix.  Every operation is element-wise on
         (rows, 1) parameter columns broadcast against `t`, so a value
         does not depend on which other rows or instants share its call."""
-        cfg = self.config
         h_src = (t / 3600.0 + self._offset_src[rows]) % 24.0
         h_dst = (t / 3600.0 + self._offset_dst[rows]) % 24.0
-        shape_src = three_peak_shape(h_src, cfg.peak_hours, cfg.peak_amps,
-                                     cfg.peak_width_h)
-        shape_dst = three_peak_shape(h_dst, cfg.peak_hours, cfg.peak_amps,
-                                     cfg.peak_width_h)
+        shape_src = three_peak_shape(h_src, PEAK_HOURS, PEAK_AMPS,
+                                     PEAK_WIDTH_H)
+        shape_dst = three_peak_shape(h_dst, PEAK_HOURS, PEAK_AMPS,
+                                     PEAK_WIDTH_H)
         # A conference needs participants on both sides awake: geometric
         # mean couples the two diurnal cycles (with a small offset so a
         # one-sided meeting is possible but rare).
-        off = cfg.shape_offset
+        off = SHAPE_OFFSET
         shape = np.sqrt((shape_src + off) * (shape_dst + off))
 
         weekly = self._weekly_factor(t)
         noise = self._noise(rows, t)
         surge = self._surge_factor(rows, t)
         scale = self._scale_col[rows]
-        floor = cfg.floor_fraction * scale
+        floor = FLOOR_FRACTION * scale
         return scale * shape * weekly * noise * surge + floor
 
     def _weekly_factor(self, t: np.ndarray) -> np.ndarray:
         day_index = np.floor(t / SECONDS_PER_DAY).astype(int) % 7
         # Days 5 and 6 of each simulated week are the weekend.
-        return np.where(day_index >= 5, self.config.weekend_factor, 1.0)
+        return np.where(day_index >= 5, WEEKEND_FACTOR, 1.0)
 
     def _noise(self, rows: slice, t: np.ndarray) -> np.ndarray:
         # Slow multiplicative noise: lognormal anchors every 30 minutes,
@@ -195,7 +233,7 @@ class DemandModel:
         z0 = hash_noise(seed, base, salt=11)
         z1 = hash_noise(seed, base + 1, salt=11)
         z = z0 * (1.0 - frac) + z1 * frac
-        return np.exp(self.config.noise_sigma * z)
+        return np.exp(NOISE_SIGMA * z)
 
     def _surge_factor(self, rows: slice, t: np.ndarray) -> np.ndarray:
         """Multiplier from surge events (meeting blocks).

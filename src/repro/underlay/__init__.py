@@ -12,8 +12,8 @@ from repro.underlay.config import UnderlayConfig
 from repro.underlay.regions import Region, RegionPair, default_regions, great_circle_km
 from repro.underlay.events import DegradationEvent, EventTimeline, generate_timeline
 from repro.underlay.linkstate import LinkType, LinkProcess
-from repro.underlay.planet import (ANCHORS, MetroAnchor, PlanetConfig,
-                                   PRICING_TIERS, build_planet_underlay,
+from repro.underlay.planet import (ANCHORS, MetroAnchor, PRICING_TIERS,
+                                   build_planet_underlay,
                                    generate_regions, tier_fee_ranges)
 from repro.underlay.pricing import PricingModel
 from repro.underlay.similarity import GatewayLinkInstance, quality_similarity
@@ -24,7 +24,6 @@ __all__ = [
     "UnderlayConfig",
     "ANCHORS",
     "MetroAnchor",
-    "PlanetConfig",
     "PRICING_TIERS",
     "build_planet_underlay",
     "generate_regions",

@@ -1,11 +1,14 @@
 """Calibration constants for the synthetic underlay.
 
 Every number here is chosen to make the synthetic link processes reproduce
-the *measured* statistics in §2.2 of the paper (Figs. 1-4, 7-9): average
+the *measured* statistics in §2.2 of the paper (Figs. 1-3, 8-9): average
 latency/loss levels of Internet vs premium links, the heavy-tailed spikes,
-the short-vs-long degradation counts, directional asymmetry, intra-pair
-similarity, and the pricing gap.  The defaults are the calibrated values;
-tests in ``tests/underlay`` assert the reproduction targets hold.
+the short-vs-long degradation counts and directional asymmetry.  The
+defaults are the calibrated values; tests in ``tests/underlay`` assert
+the reproduction targets hold.  The intra-pair similarity (Fig. 7) and
+the pricing gap (Fig. 4) are constants of `repro.underlay.similarity`
+and `repro.underlay.pricing`, the bad-link bounds of
+`repro.underlay.linkstate`.
 """
 
 from __future__ import annotations
@@ -85,56 +88,14 @@ class PremiumLinkConfig:
 
 
 @dataclass
-class SimilarityConfig:
-    """Per-gateway link instances within a region pair (Fig. 7).
-
-    A gateway-level link sees the *shared* pair timeline plus its own small
-    idiosyncratic event process; the shared part dominates, giving the
-    >=77% quality-state similarity the paper measures.
-    """
-
-    #: Idiosyncratic short events per day per gateway link (Internet).
-    idio_events_per_day: float = 170.0
-    idio_duration_mean_s: float = 7.0
-    #: Idiosyncratic latency/loss severities reuse the link-type lognormals
-    #: scaled by this factor.
-    idio_severity_scale: float = 0.7
-
-
-@dataclass
-class PricingConfig:
-    """Egress pricing (Fig. 4): premium median 7.6x Internet, max 11.4x."""
-
-    #: Internet unit egress fee range, normalised to the most expensive
-    #: Internet link (= 1.0).
-    internet_fee_min: float = 0.35
-    internet_fee_max: float = 1.0
-    #: Premium fee = Internet fee of the source region x a pair multiplier.
-    premium_multiplier_median: float = 7.6
-    premium_multiplier_max: float = 11.4
-    premium_multiplier_min: float = 4.5
-    #: Cost of one gateway container per hour, in the same normalised unit
-    #: as "fee x GB".  Containers are cheap relative to bandwidth (the
-    #: paper: bandwidth is >60% of operating cost).
-    container_cost_per_hour: float = 0.8
-
-
-@dataclass
 class UnderlayConfig:
     """Top-level configuration of the synthetic underlay."""
 
     internet: InternetLinkConfig = field(default_factory=InternetLinkConfig)
     premium: PremiumLinkConfig = field(default_factory=PremiumLinkConfig)
-    similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
-    pricing: PricingConfig = field(default_factory=PricingConfig)
 
     #: Horizon (seconds) for which degradation timelines are pre-generated.
     #: Queries beyond the horizon raise, rather than silently extrapolating.
     #: Multi-week experiments build one underlay per day (seeded by day
     #: index) instead of one huge horizon.
     horizon_s: float = 2 * 86400.0
-
-    #: Quality thresholds from the paper (§2.2): a link is "bad" when
-    #: latency > 400 ms or loss > 0.5%.
-    high_latency_ms: float = 400.0
-    high_loss_rate: float = 0.005

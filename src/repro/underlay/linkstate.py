@@ -28,6 +28,11 @@ import numpy as np
 
 from repro.underlay.regions import Region
 
+#: The paper's quality thresholds (§2.2): a link is "bad" while its
+#: latency exceeds 400 ms or its loss rate 0.5%.
+HIGH_LATENCY_MS = 400.0
+HIGH_LOSS_RATE = 0.005
+
 
 class LinkType(enum.Enum):
     """The two network tiers the overlay can use between any region pair."""
@@ -96,20 +101,18 @@ class LinkProcess:
         times = np.arange(t0, t1, step)
         return (times, *self._state(times))
 
-    def bad_fraction(self, t0: float, t1: float, step: float = 1.0, *,
-                     high_latency_ms: float = 400.0,
-                     high_loss_rate: float = 0.005) -> Tuple[float, float]:
+    def bad_fraction(self, t0: float, t1: float,
+                     step: float = 1.0) -> Tuple[float, float]:
         """Fraction of time with high latency / high loss (Fig. 3's metric)."""
         __, lat, loss = self.series(t0, t1, step)
-        return (float(np.mean(lat > high_latency_ms)),
-                float(np.mean(loss > high_loss_rate)))
+        return (float(np.mean(lat > HIGH_LATENCY_MS)),
+                float(np.mean(loss > HIGH_LOSS_RATE)))
 
-    def quality_series(self, t0: float, t1: float, step: float = 1.0, *,
-                       high_latency_ms: float = 400.0,
-                       high_loss_rate: float = 0.005) -> np.ndarray:
+    def quality_series(self, t0: float, t1: float,
+                       step: float = 1.0) -> np.ndarray:
         """Boolean good(False)/bad(True) classification over a window."""
         __, lat, loss = self.series(t0, t1, step)
-        return (lat > high_latency_ms) | (loss > high_loss_rate)
+        return (lat > HIGH_LATENCY_MS) | (loss > HIGH_LOSS_RATE)
 
     # -------------------------------------------------------------- internal
     def _state(self, t) -> Tuple[np.ndarray, np.ndarray]:

@@ -8,9 +8,9 @@ plus seeded *satellite* metros scattered around the anchors so
 ``propagation_delay_ms`` keeps meaning at any N.  Each region carries an
 egress-pricing tier feeding the existing :class:`PricingModel`.
 
-Everything is fully determined by ``(PlanetConfig, seed)``:
+Everything is fully determined by ``(n_regions, seed)``:
 
-* ``generate_regions(PlanetConfig(n_regions=11), seed)`` returns
+* ``generate_regions(11, seed)`` returns
   ``default_regions()`` exactly (same objects field-for-field), so every
   existing experiment is the N=11 special case of the generator;
 * ``build_planet_underlay(n, seed=s)`` with ``n == 11`` is bit-identical
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.rng import RngStreams
 from repro.underlay.config import UnderlayConfig
@@ -38,8 +38,20 @@ from repro.underlay.topology import Underlay, build_underlay
 MIN_REGIONS = 11
 MAX_REGIONS = 500
 
+#: Angular radius (degrees) within which satellite metros scatter around
+#: their anchor — a metro cluster, not a second continent.
+SATELLITE_SPREAD_DEG = 6.0
+#: Minimum angular radius, so satellites never sit on their anchor.
+SATELLITE_MIN_DEG = 1.2
+#: Minimum great-circle separation between any two regions, km
+#: (`build_underlay` requires strictly positive base latency).
+MIN_SEPARATION_KM = 100.0
+#: Latitude clamp: metros stay out of the polar bands.
+MAX_ABS_LATITUDE = 68.0
+
 #: Egress-pricing tiers: Internet unit-fee range per source region,
-#: normalised like `PricingConfig` (most expensive Internet link = 1.0).
+#: normalised like `pricing.INTERNET_FEE_MAX` (most expensive Internet
+#: link = 1.0).
 #: "value" covers the big NA/EU cloud markets (cheap egress), "standard"
 #: is the calibrated default band, "elevated" covers markets where cloud
 #: egress is priced well above the global floor (Oceania, South America,
@@ -131,55 +143,25 @@ ANCHORS: Tuple[MetroAnchor, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class PlanetConfig:
-    """Parameters of the topology generator (see ``docs/performance.md``,
-    "Scaling past eleven regions")."""
-
-    #: Total regions to generate, in [MIN_REGIONS, MAX_REGIONS].
-    n_regions: int = 100
-    #: Angular radius (degrees) within which satellite metros scatter
-    #: around their anchor — a metro cluster, not a second continent.
-    satellite_spread_deg: float = 6.0
-    #: Minimum angular radius so satellites never sit on their anchor.
-    satellite_min_deg: float = 1.2
-    #: Minimum great-circle separation between any two regions, km.
-    #: (`build_underlay` requires strictly positive base latency.)
-    min_separation_km: float = 100.0
-    #: Latitude clamp: metros stay out of the polar bands.
-    max_abs_latitude: float = 68.0
-
-    def __post_init__(self) -> None:
-        if not MIN_REGIONS <= self.n_regions <= MAX_REGIONS:
-            raise ValueError(
-                f"n_regions must be in [{MIN_REGIONS}, {MAX_REGIONS}], "
-                f"got {self.n_regions}")
-        if self.satellite_min_deg <= 0:
-            raise ValueError("satellite_min_deg must be positive")
-        if self.satellite_spread_deg < self.satellite_min_deg:
-            raise ValueError("satellite_spread_deg must be >= "
-                             "satellite_min_deg")
-        if self.min_separation_km <= 0:
-            raise ValueError("min_separation_km must be positive")
-
-
 def _wrap_longitude(lon: float) -> float:
     return (lon + 180.0) % 360.0 - 180.0
 
 
-def generate_regions(config: Optional[PlanetConfig] = None,
-                     seed: int = 0) -> List[Region]:
-    """Generate ``config.n_regions`` regions, deterministic in (config, seed).
+def generate_regions(n_regions: int, seed: int = 0) -> List[Region]:
+    """Generate `n_regions` regions in [MIN_REGIONS, MAX_REGIONS],
+    deterministic in (n_regions, seed).
 
     The first ``min(n, len(ANCHORS))`` regions are the anchor metros in
     table order — so N=11 is exactly :func:`default_regions` — and the
     remainder are satellite metros placed round-robin across the anchors
     with seeded angular offsets, rejection-sampled (with a growing
     radius) until every pair of regions is at least
-    ``min_separation_km`` apart.
+    `MIN_SEPARATION_KM` apart.
     """
-    config = config if config is not None else PlanetConfig()
-    n = config.n_regions
+    n = n_regions
+    if not MIN_REGIONS <= n <= MAX_REGIONS:
+        raise ValueError(f"n_regions must be in [{MIN_REGIONS}, "
+                         f"{MAX_REGIONS}], got {n}")
     if n == MIN_REGIONS:
         # The paper's deployment, exactly: default tiers, default order.
         return default_regions()
@@ -199,12 +181,11 @@ def generate_regions(config: Optional[PlanetConfig] = None,
         placed = None
         for attempt in range(64):
             angle = float(rng.uniform(0.0, 2.0 * math.pi))
-            radius = float(rng.uniform(config.satellite_min_deg,
-                                       config.satellite_spread_deg))
+            radius = float(rng.uniform(SATELLITE_MIN_DEG,
+                                       SATELLITE_SPREAD_DEG))
             radius *= 1.0 + 0.25 * attempt  # widen until separation holds
             lat = anchor.latitude + radius * math.sin(angle)
-            lat = max(-config.max_abs_latitude,
-                      min(config.max_abs_latitude, lat))
+            lat = max(-MAX_ABS_LATITUDE, min(MAX_ABS_LATITUDE, lat))
             # Longitude offset corrected for convergence of meridians.
             lon_scale = max(0.2, math.cos(math.radians(anchor.latitude)))
             lon = _wrap_longitude(anchor.longitude
@@ -214,14 +195,14 @@ def generate_regions(config: Optional[PlanetConfig] = None,
                 f"{anchor.code}{ordinal[anchor.code]}",
                 round(lat, 4), round(lon, 4), anchor.utc_offset,
                 anchor.continent, anchor.pricing_tier)
-            if all(great_circle_km(candidate, r) >= config.min_separation_km
+            if all(great_circle_km(candidate, r) >= MIN_SEPARATION_KM
                    for r in regions):
                 placed = candidate
                 break
         if placed is None:  # pragma: no cover - 64 widening tries suffice
             raise RuntimeError(
                 f"could not place a satellite of {anchor.code} with "
-                f"{config.min_separation_km} km separation")
+                f"{MIN_SEPARATION_KM} km separation")
         ordinal[anchor.code] += 1
         regions.append(placed)
 
@@ -239,27 +220,22 @@ def tier_fee_ranges(regions: List[Region]) -> Dict[str, Tuple[float, float]]:
     return {r.code: PRICING_TIERS[r.pricing_tier] for r in regions}
 
 
-def build_planet_underlay(config: Union[int, PlanetConfig, None] = None,
-                          seed: int = 0,
+def build_planet_underlay(n_regions: int, seed: int = 0,
                           underlay_config: Optional[UnderlayConfig] = None
                           ) -> Underlay:
-    """Generate regions and assemble the full underlay in one call.
+    """Generate `n_regions` regions and assemble the full underlay in one
+    call.
 
-    ``config`` may be a region count (the common case) or a full
-    :class:`PlanetConfig`.  For N=11 the pricing model is left to
-    `build_underlay`'s default draw, making the result bit-identical to
-    ``build_underlay(seed=seed)``; larger topologies draw tiered
-    Internet fees from the same named ``"pricing"`` RNG stream.
+    For N=11 the pricing model is left to `build_underlay`'s default
+    draw, making the result bit-identical to ``build_underlay(seed=seed)``;
+    larger topologies draw tiered Internet fees from the same named
+    ``"pricing"`` RNG stream.
     """
-    if config is None:
-        config = PlanetConfig()
-    elif isinstance(config, int):
-        config = PlanetConfig(n_regions=config)
-    regions = generate_regions(config, seed)
+    regions = generate_regions(n_regions, seed)
     ucfg = underlay_config if underlay_config is not None else UnderlayConfig()
     pricing = None
     if any(r.pricing_tier != "standard" for r in regions):
         streams = RngStreams(seed)
-        pricing = PricingModel(regions, ucfg.pricing, streams.get("pricing"),
+        pricing = PricingModel(regions, streams.get("pricing"),
                                tier_ranges=tier_fee_ranges(regions))
     return build_underlay(regions, ucfg, seed=seed, pricing=pricing)

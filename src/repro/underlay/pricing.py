@@ -13,8 +13,21 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.underlay.config import PricingConfig
 from repro.underlay.regions import Region, RegionPair
+
+#: Internet unit egress fee range, normalised to the most expensive
+#: Internet link (= 1.0).
+INTERNET_FEE_MIN = 0.35
+INTERNET_FEE_MAX = 1.0
+#: Premium fee = Internet fee of the source region x a pair multiplier
+#: drawn from a triangular law (Fig. 4: median 7.6x, max 11.4x).
+PREMIUM_MULTIPLIER_MIN = 4.5
+PREMIUM_MULTIPLIER_MEDIAN = 7.6
+PREMIUM_MULTIPLIER_MAX = 11.4
+#: Cost of one gateway container per hour, in the same normalised unit
+#: as "fee x GB".  Containers are cheap relative to bandwidth (the
+#: paper: bandwidth is >60% of operating cost).
+CONTAINER_COST_PER_HOUR = 0.8
 
 
 class PricingModel:
@@ -27,21 +40,19 @@ class PricingModel:
     original calibrated model, bit for bit.
     """
 
-    def __init__(self, regions: List[Region], config: PricingConfig,
-                 rng: np.random.Generator,
+    def __init__(self, regions: List[Region], rng: np.random.Generator,
                  tier_ranges: Optional[Dict[str, Tuple[float, float]]] = None):
-        self.config = config
         self.regions = list(regions)
         codes = [r.code for r in regions]
 
         if tier_ranges is None:
             # Internet fee per source region, with exactly one region at
             # the normalisation ceiling of 1.0.
-            fees = rng.uniform(config.internet_fee_min,
-                               config.internet_fee_max, size=len(codes))
-            fees[int(rng.integers(len(codes)))] = config.internet_fee_max
+            fees = rng.uniform(INTERNET_FEE_MIN, INTERNET_FEE_MAX,
+                               size=len(codes))
+            fees[int(rng.integers(len(codes)))] = INTERNET_FEE_MAX
         else:
-            fees = self._tiered_fees(codes, tier_ranges, config, rng)
+            fees = self._tiered_fees(codes, tier_ranges, rng)
         self._internet_fee: Dict[str, float] = dict(zip(codes, fees.tolist()))
 
         # Premium multiplier per ordered pair; triangular around the median
@@ -51,16 +62,14 @@ class PricingModel:
             for b in codes:
                 if a == b:
                     continue
-                mult = float(rng.triangular(
-                    config.premium_multiplier_min,
-                    config.premium_multiplier_median,
-                    config.premium_multiplier_max))
+                mult = float(rng.triangular(PREMIUM_MULTIPLIER_MIN,
+                                            PREMIUM_MULTIPLIER_MEDIAN,
+                                            PREMIUM_MULTIPLIER_MAX))
                 self._premium_fee[(a, b)] = self._internet_fee[a] * mult
 
     @staticmethod
     def _tiered_fees(codes: List[str],
                      tier_ranges: Dict[str, Tuple[float, float]],
-                     config: PricingConfig,
                      rng: np.random.Generator) -> np.ndarray:
         """Per-region fees drawn inside each region's tier band.
 
@@ -77,9 +86,9 @@ class PricingModel:
         hi = np.array([tier_ranges[c][1] for c in codes])
         if np.any(lo <= 0) or np.any(hi < lo):
             raise ValueError("tier fee ranges must satisfy 0 < min <= max")
-        if np.any(hi > config.internet_fee_max):
+        if np.any(hi > INTERNET_FEE_MAX):
             raise ValueError("tier fee ceilings cannot exceed the "
-                             f"normalisation ceiling {config.internet_fee_max}")
+                             f"normalisation ceiling {INTERNET_FEE_MAX}")
         fees = lo + rng.uniform(0.0, 1.0, size=len(codes)) * (hi - lo)
         top = np.flatnonzero(hi == hi.max())
         anchor = int(top[int(rng.integers(top.size))])
@@ -103,7 +112,7 @@ class PricingModel:
         """Cost of running gateways for `container_hours` container-hours."""
         if container_hours < 0:
             raise ValueError("container_hours must be non-negative")
-        return container_hours * self.config.container_cost_per_hour
+        return container_hours * CONTAINER_COST_PER_HOUR
 
     def all_internet_fees(self) -> Dict[str, float]:
         return dict(self._internet_fee)

@@ -18,7 +18,16 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.underlay.events import EventTimeline, generate_timeline
-from repro.underlay.linkstate import LinkProcess
+from repro.underlay.linkstate import (HIGH_LATENCY_MS, HIGH_LOSS_RATE,
+                                      LinkProcess)
+
+#: Idiosyncratic short events per day per gateway link (Internet).
+IDIO_EVENTS_PER_DAY = 170.0
+#: Mean duration of an idiosyncratic short event, seconds.
+IDIO_DURATION_MEAN_S = 7.0
+#: Idiosyncratic latency/loss severities reuse the link-type lognormals
+#: scaled by this factor.
+IDIO_SEVERITY_SCALE = 0.7
 
 
 class GatewayLinkInstance:
@@ -38,25 +47,24 @@ class GatewayLinkInstance:
         return np.clip(self.pair_process.loss_rate(t)
                        + self.idio_timeline.loss_add(t), 0.0, 1.0)
 
-    def quality_series(self, t0: float, t1: float, step: float = 1.0, *,
-                       high_latency_ms: float = 400.0,
-                       high_loss_rate: float = 0.005) -> np.ndarray:
+    def quality_series(self, t0: float, t1: float,
+                       step: float = 1.0) -> np.ndarray:
         """Boolean bad-state classification over a window."""
         times = np.arange(t0, t1, step)
-        return ((self.latency_ms(times) > high_latency_ms)
-                | (self.loss_rate(times) > high_loss_rate))
+        return ((self.latency_ms(times) > HIGH_LATENCY_MS)
+                | (self.loss_rate(times) > HIGH_LOSS_RATE))
 
 
 def make_gateway_links(pair_process: LinkProcess, n_gateways: int,
                        rng: np.random.Generator, *,
-                       idio_events_per_day: float,
-                       idio_duration_mean_s: float,
                        event_latency_mu: float,
                        event_latency_sigma: float,
                        event_loss_mu: float,
                        event_loss_sigma: float,
-                       severity_scale: float = 0.7) -> List[GatewayLinkInstance]:
-    """Instantiate `n_gateways` gateway-level links over one pair process."""
+                       idio_events_per_day: float = IDIO_EVENTS_PER_DAY
+                       ) -> List[GatewayLinkInstance]:
+    """Instantiate `n_gateways` gateway-level links over one pair process
+    (`idio_events_per_day` scales in the Fig. 7 sensitivity sweep)."""
     if n_gateways < 1:
         raise ValueError(f"need at least one gateway, got {n_gateways}")
     links = []
@@ -66,21 +74,19 @@ def make_gateway_links(pair_process: LinkProcess, n_gateways: int,
             rng, horizon,
             short_events_per_day=idio_events_per_day,
             long_events_per_day=idio_events_per_day / 150.0,
-            short_duration_mean_s=idio_duration_mean_s,
+            short_duration_mean_s=IDIO_DURATION_MEAN_S,
             long_duration_mu=3.8, long_duration_sigma=0.9,
             event_latency_mu=event_latency_mu,
             event_latency_sigma=event_latency_sigma,
             event_loss_mu=event_loss_mu,
             event_loss_sigma=event_loss_sigma,
-            severity_scale=severity_scale)
+            severity_scale=IDIO_SEVERITY_SCALE)
         links.append(GatewayLinkInstance(pair_process, idio, gid))
     return links
 
 
 def quality_similarity(links: Sequence[GatewayLinkInstance], t0: float,
-                       t1: float, step: float = 1.0, *,
-                       high_latency_ms: float = 400.0,
-                       high_loss_rate: float = 0.005) -> float:
+                       t1: float, step: float = 1.0) -> float:
     """Fraction of time all links of a pair share the same quality state.
 
     This is the paper's similarity metric: 'the time proportion where
@@ -88,9 +94,6 @@ def quality_similarity(links: Sequence[GatewayLinkInstance], t0: float,
     """
     if len(links) < 2:
         return 1.0
-    series = np.stack([
-        link.quality_series(t0, t1, step, high_latency_ms=high_latency_ms,
-                            high_loss_rate=high_loss_rate)
-        for link in links])
+    series = np.stack([link.quality_series(t0, t1, step) for link in links])
     all_same = np.all(series == series[0], axis=0)
     return float(np.mean(all_same))

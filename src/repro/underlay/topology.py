@@ -176,6 +176,5 @@ def build_underlay(regions: Optional[List[Region]] = None,
     table.validate()
 
     if pricing is None:
-        pricing = PricingModel(regions, config.pricing,
-                               streams.get("pricing"))
+        pricing = PricingModel(regions, streams.get("pricing"))
     return Underlay(regions, table, pricing, config)

@@ -135,8 +135,7 @@ def control_digest(wl: Workload, snap) -> Dict:
     # R_next, the uncapacitated run step 2 sizes the fleet from.
     r_next = path_control(wl.streams, wl.codes, snap, wl.config,
                           gateways=None, fees=wl.fees)
-    plans = generate_reaction_plans(r_cur, snap,
-                                    wl.config.loss_ms_penalty)
+    plans = generate_reaction_plans(r_cur, snap)
     return {
         "path_control": path_result_digest(r_cur),
         "capacity": {

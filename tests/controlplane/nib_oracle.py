@@ -32,7 +32,6 @@ def store_reports(nib: NetworkInformationBase,
             layers.append([])
         layers[k].append(report)
     for layer in layers:
-        nib._grow(code for r in layer for code in (r.src, r.dst))
         nib._store(from_reports(layer, nib._index))
 
 

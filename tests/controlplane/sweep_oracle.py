@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.controlplane import pathcontrol
+from repro.controlplane import model, pathcontrol
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import (ORDERINGS, EpochSolveContext,
                                             _ShortestPaths)
@@ -33,7 +33,7 @@ def residuals(codes: List[str], config: ControlConfig,
     if gateways is None:
         region = [float("inf")] * n
     else:
-        region = [float(config.container_capacity_mbps * gateways.get(c, 0))
+        region = [float(model.CONTAINER_CAPACITY_MBPS * gateways.get(c, 0))
                   for c in codes]
     premium = [float(config.premium_bandwidth_mbps)] * (n * n)
     premium[::n + 1] = [0.0] * n
@@ -122,8 +122,8 @@ def path_control(streams: StreamTable, codes: List[str],
 
     lat_premium = snap.lat[TYPE_INDEX[LinkType.PREMIUM]]
     limits: List[float] = np.maximum(
-        config.latency_limit_floor_ms,
-        config.latency_limit_stretch * lat_premium[src_idx, dst_idx]).tolist()
+        model.LATENCY_LIMIT_FLOOR_MS,
+        model.LATENCY_LIMIT_STRETCH * lat_premium[src_idx, dst_idx]).tolist()
 
     def ordered(active: List[int], sp: FlatPaths
                 ) -> Tuple[List[int], List[int]]:
@@ -141,7 +141,7 @@ def path_control(streams: StreamTable, codes: List[str],
         order = np.argsort(keys, kind="stable")
         return pos[order].tolist(), flat[order].tolist()
 
-    loss_limit, route_ids = config.loss_limit, routes.ids
+    loss_limit, route_ids = pathcontrol.LOSS_LIMIT, routes.ids
     position, route = result.position, result.route
     amount, meets = result.mbps, result.meets
 

@@ -1,6 +1,8 @@
 """Tests for capacity control (§5.3, step 2)."""
 
+import pytest
 
+from repro.controlplane import model, pathcontrol
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import path_control
 from repro.controlplane.capacity import capacity_control
@@ -21,9 +23,16 @@ def _links(a, b, t):
 _state = snapshot_of(CODES, _links)
 
 
+@pytest.fixture(autouse=True)
+def small_fleet(monkeypatch):
+    """10 Mbps containers, a quota of 16 per region, no headroom."""
+    monkeypatch.setattr(model, "CONTAINER_CAPACITY_MBPS", 10.0)
+    monkeypatch.setattr(model, "MAX_CONTAINERS", 16)
+    monkeypatch.setattr(pathcontrol, "CAPACITY_HEADROOM", 1.0)
+
+
 def _cfg():
-    return ControlConfig(container_capacity_mbps=10.0, max_containers=16,
-                         capacity_headroom=1.0)
+    return ControlConfig()
 
 
 def _stream(sid, src, dst, mbps):

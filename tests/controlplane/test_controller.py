@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.controlplane import model
 from repro.controlplane.controller import Controller
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.nib import LinkReport
@@ -31,8 +32,14 @@ def _matrix(demand=50.0):
 
 
 @pytest.fixture()
-def controller():
-    ctrl = Controller(CODES, ControlConfig(container_capacity_mbps=100.0))
+def small_containers(monkeypatch):
+    """100 Mbps per container."""
+    monkeypatch.setattr(model, "CONTAINER_CAPACITY_MBPS", 100.0)
+
+
+@pytest.fixture()
+def controller(small_containers):
+    ctrl = Controller(CODES, ControlConfig())
     _push_states(ctrl)
     return ctrl
 
@@ -54,9 +61,8 @@ def test_missing_link_state_treated_as_unusable():
     assert not out.path_result.assignments
 
 
-def test_internet_only_never_uses_premium():
-    ctrl = Controller(CODES, ControlConfig(container_capacity_mbps=100.0),
-                      internet_only=True)
+def test_internet_only_never_uses_premium(small_containers):
+    ctrl = Controller(CODES, ControlConfig(), internet_only=True)
     _push_states(ctrl)
     out = ctrl.run_epoch(0.0, _matrix(), {c: 8 for c in CODES})
     assert out.path_result.assignments
@@ -64,9 +70,8 @@ def test_internet_only_never_uses_premium():
         assert all(t is LinkType.INTERNET for __, __, t in a.path.hops)
 
 
-def test_premium_only_never_uses_internet():
-    ctrl = Controller(CODES, ControlConfig(container_capacity_mbps=100.0),
-                      premium_only=True)
+def test_premium_only_never_uses_internet(small_containers):
+    ctrl = Controller(CODES, ControlConfig(), premium_only=True)
     _push_states(ctrl)
     out = ctrl.run_epoch(0.0, _matrix(), {c: 8 for c in CODES})
     assert out.path_result.assignments

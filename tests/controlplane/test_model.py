@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.controlplane.model import ControlConfig, OverlayPath
+from repro.controlplane.model import (LATENCY_LIMIT_FLOOR_MS,
+                                     LATENCY_LIMIT_STRETCH, OverlayPath,
+                                     latency_limit_ms)
 from repro.underlay.linkstate import LinkType
 from tests.controlplane.route_oracle import path_loss_rate
 from tests.snapshots import snapshot_of
@@ -77,11 +79,9 @@ class TestPathMetrics:
 
 class TestControlConfig:
     def test_latency_limit_floor(self):
-        cfg = ControlConfig(latency_limit_floor_ms=400.0,
-                            latency_limit_stretch=1.6)
-        assert cfg.latency_limit_ms(100.0) == 400.0
+        assert (LATENCY_LIMIT_FLOOR_MS, LATENCY_LIMIT_STRETCH) == (400.0, 1.6)
+        assert latency_limit_ms(100.0) == 400.0
 
     def test_latency_limit_stretch_for_far_pairs(self):
-        cfg = ControlConfig(latency_limit_floor_ms=400.0,
-                            latency_limit_stretch=1.6)
-        assert cfg.latency_limit_ms(300.0) == pytest.approx(480.0)
+        assert (LATENCY_LIMIT_FLOOR_MS, LATENCY_LIMIT_STRETCH) == (400.0, 1.6)
+        assert latency_limit_ms(300.0) == pytest.approx(480.0)

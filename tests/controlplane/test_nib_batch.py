@@ -92,29 +92,42 @@ class TestBatchEqualsOneByOne:
     def test_a_list_of_reports_with_repeated_links(self, window):
         """`update_many(list)` applies a link's reports in list order."""
         reports = [r for batch in rounds(seed=5, count=3) for r in batch]
-        listed = NetworkInformationBase(window=window)
-        single = NetworkInformationBase(window=window)
+        listed = NetworkInformationBase(window=window, codes=CODES)
+        single = NetworkInformationBase(window=window, codes=CODES)
         listed.update_many(reports)
         for report in reports:
             single.update_many([report])
         assert everything(listed) == everything(single)
-        restored = NetworkInformationBase(window=window)
+        restored = NetworkInformationBase(window=window, codes=CODES)
         restored.import_reports(listed.export_reports())
         assert restored.export_reports() == listed.export_reports()
 
     def test_regions_in_another_order_and_unknown_ones(self, window):
-        """A batch indexes its own `codes`; the NIB maps and grows."""
-        nib = NetworkInformationBase(window=window, codes=("B", "A"))
+        """A batch indexes its own `codes`, which the NIB maps onto its
+        own; a report naming a region outside them is an error, in a
+        batch or in a list, and leaves the NIB as it was."""
+        nib = NetworkInformationBase(window=window, codes=("B", "D", "C", "A"))
         batch = round_of("D", 1.0, np.random.default_rng(0))
         nib.update_many(batch)
         assert len(nib) == 6
         for report in batch:
             assert nib_history(nib, report.src, report.dst,
                                report.link_type) == [report]
+        before = everything(nib)
+        wider = round_of("E", 2.0, np.random.default_rng(1), CODES + ("E",))
+        with pytest.raises(ValueError, match="'E'"):
+            nib.update_many(wider)
+        with pytest.raises(ValueError, match="'E'"):
+            nib.update_many([wider[0]])
+        assert everything(nib) == before
+        # Rows over known regions of a wider batch are fine.
+        nib.update_many(round_of("A", 3.0, np.random.default_rng(2),
+                                 CODES + ("E",)).take(slice(0, 6)))
+        assert len(nib) == 12
 
 
-#: Regions a drawn report list names: two the NIB may know in advance,
-#: three it may meet first in the list.
+#: Regions a drawn report list names, in a NIB order other than the
+#: first-seen one.
 POOL = ("B", "A", "E", "C", "D")
 drawn_reports = st.lists(st.one_of(
     st.none(),
@@ -137,14 +150,14 @@ def state(nib):
         nib.version, list(nib._codes), dict(nib._index))
 
 
-@given(st.integers(1, 3), st.sampled_from([(), ("B", "A")]),
+@given(st.integers(1, 3), st.permutations(POOL),
        st.lists(drawn_reports, min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_report_lists_equal_the_layer_by_layer_oracle(window, known,
                                                       calls):
     """`_store_reports` equals the per-report dict of tuple keys it
-    replaced — duplicates, dropped (None) reports, unknown regions,
-    stale and out-of-order reports, over several calls."""
+    replaced — duplicates, dropped (None) reports, stale and
+    out-of-order reports, over several calls."""
     arrays = NetworkInformationBase(window=window, codes=known)
     oracle = NetworkInformationBase(window=window, codes=known)
     for reports in calls:

@@ -34,28 +34,28 @@ def _latest(nib, src="A", dst="B", lt=LinkType.INTERNET):
 
 class TestNIB:
     def test_update_and_get(self):
-        nib = NetworkInformationBase()
+        nib = NetworkInformationBase(["A", "B"])
         assert _latest(nib) == (float("inf"), 1.0)
         nib.update_many([_report()])
         assert _latest(nib) == (100.0, 0.01)
         assert nib_history(nib, "A", "B", LinkType.INTERNET) == [_report()]
 
     def test_directions_are_distinct(self):
-        nib = NetworkInformationBase()
+        nib = NetworkInformationBase(["A", "B"])
         nib.update_many([_report("A", "B", lat=100.0)])
         nib.update_many([_report("B", "A", lat=250.0)])
         assert _latest(nib, "A", "B")[0] == 100.0
         assert _latest(nib, "B", "A")[0] == 250.0
 
     def test_types_are_distinct(self):
-        nib = NetworkInformationBase()
+        nib = NetworkInformationBase(["A", "B"])
         nib.update_many([_report(lt=LinkType.INTERNET, lat=100.0)])
         nib.update_many([_report(lt=LinkType.PREMIUM, lat=80.0)])
         assert _latest(nib, lt=LinkType.PREMIUM)[0] == 80.0
         assert _latest(nib, lt=LinkType.INTERNET)[0] == 100.0
 
     def test_newest_report_wins(self):
-        nib = NetworkInformationBase()
+        nib = NetworkInformationBase(["A", "B"])
         nib.update_many([_report(lat=100.0, t=10.0)])
         nib.update_many([_report(lat=200.0, t=5.0)])  # older: ignored
         assert _latest(nib)[0] == 100.0
@@ -63,14 +63,14 @@ class TestNIB:
         assert _latest(nib)[0] == 300.0
 
     def test_snapshot_is_a_copy(self):
-        nib = NetworkInformationBase()
+        nib = NetworkInformationBase(["A", "B"])
         nib.update_many([_report()])
         snap = nib.latest_snapshot(["A", "B"])
         nib.update_many([_report(lat=999.0, t=99.0)])
         assert snap.lookup("A", "B", LinkType.INTERNET)[0] == 100.0
 
     def test_update_many_and_len(self):
-        nib = NetworkInformationBase()
+        nib = NetworkInformationBase(["A", "B"])
         nib.update_many([_report(), _report("B", "A")])
         assert len(nib) == 2
 

@@ -20,35 +20,35 @@ def _report(lat, loss=0.0, t=0.0):
 class TestWindow:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            NetworkInformationBase(window=0)
+            NetworkInformationBase(CODES, window=0)
 
     def test_history_bounded_by_window(self):
-        nib = NetworkInformationBase(window=3)
+        nib = NetworkInformationBase(CODES, window=3)
         nib.update_many([_report(100.0 + k, t=float(k)) for k in range(6)])
         history = nib_history(nib, "A", "B", I)
         assert len(history) == 3
         assert [r.latency_ms for r in history] == [103.0, 104.0, 105.0]
 
     def test_get_returns_latest(self):
-        nib = NetworkInformationBase(window=3)
+        nib = NetworkInformationBase(CODES, window=3)
         nib.update_many([_report(100.0, t=0.0), _report(200.0, t=1.0)])
         assert nib.latest_snapshot(CODES).lookup("A", "B", I)[0] == 200.0
 
     def test_out_of_order_report_dropped(self):
-        nib = NetworkInformationBase(window=3)
+        nib = NetworkInformationBase(CODES, window=3)
         nib.update_many([_report(100.0, t=10.0), _report(999.0, t=5.0)])
         assert len(nib_history(nib, "A", "B", I)) == 1
         assert nib.latest_snapshot(CODES).lookup("A", "B", I)[0] == 100.0
 
     def test_history_empty_for_unknown_link(self):
-        nib = NetworkInformationBase(window=3)
+        nib = NetworkInformationBase(CODES, window=3)
         assert nib_history(nib, "A", "B", I) == []
         assert nib.export_reports() == []
 
 
 class TestRobustState:
     def test_percentile_over_window(self):
-        nib = NetworkInformationBase(window=5)
+        nib = NetworkInformationBase(CODES, window=5)
         nib.update_many([_report(100.0, loss, t=float(k)) for k, loss
                          in enumerate([0.0, 0.0, 0.0, 0.0, 0.2])])
         __, loss_p90 = nib.robust_snapshot(CODES).lookup("A", "B", I)
@@ -57,7 +57,7 @@ class TestRobustState:
         assert loss_p90 == pytest.approx(0.12)
 
     def test_window_one_equals_latest(self):
-        nib = NetworkInformationBase(window=1)
+        nib = NetworkInformationBase(CODES, window=1)
         nib.update_many([_report(123.0, 0.01, t=0.0)])
         assert nib.robust_snapshot(CODES).lookup("A", "B", I) == \
             (123.0, 0.01)

@@ -20,6 +20,7 @@ import gc
 import pytest
 
 from repro.controlplane.controller import Controller
+from repro.controlplane import model
 from repro.controlplane.model import ControlConfig, OverlayPath
 from repro.controlplane.nib import LinkReport
 from repro.controlplane.pathcontrol import Assignment, path_control
@@ -119,9 +120,7 @@ def test_an_epoch_builds_objects_once_at_the_boundary(built, planet):
 
     # Plan scoring builds no path and no plan object.
     snap = controller.link_snapshot()
-    assert generate_reaction_plans(
-        r_cur, snap, controller.config.loss_ms_penalty) \
-        == output.plans_by_region
+    assert generate_reaction_plans(r_cur, snap) == output.plans_by_region
     assert built == before
 
     # Capacity control sized the fleet from the uncapacitated run's
@@ -136,7 +135,7 @@ def test_an_epoch_builds_objects_once_at_the_boundary(built, planet):
     assert grown
     for c in grown:
         assert decision.target[c] == min(r_next.used_gateways[c],
-                                         controller.config.max_containers)
+                                         model.MAX_CONTAINERS)
 
 
 def test_a_traced_epoch_builds_no_objects(built, planet):

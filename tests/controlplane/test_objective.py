@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.controlplane.model import ControlConfig
+from repro.controlplane.model import ControlConfig, latency_limit_ms
 from repro.controlplane.objective import evaluate_objective
 from repro.controlplane.pathcontrol import path_control
 from repro.traffic.streams import Stream, VIDEO_PROFILES
-from repro.underlay.config import PricingConfig
 from repro.underlay.linkstate import LinkType
 from repro.underlay.pricing import PricingModel
 from repro.underlay.regions import default_regions
@@ -19,8 +18,7 @@ CODES = [r.code for r in default_regions()[:3]]
 
 @pytest.fixture(scope="module")
 def pricing():
-    return PricingModel(default_regions()[:3], PricingConfig(),
-                        np.random.default_rng(2))
+    return PricingModel(default_regions()[:3], np.random.default_rng(2))
 
 
 def _links(a, b, t):
@@ -32,8 +30,8 @@ def _links(a, b, t):
 _state = snapshot_of(CODES, _links)
 
 
-def _result(mbps=100.0, pricing=None, **cfg):
-    config = ControlConfig(**cfg)
+def _result(mbps=100.0, pricing=None):
+    config = ControlConfig()
     streams = table_of(
         [Stream(1, CODES[0], CODES[1], mbps, VIDEO_PROFILES[2])], CODES)
     gateways = {c: 4 for c in CODES}
@@ -46,7 +44,7 @@ def test_util_lat_normalised_by_limit(pricing):
     result, config, gateways = _result(pricing=pricing)
     obj = evaluate_objective(result, _state, config, pricing, gateways)
     a = result.assignments[0]
-    limit = config.latency_limit_ms(80.0)
+    limit = latency_limit_ms(80.0)
     assert obj.util_lat == pytest.approx(a.latency_ms / limit)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.controlplane.capacity import capacity_control
 from repro.controlplane.model import ControlConfig
-from repro.controlplane import pathcontrol
+from repro.controlplane import model, pathcontrol
 from repro.controlplane.pathcontrol import EpochSolveContext, path_control
 from repro.controlplane.reactionplan import generate_reaction_plans
 from repro.experiments.base import planet_underlay
@@ -48,11 +48,16 @@ def table(*streams):
 
 
 def cfg(**overrides):
-    defaults = dict(container_capacity_mbps=1000.0, max_containers=16,
-                    internet_bandwidth_mbps=10000.0,
+    defaults = dict(internet_bandwidth_mbps=10000.0,
                     premium_bandwidth_mbps=5000.0)
     defaults.update(overrides)
     return ControlConfig(**defaults)
+
+
+@pytest.fixture()
+def small_containers(monkeypatch):
+    """10 Mbps per container."""
+    monkeypatch.setattr(model, "CONTAINER_CAPACITY_MBPS", 10.0)
 
 
 def gw(n=4):
@@ -87,10 +92,8 @@ class TestBasicAssignment:
     def test_internet_preferred_when_healthy(self):
         """The hybrid prefers the cheap tier when its quality suffices."""
         from repro.underlay.pricing import PricingModel
-        from repro.underlay.config import PricingConfig
         from repro.underlay.regions import default_regions
-        fees = PricingModel(default_regions()[:3], PricingConfig(),
-                            np.random.default_rng(0))
+        fees = PricingModel(default_regions()[:3], np.random.default_rng(0))
         codes = [r.code for r in default_regions()[:3]]
 
         def state(a, b, t):
@@ -130,8 +133,8 @@ class TestBasicAssignment:
 
 
 class TestCapacityConstraints:
-    def test_region_capacity_limits_assignment(self):
-        config = cfg(container_capacity_mbps=10.0)
+    def test_region_capacity_limits_assignment(self, small_containers):
+        config = cfg()
         result = path_control(table(stream(1, "A", "B", 100.0)), CODES,
                               make_state(), config,
                               gateways={"A": 2, "B": 2, "C": 2})
@@ -139,8 +142,8 @@ class TestCapacityConstraints:
         assert result.total_assigned_mbps() <= 20.0 + 1e-6
         assert result.unassigned
 
-    def test_uncapacitated_mode_assigns_everything(self):
-        config = cfg(container_capacity_mbps=10.0)
+    def test_uncapacitated_mode_assigns_everything(self, small_containers):
+        config = cfg()
         result = path_control(table(stream(1, "A", "B", 100.0)), CODES,
                               make_state(), config, gateways=None)
         assert not result.unassigned
@@ -182,7 +185,7 @@ class TestCapacityConstraints:
 
 
 class TestOrderingHeuristic:
-    def test_long_latency_streams_get_first_pick(self):
+    def test_long_latency_streams_get_first_pick(self, small_containers):
         """With tight capacity, the highest-latency pair wins the relay."""
         # Region B's processing capacity is the contended resource; A->B
         # is the long path.  Premium is priced out by making it slow, so
@@ -192,7 +195,7 @@ class TestOrderingHeuristic:
         state = make_state(lat={("A", "B"): 400.0, ("C", "B"): 100.0,
                                 ("A", "C"): 100.0},
                            premium_lat=slow_premium)
-        config = cfg(container_capacity_mbps=10.0)
+        config = cfg()
         # Region B can process only 10 Mbps total.
         gateways = {"A": 64, "B": 1, "C": 64}
         long_stream = stream(1, "A", "B", 10.0)
@@ -203,8 +206,10 @@ class TestOrderingHeuristic:
         # The A->B stream (higher latency) is served first.
         assert assigned.get(1, 0.0) == pytest.approx(10.0)
 
-    def test_used_gateways_reflect_headroom(self):
-        config = cfg(container_capacity_mbps=10.0, capacity_headroom=1.0)
+    def test_used_gateways_reflect_headroom(self, small_containers,
+                                            monkeypatch):
+        monkeypatch.setattr(pathcontrol, "CAPACITY_HEADROOM", 1.0)
+        config = cfg()
         result = path_control(table(stream(1, "A", "B", 25.0)), CODES,
                               make_state(), config, gateways=gw(64))
         assert result.used_gateways["A"] == 3  # ceil(25/10)
@@ -336,7 +341,7 @@ class TestEpochSolveContext:
                              fees=fees, context=context)
         decision = capacity_control(streams, codes, snap, config, gateways,
                                     r_cur, fees=fees, context=context)
-        plans = generate_reaction_plans(r_cur, snap, config.loss_ms_penalty)
+        plans = generate_reaction_plans(r_cur, snap)
         if not with_r_next:
             return r_cur, decision, plans
         r_next = path_control(streams, codes, snap, config, gateways=None,

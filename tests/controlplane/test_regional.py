@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.controlplane import model
 from repro.controlplane.controller import Controller
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.nib import LinkReport
@@ -9,8 +10,15 @@ from repro.controlplane.regional import (REGIONAL_STREAM_BASE,
                                          RegionalController, regional_control)
 from repro.traffic.matrix import TrafficMatrix
 from repro.underlay.linkstate import LinkType
+from tests.controlplane.nib_oracle import from_reports
 
 CODES = ("HGH", "SIN")
+
+
+@pytest.fixture(autouse=True)
+def small_containers(monkeypatch):
+    """Sub-controllers of 100 Mbps containers."""
+    monkeypatch.setattr(model, "CONTAINER_CAPACITY_MBPS", 100.0)
 
 
 def _reports(codes, t=0.0):
@@ -26,10 +34,15 @@ def _reports(codes, t=0.0):
     return reports
 
 
+def _batch(codes):
+    """`_reports(codes)` as one probing batch over `codes`."""
+    return from_reports(_reports(codes), {c: i for i, c in enumerate(codes)})
+
+
 def _sub(regions=CODES, base_version=3, seed=23, nib_reports=None):
     def make_controller(codes, *, seed):
         return Controller(
-            codes, ControlConfig(container_capacity_mbps=100.0),
+            codes, ControlConfig(),
             sib_params={"min_history": 4, "refit_every": 2}, seed=seed)
 
     return RegionalController(
@@ -69,7 +82,7 @@ class TestController:
     def test_nib_seed_filters_to_intra_partition_links(self):
         from repro.controlplane.nib import NetworkInformationBase
 
-        nib = NetworkInformationBase()
+        nib = NetworkInformationBase(("HGH", "SIN", "FRA"))
         nib.update_many(_reports(("HGH", "SIN", "FRA")))
         sub = _sub(nib_reports=nib.export_reports())
         docs = sub.controller.nib.export_reports()
@@ -79,7 +92,7 @@ class TestController:
 
     def test_epoch_allocates_regional_band_stream_ids(self):
         sub = _sub()
-        sub.ingest_reports(_reports(CODES))
+        sub.ingest_reports(_batch(CODES))
         matrix = TrafficMatrix(list(CODES), {("HGH", "SIN"): 10.0,
                                              ("SIN", "HGH"): 10.0})
         output = sub.run_epoch(0.0, matrix, {c: 4 for c in CODES})
@@ -90,8 +103,10 @@ class TestController:
 
     def test_ingest_drops_reports_crossing_the_edge(self):
         sub = _sub()
-        sub.ingest_reports(_reports(("HGH", "SIN", "FRA")))
-        for doc in sub.controller.nib.export_reports():
+        sub.ingest_reports(_batch(("HGH", "SIN", "FRA")))
+        docs = sub.controller.nib.export_reports()
+        assert len(docs) == 4
+        for doc in docs:
             assert {doc["src"], doc["dst"]} <= set(CODES)
 
     def test_sub_seed_is_deterministic_across_processes(self):

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.controlplane import pathcontrol
+from repro.controlplane import model, pathcontrol
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import (ORDERINGS, EpochSolveContext,
                                             _EdgeWeights, _route_keys,
@@ -121,13 +121,14 @@ def test_each_restricted_row_equals_the_full_builds(case):
 
 
 # -------------------------------------------------------- whole solves
-def solve(snap, streams, config, gateways, ordering, full: bool):
-    """One `path_control`; `full` patches in the oracle build.  Returns
-    every observable of the result and how many graphs the best-effort
-    pass built (0 or 1)."""
+def solve(snap, streams, config, capacity, gateways, ordering, full: bool):
+    """One `path_control` with `capacity` Mbps per container; `full`
+    patches in the oracle build.  Returns every observable of the result
+    and how many graphs the best-effort pass built (0 or 1)."""
     patch = (mock.patch.object(pathcontrol, "_ShortestPaths",
                                FullShortestPaths) if full else nullcontext())
-    with patch, obs.capture() as hub:
+    with patch, mock.patch.object(model, "CONTAINER_CAPACITY_MBPS",
+                                  capacity), obs.capture() as hub:
         result = path_control(streams, snap.codes, snap, config,
                               gateways=gateways, ordering=ordering)
         counters = hub.metrics.snapshot()
@@ -173,14 +174,15 @@ def tight_solves(draw):
                                VIDEO_PROFILES[0])
                         for i, (a, b, mbps) in enumerate(raw) if a != b],
                        codes)
+    capacity = draw(st.sampled_from([400.0, 1000.0]))
     config = ControlConfig(
-        container_capacity_mbps=draw(st.sampled_from([400.0, 1000.0])),
         internet_bandwidth_mbps=draw(st.sampled_from([300.0, 1000.0])),
         premium_bandwidth_mbps=draw(st.sampled_from([300.0, 800.0])),
         max_hops=draw(st.integers(2, 4)))
     gateways = draw(st.one_of(st.none(), st.fixed_dictionaries(
         {c: st.integers(0, 3) for c in codes})))
-    return snap, streams, config, gateways, draw(st.sampled_from(ORDERINGS))
+    return (snap, streams, config, capacity, gateways,
+            draw(st.sampled_from(ORDERINGS)))
 
 
 @given(tight_solves())
@@ -206,12 +208,11 @@ def seeded_solves(count: int):
              for i, ((a, b), mbps) in enumerate(zip(
                  pairs.tolist(), rng.choice([50.0, 200.0, 600.0], 30)))
              if a != b], codes)
-        config = ControlConfig(container_capacity_mbps=1000.0,
-                               internet_bandwidth_mbps=300.0,
+        config = ControlConfig(internet_bandwidth_mbps=300.0,
                                premium_bandwidth_mbps=300.0, max_hops=3)
         gateways = {c: int(g) for c, g in
                     zip(codes, rng.integers(0, 3, size=n))}
-        yield (snapshot(codes, lat, loss), streams, config, gateways,
+        yield (snapshot(codes, lat, loss), streams, config, 1000.0, gateways,
                "latency_desc")
 
 

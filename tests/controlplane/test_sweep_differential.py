@@ -20,12 +20,13 @@ interning order other than first-seen shows.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
-from repro.controlplane import pathcontrol
+from repro.controlplane import model, pathcontrol
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import (ORDERINGS, EpochSolveContext,
                                             path_control)
@@ -81,13 +82,13 @@ def solves(draw):
                         min_size=1, max_size=30))
     streams = [Stream(i, codes[a], codes[b], mbps, VIDEO_PROFILES[0])
                for i, ((a, b), mbps) in enumerate(raw) if a != b]
-    config = ControlConfig(container_capacity_mbps=draw(CAPACITIES),
-                           internet_bandwidth_mbps=draw(CAPACITIES),
+    capacity = draw(CAPACITIES)
+    config = ControlConfig(internet_bandwidth_mbps=draw(CAPACITIES),
                            premium_bandwidth_mbps=draw(CAPACITIES),
                            max_hops=draw(st.integers(1, 3)))
     gateways = draw(st.fixed_dictionaries(
         {c: st.integers(0, 3) for c in codes}))
-    return (snap, table_of(streams, codes), config, gateways,
+    return (snap, table_of(streams, codes), config, capacity, gateways,
             draw(st.sampled_from(ORDERINGS)),
             draw(st.sampled_from([1, 2, 3, pathcontrol.PLACE_WINDOW])))
 
@@ -104,10 +105,11 @@ def observed(result, values, routes):
             "routes": routes}
 
 
-def solved(snap, streams, config, gateways, ordering,
+def solved(snap, streams, config, capacity, gateways, ordering,
            window=pathcontrol.PLACE_WINDOW):
-    """The capacitated run, then the uncapacitated one on its context,
-    scanning in `window`-stream windows."""
+    """The capacitated run (`capacity` Mbps per container), then the
+    uncapacitated one on its context, scanning in `window`-stream
+    windows."""
     values = []
     residuals, place_window = pathcontrol._residuals, pathcontrol.PLACE_WINDOW
 
@@ -120,9 +122,11 @@ def solved(snap, streams, config, gateways, ordering,
         pathcontrol._residuals = kept
         pathcontrol.PLACE_WINDOW = window
         try:
-            result = path_control(streams, snap.codes, snap, config,
-                                  gateways=gws, ordering=ordering,
-                                  context=context)
+            with mock.patch.object(model, "CONTAINER_CAPACITY_MBPS",
+                                   capacity):
+                result = path_control(streams, snap.codes, snap, config,
+                                      gateways=gws, ordering=ordering,
+                                      context=context)
         finally:
             pathcontrol._residuals = residuals
             pathcontrol.PLACE_WINDOW = place_window
@@ -135,12 +139,14 @@ def solved(snap, streams, config, gateways, ordering,
     return runs
 
 
-def oracle(snap, streams, config, gateways, ordering, window=None):
+def oracle(snap, streams, config, capacity, gateways, ordering,
+           window=None):
     context, runs = sweep_oracle.Context(), []
     for gws in (gateways, None):
-        result = sweep_oracle.path_control(
-            streams, snap.codes, snap, config, gateways=gws,
-            ordering=ordering, context=context)
+        with mock.patch.object(model, "CONTAINER_CAPACITY_MBPS", capacity):
+            result = sweep_oracle.path_control(
+                streams, snap.codes, snap, config, gateways=gws,
+                ordering=ordering, context=context)
         table = result.routes
         routes = [(row, lat.hex(), loss.hex()) for row, lat, loss
                   in zip(table.rows, table.latency_ms, table.loss_rate)]
@@ -156,7 +162,8 @@ def one_link(capacity, wants):
                for i, mbps in enumerate(wants)]
     return (snapshot(names(2), lat, np.zeros((2, 2, 2))),
             table_of(streams, names(2)),
-            ControlConfig(internet_bandwidth_mbps=capacity), None, "input")
+            ControlConfig(internet_bandwidth_mbps=capacity),
+            model.CONTAINER_CAPACITY_MBPS, None, "input")
 
 
 #: (C - w1) - w2 is one ulp below C - (w1 + w2) = w3: the third stream
@@ -192,14 +199,14 @@ def seeded_cases(count: int):
                    for i, ((a, b), mbps) in enumerate(zip(
                        (pairs[k] for k in rng.integers(0, 3, 30)),
                        rng.choice(pools["want"], 30))) if a != b]
+        capacity = float(rng.choice(pools["capacity"]))
         config = ControlConfig(
-            container_capacity_mbps=float(rng.choice(pools["capacity"])),
             internet_bandwidth_mbps=float(rng.choice(pools["capacity"])),
             premium_bandwidth_mbps=float(rng.choice(pools["capacity"])),
             max_hops=int(rng.integers(1, 4)))
         gateways = {c: int(g) for c, g in
                     zip(codes, rng.integers(0, 4, size=n))}
-        yield (snap, table_of(streams, codes), config, gateways,
+        yield (snap, table_of(streams, codes), config, capacity, gateways,
                ORDERINGS[int(rng.integers(len(ORDERINGS)))],
                int(rng.choice([1, 2, 3, pathcontrol.PLACE_WINDOW])))
 
@@ -239,7 +246,7 @@ def test_the_differential_reaches_caps_spent_slots_and_the_fallback(
 
 
 def test_a_capped_take_is_the_sequential_residual():
-    snap, streams, config, __, __ = ROUNDED
+    snap, streams, config, __, __, __ = ROUNDED
     result = path_control(streams, snap.codes, snap, config)
     assert float(result.mbps[2]).hex() == float(
         (1073741824.5 - 152473943.042) - 167654267.541).hex()

@@ -44,13 +44,13 @@ def _demand_instants() -> Dict[str, np.ndarray]:
 
 def _demand_models() -> Dict[str, Callable]:
     from repro.traffic.demand import DemandModel
-    from repro.underlay.planet import PlanetConfig, generate_regions
+    from repro.underlay.planet import generate_regions
     from repro.underlay.regions import default_regions
 
     return {
         "n11": lambda: DemandModel(default_regions(), seed=1),
         "planet30": lambda: DemandModel(
-            generate_regions(PlanetConfig(n_regions=30), seed=4), seed=4),
+            generate_regions(30, seed=4), seed=4),
     }
 
 

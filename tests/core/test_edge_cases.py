@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.controlplane import model
 from repro.controlplane.controller import Controller
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.nib import LinkReport
@@ -95,10 +96,11 @@ class TestExtremeConfigs:
 
 
 class TestControllerRobustness:
-    def test_partial_nib_still_routes_reachable_pairs(self):
+    def test_partial_nib_still_routes_reachable_pairs(self, monkeypatch):
         """Reports for only one direction: that direction still routes."""
+        monkeypatch.setattr(model, "CONTAINER_CAPACITY_MBPS", 100.0)
         codes = ["A", "B", "C"]
-        ctrl = Controller(codes, ControlConfig(container_capacity_mbps=100.0))
+        ctrl = Controller(codes, ControlConfig())
         for lt in LinkType:
             ctrl.nib.update_many([LinkReport("A", "B", lt, 100.0, 0.0, 0.0)])
         matrix = TrafficMatrix(codes, {("A", "B"): 10.0, ("B", "A"): 10.0})

@@ -125,6 +125,26 @@ def test_xron_basic_ignores_degradation(regions):
     assert max(record.latency_ms) > 1000.0
 
 
+def test_xron_basic_detects_but_never_rides_a_backup(regions):
+    """The variant's flag is the one switch: under XRON-Basic the
+    monitoring still counts the degradation, but no gateway forwards a
+    packet onto a backup."""
+    u, d = _build(regions, quiet=True)
+    pair = max(d.pairs, key=lambda p: d.pair_scale(*p))
+    inject_events(u, pair[0], pair[1], LinkType.INTERNET,
+                  [DegradationEvent(3630.0, 60.0, 5000.0, 0.3)])
+    sim = EventDrivenXRON(u, d, variant=xron_basic(),
+                          sim_config=_sim_config(epoch_s=300.0,
+                                                 demand_scale=0.05),
+                          tracked_pairs=[pair])
+    result = sim.run(3600.0, 120.0)
+    assert result.detections >= 1
+    assert not any(result.sessions[pair].on_backup)
+    assert not any(gateway.fast_reaction
+                   for cluster in sim.clusters.values()
+                   for gateway in cluster.gateways.values())
+
+
 def test_elastic_scaling_grows_fleet(regions):
     u, d = _build(regions)
     sim = EventDrivenXRON(u, d, sim_config=SimulationConfig(

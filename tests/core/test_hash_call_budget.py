@@ -19,7 +19,7 @@ from repro.sim import rng
 from repro.traffic.demand import DemandModel
 from repro.traffic.matrix import TrafficMatrix
 from repro.underlay.config import UnderlayConfig
-from repro.underlay.planet import PlanetConfig, generate_regions
+from repro.underlay.planet import generate_regions
 from repro.underlay.topology import Underlay, build_underlay
 
 #: `hash_uniform` calls one simulated epoch may make, whatever the size
@@ -54,7 +54,7 @@ def hash_calls(monkeypatch):
 
 def regions(n):
     """The first `n` of a generated 30-region planet."""
-    return generate_regions(PlanetConfig(n_regions=30), seed=2)[:n]
+    return generate_regions(30, seed=2)[:n]
 
 
 def test_demand_matrix_calls_do_not_grow_with_pairs(hash_calls):

@@ -15,6 +15,7 @@ from repro.core.variants import xron
 from repro.experiments.base import quiet_testbed
 from repro.faults import spec as fault_spec
 from repro.faults.spec import FaultSchedule
+from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.config import resilience
 
 #: The testbed's region codes, in underlay order.
@@ -263,6 +264,35 @@ def test_restore_resumes_controller_state(tmp_path):
     for code, cluster in leg2_system.clusters.items():
         assert (cluster.current_entries()
                 == leg1_system.clusters[code].current_entries())
+
+
+def test_envelope_sim_t_is_its_checkpoints_instant(tmp_path, monkeypatch):
+    """Every envelope records the instant of the checkpoint it carries,
+    without parsing the checkpoint to find it: the drain's, and each of
+    a resumed leg's, whose first is at the instant it resumed from."""
+    written = []
+    write = XRONService._write_envelope
+
+    def recording(self, now):
+        path = write(self, now)
+        written.append(XRONService.load_envelope(path))
+        return path
+
+    monkeypatch.setattr(XRONService, "_write_envelope", recording)
+    leg1 = XRONService(_build_system(), ServiceConfig(
+        duration_s=300.0, checkpoint_path=tmp_path / "leg1.json"))
+    asyncio.run(leg1.run_async())
+    drained = written[-1]
+    leg2 = XRONService(_build_system(), ServiceConfig(
+        duration_s=600.0, checkpoint_path=tmp_path / "leg2.json"))
+    leg2.restore_from(XRONService.load_envelope(tmp_path / "leg1.json"))
+    del written[:]
+    asyncio.run(leg2.run_async())
+    assert written[0]["sim_t"] == drained["sim_t"] == 300.0
+    assert written[-1]["sim_t"] == 900.0
+    for envelope in [drained] + written:
+        assert envelope["sim_t"] == Checkpoint.loads(
+            envelope["checkpoint"]).t
 
 
 def test_envelope_round_trip_rejects_foreign_files(tmp_path):

@@ -5,15 +5,13 @@ import pytest
 
 from repro.cost.accounting import (GB_PER_MBPS_SECOND, CostLedger,
                                    PairCostLedger)
-from repro.underlay.config import PricingConfig
 from repro.underlay.pricing import PricingModel
 from repro.underlay.regions import default_regions
 
 
 @pytest.fixture(scope="module")
 def pricing():
-    return PricingModel(default_regions(), PricingConfig(),
-                        np.random.default_rng(3))
+    return PricingModel(default_regions(), np.random.default_rng(3))
 
 
 @pytest.fixture()

@@ -13,10 +13,13 @@ invariants must hold regardless:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.controlplane import model
 from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import PathControlResult, path_control
 from repro.traffic.streams import Stream, VIDEO_PROFILES
@@ -41,12 +44,12 @@ stream_sets = st.lists(
                               for i, (a, b, d) in enumerate(raw) if a != b],
                              CODES))
 
-configs = st.builds(
+#: (Mbps per container, config) pairs.
+configs = st.tuples(st.floats(50.0, 2000.0), st.builds(
     ControlConfig,
-    container_capacity_mbps=st.floats(50.0, 2000.0),
     internet_bandwidth_mbps=st.floats(100.0, 5000.0),
     premium_bandwidth_mbps=st.floats(100.0, 5000.0),
-    max_hops=st.integers(2, 3))
+    max_hops=st.integers(2, 3)))
 
 gateway_counts = st.fixed_dictionaries(
     {c: st.integers(1, 8) for c in CODES})
@@ -78,13 +81,20 @@ def _snapshot(states):
     return snapshot_of(CODES, lambda a, b, t: states[(a, b, t)])
 
 
+def _solve(streams, states, configured, gateways):
+    """`path_control` under a drawn (Mbps per container, config)."""
+    capacity, config = configured
+    with mock.patch.object(model, "CONTAINER_CAPACITY_MBPS", capacity):
+        return path_control(streams, CODES, _snapshot(states), config,
+                            gateways=gateways)
+
+
 class TestInvariants:
     @given(states=link_states, streams=stream_sets, config=configs,
            gateways=gateway_counts)
     @settings(max_examples=60, deadline=None)
     def test_demand_conservation(self, states, streams, config, gateways):
-        result = path_control(streams, CODES, _snapshot(states), config,
-                              gateways=gateways)
+        result = _solve(streams, states, config, gateways)
         offered = sum(s.demand_mbps for s in streams.streams())
         assigned = result.total_assigned_mbps()
         unassigned = sum(res for __, res in result.unassigned)
@@ -95,10 +105,9 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     def test_region_capacity_respected(self, states, streams, config,
                                        gateways):
-        result = path_control(streams, CODES, _snapshot(states), config,
-                              gateways=gateways)
+        result = _solve(streams, states, config, gateways)
         for region, traffic in region_traffic(result).items():
-            cap = config.container_capacity_mbps * gateways[region]
+            cap = config[0] * gateways[region]
             assert traffic <= cap + 1e-6
 
     @given(states=link_states, streams=stream_sets, config=configs,
@@ -106,26 +115,24 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     def test_link_budgets_respected(self, states, streams, config,
                                     gateways):
-        result = path_control(streams, CODES, _snapshot(states), config,
-                              gateways=gateways)
+        result = _solve(streams, states, config, gateways)
         for __, egress in result.internet_egress.items():
-            assert egress <= config.internet_bandwidth_mbps + 1e-6
+            assert egress <= config[1].internet_bandwidth_mbps + 1e-6
         for __, usage in result.premium_usage.items():
-            assert usage <= config.premium_bandwidth_mbps + 1e-6
+            assert usage <= config[1].premium_bandwidth_mbps + 1e-6
 
     @given(states=link_states, streams=stream_sets, config=configs,
            gateways=gateway_counts)
     @settings(max_examples=60, deadline=None)
     def test_paths_are_valid_chains(self, states, streams, config,
                                     gateways):
-        result = path_control(streams, CODES, _snapshot(states), config,
-                              gateways=gateways)
+        result = _solve(streams, states, config, gateways)
         for a in result.assignments:
             assert a.path.regions[0] == a.stream.src
             assert a.path.dst == a.stream.dst
             regions = a.path.regions
             assert len(set(regions)) == len(regions)  # loop-free
-            assert len(a.path.hops) <= config.max_hops
+            assert len(a.path.hops) <= config[1].max_hops
             assert a.mbps > 0
 
     @given(states=link_states, streams=stream_sets, config=configs,
@@ -135,8 +142,7 @@ class TestInvariants:
                                                   config, gateways):
         """Following the tables from any assignment's source reaches its
         destination without looping."""
-        result = path_control(streams, CODES, _snapshot(states), config,
-                              gateways=gateways)
+        result = _solve(streams, states, config, gateways)
         # A stream split over several paths keeps one table entry per
         # region (the last write wins), so walk only unsplit streams.
         split = {s.stream_id for s, __ in result.unassigned}
@@ -174,7 +180,7 @@ class TestRepresentatives:
     @settings(max_examples=200, deadline=None)
     def test_best_per_pair_equals_the_scalar_loop(self, drawn):
         table, rows = drawn
-        result = PathControlResult(table, None, ControlConfig())
+        result = PathControlResult(table, None)
         result.position = np.array([p for p, __ in rows], dtype=np.intp)
         result.mbps = np.array([m for __, m in rows], dtype=float)
         assert result.best_per_pair() == _best_per_pair_loop(result)
@@ -184,6 +190,5 @@ class TestRepresentatives:
     @settings(max_examples=30, deadline=None)
     def test_best_per_pair_of_a_solve(self, states, streams, config,
                                       gateways):
-        result = path_control(streams, CODES, _snapshot(states), config,
-                              gateways=gateways)
+        result = _solve(streams, states, config, gateways)
         assert result.best_per_pair() == _best_per_pair_loop(result)

@@ -20,10 +20,12 @@ other way or a sum taken right to left shows.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.controlplane import model
 from repro.controlplane.model import ControlConfig, OverlayPath
 from repro.controlplane.pathcontrol import (_dp_layers, _EdgeWeights,
                                             _residuals, _RouteTable,
@@ -178,8 +180,9 @@ def test_index_space_walk_equals_the_scalar_walk(table, regions, penalty):
     assert array_walks([route], snap, penalty) == [plans]
 
     # And through the public door.
-    generated = generate_reaction_plans(placed_on(regions, REGIONS), snap,
-                                        penalty)
+    with mock.patch.object(model, "LOSS_MS_PENALTY", penalty):
+        generated = generate_reaction_plans(placed_on(regions, REGIONS),
+                                            snap)
     assert {region: by_stream[1] for region, by_stream in generated.items()
             if by_stream} == expected
 

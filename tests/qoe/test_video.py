@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.qoe.video import (VideoQoEConfig, frame_rate_series, stall_series,
+from repro.qoe.video import (FEC_RECOVERABLE_LOSS, STALLED_FPS_FRACTION,
+                             frame_rate_series, stall_series,
                              stall_duration_buckets, stall_durations)
 
 
@@ -24,9 +25,9 @@ class TestStallSeries:
         assert stall_series(lat, loss).tolist() == [False, True, False]
 
     def test_fec_threshold_boundary(self):
-        cfg = VideoQoEConfig(fec_recoverable_loss=0.05)
+        assert FEC_RECOVERABLE_LOSS == 0.05
         loss = np.array([0.05, 0.0501])
-        flags = stall_series(np.full(2, 100.0), loss, cfg)
+        flags = stall_series(np.full(2, 100.0), loss)
         assert flags.tolist() == [False, True]
 
     def test_shape_mismatch_rejected(self):
@@ -75,8 +76,8 @@ class TestFrameRate:
         assert fps[0] < 25.0
 
     def test_stall_floors_frame_rate(self):
-        cfg = VideoQoEConfig(stalled_fps_fraction=0.2)
-        fps = frame_rate_series(np.array([900.0]), np.zeros(1), cfg)
+        assert STALLED_FPS_FRACTION == 0.2
+        fps = frame_rate_series(np.array([900.0]), np.zeros(1))
         assert fps[0] == pytest.approx(5.0)
 
     def test_total_loss_gives_zero_fps_before_floor(self):

@@ -11,7 +11,6 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from repro.controlplane.model import ControlConfig
 from repro.controlplane.pathcontrol import PathControlResult, _RouteTable
 from repro.traffic.streams import VIDEO_PROFILES, Stream, StreamTable
 
@@ -46,7 +45,7 @@ def placed_on(regions: Sequence[str], codes: Sequence[str],
     result = PathControlResult(
         table_of([Stream(stream_id, regions[0], regions[-1], mbps,
                          VIDEO_PROFILES[0])], codes),
-        routes, ControlConfig())
+        routes)
     result.position = np.array([0])
     result.route = routes.intern(row, np.array([len(ids) - 1]),
                                  np.zeros(1), np.zeros(1))

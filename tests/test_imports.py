@@ -326,30 +326,55 @@ UNSET_SETTINGS = {
         "the monitoring calibration table (probing cadence, R, EWMA)",
     "SimulationConfig.reaction":
         "the fast-reaction calibration table (thresholds, hysteresis)",
+    "ControlConfig.max_hops":
+        "the DP differentials draw it (test_restricted_build, "
+        "test_sweep_differential, test_route_table_properties)",
+}
+
+#: Settings the census exempts, each with its reason: two rows of one
+#: per-tier table that `build_underlay` reads through one variable and
+#: `quiet_testbed` writes through (attribute stores, not keywords).
+TABLE_HANDLES = {
+    "UnderlayConfig.internet": "the Internet row of the per-tier table",
+    "UnderlayConfig.premium": "the premium row of the per-tier table",
 }
 
 
 def _settings():
     """(label, setting, owner name, position, file, line range) of every
-    field of the deployment configs (owner: the class; only a call of
-    it or ``replace`` sets one) and every defaulted keyword of the
-    engine, controller, cohort workload and solver entry points (owner:
-    None, since callers forward keywords through wrappers such as
-    `XRONSystem.event_engine`; the name is the direct caller's)."""
+    field of the configs (owner: the class; only a call of it or
+    ``replace`` sets one) and every defaulted keyword of the engine,
+    controller, cohort workload and solver entry points (owner: None,
+    since callers forward keywords through wrappers such as
+    `XRONSystem.event_engine`; the name is the direct caller's).
+
+    The census covers every config class but these, each for a stated
+    reason:
+
+    * `MonitoringConfig` and `ReactionConfig`, the §4 detector tables
+      `SimulationConfig.monitoring` / `.reaction` carry (in
+      `UNSET_SETTINGS`), which a refit of the detectors will set;
+    * `InternetLinkConfig` and `PremiumLinkConfig`, and the
+      `UnderlayConfig.internet` / `.premium` handles to them
+      (`TABLE_HANDLES`): two rows of one per-tier calibration table.
+    """
     import dataclasses
     import inspect
 
     from repro.controlplane.controller import Controller
+    from repro.controlplane.model import ControlConfig
     from repro.controlplane.pathcontrol import path_control
     from repro.core.config import SimulationConfig
     from repro.core.eventsim import EventDrivenXRON
     from repro.core.service import ServiceConfig
     from repro.resilience.config import ResilienceConfig
     from repro.traffic.cohorts import CohortWorkload
+    from repro.underlay.config import UnderlayConfig
 
     owners = [(cls, cls.__name__, True,
                [f.name for f in dataclasses.fields(cls)])
-              for cls in (SimulationConfig, ResilienceConfig, ServiceConfig)]
+              for cls in (SimulationConfig, ResilienceConfig, ServiceConfig,
+                          ControlConfig, UnderlayConfig)]
     for func in (EventDrivenXRON.__init__, Controller.__init__,
                  CohortWorkload.__init__, path_control):
         params = [p for p in inspect.signature(func).parameters.values()
@@ -413,6 +438,7 @@ def test_every_setting_has_a_caller():
             for path, line, callee, n_args in uses[None])
         if not (keyed or placed):
             uncalled.add(label)
+    uncalled -= set(TABLE_HANDLES)
     assert not uncalled - set(UNSET_SETTINGS), \
         f"settings only tests set: {sorted(uncalled - set(UNSET_SETTINGS))}"
     assert not set(UNSET_SETTINGS) - uncalled, \
@@ -424,31 +450,80 @@ def _removed_setting_owners():
     """Owner -> a call of it that takes keyword arguments only."""
     from repro.controlplane.controller import Controller
     from repro.controlplane.membership import membership
+    from repro.controlplane.model import ControlConfig
     from repro.controlplane.nib import NetworkInformationBase
-    from repro.controlplane.pathcontrol import path_control
+    from repro.controlplane.pathcontrol import PathControlResult, path_control
+    from repro.controlplane.reactionplan import generate_reaction_plans
     from repro.controlplane.regional import regional_control
     from repro.controlplane.sib import StreamInformationBase
-    from repro.core.config import SimulationConfig
+    from repro.core.config import SimulationConfig, build_pools
     from repro.core.eventsim import EventDrivenXRON
+    from repro.core.longrun import run_multi_day
     from repro.core.service import build_soak_schedule
-    from repro.dataplane.config import MonitoringConfig
+    from repro.core.system import XRONSystem
+    from repro.dataplane.config import MonitoringConfig, ReactionConfig
     from repro.dataplane.passive import PassiveTracker
     from repro.experiments import ablation_stability
     from repro.obs.slo import SLOEngine
+    from repro.qoe.audio import audio_fluency_series, e_model_r_factor
+    from repro.qoe.metrics import qoe_badness
+    from repro.qoe.video import frame_rate_series, stall_series
     from repro.resilience.config import ResilienceConfig
     from repro.traffic.cohorts import CohortWorkload
+    from repro.traffic.demand import DemandModel
+    from repro.underlay.config import UnderlayConfig
+    from repro.underlay.linkstate import LinkProcess
+    from repro.underlay.planet import build_planet_underlay, generate_regions
+    from repro.underlay.pricing import PricingModel
+    from repro.underlay.similarity import (GatewayLinkInstance,
+                                           make_gateway_links,
+                                           quality_similarity)
 
     codes = ["A", "B"]
+    series = ([100.0], [0.0])
     return {
         "SimulationConfig": SimulationConfig,
         "MonitoringConfig": MonitoringConfig,
+        "ReactionConfig": ReactionConfig,
+        "ControlConfig": ControlConfig,
+        "UnderlayConfig": UnderlayConfig,
+        "XRONSystem": XRONSystem,
+        "run_multi_day": lambda **kw: run_multi_day(1, **kw),
+        "build_pools": lambda **kw: build_pools(codes, None, None, **kw),
+        "DemandModel": lambda **kw: DemandModel([], **kw),
+        "PricingModel": lambda **kw: PricingModel([], None, **kw),
+        "generate_regions": lambda **kw: generate_regions(11, **kw),
+        "build_planet_underlay": lambda **kw: build_planet_underlay(11,
+                                                                    **kw),
+        "LinkProcess.bad_fraction":
+            lambda **kw: LinkProcess.bad_fraction(None, 0.0, 1.0, **kw),
+        "LinkProcess.quality_series":
+            lambda **kw: LinkProcess.quality_series(None, 0.0, 1.0, **kw),
+        "GatewayLinkInstance.quality_series":
+            lambda **kw: GatewayLinkInstance.quality_series(None, 0.0, 1.0,
+                                                            **kw),
+        "quality_similarity":
+            lambda **kw: quality_similarity([], 0.0, 1.0, **kw),
+        "make_gateway_links": lambda **kw: make_gateway_links(
+            None, 1, None, event_latency_mu=0.0, event_latency_sigma=0.0,
+            event_loss_mu=0.0, event_loss_sigma=0.0, **kw),
+        "stall_series": lambda **kw: stall_series(*series, **kw),
+        "frame_rate_series": lambda **kw: frame_rate_series(*series, **kw),
+        "e_model_r_factor": lambda **kw: e_model_r_factor(*series, **kw),
+        "audio_fluency_series":
+            lambda **kw: audio_fluency_series(*series, **kw),
+        "qoe_badness": qoe_badness,
+        "PathControlResult": lambda **kw: PathControlResult(None, None,
+                                                            **kw),
+        "generate_reaction_plans":
+            lambda **kw: generate_reaction_plans(None, None, **kw),
         "ResilienceConfig": ResilienceConfig,
         "membership": membership,
         "regional_control": regional_control,
         "EventDrivenXRON": lambda **kw: EventDrivenXRON(None, None, **kw),
         "Controller": lambda **kw: Controller(codes, **kw),
         "NetworkInformationBase.robust_snapshot":
-            lambda **kw: NetworkInformationBase().robust_snapshot(codes,
+            lambda **kw: NetworkInformationBase(codes).robust_snapshot(codes,
                                                                   **kw),
         "ablation_stability.run": ablation_stability.run,
         "StreamInformationBase":
@@ -492,6 +567,53 @@ REMOVED_SETTINGS = [
     ("SLOEngine", "cause_window_s"),
     ("SLOEngine", "max_remembered"),
     ("build_soak_schedule", "lead_s"),
+    ("ReactionConfig", "enabled"),
+    ("ControlConfig", "container_capacity_mbps"),
+    ("ControlConfig", "max_containers"),
+    ("ControlConfig", "latency_limit_floor_ms"),
+    ("ControlConfig", "latency_limit_stretch"),
+    ("ControlConfig", "loss_limit"),
+    ("ControlConfig", "loss_ms_penalty"),
+    ("ControlConfig", "capacity_headroom"),
+    ("UnderlayConfig", "pricing"),
+    ("UnderlayConfig", "similarity"),
+    ("UnderlayConfig", "high_latency_ms"),
+    ("UnderlayConfig", "high_loss_rate"),
+    ("XRONSystem", "traffic_config"),
+    ("run_multi_day", "traffic_config"),
+    ("DemandModel", "config"),
+    ("PricingModel", "config"),
+    ("generate_regions", "config"),
+    ("build_planet_underlay", "config"),
+    ("LinkProcess.bad_fraction", "high_latency_ms"),
+    ("LinkProcess.bad_fraction", "high_loss_rate"),
+    ("LinkProcess.quality_series", "high_latency_ms"),
+    ("LinkProcess.quality_series", "high_loss_rate"),
+    ("GatewayLinkInstance.quality_series", "high_latency_ms"),
+    ("GatewayLinkInstance.quality_series", "high_loss_rate"),
+    ("quality_similarity", "high_latency_ms"),
+    ("quality_similarity", "high_loss_rate"),
+    ("make_gateway_links", "idio_duration_mean_s"),
+    ("make_gateway_links", "severity_scale"),
+    ("stall_series", "config"),
+    ("frame_rate_series", "config"),
+    ("e_model_r_factor", "config"),
+    ("audio_fluency_series", "config"),
+    ("qoe_badness", "video_config"),
+    ("PathControlResult", "config"),
+    ("generate_reaction_plans", "loss_ms_penalty"),
+    ("build_pools", "control_config"),
+]
+
+#: Config classes whose every setting became a named constant where it
+#: is read: (module, class).
+REMOVED_CONFIGS = [
+    ("repro.traffic", "TrafficConfig"),
+    ("repro.underlay.config", "PricingConfig"),
+    ("repro.underlay.config", "SimilarityConfig"),
+    ("repro.underlay.planet", "PlanetConfig"),
+    ("repro.qoe.video", "VideoQoEConfig"),
+    ("repro.qoe.audio", "AudioQoEConfig"),
 ]
 
 
@@ -500,3 +622,9 @@ REMOVED_SETTINGS = [
 def test_removed_setting_is_a_type_error(owner, keyword):
     with pytest.raises(TypeError):
         _removed_setting_owners()[owner](**{keyword: 1})
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_CONFIGS,
+                         ids=[name for __, name in REMOVED_CONFIGS])
+def test_removed_config_is_gone(module_name, name):
+    assert not hasattr(importlib.import_module(module_name), name)

@@ -3,26 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.traffic.config import TrafficConfig
-from repro.traffic.demand import DemandModel, three_peak_shape
+from repro.traffic import demand
+from repro.traffic.demand import (PEAK_AMPS, PEAK_HOURS, PEAK_WIDTH_H,
+                                  DemandModel, three_peak_shape)
 from repro.underlay.regions import default_regions
 
 
 class TestThreePeakShape:
     def test_peaks_at_configured_hours(self):
-        cfg = TrafficConfig()
         h = np.linspace(0, 24, 2401)
-        shape = three_peak_shape(h, cfg.peak_hours, cfg.peak_amps,
-                                 cfg.peak_width_h)
+        shape = three_peak_shape(h, PEAK_HOURS, PEAK_AMPS, PEAK_WIDTH_H)
         # Local maxima should be near 10, 16, 20.
-        for peak in cfg.peak_hours:
+        for peak in PEAK_HOURS:
             window = (h > peak - 0.5) & (h < peak + 0.5)
-            assert shape[window].max() > 0.7 * max(cfg.peak_amps)
+            assert shape[window].max() > 0.7 * max(PEAK_AMPS)
 
     def test_overnight_is_low(self):
-        cfg = TrafficConfig()
-        shape = three_peak_shape(np.array([3.0]), cfg.peak_hours,
-                                 cfg.peak_amps, cfg.peak_width_h)
+        shape = three_peak_shape(np.array([3.0]), PEAK_HOURS, PEAK_AMPS,
+                                 PEAK_WIDTH_H)
         assert shape[0] < 0.01
 
     def test_wraps_around_midnight(self):
@@ -200,9 +198,9 @@ class TestOneKernel:
 
 
 class TestSurgesPerDay:
-    def test_zero_means_no_surges(self, small_regions):
-        model = DemandModel(small_regions,
-                            TrafficConfig(surges_per_day=0), seed=5)
+    def test_zero_means_no_surges(self, small_regions, monkeypatch):
+        monkeypatch.setattr(demand, "SURGES_PER_DAY", 0)
+        model = DemandModel(small_regions, seed=5)
         t = np.arange(0, 86400, 60.0)  # day 0 is a weekday
         for i in range(len(model.pairs)):
             surge = model._surge_factor(slice(i, i + 1), t)
@@ -216,7 +214,8 @@ class TestSurgesPerDay:
                           > 1.0)
                    for i in range(len(small_demand.pairs)))
 
-    def test_fractional_rates_keep_at_least_one_slot(self, small_regions):
-        model = DemandModel(small_regions,
-                            TrafficConfig(surges_per_day=0.3), seed=5)
+    def test_fractional_rates_keep_at_least_one_slot(self, small_regions,
+                                                     monkeypatch):
+        monkeypatch.setattr(demand, "SURGES_PER_DAY", 0.3)
+        model = DemandModel(small_regions, seed=5)
         assert model._surge_start_s.shape == (len(model.pairs), 1)

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.underlay.config import PricingConfig
 from repro.underlay.pricing import PricingModel
 from repro.underlay.regions import default_regions
 
 
 @pytest.fixture(scope="module")
 def pricing():
-    return PricingModel(default_regions(), PricingConfig(),
-                        np.random.default_rng(3))
+    return PricingModel(default_regions(), np.random.default_rng(3))
 
 
 def test_internet_fees_within_configured_range(pricing):
@@ -58,10 +56,8 @@ def test_container_cost_rejects_negative(pricing):
 
 
 def test_deterministic_given_seed():
-    a = PricingModel(default_regions(), PricingConfig(),
-                     np.random.default_rng(5))
-    b = PricingModel(default_regions(), PricingConfig(),
-                     np.random.default_rng(5))
+    a = PricingModel(default_regions(), np.random.default_rng(5))
+    b = PricingModel(default_regions(), np.random.default_rng(5))
     assert a.all_internet_fees() == b.all_internet_fees()
     assert a.all_premium_fees() == b.all_premium_fees()
 

@@ -1,8 +1,11 @@
 """Tests for gateway-level link instances and the similarity metric."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.underlay import similarity
 from repro.underlay.linkstate import LinkType
 from repro.underlay.similarity import (GatewayLinkInstance,
                                        make_gateway_links,
@@ -16,11 +19,12 @@ def pair_link(small_underlay):
 
 
 def _links(pair_link, rng, n=3, rate=100.0):
-    return make_gateway_links(
-        pair_link, n, rng,
-        idio_events_per_day=rate, idio_duration_mean_s=6.0,
-        event_latency_mu=5.9, event_latency_sigma=1.2,
-        event_loss_mu=-3.4, event_loss_sigma=1.0)
+    with mock.patch.object(similarity, "IDIO_DURATION_MEAN_S", 6.0):
+        return make_gateway_links(
+            pair_link, n, rng,
+            event_latency_mu=5.9, event_latency_sigma=1.2,
+            event_loss_mu=-3.4, event_loss_sigma=1.0,
+            idio_events_per_day=rate)
 
 
 def test_requested_number_of_links(pair_link, rng):
@@ -80,18 +84,14 @@ def test_similarity_in_unit_interval(pair_link, rng):
 
 def test_paper_range_for_calibrated_settings(small_underlay):
     """With calibrated settings, similarity lands in the paper's >=77% zone."""
-    cfg = small_underlay.config.similarity
     sims = []
     for (a, b) in small_underlay.pairs[:6]:
         pair = small_underlay.link(a, b, LinkType.INTERNET)
         links = make_gateway_links(
             pair, 4, np.random.default_rng(hash((a, b)) % 2**32),
-            idio_events_per_day=cfg.idio_events_per_day,
-            idio_duration_mean_s=cfg.idio_duration_mean_s,
             event_latency_mu=small_underlay.config.internet.event_latency_mu,
             event_latency_sigma=small_underlay.config.internet.event_latency_sigma,
             event_loss_mu=small_underlay.config.internet.event_loss_mu,
-            event_loss_sigma=small_underlay.config.internet.event_loss_sigma,
-            severity_scale=cfg.idio_severity_scale)
+            event_loss_sigma=small_underlay.config.internet.event_loss_sigma)
         sims.append(quality_similarity(links, 0, 21600.0, 10.0))
     assert min(sims) >= 0.77
