@@ -187,31 +187,50 @@ def test_demand_epoch(benchmark, n_regions):
 #: a third of real time at 50 regions (126-156 ms), array state with
 #: scalar per-burst draws ~26 ms; with one hashed block per instant, one
 #: array pass per cluster took ~0.9 / ~5 / ~15 ms at 11 / 50 / 100
-#: regions and one pass over every region's rows takes ~0.4 / ~2 / ~8.
+#: regions, one pass over every region's rows ~0.4 / ~2 / ~8, and with
+#: slabs and a NIB that folds on read it takes ~0.13 / ~1.2 / ~4-5
+#: (~0.1 at 3 regions, from ~0.2).  The 3-region point is
+#: `serve_chaos_n3`'s deployment (four gateways a region, so two
+#: members adopt the group state): 12 links, so its instant is fixed
+#: per-call cost, not element work.
 #: The budgets leave room for a host twice as slow: they catch a return
 #: to per-link work, `tests/core/test_probe_call_budget.py` one to a
 #: pass per cluster.
-PROBE_INSTANT_BUDGET_S = {11: 0.005, 50: 0.025, 100: 0.05}
+PROBE_INSTANT_BUDGET_S = {3: 0.001, 11: 0.005, 50: 0.025, 100: 0.05}
 _PROBE_START_S = 600.0
+#: The controller's epoch in instants (30 s): the NIB is read once per
+#: this many, so the mean carries the fold of the batches queued in
+#: between.
+_PROBE_READ_EVERY = 75
 
 
 @pytest.mark.parametrize("n_regions", sorted(PROBE_INSTANT_BUDGET_S),
                          ids=lambda n: f"n{n:03d}")
 def test_probe_instant(benchmark, n_regions):
     """The monitoring block's probing pass over every region + the NIB's
-    `update_many`, at the next 0.4 s step each round.  `now` advances
-    by repeated addition, as `PeriodicTask` steps, so the rounds read
-    rows of the probe reader's blocks: the mean carries a block's
-    evaluation spread over its instants."""
+    `update_many`, at the next 0.4 s step each round, and the
+    controller's `latest_snapshot` every `_PROBE_READ_EVERY` rounds.
+    `now` advances by repeated addition, as `PeriodicTask` steps, so the
+    rounds read rows of the probe reader's blocks: the mean carries a
+    block's evaluation spread over its instants."""
     from repro.controlplane.nib import NetworkInformationBase
     from repro.dataplane.cluster import (MonitoringBlock, RegionCluster,
                                          probe_noise)
     from repro.dataplane.config import MonitoringConfig
     from repro.sim.rng import RngStreams
+    from repro.underlay.config import UnderlayConfig
+    from repro.underlay.topology import build_underlay
 
-    u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
+    if n_regions == 3:
+        u = build_underlay(default_regions()[:3],
+                           UnderlayConfig(horizon_s=7200.0), seed=7)
+        gateways = 4
+    else:
+        u = planet_underlay(n_regions, seed=7, horizon_s=7200.0)
+        gateways = 2
     noise = probe_noise(u, MonitoringConfig(), RngStreams(7))
-    block = MonitoringBlock([RegionCluster(code, u, noise=noise)
+    block = MonitoringBlock([RegionCluster(code, u, noise=noise,
+                                           initial_gateways=gateways)
                              for code in u.codes])
     nib = NetworkInformationBase(codes=u.codes)
     steps = itertools.count()
@@ -220,8 +239,9 @@ def test_probe_instant(benchmark, n_regions):
     def instant():
         now = clock[0]
         clock[0] = now + 0.4
-        next(steps)
         nib.update_many(block.probe(now)[0])
+        if next(steps) % _PROBE_READ_EVERY == _PROBE_READ_EVERY - 1:
+            nib.latest_snapshot(u.codes)
         return now
 
     instant()  # first-sample paths, timeline search
@@ -584,14 +604,22 @@ def test_reaction_plans(benchmark, n_regions):
     assert benchmark.stats["mean"] < REACTION_PLANS_BUDGET_S[n_regions]
 
 
+#: Epochs `test_sweep_epoch_phase_profile` times.  Time the host takes
+#: the process off the CPU inside an epoch's clock and outside its
+#: phases moved one epoch's coverage below the bound once in five runs,
+#: so the bound is on the median epoch.
+_PROFILED_EPOCHS = 5
+
+
 @pytest.mark.parametrize("n_regions", (100,), ids=_sweep_id)
 def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
     """The phase profiler must account for the full epoch: the sum of
     the ``algo_step`` phases has to land within 5% of the
     measured epoch wall time on the n100 sweep scenario, both against
     the controller's own ``control_epoch`` clock and against an
-    external `perf_counter` measurement around `run_epoch`.  Also
-    round-trips the trace through `repro obs profile`."""
+    external `perf_counter` measurement around `run_epoch`, in the
+    median of `_PROFILED_EPOCHS` epochs.  Also round-trips the trace
+    through `repro obs profile`."""
     import time
 
     from repro import obs
@@ -629,21 +657,29 @@ def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
                     _SWEEP_SNAP_T))
     controller.nib.update_many(reports)
 
-    with obs.capture() as hub:
-        t0 = time.perf_counter()
-        controller.run_epoch(_SWEEP_SNAP_T, matrix, gateways)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        events = hub.events_json()
-
-    profile = profile_events(events)
-    assert profile.epochs == 1
+    profiles, walls = [], []
+    for __ in range(_PROFILED_EPOCHS):
+        with obs.capture() as hub:
+            t0 = time.perf_counter()
+            controller.run_epoch(_SWEEP_SNAP_T, matrix, gateways)
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            events = hub.events_json()
+            metrics = hub.metrics.snapshot()
+        profile = profile_events(events)
+        assert profile.epochs == 1
+        # The phases nest inside both clocks, whatever the host does.
+        assert profile.phase_total_ms <= wall_ms
+        assert profile.coverage <= 1.0 + 1e-9
+        profiles.append(profile)
+        walls.append(wall_ms)
     steps = {p.step for p in profile.phases}
     assert {"predict", "link_snapshot", "algo1.path_control",
             "capacity_control", "algo2.reaction_plans"} <= steps
-    # Coverage: phase sum within 5% of both wall clocks.
-    assert profile.phase_total_ms <= wall_ms
-    assert profile.phase_total_ms >= 0.95 * wall_ms
-    assert 0.95 <= profile.coverage <= 1.0 + 1e-9
+    # Coverage: the median epoch's phase sum within 5% of both wall
+    # clocks.
+    assert np.median([p.phase_total_ms / wall
+                      for p, wall in zip(profiles, walls)]) >= 0.95
+    assert np.median([p.coverage for p in profiles]) >= 0.95
     # Demand-weighted pair attribution sums to the algo1 phase total.
     algo1 = next(p for p in profile.phases
                  if p.step == "algo1.path_control")
@@ -652,7 +688,7 @@ def test_sweep_epoch_phase_profile(n_regions, tmp_path, capsys):
             algo1.total_ms, rel=1e-6)
     # CLI round trip: `repro obs profile` renders the same folding.
     trace = tmp_path / "epoch.jsonl"
-    write_jsonl(trace, events, metrics=hub.metrics.snapshot())
+    write_jsonl(trace, events, metrics=metrics)
     assert cli_main(["obs", "profile", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "algo1.path_control" in out and "(all phases)" in out

@@ -82,8 +82,8 @@ GATED = (
 #: entry is its "before").  The pre-refactor stack's step 1 was
 #: measured as ``test_path_control_paper_scale`` (a scalar link-state
 #: callback per link), which stays the step-1 row's "before".  The
-#: probing-instant rows (before: two scalar draws per burst from
-#: per-gateway generators; at 100 regions, one array pass per cluster),
+#: probing-instant rows (before: the monitoring block's rows region by
+#: region, and a NIB that stored every batch on arrival),
 #: the link-series-block rows
 #: (before: every term of the link model per hop and instant), the
 #: cluster-install row (before: one forwarding table per gateway), the
@@ -102,6 +102,9 @@ TABLE_ROWS = {
         ("", "test_full_two_step_control_paper_scale"),
     "test_path_control_double_scale":
         (" (22 regions)", "test_path_control_double_scale"),
+    "test_probe_instant[n003]":
+        (" (3 regions of 4 gateways, 12 links)",
+         "test_probe_instant[n003]"),
     "test_probe_instant[n011]":
         (" (11 regions, 220 links)", "test_probe_instant[n011]"),
     "test_probe_instant[n050]":

@@ -44,6 +44,9 @@ from repro.underlay.snapshot import TYPE_INDEX, LinkStateSnapshot
 
 _TEL = _telemetry()
 
+#: Assigned pairs the `control_epoch` event names, heaviest first.
+TOP_PAIRS = 16
+
 
 @dataclass
 class ControlOutput:
@@ -204,17 +207,22 @@ class Controller:
             # Per-pair demand attribution for the phase profiler
             # (`repro.obs.profile`): the heaviest assigned pairs and
             # their Mbps, so path-control time can be apportioned.
-            # Summed in assignment order (`np.bincount` adds in order).
+            # Summed in assignment order (`np.bincount` adds in order);
+            # named only where a pair can be among the heaviest: at or
+            # above the `TOP_PAIRS`-th heaviest sum (ties by name).
             codes, n = streams.codes, len(streams.codes)
             pair = (streams.src[r_cur.position] * n
                     + streams.dst[r_cur.position])
             used = np.unique(pair)
-            pair_mbps: Dict[Tuple[str, str], float] = dict(zip(
-                [(codes[k // n], codes[k % n]) for k in used.tolist()],
-                np.bincount(pair, weights=r_cur.mbps,
-                            minlength=n * n)[used].tolist()))
-            top = heapq.nsmallest(16, pair_mbps.items(),
-                                  key=lambda kv: (-kv[1], kv[0]))
+            total = np.bincount(pair, weights=r_cur.mbps, minlength=n * n)
+            mbps = total[used]
+            heavy = (used[mbps >= np.partition(mbps, -TOP_PAIRS)[-TOP_PAIRS]]
+                     if len(used) > TOP_PAIRS else used)
+            top = heapq.nsmallest(
+                TOP_PAIRS, zip([(codes[k // n], codes[k % n])
+                                for k in heavy.tolist()],
+                               total[heavy].tolist()),
+                key=lambda kv: (-kv[1], kv[0]))
             _TEL.event(
                 "control_epoch", t=now,
                 streams=len(streams),
@@ -226,7 +234,7 @@ class Controller:
                 predicted_mbps=round(predicted.total(), 3),
                 observed_mbps=round(observed_matrix.total(), 3),
                 assigned_mbps=round(r_cur.total_assigned_mbps(), 3),
-                pairs=len(pair_mbps),
+                pairs=len(used),
                 top_pairs=[[src, dst, round(mbps, 3)]
                            for (src, dst), mbps in top],
                 capacity_target=decision.total_target(),

@@ -16,16 +16,21 @@ when it is 1 and on the percentile otherwise.
 Storage is the matrices and nothing else: report histories live in
 preallocated ``(2, N, N, window)`` ring-buffer arrays (axis 0 is the
 tier per `repro.underlay.snapshot.TYPE_ORDER`) of latency, loss and
-report time, and a probing round's reports arrive as one `ReportBatch`
-written by fancy index.  The NIB is read two ways only: the controller
-takes a whole-matrix `LinkStateSnapshot` per epoch (`latest_snapshot`
-or `robust_snapshot`), and a checkpoint takes every windowed report as
-JSON (`export_reports`, the one place `LinkReport`s are rebuilt from the
-rings).
+report time.  A probing round's reports arrive as one `ReportBatch`,
+every 0.4 s, but the NIB is read at epoch boundaries only: the
+controller takes a whole-matrix `LinkStateSnapshot` per epoch
+(`latest_snapshot` or `robust_snapshot`), and a checkpoint takes every
+windowed report as JSON (`export_reports`, the one place `LinkReport`s
+are rebuilt from the rings).  So an arriving batch passes the fault
+seam and is queued as it is, and the queue folds into the rings in one
+pass over all its batches on the next read (`len`, `version`, either
+snapshot, the export, a list of reports) or once it spans
+`FOLD_SLOTS`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -42,6 +47,12 @@ _TEL = _telemetry()
 
 #: The window percentile robust planning reads (`robust_snapshot`).
 ROBUST_PERCENTILE = 90.0
+
+#: The queued report batches fold into the rings once they span this
+#: many (batch, link) slots.  It bounds the fold's working set, and with
+#: it the reports the NIB holds unfolded: a batch reports a link at most
+#: once, so they never outnumber their slots.
+FOLD_SLOTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,8 @@ class LinkReport:
             raise ValueError(f"negative latency or NaN: {self.latency_ms}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss rate {self.loss_rate} outside [0, 1]")
+        if not math.isfinite(self.reported_at):
+            raise ValueError(f"report time {self.reported_at} is not finite")
 
 
 @dataclass(eq=False)
@@ -81,20 +94,38 @@ class ReportBatch:
 
     def __post_init__(self) -> None:
         # `LinkReport`'s range checks, once over the arrays (a NaN
-        # minimum fails them).
-        if len(self) and (not self.latency_ms.min() >= 0 or not (
-                0.0 <= self.loss_rate.min() and self.loss_rate.max() <= 1.0)):
-            raise ValueError("a report has a negative or NaN latency, or "
-                             "a loss rate outside [0, 1]")
+        # minimum or maximum fails them).
+        if len(self) and not (
+                self.latency_ms.min() >= 0
+                and 0.0 <= self.loss_rate.min()
+                and self.loss_rate.max() <= 1.0
+                and -math.inf < self.reported_at.min()
+                and self.reported_at.max() < math.inf):
+            raise ValueError("a report has a negative or NaN latency, a "
+                             "loss rate outside [0, 1] or a time that is "
+                             "not finite")
+
+    @classmethod
+    def _checked(cls, codes: Tuple[str, ...], *columns: np.ndarray
+                ) -> "ReportBatch":
+        """A batch of columns that passed the range checks already
+        (rows of a checked batch, values of checked reports), built
+        without running them again."""
+        batch = object.__new__(cls)
+        (batch.codes, batch.src, batch.dst, batch.tier, batch.latency_ms,
+         batch.loss_rate, batch.reported_at) = (codes,) + columns
+        return batch
 
     def __len__(self) -> int:
         return len(self.latency_ms)
 
     def take(self, rows) -> "ReportBatch":
         """The reports at `rows` (a slice, positions or a mask)."""
-        return ReportBatch(self.codes, self.src[rows], self.dst[rows],
-                           self.tier[rows], self.latency_ms[rows],
-                           self.loss_rate[rows], self.reported_at[rows])
+        return ReportBatch._checked(self.codes, self.src[rows],
+                                   self.dst[rows], self.tier[rows],
+                                   self.latency_ms[rows],
+                                   self.loss_rate[rows],
+                                   self.reported_at[rows])
 
     def __getitem__(self, k: int) -> LinkReport:
         return LinkReport(self.codes[self.src[k]], self.codes[self.dst[k]],
@@ -114,11 +145,10 @@ class NetworkInformationBase:
         if window < 1:
             raise ValueError(f"window must be >= 1 report, got {window}")
         self.window = int(window)
-        #: Monotonic mutation counter: bumps on every accepted report,
-        #: so equal versions guarantee identical snapshot outputs.
-        self.version = 0
+        self._version = 0
         #: Region code <-> row/column of the ring matrices.
         self._codes: List[str] = list(codes)
+        self._own = tuple(self._codes)
         self._index: Dict[str, int] = {c: i for i, c in enumerate(codes)}
         if len(self._index) != len(self._codes):
             raise ValueError(f"duplicate region codes: {self._codes}")
@@ -132,6 +162,11 @@ class NetworkInformationBase:
         #: A batch's `codes` -> their rows in the ring matrices (-1 for
         #: a region outside them).
         self._rows: Dict[Tuple[str, ...], np.ndarray] = {}
+        #: Batches over `_own` waiting to be folded into the rings, in
+        #: arrival order.
+        self._pending: List[ReportBatch] = []
+        #: The last (src, dst, tier) columns seen and their ring links.
+        self._link_memo: Optional[Tuple[np.ndarray, ...]] = None
         #: Fault-injection seam: an object (a `FaultInjector`) whose
         #: `filter_report` maps a report to itself, a staled copy or
         #: None (dropped), and whose `reports_matched` names the reports
@@ -144,31 +179,96 @@ class NetworkInformationBase:
         return ValueError(f"regions {outside} are outside the NIB's "
                           f"{self._codes}")
 
-    def _store(self, batch: ReportBatch) -> None:
-        """Write a batch into the rings; a report older than its link's
-        newest is stale, out of order, and dropped."""
-        rows = self._rows.get(batch.codes)
-        if rows is None:
-            rows = self._rows[batch.codes] = np.array(
-                [self._index.get(c, -1) for c in batch.codes], dtype=np.intp)
-        ti, i, j = batch.tier, rows[batch.src], rows[batch.dst]
-        if min(i.min(initial=0), j.min(initial=0)) < 0:
-            raise self._unknown(batch.codes[k] for k in np.concatenate(
-                [batch.src[i < 0], batch.dst[j < 0]]).tolist())
-        lat, loss, at = batch.latency_ms, batch.loss_rate, batch.reported_at
-        total = self._ring_total[ti, i, j]
-        slot = total % self.window
-        # Slot -1 is the last one: NaN, never older, until it is filled.
-        stale = at < self._ring_at[ti, i, j, slot - 1]
-        if stale.any():
-            ti, i, j, total, slot, lat, loss, at = (
-                column[~stale]
-                for column in (ti, i, j, total, slot, lat, loss, at))
-        self.version += len(slot)
-        self._ring_lat[ti, i, j, slot] = lat
-        self._ring_loss[ti, i, j, slot] = loss
-        self._ring_at[ti, i, j, slot] = at
-        self._ring_total[ti, i, j] = total + 1
+    def _append(self, batch: ReportBatch) -> None:
+        """Queue a batch for the rings, in the NIB's region index (a
+        report naming a region outside it is an error here, not at the
+        fold)."""
+        if batch.codes != self._own:
+            rows = self._rows.get(batch.codes)
+            if rows is None:
+                rows = self._rows[batch.codes] = np.array(
+                    [self._index.get(c, -1) for c in batch.codes],
+                    dtype=np.intp)
+            i, j = rows[batch.src], rows[batch.dst]
+            if min(i.min(initial=0), j.min(initial=0)) < 0:
+                raise self._unknown(batch.codes[k] for k in np.concatenate(
+                    [batch.src[i < 0], batch.dst[j < 0]]).tolist())
+            batch = ReportBatch._checked(
+                self._own, i, j, batch.tier, batch.latency_ms,
+                batch.loss_rate, batch.reported_at)
+        if len(batch):
+            self._pending.append(batch)
+            if len(self._pending) * self._ring_total.size >= FOLD_SLOTS:
+                self._fold()
+
+    def _store(self, *batches: ReportBatch) -> None:
+        """Write `batches` into the rings now, in order."""
+        for batch in batches:
+            self._append(batch)
+        self._fold()
+
+    def _ring_links(self, batch: ReportBatch) -> np.ndarray:
+        """The ring link (flat ``(tier, src, dst)`` cell) of each report
+        of a queued batch, made once for a run of batches that share
+        their link columns (a probing round's, between blackouts)."""
+        memo = self._link_memo
+        if not (memo and memo[0] is batch.src and memo[1] is batch.dst
+                and memo[2] is batch.tier):
+            n = len(self._codes)
+            memo = self._link_memo = (
+                batch.src, batch.dst, batch.tier,
+                (batch.tier * n + batch.src) * n + batch.dst)
+        return memo[3]
+
+    def _fold(self) -> None:
+        """Fold the queued batches into the rings in one pass, leaving
+        what storing them one at a time would: a report older than its
+        link's newest stored one is stale, out of order, and dropped;
+        the others take the link's next slots, and the last `window`
+        of them stay.
+
+        Batch k's reports go to row k of ``(batches, links)`` grids
+        (time NaN where it has no report).  Down the rows, a running
+        maximum from each link's newest stored time (-inf for none)
+        finds the accepted reports and a running count their order,
+        row by row: numpy's column-wise accumulations are slow on wide
+        grids.  Only each link's last `window` accepted reports are
+        written.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        window, links, rows = self.window, self._ring_total.size, len(pending)
+        grid = np.concatenate([self._ring_links(batch) for batch in pending])
+        grid += np.repeat(np.arange(0, rows * links, links),
+                          [len(batch) for batch in pending])
+        times = np.full((rows, links), np.nan)
+        lat, loss = np.empty((rows, links)), np.empty((rows, links))
+        for values, name in ((times, "reported_at"), (lat, "latency_ms"),
+                             (loss, "loss_rate")):
+            values.reshape(-1)[grid] = np.concatenate(
+                [getattr(batch, name) for batch in pending])
+        total = self._ring_total.reshape(links)
+        newest = np.fmax(self._ring_at.reshape(links, window)[
+            np.arange(links), (total - 1) % window], -np.inf)
+        accepted = np.empty((rows, links), dtype=bool)
+        rank = np.empty((rows, links), dtype=np.int32)
+        count = np.zeros(links, dtype=np.int32)
+        for row, flags, place in zip(times, accepted, rank):
+            np.greater_equal(row, newest, flags)
+            np.fmax(newest, row, newest)
+            np.add(count, flags, count)
+            place[...] = count
+        kept = np.flatnonzero(accepted & (rank > count - window))
+        cell = kept % links
+        cell = cell * window + (total[cell] + rank.reshape(-1)[kept] - 1
+                                ) % window
+        for ring, values in ((self._ring_lat, lat), (self._ring_loss, loss),
+                             (self._ring_at, times)):
+            ring.reshape(-1)[cell] = values.reshape(-1)[kept]
+        total += count
+        self._version += int(count.sum())
 
     def _links(self) -> List[Tuple[int, int, int]]:
         """Ring index of every link that has a report."""
@@ -190,17 +290,19 @@ class NetworkInformationBase:
         """Ingest a probing round's `ReportBatch`, or any sequence of
         `LinkReport`s (each link's reports apply in sequence order).
 
-        The fault seam is consulted once per batch, and a batch goes to
-        the rings as arrays: exactly the reports a report fault touches
-        pass through `filter_report`, in order; a dropped one leaves the
-        batch, a staled one keeps its shifted values.
+        The fault seam is consulted once per batch, as it arrives:
+        exactly the reports a report fault touches pass through
+        `filter_report`, in order; a dropped one leaves the batch, a
+        staled one keeps its shifted values.  The batch then waits for
+        the next fold, as it is: its arrays must not change after the
+        call.  A list is folded at once.
         """
         if isinstance(reports, ReportBatch):
             touched = (self.fault_filter.reports_matched(reports)
                        if self.fault_filter is not None else ())
             if touched:
                 reports = self._filtered_batch(reports, touched)
-            self._store(reports)
+            self._append(reports)
             return
         if self.fault_filter is not None:
             reports = [self._filtered(report) for report in reports]
@@ -208,9 +310,10 @@ class NetworkInformationBase:
 
     def _store_reports(self, reports: Iterable[Optional[LinkReport]]
                        ) -> None:
-        """`_store` the reports (None = dropped on the way) as batches:
-        the k-th report of every link forms the k-th one, so links are
-        distinct inside a batch and a link's reports keep their order.
+        """`_store` the reports (None = dropped on the way) as batches
+        after the queued ones: the k-th report of every link forms the
+        k-th one, so links are distinct inside a batch and a link's
+        reports keep their order.
 
         Each column is built once, and a report's batch is its rank
         among its link's reports: one stable sort over integer link
@@ -230,7 +333,7 @@ class NetworkInformationBase:
         premium = np.fromiter(map(is_, [report.link_type for report in kept],
                                   repeat(LinkType.PREMIUM)), bool, size)
         batch = ReportBatch(
-            tuple(self._codes), src_i, dst_i,
+            self._own, src_i, dst_i,
             np.where(premium, TYPE_INDEX[LinkType.PREMIUM],
                      TYPE_INDEX[LinkType.INTERNET]),
             np.array([report.latency_ms for report in kept], dtype=float),
@@ -251,8 +354,8 @@ class NetworkInformationBase:
             np.where(np.concatenate(([False], repeated)), 0, position))
         layer = np.empty(size, dtype=np.intp)
         layer[order] = position - starts
-        for k in range(int(layer.max()) + 1):
-            self._store(batch.take(layer == k))
+        self._store(*(batch.take(layer == k)
+                      for k in range(int(layer.max()) + 1)))
 
     def _indices(self, codes: List[str], size: int) -> np.ndarray:
         """The index of each of `codes` (a `KeyError` names one the
@@ -264,19 +367,24 @@ class NetworkInformationBase:
                         touched: Sequence[int]) -> ReportBatch:
         """`batch` with its rows at `touched` as the fault seam lets
         them through."""
-        kept = np.ones(len(batch), dtype=bool)
+        dropped = []
         lat, loss, at = (batch.latency_ms.copy(), batch.loss_rate.copy(),
                          batch.reported_at.copy())
         for k in touched:
             report = self._filtered(batch[k])
             if report is None:
-                kept[k] = False
+                dropped.append(k)
             else:
                 lat[k], loss[k], at[k] = (report.latency_ms,
                                           report.loss_rate,
                                           report.reported_at)
-        return ReportBatch(batch.codes, batch.src, batch.dst, batch.tier,
-                           lat, loss, at).take(kept)
+        batch = ReportBatch._checked(batch.codes, batch.src, batch.dst,
+                                     batch.tier, lat, loss, at)
+        if not dropped:
+            return batch  # the link columns as they were
+        kept = np.ones(len(batch), dtype=bool)
+        kept[dropped] = False
+        return batch.take(kept)
 
     def _filtered(self, report: LinkReport) -> Optional[LinkReport]:
         """`report` as the fault seam lets it through (traced)."""
@@ -298,6 +406,7 @@ class NetworkInformationBase:
     # --------------------------------------------------- matrix snapshots
     def latest_snapshot(self, codes: Sequence[str]) -> LinkStateSnapshot:
         """Latest-report matrices over `codes`; missing links (inf, 1)."""
+        self._fold()
         last = (self._ring_total - 1) % self.window
         lat = np.take_along_axis(self._ring_lat, last[..., None],
                                  axis=3)[..., 0]
@@ -313,6 +422,7 @@ class NetworkInformationBase:
         (with window == 1, its latest report), as one ``nanpercentile``
         over the ring-buffer arrays; never-reported links are (inf, 1).
         """
+        self._fold()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             lat = np.nanpercentile(self._ring_lat, ROBUST_PERCENTILE, axis=3)
@@ -340,6 +450,7 @@ class NetworkInformationBase:
         Links are emitted in sorted key order, each link's window oldest
         first, so the export is deterministic for a given NIB state.
         """
+        self._fold()
         codes = self._codes
         return [{"src": report.src, "dst": report.dst,
                  "link_type": report.link_type.value,
@@ -366,4 +477,12 @@ class NetworkInformationBase:
             for doc in docs)
 
     def __len__(self) -> int:
+        self._fold()
         return int(np.count_nonzero(self._ring_total))
+
+    @property
+    def version(self) -> int:
+        """Monotonic mutation counter: the reports accepted so far, so
+        equal versions guarantee identical snapshot outputs."""
+        self._fold()
+        return self._version

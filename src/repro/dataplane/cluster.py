@@ -11,11 +11,11 @@ O(N(N-1)M^2) probe streams into O(N(N-1)R).
 
 The gateways' monitoring state is one block of arrays across regions
 (`MonitoringBlock`: an `EstimatorBank` of shape ``(gateway rows,
-links per region)``, region-major, each region's representatives
-first), and a probing instant is a few dozen array operations over it
-whatever the region count — one ingest for every representative, one
-median per representative count, one hand-over to every member, one
-`ReportBatch`.  The k-th representative of a region measures the k-th
+links per region)``, the representatives in slot-major slabs, then the
+members), and a probing instant is a few dozen array operations over
+it whatever the region count — one ingest for every representative,
+one median per representative count, one hand-over to every member,
+one `ReportBatch`.  The k-th representative of a region measures the k-th
 probe slot's bursts (`BurstNoise`, drawn once per instant), which no
 crash, scale-out or other region's probing can change.
 """
@@ -99,14 +99,14 @@ class RegionCluster:
     def _fleet_changed(self) -> None:
         """Gateways came or went: bring what is derived from the fleet
         up to date — the ids in order (the round robin's), the elected
-        representatives and `_fleet`, the order of the region's rows in
-        the monitoring block (the representatives', then the others'),
-        which is rebuilt before it is next used."""
+        representatives and `_fleet` (the representatives, then the
+        others), and the monitoring block, which is rebuilt before it
+        is next used."""
         self._ids = sorted(self.gateways)
         self._elected = self._grouping.elect(self.region, self._ids)
         self._fleet = [self.gateways[gid] for gid in self._elected + [
             gid for gid in self._ids if gid not in self._elected]]
-        self.block.fleet_changed()
+        self.block.fleet_changed(self)
 
     def _add_gateway(self) -> Gateway:
         gid = self._next_gateway_id
@@ -235,8 +235,8 @@ class RegionCluster:
             latency_ms += sampled[1]
             loss_rate += sampled[2]
         if rows:
-            bank, first = self.block.rows(self)
-            bank.ingest((first + np.array(rows), np.array(links)), now,
+            bank, block_rows = self.block.rows(self)
+            bank.ingest((block_rows[rows], np.array(links)), now,
                         np.array(latency_ms), np.array(loss_rate))
 
     # ----------------------------------------------------------- forwarding
@@ -288,110 +288,138 @@ class RegionCluster:
                    for gateway in self.representatives())
 
 
-class _Run:
-    """Index vectors of a block's regions, for a probing instant over
-    them (made again after every rebuild).  Regions are numbered in the
-    block's order; every ``(regions, links)`` array is one region per
-    row."""
-
-    def __init__(self, block: "MonitoringBlock"):
-        noise = block.noise
-        spans = [noise.span(cluster.region) for cluster in block.clusters]
-        #: Each region's links in `noise` (the run's report order).
-        self.hop = np.array([np.arange(s.start, s.stop) for s in spans],
-                            dtype=np.intp)
-        self.hops = [noise.hops[h] for h in self.hop.ravel().tolist()]
-        #: (src, dst, tier) per link, for the reports.
-        self.tier, self.src, self.dst = (axis[self.hop] for axis in noise.index)
-        rows = np.arange(block.first[-1])
-        region = block.row_region
-        slot = block.row_slot
-        self.reps = block.reps
-        probing = slot < self.reps[region]
-        self.rep_rows, self.rep_region = rows[probing], region[probing]
-        self.rep_slot = slot[probing, None]
-        self.rep_hop = self.hop[self.rep_region]
-        self.member_rows, self.member_region = rows[~probing], region[~probing]
-        self.rep_gateways = list(zip(
-            (block.gateways[row] for row in self.rep_rows.tolist()),
-            self.rep_region.tolist()))
-        #: Per representative count r: the regions that elected r and
-        #: their representatives' rows, ``(r, regions)``.
-        self.groups = []
-        for r in np.unique(self.reps).tolist():
-            regions = np.flatnonzero(self.reps == r)
-            self.groups.append((r, regions, block.first[regions]
-                                + np.arange(r)[:, None]))
-
-    @staticmethod
-    def select(rows: np.ndarray, region: np.ndarray,
-               blacked: Optional[np.ndarray]):
-        """The bank index of the probed links of `rows` (the regions
-        they belong to are `region`), and the mask picking the same
-        elements out of a ``(len(rows), links)`` array (``...`` when no
-        link is blacked out: every one, in whole rows)."""
-        if blacked is None:
-            return rows, ...
-        probed = ~blacked[region]
-        row, link = np.nonzero(probed)
-        return (rows[row], link), probed
-
-
 class MonitoringBlock:
     """The monitoring state of every gateway of some region clusters —
     one `EstimatorBank` of ``(gateway rows, 2(N - 1) links)`` — and the
     probing instant over it.
 
-    Rows are region-major in `clusters`' order (the order of their runs
-    in the clusters' shared `BurstNoise`), each region's rows in its
-    `_fleet` order: the representatives first.  `row_region` and
-    `row_slot` say whose a row is and its position there (a
-    representative's probe slot).  Every gateway's `bank` is a view of
-    its row; a fleet change of any cluster marks the block stale, and
-    the next use rebuilds it from the gateways' banks
-    (`EstimatorBank.stacked`) — a gateway that joined in between
-    brought its own, and a departed one's row is dropped.
+    The clusters' regions are one run of their shared `BurstNoise`'s
+    regions, in its order, so an instant's bursts and reports are the
+    run's columns as they lie, one ``(regions, links)`` grid.  Rows come
+    in slabs: per representative count r (a region with fewer gateways
+    than R elects fewer), the representatives of the regions that
+    elected r, slot-major — every such region's first, then every
+    one's second, ... — so the slab is an ``(r, regions, links)`` view
+    of the bank, as the r probe slots' bursts are of the noise's row;
+    then every other gateway, region by region in `_fleet` order.
+    `row_region` says whose a row is, `rows` where a cluster's gateways
+    are.  Every gateway's `bank` is a view of its row; a fleet change
+    of any cluster marks the block stale, and the next use rebuilds it
+    from the gateways' banks (`EstimatorBank.stacked`) — a gateway that
+    joined in between brought its own, and a departed one's row is
+    dropped.
     """
 
     def __init__(self, clusters: Sequence[RegionCluster]):
         self.clusters = list(clusters)
-        self.noise = self.clusters[0].noise
+        self.noise = noise = self.clusters[0].noise
         self.monitoring = self.clusters[0].monitoring
         #: Fault-injection seam: a `repro.faults.FaultInjector` (or None).
         self.faults = None
         self._grouping = ProbingGroupManager(
-            self.noise.underlay.codes, self.monitoring.representatives)
+            noise.underlay.codes, self.monitoring.representatives)
+        spans = [noise.span(cluster.region) for cluster in self.clusters]
+        if any(a.stop != b.start for a, b in zip(spans, spans[1:])):
+            raise ValueError("a block's regions must be one run of its "
+                             "noise's regions, in their order")
         self._position = {}
         for k, cluster in enumerate(self.clusters):
             cluster.block = self
             self._position[cluster.region] = k
+        #: The block's run of the noise's links, as ``(regions, links)``.
+        self.run = slice(spans[0].start, spans[-1].stop)
+        self.shape = (len(spans), spans[0].stop - spans[0].start)
+        self.hops = noise.hops[self.run]
+        #: (tier, src, dst) per link of the run: every report batch's
+        #: link columns, these very arrays while no link is blacked out.
+        self.tier, self.src, self.dst = (axis[self.run]
+                                         for axis in noise.index)
+        #: Where each region's reports begin (the count, last) when no
+        #: link is blacked out.
+        self.bounds = list(range(0, self.run.stop - self.run.start + 1,
+                                 self.shape[1]))
         self._stale = True
-        self._run: Optional[_Run] = None
+        #: Clusters whose election may have changed since it was traced.
+        self._untraced = set(self.clusters)
 
-    def fleet_changed(self) -> None:
-        """A cluster's fleet changed: rebuild before the next use."""
+    def fleet_changed(self, cluster: RegionCluster) -> None:
+        """`cluster`'s fleet changed: rebuild before the next use, and
+        trace its election at the next traced instant."""
         self._stale = True
+        self._untraced.add(cluster)
 
     def _rebuild(self) -> None:
         fleets = [cluster._fleet for cluster in self.clusters]
-        sizes = np.array([len(fleet) for fleet in fleets])
-        #: First row of each region (and the row count, last).
-        self.first = np.concatenate(([0], np.cumsum(sizes)))
-        self.reps = np.array([len(cluster._elected)
-                              for cluster in self.clusters])
-        self.row_region = np.repeat(np.arange(len(fleets)), sizes)
-        self.row_slot = np.arange(self.first[-1]) - self.first[self.row_region]
-        self.gateways = [gateway for fleet in fleets for gateway in fleet]
-        self.bank = EstimatorBank.stacked(
-            [gateway.bank for gateway in self.gateways])
-        self._run = None
+        reps = [len(cluster._elected) for cluster in self.clusters]
+        self.reps = np.array(reps)
+        gateways, region = [], []
+        #: Per representative count r: the regions that elected it (a
+        #: slice for all of them) and the rows of their slab.
+        self.slabs = []
+        for r in sorted(set(reps)):
+            group = [k for k, count in enumerate(reps) if count == r]
+            for slot in range(r):
+                gateways += [fleets[k][slot] for k in group]
+                region += group
+            self.slabs.append((r, slice(None) if len(group) == len(reps)
+                               else np.array(group),
+                               slice(len(gateways) - r * len(group),
+                                     len(gateways))))
+        #: The representatives' rows are the first `probers`.
+        self.probers = len(gateways)
+        for k, fleet in enumerate(fleets):
+            gateways += fleet[reps[k]:]
+            region += [k] * (len(fleet) - reps[k])
+        self.row_region = np.array(region, dtype=np.intp)
+        row = {id(gateway): r for r, gateway in enumerate(gateways)}
+        self._rows = [np.array([row[id(gateway)] for gateway in fleet],
+                               dtype=np.intp) for fleet in fleets]
+        self.bank = bank = EstimatorBank.stacked(
+            [gateway.bank for gateway in gateways])
+        #: Per slab, views of the bank: the median's input ``(where,
+        #: latency, loss)`` and the vote's ``(r, where, degraded)``.
+        links = self.shape[1]
+        shapes = [(r, (rows.stop - rows.start) // r, links)
+                  for r, __, rows in self.slabs]
+        self._groups = [(where, bank.latency_ms[rows].reshape(shape),
+                         bank.loss_rate[rows].reshape(shape))
+                        for (__, where, rows), shape in zip(self.slabs, shapes)]
+        self._votes = [(r, where, bank.degraded[rows].reshape(shape))
+                       for (r, where, rows), shape in zip(self.slabs, shapes)]
+        #: The representatives and their regions; the members' rows and
+        #: theirs.
+        self._probing = list(zip(gateways[:self.probers],
+                                 region[:self.probers]))
+        self._members = (slice(self.probers, len(gateways)),
+                         self.row_region[self.probers:])
         self._stale = False
 
-    def rows(self, cluster: RegionCluster) -> Tuple[EstimatorBank, int]:
-        """The block's bank, and the row where `cluster`'s rows begin."""
+    def rows(self, cluster: RegionCluster) -> Tuple[EstimatorBank,
+                                                    np.ndarray]:
+        """The block's bank, and the row of each of `cluster`'s
+        gateways in `_fleet` order."""
         if self._stale:
             self._rebuild()
-        return self.bank, int(self.first[self._position[cluster.region]])
+        return self.bank, self._rows[self._position[cluster.region]]
+
+    def _slabs(self, part: np.ndarray) -> np.ndarray:
+        """The representatives' rows of a ``(slots, regions, links)``
+        array: each slab's slots of its regions, slab after slab."""
+        links = self.shape[1]
+        slabs = [part[:r, where].reshape(-1, links)
+                 for r, where, __ in self.slabs]
+        return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
+
+    def _select(self, rows: slice, blacked: Optional[np.ndarray]):
+        """The bank index of the probed links of `rows`, and the mask
+        picking the same elements out of a ``(rows, links)`` array
+        (``...`` when no link is blacked out: every one, in whole
+        rows)."""
+        if blacked is None:
+            return rows, ...
+        probed = ~blacked[self.row_region[rows]]
+        row, link = np.nonzero(probed)
+        return (rows.start + row, link), probed
 
     def probe(self, now: float) -> Tuple[ReportBatch, List[int]]:
         """One probing instant of every region: representatives probe
@@ -408,94 +436,95 @@ class MonitoringBlock:
         """
         if self._stale:
             self._rebuild()
-        run = self._run
-        if run is None:
-            run = self._run = _Run(self)
-        if _TEL.enabled:
+        if _TEL.enabled and self._untraced:
             for probed in self.clusters:
-                probed.trace_election()
-        regions, links = run.hop.shape
-        blacked, fault_ids = self._blackouts(run, now)
-        monitoring, bank = self.monitoring, self.bank
+                if probed in self._untraced:
+                    probed.trace_election()
+            self._untraced.clear()
+        regions, links = self.shape
+        blacked, fault_ids = self._blackouts(now)
+        monitoring, bank, run = self.monitoring, self.bank, self.run
 
+        # The k-th representative of a region measures probe slot k.
         latency, __, jitter, lost = self.noise.at(now)
-        index, picked = run.select(run.rep_rows, run.rep_region, blacked)
-        lost = lost[run.rep_slot, run.rep_hop][picked]
+        slots = self.slabs[-1][0]
+        index, picked = self._select(slice(0, self.probers), blacked)
+        measured = self._slabs((latency[run] * jitter[:slots, run]).reshape(
+            slots, regions, links))[picked]
+        lost = self._slabs(lost[:slots, run].reshape(
+            slots, regions, links))[picked]
         burst_bytes(lost, monitoring)
-        bank.ingest(index, now,
-                    (latency[run.rep_hop] * jitter[run.rep_slot,
-                                                   run.rep_hop])[picked],
-                    lost / monitoring.packets_per_burst)
+        bank.ingest(index, now, measured, lost / monitoring.packets_per_burst)
         probed_links = ([links] * regions if blacked is None
                         else (links - blacked.sum(axis=1)).tolist())
         per_link = monitoring.packets_per_burst * monitoring.packet_bytes
-        for gateway, region in run.rep_gateways:
+        for gateway, region in self._probing:
             gateway.probe_bytes_sent += probed_links[region] * per_link
 
-        # One median and one strict-majority vote per representative
-        # count: a region that elected fewer is its own group.
-        groups, degraded = [], np.zeros((regions, links), dtype=bool)
-        for r, group, rows in run.groups:
-            groups.append((group, bank.latency_ms[rows], bank.loss_rate[rows]))
-            flagged = bank.degraded[rows]
-            if flagged.any():
-                degraded[group] = flagged.sum(axis=0) * 2 > r
+        # One median and one strict-majority vote per slab.
+        degraded = np.zeros(self.shape, dtype=bool)
+        for r, where, flagged in self._votes:
+            if np.count_nonzero(flagged):
+                degraded[where] = flagged.sum(axis=0) * 2 > r
         keep = None if blacked is None else ~blacked.ravel()
-        reports = self._grouping.aggregate(run.src, run.dst, run.tier,
-                                           groups, now, keep)
+        reports = self._grouping.aggregate(self.src, self.dst, self.tier,
+                                           self._groups, now, keep)
 
-        if len(run.member_rows):
+        rows, member = self._members
+        if len(member):
             if blacked is None:
-                group_latency = reports.latency_ms.reshape(regions, links)
-                group_loss = reports.loss_rate.reshape(regions, links)
+                group_latency = reports.latency_ms.reshape(self.shape)
+                group_loss = reports.loss_rate.reshape(self.shape)
             else:
-                group_latency = np.full((regions, links), np.nan)
-                group_loss = np.full((regions, links), np.nan)
+                group_latency = np.full(self.shape, np.nan)
+                group_loss = np.full(self.shape, np.nan)
                 group_latency.ravel()[keep] = reports.latency_ms
                 group_loss.ravel()[keep] = reports.loss_rate
-            index, picked = run.select(run.member_rows, run.member_region,
-                                       blacked)
-            member = run.member_region
+            index, picked = self._select(rows, blacked)
             bank.adopt(index, now, group_latency[member][picked],
                        group_loss[member][picked], degraded[member][picked])
 
         if _TEL.enabled:
-            self._trace(run, now, reports, degraded, blacked, fault_ids)
+            self._trace(now, reports, degraded, blacked, fault_ids)
+        if blacked is None:
+            return reports, self.bounds
         return reports, [0] + np.cumsum(probed_links).tolist()
 
-    def _blackouts(self, run: _Run, now: float):
-        """The ``(regions, links)`` mask of the run's blacked-out links
+    def _blackouts(self, now: float):
+        """The ``(regions, links)`` mask of the block's blacked-out links
         at `now` (None for none) and the ids of the faults behind it."""
         if self.faults is None:
             return None, ()
-        covered = self.faults.probe_blackout(run.hops, now)
+        covered = self.faults.probe_blackout(self.hops, now)
         if not covered:
             return None, ()
         self.faults.counters.probes_blacked_out += len(covered)
-        blacked = np.zeros(run.hop.size, dtype=bool)
+        blacked = np.zeros(len(self.hops), dtype=bool)
         blacked[list(covered)] = True
         fault_ids = {self.faults.fault_id(spec) for spec in covered.values()}
-        return blacked.reshape(run.hop.shape), sorted(fault_ids - {None})
+        return blacked.reshape(self.shape), sorted(fault_ids - {None})
 
-    def _trace(self, run: _Run, now: float, reports: ReportBatch,
-               degraded: np.ndarray, blacked: Optional[np.ndarray],
-               fault_ids) -> None:
+    def _trace(self, now: float, reports: ReportBatch, degraded: np.ndarray,
+               blacked: Optional[np.ndarray], fault_ids) -> None:
         """One `probe_round` event for the instant (and one
         `fault_probe_blackout` under a blackout), regions summed."""
         codes = [cluster.region for cluster in self.clusters]
         if blacked is not None:
             degraded = degraded & ~blacked
-        flagged = np.count_nonzero(degraded, axis=1)
+        per_region = {}
+        if np.count_nonzero(degraded):  # most instants flag nothing
+            flagged = np.count_nonzero(degraded, axis=1)
+            per_region = {codes[k]: int(flagged[k])
+                          for k in np.flatnonzero(flagged).tolist()}
         _TEL.counter("cluster.probe_rounds").inc()
         _TEL.event("probe_round", t=now, region="*",
-                   representatives=len(run.rep_rows), reports=len(reports),
-                   degraded_links=int(flagged.sum()),
-                   degraded={codes[k]: int(flagged[k])
-                             for k in np.flatnonzero(flagged).tolist()})
+                   representatives=self.probers, reports=len(reports),
+                   degraded_links=sum(per_region.values()),
+                   degraded=per_region)
         if blacked is not None:
             per_region = blacked.sum(axis=1)
             _TEL.counter("fault.probes_blacked_out").inc(
-                int(per_region @ run.reps))
+                int(per_region @ self.reps))
             hit = np.flatnonzero(per_region).tolist()
             _TEL.event("fault_probe_blackout", t=now,
                        region=codes[hit[0]] if len(hit) == 1 else "*",

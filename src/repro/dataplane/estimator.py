@@ -66,34 +66,48 @@ class EstimatorBank:
     def ingest(self, links, time: float, latency_ms, loss_rate) -> None:
         """Fold one sample per link of `links` into the estimates and
         step the detectors (an active burst or a passive window: the
-        monitoring module treats both alike)."""
+        monitoring module treats both alike).
+
+        One pass per operation, in place on the new state; with `links`
+        a slice (a block's slab) every read and write is a view.  A
+        fresh link (NaN: no sample yet) takes its sample as it is,
+        patched in only at an instant that has one."""
         alpha = self.monitoring.ewma_alpha
         reaction = self.reaction
         ewma_lat = self.latency_ms[links]
         ewma_loss = self.loss_rate[links]
         fresh = np.isnan(ewma_lat)
-        ewma_loss = np.where(
-            fresh, loss_rate, ewma_loss + alpha * (loss_rate - ewma_loss))
-        self.latency_ms[links] = np.where(
-            fresh, latency_ms, ewma_lat + alpha * (latency_ms - ewma_lat))
-        self.loss_rate[links] = ewma_loss
+        # ewma + alpha * (sample - ewma), rounded as written.
+        lat = latency_ms - ewma_lat
+        lat *= alpha
+        lat += ewma_lat
+        loss = loss_rate - ewma_loss
+        loss *= alpha
+        loss += ewma_loss
+        if np.count_nonzero(fresh):
+            lat = np.where(fresh, latency_ms, lat)
+            loss = np.where(fresh, loss_rate, loss)
+        self.latency_ms[links] = lat
+        self.loss_rate[links] = loss
         self.last_update[links] = time
 
         # A burst is bad on an instantaneous spike (latency over the
         # bound, or several packets of the burst lost) or when the EWMA
         # loss shows sustained moderate loss that single bursts cannot
         # resolve at 15-packet granularity.
-        bad = ((latency_ms > reaction.latency_threshold_ms)
-               | (loss_rate >= reaction.loss_threshold)
-               | (ewma_loss >= reaction.ewma_loss_threshold))
-        bad_run = np.where(bad, self.bad_run[links] + 1, 0)
-        good_run = np.where(bad, 0, self.good_run[links] + 1)
+        bad = latency_ms > reaction.latency_threshold_ms
+        bad |= loss_rate >= reaction.loss_threshold
+        bad |= loss >= reaction.ewma_loss_threshold
+        bad_run = self.bad_run[links] + 1
+        bad_run *= bad
+        good_run = self.good_run[links] + 1
+        good_run *= ~bad
         self.bad_run[links] = bad_run
         self.good_run[links] = good_run
         degraded = self.degraded[links]
         flipped = np.where(degraded, good_run >= reaction.recover_bursts,
                            bad_run >= reaction.trigger_bursts)
-        if flipped.any():
+        if np.count_nonzero(flipped):
             self.degradation_count[links] += flipped & ~degraded
             self.degraded[links] = degraded ^ flipped
 
@@ -109,7 +123,7 @@ class EstimatorBank:
         self.latency_ms[links] = latency_ms
         self.loss_rate[links] = loss_rate
         self.last_update[links] = time
-        if degraded.any():
+        if np.count_nonzero(degraded):
             self.degradation_count[links] += degraded & ~self.degraded[links]
         self.degraded[links] = degraded
         self.bad_run[links] = 0

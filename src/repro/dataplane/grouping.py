@@ -87,13 +87,17 @@ class ProbingGroupManager:
         """Median-aggregate representative measurements into reports.
 
         `src` / `dst` / `link_type` are the links' index arrays (into
-        `codes` and `TYPE_ORDER`, of one shape), and `groups` the
-        representatives' measurements as ``(where, latency, loss)``:
-        `latency` and `loss` of shape ``(representatives,) +
-        src[where].shape``, one group per representative count (a
-        region that elected fewer gateways has fewer rows to take the
-        median of).  One `ReportBatch` of the raveled links, or of the
-        ones the boolean `keep` selects from them.
+        `codes` and `TYPE_ORDER`), one region's links after another's,
+        and `groups` the representatives' measurements as ``(where,
+        latency, loss)``: `latency` and `loss` of shape
+        ``(representatives, regions, links)`` — or ``(representatives,
+        links)`` for one region — one group per representative count
+        (a region that elected fewer gateways has fewer rows to take
+        the median of), `where` picking the group's regions out of the
+        links as ``(regions, links)``.  One `ReportBatch` of the links,
+        or of the ones the boolean `keep` selects from them; without
+        `keep` its link columns are `src`, `dst` and `link_type`
+        themselves.
 
         The median is robust to one representative landing on an
         idiosyncratically-bad gateway link (Fig. 7 shows such divergence
@@ -101,19 +105,25 @@ class ProbingGroupManager:
         """
         if not groups:
             raise ValueError("no measurements to aggregate")
-        latency, loss = np.empty(np.shape(src)), np.empty(np.shape(src))
+        latency, loss = np.empty(len(src)), np.empty(len(src))
         for where, group_latency, group_loss in groups:
             if not len(group_latency):
                 raise ValueError("no measurements to aggregate")
-            latency[where] = _median(group_latency)
-            loss[where] = _median(group_loss)
-        columns = [np.ravel(column) for column in
-                   (src, dst, link_type, latency, loss)]
+            # The columns as (regions, links); no links, no regions.
+            links = group_latency.shape[-1]
+            regions = len(src) // links if links else 0
+            latency.reshape(regions, links)[where] = _median(group_latency)
+            loss.reshape(regions, links)[where] = _median(group_loss)
         if keep is not None:
-            columns = [column[keep] for column in columns]
-        src, dst, link_type, latency, loss = columns
+            src, dst, link_type, latency, loss = (
+                column[keep] for column in
+                (src, dst, link_type, latency, loss))
+        # The loss column is the batch's own: clip it in place.
+        np.maximum(loss, 0.0, out=loss)
+        np.minimum(loss, 1.0, out=loss)
+        reported_at = np.empty(len(src))
+        reported_at.fill(now)
         if _TEL.enabled:
             _AGG_COUNTERS.fetch(_TEL.metrics)[0].inc(len(src))
-        return ReportBatch(self.codes, src, dst, link_type, latency,
-                           np.minimum(np.maximum(loss, 0.0), 1.0),
-                           np.full(len(src), now))
+        return ReportBatch(self.codes, src, dst, link_type, latency, loss,
+                           reported_at)

@@ -173,7 +173,8 @@ class BurstNoise:
         if row is None:
             self._fill(now)
             row = 0
-        return tuple(part[row] for part in self._block)
+        latency, loss, jitter, lost = self._block
+        return latency[row], loss[row], jitter[row], lost[row]
 
     def _fill(self, now: float) -> None:
         """Evaluate the block that starts at `now`."""

@@ -45,11 +45,13 @@ def rounds(seed, count=9):
 
 
 def everything(nib):
-    """Every observable of a NIB, rings included."""
+    """Every observable of a NIB, rings included (after a read: the
+    first one folds the queued batches into them)."""
+    version = nib.version
     return {
         "rings": [ring.tobytes() for ring in (
             nib._ring_lat, nib._ring_loss, nib._ring_at, nib._ring_total)],
-        "version": nib.version, "len": len(nib),
+        "version": version, "len": len(nib),
         "export": json.dumps(nib.export_reports(), sort_keys=True),
         "latest": nib.latest_snapshot(CODES).lat.tobytes(),
         "robust": nib.robust_snapshot(CODES).loss.tobytes(),
@@ -243,7 +245,8 @@ class TestReportBatch:
     @pytest.mark.parametrize("field, value", [
         ("latency_ms", -1.0), ("latency_ms", float("nan")),
         ("loss_rate", 1.5), ("loss_rate", -0.1),
-        ("loss_rate", float("nan"))])
+        ("loss_rate", float("nan")), ("reported_at", float("nan")),
+        ("reported_at", float("inf")), ("reported_at", float("-inf"))])
     def test_range_checks_cover_the_arrays(self, field, value):
         batch = round_of("A", 3.0, np.random.default_rng(1))
         columns = dict(vars(batch))
@@ -251,3 +254,30 @@ class TestReportBatch:
         columns[field][3] = value
         with pytest.raises(ValueError):
             ReportBatch(**columns)
+
+    def test_a_nan_time_never_reaches_the_stale_rule(self):
+        """t = 100, then NaN, then 50 on one link: a stored NaN would
+        pass the stale rule (``at < NaN`` is False) and serve t = 50.
+        The NaN batch is refused; t = 50 stays stale."""
+        rng = np.random.default_rng(4)
+        nib = NetworkInformationBase(codes=CODES)
+        nib.update_many(round_of("A", 100.0, rng))
+        late = round_of("A", 50.0, rng)
+        columns = dict(vars(late))
+        columns["reported_at"] = np.full(len(late), np.nan)
+        with pytest.raises(ValueError, match="not finite"):
+            nib.update_many(ReportBatch(**columns))
+        nib.update_many(late)
+        assert nib.version == len(late)
+        assert {r.reported_at for r in nib_history(nib, "A", "B", I)} == {
+            100.0}
+
+    def test_rows_of_a_checked_batch_are_not_checked_again(self,
+                                                           monkeypatch):
+        batch = round_of("A", 3.0, np.random.default_rng(1))
+        checks = []
+        post_init = ReportBatch.__post_init__
+        monkeypatch.setattr(ReportBatch, "__post_init__",
+                            lambda self: checks.append(1) or post_init(self))
+        part = batch.take(slice(2, 5))
+        assert not checks and list(part) == list(batch)[2:5]

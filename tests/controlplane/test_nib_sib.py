@@ -27,6 +27,12 @@ class TestLinkReport:
         with pytest.raises(ValueError):
             _report(loss=1.5)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"),
+                                   float("-inf")])
+    def test_rejects_a_time_that_is_not_finite(self, t):
+        with pytest.raises(ValueError, match="not finite"):
+            _report(t=t)
+
 
 def _latest(nib, src="A", dst="B", lt=LinkType.INTERNET):
     return nib.latest_snapshot(["A", "B"]).lookup(src, dst, lt)
@@ -61,6 +67,20 @@ class TestNIB:
         assert _latest(nib)[0] == 100.0
         nib.update_many([_report(lat=300.0, t=20.0)])
         assert _latest(nib)[0] == 300.0
+
+    def test_a_nan_time_never_reaches_the_stale_rule(self):
+        """Stored, a NaN time would pass the link's next out-of-order
+        report (``at < NaN`` is False): t = 100, NaN, 50 would serve the
+        report of t = 50.  The NaN report is refused, so t = 50 stays
+        stale."""
+        nib = NetworkInformationBase(["A", "B"])
+        nib.update_many([_report(lat=100.0, t=100.0)])
+        with pytest.raises(ValueError):
+            nib.update_many([_report(lat=200.0, t=float("nan"))])
+        nib.update_many([_report(lat=300.0, t=50.0)])
+        assert _latest(nib)[0] == 100.0
+        assert nib_history(nib, "A", "B", LinkType.INTERNET) == [
+            _report(lat=100.0, t=100.0)]
 
     def test_snapshot_is_a_copy(self):
         nib = NetworkInformationBase(["A", "B"])

@@ -8,8 +8,10 @@ bursts and 220 link reports, pushed the reports into the NIB one by one
 and binary-searched every link's timeline twice; before the monitoring
 block it still ran one round, one median and one NIB batch per region;
 before the blocks every instant built a whole snapshot of the underlay
-and hashed its own draws.  Counting calls (not seconds) makes the guard
-exact and portable.
+and hashed its own draws; before the NIB queued its batches every
+instant wrote the rings, and every per-region slice of the reports
+checked their ranges again.  Counting calls (not seconds) makes the
+guard exact and portable.
 """
 
 import math
@@ -18,7 +20,10 @@ import sys
 import numpy as np
 import pytest
 
-from repro.controlplane.nib import LinkReport, NetworkInformationBase
+from repro.controlplane import membership
+from repro.controlplane import nib as nib_module
+from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
+                                    ReportBatch)
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.dataplane.estimator import EstimatorBank
@@ -35,10 +40,13 @@ START_S = 3600.0
 #: a little over two 30 s epochs.
 STEPS = 160
 
-#: What one probing instant calls, whatever the region count.
+#: What one probing instant calls, whatever the region count: one range
+#: check, of the batch `aggregate` makes (the membership table's
+#: per-region slices are rows of a checked batch).
 PER_INSTANT = {"NetworkInformationBase.update_many": 1,
                "ProbingGroupManager.aggregate": 1,
                "EstimatorBank.ingest": 1,
+               "ReportBatch.__post_init__": 1,
                "LinkReport.__init__": 0,
                "FaultInjector.probe_blackout": 1}
 
@@ -63,6 +71,7 @@ def calls(monkeypatch):
                         (NetworkInformationBase, "update_many"),
                         (ProbingGroupManager, "aggregate"),
                         (EstimatorBank, "ingest"),
+                        (ReportBatch, "__post_init__"),
                         (FaultInjector, "probe_blackout"),
                         (EventTimeline, "cover"),
                         (LinkTable, "block")):
@@ -97,12 +106,14 @@ def _run(underlay, calls):
     """Per-instant call counts, the readers' blocks, the timeline
     searches and the result of a run of two epochs on `underlay`, under
     a blackout of one region's links early on (the blackout query is
-    made once per instant, blacked out or not)."""
+    made once per instant, blacked out or not), with the membership
+    table taking every region's slice of the reports."""
     engine = EventDrivenXRON(
         underlay, DemandModel(underlay.regions, seed=3),
         sim_config=SimulationConfig(epoch_s=30.0, seed=3),
         faults=FaultSchedule.of(probe_blackout(START_S + 1.0, 2.0,
-                                               region=underlay.codes[1])))
+                                               region=underlay.codes[1])),
+        membership=membership())
     instants = []
     probe_round = engine._probe_round
 
@@ -226,3 +237,49 @@ def test_an_instant_draws_by_hash_alone(full_underlay, small_underlay,
     # Two one-instant blocks open the readers' grids; after them, a
     # block per 75 instants of a reader.
     assert len(blocks) <= 2 + 2 + len(instants) / 75
+
+
+def test_the_rings_are_written_when_read(small_underlay, monkeypatch):
+    """No report reaches the controller NIB's rings between two of its
+    reads: the probing instants queue their batches, and the next read
+    folds them all — except the folds the queue's bound forces, which a
+    bound of 20 batches makes happen here."""
+    engine = EventDrivenXRON(
+        small_underlay, DemandModel(small_underlay.regions, seed=3),
+        sim_config=SimulationConfig(epoch_s=30.0, seed=3))
+    nib = engine.controller.nib
+    links = nib._ring_total.size
+    monkeypatch.setattr(nib_module, "FOLD_SLOTS", 20 * links)
+    reading, folds = [0], []
+
+    def read(name):
+        original = getattr(NetworkInformationBase, name)
+
+        def counted(self, *args):
+            reading[0] += self is nib
+            try:
+                return original(self, *args)
+            finally:
+                reading[0] -= self is nib
+        monkeypatch.setattr(NetworkInformationBase, name, counted)
+
+    for name in ("__len__", "latest_snapshot", "robust_snapshot",
+                 "export_reports"):
+        read(name)
+    fold = NetworkInformationBase._fold
+
+    def folding(self):
+        if self is nib and self._pending:
+            folds.append((bool(reading[0]), len(self._pending)))
+        fold(self)
+    monkeypatch.setattr(NetworkInformationBase, "_fold", folding)
+    with engine:
+        engine.run(START_S, 0.4 * STEPS + 0.2)
+
+    on_read = [batches for read_, batches in folds if read_]
+    on_bound = [batches for read_, batches in folds if not read_]
+    # The boot epoch reads the boot round's batch; each of the next two
+    # reads what the bound left of its 75 instants.  What the run ends
+    # with is still queued.
+    assert on_read == [1, 15, 15] and on_bound == [20] * 6
+    assert sum(on_read + on_bound) + len(nib._pending) == STEPS + 2

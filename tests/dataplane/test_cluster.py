@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataplane.cluster import RegionCluster
+from repro.dataplane.cluster import MonitoringBlock, RegionCluster
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.events import DegradationEvent
@@ -295,3 +295,15 @@ class TestTelemetry:
         for k in range(12):
             cluster.probe_round(9.0 + k * 0.4)
         assert cluster.degradation_detections() >= 1
+
+
+def test_a_block_is_one_run_of_its_noise(underlay, cluster):
+    """A block's bursts and reports are its noise's columns as they lie:
+    its regions must be a run of the noise's, in their order."""
+    codes = underlay.codes
+    clusters = [RegionCluster(code, underlay, noise=cluster.noise)
+                for code in codes]
+    assert MonitoringBlock(clusters[1:3]).shape == (2, 2 * (len(codes) - 1))
+    for picked in (clusters[::-1], [clusters[0], clusters[2]]):
+        with pytest.raises(ValueError, match="one run"):
+            MonitoringBlock(picked)

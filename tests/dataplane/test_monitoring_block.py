@@ -13,7 +13,7 @@ count must be bit-equal.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dataplane.cluster import MonitoringBlock, RegionCluster, probe_noise
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
@@ -87,6 +87,14 @@ def assert_same_state(blocked, alone):
                       max_size=len(CODES)),
        threshold=st.integers(0, LINKS - 1), schedule=blackouts,
        history=steps)
+# Ragged slabs: the first region has fewer gateways than R, and a crash
+# mid-history takes the last one to a single gateway, under a blackout.
+@example(seed=7, representatives=3, fleet=[2, 5, 3, 6], threshold=1,
+         schedule=[probe_blackout(T0 + 1.0, 1.0, region=CODES[1],
+                                  dst=None, link_type=None)],
+         history=[("probe", 3), ("crash", CODES[3], 5), ("probe", 2),
+                  ("passive", CODES[3], 0, [(0, 450.0, 9)]),
+                  ("restore", CODES[0], 1), ("probe", 3)])
 def test_the_block_is_every_cluster_round_at_once(
         seed, representatives, fleet, threshold, schedule, history):
     # The latency bound sits on one link's true latency, so jitter alone
