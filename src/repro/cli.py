@@ -587,7 +587,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     if rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.fn(args)
-
-
-if __name__ == "__main__":  # pragma: no cover - module CLI
-    sys.exit(main())

@@ -102,7 +102,6 @@ class Controller:
                  pricing: Optional[PricingModel] = None, *,
                  symmetric_only: bool = False,
                  premium_only: bool = False,
-                 internet_only: bool = False,
                  nib_window: int = 1,
                  sib_params: Optional[Dict[str, int]] = None,
                  workload: Optional[object] = None,
@@ -118,14 +117,11 @@ class Controller:
         ``export_state``/``import_state``, e.g. a
         `repro.traffic.cohorts.CohortWorkload` for planet-scale region
         sets (default: the per-chunk `StreamWorkload`)."""
-        if premium_only and internet_only:
-            raise ValueError("choose at most one of premium/internet only")
         self.codes = list(codes)
         self.config = config if config is not None else ControlConfig()
         self.pricing = pricing
         self.symmetric_only = symmetric_only
         self.premium_only = premium_only
-        self.internet_only = internet_only
         self.nib = NetworkInformationBase(window=nib_window,
                                           codes=self.codes)
         self.sib = StreamInformationBase(self.codes, **(sib_params or {}))
@@ -160,9 +156,6 @@ class Controller:
         if self.premium_only:
             snap.lat[TYPE_INDEX[LinkType.INTERNET]] = np.inf
             snap.loss[TYPE_INDEX[LinkType.INTERNET]] = 1.0
-        if self.internet_only:
-            snap.lat[TYPE_INDEX[LinkType.PREMIUM]] = np.inf
-            snap.loss[TYPE_INDEX[LinkType.PREMIUM]] = 1.0
         if self.symmetric_only:
             snap = snap.symmetric()
         return snap

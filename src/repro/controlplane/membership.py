@@ -170,11 +170,9 @@ class MembershipExtension:
         self.engine = engine
         self.table = MembershipTable()
 
-    def reports_delivered(self, cluster, reports, now: float) -> None:
-        """One region's probe batch reached the controller: refresh its
+    def reports_delivered(self, cluster, now: float) -> None:
+        """Reports of one region reached the controller: refresh its
         soft-state liveness — unless a churn fault eats the refresh."""
-        if not reports:
-            return
         faults = self.engine.faults
         spec = faults.membership_churn(cluster.region, now)
         if spec is not None:

@@ -15,7 +15,7 @@ The exact problem is NP-hard (multi-commodity flow with integral paths);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.underlay.linkstate import LinkType
 
@@ -51,48 +51,26 @@ def latency_limit_ms(direct_premium_latency_ms: float) -> float:
 
 @dataclass(frozen=True)
 class OverlayPath:
-    """A forwarding path from a source region to a destination region."""
+    """A forwarding path from a source region to a destination region.
+
+    Its hops are connected by construction (a route row of the solver,
+    `direct`, `via`): nothing checks them again.
+    """
 
     hops: Tuple[PathHop, ...]
-    #: All regions the path touches, source first.  Derived from `hops`
-    #: and set where the path is constructed (every consumer reads it,
-    #: several times per assignment), so it takes no part in equality,
-    #: hashing or the repr.
-    regions: Tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.hops:
-            raise ValueError("a path needs at least one hop")
-        for (a, b), (c, __) in zip(
-                [(h[0], h[1]) for h in self.hops[:-1]],
-                [(h[0], h[1]) for h in self.hops[1:]]):
-            if b != c:
-                raise ValueError(f"disconnected hops in path {self.hops}")
-        object.__setattr__(self, "regions", _regions_of(self.hops))
+    #: All regions the path touches, source first: what `hops` visit,
+    #: passed by the constructor's caller, who holds it already (every
+    #: consumer reads it, several times per assignment).  It takes no
+    #: part in equality, hashing or the repr.
+    regions: Tuple[str, ...] = field(repr=False, compare=False)
 
     @property
     def dst(self) -> str:
         return self.hops[-1][1]
 
     @staticmethod
-    def unchecked(hops: Tuple[PathHop, ...],
-                  regions: Optional[Tuple[str, ...]] = None) -> "OverlayPath":
-        """Construct without the connectivity check.
-
-        For callers whose hops are connected by construction (a route
-        row of the solver, `via`): `__post_init__` would re-validate
-        what the construction already guarantees.  Such a caller usually
-        holds the region sequence too and passes it as `regions`.
-        """
-        path = object.__new__(OverlayPath)
-        object.__setattr__(path, "hops", hops)
-        object.__setattr__(path, "regions", regions if regions is not None
-                           else _regions_of(hops))
-        return path
-
-    @staticmethod
     def direct(src: str, dst: str, link_type: LinkType) -> "OverlayPath":
-        return OverlayPath.unchecked(((src, dst, link_type),), (src, dst))
+        return OverlayPath(((src, dst, link_type),), (src, dst))
 
     @staticmethod
     def via(regions: Sequence[str], link_type: LinkType) -> "OverlayPath":
@@ -101,11 +79,7 @@ class OverlayPath:
             raise ValueError("need at least src and dst")
         hops = tuple((regions[i], regions[i + 1], link_type)
                      for i in range(len(regions) - 1))
-        return OverlayPath.unchecked(hops, tuple(regions))
-
-
-def _regions_of(hops: Tuple[PathHop, ...]) -> Tuple[str, ...]:
-    return (hops[0][0],) + tuple(h[1] for h in hops)
+        return OverlayPath(hops, tuple(regions))
 
 
 @dataclass

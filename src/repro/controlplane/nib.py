@@ -290,55 +290,54 @@ class NetworkInformationBase:
         """Ingest a probing round's `ReportBatch`, or any sequence of
         `LinkReport`s (each link's reports apply in sequence order).
 
-        The fault seam is consulted once per batch, as it arrives:
-        exactly the reports a report fault touches pass through
-        `filter_report`, in order; a dropped one leaves the batch, a
-        staled one keeps its shifted values.  The batch then waits for
-        the next fold, as it is: its arrays must not change after the
-        call.  A list is folded at once.
+        A list becomes one batch, in order.  The fault seam is consulted
+        once per batch, as it arrives: exactly the reports a report
+        fault touches pass through `filter_report`, in order; a dropped
+        one leaves the batch, a staled one keeps its shifted values.  A
+        probing round's batch then waits for the next fold, as it is:
+        its arrays must not change after the call.  A list is folded at
+        once.
         """
-        if isinstance(reports, ReportBatch):
-            touched = (self.fault_filter.reports_matched(reports)
-                       if self.fault_filter is not None else ())
-            if touched:
-                reports = self._filtered_batch(reports, touched)
-            self._append(reports)
-            return
-        if self.fault_filter is not None:
-            reports = [self._filtered(report) for report in reports]
-        self._store_reports(reports)
+        probed = isinstance(reports, ReportBatch)
+        batch = reports if probed else self._batch_of(list(reports))
+        touched = (self.fault_filter.reports_matched(batch)
+                   if self.fault_filter is not None else ())
+        if touched:
+            batch = self._filtered_batch(batch, touched)
+        if probed:
+            self._append(batch)
+        else:
+            self._store_layers(batch)
 
-    def _store_reports(self, reports: Iterable[Optional[LinkReport]]
-                       ) -> None:
-        """`_store` the reports (None = dropped on the way) as batches
-        after the queued ones: the k-th report of every link forms the
-        k-th one, so links are distinct inside a batch and a link's
-        reports keep their order.
-
-        Each column is built once, and a report's batch is its rank
-        among its link's reports: one stable sort over integer link
-        keys.
-        """
-        kept = [report for report in reports if report is not None]
-        if not kept:
-            return
-        size = len(kept)
-        src = [report.src for report in kept]
-        dst = [report.dst for report in kept]
+    def _batch_of(self, reports: List[LinkReport]) -> ReportBatch:
+        """The reports as one batch, in order: each column built once."""
+        size = len(reports)
+        src = [report.src for report in reports]
+        dst = [report.dst for report in reports]
         try:
             src_i, dst_i = self._indices(src, size), self._indices(dst, size)
         except KeyError:
             raise self._unknown(src + dst) from None
         # An identity test per report: hashing an enum member is slow.
-        premium = np.fromiter(map(is_, [report.link_type for report in kept],
+        premium = np.fromiter(map(is_, [report.link_type
+                                        for report in reports],
                                   repeat(LinkType.PREMIUM)), bool, size)
-        batch = ReportBatch(
+        return ReportBatch(
             self._own, src_i, dst_i,
             np.where(premium, TYPE_INDEX[LinkType.PREMIUM],
                      TYPE_INDEX[LinkType.INTERNET]),
-            np.array([report.latency_ms for report in kept], dtype=float),
-            np.array([report.loss_rate for report in kept], dtype=float),
-            np.array([report.reported_at for report in kept], dtype=float))
+            np.array([report.latency_ms for report in reports], dtype=float),
+            np.array([report.loss_rate for report in reports], dtype=float),
+            np.array([report.reported_at for report in reports], dtype=float))
+
+    def _store_layers(self, batch: ReportBatch) -> None:
+        """`_store` a batch after the queued ones as layers: the k-th
+        report of every link forms the k-th, so links are distinct
+        inside a layer and a link's reports keep their order.
+
+        A report's layer is its rank among its link's reports: one
+        stable sort over integer link keys.
+        """
         n = len(self._codes)
         key = (batch.tier * n + batch.src) * n + batch.dst
         order = np.argsort(key, kind="stable")
@@ -349,10 +348,10 @@ class NetworkInformationBase:
             return
         # Rank within the link: position in the sorted run minus the
         # position where the link's run starts.
-        position = np.arange(size)
+        position = np.arange(len(batch))
         starts = np.maximum.accumulate(
             np.where(np.concatenate(([False], repeated)), 0, position))
-        layer = np.empty(size, dtype=np.intp)
+        layer = np.empty(len(batch), dtype=np.intp)
         layer[order] = position - starts
         self._store(*(batch.take(layer == k)
                       for k in range(int(layer.max()) + 1)))
@@ -468,13 +467,13 @@ class NetworkInformationBase:
         read, not a network report delivery, so injected report faults
         must not reapply to it.
         """
-        self._store_reports(
+        self._store_layers(self._batch_of([
             LinkReport(src=doc["src"], dst=doc["dst"],
                        link_type=LinkType(doc["link_type"]),
                        latency_ms=float(doc["latency_ms"]),
                        loss_rate=float(doc["loss_rate"]),
                        reported_at=float(doc["reported_at"]))
-            for doc in docs)
+            for doc in docs]))
 
     def __len__(self) -> int:
         self._fold()

@@ -199,7 +199,7 @@ class _RouteTable:
                 (regions[h], regions[h + 1],
                  LinkType.INTERNET if row[n_hops + 1 + h] < premium_base
                  else LinkType.PREMIUM) for h in range(n_hops)])
-            path = self._paths[rid] = OverlayPath.unchecked(hops, regions)
+            path = self._paths[rid] = OverlayPath(hops, regions)
         return path
 
 
@@ -671,7 +671,7 @@ def _place(values: np.ndarray, remaining: np.ndarray, order: np.ndarray,
 
 
 #: Stream orderings path_control supports; "latency_desc" is the paper's.
-ORDERINGS = ("latency_desc", "latency_asc", "demand_desc", "input")
+ORDERINGS = ("latency_desc", "latency_asc", "demand_desc")
 #: Graph rebuilds one solve may make before its unplaced streams fall
 #: through to the best-effort pass (with a warning).
 REBUILD_BUDGET = 40
@@ -728,8 +728,6 @@ def path_control(streams: StreamTable, codes: List[str],
         each one's pair index into `sp`; the latency orderings key a
         non-finite latency as 0.0, and every sort is stable."""
         flat = sp.index(src_idx[active], dst_idx[active])
-        if ordering == "input":
-            return active, flat
         if ordering == "demand_desc":
             keys = -streams.mbps[active]
         else:

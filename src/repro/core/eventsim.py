@@ -83,7 +83,7 @@ HOOKS = (
     "unreachable",           # (now) -> regions the controller cannot reach
     "reports_lost",          # (now) -> True: no batch reaches the controller
     "reports_severed",       # (cluster, reports, now): an unreachable one's
-    "reports_delivered",     # (cluster, reports, now): the NIB took this one
+    "reports_delivered",     # (cluster, now): the NIB took its reports
     "epoch_start",           # (sim, unreachable): every boundary, gated or not
     "epoch_gate",            # (now) -> what stops the controller, or None
     "epoch_skipped",         # (sim, cause, unreachable): a gate closed
@@ -389,8 +389,9 @@ class EventDrivenXRON:
     def _probe_round(self, sim: Simulator) -> None:
         """One probing instant: the monitoring block's pass over every
         region, then one NIB batch of the reachable regions' reports.
-        The per-region hooks get their region's slice of the reports,
-        cut only for a hook that is there to take it."""
+        A severed region's hooks get its slice of the reports, cut only
+        for a hook that is there to take it; a delivered one's fire when
+        the slice holds a report."""
         now = sim.now
         unreachable = self.unreachable(now)
         lost = any(hook(now) for hook in self.hooks("reports_lost"))
@@ -414,11 +415,10 @@ class EventDrivenXRON:
         delivered = self.hooks("reports_delivered")
         if delivered:
             for k, cluster in enumerate(block.clusters):
-                if k in severed:
+                if k in severed or bounds[k] == bounds[k + 1]:
                     continue
-                part = reports.take(slice(bounds[k], bounds[k + 1]))
                 for hook in delivered:
-                    hook(cluster, part, now)
+                    hook(cluster, now)
 
     def _flush_passive(self, sim: Simulator) -> None:
         for cluster in self.clusters.values():

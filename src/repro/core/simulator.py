@@ -65,9 +65,8 @@ _BLOCK_ELEMENTS = 1 << 17
 class _EpochLinkCache:
     """Per-epoch, per-hop link series and reaction flags, computed once.
 
-    The simulator fills it a list of hops at a time (`fill`); a hop
-    asked for without having been announced is a block of one through
-    the same code.
+    The simulator fills it a list of hops at a time (`fill`), every hop
+    before it asks for it.
     """
 
     def __init__(self, underlay: Underlay, t0: float, t1: float,
@@ -94,14 +93,11 @@ class _EpochLinkCache:
             0, bursts.size - 1)
 
     def series(self, hop: PathHop) -> Tuple[np.ndarray, np.ndarray]:
-        if hop not in self._series:
-            self.fill([hop], probe=False)
+        """A filled hop's (latency, loss) on the eval grid."""
         return self._series[hop]
 
     def reaction(self, hop: PathHop) -> np.ndarray:
         """Burst-level degradation detection, resampled to the eval grid."""
-        if hop not in self._reaction:
-            self.fill([hop])
         return self._reaction[hop]
 
     def fill(self, hops: Iterable[PathHop], probe: bool = True) -> None:

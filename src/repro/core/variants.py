@@ -43,8 +43,7 @@ class VariantSpec:
         """The `Controller` restrictions this version imposes on path
         control (applied by `repro.core.config.build_controller`)."""
         return {"symmetric_only": self.symmetric_only,
-                "premium_only": not self.internet_allowed,
-                "internet_only": not self.premium_allowed}
+                "premium_only": not self.internet_allowed}
 
 
 def xron() -> VariantSpec:

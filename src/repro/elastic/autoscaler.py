@@ -37,7 +37,6 @@ class Autoscaler(Protocol):
 
     def decide(self, slot: int, observed_demand_mbps: float) -> int:
         """Target containers, given the demand measured in the last slot."""
-        ...
 
 
 def _containers_for(demand_mbps: float, container_capacity_mbps: float,

@@ -125,14 +125,7 @@ class FaultSpec:
     regions: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, FaultKind):
-            object.__setattr__(self, "kind", FaultKind(self.kind))
-        if not isinstance(self.regions, tuple):
-            object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "regions", tuple(sorted(self.regions)))
-        if self.link_type is not None and not isinstance(self.link_type,
-                                                         LinkType):
-            object.__setattr__(self, "link_type", LinkType(self.link_type))
         if not math.isfinite(self.start_s):
             raise ValueError(f"start_s must be finite, got {self.start_s}")
         if self.duration_s <= 0:
@@ -249,12 +242,6 @@ class FaultSchedule:
     # -------------------------------------------------------------- queries
     def __bool__(self) -> bool:
         return bool(self.specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __iter__(self):
-        return iter(self.specs)
 
     def by_kind(self, kind: FaultKind) -> List[FaultSpec]:
         return [s for s in self.specs if s.kind is kind]

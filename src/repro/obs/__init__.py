@@ -79,8 +79,7 @@ class Telemetry:
     def gauge(self, name: str) -> Gauge:
         return self.metrics.gauge(name) if self.enabled else NULL_GAUGE
 
-    def histogram(self, name: str,
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
+    def histogram(self, name: str, buckets: Sequence[float]) -> Histogram:
         if not self.enabled:
             return NULL_HISTOGRAM
         return self.metrics.histogram(name, buckets)
@@ -192,12 +191,12 @@ def capture() -> Iterator[Telemetry]:
     """
     was_enabled = _HUB.enabled
     ambient_stream = _HUB.detach_stream(close=False)
-    _HUB.reset()
-    _HUB.enabled = True
+    reset()
+    enable()
     try:
         yield _HUB
     finally:
-        _HUB.enabled = was_enabled
+        (enable if was_enabled else disable)()
         if _HUB.stream is not None:
             # A stream attached inside the block would otherwise leak
             # into the surrounding run; finalize it with the window's

@@ -20,13 +20,7 @@ error and raises.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-#: Default histogram buckets: generic latency-ish spread (milliseconds
-#: or seconds, the caller picks the unit and says so in the name).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0,
-    500.0, 1000.0)
+from typing import Dict, List, Sequence, Tuple, Union
 
 
 class Counter:
@@ -73,8 +67,7 @@ class Histogram:
                  "min", "max")
     kind = "histogram"
 
-    def __init__(self, name: str,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
+    def __init__(self, name: str, buckets: Sequence[float]):
         if not buckets or list(buckets) != sorted(set(buckets)):
             raise ValueError(f"histogram {name} needs strictly increasing "
                              f"bucket bounds, got {buckets!r}")
@@ -157,12 +150,6 @@ class MetricsRegistry:
         #: the registry was cleared underneath them and re-fetch.
         self.generation = 0
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
     def _get_or_create(self, name: str, cls, *args) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
@@ -179,17 +166,15 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str,
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
+    def histogram(self, name: str, buckets: Sequence[float]) -> Histogram:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = Histogram(name, buckets if buckets is not None
-                               else DEFAULT_BUCKETS)
+            metric = Histogram(name, buckets)
             self._metrics[name] = metric
         elif type(metric) is not Histogram:
             raise TypeError(f"metric {name!r} already registered as "
                             f"{metric.kind}, requested histogram")
-        elif buckets is not None and tuple(buckets) != metric.bounds:
+        elif tuple(buckets) != metric.bounds:
             raise ValueError(f"histogram {name!r} already registered with "
                              f"buckets {metric.bounds}")
         return metric

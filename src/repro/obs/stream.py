@@ -44,6 +44,10 @@ from repro.obs.trace import TraceEvent
 #: Default rotation threshold: 4 MB per part.
 DEFAULT_MAX_BYTES = 4_000_000
 
+#: One line's JSON: `json.dumps(doc, sort_keys=True)` without building
+#: an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 class TelemetryStream:
     """Rotating, crash-safe JSONL writer for live telemetry."""
@@ -127,14 +131,6 @@ class TelemetryStream:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "TelemetryStream":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # No registry here: the owner flushes final deltas explicitly
-        # (or closes via `Telemetry.detach_stream`, which does).
-        self.close()
-
     # ------------------------------------------------------------- internal
     def _part_path(self, part: int) -> Path:
         return self._directory / f"{self._stem}.{part:05d}{self._suffix}"
@@ -149,13 +145,13 @@ class TelemetryStream:
         header = {"record": "header", "schema": TELEMETRY_SCHEMA,
                   "stream": self._stem, "part": part}
         header.update(self._meta)
-        line = json.dumps(header, sort_keys=True) + "\n"
+        line = _encode(header) + "\n"
         self._fh.write(line)
         self._fh.flush()
         self._bytes += len(line)
 
     def _write_record(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = _encode(record) + "\n"
         # Rotate BEFORE the write that would overflow — but never rotate
         # a part that holds only its header, or an oversized single
         # record would rotate forever without landing anywhere.

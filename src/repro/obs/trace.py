@@ -104,10 +104,6 @@ class TraceEvent:
         self.seq = seq              #: emission order, unique per tracer
         self.fields = {} if fields is None else fields
 
-    def __repr__(self) -> str:
-        return (f"TraceEvent(kind={self.kind!r}, t={self.t!r}, "
-                f"seq={self.seq!r}, fields={self.fields!r})")
-
     def to_json(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {"kind": self.kind, "seq": self.seq}
         if self.t is not None:
@@ -147,9 +143,6 @@ class Tracer:
         #: Live observers of every recorded event (streaming exporters,
         #: SLO engines).  Survive `reset()`: lifecycle is the owner's job.
         self._sinks: List[Callable[[TraceEvent], None]] = []
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def record(self, kind: str, t: Optional[float] = None,
                **fields: Any) -> None:

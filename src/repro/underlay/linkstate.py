@@ -40,9 +40,6 @@ class LinkType(enum.Enum):
     INTERNET = "internet"
     PREMIUM = "premium"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 def busy_factor(hours_local) -> np.ndarray:
     """Smooth 0..1 'how busy is the Internet here' diurnal curve.
@@ -62,7 +59,8 @@ def busy_factor(hours_local) -> np.ndarray:
 class LinkProcess:
     """One directed link as a function of virtual time: a view of its
     row of the underlay's `LinkTable`, evaluated through the table's
-    `series` for any shape of `t` (`Underlay.link` hands these out)."""
+    `series` for any shape of `t` whose instants ascend in C order
+    (`Underlay.link` hands these out)."""
 
     __slots__ = ("src", "dst", "link_type", "_table", "_row")
 
@@ -79,10 +77,6 @@ class LinkProcess:
         """The link's degradation timeline (`Underlay.set_timeline`
         swaps it)."""
         return self._table.timelines[self._row]
-
-    @property
-    def base_latency_ms(self) -> float:
-        return float(self._table.base_latency_ms[self._row])
 
     # ------------------------------------------------------------------ api
     def latency_ms(self, t) -> np.ndarray:
@@ -122,7 +116,3 @@ class LinkProcess:
         lat, loss = self._table.series(
             [(self.src.code, self.dst.code, self.link_type)], t.ravel())
         return lat[0].reshape(t.shape)[()], loss[0].reshape(t.shape)[()]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"LinkProcess({self.src.code}->{self.dst.code}, "
-                f"{self.link_type.value}, base={self.base_latency_ms:.1f}ms)")

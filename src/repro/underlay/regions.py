@@ -36,9 +36,6 @@ class Region:
     #: per metro market.
     pricing_tier: str = "standard"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.code
-
 
 #: An ordered (source, destination) region pair. Order matters everywhere:
 #: link states, pricing, and forwarding are all directional.

@@ -63,14 +63,6 @@ class LinkStateSnapshot:
 
     # ---------------------------------------------------------------- build
     @classmethod
-    def empty(cls, codes: Sequence[str],
-              t: Optional[float] = None) -> "LinkStateSnapshot":
-        """All links missing: latency inf, loss 1."""
-        n = len(codes)
-        return cls(codes, np.full((2, n, n), np.inf),
-                   np.ones((2, n, n)), t)
-
-    @classmethod
     def from_underlay(cls, underlay, t: float) -> "LinkStateSnapshot":
         """Every link of `underlay` at instant `t`, in one vectorised
         pass over its `LinkTable`."""
@@ -129,10 +121,6 @@ class LinkStateSnapshot:
         jj = np.fromiter((index[d] for d in dsts), dtype=np.intp,
                          count=len(dsts))
         return self.lat[TYPE_INDEX[link_type], ii, jj]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        at = "" if self.t is None else f" @ t={self.t:.0f}s"
-        return f"LinkStateSnapshot({len(self.codes)} regions{at})"
 
 
 #: Least span of simulated time a reader's piece window covers: a
@@ -552,25 +540,20 @@ class LinkTable:
         """(latency_ms, loss_rate), each ``(len(hops), len(times))``, of
         the directed links `hops` = [(src, dst, LinkType)] over `times`.
 
-        `times` is any 1-d sequence of instants up to the horizon —
-        unsorted, repeated, one or none: column ``k`` is the links'
-        state at ``times[k]`` whatever stands around it (an unsorted
-        grid is evaluated in ascending order and put back).
+        `times` is any ascending 1-d sequence of instants up to the
+        horizon — repeated, one or none: column ``k`` is the links'
+        state at ``times[k]`` whatever stands around it.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise ValueError(f"times must be 1-d, got shape {times.shape}")
+        if np.any(times[1:] < times[:-1]):
+            raise ValueError("times must be in ascending order")
         rows = self.rows
         keys = [rows[hop] for hop in hops]
         if not len(keys) or not times.size:
             return (np.zeros((len(keys), times.size)),
                     np.zeros((len(keys), times.size)))
-        if np.any(times[1:] < times[:-1]):
-            order = np.argsort(times, kind="stable")
-            lat, loss = self.series(hops, times[order])
-            asked = np.empty_like(order)
-            asked[order] = np.arange(order.size)
-            return lat[:, asked], loss[:, asked]
         self.check_horizon(float(times[-1]))
         lat_add, loss_add = self.timeline_series(keys, times)
         ti, ii, jj = (np.array(k, dtype=np.intp) for k in zip(*keys))

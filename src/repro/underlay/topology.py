@@ -97,14 +97,13 @@ class Underlay:
         `times`, each of shape ``(len(hops), len(times))``.
 
         The whole block costs one vectorised pass over the table.
-        `times` is any 1-d sequence of instants: unsorted, repeated, a
-        single one or none give the columns of the sorted call in the
-        order asked.  An instant exactly on a breakpoint of a link's
+        `times` is any ascending 1-d sequence of instants: repeated, a
+        single one or none.  An instant exactly on a breakpoint of a link's
         degradation timeline takes the piece that starts there, one
         before the timeline's first breakpoint adds 0.0, and a timeline
         whose first breakpoint lies after ``max(times)`` costs the pass
-        nothing.  An instant past the generated horizon is a
-        `ValueError`, a hop that is not a link a `KeyError`.
+        nothing.  Instants out of order or past the generated horizon
+        are a `ValueError`, a hop that is not a link a `KeyError`.
         """
         return self.table.series(hops, times)
 

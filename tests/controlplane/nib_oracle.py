@@ -3,7 +3,7 @@
 `store_reports` is the report-list ingest as it was written before the
 array pass: one dict of tuple keys, one `LinkReport` list per layer,
 one `ReportBatch` built from each layer's reports — the oracle
-`NetworkInformationBase._store_reports` is tested against
+`NetworkInformationBase._store_layers` is tested against
 (`tests/controlplane/test_nib_batch.py`).  `ReportListNIB` is the whole
 NIB as per-link report lists, one report at a time, the oracle of its
 queued batches and their fold.  Nothing in `src/` imports this module.

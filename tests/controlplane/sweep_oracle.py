@@ -129,8 +129,6 @@ def path_control(streams: StreamTable, codes: List[str],
                 ) -> Tuple[List[int], List[int]]:
         pos = np.asarray(active, dtype=np.intp)
         flat = sp.index(src_idx[pos], dst_idx[pos])
-        if ordering == "input":
-            return active, flat.tolist()
         if ordering == "demand_desc":
             keys = -streams.mbps[pos]
         else:

@@ -61,15 +61,6 @@ def test_missing_link_state_treated_as_unusable():
     assert not out.path_result.assignments
 
 
-def test_internet_only_never_uses_premium(small_containers):
-    ctrl = Controller(CODES, ControlConfig(), internet_only=True)
-    _push_states(ctrl)
-    out = ctrl.run_epoch(0.0, _matrix(), {c: 8 for c in CODES})
-    assert out.path_result.assignments
-    for a in out.path_result.assignments:
-        assert all(t is LinkType.INTERNET for __, __, t in a.path.hops)
-
-
 def test_premium_only_never_uses_internet(small_containers):
     ctrl = Controller(CODES, ControlConfig(), premium_only=True)
     _push_states(ctrl)
@@ -77,11 +68,6 @@ def test_premium_only_never_uses_internet(small_containers):
     assert out.path_result.assignments
     for a in out.path_result.assignments:
         assert all(t is LinkType.PREMIUM for __, __, t in a.path.hops)
-
-
-def test_conflicting_variant_flags_rejected():
-    with pytest.raises(ValueError):
-        Controller(CODES, premium_only=True, internet_only=True)
 
 
 def test_symmetric_controller_averages_directions():

@@ -72,7 +72,7 @@ def reported_state(nib, a, b, lt, robust=False):
 def planned_state(ctrl, a, b, lt):
     """What the solver must see for one link under `ctrl`'s variant."""
     missing = (np.inf, 1.0)
-    if (ctrl.premium_only and lt is I) or (ctrl.internet_only and lt is P):
+    if ctrl.premium_only and lt is I:
         return missing
     robust = ctrl.nib.window > 1
     fwd = reported_state(ctrl.nib, a, b, lt, robust)
@@ -140,7 +140,6 @@ class TestControllerLinkSnapshot:
     @pytest.mark.parametrize("kwargs", [
         {},
         {"premium_only": True},
-        {"internet_only": True},
         {"symmetric_only": True},
         {"nib_window": 4},
         {"symmetric_only": True, "nib_window": 4},

@@ -43,8 +43,8 @@ EPOCH_CONTAINERS = 1000
 @pytest.fixture()
 def built(monkeypatch):
     """Construction counts of the boundary classes, by class name,
-    through every door (`__init__`, and `unchecked` — so `via` /
-    `direct` — for paths)."""
+    through their one door, `__init__` (`via` / `direct` build paths
+    through it too)."""
     counts = {"Stream": 0, "ReactionPlan": 0, "Assignment": 0,
               "OverlayPath": 0}
 
@@ -57,8 +57,6 @@ def built(monkeypatch):
     for cls in (Stream, ReactionPlan, Assignment, OverlayPath):
         monkeypatch.setattr(cls, "__init__",
                             counted(cls.__name__, cls.__init__))
-    monkeypatch.setattr(OverlayPath, "unchecked", staticmethod(
-        counted("OverlayPath", OverlayPath.unchecked)))
     return counts
 
 

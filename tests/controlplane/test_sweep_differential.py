@@ -155,7 +155,8 @@ def oracle(snap, streams, config, capacity, gateways, ordering,
 
 
 def one_link(capacity, wants):
-    """R0 -> R1 over one Internet link of `capacity`, in input order."""
+    """R0 -> R1 over one Internet link of `capacity`, in input order
+    (the streams tie on latency, and every ordering's sort is stable)."""
     lat = np.full((2, 2, 2), INF)
     lat[0, 0, 1] = 10.0
     streams = [Stream(i, "R0", "R1", mbps, VIDEO_PROFILES[0])
@@ -163,7 +164,7 @@ def one_link(capacity, wants):
     return (snapshot(names(2), lat, np.zeros((2, 2, 2))),
             table_of(streams, names(2)),
             ControlConfig(internet_bandwidth_mbps=capacity),
-            model.CONTAINER_CAPACITY_MBPS, None, "input")
+            model.CONTAINER_CAPACITY_MBPS, None, "latency_desc")
 
 
 #: (C - w1) - w2 is one ulp below C - (w1 + w2) = w3: the third stream

@@ -202,7 +202,7 @@ PASS_THROUGH = {
     "schedule": lambda sim, start_s: None,
     "unreachable": lambda now: frozenset(),
     "reports_lost": lambda now: False,
-    "reports_delivered": lambda cluster, reports, now: None,
+    "reports_delivered": lambda cluster, now: None,
     "epoch_start": lambda sim, unreachable: None,
     "epoch_gate": lambda now: None,
     "pre_solve": lambda sim: None,

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.dataplane.config import MonitoringConfig
 from repro.underlay.linkstate import LinkProcess
+from tests.snapshots import ScalarLink
 
 
 @dataclass
@@ -91,7 +92,7 @@ class PacketLevelProber:
         self._pending: List[ProbePacket] = []
         #: Succeeding-response counts per outstanding probe seq.
         self._succeeding: Dict[int, int] = {}
-        self._rtt_estimate_s = 2.0 * link.base_latency_ms / 1000.0
+        self._rtt_estimate_s = 2.0 * ScalarLink(link).base_latency_ms / 1000.0
         self.packets_sent = 0
 
     # ------------------------------------------------------------------ api

@@ -226,7 +226,8 @@ def fleets(draw):
     for __ in range(draw(st.integers(1, 40))):
         regions = draw(ROUTES)
         path = OverlayPath(tuple((a, b, draw(TIERS))
-                                 for a, b in zip(regions, regions[1:])))
+                                 for a, b in zip(regions, regions[1:])),
+                           tuple(regions))
         paths.append(path)
         plans.append({region: draw(PLANS[region])
                       for region in path.regions[:-1]})

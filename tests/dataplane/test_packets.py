@@ -10,6 +10,7 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.scenarios import inject_events, quiet_link
 from repro.underlay.topology import build_underlay
 from tests.dataplane.packet_prober import PacketLevelProber
+from tests.snapshots import ScalarLink
 
 
 def _quiet_lossless_underlay(small_regions):
@@ -69,7 +70,7 @@ class TestCleanLink:
 
     def test_judgment_delay_is_about_one_rtt(self, clean_link):
         __, __, __, delays = _drive(clean_link, 10.0)
-        rtt = 2.0 * clean_link.base_latency_ms / 1000.0
+        rtt = 2.0 * ScalarLink(clean_link).base_latency_ms / 1000.0
         assert np.mean(delays) == pytest.approx(rtt, rel=0.3)
 
 
@@ -128,7 +129,7 @@ class TestRuleTwo:
                                    reorder_loss_threshold=10_000)  # no (i)
         prober.send_burst(10.0)
         prober._pending[-1].response_time = None
-        rtt = 2.0 * clean_link.base_latency_ms / 1000.0
+        rtt = 2.0 * ScalarLink(clean_link).base_latency_ms / 1000.0
         early = prober.collect(10.0 + 2.0 * rtt)
         assert early.lost == 0  # not yet three RTTs
         late = prober.collect(10.5 + 3.5 * rtt)
@@ -142,9 +143,9 @@ class TestRuleTwo:
         packet = prober._pending[0]
         packet.response_time = None
         prober.collect(100.0)
+        rtt = 2.0 * ScalarLink(clean_link).base_latency_ms / 1000.0
         assert packet.judged_at == pytest.approx(
-            packet.send_time + 3.0 * 2.0 * clean_link.base_latency_ms / 1000.0,
-            rel=0.05)
+            packet.send_time + 3.0 * rtt, rel=0.05)
 
 
 def test_agrees_with_aggregate_prober(lossy_link):

@@ -1,0 +1,784 @@
+"""A line census of ``src/repro``: which executable lines the drivers CI
+runs reach, and why each line none of them reaches is there.
+
+Run from the root of a checkout::
+
+    PYTHONPATH=src python -m tests.line_census [--check]
+
+It traces, in this process, the drivers CI already runs outside tier-1
+(`DRIVERS`), then prints every unreached block of lines by file and
+enclosing function.  A block is a run of unreached executable lines in
+one function.  Three kinds of line are exempt by their syntax: a
+``raise``, an ``if`` or ``except`` body made only of raises, and an
+``if TYPE_CHECKING:`` block.  Every other unreached block is deleted,
+reached by a driver, or covered by a row of `EXEMPT` that states why it
+stays.
+
+``--check`` exits 1 when a driver fails, when an unreached block has no
+row, or when a row covers nothing (a ``wall-clock`` row only needs its
+code to exist, since whether it runs depends on the host).  Executable
+lines come from `dis.findlinestarts`, whose tables differ between
+Python versions, so CI runs the check on one pinned version.
+
+The tracer is `sys.settrace` / `threading.settrace`.  Forked pool
+workers inherit it but leave through ``os._exit``, so each hands its
+lines back through a `multiprocessing.util.Finalize` registered after
+the fork.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import dis
+import glob
+import multiprocessing.util
+import os
+import pickle
+import runpy
+import signal
+import sys
+import tempfile
+import threading
+import time
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: Why an unreached block may stay.  Every `EXEMPT` row names one.
+REASONS = {
+    "error": "handles an error a call can return, or bad outside input",
+    "bound": "a cap branch, such as FOLD_SLOTS or REBUILD_BUDGET",
+    "planted": "a violation that only an oracle plants",
+    "wall-clock": "timing-dependent code",
+    "full": "code only --full reaches",
+    "e2e": "a name benchmarks/e2e wraps or calls",
+    "ci": "called from an inline CI script",
+    "empty": "handles a valid empty input that no driver sends",
+}
+
+#: (file under src/repro, qualified name, stripped first line of the
+#: block, reason): the unreached blocks that stay, each with its reason.
+EXEMPT: List[Tuple[str, str, str, str]] = [
+    # error
+    ("cli.py", "_cmd_obs", "except BrokenPipeError:", "error"),
+    ("cli.py", "_cmd_obs",
+     "print(f\"error: {', '.join(args.paths)} holds no events and no \"",
+     "error"),
+    ("cli.py", "_cmd_obs", "return 1", "error"),
+    ("cli.py", "_cmd_obs_profile",
+     "print(f\"error: {', '.join(args.paths)} holds no algo_step span \"",
+     "error"),
+    ("cli.py", "_cmd_obs_profile", "return 1", "error"),
+    ("cli.py", "_cmd_run", "except ValueError as exc:", "error"),
+    ("cli.py", "_cmd_run",
+     'print("error: pass a positive --hours", file=sys.stderr)', "error"),
+    ("cli.py", "_cmd_serve",
+     "except (OSError, ValueError, KeyError) as exc:", "error"),
+    ("cli.py", "_cmd_serve", "except ServiceError as exc:", "error"),
+    ("cli.py", "_cmd_serve",
+     'print("error: --resume needs --checkpoint PATH", file=sys.stderr)',
+     "error"),
+    ("cli.py", "_cmd_serve",
+     'print("error: pass a positive --hours/--minutes window",', "error"),
+    ("cli.py", "_glob_paths",
+     'print(f"error: no files match {pattern!r}", file=sys.stderr)', "error"),
+    ("cli.py", "_read_telemetry",
+     "except (OSError, TelemetryFormatError) as exc:", "error"),
+    ("cli.py", "_read_telemetry", "return None", "error"),
+    ("cli.py", "main",
+     "parser.error(f\"unrecognized arguments: {' '.join(rest)}\")", "error"),
+    ("controlplane/nib.py", "NetworkInformationBase._unknown",
+     "outside = sorted(set(codes) - set(self._index))", "error"),
+    ("controlplane/regional.py", "RegionalExtension.epoch_end",
+     "continue", "error"),
+    ("core/service.py", "XRONService._run_with_signals", "continue", "error"),
+    ("core/service.py", "XRONService._run_with_signals",
+     "except (NotImplementedError, RuntimeError):", "error"),
+    ("core/service.py", "XRONService.run_async",
+     "except Exception as exc:", "error"),
+    ("core/service.py", "_open_fds", "except OSError:", "error"),
+    ("core/service.py", "_rss_kb",
+     "except (OSError, ValueError, IndexError):", "error"),
+    ("experiments/orchestrator.py", "_pool_failure_record",
+     "spec = registry.get(name)", "error"),
+    ("experiments/orchestrator.py", "pool_context",
+     "except ValueError:  # pragma: no cover - non-POSIX platforms", "error"),
+    ("experiments/orchestrator.py", "run_parallel",
+     "and attempts[name] < retries):", "error"),
+    ("experiments/orchestrator.py", "run_parallel",
+     "except BaseException as exc:", "error"),
+    ("experiments/runner.py", "_print_record",
+     'print(f"FAILED ({record.status})")', "error"),
+    ("experiments/runner.py", "main",
+     'print("no experiments match "', "error"),
+    ("faults/spec.py", "FaultSchedule.from_json",
+     'detail = ", ".join(f"{s.kind.value}@{s.start_s:g}s"', "error"),
+    ("faults/spec.py", "FaultSchedule.from_json",
+     "dropped.append(spec)", "error"),
+    ("obs/__init__.py", "capture",
+     "_HUB.attach_stream(ambient_stream)", "error"),
+    # Nearest fit: a stream left attached inside a capture block, or one
+    # attached around it: nothing in the program does either; the guards
+    # keep a window out of the run's stream files.
+    ("obs/__init__.py", "capture", "_HUB.detach_stream(close=True)", "error"),
+    ("obs/export.py", "_fold_record", 'elif rtype == "header":', "error"),
+    ("obs/export.py", "read_jsonl",
+     "except json.JSONDecodeError as exc:", "error"),
+    ("obs/stream.py", "TelemetryStream.close", "return", "error"),
+    ("obs/stream.py", "TelemetryStream.flush_metrics",
+     "return False", "error"),
+    ("obs/stream.py", "TelemetryStream.write_event", "return", "error"),
+    ("obs/trace.py", "Tracer.remove_sink", "except ValueError:", "error"),
+    ("obs/trace.py", "_jsonable",
+     'if hasattr(value, "item"):         # numpy scalars', "error"),
+    ("traffic/matrix.py", "TrafficMatrix._set",
+     "k = int(np.argmax(bad))", "error"),
+    ("traffic/matrix.py", "_rows", "except KeyError:", "error"),
+    ("traffic/streams.py", "StreamTable.__init__",
+     "k = int(np.argmax(bad))", "error"),
+    # bound
+    ("controlplane/pathcontrol.py", "path_control", "warnings.warn(", "bound"),
+    ("dataplane/probing.py", "BurstNoise._fill", "break", "bound"),
+    ("obs/__init__.py", "Telemetry._count_drop",
+     'self.metrics.counter("tracer.events_dropped").inc()', "bound"),
+    ("obs/metrics.py", "Histogram.observe", "self.overflow += 1", "bound"),
+    ("obs/slo.py", "SLOEngine._annotate", "break", "bound"),
+    ("obs/summary.py", "_estimate_quantile",
+     'return float(snap.get("max", 0.0))', "bound"),
+    ("obs/trace.py", "Tracer.record_dict", "self.dropped += 1", "bound"),
+    # Nearest fit: an integer seed, cut to 64 bits; the program seeds with
+    # arrays, the known-answer tests with integers.
+    ("sim/rng.py", "hash_uniform",
+     "x ^= _U64(seed & 0xFFFFFFFFFFFFFFFF)", "bound"),
+    # planted
+    ("controlplane/regional.py", "RegionalExtension._regional_epoch",
+     "stats.regional_installs_rejected += 1", "planted"),
+    ("core/eventsim.py", "EventDrivenXRON._walk",
+     "return None  # routing loop: drop the sample", "planted"),
+    ("dataplane/forwarding.py", "ForwardingTable.install",
+     "return False", "planted"),
+    # Nearest fit: a retry that outlives its epoch.
+    ("resilience/install.py", "ResilienceExtension._attempt",
+     "return  # superseded by a newer epoch's update", "planted"),
+    ("resilience/invariants.py", "check_delivery",
+     "violations.append(Violation(", "planted"),
+    ("resilience/invariants.py", "check_loop_freedom",
+     "violations.append(Violation(", "planted"),
+    ("resilience/invariants.py", "check_no_blackhole",
+     "violations.append(Violation(", "planted"),
+    ("resilience/invariants.py", "check_plan_liveness",
+     "violations.append(Violation(", "planted"),
+    # wall-clock
+    # The FOLD_SLOTS cap: the probing-instant benchmark reaches it or not
+    # by how many rounds pytest-benchmark's timer lets it run.
+    ("controlplane/nib.py", "NetworkInformationBase._append",
+     "self._fold()", "wall-clock"),
+    ("core/service.py", "XRONService._drive",
+     'return "stopped"', "wall-clock"),
+    ("core/service.py", "XRONService.run_async",
+     "stop.set()  # stop requested before start: drain immediately",
+     "wall-clock"),
+    ("experiments/orchestrator.py", "_deadline",
+     "usable = False", "wall-clock"),
+    ("experiments/orchestrator.py", "execute_one",
+     "except ExperimentTimeout:", "wall-clock"),
+    # full
+    ("core/longrun.py", "MultiDayResult.mean",
+     "return float(self.series(field).mean())", "full"),
+    ("core/longrun.py", "MultiDayResult.series",
+     'if field in ("stall_ratio", "mean_fps", "mean_fluency",', "full"),
+    ("core/longrun.py", "run_multi_day",
+     "first = day_underlay(start_day)", "full"),
+    ("core/longrun.py", "run_multi_day", "if days < 1:", "full"),
+    ("core/longrun.py", "run_multi_day.day_underlay",
+     "config = UnderlayConfig(horizon_s=86400.0 + 2 * sim_config.epoch_s)",
+     "full"),
+    ("core/simulator.py", "EpochSimulator.replace_underlay",
+     "if underlay.codes != self.codes:", "full"),
+    ("experiments/export.py", "_",
+     "days = [d.day for d in result.daily]", "full"),
+    ("experiments/fig13_qoe.py", "LongQoEComparison.lines",
+     "rows = []", "full"),
+    ("experiments/fig13_qoe.py", "LongQoEComparison.mean",
+     "return self.results[variant].mean(field)", "full"),
+    ("experiments/fig13_qoe.py", "LongQoEComparison.reduction_vs",
+     "v, b = self.mean(variant, field), self.mean(baseline, field)", "full"),
+    ("experiments/fig13_qoe.py", "run_long",
+     "chosen = variants if variants is not None else standard_variants()",
+     "full"),
+    # e2e
+    ("controlplane/nib.py", "NetworkInformationBase._store_layers",
+     "position = np.arange(len(batch))", "e2e"),
+    # Nearest fit: the seam's untouched-report return, which only a report
+    # drop with probability < 1 that does not fire reaches.
+    ("faults/runtime.py", "FaultInjector.filter_report",
+     "return report", "e2e"),
+    ("faults/runtime.py", "FaultInjector.install_delay",
+     "spec = self.install_delay_spec(region, now)", "e2e"),
+    ("faults/runtime.py", "FaultInjector.region_blackout",
+     "for spec in self._by_kind[FaultKind.PROBE_BLACKOUT]:", "e2e"),
+    # Nearest fit: the checkpoint half of the workload protocol;
+    # control_n100 solves on a CohortWorkload but never checkpoints.
+    ("traffic/cohorts.py", "CohortWorkload.export_state",
+     'return {"next_id": self._next_id}', "e2e"),
+    ("traffic/cohorts.py", "CohortWorkload.import_state",
+     'self._next_id = int(doc["next_id"])', "e2e"),
+    # ci
+    ("obs/export.py", "TelemetryFile.events_of",
+     'return [e for e in self.events if e.get("kind") == kind]', "ci"),
+    ("obs/export.py", "TelemetryFile.kinds",
+     "counts: Dict[str, int] = {}", "ci"),
+    # empty
+    ("analysis/ascii.py", "ascii_cdf", 'return ["(no data)"]', "empty"),
+    ("analysis/ascii.py", "series_panel",
+     'return [f"{label}: (no data)"]', "empty"),
+    ("analysis/ascii.py", "sparkline", 'return ""', "empty"),
+    ("analysis/ascii.py", "sparkline",
+     "return _SPARK_LEVELS[1] * width", "empty"),
+    ("controlplane/pathcontrol.py", "_fee_matrix",
+     "return np.zeros((2, n, n))", "empty"),
+    ("controlplane/prediction.py", "DTFTPredictor.export_state",
+     "return None", "empty"),
+    ("controlplane/prediction.py", "DTFTPredictor.import_state",
+     "self._coeffs = None", "empty"),
+    ("controlplane/prediction.py", "PredictorBank.observe", "return", "empty"),
+    ("core/eventsim.py", "EventDrivenXRON.__init__",
+     "else SimulationConfig())", "empty"),
+    ("core/simulator.py", "EpochSimulator.__init__",
+     "else SimulationConfig())", "empty"),
+    ("core/simulator.py", "EpochSimulator._evaluate_epoch",
+     "continue", "empty"),
+    ("core/simulator.py", "SimulationResult._qoe_for_slice",
+     "w = np.ones_like(w)", "empty"),
+    ("core/simulator.py", "SimulationResult.backup_fraction",
+     "return float(self.on_backup.mean())", "empty"),
+    ("core/simulator.py", "SimulationResult.mean_route_churn",
+     "return 0.0", "empty"),
+    ("dataplane/cluster.py", "RegionCluster.resolve", "return None", "empty"),
+    ("dataplane/estimator.py", "reaction_active_series",
+     "return np.zeros(lat.shape, dtype=bool)", "empty"),
+    ("dataplane/forwarding.py", "backup_path", "return None", "empty"),
+    ("dataplane/gateway.py", "Gateway.forward",
+     "decision = ForwardDecision(next_hop, LinkType.PREMIUM, True)", "empty"),
+    ("experiments/export.py", "write_csv", "return []", "empty"),
+    ("experiments/fig13_qoe.py", "QoEComparison.reduction_vs",
+     "return 0.0", "empty"),
+    ("experiments/fig19_asymmetric.py", "run", "continue", "empty"),
+    ("experiments/orchestrator.py", "run_parallel", "return []", "empty"),
+    ("experiments/recovery.py", "_is_fallback", "continue", "empty"),
+    # Nearest fit: a partial install over stable stream ids, and a report
+    # drop with probability < 1: valid schedules no driver runs.
+    ("faults/runtime.py", "FaultExtension.truncate_install",
+     "merged[sid] = stale_entries[sid]", "empty"),
+    ("faults/runtime.py", "FaultExtension.truncate_install",
+     "merged_plans[sid] = stale_plans[sid]", "empty"),
+    ("faults/runtime.py", "FaultInjector._fires",
+     'seed = self._streams.seed_for(f"{self._ids[spec]}.{key}")', "empty"),
+    ("faults/runtime.py", "FaultInjector.fault_id", "return None", "empty"),
+    # Nearest fit: an open-ended or link-scoped spec in a checkpoint's
+    # schedule; the serve CLI's soak schedule has neither.
+    ("faults/spec.py", "FaultSpec.from_json",
+     'data["duration_s"] = math.inf', "empty"),
+    ("faults/spec.py", "FaultSpec.from_json",
+     'data["link_type"] = LinkType(data["link_type"])', "empty"),
+    ("faults/spec.py", "FaultSpec.to_json",
+     'doc["duration_s"] = None', "empty"),
+    ("faults/spec.py", "FaultSpec.to_json",
+     'doc["link_type"] = self.link_type.value', "empty"),
+    # Nearest fit: the disabled hub's null histogram; every call site
+    # guards on `enabled`.
+    ("obs/__init__.py", "Telemetry.histogram",
+     "return NULL_HISTOGRAM", "empty"),
+    ("obs/export.py", "read_jsonl", "continue", "empty"),
+    # Nearest fit: writes to a disabled hub are no-ops; every call site
+    # guards them.
+    ("obs/metrics.py", "NullCounter.inc", "pass", "empty"),
+    ("obs/metrics.py", "NullGauge.set", "pass", "empty"),
+    ("obs/metrics.py", "NullHistogram.observe", "pass", "empty"),
+    # Nearest fit: a remembered event after the breach or without a time.
+    ("obs/slo.py", "SLOEngine._annotate", "continue", "empty"),
+    ("obs/slo.py", "SLOEngine.observe",
+     "bad = (lat > self.target.latency_ms", "empty"),
+    ("obs/slo.py", "SLOEngine.render_report",
+     'lines.append("  (no streams observed)")', "empty"),
+    ("obs/summary.py", "_estimate_quantile", "return None", "empty"),
+    ("obs/summary.py", "_merge_metric_records",
+     'prev["min"] = snap.get("min", 0.0)', "empty"),
+    ("qoe/video.py", "stall_durations", "return np.zeros(0)", "empty"),
+    ("sim/engine.py", "Simulator.step", "return False", "empty"),
+    ("traffic/streams.py", "StreamWorkload.decompose", "continue", "empty"),
+    ("underlay/events.py", "_compile_many", "continue", "empty"),
+    ("underlay/similarity.py", "quality_similarity", "return 1.0", "empty"),
+    ("underlay/snapshot.py", "LinkTable.series",
+     "return (np.zeros((len(keys), times.size)),", "empty"),
+]
+
+
+# --------------------------------------------------------------------------
+# Tracing
+
+
+class LineTracer:
+    """Records the (file, line) pairs executed under `prefix`, in this
+    process, in threads started while it runs and in forked children."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.hits: Dict[str, Set[int]] = {}
+        self._locals: Dict[str, Optional[Callable]] = {}
+        self._spool: Optional[str] = None
+
+    def _local_for(self, filename: str) -> Optional[Callable]:
+        local = None
+        if filename.startswith(self.prefix):
+            lines = self.hits.setdefault(filename, set())
+            add = lines.add
+
+            def local(frame, event, arg):
+                if event == "line":
+                    add(frame.f_lineno)
+                return local
+
+        self._locals[filename] = local
+        return local
+
+    def _global(self, frame, event, arg):
+        filename = frame.f_code.co_filename
+        try:
+            return self._locals[filename]
+        except KeyError:
+            return self._local_for(filename)
+
+    def start(self, spool: str) -> None:
+        """Trace from here on; forked children write their lines to
+        files under `spool`."""
+        self._spool = spool
+        multiprocessing.util.register_after_fork(self, LineTracer._forked)
+        threading.settrace(self._global)
+        sys.settrace(self._global)
+
+    def stop(self) -> None:
+        sys.settrace(None)
+        threading.settrace(None)  # type: ignore[arg-type]
+
+    def _forked(self) -> None:
+        for lines in self.hits.values():
+            lines.clear()
+        multiprocessing.util.Finalize(None, self._hand_back, exitpriority=100)
+
+    def _hand_back(self) -> None:
+        path = os.path.join(self._spool, f"lines.{os.getpid()}.pickle")
+        with open(path, "wb") as fh:
+            pickle.dump({f: sorted(s) for f, s in self.hits.items()}, fh)
+
+    def merged(self) -> Dict[str, Set[int]]:
+        """This process's lines plus every child's."""
+        hits = {f: set(s) for f, s in self.hits.items()}
+        for path in glob.glob(os.path.join(self._spool, "lines.*.pickle")):
+            with open(path, "rb") as fh:
+                for filename, lines in pickle.load(fh).items():
+                    hits.setdefault(filename, set()).update(lines)
+        return hits
+
+
+# --------------------------------------------------------------------------
+# Static analysis
+
+
+def executable_lines(source: str, filename: str) -> Set[int]:
+    """Every line that starts a bytecode line-table entry, in the module
+    and every code object nested in it."""
+    lines: Set[int] = set()
+    stack = [compile(source, filename, "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, line in dis.findlinestarts(code)
+                     if line is not None and line > 0)
+        stack.extend(const for const in code.co_consts
+                     if hasattr(const, "co_code"))
+    return lines
+
+
+def _span(node: ast.AST) -> range:
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def _raises_only(body: Sequence[ast.stmt]) -> bool:
+    return all(isinstance(stmt, ast.Raise) for stmt in body)
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return ((isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+            or (isinstance(test, ast.Attribute)
+                and test.attr == "TYPE_CHECKING"))
+
+
+def scopes_and_guards(tree: ast.AST) -> Tuple[Dict[int, str], Set[int]]:
+    """(line -> qualified name of its innermost function or class, the
+    lines exempt by syntax: raises, raise-only ``if`` / ``except``
+    bodies, ``if TYPE_CHECKING:`` blocks)."""
+    scope: Dict[int, str] = {}
+    guards: Set[int] = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}.{child.name}" if prefix else child.name
+                # The decorators and the def line run in the outer scope.
+                for line in range(child.body[0].lineno, child.end_lineno + 1):
+                    scope[line] = name
+            if isinstance(child, ast.Raise):
+                guards.update(_span(child))
+            elif isinstance(child, ast.ExceptHandler) and _raises_only(
+                    child.body):
+                guards.update(_span(child))
+            elif isinstance(child, ast.If):
+                if _is_type_checking(child.test):
+                    guards.update(_span(child))
+                elif _raises_only(child.body):
+                    for stmt in child.body:
+                        guards.update(_span(stmt))
+            visit(child, name)
+
+    visit(tree, "")
+    return scope, guards
+
+
+@dataclass(frozen=True)
+class Block:
+    """A run of unreached, non-exempt executable lines in one scope."""
+
+    file: str            # relative to src/repro
+    qualname: str        # "<module>" at module level
+    first: int
+    last: int
+    text: str            # the first line, stripped
+    size: int            # executable lines in the block
+
+    def key(self) -> Tuple[str, str, str]:
+        return (self.file, self.qualname, self.text)
+
+
+@dataclass
+class FileCensus:
+    file: str
+    executable: int
+    reached: int
+    guarded: int          # unreached lines exempt by syntax
+    blocks: List[Block]
+    #: (qualified name, stripped text) of every executable line.
+    lines: Set[Tuple[str, str]]
+
+
+def census_file(path: Path, rel: str, hits: Set[int]) -> FileCensus:
+    source = path.read_text()
+    text = source.splitlines()
+    executable = executable_lines(source, str(path))
+    scope, guards = scopes_and_guards(ast.parse(source, str(path)))
+    blocks: List[Block] = []
+    run: List[int] = []
+
+    def close() -> None:
+        if run:
+            blocks.append(Block(rel, scope.get(run[0], "<module>"), run[0],
+                                run[-1], text[run[0] - 1].strip(), len(run)))
+            run.clear()
+
+    guarded = 0
+    for line in sorted(executable):
+        if line in hits:
+            close()
+        elif line in guards:
+            guarded += 1  # exempt, but it does not split a block
+        else:
+            if run and scope.get(run[0]) != scope.get(line):
+                close()
+            run.append(line)
+    close()
+    lines = {(scope.get(line, "<module>"), text[line - 1].strip())
+             for line in executable}
+    return FileCensus(rel, len(executable), len(executable & hits), guarded,
+                      blocks, lines)
+
+
+def census(root: Path, hits: Dict[str, Set[int]]) -> List[FileCensus]:
+    """The census of every module under `root` against `hits`."""
+    return [census_file(path, path.relative_to(root).as_posix(),
+                        hits.get(str(path), set()))
+            for path in sorted(root.rglob("*.py"))]
+
+
+def judge(files: Sequence[FileCensus],
+          exempt: Iterable[Tuple[str, str, str, str]]
+          ) -> Tuple[Dict[Block, str], List[Block], List[Tuple]]:
+    """(block -> reason of the row that covers it, blocks no row covers,
+    rows that cover nothing)."""
+    rows = {(f, q, t): reason for f, q, t, reason in exempt}
+    covered: Dict[Block, str] = {}
+    uncovered: List[Block] = []
+    used: Set[Tuple[str, str, str]] = set()
+    for fc in files:
+        for block in fc.blocks:
+            reason = rows.get(block.key())
+            if reason is None:
+                uncovered.append(block)
+            else:
+                covered[block] = reason
+                used.add(block.key())
+    present = {(fc.file, q, t) for fc in files for q, t in fc.lines}
+    stale = [(f, q, t, r) for (f, q, t), r in rows.items()
+             if (f, q, t) not in used
+             and (r != "wall-clock" or (f, q, t) not in present)]
+    return covered, uncovered, stale
+
+
+def report(files: Sequence[FileCensus], covered: Dict[Block, str],
+           uncovered: Sequence[Block], stale: Sequence[Tuple]) -> None:
+    w = sys.stdout.write
+    for fc in files:
+        for block in fc.blocks:
+            fate = covered.get(block, "NO ROW")
+            span = (f"{block.first}" if block.first == block.last
+                    else f"{block.first}-{block.last}")
+            w(f"{fc.file}:{span} {block.qualname}: {block.text}  [{fate}]\n")
+    for row in stale:
+        w(f"STALE ROW {row[0]} {row[1]}: {row[2]!r} [{row[3]}]\n")
+    executable = sum(fc.executable for fc in files)
+    reached = sum(fc.reached for fc in files)
+    guarded = sum(fc.guarded for fc in files)
+    by_reason = Counter()
+    for block, reason in covered.items():
+        by_reason[reason] += block.size
+    w(f"\n{reached} of {executable} executable lines reached "
+      f"({100.0 * reached / max(executable, 1):.1f} %); "
+      f"{executable - reached} unreached: {guarded} exempt by syntax, "
+      f"{sum(by_reason.values())} by row, "
+      f"{sum(b.size for b in uncovered)} in {len(uncovered)} block(s) "
+      f"with no row; {len(stale)} stale row(s)\n")
+    for reason in REASONS:
+        w(f"  {reason:<10} {by_reason.get(reason, 0):>4} lines\n")
+
+
+# --------------------------------------------------------------------------
+# Drivers: what CI runs outside tier-1, in this process
+
+
+def _as_main(module: str, *argv: str) -> int:
+    """`python -m module argv...`, in this process."""
+    saved, sys.argv = sys.argv, [module, *argv]
+    try:
+        runpy.run_module(module, run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+        return code if isinstance(code, int) else int(code is not None)
+    finally:
+        sys.argv = saved
+    return 0
+
+
+def _runner(*argv: str) -> int:
+    return _as_main("repro.experiments.runner", *argv)
+
+
+def _cli(*argv: str) -> int:
+    return _as_main("repro", *argv)
+
+
+def _quick_suite(work: Path) -> int:
+    return _runner("--parallel", "2", "--timeout", "600",
+                   "--manifest", str(work / "quick.json"))
+
+
+def _telemetry_smoke(work: Path) -> int:
+    tel = str(work / "telemetry.jsonl")
+    parts = str(work / "soak" / "stream.*.jsonl")
+    return (_runner("--only", "fig20", "reaction-latency", "--timeout", "600",
+                    "--manifest", str(work / "telemetry.json"),
+                    "--telemetry", tel)
+            or _cli("obs", "summary", tel)
+            or _cli("demo", "--minutes", "6", "--chaos", "--stream",
+                    str(work / "soak" / "stream.jsonl"), "--stream-max-kb",
+                    "48", "--slo")
+            or _cli("obs", "summary", parts)
+            or _cli("obs", "profile", parts))
+
+
+def _chaos_smoke(work: Path) -> int:
+    tel = str(work / "chaos.jsonl")
+    return (_runner("--only", "chaos-reaction", "recovery", "partition",
+                    "--timeout", "600", "--manifest",
+                    str(work / "chaos.json"), "--telemetry", tel)
+            or _cli("obs", "summary", tel))
+
+
+def _soak_smoke(work: Path) -> int:
+    """`serve` drained by SIGTERM mid-window, then resumed."""
+    checkpoint = str(work / "checkpoint.json")
+    timer = threading.Timer(8.0, os.kill, (os.getpid(), signal.SIGTERM))
+    timer.start()
+    try:
+        drained = _cli("serve", "--minutes", "30", "--compress", "60",
+                       "--chaos", "--chaos-period", "300", "--heartbeat-s",
+                       "120", "--quiet", "--checkpoint", checkpoint,
+                       "--health-out", str(work / "health1.json"))
+    finally:
+        timer.cancel()
+        timer.join()
+    return (drained
+            or _cli("serve", "--minutes", "30", "--resume", "--checkpoint",
+                    checkpoint, "--quiet", "--heartbeat-s", "120", "--stream",
+                    str(work / "serve.jsonl"), "--slo", "--health-out",
+                    str(work / "health2.json"))
+            or _cli("obs", "summary", str(work / "serve*.jsonl")))
+
+
+def _commands(work: Path) -> int:
+    from repro.cli import VARIANTS
+    status = (_cli("info")
+              or _cli("run", "--hours", "0.5", "--telemetry",
+                      str(work / "run.jsonl"))
+              or _cli("obs", "summary", str(work / "run.jsonl"))
+              or _cli("obs", "profile", str(work / "run.jsonl"))
+              or _cli("demo", "--minutes", "1", "--seed", "3", "--telemetry",
+                      str(work / "demo.jsonl"))
+              or _cli("experiments", "--only", "fig04")
+              or _runner("--list", "--tags", "ablation"))
+    for variant in sorted(VARIANTS):
+        status = status or _cli("run", "--variant", variant, "--hours", "0.5")
+    # A calm window with heartbeats on stderr, then a short one at a
+    # 60 s period that cycles every fault kind.
+    return (status
+            or _cli("serve", "--minutes", "10", "--heartbeat-s", "120")
+            or _cli("serve", "--chaos", "--chaos-period", "60", "--minutes",
+                    "20", "--quiet", "--slo"))
+
+
+def _examples(work: Path) -> int:
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        argv, sys.argv = sys.argv, [str(path)]
+        try:
+            runpy.run_path(str(path), run_name="__main__")
+        finally:
+            sys.argv = argv
+    return 0
+
+
+def _e2e_workers(work: Path) -> int:
+    from benchmarks.e2e import worker
+    from benchmarks.e2e.cli import WORKLOADS, WORLD_SEED
+    status = 0
+    for workload in WORKLOADS:
+        workdir = work / f"e2e-{workload}"
+        workdir.mkdir()
+        status = status or worker.main([
+            "--workload", workload, "--seed", "7",
+            "--world-seed", str(WORLD_SEED), "--seconds", "2",
+            "--t0", repr(time.time()), "--workdir", str(workdir)])
+    return status
+
+
+class _ResultsTo:
+    """Points the figure benchmarks' output files at a scratch folder."""
+
+    def __init__(self, folder: Path):
+        self.folder = folder
+
+    def pytest_sessionstart(self, session):
+        sys.modules["benchmarks.conftest"].RESULTS_DIR = self.folder
+
+
+def _figure_benchmarks(work: Path) -> int:
+    import pytest
+    # The sweeps have their own CI job; "not sweep" would also drop
+    # test_ablation_weight_sweep.  test_telemetry_overhead times a ratio
+    # the tracer distorts; the untraced CI jobs judge it.
+    with contextlib.ExitStack() as stack:
+        stack.callback(os.chdir, os.getcwd())
+        os.chdir(ROOT)
+        return int(pytest.main(
+            ["benchmarks", "-q", "-p", "no:cacheprovider",
+             "--ignore=benchmarks/e2e",
+             "-k", "not test_sweep_ and not test_telemetry_overhead"],
+            plugins=[_ResultsTo(work / "results")]))
+
+
+#: name -> driver(work folder) -> exit status, in the order they run.
+DRIVERS: Dict[str, Callable[[Path], int]] = {
+    "quick-suite": _quick_suite,
+    "telemetry-smoke": _telemetry_smoke,
+    "chaos-smoke": _chaos_smoke,
+    "soak-smoke": _soak_smoke,
+    "commands": _commands,
+    "examples": _examples,
+    "e2e-workers": _e2e_workers,
+    "figure-benchmarks": _figure_benchmarks,
+}
+
+
+def run_drivers(work: Path, log) -> Tuple[Dict[str, Set[int]], List[str]]:
+    """Trace every driver; return (lines reached, drivers that failed)."""
+    tracer = LineTracer(str(SRC) + os.sep)
+    spool = work / "spool"
+    spool.mkdir()
+    failed = []
+    tracer.start(str(spool))
+    try:
+        for name, driver in DRIVERS.items():
+            folder = work / name
+            folder.mkdir()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(log), \
+                    contextlib.redirect_stderr(log):
+                try:
+                    status = driver(folder)
+                except Exception as exc:
+                    print(f"{name}: {exc!r}", file=sys.stderr)
+                    status = 1
+            if status:
+                failed.append(name)
+            print(f"driver {name}: {'FAILED' if status else 'ok'} in "
+                  f"{time.perf_counter() - t0:.0f} s", file=sys.stderr,
+                  flush=True)
+    finally:
+        tracer.stop()
+    return tracer.merged(), failed
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m tests.line_census",
+                                     description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 on a failed driver, an unreached block "
+                             "with no EXEMPT row or an EXEMPT row that "
+                             "covers nothing")
+    args = parser.parse_args(argv)
+    sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="line-census-") as tmp:
+        log_path = os.path.join(tmp, "drivers.log")
+        with open(log_path, "w") as log:
+            hits, failed = run_drivers(Path(tmp), log)
+        if failed:
+            with open(log_path) as log:
+                sys.stderr.writelines(log.readlines()[-60:])
+    traced_s = time.perf_counter() - t0
+    files = census(SRC, hits)
+    covered, uncovered, stale = judge(files, EXEMPT)
+    report(files, covered, uncovered, stale)
+    print(f"traced wall time {traced_s:.0f} s"
+          + (f"; failed drivers: {', '.join(failed)}" if failed else ""))
+    bad = failed or uncovered or stale
+    return 1 if args.check and bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

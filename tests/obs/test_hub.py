@@ -21,7 +21,7 @@ class TestDisabled:
         tel = obs.telemetry()
         assert tel.counter("x") is NULL_COUNTER
         assert tel.gauge("x") is NULL_GAUGE
-        assert tel.histogram("x") is NULL_HISTOGRAM
+        assert tel.histogram("x", (1.0,)) is NULL_HISTOGRAM
 
     def test_disabled_writes_leave_no_state(self):
         tel = obs.telemetry()
@@ -65,7 +65,7 @@ class TestCapture:
         with obs.capture() as hub:
             assert hub is tel
             assert hub.enabled
-            assert "stale" not in hub.metrics
+            assert "stale" not in hub.metrics.snapshot()
             hub.counter("fresh").inc()
             snap = hub.metrics.snapshot()
         assert snap == {"fresh": {"kind": "counter", "value": 1.0}}

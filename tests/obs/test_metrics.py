@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import (DEFAULT_BUCKETS, NULL_COUNTER, NULL_GAUGE,
+from repro.obs.metrics import (NULL_COUNTER, NULL_GAUGE,
                                NULL_HISTOGRAM, Counter, Gauge, Histogram,
                                HotCounters, MetricsRegistry)
 from repro.obs.summary import _estimate_quantile
@@ -81,7 +81,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h")
+        assert reg.histogram("h", (1.0,)) is reg.histogram("h", (1.0,))
 
     def test_type_conflict_raises(self):
         reg = MetricsRegistry()
@@ -101,7 +101,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("b").inc()
         reg.counter("a").inc(2)
-        reg.histogram("h", buckets=DEFAULT_BUCKETS).observe(0.5)
+        reg.histogram("h", buckets=(0.1, 1.0)).observe(0.5)
         snap = reg.snapshot()
         assert list(snap) == sorted(snap)
         json.dumps(snap)  # must not raise

@@ -192,8 +192,8 @@ class TestPassivity:
         for i in range(4):
             engine.observe("a->b", float(i), 9000.0, 0.0)
         assert engine.streams["a->b"].in_breach  # accounting still runs
-        assert len(hub.tracer) == 0              # but no events/metrics
-        assert "slo.breaches" not in hub.metrics
+        assert len(hub.tracer.events) == 0       # but no events/metrics
+        assert "slo.breaches" not in hub.metrics.snapshot()
         engine.close()
 
     def test_metrics_emitted_while_enabled(self):

@@ -224,7 +224,7 @@ class TestHubIntegration:
         for i in range(10):
             tracer.record("probe_round", i=i)
         stream.close()
-        assert len(tracer) == 3 and tracer.dropped == 7
+        assert len(tracer.events) == 3 and tracer.dropped == 7
         # The stream holds the complete record.
         assert len(read_jsonl(stream.paths[0]).events) == 10
 

@@ -48,13 +48,6 @@ def _build_tiny_system(seed=7):
                                     seed=seed, demand_scale=0.05))
 
 
-def test_stream_context_manager_closes(tmp_path):
-    with TelemetryStream(tmp_path / "run.jsonl") as stream:
-        assert not stream.closed
-    assert stream.closed
-    _all_lines_parse(stream.paths)
-
-
 def test_exception_mid_run_still_flushes_the_stream(tmp_path):
     """An exception inside `EventDrivenXRON.run` must not strand the
     stream without its final metric deltas (the engine's finally-flush).
@@ -112,9 +105,8 @@ def test_service_drain_flushes_shutdown_record(tmp_path):
     assert records[last_event]["kind"] == "service_shutdown"
 
 
-def test_detach_close_is_idempotent_with_stream_exit(tmp_path):
+def test_close_is_idempotent(tmp_path):
     stream = TelemetryStream(tmp_path / "twice.jsonl")
-    with stream:
-        pass
+    stream.close()
     stream.close()  # second close is a no-op
     assert stream.closed

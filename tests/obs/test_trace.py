@@ -14,7 +14,7 @@ class TestRecord:
         tr = Tracer()
         tr.record("probe_round", t=1.0, region="FRA")
         tr.record("failover", t=2.0, stream=7)
-        assert len(tr) == 2
+        assert len(tr.events) == 2
         assert [e.seq for e in tr.events] == [1, 2]
         assert tr.events[0].fields["region"] == "FRA"
 
@@ -22,7 +22,7 @@ class TestRecord:
         tr = Tracer(max_events=3)
         for i in range(5):
             tr.record("probe_round", i=i)
-        assert len(tr) == 3
+        assert len(tr.events) == 3
         assert tr.dropped == 2
         # The sequence counter keeps advancing through drops.
         assert tr._seq == 5
@@ -32,7 +32,7 @@ class TestRecord:
         tr.record("a")
         tr.record("b")
         tr.reset()
-        assert len(tr) == 0 and tr.dropped == 0
+        assert len(tr.events) == 0 and tr.dropped == 0
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ class TestSpan:
         with pytest.raises(RuntimeError):
             with tr.span("algo_step"):
                 raise RuntimeError("boom")
-        assert len(tr) == 1
+        assert len(tr.events) == 1
 
 
 class TestSinks:
@@ -64,7 +64,7 @@ class TestSinks:
         tr.add_sink(seen.append)
         for i in range(5):
             tr.record("probe_round", i=i)
-        assert len(tr) == 2 and tr.dropped == 3
+        assert len(tr.events) == 2 and tr.dropped == 3
         assert [e.fields["i"] for e in seen] == [0, 1, 2, 3, 4]
 
     def test_remove_sink_stops_delivery_and_tolerates_missing(self):

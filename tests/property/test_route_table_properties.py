@@ -108,7 +108,8 @@ def test_route_table_equals_the_scalar_reconstruction(graph):
             nodes = expand(vias, improved, i, j, len(vias))
             path = OverlayPath(tuple(
                 (codes[a], codes[b], TYPE_ORDER[best_type[a, b]])
-                for a, b in zip(nodes, nodes[1:])))
+                for a, b in zip(nodes, nodes[1:])),
+                tuple(codes[a] for a in nodes))
             n_hops = sp.hops[k]
             row = sp.rows[k, :2 * n_hops + 1].tolist()
             assert sp.latency_ms[k].hex() == snap.path_latency_ms(path).hex()

@@ -69,11 +69,19 @@ class ScalarLink:
                 "with a larger horizon")
 
 
+def empty_snapshot(codes: Sequence[str],
+                   t: Optional[float] = None) -> LinkStateSnapshot:
+    """The snapshot over `codes` with every link missing (inf, 1)."""
+    n = len(codes)
+    return LinkStateSnapshot(codes, np.full((2, n, n), np.inf),
+                             np.ones((2, n, n)), t)
+
+
 def snapshot_of(codes: Sequence[str], state: LinkRule,
                 t: Optional[float] = None) -> LinkStateSnapshot:
     """The snapshot over `codes` whose link ``a -> b`` of tier ``lt``
     reads ``state(a, b, lt)``; the diagonal stays missing."""
-    snap = LinkStateSnapshot.empty(codes, t)
+    snap = empty_snapshot(codes, t)
     for ti, link_type in enumerate(TYPE_ORDER):
         for i, a in enumerate(snap.codes):
             for j, b in enumerate(snap.codes):

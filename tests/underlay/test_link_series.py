@@ -111,7 +111,7 @@ def test_past_the_horizon_is_an_error(small_underlay):
 def test_an_unsorted_window_past_the_horizon_is_an_error_too(small_underlay):
     hop = all_hops(small_underlay)[0]
     horizon = small_underlay.config.horizon_s
-    with pytest.raises(ValueError, match="exceeds the generated horizon"):
+    with pytest.raises(ValueError, match="ascending"):
         small_underlay.link_series([hop],
                                    np.array([5.0, horizon + 1.0, 2.0]))
 
@@ -123,21 +123,19 @@ def test_times_are_one_axis(small_underlay):
             small_underlay.link_series([hop], times)
 
 
-def test_unsorted_repeated_and_single_instants(full_underlay):
+def test_repeated_and_single_instants(full_underlay):
     hops = all_hops(full_underlay)[:40]
     grid = 20 * 3600.0 + np.arange(200) * 0.4
     lat, loss = full_underlay.link_series(hops, grid)
     rng = np.random.default_rng(5)
-    for pick in (rng.permutation(grid.size),          # unsorted
-                 np.arange(grid.size)[::-1],          # descending
-                 rng.integers(0, grid.size, 300),     # repeated, unsorted
-                 np.repeat(np.arange(0, 200, 7), 3),  # repeated, sorted
+    for pick in (np.sort(rng.integers(0, grid.size, 300)),  # repeated
+                 np.repeat(np.arange(0, 200, 7), 3),
                  np.array([17]), np.array([], dtype=int)):
         got_lat, got_loss = full_underlay.link_series(hops, grid[pick])
         np.testing.assert_array_equal(got_lat, lat[:, pick])
         np.testing.assert_array_equal(got_loss, loss[:, pick])
-    got_lat, __ = full_underlay.link_series(hops, list(grid[[3, 1, 2]]))
-    np.testing.assert_array_equal(got_lat, lat[:, [3, 1, 2]])
+    got_lat, __ = full_underlay.link_series(hops, list(grid[[1, 2, 3]]))
+    np.testing.assert_array_equal(got_lat, lat[:, [1, 2, 3]])
 
 
 def scripted(horizon_s, small_regions, events):
@@ -164,8 +162,7 @@ def test_an_instant_on_a_breakpoint_takes_the_piece_that_starts_there(
                              np.nextafter(breakpoints, -np.inf),
                              np.nextafter(breakpoints, np.inf)])
     assert_rows_equal_the_oracle(u, [hop], np.sort(around))
-    assert_rows_equal_the_oracle(u, [hop], around)
-    lat, __ = u.link_series([hop], np.array([100.0, 103.0, 99.0]))
+    lat, __ = u.link_series([hop], np.array([100.0, 103.0]))
     assert lat[0, 1] - lat[0, 0] > 400.0      # the hold starts *at* 103
     # ... and at some breakpoint here the piece that ends gives another
     # value than the piece that starts, so the side is observable.
@@ -248,9 +245,9 @@ event_sets = st.one_of(st.just([]), events_between(0.0, 900.0),
 
 
 def grids(breakpoints):
-    """Sub-second uniform grids, free instants (unsorted, repeated,
-    whole seconds, exactly on a breakpoint), both at once, or a few
-    instants of a mid-horizon window."""
+    """Sub-second uniform grids, free instants (repeated, whole
+    seconds, exactly on a breakpoint), both at once, or a few instants
+    of a mid-horizon window; sorted, as `link_series` takes them."""
     uniform = st.builds(lambda t0, step, n: t0 + np.arange(n) * step,
                         st.floats(0.0, 600.0),
                         st.sampled_from([0.1, 0.4, 1.0, 5.0]),
@@ -264,7 +261,8 @@ def grids(breakpoints):
     window = st.lists(st.floats(300.0, 600.0), max_size=20).map(
         lambda ts: np.array(ts, dtype=float))
     return st.one_of(uniform, free, window,
-                     st.tuples(free, uniform).map(np.concatenate))
+                     st.tuples(free, uniform).map(np.concatenate)
+                     ).map(np.sort)
 
 
 @pytest.fixture(scope="module")

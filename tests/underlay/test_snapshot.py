@@ -15,7 +15,7 @@ from repro.underlay.events import MAX_RAMP_S, RAMP_FRACTION
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import (TYPE_INDEX, TYPE_ORDER,
                                      LinkStateSnapshot, SegmentMemo)
-from tests.snapshots import ScalarLink
+from tests.snapshots import ScalarLink, empty_snapshot
 
 I, P = LinkType.INTERNET, LinkType.PREMIUM
 
@@ -73,10 +73,6 @@ class TestFromFnAndEnsure:
         with pytest.raises(ValueError, match="do not match"):
             LinkStateSnapshot.ensure(snap, list(reversed(snap.codes)))
 
-    def test_empty_snapshot(self):
-        snap = LinkStateSnapshot.empty(["A", "B"])
-        assert snap.lookup("A", "B", I) == (np.inf, 1.0)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="must be"):
             LinkStateSnapshot(["A", "B"], np.zeros((2, 3, 3)),
@@ -84,7 +80,7 @@ class TestFromFnAndEnsure:
 
 
 def test_symmetric_averages_round_trips_and_drops_one_way_links():
-    snap = LinkStateSnapshot.empty(["A", "B", "C"], t=5.0)
+    snap = empty_snapshot(["A", "B", "C"], t=5.0)
     a, b, c = (snap.index[r] for r in "ABC")
     ti = TYPE_INDEX[I]
     snap.lat[ti, a, b], snap.loss[ti, a, b] = 100.0, 0.0
@@ -116,7 +112,7 @@ class TestPathMetrics:
             OverlayPath.direct(a, b, I),
             OverlayPath.direct(b, a, P),
             OverlayPath.via((a, c, b), P),
-            OverlayPath(((a, d, I), (d, c, P), (c, b, I))),
+            OverlayPath(((a, d, I), (d, c, P), (c, b, I)), (a, d, c, b)),
             OverlayPath.via((d, b, a, c), I),
         ]
 
