@@ -34,11 +34,13 @@ See ``docs/partitions.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import telemetry as _telemetry
+from repro.obs.metrics import HotCounters
 
 _TEL = _telemetry()
+_CHURN_COUNTERS = HotCounters("fault.refreshes_churned")
 
 #: The liveness window, seconds: an entry not refreshed for this long
 #: expires at the next epoch sweep.  Several probe-burst intervals
@@ -82,15 +84,17 @@ class MembershipTable:
         self._known: set = set()
 
     # -------------------------------------------------------------- refresh
-    def refresh(self, region: str, gateway_ids: Iterable[int],
+    def refresh(self, region: str, gateway_ids: Sequence[int],
                 now: float) -> None:
-        """A probe-report batch from `region` reached the controller."""
+        """A probe-report batch from `region` reached the controller;
+        `gateway_ids` are its gateways, in ascending order."""
         self._known.add(region)
-        for gid in sorted(gateway_ids):
+        entries = self._entries
+        self.counters.refreshes += len(gateway_ids)
+        for gid in gateway_ids:
             key = (region, gid)
-            fresh = key not in self._entries
-            self._entries[key] = now
-            self.counters.refreshes += 1
+            fresh = key not in entries
+            entries[key] = now
             if fresh:
                 self.counters.joins += 1
                 if _TEL.enabled:
@@ -170,20 +174,24 @@ class MembershipExtension:
         self.engine = engine
         self.table = MembershipTable()
 
-    def reports_delivered(self, cluster, now: float) -> None:
-        """Reports of one region reached the controller: refresh its
-        soft-state liveness — unless a churn fault eats the refresh."""
+    def reports_delivered(self, clusters, now: float) -> None:
+        """Reports of `clusters`' regions reached the controller: refresh
+        each one's soft-state liveness, in order — unless a churn fault
+        eats the refresh (one churn query for the instant)."""
         faults = self.engine.faults
-        spec = faults.membership_churn(cluster.region, now)
-        if spec is not None:
+        churned = faults.membership_churn(
+            [cluster.region for cluster in clusters], now)
+        for cluster in clusters:
+            spec = churned.get(cluster.region)
+            if spec is None:
+                self.table.refresh(cluster.region, cluster.gateway_ids, now)
+                continue
             faults.counters.refreshes_churned += 1
             if _TEL.enabled:
-                _TEL.counter("fault.refreshes_churned").inc()
+                _CHURN_COUNTERS.fetch(_TEL.metrics)[0].inc()
                 _TEL.event("fault_membership_churn", t=now,
                            region=cluster.region,
                            fault_id=faults.fault_id(spec))
-            return
-        self.table.refresh(cluster.region, cluster.gateways.keys(), now)
 
     def controller_restarted(self) -> None:
         # Soft state dies with the process: the replacement rebuilds

@@ -40,10 +40,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs import telemetry as _telemetry
+from repro.obs.metrics import HotCounters
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX, TYPE_ORDER, LinkStateSnapshot
 
 _TEL = _telemetry()
+_DROPPED = HotCounters("fault.reports_dropped")
+_STALED = HotCounters("fault.reports_staled")
 
 #: The window percentile robust planning reads (`robust_snapshot`).
 ROBUST_PERCENTILE = 90.0
@@ -135,6 +138,26 @@ class ReportBatch:
                           float(self.reported_at[k]))
 
 
+def _trace_faults(batch: ReportBatch, dropped: np.ndarray,
+                  staled: np.ndarray, shifted: np.ndarray) -> None:
+    """The events and counters of the report faults on `batch`."""
+    codes = batch.codes
+    src, dst, tier = batch.src.tolist(), batch.dst.tolist(), batch.tier.tolist()
+    at, lost = batch.reported_at.tolist(), dropped.tolist()
+    for k in np.flatnonzero(dropped | staled).tolist():
+        if lost[k]:
+            _TEL.event("fault_report_drop", t=at[k], src=codes[src[k]],
+                       dst=codes[dst[k]], link=TYPE_ORDER[tier[k]])
+        else:
+            _TEL.event("fault_report_stale", t=at[k], src=codes[src[k]],
+                       dst=codes[dst[k]], link=TYPE_ORDER[tier[k]],
+                       staled_to=float(shifted[k]))
+    for counter, rows in ((_DROPPED, dropped), (_STALED, staled)):
+        count = int(np.count_nonzero(rows))
+        if count:
+            counter.fetch(_TEL.metrics)[0].inc(count)
+
+
 class NetworkInformationBase:
     """Recent link states for every directed link, plus pricing handles."""
 
@@ -168,9 +191,9 @@ class NetworkInformationBase:
         #: The last (src, dst, tier) columns seen and their ring links.
         self._link_memo: Optional[Tuple[np.ndarray, ...]] = None
         #: Fault-injection seam: an object (a `FaultInjector`) whose
-        #: `filter_report` maps a report to itself, a staled copy or
-        #: None (dropped), and whose `reports_matched` names the reports
-        #: of a batch it would touch.  None = no faults.
+        #: `filter_report` says which reports of a batch are lost and
+        #: which aged, and to what time (None: no window open).  None =
+        #: no faults.
         self.fault_filter = None
 
     # -------------------------------------------------------------- storage
@@ -291,19 +314,16 @@ class NetworkInformationBase:
         `LinkReport`s (each link's reports apply in sequence order).
 
         A list becomes one batch, in order.  The fault seam is consulted
-        once per batch, as it arrives: exactly the reports a report
-        fault touches pass through `filter_report`, in order; a dropped
-        one leaves the batch, a staled one keeps its shifted values.  A
-        probing round's batch then waits for the next fold, as it is:
+        once per batch, as it arrives (`_filtered_batch`): a dropped
+        report leaves the batch, a staled one keeps its shifted time.
+        A probing round's batch then waits for the next fold, as it is:
         its arrays must not change after the call.  A list is folded at
         once.
         """
         probed = isinstance(reports, ReportBatch)
         batch = reports if probed else self._batch_of(list(reports))
-        touched = (self.fault_filter.reports_matched(batch)
-                   if self.fault_filter is not None else ())
-        if touched:
-            batch = self._filtered_batch(batch, touched)
+        if self.fault_filter is not None:
+            batch = self._filtered_batch(batch)
         if probed:
             self._append(batch)
         else:
@@ -362,45 +382,21 @@ class NetworkInformationBase:
         return np.fromiter(map(self._index.__getitem__, codes), np.intp,
                            size)
 
-    def _filtered_batch(self, batch: ReportBatch,
-                        touched: Sequence[int]) -> ReportBatch:
-        """`batch` with its rows at `touched` as the fault seam lets
-        them through."""
-        dropped = []
-        lat, loss, at = (batch.latency_ms.copy(), batch.loss_rate.copy(),
-                         batch.reported_at.copy())
-        for k in touched:
-            report = self._filtered(batch[k])
-            if report is None:
-                dropped.append(k)
-            else:
-                lat[k], loss[k], at[k] = (report.latency_ms,
-                                          report.loss_rate,
-                                          report.reported_at)
-        batch = ReportBatch._checked(batch.codes, batch.src, batch.dst,
-                                     batch.tier, lat, loss, at)
-        if not dropped:
-            return batch  # the link columns as they were
-        kept = np.ones(len(batch), dtype=bool)
-        kept[dropped] = False
-        return batch.take(kept)
-
-    def _filtered(self, report: LinkReport) -> Optional[LinkReport]:
-        """`report` as the fault seam lets it through (traced)."""
-        filtered = self.fault_filter.filter_report(report)
-        if filtered is None:
-            if _TEL.enabled:
-                _TEL.counter("fault.reports_dropped").inc()
-                _TEL.event("fault_report_drop", t=report.reported_at,
-                           src=report.src, dst=report.dst,
-                           link=report.link_type)
-        elif filtered is not report and _TEL.enabled:
-            _TEL.counter("fault.reports_staled").inc()
-            _TEL.event("fault_report_stale", t=report.reported_at,
-                       src=report.src, dst=report.dst,
-                       link=report.link_type,
-                       staled_to=filtered.reported_at)
-        return filtered
+    def _filtered_batch(self, batch: ReportBatch) -> ReportBatch:
+        """`batch` as the fault seam lets it through, traced: one
+        ``fault_report_drop`` or ``fault_report_stale`` event per touched
+        report, in report order."""
+        faults = self.fault_filter.filter_report(batch)
+        if faults is None:
+            return batch
+        dropped, staled, shifted = faults
+        if _TEL.enabled:
+            _trace_faults(batch, dropped, staled, shifted)
+        if staled.any():
+            batch = ReportBatch._checked(batch.codes, batch.src, batch.dst,
+                                         batch.tier, batch.latency_ms,
+                                         batch.loss_rate, shifted)
+        return batch.take(~dropped) if dropped.any() else batch
 
     # --------------------------------------------------- matrix snapshots
     def latest_snapshot(self, codes: Sequence[str]) -> LinkStateSnapshot:

@@ -83,7 +83,8 @@ HOOKS = (
     "unreachable",           # (now) -> regions the controller cannot reach
     "reports_lost",          # (now) -> True: no batch reaches the controller
     "reports_severed",       # (cluster, reports, now): an unreachable one's
-    "reports_delivered",     # (cluster, now): the NIB took its reports
+    "reports_delivered",     # (clusters, now): the NIB took their reports
+                             #   (once an instant, regions in block order)
     "epoch_start",           # (sim, unreachable): every boundary, gated or not
     "epoch_gate",            # (now) -> what stops the controller, or None
     "epoch_skipped",         # (sim, cause, unreachable): a gate closed
@@ -390,8 +391,8 @@ class EventDrivenXRON:
         """One probing instant: the monitoring block's pass over every
         region, then one NIB batch of the reachable regions' reports.
         A severed region's hooks get its slice of the reports, cut only
-        for a hook that is there to take it; a delivered one's fire when
-        the slice holds a report."""
+        for a hook that is there to take it; the delivered hooks fire
+        once, with every reachable region whose slice holds a report."""
         now = sim.now
         unreachable = self.unreachable(now)
         lost = any(hook(now) for hook in self.hooks("reports_lost"))
@@ -414,11 +415,11 @@ class EventDrivenXRON:
             self.controller.nib.update_many(reports)
         delivered = self.hooks("reports_delivered")
         if delivered:
-            for k, cluster in enumerate(block.clusters):
-                if k in severed or bounds[k] == bounds[k + 1]:
-                    continue
+            clusters = [cluster for k, cluster in enumerate(block.clusters)
+                        if bounds[k] < bounds[k + 1] and k not in severed]
+            if clusters:
                 for hook in delivered:
-                    hook(cluster, now)
+                    hook(clusters, now)
 
     def _flush_passive(self, sim: Simulator) -> None:
         for cluster in self.clusters.values():

@@ -34,10 +34,13 @@ from repro.dataplane.gateway import ForwardDecision, Gateway
 from repro.dataplane.grouping import ProbingGroupManager
 from repro.dataplane.probing import BurstNoise, burst_bytes
 from repro.obs import telemetry as _telemetry
+from repro.obs.metrics import HotCounters
 from repro.sim.rng import RngStreams
 from repro.underlay.topology import Underlay
 
 _TEL = _telemetry()
+_ROUND_COUNTERS = HotCounters("cluster.probe_rounds")
+_BLACKOUT_COUNTERS = HotCounters("fault.probes_blacked_out")
 
 
 def probe_noise(underlay: Underlay, monitoring: MonitoringConfig,
@@ -207,6 +210,11 @@ class RegionCluster:
     def size(self) -> int:
         return len(self.gateways)
 
+    @property
+    def gateway_ids(self) -> List[int]:
+        """The gateways' ids, in ascending order (do not mutate)."""
+        return self._ids
+
     def representatives(self) -> List[Gateway]:
         """The elected probing gateways."""
         return self._fleet[:len(self._elected)]
@@ -326,6 +334,8 @@ class MonitoringBlock:
         for k, cluster in enumerate(self.clusters):
             cluster.block = self
             self._position[cluster.region] = k
+        #: The clusters' regions, in the block's order.
+        self.codes = [cluster.region for cluster in self.clusters]
         #: The block's run of the noise's links, as ``(regions, links)``.
         self.run = slice(spans[0].start, spans[-1].stop)
         self.shape = (len(spans), spans[0].stop - spans[0].start)
@@ -508,26 +518,27 @@ class MonitoringBlock:
                blacked: Optional[np.ndarray], fault_ids) -> None:
         """One `probe_round` event for the instant (and one
         `fault_probe_blackout` under a blackout), regions summed."""
-        codes = [cluster.region for cluster in self.clusters]
+        codes = self.codes
         if blacked is not None:
             degraded = degraded & ~blacked
         per_region = {}
         if np.count_nonzero(degraded):  # most instants flag nothing
-            flagged = np.count_nonzero(degraded, axis=1)
-            per_region = {codes[k]: int(flagged[k])
-                          for k in np.flatnonzero(flagged).tolist()}
-        _TEL.counter("cluster.probe_rounds").inc()
+            per_region = {code: flagged for code, flagged
+                          in zip(codes, degraded.sum(axis=1).tolist())
+                          if flagged}
+        _ROUND_COUNTERS.fetch(_TEL.metrics)[0].inc()
         _TEL.event("probe_round", t=now, region="*",
                    representatives=self.probers, reports=len(reports),
                    degraded_links=sum(per_region.values()),
                    degraded=per_region)
         if blacked is not None:
             per_region = blacked.sum(axis=1)
-            _TEL.counter("fault.probes_blacked_out").inc(
+            _BLACKOUT_COUNTERS.fetch(_TEL.metrics)[0].inc(
                 int(per_region @ self.reps))
-            hit = np.flatnonzero(per_region).tolist()
+            links = per_region.tolist()
+            hit = [k for k, count in enumerate(links) if count]
             _TEL.event("fault_probe_blackout", t=now,
                        region=codes[hit[0]] if len(hit) == 1 else "*",
-                       links=int(per_region.sum()),
-                       regions={codes[k]: int(per_region[k]) for k in hit},
+                       links=sum(links),
+                       regions={codes[k]: links[k] for k in hit},
                        fault_ids=fault_ids)

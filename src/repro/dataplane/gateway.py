@@ -20,9 +20,14 @@ from repro.dataplane.estimator import EstimatorBank, LinkStateEstimator
 from repro.dataplane.forwarding import ForwardingTable
 from repro.dataplane.passive import PassiveTracker
 from repro.obs import telemetry as _telemetry
+from repro.obs.metrics import HotCounters
 from repro.underlay.linkstate import LinkType
 
 _TEL = _telemetry()
+#: Counted on every forwarding decision (one per hop of every tracked
+#: session and tick), and on every hold-down.
+_DECISIONS = HotCounters("forward.decisions")
+_HOLDDOWNS = HotCounters("resilience.holddown_suppressed")
 
 #: Minimum seconds a stream stays on its backup after a failover when
 #: hysteresis is armed, even if monitoring says the normal link is back.
@@ -132,7 +137,7 @@ class Gateway:
             if res is not None and res.hysteresis_enabled and now is not None:
                 self._failover_at.setdefault(stream_id, now)
             if _TEL.enabled:
-                _TEL.counter("forward.decisions").inc()
+                _DECISIONS.fetch(_TEL.metrics)[0].inc()
                 if stream_id not in self._on_backup:
                     self._on_backup.add(stream_id)
                     _TEL.counter("reaction.failovers").inc()
@@ -172,11 +177,11 @@ class Gateway:
                                stale_s=now - table.installed_at,
                                version=table.installed_version)
             if _TEL.enabled:
-                _TEL.counter("forward.decisions").inc()
+                _DECISIONS.fetch(_TEL.metrics)[0].inc()
             return ForwardDecision(next_hop, LinkType.PREMIUM, False,
                                    degraded_mode=True)
         if _TEL.enabled:
-            _TEL.counter("forward.decisions").inc()
+            _DECISIONS.fetch(_TEL.metrics)[0].inc()
             if stream_id in self._on_backup:
                 self._on_backup.discard(stream_id)
                 _TEL.counter("reaction.failbacks").inc()
@@ -195,8 +200,8 @@ class Gateway:
         if self.resilience_counters is not None:
             self.resilience_counters.holddown_suppressed += 1
         if _TEL.enabled:
-            _TEL.counter("forward.decisions").inc()
-            _TEL.counter("resilience.holddown_suppressed").inc()
+            _DECISIONS.fetch(_TEL.metrics)[0].inc()
+            _HOLDDOWNS.fetch(_TEL.metrics)[0].inc()
             if stream_id not in self._holddown_traced:
                 # Without the hold-down this would have been a failback;
                 # trace once per hold-down episode, not per decision.

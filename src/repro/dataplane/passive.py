@@ -13,9 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.obs import telemetry as _telemetry
+from repro.obs.metrics import HotCounters
 from repro.underlay.linkstate import LinkType
 
 _TEL = _telemetry()
+_FLUSH_COUNTERS = HotCounters("passive.flushes", "passive.samples",
+                              "passive.packets")
 
 #: Aggregation key: (src region, dst region, link type).
 LinkId = Tuple[str, str, LinkType]
@@ -55,7 +58,9 @@ class PassiveTracker:
         if packets_sent < 0 or packets_lost < 0 or packets_lost > packets_sent:
             raise ValueError(
                 f"invalid packet counts sent={packets_sent} lost={packets_lost}")
-        window = self._windows.setdefault(link, _Window())
+        window = self._windows.get(link)
+        if window is None:
+            window = self._windows[link] = _Window()
         window.packets_sent += packets_sent
         window.packets_lost += packets_lost
         if packets_sent > packets_lost:
@@ -73,9 +78,9 @@ class PassiveTracker:
                 samples.append(PassiveSample(link, now, latency, loss,
                                              window.packets_sent))
         if _TEL.enabled:
-            _TEL.counter("passive.flushes").inc()
-            _TEL.counter("passive.samples").inc(len(samples))
-            _TEL.counter("passive.packets").inc(
-                sum(s.packets for s in samples))
+            flushes, sampled, packets = _FLUSH_COUNTERS.fetch(_TEL.metrics)
+            flushes.inc()
+            sampled.inc(len(samples))
+            packets.inc(sum(s.packets for s in samples))
         self._windows.clear()
         return samples

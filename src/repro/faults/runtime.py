@@ -27,10 +27,12 @@ one, call for call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.controlplane.nib import LinkReport, ReportBatch
+import numpy as np
+
+from repro.controlplane.nib import ReportBatch
 from repro.dataplane.probing import burst_draws
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
 from repro.obs import telemetry as _telemetry
@@ -42,6 +44,16 @@ _TEL = _telemetry()
 
 Entries = Dict[int, Tuple[str, LinkType]]
 Plans = Dict[int, Tuple[str, ...]]
+
+
+class ReportFaults(NamedTuple):
+    """What report faults did to a batch (`FaultInjector.filter_report`):
+    per row, whether it was lost and whether it was aged, and every
+    row's time after aging."""
+
+    dropped: np.ndarray
+    staled: np.ndarray
+    reported_at: np.ndarray
 
 
 @dataclass
@@ -204,45 +216,70 @@ class FaultInjector:
         return False
 
     # ----------------------------------------------------------- NIB reports
-    def reports_matched(self, batch: ReportBatch) -> List[int]:
-        """Positions of the reports in `batch` that `filter_report` may
-        touch: those a report-drop or -staleness window, active at one
-        of the batch's instants, matches.  Empty at an instant no such
-        window covers, which is the NIB's licence to skip the filter."""
-        specs = [spec for t in set(batch.reported_at.tolist())
-                 for spec in self._report_specs if spec.active(t)]
-        if not specs:
-            return []
-        codes = batch.codes
-        links = zip(batch.src.tolist(), batch.dst.tolist(),
-                    batch.tier.tolist())
-        return [k for k, (i, j, tier) in enumerate(links)
-                if any(spec.matches_link(codes[i], codes[j], TYPE_ORDER[tier])
-                       for spec in specs)]
+    def filter_report(self, batch: ReportBatch) -> Optional[ReportFaults]:
+        """Apply drop/staleness faults to a batch of monitoring reports.
 
-    def filter_report(self, report: LinkReport) -> Optional[LinkReport]:
-        """Apply drop/staleness faults to one monitoring report.
+        A report is lost when a report-drop window active at its instant
+        matches its link and fires (the first one that does), and aged
+        by the first matching staleness window otherwise (its time moves
+        back by ``staleness_s``, clamped at 0).  One match mask per
+        window open at one of the batch's instants; a drop with
+        probability < 1 draws per matched row still in the batch, keyed
+        (fault id, link, instant) like every other decision.
 
-        Returns None when the report is lost, a timestamp-shifted copy
-        when a staleness fault matches, and the original object when no
-        fault applies (identity is the no-fault signal the NIB seam
-        uses to emit telemetry only for touched reports).
+        Returns None at instants no such window covers, else the rows
+        lost and aged (either may be none) and the batch's times after
+        aging.
         """
-        now = report.reported_at
-        for spec in self._by_kind[FaultKind.REPORT_DROP]:
-            if spec.active(now) and spec.matches_link(
-                    report.src, report.dst, report.link_type):
-                link = f"{report.src}->{report.dst}.{report.link_type.value}"
-                if self._fires(spec, link, now):
-                    self.counters.reports_dropped += 1
-                    return None
-        for spec in self._by_kind[FaultKind.REPORT_STALENESS]:
-            if spec.active(now) and spec.matches_link(
-                    report.src, report.dst, report.link_type):
-                self.counters.reports_staled += 1
-                return replace(report, reported_at=max(
-                    0.0, report.reported_at - spec.staleness_s))
-        return report
+        if not (self._report_specs and len(batch)):
+            return None
+        at = batch.reported_at
+        times = at.tolist()
+        first, last = min(times), max(times)
+        live = [spec for spec in self._report_specs
+                if spec.start_s <= last and first < spec.end_s]
+        if not live:
+            return None
+        dropped = np.zeros(len(batch), dtype=bool)
+        staled = np.zeros(len(batch), dtype=bool)
+        touched = np.zeros(len(batch), dtype=bool)
+        shifted = at
+        for spec in live:
+            rows = self._matches(spec, batch)
+            rows &= (spec.start_s <= at) & (at < spec.end_s)
+            hit = np.flatnonzero(rows > touched)  # matched, not yet hit
+            if spec.kind is FaultKind.REPORT_DROP:
+                if spec.probability < 1.0:
+                    codes, tier = batch.codes, batch.tier
+                    hit = [k for k in hit.tolist() if self._fires(
+                        spec, f"{codes[batch.src[k]]}->{codes[batch.dst[k]]}"
+                        f".{TYPE_ORDER[tier[k]].value}", float(at[k]))]
+                dropped[hit] = touched[hit] = True
+            elif len(hit):
+                if shifted is at:
+                    shifted = at.copy()
+                aged = at[hit] - spec.staleness_s
+                shifted[hit] = np.where(aged > 0.0, aged, 0.0)
+                staled[hit] = touched[hit] = True
+        self.counters.reports_dropped += int(np.count_nonzero(dropped))
+        self.counters.reports_staled += int(np.count_nonzero(staled))
+        return ReportFaults(dropped, staled, shifted)
+
+    @staticmethod
+    def _matches(spec: FaultSpec, batch: ReportBatch) -> np.ndarray:
+        """The rows of `batch` whose link `spec` matches: each scope
+        the spec names (source, destination, tier) compared with its
+        column, by position (-1, matching no row, for a region outside
+        the batch)."""
+        rows = np.ones(len(batch), dtype=bool)
+        for scope, column, names in ((spec.region, batch.src, batch.codes),
+                                     (spec.dst, batch.dst, batch.codes),
+                                     (spec.link_type, batch.tier,
+                                      TYPE_ORDER)):
+            if scope is not None:
+                position = names.index(scope) if scope in names else -1
+                rows &= column == position
+        return rows
 
     # -------------------------------------------------------------- installs
     def install_delay_spec(self, region: str,
@@ -305,18 +342,27 @@ class FaultInjector:
         return frozenset(severed)
 
     # ------------------------------------------------------------- membership
-    def membership_churn(self, region: str, now: float) -> Optional[FaultSpec]:
-        """The churn spec suppressing this region's refresh, if any.
+    def membership_churn(self, regions: Sequence[str],
+                         now: float) -> Dict[str, FaultSpec]:
+        """The churn spec suppressing each of `regions`' refreshes at
+        `now` (the first in schedule order that fires), by region;
+        regions no window suppresses are absent.
 
         Probabilistic suppression (``probability < 1``) is decided by
         (fault id, region, instant): a draw happens only when a matching
         window is active, and asks nothing of any other query.
         """
-        for spec in self._by_kind[FaultKind.MEMBERSHIP_CHURN]:
-            if (spec.active(now) and spec.matches_region(region)
-                    and self._fires(spec, region, now)):
-                return spec
-        return None
+        active = [spec for spec in self._by_kind[FaultKind.MEMBERSHIP_CHURN]
+                  if spec.active(now)]
+        churned: Dict[str, FaultSpec] = {}
+        if active:
+            for region in regions:
+                for spec in active:
+                    if (spec.matches_region(region)
+                            and self._fires(spec, region, now)):
+                        churned[region] = spec
+                        break
+        return churned
 
 
 def truncate_install(entries: Entries, keep_fraction: float) -> Entries:
@@ -497,4 +543,4 @@ class FaultExtension:
 
 
 __all__ = ["FaultCounters", "FaultExtension", "FaultInjector",
-           "truncate_install"]
+           "ReportFaults", "truncate_install"]

@@ -140,6 +140,8 @@ class SLOEngine:
         self._tel = hub if hub is not None else _telemetry()
         self._badness = badness
         self.streams: Dict[str, StreamLedger] = {}
+        #: ``src->dst`` per pair `sample` has named.
+        self._names: Dict[Tuple[str, str], str] = {}
         self._causes: Deque[TraceEvent] = deque(maxlen=REMEMBERED_EVENTS)
         self._remedies: Deque[TraceEvent] = deque(maxlen=REMEMBERED_EVENTS)
         self._tel.tracer.add_sink(self._on_trace_event)
@@ -203,8 +205,10 @@ class SLOEngine:
         """The event engine's measurement hook (`EventDrivenXRON(slo=)`
         lists this object as an extension): one tracked session's
         sample, named ``src->dst``."""
-        self.observe(f"{pair[0]}->{pair[1]}", t, latency_ms, loss_rate,
-                     blackholed=blackholed)
+        name = self._names.get(pair)
+        if name is None:
+            name = self._names[pair] = f"{pair[0]}->{pair[1]}"
+        self.observe(name, t, latency_ms, loss_rate, blackholed=blackholed)
 
     # ------------------------------------------------------------- breaches
     def _enter_breach(self, ledger: StreamLedger, t: float,

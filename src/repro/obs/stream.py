@@ -34,6 +34,7 @@ what a long run can record.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -44,9 +45,16 @@ from repro.obs.trace import TraceEvent
 #: Default rotation threshold: 4 MB per part.
 DEFAULT_MAX_BYTES = 4_000_000
 
-#: One line's JSON: `json.dumps(doc, sort_keys=True)` without building
-#: an encoder per call.
-_encode = json.JSONEncoder(sort_keys=True).encode
+#: The C encoder `json.dumps(doc, sort_keys=True)` runs, made once
+#: rather than per record (a record is a tree: no cycle check).
+_iterencode = c_make_encoder(None, json.JSONEncoder().default,
+                             encode_basestring_ascii, None, ": ", ", ",
+                             True, False, True)
+
+
+def _encode(doc: Dict[str, Any]) -> str:
+    """One line's JSON: the bytes of `json.dumps(doc, sort_keys=True)`."""
+    return "".join(_iterencode(doc, 0))
 
 
 class TelemetryStream:

@@ -109,8 +109,13 @@ class TraceEvent:
         if self.t is not None:
             doc["t"] = round(float(self.t), 6)
         for key, value in self.fields.items():
-            doc[key] = _jsonable(value)
+            doc[key] = value if type(value) in _PLAIN else _jsonable(value)
         return doc
+
+
+#: Field types `json` writes as they are: most fields are one of these,
+#: and an exact type test is cheaper than `_jsonable`'s coercions.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
 def _jsonable(value: Any) -> Any:

@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-import numpy as np
-
-from repro.qoe.video import stall_series
+from repro.qoe.video import FEC_RECOVERABLE_LOSS, STALL_LATENCY_MS
 
 
 @dataclass
@@ -35,9 +33,11 @@ def qoe_badness() -> Callable[[float, float], bool]:
     closure (rather than the engine importing this module) to keep
     ``repro.obs`` layered below ``repro.qoe``: the engine takes any
     ``(latency_ms, loss_rate) -> bool``.
+
+    It is `repro.qoe.video.stall_series` on one sample: the same two
+    comparisons, made on the floats (a NaN compares False in both).
     """
     def badness(latency_ms: float, loss_rate: float) -> bool:
-        stalled = stall_series(np.asarray([latency_ms], dtype=float),
-                               np.asarray([loss_rate], dtype=float))
-        return bool(stalled[0])
+        return (latency_ms > STALL_LATENCY_MS
+                or loss_rate > FEC_RECOVERABLE_LOSS)
     return badness

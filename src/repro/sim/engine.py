@@ -16,26 +16,25 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid use of the simulation engine."""
 
 
-@dataclass(order=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled callback.
 
-    Events compare by (time, priority, seq) so the heap pops them in a
-    deterministic order.
+    Events compare as tuples, by (time, priority, seq) — `seq` is
+    unique, so the callback is never compared — and the heap pops them
+    in a deterministic order, with no Python-level comparison.
     """
 
     time: float
     priority: int
     seq: int
-    callback: Callable[[], None] = field(compare=False)
+    callback: Callable[[], None]
 
 
 class Simulator:
@@ -74,8 +73,7 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}")
-        event = Event(time=float(time), priority=priority,
-                      seq=next(self._seq), callback=callback)
+        event = Event(float(time), priority, next(self._seq), callback)
         heapq.heappush(self._queue, event)
         return event
 

@@ -182,8 +182,14 @@ def faulted(ingest_of):
     nib.fault_filter = injector
     calls = []
     filter_report = injector.filter_report
-    injector.filter_report = lambda report: (
-        calls.append(report) or filter_report(report))
+
+    def touched(batch):
+        faults = filter_report(batch)
+        if faults is not None:
+            calls.extend(batch[k] for k in np.flatnonzero(
+                faults.dropped | faults.staled).tolist())
+        return faults
+    injector.filter_report = touched
     with obs.capture() as hub:
         for batch in rounds(seed=2, count=10):
             ingest_of(nib)(batch)
@@ -205,9 +211,9 @@ def test_faulted_batches_equal_faulted_reports():
     assert telemetry == {"fault.reports_dropped": counters["reports_dropped"],
                          "fault.reports_staled": counters["reports_staled"]}
     assert len(events) == sum(telemetry.values())
-    # Either way the filter is asked about the matched reports only —
-    # region A's while the drop window is open, the one staled link —
-    # in report order.
+    # Either way the filter touches the matched reports only — region
+    # A's while the drop window is open, the one staled link — and the
+    # same ones, in report order.
     assert all((r.src == "A" and 10.0 <= r.reported_at < 12.0)
                or (r.src, r.dst, r.link_type) == ("B", "C", I)
                for r in calls)

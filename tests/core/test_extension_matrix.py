@@ -202,7 +202,7 @@ PASS_THROUGH = {
     "schedule": lambda sim, start_s: None,
     "unreachable": lambda now: frozenset(),
     "reports_lost": lambda now: False,
-    "reports_delivered": lambda cluster, now: None,
+    "reports_delivered": lambda clusters, now: None,
     "epoch_start": lambda sim, unreachable: None,
     "epoch_gate": lambda now: None,
     "pre_solve": lambda sim: None,
@@ -252,8 +252,8 @@ def test_hooks_fire_in_phase_order_and_list_order():
     assert log[1::2] == [(hook, "b") for hook, __ in log[0::2]]
     calls = [hook for hook, __ in log[0::2]]
     regions = len(engine.clusters)
-    probe_round = (["unreachable", "reports_lost"]
-                   + ["reports_delivered"] * regions)
+    # Every region delivers: one hook call for all of them.
+    probe_round = ["unreachable", "reports_lost", "reports_delivered"]
     install = ["truncate_install", "install_delay"] * regions
     first_epoch = (["schedule", "unreachable", "epoch_start", "epoch_gate",
                     "pre_solve"] + probe_round  # empty NIB: probe first

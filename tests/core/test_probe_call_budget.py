@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.controlplane import membership
+from repro.controlplane.membership import MembershipExtension
 from repro.controlplane import nib as nib_module
 from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
                                     ReportBatch)
@@ -28,7 +29,8 @@ from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.dataplane.estimator import EstimatorBank
 from repro.dataplane.grouping import ProbingGroupManager
-from repro.faults import FaultSchedule, probe_blackout
+from repro.faults import (FaultSchedule, probe_blackout, report_drop,
+                          report_staleness)
 from repro.faults.runtime import FaultInjector
 from repro.dataplane.probing import BurstNoise
 from repro.traffic.demand import DemandModel
@@ -42,13 +44,18 @@ STEPS = 160
 
 #: What one probing instant calls, whatever the region count: one range
 #: check, of the batch `aggregate` makes (the membership table's
-#: per-region slices are rows of a checked batch).
+#: per-region slices are rows of a checked batch); one report-fault
+#: pass, one membership hook and one churn query for every region, and
+#: no `LinkReport`, not even inside a report-drop window.
 PER_INSTANT = {"NetworkInformationBase.update_many": 1,
                "ProbingGroupManager.aggregate": 1,
                "EstimatorBank.ingest": 1,
                "ReportBatch.__post_init__": 1,
                "LinkReport.__init__": 0,
-               "FaultInjector.probe_blackout": 1}
+               "FaultInjector.probe_blackout": 1,
+               "FaultInjector.filter_report": 1,
+               "MembershipExtension.reports_delivered": 1,
+               "FaultInjector.membership_churn": 1}
 
 
 @pytest.fixture()
@@ -73,6 +80,9 @@ def calls(monkeypatch):
                         (EstimatorBank, "ingest"),
                         (ReportBatch, "__post_init__"),
                         (FaultInjector, "probe_blackout"),
+                        (FaultInjector, "filter_report"),
+                        (MembershipExtension, "reports_delivered"),
+                        (FaultInjector, "membership_churn"),
                         (EventTimeline, "cover"),
                         (LinkTable, "block")):
         count(owner, attr)
@@ -106,13 +116,17 @@ def _run(underlay, calls):
     """Per-instant call counts, the readers' blocks, the timeline
     searches and the result of a run of two epochs on `underlay`, under
     a blackout of one region's links early on (the blackout query is
-    made once per instant, blacked out or not), with the membership
-    table taking every region's slice of the reports."""
+    made once per instant, blacked out or not) and then a window that
+    drops and ages reports, with the membership table taking every
+    region's slice of the reports."""
     engine = EventDrivenXRON(
         underlay, DemandModel(underlay.regions, seed=3),
         sim_config=SimulationConfig(epoch_s=30.0, seed=3),
-        faults=FaultSchedule.of(probe_blackout(START_S + 1.0, 2.0,
-                                               region=underlay.codes[1])),
+        faults=FaultSchedule.of(
+            probe_blackout(START_S + 1.0, 2.0, region=underlay.codes[1]),
+            report_drop(START_S + 5.0, 2.0, region=underlay.codes[2],
+                        probability=0.5),
+            report_staleness(START_S + 5.0, 2.0, 10.0)),
         membership=membership())
     instants = []
     probe_round = engine._probe_round
@@ -149,6 +163,8 @@ def test_a_probing_instant_is_array_work(full_underlay, small_underlay,
         assert instants == [PER_INSTANT] * len(instants)
         assert calls["LinkReport.__init__"] == 0
         assert result.fault_counters["probes_blacked_out"] > 0
+        assert result.fault_counters["reports_dropped"] > 0
+        assert result.fault_counters["reports_staled"] > 0
 
         # No snapshot inside the run: the probe and measure readers'
         # blocks are the only truth evaluations, at most one per

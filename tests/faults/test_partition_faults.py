@@ -66,6 +66,11 @@ def _count_draws(monkeypatch):
     return calls
 
 
+def _churned(inj, region, now):
+    """The churn spec `inj` answers for one region at `now`, or None."""
+    return inj.membership_churn([region], now).get(region)
+
+
 class TestInjectorQueries:
     def _injector(self, *specs):
         return FaultInjector(FaultSchedule.of(*specs), seed=7)
@@ -91,9 +96,9 @@ class TestInjectorQueries:
             self, monkeypatch):
         inj = self._injector(membership_churn(0.0, 10.0, region="HGH"))
         draws = _count_draws(monkeypatch)
-        assert inj.membership_churn("HGH", 5.0) is not None
-        assert inj.membership_churn("SIN", 5.0) is None
-        assert inj.membership_churn("HGH", 20.0) is None
+        assert _churned(inj, "HGH", 5.0) is not None
+        assert _churned(inj, "SIN", 5.0) is None
+        assert _churned(inj, "HGH", 20.0) is None
         assert draws == []
 
     def test_membership_churn_probabilistic_draws_only_inside_window(
@@ -101,16 +106,30 @@ class TestInjectorQueries:
         inj = self._injector(
             membership_churn(0.0, 10.0, region="HGH", probability=0.5))
         draws = _count_draws(monkeypatch)
-        assert inj.membership_churn("HGH", 50.0) is None  # window closed
+        assert _churned(inj, "HGH", 50.0) is None  # window closed
         assert draws == []
         instants = [0.05 * k for k in range(200)]
-        hits = [inj.membership_churn("HGH", t) is not None for t in instants]
+        hits = [_churned(inj, "HGH", t) is not None for t in instants]
         assert 0 < sum(hits) < 200 and len(draws) == 200
         # A decision is (fault, region, instant) alone: asked again, in
         # another order, after other regions' queries, it is the same.
-        assert inj.membership_churn("SIN", 5.0) is None
-        assert [inj.membership_churn("HGH", t) is not None
+        assert _churned(inj, "SIN", 5.0) is None
+        assert [_churned(inj, "HGH", t) is not None
                 for t in reversed(instants)] == hits[::-1]
+        # One query for several regions answers each as alone.
+        for t, hit in zip(instants, hits):
+            churned = inj.membership_churn(["SIN", "HGH", "FRA"], t)
+            assert set(churned) == ({"HGH"} if hit else set())
+
+    def test_one_churn_query_names_every_suppressed_region(self):
+        wide = membership_churn(0.0, 10.0)
+        narrow = membership_churn(0.0, 20.0, region="SIN")
+        inj = self._injector(wide, narrow)
+        first = inj.schedule.by_kind(wide.kind)[0]
+        assert inj.membership_churn(["HGH", "SIN"], 5.0) == {
+            "HGH": wide, "SIN": first}
+        assert inj.membership_churn(["HGH", "SIN"], 15.0) == {"SIN": narrow}
+        assert inj.membership_churn(["HGH", "SIN"], 25.0) == {}
 
     def test_by_kind_covers_the_whole_taxonomy(self):
         counters = FaultCounters()
@@ -138,4 +157,4 @@ class TestInjectorQueries:
             control_partition(0.0, 10.0, ("HGH", "SIN")),
             membership_churn(0.0, 10.0))
         assert len(inj.active_partitions(5.0)) == 1
-        assert inj.membership_churn("FRA", 5.0) is not None
+        assert _churned(inj, "FRA", 5.0) is not None

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.controlplane.nib import LinkReport
+from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
+                                    ReportBatch)
 from repro.faults import (FaultInjector, FaultSchedule, controller_outage,
                           gateway_crash, install_delay, install_partial,
                           platform_load, probe_blackout, report_drop,
                           report_staleness, truncate_install)
 from repro.underlay.linkstate import LinkType
+from repro.underlay.snapshot import TYPE_INDEX
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
@@ -62,31 +64,58 @@ class TestProbeQueries:
         assert not wide.region_blackout("SIN", 5.0)
 
 
+def _batch(*reports):
+    """The reports as one `ReportBatch` over the regions they name."""
+    codes = tuple(sorted({r.src for r in reports} | {r.dst for r in reports}))
+    return ReportBatch(
+        codes, np.array([codes.index(r.src) for r in reports]),
+        np.array([codes.index(r.dst) for r in reports]),
+        np.array([TYPE_INDEX[r.link_type] for r in reports]),
+        np.array([r.latency_ms for r in reports]),
+        np.array([r.loss_rate for r in reports]),
+        np.array([r.reported_at for r in reports]))
+
+
+def _through(inj, batch):
+    """`batch` as a NIB behind `inj` lets it through."""
+    nib = NetworkInformationBase(batch.codes)
+    nib.fault_filter = inj
+    return nib._filtered_batch(batch)
+
+
 class TestReportFilter:
     def test_untouched_report_returned_by_identity(self):
         inj = FaultInjector(FaultSchedule.of(
             report_drop(100.0, 10.0, region="HGH")))
-        report = _report(50.0)
-        assert inj.filter_report(report) is report
+        batch = _batch(_report(50.0))
+        assert inj.filter_report(batch) is None
+        assert _through(inj, batch) is batch
         assert inj.counters.total() == 0
 
     def test_certain_drop_needs_no_rng(self):
         inj = FaultInjector(FaultSchedule.of(
             report_drop(0.0, 10.0, region="HGH")))
-        assert inj.filter_report(_report(5.0)) is None
+        faults = inj.filter_report(_batch(_report(5.0), _report(5.0, "SIN",
+                                                                "HGH")))
+        assert faults.dropped.tolist() == [True, False]
+        assert not faults.staled.any()
         assert inj.counters.reports_dropped == 1
 
     def test_probabilistic_drop_uses_injector_rng(self):
         """A drop is decided by the injector's seed and (fault, link,
-        instant) alone: the same in any query order, and independent
-        between links at one instant."""
+        instant) alone: the same in any query order and batching, and
+        independent between links at one instant."""
         schedule = FaultSchedule.of(report_drop(0.0, 1000.0, probability=0.5))
         reports = [_report(0.4 * k, dst=dst, lt=lt) for k in range(100)
                    for dst in ("SIN", "FRA") for lt in (I, P)]
 
         def dropped(seed, order):
             inj = FaultInjector(schedule, seed=seed)
-            gone = {k for k in order if inj.filter_report(reports[k]) is None}
+            gone = set()
+            for k in order:
+                faults = inj.filter_report(_batch(reports[k]))
+                if faults is not None and faults.dropped[0]:
+                    gone.add(k)
             assert inj.counters.reports_dropped == len(gone)
             return gone
         forward = dropped(7, range(len(reports)))
@@ -96,20 +125,23 @@ class TestReportFilter:
         assert dropped(8, range(len(reports))) != forward
         per_link = [{k // 4 for k in forward if k % 4 == j} for j in range(4)]
         assert len({frozenset(s) for s in per_link}) == 4
+        whole = FaultInjector(schedule, seed=7).filter_report(
+            _batch(*reports))
+        assert set(np.flatnonzero(whole.dropped).tolist()) == forward
 
     def test_staleness_shifts_timestamp_into_the_past(self):
         inj = FaultInjector(FaultSchedule.of(
             report_staleness(0.0, 100.0, staleness_s=30.0)))
-        out = inj.filter_report(_report(50.0))
-        assert out is not None
-        assert out.reported_at == 20.0
-        assert out.latency_ms == 120.0  # payload untouched
+        out = _through(inj, _batch(_report(50.0)))
+        assert len(out) == 1
+        assert out.reported_at[0] == 20.0
+        assert out.latency_ms[0] == 120.0  # payload untouched
         assert inj.counters.reports_staled == 1
 
     def test_staleness_clamped_at_zero(self):
         inj = FaultInjector(FaultSchedule.of(
             report_staleness(0.0, 100.0, staleness_s=1e6)))
-        assert inj.filter_report(_report(50.0)).reported_at == 0.0
+        assert inj.filter_report(_batch(_report(50.0))).reported_at[0] == 0.0
 
 
 class TestInstallQueries:

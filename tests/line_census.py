@@ -216,10 +216,6 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     # e2e
     ("controlplane/nib.py", "NetworkInformationBase._store_layers",
      "position = np.arange(len(batch))", "e2e"),
-    # Nearest fit: the seam's untouched-report return, which only a report
-    # drop with probability < 1 that does not fire reaches.
-    ("faults/runtime.py", "FaultInjector.filter_report",
-     "return report", "e2e"),
     ("faults/runtime.py", "FaultInjector.install_delay",
      "spec = self.install_delay_spec(region, now)", "e2e"),
     ("faults/runtime.py", "FaultInjector.region_blackout",
@@ -281,6 +277,14 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
      "merged_plans[sid] = stale_plans[sid]", "empty"),
     ("faults/runtime.py", "FaultInjector._fires",
      'seed = self._streams.seed_for(f"{self._ids[spec]}.{key}")', "empty"),
+    ("faults/runtime.py", "FaultInjector.filter_report",
+     "codes, tier = batch.codes, batch.tier", "empty"),
+    # Nearest fit: the `LinkReport` view of a batch row, there for the
+    # hooks' consumers; since the report seam went columnar no in-tree
+    # caller indexes a batch.
+    ("controlplane/nib.py", "ReportBatch.__getitem__",
+     "return LinkReport(self.codes[self.src[k]], self.codes[self.dst[k]],",
+     "empty"),
     ("faults/runtime.py", "FaultInjector.fault_id", "return None", "empty"),
     # Nearest fit: an open-ended or link-scoped spec in a checkpoint's
     # schedule; the serve CLI's soak schedule has neither.

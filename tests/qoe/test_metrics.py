@@ -114,3 +114,30 @@ def test_qoe_per_day_equals_each_day_on_its_own(monkeypatch):
                        (d + 1) * per_day // per_epoch)
         assert summary == result(lat[:, sl], loss[:, sl],
                                  demand[:, epochs]).qoe_summary()
+
+
+def test_qoe_badness_is_the_stall_model_on_one_sample():
+    """The SLO engine's scalar predicate classifies a sample exactly as
+    `stall_series` does: at the two thresholds, around them, and on
+    NaN, infinite and negative inputs."""
+    from repro.qoe.metrics import qoe_badness
+    from repro.qoe.video import (FEC_RECOVERABLE_LOSS, STALL_LATENCY_MS,
+                                 stall_series)
+
+    badness = qoe_badness()
+    edges = [STALL_LATENCY_MS, FEC_RECOVERABLE_LOSS,
+             np.nextafter(STALL_LATENCY_MS, np.inf),
+             np.nextafter(FEC_RECOVERABLE_LOSS, np.inf),
+             np.nextafter(STALL_LATENCY_MS, -np.inf),
+             np.nextafter(FEC_RECOVERABLE_LOSS, -np.inf),
+             0.0, -0.0, -1.0, -STALL_LATENCY_MS, 1.0, 1e9,
+             np.nan, np.inf, -np.inf]
+    for latency in edges:
+        for loss in edges:
+            expected = bool(stall_series(np.array([latency]),
+                                         np.array([loss]))[0])
+            got = badness(float(latency), float(loss))
+            assert type(got) is bool and got is expected, (latency, loss)
+    assert badness(400.0, 0.05) is False
+    assert badness(400.0 + 1e-9, 0.0) is True
+    assert badness(0.0, 0.05 + 1e-12) is True
