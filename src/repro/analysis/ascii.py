@@ -12,16 +12,20 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 _SPARK_LEVELS = " .:-=+*#%@"
+#: Columns of a sparkline (and of a series panel), of a CDF plot's
+#: area and of a full histogram bar.
+SPARK_WIDTH = 60
+CDF_WIDTH = 56
+BAR_WIDTH = 40
 
 
-def sparkline(values: Sequence[float], width: int = 60,
-              log_scale: bool = False) -> str:
-    """One-line intensity plot of a series (resampled to `width` columns)."""
+def sparkline(values: Sequence[float], log_scale: bool = False) -> str:
+    """One-line intensity plot of a series (resampled to `SPARK_WIDTH`
+    columns)."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return ""
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+    width = SPARK_WIDTH
     if log_scale:
         v = np.log10(np.maximum(v, 1e-12))
     # Resample by block max (spikes must survive downsampling).
@@ -36,13 +40,13 @@ def sparkline(values: Sequence[float], width: int = 60,
     return "".join(_SPARK_LEVELS[c] for c in chars)
 
 
-def series_panel(label: str, values: Sequence[float], width: int = 60,
-                 unit: str = "", log_scale: bool = False) -> List[str]:
+def series_panel(label: str, values: Sequence[float], unit: str = "",
+                 log_scale: bool = False) -> List[str]:
     """A labelled sparkline with min/max annotations."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return [f"{label}: (no data)"]
-    line = sparkline(v, width, log_scale)
+    line = sparkline(v, log_scale)
     scale = " (log)" if log_scale else ""
     return [f"{label}{scale}",
             f"  [{line}]",
@@ -50,16 +54,15 @@ def series_panel(label: str, values: Sequence[float], width: int = 60,
             f"mean {v.mean():.4g}{unit}"]
 
 
-def ascii_cdf(values: Sequence[float], width: int = 56, height: int = 10,
-              label: Optional[str] = None,
-              log_x: bool = False) -> List[str]:
+def ascii_cdf(values: Sequence[float], height: int = 10,
+              label: Optional[str] = None) -> List[str]:
     """A small CDF plot: fraction of samples <= x, drawn with '#'."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
+    x = np.sort(np.asarray(values, dtype=float))
+    if x.size == 0:
         return ["(no data)"]
-    if width < 2 or height < 2:
+    if height < 2:
         raise ValueError("plot area too small")
-    x = np.log10(np.maximum(v, 1e-12)) if log_x else v
+    width = CDF_WIDTH
     lo, hi = float(x[0]), float(x[-1])
     span = hi - lo if hi > lo else 1.0
     # For each column, the CDF value at that x position.
@@ -74,18 +77,15 @@ def ascii_cdf(values: Sequence[float], width: int = 56, height: int = 10,
                        for f in fractions)
         marker = f"{threshold:4.2f}|"
         rows.append(marker + line)
-    x_lo = 10 ** lo if log_x else lo
-    x_hi = 10 ** hi if log_x else hi
     axis = f"    +{'-' * width}"
     rows.append(axis)
     pad = max(0, width - 24)
-    middle = f"{'(log x)' if log_x else '':^{pad}}" if pad else ""
-    rows.append(f"     {x_lo:<12.4g}{middle}{x_hi:>12.4g}")
+    rows.append(f"     {lo:<12.4g}{' ' * pad}{hi:>12.4g}")
     return rows
 
 
-def histogram_bar(counts: Sequence[int], labels: Sequence[str],
-                  width: int = 40) -> List[str]:
+def histogram_bar(counts: Sequence[int],
+                  labels: Sequence[str]) -> List[str]:
     """Horizontal bars for bucketed counts (e.g. Fig. 9, Fig. 18)."""
     c = np.asarray(counts, dtype=float)
     if c.size != len(labels):
@@ -94,6 +94,6 @@ def histogram_bar(counts: Sequence[int], labels: Sequence[str],
     label_w = max(len(l) for l in labels)
     lines = []
     for value, label in zip(c, labels):
-        bar = "#" * int(round(value / peak * width))
+        bar = "#" * int(round(value / peak * BAR_WIDTH))
         lines.append(f"{label:<{label_w}}  {bar} {int(value)}")
     return lines

@@ -21,11 +21,19 @@ from repro.obs import telemetry as _telemetry
 
 _TEL = _telemetry()
 
+#: The paper's model: the hundred most prominent harmonics over two
+#: days of five-minute slots.  The window is deliberately short: with
+#: the hundred most prominent harmonics, a two-day window resolves
+#: ~30-minute features (recurring meeting-block surges), which a
+#: two-week window cannot.
+N_HARMONICS = 100
+HISTORY_SLOTS = 576
+
 
 class DTFTPredictor:
     """Fit a truncated Fourier series to a demand history and extrapolate."""
 
-    def __init__(self, n_harmonics: int = 100):
+    def __init__(self, n_harmonics: int):
         if n_harmonics < 1:
             raise ValueError(f"need at least one harmonic, got {n_harmonics}")
         self.n_harmonics = int(n_harmonics)
@@ -122,19 +130,12 @@ class PredictorBank:
     and fitted prediction go row by row through `DTFTPredictor`.
     """
 
-    def __init__(self, rows: int, n_harmonics: int = 100,
-                 history_slots: int = 576, refit_every: int = 12,
+    def __init__(self, rows: int, refit_every: int = 12,
                  min_history: int = 288):
-        # Defaults: 5-minute slots, two days of history, refit hourly,
-        # need one day of data before trusting the model.  The window is
-        # deliberately short: with the hundred most prominent harmonics,
-        # a two-day window resolves ~30-minute features (recurring
-        # meeting-block surges), which a two-week window cannot.
-        if history_slots < 1:
-            raise ValueError(f"need at least one history slot, "
-                             f"got {history_slots}")
-        self.n_harmonics = int(n_harmonics)
-        self.history_slots = int(history_slots)
+        # Defaults: 5-minute slots, refit hourly, need one day of data
+        # before trusting the model.
+        self.n_harmonics = N_HARMONICS
+        self.history_slots = HISTORY_SLOTS
         self.refit_every = int(refit_every)
         self.min_history = int(min_history)
         self._history = np.zeros((rows, 0))
@@ -257,10 +258,8 @@ class RollingPredictor:
     """One demand series: the one-row `PredictorBank`, scalar in and
     out — observe demand each slot, predict the next slot(s)."""
 
-    def __init__(self, n_harmonics: int = 100, history_slots: int = 576,
-                 refit_every: int = 12, min_history: int = 288):
-        self._bank = PredictorBank(1, n_harmonics, history_slots,
-                                   refit_every, min_history)
+    def __init__(self, refit_every: int = 12, min_history: int = 288):
+        self._bank = PredictorBank(1, refit_every, min_history)
 
     def observe(self, demand: float) -> None:
         """Record the demand measured for the slot that just ended."""

@@ -93,7 +93,7 @@ HOOKS = (
     "clamp_ready",           # (ready, now) -> the capacity the solve may use
     "install",               # (sim, output, unreachable): replaces the
                              #   built-in install (the last one armed wins)
-    "truncate_install",      # (code, cluster, entries, plans, now)
+    "truncate_install",      # (code, entries, plans, now)
                              #   -> (entries, plans) as the push delivers them
     "install_delay",         # (code, now) -> seconds the push is held back
     "install_severed",       # (code): a push stopped at an unreachable region
@@ -166,7 +166,6 @@ class EventDrivenXRON:
     def __init__(self, underlay: Underlay, demand: DemandModel,
                  variant: Optional[VariantSpec] = None,
                  sim_config: Optional[SimulationConfig] = None,
-                 control_config: Optional[ControlConfig] = None,
                  tracked_pairs: Optional[List[RegionPair]] = None,
                  measure_interval_s: float = 1.0,
                  faults: Optional[FaultSchedule] = None,
@@ -202,8 +201,7 @@ class EventDrivenXRON:
                 "EpochSimulator for the direct-path baselines")
         self.sim_config = (sim_config if sim_config is not None
                            else SimulationConfig())
-        self.control_config = (control_config if control_config is not None
-                               else ControlConfig())
+        self.control_config = ControlConfig()
         self.measure_interval_s = measure_interval_s
         self.skipped_epochs = 0
         self._sib_params = dict(sib_params) if sib_params else None
@@ -532,8 +530,7 @@ class EventDrivenXRON:
         ``(entries, plans, delay_s)`` after every delivery hook — the
         one place install strategies meet partial and delayed pushes."""
         for hook in self.hooks("truncate_install"):
-            entries, plans = hook(code, self.clusters[code], entries, plans,
-                                  now)
+            entries, plans = hook(code, entries, plans, now)
         return entries, plans, self.install_delay(code, now)
 
     def install_delay(self, code: str, now: float) -> float:

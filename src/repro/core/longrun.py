@@ -18,14 +18,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.controlplane.model import ControlConfig
 from repro.core.config import SimulationConfig
 from repro.core.simulator import EpochSimulator
 from repro.core.variants import VariantSpec, xron
 from repro.qoe.metrics import QoESummary
 from repro.traffic.demand import DemandModel
 from repro.underlay.config import UnderlayConfig
-from repro.underlay.regions import Region, default_regions
+from repro.underlay.regions import default_regions
 from repro.underlay.topology import build_underlay
 
 
@@ -62,30 +61,18 @@ class MultiDayResult:
 
 def run_multi_day(days: int, variant: Optional[VariantSpec] = None, *,
                   seed: int = 1,
-                  regions: Optional[List[Region]] = None,
-                  sim_config: Optional[SimulationConfig] = None,
-                  control_config: Optional[ControlConfig] = None,
-                  start_day: int = 0
+                  sim_config: Optional[SimulationConfig] = None
                   ) -> MultiDayResult:
-    """Simulate `days` consecutive days for one variant.
+    """Simulate days 0 through `days - 1` for one variant.
 
     Day d runs on an underlay seeded `seed + 1000*d` (fresh link
     conditions every day, shared pricing); the demand model and all
     control-plane state are continuous across the whole span.
-
-    `start_day` anchors the window: days `start_day` through
-    `start_day + days - 1` are simulated, with absolute sim times (and
-    per-day underlay seeds) matching what a zero-anchored run would use
-    for the same calendar days.  A driver resuming a long study from a
-    checkpoint taken at day `k` passes ``start_day=k`` instead of
-    replaying — and re-billing, re-crashing, re-learning — days 0..k-1.
     """
     if days < 1:
         raise ValueError(f"need at least one day, got {days}")
-    if start_day < 0:
-        raise ValueError(f"start_day must be >= 0, got {start_day}")
     variant = variant if variant is not None else xron()
-    regions = regions if regions is not None else default_regions()
+    regions = default_regions()
     sim_config = (sim_config if sim_config is not None
                   else SimulationConfig(epoch_s=900.0, eval_step_s=60.0,
                                         seed=seed))
@@ -99,12 +86,11 @@ def run_multi_day(days: int, variant: Optional[VariantSpec] = None, *,
                               pricing=pricing,
                               start_offset=day * 86400.0)
 
-    first = day_underlay(start_day)
-    simulator = EpochSimulator(first, demand, variant, sim_config,
-                               control_config)
+    first = day_underlay(0)
+    simulator = EpochSimulator(first, demand, variant, sim_config)
     daily: List[DailySummary] = []
-    for day in range(start_day, start_day + days):
-        if day > start_day:
+    for day in range(days):
+        if day > 0:
             simulator.replace_underlay(day_underlay(day, first.pricing))
         result = simulator.run(day * 86400.0, 86400.0)
         lat = result.latency_percentiles(weighted=False)

@@ -49,6 +49,9 @@ _TEL = _telemetry()
 
 #: Service checkpoint envelope schema version.
 ENVELOPE_SCHEMA = 1
+#: Where a fresh service's window starts, simulated seconds (a resumed
+#: one starts where its checkpoint was taken).
+WINDOW_START_S = 0.0
 
 
 # --------------------------------------------------------------------------
@@ -214,14 +217,13 @@ class ServiceError(RuntimeError):
 class XRONService:
     """`EventDrivenXRON` as a long-running, drainable asyncio service."""
 
-    def __init__(self, system: EventDrivenXRON, config: ServiceConfig, *,
-                 start_s: float = 0.0):
+    def __init__(self, system: EventDrivenXRON, config: ServiceConfig):
         if config.compress < 0:
             raise ValueError(
                 f"compress must be >= 0, got {config.compress}")
         self.system = system
         self.config = config
-        self._start_s = float(start_s)
+        self._start_s = WINDOW_START_S
         #: The simulator of the current (or last) run; tests read `.now`.
         self.clock: Optional[Simulator] = None
         self.heartbeats: List[Dict[str, Any]] = []
@@ -235,7 +237,7 @@ class XRONService:
         self._tasks: Dict[str, PeriodicTask] = {}
 
     # ------------------------------------------------------------- lifecycle
-    def request_stop(self, reason: str = "requested") -> None:
+    def request_stop(self, reason: str) -> None:
         """Begin a graceful drain (signal handlers route here)."""
         if self._stop_reason is None:
             self._stop_reason = reason

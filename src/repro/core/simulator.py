@@ -269,15 +269,13 @@ class EpochSimulator:
 
     def __init__(self, underlay: Underlay, demand: DemandModel,
                  variant: VariantSpec,
-                 sim_config: Optional[SimulationConfig] = None,
-                 control_config: Optional[ControlConfig] = None):
+                 sim_config: Optional[SimulationConfig] = None):
         self.underlay = underlay
         self.demand = demand
         self.variant = variant
         self.sim_config = (sim_config if sim_config is not None
                            else SimulationConfig())
-        self.control_config = (control_config if control_config is not None
-                               else ControlConfig())
+        self.control_config = ControlConfig()
         steps = self.sim_config.epoch_s / self.sim_config.eval_step_s
         if not math.isclose(steps, round(steps)):  # grids restart per epoch
             raise ValueError(

@@ -339,7 +339,6 @@ class MonitoringBlock:
         #: The block's run of the noise's links, as ``(regions, links)``.
         self.run = slice(spans[0].start, spans[-1].stop)
         self.shape = (len(spans), spans[0].stop - spans[0].start)
-        self.hops = noise.hops[self.run]
         #: (tier, src, dst) per link of the run: every report batch's
         #: link columns, these very arrays while no link is blacked out.
         self.tier, self.src, self.dst = (axis[self.run]
@@ -505,11 +504,12 @@ class MonitoringBlock:
         at `now` (None for none) and the ids of the faults behind it."""
         if self.faults is None:
             return None, ()
-        covered = self.faults.probe_blackout(self.hops, now)
+        covered = self.faults.probe_blackout(self._grouping.codes, self.src,
+                                             self.dst, self.tier, now)
         if not covered:
             return None, ()
         self.faults.counters.probes_blacked_out += len(covered)
-        blacked = np.zeros(len(self.hops), dtype=bool)
+        blacked = np.zeros(len(self.src), dtype=bool)
         blacked[list(covered)] = True
         fault_ids = {self.faults.fault_id(spec) for spec in covered.values()}
         return blacked.reshape(self.shape), sorted(fault_ids - {None})

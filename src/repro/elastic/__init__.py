@@ -7,8 +7,7 @@ auto-scaling under-provisions during demand spikes and XRON scales
 proactively from a demand prediction.
 """
 
-from repro.elastic.containers import (ContainerPool, ProvisioningDelayModel,
-                                      ScalingAction)
+from repro.elastic.containers import ContainerPool, ScalingAction
 from repro.elastic.autoscaler import (Autoscaler, FixedAllocation,
                                       OptimalAllocation, ProactiveAutoscaler,
                                       ReactiveAutoscaler,
@@ -17,7 +16,6 @@ from repro.elastic.autoscaler import (Autoscaler, FixedAllocation,
 
 __all__ = [
     "ContainerPool",
-    "ProvisioningDelayModel",
     "ScalingAction",
     "Autoscaler",
     "ReactiveAutoscaler",

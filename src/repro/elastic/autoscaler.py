@@ -55,6 +55,28 @@ _EVENT_FLOOD_LIMIT = 256
 _EVENT_SAMPLE_EVERY = 32
 
 
+#: The reactive baseline's policy: the utilisation above which it steps
+#: the target up (x `SCALE_UP_STEP`, at least one more) and below which
+#: it steps down (x `SCALE_DOWN_STEP`, at least one), and the slots its
+#: metrics pipeline (scrape, aggregate, stabilise) lags demand by.
+HIGH_UTILISATION = 0.8
+LOW_UTILISATION = 0.45
+SCALE_UP_STEP = 1.3
+SCALE_DOWN_STEP = 0.75
+METRIC_DELAY_SLOTS = 1
+#: XRON's headroom over its forecast, and the slots the forecast looks
+#: ahead: the slot being decided plus the one in which freshly-started
+#: containers become ready.
+PROACTIVE_HEADROOM = 1.25
+HORIZON_SLOTS = 2
+#: The static baseline's headroom over last week's peak.
+FIXED_HEADROOM = 1.0
+#: The oracle's headroom (it absorbs the capacity quantisation at
+#: container boundaries) and the slots it looks ahead.
+OPTIMAL_HEADROOM = 1.05
+OPTIMAL_WINDOW_SLOTS = 2
+
+
 #: decide() runs tens of thousands of times per experiment: the
 #: counters' handles are cached, not re-resolved by name each call.
 _DECISION_COUNTERS = HotCounters("autoscale.decisions",
@@ -98,41 +120,25 @@ class ReactiveAutoscaler:
     contrasts with proactive scaling.
     """
 
-    def __init__(self, container_capacity_mbps: float,
-                 high_utilisation: float = 0.8,
-                 low_utilisation: float = 0.45,
-                 scale_up_step: float = 1.3,
-                 scale_down_step: float = 0.75,
-                 metric_delay_slots: int = 1):
-        if not 0 < low_utilisation < high_utilisation <= 1.0:
-            raise ValueError("need 0 < low < high <= 1 utilisation bounds")
-        if metric_delay_slots < 0:
-            raise ValueError("metric delay cannot be negative")
+    def __init__(self, container_capacity_mbps: float):
         self.container_capacity_mbps = container_capacity_mbps
-        self.high = high_utilisation
-        self.low = low_utilisation
-        self.up = scale_up_step
-        self.down = scale_down_step
-        #: The platform's metrics pipeline (scrape, aggregate, stabilise)
-        #: adds minutes before a utilisation change is acted on.
-        self.metric_delay_slots = metric_delay_slots
         self._history: List[float] = []
         self._target = 1
         self._gate = _FloodGate()
 
     def decide(self, slot: int, observed_demand_mbps: float) -> int:
         self._history.append(observed_demand_mbps)
-        idx = max(0, len(self._history) - 1 - self.metric_delay_slots)
+        idx = max(0, len(self._history) - 1 - METRIC_DELAY_SLOTS)
         seen = self._history[idx]
         del self._history[:idx]
         capacity = self._target * self.container_capacity_mbps
         utilisation = seen / capacity if capacity > 0 else 1.0
         previous = self._target
-        if utilisation > self.high:
+        if utilisation > HIGH_UTILISATION:
             self._target = max(self._target + 1,
-                               math.ceil(self._target * self.up))
-        elif utilisation < self.low:
-            self._target = max(1, math.floor(self._target * self.down))
+                               math.ceil(self._target * SCALE_UP_STEP))
+        elif utilisation < LOW_UTILISATION:
+            self._target = max(1, math.floor(self._target * SCALE_DOWN_STEP))
         if _TEL.enabled and self._gate.count(self._target != previous):
             _TEL.event("autoscale", policy="reactive", slot=slot,
                        observed_mbps=round(observed_demand_mbps, 3),
@@ -145,27 +151,22 @@ class ProactiveAutoscaler:
     """XRON's policy: scale to the DTFT prediction of the coming window.
 
     The prediction horizon covers the provisioning window (the paper
-    reserves five minutes — two decision slots: the slot being decided
-    plus the one in which freshly-started containers become ready).
+    reserves five minutes — `HORIZON_SLOTS` decision slots).
     """
 
-    def __init__(self, container_capacity_mbps: float, headroom: float = 1.25,
-                 n_harmonics: int = 100, history_slots: int = 576,
-                 refit_every: int = 12, min_history: int = 288,
-                 horizon_slots: int = 2):
+    def __init__(self, container_capacity_mbps: float,
+                 refit_every: int = 12, min_history: int = 288):
         self.container_capacity_mbps = container_capacity_mbps
-        self.headroom = headroom
-        self.horizon_slots = horizon_slots
-        self.predictor = RollingPredictor(n_harmonics, history_slots,
-                                          refit_every, min_history)
+        self.predictor = RollingPredictor(refit_every=refit_every,
+                                          min_history=min_history)
         self._last_target = 0
         self._gate = _FloodGate()
 
     def decide(self, slot: int, observed_demand_mbps: float) -> int:
         self.predictor.observe(observed_demand_mbps)
-        predicted = self.predictor.predict_next(self.horizon_slots)
+        predicted = self.predictor.predict_next(HORIZON_SLOTS)
         target = _containers_for(predicted, self.container_capacity_mbps,
-                                 self.headroom)
+                                 PROACTIVE_HEADROOM)
         if _TEL.enabled and self._gate.count(target != self._last_target):
             _TEL.event("autoscale", policy="proactive", slot=slot,
                        observed_mbps=round(observed_demand_mbps, 3),
@@ -179,11 +180,12 @@ class FixedAllocation:
     """Provision statically for the previous week's peak demand."""
 
     def __init__(self, container_capacity_mbps: float,
-                 previous_peak_mbps: float, headroom: float = 1.0):
+                 previous_peak_mbps: float):
         if previous_peak_mbps < 0:
             raise ValueError("peak demand must be non-negative")
         self._target = _containers_for(previous_peak_mbps,
-                                       container_capacity_mbps, headroom)
+                                       container_capacity_mbps,
+                                       FIXED_HEADROOM)
 
     def decide(self, slot: int, observed_demand_mbps: float) -> int:
         return self._target
@@ -192,28 +194,24 @@ class FixedAllocation:
 class OptimalAllocation:
     """Oracle: sees the true future demand, provisions just in time.
 
-    Looks across the provisioning window (two slots) so in-flight starts
-    are always ready when the demand arrives; a small headroom absorbs
-    the capacity quantisation at container boundaries.
+    Looks across the provisioning window (`OPTIMAL_WINDOW_SLOTS`) so
+    in-flight starts are always ready when the demand arrives.
     """
 
     def __init__(self, container_capacity_mbps: float,
-                 future_demand_mbps: Sequence[float], headroom: float = 1.05,
-                 window_slots: int = 2):
+                 future_demand_mbps: Sequence[float]):
         self.container_capacity_mbps = container_capacity_mbps
         self.future = np.asarray(future_demand_mbps, dtype=float)
-        self.headroom = headroom
-        self.window_slots = window_slots
 
     def decide(self, slot: int, observed_demand_mbps: float) -> int:
         # Cover the slot being decided AND the provisioning window after
         # it; scaling down at a slot's start must not strand the slot's
         # own demand (removals are immediate).
         lo = min(slot, len(self.future) - 1)
-        hi = min(slot + 1 + self.window_slots, len(self.future))
+        hi = min(slot + 1 + OPTIMAL_WINDOW_SLOTS, len(self.future))
         peak = float(np.max(self.future[lo:hi])) if hi > lo else 0.0
         return _containers_for(peak, self.container_capacity_mbps,
-                               self.headroom)
+                               OPTIMAL_HEADROOM)
 
 
 @dataclass

@@ -4,8 +4,8 @@ The paper (§2.3) lists four overheads that stretch container startup from
 seconds to minutes: (1) instance preparation through the orchestration
 stack, (2) image pulls on cache miss, (3) platform-shared procedures such
 as IP allocation that slow down under load, and (4) software/hardware
-readiness checks.  `ProvisioningDelayModel` samples each component
-explicitly; `ContainerPool` tracks ready and in-flight containers against
+readiness checks.  `startup_delay` samples each component explicitly;
+`ContainerPool` tracks ready and in-flight containers against
 explicit timestamps (so it works in both epoch-mode and event-mode
 simulations) and accounts container-hours for billing.
 """
@@ -13,7 +13,7 @@ simulations) and accounts container-hours for billing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -22,39 +22,34 @@ from repro.obs import telemetry as _telemetry
 _TEL = _telemetry()
 
 
-@dataclass
-class ProvisioningDelayModel:
-    """Samples container startup delays, component by component."""
+#: The startup overheads (§2.3).  Orchestration-stack instance
+#: preparation, uniform range (s).
+ORCHESTRATION_MIN_S = 15.0
+ORCHESTRATION_MAX_S = 45.0
+#: Probability the image is already cached on the chosen host.
+IMAGE_CACHE_HIT_RATE = 0.6
+#: Image pull time on cache miss, uniform range (s).
+IMAGE_PULL_MIN_S = 45.0
+IMAGE_PULL_MAX_S = 150.0
+#: Base IP-allocation time (s); multiplied by the platform-load factor.
+IP_ALLOCATION_MEAN_S = 5.0
+#: Readiness checks, uniform range (s).
+CHECKS_MIN_S = 10.0
+CHECKS_MAX_S = 30.0
 
-    #: Orchestration-stack instance preparation, uniform range (s).
-    orchestration_min_s: float = 15.0
-    orchestration_max_s: float = 45.0
-    #: Probability the image is already cached on the chosen host.
-    image_cache_hit_rate: float = 0.6
-    #: Image pull time on cache miss, uniform range (s).
-    image_pull_min_s: float = 45.0
-    image_pull_max_s: float = 150.0
-    #: Base IP-allocation time (s); multiplied by the platform-load factor.
-    ip_allocation_mean_s: float = 5.0
-    #: Readiness checks, uniform range (s).
-    checks_min_s: float = 10.0
-    checks_max_s: float = 30.0
 
-    def sample(self, rng: np.random.Generator,
-               platform_load: float = 1.0) -> float:
-        """One startup delay in seconds.
+def startup_delay(rng: np.random.Generator, platform_load: float) -> float:
+    """One container startup delay in seconds, component by component.
 
-        `platform_load` >= 1 inflates the shared-procedure component
-        (IP allocation etc.), modelling a busy cloud.
-        """
-        if platform_load < 1.0:
-            raise ValueError(f"platform_load must be >= 1, got {platform_load}")
-        delay = rng.uniform(self.orchestration_min_s, self.orchestration_max_s)
-        if rng.random() >= self.image_cache_hit_rate:
-            delay += rng.uniform(self.image_pull_min_s, self.image_pull_max_s)
-        delay += rng.exponential(self.ip_allocation_mean_s * platform_load)
-        delay += rng.uniform(self.checks_min_s, self.checks_max_s)
-        return float(delay)
+    `platform_load` >= 1 inflates the shared-procedure component (IP
+    allocation etc.), modelling a busy cloud.
+    """
+    delay = rng.uniform(ORCHESTRATION_MIN_S, ORCHESTRATION_MAX_S)
+    if rng.random() >= IMAGE_CACHE_HIT_RATE:
+        delay += rng.uniform(IMAGE_PULL_MIN_S, IMAGE_PULL_MAX_S)
+    delay += rng.exponential(IP_ALLOCATION_MEAN_S * platform_load)
+    delay += rng.uniform(CHECKS_MIN_S, CHECKS_MAX_S)
+    return float(delay)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,6 @@ class ContainerPool:
 
     def __init__(self, region: str, rng: np.random.Generator, *,
                  initial: int = 1, max_containers: int = 64,
-                 delay_model: Optional[ProvisioningDelayModel] = None,
                  start_s: float = 0.0):
         """`start_s` is the instant the pool starts serving: billing
         runs from there, not from t = 0."""
@@ -82,8 +76,6 @@ class ContainerPool:
         self.region = region
         self.max_containers = int(max_containers)
         self._rng = rng
-        self._delay_model = (delay_model if delay_model is not None
-                             else ProvisioningDelayModel())
         self._ready = int(initial)
         #: Start completion times of in-flight containers, unsorted.
         self._inflight: List[float] = []
@@ -91,8 +83,8 @@ class ContainerPool:
         self._last_accounted = float(start_s)
         self.actions: List[ScalingAction] = []
         #: Fault-injection seam: ``now -> load factor`` (a provisioning
-        #: storm, §2.3).  The effective load of a scale-up is the max of
-        #: the caller's `platform_load` and this.  None = no faults.
+        #: storm, §2.3).  A scale-up runs under this load where it exceeds
+        #: 1, the calm platform's.  None = no faults.
         self.platform_load_fn = None
 
     # ------------------------------------------------------------------ api
@@ -101,8 +93,7 @@ class ContainerPool:
         self._promote(now)
         return self._ready
 
-    def scale_to(self, target: int, now: float,
-                 platform_load: float = 1.0) -> ScalingAction:
+    def scale_to(self, target: int, now: float) -> ScalingAction:
         """Move toward `target` containers.
 
         Additions enter the provisioning pipeline (ready minutes later);
@@ -118,6 +109,7 @@ class ContainerPool:
         added = removed = 0
         if target > current:
             added = target - current
+            platform_load = 1.0
             if self.platform_load_fn is not None:
                 fault_load = float(self.platform_load_fn(now))
                 if fault_load > platform_load:
@@ -128,7 +120,7 @@ class ContainerPool:
                                    region=self.region, load=platform_load,
                                    starts=added)
             for __ in range(added):
-                delay = self._delay_model.sample(self._rng, platform_load)
+                delay = startup_delay(self._rng, platform_load)
                 self._inflight.append(now + delay)
         elif target < current:
             removed = current - target

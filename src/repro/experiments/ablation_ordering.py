@@ -30,6 +30,11 @@ ORDERING_LABELS = {
     "latency_asc": "latency ascending",
     "demand_desc": "demand descending",
 }
+#: Link capacities scarce enough that the orderings contend (Mbps), and
+#: the premium latency past which a stream counts as long-haul (ms).
+INTERNET_BANDWIDTH_MBPS = 5000.0
+PREMIUM_BANDWIDTH_MBPS = 700.0
+LONG_HAUL_PREMIUM_MS = 80.0
 
 
 @dataclass
@@ -58,17 +63,14 @@ class OrderingAblation:
 
 
 def run(underlay: Optional[Underlay] = None, n_epochs: int = 6,
-        epoch_s: float = 3600.0, seed: int = 21,
-        internet_bandwidth_mbps: float = 5000.0,
-        premium_bandwidth_mbps: float = 700.0,
-        long_haul_premium_ms: float = 80.0) -> OrderingAblation:
+        epoch_s: float = 3600.0, seed: int = 21) -> OrderingAblation:
     """Compare orderings with link capacity scarce enough to contend."""
     u = underlay if underlay is not None else standard_underlay()
     demand = standard_demand(seed)
     workload = StreamWorkload(np.random.default_rng(seed),
                               max_streams_per_pair=2)
-    config = ControlConfig(internet_bandwidth_mbps=internet_bandwidth_mbps,
-                           premium_bandwidth_mbps=premium_bandwidth_mbps)
+    config = ControlConfig(internet_bandwidth_mbps=INTERNET_BANDWIDTH_MBPS,
+                           premium_bandwidth_mbps=PREMIUM_BANDWIDTH_MBPS)
     gateways = {c: 30 for c in u.codes}
 
     sums: Dict[str, List[Tuple[float, float]]] = {
@@ -82,7 +84,7 @@ def run(underlay: Optional[Underlay] = None, n_epochs: int = 6,
         long_ids = {
             s.stream_id for s in streams
             if state.lookup(s.src, s.dst, LinkType.PREMIUM)[0]
-            > long_haul_premium_ms}
+            > LONG_HAUL_PREMIUM_MS}
         long_total = sum(s.demand_mbps for s in streams
                          if s.stream_id in long_ids)
         total = sum(s.demand_mbps for s in streams)

@@ -51,10 +51,14 @@ class ProbingAblation:
         return lines
 
 
+#: The sampling step of the gateway links' quality series, seconds.
+STEP_S = 10.0
+
+
 def run(underlay: Optional[Underlay] = None,
         gateways_per_region: int = 6,
         representative_counts: Sequence[int] = (1, 2, 3),
-        window_s: float = 14400.0, step_s: float = 10.0, seed: int = 31,
+        window_s: float = 14400.0, seed: int = 31,
         max_pairs: int = 20) -> ProbingAblation:
     u = underlay if underlay is not None else standard_underlay()
     streams = RngStreams(seed)
@@ -71,7 +75,7 @@ def run(underlay: Optional[Underlay] = None,
             event_latency_sigma=u.config.internet.event_latency_sigma,
             event_loss_mu=u.config.internet.event_loss_mu,
             event_loss_sigma=u.config.internet.event_loss_sigma)
-        states = np.stack([link.quality_series(0.0, window_s, step_s)
+        states = np.stack([link.quality_series(0.0, window_s, STEP_S)
                            for link in links])
         for r in representative_counts:
             # Representatives are the lowest-id gateways (the manager's

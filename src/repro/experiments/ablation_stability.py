@@ -24,6 +24,9 @@ from repro.core.variants import xron
 from repro.experiments.base import format_table
 from repro.underlay.config import UnderlayConfig
 
+#: The robust mode's NIB window, epochs.
+ROBUST_WINDOW = 6
+
 
 @dataclass
 class StabilityAblation:
@@ -53,11 +56,11 @@ class StabilityAblation:
 
 
 def run(hours: float = 3.0, start_hour: float = 6.0, seed: int = 1,
-        epoch_s: float = 300.0, eval_step_s: float = 15.0,
-        nib_window: int = 6) -> StabilityAblation:
+        epoch_s: float = 300.0,
+        eval_step_s: float = 15.0) -> StabilityAblation:
     horizon = max((start_hour + hours) * 3600.0 + 2 * epoch_s, 2 * 86400.0)
     outcomes: Dict[str, Tuple[float, float, float]] = {}
-    for mode, window in (("last sample", 1), ("robust p90", nib_window)):
+    for mode, window in (("last sample", 1), ("robust p90", ROBUST_WINDOW)):
         system = XRONSystem(
             seed=seed,
             underlay_config=UnderlayConfig(horizon_s=horizon),

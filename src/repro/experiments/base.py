@@ -61,14 +61,14 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def derive_seed(name: str, base: int = 0) -> int:
+def derive_seed(name: str) -> int:
     """Stable per-experiment seed: a CRC of the experiment name.
 
     Independent of registry order, process, and Python hash
     randomisation, so sequential and parallel runs (and runs across
     machines) install identical global-RNG state per experiment.
     """
-    return (zlib.crc32(name.encode("utf-8")) ^ base) & 0x7FFFFFFF
+    return zlib.crc32(name.encode("utf-8")) & 0x7FFFFFFF
 
 
 def standard_underlay(seed: int = 1) -> Underlay:
@@ -143,8 +143,13 @@ def testbed_engine(seed: int, epoch_s: float, *,
         **engine_kwargs)
 
 
-def reaction_train(seed: int, n_events: int, event_spacing_s: float,
-                   event_duration_s: float, measure_interval_s: float, *,
+#: The reaction-timing train: how long each degradation lasts (s), and
+#: the measurement interval of its tracked session (s).
+EVENT_DURATION_S = 25.0
+MEASURE_INTERVAL_S = 0.5
+
+
+def reaction_train(seed: int, n_events: int, event_spacing_s: float, *,
                    epoch_s: float, **engine_kwargs
                    ) -> Tuple[EventSimResult, np.ndarray, np.ndarray]:
     """The reaction-timing recipe: a train of `n_events` 4000 ms
@@ -153,6 +158,7 @@ def reaction_train(seed: int, n_events: int, event_spacing_s: float,
     that one session tracked, and — per handled event — the
     onset-to-backup and the recovery-to-normal delay.
     Returns ``(result, failover_s, failback_s)``."""
+    event_duration_s = EVENT_DURATION_S
     underlay, demand = quiet_testbed(seed)
     pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
     start = TESTBED_START_S
@@ -162,7 +168,7 @@ def reaction_train(seed: int, n_events: int, event_spacing_s: float,
                    for t in onsets])
     system = testbed_engine(
         seed, epoch_s, testbed=(underlay, demand), tracked_pairs=[pair],
-        measure_interval_s=measure_interval_s, **engine_kwargs)
+        measure_interval_s=MEASURE_INTERVAL_S, **engine_kwargs)
     result = system.run(start, 30.0 + n_events * event_spacing_s + 60.0)
     record = result.sessions[pair]
     times = np.asarray(record.times)

@@ -94,7 +94,6 @@ class ChaosReaction:
 
 
 def _schedules(n_events: int, event_spacing_s: float,
-               event_duration_s: float,
                src: str) -> List[Tuple[str, FaultSchedule]]:
     """One schedule per fault class, aligned with the degradation train."""
     start = TESTBED_START_S
@@ -117,9 +116,8 @@ def _schedules(n_events: int, event_spacing_s: float,
             # keeps reacting locally.
             report_drop(start + 1.0, horizon, region=src))),
         ("install-chaos", FaultSchedule.of(
-            # Like report-drop, spare the bootstrap install: a partial
-            # FIRST install has no stale rows to ride, which would model
-            # a dead region rather than a degraded push path.
+            # Like report-drop, spare the bootstrap install: the fault
+            # degrades the push path of a deployment that has booted.
             install_delay(start + 1.0, horizon, delay_s=20.0, region=src),
             install_partial(start + 1.0, horizon, keep_fraction=0.5))),
         ("provision-storm", FaultSchedule.of(
@@ -127,9 +125,8 @@ def _schedules(n_events: int, event_spacing_s: float,
     ]
 
 
-def run(n_events: int = 4, seed: int = 17, event_spacing_s: float = 60.0,
-        event_duration_s: float = 25.0, measure_interval_s: float = 0.5
-        ) -> ChaosReaction:
+def run(n_events: int = 4, seed: int = 17,
+        event_spacing_s: float = 60.0) -> ChaosReaction:
     """Measure reaction timing under each fault class.
 
     Every scenario replays the *same* degradation train (same seed, same
@@ -144,14 +141,13 @@ def run(n_events: int = 4, seed: int = 17, event_spacing_s: float = 60.0,
     __, demand = quiet_testbed(seed)
     pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
     scenarios = []
-    for name, schedule in _schedules(n_events, event_spacing_s,
-                                     event_duration_s, pair[0]):
+    for name, schedule in _schedules(n_events, event_spacing_s, pair[0]):
         deployment = ({"variant": xron(), "demand_scale": 0.6,
                        "initial_gateways": 1}
                       if name == "provision-storm" else {})
         result, failovers, failbacks = reaction_train(
-            seed, n_events, event_spacing_s, event_duration_s,
-            measure_interval_s, epoch_s=60.0, faults=schedule, **deployment)
+            seed, n_events, event_spacing_s, epoch_s=60.0, faults=schedule,
+            **deployment)
         scenarios.append(ChaosScenario(name, n_events, len(failovers),
                                        failovers, failbacks,
                                        result.fault_counters))

@@ -70,11 +70,16 @@ class SimilarityFigure:
         return lines
 
 
+#: The sampling step of the similarity series, seconds.
+STEP_S = 5.0
+
+
 def run(underlay: Optional[Underlay] = None, gateways_per_region: int = 4,
         representatives: int = 2, window_s: float = 21600.0,
-        step_s: float = 5.0, seed: int = 11,
+        seed: int = 11,
         max_pairs: Optional[int] = None) -> SimilarityFigure:
     """Instantiate gateway-level links for each pair and measure similarity."""
+    step_s = STEP_S
     u = underlay if underlay is not None else standard_underlay()
     streams = RngStreams(seed)
     pairs = u.pairs if max_pairs is None else u.pairs[:max_pairs]

@@ -39,16 +39,22 @@ class AsymmetryFigure:
             title="Fig. 8 — directional asymmetry of Internet links")
 
 
-def run(underlay: Optional[Underlay] = None, window_s: float = 86400.0,
-        step_s: float = 10.0,
-        relative_latency_gap: float = 0.10) -> AsymmetryFigure:
+#: The sampling step, seconds, and the relative latency gap past which
+#: two directions differ.
+STEP_S = 10.0
+RELATIVE_LATENCY_GAP = 0.10
+
+
+def run(underlay: Optional[Underlay] = None,
+        window_s: float = 86400.0) -> AsymmetryFigure:
     """Compare each unordered pair's two directions over a day.
 
     Directions 'differ' at an instant when their quality classifications
-    disagree or their latencies are more than `relative_latency_gap`
+    disagree or their latencies are more than `RELATIVE_LATENCY_GAP`
     apart — the notion under Fig. 8's per-direction curves.
     """
     u = underlay if underlay is not None else standard_underlay()
+    step_s = STEP_S
     times = np.arange(0.0, window_s, step_s)
     seen = set()
     fractions = []
@@ -65,7 +71,7 @@ def run(underlay: Optional[Underlay] = None, window_s: float = 86400.0,
         l_rev = rev.latency_ms(times)
         gap = (np.abs(l_fwd - l_rev) / np.maximum(np.maximum(l_fwd, l_rev),
                                                   1e-9))
-        differ = (q_fwd != q_rev) | (gap > relative_latency_gap)
+        differ = (q_fwd != q_rev) | (gap > RELATIVE_LATENCY_GAP)
         fractions.append(float(differ.mean()))
         labels.append((a, b))
     fractions = np.array(fractions)

@@ -55,17 +55,21 @@ class PredictionFigure:
         return lines
 
 
+#: The evaluated span, days (one week).
+EVAL_DAYS = 7
+
+
 def run(demand: Optional[DemandModel] = None, slot_s: float = 300.0,
-        train_days: int = 14, eval_days: int = 7,
-        n_harmonics: int = 100) -> PredictionFigure:
-    """Warm the rolling predictor on `train_days`, evaluate on `eval_days`."""
+        train_days: int = 14) -> PredictionFigure:
+    """Warm the rolling predictor on `train_days`, evaluate on
+    `EVAL_DAYS`."""
     m = demand if demand is not None else standard_demand()
     pair = max(m.pairs, key=lambda p: m.pair_scale(*p))
-    total_days = train_days + eval_days
+    total_days = train_days + EVAL_DAYS
     times = np.arange(0.0, total_days * 86400.0, slot_s)
     series = m.rate_mbps(pair[0], pair[1], times)
 
-    predictor = RollingPredictor(n_harmonics)
+    predictor = RollingPredictor()
     eval_start = int(train_days * 86400.0 / slot_s)
     predicted, actual, eval_times = [], [], []
     for i, value in enumerate(series):

@@ -13,14 +13,14 @@ per-day statistics are stationary, so the comparison is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.ascii import series_panel
 from repro.core.config import SimulationConfig
 from repro.core.longrun import MultiDayResult, run_multi_day
 from repro.core.simulator import SimulationResult
 from repro.core.system import XRONSystem
-from repro.core.variants import VariantSpec, standard_variants
+from repro.core.variants import standard_variants
 from repro.experiments.base import format_table
 from repro.qoe.metrics import QoESummary
 from repro.underlay.config import UnderlayConfig
@@ -35,11 +35,11 @@ class QoEComparison:
     daily: Dict[str, List[QoESummary]]
     days: float
 
-    def reduction_vs(self, metric: str, variant: str = "XRON",
-                     baseline: str = "Internet only") -> float:
-        """Relative reduction of `metric` (e.g. -0.77 means -77%)."""
-        v = getattr(self.summaries[variant], metric)
-        b = getattr(self.summaries[baseline], metric)
+    def reduction_vs(self, metric: str) -> float:
+        """Relative reduction of `metric`, XRON against Internet-only
+        (e.g. -0.77 means -77%)."""
+        v = getattr(self.summaries["XRON"], metric)
+        b = getattr(self.summaries["Internet only"], metric)
         if b == 0:
             return 0.0
         return (v - b) / b
@@ -82,7 +82,6 @@ class QoEComparison:
 
 def run(days: float = 3.0, seed: int = 1, epoch_s: float = 900.0,
         eval_step_s: float = 30.0, start_hour: float = 0.0,
-        variants: Optional[List[VariantSpec]] = None,
         demand_scale: float = 1.0) -> QoEComparison:
     """Run the §6.1 three-version comparison."""
     if days <= 0:
@@ -93,9 +92,8 @@ def run(days: float = 3.0, seed: int = 1, epoch_s: float = 900.0,
         seed=seed, underlay_config=ucfg,
         sim_config=SimulationConfig(epoch_s=epoch_s, eval_step_s=eval_step_s,
                                     demand_scale=demand_scale, seed=seed))
-    chosen = variants if variants is not None else standard_variants()
     results, summaries, daily = {}, {}, {}
-    for variant in chosen:
+    for variant in standard_variants():
         res = system.run(variant=variant, start_hour=start_hour,
                          hours=days * 24.0)
         results[variant.name] = res
@@ -114,9 +112,9 @@ class LongQoEComparison:
     def mean(self, variant: str, field: str) -> float:
         return self.results[variant].mean(field)
 
-    def reduction_vs(self, field: str, variant: str = "XRON",
-                     baseline: str = "Internet only") -> float:
-        v, b = self.mean(variant, field), self.mean(baseline, field)
+    def reduction_vs(self, field: str) -> float:
+        v = self.mean("XRON", field)
+        b = self.mean("Internet only", field)
         return (v - b) / b if b else 0.0
 
     def lines(self) -> List[str]:
@@ -145,17 +143,19 @@ class LongQoEComparison:
         return lines
 
 
-def run_long(days: int = 14, seed: int = 1, epoch_s: float = 900.0,
-             eval_step_s: float = 60.0,
-             variants: Optional[List[VariantSpec]] = None
-             ) -> LongQoEComparison:
+#: The long mode's control epoch and evaluation step, seconds.
+LONG_EPOCH_S = 900.0
+LONG_EVAL_STEP_S = 60.0
+
+
+def run_long(days: int = 14, seed: int = 1) -> LongQoEComparison:
     """The paper-shaped long mode: one underlay per day, persistent
     control-plane state, per-day QoE points (Fig. 13's actual curves)."""
-    chosen = variants if variants is not None else standard_variants()
     results = {}
-    for variant in chosen:
+    for variant in standard_variants():
         results[variant.name] = run_multi_day(
             days, variant, seed=seed,
-            sim_config=SimulationConfig(epoch_s=epoch_s,
-                                        eval_step_s=eval_step_s, seed=seed))
+            sim_config=SimulationConfig(epoch_s=LONG_EPOCH_S,
+                                        eval_step_s=LONG_EVAL_STEP_S,
+                                        seed=seed))
     return LongQoEComparison(results, days)

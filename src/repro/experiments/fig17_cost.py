@@ -108,12 +108,19 @@ def _region_demand_series(demand: DemandModel, codes: List[str],
     return {c: v * relay_overhead / 2.0 for c, v in per_region.items()}
 
 
+#: Panel (c)'s capacity emulation: its length (days), its slot
+#: (seconds), and the factor lifting it to the full-scale traffic the
+#: paper uses for capacity analysis.
+SCALING_DAYS = 14
+SCALING_SLOT_S = 300.0
+SCALING_DEMAND_SCALE = 10.0
+
+
 def run(seed: int = 1, hours: float = 24.0, epoch_s: float = 600.0,
-        eval_step_s: float = 20.0, scaling_days: int = 14,
-        scaling_slot_s: float = 300.0,
-        scaling_demand_scale: float = 10.0) -> CostAnalysis:
-    """`scaling_demand_scale` lifts panel (c)'s emulation to the
-    full-scale traffic the paper uses for capacity analysis."""
+        eval_step_s: float = 20.0) -> CostAnalysis:
+    """Panels (a), (b) and (d) over `hours` of the three versions, and
+    panel (c)'s `SCALING_DAYS` capacity emulation."""
+    scaling_days, scaling_slot_s = SCALING_DAYS, SCALING_SLOT_S
     horizon = hours * 3600.0 + 2 * epoch_s
     system = XRONSystem(
         seed=seed,
@@ -140,7 +147,7 @@ def run(seed: int = 1, hours: float = 24.0, epoch_s: float = 600.0,
     b_c = CONTAINER_CAPACITY_MBPS
     region_series = _region_demand_series(system.demand, system.underlay.codes,
                                           scaling_slot_s, scaling_days)
-    region_series = {c: v * scaling_demand_scale
+    region_series = {c: v * SCALING_DEMAND_SCALE
                      for c, v in region_series.items()}
     # Fixed Allocation provisions to the previous week's peak; with a
     # shorter emulation use the first half of the series as 'previous'.

@@ -13,13 +13,13 @@ performs like XRON-Premium.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.core.system import XRONSystem
-from repro.core.variants import VariantSpec, xron, xron_basic, xron_premium
+from repro.core.variants import xron, xron_basic, xron_premium
 from repro.analysis.ascii import histogram_bar
 from repro.experiments.base import format_table
 from repro.underlay.config import UnderlayConfig
@@ -34,11 +34,11 @@ class FastReactionAblation:
     counts: Dict[str, Tuple[int, int, int]]
     hours: float
 
-    def reduction(self, bucket: int, variant: str = "XRON",
-                  baseline: str = "XRON-Basic") -> float:
-        """Relative change of a bucket's count (negative = fewer cases)."""
-        b = self.counts[baseline][bucket]
-        v = self.counts[variant][bucket]
+    def reduction(self, bucket: int) -> float:
+        """Relative change of a bucket's count, XRON against XRON-Basic
+        (negative = fewer cases)."""
+        b = self.counts["XRON-Basic"][bucket]
+        v = self.counts["XRON"][bucket]
         return (v - b) / b if b else 0.0
 
     def lines(self) -> List[str]:
@@ -61,18 +61,16 @@ class FastReactionAblation:
 
 
 def run(hours: float = 8.0, seed: int = 1, start_hour: float = 6.0,
-        eval_step_s: float = 1.0, epoch_s: float = 300.0,
-        variants: Optional[List[VariantSpec]] = None) -> FastReactionAblation:
+        eval_step_s: float = 1.0,
+        epoch_s: float = 300.0) -> FastReactionAblation:
     horizon = (start_hour + hours) * 3600.0 + 2 * epoch_s
     system = XRONSystem(
         seed=seed,
         underlay_config=UnderlayConfig(horizon_s=max(horizon, 2 * 86400.0)),
         sim_config=SimulationConfig(epoch_s=epoch_s,
                                     eval_step_s=eval_step_s, seed=seed))
-    chosen = (variants if variants is not None
-              else [xron_premium(), xron_basic(), xron()])
     counts: Dict[str, Tuple[int, int, int]] = {}
-    for variant in chosen:
+    for variant in (xron_premium(), xron_basic(), xron()):
         res = system.run(variant=variant, start_hour=start_hour, hours=hours)
         lat = res.latency_ms.ravel()
         counts[variant.name] = tuple(

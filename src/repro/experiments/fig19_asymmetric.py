@@ -53,8 +53,7 @@ class AsymmetricAblation:
 
 
 def run(underlay: Optional[Underlay] = None, n_epochs: int = 24,
-        epoch_s: float = 3600.0, start_s: float = 0.0,
-        seed: int = 9) -> AsymmetricAblation:
+        epoch_s: float = 3600.0, seed: int = 9) -> AsymmetricAblation:
     u = underlay if underlay is not None else standard_underlay()
     demand = standard_demand(seed)
     config = ControlConfig()
@@ -63,7 +62,7 @@ def run(underlay: Optional[Underlay] = None, n_epochs: int = 24,
     speedups: List[float] = []
 
     for e in range(n_epochs):
-        now = start_s + e * epoch_s
+        now = e * epoch_s
         true_state = u.snapshot(now)
         matrix = TrafficMatrix.from_model(demand, now)
         streams = workload.decompose(matrix)

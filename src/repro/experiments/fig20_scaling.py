@@ -67,8 +67,12 @@ class ScalingComparison:
         return lines
 
 
+#: Days the predictor warms up before errors count.
+WARMUP_DAYS = 2
+
+
 def run(demand: Optional[DemandModel] = None, days: int = 14,
-        slot_s: float = 300.0, seed: int = 3, warmup_days: int = 2,
+        slot_s: float = 300.0, seed: int = 3,
         demand_scale: float = 10.0) -> ScalingComparison:
     """`demand_scale` lifts the model (calibrated to the 10%-of-sessions
     deployment) to the full-scale traffic the paper's emulation uses."""
@@ -78,7 +82,7 @@ def run(demand: Optional[DemandModel] = None, days: int = 14,
                                               default_regions()],
                                           slot_s, days)
     region_series = {c: v * demand_scale for c, v in region_series.items()}
-    warmup = int(warmup_days * 86400.0 / slot_s)
+    warmup = int(WARMUP_DAYS * 86400.0 / slot_s)
     pooled: Dict[str, List[np.ndarray]] = {"Reactive": [], "Proactive": []}
     rng_seed = 100
     for code, series in sorted(region_series.items()):

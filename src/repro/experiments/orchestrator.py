@@ -294,9 +294,7 @@ def run_parallel(names: Sequence[str], *, full: bool = False,
     return [final[name] for name in names]
 
 
-def rollup_records(records: Sequence[RunRecord],
-                   registry_: Optional[MetricsRegistry] = None
-                   ) -> Dict[str, object]:
+def rollup_records(records: Sequence[RunRecord]) -> Dict[str, object]:
     """Aggregate a suite's records through a metrics registry.
 
     Produces the manifest's suite-level rollup: experiment counts by
@@ -304,7 +302,7 @@ def rollup_records(records: Sequence[RunRecord],
     ordinary `repro.obs` metrics so the manifest and the telemetry file
     speak the same schema.
     """
-    reg = registry_ if registry_ is not None else MetricsRegistry()
+    reg = MetricsRegistry()
     wall = reg.histogram(
         "orchestrator.experiment_wall_s",
         buckets=(0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0))

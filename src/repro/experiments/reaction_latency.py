@@ -62,11 +62,9 @@ class ReactionLatency:
         return lines
 
 
-def run(n_events: int = 10, seed: int = 13, event_spacing_s: float = 60.0,
-        event_duration_s: float = 25.0, measure_interval_s: float = 0.5
-        ) -> ReactionLatency:
+def run(n_events: int = 10, seed: int = 13,
+        event_spacing_s: float = 60.0) -> ReactionLatency:
     """Inject `n_events` degradations and measure handling latency."""
     __, delays, reverts = reaction_train(
-        seed, n_events, event_spacing_s, event_duration_s,
-        measure_interval_s, epoch_s=3600.0, variant=xron())
+        seed, n_events, event_spacing_s, epoch_s=3600.0, variant=xron())
     return ReactionLatency(delays, n_events, len(delays), reverts)

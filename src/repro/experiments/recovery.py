@@ -151,9 +151,8 @@ def _reconverge_epochs(result: EventSimResult, demand: DemandModel,
 def _install_chaos(seed: int) -> List[RecoveryRow]:
     """Partial + delayed installs: resilience off vs on."""
     schedule = FaultSchedule.of(
-        # Spare the bootstrap install (start + 1.0): a truncated FIRST
-        # table has no stale rows to ride, which would model a dead
-        # region rather than a degraded push path.
+        # Spare the bootstrap install (start + 1.0): the fault degrades
+        # the push path of a deployment that has booted, not its boot.
         install_partial(TESTBED_START_S + 60.0, 40.0, 0.4),
         install_delay(TESTBED_START_S + 450.0, 20.0, 5.0),
     )

@@ -1,7 +1,7 @@
 """Declarative experiment registry.
 
 Every paper table/figure is described by an :class:`ExperimentSpec` —
-name, target module/function, quick and full kwargs, tags, seed — rather
+name, target module, quick and full kwargs, tags — rather
 than a closure, so the same registry drives the sequential runner, the
 process-pool orchestrator (specs must be resolvable by name inside
 worker processes), ``--list``, and the run manifest.
@@ -19,35 +19,38 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.experiments.base import derive_seed
 
 
+#: The function of an experiment's module that runs it: a callable
+#: returning either a result object with a ``lines()`` method or a
+#: plain list of strings.
+ENTRYPOINT = "run"
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: where it lives and how to run it at each scale.
 
-    ``module``/``func`` name a callable returning either a result object
-    with a ``lines()`` method or a plain list of strings.  ``full_func``
-    lets ``--full`` switch implementations (fig13's long mode).  ``seed``
-    is the deterministic global-RNG seed installed before the experiment
-    runs; ``None`` derives one from the name so adding experiments never
-    shifts another experiment's seed.
+    ``module`` names the module whose `ENTRYPOINT` runs it;
+    ``full_func`` lets ``--full`` switch implementations (fig13's long
+    mode).  The deterministic global-RNG seed installed before the
+    experiment runs is derived from its name, so adding experiments
+    never shifts another experiment's seed.
     """
 
     name: str
     module: str
-    func: str = "run"
     quick_kwargs: Mapping[str, object] = field(default_factory=dict)
     full_kwargs: Mapping[str, object] = field(default_factory=dict)
     full_func: Optional[str] = None
     tags: Tuple[str, ...] = ()
-    seed: Optional[int] = None
 
     def resolved_seed(self) -> int:
-        return self.seed if self.seed is not None else derive_seed(self.name)
+        return derive_seed(self.name)
 
     def kwargs(self, full: bool) -> Dict[str, object]:
         return dict(self.full_kwargs if full else self.quick_kwargs)
 
     def resolve(self, full: bool) -> Callable[..., object]:
-        func = (self.full_func or self.func) if full else self.func
+        func = (self.full_func or ENTRYPOINT) if full else ENTRYPOINT
         return getattr(import_module(self.module), func)
 
     def execute(self, full: bool = False) -> List[str]:

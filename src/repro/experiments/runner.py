@@ -49,7 +49,8 @@ def _print_record(record: RunRecord) -> None:
 
 def _list_registry(specs) -> None:
     rows = [[s.name, " ".join(s.tags), s.resolved_seed(),
-             s.func + (f"/{s.full_func}" if s.full_func else "")]
+             registry.ENTRYPOINT
+             + (f"/{s.full_func}" if s.full_func else "")]
             for s in specs]
     for line in format_table(["experiment", "tags", "seed", "entrypoint"],
                              rows):

@@ -8,12 +8,12 @@ by 263x; both metrics land close to the premium-only version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import SimulationResult
 from repro.core.system import XRONSystem
-from repro.core.variants import VariantSpec, standard_variants
+from repro.core.variants import standard_variants
 from repro.experiments.base import format_table
 from repro.underlay.config import UnderlayConfig
 
@@ -28,13 +28,12 @@ class NetworkTables:
     loss_rows: Dict[str, Dict[str, float]]
     hours: float
 
-    def improvement(self, column: str, table: str = "latency",
-                    variant: str = "XRON",
-                    baseline: str = "Internet only") -> float:
-        """Baseline / variant for one percentile column (e.g. '99.9%')."""
+    def improvement(self, column: str, table: str = "latency") -> float:
+        """Internet only / XRON for one percentile column (e.g.
+        '99.9%')."""
         rows = self.latency_rows if table == "latency" else self.loss_rows
-        v = rows[variant][column]
-        b = rows[baseline][column]
+        v = rows["XRON"][column]
+        b = rows["Internet only"][column]
         return b / v if v > 0 else float("inf")
 
     def lines(self) -> List[str]:
@@ -61,8 +60,7 @@ class NetworkTables:
 
 
 def run(hours: float = 6.0, seed: int = 1, start_hour: float = 6.0,
-        eval_step_s: float = 2.0, epoch_s: float = 300.0,
-        variants: Optional[List[VariantSpec]] = None
+        eval_step_s: float = 2.0, epoch_s: float = 300.0
         ) -> "NetworkTables":
     """Full-mesh sessions between all regions, fine-grained sampling."""
     horizon = (start_hour + hours) * 3600.0 + 2 * epoch_s
@@ -71,10 +69,9 @@ def run(hours: float = 6.0, seed: int = 1, start_hour: float = 6.0,
         underlay_config=UnderlayConfig(horizon_s=max(horizon, 2 * 86400.0)),
         sim_config=SimulationConfig(epoch_s=epoch_s,
                                     eval_step_s=eval_step_s, seed=seed))
-    chosen = variants if variants is not None else standard_variants()
     latency_rows: Dict[str, Dict[str, float]] = {}
     loss_rows: Dict[str, Dict[str, float]] = {}
-    for variant in chosen:
+    for variant in standard_variants():
         res: SimulationResult = system.run(variant=variant,
                                            start_hour=start_hour, hours=hours)
         # Full-mesh sessions weight every pair equally (Table 2/3 set-up).

@@ -189,23 +189,27 @@ class FaultInjector:
         return None
 
     # --------------------------------------------------------------- probing
-    def probe_blackout(self, hops: Sequence[Tuple[str, str, LinkType]],
+    def probe_blackout(self, codes: Sequence[str], src: np.ndarray,
+                       dst: np.ndarray, tier: np.ndarray,
                        now: float) -> Dict[int, FaultSpec]:
-        """The blackout spec covering each of the directed links `hops`
-        at `now` (the first in schedule order), by position; links no
-        window covers are absent, so an instant without blackout gives
-        an empty dict.  One query per probing instant: the spec lets
-        the probing seam annotate its telemetry with the fault id."""
+        """The blackout spec covering each directed link at `now` (the
+        first in schedule order), by position: link k runs ``codes[
+        src[k]] -> codes[dst[k]]`` on tier ``TYPE_ORDER[tier[k]]`` (the
+        monitoring block's link columns).  Links no window covers are
+        absent, so an instant without blackout gives an empty dict.
+        One query per probing instant, one match mask per open window:
+        the spec lets the probing seam annotate its telemetry with the
+        fault id."""
         active = [spec for spec in self._by_kind[FaultKind.PROBE_BLACKOUT]
                   if spec.active(now)]
-        covered: Dict[int, FaultSpec] = {}
-        if active:
-            for k, (src, dst, link_type) in enumerate(hops):
-                for spec in active:
-                    if spec.matches_link(src, dst, link_type):
-                        covered[k] = spec
-                        break
-        return covered
+        if not active:
+            return {}
+        owner = np.full(len(src), -1)
+        for i, spec in enumerate(active):
+            owner[self._matches(spec, codes, src, dst, tier)
+                  & (owner < 0)] = i
+        return {k: active[owner[k]]
+                for k in np.flatnonzero(owner >= 0).tolist()}
 
     def region_blackout(self, region: str, now: float) -> bool:
         """Whether a region-wide (dst-less) blackout covers `region`."""
@@ -245,7 +249,8 @@ class FaultInjector:
         touched = np.zeros(len(batch), dtype=bool)
         shifted = at
         for spec in live:
-            rows = self._matches(spec, batch)
+            rows = self._matches(spec, batch.codes, batch.src, batch.dst,
+                                 batch.tier)
             rows &= (spec.start_s <= at) & (at < spec.end_s)
             hit = np.flatnonzero(rows > touched)  # matched, not yet hit
             if spec.kind is FaultKind.REPORT_DROP:
@@ -266,16 +271,17 @@ class FaultInjector:
         return ReportFaults(dropped, staled, shifted)
 
     @staticmethod
-    def _matches(spec: FaultSpec, batch: ReportBatch) -> np.ndarray:
-        """The rows of `batch` whose link `spec` matches: each scope
-        the spec names (source, destination, tier) compared with its
-        column, by position (-1, matching no row, for a region outside
-        the batch)."""
-        rows = np.ones(len(batch), dtype=bool)
-        for scope, column, names in ((spec.region, batch.src, batch.codes),
-                                     (spec.dst, batch.dst, batch.codes),
-                                     (spec.link_type, batch.tier,
-                                      TYPE_ORDER)):
+    def _matches(spec: FaultSpec, codes: Sequence[str], src: np.ndarray,
+                 dst: np.ndarray, tier: np.ndarray) -> np.ndarray:
+        """The rows of the link columns (`src` and `dst` positions in
+        `codes`, `tier` in `TYPE_ORDER`) whose link `spec` matches: each
+        scope the spec names (source, destination, tier) compared with
+        its column, by position (-1, matching no row, for a region
+        outside `codes`)."""
+        rows = np.ones(len(src), dtype=bool)
+        for scope, column, names in ((spec.region, src, codes),
+                                     (spec.dst, dst, codes),
+                                     (spec.link_type, tier, TYPE_ORDER)):
             if scope is not None:
                 position = names.index(scope) if scope in names else -1
                 rows &= column == position
@@ -478,38 +484,28 @@ class FaultExtension:
             _TEL.flush_stream(now)
 
     # -------------------------------------------------------------- installs
-    def truncate_install(self, code: str, cluster, entries: Entries,
-                         plans: Plans, now: float) -> Tuple[Entries, Plans]:
+    def truncate_install(self, code: str, entries: Entries, plans: Plans,
+                         now: float) -> Tuple[Entries, Plans]:
         """Partial install: only the first `keep` fraction of the
-        update's rows (by stream id) lands; rows beyond the cut keep
-        their previously installed value — the stream rides a stale
-        table row, it does not vanish.  Streams absent from the new
-        table are still withdrawn."""
+        update's rows (by stream id) lands, with their plans; the
+        update's other streams get no row in the region, like streams
+        absent from it.  Every decompose allocates fresh stream ids, so
+        the region holds no earlier row of theirs to fall back on."""
         keep = self.injector.install_keep_fraction(code, now)
         if keep >= 1.0:
             return entries, plans
         kept = truncate_install(entries, keep)
-        stale_entries = cluster.current_entries()
-        stale_plans = cluster.current_plans()
-        merged = dict(kept)
-        merged_plans = {sid: plan for sid, plan in plans.items()
-                        if sid in kept}
-        for sid in entries:
-            if sid in kept:
-                continue
-            if sid in stale_entries:
-                merged[sid] = stale_entries[sid]
-            if sid in stale_plans:
-                merged_plans[sid] = stale_plans[sid]
         self.injector.counters.installs_truncated += 1
         if _TEL.enabled:
             _TEL.counter("fault.installs_truncated").inc()
+            # `stale` (rows that fell back on an earlier one) is 0: the
+            # field stays so the event keeps its schema.
             _TEL.event("fault_install_partial", t=now, region=code,
-                       fresh=len(kept), stale=len(merged) - len(kept),
-                       keep_fraction=keep,
+                       fresh=len(kept), stale=0, keep_fraction=keep,
                        fault_id=self.injector.fault_id(
                            self.injector.install_partial_spec(code, now)))
-        return merged, merged_plans
+        return kept, {sid: plan for sid, plan in plans.items()
+                      if sid in kept}
 
     def install_delay(self, code: str, now: float) -> float:
         """Seconds an install-delay fault holds back one region's push

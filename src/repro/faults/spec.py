@@ -182,11 +182,6 @@ class FaultSpec:
     def matches_region(self, region: str) -> bool:
         return self.region is None or self.region == region
 
-    def matches_link(self, src: str, dst: str, link_type: LinkType) -> bool:
-        return (self.matches_region(src)
-                and (self.dst is None or self.dst == dst)
-                and (self.link_type is None or self.link_type is link_type))
-
     # ------------------------------------------------------------------ json
     def to_json(self) -> Dict[str, object]:
         doc = asdict(self)
@@ -281,10 +276,10 @@ class FaultSchedule:
 
 # --------------------------------------------------------- convenience API
 def gateway_crash(start_s: float, duration_s: float, region: str,
-                  count: int = 1, restart: bool = True) -> FaultSpec:
+                  count: int = 1) -> FaultSpec:
     """`count` gateways of `region` crash; replacements start at the end."""
     return FaultSpec(FaultKind.GATEWAY_CRASH, start_s, duration_s,
-                     region=region, count=count, restart=restart)
+                     region=region, count=count)
 
 
 def probe_blackout(start_s: float, duration_s: float,
@@ -297,12 +292,10 @@ def probe_blackout(start_s: float, duration_s: float,
 
 def report_drop(start_s: float, duration_s: float,
                 region: Optional[str] = None, dst: Optional[str] = None,
-                link_type: Optional[LinkType] = None,
-                probability: float = 1.0) -> FaultSpec:
+                link_type: Optional[LinkType] = None) -> FaultSpec:
     """Monitoring reports are lost on the way to the NIB."""
     return FaultSpec(FaultKind.REPORT_DROP, start_s, duration_s,
-                     region=region, dst=dst, link_type=link_type,
-                     probability=probability)
+                     region=region, dst=dst, link_type=link_type)
 
 
 def report_staleness(start_s: float, duration_s: float, staleness_s: float,
@@ -351,11 +344,10 @@ def control_partition(start_s: float, duration_s: float,
 
 
 def membership_churn(start_s: float, duration_s: float,
-                     region: Optional[str] = None,
-                     probability: float = 1.0) -> FaultSpec:
+                     region: Optional[str] = None) -> FaultSpec:
     """Membership liveness refreshes from `region` are suppressed."""
     return FaultSpec(FaultKind.MEMBERSHIP_CHURN, start_s, duration_s,
-                     region=region, probability=probability)
+                     region=region)
 
 
 __all__ = [

@@ -10,9 +10,9 @@ One facade object (`Telemetry`) bundles the two collection surfaces:
 
 Telemetry is **off by default** and costs one attribute check per
 instrumented site while off: call sites hold the process-wide hub
-(`telemetry()`) and guard with ``if tel.enabled:``.  While disabled the
-hub also hands out shared null metric objects, so unguarded
-``tel.counter(...).inc()`` is a no-op rather than an accumulation.
+(`telemetry()`) and guard with ``if tel.enabled:``, the one off switch
+(events and spans check it themselves; a metric write is guarded by
+its caller).
 
 The hub is a mutate-in-place singleton: `enable()` / `disable()` /
 `reset()` flip or clear the one instance rather than swapping it, so
@@ -41,8 +41,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 from pathlib import Path
 from typing import Union
 
-from repro.obs.metrics import (NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM,
-                               Counter, Gauge, Histogram, MetricsRegistry)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.stream import DEFAULT_MAX_BYTES, TelemetryStream
 from repro.obs.trace import TraceEvent, Tracer
 
@@ -58,11 +57,11 @@ _NULL_SPAN = nullcontext()
 class Telemetry:
     """Metrics registry + decision tracer behind one enable switch."""
 
-    def __init__(self, enabled: bool = False,
-                 max_events: int = 200_000):
-        self.enabled = bool(enabled)
+    def __init__(self):
+        #: The one off switch; the hub starts disabled.
+        self.enabled = False
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(max_events=max_events)
+        self.tracer = Tracer()
         # Drop accounting: hitting the tracer bound shows up as a real
         # metric, not just a silent tracer attribute.
         self.tracer.on_drop = self._count_drop
@@ -74,14 +73,12 @@ class Telemetry:
 
     # ------------------------------------------------------------- metrics
     def counter(self, name: str) -> Counter:
-        return self.metrics.counter(name) if self.enabled else NULL_COUNTER
+        return self.metrics.counter(name)
 
     def gauge(self, name: str) -> Gauge:
-        return self.metrics.gauge(name) if self.enabled else NULL_GAUGE
+        return self.metrics.gauge(name)
 
     def histogram(self, name: str, buckets: Sequence[float]) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
         return self.metrics.histogram(name, buckets)
 
     # -------------------------------------------------------------- tracing

@@ -110,33 +110,6 @@ class Histogram:
                 "buckets": cumulative, "overflow": self.overflow}
 
 
-class NullCounter(Counter):
-    """Shared no-op counter handed out while telemetry is disabled."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_COUNTER = NullCounter("null")
-NULL_GAUGE = NullGauge("null")
-NULL_HISTOGRAM = NullHistogram("null", (1.0,))
-
 Metric = Union[Counter, Gauge, Histogram]
 
 

@@ -4,19 +4,19 @@ XRON's operational question is not "what was the p99 latency" but
 "which streams violated their service objective, when, and *because of
 what*".  This module answers it on top of the telemetry hub:
 
-* an `SLOTarget` declares what "bad" means for one service class — a
-  latency/loss threshold (or any per-sample badness predicate, e.g. a
-  QoE stall classifier from `repro.qoe.metrics.qoe_badness`), a rolling
-  window, and an error budget;
+* the engine's `badness` predicate declares what "bad" means for one
+  sample (the program passes the QoE stall classifier
+  `repro.qoe.metrics.qoe_badness`); the module constants are the
+  policy of the one service class: a rolling window and an error
+  budget;
 * `SLOEngine.observe` ingests per-stream samples (the event simulator's
   measurement ticks, or the epoch simulator's evaluated series) and
   maintains a rolling-window **burn rate** — the fraction of bad
   samples in the window divided by the error budget, the standard SRE
   framing where burn 1.0 means "spending budget exactly as fast as
   allowed";
-* crossing ``breach_burn`` emits an ``slo_breach`` trace event,
-  falling back under ``recover_burn`` (hysteresis) emits
-  ``slo_recovered``;
+* crossing `BREACH_BURN` emits an ``slo_breach`` trace event, falling
+  back under `RECOVER_BURN` (hysteresis) emits ``slo_recovered``;
 * the engine also rides the tracer as a sink, remembering recent
   fault/resilience events, so each breach is **causally annotated**
   with the nearest preceding fault (kind, time, seq, and the injected
@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.obs import Telemetry, telemetry as _telemetry
+from repro.obs import telemetry as _telemetry
 from repro.obs.trace import TraceEvent
 
 #: Event kinds treated as breach *causes*, by prefix/name.
@@ -50,40 +50,20 @@ _REMEDY_KINDS = ("failover", "resilience_install_commit",
 CAUSE_WINDOW_S = 180.0
 REMEMBERED_EVENTS = 512
 
-
-@dataclass(frozen=True)
-class SLOTarget:
-    """Declarative objective for one service class."""
-
-    name: str = "interactive"
-    #: Per-sample badness thresholds (ignored when `badness` is given).
-    latency_ms: float = 400.0
-    loss_rate: float = 0.05
-    #: Rolling evaluation window, simulated seconds.
-    window_s: float = 30.0
-    #: Allowed bad-sample fraction; burn rate = bad fraction / budget.
-    error_budget: float = 0.1
-    #: Burn rate at/above which a stream enters breach ...
-    breach_burn: float = 1.0
-    #: ... and at/below which it recovers (hysteresis: < breach_burn).
-    recover_burn: float = 0.5
-    #: Samples required in the window before breaching (no flapping on
-    #: the first bad sample of a fresh stream).
-    min_samples: int = 5
-
-    def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be positive, got "
-                             f"{self.window_s}")
-        if not 0.0 < self.error_budget <= 1.0:
-            raise ValueError(f"error_budget must be in (0, 1], got "
-                             f"{self.error_budget}")
-        if self.recover_burn >= self.breach_burn:
-            raise ValueError(
-                f"recover_burn ({self.recover_burn}) must stay below "
-                f"breach_burn ({self.breach_burn}) for hysteresis")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
+#: The objective of the one service class, named `TARGET_NAME` in its
+#: events.  Rolling evaluation window, simulated seconds.
+TARGET_NAME = "interactive"
+WINDOW_S = 30.0
+#: Allowed bad-sample fraction, in (0, 1]; burn rate = bad fraction /
+#: budget.
+ERROR_BUDGET = 0.1
+#: Burn rate at/above which a stream enters breach ...
+BREACH_BURN = 1.0
+#: ... and at/below which it recovers (hysteresis: < BREACH_BURN).
+RECOVER_BURN = 0.5
+#: Samples required in the window before breaching (no flapping on the
+#: first bad sample of a fresh stream).
+MIN_SAMPLES = 5
 
 
 @dataclass
@@ -130,14 +110,11 @@ class StreamLedger:
 class SLOEngine:
     """Rolling-window SLO evaluation with causal breach annotation."""
 
-    def __init__(self, target: Optional[SLOTarget] = None,
-                 hub: Optional[Telemetry] = None, *,
-                 badness: Optional[Callable[[float, float], bool]] = None):
-        """`badness(latency_ms, loss_rate) -> bool` overrides the
-        target's threshold comparison (e.g. a QoE stall classifier);
-        blackholed samples are always bad."""
-        self.target = target if target is not None else SLOTarget()
-        self._tel = hub if hub is not None else _telemetry()
+    def __init__(self, badness: Callable[[float, float], bool]):
+        """`badness(latency_ms, loss_rate) -> bool` classifies a measured
+        sample (the program's is the QoE stall classifier); blackholed
+        samples are always bad."""
+        self._tel = _telemetry()
         self._badness = badness
         self.streams: Dict[str, StreamLedger] = {}
         #: ``src->dst`` per pair `sample` has named.
@@ -168,11 +145,7 @@ class SLOEngine:
         else:
             lat = float(latency_ms if latency_ms is not None else 0.0)
             loss = float(loss_rate if loss_rate is not None else 0.0)
-            if self._badness is not None:
-                bad = bool(self._badness(lat, loss))
-            else:
-                bad = (lat > self.target.latency_ms
-                       or loss > self.target.loss_rate)
+            bad = bool(self._badness(lat, loss))
             ledger.sum_latency_ms += lat
             if lat > ledger.max_latency_ms:
                 ledger.max_latency_ms = lat
@@ -184,19 +157,19 @@ class SLOEngine:
         window.append((t, bad))
         if bad:
             ledger.window_bad += 1
-        horizon = t - self.target.window_s
+        horizon = t - WINDOW_S
         while window and window[0][0] <= horizon:
             __, was_bad = window.popleft()
             if was_bad:
                 ledger.window_bad -= 1
 
-        burn = ((ledger.window_bad / len(window)) / self.target.error_budget
+        burn = ((ledger.window_bad / len(window)) / ERROR_BUDGET
                 if window else 0.0)
         if (not ledger.in_breach
-                and len(window) >= self.target.min_samples
-                and burn >= self.target.breach_burn):
+                and len(window) >= MIN_SAMPLES
+                and burn >= BREACH_BURN):
             self._enter_breach(ledger, t, burn)
-        elif ledger.in_breach and burn <= self.target.recover_burn:
+        elif ledger.in_breach and burn <= RECOVER_BURN:
             self._exit_breach(ledger, t, burn)
 
     def sample(self, pair: Tuple[str, str], t: float,
@@ -217,11 +190,11 @@ class SLOEngine:
         ledger.breach_started = t
         ledger.breaches += 1
         fields: Dict[str, Any] = {
-            "stream": ledger.stream, "target": self.target.name,
+            "stream": ledger.stream, "target": TARGET_NAME,
             "burn_rate": round(burn, 3),
             "bad_fraction": round(
                 ledger.window_bad / max(len(ledger.window), 1), 4),
-            "window_s": self.target.window_s}
+            "window_s": WINDOW_S}
         self._annotate(fields, self._causes, t, prefix="cause")
         if self._tel.enabled:
             self._tel.counter("slo.breaches").inc()
@@ -237,7 +210,7 @@ class SLOEngine:
         ledger.breach_seconds += duration
         ledger.breach_started = None
         fields: Dict[str, Any] = {
-            "stream": ledger.stream, "target": self.target.name,
+            "stream": ledger.stream, "target": TARGET_NAME,
             "burn_rate": round(burn, 3),
             "duration_s": round(duration, 3)}
         self._annotate(fields, self._remedies, t, prefix="remedy")
@@ -291,10 +264,9 @@ class SLOEngine:
 
     def render_report(self) -> List[str]:
         """Human-readable ledger lines (the CLI's --slo epilogue)."""
-        lines = [f"SLO '{self.target.name}': window "
-                 f"{self.target.window_s:g}s, budget "
-                 f"{self.target.error_budget:g}, breach/recover burn "
-                 f"{self.target.breach_burn:g}/{self.target.recover_burn:g}"]
+        lines = [f"SLO '{TARGET_NAME}': window {WINDOW_S:g}s, budget "
+                 f"{ERROR_BUDGET:g}, breach/recover burn "
+                 f"{BREACH_BURN:g}/{RECOVER_BURN:g}"]
         for name, doc in self.report().items():
             state = "IN BREACH" if doc["in_breach"] else "ok"
             lines.append(
@@ -308,4 +280,4 @@ class SLOEngine:
         return lines
 
 
-__all__ = ["SLOTarget", "SLOEngine", "StreamLedger"]
+__all__ = ["SLOEngine", "StreamLedger"]

@@ -8,7 +8,7 @@ traces line up with the simulators' clocks regardless of wall speed.
 Wall-clock only enters through `Tracer.span`, which times a code block
 (Algorithm 1/2 steps) and records the duration as a field.
 
-The buffer is bounded: once `max_events` is reached further events are
+The buffer is bounded: once `MAX_EVENTS` is reached further events are
 counted in `dropped` (and surfaced through the `on_drop` hook, which
 the telemetry hub wires to a `tracer.events_dropped` metrics counter)
 instead of stored, so a runaway experiment cannot eat the host's memory
@@ -46,7 +46,7 @@ KINDS = (
     "fault_report_drop",        # a NIB link report was discarded
     "fault_report_stale",       # a NIB report was aged before delivery
     "fault_install_delayed",    # a controller install left the push queue late
-    "fault_install_partial",    # an install landed truncated (stale rows ride)
+    "fault_install_partial",    # an install landed truncated
     "fault_platform_load",      # a provisioning storm inflated startup delays
     "fault_controller_outage",  # schedule-driven outage skipped an epoch
     "fault_control_partition",  # a partition severed regions from the controller
@@ -133,13 +133,15 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+#: Events a tracer's buffer holds before it drops (and counts) the rest.
+MAX_EVENTS = 200_000
+
+
 class Tracer:
     """Bounded in-memory event collector."""
 
-    def __init__(self, max_events: int = 200_000):
-        if max_events < 1:
-            raise ValueError("max_events must be positive")
-        self.max_events = int(max_events)
+    def __init__(self):
+        self.max_events = MAX_EVENTS
         self.events: List[TraceEvent] = []
         self.dropped = 0
         self._seq = 0

@@ -327,12 +327,11 @@ class TimelineDraws:
             latency, loss, self.horizon_s + self.start_offset)
 
 
-def generate_timeline(rng: np.random.Generator, horizon_s: float, *,
-                      start_offset: float = 0.0,
+def generate_timeline(rng: np.random.Generator, horizon_s: float,
                       **events) -> EventTimeline:
-    """Draw a degradation timeline for one directed link: a
+    """Draw a degradation timeline for one directed link from t = 0: a
     `TimelineDraws` of one link (its `draw` takes the `events`
     keywords)."""
-    draws = TimelineDraws(horizon_s, start_offset)
+    draws = TimelineDraws(horizon_s, 0.0)
     draws.draw(rng, **events)
     return draws.compile()[0]

@@ -8,6 +8,7 @@ identical counters and identical telemetry.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ def faulted(ingest_of):
     """A NIB behind drop (p = 0.5, one region's reports) and staleness
     (one link) faults, fed ten rounds: everything observable after."""
     schedule = FaultSchedule.of(
-        report_drop(10.0, 2.0, region="A", probability=0.5),
+        replace(report_drop(10.0, 2.0, region="A"), probability=0.5),
         report_staleness(10.4, 2.0, 30.0, region="B", dst="C",
                          link_type=I))
     injector = FaultInjector(schedule, seed=8)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.controlplane.prediction import DTFTPredictor, RollingPredictor
+from repro.controlplane import prediction
+from repro.controlplane.prediction import (N_HARMONICS, DTFTPredictor,
+                                           RollingPredictor)
 
 
 def _periodic(n_days=4, slot_s=300.0):
@@ -19,15 +21,15 @@ class TestDTFTPredictor:
 
     def test_rejects_short_history(self):
         with pytest.raises(ValueError):
-            DTFTPredictor().fit([1.0, 2.0])
+            DTFTPredictor(N_HARMONICS).fit([1.0, 2.0])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            DTFTPredictor().fit([1.0, float("nan"), 2.0, 3.0])
+            DTFTPredictor(N_HARMONICS).fit([1.0, float("nan"), 2.0, 3.0])
 
     def test_not_fitted_raises(self):
         with pytest.raises(RuntimeError):
-            DTFTPredictor().reconstruct([0])
+            DTFTPredictor(N_HARMONICS).reconstruct([0])
 
     def test_reconstruction_matches_history(self):
         series = _periodic(2)
@@ -98,8 +100,9 @@ class TestRollingPredictor:
         r.observe(1e6)
         assert r.predict_next() >= 1e6
 
-    def test_history_window_bounded(self):
-        r = RollingPredictor(history_slots=10, min_history=4)
+    def test_history_window_bounded(self, monkeypatch):
+        monkeypatch.setattr(prediction, "HISTORY_SLOTS", 10)
+        r = RollingPredictor(min_history=4)
         for v in range(100):
             r.observe(float(v))
         assert r._bank.history(0).tolist() == [float(v) for v in range(90, 100)]

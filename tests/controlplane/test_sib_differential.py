@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.controlplane import prediction
 from repro.controlplane.prediction import PredictorBank, RollingPredictor
 from repro.controlplane.sib import StreamInformationBase
 from repro.traffic.matrix import TrafficMatrix
@@ -167,10 +168,15 @@ class TestPredictorBank:
     def test_matches_per_row_predictors(self, n_rows, history_slots,
                                         min_history, refit_every, horizon,
                                         data):
-        config = dict(history_slots=history_slots, refit_every=refit_every,
-                      min_history=min_history)
+        config = dict(refit_every=refit_every, min_history=min_history)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prediction, "HISTORY_SLOTS", history_slots)
+            self._match_rows(n_rows, history_slots, config, horizon, data)
+
+    def _match_rows(self, n_rows, history_slots, config, horizon, data):
         bank = PredictorBank(n_rows, **config)
-        rows = [oracle.RollingPredictor(**config) for __ in range(n_rows)]
+        rows = [oracle.RollingPredictor(history_slots=history_slots, **config)
+                for __ in range(n_rows)]
         for __ in range(data.draw(st.integers(1, 30))):
             if data.draw(st.integers(0, 6)) == 0:
                 docs = [json.dumps(bank.export_row(k)) for k in range(n_rows)]
@@ -178,7 +184,8 @@ class TestPredictorBank:
                 bank = PredictorBank(n_rows, **config)
                 for k, doc in enumerate(docs):
                     bank.import_row(k, json.loads(doc))
-                    rows[k] = oracle.RollingPredictor(**config)
+                    rows[k] = oracle.RollingPredictor(
+                        history_slots=history_slots, **config)
                     rows[k].import_state(json.loads(doc))
             observed = data.draw(st.lists(st.integers(0, n_rows - 1),
                                           unique=True))
@@ -196,9 +203,11 @@ class TestPredictorBank:
     def test_rolling_predictor_is_the_one_row_bank(self, history_slots,
                                                    min_history, refit_every,
                                                    values):
-        config = dict(history_slots=history_slots, refit_every=refit_every,
-                      min_history=min_history)
-        new, old = RollingPredictor(**config), oracle.RollingPredictor(**config)
+        config = dict(refit_every=refit_every, min_history=min_history)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prediction, "HISTORY_SLOTS", history_slots)
+            new = RollingPredictor(**config)
+        old = oracle.RollingPredictor(history_slots=history_slots, **config)
         for v in values:
             new.observe(v)
             old.observe(v)

@@ -18,6 +18,7 @@ import pytest
 
 from repro import obs
 from repro.controlplane import membership, regional_control
+from repro.core import service as service_module
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import HOOKS, EventDrivenXRON
 from repro.core.service import ServiceConfig, XRONService
@@ -25,8 +26,9 @@ from repro.experiments.base import quiet_testbed
 from repro.faults import (FaultSchedule, control_partition,
                           controller_outage, gateway_crash, install_delay,
                           install_partial, membership_churn, probe_blackout)
+from repro.obs import slo
 from repro.obs.export import read_many
-from repro.obs.slo import SLOEngine, SLOTarget
+from repro.obs.slo import SLOEngine
 from repro.resilience import resilience
 from repro.traffic.cohorts import CohortWorkload
 from tests.harness import START_S, canonical_bytes, event_engine
@@ -53,7 +55,12 @@ def _chaos() -> FaultSchedule:
 SUBSETS = ("none", "faults", "resilience", "membership", "regional", "slo")
 
 
-def _kwargs(subset: str, hub=None):
+def _threshold(lat, loss):
+    """The SLO's badness rule here: over 400 ms or 5 % loss."""
+    return lat > 400.0 or loss > 0.05
+
+
+def _kwargs(subset: str):
     """Constructor kwargs arming everything up to and including `subset`."""
     armed = SUBSETS[:SUBSETS.index(subset) + 1]
     kwargs = {}
@@ -66,14 +73,14 @@ def _kwargs(subset: str, hub=None):
     if "regional" in armed:
         kwargs["regional"] = regional_control()
     if "slo" in armed:
-        kwargs["slo"] = SLOEngine(SLOTarget(min_samples=2), hub=hub)
+        kwargs["slo"] = SLOEngine(_threshold)
     return kwargs
 
 
-def _engine(subset: str, hub=None):
+def _engine(subset: str):
     return event_engine(elastic=False,
                         sib_params={"min_history": 4, "refit_every": 2},
-                        **_kwargs(subset, hub))
+                        **_kwargs(subset))
 
 
 def _finish(engine, result) -> bytes:
@@ -93,7 +100,7 @@ def _reference(subset: str) -> bytes:
 def _telemetry(subset: str, tmp_path) -> bytes:
     with obs.capture() as hub:
         hub.attach_stream(tmp_path / "run.jsonl", max_bytes=64 * 1024)
-        engine = _engine(subset, hub)
+        engine = _engine(subset)
         result = engine.run(START_S, DURATION_S)
         hub.detach_stream(close=True)
         # The armed run really streamed: trace events and metric deltas.
@@ -107,9 +114,10 @@ def _telemetry(subset: str, tmp_path) -> bytes:
 
 def _served(subset: str, tmp_path) -> bytes:
     engine = _engine(subset)
-    service = XRONService(
-        engine, ServiceConfig(duration_s=DURATION_S, heartbeat_s=100.0),
-        start_s=START_S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(service_module, "WINDOW_START_S", START_S)
+        service = XRONService(
+            engine, ServiceConfig(duration_s=DURATION_S, heartbeat_s=100.0))
     served = asyncio.run(service.run_async())
     result = served.eventsim
     assert served.heartbeats == 2
@@ -130,6 +138,12 @@ def clean_hub():
     yield
     obs.disable()
     obs.reset()
+
+
+@pytest.fixture(autouse=True)
+def two_sample_window(monkeypatch):
+    """SLO windows armed by two samples, so short runs breach."""
+    monkeypatch.setattr(slo, "MIN_SAMPLES", 2)
 
 
 @pytest.mark.parametrize("transform", [_telemetry, _served],
@@ -207,8 +221,7 @@ PASS_THROUGH = {
     "epoch_gate": lambda now: None,
     "pre_solve": lambda sim: None,
     "clamp_ready": lambda ready, now: ready,
-    "truncate_install": lambda code, cluster, entries, plans, now: (entries,
-                                                                    plans),
+    "truncate_install": lambda code, entries, plans, now: (entries, plans),
     "install_delay": lambda code, now: 0.0,
     "rebind": lambda best, now: best,
     "epoch_end": lambda sim, unreachable: None,

@@ -3,24 +3,32 @@
 import numpy as np
 import pytest
 
+from repro.core import longrun
 from repro.core.config import SimulationConfig
 from repro.core.longrun import run_multi_day
 from repro.core.variants import premium_only, xron
 from repro.underlay.regions import default_regions
 
 
-@pytest.fixture(scope="module")
-def small_regions():
+def _three_regions():
     by_code = {r.code: r for r in default_regions()}
     return [by_code[c] for c in ("HGH", "SIN", "FRA")]
 
 
+@pytest.fixture
+def small_regions(monkeypatch):
+    """Multi-day runs over three regions, not the planet's eleven."""
+    monkeypatch.setattr(longrun, "default_regions", _three_regions)
+
+
 @pytest.fixture(scope="module")
-def two_days(small_regions):
-    return run_multi_day(
-        2, xron(), seed=4, regions=list(small_regions),
-        sim_config=SimulationConfig(epoch_s=1800.0, eval_step_s=120.0,
-                                    seed=4))
+def two_days():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(longrun, "default_regions", _three_regions)
+        return run_multi_day(
+            2, xron(), seed=4,
+            sim_config=SimulationConfig(epoch_s=1800.0, eval_step_s=120.0,
+                                        seed=4))
 
 
 def test_one_summary_per_day(two_days):
@@ -50,7 +58,7 @@ def test_rejects_zero_days():
 
 
 def test_deterministic(small_regions):
-    kwargs = dict(seed=5, regions=list(small_regions),
+    kwargs = dict(seed=5,
                   sim_config=SimulationConfig(epoch_s=1800.0,
                                               eval_step_s=300.0, seed=5))
     a = run_multi_day(2, xron(), **kwargs)
@@ -64,7 +72,7 @@ def test_deterministic(small_regions):
 def test_days_have_different_link_conditions(small_regions):
     """Per-day underlays differ, so daily outcomes are not identical."""
     result = run_multi_day(
-        2, premium_only(), seed=6, regions=list(small_regions),
+        2, premium_only(), seed=6,
         sim_config=SimulationConfig(epoch_s=1800.0, eval_step_s=300.0,
                                     seed=6))
     # Even premium-only sees (slightly) different daily tails.
@@ -75,7 +83,7 @@ def test_days_have_different_link_conditions(small_regions):
 def test_pricing_shared_across_days(small_regions):
     """Costs are comparable day to day (same fee tables)."""
     result = run_multi_day(
-        2, xron(), seed=7, regions=list(small_regions),
+        2, xron(), seed=7,
         sim_config=SimulationConfig(epoch_s=1800.0, eval_step_s=300.0,
                                     seed=7))
     costs = result.series("network_cost")

@@ -16,6 +16,7 @@ guard exact and portable.
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,8 +125,8 @@ def _run(underlay, calls):
         sim_config=SimulationConfig(epoch_s=30.0, seed=3),
         faults=FaultSchedule.of(
             probe_blackout(START_S + 1.0, 2.0, region=underlay.codes[1]),
-            report_drop(START_S + 5.0, 2.0, region=underlay.codes[2],
-                        probability=0.5),
+            replace(report_drop(START_S + 5.0, 2.0,
+                                region=underlay.codes[2]), probability=0.5),
             report_staleness(START_S + 5.0, 2.0, 10.0)),
         membership=membership())
     instants = []

@@ -21,6 +21,7 @@ from repro.faults.runtime import FaultCounters
 from repro.sim.rng import RngStreams
 from repro.underlay.config import UnderlayConfig
 from repro.underlay.regions import default_regions
+from repro.underlay.snapshot import TYPE_ORDER
 from repro.underlay.topology import build_underlay
 
 UNDERLAY = build_underlay(default_regions()[:4],
@@ -37,9 +38,10 @@ class Blackouts:
         self.links, self.hidden = links, set()
         self.counters = FaultCounters()
 
-    def probe_blackout(self, hops, now):
-        return {k: "spec" for k, (__, dst, link_type) in enumerate(hops)
-                if self.links[(dst, link_type)] in self.hidden}
+    def probe_blackout(self, codes, src, dst, tier, now):
+        return {k: "spec" for k, (j, t) in enumerate(zip(dst.tolist(),
+                                                         tier.tolist()))
+                if self.links[(codes[j], TYPE_ORDER[t])] in self.hidden}
 
     def fault_id(self, spec):
         return 0

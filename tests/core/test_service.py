@@ -59,7 +59,7 @@ def test_service_runs_a_window_and_drains(tmp_path):
     system = _build_system()
     config = ServiceConfig(duration_s=300.0, heartbeat_s=60.0,
                            checkpoint_path=tmp_path / "cp.json")
-    service = XRONService(system, config, start_s=0.0)
+    service = XRONService(system, config)
     result = asyncio.run(service.run_async())
     assert result.stop_reason == "completed"
     assert result.drained

@@ -21,6 +21,7 @@ from repro.controlplane.nib import ReportBatch
 from repro.dataplane.estimator import EstimatorBank
 from repro.dataplane.probing import burst_bytes
 from repro.faults.spec import FaultKind, FaultSchedule
+from tests.faults.report_seam_oracle import matches_link
 
 
 def _stack(cluster) -> EstimatorBank:
@@ -30,7 +31,7 @@ def _stack(cluster) -> EstimatorBank:
 def blackout(schedule: FaultSchedule, src, dst, link_type, now):
     """The blackout spec covering one directed link at `now`, or None."""
     for spec in schedule.by_kind(FaultKind.PROBE_BLACKOUT):
-        if spec.active(now) and spec.matches_link(src, dst, link_type):
+        if spec.active(now) and matches_link(spec, src, dst, link_type):
             return spec
     return None
 

@@ -106,9 +106,10 @@ class Blackouts:
         self.positions, self.hidden = positions, set()
         self.counters = FaultCounters()
 
-    def probe_blackout(self, hops, now):
-        return {k: "spec" for k, (__, dst, link_type) in enumerate(hops)
-                if self.positions[(dst, link_type)] in self.hidden}
+    def probe_blackout(self, codes, src, dst, tier, now):
+        return {k: "spec" for k, (j, t) in enumerate(zip(dst.tolist(),
+                                                         tier.tolist()))
+                if self.positions[(codes[j], TYPE_ORDER[t])] in self.hidden}
 
     def fault_id(self, spec):
         return 0

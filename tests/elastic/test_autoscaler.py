@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.elastic import autoscaler
 from repro.elastic.autoscaler import (FixedAllocation, OptimalAllocation,
                                       ProactiveAutoscaler, ReactiveAutoscaler,
                                       evaluate_autoscaler)
 from repro.elastic.containers import ContainerPool
+
+
+@pytest.fixture
+def prompt(monkeypatch):
+    """Reactive scaling on the demand just measured (no metrics lag)."""
+    monkeypatch.setattr(autoscaler, "METRIC_DELAY_SLOTS", 0)
 
 
 def _events(hub, kind):
@@ -24,17 +31,17 @@ def _daily_demand(days=3, slot_s=300.0, peak=5000.0):
 
 
 class TestReactiveAutoscaler:
-    def test_scales_up_on_high_utilisation(self):
-        scaler = ReactiveAutoscaler(1000.0, metric_delay_slots=0)
+    def test_scales_up_on_high_utilisation(self, prompt):
+        scaler = ReactiveAutoscaler(1000.0)
         assert scaler.decide(0, 900.0) > 1
 
-    def test_holds_in_band(self):
-        scaler = ReactiveAutoscaler(1000.0, metric_delay_slots=0)
+    def test_holds_in_band(self, prompt):
+        scaler = ReactiveAutoscaler(1000.0)
         scaler.decide(0, 700.0)  # util 0.7: in band
         assert scaler.decide(1, 700.0) == 1
 
-    def test_scales_down_on_low_utilisation(self):
-        scaler = ReactiveAutoscaler(1000.0, metric_delay_slots=0)
+    def test_scales_down_on_low_utilisation(self, prompt):
+        scaler = ReactiveAutoscaler(1000.0)
         # Grow first.
         for k in range(8):
             scaler.decide(k, 10000.0)
@@ -42,29 +49,29 @@ class TestReactiveAutoscaler:
         shrunk = scaler.decide(9, 100.0)
         assert shrunk < grown
 
-    def test_never_below_one(self):
-        scaler = ReactiveAutoscaler(1000.0, metric_delay_slots=0)
+    def test_never_below_one(self, prompt):
+        scaler = ReactiveAutoscaler(1000.0)
         for k in range(20):
             target = scaler.decide(k, 0.0)
         assert target == 1
 
     def test_metric_delay_defers_reaction(self):
-        prompt = ReactiveAutoscaler(1000.0, metric_delay_slots=0)
-        delayed = ReactiveAutoscaler(1000.0, metric_delay_slots=1)
-        assert prompt.decide(0, 5000.0) > 1
-        assert delayed.decide(0, 5000.0) > 1 or True  # first slot has no
-        # history, so the delayed scaler acts on the same value; feed a
-        # step change and check the delayed one lags one slot.
-        p2 = ReactiveAutoscaler(1000.0, metric_delay_slots=1)
+        # The metrics pipeline lags one slot: feed a step change and
+        # check the scaler reacts one slot late.
+        assert autoscaler.METRIC_DELAY_SLOTS == 1
+        p2 = ReactiveAutoscaler(1000.0)
         p2.decide(0, 100.0)
         lagged = p2.decide(1, 9000.0)  # still sees the old 100
         caught_up = p2.decide(2, 9000.0)
         assert caught_up > lagged
 
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            ReactiveAutoscaler(1000.0, high_utilisation=0.4,
-                               low_utilisation=0.5)
+        """The policy's bounds: 0 < low < high <= 1, a step up grows the
+        target and a step down shrinks it, and a lag is never negative."""
+        assert (0 < autoscaler.LOW_UTILISATION < autoscaler.HIGH_UTILISATION
+                <= 1.0)
+        assert autoscaler.SCALE_UP_STEP > 1.0 > autoscaler.SCALE_DOWN_STEP
+        assert autoscaler.METRIC_DELAY_SLOTS >= 0
 
 
 class TestProactiveAutoscaler:
@@ -94,25 +101,27 @@ class TestFixedAndOptimal:
         with pytest.raises(ValueError):
             FixedAllocation(1000.0, -1.0)
 
-    def test_optimal_looks_ahead(self):
-        scaler = OptimalAllocation(1000.0, [100.0, 5000.0, 100.0],
-                                   headroom=1.0)
+    def test_optimal_looks_ahead(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "OPTIMAL_HEADROOM", 1.0)
+        scaler = OptimalAllocation(1000.0, [100.0, 5000.0, 100.0])
         assert scaler.decide(0, 100.0) == 5  # provisions for slot 1
 
-    def test_optimal_covers_current_slot_when_falling(self):
-        scaler = OptimalAllocation(1000.0, [100.0, 5000.0, 100.0, 100.0],
-                                   headroom=1.0)
+    def test_optimal_covers_current_slot_when_falling(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "OPTIMAL_HEADROOM", 1.0)
+        scaler = OptimalAllocation(1000.0, [100.0, 5000.0, 100.0, 100.0])
         # Deciding at slot 1 must not scale below slot 1's own demand.
         assert scaler.decide(1, 5000.0) == 5
 
 
 class TestEvaluateAutoscaler:
-    def test_fixed_peak_provisioning_never_under_provisions(self, rng):
+    def test_fixed_peak_provisioning_never_under_provisions(self, rng,
+                                                            monkeypatch):
+        monkeypatch.setattr(autoscaler, "FIXED_HEADROOM", 1.1)
         demand = _daily_demand()
         pool = ContainerPool("X", rng, initial=10, max_containers=1000)
         stats = evaluate_autoscaler(
-            FixedAllocation(1000.0, float(demand.max()), headroom=1.1),
-            demand, 1000.0, pool)
+            FixedAllocation(1000.0, float(demand.max())), demand, 1000.0,
+            pool)
         assert stats.under_provisioned_fraction == 0.0
 
     def test_reactive_under_provisions_on_surges(self, rng):
@@ -176,12 +185,12 @@ class TestDecisionTelemetry:
         for slot in range(n):
             scaler.decide(slot, 5000.0 if slot % 2 == 0 else 100.0)
 
-    def test_counters_stay_exact_under_flood_limit(self):
+    def test_counters_stay_exact_under_flood_limit(self, prompt):
         from repro import obs
         from repro.elastic.autoscaler import (_EVENT_FLOOD_LIMIT,
                                               _EVENT_SAMPLE_EVERY)
         tel = obs.enable()
-        scaler = ReactiveAutoscaler(1000.0, metric_delay_slots=0)
+        scaler = ReactiveAutoscaler(1000.0)
         n = 4000
         self._flap(scaler, n)
         snap = tel.metrics.snapshot()
@@ -194,10 +203,10 @@ class TestDecisionTelemetry:
         assert events + suppressed == changes
         assert events <= _EVENT_FLOOD_LIMIT + changes / _EVENT_SAMPLE_EVERY
 
-    def test_no_events_or_counts_while_disabled(self):
+    def test_no_events_or_counts_while_disabled(self, prompt):
         from repro import obs
         tel = obs.telemetry()
-        scaler = ReactiveAutoscaler(1000.0, metric_delay_slots=0)
+        scaler = ReactiveAutoscaler(1000.0)
         self._flap(scaler, 100)
         assert not tel.tracer.events
         assert "autoscale.decisions" not in tel.metrics.snapshot()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.elastic.containers import (ContainerPool, ProvisioningDelayModel,
-                                      ScalingAction)
+from repro.elastic import containers
+from repro.elastic.containers import (ContainerPool, ScalingAction,
+                                      startup_delay)
 
 
 @pytest.fixture()
@@ -14,30 +15,33 @@ def pool(rng):
 
 class TestProvisioningDelayModel:
     def test_delay_takes_tens_of_seconds_at_least(self, rng):
-        model = ProvisioningDelayModel()
-        delays = [model.sample(rng) for __ in range(200)]
+        delays = [startup_delay(rng, 1.0) for __ in range(200)]
         assert min(delays) > 25.0
 
     def test_mean_delay_on_minutes_scale(self, rng):
-        model = ProvisioningDelayModel()
-        delays = [model.sample(rng) for __ in range(500)]
+        delays = [startup_delay(rng, 1.0) for __ in range(500)]
         assert 60.0 < np.mean(delays) < 240.0
 
-    def test_platform_load_slows_provisioning(self):
-        model = ProvisioningDelayModel(ip_allocation_mean_s=60.0)
-        base = np.mean([model.sample(np.random.default_rng(i))
+    def test_platform_load_slows_provisioning(self, monkeypatch):
+        monkeypatch.setattr(containers, "IP_ALLOCATION_MEAN_S", 60.0)
+        base = np.mean([startup_delay(np.random.default_rng(i), 1.0)
                         for i in range(300)])
-        loaded = np.mean([model.sample(np.random.default_rng(i), 5.0)
+        loaded = np.mean([startup_delay(np.random.default_rng(i), 5.0)
                           for i in range(300)])
         assert loaded > base + 60.0
 
-    def test_rejects_load_below_one(self, rng):
-        with pytest.raises(ValueError):
-            ProvisioningDelayModel().sample(rng, platform_load=0.5)
+    def test_rejects_load_below_one(self, rng, monkeypatch):
+        """A platform load below one never reaches the delay model: a
+        scale-up runs under the calm platform's load of 1."""
+        loads = _script_delays(monkeypatch, [10.0])
+        pool = ContainerPool("X", rng, initial=0, max_containers=10)
+        pool.platform_load_fn = lambda now: 0.5
+        pool.scale_to(1, now=0.0)
+        assert loads == [1.0]
 
-    def test_cache_hit_skips_image_pull(self, rng):
-        always_hit = ProvisioningDelayModel(image_cache_hit_rate=1.0)
-        delays = [always_hit.sample(rng) for __ in range(200)]
+    def test_cache_hit_skips_image_pull(self, rng, monkeypatch):
+        monkeypatch.setattr(containers, "IMAGE_CACHE_HIT_RATE", 1.0)
+        delays = [startup_delay(rng, 1.0) for __ in range(200)]
         assert max(delays) < 45 + 30 + 60  # no pull component
 
 
@@ -125,70 +129,68 @@ class TestContainerPool:
         assert pool.container_hours(7200.0) == pytest.approx(0.0)
 
 
-class _FixedDelays(ProvisioningDelayModel):
-    """Delay model returning a scripted sequence (records the loads)."""
+def _script_delays(monkeypatch, delays):
+    """Makes the pools' startup delays a scripted sequence; returns the
+    list the platform loads they were drawn under go to."""
+    delays, loads = list(delays), []
 
-    def __init__(self, delays):
-        super().__init__()
-        self._delays = list(delays)
-        self.loads_seen = []
+    def scripted(rng, platform_load):
+        loads.append(platform_load)
+        return delays.pop(0)
 
-    def sample(self, rng, platform_load=1.0):
-        self.loads_seen.append(platform_load)
-        return self._delays.pop(0)
+    monkeypatch.setattr(containers, "startup_delay", scripted)
+    return loads
 
 
 class TestContainerPoolEdges:
     """Exact-timestamp and accounting edges of the pool lifecycle."""
 
-    def _pool(self, rng, delays, initial=0):
-        return ContainerPool("X", rng, initial=initial, max_containers=10,
-                             delay_model=_FixedDelays(delays))
+    @pytest.fixture
+    def scripted_pool(self, rng, monkeypatch):
+        def make(delays, initial=0):
+            _script_delays(monkeypatch, delays)
+            return ContainerPool("X", rng, initial=initial,
+                                 max_containers=10)
+        return make
 
-    def test_scale_down_cancels_newest_completions_first(self, rng):
+    def test_scale_down_cancels_newest_completions_first(self,
+                                                         scripted_pool):
         # Three starts finishing at t=100, 50, 10; cancelling two must
         # keep the EARLIEST completion (slowest-to-finish die first).
-        pool = self._pool(rng, [100.0, 50.0, 10.0])
+        pool = scripted_pool([100.0, 50.0, 10.0])
         pool.scale_to(3, now=0.0)
         pool.scale_to(1, now=1.0)
         assert pool.ready_count(9.99) == 0
         assert pool.ready_count(10.0) == 1
         assert pool.ready_count(1000.0) == 1  # the others never arrive
 
-    def test_ready_count_promotes_at_exact_completion_time(self, rng):
-        pool = self._pool(rng, [10.0])
+    def test_ready_count_promotes_at_exact_completion_time(self,
+                                                           scripted_pool):
+        pool = scripted_pool([10.0])
         pool.scale_to(1, now=0.0)
         assert pool.ready_count(9.999999) == 0
         assert pool.ready_count(10.0) == 1  # boundary belongs to ready
 
-    def test_inflight_billing_across_repeated_accounting(self, rng):
+    def test_inflight_billing_across_repeated_accounting(self,
+                                                         scripted_pool):
         # Accounting at t=15 (while the start is already complete but
         # not yet promoted) must bill [10, 15]; accounting again at
         # t=20 must bill only [15, 20] — never [10, 20] twice.
-        pool = self._pool(rng, [10.0])
+        pool = scripted_pool([10.0])
         pool.scale_to(1, now=0.0)
         assert pool.container_hours(15.0) == pytest.approx(5.0 / 3600.0)
         assert pool.container_hours(20.0) == pytest.approx(10.0 / 3600.0)
         # Same-instant repeats are idempotent.
         assert pool.container_hours(20.0) == pytest.approx(10.0 / 3600.0)
 
-    def test_billing_starts_at_ready_not_at_request(self, rng):
-        pool = self._pool(rng, [10.0])
+    def test_billing_starts_at_ready_not_at_request(self, scripted_pool):
+        pool = scripted_pool([10.0])
         pool.scale_to(1, now=0.0)
         assert pool.container_hours(10.0) == pytest.approx(0.0)
 
-    def test_platform_load_fn_inflates_scale_up(self, rng):
-        model = _FixedDelays([10.0, 10.0])
-        pool = ContainerPool("X", rng, initial=0, max_containers=10,
-                             delay_model=model)
+    def test_platform_load_fn_inflates_scale_up(self, rng, monkeypatch):
+        loads = _script_delays(monkeypatch, [10.0, 10.0])
+        pool = ContainerPool("X", rng, initial=0, max_containers=10)
         pool.platform_load_fn = lambda now: 8.0
         pool.scale_to(2, now=0.0)
-        assert model.loads_seen == [8.0, 8.0]
-
-    def test_platform_load_fn_never_lowers_caller_load(self, rng):
-        model = _FixedDelays([10.0])
-        pool = ContainerPool("X", rng, initial=0, max_containers=10,
-                             delay_model=model)
-        pool.platform_load_fn = lambda now: 2.0
-        pool.scale_to(1, now=0.0, platform_load=5.0)
-        assert model.loads_seen == [5.0]
+        assert loads == [8.0, 8.0]

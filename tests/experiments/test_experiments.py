@@ -47,15 +47,17 @@ class TestMotivationFigures:
         assert r.total_peak_ratio > 20
         assert r.example_peak_ratio > r.total_peak_ratio
 
-    def test_fig07(self, full_underlay):
+    def test_fig07(self, full_underlay, monkeypatch):
+        monkeypatch.setattr(fig07_similarity, "STEP_S", 10.0)
         r = fig07_similarity.run(full_underlay, window_s=3600.0,
-                                 step_s=10.0, max_pairs=8)
+                                 max_pairs=8)
         _has_lines(r)
         assert r.min_similarity > 0.5
         assert r.probe_reduction_factor == 8.0
 
-    def test_fig08(self, full_underlay):
-        r = fig08_asymmetry.run(full_underlay, window_s=14400.0, step_s=30.0)
+    def test_fig08(self, full_underlay, monkeypatch):
+        monkeypatch.setattr(fig08_asymmetry, "STEP_S", 30.0)
+        r = fig08_asymmetry.run(full_underlay, window_s=14400.0)
         _has_lines(r)
         assert r.mean_fraction > 0.3  # paper: >60% for the example pair
 
@@ -72,8 +74,9 @@ class TestMotivationFigures:
         assert peaks.shape[1] == 3
         assert r.weekend_weekday_ratio < 0.5
 
-    def test_fig12(self):
-        r = fig12_prediction.run(train_days=3, eval_days=1)
+    def test_fig12(self, monkeypatch):
+        monkeypatch.setattr(fig12_prediction, "EVAL_DAYS", 1)
+        r = fig12_prediction.run(train_days=3)
         _has_lines(r)
         assert r.correlation > 0.7
         assert r.mean_abs_error_of_peak < 0.15
@@ -114,14 +117,15 @@ class TestEvaluationExperiments:
         assert 0.0 <= r.fraction_improved <= 1.0
         assert np.all(r.speedups > 0)
 
-    def test_fig20(self):
-        r = fig20_scaling.run(days=4, warmup_days=1)
+    def test_fig20(self, monkeypatch):
+        monkeypatch.setattr(fig20_scaling, "WARMUP_DAYS", 1)
+        r = fig20_scaling.run(days=4)
         _has_lines(r)
         assert r.mean_error("Proactive") <= r.mean_error("Reactive")
 
-    def test_fig17(self):
-        r = fig17_cost.run(hours=1.0, epoch_s=600.0, eval_step_s=60.0,
-                           scaling_days=3)
+    def test_fig17(self, monkeypatch):
+        monkeypatch.setattr(fig17_cost, "SCALING_DAYS", 3)
+        r = fig17_cost.run(hours=1.0, epoch_s=600.0, eval_step_s=60.0)
         _has_lines(r)
         assert 1.0 <= r.normal_hop_mean < 2.0
         assert r.total_cost["Premium only"] > r.total_cost["XRON"]

@@ -1,7 +1,8 @@
 """Tests for the process-pool experiment orchestrator.
 
 The fake experiments below live at module level so pool workers can
-resolve them by ``module:func`` name.  The parallel tests rely on
+resolve them by name: every fake spec names this module, whose `run`
+calls the fake its ``fake`` keyword names.  The parallel tests rely on
 fork-start workers (the orchestrator pins the ``fork`` context on
 POSIX), which inherit specs registered by the test fixture.
 """
@@ -21,6 +22,11 @@ from repro.experiments.orchestrator import (STATUS_FAILED, STATUS_OK,
 from repro.experiments.registry import ExperimentSpec
 
 _MODULE = __name__
+
+
+def run(fake, **kwargs):
+    """The fake experiments' entry point: runs ``fake_<fake>``."""
+    return globals()[f"fake_{fake}"](**kwargs)
 
 
 def fake_ok():
@@ -55,11 +61,11 @@ def fake_specs(tmp_path, register_specs):
     """Register the fake experiments for the test."""
     flag = tmp_path / "flaky.flag"
     specs = [
-        ExperimentSpec("__ok", _MODULE, func="fake_ok"),
-        ExperimentSpec("__sleepy", _MODULE, func="fake_sleepy"),
-        ExperimentSpec("__boom", _MODULE, func="fake_boom"),
-        ExperimentSpec("__flaky", _MODULE, func="fake_flaky",
-                       quick_kwargs={"flag": str(flag)}),
+        ExperimentSpec("__ok", _MODULE, quick_kwargs={"fake": "ok"}),
+        ExperimentSpec("__sleepy", _MODULE, quick_kwargs={"fake": "sleepy"}),
+        ExperimentSpec("__boom", _MODULE, quick_kwargs={"fake": "boom"}),
+        ExperimentSpec("__flaky", _MODULE,
+                       quick_kwargs={"fake": "flaky", "flag": str(flag)}),
     ]
     register_specs(*specs)
     return {s.name: s for s in specs}
@@ -107,8 +113,9 @@ class TestParallel:
 
     def test_retries_exhausted(self, fake_specs, tmp_path, register_specs):
         register_specs(ExperimentSpec(
-            "__always_flaky", _MODULE, func="fake_flaky",
-            quick_kwargs={"flag": str(tmp_path / "absent" / "nope")}))
+            "__always_flaky", _MODULE,
+            quick_kwargs={"fake": "flaky",
+                          "flag": str(tmp_path / "absent" / "nope")}))
         (record,) = run_parallel(["__always_flaky"], workers=1, retries=2)
         assert record.status == STATUS_FAILED
         assert record.retries == 2

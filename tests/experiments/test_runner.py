@@ -12,14 +12,15 @@ _MODULE = "tests.experiments.test_orchestrator"
 
 @pytest.fixture()
 def fake_ok_spec(register_specs):
-    spec = ExperimentSpec("__cli_ok", _MODULE, func="fake_ok")
+    spec = ExperimentSpec("__cli_ok", _MODULE, quick_kwargs={"fake": "ok"})
     register_specs(spec)
     return spec
 
 
 @pytest.fixture()
 def fake_boom_spec(register_specs):
-    spec = ExperimentSpec("__cli_boom", _MODULE, func="fake_boom")
+    spec = ExperimentSpec("__cli_boom", _MODULE,
+                          quick_kwargs={"fake": "boom"})
     register_specs(spec)
     return spec
 

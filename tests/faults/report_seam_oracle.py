@@ -19,9 +19,19 @@ import numpy as np
 
 from repro.controlplane.nib import LinkReport, ReportBatch
 from repro.faults.runtime import FaultInjector
-from repro.faults.spec import FaultKind
+from repro.faults.spec import FaultKind, FaultSpec
 from repro.obs import telemetry
+from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_ORDER
+
+
+def matches_link(spec: FaultSpec, src: str, dst: str,
+                 link_type: LinkType) -> bool:
+    """Whether `spec`'s scope (source region, destination, tier; each
+    None for any) covers one directed link."""
+    return (spec.matches_region(src)
+            and (spec.dst is None or spec.dst == dst)
+            and (spec.link_type is None or spec.link_type is link_type))
 
 
 def reports_matched(injector: FaultInjector, batch: ReportBatch) -> List[int]:
@@ -34,7 +44,7 @@ def reports_matched(injector: FaultInjector, batch: ReportBatch) -> List[int]:
     codes = batch.codes
     links = zip(batch.src.tolist(), batch.dst.tolist(), batch.tier.tolist())
     return [k for k, (i, j, tier) in enumerate(links)
-            if any(spec.matches_link(codes[i], codes[j], TYPE_ORDER[tier])
+            if any(matches_link(spec, codes[i], codes[j], TYPE_ORDER[tier])
                    for spec in specs)]
 
 
@@ -44,15 +54,15 @@ def filter_report(injector: FaultInjector,
     time moved back when aged, the report itself when untouched."""
     now = report.reported_at
     for spec in injector._by_kind[FaultKind.REPORT_DROP]:
-        if spec.active(now) and spec.matches_link(
-                report.src, report.dst, report.link_type):
+        if spec.active(now) and matches_link(
+                spec, report.src, report.dst, report.link_type):
             link = f"{report.src}->{report.dst}.{report.link_type.value}"
             if injector._fires(spec, link, now):
                 injector.counters.reports_dropped += 1
                 return None
     for spec in injector._by_kind[FaultKind.REPORT_STALENESS]:
-        if spec.active(now) and spec.matches_link(
-                report.src, report.dst, report.link_type):
+        if spec.active(now) and matches_link(
+                spec, report.src, report.dst, report.link_type):
             injector.counters.reports_staled += 1
             return replace(report, reported_at=max(
                 0.0, report.reported_at - spec.staleness_s))

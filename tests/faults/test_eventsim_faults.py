@@ -1,5 +1,7 @@
 """Integration tests: the fault schedule driving the event simulator."""
 
+from dataclasses import replace
+
 from repro.core import eventsim
 from repro.faults import (FaultSchedule, controller_outage, gateway_crash,
                           install_delay, install_partial, probe_blackout,
@@ -28,7 +30,7 @@ class TestNoFaultEquivalence:
     def test_same_schedule_same_seed_reproduces_exactly(self):
         sched = FaultSchedule.of(
             controller_outage(3620.0, 3680.0),
-            report_drop(3600.0, 90.0, probability=0.5),
+            replace(report_drop(3600.0, 90.0), probability=0.5),
             probe_blackout(3610.0, 20.0, region="HGH"))
         __, a = _run(faults=sched)
         __, b = _run(faults=sched)
@@ -62,8 +64,8 @@ class TestGatewayCrash:
 
     def test_no_restart_when_disabled(self):
         sched = FaultSchedule.of(
-            gateway_crash(3610.0, 30.0, region="HGH", count=1,
-                          restart=False))
+            replace(gateway_crash(3610.0, 30.0, region="HGH", count=1),
+                    restart=False))
         __, result = _run(faults=sched, elastic=False)
         assert result.fault_counters["gateways_crashed"] == 1
         assert result.fault_counters["gateways_restarted"] == 0
@@ -79,8 +81,8 @@ class TestGatewayCrash:
 
     def test_at_least_one_gateway_survives(self):
         sched = FaultSchedule.of(
-            gateway_crash(3610.0, 30.0, region="HGH", count=99,
-                          restart=False))
+            replace(gateway_crash(3610.0, 30.0, region="HGH", count=99),
+                    restart=False))
         sim, result = _run(faults=sched, elastic=False)
         assert all(c.size >= 1 for c in sim.clusters.values())
 
@@ -131,19 +133,18 @@ class TestInstallFaults:
         assert result.fault_counters["installs_delayed"] > 0
         assert sim.clusters["HGH"].current_entries()
 
-    def test_partial_install_rides_stale_rows(self):
+    def test_partial_install_keeps_sessions_measured(self):
         sched = FaultSchedule.of(
             install_partial(3601.0, 1000.0, keep_fraction=0.5))
         sim, result = _run(faults=sched)
         assert result.fault_counters["installs_truncated"] > 0
-        # Sessions keep being measured: lost rows fell back to the
-        # bootstrap epoch's tables instead of vanishing.
+        # Sessions keep being measured past the truncated installs.
         assert any(rec.times and max(rec.times) > 3660.0
                    for rec in result.sessions.values())
 
     def test_delay_and_partial_compose_on_the_same_epoch(self):
         """Both install faults active over the same epochs: the update
-        must be truncated first (stale rows merged in), THEN delayed —
+        must be truncated first, THEN delayed —
         the late install that eventually lands is the truncated one,
         and a delayed stale update never overwrites a newer epoch's."""
         sched = FaultSchedule.of(

@@ -1,6 +1,7 @@
 """Tests for the partition/membership fault kinds and injector queries."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -37,7 +38,8 @@ class TestControlPartitionSpec:
     def test_round_trips_through_json(self):
         schedule = FaultSchedule.of(
             control_partition(10.0, 5.0, ("SIN", "HGH")),
-            membership_churn(20.0, 5.0, region="FRA", probability=0.5))
+            replace(membership_churn(20.0, 5.0, region="FRA"),
+                    probability=0.5))
         back = FaultSchedule.from_json(schedule.to_json())
         assert back.to_json() == schedule.to_json()
         assert back.specs[0].regions == ("HGH", "SIN")
@@ -45,7 +47,8 @@ class TestControlPartitionSpec:
 
 class TestMembershipChurnSpec:
     def test_constructor(self):
-        spec = membership_churn(5.0, 10.0, region="HGH", probability=0.25)
+        spec = replace(membership_churn(5.0, 10.0, region="HGH"),
+                       probability=0.25)
         assert spec.kind is FaultKind.MEMBERSHIP_CHURN
         assert spec.region == "HGH"
         assert spec.probability == 0.25
@@ -53,7 +56,7 @@ class TestMembershipChurnSpec:
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
     def test_probability_must_be_in_unit_interval(self, p):
         with pytest.raises(ValueError):
-            membership_churn(0.0, 1.0, probability=p)
+            replace(membership_churn(0.0, 1.0), probability=p)
 
 
 def _count_draws(monkeypatch):
@@ -104,7 +107,8 @@ class TestInjectorQueries:
     def test_membership_churn_probabilistic_draws_only_inside_window(
             self, monkeypatch):
         inj = self._injector(
-            membership_churn(0.0, 10.0, region="HGH", probability=0.5))
+            replace(membership_churn(0.0, 10.0, region="HGH"),
+                    probability=0.5))
         draws = _count_draws(monkeypatch)
         assert _churned(inj, "HGH", 50.0) is None  # window closed
         assert draws == []

@@ -11,6 +11,8 @@ staleness) moves report times when two such windows overlap, and fails
 this test within its first examples.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -27,8 +29,8 @@ SCOPES = st.one_of(st.none(), st.sampled_from(CODES + ("Z",)))
 
 windows = st.builds(
     lambda kind, start, length, region, dst, tier, p, stale: (
-        report_drop(start, length, region=region, dst=dst,
-                    link_type=tier, probability=p)
+        replace(report_drop(start, length, region=region, dst=dst,
+                            link_type=tier), probability=p)
         if kind == "drop" else
         report_staleness(start, length, stale, region=region, dst=dst,
                          link_type=tier)),
@@ -96,8 +98,8 @@ def test_overlapping_probabilistic_drops_draw_per_window():
     them: every row of a busy batch is decided, some by each drop, and
     the rows no drop fires on age."""
     schedule = FaultSchedule.of(
-        report_drop(0.0, 10.0, region="A", probability=0.5),
-        report_drop(0.0, 10.0, probability=0.5),
+        replace(report_drop(0.0, 10.0, region="A"), probability=0.5),
+        replace(report_drop(0.0, 10.0), probability=0.5),
         report_staleness(0.0, 10.0, 30.0))
     rows = [(i, j, tier) for i in range(4) for j in range(4) if i != j
             for tier in (0, 1)] * 4

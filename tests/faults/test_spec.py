@@ -3,14 +3,17 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.faults import (FaultKind, FaultSchedule, FaultSpec,
+from repro.faults import (FaultInjector, FaultKind, FaultSchedule, FaultSpec,
                           controller_outage, gateway_crash, install_delay,
                           install_partial, platform_load, probe_blackout,
                           report_drop, report_staleness)
 from repro.underlay.linkstate import LinkType
+from repro.underlay.snapshot import TYPE_INDEX
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
@@ -37,19 +40,24 @@ class TestFaultSpec:
         assert probe_blackout(0.0, 1.0).matches_region("SIN")  # wildcard
 
     def test_link_matching_narrows_by_dst_and_tier(self):
+        """One match mask over link columns: (HGH, SIN, I) only."""
         spec = probe_blackout(0.0, 1.0, region="HGH", dst="SIN", link_type=I)
-        assert spec.matches_link("HGH", "SIN", I)
-        assert not spec.matches_link("HGH", "SIN", P)
-        assert not spec.matches_link("HGH", "FRA", I)
-        assert not spec.matches_link("SIN", "HGH", I)
+        codes = ("HGH", "SIN", "FRA")
+        hops = [("HGH", "SIN", I), ("HGH", "SIN", P), ("HGH", "FRA", I),
+                ("SIN", "HGH", I)]
+        src, dst, tier = (np.array(column) for column in zip(*(
+            (codes.index(a), codes.index(b), TYPE_INDEX[lt])
+            for a, b, lt in hops)))
+        assert FaultInjector._matches(spec, codes, src, dst, tier).tolist() \
+            == [True, False, False, False]
 
     @pytest.mark.parametrize("bad", [
         lambda: FaultSpec(FaultKind.PROBE_BLACKOUT, math.inf, 1.0),
         lambda: FaultSpec(FaultKind.PROBE_BLACKOUT, 0.0, 0.0),
         lambda: FaultSpec(FaultKind.PROBE_BLACKOUT, 0.0, -5.0),
         lambda: gateway_crash(0.0, 1.0, region="HGH", count=0),
-        lambda: report_drop(0.0, 1.0, probability=0.0),
-        lambda: report_drop(0.0, 1.0, probability=1.5),
+        lambda: replace(report_drop(0.0, 1.0), probability=0.0),
+        lambda: replace(report_drop(0.0, 1.0), probability=1.5),
         lambda: report_staleness(0.0, 1.0, staleness_s=0.0),
         lambda: install_delay(0.0, 1.0, delay_s=0.0),
         lambda: install_partial(0.0, 1.0, keep_fraction=1.0),
@@ -62,8 +70,8 @@ class TestFaultSpec:
             bad()
 
     def test_json_round_trip(self):
-        spec = report_drop(5.0, 20.0, region="HGH", dst="SIN",
-                           link_type=P, probability=0.25)
+        spec = replace(report_drop(5.0, 20.0, region="HGH", dst="SIN",
+                                   link_type=P), probability=0.25)
         assert FaultSpec.from_json(spec.to_json()) == spec
 
     def test_json_round_trip_infinite_duration(self):
@@ -101,7 +109,8 @@ class TestFaultSchedule:
 
     def test_schedule_json_round_trip(self):
         sched = FaultSchedule.of(
-            gateway_crash(10.0, 60.0, region="HGH", count=2, restart=False),
+            replace(gateway_crash(10.0, 60.0, region="HGH", count=2),
+                    restart=False),
             report_staleness(0.0, math.inf, staleness_s=30.0),
             controller_outage(5.0, 25.0))
         text = json.dumps(sched.to_json())

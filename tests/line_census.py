@@ -195,7 +195,7 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("core/longrun.py", "MultiDayResult.series",
      'if field in ("stall_ratio", "mean_fps", "mean_fluency",', "full"),
     ("core/longrun.py", "run_multi_day",
-     "first = day_underlay(start_day)", "full"),
+     "first = day_underlay(0)", "full"),
     ("core/longrun.py", "run_multi_day", "if days < 1:", "full"),
     ("core/longrun.py", "run_multi_day.day_underlay",
      "config = UnderlayConfig(horizon_s=86400.0 + 2 * sim_config.epoch_s)",
@@ -209,10 +209,8 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("experiments/fig13_qoe.py", "LongQoEComparison.mean",
      "return self.results[variant].mean(field)", "full"),
     ("experiments/fig13_qoe.py", "LongQoEComparison.reduction_vs",
-     "v, b = self.mean(variant, field), self.mean(baseline, field)", "full"),
-    ("experiments/fig13_qoe.py", "run_long",
-     "chosen = variants if variants is not None else standard_variants()",
-     "full"),
+     'v = self.mean("XRON", field)', "full"),
+    ("experiments/fig13_qoe.py", "run_long", "results = {}", "full"),
     # e2e
     ("controlplane/nib.py", "NetworkInformationBase._store_layers",
      "position = np.arange(len(batch))", "e2e"),
@@ -269,12 +267,8 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("experiments/fig19_asymmetric.py", "run", "continue", "empty"),
     ("experiments/orchestrator.py", "run_parallel", "return []", "empty"),
     ("experiments/recovery.py", "_is_fallback", "continue", "empty"),
-    # Nearest fit: a partial install over stable stream ids, and a report
-    # drop with probability < 1: valid schedules no driver runs.
-    ("faults/runtime.py", "FaultExtension.truncate_install",
-     "merged[sid] = stale_entries[sid]", "empty"),
-    ("faults/runtime.py", "FaultExtension.truncate_install",
-     "merged_plans[sid] = stale_plans[sid]", "empty"),
+    # Nearest fit: a report drop with probability < 1, which only a
+    # checkpoint's schedule can carry; no driver runs one.
     ("faults/runtime.py", "FaultInjector._fires",
      'seed = self._streams.seed_for(f"{self._ids[spec]}.{key}")', "empty"),
     ("faults/runtime.py", "FaultInjector.filter_report",
@@ -296,20 +290,9 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
      'doc["duration_s"] = None', "empty"),
     ("faults/spec.py", "FaultSpec.to_json",
      'doc["link_type"] = self.link_type.value', "empty"),
-    # Nearest fit: the disabled hub's null histogram; every call site
-    # guards on `enabled`.
-    ("obs/__init__.py", "Telemetry.histogram",
-     "return NULL_HISTOGRAM", "empty"),
     ("obs/export.py", "read_jsonl", "continue", "empty"),
-    # Nearest fit: writes to a disabled hub are no-ops; every call site
-    # guards them.
-    ("obs/metrics.py", "NullCounter.inc", "pass", "empty"),
-    ("obs/metrics.py", "NullGauge.set", "pass", "empty"),
-    ("obs/metrics.py", "NullHistogram.observe", "pass", "empty"),
     # Nearest fit: a remembered event after the breach or without a time.
     ("obs/slo.py", "SLOEngine._annotate", "continue", "empty"),
-    ("obs/slo.py", "SLOEngine.observe",
-     "bad = (lat > self.target.latency_ms", "empty"),
     ("obs/slo.py", "SLOEngine.render_report",
      'lines.append("  (no streams observed)")', "empty"),
     ("obs/summary.py", "_estimate_quantile", "return None", "empty"),

@@ -18,7 +18,8 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import EpochSimulator
 from repro.core.variants import xron
 from repro.experiments.base import quiet_testbed
-from repro.obs.slo import SLOEngine, SLOTarget
+from repro.obs import slo
+from repro.obs.slo import SLOEngine
 from tests.harness import epoch_bytes
 
 
@@ -34,18 +35,30 @@ def clean_hub():
     obs.reset()
 
 
+@pytest.fixture(autouse=True)
+def two_sample_window(monkeypatch):
+    """The feeds below were recorded with windows armed by two samples."""
+    monkeypatch.setattr(slo, "MIN_SAMPLES", 2)
+
+
+def _threshold(latency_ms):
+    """The latency / loss threshold rule the feeds were recorded under:
+    a sample over `latency_ms` or over 5 % loss is bad."""
+    return lambda lat, loss: lat > latency_ms or loss > 0.05
+
+
 #: What the live `EpochSimulator(slo=)` feed produced on this run at
 #: the commit that deleted it (recorded there, before the deletion):
-#: per stream (samples, bad samples, breaches) under two targets.
+#: per stream (samples, bad samples, breaches) under two thresholds.
 _LIVE_FEED = {
-    SLOTarget(min_samples=2): {
+    "default": (400.0, {
         "FRA->HGH": (90, 0, 0), "FRA->SIN": (90, 0, 0),
         "HGH->FRA": (90, 0, 0), "HGH->SIN": (90, 0, 0),
-        "SIN->FRA": (90, 0, 0), "SIN->HGH": (90, 0, 0)},
-    SLOTarget(latency_ms=110.0, min_samples=2): {
+        "SIN->FRA": (90, 0, 0), "SIN->HGH": (90, 0, 0)}),
+    "tight": (110.0, {
         "FRA->HGH": (90, 0, 0), "FRA->SIN": (90, 4, 4),
         "HGH->FRA": (90, 52, 6), "HGH->SIN": (90, 0, 0),
-        "SIN->FRA": (90, 0, 0), "SIN->HGH": (90, 0, 0)},
+        "SIN->FRA": (90, 0, 0), "SIN->HGH": (90, 0, 0)}),
 }
 
 
@@ -63,7 +76,7 @@ def _replay(result, engine):
             for name, ledger in engine.streams.items()}
 
 
-def _golden_epochsim(armed, tmp_path, target=SLOTarget(min_samples=2)):
+def _golden_epochsim(armed, tmp_path, latency_ms=400.0):
     """(serialized result, per-stream SLO ledger or None)."""
     obs.reset()
     if armed:
@@ -81,7 +94,7 @@ def _golden_epochsim(armed, tmp_path, target=SLOTarget(min_samples=2)):
     if armed:
         # Breach events land on the still-attached stream, as the live
         # feed's did.
-        ledger = _replay(result, SLOEngine(target, hub=hub))
+        ledger = _replay(result, SLOEngine(_threshold(latency_ms)))
         hub.detach_stream(close=True)
     return epoch_bytes(result), ledger
 
@@ -95,8 +108,9 @@ class TestEpochSim:
     @pytest.mark.parametrize("target", list(_LIVE_FEED),
                              ids=["default", "tight"])
     def test_post_hoc_slo_replay_equals_live_feed(self, target, tmp_path):
-        __, ledger = _golden_epochsim(True, tmp_path, target)
-        assert ledger == _LIVE_FEED[target]
+        latency_ms, feed = _LIVE_FEED[target]
+        __, ledger = _golden_epochsim(True, tmp_path, latency_ms)
+        assert ledger == feed
 
     def test_slo_kwarg_is_gone(self):
         u, d = quiet_testbed(5)

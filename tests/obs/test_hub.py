@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.obs.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 
 
 @pytest.fixture(autouse=True)
@@ -17,15 +16,17 @@ def clean_hub():
 
 
 class TestDisabled:
-    def test_disabled_hands_out_null_metrics(self):
+    def test_disabled_hub_hands_out_the_registry_metrics(self):
+        """`enabled` is the one off switch: call sites guard metric
+        writes on it, and the hub's metrics are the registry's."""
         tel = obs.telemetry()
-        assert tel.counter("x") is NULL_COUNTER
-        assert tel.gauge("x") is NULL_GAUGE
-        assert tel.histogram("x", (1.0,)) is NULL_HISTOGRAM
+        assert tel.counter("x") is tel.metrics.counter("x")
+        assert tel.gauge("g") is tel.metrics.gauge("g")
+        assert (tel.histogram("h", (1.0,))
+                is tel.metrics.histogram("h", (1.0,)))
 
     def test_disabled_writes_leave_no_state(self):
         tel = obs.telemetry()
-        tel.counter("c").inc(10)
         tel.event("failover", t=1.0)
         with tel.span("algo_step"):
             pass

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.obs.metrics import (NULL_COUNTER, NULL_GAUGE,
-                               NULL_HISTOGRAM, Counter, Gauge, Histogram,
-                               HotCounters, MetricsRegistry)
+from repro.obs.metrics import (Counter, Gauge, Histogram, HotCounters,
+                               MetricsRegistry)
 from repro.obs.summary import _estimate_quantile
 
 
@@ -177,18 +176,3 @@ class TestHotCounters:
         obs.disable()
         obs.reset()
 
-
-class TestNullMetrics:
-    """The disabled-telemetry fast path: all writes are no-ops."""
-
-    def test_null_counter_ignores_inc(self):
-        NULL_COUNTER.inc(100)
-        assert NULL_COUNTER.value == 0
-
-    def test_null_gauge_ignores_set(self):
-        NULL_GAUGE.set(5.0)
-        assert NULL_GAUGE.value == 0.0
-
-    def test_null_histogram_ignores_observe(self):
-        NULL_HISTOGRAM.observe(3.0)
-        assert NULL_HISTOGRAM.total == 0

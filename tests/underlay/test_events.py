@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.underlay.events import (DegradationEvent, EventTimeline,
-                                   MAX_EVENT_LATENCY_MS, generate_timeline)
+                                   MAX_EVENT_LATENCY_MS, TimelineDraws,
+                                   generate_timeline)
 from tests.underlay.timeline_oracle import segment
 
 
@@ -170,7 +171,13 @@ class TestGenerateTimeline:
         assert np.all(tl.loss_adds <= 0.95)
 
     def test_events_within_offset_window(self, rng):
-        tl = self._gen(rng, horizon=86400.0, start_offset=1000.0)
+        draws = TimelineDraws(86400.0, 1000.0)
+        draws.draw(rng, short_events_per_day=100.0, long_events_per_day=1.0,
+                   short_duration_mean_s=8.0, long_duration_mu=4.5,
+                   long_duration_sigma=1.0, event_latency_mu=5.5,
+                   event_latency_sigma=1.2, event_loss_mu=-3.5,
+                   event_loss_sigma=1.0)
+        (tl,) = draws.compile()
         assert np.all(tl.starts >= 1000.0)
         assert tl.horizon_s == pytest.approx(86400.0 + 1000.0)
 

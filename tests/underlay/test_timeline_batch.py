@@ -153,10 +153,9 @@ def test_generate_timeline_is_a_draw_of_one():
                   event_latency_sigma=1.4, event_loss_mu=-3.6,
                   event_loss_sigma=1.1, rate_scale=2.5, severity_scale=1.3)
     assert_same_timeline(
-        generate_timeline(np.random.default_rng(9), 86400.0,
-                          start_offset=60.0, **params),
+        generate_timeline(np.random.default_rng(9), 86400.0, **params),
         scalar_generate_timeline(np.random.default_rng(9), 86400.0,
-                                 start_offset=60.0, **params))
+                                 **params))
 
 
 def test_draws_reject_a_non_positive_horizon():
