@@ -172,6 +172,41 @@ def test_demand_epoch(benchmark, n_regions):
 
 
 # --------------------------------------------------------------------------
+# One stream decomposition (§5.1)
+# --------------------------------------------------------------------------
+#
+# Both engines' default workload splits every pair's demand into SIB
+# stream entries each control epoch, before Algorithm 1 sees a stream.
+
+#: region count -> hard budget of one `StreamWorkload.decompose`.  With
+#: ``rng.dirichlet`` and ``rng.choice`` per pair it took ~2.8-4.2 ms at
+#: paper scale and ~235-355 ms at 100 regions on the reference box;
+#: with only the two primitive draws per pair and one array pass it
+#: takes ~0.3-0.6 and ~25-47 ms.  The budgets leave room for a host
+#: twice as slow and fail on a return to the per-pair calls.
+STREAM_DECOMPOSE_BUDGET_S = {11: 0.0015, 100: 0.12}
+
+
+@pytest.mark.parametrize("n_regions", sorted(STREAM_DECOMPOSE_BUDGET_S),
+                         ids=lambda n: f"n{n:03d}")
+def test_stream_decompose(benchmark, n_regions):
+    """`StreamWorkload.decompose` of the peak-hour demand matrix, one
+    workload through the rounds (its generator advances, as in a run):
+    the paper world's (`standard_demand`) at 11 regions, a generated
+    planet's at 100."""
+    from repro.underlay.planet import generate_regions
+    demand = (standard_demand() if n_regions == 11 else
+              DemandModel(generate_regions(n_regions, seed=7), seed=7))
+    matrix = TrafficMatrix.from_model(demand, 8 * 3600.0)
+    workload = StreamWorkload(np.random.default_rng(7))
+    table = benchmark(lambda: workload.decompose(matrix))
+    assert len(matrix) == n_regions * (n_regions - 1)
+    assert len(table) > len(matrix)
+    assert table.mbps.sum() == pytest.approx(matrix.total())
+    assert benchmark.stats["mean"] < STREAM_DECOMPOSE_BUDGET_S[n_regions]
+
+
+# --------------------------------------------------------------------------
 # One probing instant of the event engine (§4.1)
 # --------------------------------------------------------------------------
 #

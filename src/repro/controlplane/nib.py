@@ -95,6 +95,10 @@ class ReportBatch:
     loss_rate: np.ndarray
     reported_at: np.ndarray
 
+    #: What a batch that fails the range checks raises.
+    OUT_OF_RANGE = ("a report has a negative or NaN latency, a loss rate "
+                    "outside [0, 1] or a time that is not finite")
+
     def __post_init__(self) -> None:
         # `LinkReport`'s range checks, once over the arrays (a NaN
         # minimum or maximum fails them).
@@ -104,16 +108,15 @@ class ReportBatch:
                 and self.loss_rate.max() <= 1.0
                 and -math.inf < self.reported_at.min()
                 and self.reported_at.max() < math.inf):
-            raise ValueError("a report has a negative or NaN latency, a "
-                             "loss rate outside [0, 1] or a time that is "
-                             "not finite")
+            raise ValueError(self.OUT_OF_RANGE)
 
     @classmethod
     def _checked(cls, codes: Tuple[str, ...], *columns: np.ndarray
                 ) -> "ReportBatch":
         """A batch of columns that passed the range checks already
-        (rows of a checked batch, values of checked reports), built
-        without running them again."""
+        (rows of a checked batch, values of checked reports, the
+        columns `ProbingGroupManager.aggregate` checked), built without
+        running them again."""
         batch = object.__new__(cls)
         (batch.codes, batch.src, batch.dst, batch.tier, batch.latency_ms,
          batch.loss_rate, batch.reported_at) = (codes,) + columns

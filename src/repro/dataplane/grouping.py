@@ -11,6 +11,7 @@ O(N(N-1)R) probe streams.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,9 +122,14 @@ class ProbingGroupManager:
         # The loss column is the batch's own: clip it in place.
         np.maximum(loss, 0.0, out=loss)
         np.minimum(loss, 1.0, out=loss)
+        # `ReportBatch`'s range checks, on what the clip and the one
+        # instant leave open (a NaN minimum fails them).
+        if len(src) and not (math.isfinite(now) and latency.min() >= 0
+                             and loss.min() >= 0):
+            raise ValueError(ReportBatch.OUT_OF_RANGE)
         reported_at = np.empty(len(src))
         reported_at.fill(now)
         if _TEL.enabled:
             _AGG_COUNTERS.fetch(_TEL.metrics)[0].inc(len(src))
-        return ReportBatch(self.codes, src, dst, link_type, latency, loss,
-                           reported_at)
+        return ReportBatch._checked(self.codes, src, dst, link_type, latency,
+                                    loss, reported_at)

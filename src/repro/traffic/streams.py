@@ -121,8 +121,29 @@ class StreamTable:
         return self._streams
 
 
+#: The Dirichlet concentration of a pair's chunk shares.
+_SHARE_ALPHA = 4.0
+#: Demand (Mbps) per chunk before the cap binds.
+_CHUNK_MBPS = 50.0
+_WEIGHTS = np.array([p.weight for p in VIDEO_PROFILES])
+#: The profile popularity's CDF, built as `Generator.choice` builds it
+#: from the normalised weights.
+_PROFILE_CDF = (_WEIGHTS / _WEIGHTS.sum()).cumsum()
+_PROFILE_CDF /= _PROFILE_CDF[-1]
+_BITRATES = np.array([p.bitrate_mbps for p in VIDEO_PROFILES])
+
+
 class StreamWorkload:
-    """Decomposes a traffic matrix into SIB stream entries."""
+    """Decomposes a traffic matrix into SIB stream entries.
+
+    Draw contract: for each pair with positive demand, in ascending pair
+    order (`TrafficMatrix.order`), ``rng.standard_gamma(4.0, k)`` and
+    then ``rng.random(k)``, where ``k`` is the pair's chunk count.
+    These are the two primitive calls that ``rng.dirichlet(ones(k) * 4)``
+    and ``rng.choice(len(VIDEO_PROFILES), k, p=weights)`` make, so the
+    generator's state, and every value derived from it, is what those
+    two calls per pair would leave.
+    """
 
     def __init__(self, rng: Optional[np.random.Generator] = None,
                  max_streams_per_pair: int = 8):
@@ -139,41 +160,52 @@ class StreamWorkload:
 
         Chunk sizes follow a Dirichlet draw so pairs do not split into
         identical slices; each chunk is tagged with a representative video
-        profile drawn by popularity.  Per pair, one Dirichlet draw and
-        then one profile draw, in `TrafficMatrix.items` order.
+        profile drawn by popularity.  The draws are the class's draw
+        contract; everything around them is one pass over all pairs:
+
+        - a pair's shares are its gammas times ``1 / acc``, where ``acc``
+          sums them left to right, as `Generator.dirichlet` does (a
+          cumulative sum along zero-padded rows; ``np.sum`` adds
+          pairwise and rounds differently);
+        - a chunk's profile is where its uniform falls in the popularity
+          CDF, ``searchsorted(side="right")`` as `Generator.choice`;
+        - a chunk rounded to 0 Mbps is dropped, and a chunk's sessions
+          are its Mbps over the profile's bitrate, rounded half to even
+          (as ``round``), at least 1.
         """
-        weights = np.array([p.weight for p in VIDEO_PROFILES])
-        weights = weights / weights.sum()
-        index = {code: i for i, code in enumerate(matrix.codes)}
-        src_col: List[int] = []
-        dst_col: List[int] = []
-        mbps_col: List[float] = []
-        profile_col: List[int] = []
-        sessions_col: List[int] = []
-        for (src, dst), demand in matrix.items():
-            if demand <= 0:
-                continue
-            n_chunks = min(self.max_streams_per_pair,
-                           max(1, int(np.ceil(demand / 50.0))))
-            shares = self._rng.dirichlet(np.ones(n_chunks) * 4.0)
-            profiles = self._rng.choice(len(VIDEO_PROFILES), size=n_chunks,
-                                        p=weights)
-            a, b = index[src], index[dst]
-            for share, pidx in zip(shares, profiles.tolist()):
-                chunk = float(demand * share)
-                if chunk <= 0:
-                    continue
-                src_col.append(a)
-                dst_col.append(b)
-                mbps_col.append(chunk)
-                profile_col.append(pidx)
-                sessions_col.append(max(1, int(round(
-                    chunk / VIDEO_PROFILES[pidx].bitrate_mbps))))
+        order = matrix.order[matrix.values[matrix.order] > 0]
+        demand = matrix.values[order]
+        if not np.isfinite(demand).all():
+            raise OverflowError("cannot split an infinite demand")
+        chunks = np.minimum(self.max_streams_per_pair, np.maximum(
+            1, np.ceil(demand / _CHUNK_MBPS))).astype(np.intp)
+        gamma, uniform = self._rng.standard_gamma, self._rng.random
+        gammas, uniforms = [np.empty(0)], [np.empty(0)]
+        for k in chunks.tolist():
+            gammas.append(gamma(_SHARE_ALPHA, k))
+            uniforms.append(uniform(k))
+        gammas = np.concatenate(gammas)
+        # Pair k's gammas fill row k from column 0.  Adding the zeros
+        # after them changes nothing, so the row's cumulative sum ends
+        # at the left-to-right total `dirichlet` divides by.
+        starts = np.cumsum(chunks) - chunks
+        slot = np.arange(len(gammas)) - np.repeat(starts, chunks)
+        padded = np.zeros((len(chunks), int(chunks.max(initial=1))))
+        padded[np.repeat(np.arange(len(chunks)), chunks), slot] = gammas
+        total = padded.cumsum(axis=1)[:, -1]
+        mbps = np.repeat(demand, chunks) * (
+            gammas * np.repeat(1.0 / total, chunks))
+        profile = np.searchsorted(_PROFILE_CDF, np.concatenate(uniforms),
+                                  side="right")
+        cell = np.repeat(matrix.rows(matrix.codes)[order], chunks)
+        kept = mbps > 0
+        mbps, profile, cell = mbps[kept], profile[kept], cell[kept]
+        sessions = np.maximum(1.0, np.rint(mbps / _BITRATES[profile]))
         first = self._next_id
-        self._next_id += len(mbps_col)
+        self._next_id += len(mbps)
+        n = len(matrix.codes)
         return StreamTable(matrix.codes, np.arange(first, self._next_id),
-                           src_col, dst_col, mbps_col, profile_col,
-                           sessions_col)
+                           cell // n, cell % n, mbps, profile, sessions)
 
     # ------------------------------------------------------------ checkpoint
     def export_state(self) -> Dict[str, object]:

@@ -43,15 +43,16 @@ START_S = 3600.0
 #: a little over two 30 s epochs.
 STEPS = 160
 
-#: What one probing instant calls, whatever the region count: one range
-#: check, of the batch `aggregate` makes (the membership table's
-#: per-region slices are rows of a checked batch); one report-fault
-#: pass, one membership hook and one churn query for every region, and
-#: no `LinkReport`, not even inside a report-drop window.
+#: What one probing instant calls, whatever the region count: no
+#: batch-wide range check (`aggregate` checks the columns it has just
+#: built and clipped itself, and the membership table's per-region
+#: slices are rows of that batch); one report-fault pass, one
+#: membership hook and one churn query for every region, and no
+#: `LinkReport`, not even inside a report-drop window.
 PER_INSTANT = {"NetworkInformationBase.update_many": 1,
                "ProbingGroupManager.aggregate": 1,
                "EstimatorBank.ingest": 1,
-               "ReportBatch.__post_init__": 1,
+               "ReportBatch.__post_init__": 0,
                "LinkReport.__init__": 0,
                "FaultInjector.probe_blackout": 1,
                "FaultInjector.filter_report": 1,

@@ -129,6 +129,19 @@ class TestProbingGroupManager:
                                [(10.0, -0.1)], now=0.0)
         assert report.loss_rate == 0.0
 
+    @pytest.mark.parametrize("latency, loss, now", [
+        (float("nan"), 0.01, 5.0), (-1.0, 0.01, 5.0),
+        (100.0, float("nan"), 5.0), (100.0, 0.01, float("inf")),
+        (100.0, 0.01, float("-inf")), (100.0, 0.01, float("nan"))])
+    def test_aggregate_rejects_what_the_batch_rejects(self, latency, loss,
+                                                      now):
+        """The batch is built without `ReportBatch`'s checks; `aggregate`
+        makes the ones its clip leaves open, with the same error."""
+        mgr = ProbingGroupManager(["A", "B"], representatives=1)
+        with pytest.raises(ValueError, match="negative or NaN latency"):
+            aggregate_one(mgr, "A", "B", LinkType.INTERNET,
+                          [(latency, loss)], now=now)
+
 
 class TestAggregateMedianIsNumpyMedian:
     """`aggregate` takes the median without numpy; every NIB report (and

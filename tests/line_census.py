@@ -300,7 +300,6 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
      'prev["min"] = snap.get("min", 0.0)', "empty"),
     ("qoe/video.py", "stall_durations", "return np.zeros(0)", "empty"),
     ("sim/engine.py", "Simulator.step", "return False", "empty"),
-    ("traffic/streams.py", "StreamWorkload.decompose", "continue", "empty"),
     ("underlay/events.py", "_compile_many", "continue", "empty"),
     ("underlay/similarity.py", "quality_similarity", "return 1.0", "empty"),
     ("underlay/snapshot.py", "LinkTable.series",

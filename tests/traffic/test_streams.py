@@ -93,3 +93,23 @@ def test_profile_catalogue_sane():
     assert all(isinstance(p, VideoProfile) for p in VIDEO_PROFILES)
     assert all(p.bitrate_mbps > 0 for p in VIDEO_PROFILES)
     assert abs(sum(p.weight for p in VIDEO_PROFILES) - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_resume_after_call_k_equals_the_uninterrupted_call(k):
+    """`export_state` after call k, `import_state` into a fresh workload
+    (another seed): its next call equals the uninterrupted run's call
+    k + 1, column for column, and both end in the same state."""
+    from repro.experiments.base import standard_demand
+    demand = standard_demand()
+    matrices = [TrafficMatrix.from_model(demand, 3600.0 * (6 + step))
+                for step in range(k + 1)]
+    live = StreamWorkload(np.random.default_rng(4), max_streams_per_pair=5)
+    for matrix in matrices[:k]:
+        live.decompose(matrix)
+    fresh = StreamWorkload(np.random.default_rng(99), max_streams_per_pair=5)
+    fresh.import_state(live.export_state())
+    a, b = live.decompose(matrices[k]), fresh.decompose(matrices[k])
+    for name in ("stream_id", "src", "dst", "mbps", "profile", "sessions"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert live.export_state() == fresh.export_state()
