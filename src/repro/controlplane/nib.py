@@ -83,8 +83,7 @@ class ReportBatch:
     """Monitoring reports of *distinct* directed links, as arrays.
 
     Row k reports the link ``codes[src[k]] -> codes[dst[k]]`` of tier
-    ``TYPE_ORDER[tier[k]]``.  Sized, and falsy when empty; iterating or
-    indexing builds the `LinkReport`s for consumers that want objects.
+    ``TYPE_ORDER[tier[k]]``.  Sized, and falsy when empty.
     """
 
     codes: Tuple[str, ...]
@@ -132,13 +131,6 @@ class ReportBatch:
                                    self.latency_ms[rows],
                                    self.loss_rate[rows],
                                    self.reported_at[rows])
-
-    def __getitem__(self, k: int) -> LinkReport:
-        return LinkReport(self.codes[self.src[k]], self.codes[self.dst[k]],
-                          TYPE_ORDER[self.tier[k]],
-                          float(self.latency_ms[k]),
-                          float(self.loss_rate[k]),
-                          float(self.reported_at[k]))
 
 
 def _trace_faults(batch: ReportBatch, dropped: np.ndarray,

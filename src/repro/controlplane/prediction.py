@@ -28,6 +28,9 @@ _TEL = _telemetry()
 #: two-week window cannot.
 N_HARMONICS = 100
 HISTORY_SLOTS = 576
+#: Slots between refits of a `RollingPredictor`'s model (the SIB's
+#: banks take theirs from `sib_params`).
+REFIT_EVERY = 12
 
 
 class DTFTPredictor:
@@ -258,8 +261,8 @@ class RollingPredictor:
     """One demand series: the one-row `PredictorBank`, scalar in and
     out — observe demand each slot, predict the next slot(s)."""
 
-    def __init__(self, refit_every: int = 12, min_history: int = 288):
-        self._bank = PredictorBank(1, refit_every, min_history)
+    def __init__(self, min_history: int = 288):
+        self._bank = PredictorBank(1, REFIT_EVERY, min_history)
 
     def observe(self, demand: float) -> None:
         """Record the demand measured for the slot that just ended."""

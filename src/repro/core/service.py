@@ -103,7 +103,7 @@ _SOAK_LEAD_S = 120.0
 #: rotation lookup raises KeyError) instead of silently never soaking.
 _SOAK_BUILDERS: Dict["fault_spec.FaultKind", Any] = {
     fault_spec.FaultKind.GATEWAY_CRASH:
-        lambda t, r, rs: fault_spec.gateway_crash(t, 60.0, r, count=1),
+        lambda t, r, rs: fault_spec.gateway_crash(t, 60.0, r),
     fault_spec.FaultKind.PROBE_BLACKOUT:
         lambda t, r, rs: fault_spec.probe_blackout(t, 90.0, region=r),
     fault_spec.FaultKind.REPORT_DROP:

@@ -60,6 +60,9 @@ _TEL = _telemetry()
 #: of hops are cut into blocks whose temporaries stay near a megabyte
 #: each.
 _BLOCK_ELEMENTS = 1 << 17
+#: Tables 2 and 3's columns: the percentiles a variant's latency and
+#: loss rows report.
+TABLE_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
 
 
 class _EpochLinkCache:
@@ -182,7 +185,7 @@ class SimulationResult:
              else np.ones_like(lat))
         return lat, loss, w
 
-    def latency_percentiles(self, percentiles=(50.0, 95.0, 99.0, 99.9),
+    def latency_percentiles(self, percentiles=TABLE_PERCENTILES,
                             weighted: bool = True) -> Dict[str, float]:
         """Table 2's row for this variant."""
         lat, __, w = self.pooled(weighted)
@@ -192,14 +195,13 @@ class SimulationResult:
             row[f"{p:g}%"] = float(v)
         return row
 
-    def loss_percentiles(self, percentiles=(50.0, 95.0, 99.0, 99.9),
-                         weighted: bool = True) -> Dict[str, float]:
+    def loss_percentiles(self, weighted: bool = True) -> Dict[str, float]:
         """Table 3's row for this variant (loss in percent)."""
         __, loss, w = self.pooled(weighted)
         loss_pct = loss * 100.0
         row = {"average": float(np.average(loss_pct, weights=w))}
-        vals = weighted_percentiles(loss_pct, w, percentiles)
-        for p, v in zip(percentiles, vals):
+        vals = weighted_percentiles(loss_pct, w, TABLE_PERCENTILES)
+        for p, v in zip(TABLE_PERCENTILES, vals):
             row[f"{p:g}%"] = float(v)
         return row
 

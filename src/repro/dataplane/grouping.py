@@ -55,7 +55,7 @@ def _median(values: np.ndarray) -> np.ndarray:
 class ProbingGroupManager:
     """Elects representatives and aggregates their reports per region pair."""
 
-    def __init__(self, codes: Sequence[str], representatives: int = 2):
+    def __init__(self, codes: Sequence[str], representatives: int):
         if representatives < 1:
             raise ValueError("need at least one representative")
         self.codes = tuple(codes)

@@ -155,10 +155,9 @@ class ProactiveAutoscaler:
     """
 
     def __init__(self, container_capacity_mbps: float,
-                 refit_every: int = 12, min_history: int = 288):
+                 min_history: int = 288):
         self.container_capacity_mbps = container_capacity_mbps
-        self.predictor = RollingPredictor(refit_every=refit_every,
-                                          min_history=min_history)
+        self.predictor = RollingPredictor(min_history=min_history)
         self._last_target = 0
         self._gate = _FloodGate()
 
@@ -243,7 +242,7 @@ def evaluate_autoscaler(autoscaler: Autoscaler,
                         demand_mbps: Sequence[float],
                         container_capacity_mbps: float,
                         pool: ContainerPool,
-                        slot_s: float = 300.0,
+                        slot_s: float,
                         warmup_slots: int = 0) -> UnderProvisioningStats:
     """Replay a demand series against a policy and a container pool.
 

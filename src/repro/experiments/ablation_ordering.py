@@ -12,7 +12,7 @@ with tight latency budgets) is served on constraint-meeting paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.experiments.base import (format_table, standard_demand,
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import StreamWorkload
 from repro.underlay.linkstate import LinkType
-from repro.underlay.topology import Underlay
 
 ORDERING_LABELS = {
     "latency_desc": "latency descending (paper)",
@@ -62,10 +61,16 @@ class OrderingAblation:
         return lines
 
 
-def run(underlay: Optional[Underlay] = None, n_epochs: int = 6,
-        epoch_s: float = 3600.0, seed: int = 21) -> OrderingAblation:
+#: The control epoch (seconds) and the seed of the demand model and
+#: the stream workload.
+EPOCH_S = 3600.0
+SEED = 21
+
+
+def run(n_epochs: int = 6) -> OrderingAblation:
     """Compare orderings with link capacity scarce enough to contend."""
-    u = underlay if underlay is not None else standard_underlay()
+    epoch_s, seed = EPOCH_S, SEED
+    u = standard_underlay()
     demand = standard_demand(seed)
     workload = StreamWorkload(np.random.default_rng(seed),
                               max_streams_per_pair=2)

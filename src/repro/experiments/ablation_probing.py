@@ -11,7 +11,7 @@ actually experiences, as R grows?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.experiments.base import format_table, standard_underlay
 from repro.sim.rng import RngStreams
 from repro.underlay.linkstate import LinkType
 from repro.underlay.similarity import make_gateway_links
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -55,13 +54,18 @@ class ProbingAblation:
 STEP_S = 10.0
 
 
-def run(underlay: Optional[Underlay] = None,
-        gateways_per_region: int = 6,
-        representative_counts: Sequence[int] = (1, 2, 3),
-        window_s: float = 14400.0, seed: int = 31,
-        max_pairs: int = 20) -> ProbingAblation:
-    u = underlay if underlay is not None else standard_underlay()
-    streams = RngStreams(seed)
+#: Gateways per region, the representative counts compared, and the
+#: seed of the gateway links.
+GATEWAYS_PER_REGION = 6
+REPRESENTATIVE_COUNTS = (1, 2, 3)
+SEED = 31
+
+
+def run(window_s: float = 14400.0, max_pairs: int = 20) -> ProbingAblation:
+    gateways_per_region, representative_counts = (GATEWAYS_PER_REGION,
+                                                  REPRESENTATIVE_COUNTS)
+    u = standard_underlay()
+    streams = RngStreams(SEED)
     n_regions = len(u.regions)
 
     disagreement: Dict[int, List[float]] = {r: []

@@ -55,9 +55,17 @@ class StabilityAblation:
         return lines
 
 
-def run(hours: float = 3.0, start_hour: float = 6.0, seed: int = 1,
-        epoch_s: float = 300.0,
-        eval_step_s: float = 15.0) -> StabilityAblation:
+#: The simulated start (hour of day), the seed, the control epoch and
+#: the evaluation step (seconds).
+START_HOUR = 6.0
+SEED = 1
+EPOCH_S = 300.0
+EVAL_STEP_S = 15.0
+
+
+def run(hours: float = 3.0) -> StabilityAblation:
+    start_hour, seed, epoch_s, eval_step_s = (START_HOUR, SEED, EPOCH_S,
+                                              EVAL_STEP_S)
     horizon = max((start_hour + hours) * 3600.0 + 2 * epoch_s, 2 * 86400.0)
     outcomes: Dict[str, Tuple[float, float, float]] = {}
     for mode, window in (("last sample", 1), ("robust p90", ROBUST_WINDOW)):

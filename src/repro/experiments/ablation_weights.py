@@ -13,7 +13,7 @@ links and relays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.experiments.base import (format_table, standard_demand,
                                     standard_underlay)
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import StreamWorkload
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -59,12 +58,16 @@ class WeightSweep:
         return lines
 
 
-def run(underlay: Optional[Underlay] = None,
-        exchange_rates: Sequence[float] = (0.0, 30.0, 60.0, 120.0, 240.0,
-                                           480.0),
-        n_epochs: int = 4, epoch_s: float = 3600.0,
-        seed: int = 17) -> WeightSweep:
-    u = underlay if underlay is not None else standard_underlay()
+#: The exchange rates swept (ms per unit fee), the control epoch
+#: (seconds) and the seed of the demand model and the stream workload.
+EXCHANGE_RATES = (0.0, 30.0, 60.0, 120.0, 240.0, 480.0)
+EPOCH_S = 3600.0
+SEED = 17
+
+
+def run(n_epochs: int = 4) -> WeightSweep:
+    exchange_rates, epoch_s, seed = EXCHANGE_RATES, EPOCH_S, SEED
+    u = standard_underlay()
     demand = standard_demand(seed)
     workload = StreamWorkload(np.random.default_rng(seed),
                               max_streams_per_pair=2)

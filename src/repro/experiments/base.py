@@ -71,9 +71,9 @@ def derive_seed(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0x7FFFFFFF
 
 
-def standard_underlay(seed: int = 1) -> Underlay:
+def standard_underlay() -> Underlay:
     """The canonical 11-region underlay used across experiments."""
-    return build_underlay(seed=seed)
+    return build_underlay(seed=1)
 
 
 def standard_demand(seed: int = 3) -> DemandModel:

@@ -104,8 +104,7 @@ def _schedules(n_events: int, event_spacing_s: float,
         ("controller-outage", FaultSchedule.of(
             outage_spec(start + 1.0, start + horizon))),
         ("gateway-crash", FaultSchedule.of(
-            gateway_crash(first - 10.0, horizon - 60.0, region=src,
-                          count=1))),
+            gateway_crash(first - 10.0, horizon - 60.0, region=src))),
         ("probe-blackout", FaultSchedule.of(
             probe_blackout(first - 10.0,
                            event_spacing_s * max(1, n_events // 2),
@@ -125,8 +124,13 @@ def _schedules(n_events: int, event_spacing_s: float,
     ]
 
 
-def run(n_events: int = 4, seed: int = 17,
-        event_spacing_s: float = 60.0) -> ChaosReaction:
+#: The seed of the testbed and the degradation train, and the spacing
+#: of its events (seconds).
+SEED = 17
+EVENT_SPACING_S = 60.0
+
+
+def run(n_events: int = 4) -> ChaosReaction:
     """Measure reaction timing under each fault class.
 
     Every scenario replays the *same* degradation train (same seed, same
@@ -138,6 +142,7 @@ def run(n_events: int = 4, seed: int = 17,
     fault being measured) and starts under-provisioned so the epoch loop
     must actually request containers through the inflated platform.
     """
+    seed, event_spacing_s = SEED, EVENT_SPACING_S
     __, demand = quiet_testbed(seed)
     pair = max(demand.pairs, key=lambda p: demand.pair_scale(*p))
     scenarios = []

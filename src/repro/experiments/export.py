@@ -96,8 +96,10 @@ def write_manifest(records: Sequence, path, *, suite: str = "quick",
 
 
 @singledispatch
-def write_csv(result, directory, prefix: str = "data") -> List[Path]:
-    """Export `result`'s plottable data; no-op for unregistered types."""
+def write_csv(result, directory, prefix: str) -> List[Path]:
+    """Export `result`'s plottable data, into files whose names start
+    with `prefix` (each registered type has its own default); no-op for
+    unregistered types."""
     return []
 
 

@@ -8,14 +8,13 @@ the worst individual Internet latency spike reaches ~20.5 s; the maximum
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.analysis.ascii import series_panel
 from repro.experiments.base import format_table, standard_underlay
 from repro.underlay.linkstate import LinkType
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -76,10 +75,15 @@ class LinkStateFigures:
         return lines
 
 
-def run(underlay: Optional[Underlay] = None, step_s: float = 30.0,
-        day_s: float = 86400.0) -> LinkStateFigures:
+#: The sampling step and the day measured (seconds).
+STEP_S = 30.0
+DAY_S = 86400.0
+
+
+def run() -> LinkStateFigures:
     """Measure every directed link of both tiers for one day."""
-    u = underlay if underlay is not None else standard_underlay()
+    step_s, day_s = STEP_S, DAY_S
+    u = standard_underlay()
     times = np.arange(0.0, day_s, step_s)
     avg_lat_i, avg_loss_i = u.average_state(LinkType.INTERNET, times)
     avg_lat_p, avg_loss_p = u.average_state(LinkType.PREMIUM, times)

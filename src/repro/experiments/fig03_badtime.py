@@ -9,14 +9,13 @@ time with high loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.analysis.ascii import ascii_cdf
 from repro.experiments.base import format_table, standard_underlay
 from repro.underlay.linkstate import LinkType
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -56,9 +55,14 @@ class BadTimeCdf:
         return lines
 
 
-def run(underlay: Optional[Underlay] = None, step_s: float = 10.0,
-        day_s: float = 86400.0) -> BadTimeCdf:
-    u = underlay if underlay is not None else standard_underlay()
+#: The sampling step and the day measured (seconds).
+STEP_S = 10.0
+DAY_S = 86400.0
+
+
+def run() -> BadTimeCdf:
+    step_s, day_s = STEP_S, DAY_S
+    u = standard_underlay()
 
     def fractions(link_type: LinkType):
         lat, loss = [], []

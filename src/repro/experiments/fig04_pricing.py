@@ -8,12 +8,11 @@ the most expensive Internet link).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.experiments.base import format_table, standard_underlay
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -45,8 +44,8 @@ class PricingCdf:
                             title="Fig. 4 — normalised egress pricing")
 
 
-def run(underlay: Optional[Underlay] = None) -> PricingCdf:
-    u = underlay if underlay is not None else standard_underlay()
+def run() -> PricingCdf:
+    u = standard_underlay()
     internet = np.array(sorted(u.pricing.all_internet_fees().values()))
     premium = np.array([v for __, v in sorted(u.pricing.all_premium_fees()
                                               .items())])

@@ -8,13 +8,12 @@ increase within five minutes; an individual pair reaches ~247x with a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.analysis.ascii import series_panel
 from repro.experiments.base import format_table, standard_demand
-from repro.traffic.demand import DemandModel
 
 
 @dataclass
@@ -67,9 +66,14 @@ class DemandFigure:
         return lines
 
 
-def run(demand: Optional[DemandModel] = None, slot_s: float = 60.0,
-        day_s: float = 86400.0) -> DemandFigure:
-    m = demand if demand is not None else standard_demand()
+#: The demand slot and the day plotted (seconds).
+SLOT_S = 60.0
+DAY_S = 86400.0
+
+
+def run() -> DemandFigure:
+    slot_s, day_s = SLOT_S, DAY_S
+    m = standard_demand()
     times = np.arange(0.0, day_s, slot_s)
     total = m.total_mbps(times)
     # Example pair: the heaviest pair (a representative popular route).

@@ -19,7 +19,6 @@ from repro.sim.rng import RngStreams
 from repro.underlay.linkstate import LinkType
 from repro.underlay.similarity import (IDIO_EVENTS_PER_DAY,
                                        make_gateway_links, quality_similarity)
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -74,15 +73,20 @@ class SimilarityFigure:
 STEP_S = 5.0
 
 
-def run(underlay: Optional[Underlay] = None, gateways_per_region: int = 4,
-        representatives: int = 2, window_s: float = 21600.0,
-        seed: int = 11,
-        max_pairs: Optional[int] = None) -> SimilarityFigure:
+#: Gateways per region, representatives per pair, the seed of the
+#: gateway links, and the pairs measured (None for all).
+GATEWAYS_PER_REGION = 4
+REPRESENTATIVES = 2
+SEED = 11
+MAX_PAIRS: Optional[int] = None
+
+
+def run(window_s: float = 21600.0) -> SimilarityFigure:
     """Instantiate gateway-level links for each pair and measure similarity."""
-    step_s = STEP_S
-    u = underlay if underlay is not None else standard_underlay()
-    streams = RngStreams(seed)
-    pairs = u.pairs if max_pairs is None else u.pairs[:max_pairs]
+    step_s, gateways_per_region = STEP_S, GATEWAYS_PER_REGION
+    u = standard_underlay()
+    streams = RngStreams(SEED)
+    pairs = u.pairs if MAX_PAIRS is None else u.pairs[:MAX_PAIRS]
     sims = []
     example_series = None
     sample_times = np.arange(0.0, window_s, max(step_s * 6, 60.0))
@@ -104,5 +108,5 @@ def run(underlay: Optional[Underlay] = None, gateways_per_region: int = 4,
             example_series = [link.loss_rate(sample_times)
                               for link in links[:4]]
     return SimilarityFigure(np.array(sims), gateways_per_region,
-                            representatives, len(u.regions),
+                            REPRESENTATIVES, len(u.regions),
                             example_series)

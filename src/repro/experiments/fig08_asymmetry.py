@@ -8,13 +8,12 @@ motivating asymmetric forwarding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.experiments.base import format_table, standard_underlay
 from repro.underlay.linkstate import LinkType
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -45,16 +44,19 @@ STEP_S = 10.0
 RELATIVE_LATENCY_GAP = 0.10
 
 
-def run(underlay: Optional[Underlay] = None,
-        window_s: float = 86400.0) -> AsymmetryFigure:
+#: The window compared (seconds).
+WINDOW_S = 86400.0
+
+
+def run() -> AsymmetryFigure:
     """Compare each unordered pair's two directions over a day.
 
     Directions 'differ' at an instant when their quality classifications
     disagree or their latencies are more than `RELATIVE_LATENCY_GAP`
     apart — the notion under Fig. 8's per-direction curves.
     """
-    u = underlay if underlay is not None else standard_underlay()
-    step_s = STEP_S
+    u = standard_underlay()
+    step_s, window_s = STEP_S, WINDOW_S
     times = np.arange(0.0, window_s, step_s)
     seen = set()
     fractions = []

@@ -15,7 +15,6 @@ import numpy as np
 from repro.analysis.ascii import histogram_bar
 from repro.experiments.base import format_table, standard_underlay
 from repro.underlay.linkstate import LinkType
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -47,14 +46,13 @@ class DegradationHistogram:
         return lines
 
 
-def run(underlay: Optional[Underlay] = None,
-        window_s: Optional[float] = None) -> DegradationHistogram:
+def run(window_s: Optional[float] = None) -> DegradationHistogram:
     """Histogram degradation-event durations across all directed links.
 
     `window_s` restricts counting to events starting inside [0, window_s)
     (defaults to the underlay's full generated horizon).
     """
-    u = underlay if underlay is not None else standard_underlay()
+    u = standard_underlay()
     window = window_s if window_s is not None else u.config.horizon_s
 
     def bucket(link_type: LinkType) -> Tuple[int, int, int, int]:

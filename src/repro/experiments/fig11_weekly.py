@@ -7,12 +7,11 @@ Paper target: the traffic repeats a three-peak daily pattern (peaks near
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.experiments.base import format_table, standard_demand
-from repro.traffic.demand import DemandModel
 
 
 @dataclass
@@ -73,9 +72,14 @@ class WeeklyDemandFigure:
                             title="Fig. 11 — two-week three-peak demand")
 
 
-def run(demand: Optional[DemandModel] = None, slot_s: float = 300.0,
-        days: int = 14) -> WeeklyDemandFigure:
-    m = demand if demand is not None else standard_demand()
+#: The demand slot (seconds) and the days plotted.
+SLOT_S = 300.0
+DAYS = 14
+
+
+def run() -> WeeklyDemandFigure:
+    slot_s, days = SLOT_S, DAYS
+    m = standard_demand()
     # A heavy China-China pair shows the pattern most cleanly.
     pair = max(m.pairs, key=lambda p: m.pair_scale(*p))
     times = np.arange(0.0, days * 86400.0, slot_s)

@@ -8,14 +8,13 @@ under-prediction is rare and small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.controlplane.prediction import RollingPredictor
 from repro.analysis.ascii import series_panel
 from repro.experiments.base import format_table, standard_demand
-from repro.traffic.demand import DemandModel
 
 
 @dataclass
@@ -59,11 +58,16 @@ class PredictionFigure:
 EVAL_DAYS = 7
 
 
-def run(demand: Optional[DemandModel] = None, slot_s: float = 300.0,
-        train_days: int = 14) -> PredictionFigure:
-    """Warm the rolling predictor on `train_days`, evaluate on
+#: The demand slot (seconds) and the days the predictor warms up on.
+SLOT_S = 300.0
+TRAIN_DAYS = 14
+
+
+def run() -> PredictionFigure:
+    """Warm the rolling predictor on `TRAIN_DAYS`, evaluate on
     `EVAL_DAYS`."""
-    m = demand if demand is not None else standard_demand()
+    slot_s, train_days = SLOT_S, TRAIN_DAYS
+    m = standard_demand()
     pair = max(m.pairs, key=lambda p: m.pair_scale(*p))
     total_days = train_days + EVAL_DAYS
     times = np.arange(0.0, total_days * 86400.0, slot_s)

@@ -80,18 +80,23 @@ class QoEComparison:
         return lines
 
 
-def run(days: float = 3.0, seed: int = 1, epoch_s: float = 900.0,
-        eval_step_s: float = 30.0, start_hour: float = 0.0,
-        demand_scale: float = 1.0) -> QoEComparison:
+#: The seed of the world and the factor on the demand model.
+SEED = 1
+DEMAND_SCALE = 1.0
+
+
+def run(days: float = 3.0, epoch_s: float = 900.0,
+        eval_step_s: float = 30.0,
+        start_hour: float = 0.0) -> QoEComparison:
     """Run the §6.1 three-version comparison."""
     if days <= 0:
         raise ValueError("days must be positive")
     horizon = (start_hour * 3600.0 + days * 86400.0) + 2 * epoch_s
     ucfg = UnderlayConfig(horizon_s=horizon)
     system = XRONSystem(
-        seed=seed, underlay_config=ucfg,
+        seed=SEED, underlay_config=ucfg,
         sim_config=SimulationConfig(epoch_s=epoch_s, eval_step_s=eval_step_s,
-                                    demand_scale=demand_scale, seed=seed))
+                                    demand_scale=DEMAND_SCALE, seed=SEED))
     results, summaries, daily = {}, {}, {}
     for variant in standard_variants():
         res = system.run(variant=variant, start_hour=start_hour,

@@ -11,7 +11,7 @@ Both figures are views over the §6.1 comparison run (fig13):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments import fig13_qoe
 from repro.experiments.base import format_table
@@ -52,19 +52,16 @@ class BadCasesFigures:
         return lines
 
 
-def run(comparison: Optional[QoEComparison] = None,
-        **fig13_kwargs) -> BadCasesFigures:
-    """Reuses an existing fig13 run when given, else runs a fine one.
+def run(**fig13_kwargs) -> BadCasesFigures:
+    """Runs fig13 fine-grained: its keywords go to `fig13_qoe.run`.
 
     Stall-duration buckets (2-5 s / 5-10 s / > 10 s) are only meaningful
-    at ~1 s evaluation steps, so the default standalone run is short but
-    fine-grained.  When reusing a coarse fig13 run, treat the bucket
+    at ~1 s evaluation steps, so the default run is short but
+    fine-grained; with a coarser ``eval_step_s``, treat the bucket
     columns as indicative only.
     """
-    if comparison is None:
-        fig13_kwargs.setdefault("days", 0.25)
-        fig13_kwargs.setdefault("epoch_s", 300.0)
-        fig13_kwargs.setdefault("eval_step_s", 1.0)
-        fig13_kwargs.setdefault("start_hour", 6.0)
-        comparison = fig13_qoe.run(**fig13_kwargs)
-    return BadCasesFigures(comparison)
+    fig13_kwargs.setdefault("days", 0.25)
+    fig13_kwargs.setdefault("epoch_s", 300.0)
+    fig13_kwargs.setdefault("eval_step_s", 1.0)
+    fig13_kwargs.setdefault("start_hour", 6.0)
+    return BadCasesFigures(fig13_qoe.run(**fig13_kwargs))

@@ -67,8 +67,15 @@ class CaseStudies:
             title="Fig. 16 — degradation case studies")
 
 
-def run(seed: int = 5, eval_step_s: float = 15.0,
-        epoch_s: float = 300.0) -> CaseStudies:
+#: The seed of the world, the evaluation step and the control epoch
+#: (seconds).
+SEED = 5
+EVAL_STEP_S = 15.0
+EPOCH_S = 300.0
+
+
+def run() -> CaseStudies:
+    seed, eval_step_s, epoch_s = SEED, EVAL_STEP_S, EPOCH_S
     studies = []
     # Each case simulates only its window (plus margin), not a full day —
     # the figures zoom into the degradation spans anyway.

@@ -116,10 +116,17 @@ SCALING_SLOT_S = 300.0
 SCALING_DEMAND_SCALE = 10.0
 
 
-def run(seed: int = 1, hours: float = 24.0, epoch_s: float = 600.0,
-        eval_step_s: float = 20.0) -> CostAnalysis:
+#: The seed of the world, the control epoch and the evaluation step
+#: (seconds).
+SEED = 1
+EPOCH_S = 600.0
+EVAL_STEP_S = 20.0
+
+
+def run(hours: float = 24.0) -> CostAnalysis:
     """Panels (a), (b) and (d) over `hours` of the three versions, and
     panel (c)'s `SCALING_DAYS` capacity emulation."""
+    seed, epoch_s, eval_step_s = SEED, EPOCH_S, EVAL_STEP_S
     scaling_days, scaling_slot_s = SCALING_DAYS, SCALING_SLOT_S
     horizon = hours * 3600.0 + 2 * epoch_s
     system = XRONSystem(

@@ -60,9 +60,17 @@ class FastReactionAblation:
         return lines
 
 
-def run(hours: float = 8.0, seed: int = 1, start_hour: float = 6.0,
-        eval_step_s: float = 1.0,
-        epoch_s: float = 300.0) -> FastReactionAblation:
+#: The seed of the world, the simulated start (hour of day), the
+#: evaluation step and the control epoch (seconds).
+SEED = 1
+START_HOUR = 6.0
+EVAL_STEP_S = 1.0
+EPOCH_S = 300.0
+
+
+def run(hours: float = 8.0) -> FastReactionAblation:
+    seed, start_hour, eval_step_s, epoch_s = (SEED, START_HOUR, EVAL_STEP_S,
+                                              EPOCH_S)
     horizon = (start_hour + hours) * 3600.0 + 2 * epoch_s
     system = XRONSystem(
         seed=seed,

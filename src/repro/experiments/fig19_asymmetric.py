@@ -12,7 +12,7 @@ forwarding (speedup ratio > 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.experiments.base import (format_table, standard_demand,
                                     standard_underlay)
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.streams import StreamWorkload
-from repro.underlay.topology import Underlay
 
 
 @dataclass
@@ -52,9 +51,15 @@ class AsymmetricAblation:
                             title="Fig. 19 — asymmetric forwarding speedup")
 
 
-def run(underlay: Optional[Underlay] = None, n_epochs: int = 24,
-        epoch_s: float = 3600.0, seed: int = 9) -> AsymmetricAblation:
-    u = underlay if underlay is not None else standard_underlay()
+#: The control epoch (seconds) and the seed of the demand model and
+#: the stream workload.
+EPOCH_S = 3600.0
+SEED = 9
+
+
+def run(n_epochs: int = 24) -> AsymmetricAblation:
+    epoch_s, seed = EPOCH_S, SEED
+    u = standard_underlay()
     demand = standard_demand(seed)
     config = ControlConfig()
     workload = StreamWorkload(np.random.default_rng(seed),

@@ -13,7 +13,7 @@ error rate by 91% relative to reactive scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.elastic.autoscaler import (ProactiveAutoscaler, ReactiveAutoscaler,
 from repro.elastic.containers import ContainerPool
 from repro.experiments.base import format_table, standard_demand
 from repro.experiments.fig17_cost import _region_demand_series
-from repro.traffic.demand import DemandModel
 from repro.underlay.regions import default_regions
 
 
@@ -71,12 +70,19 @@ class ScalingComparison:
 WARMUP_DAYS = 2
 
 
-def run(demand: Optional[DemandModel] = None, days: int = 14,
-        slot_s: float = 300.0, seed: int = 3,
-        demand_scale: float = 10.0) -> ScalingComparison:
-    """`demand_scale` lifts the model (calibrated to the 10%-of-sessions
+#: The days emulated, the demand slot (seconds), the seed of the
+#: demand model, and the factor on it (see `run`).
+DAYS = 14
+SLOT_S = 300.0
+SEED = 3
+DEMAND_SCALE = 10.0
+
+
+def run() -> ScalingComparison:
+    """`DEMAND_SCALE` lifts the model (calibrated to the 10%-of-sessions
     deployment) to the full-scale traffic the paper's emulation uses."""
-    m = demand if demand is not None else standard_demand(seed)
+    days, slot_s, demand_scale = DAYS, SLOT_S, DEMAND_SCALE
+    m = standard_demand(SEED)
     b_c = CONTAINER_CAPACITY_MBPS
     region_series = _region_demand_series(m, [r.code for r in
                                               default_regions()],

@@ -188,11 +188,14 @@ def _churn(seed: int, post_epochs: int) -> List[PartitionRow]:
     return rows
 
 
-def run(seed: int = 23, partition_epochs: int = 8,
-        post_epochs: int = 6) -> PartitionReport:
+#: The seed of the testbed.
+SEED = 23
+
+
+def run(partition_epochs: int = 8, post_epochs: int = 6) -> PartitionReport:
     """Sever (HGH, SIN) from the controller with degraded mode off/on,
     then starve one region's refreshes with membership off/on."""
     rows: List[PartitionRow] = []
-    rows.extend(_partition_blackhole(seed, partition_epochs, post_epochs))
-    rows.extend(_churn(seed, post_epochs))
+    rows.extend(_partition_blackhole(SEED, partition_epochs, post_epochs))
+    rows.extend(_churn(SEED, post_epochs))
     return PartitionReport(rows)

@@ -62,9 +62,15 @@ class ReactionLatency:
         return lines
 
 
-def run(n_events: int = 10, seed: int = 13,
-        event_spacing_s: float = 60.0) -> ReactionLatency:
+#: The seed of the testbed and the degradation train, and the spacing
+#: of its events (seconds).
+SEED = 13
+EVENT_SPACING_S = 60.0
+
+
+def run(n_events: int = 10) -> ReactionLatency:
     """Inject `n_events` degradations and measure handling latency."""
+    seed, event_spacing_s = SEED, EVENT_SPACING_S
     __, delays, reverts = reaction_train(
         seed, n_events, event_spacing_s, epoch_s=3600.0, variant=xron())
     return ReactionLatency(delays, n_events, len(delays), reverts)

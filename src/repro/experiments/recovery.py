@@ -232,8 +232,11 @@ def _flap_storm(seed: int, flap_events: int) -> List[RecoveryRow]:
     return rows
 
 
-def run(seed: int = 23, flap_events: int = 4,
-        post_epochs: int = 6) -> RecoveryReport:
+#: The seed of the testbed and the fault schedules.
+SEED = 23
+
+
+def run(flap_events: int = 4, post_epochs: int = 6) -> RecoveryReport:
     """Replay the chaos recipes with the resilience layer off and on.
 
     Every scenario replays the *same* fault schedule (same seed, same
@@ -241,7 +244,7 @@ def run(seed: int = 23, flap_events: int = 4,
     by the layer under test.
     """
     rows: List[RecoveryRow] = []
-    rows.extend(_install_chaos(seed))
-    rows.extend(_outage(seed, post_epochs))
-    rows.extend(_flap_storm(seed, flap_events))
+    rows.extend(_install_chaos(SEED))
+    rows.extend(_outage(SEED, post_epochs))
+    rows.extend(_flap_storm(SEED, flap_events))
     return RecoveryReport(rows)

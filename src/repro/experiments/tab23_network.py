@@ -11,13 +11,11 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.config import SimulationConfig
-from repro.core.simulator import SimulationResult
+from repro.core.simulator import TABLE_PERCENTILES, SimulationResult
 from repro.core.system import XRONSystem
 from repro.core.variants import standard_variants
 from repro.experiments.base import format_table
 from repro.underlay.config import UnderlayConfig
-
-PERCENTILES = (50.0, 95.0, 99.0, 99.9)
 
 
 @dataclass
@@ -37,7 +35,7 @@ class NetworkTables:
         return b / v if v > 0 else float("inf")
 
     def lines(self) -> List[str]:
-        cols = ["average"] + [f"{p:g}%" for p in PERCENTILES]
+        cols = ["average"] + [f"{p:g}%" for p in TABLE_PERCENTILES]
         lat = [[name] + [row[c] for c in cols]
                for name, row in self.latency_rows.items()]
         loss = [[name] + [row[c] for c in cols]
@@ -59,10 +57,18 @@ class NetworkTables:
         return lines
 
 
-def run(hours: float = 6.0, seed: int = 1, start_hour: float = 6.0,
-        eval_step_s: float = 2.0, epoch_s: float = 300.0
-        ) -> "NetworkTables":
+#: The seed of the world, the simulated start (hour of day), the
+#: evaluation step and the control epoch (seconds).
+SEED = 1
+START_HOUR = 6.0
+EVAL_STEP_S = 2.0
+EPOCH_S = 300.0
+
+
+def run(hours: float = 6.0) -> "NetworkTables":
     """Full-mesh sessions between all regions, fine-grained sampling."""
+    seed, start_hour, eval_step_s, epoch_s = (SEED, START_HOUR, EVAL_STEP_S,
+                                              EPOCH_S)
     horizon = (start_hour + hours) * 3600.0 + 2 * epoch_s
     system = XRONSystem(
         seed=seed,
@@ -76,7 +82,6 @@ def run(hours: float = 6.0, seed: int = 1, start_hour: float = 6.0,
                                            start_hour=start_hour, hours=hours)
         # Full-mesh sessions weight every pair equally (Table 2/3 set-up).
         latency_rows[variant.name] = res.latency_percentiles(
-            PERCENTILES, weighted=False)
-        loss_rows[variant.name] = res.loss_percentiles(
-            PERCENTILES, weighted=False)
+            weighted=False)
+        loss_rows[variant.name] = res.loss_percentiles(weighted=False)
     return NetworkTables(latency_rows, loss_rows, hours)

@@ -275,36 +275,34 @@ class FaultSchedule:
         return cls(tuple(specs))
 
 # --------------------------------------------------------- convenience API
-def gateway_crash(start_s: float, duration_s: float, region: str,
-                  count: int = 1) -> FaultSpec:
-    """`count` gateways of `region` crash; replacements start at the end."""
+def gateway_crash(start_s: float, duration_s: float,
+                  region: str) -> FaultSpec:
+    """One gateway of `region` crashes; its replacement starts at the
+    end (a wider crash is a `replace` of ``count``)."""
     return FaultSpec(FaultKind.GATEWAY_CRASH, start_s, duration_s,
-                     region=region, count=count)
+                     region=region)
 
 
 def probe_blackout(start_s: float, duration_s: float,
-                   region: Optional[str] = None, dst: Optional[str] = None,
-                   link_type: Optional[LinkType] = None) -> FaultSpec:
-    """Active probing blind spot for a region (or one directed link)."""
+                   region: Optional[str] = None) -> FaultSpec:
+    """Active probing blind spot for a region (one directed link is a
+    `replace` of ``dst`` and ``link_type``)."""
     return FaultSpec(FaultKind.PROBE_BLACKOUT, start_s, duration_s,
-                     region=region, dst=dst, link_type=link_type)
+                     region=region)
 
 
 def report_drop(start_s: float, duration_s: float,
-                region: Optional[str] = None, dst: Optional[str] = None,
-                link_type: Optional[LinkType] = None) -> FaultSpec:
+                region: Optional[str] = None) -> FaultSpec:
     """Monitoring reports are lost on the way to the NIB."""
     return FaultSpec(FaultKind.REPORT_DROP, start_s, duration_s,
-                     region=region, dst=dst, link_type=link_type)
+                     region=region)
 
 
 def report_staleness(start_s: float, duration_s: float, staleness_s: float,
-                     region: Optional[str] = None, dst: Optional[str] = None,
-                     link_type: Optional[LinkType] = None) -> FaultSpec:
+                     region: Optional[str] = None) -> FaultSpec:
     """Reports arrive timestamped `staleness_s` in the past."""
     return FaultSpec(FaultKind.REPORT_STALENESS, start_s, duration_s,
-                     region=region, dst=dst, link_type=link_type,
-                     staleness_s=staleness_s)
+                     region=region, staleness_s=staleness_s)
 
 
 def install_delay(start_s: float, duration_s: float, delay_s: float,

@@ -21,6 +21,7 @@ from repro.faults import (FaultInjector, FaultSchedule, report_drop,
                           report_staleness)
 from repro.underlay.snapshot import TYPE_ORDER
 from tests.controlplane.nib_oracle import store_reports
+from tests.faults.report_seam_oracle import report_at, reports_of
 from tests.snapshots import nib_history
 
 CODES = ("A", "B", "C", "D")
@@ -66,7 +67,7 @@ class TestBatchEqualsOneByOne:
         single = NetworkInformationBase(window=window, codes=CODES)
         for batch in rounds(seed=window):
             batched.update_many(batch)
-            for report in batch:
+            for report in reports_of(batch):
                 single.update_many([report])
             assert everything(batched) == everything(single)
         assert batched.version == 9 * len(CODES) * 6
@@ -84,7 +85,7 @@ class TestBatchEqualsOneByOne:
         late.reported_at[[1, 4]] = 25.0
         for nib, ingest in ((batched, batched.update_many),
                             (single, lambda b: [single.update_many([r])
-                                                for r in b])):
+                                                for r in reports_of(b)])):
             ingest(fresh)
             ingest(late)
             assert nib.version == len(fresh) + 2
@@ -94,7 +95,8 @@ class TestBatchEqualsOneByOne:
 
     def test_a_list_of_reports_with_repeated_links(self, window):
         """`update_many(list)` applies a link's reports in list order."""
-        reports = [r for batch in rounds(seed=5, count=3) for r in batch]
+        reports = [r for batch in rounds(seed=5, count=3)
+                   for r in reports_of(batch)]
         listed = NetworkInformationBase(window=window, codes=CODES)
         single = NetworkInformationBase(window=window, codes=CODES)
         listed.update_many(reports)
@@ -113,7 +115,7 @@ class TestBatchEqualsOneByOne:
         batch = round_of("D", 1.0, np.random.default_rng(0))
         nib.update_many(batch)
         assert len(nib) == 6
-        for report in batch:
+        for report in reports_of(batch):
             assert nib_history(nib, report.src, report.dst,
                                report.link_type) == [report]
         before = everything(nib)
@@ -121,7 +123,7 @@ class TestBatchEqualsOneByOne:
         with pytest.raises(ValueError, match="'E'"):
             nib.update_many(wider)
         with pytest.raises(ValueError, match="'E'"):
-            nib.update_many([wider[0]])
+            nib.update_many([report_at(wider, 0)])
         assert everything(nib) == before
         # Rows over known regions of a wider batch are fine.
         nib.update_many(round_of("A", 3.0, np.random.default_rng(2),
@@ -176,8 +178,8 @@ def faulted(ingest_of):
     (one link) faults, fed ten rounds: everything observable after."""
     schedule = FaultSchedule.of(
         replace(report_drop(10.0, 2.0, region="A"), probability=0.5),
-        report_staleness(10.4, 2.0, 30.0, region="B", dst="C",
-                         link_type=I))
+        replace(report_staleness(10.4, 2.0, 30.0, region="B"), dst="C",
+                link_type=I))
     injector = FaultInjector(schedule, seed=8)
     nib = NetworkInformationBase(window=3, codes=CODES)
     nib.fault_filter = injector
@@ -187,7 +189,7 @@ def faulted(ingest_of):
     def touched(batch):
         faults = filter_report(batch)
         if faults is not None:
-            calls.extend(batch[k] for k in np.flatnonzero(
+            calls.extend(report_at(batch, k) for k in np.flatnonzero(
                 faults.dropped | faults.staled).tolist())
         return faults
     injector.filter_report = touched
@@ -205,7 +207,7 @@ def faulted(ingest_of):
 def test_faulted_batches_equal_faulted_reports():
     batched = faulted(lambda nib: nib.update_many)
     single = faulted(lambda nib: lambda batch: [nib.update_many([r])
-                                                for r in batch])
+                                                for r in reports_of(batch)])
     assert batched[:4] == single[:4]
     __, counters, events, telemetry, calls = batched
     assert counters["reports_dropped"] > 0 and counters["reports_staled"] > 0
@@ -240,15 +242,15 @@ class TestReportBatch:
     def test_sized_falsy_when_empty_and_materialises(self):
         batch = round_of("A", 3.0, np.random.default_rng(1))
         assert len(batch) == 6 and batch
-        reports = list(batch)
-        assert reports[2] == batch[2]
+        reports = reports_of(batch)
+        assert reports[2] == report_at(batch, 2)
         assert all(isinstance(r, LinkReport) and r.src == "A"
                    and type(r.latency_ms) is float for r in reports)
         assert {(r.dst, r.link_type) for r in reports} == {
             (dst, lt) for dst in "BCD" for lt in TYPE_ORDER}
         empty = ReportBatch(CODES, *(np.zeros(0, dtype=np.intp),) * 3,
                             *(np.zeros(0),) * 3)
-        assert len(empty) == 0 and not empty and list(empty) == []
+        assert len(empty) == 0 and not empty and reports_of(empty) == []
 
     @pytest.mark.parametrize("field, value", [
         ("latency_ms", -1.0), ("latency_ms", float("nan")),
@@ -288,4 +290,4 @@ class TestReportBatch:
         monkeypatch.setattr(ReportBatch, "__post_init__",
                             lambda self: checks.append(1) or post_init(self))
         part = batch.take(slice(2, 5))
-        assert not checks and list(part) == list(batch)[2:5]
+        assert not checks and reports_of(part) == reports_of(batch)[2:5]

@@ -77,11 +77,11 @@ def test_empty_result_costs_only_containers(pricing):
     assert obj.util_cost == pytest.approx(pricing.container_cost(6.0))
 
 
-def test_weight_sweep_trade_off(full_underlay):
+def test_weight_sweep_trade_off(monkeypatch):
     """The ablation's core claim: buying latency costs money."""
     from repro.experiments import ablation_weights
-    sweep = ablation_weights.run(full_underlay,
-                                 exchange_rates=(0.0, 120.0), n_epochs=1)
+    monkeypatch.setattr(ablation_weights, "EXCHANGE_RATES", (0.0, 120.0))
+    sweep = ablation_weights.run(n_epochs=1)
     free, expensive = sweep.points[0.0], sweep.points[120.0]
     assert free[0] <= expensive[0]      # lower latency when cost is free
     assert free[1] >= expensive[1]      # but a (much) bigger bill

@@ -206,7 +206,8 @@ class TestPredictorBank:
         config = dict(refit_every=refit_every, min_history=min_history)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(prediction, "HISTORY_SLOTS", history_slots)
-            new = RollingPredictor(**config)
+            mp.setattr(prediction, "REFIT_EVERY", refit_every)
+            new = RollingPredictor(min_history=min_history)
         old = oracle.RollingPredictor(history_slots=history_slots, **config)
         for v in values:
             new.observe(v)

@@ -43,7 +43,7 @@ def _chaos() -> FaultSchedule:
     under churn."""
     return FaultSchedule.of(
         probe_blackout(3610.0, 30.0, region="HGH"),
-        gateway_crash(3620.0, 40.0, region="SIN", count=2),
+        replace(gateway_crash(3620.0, 40.0, region="SIN"), count=2),
         controller_outage(3640.0, 3700.0),
         install_partial(3715.0, 20.0, 0.5, region="FRA"),
         control_partition(3741.0, 45.0, ("HGH", "SIN")),

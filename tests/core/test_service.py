@@ -105,8 +105,8 @@ def _back_to_back_crashes():
     queued when the first crash fires, so it ties with — and by
     scheduling order runs after — the second crash window."""
     return FaultSchedule.of(
-        fault_spec.gateway_crash(125.0, 20.0, CODES[0], count=1),
-        fault_spec.gateway_crash(145.0, 20.0, CODES[0], count=1))
+        fault_spec.gateway_crash(125.0, 20.0, CODES[0]),
+        fault_spec.gateway_crash(145.0, 20.0, CODES[0]))
 
 
 def test_service_matches_batch_engine():

@@ -10,6 +10,7 @@ from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
 from repro.underlay.scenarios import inject_events, quiet_link
 from repro.underlay.topology import build_underlay
+from tests.faults.report_seam_oracle import report_at, reports_of
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
@@ -228,8 +229,8 @@ class TestGroupProbing:
     def test_probe_round_returns_a_report_batch(self, cluster, underlay):
         reports = cluster.probe_round(0.0)
         assert reports and len(reports) == 6
-        listed = list(reports)
-        assert listed[4] == reports[4]
+        listed = reports_of(reports)
+        assert listed[4] == report_at(reports, 4)
         assert {r.src for r in listed} == {"HGH"}
         # Destinations in the underlay's order, Internet before premium.
         assert [(r.dst, r.link_type) for r in listed] == [
@@ -239,7 +240,8 @@ class TestGroupProbing:
                    and 0.0 <= r.loss_rate <= 1.0 for r in listed)
 
     def test_reports_reflect_median_of_reps(self, cluster):
-        reports = {(r.dst, r.link_type): r for r in cluster.probe_round(0.0)}
+        reports = {(r.dst, r.link_type): r
+                   for r in reports_of(cluster.probe_round(0.0))}
         report = reports[("SIN", I)]
         reps = cluster.representatives()
         lats = sorted(_estimate(rep)[0] for rep in reps)

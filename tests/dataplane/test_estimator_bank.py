@@ -25,6 +25,7 @@ from repro.underlay.config import UnderlayConfig
 from repro.underlay.regions import default_regions
 from repro.underlay.snapshot import TYPE_ORDER
 from repro.underlay.topology import build_underlay
+from tests.faults.report_seam_oracle import reports_of
 
 REGION = "HGH"
 UNDERLAY = build_underlay(default_regions()[:3],
@@ -191,7 +192,7 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
             expected.append((REGION, dst, lt, latency, loss, now))
         assert len(reports) == len(expected) and bool(reports) == bool(expected)
         assert [(r.src, r.dst, r.link_type, r.latency_ms, r.loss_rate,
-                 r.reported_at) for r in reports] == expected
+                 r.reported_at) for r in reports_of(reports)] == expected
 
     @rule(gateway=st.integers(0, 10),
           samples=st.dictionaries(

@@ -12,6 +12,8 @@ the reports, the probe bytes, the detections and the blacked-out link
 count must be bit-equal.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -51,8 +53,8 @@ def deployment(seed, representatives, fleet, reaction, schedule, block):
 
 codes = st.sampled_from(CODES)
 blackouts = st.lists(st.builds(
-    lambda start, length, region, dst, link_type: probe_blackout(
-        T0 + start, length, region=region, dst=dst, link_type=link_type),
+    lambda start, length, region, dst, link_type: replace(probe_blackout(
+        T0 + start, length, region=region), dst=dst, link_type=link_type),
     st.floats(0.0, 8.0), st.floats(0.4, 4.0), st.none() | codes,
     st.none() | codes, st.sampled_from([None, LinkType.INTERNET,
                                         LinkType.PREMIUM])), max_size=3)
@@ -90,8 +92,7 @@ def assert_same_state(blocked, alone):
 # Ragged slabs: the first region has fewer gateways than R, and a crash
 # mid-history takes the last one to a single gateway, under a blackout.
 @example(seed=7, representatives=3, fleet=[2, 5, 3, 6], threshold=1,
-         schedule=[probe_blackout(T0 + 1.0, 1.0, region=CODES[1],
-                                  dst=None, link_type=None)],
+         schedule=[probe_blackout(T0 + 1.0, 1.0, region=CODES[1])],
          history=[("probe", 3), ("crash", CODES[3], 5), ("probe", 2),
                   ("passive", CODES[3], 0, [(0, 450.0, 9)]),
                   ("restore", CODES[0], 1), ("probe", 3)])

@@ -8,6 +8,7 @@ from repro.dataplane.grouping import ProbingGroupManager, probing_cost
 from repro.dataplane.passive import MIN_PACKETS, PassiveTracker
 from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX
+from tests.faults.report_seam_oracle import report_at
 
 LINK = ("A", "B", LinkType.INTERNET)
 
@@ -17,10 +18,10 @@ def aggregate_one(mgr, src, dst, link_type, measurements, now):
     one-report batch's `LinkReport`."""
     index = mgr.codes.index
     latency, loss = np.array(measurements, dtype=float).reshape(-1, 2).T
-    return mgr.aggregate(
+    return report_at(mgr.aggregate(
         np.array([index(src)]), np.array([index(dst)]),
         np.array([TYPE_INDEX[link_type]]),
-        [(slice(None), latency[:, None], loss[:, None])], now)[0]
+        [(slice(None), latency[:, None], loss[:, None])], now), 0)
 
 
 class TestPassiveTracker:
@@ -100,7 +101,7 @@ class TestProbingGroupManager:
         assert mgr.elect("A", [5]) == [5]
 
     def test_elect_empty_rejected(self):
-        mgr = ProbingGroupManager(["A", "B"])
+        mgr = ProbingGroupManager(["A", "B"], representatives=2)
         with pytest.raises(ValueError):
             mgr.elect("A", [])
 
@@ -119,7 +120,7 @@ class TestProbingGroupManager:
         assert report.reported_at == 5.0
 
     def test_aggregate_empty_rejected(self):
-        mgr = ProbingGroupManager(["A", "B"])
+        mgr = ProbingGroupManager(["A", "B"], representatives=2)
         with pytest.raises(ValueError):
             aggregate_one(mgr, "A", "B", LinkType.INTERNET, [], now=0.0)
 

@@ -21,7 +21,11 @@ def _events(hub, kind):
     return [e for e in hub.tracer.events if e.kind == kind]
 
 
-def _daily_demand(days=3, slot_s=300.0, peak=5000.0):
+#: The decision slot of the demand series, seconds.
+SLOT_S = 300.0
+
+
+def _daily_demand(days=3, slot_s=SLOT_S, peak=5000.0):
     """A smooth synthetic daily pattern with a repeating surge."""
     t = np.arange(0, days * 86400.0, slot_s)
     hours = (t / 3600.0) % 24.0
@@ -121,14 +125,14 @@ class TestEvaluateAutoscaler:
         pool = ContainerPool("X", rng, initial=10, max_containers=1000)
         stats = evaluate_autoscaler(
             FixedAllocation(1000.0, float(demand.max())), demand, 1000.0,
-            pool)
+            pool, SLOT_S)
         assert stats.under_provisioned_fraction == 0.0
 
     def test_reactive_under_provisions_on_surges(self, rng):
         demand = _daily_demand(peak=50000.0)
         pool = ContainerPool("X", rng, initial=1, max_containers=10000)
         stats = evaluate_autoscaler(ReactiveAutoscaler(1000.0), demand,
-                                    1000.0, pool)
+                                    1000.0, pool, SLOT_S)
         assert stats.under_provisioned_fraction > 0.0
 
     def test_proactive_beats_reactive(self):
@@ -140,7 +144,7 @@ class TestEvaluateAutoscaler:
             pool = ContainerPool("X", np.random.default_rng(1), initial=1,
                                  max_containers=10000)
             results[name] = evaluate_autoscaler(policy, demand, 1000.0, pool,
-                                                warmup_slots=576)
+                                                SLOT_S, warmup_slots=576)
         assert (results["proactive"].mean_error_rate
                 <= results["reactive"].mean_error_rate)
 
@@ -148,7 +152,7 @@ class TestEvaluateAutoscaler:
         demand = _daily_demand(days=1)
         pool = ContainerPool("X", rng, initial=1, max_containers=1000)
         stats = evaluate_autoscaler(ReactiveAutoscaler(1000.0), demand,
-                                    1000.0, pool)
+                                    1000.0, pool, SLOT_S)
         n = len(demand) - 1
         assert stats.error_rates.shape == (n,)
         assert stats.containers.shape == (n,)
@@ -158,14 +162,14 @@ class TestEvaluateAutoscaler:
         demand = _daily_demand(days=1)
         pool = ContainerPool("X", rng, initial=1, max_containers=1000)
         stats = evaluate_autoscaler(ReactiveAutoscaler(1000.0), demand,
-                                    1000.0, pool, warmup_slots=50)
+                                    1000.0, pool, SLOT_S, warmup_slots=50)
         assert stats.error_rates.shape == (len(demand) - 1 - 50,)
 
     def test_rejects_short_series(self, rng):
         pool = ContainerPool("X", rng, initial=1, max_containers=10)
         with pytest.raises(ValueError):
             evaluate_autoscaler(ReactiveAutoscaler(1000.0), [1.0], 1000.0,
-                                pool)
+                                pool, SLOT_S)
 
 
 class TestDecisionTelemetry:

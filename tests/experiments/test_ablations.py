@@ -34,8 +34,8 @@ def test_all_orderings_accepted():
         assert result.total_assigned_mbps() == pytest.approx(5.0)
 
 
-def test_ordering_ablation_smoke(full_underlay):
-    result = ablation_ordering.run(full_underlay, n_epochs=2)
+def test_ordering_ablation_smoke():
+    result = ablation_ordering.run(n_epochs=2)
     assert set(result.outcomes) == {"latency_desc", "latency_asc",
                                     "demand_desc"}
     for lh, tot in result.outcomes.values():
@@ -44,10 +44,9 @@ def test_ordering_ablation_smoke(full_underlay):
     assert result.lines()
 
 
-def test_probing_ablation_smoke(full_underlay):
-    result = ablation_probing.run(full_underlay, window_s=3600.0,
-                                  max_pairs=4,
-                                  representative_counts=(1, 3))
+def test_probing_ablation_smoke(monkeypatch):
+    monkeypatch.setattr(ablation_probing, "REPRESENTATIVE_COUNTS", (1, 3))
+    result = ablation_probing.run(window_s=3600.0, max_pairs=4)
     assert set(result.disagreement) == {1, 3}
     for v in result.disagreement.values():
         assert 0.0 <= v <= 1.0
@@ -55,23 +54,24 @@ def test_probing_ablation_smoke(full_underlay):
     assert result.lines()
 
 
-def test_probing_ablation_more_reps_no_worse(full_underlay):
-    result = ablation_probing.run(full_underlay, window_s=7200.0,
-                                  max_pairs=6,
-                                  representative_counts=(1, 5))
+def test_probing_ablation_more_reps_no_worse(monkeypatch):
+    monkeypatch.setattr(ablation_probing, "REPRESENTATIVE_COUNTS", (1, 5))
+    result = ablation_probing.run(window_s=7200.0, max_pairs=6)
     assert result.disagreement[5] <= result.disagreement[1] + 0.02
 
 
-def test_reaction_latency_smoke():
-    result = reaction_latency.run(n_events=3, event_spacing_s=45.0)
+def test_reaction_latency_smoke(monkeypatch):
+    monkeypatch.setattr(reaction_latency, "EVENT_SPACING_S", 45.0)
+    result = reaction_latency.run(n_events=3)
     assert result.injected == 3
     assert result.detection_rate > 0.6
     assert result.mean_delay_s < 10.0
     assert result.lines()
 
 
-def test_stability_ablation_smoke():
-    result = ablation_stability.run(hours=0.5, eval_step_s=60.0)
+def test_stability_ablation_smoke(monkeypatch):
+    monkeypatch.setattr(ablation_stability, "EVAL_STEP_S", 60.0)
+    result = ablation_stability.run(hours=0.5)
     assert set(result.outcomes) == {"last sample", "robust p90"}
     for churn, stall, share in result.outcomes.values():
         assert 0.0 <= churn <= 1.0

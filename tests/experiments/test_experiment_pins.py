@@ -18,19 +18,19 @@ def _digest(values) -> str:
         " ".join(float(v).hex() for v in values).encode()).hexdigest()[:16]
 
 
-def test_fig19_speedups(full_underlay):
-    result = fig19_asymmetric.run(full_underlay, n_epochs=2)
+def test_fig19_speedups():
+    result = fig19_asymmetric.run(n_epochs=2)
     assert _digest(result.speedups) == "c37f2a3ecd3cad11"
 
 
-def test_weight_sweep_points(full_underlay):
-    sweep = ablation_weights.run(full_underlay,
-                                 exchange_rates=(0.0, 120.0), n_epochs=2)
+def test_weight_sweep_points(monkeypatch):
+    monkeypatch.setattr(ablation_weights, "EXCHANGE_RATES", (0.0, 120.0))
+    sweep = ablation_weights.run(n_epochs=2)
     assert _digest(v for rate in sorted(sweep.points)
                    for v in (rate, *sweep.points[rate])) == "e3362507ce7bac55"
 
 
-def test_ordering_outcomes(full_underlay):
-    result = ablation_ordering.run(full_underlay, n_epochs=2)
+def test_ordering_outcomes():
+    result = ablation_ordering.run(n_epochs=2)
     assert _digest(v for mode in sorted(result.outcomes)
                    for v in result.outcomes[mode]) == "2b32790ba43f53cb"

@@ -22,53 +22,58 @@ def _has_lines(result):
 
 
 class TestMotivationFigures:
-    def test_fig01_02(self, full_underlay):
-        r = fig01_02_linkstates.run(full_underlay, step_s=120.0)
+    def test_fig01_02(self, monkeypatch):
+        monkeypatch.setattr(fig01_02_linkstates, "STEP_S", 120.0)
+        r = fig01_02_linkstates.run()
         _has_lines(r)
         assert (r.avg_latency_premium.mean()
                 < r.avg_latency_internet.mean())
         assert r.max_example_latency_ms > 1000.0
 
-    def test_fig03(self, full_underlay):
-        r = fig03_badtime.run(full_underlay, step_s=60.0)
+    def test_fig03(self, monkeypatch):
+        monkeypatch.setattr(fig03_badtime, "STEP_S", 60.0)
+        r = fig03_badtime.run()
         _has_lines(r)
         assert r.premium_high_latency.max() < 0.02
         assert r.internet_high_loss.max() > 0.1
 
-    def test_fig04(self, full_underlay):
-        r = fig04_pricing.run(full_underlay)
+    def test_fig04(self):
+        r = fig04_pricing.run()
         _has_lines(r)
         assert 6.0 < r.median_ratio < 9.0
         assert r.max_ratio < 11.5
 
-    def test_fig05(self):
-        r = fig05_demand.run(slot_s=300.0)
+    def test_fig05(self, monkeypatch):
+        monkeypatch.setattr(fig05_demand, "SLOT_S", 300.0)
+        r = fig05_demand.run()
         _has_lines(r)
         assert r.total_peak_ratio > 20
         assert r.example_peak_ratio > r.total_peak_ratio
 
-    def test_fig07(self, full_underlay, monkeypatch):
+    def test_fig07(self, monkeypatch):
         monkeypatch.setattr(fig07_similarity, "STEP_S", 10.0)
-        r = fig07_similarity.run(full_underlay, window_s=3600.0,
-                                 max_pairs=8)
+        monkeypatch.setattr(fig07_similarity, "MAX_PAIRS", 8)
+        r = fig07_similarity.run(window_s=3600.0)
         _has_lines(r)
         assert r.min_similarity > 0.5
         assert r.probe_reduction_factor == 8.0
 
-    def test_fig08(self, full_underlay, monkeypatch):
+    def test_fig08(self, monkeypatch):
         monkeypatch.setattr(fig08_asymmetry, "STEP_S", 30.0)
-        r = fig08_asymmetry.run(full_underlay, window_s=14400.0)
+        monkeypatch.setattr(fig08_asymmetry, "WINDOW_S", 14400.0)
+        r = fig08_asymmetry.run()
         _has_lines(r)
         assert r.mean_fraction > 0.3  # paper: >60% for the example pair
 
-    def test_fig09(self, full_underlay):
-        r = fig09_degradations.run(full_underlay, window_s=86400.0)
+    def test_fig09(self):
+        r = fig09_degradations.run(window_s=86400.0)
         _has_lines(r)
         assert r.internet_short_long_ratio > 20
         assert sum(r.internet) > sum(r.premium)
 
-    def test_fig11(self):
-        r = fig11_weekly.run(slot_s=600.0)
+    def test_fig11(self, monkeypatch):
+        monkeypatch.setattr(fig11_weekly, "SLOT_S", 600.0)
+        r = fig11_weekly.run()
         _has_lines(r)
         peaks = np.array(r.daily_peak_hours())
         assert peaks.shape[1] == 3
@@ -76,17 +81,21 @@ class TestMotivationFigures:
 
     def test_fig12(self, monkeypatch):
         monkeypatch.setattr(fig12_prediction, "EVAL_DAYS", 1)
-        r = fig12_prediction.run(train_days=3)
+        monkeypatch.setattr(fig12_prediction, "TRAIN_DAYS", 3)
+        r = fig12_prediction.run()
         _has_lines(r)
         assert r.correlation > 0.7
         assert r.mean_abs_error_of_peak < 0.15
 
 
 class TestEvaluationExperiments:
+    #: A short fig13 window, for fig13 and (through it) fig14/15.
+    QOE_KWARGS = dict(days=0.1, epoch_s=600.0, eval_step_s=30.0,
+                      start_hour=6.0)
+
     @pytest.fixture(scope="class")
     def qoe_cmp(self):
-        return fig13_qoe.run(days=0.1, epoch_s=600.0, eval_step_s=30.0,
-                             start_hour=6.0)
+        return fig13_qoe.run(**self.QOE_KWARGS)
 
     def test_fig13(self, qoe_cmp):
         _has_lines(qoe_cmp)
@@ -95,37 +104,42 @@ class TestEvaluationExperiments:
                                           "Premium only"}
 
     def test_fig14_15_reuses_run(self, qoe_cmp):
-        r = fig14_15_badcases.run(qoe_cmp)
+        r = fig14_15_badcases.run(**self.QOE_KWARGS)
         _has_lines(r)
+        assert r.comparison.summaries == qoe_cmp.summaries
         assert set(r.stall_buckets()) == set(qoe_cmp.summaries)
 
-    def test_tab23(self):
-        r = tab23_network.run(hours=0.5, eval_step_s=10.0)
+    def test_tab23(self, monkeypatch):
+        monkeypatch.setattr(tab23_network, "EVAL_STEP_S", 10.0)
+        r = tab23_network.run(hours=0.5)
         _has_lines(r)
         assert r.improvement("99.9%") > 1.0
         assert (r.latency_rows["Premium only"]["average"]
                 < r.latency_rows["Internet only"]["average"])
 
-    def test_fig18(self):
-        r = fig18_fast_reaction.run(hours=0.5, eval_step_s=5.0)
+    def test_fig18(self, monkeypatch):
+        monkeypatch.setattr(fig18_fast_reaction, "EVAL_STEP_S", 5.0)
+        r = fig18_fast_reaction.run(hours=0.5)
         _has_lines(r)
         assert sum(r.counts["XRON"]) <= sum(r.counts["XRON-Basic"])
 
-    def test_fig19(self, full_underlay):
-        r = fig19_asymmetric.run(full_underlay, n_epochs=2)
+    def test_fig19(self):
+        r = fig19_asymmetric.run(n_epochs=2)
         _has_lines(r)
         assert 0.0 <= r.fraction_improved <= 1.0
         assert np.all(r.speedups > 0)
 
     def test_fig20(self, monkeypatch):
         monkeypatch.setattr(fig20_scaling, "WARMUP_DAYS", 1)
-        r = fig20_scaling.run(days=4)
+        monkeypatch.setattr(fig20_scaling, "DAYS", 4)
+        r = fig20_scaling.run()
         _has_lines(r)
         assert r.mean_error("Proactive") <= r.mean_error("Reactive")
 
     def test_fig17(self, monkeypatch):
         monkeypatch.setattr(fig17_cost, "SCALING_DAYS", 3)
-        r = fig17_cost.run(hours=1.0, epoch_s=600.0, eval_step_s=60.0)
+        monkeypatch.setattr(fig17_cost, "EVAL_STEP_S", 60.0)
+        r = fig17_cost.run(hours=1.0)
         _has_lines(r)
         assert 1.0 <= r.normal_hop_mean < 2.0
         assert r.total_cost["Premium only"] > r.total_cost["XRON"]

@@ -36,7 +36,7 @@ class TestWriteHelper:
 
 class TestDispatch:
     def test_unregistered_type_exports_nothing(self, tmp_path):
-        assert write_csv(object(), tmp_path) == []
+        assert write_csv(object(), tmp_path, "data") == []
         assert list(tmp_path.iterdir()) == []
 
     def test_demand_figure(self, tmp_path):
@@ -85,8 +85,9 @@ class TestDispatch:
 
 
 class TestEndToEnd:
-    def test_real_experiment_exports(self, tmp_path):
+    def test_real_experiment_exports(self, tmp_path, monkeypatch):
         from repro.experiments import fig05_demand
-        result = fig05_demand.run(slot_s=3600.0)
+        monkeypatch.setattr(fig05_demand, "SLOT_S", 3600.0)
+        result = fig05_demand.run()
         paths = write_csv(result, tmp_path)
         assert paths and paths[0].stat().st_size > 0

@@ -25,6 +25,18 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_ORDER
 
 
+def report_at(batch: ReportBatch, k: int) -> LinkReport:
+    """Row `k` of `batch` as a `LinkReport`."""
+    return LinkReport(batch.codes[batch.src[k]], batch.codes[batch.dst[k]],
+                      TYPE_ORDER[batch.tier[k]], float(batch.latency_ms[k]),
+                      float(batch.loss_rate[k]), float(batch.reported_at[k]))
+
+
+def reports_of(batch: ReportBatch) -> List[LinkReport]:
+    """Every row of `batch` as a `LinkReport`, in order."""
+    return [report_at(batch, k) for k in range(len(batch))]
+
+
 def matches_link(spec: FaultSpec, src: str, dst: str,
                  link_type: LinkType) -> bool:
     """Whether `spec`'s scope (source region, destination, tier; each
@@ -80,7 +92,7 @@ def filtered_batch(injector: FaultInjector,
     lat, loss, at = (batch.latency_ms.copy(), batch.loss_rate.copy(),
                      batch.reported_at.copy())
     for k in touched:
-        report = batch[k]
+        report = report_at(batch, k)
         filtered = filter_report(injector, report)
         if filtered is None:
             if tel.enabled:

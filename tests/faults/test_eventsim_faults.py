@@ -57,14 +57,14 @@ class TestGatewayCrash:
 
     def test_crash_removes_and_restart_restores(self):
         sched = FaultSchedule.of(
-            gateway_crash(3610.0, 30.0, region="HGH", count=2))
+            replace(gateway_crash(3610.0, 30.0, region="HGH"), count=2))
         sim, result = _run(faults=sched, elastic=False)
         assert result.fault_counters["gateways_crashed"] == 2
         assert result.fault_counters["gateways_restarted"] == 2
 
     def test_no_restart_when_disabled(self):
         sched = FaultSchedule.of(
-            replace(gateway_crash(3610.0, 30.0, region="HGH", count=1),
+            replace(gateway_crash(3610.0, 30.0, region="HGH"),
                     restart=False))
         __, result = _run(faults=sched, elastic=False)
         assert result.fault_counters["gateways_crashed"] == 1
@@ -72,7 +72,7 @@ class TestGatewayCrash:
 
     def test_replacement_gateways_inherit_reaction_plans(self):
         sched = FaultSchedule.of(
-            gateway_crash(3610.0, 30.0, region="HGH", count=1))
+            gateway_crash(3610.0, 30.0, region="HGH"))
         sim, __ = _run(faults=sched, elastic=False)
         cluster = sim.clusters["HGH"]
         assert cluster.current_plans()
@@ -81,7 +81,7 @@ class TestGatewayCrash:
 
     def test_at_least_one_gateway_survives(self):
         sched = FaultSchedule.of(
-            replace(gateway_crash(3610.0, 30.0, region="HGH", count=99),
+            replace(gateway_crash(3610.0, 30.0, region="HGH"), count=99,
                     restart=False))
         sim, result = _run(faults=sched, elastic=False)
         assert all(c.size >= 1 for c in sim.clusters.values())

@@ -156,7 +156,7 @@ class TestInjectorQueries:
 
     def test_mixed_schedule_buckets_new_kinds(self):
         inj = self._injector(
-            gateway_crash(0.0, 10.0, "HGH", count=1),
+            gateway_crash(0.0, 10.0, "HGH"),
             probe_blackout(0.0, 10.0, region="HGH"),
             control_partition(0.0, 10.0, ("HGH", "SIN")),
             membership_churn(0.0, 10.0))

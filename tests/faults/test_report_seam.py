@@ -29,11 +29,11 @@ SCOPES = st.one_of(st.none(), st.sampled_from(CODES + ("Z",)))
 
 windows = st.builds(
     lambda kind, start, length, region, dst, tier, p, stale: (
-        replace(report_drop(start, length, region=region, dst=dst,
-                            link_type=tier), probability=p)
+        replace(report_drop(start, length, region=region), dst=dst,
+                link_type=tier, probability=p)
         if kind == "drop" else
-        report_staleness(start, length, stale, region=region, dst=dst,
-                         link_type=tier)),
+        replace(report_staleness(start, length, stale, region=region),
+                dst=dst, link_type=tier)),
     st.sampled_from(["drop", "stale"]), st.sampled_from([0.0, 1.0, 2.0]),
     st.sampled_from([1.0, 2.0, 5.0]), SCOPES, SCOPES,
     st.one_of(st.none(), st.sampled_from(TYPE_ORDER)),

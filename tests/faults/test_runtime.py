@@ -47,7 +47,8 @@ def _blackout(injector, hops, now):
 
 class TestProbeQueries:
     def test_link_scoped_blackout(self):
-        spec = probe_blackout(0.0, 10.0, region="HGH", dst="SIN", link_type=I)
+        spec = replace(probe_blackout(0.0, 10.0, region="HGH"), dst="SIN",
+                       link_type=I)
         inj = FaultInjector(FaultSchedule.of(spec))
         hops = [("HGH", "SIN", P), ("HGH", "SIN", I), ("HGH", "FRA", I),
                 ("SIN", "HGH", I)]
@@ -56,7 +57,7 @@ class TestProbeQueries:
 
     def test_first_covering_blackout_answers_for_a_link(self):
         wide = probe_blackout(0.0, 10.0, region="HGH")
-        narrow = probe_blackout(0.0, 10.0, region="HGH", dst="SIN")
+        narrow = replace(probe_blackout(0.0, 10.0, region="HGH"), dst="SIN")
         inj = FaultInjector(FaultSchedule.of(narrow, wide))
         first = inj.schedule.by_kind(wide.kind)[0]
         other = narrow if first is wide else wide
@@ -67,7 +68,7 @@ class TestProbeQueries:
 
     def test_region_blackout_requires_region_wide_spec(self):
         narrow = FaultInjector(FaultSchedule.of(
-            probe_blackout(0.0, 10.0, region="HGH", dst="SIN")))
+            replace(probe_blackout(0.0, 10.0, region="HGH"), dst="SIN")))
         wide = FaultInjector(FaultSchedule.of(
             probe_blackout(0.0, 10.0, region="HGH")))
         assert not narrow.region_blackout("HGH", 5.0)
@@ -185,7 +186,7 @@ class TestPlatformLoad:
 
 class TestCrashWindows:
     def test_returns_only_crash_specs(self):
-        crash = gateway_crash(10.0, 60.0, region="HGH", count=2)
+        crash = replace(gateway_crash(10.0, 60.0, region="HGH"), count=2)
         inj = FaultInjector(FaultSchedule.of(
             crash, controller_outage(0.0, 5.0)))
         assert inj.crash_windows() == [crash]

@@ -41,7 +41,8 @@ class TestFaultSpec:
 
     def test_link_matching_narrows_by_dst_and_tier(self):
         """One match mask over link columns: (HGH, SIN, I) only."""
-        spec = probe_blackout(0.0, 1.0, region="HGH", dst="SIN", link_type=I)
+        spec = replace(probe_blackout(0.0, 1.0, region="HGH"), dst="SIN",
+                       link_type=I)
         codes = ("HGH", "SIN", "FRA")
         hops = [("HGH", "SIN", I), ("HGH", "SIN", P), ("HGH", "FRA", I),
                 ("SIN", "HGH", I)]
@@ -55,7 +56,7 @@ class TestFaultSpec:
         lambda: FaultSpec(FaultKind.PROBE_BLACKOUT, math.inf, 1.0),
         lambda: FaultSpec(FaultKind.PROBE_BLACKOUT, 0.0, 0.0),
         lambda: FaultSpec(FaultKind.PROBE_BLACKOUT, 0.0, -5.0),
-        lambda: gateway_crash(0.0, 1.0, region="HGH", count=0),
+        lambda: replace(gateway_crash(0.0, 1.0, region="HGH"), count=0),
         lambda: replace(report_drop(0.0, 1.0), probability=0.0),
         lambda: replace(report_drop(0.0, 1.0), probability=1.5),
         lambda: report_staleness(0.0, 1.0, staleness_s=0.0),
@@ -70,8 +71,8 @@ class TestFaultSpec:
             bad()
 
     def test_json_round_trip(self):
-        spec = replace(report_drop(5.0, 20.0, region="HGH", dst="SIN",
-                                   link_type=P), probability=0.25)
+        spec = replace(report_drop(5.0, 20.0, region="HGH"), dst="SIN",
+                       link_type=P, probability=0.25)
         assert FaultSpec.from_json(spec.to_json()) == spec
 
     def test_json_round_trip_infinite_duration(self):
@@ -109,7 +110,7 @@ class TestFaultSchedule:
 
     def test_schedule_json_round_trip(self):
         sched = FaultSchedule.of(
-            replace(gateway_crash(10.0, 60.0, region="HGH", count=2),
+            replace(gateway_crash(10.0, 60.0, region="HGH"), count=2,
                     restart=False),
             report_staleness(0.0, math.inf, staleness_s=30.0),
             controller_outage(5.0, 25.0))

@@ -1,5 +1,6 @@
-"""A line census of ``src/repro``: which executable lines the drivers CI
-runs reach, and why each line none of them reaches is there.
+"""A census of ``src/repro`` over the drivers CI runs: which executable
+lines they reach, which settings they set, and why each line none of
+them reaches and each setting none of them sets is there.
 
 Run from the root of a checkout::
 
@@ -7,23 +8,33 @@ Run from the root of a checkout::
 
 It traces, in this process, the drivers CI already runs outside tier-1
 (`DRIVERS`), then prints every unreached block of lines by file and
-enclosing function.  A block is a run of unreached executable lines in
-one function.  Three kinds of line are exempt by their syntax: a
-``raise``, an ``if`` or ``except`` body made only of raises, and an
-``if TYPE_CHECKING:`` block.  Every other unreached block is deleted,
-reached by a driver, or covered by a row of `EXEMPT` that states why it
-stays.
+enclosing function, and every unset setting by file and owner.
 
-``--check`` exits 1 when a driver fails, when an unreached block has no
-row, or when a row covers nothing (a ``wall-clock`` row only needs its
-code to exist, since whether it runs depends on the host).  Executable
-lines come from `dis.findlinestarts`, whose tables differ between
-Python versions, so CI runs the check on one pinned version.
+A block is a run of unreached executable lines in one function.  Three
+kinds of line are exempt by their syntax: a ``raise``, an ``if`` or
+``except`` body made only of raises, and an ``if TYPE_CHECKING:``
+block.  Every other unreached block is deleted, reached by a driver, or
+covered by a row of `EXEMPT` that states why it stays.
+
+A setting is a field of a public dataclass (every field its
+``__init__`` takes) or a defaulted parameter of a public function, of a
+public class's ``__init__`` or of one of its public methods.  It is set
+when a traced call binds it to a value that differs from its default
+(a required field is set by any value).  Every unset setting is folded
+into a named constant where it is read, set by a driver, or covered by
+a row of `EXEMPT_SETTINGS` that states why it stays.
+
+``--check`` exits 1 when a driver fails, when an unreached block or an
+unset setting has no row, or when a row covers nothing (a
+``wall-clock`` row only needs its code to exist, since whether it runs
+depends on the host).  Executable lines come from `dis.findlinestarts`,
+whose tables differ between Python versions, so CI runs the check on
+one pinned version.
 
 The tracer is `sys.settrace` / `threading.settrace`.  Forked pool
 workers inherit it but leave through ``os._exit``, so each hands its
-lines back through a `multiprocessing.util.Finalize` registered after
-the fork.
+lines and settings back through a `multiprocessing.util.Finalize`
+registered after the fork.
 """
 
 from __future__ import annotations
@@ -31,11 +42,15 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dataclasses
 import dis
 import glob
+import importlib
+import inspect
 import multiprocessing.util
 import os
 import pickle
+import pkgutil
 import runpy
 import signal
 import sys
@@ -45,22 +60,36 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from types import ModuleType
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
-#: Why an unreached block may stay.  Every `EXEMPT` row names one.
+#: Why an unreached block or an unset setting may stay.  Every row of
+#: `EXEMPT` and `EXEMPT_SETTINGS` names one.
 REASONS = {
     "error": "handles an error a call can return, or bad outside input",
     "bound": "a cap branch, such as FOLD_SLOTS or REBUILD_BUDGET",
     "planted": "a violation that only an oracle plants",
     "wall-clock": "timing-dependent code",
-    "full": "code only --full reaches",
-    "e2e": "a name benchmarks/e2e wraps or calls",
+    "full": "code or a setting only --full reaches",
+    "e2e": "a name or keyword benchmarks/e2e wraps, calls or passes",
     "ci": "called from an inline CI script",
     "empty": "handles a valid empty input that no driver sends",
+    "record": "a result or counter record: its fields are outputs",
+    "format": "a format read from outside the program (a file, a "
+              "checkpoint)",
+    "calibration": "a row of a calibration table a refit of the model "
+                   "will set",
+    "entry": "an entry point's argument list, which the interpreter gives",
+    "oracle": "a value only the solver's differential tests draw",
+    "planned": "the planet-scale switch, to be selected by region count",
+    "variant": "a switch a system variant carries into the event engine, "
+               "which no driver runs with it flipped",
+    "bench": "a keyword only a figure benchmark passes, inside the timed "
+             "call, which pytest-benchmark runs untraced",
 }
 
 #: (file under src/repro, qualified name, stripped first line of the
@@ -273,12 +302,6 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
      'seed = self._streams.seed_for(f"{self._ids[spec]}.{key}")', "empty"),
     ("faults/runtime.py", "FaultInjector.filter_report",
      "codes, tier = batch.codes, batch.tier", "empty"),
-    # Nearest fit: the `LinkReport` view of a batch row, there for the
-    # hooks' consumers; since the report seam went columnar no in-tree
-    # caller indexes a batch.
-    ("controlplane/nib.py", "ReportBatch.__getitem__",
-     "return LinkReport(self.codes[self.src[k]], self.codes[self.dst[k]],",
-     "empty"),
     ("faults/runtime.py", "FaultInjector.fault_id", "return None", "empty"),
     # Nearest fit: an open-ended or link-scoped spec in a checkpoint's
     # schedule; the serve CLI's soak schedule has neither.
@@ -306,19 +329,153 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
      "return (np.zeros((len(keys), times.size)),", "empty"),
 ]
 
+#: (file under src/repro, owner, setting or "*" for every setting of the
+#: owner, reason): the settings no driver sets that stay, each with its
+#: reason.  An owner is a function, a class (its ``__init__`` or its
+#: fields) or ``Class.method``.
+EXEMPT_SETTINGS: List[Tuple[str, str, str, str]] = [
+    # record
+    ("controlplane/membership.py", "MembershipCounters", "*", "record"),
+    ("controlplane/regional.py", "PartitionCounters", "*", "record"),
+    ("core/eventsim.py", "SessionRecord", "*", "record"),
+    ("experiments/orchestrator.py", "RunRecord", "*", "record"),
+    ("faults/runtime.py", "FaultCounters", "*", "record"),
+    ("obs/profile.py", "EpochProfile", "*", "record"),
+    ("obs/profile.py", "PhaseStat", "*", "record"),
+    ("obs/slo.py", "StreamLedger", "*", "record"),
+    ("resilience/install.py", "ResilienceCounters", "*", "record"),
+    # format
+    ("faults/spec.py", "FaultSpec", "*", "format"),
+    ("obs/export.py", "TelemetryFile", "*", "format"),
+    # calibration
+    ("core/config.py", "SimulationConfig", "monitoring", "calibration"),
+    ("core/config.py", "SimulationConfig", "reaction", "calibration"),
+    ("dataplane/config.py", "MonitoringConfig", "*", "calibration"),
+    ("dataplane/config.py", "ReactionConfig", "*", "calibration"),
+    ("underlay/config.py", "InternetLinkConfig", "*", "calibration"),
+    ("underlay/config.py", "PremiumLinkConfig", "*", "calibration"),
+    ("underlay/config.py", "UnderlayConfig", "internet", "calibration"),
+    ("underlay/config.py", "UnderlayConfig", "premium", "calibration"),
+    # entry
+    ("cli.py", "main", "argv", "entry"),
+    # oracle: test_restricted_build, test_sweep_differential and
+    # test_route_table_properties draw it.
+    ("controlplane/model.py", "ControlConfig", "max_hops", "oracle"),
+    # planned
+    ("core/config.py", "SimulationConfig", "stream_cohorts", "planned"),
+    # full: fig13's long mode and the flags that select it.
+    ("core/longrun.py", "DailySummary", "*", "full"),
+    ("core/longrun.py", "MultiDayResult", "*", "full"),
+    ("core/longrun.py", "run_multi_day", "*", "full"),
+    ("experiments/export.py", "write_manifest", "suite", "full"),
+    ("experiments/fig13_qoe.py", "LongQoEComparison", "*", "full"),
+    ("experiments/fig13_qoe.py", "run_long", "*", "full"),
+    ("experiments/orchestrator.py", "execute_one", "full", "full"),
+    ("experiments/orchestrator.py", "run_parallel", "full", "full"),
+    ("experiments/orchestrator.py", "run_sequential", "full", "full"),
+    ("experiments/registry.py", "ExperimentSpec.execute", "full", "full"),
+    ("underlay/events.py", "TimelineDraws", "start_offset", "full"),
+    ("underlay/topology.py", "build_underlay", "start_offset", "full"),
+    # e2e: control_n100 passes its default, 2.
+    ("traffic/cohorts.py", "CohortWorkload", "cohorts_per_pair", "e2e"),
+    # variant: `VariantSpec.fast_reaction`, which the grid engine's
+    # `repro run --variant` drivers do flip.
+    ("dataplane/cluster.py", "RegionCluster", "fast_reaction", "variant"),
+    ("dataplane/gateway.py", "Gateway", "fast_reaction", "variant"),
+    # bench: bench_motivation's one-day window.
+    ("experiments/fig09_degradations.py", "run", "window_s", "bench"),
+]
+
 
 # --------------------------------------------------------------------------
 # Tracing
 
 
-class LineTracer:
-    """Records the (file, line) pairs executed under `prefix`, in this
-    process, in threads started while it runs and in forked children."""
+#: (file, owner, setting): a setting, its file absolute while traced.
+Key = Tuple[str, str, str]
+
+
+def _differs(value, unset: tuple) -> bool:
+    """Whether `value` equals none of the values that leave a setting
+    unset (a value that cannot be compared, such as an array, differs)."""
+    for default in unset:
+        if value is default:
+            return False
+        try:
+            if not value != default:
+                return False
+        except Exception:
+            pass
+    return True
+
+
+def _unset_values(func) -> Dict[str, tuple]:
+    """Setting -> the values that leave it unset: each defaulted
+    parameter's default."""
+    return {p.name: (p.default,)
+            for p in inspect.signature(func).parameters.values()
+            if p.default is not p.empty}
+
+
+def _field_unset_values(cls, init) -> Dict[str, tuple]:
+    """Field -> the values that leave it unset: its default; for a
+    factory field, the generated ``__init__``'s marker and a fresh
+    value; nothing for a required field, which any value sets."""
+    marker = inspect.signature(init).parameters
+    unset = {}
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        if f.default is not dataclasses.MISSING:
+            unset[f.name] = (f.default,)
+        elif f.default_factory is not dataclasses.MISSING:
+            unset[f.name] = (marker[f.name].default, f.default_factory())
+        else:
+            unset[f.name] = ()
+    return unset
+
+
+def signatures(namespace: dict) -> Iterator[Tuple[str, Callable,
+                                                  Dict[str, tuple]]]:
+    """(owner, function, setting -> its unset values) of every public
+    signature a module's namespace defines: its public functions, and
+    its public classes' fields (through ``__init__``), own ``__init__``
+    and own public methods."""
+    module = namespace.get("__name__")
+    for name, obj in list(namespace.items()):
+        if name.startswith("_") or getattr(obj, "__module__", None) != module:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj, _unset_values(obj)
+        elif inspect.isclass(obj):
+            fields = dataclasses.is_dataclass(obj)
+            for method, attr in list(vars(obj).items()):
+                func = getattr(attr, "__func__", attr)  # static, class
+                if not inspect.isfunction(func) or (
+                        method.startswith("_") and method != "__init__"):
+                    continue
+                if method != "__init__":
+                    yield f"{name}.{method}", func, _unset_values(func)
+                elif fields:
+                    yield name, func, _field_unset_values(obj, func)
+                else:
+                    yield name, func, _unset_values(func)
+
+
+class Tracer:
+    """Records, under `prefix`, in this process, in threads started while
+    it runs and in forked children: the (file, line) pairs executed, and
+    the settings a call binds to a value other than their default."""
 
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.hits: Dict[str, Set[int]] = {}
-        self._locals: Dict[str, Optional[Callable]] = {}
+        self.set: Set[Key] = set()
+        self._locals: Dict[str, Optional[Callable]] = {"<string>": _skip}
+        #: id(code) -> (code, setting -> (unset values, key) for the
+        #: settings not yet set), or (code, None) for no signature.  The
+        #: code is held so that its id is never reused.
+        self._codes: Dict[int, tuple] = {}
         self._spool: Optional[str] = None
 
     def _local_for(self, filename: str) -> Optional[Callable]:
@@ -336,17 +493,54 @@ class LineTracer:
         return local
 
     def _global(self, frame, event, arg):
-        filename = frame.f_code.co_filename
+        code = frame.f_code
         try:
-            return self._locals[filename]
+            local = self._locals[code.co_filename]
         except KeyError:
-            return self._local_for(filename)
+            local = self._local_for(code.co_filename)
+        if local is not None:
+            try:
+                pending = self._codes[id(code)][1]
+            except KeyError:
+                pending = self._resolve(frame)
+            if pending:
+                values = frame.f_locals
+                for name, (unset, key) in list(pending.items()):
+                    if _differs(values.get(name), unset):
+                        pending.pop(name, None)
+                        self.set.add(key)
+        return local
+
+    def _resolve(self, frame) -> Optional[dict]:
+        """Index the signatures of the module that defines the frame's
+        code, then return its pending settings, if it is one."""
+        code = frame.f_code
+        name = code.co_name
+        namespace = None
+        if name == "__init__" or not name.startswith(("_", "<")):
+            if code.co_filename.startswith(self.prefix):
+                namespace = frame.f_globals
+            elif name == "__init__":  # a dataclass's generated __init__
+                for cls in type(frame.f_locals.get("self")).__mro__:
+                    if getattr(vars(cls).get("__init__"), "__code__",
+                               None) is code:
+                        namespace = getattr(sys.modules.get(cls.__module__),
+                                            "__dict__", None)
+                        break
+        filename = namespace and namespace.get("__file__")
+        if filename and filename.startswith(self.prefix):
+            for owner, func, unset in signatures(namespace):
+                c = inspect.unwrap(func).__code__
+                self._codes.setdefault(id(c), (c, {
+                    s: (values, (filename, owner, s))
+                    for s, values in unset.items()}))
+        return self._codes.setdefault(id(code), (code, None))[1]
 
     def start(self, spool: str) -> None:
-        """Trace from here on; forked children write their lines to
+        """Trace from here on; forked children write what they record to
         files under `spool`."""
         self._spool = spool
-        multiprocessing.util.register_after_fork(self, LineTracer._forked)
+        multiprocessing.util.register_after_fork(self, Tracer._forked)
         threading.settrace(self._global)
         sys.settrace(self._global)
 
@@ -357,21 +551,32 @@ class LineTracer:
     def _forked(self) -> None:
         for lines in self.hits.values():
             lines.clear()
+        self.set.clear()
         multiprocessing.util.Finalize(None, self._hand_back, exitpriority=100)
 
     def _hand_back(self) -> None:
-        path = os.path.join(self._spool, f"lines.{os.getpid()}.pickle")
+        path = os.path.join(self._spool, f"traced.{os.getpid()}.pickle")
         with open(path, "wb") as fh:
-            pickle.dump({f: sorted(s) for f, s in self.hits.items()}, fh)
+            pickle.dump(({f: sorted(s) for f, s in self.hits.items()},
+                         self.set), fh)
 
-    def merged(self) -> Dict[str, Set[int]]:
-        """This process's lines plus every child's."""
+    def merged(self) -> Tuple[Dict[str, Set[int]], Set[Key]]:
+        """This process's lines and settings plus every child's."""
         hits = {f: set(s) for f, s in self.hits.items()}
-        for path in glob.glob(os.path.join(self._spool, "lines.*.pickle")):
+        settings = set(self.set)
+        for path in glob.glob(os.path.join(self._spool, "traced.*.pickle")):
             with open(path, "rb") as fh:
-                for filename, lines in pickle.load(fh).items():
-                    hits.setdefault(filename, set()).update(lines)
-        return hits
+                lines, child = pickle.load(fh)
+            for filename, found in lines.items():
+                hits.setdefault(filename, set()).update(found)
+            settings |= child
+        return hits, settings
+
+
+def _skip(frame, event, arg):
+    """The local trace of generated code: watched for its call, not
+    line-traced."""
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -527,8 +732,48 @@ def judge(files: Sequence[FileCensus],
     return covered, uncovered, stale
 
 
-def report(files: Sequence[FileCensus], covered: Dict[Block, str],
-           uncovered: Sequence[Block], stale: Sequence[Tuple]) -> None:
+def settings(root: Path, modules: Iterable[ModuleType]) -> List[Key]:
+    """(file relative to `root`, owner, setting) of every setting of
+    every public signature the modules define."""
+    return sorted((Path(module.__file__).relative_to(root).as_posix(),
+                   owner, name)
+                  for module in modules
+                  for owner, __, unset in signatures(vars(module))
+                  for name in unset)
+
+
+def judge_settings(all_settings: Sequence[Key], found: Set[Key],
+                   exempt: Iterable[Tuple[str, str, str, str]]
+                   ) -> Tuple[Dict[Key, str], List[Key], List[Tuple]]:
+    """(unset setting -> reason of the row that covers it, unset
+    settings no row covers, rows that cover nothing)."""
+    rows = {(f, o, s): reason for f, o, s, reason in exempt}
+    covered: Dict[Key, str] = {}
+    uncovered: List[Key] = []
+    used: Set[Key] = set()
+    for setting in all_settings:
+        if setting in found:
+            continue
+        file, owner, __ = setting
+        row = next((r for r in (setting, (file, owner, "*")) if r in rows),
+                   None)
+        if row is None:
+            uncovered.append(setting)
+        else:
+            covered[setting] = rows[row]
+            used.add(row)
+    stale = [(f, o, s, r) for (f, o, s), r in rows.items()
+             if (f, o, s) not in used]
+    return covered, uncovered, stale
+
+
+def report(files: Sequence[FileCensus], lines: Tuple, all_settings:
+           Sequence[Key], settings_judged: Tuple) -> None:
+    """Every unreached block and unset setting with its fate, every
+    stale row, then the totals: `lines` and `settings_judged` are what
+    `judge` and `judge_settings` return."""
+    covered, uncovered, stale = lines
+    excused, unset, stale_settings = settings_judged
     w = sys.stdout.write
     for fc in files:
         for block in fc.blocks:
@@ -536,7 +781,11 @@ def report(files: Sequence[FileCensus], covered: Dict[Block, str],
             span = (f"{block.first}" if block.first == block.last
                     else f"{block.first}-{block.last}")
             w(f"{fc.file}:{span} {block.qualname}: {block.text}  [{fate}]\n")
-    for row in stale:
+    for setting in all_settings:
+        if setting in excused or setting in unset:
+            w(f"{setting[0]} {setting[1]}({setting[2]}=)  "
+              f"[{excused.get(setting, 'NO ROW')}]\n")
+    for row in [*stale, *stale_settings]:
         w(f"STALE ROW {row[0]} {row[1]}: {row[2]!r} [{row[3]}]\n")
     executable = sum(fc.executable for fc in files)
     reached = sum(fc.reached for fc in files)
@@ -549,9 +798,16 @@ def report(files: Sequence[FileCensus], covered: Dict[Block, str],
       f"{executable - reached} unreached: {guarded} exempt by syntax, "
       f"{sum(by_reason.values())} by row, "
       f"{sum(b.size for b in uncovered)} in {len(uncovered)} block(s) "
-      f"with no row; {len(stale)} stale row(s)\n")
+      f"with no row\n")
+    w(f"{len(all_settings)} settings: "
+      f"{len(all_settings) - len(excused) - len(unset)} set by a driver, "
+      f"{len(excused)} by row, {len(unset)} with no row; "
+      f"{len(stale) + len(stale_settings)} stale row(s)\n")
+    settings_by_reason = Counter(excused.values())
+    w(f"  {'reason':<11} lines settings\n")
     for reason in REASONS:
-        w(f"  {reason:<10} {by_reason.get(reason, 0):>4} lines\n")
+        w(f"  {reason:<11} {by_reason.get(reason, 0):>5} "
+          f"{settings_by_reason.get(reason, 0):>8}\n")
 
 
 # --------------------------------------------------------------------------
@@ -636,6 +892,13 @@ def _commands(work: Path) -> int:
               or _cli("obs", "profile", str(work / "run.jsonl"))
               or _cli("demo", "--minutes", "1", "--seed", "3", "--telemetry",
                       str(work / "demo.jsonl"))
+              # The obs and runner flags no other driver passes.
+              or _cli("obs", "summary", "--allow-partial", "--max-metrics",
+                      "5", str(work / "*.jsonl"))
+              or _cli("obs", "profile", "--allow-partial", "--max-pairs", "3",
+                      str(work / "run.jsonl"))
+              or _runner("--only", "fig04", "--parallel", "2", "--retries",
+                         "2", "--telemetry", str(work / "parallel.jsonl"))
               or _cli("experiments", "--only", "fig04")
               or _runner("--list", "--tags", "ablation"))
     for variant in sorted(VARIANTS):
@@ -710,9 +973,11 @@ DRIVERS: Dict[str, Callable[[Path], int]] = {
 }
 
 
-def run_drivers(work: Path, log) -> Tuple[Dict[str, Set[int]], List[str]]:
-    """Trace every driver; return (lines reached, drivers that failed)."""
-    tracer = LineTracer(str(SRC) + os.sep)
+def run_drivers(work: Path, log
+                ) -> Tuple[Dict[str, Set[int]], Set[Key], List[str]]:
+    """Trace every driver; return (lines reached, settings set, drivers
+    that failed)."""
+    tracer = Tracer(str(SRC) + os.sep)
     spool = work / "spool"
     spool.mkdir()
     failed = []
@@ -736,7 +1001,17 @@ def run_drivers(work: Path, log) -> Tuple[Dict[str, Set[int]], List[str]]:
                   flush=True)
     finally:
         tracer.stop()
-    return tracer.merged(), failed
+    return (*tracer.merged(), failed)
+
+
+def _package_modules() -> List[ModuleType]:
+    """Every module of `repro`, imported: only after the trace, so that
+    the drivers reach every module-level line and import-time call."""
+    import repro
+    return [importlib.import_module(name)
+            for __, name, __ in pkgutil.walk_packages(repro.__path__,
+                                                      prefix="repro.")
+            if not name.endswith("__main__")]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -744,7 +1019,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                      description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on a failed driver, an unreached block "
-                             "with no EXEMPT row or an EXEMPT row that "
+                             "or unset setting with no row, or a row that "
                              "covers nothing")
     args = parser.parse_args(argv)
     sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]
@@ -752,17 +1027,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="line-census-") as tmp:
         log_path = os.path.join(tmp, "drivers.log")
         with open(log_path, "w") as log:
-            hits, failed = run_drivers(Path(tmp), log)
+            hits, found, failed = run_drivers(Path(tmp), log)
         if failed:
             with open(log_path) as log:
                 sys.stderr.writelines(log.readlines()[-60:])
     traced_s = time.perf_counter() - t0
     files = census(SRC, hits)
-    covered, uncovered, stale = judge(files, EXEMPT)
-    report(files, covered, uncovered, stale)
+    lines = judge(files, EXEMPT)
+    all_settings = settings(SRC, _package_modules())
+    found = {(Path(f).relative_to(SRC).as_posix(), o, s) for f, o, s in found}
+    settings_judged = judge_settings(all_settings, found, EXEMPT_SETTINGS)
+    report(files, lines, all_settings, settings_judged)
     print(f"traced wall time {traced_s:.0f} s"
           + (f"; failed drivers: {', '.join(failed)}" if failed else ""))
-    bad = failed or uncovered or stale
+    bad = (failed or lines[1] or lines[2] or settings_judged[1]
+           or settings_judged[2])
     return 1 if args.check and bad else 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 FIXTURE = Path(__file__).resolve().parents[1] / "_golden" / \
@@ -40,7 +41,7 @@ def _chaos_schedule():
 
     return FaultSchedule.of(
         controller_outage(3640.0, 3700.0),
-        gateway_crash(3620.0, 40.0, region="SIN", count=2),
+        replace(gateway_crash(3620.0, 40.0, region="SIN"), count=2),
         probe_blackout(3610.0, 30.0, region="HGH"),
         install_partial(3660.0, 30.0, 0.5, region="FRA"),
     )

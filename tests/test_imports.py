@@ -2,7 +2,6 @@
 syntax drift) and the public packages re-export what they promise."""
 
 import ast
-import collections
 import importlib
 import importlib.util
 import pathlib
@@ -260,84 +259,6 @@ def test_every_dependency_is_imported():
     assert not unused, f"declared but never imported: {unused}"
 
 
-def _public_definitions(tree):
-    """(qualified name, node) of a module's public functions and of the
-    public methods of its classes."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item
-
-
-def test_every_public_function_has_a_caller():
-    """A public function or method of `src/repro` is named — by a Name,
-    an Attribute or a whole string constant (`eventsim.HOOKS` lists its
-    hook methods as strings) — somewhere in `src/`, `examples/` or
-    `benchmarks/` outside its own definition, or as a whole word in a
-    CI workflow (whose inline Python reads telemetry files).
-
-    Names match bare, so this check cannot see past a collision: a
-    method called `get` or `run` always has a "caller" in some other
-    class.  The deeper check is a call census — profile every call
-    event under `src/repro` while the CLI commands, the examples, the
-    experiment suite and the end-to-end workloads run, and list what
-    was never entered (docs/extending.md, "Adding an engine
-    subsystem")."""
-    #: name -> [(file, line)] of every mention.
-    mentions = collections.defaultdict(list)
-    for top in ("src", "examples", "benchmarks"):
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif (isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)):
-                    name = node.value
-                else:
-                    continue
-                mentions[name].append((path, node.lineno))
-    workflows = " ".join(path.read_text() for path in
-                         (ROOT / ".github" / "workflows").glob("*.yml"))
-    in_workflows = set(re.findall(r"\w+", workflows))
-    orphans = set()
-    for path in (ROOT / "src" / "repro").rglob("*.py"):
-        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
-        tree = ast.parse(path.read_text())
-        for qualified, node in _public_definitions(tree):
-            if node.name.startswith("_") or node.name in in_workflows:
-                continue
-            if all(where == path and node.lineno <= line <= node.end_lineno
-                   for where, line in mentions[node.name]):
-                orphans.add(f"{module}.{qualified}")
-    assert not orphans, f"only tests call: {sorted(orphans)}"
-
-
-def test_every_setting_has_a_caller():
-    """A setting is a field only while a caller outside the tests needs
-    a value of it: every dataclass field and every defaulted parameter
-    of every public signature in `src/repro` is passed somewhere in
-    `src/`, `examples/` or `benchmarks/`, or is covered by a row of the
-    census's `EXEMPT` table with its reason (`tests/settings_census.py`;
-    ``python -m tests.settings_census`` prints each setting's caller or
-    row).  A setting only its default and the tests reach is a named
-    constant where it is read (docs/extending.md, "Every setting has a
-    caller")."""
-    from tests import settings_census
-
-    __, __, uncalled, stale = settings_census.judge(
-        list(settings_census.settings()), settings_census.uses())
-    assert not uncalled, \
-        f"settings only tests set: {sorted(s.label for s in uncalled)}"
-    assert not stale, f"exemption rows that cover nothing: {stale}"
-    assert {reason for __, __, reason in settings_census.EXEMPT} <= set(
-        settings_census.REASONS)
-
-
 def _removed_setting_owners():
     """Owner -> a call of it that takes keyword arguments only."""
     from repro.controlplane.controller import Controller
@@ -355,7 +276,7 @@ def _removed_setting_owners():
     from repro.core.eventsim import EventDrivenXRON
     from repro.core.longrun import run_multi_day
     from repro.core.service import XRONService, build_soak_schedule
-    from repro.core.simulator import EpochSimulator
+    from repro.core.simulator import EpochSimulator, SimulationResult
     from repro.core.system import XRONSystem
     from repro.dataplane.config import MonitoringConfig, ReactionConfig
     from repro.dataplane.passive import PassiveTracker
@@ -364,16 +285,22 @@ def _removed_setting_owners():
                                           ReactiveAutoscaler)
     from repro.elastic.containers import ContainerPool
     from repro.experiments import (ablation_ordering, ablation_probing,
-                                   ablation_stability, chaos_reaction,
-                                   fig07_similarity, fig08_asymmetry,
-                                   fig12_prediction, fig13_qoe, fig17_cost,
-                                   fig18_fast_reaction, fig19_asymmetric,
-                                   fig20_scaling, reaction_latency,
+                                   ablation_stability, ablation_weights,
+                                   chaos_reaction, fig01_02_linkstates,
+                                   fig03_badtime, fig04_pricing,
+                                   fig05_demand, fig07_similarity,
+                                   fig08_asymmetry, fig09_degradations,
+                                   fig11_weekly, fig12_prediction, fig13_qoe,
+                                   fig14_15_badcases, fig16_casestudies,
+                                   fig17_cost, fig18_fast_reaction,
+                                   fig19_asymmetric, fig20_scaling,
+                                   partition, reaction_latency, recovery,
                                    tab23_network)
-    from repro.experiments.base import derive_seed
+    from repro.experiments.base import derive_seed, standard_underlay
     from repro.experiments.orchestrator import rollup_records
     from repro.experiments.registry import ExperimentSpec
-    from repro.faults import gateway_crash, membership_churn, report_drop
+    from repro.faults import (gateway_crash, membership_churn,
+                              probe_blackout, report_drop, report_staleness)
     from repro.obs import Telemetry, Tracer
     from repro.obs.slo import SLOEngine
     from repro.qoe.audio import audio_fluency_series, e_model_r_factor
@@ -465,7 +392,10 @@ def _removed_setting_owners():
         "generate_timeline":
             lambda **kw: generate_timeline(None, 1.0, **kw),
         "gateway_crash": lambda **kw: gateway_crash(0.0, 1.0, "A", **kw),
+        "probe_blackout": lambda **kw: probe_blackout(0.0, 1.0, **kw),
         "report_drop": lambda **kw: report_drop(0.0, 1.0, **kw),
+        "report_staleness":
+            lambda **kw: report_staleness(0.0, 1.0, 1.0, **kw),
         "membership_churn": lambda **kw: membership_churn(0.0, 1.0, **kw),
         "sparkline": lambda **kw: sparkline([1.0], **kw),
         "series_panel": lambda **kw: series_panel("x", [1.0], **kw),
@@ -473,6 +403,9 @@ def _removed_setting_owners():
         "histogram_bar": lambda **kw: histogram_bar([1], ["a"], **kw),
         "derive_seed": lambda **kw: derive_seed("x", **kw),
         "rollup_records": lambda **kw: rollup_records([], **kw),
+        "standard_underlay": standard_underlay,
+        "SimulationResult.loss_percentiles": lambda **kw:
+            SimulationResult.loss_percentiles(None, **kw),
         "ExperimentSpec": lambda **kw: ExperimentSpec("x", "m", **kw),
         "QoEComparison.reduction_vs": lambda **kw:
             fig13_qoe.QoEComparison.reduction_vs(None, "m", **kw),
@@ -497,11 +430,23 @@ def _removed_setting_owners():
         "fig17_cost.run": fig17_cost.run,
         "fig19_asymmetric.run": fig19_asymmetric.run,
         "fig20_scaling.run": fig20_scaling.run,
+        "ablation_weights.run": ablation_weights.run,
+        "fig01_02_linkstates.run": fig01_02_linkstates.run,
+        "fig03_badtime.run": fig03_badtime.run,
+        "fig04_pricing.run": fig04_pricing.run,
+        "fig05_demand.run": fig05_demand.run,
+        "fig09_degradations.run": fig09_degradations.run,
+        "fig11_weekly.run": fig11_weekly.run,
+        "fig14_15_badcases.run": fig14_15_badcases.run,
+        "fig16_casestudies.run": fig16_casestudies.run,
+        "partition.run": partition.run,
+        "recovery.run": recovery.run,
     }
 
 
-#: Settings that only their defaults and the tests reached, now named
-#: constants where they are read: (owner, keyword it no longer takes).
+#: Settings that only their defaults and the tests set, now named
+#: constants where they are read (the census, `tests/line_census.py`,
+#: finds such a setting): (owner, keyword it no longer takes).
 REMOVED_SETTINGS = [
     ("SimulationConfig", "robust_percentile"),
     ("SimulationConfig", "cohorts_per_pair"),
@@ -641,6 +586,87 @@ REMOVED_SETTINGS = [
     ("fig17_cost.run", "scaling_demand_scale"),
     ("fig19_asymmetric.run", "start_s"),
     ("fig20_scaling.run", "warmup_days"),
+    ("RollingPredictor", "refit_every"),
+    ("ProactiveAutoscaler", "refit_every"),
+    ("SimulationResult.loss_percentiles", "percentiles"),
+    ("gateway_crash", "count"),
+    ("probe_blackout", "dst"),
+    ("probe_blackout", "link_type"),
+    ("report_drop", "dst"),
+    ("report_drop", "link_type"),
+    ("report_staleness", "dst"),
+    ("report_staleness", "link_type"),
+    ("standard_underlay", "seed"),
+    ("ablation_ordering.run", "underlay"),
+    ("ablation_ordering.run", "epoch_s"),
+    ("ablation_ordering.run", "seed"),
+    ("ablation_probing.run", "underlay"),
+    ("ablation_probing.run", "gateways_per_region"),
+    ("ablation_probing.run", "representative_counts"),
+    ("ablation_probing.run", "seed"),
+    ("ablation_stability.run", "start_hour"),
+    ("ablation_stability.run", "seed"),
+    ("ablation_stability.run", "epoch_s"),
+    ("ablation_stability.run", "eval_step_s"),
+    ("ablation_weights.run", "underlay"),
+    ("ablation_weights.run", "exchange_rates"),
+    ("ablation_weights.run", "epoch_s"),
+    ("ablation_weights.run", "seed"),
+    ("chaos_reaction.run", "seed"),
+    ("chaos_reaction.run", "event_spacing_s"),
+    ("fig01_02_linkstates.run", "underlay"),
+    ("fig01_02_linkstates.run", "step_s"),
+    ("fig01_02_linkstates.run", "day_s"),
+    ("fig03_badtime.run", "underlay"),
+    ("fig03_badtime.run", "step_s"),
+    ("fig03_badtime.run", "day_s"),
+    ("fig04_pricing.run", "underlay"),
+    ("fig05_demand.run", "demand"),
+    ("fig05_demand.run", "slot_s"),
+    ("fig05_demand.run", "day_s"),
+    ("fig07_similarity.run", "underlay"),
+    ("fig07_similarity.run", "gateways_per_region"),
+    ("fig07_similarity.run", "representatives"),
+    ("fig07_similarity.run", "seed"),
+    ("fig07_similarity.run", "max_pairs"),
+    ("fig08_asymmetry.run", "underlay"),
+    ("fig08_asymmetry.run", "window_s"),
+    ("fig09_degradations.run", "underlay"),
+    ("fig11_weekly.run", "demand"),
+    ("fig11_weekly.run", "slot_s"),
+    ("fig11_weekly.run", "days"),
+    ("fig12_prediction.run", "demand"),
+    ("fig12_prediction.run", "slot_s"),
+    ("fig12_prediction.run", "train_days"),
+    ("fig13_qoe.run", "seed"),
+    ("fig13_qoe.run", "demand_scale"),
+    ("fig14_15_badcases.run", "comparison"),
+    ("fig16_casestudies.run", "seed"),
+    ("fig16_casestudies.run", "eval_step_s"),
+    ("fig16_casestudies.run", "epoch_s"),
+    ("fig17_cost.run", "seed"),
+    ("fig17_cost.run", "epoch_s"),
+    ("fig17_cost.run", "eval_step_s"),
+    ("fig18_fast_reaction.run", "seed"),
+    ("fig18_fast_reaction.run", "start_hour"),
+    ("fig18_fast_reaction.run", "eval_step_s"),
+    ("fig18_fast_reaction.run", "epoch_s"),
+    ("fig19_asymmetric.run", "underlay"),
+    ("fig19_asymmetric.run", "epoch_s"),
+    ("fig19_asymmetric.run", "seed"),
+    ("fig20_scaling.run", "demand"),
+    ("fig20_scaling.run", "days"),
+    ("fig20_scaling.run", "slot_s"),
+    ("fig20_scaling.run", "seed"),
+    ("fig20_scaling.run", "demand_scale"),
+    ("partition.run", "seed"),
+    ("recovery.run", "seed"),
+    ("reaction_latency.run", "seed"),
+    ("reaction_latency.run", "event_spacing_s"),
+    ("tab23_network.run", "seed"),
+    ("tab23_network.run", "start_hour"),
+    ("tab23_network.run", "eval_step_s"),
+    ("tab23_network.run", "epoch_s"),
 ]
 
 #: Config classes whose every setting became a named constant where it
