@@ -288,6 +288,116 @@ def test_probe_instant(benchmark, n_regions):
 
 
 # --------------------------------------------------------------------------
+# One measurement tick and one passive flush of the event engine (§4.1)
+# --------------------------------------------------------------------------
+#
+# Every second the event engine walks each tracked session hop by hop
+# through the gateways' live forwarding decisions and books the
+# session's packets on each hop's deciding gateway; every 5 s the
+# gateways' passive windows fold into their estimators.  With every
+# pair tracked (as `benchmarks/e2e`'s `event_n11` does) these are the
+# engine's data-plane half next to the probing instant
+# (docs/performance.md, "The measurement tick").
+
+#: Hard budgets per measurement tick.  With a dict window per link and
+#: gateway, and a decision object built per hop, a tick of the paper's
+#: world with every pair tracked took ~0.52-0.54 ms on the reference
+#: box; with compiled table rows and one booking pass, ~0.28-0.29 (a
+#: block of the measure reader spread over its instants included).  The
+#: budget leaves room for a host twice as slow and more.
+MEASURE_TICK_BUDGET_S = {11: 0.0012}
+#: Hard budgets per passive flush.  One pass over every gateway's dict
+#: and one ingest per cluster took ~0.6-1.1 / ~43-44 ms at 11 / 100
+#: regions; one mask and one ingest for the block, ~0.15 / ~2.6.
+#: The budgets fail on a return to work per gateway or per cluster.
+PASSIVE_FLUSH_BUDGET_S = {11: 0.0005, 100: 0.008}
+_TICK_START_S = 8 * 3600.0
+
+
+def _tracking_engine(n_regions: int, routed: bool):
+    """An event engine of `n_regions` regions tracking every pair.  With
+    `routed` its first control epoch installs the controller's tables;
+    without, every region sends stream ``k`` of each of its pairs
+    straight to the pair's destination over the Internet (the walk
+    then costs one hop a session, and what a flush sees is every
+    tracked link)."""
+    from repro.core.config import SimulationConfig
+    from repro.core.eventsim import EventDrivenXRON
+    from repro.sim.engine import Simulator
+    from repro.underlay.linkstate import LinkType
+
+    if n_regions == 11:
+        u, demand = standard_underlay(), standard_demand()
+    else:
+        u = planet_underlay(n_regions, seed=7, horizon_s=_TICK_START_S
+                            + 3600.0)
+        demand = DemandModel(u.regions, seed=7)
+    engine = EventDrivenXRON(u, demand,
+                             sim_config=SimulationConfig(epoch_s=30.0, seed=7),
+                             tracked_pairs=list(u.pairs))
+    if routed:
+        engine._control_epoch(Simulator(start_time=_TICK_START_S))
+        return engine
+    for code, cluster in engine.clusters.items():
+        cluster.install({k: (dst, LinkType.INTERNET)
+                         for k, (src, dst) in enumerate(u.pairs)
+                         if src == code}, {})
+    for k, pair in enumerate(u.pairs):
+        engine.session_stream[pair] = k
+    return engine
+
+
+@pytest.mark.parametrize("n_regions", sorted(MEASURE_TICK_BUDGET_S),
+                         ids=lambda n: f"n{n:03d}")
+def test_measure_tick(benchmark, n_regions):
+    """`EventDrivenXRON._measure` of the paper's world after its first
+    control epoch, every pair tracked, at the next 1 s step each round
+    (the measure reader's blocks, as in a run).  Windows are not
+    flushed between rounds: a flush is `test_passive_flush`."""
+    from types import SimpleNamespace
+
+    engine = _tracking_engine(n_regions, routed=True)
+    clock = [_TICK_START_S]
+
+    def tick():
+        clock[0] = clock[0] + 1.0
+        engine._measure(SimpleNamespace(now=clock[0]))
+        return clock[0]
+
+    tick()  # first block of the measure reader
+    benchmark(tick)
+    walked = [record for record in engine.sessions.values() if record.times]
+    assert len(walked) > len(engine.sessions) // 2
+    assert benchmark.stats["mean"] < MEASURE_TICK_BUDGET_S[n_regions]
+
+
+@pytest.mark.parametrize("n_regions", sorted(PASSIVE_FLUSH_BUDGET_S),
+                         ids=lambda n: f"n{n:03d}")
+def test_passive_flush(benchmark, n_regions):
+    """`EventDrivenXRON._flush_passive` over four gateways a region,
+    after one tick that walked every pair straight to its destination
+    (untimed set-up: each round flushes what one tick booked)."""
+    from types import SimpleNamespace
+
+    engine = _tracking_engine(n_regions, routed=False)
+    clock = [_TICK_START_S]
+
+    def tick():
+        clock[0] = clock[0] + 1.0
+        engine._measure(SimpleNamespace(now=clock[0]))
+        return (SimpleNamespace(now=clock[0]),), {}
+
+    benchmark.pedantic(engine._flush_passive, setup=tick,
+                       rounds=40 if n_regions == 11 else 10)
+    fed = [cluster for cluster in engine.clusters.values()
+           if any((gateway.estimator(dst, link_type).last_update
+                   == clock[0]) for gateway in cluster.gateways.values()
+                  for dst, link_type in gateway.links)]
+    assert len(fed) == n_regions
+    assert benchmark.stats["mean"] < PASSIVE_FLUSH_BUDGET_S[n_regions]
+
+
+# --------------------------------------------------------------------------
 # One region's install, and the fleet changing under it (§4.2, §5)
 # --------------------------------------------------------------------------
 #

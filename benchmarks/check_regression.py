@@ -25,7 +25,8 @@ Three subcommands:
     ``test_reaction_plans[nNNN]``, ``test_sweep_underlay_build[nNNN]``,
     ``test_underlay_build_paper[nNNN]``, ``test_sweep_demand_build[nNNN]``,
     ``test_grid_epoch[nNNN]``, ``test_detector_pass[nNNN]``,
-    ``test_demand_epoch[nNNN]``, ``test_stream_decompose[nNNN]``) are gated
+    ``test_demand_epoch[nNNN]``, ``test_stream_decompose[nNNN]``,
+    ``test_measure_tick[nNNN]``, ``test_passive_flush[nNNN]``) are gated
     per point: points missing
     from the fresh run are skipped (CI runs a subset of the sweep), and
     full-epoch points must additionally beat the hard two-second epoch
@@ -37,7 +38,8 @@ Three subcommands:
     marker comments, from the committed summary: the before/after/
     speedup table of the fixed control benchmarks and, where the
     summary holds them, of one probing instant of the event engine,
-    one block of link series of the grid engine, one region's
+    one measurement tick and one passive flush of it, one block of
+    link series of the grid engine, one region's
     install plus a scale-up, the planet-scale control epoch with its
     reaction-plan pass, the underlay builds (planet scale and the
     paper's), the planet-scale demand build, one epoch of the grid
@@ -83,7 +85,9 @@ GATED = (
 #: measured as ``test_path_control_paper_scale`` (a scalar link-state
 #: callback per link), which stays the step-1 row's "before".  The
 #: probing-instant rows (before: the monitoring block's rows region by
-#: region, and a NIB that stored every batch on arrival),
+#: region, and a NIB that stored every batch on arrival), the
+#: measurement-tick and passive-flush rows (before: a dict window per
+#: link and gateway, a decision object per hop, an ingest per cluster),
 #: the link-series-block rows
 #: (before: every term of the link model per hop and instant), the
 #: cluster-install row (before: one forwarding table per gateway), the
@@ -113,6 +117,12 @@ TABLE_ROWS = {
         (" (50 regions, 4 900 links)", "test_probe_instant[n050]"),
     "test_probe_instant[n100]":
         (" (100 regions, 19 800 links)", "test_probe_instant[n100]"),
+    "test_measure_tick[n011]":
+        (" (11 regions, 110 pairs tracked)", "test_measure_tick[n011]"),
+    "test_passive_flush[n011]":
+        (" (11 regions, 44 gateways)", "test_passive_flush[n011]"),
+    "test_passive_flush[n100]":
+        (" (100 regions, 400 gateways)", "test_passive_flush[n100]"),
     "test_link_series_block[n011]":
         (" (11 regions, 91 hops x 750 bursts)",
          "test_link_series_block[n011]"),
@@ -161,12 +171,15 @@ TABLE_END = "<!-- control-loop-table:end -->"
 #: Unlike `GATED`, a sweep entry that is absent from the fresh run is
 #: *skipped*, not failed — CI's scale-smoke job deliberately runs a
 #: subset of the sweep (``-k "sweep and (n011 or n100 or n200)"``), and
-#: perf-smoke, which runs the probing instant, the link-series block,
+#: perf-smoke, which runs the probing instant, the measurement tick, the
+#: passive flush, the link-series block,
 #: the cluster install, the reaction-plan pass, the paper-scale
 #: underlay build, the grid epoch, its detector pass, the demand epoch
 #: and the stream decomposition, none of it.
 SWEEP_GATED = (
     "test_probe_instant",
+    "test_measure_tick",
+    "test_passive_flush",
     "test_link_series_block",
     "test_cluster_install",
     "test_reaction_plans",
@@ -245,7 +258,10 @@ def distill(args: argparse.Namespace) -> int:
                  "each table row (the scalar-loop control stack; the "
                  "one-object-per-link probing instant, at 100 regions "
                  "the one round per cluster the monitoring block "
-                 "replaced; the per-hop, "
+                 "replaced; a dict window per link and gateway, a "
+                 "decision object per hop and an ingest per cluster for "
+                 "the measurement tick and the passive flush; the "
+                 "per-hop, "
                  "per-instant link series; one forwarding table per "
                  "gateway; the object-per-visit control solve for the "
                  "sweep and reaction-plan entries; one timeline "

@@ -50,7 +50,6 @@ from repro.core.extensions import arm
 from repro.core.variants import VariantSpec, xron
 from repro.dataplane.cluster import (MonitoringBlock, RegionCluster,
                                      probe_noise)
-from repro.dataplane.gateway import Gateway
 from repro.dataplane.probing import BurstNoise
 from repro.elastic.containers import ContainerPool
 from repro.obs import telemetry as _telemetry
@@ -230,8 +229,11 @@ class EventDrivenXRON:
         #: The tracked sessions' packet losses on each link per tick.
         self._passive = BurstNoise(underlay, self.rng, "measure", 1,
                                    _PACKETS_PER_TICK, measure_interval_s)
-        self._passive_at = {hop: k for k, hop
-                            in enumerate(self._passive.hops)}
+        #: Where each region's links begin among the block's (and the
+        #: measure reader's) columns: a hop's column is its region's
+        #: plus its decision's `link`.
+        self._columns = {code: k * self.monitoring_block.shape[1]
+                         for k, code in enumerate(self.monitoring_block.codes)}
         self.pools: Dict[str, ContainerPool] = build_pools(
             underlay.codes, self.rng, self.sim_config)
 
@@ -420,8 +422,7 @@ class EventDrivenXRON:
                     hook(clusters, now)
 
     def _flush_passive(self, sim: Simulator) -> None:
-        for cluster in self.clusters.values():
-            cluster.flush_passive(sim.now)
+        self.monitoring_block.flush_passive(sim.now)
 
     # --------------------------------------------------------- control epoch
     def demand_matrix(self, now: float) -> TrafficMatrix:
@@ -576,66 +577,79 @@ class EventDrivenXRON:
     def _measure(self, sim: Simulator) -> None:
         """Walk every tracked session and book its packets on each hop's
         deciding gateway; a hop loses the tick's draw on its link (one
-        per link and tick, shared by the sessions crossing it)."""
+        per link and tick, shared by the sessions crossing it).  The
+        tick's hops are booked in one pass, in walk order."""
         now = sim.now
+        block = self.monitoring_block
+        block.refresh()
         latency_ms, loss_rate, __, lost = self._passive.at(now)
-        latency_ms, loss_rate, lost_packets = (
-            latency_ms.tolist(), loss_rate.tolist(), lost[0].tolist())
-        at = self._passive_at
+        run = block.run
+        latency_ms = latency_ms[run]
+        hop_latency, hop_loss = latency_ms.tolist(), loss_rate[run].tolist()
         sample = self.hooks("sample")
+        rows: List[int] = []
+        links: List[int] = []
         for pair, record in self.sessions.items():
             sid = self.session_stream[pair]
             if sid is None:
                 continue
-            hops = self._walk(pair, sid, now)
-            if hops is None:
+            walked = self._walk(pair, sid, now, hop_latency, hop_loss,
+                                rows, links)
+            if walked is None:
                 # Missing table row or routing loop: the stream had
                 # nowhere to go this tick (blackholed-stream-seconds).
                 record.blackholed.append(now)
                 for hook in sample:
                     hook(pair, now, None, None, True)
                 continue
-            latency = 0.0
-            survive = 1.0
-            on_backup = False
-            for (a, b, lt, via_backup, gateway) in hops:
-                k = at[(a, b, lt)]
-                hop_lat = latency_ms[k]
-                latency += hop_lat
-                survive *= 1.0 - loss_rate[k]
-                on_backup = on_backup or via_backup
-                # Passive tracking: account the session's packets on the
-                # gateway that actually made the forwarding decision
-                # (round robin), not an arbitrary cluster sibling.
-                gateway.passive.record((a, b, lt), _PACKETS_PER_TICK,
-                                       lost_packets[k], hop_lat)
+            latency, survive, on_backup, hops = walked
             record.times.append(now)
             record.latency_ms.append(latency)
             record.loss_rate.append(1.0 - survive)
             record.on_backup.append(on_backup)
-            record.hop_counts.append(len(hops))
+            record.hop_counts.append(hops)
             for hook in sample:
                 hook(pair, now, latency, 1.0 - survive, False)
+        if rows:
+            columns = np.array(links)
+            block.book_passive(rows, columns, _PACKETS_PER_TICK,
+                               lost[0, run][columns], latency_ms[columns])
 
-    def _walk(self, pair: RegionPair, stream_id: int,
-              now: Optional[float] = None
-              ) -> Optional[List[Tuple[str, str, LinkType, bool, Gateway]]]:
+    def _walk(self, pair: RegionPair, stream_id: int, now: float,
+              hop_latency: List[float], hop_loss: List[float],
+              rows: List[int], links: List[int]
+              ) -> Optional[Tuple[float, float, bool, int]]:
         """Follow the live forwarding decisions from source to destination.
 
-        Each hop records the gateway that made the `ForwardDecision`, so
-        measurement can book passive samples on the right container.
+        Returns the walk's ``(latency, survival, on_backup, hops)``, hop
+        by hop over the tick's `hop_latency` and `hop_loss` (by block
+        column), or None when it cannot arrive.  An arriving walk
+        appends each hop's block row of the gateway that made the
+        `ForwardDecision` (passive samples count on the container that
+        carried the packets, round robin) to `rows` and its link's block
+        column to `links`.
         """
         src, dst = pair
-        hops: List[Tuple[str, str, LinkType, bool, Gateway]] = []
+        clusters, columns = self.clusters, self._columns
+        mark = len(rows)
+        latency = 0.0
+        survive = 1.0
+        on_backup = False
         current = src
-        for __ in range(8):  # generous loop guard
+        for hops in range(8):  # generous loop guard
             if current == dst:
-                return hops
-            resolved = self.clusters[current].resolve(stream_id, now)
-            if resolved is None:
-                return None
-            gateway, decision = resolved
-            hops.append((current, decision.next_hop, decision.link_type,
-                         decision.via_backup, gateway))
+                return latency, survive, on_backup, hops
+            gateway = clusters[current].next_gateway()
+            decision = gateway.forward(stream_id, now)
+            if decision is None:
+                break
+            k = columns[current] + decision.link
+            latency += hop_latency[k]
+            survive *= 1.0 - hop_loss[k]
+            on_backup = on_backup or decision.via_backup
+            rows.append(gateway.row)
+            links.append(k)
             current = decision.next_hop
-        return None  # routing loop: drop the sample
+        # A missing table row, or a routing loop: drop the sample.
+        del rows[mark:], links[mark:]
+        return None

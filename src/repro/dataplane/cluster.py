@@ -15,9 +15,12 @@ links per region)``, the representatives in slot-major slabs, then the
 members), and a probing instant is a few dozen array operations over
 it whatever the region count — one ingest for every representative,
 one median per representative count, one hand-over to every member,
-one `ReportBatch`.  The k-th representative of a region measures the k-th
-probe slot's bursts (`BurstNoise`, drawn once per instant), which no
-crash, scale-out or other region's probing can change.
+one `ReportBatch`.  The block also holds every gateway's open passive
+windows (`PassiveTracker`), so a measurement tick books its hops in one
+pass and a passive flush is one ingest.  The k-th representative of a
+region measures the k-th probe slot's bursts (`BurstNoise`, drawn once
+per instant), which no crash, scale-out or other region's probing can
+change.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ import numpy as np
 from repro.controlplane.nib import ReportBatch
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.estimator import EstimatorBank
-from repro.dataplane.forwarding import Entries, ForwardingTable, Plans
-from repro.dataplane.gateway import ForwardDecision, Gateway
+from repro.dataplane.forwarding import (Entries, ForwardDecision,
+                                        ForwardingTable, Plans)
+from repro.dataplane.gateway import Gateway
 from repro.dataplane.grouping import ProbingGroupManager
+from repro.dataplane.passive import PassiveTracker
 from repro.dataplane.probing import BurstNoise, burst_bytes
 from repro.obs import telemetry as _telemetry
 from repro.obs.metrics import HotCounters
@@ -89,7 +94,7 @@ class RegionCluster:
         self._next_gateway_id = 0
         #: The region's installed update.  Every gateway is born holding
         #: it: a scale-up or crash replacement forwards like its siblings.
-        self.table = ForwardingTable()
+        self.table = ForwardingTable(self.links)
         self.gateways: Dict[int, Gateway] = {}
         self._rr_index = 0
         for __ in range(initial_gateways):
@@ -234,18 +239,15 @@ class RegionCluster:
         return reports.take(slice(bounds[k], bounds[k + 1]))
 
     def flush_passive(self, now: float) -> None:
-        """Fold every gateway's passive samples into the estimators."""
-        rows, links, latency_ms, loss_rate = [], [], [], []
-        for row, gateway in enumerate(self._fleet):
-            sampled = gateway.passive_samples(now)
-            rows += [row] * len(sampled[0])
-            links += sampled[0]
-            latency_ms += sampled[1]
-            loss_rate += sampled[2]
-        if rows:
-            bank, block_rows = self.block.rows(self)
-            bank.ingest((block_rows[rows], np.array(links)), now,
-                        np.array(latency_ms), np.array(loss_rate))
+        """Close this region's gateways' passive windows and fold the
+        sufficiently busy ones into their estimators: its rows' share of
+        `MonitoringBlock.flush_passive`."""
+        block = self.block
+        block.refresh()
+        index, latency_ms, loss_rate = block.passive.flush(
+            block._rows[block._position[self.region]])
+        if len(latency_ms):
+            block.bank.ingest(index, now, latency_ms, loss_rate)
 
     # ----------------------------------------------------------- forwarding
     def install(self, entries: Entries, plans: Plans,
@@ -269,20 +271,23 @@ class RegionCluster:
         """A copy of the installed reaction plans."""
         return dict(self.table.plans)
 
+    def next_gateway(self) -> Gateway:
+        """The gateway whose turn it is to forward (round robin over
+        `gateway_ids`); the turn moves on."""
+        ids = self._ids
+        gateway = self.gateways[ids[self._rr_index % len(ids)]]
+        self._rr_index += 1
+        return gateway
+
     def resolve(self, stream_id: int, now: Optional[float] = None
                 ) -> Optional[Tuple[Gateway, ForwardDecision]]:
-        """Resolve a stream via one of the gateways (round robin), and
-        say WHICH gateway decided.
+        """Resolve a stream via the gateway whose turn it is, and say
+        WHICH gateway decided (None for a stream without a row).
 
-        The event simulator needs the deciding gateway so passive
-        samples land on the container that actually carried the packets
-        (not an arbitrary sibling)."""
-        if not self.gateways:
-            return None
-        ids = self._ids
-        gid = ids[self._rr_index % len(ids)]
-        self._rr_index += 1
-        gateway = self.gateways[gid]
+        Passive samples must land on the container that actually
+        carried the packets (not an arbitrary sibling); the event
+        engine's walk takes the same two steps per hop."""
+        gateway = self.next_gateway()
         decision = gateway.forward(stream_id, now)
         return None if decision is None else (gateway, decision)
 
@@ -298,8 +303,9 @@ class RegionCluster:
 
 class MonitoringBlock:
     """The monitoring state of every gateway of some region clusters —
-    one `EstimatorBank` of ``(gateway rows, 2(N - 1) links)`` — and the
-    probing instant over it.
+    one `EstimatorBank` of ``(gateway rows, 2(N - 1) links)`` and the
+    `PassiveTracker` of the same rows — and the probing instant, the
+    passive booking and the passive flush over it.
 
     The clusters' regions are one run of their shared `BurstNoise`'s
     regions, in its order, so an instant's bursts and reports are the
@@ -310,12 +316,13 @@ class MonitoringBlock:
     one's second, ... — so the slab is an ``(r, regions, links)`` view
     of the bank, as the r probe slots' bursts are of the noise's row;
     then every other gateway, region by region in `_fleet` order.
-    `row_region` says whose a row is, `rows` where a cluster's gateways
-    are.  Every gateway's `bank` is a view of its row; a fleet change
-    of any cluster marks the block stale, and the next use rebuilds it
-    from the gateways' banks (`EstimatorBank.stacked`) — a gateway that
-    joined in between brought its own, and a departed one's row is
-    dropped.
+    `row_region` says whose a row is, `_rows` where a cluster's
+    gateways are (in `_fleet` order), `Gateway.row` where a gateway is.
+    Every gateway's `bank` and `passive` are views of its row; a fleet
+    change of any cluster marks the block stale, and the next use
+    rebuilds it from the gateways' (`EstimatorBank.stacked`,
+    `PassiveTracker.stacked`) — a gateway that joined in between
+    brought its own, and a departed one's row is dropped.
     """
 
     def __init__(self, clusters: Sequence[RegionCluster]):
@@ -385,6 +392,11 @@ class MonitoringBlock:
                                dtype=np.intp) for fleet in fleets]
         self.bank = bank = EstimatorBank.stacked(
             [gateway.bank for gateway in gateways])
+        #: Every gateway's open passive windows, in the bank's rows.
+        self.passive = PassiveTracker.stacked(
+            [gateway.passive for gateway in gateways])
+        for r, gateway in enumerate(gateways):
+            gateway.row = r
         #: Per slab, views of the bank: the median's input ``(where,
         #: latency, loss)`` and the vote's ``(r, where, degraded)``.
         links = self.shape[1]
@@ -403,13 +415,36 @@ class MonitoringBlock:
                          self.row_region[self.probers:])
         self._stale = False
 
-    def rows(self, cluster: RegionCluster) -> Tuple[EstimatorBank,
-                                                    np.ndarray]:
-        """The block's bank, and the row of each of `cluster`'s
-        gateways in `_fleet` order."""
+    def refresh(self) -> None:
+        """Rebuild the block if a fleet changed since it was built."""
         if self._stale:
             self._rebuild()
-        return self.bank, self._rows[self._position[cluster.region]]
+
+    def book_passive(self, rows, links, packets: int, lost,
+                     latency_ms) -> None:
+        """Book the data packets a measurement tick's hops carried, in
+        hop order: hop h crossed column ``links[h]`` of the block's run,
+        forwarded by the gateway of row ``rows[h]`` (a `Gateway.row` of
+        the built block), with `packets` packets of which ``lost[h]``
+        were lost, at ``latency_ms[h]``.  A gateway measures only its
+        own region's links: a hop on another region's link is ignored
+        here, at booking."""
+        rows, links = np.asarray(rows), np.asarray(links)
+        per_region = self.shape[1]
+        region, link = np.divmod(links, per_region)
+        own = region == self.row_region[rows]
+        self.passive.record((rows * per_region + link)[own], packets,
+                            np.asarray(lost)[own],
+                            np.asarray(latency_ms)[own])
+
+    def flush_passive(self, now: float) -> None:
+        """Close every gateway's passive windows and fold the
+        sufficiently busy ones into the bank: one `PassiveTracker.flush`
+        and one `EstimatorBank.ingest` for the whole block."""
+        self.refresh()
+        index, latency_ms, loss_rate = self.passive.flush(slice(None))
+        if len(latency_ms):
+            self.bank.ingest(index, now, latency_ms, loss_rate)
 
     def _slabs(self, part: np.ndarray) -> np.ndarray:
         """The representatives' rows of a ``(slots, regions, links)``
@@ -443,8 +478,7 @@ class MonitoringBlock:
         — no group state, no report — so its estimators, and the
         controller's view of it, age into staleness.
         """
-        if self._stale:
-            self._rebuild()
+        self.refresh()
         if _TEL.enabled and self._untraced:
             for probed in self.clusters:
                 if probed in self._untraced:

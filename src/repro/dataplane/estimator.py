@@ -56,8 +56,11 @@ class EstimatorBank:
         bank then becomes its row (a view: the block and the bank are
         one state from here on, whoever writes)."""
         block = cls((0,), banks[0].monitoring, banks[0].reaction)
+        shape = (len(banks),) + banks[0].latency_ms.shape
         for name in _STATE:
-            rows = np.stack([getattr(bank, name) for bank in banks])
+            # np.stack's result, by one C-level copy.
+            rows = np.concatenate([getattr(bank, name).ravel()
+                                   for bank in banks]).reshape(shape)
             setattr(block, name, rows)
             for bank, row in zip(banks, rows):
                 setattr(bank, name, row)

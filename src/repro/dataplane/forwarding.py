@@ -18,7 +18,7 @@ and may react themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,20 +36,58 @@ Entries = Dict[int, Tuple[str, LinkType]]
 Plans = Dict[int, Tuple[str, ...]]
 
 
+@dataclass(frozen=True)
+class ForwardDecision:
+    """Where a stream is sent right now."""
+
+    next_hop: str
+    link_type: LinkType
+    via_backup: bool
+    #: True when a stale table demoted this entry to the premium floor
+    #: (`repro.resilience` degraded-mode forwarding).
+    degraded_mode: bool = False
+    #: The position of the link it rides among its region's links (set
+    #: by `ForwardingTable`'s compiled rows); not part of its identity.
+    link: Optional[int] = field(default=None, compare=False)
+
+
+#: A compiled table row: the stream's normal decision (whose `link` is
+#: the one monitoring may flag degraded), its backup (the plan's first
+#: relay, else the normal next hop, over premium) and its degraded-mode
+#: demotion (the normal next hop over premium).
+Route = Tuple[ForwardDecision, ForwardDecision, ForwardDecision]
+
+
 class ForwardingTable:
     """What a region's last accepted install put in place.
 
     The controller pushes one update per region per epoch, so a region
     holds one of these and all its gateways forward from it
-    (`RegionCluster.table`; a gateway built outside a cluster makes its
-    own).  It is also the one place installs are ordered: a versioned
-    install older than the one held is refused and changes nothing —
-    a late push never rolls a region back.
+    (`RegionCluster.table`).  It is also the one place installs are
+    ordered: a versioned install older than the one held is refused and
+    changes nothing — a late push never rolls a region back.
+
+    An install compiles every row into a `Route` of shared decisions
+    that carry their link's position in `links` (the region's adjacent
+    links -> position in its gateways' monitoring state), so forwarding
+    a packet indexes a flag and allocates nothing.
     """
 
-    def __init__(self):
+    def __init__(self, links: Dict[Tuple[str, LinkType], int]):
+        #: The region's decisions, one per (next hop, link type) of its
+        #: links, and the premium backups and demotions per next hop.
+        self._normal = {key: ForwardDecision(*key, False, link=k)
+                        for key, k in links.items()}
+        self._backup = {hop: ForwardDecision(hop, lt, True, link=k)
+                        for (hop, lt), k in links.items()
+                        if lt is LinkType.PREMIUM}
+        self._demoted = {hop: ForwardDecision(hop, lt, False, True, link=k)
+                         for (hop, lt), k in links.items()
+                         if lt is LinkType.PREMIUM}
         self.rows: Entries = {}
         self.plans: Plans = {}
+        #: stream -> its compiled `Route`.
+        self.routes: Dict[int, Route] = {}
         #: Version of the last accepted versioned install (None until
         #: one: a bootstrap or hand-seeded table).
         self.installed_version: Optional[int] = None
@@ -65,8 +103,11 @@ class ForwardingTable:
         if (version is not None and self.installed_version is not None
                 and version < self.installed_version):
             return False
+        routes = {sid: self._route(plans.get(sid), *row)
+                  for sid, row in entries.items()}
         self.rows = dict(entries)
         self.plans = dict(plans)
+        self.routes = routes
         if version is not None:
             self.installed_version = version
         if now is not None:
@@ -75,6 +116,14 @@ class ForwardingTable:
             _TEL.counter("forwarding.installs").inc()
             _TEL.counter("forwarding.entries_installed").inc(len(self.rows))
         return True
+
+    def _route(self, relays: Optional[Tuple[str, ...]], next_hop: str,
+               link_type: LinkType) -> Route:
+        """Compile one row and its plan's relays (a KeyError for a hop
+        that is no link of the region)."""
+        return (self._normal[(next_hop, link_type)],
+                self._backup[relays[0] if relays else next_hop],
+                self._demoted[next_hop])
 
 
 #: (lat array, loss array) for a hop over the evaluation grid.

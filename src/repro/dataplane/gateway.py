@@ -12,12 +12,11 @@ when its monitoring has flagged the normal outgoing link degraded
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.dataplane.estimator import EstimatorBank, LinkStateEstimator
-from repro.dataplane.forwarding import ForwardingTable
+from repro.dataplane.forwarding import ForwardDecision, ForwardingTable
 from repro.dataplane.passive import PassiveTracker
 from repro.obs import telemetry as _telemetry
 from repro.obs.metrics import HotCounters
@@ -32,18 +31,6 @@ _HOLDDOWNS = HotCounters("resilience.holddown_suppressed")
 #: Minimum seconds a stream stays on its backup after a failover when
 #: hysteresis is armed, even if monitoring says the normal link is back.
 FAILBACK_HOLDDOWN_S = 30.0
-
-
-@dataclass(frozen=True)
-class ForwardDecision:
-    """Where a stream is sent right now."""
-
-    next_hop: str
-    link_type: LinkType
-    via_backup: bool
-    #: True when a stale table demoted this entry to the premium floor
-    #: (`repro.resilience` degraded-mode forwarding).
-    degraded_mode: bool = False
 
 
 class Gateway:
@@ -75,7 +62,12 @@ class Gateway:
         self.resilience = resilience
         self.resilience_counters = resilience_counters
         self.stale_after_s = stale_after_s
-        self.passive = PassiveTracker()
+        #: This gateway's row of its cluster's monitoring block (set
+        #: when the block is built).
+        self.row = 0
+        #: Open passive windows of the links, in their order; a row of
+        #: the block's, like `bank`.
+        self.passive = PassiveTracker((len(links),))
         #: Streams currently riding their backup path (trace edges only).
         self._on_backup: set = set()
         #: When each stream last failed over (failback hold-down base).
@@ -90,21 +82,8 @@ class Gateway:
         self.probe_bytes_sent = 0
 
     # ------------------------------------------------------------ monitoring
-    def passive_samples(self, now: float
-                        ) -> Tuple[List[int], List[float], List[float]]:
-        """Close the passive windows: (link positions, latency, loss
-        rate) of the samples they give for this region's own links."""
-        own = [sample for sample in self.passive.flush(now)
-               if sample.link[0] == self.region]
-        return ([self.links[sample.link[1:]] for sample in own],
-                [sample.latency_ms for sample in own],
-                [sample.loss_rate for sample in own])
-
     def estimator(self, dst: str, link_type: LinkType) -> LinkStateEstimator:
         return LinkStateEstimator(self.bank, self.links[(dst, link_type)])
-
-    def link_degraded(self, dst: str, link_type: LinkType) -> bool:
-        return bool(self.bank.degraded[self.links[(dst, link_type)]])
 
     # ------------------------------------------------------------ forwarding
     def table_replaced(self) -> None:
@@ -117,23 +96,17 @@ class Gateway:
         """Resolve a stream's current next hop, applying local reaction.
 
         Returns None for unknown streams (the caller drops or buffers).
-        ``now`` (simulated time) only stamps trace events.
+        ``now`` (simulated time) only stamps trace events.  The answer
+        is one of the stream's compiled decisions (`ForwardingTable`),
+        picked by its normal link's degraded flag.
         """
         table = self.table
-        row = table.rows.get(stream_id)
-        if row is None:
+        route = table.routes.get(stream_id)
+        if route is None:
             return None
-        next_hop, link_type = row
+        normal, backup, demoted = route
         res = self.resilience
-        if self.fast_reaction and self.link_degraded(next_hop, link_type):
-            relays = table.plans.get(stream_id)
-            if relays:
-                decision = ForwardDecision(relays[0], LinkType.PREMIUM, True)
-            else:
-                # No plan (e.g. the degradation predates the first plan
-                # push): fall back to the direct premium link toward the
-                # same next hop.
-                decision = ForwardDecision(next_hop, LinkType.PREMIUM, True)
+        if self.fast_reaction and self.bank.degraded[normal.link]:
             if res is not None and res.hysteresis_enabled and now is not None:
                 self._failover_at.setdefault(stream_id, now)
             if _TEL.enabled:
@@ -143,11 +116,11 @@ class Gateway:
                     _TEL.counter("reaction.failovers").inc()
                     _TEL.event("failover", t=now, region=self.region,
                                gateway=self.gateway_id, stream=stream_id,
-                               degraded_next_hop=next_hop,
-                               degraded_link=link_type,
-                               backup_next_hop=decision.next_hop,
-                               planned=bool(relays))
-            return decision
+                               degraded_next_hop=normal.next_hop,
+                               degraded_link=normal.link_type,
+                               backup_next_hop=backup.next_hop,
+                               planned=bool(table.plans.get(stream_id)))
+            return backup
         if res is not None and res.hysteresis_enabled and now is not None:
             failed_over = self._failover_at.get(stream_id)
             if failed_over is not None:
@@ -155,13 +128,13 @@ class Gateway:
                     # Hold-down: monitoring says the normal link has
                     # recovered, but we just failed over — keep riding
                     # the backup so noisy loss cannot flap the path.
-                    return self._held_down(stream_id, next_hop, now)
+                    return self._held_down(stream_id, backup, now)
                 del self._failover_at[stream_id]
                 self._holddown_traced.discard(stream_id)
         if (res is not None
                 and now is not None and table.installed_at is not None
                 and now - table.installed_at > self.stale_after_s
-                and link_type is LinkType.INTERNET):
+                and normal.link_type is LinkType.INTERNET):
             # Degraded mode: the table is stale past the threshold, so
             # the unstable Internet entry is demoted to the direct
             # premium link — the paper's stable-but-expensive floor.
@@ -173,13 +146,12 @@ class Gateway:
                     _TEL.counter("resilience.degraded_demotions").inc()
                     _TEL.event("resilience_degraded_mode", t=now,
                                region=self.region, gateway=self.gateway_id,
-                               stream=stream_id, next_hop=next_hop,
+                               stream=stream_id, next_hop=normal.next_hop,
                                stale_s=now - table.installed_at,
                                version=table.installed_version)
             if _TEL.enabled:
                 _DECISIONS.fetch(_TEL.metrics)[0].inc()
-            return ForwardDecision(next_hop, LinkType.PREMIUM, False,
-                                   degraded_mode=True)
+            return demoted
         if _TEL.enabled:
             _DECISIONS.fetch(_TEL.metrics)[0].inc()
             if stream_id in self._on_backup:
@@ -187,16 +159,12 @@ class Gateway:
                 _TEL.counter("reaction.failbacks").inc()
                 _TEL.event("failback", t=now, region=self.region,
                            gateway=self.gateway_id, stream=stream_id,
-                           next_hop=next_hop, link=link_type)
-        return ForwardDecision(next_hop, link_type, False)
+                           next_hop=normal.next_hop, link=normal.link_type)
+        return normal
 
-    def _held_down(self, stream_id: int, next_hop: str,
+    def _held_down(self, stream_id: int, backup: ForwardDecision,
                    now: float) -> ForwardDecision:
-        """The backup decision served while failback is held down (the
-        plan's first relay; without a plan, the normal `next_hop`)."""
-        relays = self.table.plans.get(stream_id)
-        if relays:
-            next_hop = relays[0]
+        """The backup decision, served while failback is held down."""
         if self.resilience_counters is not None:
             self.resilience_counters.holddown_suppressed += 1
         if _TEL.enabled:
@@ -210,4 +178,4 @@ class Gateway:
                            gateway=self.gateway_id, stream=stream_id,
                            since_failover_s=now - self._failover_at[stream_id],
                            holddown_s=FAILBACK_HOLDDOWN_S)
-        return ForwardDecision(next_hop, LinkType.PREMIUM, True)
+        return backup

@@ -1,7 +1,9 @@
 """A machine-independent guard on the event engine's monitoring cost
 model: a probing instant is one array pass over every region, not work
-per cluster, let alone objects per link; and the underlay's truth and
-the bursts' draws are evaluated per block of instants, not per instant.
+per cluster, let alone objects per link; a measurement tick is one
+booking pass and a passive flush one ingest for the whole block; and
+the underlay's truth and the bursts' draws are evaluated per block of
+instants, not per instant.
 
 Before the banks and batches a paper-scale instant built ~440 probe
 bursts and 220 link reports, pushed the reports into the NIB one by one
@@ -29,7 +31,10 @@ from repro.controlplane.nib import (LinkReport, NetworkInformationBase,
 from repro.core.config import SimulationConfig
 from repro.core.eventsim import EventDrivenXRON
 from repro.dataplane.estimator import EstimatorBank
+from repro.dataplane.forwarding import ForwardDecision
+from repro.dataplane.gateway import Gateway
 from repro.dataplane.grouping import ProbingGroupManager
+from repro.dataplane.passive import PassiveTracker
 from repro.faults import (FaultSchedule, probe_blackout, report_drop,
                           report_staleness)
 from repro.faults.runtime import FaultInjector
@@ -301,3 +306,60 @@ def test_the_rings_are_written_when_read(small_underlay, monkeypatch):
     # with is still queued.
     assert on_read == [1, 15, 15] and on_bound == [20] * 6
     assert sum(on_read + on_bound) + len(nib._pending) == STEPS + 2
+
+
+def test_a_tick_and_a_flush_are_one_pass(full_underlay, monkeypatch):
+    """A measurement tick books all its hops in one `PassiveTracker.record`
+    on the block, a passive flush folds every gateway's windows in one
+    `EstimatorBank.ingest`, and the walk builds no `ForwardDecision`:
+    every decision it hands out was compiled with its region's table.
+    The run tracks every pair of the paper's world through two epochs,
+    with fleets that grow between them."""
+    counts = {}
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+        name = f"{owner.__name__}.{attr}"
+        counts[name] = 0
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counting)
+
+    for owner, attr in ((PassiveTracker, "record"), (PassiveTracker, "flush"),
+                        (EstimatorBank, "ingest"),
+                        (ForwardDecision, "__init__"),
+                        (Gateway, "forward")):
+        count(owner, attr)
+    engine = EventDrivenXRON(
+        full_underlay, DemandModel(full_underlay.regions, seed=3),
+        sim_config=SimulationConfig(epoch_s=30.0, seed=3),
+        tracked_pairs=list(full_underlay.pairs))
+    # Each region's decisions are made with its table, at set-up.
+    assert counts["ForwardDecision.__init__"] == 11 * 4 * 10
+    counts.update(dict.fromkeys(counts, 0))
+    calls = {"_measure": [], "_flush_passive": []}
+    for name, seen in calls.items():
+        step = getattr(engine, name)
+
+        def watched(sim, _step=step, _seen=seen):
+            before = dict(counts)
+            _step(sim)
+            _seen.append({key: counts[key] - before[key] for key in counts})
+        setattr(engine, name, watched)
+    with engine:
+        engine.run(START_S, 65.0)
+
+    # No decision object is made after the tables' decisions are: not
+    # by a walk, not by an install.
+    assert counts["ForwardDecision.__init__"] == 0
+    ticks, flushes = calls["_measure"], calls["_flush_passive"]
+    assert len(ticks) == 65 and len(flushes) == 13
+    assert all(tick["PassiveTracker.record"] == 1 for tick in ticks)
+    assert all(tick["EstimatorBank.ingest"] == 0 for tick in ticks)
+    assert sum(tick["Gateway.forward"] for tick in ticks) > 50 * len(ticks)
+    assert all(flush["PassiveTracker.flush"] == 1 for flush in flushes)
+    assert all(flush["EstimatorBank.ingest"] == 1 for flush in flushes)
+    assert max(engine.result(0).gateway_counts.values()) > \
+        SimulationConfig().initial_gateways

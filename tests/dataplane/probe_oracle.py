@@ -6,8 +6,8 @@ Before the block every region cluster ran its own round over its own
 per link, one ingest, one median over the representative axis, one
 hand-over to the members, one `ReportBatch`.  `cluster_round` is that
 body, over a stack it makes of the cluster's fleet on each call (the
-gateways' banks become its rows, as they did then), and `cluster_flush`
-is the passive flush of the same stack.  The blackout query is the
+gateways' banks become its rows, as they did then).  The blackout
+query is the
 scalar one the injector answered per link: the first probe-blackout
 spec of the schedule, in its order, active at `now` and matching the
 link.
@@ -77,18 +77,3 @@ def cluster_round(cluster, now: float,
         bank.adopt((slice(len(reps), None), links), now,
                    reports.latency_ms, reports.loss_rate, degraded)
     return reports, len(blacked)
-
-
-def cluster_flush(cluster, now: float) -> None:
-    """Fold every gateway's passive samples into its estimators."""
-    bank = _stack(cluster)
-    rows, links, latency_ms, loss_rate = [], [], [], []
-    for row, gateway in enumerate(cluster._fleet):
-        sampled = gateway.passive_samples(now)
-        rows += [row] * len(sampled[0])
-        links += sampled[0]
-        latency_ms += sampled[1]
-        loss_rate += sampled[2]
-    if rows:
-        bank.ingest((np.array(rows), np.array(links)), now,
-                    np.array(latency_ms), np.array(loss_rate))

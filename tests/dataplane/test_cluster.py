@@ -174,7 +174,7 @@ class TestFleetOrderIsKept:
         gateway = cluster.gateways[2]
         gateway.bank.adopt(gateway.links[("SIN", I)], 1.0, 77.0, 0.5,
                            np.bool_(True))
-        assert gateway.link_degraded("SIN", I) and held.degraded
+        assert gateway.estimator("SIN", I).degraded and held.degraded
         assert (held.latency_ms, held.loss_rate) == (77.0, 0.5)
 
     def test_election_is_traced_at_the_first_round_after_a_change(
@@ -224,7 +224,7 @@ class TestGroupProbing:
             cluster.probe_round(9.0 + k * 0.4)
         # Every gateway (including non-representatives) must now react.
         for gateway in cluster.gateways.values():
-            assert gateway.link_degraded("SIN", I)
+            assert gateway.estimator("SIN", I).degraded
 
     def test_probe_round_returns_a_report_batch(self, cluster, underlay):
         reports = cluster.probe_round(0.0)

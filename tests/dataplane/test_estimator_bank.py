@@ -202,14 +202,16 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
         self.now += 0.1
         ids = sorted(self.reference)
         gid = ids[gateway % len(ids)]
-        tracker = self.cluster.gateways[gid].passive
-        positions = {k: key for key, k in self.links.items()}
+        gateway = self.cluster.gateways[gid]
         for k, (latency, lost) in samples.items():
-            tracker.record((REGION,) + positions[k], 100, lost, latency)
+            gateway.passive.record(k, 100, lost, latency)
             self.reference[gid][k].ingest(
                 self.now, latency if lost < 100 else 0.0, lost / 100)
-        # Another region's link in the window must be ignored.
-        tracker.record(("SIN", "FRA", positions[0][1]), 100, 50, 10.0)
+        # Another region's link (a column past this region's run) must
+        # be ignored, at booking.
+        block = self.cluster.block
+        block.refresh()
+        block.book_passive([gateway.row], [LINKS], 100, [50], [10.0])
         self.cluster.flush_passive(self.now)
 
     @rule(gateway=st.integers(0, 10), k=st.integers(0, LINKS - 1),
@@ -251,7 +253,7 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
                         estimator.last_update) == (
                     want.latency_ms, want.loss_rate, want.degraded,
                     want.degradation_count, want.last_update)
-                assert gateway.link_degraded(dst, lt) == want.degraded
+                assert gateway.estimator(dst, lt).degraded == want.degraded
         reps = sorted(self.reference)[:self.representatives]
         assert self.cluster.degradation_detections() == sum(
             e.degradation_count for gid in reps for e in self.reference[gid])

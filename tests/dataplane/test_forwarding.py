@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.controlplane.model import ControlConfig, OverlayPath
-from repro.dataplane.forwarding import (EffectiveSeries, ForwardingTable,
-                                        backup_path, effective_path_series,
-                                        path_detours)
+from repro.dataplane.forwarding import (EffectiveSeries, ForwardDecision,
+                                        ForwardingTable, backup_path,
+                                        effective_path_series, path_detours)
 from repro.underlay.linkstate import LinkType
 from tests.dataplane import effective_path_oracle as oracle
 
 I = LinkType.INTERNET
 P = LinkType.PREMIUM
+#: Region A's links to B, C and D, both tiers, in a gateway's order.
+LINKS = {(dst, tier): k for k, (dst, tier)
+         in enumerate((dst, tier) for dst in "BCD" for tier in (I, P))}
 
 
 class TestForwardingTable:
     def test_install_and_lookup(self):
-        table = ForwardingTable()
+        table = ForwardingTable(LINKS)
         assert table.install({1: ("B", I), 2: ("C", P)}, {1: ("C",)})
         assert table.rows.get(1) == ("B", I)
         assert table.rows.get(2) == ("C", P)
@@ -25,7 +28,7 @@ class TestForwardingTable:
         assert table.plans == {1: ("C",)}
 
     def test_install_replaces(self):
-        table = ForwardingTable()
+        table = ForwardingTable(LINKS)
         table.install({1: ("B", I)}, {1: ("C",)})
         table.install({2: ("C", P)}, {})
         assert table.rows.get(1) is None
@@ -35,7 +38,7 @@ class TestForwardingTable:
     def test_version_increments(self):
         """Versions only move forward: equal and newer installs land,
         an older one is refused and changes nothing."""
-        table = ForwardingTable()
+        table = ForwardingTable(LINKS)
         assert table.installed_version is None and table.installed_at is None
         assert table.install({1: ("B", I)}, {}, version=2, now=10.0)
         assert table.install({1: ("C", I)}, {}, version=2, now=11.0)
@@ -45,7 +48,7 @@ class TestForwardingTable:
         assert (table.installed_version, table.installed_at) == (5, 12.0)
 
     def test_unversioned_install_always_lands(self):
-        table = ForwardingTable()
+        table = ForwardingTable(LINKS)
         table.install({1: ("B", I)}, {}, version=3, now=1.0)
         assert table.install({1: ("C", I)}, {})
         assert table.rows.get(1) == ("C", I)
@@ -53,12 +56,40 @@ class TestForwardingTable:
 
     def test_table_keeps_its_own_copy(self):
         entries, plans = {1: ("B", I)}, {1: ("C",)}
-        table = ForwardingTable()
+        table = ForwardingTable(LINKS)
         table.install(entries, plans)
         entries[2] = ("C", I)
         plans.clear()
         assert table.rows == {1: ("B", I)}
         assert table.plans == {1: ("C",)}
+
+    def test_rows_compile_to_shared_decisions(self):
+        """Each row compiles to its normal, backup and demoted decisions,
+        each carrying its link's position; rows that ride the same link
+        share the decision objects."""
+        table = ForwardingTable(LINKS)
+        table.install({1: ("B", I), 2: ("B", I), 3: ("D", P)},
+                      {1: ("C", "D"), 3: ()})
+        normal, backup, demoted = table.routes[1]
+        assert (normal, backup, demoted) == (
+            ForwardDecision("B", I, False), ForwardDecision("C", P, True),
+            ForwardDecision("B", P, False, degraded_mode=True))
+        assert (normal.link, backup.link, demoted.link) == (
+            LINKS[("B", I)], LINKS[("C", P)], LINKS[("B", P)])
+        assert table.routes[2][0] is normal and table.routes[2][2] is demoted
+        # No plan (or an empty one): the backup is the premium link to
+        # the normal next hop.
+        assert table.routes[2][1] == ForwardDecision("B", P, True)
+        assert table.routes[3][1] == ForwardDecision("D", P, True)
+        table.install({4: ("C", I)}, {})
+        assert list(table.routes) == [4]
+
+    def test_a_hop_off_the_regions_links_is_refused(self):
+        table = ForwardingTable(LINKS)
+        table.install({1: ("B", I)}, {})
+        with pytest.raises(KeyError):
+            table.install({1: ("A", I)}, {})
+        assert table.rows == {1: ("B", I)} and list(table.routes) == [1]
 
 
 def _series_env(lat_map, loss_map=None, reaction_map=None, n=10):

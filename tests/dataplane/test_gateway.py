@@ -3,8 +3,9 @@ cluster (a gateway probes only as a cluster member)."""
 
 import pytest
 
-from repro.dataplane.cluster import RegionCluster
+from repro.dataplane.cluster import MonitoringBlock, RegionCluster, probe_noise
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
+from repro.sim.rng import RngStreams
 from repro.underlay.events import DegradationEvent
 from repro.underlay.linkstate import LinkType
 from repro.underlay.scenarios import inject_events, quiet_link
@@ -58,7 +59,7 @@ def test_reaction_switches_to_backup(cluster, gateway, underlay):
     # Probe through the degradation: two bad bursts trigger.
     for k in range(10):
         cluster.probe_round(14.0 + k * 0.4)
-    assert gateway.link_degraded("SIN", I)
+    assert gateway.estimator("SIN", I).degraded
     decision = gateway.forward(1)
     assert decision.via_backup
     assert decision.link_type is P
@@ -70,12 +71,12 @@ def test_reaction_reverts_after_recovery(cluster, gateway, underlay):
                   [DegradationEvent(10.0, 20.0, 5000.0, 0.3)])
     for k in range(20):
         cluster.probe_round(14.0 + k * 0.4)
-    assert gateway.link_degraded("SIN", I)
+    assert gateway.estimator("SIN", I).degraded
     # Probe well after the event: the loss EWMA must decay below the
     # threshold first, then the recovery hysteresis clears the flag.
     for k in range(25):
         cluster.probe_round(40.0 + k * 0.4)
-    assert not gateway.link_degraded("SIN", I)
+    assert not gateway.estimator("SIN", I).degraded
     assert not gateway.forward(1).via_backup
 
 
@@ -102,17 +103,36 @@ def test_multi_hop_plan_first_relay(cluster, gateway, underlay):
 
 
 def test_passive_tracking_flush(cluster, gateway):
-    gateway.passive.record(("HGH", "SIN", I), 100, 1, 80.0)
+    gateway.passive.record(gateway.links[("SIN", I)], 100, 1, 80.0)
     cluster.flush_passive(5.0)
     est = gateway.estimator("SIN", I)
     assert est.last_update == 5.0
     assert est.loss_rate == pytest.approx(0.01)
 
 
-def test_passive_ignores_other_regions_links(cluster, gateway):
-    gateway.passive.record(("SIN", "FRA", I), 100, 1, 80.0)
-    cluster.flush_passive(5.0)
-    assert gateway.estimator("FRA", I).latency_ms is None
+def test_passive_ignores_other_regions_links(underlay):
+    """A gateway measures its own region's links only: a hop booked on
+    another region's link is dropped at booking, so neither region's
+    windows see it."""
+    noise = probe_noise(underlay, MonitoringConfig(), RngStreams(0))
+    clusters = [RegionCluster(code, underlay, initial_gateways=1,
+                              noise=noise) for code in underlay.codes[:2]]
+    block = MonitoringBlock(clusters)
+    block.refresh()
+    hgh, sin = (cluster.gateways[0] for cluster in clusters)
+    assert (hgh.region, sin.region) == ("HGH", "SIN")
+    sin_fra = block.shape[1] + sin.links[("FRA", I)]
+    hgh_sin = hgh.links[("SIN", I)]
+    block.book_passive([hgh.row, hgh.row], [sin_fra, hgh_sin], 100,
+                       [1, 2], [80.0, 90.0])
+    assert sin.passive.packets_sent.sum() == 0
+    assert hgh.passive.packets_sent.tolist() == [
+        100 if k == hgh_sin else 0 for k in range(len(hgh.links))]
+    block.flush_passive(5.0)
+    assert hgh.estimator("FRA", I).latency_ms is None
+    assert sin.estimator("FRA", I).latency_ms is None
+    assert (hgh.estimator("SIN", I).latency_ms,
+            hgh.estimator("SIN", I).loss_rate) == (90.0, 0.02)
 
 
 def test_probe_accounting(cluster, gateway):

@@ -28,7 +28,8 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.regions import default_regions
 from repro.underlay.snapshot import TYPE_ORDER
 from repro.underlay.topology import build_underlay
-from tests.dataplane.probe_oracle import cluster_flush, cluster_round
+from tests.dataplane.passive_oracle import ScalarTracker, cluster_flush
+from tests.dataplane.probe_oracle import cluster_round
 
 UNDERLAY = build_underlay(default_regions()[:4],
                           UnderlayConfig(horizon_s=3600.0), seed=11)
@@ -114,6 +115,10 @@ def test_the_block_is_every_cluster_round_at_once(
     block = blocked[0].block
     blacked = 0
     now = T0
+    trackers = {}
+
+    def tracker(gateway):
+        return trackers.setdefault(gateway, ScalarTracker())
     for step in [("probe", 2)] + history:
         action = step[0]
         if action == "probe":
@@ -137,19 +142,18 @@ def test_the_block_is_every_cluster_round_at_once(
             __, code, pick, drawn = step
             now += 0.1
             k = CODES.index(code)
-            for clusters in (blocked, alone):
-                cluster = clusters[k]
-                gateway = cluster.gateways[sorted(cluster.gateways)[
-                    pick % cluster.size]]
-                keys = {position: key for key, position in
-                        gateway.links.items()}
-                for link, latency, lost in drawn:
-                    gateway.passive.record((code,) + keys[link], 60, lost,
-                                           latency)
+            gateways = [clusters[k].gateways[sorted(clusters[k].gateways)[
+                pick % clusters[k].size]] for clusters in (blocked, alone)]
+            keys = {position: key for key, position
+                    in gateways[1].links.items()}
+            for link, latency, lost in drawn:
+                gateways[0].passive.record(link, 60, lost, latency)
+                tracker(gateways[1]).record((code,) + keys[link], 60, lost,
+                                            latency)
             for cluster in blocked:
                 cluster.flush_passive(now)
             for cluster in alone:
-                cluster_flush(cluster, now)
+                cluster_flush(cluster, tracker, now)
         else:
             __, code, count = step
             k = CODES.index(code)

@@ -10,7 +10,8 @@ from repro.underlay.linkstate import LinkType
 from repro.underlay.snapshot import TYPE_INDEX
 from tests.faults.report_seam_oracle import report_at
 
-LINK = ("A", "B", LinkType.INTERNET)
+#: Two of a gateway's links, by position.
+LINK, OTHER = 0, 1
 
 
 def aggregate_one(mgr, src, dst, link_type, measurements, now):
@@ -26,50 +27,75 @@ def aggregate_one(mgr, src, dst, link_type, measurements, now):
 
 class TestPassiveTracker:
     def test_flush_requires_min_packets(self):
-        tracker = PassiveTracker()
+        tracker = PassiveTracker((2,))
         tracker.record(LINK, MIN_PACKETS - 1, 1, 100.0)
-        assert tracker.flush(1.0) == []
+        index, latency, loss = tracker.flush(slice(None))
+        assert index[0].size == latency.size == loss.size == 0
 
     def test_flush_aggregates(self):
-        tracker = PassiveTracker()
-        tracker.record(LINK, 50, 5, 100.0)
-        tracker.record(LINK, 50, 0, 200.0)
-        samples = tracker.flush(10.0)
-        assert len(samples) == 1
-        s = samples[0]
-        assert s.loss_rate == pytest.approx(0.05)
-        assert s.latency_ms == pytest.approx(150.0)
-        assert s.packets == 100
-        assert s.time == 10.0
+        tracker = PassiveTracker((2,))
+        tracker.record([LINK, LINK], 50, [5, 0], [100.0, 200.0])
+        index, latency, loss = tracker.flush(slice(None))
+        assert index[0].tolist() == [LINK]
+        assert loss.tolist() == [pytest.approx(0.05)]
+        assert latency.tolist() == [pytest.approx(150.0)]
 
     def test_flush_resets_windows(self):
-        tracker = PassiveTracker()
+        tracker = PassiveTracker((2,))
         tracker.record(LINK, 30, 0, 100.0)
-        tracker.flush(1.0)
-        assert tracker.flush(2.0) == []
+        tracker.flush(slice(None))
+        assert tracker.flush(slice(None))[1].size == 0
+        assert not tracker.packets_sent.any()
 
     def test_links_tracked_separately(self):
-        tracker = PassiveTracker()
-        other = ("B", "A", LinkType.PREMIUM)
+        tracker = PassiveTracker((2,))
         tracker.record(LINK, 30, 0, 100.0)
-        tracker.record(other, 40, 4, 50.0)
-        samples = {s.link: s for s in tracker.flush(1.0)}
-        assert samples[LINK].loss_rate == 0.0
-        assert samples[other].loss_rate == pytest.approx(0.1)
+        tracker.record(OTHER, 40, 4, 50.0)
+        index, latency, loss = tracker.flush(slice(None))
+        samples = dict(zip(index[0].tolist(), zip(latency, loss)))
+        assert samples[LINK] == (100.0, 0.0)
+        assert samples[OTHER] == (50.0, pytest.approx(0.1))
 
     def test_invalid_counts_rejected(self):
-        tracker = PassiveTracker()
+        tracker = PassiveTracker((2,))
         with pytest.raises(ValueError):
             tracker.record(LINK, 5, 6, 10.0)
         with pytest.raises(ValueError):
-            tracker.record(LINK, -1, 0, 10.0)
+            tracker.record(LINK, 5, -1, 10.0)
+        assert not tracker.packets_sent.any()
 
     def test_all_lost_window_has_zero_latency(self):
-        tracker = PassiveTracker()
-        tracker.record(LINK, 30, 30, 0.0)
-        samples = tracker.flush(1.0)
-        assert samples[0].loss_rate == 1.0
-        assert samples[0].latency_ms == 0.0
+        tracker = PassiveTracker((2,))
+        tracker.record(LINK, 30, 30, 120.0)
+        index, latency, loss = tracker.flush(slice(None))
+        assert loss.tolist() == [1.0]
+        assert latency.tolist() == [0.0]
+
+    def test_one_booking_pass_adds_in_order(self):
+        """One `record` of many batches is the batches booked one by one,
+        in order, bit for bit; a stacked block's rows are its trackers."""
+        rng = np.random.default_rng(5)
+        links = rng.integers(0, 6, 40)
+        lost = rng.integers(0, 51, 40)
+        latency = rng.uniform(0.0, 400.0, 40)
+        one, each = PassiveTracker((6,)), PassiveTracker((6,))
+        one.record(links, 50, lost, latency)
+        for link, batch_lost, batch_latency in zip(links, lost, latency):
+            each.record(link, 50, batch_lost, batch_latency)
+        for name in ("packets_sent", "packets_lost", "latency_sum_ms",
+                     "latency_samples"):
+            assert getattr(one, name).tobytes() == getattr(each,
+                                                           name).tobytes()
+        gateways = [PassiveTracker((3,)) for __ in range(2)]
+        gateways[1].record(2, 30, 1, 9.0)
+        block = PassiveTracker.stacked(gateways)
+        block.record([0 * 3 + 1, 1 * 3 + 2], 20, [0, 0], [4.0, 5.0])
+        assert gateways[0].packets_sent.tolist() == [0, 20, 0]
+        assert gateways[1].packets_sent.tolist() == [0, 0, 50]
+        index, latency, __ = block.flush(np.array([1]))
+        assert (index[0].tolist(), index[1].tolist()) == ([1], [2])
+        assert latency.tolist() == [7.0]
+        assert gateways[0].packets_sent.tolist() == [0, 20, 0]
 
 
 class TestProbingCost:

@@ -250,5 +250,5 @@ class TestPassiveAttribution:
         assert tracked_srcs
         src = next(iter(tracked_srcs))
         with_windows = [g for g in sim.clusters[src].gateways.values()
-                        if g.passive._windows]
+                        if g.passive.packets_sent.any()]
         assert len(with_windows) > 1

@@ -131,7 +131,7 @@ class TestHolddown:
         # Recover the link estimator: probe well past the event.
         for k in range(20):
             cluster.probe_round(35.0 + k * 0.4)
-        assert not gateway.link_degraded("SIN", I)
+        assert not gateway.estimator("SIN", I).degraded
         # Inside the 30 s hold-down window: still on the backup.
         held = gateway.forward(1, now=44.0)
         assert held.via_backup

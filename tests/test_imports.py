@@ -370,7 +370,7 @@ def _removed_setting_owners():
         "path_control": lambda **kw: path_control([], codes, None, None,
                                                   **kw),
         "CohortWorkload": CohortWorkload,
-        "PassiveTracker": PassiveTracker,
+        "PassiveTracker": lambda **kw: PassiveTracker((1,), **kw),
         "SLOEngine": lambda **kw: SLOEngine(qoe_badness(), **kw),
         "build_soak_schedule":
             lambda **kw: build_soak_schedule(0.0, 600.0, codes, **kw),
