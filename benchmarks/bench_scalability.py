@@ -301,10 +301,10 @@ def test_probe_instant(benchmark, n_regions):
 
 #: Hard budgets per measurement tick.  With a dict window per link and
 #: gateway, and a decision object built per hop, a tick of the paper's
-#: world with every pair tracked took ~0.52-0.54 ms on the reference
-#: box; with compiled table rows and one booking pass, ~0.28-0.29 (a
-#: block of the measure reader spread over its instants included).  The
-#: budget leaves room for a host twice as slow and more.
+#: world with every pair tracked took 0.31-0.58 ms on the reference
+#: box (seven runs); with compiled table rows and one booking pass,
+#: 0.19-0.35 (two blocks of the measure reader spread over 150
+#: instants included).  The budget leaves room for a host twice as slow.
 MEASURE_TICK_BUDGET_S = {11: 0.0012}
 #: Hard budgets per passive flush.  One pass over every gateway's dict
 #: and one ingest per cluster took ~0.6-1.1 / ~43-44 ms at 11 / 100
@@ -352,8 +352,11 @@ def _tracking_engine(n_regions: int, routed: bool):
 def test_measure_tick(benchmark, n_regions):
     """`EventDrivenXRON._measure` of the paper's world after its first
     control epoch, every pair tracked, at the next 1 s step each round
-    (the measure reader's blocks, as in a run).  Windows are not
-    flushed between rounds: a flush is `test_passive_flush`."""
+    (the measure reader's blocks, as in a run).  One round in the
+    reader's block length evaluates its next block and the rest read
+    its rows, so the rounds are two whole blocks: the mean does
+    not move with how many block rounds a run happens to take.  Windows
+    are not flushed between rounds: a flush is `test_passive_flush`."""
     from types import SimpleNamespace
 
     engine = _tracking_engine(n_regions, routed=True)
@@ -365,7 +368,8 @@ def test_measure_tick(benchmark, n_regions):
         return clock[0]
 
     tick()  # first block of the measure reader
-    benchmark(tick)
+    benchmark.pedantic(tick, rounds=2 * engine._passive.length,
+                       iterations=1)
     walked = [record for record in engine.sessions.values() if record.times]
     assert len(walked) > len(engine.sessions) // 2
     assert benchmark.stats["mean"] < MEASURE_TICK_BUDGET_S[n_regions]

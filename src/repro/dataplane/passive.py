@@ -78,8 +78,8 @@ class PassiveTracker:
         packet adds no latency sample."""
         links, lost, latency_ms = map(np.atleast_1d,
                                       (links, packets_lost, latency_ms))
-        if (packets_sent < 0 or lost.min(initial=0) < 0
-                or lost.max(initial=0) > packets_sent):
+        # `initial=0` makes a negative `packets_sent` fail the second test.
+        if lost.min(initial=0) < 0 or lost.max(initial=0) > packets_sent:
             raise ValueError(f"invalid packet counts sent={packets_sent} "
                              f"lost={lost.tolist()}")
         np.add.at(self.packets_sent.reshape(-1), links, packets_sent)

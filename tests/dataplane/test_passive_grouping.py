@@ -62,6 +62,8 @@ class TestPassiveTracker:
             tracker.record(LINK, 5, 6, 10.0)
         with pytest.raises(ValueError):
             tracker.record(LINK, 5, -1, 10.0)
+        with pytest.raises(ValueError):
+            tracker.record(LINK, -1, 0, 10.0)
         assert not tracker.packets_sent.any()
 
     def test_all_lost_window_has_zero_latency(self):
