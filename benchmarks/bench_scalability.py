@@ -9,6 +9,7 @@ timing benchmarks (multiple rounds).
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -247,7 +248,10 @@ def test_probe_instant(benchmark, n_regions):
     controller's `latest_snapshot` every `_PROBE_READ_EVERY` rounds.
     `now` advances by repeated addition, as `PeriodicTask` steps, so the
     rounds read rows of the probe reader's blocks: the mean carries a
-    block's evaluation spread over its instants."""
+    block's evaluation spread over its instants.  The rounds are two
+    whole cycles of both the reader's block length and the read, so the
+    mean does not move with how many blocks and reads a run happens to
+    take."""
     from repro.controlplane.nib import NetworkInformationBase
     from repro.dataplane.cluster import (MonitoringBlock, RegionCluster,
                                          probe_noise)
@@ -280,7 +284,8 @@ def test_probe_instant(benchmark, n_regions):
         return now
 
     instant()  # first-sample paths, timeline search
-    now = benchmark(instant)
+    cycle = math.lcm(noise.length, _PROBE_READ_EVERY)
+    now = benchmark.pedantic(instant, rounds=2 * cycle, iterations=1)
     assert now < u.config.horizon_s
     assert len(nib) == 2 * n_regions * (n_regions - 1)
     assert nib.version == len(nib) * (next(steps))

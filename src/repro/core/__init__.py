@@ -14,7 +14,6 @@ from repro.core.variants import (VariantSpec, xron, internet_only,
                                  xron_symmetric, standard_variants)
 from repro.core.simulator import EpochSimulator, SimulationResult
 from repro.core.eventsim import EventDrivenXRON, EventSimResult, SessionRecord
-from repro.core.longrun import DailySummary, MultiDayResult, run_multi_day
 from repro.core.system import XRONSystem
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "standard_variants",
     "EpochSimulator",
     "EventDrivenXRON",
-    "DailySummary",
-    "MultiDayResult",
-    "run_multi_day",
     "EventSimResult",
     "SessionRecord",
     "SimulationResult",

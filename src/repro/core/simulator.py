@@ -317,19 +317,6 @@ class EpochSimulator:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def replace_underlay(self, underlay: Underlay) -> None:
-        """Swap in a fresh underlay (same regions) between run() calls.
-
-        Multi-week studies build one underlay per day instead of one
-        giant event horizon; the controller's NIB/SIB state, predictors
-        and container pools persist across the swap, which is exactly
-        what a production control plane would experience.
-        """
-        if underlay.codes != self.codes:
-            raise ValueError("replacement underlay must have the same "
-                             "regions in the same order")
-        self.underlay = underlay
-
     def run(self, start_s: float, duration_s: float) -> SimulationResult:
         cfg = self.sim_config
         n_epochs = int(np.ceil(duration_s / cfg.epoch_s))
@@ -354,9 +341,9 @@ class EpochSimulator:
         prev_paths: Dict[RegionPair, Tuple] = {}
 
         if not self._pools:
-            # Pools persist across run() calls so multi-day drivers keep
-            # fleet state (and billing continuity) between days; they
-            # bill from the first run's start.
+            # Pools persist across run() calls, so a later window picks
+            # up the fleet the last one left; they bill from the first
+            # run's start.
             self._pools = build_pools(self.codes, self._streams, cfg,
                                       start_s)
 

@@ -178,11 +178,11 @@ class RegionCluster:
             del self.gateways[gid]
         if victims:
             self._fleet_changed()
-        # Re-point the round-robin cursor into the shrunken fleet so the
-        # spared gateway never inherits a dangling decision index.
-        # (`resolve` re-modulos by the live count, so this is a pure
-        # normalization — behaviour-identical, but the cursor invariant
-        # `0 <= _rr_index < size` holds again for anything that reads it.)
+        # The round robin goes on from the cursor reduced by the
+        # survivors: `next_gateway` advances it without bound and reads
+        # it modulo the fleet, so with k turns taken, n survivors and m
+        # gateways after a later restart or `scale_to`, the next pick is
+        # `(k mod n) mod m`, not `k mod m`.
         self._rr_index %= len(self.gateways)
         if victims and _TEL.enabled:
             _TEL.counter("fault.gateways_crashed").inc(len(victims))

@@ -22,7 +22,7 @@ fig08     Directional asymmetry of link states
 fig09     Degradation-duration histogram
 fig11     Two-week demand pattern
 fig12     DTFT prediction vs ground truth
-fig13-15  60-day QoE comparison (stall, fps, audio)
+fig13-15  multi-day QoE comparison (stall, fps, audio)
 tab2/3    Full-mesh latency / loss percentiles
 fig16     Long/short degradation case studies
 fig17     Cost analysis (hops, premium share, containers, cost)

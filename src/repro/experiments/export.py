@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.longrun import MultiDayResult
 from repro.experiments.ablation_weights import WeightSweep
 from repro.experiments.fig01_02_linkstates import LinkStateFigures
 from repro.experiments.fig05_demand import DemandFigure
@@ -196,17 +195,3 @@ def _(result: NetworkTables, directory, prefix="tab2_tab3") -> List[Path]:
                                                 for s in services]
         paths.append(_write(directory / f"{prefix}_{name}.csv", columns))
     return paths
-
-
-@write_csv.register
-def _(result: MultiDayResult, directory, prefix="longrun") -> List[Path]:
-    days = [d.day for d in result.daily]
-    return [_write(Path(directory) / f"{prefix}_daily.csv", {
-        "day": days,
-        "stall_ratio": result.series("stall_ratio"),
-        "mean_fps": result.series("mean_fps"),
-        "mean_fluency": result.series("mean_fluency"),
-        "bad_audio_fraction": result.series("bad_audio_fraction"),
-        "premium_share": result.series("premium_share"),
-        "network_cost": result.series("network_cost"),
-        "route_churn": result.series("route_churn")})]

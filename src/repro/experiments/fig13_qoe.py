@@ -6,8 +6,11 @@ Paper targets (XRON vs Internet-only): video stall ratio -77%, frame rate
 every metric.
 
 The paper reports sixty days of production; the reproduction simulates a
-configurable number of days (default three) of full-mesh traffic — the
-per-day statistics are stationary, so the comparison is unchanged.
+configurable number of days (default three; the quick suite one, the
+full suite fourteen) of full-mesh traffic on one continuous underlay —
+the per-day statistics are stationary, so the comparison is unchanged.
+Over more than one day the report adds Fig. 13's curves: each
+version's stall ratio, one point a day.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Dict, List
 
 from repro.analysis.ascii import series_panel
 from repro.core.config import SimulationConfig
-from repro.core.longrun import MultiDayResult, run_multi_day
 from repro.core.simulator import SimulationResult
 from repro.core.system import XRONSystem
 from repro.core.variants import standard_variants
@@ -77,6 +79,13 @@ class QoEComparison:
         lines.append("long-stall change: "
                      f"{self.long_stall_reduction() * 100:+.1f}% "
                      "(paper: -49.1%)")
+        if any(len(days) > 1 for days in self.daily.values()):
+            lines.append("")
+            for name, days in self.daily.items():
+                stall = [s.stall_ratio for s in days]
+                lines += series_panel(f"{name}: daily stall ratio", stall)
+                lines.append("  by day: "
+                             + " ".join(f"{x:.4g}" for x in stall))
         return lines
 
 
@@ -105,62 +114,3 @@ def run(days: float = 3.0, epoch_s: float = 900.0,
         summaries[variant.name] = res.qoe_summary()
         daily[variant.name] = res.qoe_per_day()
     return QoEComparison(results, summaries, daily, days)
-
-
-@dataclass
-class LongQoEComparison:
-    """The true Fig. 13 shape: one point per day per version."""
-
-    results: Dict[str, MultiDayResult]
-    days: int
-
-    def mean(self, variant: str, field: str) -> float:
-        return self.results[variant].mean(field)
-
-    def reduction_vs(self, field: str) -> float:
-        v = self.mean("XRON", field)
-        b = self.mean("Internet only", field)
-        return (v - b) / b if b else 0.0
-
-    def lines(self) -> List[str]:
-        rows = []
-        for name, res in self.results.items():
-            rows.append([name, res.mean("stall_ratio"),
-                         res.mean("mean_fps"), res.mean("mean_fluency"),
-                         res.mean("bad_audio_fraction"),
-                         res.mean("premium_share")])
-        lines = format_table(
-            ["version", "stall ratio", "fps", "fluency", "bad audio",
-             "premium share"],
-            rows, title="Fig. 13 (long mode) — daily QoE over "
-                        f"{self.days} days")
-        lines.append("")
-        for name, res in self.results.items():
-            lines += series_panel(f"{name}: daily stall ratio",
-                                  res.series("stall_ratio"))
-        lines.append("")
-        lines.append("stall-ratio change XRON vs Internet-only: "
-                     f"{self.reduction_vs('stall_ratio') * 100:+.1f}% "
-                     "(paper: -77%)")
-        lines.append("bad-audio change: "
-                     f"{self.reduction_vs('bad_audio_fraction') * 100:+.1f}"
-                     "% (paper: -65.2%)")
-        return lines
-
-
-#: The long mode's control epoch and evaluation step, seconds.
-LONG_EPOCH_S = 900.0
-LONG_EVAL_STEP_S = 60.0
-
-
-def run_long(days: int = 14, seed: int = 1) -> LongQoEComparison:
-    """The paper-shaped long mode: one underlay per day, persistent
-    control-plane state, per-day QoE points (Fig. 13's actual curves)."""
-    results = {}
-    for variant in standard_variants():
-        results[variant.name] = run_multi_day(
-            days, variant, seed=seed,
-            sim_config=SimulationConfig(epoch_s=LONG_EPOCH_S,
-                                        eval_step_s=LONG_EVAL_STEP_S,
-                                        seed=seed))
-    return LongQoEComparison(results, days)

@@ -29,18 +29,17 @@ ENTRYPOINT = "run"
 class ExperimentSpec:
     """One experiment: where it lives and how to run it at each scale.
 
-    ``module`` names the module whose `ENTRYPOINT` runs it;
-    ``full_func`` lets ``--full`` switch implementations (fig13's long
-    mode).  The deterministic global-RNG seed installed before the
-    experiment runs is derived from its name, so adding experiments
-    never shifts another experiment's seed.
+    ``module`` names the module whose `ENTRYPOINT` runs it at both
+    scales; ``--full`` changes only its keywords.  The deterministic
+    global-RNG seed installed before the experiment runs is derived
+    from its name, so adding experiments never shifts another
+    experiment's seed.
     """
 
     name: str
     module: str
     quick_kwargs: Mapping[str, object] = field(default_factory=dict)
     full_kwargs: Mapping[str, object] = field(default_factory=dict)
-    full_func: Optional[str] = None
     tags: Tuple[str, ...] = ()
 
     def resolved_seed(self) -> int:
@@ -49,13 +48,12 @@ class ExperimentSpec:
     def kwargs(self, full: bool) -> Dict[str, object]:
         return dict(self.full_kwargs if full else self.quick_kwargs)
 
-    def resolve(self, full: bool) -> Callable[..., object]:
-        func = (self.full_func or ENTRYPOINT) if full else ENTRYPOINT
-        return getattr(import_module(self.module), func)
+    def resolve(self) -> Callable[..., object]:
+        return getattr(import_module(self.module), ENTRYPOINT)
 
     def execute(self, full: bool = False) -> List[str]:
         """Run the experiment and return its printable lines."""
-        result = self.resolve(full)(**self.kwargs(full))
+        result = self.resolve()(**self.kwargs(full))
         lines = result.lines() if hasattr(result, "lines") else result
         if not isinstance(lines, list):
             raise TypeError(f"experiment {self.name!r} produced "
@@ -88,7 +86,7 @@ _REGISTRY: List[ExperimentSpec] = [
                    tags=("motivation", "fast")),
     ExperimentSpec("fig13", _EXP + "fig13_qoe",
                    quick_kwargs={"days": 1.0},
-                   full_kwargs={"days": 14}, full_func="run_long",
+                   full_kwargs={"days": 14},
                    tags=("evaluation", "qoe", "slow")),
     ExperimentSpec("fig14/15", _EXP + "fig14_15_badcases",
                    quick_kwargs={"days": 0.25},

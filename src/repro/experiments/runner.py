@@ -49,9 +49,7 @@ def _print_record(record: RunRecord) -> None:
 
 def _list_registry(specs) -> None:
     rows = [[s.name, " ".join(s.tags), s.resolved_seed(),
-             registry.ENTRYPOINT
-             + (f"/{s.full_func}" if s.full_func else "")]
-            for s in specs]
+             registry.ENTRYPOINT] for s in specs]
     for line in format_table(["experiment", "tags", "seed", "entrypoint"],
                              rows):
         print(line)

@@ -96,6 +96,5 @@ class UnderlayConfig:
 
     #: Horizon (seconds) for which degradation timelines are pre-generated.
     #: Queries beyond the horizon raise, rather than silently extrapolating.
-    #: Multi-week experiments build one underlay per day (seeded by day
-    #: index) instead of one huge horizon.
+    #: Memory grows with it: ~37 MB a simulated day at eleven regions.
     horizon_s: float = 2 * 86400.0

@@ -241,15 +241,12 @@ class TimelineDraws:
     (lognormal durations shifted past 30 s).  Severities (added
     latency/loss) are lognormal and heavy-tailed, so rare events reach
     multi-second latency and tens of percent loss, as in Figs. 1b/2b.
-    `start_offset` shifts all event times (used to continue a process
-    across day-sized windows).
     """
 
-    def __init__(self, horizon_s: float, start_offset: float = 0.0):
+    def __init__(self, horizon_s: float):
         if horizon_s <= 0:
             raise ValueError(f"horizon must be positive, got {horizon_s}")
         self.horizon_s = horizon_s
-        self.start_offset = start_offset
         #: Per link, short then long: event counts, and the raw draws of
         #: the processes that have events (after one empty array each).
         self._counts: List[int] = []
@@ -308,8 +305,8 @@ class TimelineDraws:
     def compile(self) -> List[EventTimeline]:
         """Every drawn link's timeline, in draw order: short durations
         capped under 30 s, long ones shifted past it, severities
-        scaled and capped, events shifted by `start_offset`, each
-        link's short events before its long ones."""
+        scaled and capped, each link's short events before its long
+        ones."""
         counts = np.array(self._counts, dtype=np.intp).reshape(-1, 2)
         per_event = counts.ravel()
         is_long = np.repeat(np.tile([False, True], len(counts)), per_event)
@@ -323,8 +320,8 @@ class TimelineDraws:
         loss = np.minimum(np.concatenate(self._loss) * severity, 0.95)
         return EventTimeline.batch(
             counts.sum(axis=1),
-            np.concatenate(self._starts) + self.start_offset, durations,
-            latency, loss, self.horizon_s + self.start_offset)
+            np.concatenate(self._starts), durations, latency, loss,
+            self.horizon_s)
 
 
 def generate_timeline(rng: np.random.Generator, horizon_s: float,
@@ -332,6 +329,6 @@ def generate_timeline(rng: np.random.Generator, horizon_s: float,
     """Draw a degradation timeline for one directed link from t = 0: a
     `TimelineDraws` of one link (its `draw` takes the `events`
     keywords)."""
-    draws = TimelineDraws(horizon_s, 0.0)
+    draws = TimelineDraws(horizon_s)
     draws.draw(rng, **events)
     return draws.compile()[0]

@@ -119,15 +119,14 @@ class Underlay:
 def build_underlay(regions: Optional[List[Region]] = None,
                    config: Optional[UnderlayConfig] = None,
                    seed: int = 0,
-                   pricing: Optional[PricingModel] = None,
-                   start_offset: float = 0.0) -> Underlay:
+                   pricing: Optional[PricingModel] = None) -> Underlay:
     """Construct a deterministic synthetic underlay.
 
     Each directed link of each type draws its own stretch factor, baseline
     loss, badness factor (Pareto-tailed, so a minority of Internet links
     are much worse — Fig. 3), and degradation timeline.  Pass `pricing`
-    to reuse an existing pricing model (multi-day studies rebuild link
-    processes daily, but egress fees do not change day to day).
+    to price the links with a given model (the planet builder's tiered
+    fees) instead of drawing one.
     """
     regions = regions if regions is not None else default_regions()
     if len(regions) < 2:
@@ -146,7 +145,7 @@ def build_underlay(regions: Optional[List[Region]] = None,
         [f"underlay.{src}->{dst}.{link_type.value}"
          for (src, dst, link_type) in keys])
     region = {r.code: r for r in regions}
-    draws = TimelineDraws(config.horizon_s, start_offset)
+    draws = TimelineDraws(config.horizon_s)
     base_latency, base_loss, diurnal_loss = [], [], []
     # Each link's draws in its own stream's order: stretch, base loss,
     # badness, then its degradation events.

@@ -102,10 +102,8 @@ class TestFleet:
         assert cluster.size == 1
 
     def test_crash_normalizes_round_robin_cursor(self, cluster):
-        """Regression: `crash_gateways` sparing one survivor must re-point
-        the round-robin cursor into the shrunken fleet.  The cursor had
-        been left wherever the pre-crash fleet advanced it, violating the
-        `0 <= _rr_index < size` invariant for anything reading it raw."""
+        """`crash_gateways` sparing one survivor re-points the
+        round-robin cursor into the shrunken fleet."""
         cluster.install({1: ("SIN", I)}, {})
         for __ in range(7):  # advance the cursor beyond the post-crash size
             cluster.resolve(1)
@@ -114,6 +112,20 @@ class TestFleet:
         survivor = next(iter(cluster.gateways.values()))
         resolved = cluster.resolve(1)
         assert resolved is not None and resolved[0] is survivor
+
+    def test_restart_after_crash_continues_from_the_reduced_cursor(
+            self, cluster):
+        """Seven turns over gateways 0-3, a crash of 0 and 1, and a
+        restart of two (4 and 5): the turn goes on at 7 mod 2 = 1 of
+        [2, 3, 4, 5], gateway 3, where an unreduced cursor (7 mod 4)
+        would pick gateway 5."""
+        cluster.install({1: ("SIN", I)}, {})
+        for __ in range(7):
+            cluster.resolve(1)
+        cluster.crash_gateways(2, now=0.0)
+        assert cluster.restore_gateways(2, now=30.0) == [4, 5]
+        assert [cluster.next_gateway().gateway_id
+                for __ in range(5)] == [3, 4, 5, 2, 3]
 
     def test_restore_seeds_tables_and_plans(self, cluster):
         cluster.install({1: ("SIN", I)}, {1: ("FRA",)})

@@ -1,6 +1,8 @@
 """Tests for the declarative experiment registry."""
 
 import math
+import sys
+from importlib import import_module
 
 import pytest
 
@@ -22,9 +24,10 @@ class TestRegistryContents:
         assert len(names) == len(set(names)) >= 22
 
     def test_every_spec_resolves_both_modes(self):
+        """One entry point per experiment, whatever the scale."""
         for spec in registry.all_specs():
-            assert callable(spec.resolve(full=False))
-            assert callable(spec.resolve(full=True))
+            assert spec.resolve() is getattr(import_module(spec.module),
+                                             registry.ENTRYPOINT)
 
     def test_get_unknown_raises(self):
         with pytest.raises(KeyError):
@@ -35,10 +38,16 @@ class TestRegistryContents:
         assert spec.kwargs(full=False) == {"hours": 3.0}
         assert spec.kwargs(full=True) == {"hours": 24.0}
 
-    def test_fig13_switches_entrypoint_in_full_mode(self):
-        spec = registry.get("fig13")
-        assert spec.resolve(full=False).__name__ == "run"
-        assert spec.resolve(full=True).__name__ == "run_long"
+    def test_full_scale_changes_only_the_keywords(self, monkeypatch):
+        """Both scales call the module's `run`; --full passes its own
+        keywords (fig13's fourteen days)."""
+        assert registry.get("fig13").kwargs(full=True) == {"days": 14}
+        monkeypatch.setattr(sys.modules[__name__], "run",
+                            lambda **kw: [repr(kw)])
+        spec = ExperimentSpec("__scales", __name__, quick_kwargs={"x": 1},
+                              full_kwargs={"x": 2})
+        assert spec.execute(full=False) == ["{'x': 1}"]
+        assert spec.execute(full=True) == ["{'x': 2}"]
 
 
 class TestSelect:

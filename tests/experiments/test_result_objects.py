@@ -132,6 +132,28 @@ class TestQoEComparisonHelpers:
             daily={}, days=1.0)
         assert cmp_.reduction_vs("stall_ratio") == 0.0
 
+    def _daily(self, days):
+        stall = {"XRON": [0.01, 0.02, 0.03],
+                 "Internet only": [0.05, 0.25, 0.125]}
+        daily = {name: [self._summary(x) for x in series[:days]]
+                 for name, series in stall.items()}
+        return QoEComparison(
+            results={}, summaries={name: s[0] for name, s in daily.items()},
+            daily=daily, days=float(days))
+
+    def test_daily_curves_have_one_point_a_day(self):
+        lines = self._daily(3).lines()
+        for name, expected in (("XRON", "0.01 0.02 0.03"),
+                               ("Internet only", "0.05 0.25 0.125")):
+            at = lines.index(f"{name}: daily stall ratio")
+            assert lines[at + 3] == f"  by day: {expected}"
+
+    def test_one_day_renders_no_daily_panel(self):
+        one = self._daily(1).lines()
+        assert not any("daily stall ratio" in line or "by day" in line
+                       for line in one)
+        assert one[-1].startswith("long-stall change: ")
+
 
 class TestDemandFigureHelpers:
     def test_peak_and_surge(self):

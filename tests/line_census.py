@@ -74,7 +74,6 @@ REASONS = {
     "bound": "a cap branch, such as FOLD_SLOTS or REBUILD_BUDGET",
     "planted": "a violation that only an oracle plants",
     "wall-clock": "timing-dependent code",
-    "full": "code or a setting only --full reaches",
     "e2e": "a name or keyword benchmarks/e2e wraps, calls or passes",
     "ci": "called from an inline CI script",
     "empty": "handles a valid empty input that no driver sends",
@@ -88,8 +87,8 @@ REASONS = {
     "planned": "the planet-scale switch, to be selected by region count",
     "variant": "a switch a system variant carries into the event engine, "
                "which no driver runs with it flipped",
-    "bench": "a keyword only a figure benchmark passes, inside the timed "
-             "call, which pytest-benchmark runs untraced",
+    "bench": "code or a keyword only a benchmark reaches or passes, inside "
+             "the timed call, which pytest-benchmark runs untraced",
 }
 
 #: (file under src/repro, qualified name, stripped first line of the
@@ -203,10 +202,6 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("resilience/invariants.py", "check_plan_liveness",
      "violations.append(Violation(", "planted"),
     # wall-clock
-    # The FOLD_SLOTS cap: the probing-instant benchmark reaches it or not
-    # by how many rounds pytest-benchmark's timer lets it run.
-    ("controlplane/nib.py", "NetworkInformationBase._append",
-     "self._fold()", "wall-clock"),
     ("core/service.py", "XRONService._drive",
      'return "stopped"', "wall-clock"),
     ("core/service.py", "XRONService.run_async",
@@ -216,28 +211,6 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
      "usable = False", "wall-clock"),
     ("experiments/orchestrator.py", "execute_one",
      "except ExperimentTimeout:", "wall-clock"),
-    # full
-    ("core/longrun.py", "MultiDayResult.mean",
-     "return float(self.series(field).mean())", "full"),
-    ("core/longrun.py", "MultiDayResult.series",
-     'if field in ("stall_ratio", "mean_fps", "mean_fluency",', "full"),
-    ("core/longrun.py", "run_multi_day",
-     "first = day_underlay(0)", "full"),
-    ("core/longrun.py", "run_multi_day", "if days < 1:", "full"),
-    ("core/longrun.py", "run_multi_day.day_underlay",
-     "config = UnderlayConfig(horizon_s=86400.0 + 2 * sim_config.epoch_s)",
-     "full"),
-    ("core/simulator.py", "EpochSimulator.replace_underlay",
-     "if underlay.codes != self.codes:", "full"),
-    ("experiments/export.py", "_",
-     "days = [d.day for d in result.daily]", "full"),
-    ("experiments/fig13_qoe.py", "LongQoEComparison.lines",
-     "rows = []", "full"),
-    ("experiments/fig13_qoe.py", "LongQoEComparison.mean",
-     "return self.results[variant].mean(field)", "full"),
-    ("experiments/fig13_qoe.py", "LongQoEComparison.reduction_vs",
-     'v = self.mean("XRON", field)', "full"),
-    ("experiments/fig13_qoe.py", "run_long", "results = {}", "full"),
     # e2e
     ("controlplane/nib.py", "NetworkInformationBase._store_layers",
      "position = np.arange(len(batch))", "e2e"),
@@ -267,8 +240,6 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("analysis/ascii.py", "series_panel",
      'return [f"{label}: (no data)"]', "empty"),
     ("analysis/ascii.py", "sparkline", 'return ""', "empty"),
-    ("analysis/ascii.py", "sparkline",
-     "return _SPARK_LEVELS[1] * width", "empty"),
     ("controlplane/pathcontrol.py", "_fee_matrix",
      "return np.zeros((2, n, n))", "empty"),
     ("controlplane/prediction.py", "DTFTPredictor.export_state",
@@ -328,6 +299,11 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("underlay/similarity.py", "quality_similarity", "return 1.0", "empty"),
     ("underlay/snapshot.py", "LinkTable.series",
      "return (np.zeros((len(keys), times.size)),", "empty"),
+    # bench: the FOLD_SLOTS cap, which the probing-instant benchmark's
+    # n050 and n100 rounds reach (75 batches between reads, the cap
+    # spans 53 and 14) and nothing outside a timed call does.
+    ("controlplane/nib.py", "NetworkInformationBase._append",
+     "self._fold()", "bench"),
 ]
 
 #: (file under src/repro, owner, setting or "*" for every setting of the
@@ -364,19 +340,6 @@ EXEMPT_SETTINGS: List[Tuple[str, str, str, str]] = [
     ("controlplane/model.py", "ControlConfig", "max_hops", "oracle"),
     # planned
     ("core/config.py", "SimulationConfig", "stream_cohorts", "planned"),
-    # full: fig13's long mode and the flags that select it.
-    ("core/longrun.py", "DailySummary", "*", "full"),
-    ("core/longrun.py", "MultiDayResult", "*", "full"),
-    ("core/longrun.py", "run_multi_day", "*", "full"),
-    ("experiments/export.py", "write_manifest", "suite", "full"),
-    ("experiments/fig13_qoe.py", "LongQoEComparison", "*", "full"),
-    ("experiments/fig13_qoe.py", "run_long", "*", "full"),
-    ("experiments/orchestrator.py", "execute_one", "full", "full"),
-    ("experiments/orchestrator.py", "run_parallel", "full", "full"),
-    ("experiments/orchestrator.py", "run_sequential", "full", "full"),
-    ("experiments/registry.py", "ExperimentSpec.execute", "full", "full"),
-    ("underlay/events.py", "TimelineDraws", "start_offset", "full"),
-    ("underlay/topology.py", "build_underlay", "start_offset", "full"),
     # e2e: control_n100 passes its default, 2.
     ("traffic/cohorts.py", "CohortWorkload", "cohorts_per_pair", "e2e"),
     # e2e: benchmarks/e2e wraps `resolve`, which only tests call.
@@ -900,9 +863,13 @@ def _commands(work: Path) -> int:
                       "5", str(work / "*.jsonl"))
               or _cli("obs", "profile", "--allow-partial", "--max-pairs", "3",
                       str(work / "run.jsonl"))
-              or _runner("--only", "fig04", "--parallel", "2", "--retries",
-                         "2", "--telemetry", str(work / "parallel.jsonl"))
-              or _cli("experiments", "--only", "fig04")
+              # fig04 has no full keywords: --full costs what a quick
+              # leg costs and sets the scale flag down both runners.
+              or _runner("--only", "fig04", "--full", "--parallel", "2",
+                         "--retries", "2", "--telemetry",
+                         str(work / "parallel.jsonl"), "--manifest",
+                         str(work / "full.json"))
+              or _cli("experiments", "--only", "fig04", "--full")
               or _runner("--list", "--tags", "ablation"))
     for variant in sorted(VARIANTS):
         status = status or _cli("run", "--variant", variant, "--hours", "0.5")

@@ -274,7 +274,6 @@ def _removed_setting_owners():
                                       series_panel, sparkline)
     from repro.controlplane.prediction import PredictorBank, RollingPredictor
     from repro.core.eventsim import EventDrivenXRON
-    from repro.core.longrun import run_multi_day
     from repro.core.service import XRONService, build_soak_schedule
     from repro.core.simulator import EpochSimulator, SimulationResult
     from repro.core.system import XRONSystem
@@ -298,7 +297,7 @@ def _removed_setting_owners():
                                    tab23_network)
     from repro.experiments.base import derive_seed, standard_underlay
     from repro.experiments.orchestrator import rollup_records
-    from repro.experiments.registry import ExperimentSpec
+    from repro.experiments.registry import ExperimentSpec, get
     from repro.faults import (gateway_crash, membership_churn,
                               probe_blackout, report_drop, report_staleness)
     from repro.obs import Telemetry, Tracer
@@ -310,13 +309,14 @@ def _removed_setting_owners():
     from repro.traffic.cohorts import CohortWorkload
     from repro.traffic.demand import DemandModel
     from repro.underlay.config import UnderlayConfig
-    from repro.underlay.events import generate_timeline
+    from repro.underlay.events import TimelineDraws, generate_timeline
     from repro.underlay.linkstate import LinkProcess
     from repro.underlay.planet import build_planet_underlay, generate_regions
     from repro.underlay.pricing import PricingModel
     from repro.underlay.similarity import (GatewayLinkInstance,
                                            make_gateway_links,
                                            quality_similarity)
+    from repro.underlay.topology import build_underlay
 
     codes = ["A", "B"]
     series = ([100.0], [0.0])
@@ -327,7 +327,6 @@ def _removed_setting_owners():
         "ControlConfig": ControlConfig,
         "UnderlayConfig": UnderlayConfig,
         "XRONSystem": XRONSystem,
-        "run_multi_day": lambda **kw: run_multi_day(1, **kw),
         "build_pools": lambda **kw: build_pools(codes, None, None, **kw),
         "DemandModel": lambda **kw: DemandModel([], **kw),
         "PricingModel": lambda **kw: PricingModel([], None, **kw),
@@ -391,6 +390,8 @@ def _removed_setting_owners():
         "XRONService": lambda **kw: XRONService(None, None, **kw),
         "generate_timeline":
             lambda **kw: generate_timeline(None, 1.0, **kw),
+        "TimelineDraws": lambda **kw: TimelineDraws(1.0, **kw),
+        "build_underlay": build_underlay,
         "gateway_crash": lambda **kw: gateway_crash(0.0, 1.0, "A", **kw),
         "probe_blackout": lambda **kw: probe_blackout(0.0, 1.0, **kw),
         "report_drop": lambda **kw: report_drop(0.0, 1.0, **kw),
@@ -409,15 +410,21 @@ def _removed_setting_owners():
         "ExperimentSpec": lambda **kw: ExperimentSpec("x", "m", **kw),
         "QoEComparison.reduction_vs": lambda **kw:
             fig13_qoe.QoEComparison.reduction_vs(None, "m", **kw),
-        "LongQoEComparison.reduction_vs": lambda **kw:
-            fig13_qoe.LongQoEComparison.reduction_vs(None, "m", **kw),
         "FastReactionAblation.reduction": lambda **kw:
             fig18_fast_reaction.FastReactionAblation.reduction(None, 0,
                                                                 **kw),
         "NetworkTables.improvement": lambda **kw:
             tab23_network.NetworkTables.improvement(None, "99%", **kw),
         "fig13_qoe.run": fig13_qoe.run,
-        "fig13_qoe.run_long": fig13_qoe.run_long,
+        # The deleted long mode keeps its owner names, bound to what
+        # replaced each, so none of its settings comes back there: the
+        # one `run` for the multi-day driver, `QoEComparison` for its
+        # result, and the fig13 spec at full scale for `run_long`.
+        "run_multi_day": fig13_qoe.run,
+        "LongQoEComparison.reduction_vs": lambda **kw:
+            fig13_qoe.QoEComparison.reduction_vs(None, "m", **kw),
+        "fig13_qoe.run_long": lambda **kw:
+            get("fig13").execute(full=True, **kw),
         "fig18_fast_reaction.run": fig18_fast_reaction.run,
         "tab23_network.run": tab23_network.run,
         "ablation_ordering.run": ablation_ordering.run,
@@ -541,6 +548,8 @@ REMOVED_SETTINGS = [
     ("run_multi_day", "regions"),
     ("XRONService", "start_s"),
     ("generate_timeline", "start_offset"),
+    ("TimelineDraws", "start_offset"),
+    ("build_underlay", "start_offset"),
     ("gateway_crash", "restart"),
     ("report_drop", "probability"),
     ("membership_churn", "probability"),
@@ -553,6 +562,7 @@ REMOVED_SETTINGS = [
     ("rollup_records", "registry_"),
     ("ExperimentSpec", "func"),
     ("ExperimentSpec", "seed"),
+    ("ExperimentSpec", "full_func"),
     ("QoEComparison.reduction_vs", "variant"),
     ("QoEComparison.reduction_vs", "baseline"),
     ("LongQoEComparison.reduction_vs", "variant"),
@@ -670,7 +680,8 @@ REMOVED_SETTINGS = [
 ]
 
 #: Config classes whose every setting became a named constant where it
-#: is read: (module, class).
+#: is read, and the names of fig13's per-day-underlay long mode, which
+#: the one 14-day `fig13_qoe.run` replaced: (module, name).
 REMOVED_CONFIGS = [
     ("repro.traffic", "TrafficConfig"),
     ("repro.underlay.config", "PricingConfig"),
@@ -680,6 +691,12 @@ REMOVED_CONFIGS = [
     ("repro.qoe.audio", "AudioQoEConfig"),
     ("repro.obs.slo", "SLOTarget"),
     ("repro.elastic.containers", "ProvisioningDelayModel"),
+    ("repro.core", "longrun"),
+    ("repro.core", "run_multi_day"),
+    ("repro.core", "MultiDayResult"),
+    ("repro.core", "DailySummary"),
+    ("repro.experiments.fig13_qoe", "LongQoEComparison"),
+    ("repro.experiments.fig13_qoe", "run_long"),
 ]
 
 
@@ -693,4 +710,7 @@ def test_removed_setting_is_a_type_error(owner, keyword):
 @pytest.mark.parametrize("module_name, name", REMOVED_CONFIGS,
                          ids=[name for __, name in REMOVED_CONFIGS])
 def test_removed_config_is_gone(module_name, name):
-    assert not hasattr(importlib.import_module(module_name), name)
+    module = importlib.import_module(module_name)
+    assert not hasattr(module, name)
+    if hasattr(module, "__path__"):  # nor a submodule of a package
+        assert importlib.util.find_spec(f"{module_name}.{name}") is None

@@ -130,20 +130,17 @@ LINK = st.fixed_dictionaries({
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(LINK, st.integers(0, 2**32 - 1)), min_size=1,
                 max_size=6),
-       st.sampled_from([600.0, 3600.0, 2 * 86400.0]),
-       st.sampled_from([0.0, 86400.0, 1234.5]))
-def test_draws_equal_the_scalar_generator(links, horizon_s, start_offset):
+       st.sampled_from([600.0, 3600.0, 2 * 86400.0]))
+def test_draws_equal_the_scalar_generator(links, horizon_s):
     """Many links drawn into one `TimelineDraws` and compiled at once
     equal one scalar `generate_timeline` per link: same draws, same
-    clips and scaling, short events before long, shifted by the
-    offset."""
-    draws = TimelineDraws(horizon_s, start_offset)
+    clips and scaling, short events before long."""
+    draws = TimelineDraws(horizon_s)
     for params, seed in links:
         draws.draw(np.random.default_rng(seed), **params)
     for got, (params, seed) in zip(draws.compile(), links):
         assert_same_timeline(got, scalar_generate_timeline(
-            np.random.default_rng(seed), horizon_s,
-            start_offset=start_offset, **params))
+            np.random.default_rng(seed), horizon_s, **params))
 
 
 def test_generate_timeline_is_a_draw_of_one():

@@ -112,8 +112,7 @@ def scalar_generate_timeline(rng: np.random.Generator, horizon_s: float, *,
                              event_loss_mu: float,
                              event_loss_sigma: float,
                              rate_scale: float = 1.0,
-                             severity_scale: float = 1.0,
-                             start_offset: float = 0.0) -> ScalarTimeline:
+                             severity_scale: float = 1.0) -> ScalarTimeline:
     """Draw a degradation timeline for one directed link."""
     if horizon_s <= 0:
         raise ValueError(f"horizon must be positive, got {horizon_s}")
@@ -142,8 +141,8 @@ def scalar_generate_timeline(rng: np.random.Generator, horizon_s: float, *,
         * severity_scale, 0.95)
 
     return ScalarTimeline(
-        np.concatenate([s_starts, l_starts]) + start_offset,
+        np.concatenate([s_starts, l_starts]),
         np.concatenate([s_durations, l_durations]),
         np.concatenate([s_lat, l_lat]),
         np.concatenate([s_loss, l_loss]),
-        horizon_s + start_offset)
+        horizon_s)
