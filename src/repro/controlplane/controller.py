@@ -113,10 +113,11 @@ class Controller:
         keyword arguments (``refit_every``, ``min_history``) for
         deployments whose epoch cadence differs from the production
         five-minute slots; `workload` swaps the demand decomposition —
-        any object with ``decompose(matrix)`` and
-        ``export_state``/``import_state``, e.g. a
+        any object with ``decompose(matrix)``, e.g. a
         `repro.traffic.cohorts.CohortWorkload` for planet-scale region
-        sets (default: the per-chunk `StreamWorkload`)."""
+        sets (default: the per-chunk `StreamWorkload`).  Only a
+        `StreamWorkload` carries checkpoint state, so only a controller
+        on the default workload can `export_state`."""
         self.codes = list(codes)
         self.config = config if config is not None else ControlConfig()
         self.pricing = pricing

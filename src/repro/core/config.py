@@ -11,7 +11,6 @@ from repro.controlplane.model import ControlConfig
 from repro.dataplane.config import MonitoringConfig, ReactionConfig
 from repro.elastic.containers import ContainerPool
 from repro.sim.rng import RngStreams
-from repro.traffic.cohorts import CohortWorkload
 from repro.underlay.pricing import PricingModel
 
 
@@ -46,11 +45,6 @@ class SimulationConfig:
     #: plans on each link's last report, k > 1 on the pessimistic p90 of
     #: its last k (flap damping; see `Controller.link_snapshot`).
     nib_window: int = 1
-    #: Decompose predicted demand into aggregated stream cohorts instead
-    #: of per-session chunks — required at planet scale, where the SIB
-    #: cannot hold an entry per session (see docs/performance.md,
-    #: "Scaling past eleven regions").
-    stream_cohorts: bool = False
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
     reaction: ReactionConfig = field(default_factory=ReactionConfig)
 
@@ -72,12 +66,10 @@ def build_controller(codes: Sequence[str], control_config: ControlConfig,
     `VariantSpec`) describe — the one construction both engines, a
     modeled restart and a partition's sub-controller share.  `seed`
     defaults to the config's; a sub-controller passes its own."""
-    seed = sim_config.seed if seed is None else seed
-    workload = CohortWorkload(seed=seed) if sim_config.stream_cohorts else None
     return Controller(
         list(codes), control_config, pricing=pricing,
-        nib_window=sim_config.nib_window,
-        sib_params=sib_params, workload=workload, seed=seed,
+        nib_window=sim_config.nib_window, sib_params=sib_params,
+        seed=sim_config.seed if seed is None else seed,
         **variant.controller_kwargs())
 
 

@@ -40,7 +40,6 @@ from repro.dataplane.forwarding import (effective_path_series,
                                         path_detours)
 from repro.dataplane.grouping import ProbingGroupManager
 from repro.dataplane.probing import burst_series, link_seed
-from repro.elastic.containers import ContainerPool
 from repro.obs import telemetry as _telemetry
 from repro.qoe.metrics import QoESummary
 from repro.sim.rng import RngStreams
@@ -302,7 +301,6 @@ class EpochSimulator:
                              underlay.pricing, self.sim_config, variant)
             if variant.overlay_relaying else None)
 
-        self._pools: Dict[str, ContainerPool] = {}
         self._probe_seeds: Dict[PathHop, int] = {}
 
     # ------------------------------------------------------------------ api
@@ -340,12 +338,7 @@ class EpochSimulator:
         reaction_hops: List[Tuple[int, float]] = []
         prev_paths: Dict[RegionPair, Tuple] = {}
 
-        if not self._pools:
-            # Pools persist across run() calls, so a later window picks
-            # up the fleet the last one left; they bill from the first
-            # run's start.
-            self._pools = build_pools(self.codes, self._streams, cfg,
-                                      start_s)
+        pools = build_pools(self.codes, self._streams, cfg, start_s)
 
         for e in range(n_epochs):
             now = float(epoch_starts[e])
@@ -356,7 +349,7 @@ class EpochSimulator:
                                               cfg.demand_scale)
             for pair, d in matrix.items():
                 demand_rec[pair_idx[pair], e] = d
-            ready = {code: self._pools[code].ready_count(now)
+            ready = {code: pools[code].ready_count(now)
                      for code in self.codes}
             containers[:, e] = [ready[c] for c in self.codes]
 
@@ -366,7 +359,7 @@ class EpochSimulator:
                 output = self.controller.run_epoch(now, matrix, ready)
                 if self.variant.elastic:
                     for code, target in output.capacity.target.items():
-                        self._pools[code].scale_to(target, now)
+                        pools[code].scale_to(target, now)
                     if _TEL.enabled:
                         _TEL.event(
                             "autoscale", t=now, policy="capacity_control",
@@ -414,7 +407,7 @@ class EpochSimulator:
 
         if self.variant.overlay_relaying:
             end = start_s + n_epochs * cfg.epoch_s
-            for code, pool in self._pools.items():
+            for code, pool in pools.items():
                 ledger.add_container_hours(code, pool.container_hours(end))
 
         return SimulationResult(

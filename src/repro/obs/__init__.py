@@ -97,11 +97,11 @@ class Telemetry:
         return self.tracer.to_json()
 
     # ------------------------------------------------------------ streaming
-    def attach_stream(self, target: Union[str, Path, TelemetryStream], *,
+    def attach_stream(self, target: Union[str, Path], *,
                       max_bytes: int = DEFAULT_MAX_BYTES,
                       meta: Optional[Dict[str, Any]] = None
                       ) -> TelemetryStream:
-        """Attach a live JSONL exporter (path or prebuilt stream).
+        """Attach a live JSONL exporter writing to `target`.
 
         Every subsequently recorded trace event is written through as
         it happens; call `flush_stream` at epoch boundaries (the
@@ -109,9 +109,7 @@ class Telemetry:
         """
         if self.stream is not None:
             raise RuntimeError("a telemetry stream is already attached")
-        stream = (target if isinstance(target, TelemetryStream)
-                  else TelemetryStream(target, max_bytes=max_bytes,
-                                       meta=meta))
+        stream = TelemetryStream(target, max_bytes=max_bytes, meta=meta)
         self.stream = stream
         self.tracer.add_sink(stream.write_event)
         return stream
@@ -121,8 +119,8 @@ class Telemetry:
         """Detach (and by default finalize) the attached stream.
 
         With ``close=True`` a final metrics delta is flushed and the
-        file handle closed; ``close=False`` only unhooks the sink (the
-        `capture` isolation path) and returns the still-open stream.
+        file handle closed; ``close=False`` only unhooks the sink and
+        returns the still-open stream.
         """
         stream = self.stream
         if stream is None:
@@ -181,23 +179,20 @@ def capture() -> Iterator[Telemetry]:
     `reset`/`capture`, so the orchestrator can harvest it right after
     the block.
 
-    An ambient telemetry stream is detached (NOT closed) for the
-    duration and re-attached on exit: a capture window — including one
-    running in a forked pool worker that inherited the parent's open
-    stream — never writes into the surrounding run's stream files.
+    A window never writes into the surrounding run's stream files, so
+    it refuses to open while a stream is attached (`RuntimeError`); a
+    stream attached inside the block is closed on exit.
     """
+    if _HUB.stream is not None:
+        raise RuntimeError("capture() with a telemetry stream attached")
     was_enabled = _HUB.enabled
-    ambient_stream = _HUB.detach_stream(close=False)
     reset()
     enable()
     try:
         yield _HUB
     finally:
         (enable if was_enabled else disable)()
-        if _HUB.stream is not None:
-            # A stream attached inside the block would otherwise leak
-            # into the surrounding run; finalize it with the window's
-            # metrics while they are still on the hub.
-            _HUB.detach_stream(close=True)
-        if ambient_stream is not None:
-            _HUB.attach_stream(ambient_stream)
+        # A stream the block attached and left (one whose block raised)
+        # would otherwise leak into the surrounding run; finalize it
+        # with the window's metrics while they are still on the hub.
+        _HUB.detach_stream(close=True)

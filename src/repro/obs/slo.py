@@ -227,26 +227,26 @@ class SLOEngine:
     def _annotate(self, fields: Dict[str, Any],
                   remembered: Deque[TraceEvent], t: float,
                   prefix: str) -> None:
-        """Attach the nearest remembered event at-or-before `t`."""
-        for event in reversed(remembered):
-            if event.t is None or event.t > t:
-                continue
-            if t - event.t > CAUSE_WINDOW_S:
-                break
-            fields[f"{prefix}_kind"] = event.kind
-            fields[f"{prefix}_t"] = round(event.t, 6)
-            fields[f"{prefix}_seq"] = event.seq
-            fault_id = event.fields.get("fault_id")
-            if fault_id is None:
-                ids = event.fields.get("fault_ids")
-                if ids:
-                    fault_id = ids[0]
-            if fault_id is not None:
-                fields[f"{prefix}_fault_id"] = fault_id
-            region = event.fields.get("region")
-            if region is not None:
-                fields[f"{prefix}_region"] = region
+        """Attach the newest remembered event, if it is recent: an
+        engine that arms an SLO engine stamps each event with its
+        current instant and delivers them in time order, so none is
+        later than `t`."""
+        event = remembered[-1] if remembered else None
+        if event is None or t - event.t > CAUSE_WINDOW_S:
             return
+        fields[f"{prefix}_kind"] = event.kind
+        fields[f"{prefix}_t"] = round(event.t, 6)
+        fields[f"{prefix}_seq"] = event.seq
+        fault_id = event.fields.get("fault_id")
+        if fault_id is None:
+            ids = event.fields.get("fault_ids")
+            if ids:
+                fault_id = ids[0]
+        if fault_id is not None:
+            fields[f"{prefix}_fault_id"] = fault_id
+        region = event.fields.get("region")
+        if region is not None:
+            fields[f"{prefix}_region"] = region
 
     def _on_trace_event(self, event: TraceEvent) -> None:
         """Tracer sink: remember candidate causes and remedies."""

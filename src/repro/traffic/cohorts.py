@@ -13,8 +13,7 @@ million concurrent 1080p viewers on one pair is still one row.
 A decomposition is a `StreamTable` like `StreamWorkload`'s, so the
 solver, capacity control, reaction-plan generation and both engines
 read cohorts and chunks alike; pass ``workload=CohortWorkload(...)`` to
-`Controller`, or set ``SimulationConfig.stream_cohorts`` for simulator
-runs.  A row's profile is the cohort's dominant (highest-demand)
+`Controller`.  A row's profile is the cohort's dominant (highest-demand)
 profile, the first on a tie.
 
 A decomposition is one array pass with no Python work per pair: the
@@ -58,8 +57,8 @@ class CohortWorkload:
     """Decomposes a traffic matrix into at most ``cohorts_per_pair``
     aggregated cohort rows per ordered region pair.
 
-    The id counter is a plain int so a warm-restarted controller keeps
-    allocating fresh ids, exactly like `StreamWorkload`.
+    Ids are fresh across `decompose` calls, as `StreamWorkload`'s are;
+    unlike it, a cohort workload carries no checkpoint state.
     """
 
     def __init__(self, seed: int = 0, cohorts_per_pair: int = 2):
@@ -71,8 +70,7 @@ class CohortWorkload:
         self._next_id = 0
         #: Region codes -> (N * N, profiles) mix, row ``a * N + b`` the
         #: normalised profile weights of pair ``a -> b`` (ascending
-        #: bitrate).  A pure function of (seed, pair), so derived state:
-        #: memoised, never checkpointed.
+        #: bitrate).  A pure function of (seed, pair), so memoised.
         self._mix: Dict[Tuple[str, ...], np.ndarray] = {}
         # Contiguous profile buckets (column ranges), low band first.
         self._buckets: List[np.ndarray] = np.array_split(
@@ -137,12 +135,3 @@ class CohortWorkload:
             weights = base * (1.0 - MIX_JITTER / 2.0 + MIX_JITTER * jitter)
             mix = self._mix[key] = weights / weights.sum(axis=1)[:, None]
         return mix
-
-    # ------------------------------------------------------------ checkpoint
-    def export_state(self) -> Dict[str, object]:
-        """Only the id counter is stateful (the mix is stateless hash
-        noise), so warm restarts keep ids globally fresh."""
-        return {"next_id": self._next_id}
-
-    def import_state(self, doc: Dict[str, object]) -> None:
-        self._next_id = int(doc["next_id"])

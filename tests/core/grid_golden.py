@@ -90,6 +90,7 @@ def _simulate(name: str):
     from repro.core import variants
     from repro.core.config import SimulationConfig
     from repro.core.system import XRONSystem
+    from repro.traffic.cohorts import CohortWorkload
     from repro.underlay.config import UnderlayConfig
     from repro.underlay.linkstate import LinkType
     from repro.underlay.regions import default_regions
@@ -104,8 +105,7 @@ def _simulate(name: str):
     system = XRONSystem(
         regions=regions, seed=3,
         underlay_config=UnderlayConfig(horizon_s=11 * 3600.0),
-        sim_config=SimulationConfig(epoch_s=300.0, eval_step_s=5.0, seed=3,
-                                    stream_cohorts=cohorts))
+        sim_config=SimulationConfig(epoch_s=300.0, eval_step_s=5.0, seed=3))
     if scale == "small":
         # Brief drops every three minutes on every Internet link out of
         # HGH, so the fast-reacting variants provably ride backup
@@ -117,6 +117,10 @@ def _simulate(name: str):
                 short_frequent_degradations(start_s + 20.0, start_s + 1500.0),
                 keep_existing=True)
     with system.simulator(getattr(variants, variant)()) as simulator:
+        if cohorts:
+            # The planet-scale decomposition, on the controller the
+            # engine built (no engine setting selects it).
+            simulator.controller._workload = CohortWorkload(seed=3)
         return simulator.run(start_h * 3600.0, epochs * 300.0)
 
 

@@ -30,7 +30,6 @@ from repro.obs import slo
 from repro.obs.export import read_many
 from repro.obs.slo import SLOEngine
 from repro.resilience import resilience
-from repro.traffic.cohorts import CohortWorkload
 from tests.harness import START_S, canonical_bytes, event_engine
 
 DURATION_S = 240.0
@@ -284,33 +283,28 @@ def test_hooks_fire_in_phase_order_and_list_order():
 
 # ------------------------------------------------- one SimulationConfig
 def test_event_engine_reads_the_whole_simulation_config():
-    """`stream_cohorts` and `nib_window` (with it, robust planning)
-    mean in the event engine what they mean in `EpochSimulator` — and
-    survive a checkpoint / warm restart."""
+    """`nib_window` (with it, robust planning) means in the event
+    engine what it means in `EpochSimulator` — and survives a
+    checkpoint / warm restart."""
     underlay, demand = quiet_testbed(5)
     engine = EventDrivenXRON(
         underlay, demand,
         sim_config=SimulationConfig(
             epoch_s=30.0, eval_step_s=10.0, seed=5, demand_scale=0.05,
-            stream_cohorts=True, nib_window=4),
+            nib_window=4),
         faults=FaultSchedule.of(controller_outage(3640.0, 3700.0)),
         resilience=resilience())
     boot = engine.controller
-    assert isinstance(boot._workload, CohortWorkload)
     assert boot.nib.window == 4
     result = engine.run(START_S, 150.0)
     assert result.resilience_counters["restores_warm"] == 1
     restarted = engine.controller
     assert restarted is not boot
-    assert isinstance(restarted._workload, CohortWorkload)
     assert restarted.nib.window == 4
-    # Cohort ids kept counting across the restart (the checkpointed
-    # workload state), and every epoch placed cohorts, not chunks.
+    # Stream ids kept counting across the restart (the checkpointed
+    # workload state).
     ids = [s.stream_id for o in result.control_outputs for s in o.streams]
     assert ids == sorted(set(ids))
-    # (A chunk carries whole sessions; a cohort its fractional tail.)
-    assert all((o.table.sessions % 1.0).any()
-               for o in result.control_outputs)
 
 
 def test_worker_count_is_not_a_setting():

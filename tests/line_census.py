@@ -84,12 +84,12 @@ REASONS = {
                    "will set",
     "entry": "an entry point's argument list, which the interpreter gives",
     "oracle": "a value only the solver's differential tests draw",
-    "planned": "the planet-scale switch, to be selected by region count",
     "variant": "a switch a system variant carries into the event engine, "
                "which no driver runs with it flipped",
-    "bench": "code or a keyword only a benchmark reaches or passes, inside "
-             "the timed call, which pytest-benchmark runs untraced",
 }
+
+#: The line that starts the report's totals: CI prints from it on.
+TOTALS = "== census totals =="
 
 #: (file under src/repro, qualified name, stripped first line of the
 #: block, reason): the unreached blocks that stay, each with its reason.
@@ -150,12 +150,6 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
      'detail = ", ".join(f"{s.kind.value}@{s.start_s:g}s"', "error"),
     ("faults/spec.py", "FaultSchedule.from_json",
      "dropped.append(spec)", "error"),
-    ("obs/__init__.py", "capture",
-     "_HUB.attach_stream(ambient_stream)", "error"),
-    # Nearest fit: a stream left attached inside a capture block, or one
-    # attached around it: nothing in the program does either; the guards
-    # keep a window out of the run's stream files.
-    ("obs/__init__.py", "capture", "_HUB.detach_stream(close=True)", "error"),
     ("obs/export.py", "_fold_record", 'elif rtype == "header":', "error"),
     ("obs/export.py", "read_jsonl",
      "except json.JSONDecodeError as exc:", "error"),
@@ -172,27 +166,24 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("traffic/streams.py", "StreamTable.__init__",
      "k = int(np.argmax(bad))", "error"),
     # bound
+    # FOLD_SLOTS: only the probing-instant benchmark's n050 and n100
+    # rounds fill it (75 batches between reads, the cap spans 53 and
+    # 14), inside bench_scalability.py's timed calls.
+    ("controlplane/nib.py", "NetworkInformationBase._append",
+     "self._fold()", "bound"),
     ("controlplane/pathcontrol.py", "path_control", "warnings.warn(", "bound"),
     ("dataplane/probing.py", "BurstNoise._fill", "break", "bound"),
     ("obs/__init__.py", "Telemetry._count_drop",
      'self.metrics.counter("tracer.events_dropped").inc()', "bound"),
     ("obs/metrics.py", "Histogram.observe", "self.overflow += 1", "bound"),
-    ("obs/slo.py", "SLOEngine._annotate", "break", "bound"),
     ("obs/summary.py", "_estimate_quantile",
      'return float(snap.get("max", 0.0))', "bound"),
     ("obs/trace.py", "Tracer.record_dict", "self.dropped += 1", "bound"),
-    # Nearest fit: an integer seed, cut to 64 bits; the program seeds with
-    # arrays, the known-answer tests with integers.
-    ("sim/rng.py", "hash_uniform",
-     "x ^= _U64(seed & 0xFFFFFFFFFFFFFFFF)", "bound"),
     # planted
     ("controlplane/regional.py", "RegionalExtension._regional_epoch",
      "stats.regional_installs_rejected += 1", "planted"),
     ("dataplane/forwarding.py", "ForwardingTable.install",
      "return False", "planted"),
-    # Nearest fit: a retry that outlives its epoch.
-    ("resilience/install.py", "ResilienceExtension._attempt",
-     "return  # superseded by a newer epoch's update", "planted"),
     ("resilience/invariants.py", "check_delivery",
      "violations.append(Violation(", "planted"),
     ("resilience/invariants.py", "check_loop_freedom",
@@ -224,12 +215,6 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
      "spec = self.install_delay_spec(region, now)", "e2e"),
     ("faults/runtime.py", "FaultInjector.region_blackout",
      "for spec in self._by_kind[FaultKind.PROBE_BLACKOUT]:", "e2e"),
-    # Nearest fit: the checkpoint half of the workload protocol;
-    # control_n100 solves on a CohortWorkload but never checkpoints.
-    ("traffic/cohorts.py", "CohortWorkload.export_state",
-     'return {"next_id": self._next_id}', "e2e"),
-    ("traffic/cohorts.py", "CohortWorkload.import_state",
-     'self._next_id = int(doc["next_id"])', "e2e"),
     # ci
     ("obs/export.py", "TelemetryFile.events_of",
      'return [e for e in self.events if e.get("kind") == kind]', "ci"),
@@ -268,26 +253,10 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("experiments/fig19_asymmetric.py", "run", "continue", "empty"),
     ("experiments/orchestrator.py", "run_parallel", "return []", "empty"),
     ("experiments/recovery.py", "_is_fallback", "continue", "empty"),
-    # Nearest fit: a report drop with probability < 1, which only a
-    # checkpoint's schedule can carry; no driver runs one.
-    ("faults/runtime.py", "FaultInjector._fires",
-     'seed = self._streams.seed_for(f"{self._ids[spec]}.{key}")', "empty"),
     ("faults/runtime.py", "FaultInjector.filter_report",
      "codes, tier = batch.codes, batch.tier", "empty"),
     ("faults/runtime.py", "FaultInjector.fault_id", "return None", "empty"),
-    # Nearest fit: an open-ended or link-scoped spec in a checkpoint's
-    # schedule; the serve CLI's soak schedule has neither.
-    ("faults/spec.py", "FaultSpec.from_json",
-     'data["duration_s"] = math.inf', "empty"),
-    ("faults/spec.py", "FaultSpec.from_json",
-     'data["link_type"] = LinkType(data["link_type"])', "empty"),
-    ("faults/spec.py", "FaultSpec.to_json",
-     'doc["duration_s"] = None', "empty"),
-    ("faults/spec.py", "FaultSpec.to_json",
-     'doc["link_type"] = self.link_type.value', "empty"),
     ("obs/export.py", "read_jsonl", "continue", "empty"),
-    # Nearest fit: a remembered event after the breach or without a time.
-    ("obs/slo.py", "SLOEngine._annotate", "continue", "empty"),
     ("obs/slo.py", "SLOEngine.render_report",
      'lines.append("  (no streams observed)")', "empty"),
     ("obs/summary.py", "_estimate_quantile", "return None", "empty"),
@@ -299,11 +268,29 @@ EXEMPT: List[Tuple[str, str, str, str]] = [
     ("underlay/similarity.py", "quality_similarity", "return 1.0", "empty"),
     ("underlay/snapshot.py", "LinkTable.series",
      "return (np.zeros((len(keys), times.size)),", "empty"),
-    # bench: the FOLD_SLOTS cap, which the probing-instant benchmark's
-    # n050 and n100 rounds reach (75 batches between reads, the cap
-    # spans 53 and 14) and nothing outside a timed call does.
-    ("controlplane/nib.py", "NetworkInformationBase._append",
-     "self._fold()", "bench"),
+    # format: fault-schedule shapes that reach a run only inside a
+    # checkpoint envelope `serve --resume` loads (the soak schedule the
+    # serve CLI builds has none of them).  ROADMAP 6(b)'s schedule
+    # replay is the driver that will reach them.
+    # A report drop with probability < 1 ...
+    ("faults/runtime.py", "FaultInjector._fires",
+     'seed = self._streams.seed_for(f"{self._ids[spec]}.{key}")', "format"),
+    # ... and `hash_uniform`'s integer seed, which only `_fires` passes.
+    ("sim/rng.py", "hash_uniform",
+     "x ^= _U64(seed & 0xFFFFFFFFFFFFFFFF)", "format"),
+    # An open-ended or a link-scoped spec.
+    ("faults/spec.py", "FaultSpec.from_json",
+     'data["duration_s"] = math.inf', "format"),
+    ("faults/spec.py", "FaultSpec.from_json",
+     'data["link_type"] = LinkType(data["link_type"])', "format"),
+    ("faults/spec.py", "FaultSpec.to_json",
+     'doc["duration_s"] = None', "format"),
+    ("faults/spec.py", "FaultSpec.to_json",
+     'doc["link_type"] = self.link_type.value', "format"),
+    # A retry that outlives its epoch: an install delay longer than the
+    # epoch, which only test_eventsim_faults.py plants.
+    ("resilience/install.py", "ResilienceExtension._attempt",
+     "return  # superseded by a newer epoch's update", "format"),
 ]
 
 #: (file under src/repro, owner, setting or "*" for every setting of the
@@ -338,18 +325,16 @@ EXEMPT_SETTINGS: List[Tuple[str, str, str, str]] = [
     # oracle: test_restricted_build, test_sweep_differential and
     # test_route_table_properties draw it.
     ("controlplane/model.py", "ControlConfig", "max_hops", "oracle"),
-    # planned
-    ("core/config.py", "SimulationConfig", "stream_cohorts", "planned"),
     # e2e: control_n100 passes its default, 2.
     ("traffic/cohorts.py", "CohortWorkload", "cohorts_per_pair", "e2e"),
+    # e2e: benchmarks/e2e passes close=True, the default.
+    ("obs/__init__.py", "Telemetry.detach_stream", "close", "e2e"),
     # e2e: benchmarks/e2e wraps `resolve`, which only tests call.
     ("dataplane/cluster.py", "RegionCluster.resolve", "now", "e2e"),
     # variant: `VariantSpec.fast_reaction`, which the grid engine's
     # `repro run --variant` drivers do flip.
     ("dataplane/cluster.py", "RegionCluster", "fast_reaction", "variant"),
     ("dataplane/gateway.py", "Gateway", "fast_reaction", "variant"),
-    # bench: bench_motivation's one-day window.
-    ("experiments/fig09_degradations.py", "run", "window_s", "bench"),
 ]
 
 
@@ -736,8 +721,8 @@ def judge_settings(all_settings: Sequence[Key], found: Set[Key],
 def report(files: Sequence[FileCensus], lines: Tuple, all_settings:
            Sequence[Key], settings_judged: Tuple) -> None:
     """Every unreached block and unset setting with its fate, every
-    stale row, then the totals: `lines` and `settings_judged` are what
-    `judge` and `judge_settings` return."""
+    stale row, then the totals under the `TOTALS` line: `lines` and
+    `settings_judged` are what `judge` and `judge_settings` return."""
     covered, uncovered, stale = lines
     excused, unset, stale_settings = settings_judged
     w = sys.stdout.write
@@ -759,7 +744,7 @@ def report(files: Sequence[FileCensus], lines: Tuple, all_settings:
     by_reason = Counter()
     for block, reason in covered.items():
         by_reason[reason] += block.size
-    w(f"\n{reached} of {executable} executable lines reached "
+    w(f"\n{TOTALS}\n{reached} of {executable} executable lines reached "
       f"({100.0 * reached / max(executable, 1):.1f} %); "
       f"{executable - reached} unreached: {guarded} exempt by syntax, "
       f"{sum(by_reason.values())} by row, "
@@ -915,19 +900,36 @@ class _ResultsTo:
         sys.modules["benchmarks.conftest"].RESULTS_DIR = self.folder
 
 
+#: The figure benchmarks that time one call through `run_once`.  With
+#: timing disabled, `benchmark.pedantic` calls each body once, traced
+#: and untimed; `bench_scalability.py` runs timed, since its budgets
+#: read `benchmark.stats`, and pytest-benchmark pauses the trace inside
+#: its timed calls.
+TRACED_BENCHMARKS = ("bench_ablations", "bench_application_qoe", "bench_cost",
+                     "bench_daily_qoe", "bench_extra_ablations",
+                     "bench_motivation", "bench_network_tables",
+                     "bench_orchestrator")
+
+
 def _figure_benchmarks(work: Path) -> int:
     import pytest
-    # The sweeps have their own CI job; "not sweep" would also drop
-    # test_ablation_weight_sweep.  test_telemetry_overhead times a ratio
-    # the tracer distorts; the untraced CI jobs judge it.
+
+    def session(*args: str) -> int:
+        # The sweeps have their own CI job; "not sweep" would also drop
+        # test_ablation_weight_sweep.  test_telemetry_overhead times a
+        # ratio the tracer distorts; the untraced CI jobs judge it.
+        return int(pytest.main(
+            [*args, "-q", "-p", "no:cacheprovider",
+             "-k", "not test_sweep_ and not test_telemetry_overhead"],
+            plugins=[_ResultsTo(work / "results")]))
+
     with contextlib.ExitStack() as stack:
         stack.callback(os.chdir, os.getcwd())
         os.chdir(ROOT)
-        return int(pytest.main(
-            ["benchmarks", "-q", "-p", "no:cacheprovider",
-             "--ignore=benchmarks/e2e",
-             "-k", "not test_sweep_ and not test_telemetry_overhead"],
-            plugins=[_ResultsTo(work / "results")]))
+        return (session(*(f"benchmarks/{name}.py"
+                          for name in TRACED_BENCHMARKS),
+                        "--benchmark-disable")
+                or session("benchmarks/bench_scalability.py"))
 
 
 #: name -> driver(work folder) -> exit status, in the order they run.

@@ -161,16 +161,6 @@ class TestCausalAnnotation:
         assert "cause_kind" not in breach.fields
         engine.close()
 
-    def test_future_faults_are_never_blamed(self):
-        hub = obs.enable()
-        engine = _engine()
-        hub.event("fault_gateway_crash", t=50.0, fault_id=1)
-        engine.observe("a->b", 6.0, 9000.0, 0.0)
-        engine.observe("a->b", 7.0, 9000.0, 0.0)
-        (breach,) = _events(hub, "slo_breach")
-        assert "cause_kind" not in breach.fields
-        engine.close()
-
     def test_recovery_names_the_nearest_remedy(self):
         hub = obs.enable()
         engine = _engine()

@@ -231,13 +231,15 @@ class TestHubIntegration:
         # The stream holds the complete record.
         assert len(read_jsonl(stream.paths[0]).events) == 10
 
-    def test_capture_isolates_the_ambient_stream(self, tmp_path):
+    def test_capture_refuses_an_attached_stream(self, tmp_path):
         hub = obs.enable()
         ambient = hub.attach_stream(tmp_path / "outer.jsonl")
         hub.event("failover", t=1.0)
-        with obs.capture() as inner:
-            inner.event("autoscale", t=2.0)  # must NOT hit `ambient`
-        assert hub.stream is ambient  # re-attached on exit
+        with pytest.raises(RuntimeError, match="stream attached"):
+            with obs.capture():
+                pytest.fail("the window opened")
+        assert hub.stream is ambient  # untouched, still live
+        assert hub.enabled and len(hub.tracer.events) == 1
         hub.event("failback", t=3.0)
         hub.detach_stream(close=True)
         kinds = [e["kind"] for e in read_jsonl(ambient.paths[0]).events]

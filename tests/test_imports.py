@@ -213,16 +213,30 @@ def _uses(package_name, module_name):
                for node in ast.walk(tree))
 
 
+def _e2e_imports():
+    """Every module an import statement of `benchmarks/e2e` names."""
+    found = set()
+    for path in (ROOT / "benchmarks" / "e2e").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found.add(node.module)
+    return found
+
+
 def test_every_module_has_an_importer():
     """Nothing in `src/repro` is dead weight: every module is imported
     by another module — its own package's ``__init__`` merely
     re-exporting it does not count — or is an entry point
-    (``__main__``, the CLI, a module the experiment registry names).  A
-    reference implementation only the tests call belongs under
-    ``tests/``."""
+    (``__main__``, the CLI, a module the experiment registry names, a
+    module an end-to-end workload builds from by hand, as
+    `control_n100` builds its `CohortWorkload`).  A reference
+    implementation only the tests call belongs under ``tests/``."""
     from repro.experiments.registry import all_specs
 
-    entry_points = {"repro.cli"} | {spec.module for spec in all_specs()}
+    entry_points = ({"repro.cli"} | {spec.module for spec in all_specs()}
+                    | _e2e_imports())
     everything = [name for __, name, __ in pkgutil.walk_packages(
         repro.__path__, prefix="repro.")]
     imports = {name: _imported_modules(name) for name in everything}
@@ -457,6 +471,7 @@ def _removed_setting_owners():
 REMOVED_SETTINGS = [
     ("SimulationConfig", "robust_percentile"),
     ("SimulationConfig", "cohorts_per_pair"),
+    ("SimulationConfig", "stream_cohorts"),
     ("Controller", "robust_percentile"),
     ("Controller", "predictor_harmonics"),
     ("NetworkInformationBase.robust_snapshot", "percentile"),
@@ -680,8 +695,10 @@ REMOVED_SETTINGS = [
 ]
 
 #: Config classes whose every setting became a named constant where it
-#: is read, and the names of fig13's per-day-underlay long mode, which
-#: the one 14-day `fig13_qoe.run` replaced: (module, name).
+#: is read, the names of fig13's per-day-underlay long mode, which the
+#: one 14-day `fig13_qoe.run` replaced, and the checkpoint half of
+#: `CohortWorkload`, which no checkpointed controller decomposes with:
+#: (module, name), a name of a class's attribute as ``Class.attr``.
 REMOVED_CONFIGS = [
     ("repro.traffic", "TrafficConfig"),
     ("repro.underlay.config", "PricingConfig"),
@@ -697,6 +714,8 @@ REMOVED_CONFIGS = [
     ("repro.core", "DailySummary"),
     ("repro.experiments.fig13_qoe", "LongQoEComparison"),
     ("repro.experiments.fig13_qoe", "run_long"),
+    ("repro.traffic.cohorts", "CohortWorkload.export_state"),
+    ("repro.traffic.cohorts", "CohortWorkload.import_state"),
 ]
 
 
@@ -711,6 +730,7 @@ def test_removed_setting_is_a_type_error(owner, keyword):
                          ids=[name for __, name in REMOVED_CONFIGS])
 def test_removed_config_is_gone(module_name, name):
     module = importlib.import_module(module_name)
-    assert not hasattr(module, name)
+    owner, __, attr = name.rpartition(".")
+    assert not hasattr(getattr(module, owner) if owner else module, attr)
     if hasattr(module, "__path__"):  # nor a submodule of a package
         assert importlib.util.find_spec(f"{module_name}.{name}") is None

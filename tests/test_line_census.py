@@ -136,6 +136,21 @@ def test_exempt_rows_name_a_known_reason():
         assert row[3] in line_census.REASONS, row
 
 
+def test_the_totals_follow_their_heading(tmp_path, capsys):
+    # CI prints the report from the `TOTALS` line on, whatever the
+    # number of reasons: the totals, then one line per reason.
+    files = _census(tmp_path)
+    rows = [("synthetic.py", "clamp", "return 100", "bound")]
+    line_census.report(files, line_census.judge(files, rows), [],
+                       ({}, [], []))
+    out = capsys.readouterr().out.splitlines()
+    totals = out[out.index(line_census.TOTALS) + 1:]
+    assert "executable lines reached" in totals[0]
+    assert [line.split()[0] for line in totals[-len(line_census.REASONS):]
+            ] == list(line_census.REASONS)
+    assert out.count(line_census.TOTALS) == 1
+
+
 def _settings(tmp_path, drive):
     """(every setting of the synthetic module, the settings `drive`
     set), by (owner, setting)."""
