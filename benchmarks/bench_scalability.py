@@ -453,7 +453,7 @@ def test_cluster_install(benchmark, n_regions):
     last = _INSTALL_ROWS - 1
     assert cluster.size == 4
     assert cluster.current_entries() == entries
-    assert newest.forward(last).next_hop == entries[last][0]
+    assert newest.forward(last, 0.0).next_hop == entries[last][0]
     assert benchmark.stats["mean"] < CLUSTER_INSTALL_BUDGET_S[n_regions]
 
 

@@ -50,7 +50,7 @@ def main() -> None:
 
     def probe_round() -> None:
         cluster.probe_round(sim.now)
-        decision = gateway.forward(STREAM_ID)
+        decision = gateway.forward(STREAM_ID, sim.now)
         est = gateway.estimator("SIN", LinkType.INTERNET)
         if decision.via_backup != last_state["backup"]:
             last_state["backup"] = decision.via_backup
@@ -62,7 +62,7 @@ def main() -> None:
 
     def report() -> None:
         est = gateway.estimator("SIN", LinkType.INTERNET)
-        decision = gateway.forward(STREAM_ID)
+        decision = gateway.forward(STREAM_ID, sim.now)
         path = "premium backup" if decision.via_backup else "Internet"
         print(f"t={sim.now:6.1f}s  link ewma: {est.latency_ms:6.0f} ms / "
               f"{est.loss_rate * 100:5.2f}% loss   -> forwarding via {path}")

@@ -211,31 +211,27 @@ def _build_demo_system(args: argparse.Namespace, slo_engine):
             len(deployment.regions))
 
 
-def _run_demo(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
+def _live_telemetry(hub, args: argparse.Namespace, command: str,
+                    mode: str):
+    """Arm the live telemetry `demo` and `serve` share: a ``--stream``
+    to `args.stream` and an ``--slo`` engine for the system to arm.
 
-    from repro import obs
+    Returns the engine (None without ``--slo``) and the call that, once
+    the run is over, prints its report to stdout, closes it and the
+    stream, and prints the stream's summary line to stderr.
+    """
+    stream = None
+    if args.stream:
+        stream = hub.attach_stream(
+            args.stream, max_bytes=args.stream_max_kb * 1024,
+            meta={"command": command, "mode": mode})
+    engine = None
+    if args.slo:
+        from repro.obs.slo import SLOEngine
+        from repro.qoe.metrics import qoe_badness
+        engine = SLOEngine(badness=qoe_badness())
 
-    duration_s = args.minutes * 60.0
-    capture = bool(args.telemetry or args.stream or args.slo)
-    with (obs.capture() if capture else nullcontext()) as hub:
-        stream = None
-        if args.stream:
-            stream = hub.attach_stream(
-                args.stream, max_bytes=args.stream_max_kb * 1024,
-                meta={"command": "demo",
-                      "mode": "chaos" if args.chaos else "default"})
-        engine = None
-        if args.slo:
-            from repro.obs.slo import SLOEngine
-            from repro.qoe.metrics import qoe_badness
-            engine = SLOEngine(badness=qoe_badness())
-        system, start, n_regions = _build_demo_system(args, engine)
-        print(f"event-driven run: {args.minutes:g} min across "
-              f"{n_regions} regions"
-              + (" (chaos testbed)" if args.chaos else "") + " ...")
-        result = system.run(start, duration_s)
-        _print_demo_result(result)
+    def finish() -> None:
         if engine is not None:
             for line in engine.render_report():
                 print(line)
@@ -245,6 +241,27 @@ def _run_demo(args: argparse.Namespace) -> int:
             print(f"stream: {stream.events_written:,} events across "
                   f"{len(stream.paths)} part file(s), last "
                   f"{stream.paths[-1]}", file=sys.stderr)
+
+    return engine, finish
+
+
+def _run_demo(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
+    from repro import obs
+
+    duration_s = args.minutes * 60.0
+    capture = bool(args.telemetry or args.stream or args.slo)
+    with (obs.capture() if capture else nullcontext()) as hub:
+        engine, finish = _live_telemetry(
+            hub, args, "demo", "chaos" if args.chaos else "default")
+        system, start, n_regions = _build_demo_system(args, engine)
+        print(f"event-driven run: {args.minutes:g} min across "
+              f"{n_regions} regions"
+              + (" (chaos testbed)" if args.chaos else "") + " ...")
+        result = system.run(start, duration_s)
+        _print_demo_result(result)
+        finish()
     if args.telemetry:
         _write_telemetry(args.telemetry, hub, command="demo")
     return 0
@@ -332,17 +349,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro import obs
     with obs.capture() as hub:
-        stream = None
-        if args.stream:
-            stream = hub.attach_stream(
-                args.stream, max_bytes=args.stream_max_kb * 1024,
-                meta={"command": "serve",
-                      "mode": "chaos" if schedule else "calm"})
-        engine = None
-        if args.slo:
-            from repro.obs.slo import SLOEngine
-            from repro.qoe.metrics import qoe_badness
-            engine = SLOEngine(badness=qoe_badness())
+        engine, finish = _live_telemetry(
+            hub, args, "serve", "chaos" if schedule else "calm")
         system, codes = _build_serve_system(args, engine, schedule)
         config = ServiceConfig(
             duration_s=duration_s, compress=args.compress,
@@ -377,15 +385,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"health: rss {h0['rss_kb']} -> {h1['rss_kb']} kB | "
                   f"fds {h0['open_fds']} -> {h1['open_fds']} | "
                   f"children {h1['children']}")
-        if engine is not None:
-            for line in engine.render_report():
-                print(line)
-            engine.close()
-        if stream is not None:
-            hub.detach_stream(close=True)
-            print(f"stream: {stream.events_written:,} events across "
-                  f"{len(stream.paths)} part file(s), last "
-                  f"{stream.paths[-1]}", file=sys.stderr)
+        finish()
         if args.health_out:
             health = system.health(result.sim_t1)
             doc = {

@@ -1,13 +1,16 @@
-"""Always-on service mode: the event-driven deployment as an asyncio app.
+"""Always-on service mode: the event-driven deployment as a drainable
+long-running process.
 
 `XRONService` runs the *same* timeline as the batch
 `EventDrivenXRON.run` — one `repro.sim.engine.Simulator` carrying the
 schedule `EventDrivenXRON.schedule` declares — and adds only what a
 long-lived production control loop needs on top:
 
-* **A paced driver** steps the simulator from an asyncio coroutine, one
-  event at a time in the engine's ``(time, priority, seq)`` order, so a
-  served window is the batch window by construction.
+* **A paced driver** steps the simulator in a plain loop, one event at
+  a time in the engine's ``(time, priority, seq)`` order, so a served
+  window is the batch window by construction.  SIGTERM and SIGINT
+  handlers only request the drain; the driver sees the request at its
+  next event, or at once from a paced wait.
 * **Clock compression** paces virtual time against the wall:
   ``compress`` sim-seconds pass per wall-second (``0`` = flat out, the
   test mode).  The driver tracks how far it falls behind (`max_lag_s`).
@@ -28,11 +31,11 @@ pattern the soak mode runs under.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,7 +218,7 @@ class ServiceError(RuntimeError):
 
 
 class XRONService:
-    """`EventDrivenXRON` as a long-running, drainable asyncio service."""
+    """`EventDrivenXRON` as a long-running, drainable service."""
 
     def __init__(self, system: EventDrivenXRON, config: ServiceConfig):
         if config.compress < 0:
@@ -224,13 +227,17 @@ class XRONService:
         self.system = system
         self.config = config
         self._start_s = WINDOW_START_S
-        #: The simulator of the current (or last) run; tests read `.now`.
-        self.clock: Optional[Simulator] = None
         self.heartbeats: List[Dict[str, Any]] = []
         #: Worst wall-clock lag behind the compressed schedule, seconds.
         self.max_lag_s = 0.0
-        self._stop_event: Optional[asyncio.Event] = None
         self._stop_reason: Optional[str] = None
+        #: Held until a stop is requested, so a paced wait is an acquire
+        #: that `request_stop` ends early.  A bare lock, because a signal
+        #: handler runs between two bytecodes of the main thread: inside
+        #: `threading.Event.wait` that thread may hold the event's own
+        #: lock, and an `Event.set` from the handler would deadlock.
+        self._running = threading.Lock()
+        self._running.acquire()
         self._persisted_json: Optional[str] = None
         #: The scheduled periodic tasks by component name (heartbeat
         #: payload: their fire counts).
@@ -238,51 +245,52 @@ class XRONService:
 
     # ------------------------------------------------------------- lifecycle
     def request_stop(self, reason: str) -> None:
-        """Begin a graceful drain (signal handlers route here)."""
+        """Begin a graceful drain (the signal handlers route here).
+
+        The first request names the stop; later ones change nothing.
+        A handler can interrupt a request between its check and its
+        release, so every request releases and tolerates a lock that
+        an earlier one released.
+        """
         if self._stop_reason is None:
             self._stop_reason = reason
-        if self._stop_event is not None:
-            self._stop_event.set()
+        try:
+            self._running.release()
+        except RuntimeError:
+            pass  # an earlier request released it
 
     def run(self) -> ServiceResult:
-        """`asyncio.run` wrapper installing SIGTERM/SIGINT drain handlers."""
-        return asyncio.run(self._run_with_signals())
+        """Run the service window; always drains before returning.
 
-    async def _run_with_signals(self) -> ServiceResult:
-        loop = asyncio.get_running_loop()
-        installed: List[signal.Signals] = []
-        for signame in ("SIGTERM", "SIGINT"):
-            signum = getattr(signal, signame, None)
-            if signum is None:
-                continue
+        On the main thread, SIGTERM and SIGINT request the drain while
+        the window runs, and the previous handlers are back afterwards.
+        Python lets no other thread install a handler, so a run there
+        leaves signals alone and stops only through `request_stop`.
+        """
+        def on_signal(signum: int, frame: Any) -> None:
+            self.request_stop(signal.Signals(signum).name)
+
+        previous: Dict[int, Any] = {}
+        for signum in (signal.SIGTERM, signal.SIGINT):
             try:
-                loop.add_signal_handler(
-                    signum, self.request_stop, signame)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-main thread or unsupported platform
+                previous[signum] = signal.signal(signum, on_signal)
+            except ValueError:
+                break  # not the main thread
         try:
-            return await self.run_async()
+            return self._serve()
         finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
 
     # ------------------------------------------------------------------ run
-    async def run_async(self) -> ServiceResult:
-        """Run the service window; always drains before returning."""
+    def _serve(self) -> ServiceResult:
         sys_ = self.system
         cfg = self.config
         sim = Simulator(self._start_s)
-        self.clock = sim
-        stop = asyncio.Event()
-        self._stop_event = stop
-        if self._stop_reason is not None:
-            stop.set()  # stop requested before start: drain immediately
         wall0 = time.monotonic()
         error: Optional[Exception] = None
         try:
-            reason = await self._drive(
-                sim, self._start_s + cfg.duration_s, stop, wall0)
+            reason = self._drive(sim, self._start_s + cfg.duration_s, wall0)
         except Exception as exc:
             error = exc
             reason = "component-error"
@@ -309,17 +317,16 @@ class XRONService:
                 f"a scheduled callback failed: {error!r}") from error
         return result
 
-    async def _drive(self, sim: Simulator, end_s: float,
-                     stop: asyncio.Event, wall0: float) -> str:
+    def _drive(self, sim: Simulator, end_s: float, wall0: float) -> str:
         """Schedule the system plus a heartbeat on `sim`, then step it
-        until `end_s` or `stop`; returns why.
+        until `end_s` or a stop request; returns why.
 
         ``"completed"`` — the next event lies past `end_s` (the clock
-        is left exactly at `end_s`); ``"stopped"`` — `stop` was set.
-        The heartbeat (priority 5, after every system task at equal
-        times) is service-only and records no simulation state.
+        is left exactly at `end_s`); ``"stopped"`` — a stop was
+        requested.  The heartbeat (priority 5, after every system task
+        at equal times) is service-only and records no simulation state.
         """
-        if stop.is_set():
+        if self._stop_reason is not None:
             return "stopped"
         cfg = self.config
         self._tasks = self.system.schedule(sim, self._start_s)
@@ -329,8 +336,7 @@ class XRONService:
             start_delay=cfg.heartbeat_s, priority=5)
         wall_anchor = time.monotonic()
         sim_anchor = sim.now
-        steps = 0
-        while not stop.is_set():
+        while self._stop_reason is None:
             t_next = sim.next_time()
             if t_next is None or t_next > end_s:
                 sim.run_until(end_s)  # nothing left to fire: sets the clock
@@ -339,20 +345,15 @@ class XRONService:
                 target = wall_anchor + (t_next - sim_anchor) / cfg.compress
                 lag = time.monotonic() - target
                 if lag < 0:
-                    try:  # interruptible: a stop request ends the sleep
-                        await asyncio.wait_for(stop.wait(), timeout=-lag)
-                    except asyncio.TimeoutError:
-                        pass
+                    # A signal interrupts the wait; its handler's
+                    # `request_stop` releases the lock, so the retried
+                    # acquire takes it at once.
+                    if self._running.acquire(timeout=-lag):
+                        break
                 elif lag > self.max_lag_s:
                     self.max_lag_s = lag
-            steps += 1
-            if steps % 256 == 0:
-                # Unpaced mode never otherwise yields to the loop: give
-                # signal handlers and the stop event a chance to land.
-                await asyncio.sleep(0)
-            if not stop.is_set():
-                sim.step()
-                self._persist_fresh_checkpoint(sim.now)
+            sim.step()
+            self._persist_fresh_checkpoint(sim.now)
         return "stopped"
 
     def _persist_fresh_checkpoint(self, now: float) -> None:

@@ -161,7 +161,7 @@ class RegionCluster:
             del self.gateways[victim]
         self._fleet_changed()
 
-    def crash_gateways(self, count: int, now: Optional[float] = None,
+    def crash_gateways(self, count: int, now: float,
                        fault_id: Optional[int] = None) -> List[int]:
         """Fault injection: `count` gateways fail abruptly.
 
@@ -193,7 +193,7 @@ class RegionCluster:
             _TEL.event("fault_gateway_crash", t=now, **fields)
         return victims
 
-    def restore_gateways(self, count: int, now: Optional[float] = None,
+    def restore_gateways(self, count: int, now: float,
                          fault_id: Optional[int] = None) -> List[int]:
         """Fault injection: start `count` replacement gateways.
 
@@ -279,7 +279,7 @@ class RegionCluster:
         self._rr_index += 1
         return gateway
 
-    def resolve(self, stream_id: int, now: Optional[float] = None
+    def resolve(self, stream_id: int, now: float
                 ) -> Optional[Tuple[Gateway, ForwardDecision]]:
         """Resolve a stream via the gateway whose turn it is, and say
         WHICH gateway decided (None for a stream without a row).

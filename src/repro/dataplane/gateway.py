@@ -91,14 +91,14 @@ class Gateway:
         gateway, stream and table, so the ledger starts over."""
         self._demoted.clear()
 
-    def forward(self, stream_id: int,
-                now: Optional[float] = None) -> Optional[ForwardDecision]:
+    def forward(self, stream_id: int, now: float) -> Optional[ForwardDecision]:
         """Resolve a stream's current next hop, applying local reaction.
 
         Returns None for unknown streams (the caller drops or buffers).
-        ``now`` (simulated time) only stamps trace events.  The answer
-        is one of the stream's compiled decisions (`ForwardingTable`),
-        picked by its normal link's degraded flag.
+        ``now`` (simulated time) stamps trace events and, with resilience
+        armed, times the failback hold-down and the stale-table
+        demotion.  The answer is one of the stream's compiled decisions
+        (`ForwardingTable`), picked by its normal link's degraded flag.
         """
         table = self.table
         route = table.routes.get(stream_id)
@@ -107,7 +107,7 @@ class Gateway:
         normal, backup, demoted = route
         res = self.resilience
         if self.fast_reaction and self.bank.degraded[normal.link]:
-            if res is not None and res.hysteresis_enabled and now is not None:
+            if res is not None and res.hysteresis_enabled:
                 self._failover_at.setdefault(stream_id, now)
             if _TEL.enabled:
                 _DECISIONS.fetch(_TEL.metrics)[0].inc()
@@ -121,7 +121,7 @@ class Gateway:
                                backup_next_hop=backup.next_hop,
                                planned=bool(table.plans.get(stream_id)))
             return backup
-        if res is not None and res.hysteresis_enabled and now is not None:
+        if res is not None and res.hysteresis_enabled:
             failed_over = self._failover_at.get(stream_id)
             if failed_over is not None:
                 if now - failed_over < FAILBACK_HOLDDOWN_S:
@@ -131,8 +131,7 @@ class Gateway:
                     return self._held_down(stream_id, backup, now)
                 del self._failover_at[stream_id]
                 self._holddown_traced.discard(stream_id)
-        if (res is not None
-                and now is not None and table.installed_at is not None
+        if (res is not None and table.installed_at is not None
                 and now - table.installed_at > self.stale_after_s
                 and normal.link_type is LinkType.INTERNET):
             # Degraded mode: the table is stale past the threshold, so

@@ -24,7 +24,6 @@ artifact CI uploads and diffs across runs.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import random
 import signal
@@ -105,24 +104,12 @@ def _deadline(timeout_s: Optional[float]):
     Uses ``SIGALRM``/``setitimer``, so it only arms on the main thread
     of a process on platforms that have it — exactly the situation of a
     pool worker (and of the sequential CLI).  Elsewhere it is a no-op
-    and the experiment simply runs to completion.
-
-    It also refuses to arm while an asyncio event loop is running in
-    this thread: asyncio owns signal delivery there (wakeup fd, signal
-    handlers installed via ``loop.add_signal_handler``), and swapping
-    the ``SIGALRM`` disposition underneath it clobbers whatever the
-    loop installed.
+    and the experiment simply runs to completion.  The previous
+    ``SIGALRM`` handler is back on the way out.
     """
     usable = (timeout_s is not None and timeout_s > 0
               and hasattr(signal, "SIGALRM")
               and threading.current_thread() is threading.main_thread())
-    if usable:
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            pass  # no loop in this thread: SIGALRM is ours to use
-        else:
-            usable = False
     if not usable:
         yield
         return

@@ -10,7 +10,6 @@ protocol itself is pinned below: list order is call order, and an
 extension that changes nothing is byte-invisible.
 """
 
-import asyncio
 from dataclasses import replace
 from functools import lru_cache
 
@@ -117,7 +116,7 @@ def _served(subset: str, tmp_path) -> bytes:
         mp.setattr(service_module, "WINDOW_START_S", START_S)
         service = XRONService(
             engine, ServiceConfig(duration_s=DURATION_S, heartbeat_s=100.0))
-    served = asyncio.run(service.run_async())
+    served = service.run()
     result = served.eventsim
     assert served.heartbeats == 2
     # Service-only: the heartbeat events and the drain's checkpoint.

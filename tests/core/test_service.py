@@ -1,8 +1,11 @@
 """Tests for the always-on service mode (`repro.core.service`)."""
 
-import asyncio
 import json
 import multiprocessing
+import os
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -47,10 +50,9 @@ def test_clock_completes_at_window_end_without_draining():
         return declare(sim, start_s)
 
     system.schedule = schedule
-    result = asyncio.run(service.run_async())
+    result = service.run()
     assert result.stop_reason == "completed"
     assert fired == [50.0]
-    assert service.clock.now == 100.0
     assert result.sim_t1 == 100.0
 
 
@@ -60,7 +62,7 @@ def test_service_runs_a_window_and_drains(tmp_path):
     config = ServiceConfig(duration_s=300.0, heartbeat_s=60.0,
                            checkpoint_path=tmp_path / "cp.json")
     service = XRONService(system, config)
-    result = asyncio.run(service.run_async())
+    result = service.run()
     assert result.stop_reason == "completed"
     assert result.drained
     assert result.sim_t1 == 300.0
@@ -82,7 +84,7 @@ def test_service_is_deterministic():
         system = _build_system()
         service = XRONService(
             system, ServiceConfig(duration_s=300.0, heartbeat_s=150.0))
-        result = asyncio.run(service.run_async())
+        result = service.run()
         return result
 
     a, b = run_once(), run_once()
@@ -129,7 +131,7 @@ def test_service_matches_batch_engine():
         served = _build_system(faults=schedule,
                                initial_gateways=gateways)
         service = XRONService(served, ServiceConfig(duration_s=400.0))
-        service_result = asyncio.run(service.run_async())
+        service_result = service.run()
         live_result = service_result.eventsim
 
         assert len(live_result.control_outputs) == len(
@@ -148,25 +150,87 @@ def test_service_matches_batch_engine():
 
 
 def test_service_stop_request_drains_immediately(tmp_path):
+    """A callback's stop request ends the run at its own instant."""
     system = _build_system()
     config = ServiceConfig(duration_s=600.0, heartbeat_s=60.0,
                            checkpoint_path=tmp_path / "cp.json")
     service = XRONService(system, config)
+    declare = system.schedule
 
-    async def main():
-        task = asyncio.ensure_future(service.run_async())
-        while service.clock is None or service.clock.now < 150.0:
-            await asyncio.sleep(0.001)
-        service.request_stop("test-stop")
-        return await task
+    def schedule(sim, start_s):
+        sim.schedule_at(150.0, lambda: service.request_stop("test-stop"))
+        return declare(sim, start_s)
 
-    result = asyncio.run(main())
+    system.schedule = schedule
+    result = service.run()
     assert result.stop_reason == "test-stop"
     assert result.drained
-    assert 150.0 <= result.sim_t1 < 600.0
+    assert result.sim_t1 == 150.0
     # The drain checkpoint reflects the stop time, not the window end.
     envelope = XRONService.load_envelope(tmp_path / "cp.json")
-    assert envelope["sim_t"] <= result.sim_t1
+    assert envelope["sim_t"] == result.sim_t1
+
+
+def test_stop_requests_before_the_run_drain_it_at_its_start(tmp_path):
+    """The first of several requests names the stop; the window never
+    starts, and the drain checkpoints its start instant."""
+    service = XRONService(_build_system(), ServiceConfig(
+        duration_s=600.0, checkpoint_path=tmp_path / "cp.json"))
+    service.request_stop("first")
+    service.request_stop("second")
+    result = service.run()
+    assert (result.stop_reason, result.sim_t1, result.epochs) == (
+        "first", 0.0, 0)
+    assert XRONService.load_envelope(tmp_path / "cp.json")["sim_t"] == 0.0
+
+
+def test_sigterm_ends_a_paced_wait_and_restores_the_handler(tmp_path):
+    """A real SIGTERM during a long paced wait drains the run at once,
+    through one final checkpoint at the instant it stopped, and the
+    handler that was installed before the run is back afterwards."""
+    # 50 wall-s per sim-s: the wait for the first probing instant after
+    # the start-up events lasts several seconds.
+    service = XRONService(_build_system(), ServiceConfig(
+        duration_s=600.0, compress=0.02,
+        checkpoint_path=tmp_path / "cp.json"))
+
+    def sentinel(signum, frame):
+        raise AssertionError("the service's handler was not installed")
+
+    before = signal.signal(signal.SIGTERM, sentinel)
+    timer = threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGTERM))
+    try:
+        timer.start()
+        wall0 = time.monotonic()
+        result = service.run()
+        wall_s = time.monotonic() - wall0
+        assert signal.getsignal(signal.SIGTERM) is sentinel
+    finally:
+        timer.cancel()
+        signal.signal(signal.SIGTERM, before)
+    assert result.stop_reason == "SIGTERM"
+    assert result.sim_t1 < 1.0
+    assert wall_s < 4.0
+    envelope = XRONService.load_envelope(tmp_path / "cp.json")
+    assert envelope["sim_t"] == result.sim_t1
+
+
+def test_a_run_off_the_main_thread_installs_no_handlers(tmp_path):
+    service = XRONService(_build_system(), ServiceConfig(duration_s=120.0))
+    before = signal.getsignal(signal.SIGTERM)
+    installed, results = [], []
+
+    def run():
+        results.append(service.run())
+        installed.append(signal.getsignal(signal.SIGTERM))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60.0)
+    assert not worker.is_alive()
+    assert results[0].stop_reason == "completed"
+    assert results[0].sim_t1 == 120.0
+    assert installed == [before]
 
 
 def test_component_error_drains_and_raises():
@@ -178,7 +242,7 @@ def test_component_error_drains_and_raises():
 
     system._flush_passive = lambda sim: boom()
     with pytest.raises(ServiceError, match="injected component failure"):
-        asyncio.run(service.run_async())
+        service.run()
     # The drain still ran: no stranded children, controller closed.
     assert multiprocessing.active_children() == []
 
@@ -201,7 +265,7 @@ def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path):
     leg1_system = _build_system(faults=schedule)
     leg1 = XRONService(leg1_system,
                        ServiceConfig(duration_s=250.0, checkpoint_path=path))
-    leg1_result = asyncio.run(leg1.run_async())
+    leg1_result = leg1.run()
     assert leg1_result.eventsim.fault_counters["gateways_crashed"] == 1
     envelope = XRONService.load_envelope(path)
     inner = json.loads(envelope["checkpoint"])
@@ -213,7 +277,7 @@ def test_restore_mid_schedule_does_not_replay_fired_faults(tmp_path):
     t = leg2.restore_from(envelope)
     assert t == pytest.approx(250.0)
     leg2.config.duration_s = 600.0 - t
-    leg2_result = asyncio.run(leg2.run_async())
+    leg2_result = leg2.run()
 
     # Counters are imported with the checkpoint, so the leg-2 totals are
     # cumulative: exactly one crash per scheduled window, never two.
@@ -229,7 +293,7 @@ def test_restore_rejects_mismatched_schedule(tmp_path):
     path = tmp_path / "cp.json"
     leg1 = XRONService(_build_system(faults=schedule),
                        ServiceConfig(duration_s=200.0, checkpoint_path=path))
-    asyncio.run(leg1.run_async())
+    leg1.run()
     envelope = XRONService.load_envelope(path)
 
     other = FaultSchedule.of(
@@ -246,7 +310,7 @@ def test_restore_resumes_controller_state(tmp_path):
     leg1_system = _build_system()
     leg1 = XRONService(leg1_system,
                        ServiceConfig(duration_s=300.0, checkpoint_path=path))
-    asyncio.run(leg1.run_async())
+    leg1.run()
     sib_state = leg1_system.controller.sib.export_state()
 
     leg2_system = _build_system()
@@ -281,13 +345,13 @@ def test_envelope_sim_t_is_its_checkpoints_instant(tmp_path, monkeypatch):
     monkeypatch.setattr(XRONService, "_write_envelope", recording)
     leg1 = XRONService(_build_system(), ServiceConfig(
         duration_s=300.0, checkpoint_path=tmp_path / "leg1.json"))
-    asyncio.run(leg1.run_async())
+    leg1.run()
     drained = written[-1]
     leg2 = XRONService(_build_system(), ServiceConfig(
         duration_s=600.0, checkpoint_path=tmp_path / "leg2.json"))
     leg2.restore_from(XRONService.load_envelope(tmp_path / "leg1.json"))
     del written[:]
-    asyncio.run(leg2.run_async())
+    leg2.run()
     assert written[0]["sim_t"] == drained["sim_t"] == 300.0
     assert written[-1]["sim_t"] == 900.0
     for envelope in [drained] + written:

@@ -15,7 +15,6 @@ Marked ``soak`` so an iteration loop can skip it (``-m 'not soak'``);
 it is deliberately fast enough to stay in the default tier-1 run.
 """
 
-import asyncio
 import gc
 import multiprocessing
 
@@ -65,7 +64,7 @@ def _run_window(tmp_path, tag):
             system,
             ServiceConfig(duration_s=WINDOW_S, heartbeat_s=120.0,
                           checkpoint_path=tmp_path / f"{tag}-cp.json"))
-        result = asyncio.run(service.run_async())
+        result = service.run()
         hub.detach_stream(close=True)
     assert result.drained
     return result
@@ -104,7 +103,7 @@ def test_repeat_windows_do_not_accumulate_objects(tmp_path):
 
     The first window pays every lazy import and cache fill; the second
     must come out near-neutral — a leaked controller, cluster, stream
-    handle, or asyncio task would show up as monotonic object growth.
+    handle or heartbeat task would show up as monotonic object growth.
     """
     _run_window(tmp_path, "warmup")
     gc.collect()

@@ -66,8 +66,8 @@ class TestFleet:
         cluster.scale_to(6)
         newest = cluster.gateways[max(cluster.gateways)]
         assert newest.table is cluster.table
-        assert newest.forward(1) == cluster.gateways[0].forward(1)
-        assert newest.forward(1).next_hop == "SIN"
+        assert newest.forward(1, 0.0) == cluster.gateways[0].forward(1, 0.0)
+        assert newest.forward(1, 0.0).next_hop == "SIN"
 
     def test_representatives_are_stable_lowest_ids(self, cluster):
         reps = cluster.representatives()
@@ -88,7 +88,7 @@ class TestFleet:
         newest = cluster.gateways[max(cluster.gateways)]
         assert newest.table.plans == {1: ("FRA",)}
         _flag_degraded(newest, "SIN", I)
-        decision = newest.forward(1)
+        decision = newest.forward(1, 0.0)
         assert decision.via_backup and decision.next_hop == "FRA"
 
     def test_crash_removes_lowest_ids_first(self, cluster):
@@ -106,11 +106,11 @@ class TestFleet:
         round-robin cursor into the shrunken fleet."""
         cluster.install({1: ("SIN", I)}, {})
         for __ in range(7):  # advance the cursor beyond the post-crash size
-            cluster.resolve(1)
+            cluster.resolve(1, 0.0)
         cluster.crash_gateways(3, now=0.0)
         assert 0 <= cluster._rr_index < cluster.size
         survivor = next(iter(cluster.gateways.values()))
-        resolved = cluster.resolve(1)
+        resolved = cluster.resolve(1, 0.0)
         assert resolved is not None and resolved[0] is survivor
 
     def test_restart_after_crash_continues_from_the_reduced_cursor(
@@ -121,7 +121,7 @@ class TestFleet:
         would pick gateway 5."""
         cluster.install({1: ("SIN", I)}, {})
         for __ in range(7):
-            cluster.resolve(1)
+            cluster.resolve(1, 0.0)
         cluster.crash_gateways(2, now=0.0)
         assert cluster.restore_gateways(2, now=30.0) == [4, 5]
         assert [cluster.next_gateway().gateway_id
@@ -135,9 +135,9 @@ class TestFleet:
         for gid in started:
             gateway = cluster.gateways[gid]
             assert gateway.table is cluster.table
-            assert gateway.forward(1).next_hop == "SIN"
+            assert gateway.forward(1, 0.0).next_hop == "SIN"
             _flag_degraded(gateway, "SIN", I)
-            decision = gateway.forward(1)
+            decision = gateway.forward(1, 0.0)
             assert decision.via_backup and decision.next_hop == "FRA"
 
 
@@ -149,16 +149,16 @@ class TestFleetOrderIsKept:
         cluster.install({1: ("SIN", I)}, {})
 
         def deciders():
-            return sorted({cluster.resolve(1)[0].gateway_id
+            return sorted({cluster.resolve(1, 0.0)[0].gateway_id
                            for __ in range(2 * cluster.size)})
 
         def reps():
             return [g.gateway_id for g in cluster.representatives()]
 
         assert (deciders(), reps()) == ([0, 1, 2, 3], [0, 1])
-        cluster.crash_gateways(1)
+        cluster.crash_gateways(1, 0.0)
         assert (deciders(), reps()) == ([1, 2, 3], [1, 2])
-        started = cluster.restore_gateways(2)
+        started = cluster.restore_gateways(2, 0.0)
         assert (deciders(), reps()) == ([1, 2, 3] + started, [1, 2])
         cluster.scale_to(2)
         assert (deciders(), reps()) == ([1, 2], [1, 2])
@@ -172,7 +172,7 @@ class TestFleetOrderIsKept:
         cluster.probe_round(0.0)
         held = cluster.gateways[2].estimator("SIN", I)
         before = {gid: _estimate(g) for gid, g in cluster.gateways.items()}
-        cluster.crash_gateways(1)
+        cluster.crash_gateways(1, 0.0)
         cluster.scale_to(6)
         for gid, gateway in cluster.gateways.items():
             if gid in before:
@@ -204,7 +204,7 @@ class TestFleetOrderIsKept:
             cluster.scale_to(6)  # same representatives: nothing to trace
             cluster.probe_round(0.8)
             assert elections() == [([0, 1], 4)]
-            cluster.crash_gateways(1)
+            cluster.crash_gateways(1, 0.0)
             assert elections() == [([0, 1], 4)]  # not at the change...
             cluster.probe_round(1.2)
             assert elections() == [([0, 1], 4), ([1, 2], 5)]  # ...after it
@@ -263,25 +263,25 @@ class TestGroupProbing:
 class TestForwarding:
     def test_round_robin_across_gateways(self, cluster):
         cluster.install({1: ("SIN", I)}, {})
-        resolved = [cluster.resolve(1) for __ in range(8)]
+        resolved = [cluster.resolve(1, 0.0) for __ in range(8)]
         assert all(r is not None and r[1].next_hop == "SIN"
                    for r in resolved)
 
     def test_unknown_stream(self, cluster):
-        assert cluster.resolve(99) is None
+        assert cluster.resolve(99, 0.0) is None
 
     def test_resolve_reports_the_deciding_gateway(self, cluster):
         """Regression: passive samples must be booked on the gateway
         that made the round-robin decision, so `resolve` has to hand
         back every gateway in turn — not always the lowest id."""
         cluster.install({1: ("SIN", I)}, {})
-        deciders = {cluster.resolve(1)[0].gateway_id
+        deciders = {cluster.resolve(1, 0.0)[0].gateway_id
                     for __ in range(cluster.size)}
         assert deciders == set(cluster.gateways)
 
     def test_resolve_and_forward_agree(self, cluster):
         cluster.install({1: ("SIN", I)}, {})
-        gateway, decision = cluster.resolve(1)
+        gateway, decision = cluster.resolve(1, 0.0)
         assert decision.next_hop == "SIN"
         assert gateway.gateway_id in cluster.gateways
 
@@ -292,7 +292,7 @@ class TestForwarding:
         for k in range(12):
             cluster.probe_round(9.0 + k * 0.4)
         for __ in range(cluster.size):
-            __, decision = cluster.resolve(1)
+            __, decision = cluster.resolve(1, 0.0)
             assert decision.via_backup
             assert decision.link_type is P
 

@@ -232,9 +232,9 @@ class ClusterAgainstScalarReference(RuleBasedStateMachine):
 
     @rule(count=st.integers(1, 3))
     def crash_and_restart(self, count):
-        victims = self.cluster.crash_gateways(count)
+        victims = self.cluster.crash_gateways(count, self.now)
         self.follow_fleet()
-        self.cluster.restore_gateways(len(victims) // 2)
+        self.cluster.restore_gateways(len(victims) // 2, self.now)
         self.follow_fleet()
 
     # ----------------------------------------------------------- the check

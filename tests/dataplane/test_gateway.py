@@ -43,14 +43,14 @@ def gateway(cluster):
 
 
 def test_forward_normal_path(gateway):
-    decision = gateway.forward(1)
+    decision = gateway.forward(1, 0.0)
     assert decision.next_hop == "SIN"
     assert decision.link_type is I
     assert not decision.via_backup
 
 
 def test_forward_unknown_stream(gateway):
-    assert gateway.forward(42) is None
+    assert gateway.forward(42, 0.0) is None
 
 
 def test_reaction_switches_to_backup(cluster, gateway, underlay):
@@ -60,7 +60,7 @@ def test_reaction_switches_to_backup(cluster, gateway, underlay):
     for k in range(10):
         cluster.probe_round(14.0 + k * 0.4)
     assert gateway.estimator("SIN", I).degraded
-    decision = gateway.forward(1)
+    decision = gateway.forward(1, 0.0)
     assert decision.via_backup
     assert decision.link_type is P
     assert decision.next_hop == "SIN"
@@ -77,7 +77,7 @@ def test_reaction_reverts_after_recovery(cluster, gateway, underlay):
     for k in range(25):
         cluster.probe_round(40.0 + k * 0.4)
     assert not gateway.estimator("SIN", I).degraded
-    assert not gateway.forward(1).via_backup
+    assert not gateway.forward(1, 0.0).via_backup
 
 
 def test_reaction_without_plan_uses_direct_premium(cluster, gateway, underlay):
@@ -86,7 +86,7 @@ def test_reaction_without_plan_uses_direct_premium(cluster, gateway, underlay):
                   [DegradationEvent(10.0, 60.0, 5000.0, 0.3)])
     for k in range(10):
         cluster.probe_round(14.0 + k * 0.4)
-    decision = gateway.forward(1)
+    decision = gateway.forward(1, 0.0)
     assert decision.via_backup
     assert decision.next_hop == "SIN"
     assert decision.link_type is P
@@ -98,7 +98,7 @@ def test_multi_hop_plan_first_relay(cluster, gateway, underlay):
                   [DegradationEvent(10.0, 60.0, 5000.0, 0.3)])
     for k in range(10):
         cluster.probe_round(14.0 + k * 0.4)
-    decision = gateway.forward(1)
+    decision = gateway.forward(1, 0.0)
     assert decision.next_hop == "FRA"
 
 

@@ -159,9 +159,9 @@ def test_the_block_is_every_cluster_round_at_once(
             k = CODES.index(code)
             for clusters in (blocked, alone):
                 if action == "crash":
-                    clusters[k].crash_gateways(count)
+                    clusters[k].crash_gateways(count, now)
                 elif action == "restore":
-                    clusters[k].restore_gateways(count)
+                    clusters[k].restore_gateways(count, now)
                 else:
                     clusters[k].scale_to(count)
         assert_same_state(blocked, alone)

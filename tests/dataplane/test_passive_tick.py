@@ -165,9 +165,9 @@ def replay(seed, representatives, fleet, threshold, tables, binding,
             for built in (new, old):
                 cluster = built.clusters[code]
                 if action == "crash":
-                    cluster.crash_gateways(count)
+                    cluster.crash_gateways(count, now)
                 elif action == "restore":
-                    cluster.restore_gateways(count)
+                    cluster.restore_gateways(count, now)
                 else:
                     cluster.scale_to(count)
         assert_same(new, old, tick)

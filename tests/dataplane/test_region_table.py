@@ -63,15 +63,14 @@ class RegionModel:
         self.accepted += 1
         return True
 
-    def decide(self, gid, sid, flagged, now=None):
+    def decide(self, gid, sid, flagged, now):
         if sid not in self.rows:
             return None
         hop, tier = self.rows[sid]
         if (hop, tier) in flagged:
             relays = self.plans.get(sid)
             return ForwardDecision(relays[0] if relays else hop, P, True)
-        if (now is not None and self.at is not None
-                and now - self.at > STALE_S and tier is I):
+        if self.at is not None and now - self.at > STALE_S and tier is I:
             self.demoted.add((gid, sid, self.accepted))
             return ForwardDecision(hop, P, False, degraded_mode=True)
         return ForwardDecision(hop, tier, False)
@@ -118,12 +117,12 @@ class ClusterAgainstRegionModel(RuleBasedStateMachine):
 
     @rule(count=st.integers(1, 3))
     def crash(self, count):
-        self.cluster.crash_gateways(count)
+        self.cluster.crash_gateways(count, self.now)
         self.follow_fleet()
 
     @rule(count=st.integers(1, 2))
     def restore(self, count):
-        self.cluster.restore_gateways(count)
+        self.cluster.restore_gateways(count, self.now)
         self.follow_fleet()
 
     @rule(gateway=st.integers(0, 10), dst=st.sampled_from(OTHERS),
@@ -175,12 +174,13 @@ class ClusterAgainstRegionModel(RuleBasedStateMachine):
     def every_gateway_forwards_and_reacts_like_the_model(self):
         if not hasattr(self, "cluster"):
             return
-        # No clock: the decision from table and verdicts alone, which
-        # neither demotes nor counts anything.
+        # At the newest install's own instant: the decision from table
+        # and verdicts alone, which neither demotes nor counts anything.
+        at = self.now if self.model.at is None else self.model.at
         for gid, gateway in self.cluster.gateways.items():
             for sid in STREAMS:
-                assert gateway.forward(sid) == self.model.decide(
-                    gid, sid, self.flagged[gid]), (gid, sid)
+                assert gateway.forward(sid, at) == self.model.decide(
+                    gid, sid, self.flagged[gid], at), (gid, sid)
 
     @invariant()
     def demotions_count_once_per_gateway_stream_and_install(self):
@@ -225,8 +225,8 @@ def test_the_machine_sees_refusals_redemotions_and_newborn_reactions():
     steps.verdict(sorted(steps.cluster.gateways).index(newborn),
                   OTHERS[0], I, True)
     check()
-    assert steps.cluster.gateways[newborn].forward(0) == ForwardDecision(
-        OTHERS[1], P, True)
+    assert steps.cluster.gateways[newborn].forward(
+        0, steps.now) == ForwardDecision(OTHERS[1], P, True)
     steps.forward(0.0)
     check()
     assert steps.counters.degraded_demotions == 5   # the unflagged newborn

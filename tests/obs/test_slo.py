@@ -176,6 +176,34 @@ class TestCausalAnnotation:
         assert rec.fields["remedy_t"] == 4.5
         engine.close()
 
+    def test_a_gateway_crash_and_restart_annotate_breach_and_recovery(
+            self, small_underlay):
+        """The data plane stamps its fault events with the instant it
+        is given, so an engine armed around a crash and a restart
+        reads both events' times."""
+        from repro.dataplane.cluster import RegionCluster
+
+        hub = obs.enable()
+        engine = _engine()
+        cluster = RegionCluster("HGH", small_underlay, initial_gateways=3)
+        cluster.crash_gateways(2, 5.0, fault_id=7)
+        engine.observe("a->b", 6.0, 9000.0, 0.0)
+        engine.observe("a->b", 7.0, 9000.0, 0.0)
+        cluster.restore_gateways(2, 8.0, fault_id=7)
+        t = 9.0
+        while engine.streams["a->b"].in_breach:
+            engine.observe("a->b", t, 10.0, 0.0)
+            t += 1.0
+        (breach,) = _events(hub, "slo_breach")
+        assert (breach.fields["cause_kind"], breach.fields["cause_t"],
+                breach.fields["cause_fault_id"]) == (
+                    "fault_gateway_crash", 5.0, 7)
+        (rec,) = _events(hub, "slo_recovered")
+        assert (rec.fields["remedy_kind"], rec.fields["remedy_t"],
+                rec.fields["remedy_region"]) == (
+                    "fault_gateway_restart", 8.0, "HGH")
+        engine.close()
+
     def test_own_slo_events_are_not_remembered_as_causes(self):
         hub = obs.enable()
         engine = _engine()

@@ -7,7 +7,6 @@ part file must end with a complete, parseable JSON line — the readers'
 exits that simply forgot to flush.
 """
 
-import asyncio
 import json
 
 import pytest
@@ -92,7 +91,7 @@ def test_service_drain_flushes_shutdown_record(tmp_path):
         stream = hub.attach_stream(tmp_path / "soak.jsonl")
         service = XRONService(
             system, ServiceConfig(duration_s=300.0, heartbeat_s=60.0))
-        result = asyncio.run(service.run_async())
+        result = service.run()
         assert result.drained
         hub.detach_stream(close=True)
     records = _all_lines_parse(stream.paths)

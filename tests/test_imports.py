@@ -93,6 +93,18 @@ def test_cold_start_loads_numpy_only():
     assert not foreign, f"loaded beyond numpy: {sorted(foreign)}"
 
 
+def test_no_module_loads_asyncio():
+    """The service drives its loop itself: importing every module of
+    the package, in a fresh interpreter, loads no event loop."""
+    loaded = _in_fresh_interpreter(
+        f"import importlib, sys\n"
+        f"for name in {ALL_MODULES!r}:\n"
+        f"    importlib.import_module(name)\n"
+        f"print(*sys.modules, sep=chr(10))")
+    assert "repro.core.service" in loaded
+    assert "asyncio" not in loaded
+
+
 @pytest.mark.parametrize("module_name", ALL_MODULES)
 def test_module_imports(module_name):
     importlib.import_module(module_name)
@@ -696,9 +708,11 @@ REMOVED_SETTINGS = [
 
 #: Config classes whose every setting became a named constant where it
 #: is read, the names of fig13's per-day-underlay long mode, which the
-#: one 14-day `fig13_qoe.run` replaced, and the checkpoint half of
-#: `CohortWorkload`, which no checkpointed controller decomposes with:
-#: (module, name), a name of a class's attribute as ``Class.attr``.
+#: one 14-day `fig13_qoe.run` replaced, the checkpoint half of
+#: `CohortWorkload`, which no checkpointed controller decomposes with,
+#: and the service's coroutine driver, which its synchronous `run`
+#: replaced: (module, name), a name of a class's attribute as
+#: ``Class.attr``.
 REMOVED_CONFIGS = [
     ("repro.traffic", "TrafficConfig"),
     ("repro.underlay.config", "PricingConfig"),
@@ -716,6 +730,7 @@ REMOVED_CONFIGS = [
     ("repro.experiments.fig13_qoe", "run_long"),
     ("repro.traffic.cohorts", "CohortWorkload.export_state"),
     ("repro.traffic.cohorts", "CohortWorkload.import_state"),
+    ("repro.core.service", "XRONService.run_async"),
 ]
 
 
